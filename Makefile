@@ -12,17 +12,20 @@ bench:
 	$(PYTHON) -m pytest benchmarks -q
 
 # Simulator throughput smoke: the reference/vectorized sweep (>=3x on 8x8),
-# the paper-scale head-to-heads (tiled >= 1.2x compiled on 2+ CPU hosts,
-# compiled >= 1.2x vectorized), the auto-dispatcher row and the 256x256
-# weak/strong scaling sweep; refreshes BENCH_simulator.json and
-# BENCH_scaling.json at the repo root.
+# the paper-scale rows (compiled >= 1.2x vectorized asserted; tiled, the
+# fusion depths and auto recorded, with deterministic proxies asserted in
+# place of host-dependent ratios) and the 256x256 weak/strong scaling
+# sweep; refreshes BENCH_simulator.json and BENCH_scaling.json at the repo
+# root.  Speed regressions are gated by `python -m bench compare`.
 sim-bench:
 	$(PYTHON) -m pytest benchmarks/test_simulator_throughput.py -q
 
-# Gate the overlapped tiled protocol: the golden byte-identical digest
-# matrices (7 benchmarks x 3 boundary modes x all executors, including the
-# compiled-shard tiled backend and the auto dispatcher) plus the tiled
-# backend's own geometry/pool/failure-path suite.
+# Gate the tiled backend: the golden byte-identical digest matrices (7
+# benchmarks x 3 boundary modes x all executors, including tiled and the
+# auto dispatcher) plus the backend's own suite — shard geometry, the
+# worker pool and the in-process driver under both round protocols (pool
+# reuse, one barrier per block, worker reaping), failure paths and the
+# declined-codegen error.
 tiled-check:
 	$(PYTHON) -m pytest tests/wse/test_tiled_executor.py \
 	  tests/wse/test_auto_executor.py \
@@ -32,10 +35,12 @@ tiled-check:
 
 # Gate temporal fusion (multi-round superkernels): the R-matrix goldens
 # (R in {1,2,4} byte-identical on compiled AND tiled across boundary
-# modes), fingerprint keying, the dispatcher's round estimate and online
-# learning, plus the paper-scale assertion that the best blocked depth
-# runs compiled >= 1.15x its unblocked self (warm cache, rows recorded
-# with an explicit `r` to BENCH_simulator.json).
+# modes, pooled and in-process), kernel keying (one compiled kernel for
+# every depth, one tiled window kernel per depth), the dispatcher's round
+# estimate and online learning, plus the paper-scale check that R = 1, 2
+# and 4 share one code generation and execute the same rounds (rows
+# recorded with an explicit `r` to BENCH_simulator.json; no wall-clock
+# assert).
 fusion-check:
 	$(PYTHON) -m pytest tests/wse/test_temporal_fusion.py \
 	  benchmarks/test_simulator_throughput.py::test_temporal_blocking_speeds_up_compiled -q

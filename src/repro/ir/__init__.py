@@ -54,7 +54,6 @@ from repro.ir.rewriting import (
     GreedyRewriteDriver,
     GreedyRewritePatternApplier,
     PatternRewriter,
-    PatternRewriteWalker,
     RestartingRewriteWalker,
     RewritePattern,
     TypedPattern,
@@ -96,7 +95,6 @@ __all__ = [
     "Operation",
     "PassManager",
     "PassStatistics",
-    "PatternRewriteWalker",
     "PatternRewriter",
     "PipelineStatistics",
     "Printer",

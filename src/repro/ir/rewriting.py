@@ -18,8 +18,7 @@ Two drivers apply patterns to a fixpoint:
   pre-order walk of the module after every rewrite.  Kept as the reference
   implementation for equivalence tests and compile-time benchmarks.
 
-:class:`PatternRewriteWalker` remains as a thin compatibility shim over the
-worklist driver; new code should call :func:`apply_patterns_greedily`.
+Passes and tests enter through :func:`apply_patterns_greedily`.
 """
 
 from __future__ import annotations
@@ -683,31 +682,3 @@ def apply_patterns_greedily(
         max_rewrites=max_rewrites,
     ).rewrite_module(module)
 
-
-class PatternRewriteWalker:
-    """Deprecated compatibility shim over :class:`GreedyRewriteDriver`.
-
-    Pre-worklist code constructed ``PatternRewriteWalker(pattern)`` and
-    called ``rewrite_module``; that entry point keeps working (including the
-    ``use_restarting_driver`` escape hatch), but new code should call
-    :func:`apply_patterns_greedily` directly.
-    """
-
-    def __init__(
-        self,
-        pattern: RewritePattern,
-        *,
-        apply_recursively: bool = True,
-        max_iterations: int = 10_000,
-    ):
-        self.pattern = pattern
-        self.apply_recursively = apply_recursively
-        self.max_iterations = max_iterations
-
-    def rewrite_module(self, module: Operation) -> bool:
-        return apply_patterns_greedily(
-            module,
-            self.pattern,
-            apply_recursively=self.apply_recursively,
-            max_rewrites=self.max_iterations,
-        )

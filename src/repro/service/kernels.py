@@ -15,15 +15,27 @@ simply never looked up again after a semantics change.  Writes are atomic
 (tempfile + ``os.replace``) for the same reason the artifact stores' are:
 concurrent fleet members may race on one fingerprint, and the losers must
 still observe a complete file.
+
+The fingerprint keys the *plan*, not the text, and whatever :meth:`get`
+returns is ``exec``'d — so every entry carries a SHA-256 of its source on
+its first line, verified on read.  A truncated, tampered or hash-less
+(pre-checksum) file is a miss: it is unlinked, never returned, and the
+caller regenerates and re-puts.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 from pathlib import Path
 
 from repro.service.cache import resolve_cache_directory
+
+
+def _checksum_line(body: bytes) -> bytes:
+    """The first line of an entry whose source bytes are ``body``."""
+    return b"# sha256 " + hashlib.sha256(body).hexdigest().encode("ascii")
 
 
 class KernelSourceStore:
@@ -44,17 +56,26 @@ class KernelSourceStore:
         return self._path(fingerprint).is_file()
 
     def get(self, fingerprint: str) -> str | None:
-        """The stored kernel source, or None when absent/unreadable."""
+        """The stored kernel source, or None when absent, unreadable or
+        failing its checksum (the damaged entry is then removed)."""
+        path = self._path(fingerprint)
         try:
-            return self._path(fingerprint).read_text(encoding="utf-8")
+            header, _, body = path.read_bytes().partition(b"\n")
         except OSError:
             return None
+        if header == _checksum_line(body):
+            return body.decode("utf-8")
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return None
 
     def put(self, fingerprint: str, source: str) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
+        body = source.encode("utf-8")
         handle = tempfile.NamedTemporaryFile(
-            mode="w",
-            encoding="utf-8",
+            mode="wb",
             dir=self.directory,
             prefix=f".{fingerprint[:12]}.",
             suffix=".tmp",
@@ -62,7 +83,7 @@ class KernelSourceStore:
         )
         try:
             with handle:
-                handle.write(source)
+                handle.write(_checksum_line(body) + b"\n" + body)
             os.replace(handle.name, self._path(fingerprint))
         except BaseException:
             try:

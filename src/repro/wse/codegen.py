@@ -1,13 +1,13 @@
-"""Plan-to-kernel code generation for the ``compiled`` executor.
+"""Plan-to-kernel code generation for the ``compiled`` and ``tiled`` executors.
 
 The vectorized backend still *interprets* the csl-ir program once per
 delivery round: every op pays a dict dispatch, every DSD operand a slice
 construction, and the halo exchange allocates fresh gather/concatenate
 arrays per chunk.  On small fabrics that dispatch overhead dominates; on
 large fabrics the per-round allocations do.  This module removes both by
-walking the :class:`~repro.wse.plan.ExecutionPlan` **once** and emitting a
-single fused per-round Python/NumPy function as source text, materialised
-via ``exec``:
+walking the :class:`~repro.wse.plan.ExecutionPlan` **once** and emitting
+the fused delivery round as Python/NumPy source text, materialised via
+``exec``:
 
 * every callable becomes a plain Python function (``counters`` bump +
   straight-line statements) — task activations append bound functions to a
@@ -20,10 +20,22 @@ via ``exec``:
   destination never partially overlaps a source — otherwise they fall back
   to the interpreter's exact ``dest[:] = expr`` statement, so results stay
   byte-identical either way;
-* the chunked halo exchange unrolls into per-direction copies into
-  preallocated staging buffers: gatherable directions are fancy-index
-  gathers through the plan's fold tables, Dirichlet directions write only
-  the interior rectangle over a border prefilled once at bind time.
+* the chunked halo exchange unrolls into per-direction copies: gatherable
+  directions are basic-slice runs or fancy-index gathers through the
+  plan's fold tables, Dirichlet directions write only the interior
+  rectangle over a constant-fill border.
+
+There is one emission per kernel kind.  A *whole-grid* kernel (the
+``compiled`` executor's, and the ``tiled`` executor's deep-halo windows via
+:class:`~repro.wse.plan.BlockPlanView`) carries the round loop itself:
+``run_block(budget)`` runs up to ``budget`` delivery rounds per call, and
+each exchange stages straight into its receive slab wherever
+``_direct_staging_safe`` proves that legal (preallocated staging slabs
+otherwise).  The temporal block depth R is therefore nothing but the budget
+the caller passes — it is not an emission parameter and not part of the
+fingerprint.  A *shard-box* kernel (``box=``/``geometry=``) instead exposes
+the seam protocol's per-round hooks (publish / stage interior / stage rim /
+deliver), because its rounds rendezvous with sibling shards.
 
 Kernels are cached process-wide in an in-memory memo keyed by a *kernel
 fingerprint* (SHA-256 over the printed program module, the plan's canonical
@@ -33,8 +45,8 @@ fleet-wide.  Set ``REPRO_COMPILED_DUMP`` to a directory to retain the
 emitted source of every kernel for debugging.
 
 Only the constructs the pipeline generates are compilable; anything else
-raises :class:`KernelCodegenError` and the ``compiled`` executor falls back
-to plain vectorized interpretation.
+raises :class:`KernelCodegenError`: the ``compiled`` executor then falls back
+to plain vectorized interpretation, the ``tiled`` executor propagates it.
 """
 
 from __future__ import annotations
@@ -68,9 +80,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: bump when the emitted kernel semantics change; folded into kernel
 #: fingerprints (stale memo/store entries then miss) and into run-level
 #: fingerprints so cached run artifacts invalidate alongside.
-#: v2: temporal-block (multi-round) emission mode; unblocked emission is
-#: byte-identical to v1.
-CODEGEN_VERSION = 2
+#: v3: one whole-grid emission — every non-box kernel carries ``run_block``
+#: and the direct-to-receive delivery; the block depth is the caller's call
+#: budget, no longer an emission parameter.
+CODEGEN_VERSION = 3
 
 #: environment variable naming a directory to retain emitted kernel source
 #: in (``kernel_<fingerprint12>.py`` per kernel) for debugging.
@@ -119,7 +132,6 @@ def kernel_fingerprint(
     plan: ExecutionPlan,
     box: tuple[int, int, int, int] | None = None,
     geometry: ShardGeometry | None = None,
-    rounds: int = 1,
 ) -> str:
     """Content fingerprint of one (program module, plan[, shard box]) kernel.
 
@@ -129,10 +141,10 @@ def kernel_fingerprint(
     change to the program, the planning semantics or the emitter invalidates
     it exactly once.  Shard-box kernels (the tiled backend's per-shard
     replicas) additionally fold the box and the whole shard geometry, since
-    seam publication slots depend on every band/stripe edge.  Temporal-block
-    kernels fold their depth (``rounds > 1``) so each (plan, box, R) variant
-    caches exactly once; ``rounds == 1`` leaves the payload untouched —
-    unblocked fingerprints are insensitive to the parameter existing.
+    seam publication slots depend on every band/stripe edge.  The tiled
+    backend's deep-halo window kernels key their depth through
+    :meth:`~repro.wse.plan.BlockPlanView.canonical`; a whole-grid kernel is
+    the same kernel at every block depth.
     """
     payload = {
         "codegen_version": CODEGEN_VERSION,
@@ -142,8 +154,6 @@ def kernel_fingerprint(
     if box is not None:
         assert geometry is not None
         payload["shard"] = {"box": list(box), "geometry": geometry.canonical()}
-    if rounds != 1:
-        payload["rounds"] = rounds
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -249,22 +259,14 @@ class _KernelEmitter:
         plan: ExecutionPlan,
         box: tuple[int, int, int, int] | None = None,
         geometry: ShardGeometry | None = None,
-        rounds: int = 1,
     ):
         self.image = image
         self.plan = plan
-        #: ``(y0, y1, x0, x1)`` for a shard-box kernel, ``None`` for the
-        #: whole-grid kernel (whose emission this mode must not perturb).
+        #: ``(y0, y1, x0, x1)`` for a shard-box kernel (the seam protocol's
+        #: publish/stage/deliver hooks), ``None`` for a whole-grid kernel
+        #: (the in-kernel ``run_block`` round loop).
         self.box = box
         self.geometry = geometry
-        #: temporal block depth; ``> 1`` grows the in-kernel round loop
-        #: (``run_block``) and the direct-to-receive delivery.  Shard-box
-        #: kernels block through extended-window plans instead, never here.
-        self.rounds = rounds
-        assert rounds == 1 or box is None, (
-            "temporal blocks and shard boxes compose via BlockPlanView, "
-            "not via box= + rounds="
-        )
         self._fn_names: dict[str, str] = {}
         self._buffer_names: dict[str, str] = {}
         self._views: dict[tuple, str] = {}  # (buffer, offset, length, stride)
@@ -274,8 +276,9 @@ class _KernelEmitter:
         self._exchanges: list[tuple[int, ExchangePlan, str]] = []
         #: shard-mode fancy-index constants: (values, orient) -> name.
         self._indices: dict[tuple[tuple[int, ...], str], str] = {}
-        #: exchanges delivered straight into the receive slab (block mode):
-        #: their staging slabs are never allocated.
+        #: exchanges delivered straight into the receive slab (whole-grid
+        #: kernels, where proven safe): their staging slabs are never
+        #: allocated.
         self._direct_eids: set[int] = set()
         #: direct-mode exchanges whose constant-fill borders are written
         #: lazily under a ``fl<eid>`` once-flag (receive buffer proven
@@ -707,7 +710,7 @@ class _KernelEmitter:
         b.line("counters['exchanges'] += 1")
         b.line(f"pending[0] = {eid}")
 
-    # -- temporal-block write-set analysis -------------------------------- #
+    # -- direct-delivery write-set analysis ------------------------------- #
 
     def _written_buffers(self, name: str) -> set[str] | None:
         """Buffers the direct-call closure of a callable may write.
@@ -773,7 +776,7 @@ class _KernelEmitter:
     ) -> bool:
         """May this exchange stage each chunk straight into the receive slab?
 
-        The unblocked kernel stages *every* chunk before any receive
+        Staged delivery copies *every* chunk aside before any receive
         callback runs; interleaving stage and callback is byte-equivalent
         exactly when the callback's direct-call closure writes neither the
         source (later chunks would re-read modified data) nor the receive
@@ -792,9 +795,18 @@ class _KernelEmitter:
         )
 
     def _recv_preserved(self, receive_buffer: str) -> bool:
-        """True when no callable of the program writes the receive buffer —
-        the constant-fill borders written by one delivery then survive until
-        the next, so the fill only needs writing once per kernel binding."""
+        """True when nothing but one exchange's own delivery writes the
+        receive buffer — no callable of the program, and no second exchange
+        delivering into the same slab (its directions' data would land on
+        this one's border cells).  The constant-fill borders written by one
+        delivery then survive until the next, so the fill only needs writing
+        once per kernel binding."""
+        sharing = sum(
+            exchange.receive_buffer == receive_buffer
+            for _, exchange, _ in self._exchanges
+        )
+        if sharing > 1:
+            return False
         for name in self.image.callables:
             writes = self._written_buffers(name)
             if writes is None or receive_buffer in writes:
@@ -853,10 +865,8 @@ class _KernelEmitter:
         if self.box is not None:
             self._emit_box_exchange_fns(eid, exchange, source_buffer, b)
             return
-        if self.rounds > 1 and self._direct_staging_safe(
-            exchange, source_buffer
-        ):
-            self._emit_block_deliver_fn(eid, exchange, source_buffer, b)
+        if self._direct_staging_safe(exchange, source_buffer):
+            self._emit_direct_deliver_fn(eid, exchange, source_buffer, b)
             return
         depth = exchange.chunk_size * len(exchange.directions)
         source = self._buffer(source_buffer)
@@ -898,20 +908,20 @@ class _KernelEmitter:
             if len(b) == body_start:  # zero-chunk, no-callback degenerate
                 b.line("pass")
 
-    def _emit_block_deliver_fn(
+    def _emit_direct_deliver_fn(
         self,
         eid: int,
         exchange: ExchangePlan,
         source_buffer: str,
         b: SourceBuilder,
     ) -> None:
-        """Fused-block delivery: stage each chunk straight into the receive
+        """Direct delivery: stage each chunk straight into the receive
         slab, skipping the per-chunk full-slab copy.
 
         Legal because :meth:`_direct_staging_safe` proved the receive
         callback writes neither the source buffer (later chunks re-read the
         same data the up-front staging would have) nor the receive buffer
-        (the slab content each callback observes equals the unblocked
+        (the slab content each callback observes equals the staged
         ``np.copyto`` result).  Constant-fill borders are re-established at
         the top of the delivery — or once per kernel binding when no task
         of the program ever writes the receive buffer.
@@ -1292,19 +1302,19 @@ class _KernelEmitter:
                 delivery, "stage_interior", returns=self._num_pes
             )
             self._emit_box_dispatcher(delivery, "stage_rim", returns=None)
-        delivery.line("def deliver():")
-        with delivery.indented():
-            delivery.line("eid = pending[0]")
-            delivery.line("if eid < 0:")
+            delivery.line("def deliver():")
             with delivery.indented():
-                delivery.line("return 0")
-            delivery.line("pending[0] = -1")
-            for eid, _, _ in self._exchanges:
-                keyword = "if" if eid == 0 else "elif"
-                delivery.line(f"{keyword} eid == {eid}:")
+                delivery.line("eid = pending[0]")
+                delivery.line("if eid < 0:")
                 with delivery.indented():
-                    delivery.line(f"deliver_{eid}()")
-            delivery.line(f"return {self._num_pes}")
+                    delivery.line("return 0")
+                delivery.line("pending[0] = -1")
+                for eid, _, _ in self._exchanges:
+                    keyword = "if" if eid == 0 else "elif"
+                    delivery.line(f"{keyword} eid == {eid}:")
+                    with delivery.indented():
+                        delivery.line(f"deliver_{eid}()")
+                delivery.line(f"return {self._num_pes}")
 
         out = SourceBuilder()
         boundary = self.plan.boundary
@@ -1317,10 +1327,6 @@ class _KernelEmitter:
             f"{self.plan.width}x{self.plan.height}; "
             f"boundary {boundary.kind}({boundary.value!r})"
         )
-        if self.rounds > 1:
-            out.line(
-                f"# temporal block: {self.rounds} rounds per invocation"
-            )
         if fingerprint:
             out.line(f"# fingerprint {fingerprint}")
         if self.box is not None:
@@ -1419,13 +1425,14 @@ class _KernelEmitter:
                 with out.indented():
                     out.line("fn, a = queue.popleft()")
                     out.line("fn(a)")
-            out.line("def settled():")
-            with out.indented():
-                out.line(
-                    "return state.halted or (not queue and pending[0] < 0)"
-                )
-            if self.rounds > 1:
-                # The in-kernel round loop: exactly the executor's
+            if self.box is not None:
+                out.line("def settled():")
+                with out.indented():
+                    out.line(
+                        "return state.halted or (not queue and pending[0] < 0)"
+                    )
+            else:
+                # The in-kernel round loop: exactly the base executor's
                 # drain/settled/deliver schedule, minus one Python boundary
                 # crossing per round.  ``budget`` bounds the rounds executed
                 # per invocation; the caller re-invokes until settled.
@@ -1460,13 +1467,12 @@ class _KernelEmitter:
             out.line("return {")
             with out.indented():
                 out.line(f"'fns': {{{fns}}},")
-                out.line("'drain': drain, 'deliver': deliver, "
-                         "'settled': settled,")
                 if self.box is not None:
-                    out.line("'publish': publish, "
-                             "'stage_interior': stage_interior,")
-                    out.line("'stage_rim': stage_rim,")
-                if self.rounds > 1:
+                    out.line("'drain': drain, 'settled': settled, "
+                             "'publish': publish,")
+                    out.line("'stage_interior': stage_interior, "
+                             "'stage_rim': stage_rim, 'deliver': deliver,")
+                else:
                     out.line("'run_block': run_block,")
                 out.line("'queue': queue, 'pending': pending,")
             out.line("}")
@@ -1479,22 +1485,20 @@ def generate_kernel_source(
     fingerprint: str | None = None,
     box: tuple[int, int, int, int] | None = None,
     geometry: ShardGeometry | None = None,
-    rounds: int = 1,
 ) -> str:
-    """Emit the fused per-round kernel of one (image, plan) as Python source.
+    """Emit the fused kernel of one (image, plan) as Python source.
 
     The emission is deterministic: the same image and plan produce
     byte-identical source (names are assigned in sorted/traversal order and
     no environmental state leaks in), which the golden dump test pins.
-    With ``box``/``geometry`` the kernel is restricted to one shard box and
-    grows the overlapped-exchange hooks (``publish`` / ``stage_interior`` /
-    ``stage_rim``) plus a module-level ``SHARD_META`` literal.  With
-    ``rounds > 1`` the kernel is a temporal block: it grows a ``run_block``
-    hook executing up to that many delivery rounds per invocation, and
-    deliveries stage straight into the receive slab where provably safe;
-    ``rounds == 1`` emission is byte-identical to not passing the parameter.
+    A whole-grid kernel exposes ``run_block(budget)`` — up to ``budget``
+    delivery rounds per invocation, deliveries staged straight into the
+    receive slab where provably safe.  With ``box``/``geometry`` the kernel
+    is restricted to one shard box and exposes the seam-protocol hooks
+    instead (``drain`` / ``settled`` / ``publish`` / ``stage_interior`` /
+    ``stage_rim`` / ``deliver``) plus a module-level ``SHARD_META`` literal.
     """
-    return _KernelEmitter(image, plan, box, geometry, rounds).emit(fingerprint)
+    return _KernelEmitter(image, plan, box, geometry).emit(fingerprint)
 
 
 # --------------------------------------------------------------------------- #
@@ -1586,10 +1590,9 @@ def get_kernel(
     store=None,
     box: tuple[int, int, int, int] | None = None,
     geometry: ShardGeometry | None = None,
-    rounds: int = 1,
 ) -> CompiledKernel:
-    """The compiled kernel of one (image, plan[, shard box][, block depth]),
-    cached by fingerprint.
+    """The compiled kernel of one (image, plan[, shard box]), cached by
+    fingerprint.
 
     Lookup order: the in-process memo, then ``store`` (any object with
     ``get(fingerprint) -> str | None`` and ``put(fingerprint, source)`` —
@@ -1598,7 +1601,7 @@ def get_kernel(
     :class:`KernelCodegenError` when the program cannot be fused; nothing
     is cached in that case.
     """
-    fingerprint = kernel_fingerprint(image, plan, box, geometry, rounds)
+    fingerprint = kernel_fingerprint(image, plan, box, geometry)
     kernel = _MEMO.get(fingerprint)
     if kernel is not None:
         _STATISTICS.memory_hits += 1
@@ -1607,9 +1610,7 @@ def get_kernel(
     if source is not None:
         _STATISTICS.disk_hits += 1
     else:
-        source = generate_kernel_source(
-            image, plan, fingerprint, box, geometry, rounds
-        )
+        source = generate_kernel_source(image, plan, fingerprint, box, geometry)
         _STATISTICS.codegens += 1
         if store is not None:
             store.put(fingerprint, source)

@@ -11,17 +11,22 @@ Five backends ship in-tree, all replaying the same pre-compiled
   once and executes every csl-ir op as whole-grid NumPy array math.
   Bit-identical to the reference and several times faster at 8×8+ grids.
 * ``compiled`` — the generated-kernel executor
-  (:mod:`repro.wse.executors.compiled`): code-generates the whole delivery
-  round from the plan into one fused Python/NumPy function
-  (:mod:`repro.wse.codegen`), cached process-wide by content fingerprint.
-  Bit-identical to ``vectorized`` and the fastest single-process backend.
+  (:mod:`repro.wse.executors.compiled`): code-generates the delivery round
+  *and the loop around it* from the plan into one Python/NumPy kernel
+  (:mod:`repro.wse.codegen`), cached process-wide by content fingerprint,
+  and drives it through ``run_block(budget)`` — the temporal block depth R
+  is that call budget, one kernel for every R.  Bit-identical to
+  ``vectorized`` and the fastest single-process backend; falls back to
+  inherited vectorized interpretation when code generation declines.
 * ``tiled`` — the sharded multiprocess executor
   (:mod:`repro.wse.executors.tiled`): partitions the fabric into kx×ky
-  shards run on a persistent pool of forked worker processes over
-  shared-memory buffers, each shard replaying a box-restricted compiled
-  kernel with the seam exchange overlapped against interior compute.
-  Bit-identical to ``vectorized`` and faster on large (64×64+) grids
-  with 2+ CPUs.
+  shards over shared-memory buffers, each replaying a generated kernel.
+  Two round protocols, each written once — seam publication with one
+  barrier per round (R = 1), deep-halo windows with one barrier per R
+  rounds (R > 1, a window depth) — advanced by a persistent pool of forked
+  workers or, on 1-shard grids and fork-less platforms, in-process.
+  Bit-identical to ``vectorized``; raises ``KernelCodegenError`` for
+  programs the generator cannot fuse (there are no interpreted shards).
 * ``auto`` — the profile-guided dispatcher
   (:mod:`repro.wse.executors.auto`): picks one of the four real backends
   per workload from recorded ``BENCH_*.json`` trajectory rows and the

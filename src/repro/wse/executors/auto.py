@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.dialects import arith, csl, scf
-from repro.wse.codegen import FUSION_ENV_VAR
+from repro.wse.codegen import FUSION_ENV_VAR, KernelCodegenError
 from repro.wse.executors.base import (
     Executor,
     SimulationStatistics,
@@ -351,7 +351,20 @@ class AutoExecutor(Executor):
             self.block_depth = choose_block_depth(choice, width, height, rounds)
             if self.block_depth > 1:
                 kwargs["rounds_per_block"] = self.block_depth
-        self._delegate = delegate_cls(image, width, height, self.plan, **kwargs)
+        try:
+            self._delegate = delegate_cls(
+                image, width, height, self.plan, **kwargs
+            )
+        except KernelCodegenError as error:
+            # Only ``tiled`` raises this (``compiled`` interprets instead):
+            # without generated shard kernels it is not a candidate, and
+            # ``vectorized`` is the backend that interprets any program.
+            rationale = f"{rationale}; {choice} declined ({error})"
+            choice = "vectorized"
+            self.block_depth = 1
+            self._delegate = executor_by_name(choice)(
+                image, width, height, self.plan
+            )
         #: the decision surface: which backend runs, and why.
         self.backend_name = choice
         self.backend_rationale = rationale

@@ -1,15 +1,21 @@
-"""The compiled backend: one generated, fused per-round kernel.
+"""The compiled backend: one generated kernel carrying the round loop.
 
 Where the ``vectorized`` backend still *interprets* the csl-ir program once
 per delivery round (dict dispatch per op, slice construction per DSD
 operand, fresh staging arrays per exchange), this backend asks
 :mod:`repro.wse.codegen` to walk the :class:`~repro.wse.plan.ExecutionPlan`
-once and emit the whole round as a single Python/NumPy function: straight
--line task bodies, bind-time hoisted DSD views, ``out=``-form ufuncs and
-preallocated exchange staging.  The generated kernel is cached process-wide
-by its content fingerprint (and optionally through a service-level source
-store), so repeated simulations of the same program pay code generation
-exactly once.
+once and emit the whole round as straight-line Python/NumPy: task bodies,
+bind-time hoisted DSD views, ``out=``-form ufuncs and exchanges staged
+directly into their receive slabs.  The generated kernel is cached
+process-wide by its content fingerprint (and optionally through a
+service-level source store), so repeated simulations of the same program
+pay code generation exactly once.
+
+The kernel owns the drain/settled/deliver schedule (``run_block``); this
+executor only decides how many rounds each call may run.  The temporal
+block depth R (``rounds_per_block`` argument or the ``REPRO_FUSION_ROUNDS``
+environment override) is that call budget and nothing else: every depth
+binds the same kernel under the same fingerprint.
 
 The numerical semantics are the interpreter's, statement for statement —
 fields and :class:`~repro.wse.executors.base.SimulationStatistics` stay
@@ -40,13 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @register_executor
 class CompiledExecutor(VectorizedExecutor):
-    """Run the fused generated kernel; interpret only as a fallback.
-
-    With a temporal block depth R > 1 (``rounds_per_block`` argument or the
-    ``REPRO_FUSION_ROUNDS`` environment override) the bound kernel carries
-    the round loop itself (``run_block``): up to R delivery rounds execute
-    per Python boundary crossing, byte-identical to unblocked execution.
-    """
+    """Run the generated kernel's round loop; interpret only as a fallback."""
 
     name = "compiled"
 
@@ -63,42 +63,16 @@ class CompiledExecutor(VectorizedExecutor):
         self.kernel: dict | None = None
         #: why code generation was declined, for diagnostics and tests.
         self.fallback_reason: str | None = None
-        #: why the temporal block was declined (runs unblocked instead).
-        self.block_fallback_reason: str | None = None
         #: content fingerprint of the generated kernel (None on fallback).
         self.kernel_fingerprint: str | None = None
         self._rounds_per_block = resolve_block_depth(rounds_per_block)
-        compiled = None
-        if self._rounds_per_block > 1:
-            # The blocked kernel *is* the kernel: binding a second unblocked
-            # kernel to the same state would create a parallel task queue.
-            try:
-                compiled = get_kernel(
-                    image, self.plan, rounds=self._rounds_per_block
-                )
-            except KernelCodegenError as error:
-                self.block_fallback_reason = str(error)
-                self._rounds_per_block = 1
-            except TypeError:
-                # A replacement get_kernel (tests monkeypatch it) that
-                # predates the rounds parameter: run unblocked through it.
-                self.block_fallback_reason = (
-                    "kernel provider does not support temporal blocking"
-                )
-                self._rounds_per_block = 1
-        if compiled is None:
-            try:
-                compiled = get_kernel(image, self.plan)
-            except KernelCodegenError as error:
-                self.fallback_reason = str(error)
-        if compiled is not None:
+        try:
+            compiled = get_kernel(image, self.plan)
+        except KernelCodegenError as error:
+            self.fallback_reason = str(error)
+        else:
             self.kernel_fingerprint = compiled.fingerprint
             self.kernel = compiled.instantiate(self.state, self.plan)
-
-    # ------------------------------------------------------------------ #
-    # Execution hooks: delegate to the kernel, fall back to the
-    # inherited vectorized interpretation when codegen declined.
-    # ------------------------------------------------------------------ #
 
     def launch(self, entry: str | None = None) -> None:
         if self.kernel is None:
@@ -111,28 +85,13 @@ class CompiledExecutor(VectorizedExecutor):
         fn()
         self._pending_launch = True
 
-    def _drain_tasks(self) -> None:
-        if self.kernel is None:
-            super()._drain_tasks()
-            return
-        self.kernel["drain"]()
-
-    def _all_settled(self) -> bool:
-        if self.kernel is None:
-            return super()._all_settled()
-        return self.kernel["settled"]()
-
-    def _deliver_round(self) -> int:
-        if self.kernel is None:
-            return super()._deliver_round()
-        return self.kernel["deliver"]()
-
     def _run_rounds(self, max_rounds: int) -> SimulationStatistics:
-        if self.kernel is None or "run_block" not in self.kernel:
+        if self.kernel is None:
+            # Codegen declined: the inherited hook loop interprets.
             return super()._run_rounds(max_rounds)
-        # Temporal blocking: the kernel's run_block executes up to R rounds
-        # per invocation on exactly the base drain/settled/deliver schedule,
-        # so termination, deadlock and round-budget semantics match the
+        # The kernel's run_block executes up to ``budget`` rounds per call
+        # on exactly the base drain/settled/deliver schedule, so
+        # termination, deadlock and round-budget semantics match the
         # inherited loop case for case.
         run_block = self.kernel["run_block"]
         remaining = max_rounds
@@ -154,5 +113,6 @@ class CompiledExecutor(VectorizedExecutor):
                     "exchange"
                 )
         self._collect_statistics()
-        self.statistics.block_depth = self._rounds_per_block
+        if self._rounds_per_block > 1:
+            self.statistics.block_depth = self._rounds_per_block
         return self.statistics

@@ -1,4 +1,4 @@
-"""The tiled backend: compiled shard kernels on a persistent process pool.
+"""The tiled backend: generated shard kernels on a persistent process pool.
 
 The vectorized lockstep executor turned the per-PE interpretation into
 whole-grid array math; this backend distributes that math.  The fabric is
@@ -9,38 +9,43 @@ shared-memory array (an anonymous ``mmap`` backing a
 restricted to its shard rows/columns — the identical NumPy ufuncs on a
 sub-rectangle are bit-identical to the vectorized whole-grid op.
 
-Three design decisions make the shards pay for themselves:
+Every shard replays a kernel :mod:`repro.wse.codegen` generated for it
+(cached process-wide and fleet-wide through the service
+:class:`KernelSourceStore`); a program the generator cannot fuse raises
+:class:`~repro.wse.codegen.KernelCodegenError` from the constructor —
+``vectorized`` is the interpreting backend.  There are two round protocols,
+each written once as a generator that yields at its rendezvous points:
 
-* **Compiled shard kernels.**  Each shard replays the fused per-round
-  kernel :mod:`repro.wse.codegen` emits restricted to its box (staging
-  split into interior/rim regions against the shard geometry) instead of
-  interpreting the plan tables per round.  Kernels are cached process-wide
-  and fleet-wide through the service :class:`KernelSourceStore` under the
-  plan fingerprint + box key.  Programs the generator cannot fuse fall
-  back to interpreted shards (:attr:`TiledExecutor.tiled_fallback_reason`).
-* **Overlapped seam exchange.**  The historical protocol paid two barriers
-  per delivery round (drain -> stage -> deliver).  The compiled protocol
-  pays one: after draining, a shard *publishes* its seam rows/columns into
-  shared snapshot strips and flags the round in a per-shard publication
-  counter, then stages its *interior* (sources inside the box — legal while
-  siblings still compute), spin-waits only for the publication flags of the
-  shards it actually reads from, stages the *rim* out of the snapshots, and
-  delivers.  The round ends at the single barrier, which doubles as the
-  settled-consensus point (monotone progress values, so a shard racing into
-  the next round can never corrupt a sibling's consensus read).
-* **A persistent worker pool.**  Workers are forked once per executor and
-  reused across delivery rounds *and* across runs in the same process
-  (command pipes carry launch entry + resumed scalar state; a fresh kernel
-  binding per run keeps no stale closure state).  ``fork`` shares the
-  image, plan and compiled kernels for free.
+* **Seam protocol** (:func:`_seam_rounds`, R = 1).  One barrier per
+  delivery round: after draining, a shard *publishes* its seam rows/columns
+  into shared snapshot strips and flags the round in a per-shard
+  publication counter, stages its *interior* (sources inside the box —
+  legal while siblings still compute), waits only for the publication
+  flags of the shards it actually reads from, stages the *rim* out of the
+  snapshots, and delivers.  The round ends at the single barrier, which
+  doubles as the settled-consensus point (monotone progress stamps, so a
+  shard racing into the next round can never corrupt a sibling's consensus
+  read).
+* **Window protocol** (:func:`_window_rounds`, R > 1).  One barrier per R
+  rounds: each shard gathers a private window — its box plus an
+  ``R * radius`` deep halo — out of one shared bank, runs up to R rounds
+  locally through the kernel's ``run_block``, and writes its core back to
+  the other bank.  Here R is a *window depth*: it sizes the halo, so each
+  depth is its own kernel (keyed through ``BlockPlanView.canonical()``).
 
-Platforms without ``fork`` (and degenerate 1-shard grids) drive the shards
-sequentially in-process on the exact same schedule — bit-identical, merely
-not parallel.  ``REPRO_TILED_SHARDS`` overrides the shard grid (K along
-both axes, clamped to the fabric); when unset the grid is derived from the
-usable CPU count (one worker per CPU) and clamped so no shard is thinner
-than :data:`MIN_SHARD_SIDE` PEs per side along either axis — below that,
-fork and barrier overhead dominate the per-shard array math.
+The same generators run under two drivers.  On a **persistent worker
+pool** (:class:`_ShardPool`; forked once per executor, reused across runs,
+command pipes carry launch entry + resumed scalar state) a rendezvous is a
+real barrier or publication wait.  **In-process** (1-shard grids and
+platforms without ``fork``) every shard is advanced to its next rendezvous
+in turn, which satisfies the same ordering — bit-identical, merely not
+parallel.
+
+``REPRO_TILED_SHARDS`` overrides the shard grid (K along both axes, clamped
+to the fabric); when unset the grid is derived from the usable CPU count
+(one worker per CPU) and clamped so no shard is thinner than
+:data:`MIN_SHARD_SIDE` PEs per side along either axis — below that, fork
+and barrier overhead dominate the per-shard array math.
 """
 
 from __future__ import annotations
@@ -70,12 +75,7 @@ from repro.wse.executors.base import (
     missing_field_error,
     register_executor,
 )
-from repro.wse.executors.vectorized import (
-    GridState,
-    LockstepInterpreter,
-    deliver_exchange_chunks,
-    stage_exchange_chunks,
-)
+from repro.wse.executors.vectorized import GridState
 from repro.wse.interpreter import ProgramImage
 from repro.wse.pe import PE_COUNTER_NAMES, new_pe_counters
 from repro.wse.plan import (
@@ -175,7 +175,11 @@ def shard_boxes(
 
 @dataclass
 class ShardResult:
-    """What one shard worker reports back after running to completion."""
+    """What one shard's round loop reports after running to completion.
+
+    The three synchronisation counters are filled in by
+    :func:`_drive_with_waits`; in-process runs never wait, so they stay 0.
+    """
 
     rounds: int
     counters: dict[str, int]
@@ -199,7 +203,7 @@ class ShardState(GridState):
     are writable sub-rectangle views of the parent's shared-memory arrays,
     so every DSD compute op touches exactly this shard's rows and columns
     of shared memory — and whose allocation hook maps onto those
-    pre-existing views instead of allocating.  Compiled shard kernels
+    pre-existing views instead of allocating.  The shard kernels
     additionally read :attr:`seam_snapshots` (eid -> (row strip, column
     strip) shared arrays) for their rim staging.
     """
@@ -214,8 +218,7 @@ class ShardState(GridState):
         self.buffers = {
             name: array[y0:y1, x0:x1] for name, array in full_buffers.items()
         }
-        #: eid -> (row snapshot, column snapshot); bound by compiled shard
-        #: kernels, unused by interpreted shards.
+        #: eid -> (row snapshot, column snapshot), bound by the shard kernel.
         self.seam_snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def allocate(self, name: str, size: int) -> None:
@@ -227,178 +230,61 @@ class ShardState(GridState):
             )
 
 
-class ShardRunner:
-    """Replays the execution plan for one shard of the fabric (interpreted).
+class _KernelRunner:
+    """What both shard runners share: resumed scalar state bound to a
+    kernel, the entry launch and the result record.
 
-    Exposes the four steps of a delivery round — :meth:`drain`,
-    :attr:`settled`, :meth:`stage`, :meth:`deliver` — so the same runner
-    serves both the barrier-stepped worker processes and the sequential
-    in-process fallback.  This interpreted runner is the fallback for
-    programs :mod:`repro.wse.codegen` cannot fuse; fusable programs run
-    :class:`CompiledShardRunner` instead.
+    A fresh runner is bound per run — kernel closures capture the counters
+    and variables dicts, so reuse across runs would leak state; the
+    expensive part (code generation) is cached behind ``kernel`` anyway.
     """
 
     def __init__(
         self,
-        image: ProgramImage,
+        state: GridState,
         plan: ExecutionPlan,
-        full_buffers: dict[str, np.ndarray],
-        box: tuple[int, int, int, int],
-        variables: dict[str, float] | None = None,
-        halted: bool = False,
+        kernel: CompiledKernel,
+        kernel_plan: ExecutionPlan | BlockPlanView,
+        variables: dict[str, float],
+        halted: bool,
     ):
+        self.state = state
         self.plan = plan
-        self.full_buffers = full_buffers
-        self.box = box
-        y0, y1, x0, x1 = box
-        self.shard_height = y1 - y0
-        self.shard_width = x1 - x0
-        self.state = ShardState(full_buffers, box)
         # Scalar state carried over from a previous run of the same
         # executor (the other backends keep one live interpreter state, so
         # a relaunch must resume from it to stay interchangeable).
-        if variables:
-            self.state.variables.update(variables)
+        self.state.variables.update(variables)
+        # Mirror the interpreter's initialise(): image-declared variables
+        # default in without clobbering resumed values.
+        for name, value in plan.variables.items():
+            self.state.variables.setdefault(name, value)
         self.state.halted = halted
-        self.interpreter = LockstepInterpreter(image, self.state, plan)
-        self.interpreter.initialise()
-        self._staged: list[np.ndarray] | None = None
-        #: per-direction shard gather spec, resolved from the plan's global
-        #: fold tables once and replayed every round.
-        self._gathers: dict[tuple[int, int], tuple] = {}
-
-    # -- plan restriction ------------------------------------------------ #
-
-    def _shard_gather(self, direction: tuple[int, int]):
-        """The plan's halo table restricted to this shard's rows/columns.
-
-        ``("gather", rows, cols)`` — every source coordinate resolves onto
-        the fabric: one fancy-index gather from the shared full-grid array.
-        ``("fill", fill_value, dest_box, source_box)`` — Dirichlet path:
-        constant fill with an interior shifted-slice rectangle (both boxes
-        in local shard coordinates / global source coordinates).
-        """
-        key = (direction[0], direction[1])
-        spec = self._gathers.get(key)
-        if spec is None:
-            table = self.plan.halo_table(key)
-            y0, y1, x0, x1 = self.box
-            rows = table.rows[y0:y1]
-            cols = table.cols[x0:x1]
-            if None not in rows and None not in cols:
-                spec = (
-                    "gather",
-                    np.asarray(rows, dtype=np.intp)[:, None],
-                    np.asarray(cols, dtype=np.intp)[None, :],
-                )
-            else:
-                dx, dy = key
-                gy0, gy1, gx0, gx1 = table.interior_box()
-                ly0, ly1 = max(y0, gy0), min(y1, gy1)
-                lx0, lx1 = max(x0, gx0), min(x1, gx1)
-                spec = (
-                    "fill",
-                    table.fill_value,
-                    (ly0 - y0, ly1 - y0, lx0 - x0, lx1 - x0),
-                    (ly0 + dy, ly1 + dy, lx0 + dx, lx1 + dx),
-                )
-            self._gathers[key] = spec
-        return spec
-
-    def _shard_chunk(
-        self, source: np.ndarray, direction: tuple[int, int], start: int, stop: int
-    ) -> np.ndarray:
-        """The chunk every PE of this shard pulls along ``direction``.
-
-        Reads from the shared *full-grid* source array: pulls that cross a
-        shard seam land on a neighbouring shard's rows/columns (written
-        before the drain barrier), pulls off the fabric follow the plan's
-        boundary folding.
-        """
-        spec = self._shard_gather(direction)
-        if spec[0] == "gather":
-            _, rows, cols = spec
-            return source[rows, cols, start:stop]
-        _, fill_value, dest_box, source_box = spec
-        out = np.full(
-            (self.shard_height, self.shard_width, stop - start),
-            fill_value,
-            dtype=np.float32,
-        )
-        dy0, dy1, dx0, dx1 = dest_box
-        sy0, sy1, sx0, sx1 = source_box
-        if dy0 < dy1 and dx0 < dx1:
-            out[dy0:dy1, dx0:dx1] = source[sy0:sy1, sx0:sx1, start:stop]
-        return out
-
-    # -- the four round steps -------------------------------------------- #
+        self.hooks = kernel.instantiate(self.state, kernel_plan)
 
     def launch(self, entry: str | None = None) -> None:
-        self.interpreter.run_callable(entry if entry is not None else self.plan.entry)
+        name = entry if entry is not None else self.plan.entry
+        fn = self.hooks["fns"].get(name)
+        if fn is None:
+            raise InterpretationError(f"unknown function or task '{name}'")
+        fn()
 
-    def drain(self) -> None:
-        self.interpreter.run_pending_tasks()
-
-    @property
-    def settled(self) -> bool:
-        return self.state.halted or self.state.is_idle
-
-    def stage(self) -> int:
-        """Phase 1: snapshot everything this shard will receive.
-
-        The shared :func:`stage_exchange_chunks` over the shard
-        sub-rectangle, gathering from the shared *full-grid* source array.
-        Returns the number of PEs whose exchange was staged — 0 when
-        nothing is pending.
-        """
-        exchange = self.state.pending_exchange
-        if exchange is None:
-            self._staged = None
-            return 0
-        source = self.full_buffers[exchange.source_buffer]
-        self._staged = stage_exchange_chunks(
-            exchange,
-            lambda direction, start, stop: self._shard_chunk(
-                source, direction, start, stop
-            ),
-            self.shard_height,
-            self.shard_width,
-            self.state.counters,
-        )
-        return self.shard_width * self.shard_height
-
-    def deliver(self) -> None:
-        """Phase 2: the shared delivery over this shard's buffer views."""
-        exchange = self.state.pending_exchange
-        if exchange is None or self._staged is None:
-            return
-        self.state.pending_exchange = None
-        deliver_exchange_chunks(
-            self.state, self.interpreter, exchange, self._staged
-        )
-        self._staged = None
-
-    def result(self, rounds: int, **sync_counters: int) -> ShardResult:
+    def result(self, rounds: int, blocks: int = 0) -> ShardResult:
         return ShardResult(
             rounds=rounds,
             counters=dict(self.state.counters),
             variables=dict(self.state.variables),
             halted=self.state.halted,
             pe_memory_bytes=self.state.memory_in_use(),
-            **sync_counters,
+            blocks=blocks,
         )
 
 
-class CompiledShardRunner:
-    """Replays the fused shard-box kernel for one shard of the fabric.
+class CompiledShardRunner(_KernelRunner):
+    """Replays the shard-box kernel for one shard of the fabric.
 
-    The compiled analogue of :class:`ShardRunner`: the same round-step
-    surface, but every step delegates to the generated kernel's hooks, and
-    the exchange is the overlapped publish / stage-interior / stage-rim /
-    deliver protocol instead of one monolithic staging pass.  A fresh
-    runner is bound per run — kernel closures capture the counters and
-    variables dicts, so reuse across runs would leak state; the expensive
-    part (code generation) is cached behind ``kernel`` anyway.
+    Every step of the seam protocol — drain, publish, stage interior,
+    stage rim, deliver — is a hook of the generated kernel, operating on
+    views of the shared full-grid buffers.
     """
 
     def __init__(
@@ -408,63 +294,18 @@ class CompiledShardRunner:
         full_buffers: dict[str, np.ndarray],
         box: tuple[int, int, int, int],
         snapshots: dict[int, tuple[np.ndarray, np.ndarray]],
-        variables: dict[str, float] | None = None,
-        halted: bool = False,
+        variables: dict[str, float],
+        halted: bool,
     ):
-        self.plan = plan
-        self.box = box
-        self.state = ShardState(full_buffers, box)
-        self.state.seam_snapshots = snapshots
-        if variables:
-            self.state.variables.update(variables)
-        # Mirror the interpreter's initialise(): image-declared variables
-        # default in without clobbering resumed values.
-        for name, value in plan.variables.items():
-            self.state.variables.setdefault(name, value)
-        self.state.halted = halted
-        self.hooks = kernel.instantiate(self.state, plan)
-
-    def launch(self, entry: str | None = None) -> None:
-        name = entry if entry is not None else self.plan.entry
-        fn = self.hooks["fns"].get(name)
-        if fn is None:
-            raise InterpretationError(f"unknown function or task '{name}'")
-        fn()
-
-    def drain(self) -> None:
-        self.hooks["drain"]()
-
-    @property
-    def settled(self) -> bool:
-        return self.hooks["settled"]()
-
-    def publish(self) -> None:
-        self.hooks["publish"]()
-
-    def stage_interior(self) -> int:
-        return self.hooks["stage_interior"]()
-
-    def stage_rim(self) -> None:
-        self.hooks["stage_rim"]()
-
-    def deliver(self) -> None:
-        self.hooks["deliver"]()
-
-    def result(self, rounds: int, **sync_counters: int) -> ShardResult:
-        return ShardResult(
-            rounds=rounds,
-            counters=dict(self.state.counters),
-            variables=dict(self.state.variables),
-            halted=self.state.halted,
-            pe_memory_bytes=self.state.memory_in_use(),
-            **sync_counters,
-        )
+        state = ShardState(full_buffers, box)
+        state.seam_snapshots = snapshots
+        super().__init__(state, plan, kernel, plan, variables, halted)
 
 
-class BlockShardRunner:
-    """Replays the depth-R temporal-block kernel for one shard.
+class BlockShardRunner(_KernelRunner):
+    """Replays the depth-R window kernel for one shard.
 
-    Unlike the other runners this one owns a *private* extended-window
+    Unlike the seam runner this one owns a *private* extended-window
     :class:`~repro.wse.executors.vectorized.GridState` — the shard box plus
     a ``rounds * radius`` halo margin per axis — rather than views of the
     shared grid.  Each block gathers the window in from one shared bank
@@ -483,44 +324,27 @@ class BlockShardRunner:
         view: BlockPlanView,
         kernel: CompiledKernel,
         banks: tuple[dict[str, np.ndarray], dict[str, np.ndarray]],
-        variables: dict[str, float] | None = None,
-        halted: bool = False,
+        variables: dict[str, float],
+        halted: bool,
     ):
         spec = view.spec
-        self.plan = plan
         self.box = spec.box
         self.depth = spec.rounds
         self.banks = banks
-        self.state = GridState(width=spec.width, height=spec.height)
+        state = GridState(width=spec.width, height=spec.height)
         # The kernel binds buffer views at instantiation, so the extended
         # arrays must exist first (the entry's allocations then no-op).
         for name, size in plan.buffers.items():
-            self.state.allocate(name, size)
-        if variables:
-            self.state.variables.update(variables)
-        for name, value in plan.variables.items():
-            self.state.variables.setdefault(name, value)
-        self.state.halted = halted
-        self.hooks = kernel.instantiate(self.state, view)
+            state.allocate(name, size)
+        super().__init__(state, plan, kernel, view, variables, halted)
         self._rows, self._cols = spec.gather_maps()
         self._core = spec.core_slices()
-
-    def launch(self, entry: str | None = None) -> None:
-        name = entry if entry is not None else self.plan.entry
-        fn = self.hooks["fns"].get(name)
-        if fn is None:
-            raise InterpretationError(f"unknown function or task '{name}'")
-        fn()
 
     def gather_in(self, bank: int) -> None:
         """Seed the extended window from a full-grid bank (fold-exact)."""
         source = self.banks[bank]
         for name, array in self.state.buffers.items():
             array[:] = source[name][self._rows, self._cols]
-
-    def run_block(self, budget: int) -> tuple[int, str]:
-        """Up to ``budget`` delivery rounds in-kernel; ``(executed, status)``."""
-        return self.hooks["run_block"](budget)
 
     def write_back(self, bank: int) -> None:
         """Publish the core rows/columns into a full-grid bank."""
@@ -529,16 +353,6 @@ class BlockShardRunner:
         y0, y1, x0, x1 = self.box
         for name, array in self.state.buffers.items():
             target[name][y0:y1, x0:x1] = array[ys, xs]
-
-    def result(self, rounds: int, **sync_counters: int) -> ShardResult:
-        return ShardResult(
-            rounds=rounds,
-            counters=dict(self.state.counters),
-            variables=dict(self.state.variables),
-            halted=self.state.halted,
-            pe_memory_bytes=self.state.memory_in_use(),
-            **sync_counters,
-        )
 
 
 def _needed_neighbors(
@@ -572,26 +386,8 @@ def _needed_neighbors(
     return tuple(tuple(sorted(s)) for s in needed)
 
 
-def _settled_consensus(flags) -> bool:
-    """Shared termination decision of one delivery round (interpreted path).
-
-    True when every shard settled this round; raises when the SPMD
-    uniformity contract broke (some settled, some did not).  Both the
-    barrier-stepped workers and the sequential driver decide through this
-    one function, so the divergence diagnostics cannot drift apart.
-    """
-    if all(flags):
-        return True
-    if any(flags):
-        raise InterpretationError(
-            "shards diverged: the SPMD program settled on some shards "
-            "but not others"
-        )
-    return False
-
-
 def _round_consensus(values, rounds: int) -> bool:
-    """Settled consensus over the monotone progress array (compiled path).
+    """Settled consensus over the monotone progress array.
 
     A shard writes ``-(rounds + 1)`` when it settled in ``rounds`` and
     ``+(rounds + 1)`` when it did not.  Because the single barrier lets a
@@ -661,58 +457,20 @@ def _await_publications(
             )
 
 
-def _run_shard_loop(
-    runner: ShardRunner,
-    entry: str | None,
-    max_rounds: int,
-    index: int,
-    settled_flags,
-    barrier,
-) -> ShardResult:
-    """The interpreted shard lifecycle: two barriers per delivery round.
-
-    Each round has two rendezvous points: after every shard has drained
-    its tasks (which also publishes and checks the per-shard settled
-    flags), and after every shard has snapshotted what it will receive.
-    The settled flags turn termination into a consensus: all shards
-    settle in the same round (SPMD uniformity) and break *together* after
-    the same barrier — no shard ever leaves siblings waiting — while a
-    divergence bug is detected and raised within one round instead of
-    timing a barrier out.
-    """
-    runner.launch(entry)
-    rounds = 0
-    barrier_waits = 0
-    for _ in range(max_rounds):
-        runner.drain()
-        settled_flags[index] = 1 if runner.settled else 0
-        barrier.wait(SYNC_TIMEOUT_SECONDS)  # all drained, all flags visible
-        barrier_waits += 1
-        if _settled_consensus(settled_flags[:]):
-            return runner.result(rounds, barrier_waits=barrier_waits)
-        delivered = runner.stage()
-        if delivered == 0:
-            raise InterpretationError(
-                "deadlock: PEs are neither halted nor waiting on an exchange"
-            )
-        barrier.wait(SYNC_TIMEOUT_SECONDS)  # all staged before any write
-        barrier_waits += 1
-        runner.deliver()
-        rounds += 1
-    raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
-
-
-def _run_compiled_shard_loop(
+def _seam_rounds(
     runner: CompiledShardRunner,
     entry: str | None,
     max_rounds: int,
     index: int,
     progress,
     pub_rounds,
-    needed: tuple[int, ...],
-    barrier,
-) -> ShardResult:
-    """The compiled shard lifecycle: one barrier per delivery round.
+):
+    """The seam protocol's round loop for one shard, as a generator.
+
+    Yields at its two rendezvous points and returns the
+    :class:`ShardResult`: an ``int`` asks the driver to resume it once the
+    needed siblings published that round's seams, ``None`` marks the
+    end-of-round barrier.
 
     Interior staging needs no rendezvous (its sources live inside the box
     and every sibling writes only its own box), so it overlaps with
@@ -723,53 +481,42 @@ def _run_compiled_shard_loop(
     sibling still reads, because the writer would first have to pass this
     round's barrier, which the reader has not reached yet.
     """
+    hooks = runner.hooks
     runner.launch(entry)
     rounds = 0
-    seam_spins = 0
-    seam_backoffs = 0
-    barrier_waits = 0
     for _ in range(max_rounds):
-        runner.drain()
-        settled = runner.settled
+        hooks["drain"]()
+        settled = hooks["settled"]()
         progress[index] = -(rounds + 1) if settled else (rounds + 1)
         if not settled:
-            runner.publish()
+            hooks["publish"]()
             pub_rounds[index] = rounds + 1
-            staged = runner.stage_interior()
-            if staged == 0:
+            if hooks["stage_interior"]() == 0:
                 raise InterpretationError(
                     "deadlock: PEs are neither halted nor waiting on an "
                     "exchange"
                 )
-            spins, backoffs = _await_publications(
-                pub_rounds, progress, needed, rounds + 1, barrier
-            )
-            seam_spins += spins
-            seam_backoffs += backoffs
-            runner.stage_rim()
-            runner.deliver()
-        barrier.wait(SYNC_TIMEOUT_SECONDS)
-        barrier_waits += 1
+            yield rounds + 1
+            hooks["stage_rim"]()
+            hooks["deliver"]()
+        yield None
         if _round_consensus(progress[:], rounds):
-            return runner.result(
-                rounds,
-                seam_spins=seam_spins,
-                seam_backoffs=seam_backoffs,
-                barrier_waits=barrier_waits,
-            )
+            return runner.result(rounds)
         rounds += 1
     raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
 
 
-def _run_block_shard_loop(
+def _window_rounds(
     runner: BlockShardRunner,
     entry: str | None,
     max_rounds: int,
     index: int,
     progress,
-    barrier,
-) -> ShardResult:
-    """The temporal-block shard lifecycle: one barrier per R rounds.
+):
+    """The window protocol's round loop for one shard, as a generator.
+
+    Yields ``None`` at its one rendezvous, the end-of-block barrier, and
+    returns the :class:`ShardResult`.
 
     The first block runs straight off the launch — the entry (and any tasks
     it queues) executes over the private extended window, and SPMD
@@ -782,119 +529,74 @@ def _run_block_shard_loop(
     is what admits a *single* barrier per block.  Consensus reuses the
     monotone round-stamp scheme with block numbers as the stamps.
     """
+    run_block = runner.hooks["run_block"]
     runner.gather_in(0)
     runner.launch(entry)
     rounds = 0
     blocks = 0
-    barrier_waits = 0
-    remaining = max_rounds
-    while True:
-        if remaining <= 0:
-            raise InterpretationError(
-                f"simulation exceeded {max_rounds} rounds"
-            )
+    while rounds < max_rounds:
         if blocks:
             runner.gather_in(blocks % 2)
-        executed, status = runner.run_block(min(runner.depth, remaining))
+        executed, status = run_block(min(runner.depth, max_rounds - rounds))
         if status == "deadlock":
             raise InterpretationError(
                 "deadlock: PEs are neither halted nor waiting on an exchange"
             )
         runner.write_back((blocks + 1) % 2)
         rounds += executed
-        remaining -= executed
         blocks += 1
         progress[index] = -blocks if status == "settled" else blocks
-        barrier.wait(SYNC_TIMEOUT_SECONDS)
-        barrier_waits += 1
+        yield None
         if _round_consensus(progress[:], blocks - 1):
-            return runner.result(
-                rounds, blocks=blocks, barrier_waits=barrier_waits
+            return runner.result(rounds, blocks)
+    raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
+
+
+def _drive_with_waits(
+    loop, progress, pub_rounds, needed: tuple[int, ...], barrier
+) -> ShardResult:
+    """Advance one shard's round loop, answering each rendezvous it yields
+    with the real wait, and stamp the wait counters on its result."""
+    seam_spins = seam_backoffs = barrier_waits = 0
+    while True:
+        try:
+            target = next(loop)
+        except StopIteration as finished:
+            result = finished.value
+            break
+        if target is None:
+            barrier.wait(SYNC_TIMEOUT_SECONDS)
+            barrier_waits += 1
+        else:
+            spins, backoffs = _await_publications(
+                pub_rounds, progress, needed, target, barrier
             )
-
-
-def _block_shard_worker(
-    plan: ExecutionPlan,
-    view: BlockPlanView,
-    kernel: CompiledKernel,
-    banks: tuple[dict[str, np.ndarray], dict[str, np.ndarray]],
-    index: int,
-    progress,
-    barrier,
-    results,
-    entry: str | None,
-    max_rounds: int,
-    variables: dict[str, float],
-    halted: bool,
-) -> None:
-    """Entry point of one forked temporal-block shard process."""
-    try:
-        runner = BlockShardRunner(
-            plan, view, kernel, banks, variables=variables, halted=halted
-        )
-        result = _run_block_shard_loop(
-            runner, entry, max_rounds, index, progress, barrier
-        )
-        results.put((index, "ok", result))
-    except BaseException:
-        try:
-            barrier.abort()
-        except Exception:
-            pass
-        results.put((index, "error", traceback.format_exc()))
-
-
-def _shard_worker(
-    image: ProgramImage,
-    plan: ExecutionPlan,
-    full_buffers: dict[str, np.ndarray],
-    box: tuple[int, int, int, int],
-    index: int,
-    settled_flags,
-    barrier,
-    results,
-    entry: str | None,
-    max_rounds: int,
-    variables: dict[str, float],
-    halted: bool,
-) -> None:
-    """Entry point of one forked shard process (interpreted fallback)."""
-    try:
-        runner = ShardRunner(
-            image, plan, full_buffers, box, variables=variables, halted=halted
-        )
-        result = _run_shard_loop(
-            runner, entry, max_rounds, index, settled_flags, barrier
-        )
-        results.put((index, "ok", result))
-    except BaseException:
-        # Release siblings parked on a barrier, then report the failure.
-        try:
-            barrier.abort()
-        except Exception:
-            pass
-        results.put((index, "error", traceback.format_exc()))
+            seam_spins += spins
+            seam_backoffs += backoffs
+    result.seam_spins = seam_spins
+    result.seam_backoffs = seam_backoffs
+    result.barrier_waits = barrier_waits
+    return result
 
 
 def _pool_worker(
     connection,
-    plan: ExecutionPlan,
-    kernel: CompiledKernel,
-    full_buffers: dict[str, np.ndarray],
-    box: tuple[int, int, int, int],
-    snapshots: dict[int, tuple[np.ndarray, np.ndarray]],
+    shard_rounds,
     index: int,
     progress,
     pub_rounds,
     needed: tuple[int, ...],
     barrier,
 ) -> None:
-    """Entry point of one persistent pool worker (compiled shards).
+    """Entry point of one persistent pool worker.
 
     Parks on the command pipe between runs; a closed pipe (parent exited
-    or discarded the pool) or a ``stop`` command ends the worker.  Any
-    failure aborts the barrier, reports the traceback and ends the worker
-    — the parent discards the whole pool and re-forks on the next run.
+    or discarded the pool) or a ``stop`` command ends the worker.  Each run
+    binds a fresh round loop (``shard_rounds`` is
+    :meth:`TiledExecutor._shard_rounds`, inherited through ``fork``) and
+    drives it with real waits.  Any failure aborts the
+    barrier, reports the traceback and ends the worker — the parent
+    discards the whole pool and re-forks on the next run.
     """
     while True:
         try:
@@ -903,20 +605,10 @@ def _pool_worker(
             break
         if command[0] != "run":
             break
-        _, entry, max_rounds, variables, halted = command
         try:
-            runner = CompiledShardRunner(
-                plan,
-                kernel,
-                full_buffers,
-                box,
-                snapshots,
-                variables=variables,
-                halted=halted,
-            )
-            result = _run_compiled_shard_loop(
-                runner, entry, max_rounds, index,
-                progress, pub_rounds, needed, barrier,
+            loop = shard_rounds(index, *command[1:], progress, pub_rounds)
+            result = _drive_with_waits(
+                loop, progress, pub_rounds, needed, barrier
             )
             connection.send(("ok", result))
         except BaseException:
@@ -953,11 +645,13 @@ def _close_pool(workers, connections) -> None:
 
 
 class _ShardPool:
-    """A persistent fork-pool of compiled shard workers.
+    """A persistent fork-pool of shard workers, one per shard box.
 
-    Forked once per executor (sharing image, plan, compiled kernels and
-    the shared-memory buffers/snapshots by address-space inheritance) and
-    reused across runs: each ``run`` resets the shared round state, pipes
+    Forked once per executor (sharing plan, kernels and the shared-memory
+    buffers, snapshots and banks by address-space inheritance — so those
+    must be allocated before the pool is built) and reused across runs,
+    whichever round protocol the executor runs: each ``run`` resets the
+    shared round state, pipes
     one command per worker, and collects one result per worker.  Workers
     are daemonic and additionally bounded by a ``weakref.finalize`` on the
     pool, so dropping the executor reaps them promptly.
@@ -973,22 +667,17 @@ class _ShardPool:
         self.pub_rounds = multiprocessing.RawArray("q", count)
         self.connections = []
         self.workers = []
-        needed = executor._needed or tuple(() for _ in range(count))
-        for index, box in enumerate(executor.boxes):
+        for index in range(count):
             parent_end, child_end = context.Pipe()
             worker = context.Process(
                 target=_pool_worker,
                 args=(
                     child_end,
-                    executor.plan,
-                    executor._kernels[index],
-                    executor.buffers,
-                    box,
-                    executor._snapshots,
+                    executor._shard_rounds,
                     index,
                     self.progress,
                     self.pub_rounds,
-                    needed[index],
+                    executor._needed[index],
                     self.barrier,
                 ),
                 daemon=True,
@@ -1131,65 +820,54 @@ class TiledExecutor(Executor):
         self._pe_counters: dict[str, int] = new_pe_counters()
         self._variables: dict[str, float] = dict(self.plan.variables)
         self._halted = False
-        #: one compiled kernel per shard box, or None -> interpreted shards.
-        self._kernels: tuple[CompiledKernel, ...] | None = None
-        #: why shard code generation was declined, for diagnostics/tests.
-        self.tiled_fallback_reason: str | None = None
-        #: content fingerprints of the shard kernels (None on fallback).
-        self.kernel_fingerprints: tuple[str, ...] | None = None
+        #: one seam-protocol kernel per shard box.
+        self._kernels = self._compile_shard_kernels()
+        #: content fingerprints of the shard kernels.
+        self.kernel_fingerprints = tuple(k.fingerprint for k in self._kernels)
+        self._needed = _needed_neighbors(self.plan, self.geometry)
         self._snapshots: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
         self._snapshot_raw: list = []
-        self._needed: tuple[tuple[int, ...], ...] | None = None
         self._pool: _ShardPool | None = None
-        #: why temporal blocking was declined (runs unblocked instead).
+        #: why the window protocol was declined (runs the seam one instead).
         self.block_fallback_reason: str | None = None
         self._rounds_per_block = resolve_block_depth(rounds_per_block)
-        #: per-shard depth-R plan views and kernels; None -> unblocked.
+        #: per-shard depth-R plan views and kernels; None -> seam protocol.
         self._block_views: tuple[BlockPlanView, ...] | None = None
         self._block_kernels: tuple[CompiledKernel, ...] | None = None
-        #: the second full-grid bank of the blocked ping-pong (lazy).
+        #: the second full-grid bank of the window ping-pong (lazy).
         self._bank1: dict[str, np.ndarray] | None = None
         self._bank1_raw: list = []
-        self._compile_shard_kernels()
         if self._rounds_per_block > 1:
             self._compile_block_kernels()
 
-    def _compile_shard_kernels(self) -> None:
+    def _compile_shard_kernels(self) -> tuple[CompiledKernel, ...]:
         store = _shard_kernel_store()
-        kernels: list[CompiledKernel] = []
         try:
-            for box in self.boxes:
-                kernels.append(
-                    get_kernel(
-                        self.image,
-                        self.plan,
-                        store=store,
-                        box=box,
-                        geometry=self.geometry,
-                    )
+            return tuple(
+                get_kernel(
+                    self.image,
+                    self.plan,
+                    store=store,
+                    box=box,
+                    geometry=self.geometry,
                 )
+                for box in self.boxes
+            )
         except KernelCodegenError as error:
-            self.tiled_fallback_reason = str(error)
-            return
-        self._kernels = tuple(kernels)
-        self.kernel_fingerprints = tuple(k.fingerprint for k in kernels)
-        self._needed = _needed_neighbors(self.plan, self.geometry)
+            raise KernelCodegenError(
+                f"the tiled backend replays generated shard kernels and "
+                f"code generation declined this program ({error}); run it "
+                f"on the interpreting 'vectorized' executor instead"
+            ) from error
 
     def _compile_block_kernels(self) -> None:
-        """Derive depth-R plan views and kernels, or record why not.
+        """Derive depth-R plan views and window kernels, or record why not.
 
         Any decline — an inexact deep-halo derivation for some shard box,
-        or a program the generator cannot fuse — resets the executor to
-        unblocked execution; temporal blocking is a pure optimisation, so
-        it must never change which programs run.
+        or extended-window tables the generator cannot express — resets
+        the executor to the seam protocol; temporal blocking is a pure
+        optimisation, so it must never change which programs run.
         """
-        if self._kernels is None:
-            self.block_fallback_reason = (
-                "temporal blocking replays compiled shard kernels, but "
-                f"codegen declined: {self.tiled_fallback_reason}"
-            )
-            self._rounds_per_block = 1
-            return
         store = _shard_kernel_store()
         views: list[BlockPlanView] = []
         kernels: list[CompiledKernel] = []
@@ -1198,14 +876,7 @@ class TiledExecutor(Executor):
                 view = BlockPlanView(
                     BlockHaloSpec(self.plan, box, self._rounds_per_block)
                 )
-                kernels.append(
-                    get_kernel(
-                        self.image,
-                        view,
-                        store=store,
-                        rounds=self._rounds_per_block,
-                    )
-                )
+                kernels.append(get_kernel(self.image, view, store=store))
                 views.append(view)
         except (BlockHaloError, KernelCodegenError) as error:
             self.block_fallback_reason = str(error)
@@ -1302,43 +973,67 @@ class TiledExecutor(Executor):
         self._pending_launch = True
 
     def _run_rounds(self, max_rounds: int) -> SimulationStatistics:
-        entry = self._entry
-        forkable = (
+        blocked = self._block_kernels is not None
+        # What the protocol exchanges through must exist before the pool
+        # forks, so that its workers inherit it.
+        if blocked:
+            self._ensure_banks()
+        else:
+            self._ensure_snapshots()
+        if (
             len(self.boxes) > 1
             and "fork" in multiprocessing.get_all_start_methods()
-        )
-        if self._block_kernels is not None:
-            self._ensure_banks()
-            if forkable:
-                results = self._run_forked_blocked(entry, max_rounds)
-            else:
-                results = self._run_sequential_blocked(entry, max_rounds)
-            # An odd block count leaves the final state in the second
-            # bank; fold it back so bank 0 stays the canonical grid the
-            # host reads and the next run gathers from.
-            if results[0].blocks % 2:
-                for name, array in self.buffers.items():
-                    array[:] = self._bank1[name]
-        elif self._kernels is not None:
-            self._ensure_snapshots()
-            if forkable:
-                results = self._run_pooled(entry, max_rounds)
-            else:
-                results = self._run_sequential_compiled(entry, max_rounds)
-        elif forkable:
-            results = self._run_forked(entry, max_rounds)
+        ):
+            results = self._run_pooled(max_rounds)
         else:
-            results = self._run_sequential(entry, max_rounds)
+            results = self._run_in_process(max_rounds)
+        # An odd block count leaves the final state in the second bank;
+        # fold it back so bank 0 stays the canonical grid the host reads
+        # and the next run gathers from.
+        if blocked and results[0].blocks % 2:
+            for name, array in self.buffers.items():
+                array[:] = self._bank1[name]
         self._fold_results(results)
         return self.statistics
 
-    # -- compiled shards ------------------------------------------------- #
+    def _shard_rounds(
+        self,
+        index: int,
+        entry: str | None,
+        max_rounds: int,
+        variables: dict[str, float],
+        halted: bool,
+        progress,
+        pub_rounds,
+    ):
+        """Bind a fresh runner for shard ``index`` and return its round
+        loop — the generator both drivers advance."""
+        if self._block_kernels is not None:
+            runner = BlockShardRunner(
+                self.plan,
+                self._block_views[index],
+                self._block_kernels[index],
+                (self.buffers, self._bank1),
+                variables,
+                halted,
+            )
+            return _window_rounds(runner, entry, max_rounds, index, progress)
+        runner = CompiledShardRunner(
+            self.plan,
+            self._kernels[index],
+            self.buffers,
+            self.boxes[index],
+            self._snapshots,
+            variables,
+            halted,
+        )
+        return _seam_rounds(
+            runner, entry, max_rounds, index, progress, pub_rounds
+        )
 
-    def _run_pooled(
-        self, entry: str | None, max_rounds: int
-    ) -> list[ShardResult]:
-        """Run the compiled shards on the persistent worker pool,
-        re-forking it if a previous run left it broken."""
+    def _run_pooled(self, max_rounds: int) -> list[ShardResult]:
+        """Run the shards on the persistent worker pool, re-forking it if
+        a previous run left it broken."""
         if self._pool is not None and not self._pool.healthy:
             self._pool.close()
             self._pool = None
@@ -1346,276 +1041,40 @@ class TiledExecutor(Executor):
             self._pool = _ShardPool(self)
         try:
             return self._pool.run(
-                entry, max_rounds, self._variables, self._halted
+                self._entry, max_rounds, self._variables, self._halted
             )
         except BaseException:
             pool, self._pool = self._pool, None
             pool.close()
             raise
 
-    def _run_sequential_compiled(
-        self, entry: str | None, max_rounds: int
-    ) -> list[ShardResult]:
-        """Drive the compiled shards in-process on the overlapped
-        schedule (1-shard grids and fork-less platforms)."""
-        runners = [
-            CompiledShardRunner(
-                self.plan,
-                kernel,
-                self.buffers,
-                box,
-                self._snapshots,
-                variables=dict(self._variables),
-                halted=self._halted,
+    def _run_in_process(self, max_rounds: int) -> list[ShardResult]:
+        """Drive the shards in this process (1-shard grids and fork-less
+        platforms): advance every shard to its next rendezvous in turn.
+
+        That lock-step satisfies what the pool's real waits enforce: by
+        the time a shard resumes past a seam wait every sibling has
+        published this round (each publishes before it yields), and past a
+        barrier every sibling has stamped its progress.
+        """
+        count = len(self.boxes)
+        progress, pub_rounds = [0] * count, [0] * count
+        live = {
+            index: self._shard_rounds(
+                index, self._entry, max_rounds, self._variables,
+                self._halted, progress, pub_rounds,
             )
-            for box, kernel in zip(self.boxes, self._kernels)
-        ]
-        for runner in runners:
-            runner.launch(entry)
-        rounds = 0
-        for _ in range(max_rounds):
-            for runner in runners:
-                runner.drain()
-            if _settled_consensus([runner.settled for runner in runners]):
-                return [runner.result(rounds) for runner in runners]
-            for runner in runners:
-                runner.publish()
-            staged = sum(runner.stage_interior() for runner in runners)
-            if staged == 0:
-                raise InterpretationError(
-                    "deadlock: PEs are neither halted nor waiting on an "
-                    "exchange"
-                )
-            for runner in runners:
-                runner.stage_rim()
-            for runner in runners:
-                runner.deliver()
-            rounds += 1
-        raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
-
-    # -- temporal-block shards ------------------------------------------- #
-
-    def _block_runners(self) -> list[BlockShardRunner]:
-        banks = (self.buffers, self._bank1)
-        return [
-            BlockShardRunner(
-                self.plan,
-                view,
-                kernel,
-                banks,
-                variables=dict(self._variables),
-                halted=self._halted,
-            )
-            for view, kernel in zip(self._block_views, self._block_kernels)
-        ]
-
-    def _run_sequential_blocked(
-        self, entry: str | None, max_rounds: int
-    ) -> list[ShardResult]:
-        """Drive the temporal-block shards in-process, one bank swap per
-        block (1-shard grids and fork-less platforms)."""
-        runners = self._block_runners()
-        for runner in runners:
-            runner.gather_in(0)
-            runner.launch(entry)
-        rounds = 0
-        blocks = 0
-        remaining = max_rounds
-        while True:
-            if remaining <= 0:
-                raise InterpretationError(
-                    f"simulation exceeded {max_rounds} rounds"
-                )
-            if blocks:
-                for runner in runners:
-                    runner.gather_in(blocks % 2)
-            budget = min(self._rounds_per_block, remaining)
-            outcomes = [runner.run_block(budget) for runner in runners]
-            if any(status == "deadlock" for _, status in outcomes):
-                raise InterpretationError(
-                    "deadlock: PEs are neither halted nor waiting on an "
-                    "exchange"
-                )
-            for runner in runners:
-                runner.write_back((blocks + 1) % 2)
-            executed = {count for count, _ in outcomes}
-            if len(executed) != 1:
-                raise InterpretationError(
-                    "shards diverged: temporal blocks executed "
-                    f"{sorted(executed)} rounds across the SPMD fabric"
-                )
-            rounds += executed.pop()
-            remaining -= outcomes[0][0]
-            blocks += 1
-            if _settled_consensus(
-                [status == "settled" for _, status in outcomes]
-            ):
-                return [
-                    runner.result(rounds, blocks=blocks)
-                    for runner in runners
-                ]
-
-    def _run_forked_blocked(
-        self, entry: str | None, max_rounds: int
-    ) -> list[ShardResult]:
-        """Fork one temporal-block worker per shard: one barrier per R
-        rounds instead of one (or two) per round."""
-        context = multiprocessing.get_context("fork")
-        barrier = context.Barrier(len(self.boxes))
-        progress = multiprocessing.RawArray("q", len(self.boxes))
-        results_queue = context.Queue()
-        workers = [
-            context.Process(
-                target=_block_shard_worker,
-                args=(
-                    self.plan,
-                    view,
-                    kernel,
-                    (self.buffers, self._bank1),
-                    index,
-                    progress,
-                    barrier,
-                    results_queue,
-                    entry,
-                    max_rounds,
-                    dict(self._variables),
-                    self._halted,
-                ),
-                daemon=True,
-            )
-            for index, (view, kernel) in enumerate(
-                zip(self._block_views, self._block_kernels)
-            )
-        ]
-        return self._collect_forked(workers, results_queue)
-
-    # -- interpreted shards (codegen fallback) --------------------------- #
-
-    def _run_sequential(
-        self, entry: str | None, max_rounds: int
-    ) -> list[ShardResult]:
-        """Drive every shard in-process on the two-phase round schedule."""
-        runners = [
-            ShardRunner(
-                self.image,
-                self.plan,
-                self.buffers,
-                box,
-                variables=dict(self._variables),
-                halted=self._halted,
-            )
-            for box in self.boxes
-        ]
-        for runner in runners:
-            runner.launch(entry)
-        rounds = 0
-        for _ in range(max_rounds):
-            for runner in runners:
-                runner.drain()
-            if _settled_consensus([runner.settled for runner in runners]):
-                return [runner.result(rounds) for runner in runners]
-            delivered = sum(runner.stage() for runner in runners)
-            if delivered == 0:
-                raise InterpretationError(
-                    "deadlock: PEs are neither halted nor waiting on an "
-                    "exchange"
-                )
-            for runner in runners:
-                runner.deliver()
-            rounds += 1
-        raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
-
-    def _run_forked(
-        self, entry: str | None, max_rounds: int
-    ) -> list[ShardResult]:
-        """Fork one worker per shard; two barriers per round keep the
-        snapshot/deliver phases exchange-correct across processes."""
-        context = multiprocessing.get_context("fork")
-        barrier = context.Barrier(len(self.boxes))
-        settled_flags = multiprocessing.RawArray("b", len(self.boxes))
-        results_queue = context.Queue()
-        workers = [
-            context.Process(
-                target=_shard_worker,
-                args=(
-                    self.image,
-                    self.plan,
-                    self.buffers,
-                    box,
-                    index,
-                    settled_flags,
-                    barrier,
-                    results_queue,
-                    entry,
-                    max_rounds,
-                    dict(self._variables),
-                    self._halted,
-                ),
-                daemon=True,
-            )
-            for index, box in enumerate(self.boxes)
-        ]
-        return self._collect_forked(workers, results_queue)
-
-    def _collect_forked(
-        self, workers, results_queue
-    ) -> list[ShardResult]:
-        """Start fork-per-run workers and collect one result per shard."""
-        for worker in workers:
-            worker.start()
-
-        results: dict[int, ShardResult] = {}
-        failure: str | None = None
-        symptom: str | None = None
-        pending = set(range(len(self.boxes)))
-        try:
-            # Workers report once, after their whole run: poll with a short
-            # timeout and keep waiting as long as they are alive, so a long
-            # simulation is never killed by the sync timeout (which bounds
-            # individual barrier waits, not total runtime).  Only a worker
-            # that died without reporting is a failure.
-            grace_polls = 0
-            while pending:
+            for index in range(count)
+        }
+        results: list[ShardResult | None] = [None] * count
+        while live:
+            for index, loop in list(live.items()):
                 try:
-                    index, status, payload = results_queue.get(timeout=1.0)
-                except Exception:
-                    if any(
-                        not workers[index].is_alive() for index in pending
-                    ):
-                        # Allow a few more polls: an exiting worker's queue
-                        # feeder may still be flushing its final message.
-                        grace_polls += 1
-                        if grace_polls >= 5:
-                            failure = (
-                                "shard worker died without reporting a result"
-                            )
-                            break
-                    continue
-                grace_polls = 0
-                if status == "error":
-                    if "BrokenBarrierError" in payload and pending - {index}:
-                        # A sibling's abort broke this shard out of its
-                        # barrier wait: a symptom, not the diagnosis.  Keep
-                        # draining for the shard that aborted — whichever
-                        # report wins the queue race, the real error is the
-                        # one the parent raises.
-                        symptom = payload
-                        pending.discard(index)
-                        continue
-                    failure = payload
-                    break
-                results[index] = payload
-                pending.discard(index)
-            if failure is None and symptom is not None:
-                failure = symptom
-        finally:
-            for worker in workers:
-                if failure is not None and worker.is_alive():
-                    worker.terminate()
-                worker.join(timeout=30)
-        if failure is not None:
-            raise InterpretationError(f"tiled shard worker failed:\n{failure}")
-        return [results[index] for index in range(len(self.boxes))]
+                    next(loop)
+                except StopIteration as finished:
+                    results[index] = finished.value
+                    del live[index]
+        return results
 
     def _fold_results(self, results: list[ShardResult]) -> None:
         """Merge per-shard results into the executor-level surface."""

@@ -104,11 +104,9 @@ class LockstepInterpreter(PeInterpreter):
 # --------------------------------------------------------------------------- #
 # The two-phase exchange over batched (rows, cols, z) buffers
 #
-# One authoritative implementation shared by every lockstep-shaped backend:
-# the vectorized executor runs it over the whole grid, the tiled executor's
-# shard runners over their sub-rectangles (with a barrier between the
-# phases).  Bit-identical per-element behaviour across backends depends on
-# these two functions being the single source of the exchange semantics.
+# The interpreted statement of the exchange semantics: the generated
+# kernels of the compiled and tiled backends must stay bit-identical to
+# what these two functions do per element.
 # --------------------------------------------------------------------------- #
 
 

@@ -5,13 +5,15 @@ import pytest
 from repro.dialects import arith
 from repro.dialects.builtin import ModuleOp
 from repro.ir import (
-    PatternRewriteWalker,
     PatternRewriter,
     RewritePattern,
     VerifyException,
     f32,
 )
-from repro.ir.rewriting import GreedyRewritePatternApplier
+from repro.ir.rewriting import (
+    GreedyRewritePatternApplier,
+    apply_patterns_greedily,
+)
 
 
 class FoldAddOfConstants(RewritePattern):
@@ -44,7 +46,7 @@ def build_add_module():
 class TestPatternRewriting:
     def test_constant_folding(self):
         module = build_add_module()
-        changed = PatternRewriteWalker(FoldAddOfConstants()).rewrite_module(module)
+        changed = apply_patterns_greedily(module, FoldAddOfConstants())
         assert changed
         adds = list(module.walk_type(arith.AddfOp))
         assert adds == []
@@ -53,7 +55,7 @@ class TestPatternRewriting:
 
     def test_uses_rewired_after_replace(self):
         module = build_add_module()
-        PatternRewriteWalker(FoldAddOfConstants()).rewrite_module(module)
+        apply_patterns_greedily(module, FoldAddOfConstants())
         mul = next(iter(module.walk_type(arith.MulfOp)))
         folded = mul.operands[0].owner()
         assert isinstance(folded, arith.ConstantOp)
@@ -64,7 +66,7 @@ class TestPatternRewriting:
         pattern = GreedyRewritePatternApplier(
             [FoldAddOfConstants(), RemoveDeadConstants()]
         )
-        PatternRewriteWalker(pattern).rewrite_module(module)
+        apply_patterns_greedily(module, pattern)
         # The original constants become dead after folding and are removed.
         constants = list(module.walk_type(arith.ConstantOp))
         assert len(constants) == 1
@@ -72,14 +74,15 @@ class TestPatternRewriting:
 
     def test_no_change_returns_false(self):
         module = ModuleOp([arith.ConstantOp(1.0, f32)])
-        changed = PatternRewriteWalker(FoldAddOfConstants()).rewrite_module(module)
+        changed = apply_patterns_greedily(module, FoldAddOfConstants())
         assert not changed
 
     def test_module_verifies_after_rewrites(self):
         module = build_add_module()
-        PatternRewriteWalker(
-            GreedyRewritePatternApplier([FoldAddOfConstants(), RemoveDeadConstants()])
-        ).rewrite_module(module)
+        apply_patterns_greedily(
+            module,
+            GreedyRewritePatternApplier([FoldAddOfConstants(), RemoveDeadConstants()]),
+        )
         module.verify()
 
 

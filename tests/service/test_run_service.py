@@ -24,8 +24,14 @@ from repro.service.run import (
     run_fingerprint_payload,
 )
 from repro.transforms.pipeline import PipelineOptions
-from repro.wse.codegen import CODEGEN_VERSION
+from repro.wse.codegen import (
+    CODEGEN_VERSION,
+    kernel_cache_statistics,
+    reset_kernel_cache,
+)
+from repro.wse.executors.auto import FORCE_ENV_VAR
 from repro.wse.plan import PLAN_VERSION
+from repro.wse.simulator import WseSimulator
 
 
 def _config(grid=3, nz=8, steps=1):
@@ -289,6 +295,82 @@ class TestRunService:
         with RunService() as fresh:
             fresh.run(program, options)
             assert fresh.statistics.simulations == 1  # recomputed, not served
+
+
+class TestKernelStore:
+    """The fleet-wide kernel source store as the run service uses it."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_kernel_cache(self):
+        reset_kernel_cache()
+        yield
+        reset_kernel_cache()
+
+    def test_auto_delegating_to_compiled_is_served_by_the_warmed_store(
+        self, monkeypatch
+    ):
+        """Regression: the service warmed the R=1 kernel while ``auto ->
+        compiled`` bound a separately keyed R=4 one through a store-less
+        lookup, so every process regenerated a kernel no store served."""
+        monkeypatch.setenv(FORCE_ENV_VAR, "compiled")
+        program, options = _config(grid=4, steps=5)  # auto prices R=4
+        with RunService() as first:
+            first.run(program, options, executor="compiled")  # warms the store
+        reset_kernel_cache()  # a new process: memo gone, store warm
+        built = []
+
+        def capturing(*args, **kwargs):
+            built.append(WseSimulator(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr("repro.service.run.WseSimulator", capturing)
+        with RunService() as second:
+            artifact = second.run(program, options, executor="auto")
+        assert kernel_cache_statistics().codegens == 0
+        assert artifact.kernel_cache["served_from"] == "store"
+        delegate = built[0].executor._delegate
+        assert delegate._rounds_per_block == 4
+        assert artifact.kernel_cache["fingerprint"] == delegate.kernel_fingerprint
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda data: data[: len(data) // 2],  # truncated
+            lambda data: data[:-20] + bytes([data[-20] ^ 1]) + data[-19:],
+            lambda data: data.partition(b"\n")[2],  # hash line removed
+        ],
+        ids=["truncated", "flipped-byte", "no-hash-line"],
+    )
+    def test_a_damaged_store_entry_is_regenerated_never_executed(
+        self, damage, monkeypatch
+    ):
+        """The store key hashes the plan, not the text: only the entry's
+        own checksum stands between a damaged file and ``exec``."""
+        import repro.wse.codegen as codegen_module
+
+        program, options = _config()
+        with RunService() as first:
+            good = first.run(program, options, executor="compiled")
+            path = first.kernels._path(good.kernel_cache["fingerprint"])
+        pristine = path.read_bytes()
+        path.write_bytes(damage(pristine))
+        reset_kernel_cache()
+        executed = []
+        materialise = codegen_module._materialise
+
+        def recording(fingerprint, source):
+            executed.append(source)
+            return materialise(fingerprint, source)
+
+        monkeypatch.setattr(codegen_module, "_materialise", recording)
+        with RunService() as second:
+            second.store.purge()  # re-simulate instead of serving the run
+            again = second.run(program, options, executor="compiled")
+        assert again.field_digests == good.field_digests
+        assert again.kernel_cache["served_from"] == "codegen"
+        assert kernel_cache_statistics().codegens == 1
+        assert executed == [pristine.partition(b"\n")[2].decode("utf-8")]
+        assert path.read_bytes() == pristine  # re-put, checksum and all
 
 
 class TestRunCli:

@@ -10,6 +10,8 @@ covers what is specific to the ``compiled`` backend itself:
   byte-identical kernel source (what makes the content fingerprint and the
   fleet-wide source store sound), pinned through the
   ``REPRO_COMPILED_DUMP`` debug dump;
+* **the two delivery forms** — staged delivery stays byte-identical to the
+  direct-to-receive form every benchmark qualifies for;
 * **the kernel cache** — memo hits, store round-trips and their counters;
 * **the interpretation fallback** — a program the generator cannot fuse
   still runs, bit-identical to ``vectorized``, with the reason recorded.
@@ -104,6 +106,82 @@ class TestDeterministicEmission:
             "repro.wse.codegen.CODEGEN_VERSION", CODEGEN_VERSION + 1
         )
         assert kernel_fingerprint(image, plan) != base
+
+
+class TestDeliveryForms:
+    def test_staged_delivery_matches_direct_delivery(self, monkeypatch):
+        """Every benchmark's exchanges qualify for direct-to-receive
+        delivery; the staged form (all chunks copied aside before any
+        receive callback runs) is what a kernel falls back to when the
+        write-set analysis cannot prove that safe.  Force it and compare."""
+        from repro.wse.codegen import _KernelEmitter
+
+        program, module, image, plan = _image(grid=5, name="Seismic")
+        direct_source = generate_kernel_source(image, plan)
+        direct = run_on_executor("compiled", program, module)
+        reset_kernel_cache()
+        monkeypatch.setattr(
+            _KernelEmitter,
+            "_direct_staging_safe",
+            lambda self, exchange, source_buffer: False,
+        )
+        assert generate_kernel_source(image, plan) != direct_source
+        fields, statistics = run_on_executor("compiled", program, module)
+        for name, expected in direct[0].items():
+            assert fields[name].tobytes() == expected.tobytes()
+        assert statistics == direct[1]
+        expected_fields, expected_statistics = run_on_executor(
+            "vectorized", program, module
+        )
+        for name, expected in expected_fields.items():
+            assert fields[name].tobytes() == expected.tobytes()
+        assert statistics == expected_statistics
+
+
+    def test_exchanges_sharing_a_receive_buffer_refill_their_borders(self):
+        """Regression: two equations per step exchange through one receive
+        slab, so each delivery lands data on the cells the other expects its
+        Dirichlet fill in — the fill-once shortcut must not apply."""
+        from repro.frontends.common import (
+            Constant,
+            FieldAccess,
+            FieldDecl,
+            StencilEquation,
+            StencilProgram,
+        )
+
+        a = lambda dx, dy, dz: FieldAccess("a", (dx, dy, dz))
+        b = lambda dx, dy, dz: FieldAccess("b", (dx, dy, dz))
+        program = StencilProgram(
+            name="two_fields",
+            fields=[FieldDecl("a", (4, 4, 8)), FieldDecl("b", (4, 4, 8))],
+            equations=[
+                StencilEquation(
+                    "a",
+                    (a(0, 0, 0) + a(1, 0, 0) + a(-1, 0, 0)) * Constant(0.125),
+                ),
+                StencilEquation(
+                    "b", (b(0, 1, 0) + b(0, -1, 0)) * Constant(0.25)
+                ),
+            ],
+            time_steps=2,
+        )
+        module = compile_stencil_program(
+            program,
+            PipelineOptions(
+                grid_width=4,
+                grid_height=4,
+                num_chunks=2,
+                enable_stencil_inlining=False,
+            ),
+        ).program_module
+        fields, statistics = run_on_executor("compiled", program, module)
+        expected_fields, expected_statistics = run_on_executor(
+            "vectorized", program, module
+        )
+        for name, expected in expected_fields.items():
+            assert fields[name].tobytes() == expected.tobytes()
+        assert statistics == expected_statistics
 
 
 class TestKernelCache:

@@ -4,8 +4,9 @@ The contract: a temporal block depth R > 1 fuses R delivery rounds per
 kernel invocation — whole-grid round blocking on ``compiled``, deep-halo
 ping-pong blocking on ``tiled`` — while staying *byte-identical* to
 unblocked execution on every benchmark and boundary mode.  These tests pin
-the identity matrix, the fingerprint keying (R and only R perturbs the
-cache key), the dispatcher's delivery-round estimate, its opt-in online
+the identity matrix, the kernel keying (R is a call budget for ``compiled``
+— one kernel at every depth — and a window depth for ``tiled`` — one kernel
+per depth), the dispatcher's delivery-round estimate, its opt-in online
 learning, and the synchronisation accounting (one barrier per block).
 """
 
@@ -22,7 +23,12 @@ from repro.benchmarks.definitions import ALL_BENCHMARKS
 from repro.eval.trajectory import read_trajectory
 from repro.frontends.common import BoundaryCondition
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
-from repro.wse.codegen import FUSION_ENV_VAR, get_kernel
+from repro.wse.codegen import (
+    FUSION_ENV_VAR,
+    get_kernel,
+    kernel_cache_statistics,
+    reset_kernel_cache,
+)
 from repro.wse.executors.auto import (
     FORCE_ENV_VAR,
     NOMINAL_ROUNDS,
@@ -34,7 +40,8 @@ from repro.wse.executors.auto import (
     estimate_delivery_rounds,
 )
 from repro.wse.interpreter import ProgramImage
-from repro.wse.plan import ExecutionPlan
+from repro.wse.executors.tiled import SHARD_ENV_VAR
+from repro.wse.plan import BlockHaloSpec, BlockPlanView, ExecutionPlan
 from repro.wse.simulator import WseSimulator
 
 #: the byte-identity matrix: a distance-1 5-point kernel, the radius-4
@@ -103,10 +110,11 @@ class TestBlockedByteIdentity:
             for executor in ("compiled", "tiled"):
                 fields, stats, instance = _run(executor, program, module)
                 base_fields, base_stats, _ = baselines[executor]
-                assert instance.block_fallback_reason is None, (
-                    f"{executor} declined R={depth} on {name} under "
-                    f"{boundary.spec}: {instance.block_fallback_reason}"
-                )
+                if executor == "tiled":  # compiled's R is a call budget
+                    assert instance.block_fallback_reason is None, (
+                        f"tiled declined R={depth} on {name} under "
+                        f"{boundary.spec}: {instance.block_fallback_reason}"
+                    )
                 assert stats.block_depth == depth
                 for field_name, expected in base_fields.items():
                     assert fields[field_name] == expected, (
@@ -118,21 +126,58 @@ class TestBlockedByteIdentity:
                 assert stats == base_stats
 
 
-class TestFingerprintKeying:
-    """R folds into the kernel cache key — and only R perturbs it."""
+    @pytest.mark.parametrize("name", MATRIX_BENCHMARKS)
+    @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.spec)
+    def test_blocked_tiled_in_process_matches_unblocked(
+        self, monkeypatch, name, boundary
+    ):
+        """A 1-shard grid never forks: the window protocol then runs under
+        the in-process driver, its window the whole fabric plus margin."""
+        monkeypatch.setenv(SHARD_ENV_VAR, "1")
+        program, module = _compile(name, boundary)
+        monkeypatch.delenv(FUSION_ENV_VAR, raising=False)
+        base_fields, base_stats, _ = _run("tiled", program, module)
+        for depth in BLOCK_DEPTHS:
+            monkeypatch.setenv(FUSION_ENV_VAR, str(depth))
+            fields, stats, instance = _run("tiled", program, module)
+            assert instance.block_fallback_reason is None
+            assert instance._pool is None
+            assert stats.block_depth == depth
+            assert fields == base_fields
+            assert stats == base_stats
 
-    def test_depth_perturbs_the_fingerprint(self):
+
+class TestKernelKeying:
+    """What R means to the kernel cache, per backend."""
+
+    def test_compiled_shares_one_kernel_across_depths(self, monkeypatch):
+        """R is the budget ``compiled`` passes ``run_block``: depths 1, 2
+        and 4 bind the same kernel, generated once."""
+        program, module = _compile("Jacobian")
+        reset_kernel_cache()
+        fingerprints = set()
+        for depth in (1,) + BLOCK_DEPTHS:
+            monkeypatch.setenv(FUSION_ENV_VAR, str(depth))
+            _, _, instance = _run("compiled", program, module)
+            fingerprints.add(instance.kernel_fingerprint)
+        assert len(fingerprints) == 1
+        assert kernel_cache_statistics().codegens == 1
+
+    def test_tiled_window_depth_perturbs_the_fingerprint(self):
+        """R sizes the deep halo of a ``tiled`` window, so each depth is
+        its own kernel — keyed through ``BlockPlanView.canonical()``."""
         program, module = _compile("Jacobian")
         image = ProgramImage(module)
         plan = ExecutionPlan.compile(image, 6, 6)
+        box = (0, 3, 0, 3)
+
+        def window(depth):
+            view = BlockPlanView(BlockHaloSpec(plan, box, depth))
+            return get_kernel(image, view).fingerprint
+
         base = get_kernel(image, plan).fingerprint
-        assert get_kernel(image, plan, rounds=1).fingerprint == base
-        two = get_kernel(image, plan, rounds=2).fingerprint
-        four = get_kernel(image, plan, rounds=4).fingerprint
-        assert two != base
-        assert four != base
-        assert two != four
-        assert get_kernel(image, plan, rounds=2).fingerprint == two
+        assert len({base, window(2), window(4)}) == 3
+        assert window(2) == window(2)
 
 
 class TestDeliveryRoundEstimate:
@@ -252,9 +297,8 @@ class TestSynchronisationAccounting:
         blocks = math.ceil(stats.rounds / 2)
         if stats.barrier_waits:
             # The forked driver crossed a real barrier exactly once per
-            # block — R× fewer synchronisation points than per-round
-            # execution (the unblocked compiled-shard loop barriers twice
-            # per round: publication and consumption).
+            # block — R× fewer synchronisation points than the seam
+            # protocol's one per round.
             assert stats.barrier_waits == blocks
             if base_stats.barrier_waits:
                 assert stats.barrier_waits < base_stats.barrier_waits
@@ -264,8 +308,7 @@ class TestSynchronisationAccounting:
     def test_compiled_stamps_block_depth(self, monkeypatch):
         program, module = _compile("Jacobian")
         monkeypatch.setenv(FUSION_ENV_VAR, "4")
-        _, stats, instance = _run("compiled", program, module)
-        assert instance.block_fallback_reason is None
+        _, stats, _ = _run("compiled", program, module)
         assert stats.block_depth == 4
         monkeypatch.delenv(FUSION_ENV_VAR)
         _, stats, _ = _run("compiled", program, module)

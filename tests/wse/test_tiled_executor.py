@@ -1,13 +1,15 @@
-"""The tiled sharded executor: decomposition, equivalence, fallbacks.
+"""The tiled sharded executor: decomposition, equivalence, drivers.
 
 The heavyweight cross-backend guarantees (byte-identical fields and equal
 statistics on the golden benchmarks and under every boundary mode) live in
 ``test_executor_equivalence.py`` / ``test_boundary_conditions.py``, whose
 executor matrices include ``tiled``; this file covers the backend's own
 mechanics: the shard-box geometry, the ``REPRO_TILED_SHARDS`` override, the
-sequential in-process fallback, and the per-PE host surface.
+worker pool and the in-process driver under both round protocols, the
+failure paths, and the per-PE host surface.
 """
 
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -20,8 +22,11 @@ from repro.frontends.common import (
     StencilEquation,
     StencilProgram,
 )
+from repro.ir.exceptions import InterpretationError
 from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
+from repro.wse.codegen import FUSION_ENV_VAR, KernelCodegenError
+from repro.wse.executors.auto import FORCE_ENV_VAR
 from repro.wse.executors.tiled import (
     SHARD_ENV_VAR,
     shard_boxes,
@@ -54,6 +59,17 @@ def _compiled(nx, ny, nz=8, steps=2, name="tiled_probe"):
         program, PipelineOptions(grid_width=nx, grid_height=ny, num_chunks=2)
     )
     return program, result.program_module
+
+
+#: temporal block depths covering both round protocols: 1 runs the seam
+#: protocol, 2 the deep-halo window protocol.
+PROTOCOL_DEPTHS = (1, 2)
+
+
+@pytest.fixture(params=PROTOCOL_DEPTHS, ids=lambda depth: f"R{depth}")
+def protocol_depth(request, monkeypatch):
+    monkeypatch.setenv(FUSION_ENV_VAR, str(request.param))
+    return request.param
 
 
 class TestShardGeometry:
@@ -179,6 +195,28 @@ class TestTiledEquivalence:
         assert tiled_stats == vectorized_stats
 
 
+    def test_forkless_platforms_drive_all_shards_in_process(
+        self, monkeypatch, protocol_depth
+    ):
+        """Without ``fork`` the 2x2 shards advance in lock-step in this
+        process — same rendezvous order, no pool, no barrier waits."""
+        monkeypatch.setattr(
+            "repro.wse.executors.tiled.multiprocessing.get_all_start_methods",
+            lambda: ["spawn"],
+        )
+        program, module = _compiled(6, 6, steps=3, name="forkless")
+        simulator = WseSimulator(module, executor="tiled")
+        assert len(simulator.executor.boxes) == 4
+        tiled_fields, tiled_stats = run_on_executor("tiled", program, module)
+        assert tiled_stats.barrier_waits == 0
+        vectorized_fields, vectorized_stats = run_on_executor(
+            "vectorized", program, module
+        )
+        for name, expected in vectorized_fields.items():
+            assert tiled_fields[name].tobytes() == expected.tobytes()
+        assert tiled_stats == vectorized_stats
+
+
 class TestRepeatedExecution:
     def test_second_execute_matches_the_other_backends(self):
         """Scalar interpreter state persists across runs: a relaunch must
@@ -223,8 +261,6 @@ class TestCompiledShards:
         _, module = _compiled(8, 8, name="shard_kernels")
         simulator = WseSimulator(module, executor="tiled")
         executor = simulator.executor
-        assert executor.tiled_fallback_reason is None
-        assert executor.kernel_fingerprints is not None
         assert len(executor.kernel_fingerprints) == len(executor.boxes)
         assert len(set(executor.kernel_fingerprints)) == len(executor.boxes)
 
@@ -237,21 +273,40 @@ class TestCompiledShards:
         full = get_kernel(executor.image, executor.plan)
         assert full.fingerprint not in executor.kernel_fingerprints
 
-    def test_worker_pool_is_reused_across_runs(self):
-        """The tentpole's pool contract: the second execute() must reuse
-        the forked workers, not pay fork + kernel binding again."""
-        program, module = _compiled(8, 8, name="pool_reuse")
+    def test_worker_pool_is_reused_across_runs(self, protocol_depth):
+        """The pool contract, under either protocol: the second execute()
+        must reuse the forked workers, not pay fork + binding again."""
+        program, module = _compiled(8, 8, steps=4, name="pool_reuse")
         simulator = WseSimulator(module, executor="tiled")
         executor = simulator.executor
-        simulator.execute()
+        statistics = simulator.execute()
+        assert executor.block_fallback_reason is None
         first_pool = executor._pool
         if first_pool is None:
             pytest.skip("platform without fork: no pool to reuse")
+        # One barrier per full block, plus the one at which the shards
+        # agree they settled.
+        assert statistics.barrier_waits == (
+            statistics.rounds // protocol_depth + 1
+        )
         first_pids = [worker.pid for worker in first_pool.workers]
         simulator.execute()
         assert executor._pool is first_pool
         assert [w.pid for w in executor._pool.workers] == first_pids
         assert first_pool.healthy
+
+    def test_dropping_the_executor_reaps_the_workers(self, protocol_depth):
+        _, module = _compiled(8, 8, name="pool_reap")
+        simulator = WseSimulator(module, executor="tiled")
+        simulator.execute()
+        if simulator.executor._pool is None:
+            pytest.skip("platform without fork: no pool to reap")
+        workers = list(simulator.executor._pool.workers)
+        del simulator
+        gc.collect()
+        for worker in workers:
+            worker.join(timeout=30)
+            assert not worker.is_alive()
 
     def test_results_match_vectorized_through_the_pool(self):
         program, module = _compiled(9, 9, name="pool_parity")
@@ -262,20 +317,64 @@ class TestCompiledShards:
         assert tiled_stats == vec_stats
 
 
-class TestForkedFailurePaths:
-    def test_worker_errors_propagate_to_the_parent(self):
-        """A shard raising inside a forked worker (here: the round budget
+class TestFailurePaths:
+    def test_worker_errors_propagate_to_the_parent(self, protocol_depth):
+        """A shard raising inside a pool worker (here: the round budget
         exhausted) must release its siblings and surface in the parent as
         an InterpretationError carrying the worker's diagnosis — not hang
-        out the sync timeout."""
-        from repro.ir.exceptions import InterpretationError
-
+        out the sync timeout — and cost the executor only its pool: the
+        next run re-forks and succeeds."""
         program, module = _compiled(4, 4, steps=2, name="budget")
         simulator = WseSimulator(module, executor="tiled")
-        assert len(simulator.executor.boxes) > 1  # genuinely forked
+        executor = simulator.executor
+        assert len(executor.boxes) > 1  # genuinely forked
+        assert executor.block_fallback_reason is None
         simulator.launch()
         with pytest.raises(InterpretationError, match="exceeded 1 rounds"):
             simulator.run(max_rounds=1)
+        assert executor._pool is None  # discarded, workers reaped
+        statistics = simulator.execute()
+        assert statistics.rounds > 0
+        assert executor._pool is not None and executor._pool.healthy
+
+    def test_budget_exhaustion_in_process(self, monkeypatch, protocol_depth):
+        """The in-process driver raises the same diagnosis directly."""
+        monkeypatch.setenv(SHARD_ENV_VAR, "1")
+        program, module = _compiled(4, 4, steps=2, name="budget_in_process")
+        simulator = WseSimulator(module, executor="tiled")
+        simulator.launch()
+        with pytest.raises(InterpretationError, match="exceeded 1 rounds"):
+            simulator.run(max_rounds=1)
+
+    def test_declined_codegen_raises_and_auto_falls_to_vectorized(
+        self, monkeypatch
+    ):
+        """There are no interpreted shards: a program the generator cannot
+        fuse is refused at construction, pointing at ``vectorized`` — and
+        ``auto`` takes that advice, recording why."""
+
+        def declined(image, plan, store=None, box=None, geometry=None):
+            raise KernelCodegenError("test: declined")
+
+        monkeypatch.setattr("repro.wse.executors.tiled.get_kernel", declined)
+        program, module = _compiled(4, 4, name="declined")
+        with pytest.raises(
+            KernelCodegenError, match=r"test: declined.*'vectorized'"
+        ):
+            WseSimulator(module, executor="tiled")
+        monkeypatch.setenv(FORCE_ENV_VAR, "tiled")
+        simulator = WseSimulator(module, executor="auto")
+        assert simulator.executor.backend_name == "vectorized"
+        fields, statistics = run_on_executor("auto", program, module)
+        assert statistics.backend_decision == "vectorized"
+        assert "tiled declined" in statistics.backend_rationale
+        assert "test: declined" in statistics.backend_rationale
+        expected_fields, expected_statistics = run_on_executor(
+            "vectorized", program, module
+        )
+        for name, expected in expected_fields.items():
+            assert fields[name].tobytes() == expected.tobytes()
+        assert statistics == expected_statistics
 
 
 class TestTiledHostSurface:
