@@ -72,16 +72,22 @@ run-service-check:
 	  $(PYTHON) -m repro.service purge'
 
 # Async run queue: the queue test suite (lifecycle, store, daemon,
-# experiments, crash recovery, the 16-job acceptance batch) plus the
-# warm>=5x-cold queue-throughput assertion, then a CLI smoke path: submit
-# a batch through the queue, resubmit it (served from the run cache),
-# inspect both the queue store and the combined stats table, purge.
+# experiments, crash recovery, the 16-job acceptance batch, and
+# test_workers.py: long-lived worker processes, compile-once per worker,
+# respawn after SIGKILL/cancel, exit without close(), the reused store
+# connection — all read off counters and pids) plus the cold/warm
+# run-cache counters of the legacy queue benchmark, then a CLI smoke
+# path: submit a batch through process workers, resubmit it inline (served
+# from the run cache), inspect one job, the queue store and the combined
+# stats table, purge.  Queue *speed* is `python -m bench --workload
+# service_queue_sweep`, not a test.
 queue-check:
 	$(PYTHON) -m pytest tests/service/queue \
 	  benchmarks/test_queue_throughput.py -q
 	REPRO_CACHE_DIR=$$(mktemp -d) sh -c '\
+	  $(PYTHON) -m repro.service queue submit Jacobian UVKBE --grid 4x4 --nz 8 --time-steps 1 && \
 	  $(PYTHON) -m repro.service queue submit Jacobian UVKBE --grid 4x4 --nz 8 --time-steps 1 --inline && \
-	  $(PYTHON) -m repro.service queue submit Jacobian UVKBE --grid 4x4 --nz 8 --time-steps 1 --inline && \
+	  $(PYTHON) -m repro.service queue status 1 && \
 	  $(PYTHON) -m repro.service queue list && \
 	  $(PYTHON) -m repro.service queue stats && \
 	  $(PYTHON) -m repro.service stats && \

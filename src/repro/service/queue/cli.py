@@ -5,12 +5,15 @@ Six verbs over one persistent job store:
 * ``submit`` — enqueue benchmark run jobs (optionally as a named
   experiment) and either work them to completion right here or
   ``--detach`` and leave them queued for a later ``wait``;
-* ``status`` — one job's record (``--events`` adds its full history);
+* ``status`` — one job's record, for a simulated job including where its
+  compile stage came from (``pipeline`` or the worker's ``memo``) and the
+  worker pid (``--events`` adds its full history);
 * ``wait`` — start a worker pool, recover any orphaned jobs, and drain
   the queue (or just the named jobs / experiment);
 * ``list`` — tabulate jobs and roll up experiment progress;
 * ``cancel`` — cancel queued jobs;
-* ``stats`` — the persistent store's aggregate counters.
+* ``stats`` — the persistent store's aggregate counters (jobs, events,
+  run-cache vs simulated, pipeline vs memo compiles, worker processes).
 
 Everything except ``submit``/``wait`` is read-only against the SQLite
 store and safe to run while a daemon is working.
@@ -77,7 +80,8 @@ def add_queue_parser(subparsers) -> None:
     submit.add_argument(
         "--inline",
         action="store_true",
-        help="execute jobs in the worker threads instead of forked processes",
+        help="execute jobs in the worker threads instead of forked worker "
+        "processes",
     )
     submit.add_argument(
         "--detach",
@@ -135,6 +139,11 @@ def _print_record(record, out, *, prefix: str = "") -> None:
     tail = ""
     if record.status is JobStatus.DONE:
         tail = f"  served from {record.served_from}"
+        if record.result.get("compile"):
+            tail += (
+                f" (compile {record.result['compile']}, "
+                f"worker pid {record.result['worker_pid']})"
+            )
     elif record.status is JobStatus.FAILED:
         tail = f"  error: {record.error}"
     print(
@@ -348,6 +357,17 @@ def _run_queue_stats(args: argparse.Namespace, out) -> int:
         f"  done jobs: {stats.cache_served} run-cache "
         f"{stats.simulated} simulated "
         f"(cache rate {stats.hit_rate:.0%})",
+        file=out,
+    )
+    print(
+        f"  compiles:  {stats.pipeline_compiles} pipeline "
+        f"{stats.memo_compiles} memo, by {stats.worker_processes} worker "
+        f"process(es)",
+        file=out,
+    )
+    print(
+        f"  store connections opened by this command: "
+        f"{store.connections_opened}",
         file=out,
     )
     return 0

@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+import weakref
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
@@ -49,7 +50,7 @@ from repro.service.queue.store import (
     JobRecord,
     JobStore,
 )
-from repro.service.queue.workers import WorkerPool
+from repro.service.queue.workers import WorkerPool, job_result_summary
 from repro.service.run import (
     DEFAULT_MAX_ROUNDS,
     DEFAULT_RUN_SEED,
@@ -78,6 +79,10 @@ class QueueStatistics:
     retried: int = 0
     #: orphaned jobs recovered at construction.
     recovered: int = 0
+    #: worker processes forked by this daemon's pool (one per claim thread
+    #: on its first claim, one more for every worker that died or was
+    #: terminated by a cancel), as of the last job outcome counted above.
+    worker_spawns: int = 0
 
 
 @dataclass
@@ -165,8 +170,32 @@ def _artifact_of(record: JobRecord, artifacts: RunArtifactStore) -> RunArtifact:
     return artifact
 
 
+def _weakly(method):
+    """``method`` as a callback that does not keep its object alive.
+
+    The store and the pool's claim threads hold the queue's callbacks; if
+    they held the queue itself, dropping the last reference to it could
+    never run the finalizer that reaps its worker processes.
+    """
+    reference = weakref.WeakMethod(method)
+
+    def call(*args) -> None:
+        bound = reference()
+        if bound is not None:
+            bound(*args)
+
+    return call
+
+
 class JobQueue:
-    """Async front door: persistent jobs, worker pool, experiments."""
+    """Async front door: persistent jobs, worker pool, experiments.
+
+    ``close()`` (or leaving the ``with`` block) finishes the jobs in hand,
+    retires the worker processes and closes the store.  A queue that is
+    merely dropped, or still open at interpreter exit, kills its worker
+    processes instead; whatever they were running stays recoverable in the
+    store.
+    """
 
     def __init__(
         self,
@@ -181,7 +210,9 @@ class JobQueue:
         start: bool = True,
     ):
         self.cache_dir = resolve_cache_directory(cache_dir)
-        self.store = JobStore(self.cache_dir, on_event=self._dispatch_event)
+        self.store = JobStore(
+            self.cache_dir, on_event=_weakly(self._dispatch_event)
+        )
         self.artifacts = RunArtifactStore(self.cache_dir)
         self.max_attempts = max_attempts
         self.statistics = QueueStatistics()
@@ -198,10 +229,13 @@ class JobQueue:
             mode=mode,
             retry_backoff=retry_backoff,
             poll_interval=poll_interval,
-            on_terminal=self._on_terminal,
-            on_retry=self._on_retry,
-            forward_events=self._dispatch_event,
+            on_terminal=_weakly(self._on_terminal),
+            on_retry=_weakly(self._on_retry),
+            forward_events=_weakly(self._dispatch_event),
         )
+        # Dropping the last reference to the queue reaps its workers (at
+        # interpreter exit the pool's own, better-ordered hook does).
+        weakref.finalize(self, self.pool.abandon)
         if start:
             self.pool.start()
 
@@ -256,14 +290,7 @@ class JobQueue:
                     program_name=program.name,
                     executor=executor_name,
                     experiment=experiment,
-                    result={
-                        "fingerprint": artifact.fingerprint,
-                        "program_name": artifact.program_name,
-                        "executor": artifact.executor,
-                        "rounds": artifact.rounds,
-                        "field_digests": artifact.field_digests,
-                        "served_from": "run-cache",
-                    },
+                    result=job_result_summary(artifact),
                     detail="resumed from run cache",
                 )
                 with self._lock:
@@ -371,8 +398,9 @@ class JobQueue:
     def subscribe(self, callback) -> None:
         """Stream every job event to ``callback`` (called from worker
         threads; must not raise).  Inline workers stream transitions live;
-        process workers stream a job's child-recorded transitions when its
-        worker process exits."""
+        a process worker records a job's transitions in its own process,
+        and they are streamed here, in order, when it reports the job back
+        (or dies) — not at process exit, workers outlive their jobs."""
         with self._lock:
             self._subscribers.append(callback)
 
@@ -392,6 +420,7 @@ class JobQueue:
 
     def _on_terminal(self, record: JobRecord) -> None:
         with self._lock:
+            self.statistics.worker_spawns = self.pool.spawns
             futures = self._futures.pop(record.id, [])
             if record.status is JobStatus.DONE:
                 self.statistics.completed += 1
@@ -404,6 +433,7 @@ class JobQueue:
 
     def _on_retry(self, record: JobRecord, reason: str) -> None:
         with self._lock:
+            self.statistics.worker_spawns = self.pool.spawns
             self.statistics.retried += 1
 
     # ------------------------------------------------------------------ #
@@ -425,7 +455,8 @@ class JobQueue:
         if record.status in TERMINAL_STATES:
             return record.status
         if self.pool.request_cancel(job_id):
-            # The owning worker records the transition when the child dies.
+            # The owning claim thread records the transition once the
+            # terminated worker process is dead.
             return self.store.get(job_id).status
         return record.status
 
@@ -452,7 +483,11 @@ class JobQueue:
         return self.pool.active_processes()
 
     def close(self, wait: bool = True) -> None:
+        """Stop the pool (with ``wait``: after the jobs in hand, worker
+        processes retired) and close the store, checkpointing its WAL.
+        Handles stay usable: they reopen the store on demand."""
         self.pool.stop(wait=wait)
+        self.store.close()
 
     def __enter__(self) -> "JobQueue":
         return self
@@ -481,6 +516,8 @@ class JobQueue:
                 f"  completed {stats.completed}  failed {stats.failed}  "
                 f"cancelled {stats.cancelled}  retries {stats.retried}  "
                 f"recovered {stats.recovered}",
+                f"  worker spawns {stats.worker_spawns}  store connections "
+                f"opened {self.store.connections_opened}",
                 f"  store: {self.store.path} "
                 f"({sum(counts.values())} jobs: {populated or 'empty'})",
             ]

@@ -13,10 +13,11 @@ All mutations run inside ``BEGIN IMMEDIATE`` transactions, and every
 status change re-reads the current status inside the transaction and
 validates the edge against the lifecycle table — so concurrent workers
 (threads *and* processes; WAL makes multi-process access safe) can never
-double-claim a job or record an illegal hop.  Connections are opened per
-operation: they are cheap against a WAL database, and it keeps the store
-safe to use from worker threads and forked job processes alike without
-sharing connection objects across either boundary.
+double-claim a job or record an illegal hop.  A store keeps one SQLite
+connection for as long as it is in use: :data:`FORK_LOCK` already runs a
+process's store operations one at a time, so one connection serves every
+thread, and a connection is never carried across ``fork()`` (see
+:func:`quiesced_for_fork`).
 
 Payloads are self-contained: the stencil program and pipeline options are
 pickled (they already cross process boundaries in
@@ -59,14 +60,41 @@ QUEUE_SCHEMA_VERSION = 1
 #: default bounded attempt budget (initial execution + retries).
 DEFAULT_MAX_ATTEMPTS = 3
 
-#: Process-wide serialization of SQLite activity against ``fork()``.
-#: SQLite's internal mutexes are not fork-safe: a child forked while
-#: another thread sits inside a sqlite3 call inherits a locked mutex that
-#: no thread in the child will ever release, and deadlocks on its first
-#: query.  Every store operation holds this lock for its duration, and
-#: the worker pool holds it around ``fork()``, so job children are born
-#: with quiescent SQLite state.
+#: Process-wide serialization of SQLite activity, among threads and
+#: against ``fork()``.  Every store operation holds this lock for its
+#: duration, which is what lets all threads of a process share each
+#: store's one connection.  It is also the fork barrier: SQLite's internal
+#: mutexes are not fork-safe (a child forked while another thread sits
+#: inside a sqlite3 call inherits a locked mutex that no thread in the
+#: child will ever release, and deadlocks on its first query), so the
+#: worker pool forks under :func:`quiesced_for_fork`, which holds it.
 FORK_LOCK = threading.RLock()
+
+#: every open store connection of this process.  Strong references on
+#: purpose: a connection leaves this set only by being closed under
+#: :data:`FORK_LOCK` — never by garbage collection, which runs SQLite's
+#: close in whichever thread trips it, and clears weak references to a
+#: dying store before the store gets to say anything.
+_OPEN_CONNECTIONS: "set[sqlite3.Connection]" = set()
+
+
+@contextmanager
+def quiesced_for_fork() -> Iterator[None]:
+    """The only safe place to fork a process that will use a job store.
+
+    Holds :data:`FORK_LOCK` (no SQLite call is in flight in any thread)
+    with every store connection of this process closed, so the child is
+    born with no SQLite state at all — no inherited connection to touch,
+    and none of the parent's file-lock bookkeeping, which would let the
+    child believe it holds locks that ``fork()`` did not give it (and let
+    the parent delete a WAL the child is still writing).  The parent's
+    stores reconnect on their next operation.
+    """
+    with FORK_LOCK:
+        for connection in _OPEN_CONNECTIONS:
+            connection.close()
+        _OPEN_CONNECTIONS.clear()
+        yield
 
 
 def _pickle_b64(value) -> str:
@@ -175,6 +203,12 @@ class QueueStoreStats:
     #: done jobs served straight from the run cache vs. freshly simulated.
     cache_served: int
     simulated: int
+    #: of the simulated: ran the compile pipeline vs. found the lowered
+    #: program in their worker's memory.
+    pipeline_compiles: int
+    memo_compiles: int
+    #: distinct processes that simulated them.
+    worker_processes: int
     total_bytes: int
 
     @property
@@ -228,8 +262,8 @@ class JobStore:
     ``on_event`` (when given) is called with every :class:`JobEvent` this
     *instance* records, after its transaction commits — the daemon hangs
     its subscriber fan-out off it.  Events recorded by other processes
-    (job child processes have their own store instance) are not observed
-    live; the worker pool forwards them when the child exits.
+    (worker processes have their own store instance) are not observed
+    live; the worker pool forwards a job's when its worker reports it.
     """
 
     def __init__(
@@ -241,6 +275,10 @@ class JobStore:
         self.directory = resolve_cache_directory(directory) / "queue"
         self.path = self.directory / "jobs.db"
         self.on_event = on_event
+        #: SQLite connections this instance has opened (one per use between
+        #: ``close()`` calls, however many operations and threads).
+        self.connections_opened = 0
+        self._connection: sqlite3.Connection | None = None
         #: per-thread buffer of events recorded inside the open transaction.
         self._local = threading.local()
         self._ensure_schema()
@@ -249,42 +287,75 @@ class JobStore:
     # Connections / schema
     # ------------------------------------------------------------------ #
 
-    def _connect(self) -> sqlite3.Connection:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        connection = sqlite3.connect(self.path, timeout=30.0)
-        connection.row_factory = sqlite3.Row
-        # autocommit mode: transactions are explicit BEGIN IMMEDIATE below.
-        # journal_mode=WAL is NOT set here: it persists in the database file
-        # (set once at creation), and re-issuing the pragma on every
-        # connection would contend for locks on the busiest path.
-        connection.isolation_level = None
-        connection.execute("PRAGMA synchronous=NORMAL")
-        connection.execute("PRAGMA busy_timeout=30000")
-        return connection
+    def _connected(self) -> sqlite3.Connection:
+        """This store's connection, (re)opened if it never was, was closed,
+        or was closed for a fork; callers hold :data:`FORK_LOCK`, which is
+        why one serves every thread."""
+        if self._connection not in _OPEN_CONNECTIONS:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            connection = sqlite3.connect(
+                self.path, timeout=30.0, check_same_thread=False
+            )
+            connection.row_factory = sqlite3.Row
+            # autocommit mode: transactions are explicit BEGIN IMMEDIATE
+            # below.  journal_mode=WAL is NOT set here: it persists in the
+            # database file (set once at creation).
+            connection.isolation_level = None
+            connection.execute("PRAGMA synchronous=NORMAL")
+            connection.execute("PRAGMA busy_timeout=30000")
+            self._connection = connection
+            self.connections_opened += 1
+            _OPEN_CONNECTIONS.add(connection)
+        return self._connection
+
+    def close(self) -> None:
+        """Checkpoint the WAL and close the connection; the next operation
+        (a handle outliving its queue, say) opens a fresh one."""
+        with FORK_LOCK:
+            if self._connection not in _OPEN_CONNECTIONS:
+                return
+            try:
+                self._connection.execute("PRAGMA wal_checkpoint(PASSIVE)")
+            finally:
+                self._drop_connection()
+
+    def _drop_connection(self) -> None:
+        _OPEN_CONNECTIONS.discard(self._connection)
+        self._connection.close()
+
+    def __del__(
+        self, _fork_lock=FORK_LOCK, _open_connections=_OPEN_CONNECTIONS
+    ) -> None:
+        # The rule that every SQLite call of this process is serialised
+        # against fork() includes the last one: a connection closed by its
+        # own deallocation would run SQLite's close outside the lock, and a
+        # worker forked at that moment inherits SQLite's process-wide
+        # mutexes locked and hangs on its first query.
+        with _fork_lock:
+            connection = getattr(self, "_connection", None)
+            if connection in _open_connections:
+                _open_connections.discard(connection)
+                connection.close()
 
     def _ensure_schema(self) -> None:
         # Fast path: an existing store only needs a lock-free version read —
-        # crucial for forked job children, which build a JobStore while the
-        # daemon, its workers and other children are all hitting the db.
-        with FORK_LOCK:
-            connection = self._connect()
+        # crucial for worker processes, which build a JobStore while the
+        # daemon and its other workers are all hitting the db.
+        with self._read() as connection:
             try:
-                try:
-                    row = connection.execute(
-                        "SELECT value FROM queue_meta "
-                        "WHERE key = 'schema_version'"
-                    ).fetchone()
-                except sqlite3.OperationalError:
-                    row = None  # no queue_meta table yet: fresh database
-                if row is not None:
-                    self._check_schema_version(row["value"])
-                    return
-                # Creation path (exactly once per store): WAL mode persists
-                # in the database file, so readers/writers never block each
-                # other afterwards.  Must run outside a transaction.
-                connection.execute("PRAGMA journal_mode=WAL")
-            finally:
-                connection.close()
+                row = connection.execute(
+                    "SELECT value FROM queue_meta "
+                    "WHERE key = 'schema_version'"
+                ).fetchone()
+            except sqlite3.OperationalError:
+                row = None  # no queue_meta table yet: fresh database
+            if row is not None:
+                self._check_schema_version(row["value"])
+                return
+            # Creation path (exactly once per store): WAL mode persists
+            # in the database file, so readers/writers never block each
+            # other afterwards.  Must run outside a transaction.
+            connection.execute("PRAGMA journal_mode=WAL")
         with self._txn() as connection:
             # Not executescript(): that would implicitly commit the open
             # BEGIN IMMEDIATE transaction before running.
@@ -312,15 +383,11 @@ class JobStore:
 
     @contextmanager
     def _read(self) -> Iterator[sqlite3.Connection]:
-        """A read-only connection: WAL readers never take the write lock,
-        so status polls (the hottest path — every ``wait()`` loop) cannot
-        starve the workers' transitions."""
+        """The connection for lock-free reads: WAL readers never take the
+        write lock, so status polls (the hottest path — every ``wait()``
+        loop) cannot starve the workers' transitions."""
         with FORK_LOCK:
-            connection = self._connect()
-            try:
-                yield connection
-            finally:
-                connection.close()
+            yield self._connected()
 
     @contextmanager
     def _txn(self) -> Iterator[sqlite3.Connection]:
@@ -334,20 +401,20 @@ class JobStore:
         self._local.events = recorded
         try:
             with FORK_LOCK:
-                connection = self._connect()
+                connection = self._connected()
                 try:
                     connection.execute("BEGIN IMMEDIATE")
                     yield connection
                     connection.execute("COMMIT")
                 except BaseException:
+                    recorded.clear()  # rolled back: never happened
                     try:
                         connection.execute("ROLLBACK")
                     except sqlite3.Error:
-                        pass
-                    recorded.clear()  # rolled back: never happened
+                        # Nothing to roll back (BEGIN itself failed) or an
+                        # unknown transaction state: never reuse it.
+                        self._drop_connection()
                     raise
-                finally:
-                    connection.close()
         finally:
             self._local.events = previous
         # Fired outside FORK_LOCK: subscribers may take their own locks,
@@ -859,12 +926,26 @@ class JobStore:
                     (JobStatus.DONE.value,),
                 ).fetchall()
             }
+            summaries = [
+                json.loads(row["result"])
+                for row in connection.execute(
+                    "SELECT result FROM jobs WHERE status = ? "
+                    "AND served_from = 'simulation'",
+                    (JobStatus.DONE.value,),
+                ).fetchall()
+            ]
+        compiles = [summary.get("compile") for summary in summaries]
         return QueueStoreStats(
             jobs=jobs,
             events=events,
             by_status={s.value: n for s, n in self.counts().items()},
             cache_served=served.get("run-cache", 0),
             simulated=served.get("simulation", 0),
+            pipeline_compiles=compiles.count("pipeline"),
+            memo_compiles=compiles.count("memo"),
+            worker_processes=len(
+                {summary.get("worker_pid") for summary in summaries} - {None}
+            ),
             total_bytes=self.total_bytes(),
         )
 

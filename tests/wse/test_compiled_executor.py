@@ -26,6 +26,7 @@ from repro.ir.exceptions import InterpretationError
 from repro.service.kernels import KernelSourceStore
 from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
+from repro.wse import codegen
 from repro.wse.codegen import (
     CODEGEN_VERSION,
     DUMP_ENV_VAR,
@@ -206,6 +207,24 @@ class TestKernelCache:
         assert statistics.disk_hits == 1
         assert statistics.codegens == 0
         assert served.source == kernel.source
+
+    def test_memo_is_a_bounded_lru(self, monkeypatch):
+        """A long-lived process keeps at most the capacity's worth of
+        kernels; the least recently *used* one goes first."""
+        assert codegen._MEMO_CAPACITY >= 256  # no measured sweep evicts
+        monkeypatch.setattr(codegen, "_MEMO_CAPACITY", 2)
+        (a_image, a_plan), (b_image, b_plan), (c_image, c_plan) = (
+            _image(grid=grid, steps=1)[2:] for grid in (3, 4, 5)
+        )
+        a = get_kernel(a_image, a_plan)
+        get_kernel(b_image, b_plan)
+        assert get_kernel(a_image, a_plan) is a  # touch: b is now the oldest
+        get_kernel(c_image, c_plan)  # evicts b
+        assert len(codegen._MEMO) == 2
+        assert get_kernel(a_image, a_plan) is a
+        assert kernel_cache_statistics().codegens == 3
+        get_kernel(b_image, b_plan)
+        assert kernel_cache_statistics().codegens == 4  # b was regenerated
 
     def test_executors_of_one_program_share_one_kernel(self):
         _, module, _, _ = _image()
