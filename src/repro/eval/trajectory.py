@@ -115,6 +115,10 @@ def write_trajectory(path: str | Path, records: list[dict]) -> Path:
 def read_trajectory(path: str | Path) -> list[dict]:
     """Read a trajectory file back, validating the schema version."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"trajectory must be a JSON object, got {type(data).__name__}"
+        )
     if data.get("schema_version") != TRAJECTORY_SCHEMA_VERSION:
         raise ValueError(
             f"trajectory schema {data.get('schema_version')!r} does not match "

@@ -55,8 +55,8 @@ from repro.wse.codegen import (
     kernel_cache_statistics,
 )
 from repro.wse.executors import default_executor_name, executor_by_name
-from repro.wse.interpreter import ProgramImage
-from repro.wse.plan import PLAN_VERSION, ExecutionPlan
+from repro.wse.interpreter import bound_image
+from repro.wse.plan import PLAN_VERSION
 from repro.wse.simulator import WseSimulator
 
 #: current run-artifact schema; bumping it invalidates stored run artifacts.
@@ -550,7 +550,7 @@ class RunService:
         image = parsed.image()
         kernel_cache = None
         if executor_name in ("compiled", "auto"):
-            kernel_cache = self._warm_kernel(image.module)
+            kernel_cache = self._warm_kernel(image)
         simulator = WseSimulator(image, executor=executor_name)
         rng = np.random.default_rng(seed)
         for name in sorted(image.buffers):
@@ -657,17 +657,20 @@ class RunService:
             kernel_cache=kernel_cache,
         )
 
-    def _warm_kernel(self, program_module) -> dict:
+    def _warm_kernel(self, program) -> dict:
         """Resolve the generated kernel through the fleet-wide source store.
 
         Compiles (or looks up) the kernel *before* the simulator is built,
         passing the persistent store: a fleet member that already generated
         this kernel serves its source from disk, and whatever this call
-        resolves is a guaranteed in-memory hit for the executor.  Returns
+        resolves is a guaranteed in-memory hit for the executor.  The image
+        and plan come from the bind memo of ``program`` (a program module,
+        or the image a CSL run parsed), so the simulator built next binds
+        the same objects instead of lowering and printing again.  Returns
         the provenance record folded into the run artifact.
         """
-        image = ProgramImage(program_module)
-        plan = ExecutionPlan.compile(image, image.width, image.height)
+        image = bound_image(program)
+        plan = image.plan_for(image.width, image.height)
         before = kernel_cache_statistics()
         memory_hits, disk_hits = before.memory_hits, before.disk_hits
         try:

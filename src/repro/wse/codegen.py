@@ -41,8 +41,14 @@ Kernels are cached process-wide in an in-memory memo keyed by a *kernel
 fingerprint* (SHA-256 over the printed program module, the plan's canonical
 form and :data:`CODEGEN_VERSION`), and optionally persisted through a
 source store (see :mod:`repro.service.kernels`) so compilation is paid once
-fleet-wide.  Set ``REPRO_COMPILED_DUMP`` to a directory to retain the
-emitted source of every kernel for debugging.
+fleet-wide.  The fingerprint is content-addressed but not recomputed per
+lookup: the image prints its module once, and the fingerprint of a plan the
+image owns (:meth:`~repro.wse.interpreter.ProgramImage.plan_for` — what
+every simulator bind uses) is kept on the image per shard box, so a warm
+:func:`get_kernel` is two dict lookups.  Both memos are dropped with the
+rest of the image's derived state when a bind finds the module changed
+(:func:`~repro.wse.interpreter.bound_image`).  Set ``REPRO_COMPILED_DUMP``
+to a directory to retain the emitted source of every kernel for debugging.
 
 Only the constructs the pipeline generates are compilable; anything else
 raises :class:`KernelCodegenError`: the ``compiled`` executor then falls back
@@ -65,7 +71,9 @@ import numpy as np
 from repro.dialects import arith, csl, scf
 from repro.ir.attributes import StringAttr
 from repro.ir.operation import Operation
-from repro.ir.printer import print_module
+# ``bind_statistics`` is re-exported: it is read beside
+# ``kernel_cache_statistics`` and reset by ``reset_kernel_cache``.
+from repro.wse.interpreter import bind_statistics, reset_bind_statistics
 from repro.wse.plan import (
     ExchangePlan,
     ExecutionPlan,
@@ -145,17 +153,39 @@ def kernel_fingerprint(
     backend's deep-halo window kernels key their depth through
     :meth:`~repro.wse.plan.BlockPlanView.canonical`; a whole-grid kernel is
     the same kernel at every block depth.
+
+    The module text comes from the image's memo, and for a plan the image
+    owns the fingerprint itself is memoised on the image (keyed by the
+    codegen version, box and geometry); any other plan — one compiled
+    directly, a deep-halo view — is hashed afresh.
     """
-    payload = {
-        "codegen_version": CODEGEN_VERSION,
-        "module": print_module(image.module),
-        "plan": plan.canonical(),
-    }
-    if box is not None:
-        assert geometry is not None
-        payload["shard"] = {"box": list(box), "geometry": geometry.canonical()}
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def hashed() -> str:
+        payload = {
+            "codegen_version": CODEGEN_VERSION,
+            "module": image.module_text(),
+            "plan": plan.canonical(),
+        }
+        if box is not None:
+            assert geometry is not None
+            payload["shard"] = {
+                "box": list(box),
+                "geometry": geometry.canonical(),
+            }
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    if not image.owns_plan(plan):
+        return hashed()
+    key = (
+        "kernel_fingerprint",
+        plan.width,
+        plan.height,
+        CODEGEN_VERSION,
+        box,
+        geometry,
+    )
+    return image.derived(key, hashed)
 
 
 # --------------------------------------------------------------------------- #
@@ -1556,15 +1586,20 @@ _STATISTICS = KernelCacheStatistics()
 
 
 def kernel_cache_statistics() -> KernelCacheStatistics:
-    """The live process-wide kernel cache counters."""
+    """The live process-wide kernel cache counters (their bind-side
+    companions — image builds, plan lowerings, module prints — are
+    :func:`bind_statistics`)."""
     return _STATISTICS
 
 
 def reset_kernel_cache() -> None:
-    """Empty the memo and zero the counters (tests and benchmarks)."""
+    """Empty the memo and zero the kernel-cache and bind counters (tests
+    and benchmarks).  What modules and images have memoised about
+    themselves stays with them."""
     global _STATISTICS
     _MEMO.clear()
     _STATISTICS = KernelCacheStatistics()
+    reset_bind_statistics()
 
 
 def _materialise(fingerprint: str, source: str) -> CompiledKernel:

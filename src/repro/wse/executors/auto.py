@@ -2,12 +2,13 @@
 
 Every backend replays the same execution plan with identical observable
 results, so the only open question per workload is *which one is fastest
-on this host* — small fabrics favour the reference/vectorized paths
-(kernel generation and forking cost more than they save), large fabrics
-favour ``compiled``, and large fabrics on multi-core hosts favour the
-sharded ``tiled``/``compiled`` composition.  This dispatcher makes that
-choice per simulator instance and then delegates everything to the chosen
-backend.
+on this host*.  What is priced is a *warm* run — the module's image, plan
+and kernel are memoised on the module, so binding it again costs every
+backend about the same — which leaves ``compiled`` ahead on one CPU from a
+single PE upwards, and the sharded ``tiled``/``compiled`` composition ahead
+on large fabrics with several CPUs (forking costs more than it saves below
+that).  This dispatcher makes that choice per simulator instance and then
+delegates everything to the chosen backend.
 
 The decision is profile-guided in the spirit of PGO surveys: recorded
 ``BENCH_simulator.json`` trajectory rows (written by the throughput
@@ -16,6 +17,9 @@ trusted outright, a near-miss is scaled by the PE-count ratio — and only
 workloads the trajectory has never seen fall back to the analytic host
 cost model in :func:`repro.wse.perf_model.predict_host_seconds`, whose
 coefficients are themselves fitted against recorded trajectories.  The
+trajectory is read once per ``(path, mtime, size)``, and the delivery-round
+estimate is kept on the program image, so a warm dispatch re-derives
+nothing but the ranking.  The
 decision and its rationale are stamped on the run's
 :class:`SimulationStatistics` (``backend_decision`` /
 ``backend_rationale``) so every result is auditable.
@@ -28,6 +32,7 @@ points at an alternative trajectory file (defaults to
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -80,18 +85,35 @@ def _trajectory_path() -> Path:
     return Path(__file__).resolve().parents[4] / "BENCH_simulator.json"
 
 
+@functools.lru_cache(maxsize=1)
+def _rows_of(path: str, mtime_ns: int | None, size: int | None) -> list[dict]:
+    """The rows of the trajectory at ``path`` as of ``(mtime_ns, size)``
+    (both ``None``: the file cannot be stat'ed), read once per key."""
+    from repro.eval.trajectory import read_trajectory
+
+    if mtime_ns is None:
+        return []
+    try:
+        return read_trajectory(path)
+    except (OSError, ValueError, KeyError):
+        return []
+
+
 def load_recorded_rows(path: Path | None = None) -> list[dict]:
     """The recorded trajectory rows, or ``[]`` when none are available.
 
     A missing, unreadable or stale-schema trajectory must never break a
     simulation — the dispatcher just falls back to the analytic model.
+    The file is read once per ``(path, mtime, size)`` — a missing file is
+    an answer too — so every dispatch after the first costs one ``stat``;
+    callers share the returned list and must not mutate it.
     """
-    from repro.eval.trajectory import read_trajectory
-
+    path = path if path is not None else _trajectory_path()
     try:
-        return read_trajectory(path if path is not None else _trajectory_path())
-    except Exception:
-        return []
+        status = os.stat(path)
+    except OSError:
+        return _rows_of(str(path), None, None)
+    return _rows_of(str(path), status.st_mtime_ns, status.st_size)
 
 
 def _walk_ops(op):
@@ -328,7 +350,9 @@ class AutoExecutor(Executor):
         self._delegate: Executor | None = None
         self._own_statistics = SimulationStatistics()
         super().__init__(image, width, height, plan)
-        rounds = estimate_delivery_rounds(image)
+        rounds = image.derived(
+            "delivery_rounds", lambda: estimate_delivery_rounds(image)
+        )
         forced = os.environ.get(FORCE_ENV_VAR, "").strip()
         if forced:
             choice = forced
@@ -441,6 +465,9 @@ class AutoExecutor(Executor):
             merge_trajectory(_trajectory_path(), [record])
         except Exception:
             pass
+        # Two rewrites inside one timestamp tick can leave (mtime, size)
+        # unchanged; this process wrote the file, so it knows.
+        _rows_of.cache_clear()
 
     # -- unused base hooks (the delegate drives its own rounds) ---------- #
 

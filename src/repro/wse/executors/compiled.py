@@ -9,7 +9,10 @@ bind-time hoisted DSD views, ``out=``-form ufuncs and exchanges staged
 directly into their receive slabs.  The generated kernel is cached
 process-wide by its content fingerprint (and optionally through a
 service-level source store), so repeated simulations of the same program
-pay code generation exactly once.
+pay code generation exactly once — and the fingerprint itself is kept on
+the program image with the plan the simulator binds, so a warm bind is a
+kernel-memo lookup and one ``instantiate``: nothing is lowered, printed or
+hashed again (:func:`repro.wse.interpreter.bound_image`).
 
 The kernel owns the drain/settled/deliver schedule (``run_block``); this
 executor only decides how many rounds each call may run.  The temporal

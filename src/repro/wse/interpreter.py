@@ -4,11 +4,27 @@ Executes the *final* output of the compilation pipeline — the csl-ir program
 module — against one PE's state.  Only the constructs the pipeline generates
 are supported; anything else raises :class:`InterpretationError`, which keeps
 the interpreter honest as a functional model of the generated CSL.
+
+Binding
+-------
+One lowered program is bound many times (sizes, inputs and time steps are
+swept over it), so everything that is a pure function of the module is
+derived once and kept *on the module*: :func:`bound_image` hangs the
+module's :class:`ProgramImage` on the module object, and the image owns its
+execution plans, the printed module text, its kernel fingerprints and the
+delivery-round estimate (:meth:`ProgramImage.derived`).  Every bind
+re-validates that state against :func:`module_stamp` — an identity stamp of
+the module in the manner of MLIR's ``OperationFingerPrint`` — so a module
+mutated between two binds is re-derived from scratch and an untouched one
+costs one walk plus dict lookups.  The memo lives and dies with the module:
+there is no process-wide table.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass
+from operator import is_
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -17,6 +33,7 @@ from repro.frontends.common import BoundaryCondition
 from repro.ir.attributes import FloatAttr, IntAttr, StringAttr
 from repro.ir.exceptions import InterpretationError
 from repro.ir.operation import Block, Operation
+from repro.ir.printer import print_module
 from repro.ir.value import SSAValue
 from repro.wse.dsd import Dsd
 from repro.wse.pe import ActivatedTask, PendingExchange, ProcessingElement
@@ -25,13 +42,125 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.wse.plan import ExecutionPlan
 
 
+@dataclass
+class BindStatistics:
+    """What binding has cost this process, as counts (see :func:`bound_image`)."""
+
+    #: :class:`ProgramImage` constructions.
+    image_builds: int = 0
+    #: :meth:`ExecutionPlan.compile <repro.wse.plan.ExecutionPlan.compile>` calls.
+    plan_lowerings: int = 0
+    #: whole-module prints for kernel fingerprints.
+    module_prints: int = 0
+
+
+_BIND_STATISTICS = BindStatistics()
+
+
+def bind_statistics() -> BindStatistics:
+    """The live process-wide bind counters."""
+    return _BIND_STATISTICS
+
+
+def reset_bind_statistics() -> None:
+    """Zero the bind counters (:func:`repro.wse.codegen.reset_kernel_cache`
+    does, with the kernel-cache ones)."""
+    global _BIND_STATISTICS
+    _BIND_STATISTICS = BindStatistics()
+
+
+#: separates the variable-length sections of one op's stamp entries.
+_SECTION = object()
+
+
+def module_stamp(module: Operation) -> list:
+    """An identity stamp of ``module``: everything an image, a plan or the
+    printer reads from it, in walk order, *by reference*.
+
+    Per op: the op, its name, operands, results with their types and name
+    hints, attribute keys and attribute objects; per region and block: the
+    object itself, block arguments with their types and name hints.  Two
+    stamps match (:func:`_same_stamp`) only when every entry is the same
+    object, so erasing, inserting, moving or re-wiring an op and replacing
+    an attribute or a type all show.  Holding the objects themselves means
+    no address can be recycled while the stamp is alive.  Attributes are
+    immutable by the IR's contract; a structurally equal replacement is a
+    different object and re-derives (correct, merely not free).
+    """
+    stamp: list = []
+    append, extend = stamp.append, stamp.extend
+
+    def walk(op: Operation) -> None:
+        append(op)
+        append(op.name)
+        extend(op._operands)
+        append(_SECTION)
+        for value in op.results:
+            append(value)
+            append(value.type)
+            append(value.name_hint)
+        append(_SECTION)
+        extend(op.attributes)
+        extend(op.attributes.values())
+        for region in op.regions:
+            append(region)
+            for block in region.blocks:
+                append(block)
+                for value in block.args:
+                    append(value)
+                    append(value.type)
+                    append(value.name_hint)
+                for child in block.ops:
+                    walk(child)
+
+    walk(module)
+    return stamp
+
+
+def _same_stamp(first: list, second: list) -> bool:
+    return len(first) == len(second) and all(map(is_, first, second))
+
+
+def bound_image(program: "csl.CslModuleOp | ProgramImage") -> "ProgramImage":
+    """The :class:`ProgramImage` to bind ``program`` through, its derived
+    state valid for the module as it is now.
+
+    For a module this is the image memoised on the module object — built on
+    the first bind, returned as the same object for as long as the module's
+    stamp matches, rebuilt once the module has changed.  An image passed in
+    (the CSL front-door builds them directly) stays the caller's object and
+    is its own memo; a change to its module drops what was derived from it.
+    """
+    supplied = isinstance(program, ProgramImage)
+    module = program.module if supplied else program
+    image = program if supplied else getattr(module, "_bound_image", None)
+    stamp = module_stamp(module)
+    if (
+        image is not None
+        and image._stamp is not None
+        and _same_stamp(image._stamp, stamp)
+    ):
+        return image
+    if supplied:
+        image._derived.clear()
+    else:
+        image = module._bound_image = ProgramImage(module)
+    image._stamp = stamp
+    return image
+
+
 class ProgramImage:
     """Pre-processed view of a csl-ir program module."""
 
     def __init__(self, program_module: "csl.CslModuleOp"):
         if program_module.kind != csl.ModuleKind.PROGRAM:
             raise InterpretationError("expected a csl program module")
+        _BIND_STATISTICS.image_builds += 1
         self.module = program_module
+        #: the module stamp ``_derived`` was computed under; set and checked
+        #: by :func:`bound_image` only, ``None`` until the first bind.
+        self._stamp: list | None = None
+        self._derived: dict = {}
         self.callables: dict[str, Operation] = {}
         self.buffers: dict[str, int] = {}
         self.variables: dict[str, float] = {}
@@ -83,6 +212,44 @@ class ProgramImage:
             if isinstance(op, csl.TaskOp) and op.task_id == task_id:
                 return op
         return None
+
+    # -- derived state (see "Binding" in the module docstring) ----------- #
+
+    def derived(self, key, compute: Callable[[], Any]) -> Any:
+        """``compute()`` — a pure function of this image — computed once per
+        validated state of the module.  An image that was never bound has
+        no stamp to be validated against and memoises nothing."""
+        if self._stamp is None:
+            return compute()
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = compute()
+            return value
+
+    def plan_for(self, width: int, height: int) -> "ExecutionPlan":
+        """This image's execution plan on a ``width x height`` fabric, under
+        the boundary condition compiled into the module."""
+        from repro.wse.plan import ExecutionPlan
+
+        return self.derived(
+            ("plan", width, height),
+            lambda: ExecutionPlan.compile(self, width, height),
+        )
+
+    def owns_plan(self, plan) -> bool:
+        """Whether ``plan`` is the object :meth:`plan_for` hands out."""
+        return self._derived.get(("plan", plan.width, plan.height)) is plan
+
+    def module_text(self) -> str:
+        """The deterministically printed module (what kernel fingerprints
+        hash)."""
+
+        def printed() -> str:
+            _BIND_STATISTICS.module_prints += 1
+            return print_module(self.module)
+
+        return self.derived("module_text", printed)
 
 
 class PeInterpreter:

@@ -203,10 +203,18 @@ def estimate_performance(
 #: ``reference`` pays Python interpretation per PE; ``vectorized`` pays a
 #: fixed NumPy dispatch tax per round plus array math per element;
 #: ``compiled`` halves both by fusing the round into generated code.
+#: The setup terms price a *warm* bind (the image, plan and kernel of a
+#: module already bound once in the process — see
+#: :func:`repro.wse.interpreter.bound_image`) plus loading the fields.
+#: ``compiled``'s was re-fitted on 2026-10-03, when its bind stopped
+#: printing the module (1.1e-3 until then, which was that print): the
+#: intercept of warm bind + load + execute times over 2, 4 and 8 rounds
+#: reads 0.12 ms on 1x1 and 0.13 ms on 8x8 (2-vCPU shared host, best of
+#: 41).  The other coefficients are the earlier fit.
 _HOST_MODEL = {
     "reference": (0.05e-3, 0.0, 40e-6, 35e-9),
     "vectorized": (0.35e-3, 20e-6, 0.0, 6e-9),
-    "compiled": (1.1e-3, 8e-6, 0.0, 3e-9),
+    "compiled": (0.12e-3, 8e-6, 0.0, 3e-9),
 }
 
 #: tiled-specific coefficients: fork/pool setup per shard, per-round

@@ -44,6 +44,7 @@ from repro.frontends.common import BoundaryCondition
 from repro.ir.attributes import StringAttr
 from repro.ir.operation import Block, Operation
 from repro.wse.dsd import Dsd
+from repro.wse.interpreter import bind_statistics
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wse.interpreter import ProgramImage
@@ -515,9 +516,12 @@ class BlockPlanView:
 class ExecutionPlan:
     """Everything an executor needs to replay one compiled program image.
 
-    Built once per simulation by :func:`ExecutionPlan.compile`; the
-    executors only *read* it (several may share one plan — the tiled
-    backend's forked shard workers do).
+    Built by :func:`ExecutionPlan.compile` — once per (image, grid) when
+    obtained through :meth:`ProgramImage.plan_for
+    <repro.wse.interpreter.ProgramImage.plan_for>`, as every simulator
+    bind does; the executors only *read* it (several may share one plan —
+    successive binds of one module and the tiled backend's forked shard
+    workers do).
     """
 
     def __init__(
@@ -572,6 +576,7 @@ class ExecutionPlan:
         boundary: BoundaryCondition | None = None,
     ) -> "ExecutionPlan":
         """Lower a program image (+ grid dims + boundary) into a plan."""
+        bind_statistics().plan_lowerings += 1
         boundary = boundary if boundary is not None else image.boundary
         static_dsds: dict[Operation, Dsd] = {}
         exchange_plans: dict[Operation, ExchangePlan] = {}

@@ -27,8 +27,7 @@ from repro.wse.executors import (
     default_executor_name,
     executor_by_name,
 )
-from repro.wse.interpreter import ProgramImage
-from repro.wse.plan import ExecutionPlan
+from repro.wse.interpreter import ProgramImage, bound_image
 
 __all__ = ["SimulationStatistics", "WseSimulator"]
 
@@ -56,20 +55,19 @@ class WseSimulator:
         height: int | None = None,
         executor: str | None = None,
     ):
-        if isinstance(program_module, ProgramImage):
-            self.image = program_module
-            program_module = self.image.module
-        else:
-            self.image = ProgramImage(program_module)
+        # The image, its plan and what the backends derive from both are
+        # memoised on the module and validated against it on every bind.
+        self.image = bound_image(program_module)
+        program_module = self.image.module
         self.width = self._validated_extent("width", width, program_module)
         self.height = self._validated_extent("height", height, program_module)
         self.executor_name = (
             executor if executor is not None else default_executor_name()
         )
         executor_cls = executor_by_name(self.executor_name)
-        # Lower the image into the backend-neutral execution plan exactly
-        # once; every backend replays the same plan.
-        self.plan = ExecutionPlan.compile(self.image, self.width, self.height)
+        # The backend-neutral execution plan, lowered once per (image,
+        # grid); every backend replays the same plan.
+        self.plan = self.image.plan_for(self.width, self.height)
         self._executor = executor_cls(
             self.image, self.width, self.height, self.plan
         )

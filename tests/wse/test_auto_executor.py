@@ -63,26 +63,32 @@ def _compiled(nx, ny, nz=8, steps=2, name="auto_probe"):
 #: is gitignored and host-specific; the calibration contract is that the
 #: analytic model rank-orders backends the same way a real recording did).
 #: Grouped by grid, with the (depth, rounds) the recording benchmark used.
+#: The four small-grid groups were re-recorded on 2026-10-03 with the bind
+#: memo in place (``benchmarks/test_simulator_throughput.py``'s sweep under
+#: ``taskset -c 0``: bind + load + execute, best of six recordings of
+#: best-of-3) — a warm ``compiled`` bind no longer prints the module, and it
+#: is now the fastest backend on every one of them; the two large groups,
+#: where a bind is under 0.2% of the run, are the earlier recording.
 RECORDED_SNAPSHOT = {
     ("1x1", 32, 8): {
-        "reference": 0.000468,
-        "vectorized": 0.001243,
-        "compiled": 0.001244,
+        "reference": 0.000425,
+        "vectorized": 0.000451,
+        "compiled": 0.000188,
     },
     ("2x2", 32, 8): {
-        "reference": 0.002901,
-        "vectorized": 0.001096,
-        "compiled": 0.00207,
+        "reference": 0.001179,
+        "vectorized": 0.000478,
+        "compiled": 0.000204,
     },
     ("4x4", 32, 8): {
-        "reference": 0.00747,
-        "vectorized": 0.00075,
-        "compiled": 0.001627,
+        "reference": 0.004278,
+        "vectorized": 0.000494,
+        "compiled": 0.000209,
     },
     ("8x8", 32, 8): {
-        "reference": 0.018742,
-        "vectorized": 0.000572,
-        "compiled": 0.001179,
+        "reference": 0.016552,
+        "vectorized": 0.000519,
+        "compiled": 0.000233,
     },
     ("64x64", 256, 48): {
         "vectorized": 0.282385,
@@ -102,14 +108,20 @@ class TestDecisionTable:
         selector = BackendSelector(records=[], cpus=1)
         assert "tiled" not in selector.candidates(8, 8)
         choice, rationale = selector.choose(8, 8, depth=32)
-        assert choice == "vectorized"
+        # Recorded 8x8 row: compiled 0.233 ms, vectorized 0.519 ms,
+        # reference 16.6 ms.
+        assert choice == "compiled"
         assert "8x8" in rationale and "host cost model" in rationale
 
     def test_single_pe_grid_prefers_the_reference_interpreter(self, monkeypatch):
+        """What one PE prefers is decided by the fixed cost per run, and
+        since a warm ``compiled`` bind is dict lookups that is no longer
+        the interpreter's: recorded 1x1 row compiled 0.188 ms, reference
+        0.425 ms, vectorized 0.451 ms."""
         monkeypatch.delenv(SHARD_ENV_VAR, raising=False)
         selector = BackendSelector(records=[], cpus=1)
         choice, _ = selector.choose(1, 1, depth=32)
-        assert choice == "reference"
+        assert choice == "compiled"
 
     def test_large_grid_on_one_cpu_prefers_compiled(self, monkeypatch):
         monkeypatch.delenv(SHARD_ENV_VAR, raising=False)
