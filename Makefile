@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench sim-bench tiled-check fusion-check service service-smoke run-service-check queue-check boundary-check csl-check lint
+.PHONY: test bench sim-bench tiled-check fusion-check service service-smoke run-service-check queue-check boundary-check csl-check fuzz lint
 
 # Tier-1 verification: the whole suite, fail fast.
 test:
@@ -100,7 +100,8 @@ queue-check:
 boundary-check:
 	$(PYTHON) -m pytest tests/wse/test_boundary_conditions.py -q
 
-# CSL front-door gate: the parser/lowering/diagnostic/round-trip suite,
+# CSL front-door gate: the parser/lowering/diagnostic/round-trip suite
+# (with the lexer pins, the bounded fuzzers and the calls-per-token ledger),
 # then the handwritten 25-point seismic kernel diffed field-by-field
 # against the pipeline-generated code on two executors via the CLI.
 csl-check:
@@ -109,6 +110,13 @@ csl-check:
 	$(PYTHON) -m repro.csl diff --csl examples/handwritten --benchmark Seismic \
 	  --grid 9x9 --nz 16 --time-steps 2 --num-chunks 1 \
 	  --executors reference,vectorized --fields u,v
+
+# The CSL front-door fuzzers at length: the properties tier-1 runs with 100
+# derandomised examples each (tests/csl/test_fuzz.py, inside `make test` and
+# `make csl-check`) under the `long` hypothesis profile that
+# tests/csl/conftest.py registers — 2,000 examples each, about 20 s.
+fuzz:
+	$(PYTHON) -m pytest tests/csl/test_fuzz.py -q --hypothesis-profile=long
 
 # No third-party linter is vendored; byte-compiling everything still catches
 # syntax errors and obvious breakage in one second.

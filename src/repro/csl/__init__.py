@@ -43,6 +43,7 @@ __all__ = [
     "parse_csl_program",
     "parse_csl_sources",
     "parse_csl_dir",
+    "read_csl_source",
     "canonical_program_image",
     "canonical_json_text",
     "diff_images",
@@ -119,14 +120,26 @@ def parse_csl_sources(sources: dict[str, str]) -> ParsedCsl:
     return ParsedCsl(programs, layout)
 
 
+def read_csl_source(path: str) -> str:
+    """The text of one CSL file; a file that is not UTF-8 raises a
+    ``ValueError`` naming the path and the offset of the first bad byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ValueError(
+            f"{path}: not valid UTF-8 at byte {error.start}: {error.reason}"
+        ) from None
+
+
 def parse_csl_dir(directory: str) -> ParsedCsl:
     """Read and parse every ``*.csl`` file directly under ``directory``."""
-    sources: dict[str, str] = {}
-    for entry in sorted(os.listdir(directory)):
-        if entry.endswith(".csl"):
-            path = os.path.join(directory, entry)
-            with open(path, "r", encoding="utf-8") as handle:
-                sources[entry] = handle.read()
+    sources = {
+        entry: read_csl_source(os.path.join(directory, entry))
+        for entry in sorted(os.listdir(directory))
+        if entry.endswith(".csl")
+    }
     if not sources:
         raise FileNotFoundError(f"no .csl files found under '{directory}'")
     return parse_csl_sources(sources)

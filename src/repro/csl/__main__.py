@@ -25,6 +25,7 @@ from repro.csl import (
     diff_images,
     parse_csl_dir,
     parse_csl_sources,
+    read_csl_source,
 )
 from repro.wse.interpreter import ProgramImage
 
@@ -119,11 +120,7 @@ def _load_sources(args: argparse.Namespace) -> ParsedCsl:
         return parse_csl_dir(args.dir)
     if not args.files:
         raise ValueError("name at least one CSL file or pass --dir DIR")
-    sources: dict[str, str] = {}
-    for path in args.files:
-        with open(path, "r", encoding="utf-8") as handle:
-            sources[path] = handle.read()
-    return parse_csl_sources(sources)
+    return parse_csl_sources({path: read_csl_source(path) for path in args.files})
 
 
 def _run_parse(args: argparse.Namespace, out) -> int:
@@ -210,10 +207,14 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
         if args.command == "diff":
             return _run_diff(args, out)
     except CslDiagnosticError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
+        print(f"error: {error}", file=sys.stderr)
         return 1
-    except (KeyError, ValueError, OSError) as error:
+    except KeyError as error:
+        # str() of a KeyError is the repr of its message
         print(f"error: {error.args[0]}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command!r}")
 

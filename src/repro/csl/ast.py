@@ -1,7 +1,8 @@
 """AST for the supported CSL grammar subset.
 
-Pure data: every node carries the :class:`~repro.csl.lexer.SourceLocation` of
-its introducing token so lowering diagnostics can point back into the text.
+Pure data: every node keeps its introducing :class:`~repro.csl.lexer.Token`,
+and ``node.loc`` derives the :class:`~repro.csl.lexer.SourceLocation` from it
+when a lowering diagnostic points back into the text.
 The shapes mirror what :mod:`repro.backend.csl_printer` emits — this is the
 grammar the printer and parser agree on via :mod:`repro.csl.surface`.
 """
@@ -10,7 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.csl.lexer import SourceLocation
+from repro.csl.lexer import SourceLocation, Token
+
+
+@dataclass
+class Node:
+    """``at`` is the token that introduces the node."""
+
+    at: Token
+
+    @property
+    def loc(self) -> SourceLocation:
+        return self.at.loc
+
 
 # --------------------------------------------------------------------------- #
 # Expressions
@@ -18,8 +31,8 @@ from repro.csl.lexer import SourceLocation
 
 
 @dataclass
-class Expr:
-    loc: SourceLocation
+class Expr(Node):
+    pass
 
 
 @dataclass
@@ -64,8 +77,8 @@ class IncrementDsdExpr(Expr):
 
 
 @dataclass
-class Stmt:
-    loc: SourceLocation
+class Stmt(Node):
+    pass
 
 
 @dataclass
@@ -141,8 +154,8 @@ class ReturnStmt(Stmt):
 
 
 @dataclass
-class Decl:
-    loc: SourceLocation
+class Decl(Node):
+    pass
 
 
 @dataclass

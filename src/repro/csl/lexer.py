@@ -9,7 +9,10 @@ the frontend — lexing, parsing and lowering — derive from
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "CslDiagnosticError",
@@ -49,117 +52,105 @@ class CslSyntaxError(CslDiagnosticError):
     """A lexical or grammatical error in CSL source text."""
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token."""
+class SourceFile:
+    """One file's name and text; the line-start table is built the first
+    time a location is asked for, which a parse without a diagnostic never
+    does."""
+
+    __slots__ = ("file", "text", "_line_starts")
+
+    def __init__(self, file: str, text: str):
+        self.file = file
+        self.text = text
+        self._line_starts: list[int] | None = None
+
+    def locate(self, offset: int) -> SourceLocation:
+        """The 1-based ``line:col`` of a character offset.  Only a line feed
+        ends a line; every other character, tab and carriage return included,
+        is one column."""
+        starts = self._line_starts
+        if starts is None:
+            starts = self._line_starts = [0]
+            starts.extend(match.end() for match in re.finditer("\n", self.text))
+        line = bisect_right(starts, offset)
+        return SourceLocation(self.file, line, offset - starts[line - 1] + 1)
+
+
+class Token(NamedTuple):
+    """One lexical token: a flat record holding its character offset; the
+    ``line:col`` is derived on demand."""
 
     kind: str  # "ident" | "builtin" | "number" | "string" | "punct" | "eof"
     text: str
-    loc: SourceLocation
+    offset: int
+    source: SourceFile
+
+    @property
+    def loc(self) -> SourceLocation:
+        return self.source.locate(self.offset)
 
     def is_punct(self, text: str) -> bool:
         return self.kind == "punct" and self.text == text
 
 
-#: multi-character punctuators, longest-match first
-_PUNCT2 = ("->", "+=", "<=", ">=", "==", "!=")
-_PUNCT1 = set("{}()[];:,.=<>+-*/&|")
-
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
+#: One match is one token with the whitespace and ``//`` comments before it.
+#: The alternatives are tried in order.  Every position matches one of them:
+#: ``eof`` takes the end of the text and ``bad`` any other character, so the
+#: scan never skips input and never backtracks into the skipped prefix.
+#: ``badexp`` (a number whose exponent has no digits) comes before ``number``,
+#: which would otherwise stop in front of the ``e``.  Character sets are
+#: spelled out because ``\d`` and ``\w`` match non-ASCII digits and letters.
+_SCAN = re.compile(
+    r"""[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
+    (?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      |(?P<punct>->|\+=|<=|>=|==|!=|[{}()\[\];:,.=<>+\-*/&|])
+      |(?P<badexp>[0-9]+(?:\.[0-9]*)?[eE](?![+-]?[0-9]))
+      |(?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)
+      |(?P<builtin>@[A-Za-z0-9_]+)
+      |"(?P<string>[^"\n]*)"
+      |(?P<eof>\Z)
+      |(?P<bad>.)
+    )""",
+    re.VERBOSE,
+)
+#: the kinds that end the scan: the end of the text, or a rejection
+_LAST = frozenset(("eof", "badexp", "bad"))
+_new_token = tuple.__new__
 
 
 def tokenize(text: str, file: str = "<csl>") -> list[Token]:
     """Lex CSL source into tokens; raises :class:`CslSyntaxError` with the
     exact ``file:line:col`` of any character the grammar subset rejects."""
+    source = SourceFile(file, text)
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
+    append = tokens.append
+    # Tokens are built by ``tuple.__new__`` (what ``Token._make`` calls), so
+    # a file costs a fixed number of Python-level calls however long it is.
+    for match in _SCAN.finditer(text):
+        kind = match.lastgroup
+        if kind in _LAST:
+            if kind != "eof":
+                raise _rejection(source, kind, match)
+            append(_new_token(Token, ("eof", "", match.start(kind), source)))
+            return tokens
+        start = match.start(kind)
+        if kind == "string":
+            start -= 1  # the opening quote
+        append(_new_token(Token, (kind, match[kind], start, source)))
+    raise AssertionError("unreachable: the scan ends at 'eof' or a rejection")
 
-    def loc() -> SourceLocation:
-        return SourceLocation(file, line, col)
 
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "/" and text[i : i + 2] == "//":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        start = loc()
-        if ch in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(Token("ident", text[i:j], start))
-            advance(j - i)
-            continue
-        if ch == "@":
-            j = i + 1
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            if j == i + 1:
-                raise CslSyntaxError("'@' must introduce a builtin name", start, "@")
-            tokens.append(Token("builtin", text[i:j], start))
-            advance(j - i)
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k >= n or text[k] not in _DIGITS:
-                    raise CslSyntaxError(
-                        "malformed number literal exponent", start, text[i : j + 1]
-                    )
-                j = k
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            tokens.append(Token("number", text[i:j], start))
-            advance(j - i)
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                raise CslSyntaxError("unterminated string literal", start, '"')
-            tokens.append(Token("string", text[i + 1 : j], start))
-            advance(j - i + 1)
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(Token("punct", two, start))
-            advance(2)
-            continue
-        if ch in _PUNCT1:
-            tokens.append(Token("punct", ch, start))
-            advance(1)
-            continue
-        raise CslSyntaxError("unexpected character", start, ch)
-
-    tokens.append(Token("eof", "", SourceLocation(file, line, col)))
-    return tokens
+def _rejection(source: SourceFile, kind: str, match: re.Match) -> CslSyntaxError:
+    """The diagnostic for the first thing the scan could not make a token of."""
+    shown = match[kind]
+    loc = source.locate(match.start(kind))
+    if kind == "badexp":
+        return CslSyntaxError("malformed number literal exponent", loc, shown)
+    if shown == "@":
+        return CslSyntaxError("'@' must introduce a builtin name", loc, "@")
+    if shown == '"':
+        return CslSyntaxError("unterminated string literal", loc, '"')
+    return CslSyntaxError("unexpected character", loc, shown)
 
 
 def number_value(token: Token) -> int | float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from repro.csl import ast, surface
 from repro.csl.lexer import CslDiagnosticError, SourceLocation
 from repro.dialects import arith, csl, scf
+from repro.frontends.common import BoundaryCondition
 from repro.ir.attributes import (
     Attribute,
     FloatAttr,
@@ -188,9 +189,22 @@ class _ProgramLowerer:
             fields = self.comms_import.fields
             kind = fields.get(surface.COMMS_IMPORT_BOUNDARY)
             if isinstance(kind, str):
+                if kind not in BoundaryCondition.KINDS:
+                    raise CslLoweringError(
+                        f"unknown boundary kind '{kind}': expected one of "
+                        f"{', '.join(BoundaryCondition.KINDS)}",
+                        self.comms_import.loc,
+                        kind,
+                    )
                 program.attributes[surface.ATTR_BOUNDARY] = StringAttr(kind)
                 value = fields.get(surface.COMMS_IMPORT_BOUNDARY_VALUE, 0.0)
                 if kind == "dirichlet":
+                    if not isinstance(value, (int, float)):
+                        raise CslLoweringError(
+                            "boundary value must be a number",
+                            self.comms_import.loc,
+                            surface.COMMS_IMPORT_BOUNDARY_VALUE,
+                        )
                     program.attributes[surface.ATTR_BOUNDARY_VALUE] = FloatAttr(
                         float(value)
                     )

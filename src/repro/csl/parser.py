@@ -15,13 +15,7 @@ Every rejection raises :class:`~repro.csl.lexer.CslSyntaxError` carrying the
 from __future__ import annotations
 
 from repro.csl import ast, surface
-from repro.csl.lexer import (
-    CslSyntaxError,
-    SourceLocation,
-    Token,
-    number_value,
-    tokenize,
-)
+from repro.csl.lexer import CslSyntaxError, Token, number_value, tokenize
 
 __all__ = ["parse_module"]
 
@@ -36,24 +30,29 @@ class _Ref:
         self.name = name
 
 
+#: the operators of a single-operator expression
+_BINARY_OPERATORS = frozenset(("<=", ">=", "==", "!=", "<", ">", "+", "-", "*", "/"))
+
+
 class Parser:
     def __init__(self, tokens: list[Token], file: str):
-        self.tokens = tokens
+        # A second 'eof' behind the lexer's: the furthest any helper looks is
+        # one token past the first, so none of them checks a bound.
+        self.tokens = tokens + tokens[-1:]
         self.file = file
         self.pos = 0
-        # stack of '{' locations for the unterminated-block diagnostic
-        self.open_blocks: list[SourceLocation] = []
+        # stack of unclosed '{' tokens for the unterminated-block diagnostic
+        self.open_blocks: list[Token] = []
 
     # ------------------------------------------------------------------ #
     # Stream helpers
     # ------------------------------------------------------------------ #
 
     def peek(self, ahead: int = 0) -> Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind != "eof":
             self.pos += 1
         return token
@@ -61,7 +60,7 @@ class Parser:
     def error(self, message: str, token: Token | None = None) -> CslSyntaxError:
         token = token if token is not None else self.peek()
         if token.kind == "eof" and self.open_blocks:
-            opened = self.open_blocks[-1]
+            opened = self.open_blocks[-1].loc
             return CslSyntaxError(
                 f"unexpected end of file: block opened at "
                 f"{opened.line}:{opened.col} was never closed",
@@ -71,33 +70,43 @@ class Parser:
         shown = token.text if token.kind != "eof" else "<eof>"
         return CslSyntaxError(message, token.loc, shown)
 
+    def at_punct(self, text: str) -> bool:
+        token = self.tokens[self.pos]
+        return token.kind == "punct" and token.text == text
+
+    def accept_punct(self, text: str) -> bool:
+        """Step over the punctuator ``text`` if it is next."""
+        token = self.tokens[self.pos]
+        if token.kind == "punct" and token.text == text:
+            self.pos += 1
+            return True
+        return False
+
     def expect_punct(self, text: str) -> Token:
-        token = self.peek()
-        if not token.is_punct(text):
+        token = self.tokens[self.pos]
+        if token.kind != "punct" or token.text != text:
             raise self.error(f"expected '{text}'")
-        self.next()
+        self.pos += 1
         if text == "{":
-            self.open_blocks.append(token.loc)
+            self.open_blocks.append(token)
         elif text == "}" and self.open_blocks:
             self.open_blocks.pop()
         return token
 
     def expect_ident(self, text: str | None = None) -> Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind != "ident" or (text is not None and token.text != text):
             expected = f"'{text}'" if text is not None else "an identifier"
             raise self.error(f"expected {expected}")
-        return self.next()
+        self.pos += 1
+        return token
 
     def expect_number(self) -> tuple[Token, int | float]:
-        negative = False
-        if self.peek().is_punct("-"):
-            self.next()
-            negative = True
-        token = self.peek()
+        negative = self.accept_punct("-")
+        token = self.tokens[self.pos]
         if token.kind != "number":
             raise self.error("expected a number")
-        self.next()
+        self.pos += 1
         value = number_value(token)
         return token, (-value if negative else value)
 
@@ -108,17 +117,18 @@ class Parser:
         return value
 
     def expect_string(self) -> str:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind != "string":
             raise self.error("expected a string literal")
-        self.next()
+        self.pos += 1
         return token.text
 
     def expect_builtin(self, name: str) -> Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind != "builtin" or token.text != name:
             raise self.error(f"expected '{name}'")
-        return self.next()
+        self.pos += 1
+        return token
 
     def check_known_builtin(self, token: Token) -> None:
         if token.text not in surface.KNOWN_BUILTINS:
@@ -133,8 +143,7 @@ class Parser:
     def parse_module(self, name: str) -> ast.Module:
         decls: list[ast.Decl] = []
         kind = "program"
-        while self.peek().kind != "eof":
-            token = self.peek()
+        while (token := self.peek()).kind != "eof":
             if token.kind == "ident" and token.text == "layout":
                 kind = "layout"
                 decls.extend(self.parse_layout_block())
@@ -144,25 +153,13 @@ class Parser:
 
     def parse_decl(self) -> ast.Decl:
         token = self.peek()
-        if token.kind != "ident":
+        parse = _DECLARATIONS.get(token.text) if token.kind == "ident" else None
+        if parse is None:
             raise self.error("expected a declaration")
-        keyword = token.text
-        if keyword == "param":
-            return self.parse_param()
-        if keyword == "const":
-            return self.parse_import()
-        if keyword == "var":
-            return self.parse_var()
-        if keyword == "fn":
-            return self.parse_callable(is_task=False)
-        if keyword == "task":
-            return self.parse_callable(is_task=True)
-        if keyword == "comptime":
-            return self.parse_comptime()
-        raise self.error("expected a declaration")
+        return parse(self)
 
     def parse_param(self) -> ast.ParamDecl:
-        loc = self.expect_ident("param").loc
+        at = self.expect_ident("param")
         name = self.expect_ident().text
         self.expect_punct(":")
         type_token = self.expect_ident()
@@ -173,22 +170,20 @@ class Parser:
                 type_token.text,
             )
         default: int | float | None = None
-        if self.peek().is_punct("="):
-            self.next()
+        if self.accept_punct("="):
             _, default = self.expect_number()
         self.expect_punct(";")
-        return ast.ParamDecl(loc, name, type_token.text, default)
+        return ast.ParamDecl(at, name, type_token.text, default)
 
     def parse_import(self) -> ast.ImportDecl:
-        loc = self.expect_ident("const").loc
+        at = self.expect_ident("const")
         name = self.expect_ident().text
         self.expect_punct("=")
         builtin = self.expect_builtin(surface.BUILTIN_IMPORT_MODULE)
         self.expect_punct("(")
         module = self.expect_string()
         fields: dict[str, int | float | str] = {}
-        if self.peek().is_punct(","):
-            self.next()
+        if self.accept_punct(","):
             raw = self.parse_struct()
             if not isinstance(raw, dict):
                 raise CslSyntaxError(
@@ -204,15 +199,14 @@ class Parser:
                 fields[key] = value
         self.expect_punct(")")
         self.expect_punct(";")
-        return ast.ImportDecl(loc, name, module, fields)
+        return ast.ImportDecl(at, name, module, fields)
 
     def parse_var(self) -> ast.Decl:
-        loc = self.expect_ident("var").loc
+        at = self.expect_ident("var")
         name = self.expect_ident().text
-        if self.peek().is_punct("="):
+        if self.accept_punct("="):
             # var buf = @zeros([n]f32);
-            self.next()
-            zeros = self.expect_builtin(surface.BUILTIN_ZEROS)
+            self.expect_builtin(surface.BUILTIN_ZEROS)
             self.expect_punct("(")
             self.expect_punct("[")
             size_token = self.peek()
@@ -231,8 +225,7 @@ class Parser:
                 )
             self.expect_punct(")")
             self.expect_punct(";")
-            del zeros
-            return ast.ZerosDecl(loc, name, size)
+            return ast.ZerosDecl(at, name, size)
         self.expect_punct(":")
         type_token = self.expect_ident()
         if type_token.text not in surface.SCALAR_TYPE_NAMES:
@@ -244,14 +237,14 @@ class Parser:
         self.expect_punct("=")
         _, init = self.expect_number()
         self.expect_punct(";")
-        return ast.VarDecl(loc, name, type_token.text, init)
+        return ast.VarDecl(at, name, type_token.text, init)
 
-    def parse_callable(self, is_task: bool) -> ast.CallableDecl:
-        loc = self.next().loc  # 'fn' | 'task'
+    def parse_callable(self) -> ast.CallableDecl:
+        at = self.next()  # 'fn' | 'task'
         name = self.expect_ident().text
         self.expect_punct("(")
         params: list[tuple[str, str]] = []
-        while not self.peek().is_punct(")"):
+        while not self.at_punct(")"):
             if params:
                 self.expect_punct(",")
             arg_name = self.expect_ident().text
@@ -263,10 +256,10 @@ class Parser:
         self.expect_punct("{")
         body = self.parse_statements()
         self.expect_punct("}")
-        return ast.CallableDecl(loc, name, is_task, params, body)
+        return ast.CallableDecl(at, name, at.text == "task", params, body)
 
     def parse_comptime(self) -> ast.Decl:
-        loc = self.expect_ident("comptime").loc
+        at = self.expect_ident("comptime")
         self.expect_punct("{")
         token = self.peek()
         if token.kind != "builtin":
@@ -283,7 +276,7 @@ class Parser:
             task_name = self.expect_ident().text
             self.expect_punct(")")
             self.expect_punct(";")
-            decl: ast.Decl = ast.BindDecl(loc, task_id, task_name)
+            decl: ast.Decl = ast.BindDecl(at, task_id, task_name)
         elif token.text == surface.BUILTIN_EXPORT_SYMBOL:
             self.next()
             self.expect_punct("(")
@@ -292,7 +285,7 @@ class Parser:
             self.expect_string()
             self.expect_punct(")")
             self.expect_punct(";")
-            decl = ast.ExportDecl(loc, sym)
+            decl = ast.ExportDecl(at, sym)
         elif token.text == surface.BUILTIN_RPC:
             self.next()
             self.expect_punct("(")
@@ -304,7 +297,7 @@ class Parser:
             self.expect_punct(")")
             self.expect_punct(")")
             self.expect_punct(";")
-            decl = ast.RpcDecl(loc, import_name)
+            decl = ast.RpcDecl(at, import_name)
         else:
             raise CslSyntaxError(
                 f"unsupported comptime builtin '{token.text}'",
@@ -327,7 +320,7 @@ class Parser:
 
     def parse_layout_statements(self) -> list[ast.Decl]:
         decls: list[ast.Decl] = []
-        while not self.peek().is_punct("}"):
+        while not self.at_punct("}"):
             token = self.peek()
             if token.kind == "builtin":
                 self.check_known_builtin(token)
@@ -339,7 +332,7 @@ class Parser:
                     height = self.expect_int("rectangle height")
                     self.expect_punct(")")
                     self.expect_punct(";")
-                    decls.append(ast.SetRectangleDecl(token.loc, width, height))
+                    decls.append(ast.SetRectangleDecl(token, width, height))
                     continue
                 if token.text == surface.BUILTIN_SET_TILE_CODE:
                     self.next()
@@ -350,8 +343,7 @@ class Parser:
                     self.expect_punct(",")
                     program_file = self.expect_string()
                     params: dict[str, int | float | str] = {}
-                    if self.peek().is_punct(","):
-                        self.next()
+                    if self.accept_punct(","):
                         raw = self.parse_struct()
                         if not isinstance(raw, dict):
                             raise CslSyntaxError(
@@ -369,7 +361,7 @@ class Parser:
                             params[key] = value
                     self.expect_punct(")")
                     self.expect_punct(";")
-                    decls.append(ast.SetTileCodeDecl(token.loc, program_file, params))
+                    decls.append(ast.SetTileCodeDecl(token, program_file, params))
                     continue
                 raise CslSyntaxError(
                     f"unsupported layout builtin '{token.text}'",
@@ -423,11 +415,11 @@ class Parser:
         """``.{ ... }`` — returns a dict (named fields) or a list (positional)."""
         self.expect_punct(".")
         self.expect_punct("{")
-        if self.peek().is_punct("}"):
+        if self.at_punct("}"):
             self.expect_punct("}")
             return {}
         # named struct iff the first element is `.name =`
-        if self.peek().is_punct(".") and self.peek(1).kind == "ident":
+        if self.at_punct(".") and self.peek(1).kind == "ident":
             fields: dict[str, object] = {}
             while True:
                 self.expect_punct(".")
@@ -440,36 +432,35 @@ class Parser:
                     )
                 self.expect_punct("=")
                 fields[key_token.text] = self.parse_struct_value()
-                if self.peek().is_punct(","):
-                    self.next()
-                    continue
-                break
+                if not self.accept_punct(","):
+                    break
             self.expect_punct("}")
             return fields
         values: list[object] = []
         while True:
             values.append(self.parse_struct_value())
-            if self.peek().is_punct(","):
-                self.next()
-                continue
-            break
+            if not self.accept_punct(","):
+                break
         self.expect_punct("}")
         return values
 
     def parse_struct_value(self):
-        token = self.peek()
-        if token.kind == "string":
-            return self.expect_string()
-        if token.is_punct("&"):
-            self.next()
-            return _Ref(self.expect_ident().text)
-        if token.is_punct(".") and self.peek(1).is_punct("{"):
-            return self.parse_struct()
-        if token.kind == "number" or token.is_punct("-"):
+        token = self.tokens[self.pos]
+        kind, text = token.kind, token.text
+        if kind == "number" or (kind == "punct" and text == "-"):
             _, value = self.expect_number()
             return value
-        if token.kind == "ident" and token.text == "null":
-            self.next()
+        if kind == "string":
+            self.pos += 1
+            return text
+        if kind == "punct":
+            if text == "&":
+                self.pos += 1
+                return _Ref(self.expect_ident().text)
+            if text == "." and self.peek(1).is_punct("{"):
+                return self.parse_struct()
+        elif kind == "ident" and text == "null":
+            self.pos += 1
             return None
         raise self.error("expected a struct field value")
 
@@ -479,55 +470,56 @@ class Parser:
 
     def parse_statements(self) -> list[ast.Stmt]:
         statements: list[ast.Stmt] = []
-        while not self.peek().is_punct("}"):
-            if self.peek().kind == "eof":
-                raise self.error("expected a statement")
+        while not self.at_punct("}"):
             statements.append(self.parse_statement())
         return statements
 
     def parse_statement(self) -> ast.Stmt:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind == "builtin":
             return self.parse_builtin_statement()
         if token.kind != "ident":
             raise self.error("expected a statement")
-        keyword = token.text
-        if keyword == "const":
-            loc = self.next().loc
-            name = self.expect_ident().text
-            self.expect_punct("=")
-            expr = self.parse_expression()
-            self.expect_punct(";")
-            return ast.ConstStmt(loc, name, expr)
-        if keyword == "if":
-            return self.parse_if()
-        if keyword == "return":
-            loc = self.next().loc
-            self.expect_punct(";")
-            return ast.ReturnStmt(loc)
+        parse = _KEYWORD_STATEMENTS.get(token.text)
+        if parse is not None:
+            return parse(self)
         # name() | receiver.member(...) | name = operand;
-        name_token = self.next()
-        if self.peek().is_punct("("):
-            self.next()
-            self.expect_punct(")")
-            self.expect_punct(";")
-            return ast.CallStmt(name_token.loc, name_token.text)
-        if self.peek().is_punct("."):
-            self.next()
-            member = self.expect_ident()
-            return self.parse_member_call(name_token, member)
-        if self.peek().is_punct("="):
-            self.next()
-            expr = self.parse_operand()
-            self.expect_punct(";")
-            return ast.AssignStmt(name_token.loc, name_token.text, expr)
-        raise self.error("expected '(', '.' or '=' after identifier", name_token)
+        self.pos += 1
+        follow = self.tokens[self.pos]
+        parse = _NAME_STATEMENTS.get(follow.text) if follow.kind == "punct" else None
+        if parse is None:
+            raise self.error("expected '(', '.' or '=' after identifier", token)
+        self.pos += 1
+        return parse(self, token)
+
+    def parse_const(self) -> ast.ConstStmt:
+        at = self.expect_ident("const")
+        name = self.expect_ident().text
+        self.expect_punct("=")
+        expr = self.parse_expression()
+        self.expect_punct(";")
+        return ast.ConstStmt(at, name, expr)
+
+    def parse_return(self) -> ast.ReturnStmt:
+        at = self.expect_ident("return")
+        self.expect_punct(";")
+        return ast.ReturnStmt(at)
+
+    def parse_call(self, name: Token) -> ast.CallStmt:
+        self.expect_punct(")")
+        self.expect_punct(";")
+        return ast.CallStmt(name, name.text)
+
+    def parse_assign(self, name: Token) -> ast.AssignStmt:
+        expr = self.parse_operand()
+        self.expect_punct(";")
+        return ast.AssignStmt(name, name.text, expr)
 
     def parse_builtin_statement(self) -> ast.Stmt:
         token = self.peek()
         self.check_known_builtin(token)
         if token.text == surface.BUILTIN_ACTIVATE:
-            loc = self.next().loc
+            self.next()
             self.expect_punct("(")
             self.expect_builtin(surface.BUILTIN_GET_LOCAL_TASK_ID)
             self.expect_punct("(")
@@ -535,12 +527,12 @@ class Parser:
             self.expect_punct(")")
             self.expect_punct(")")
             self.expect_punct(";")
-            return ast.ActivateStmt(loc, task_id)
+            return ast.ActivateStmt(token, task_id)
         if token.text in surface.DSD_BUILTINS:
-            loc = self.next().loc
+            self.next()
             self.expect_punct("(")
             args: list[ast.Expr] = []
-            while not self.peek().is_punct(")"):
+            while not self.at_punct(")"):
                 if args:
                     self.expect_punct(",")
                 args.append(self.parse_operand())
@@ -553,19 +545,20 @@ class Parser:
                     token.loc,
                     token.text,
                 )
-            return ast.BuiltinCallStmt(loc, token.text, args)
+            return ast.BuiltinCallStmt(token, token.text, args)
         raise CslSyntaxError(
             f"builtin '{token.text}' is not valid as a statement",
             token.loc,
             token.text,
         )
 
-    def parse_member_call(self, receiver: Token, member: Token) -> ast.Stmt:
+    def parse_member_call(self, receiver: Token) -> ast.Stmt:
+        member = self.expect_ident()
         if member.text == surface.UNBLOCK_MEMBER:
             self.expect_punct("(")
             self.expect_punct(")")
             self.expect_punct(";")
-            return ast.UnblockStmt(receiver.loc, receiver.text)
+            return ast.UnblockStmt(receiver, receiver.text)
         if member.text == surface.COMMUNICATE_MEMBER:
             return self.parse_communicate(receiver)
         raise CslSyntaxError(
@@ -660,7 +653,7 @@ class Parser:
             recv = ref_field("recv")
 
         return ast.CommsCallStmt(
-            receiver.loc,
+            receiver,
             buffer=buffer,
             num_chunks=int_field("num_chunks"),
             chunk_size=int_field("chunk_size"),
@@ -675,7 +668,7 @@ class Parser:
         )
 
     def parse_if(self) -> ast.IfStmt:
-        loc = self.expect_ident("if").loc
+        at = self.expect_ident("if")
         self.expect_punct("(")
         condition = self.parse_operand()
         self.expect_punct(")")
@@ -683,12 +676,13 @@ class Parser:
         then_body = self.parse_statements()
         self.expect_punct("}")
         else_body: list[ast.Stmt] = []
-        if self.peek().kind == "ident" and self.peek().text == "else":
+        follow = self.peek()
+        if follow.kind == "ident" and follow.text == "else":
             self.next()
             self.expect_punct("{")
             else_body = self.parse_statements()
             self.expect_punct("}")
-        return ast.IfStmt(loc, condition, then_body, else_body)
+        return ast.IfStmt(at, condition, then_body, else_body)
 
     # ------------------------------------------------------------------ #
     # Expressions
@@ -708,26 +702,25 @@ class Parser:
                 token.text,
             )
         lhs = self.parse_operand()
-        op_token = self.peek()
-        for symbol in ("<=", ">=", "==", "!=", "<", ">", "+", "-", "*", "/"):
-            if op_token.is_punct(symbol):
-                self.next()
-                rhs = self.parse_operand()
-                return ast.BinaryExpr(op_token.loc, symbol, lhs, rhs)
+        op_token = self.tokens[self.pos]
+        if op_token.kind == "punct" and op_token.text in _BINARY_OPERATORS:
+            self.pos += 1
+            rhs = self.parse_operand()
+            return ast.BinaryExpr(op_token, op_token.text, lhs, rhs)
         return lhs
 
     def parse_operand(self) -> ast.Expr:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind == "ident":
-            self.next()
-            return ast.NameRef(token.loc, token.text)
+            self.pos += 1
+            return ast.NameRef(token, token.text)
         if token.kind == "number" or token.is_punct("-"):
             _, value = self.expect_number()
-            return ast.NumberLit(token.loc, value)
+            return ast.NumberLit(token, value)
         raise self.error("expected an operand (name or number)")
 
     def parse_get_dsd(self) -> ast.GetDsdExpr:
-        loc = self.expect_builtin(surface.BUILTIN_GET_DSD).loc
+        at = self.expect_builtin(surface.BUILTIN_GET_DSD)
         self.expect_punct("(")
         kind = self.expect_ident()
         if kind.text != surface.DSD_KIND_MEM1D:
@@ -763,7 +756,7 @@ class Parser:
         self.expect_punct("]")
         self.expect_punct("}")
         self.expect_punct(")")
-        return ast.GetDsdExpr(loc, buffer, length, offset, stride)
+        return ast.GetDsdExpr(at, buffer, length, offset, stride)
 
     def parse_tensor_access(self, index_var: str) -> tuple[int, int]:
         """``i`` | ``off + i`` | ``i * s`` | ``off + i * s``."""
@@ -784,8 +777,7 @@ class Parser:
             )
         self.next()
         stride = 1
-        if self.peek().is_punct("*"):
-            self.next()
+        if self.accept_punct("*"):
             stride_token = self.peek()
             stride = self.expect_int("DSD stride")
             if stride < 1:
@@ -797,7 +789,7 @@ class Parser:
         return offset, stride
 
     def parse_increment_dsd(self) -> ast.IncrementDsdExpr:
-        loc = self.expect_builtin(surface.BUILTIN_INCREMENT_DSD_OFFSET).loc
+        at = self.expect_builtin(surface.BUILTIN_INCREMENT_DSD_OFFSET)
         self.expect_punct("(")
         base = self.expect_ident().text
         self.expect_punct(",")
@@ -809,8 +801,7 @@ class Parser:
         else:
             offset = self.expect_int("DSD offset")
             runtime = None
-            if self.peek().is_punct("+"):
-                self.next()
+            if self.accept_punct("+"):
                 runtime = self.expect_ident().text
         self.expect_punct(",")
         element = self.expect_ident()
@@ -821,7 +812,31 @@ class Parser:
                 element.text,
             )
         self.expect_punct(")")
-        return ast.IncrementDsdExpr(loc, base, offset, runtime)
+        return ast.IncrementDsdExpr(at, base, offset, runtime)
+
+
+#: what each keyword opens at module scope
+_DECLARATIONS = {
+    "param": Parser.parse_param,
+    "const": Parser.parse_import,
+    "var": Parser.parse_var,
+    "fn": Parser.parse_callable,
+    "task": Parser.parse_callable,
+    "comptime": Parser.parse_comptime,
+}
+#: the statements a keyword opens; any other identifier is a name, and ...
+_KEYWORD_STATEMENTS = {
+    "const": Parser.parse_const,
+    "if": Parser.parse_if,
+    "return": Parser.parse_return,
+}
+#: ... the punctuator after it says which statement: ``name()``,
+#: ``receiver.member(...)`` or ``name = operand;``
+_NAME_STATEMENTS = {
+    "(": Parser.parse_call,
+    ".": Parser.parse_member_call,
+    "=": Parser.parse_assign,
+}
 
 
 def parse_module(text: str, file: str = "<csl>", name: str | None = None) -> ast.Module:

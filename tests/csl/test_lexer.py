@@ -1,7 +1,10 @@
 """Lexer tests: token stream shape and precise source locations."""
 
+import json
+
 import pytest
 
+import csl_corpus
 from repro.csl.lexer import CslSyntaxError, tokenize
 
 
@@ -43,3 +46,25 @@ class TestTokenize:
         with pytest.raises(CslSyntaxError) as info:
             tokenize('const s = "never closed;', "s.csl")
         assert "s.csl:1:11" in str(info.value)
+
+
+class TestPinnedAgainstThePerCharacterLexer:
+    """``data/`` was written by the per-character lexer the regex scan
+    replaced: same tokens at the same ``line:col`` on every corpus source,
+    and the same outcome — tokens or the exact diagnostic string — on inputs
+    chosen to sit on the scanner's edges."""
+
+    def test_token_digests_of_the_corpus(self):
+        pinned = json.loads(csl_corpus.TOKEN_DIGESTS.read_text(encoding="utf-8"))
+        sources = csl_corpus.pinned_sources()
+        assert sorted(sources) == sorted(pinned)
+        for pin, (file, text) in sources.items():
+            assert csl_corpus.token_digest(text, file) == pinned[pin], pin
+
+    @pytest.mark.parametrize(
+        "case",
+        json.loads(csl_corpus.LEXER_CASES.read_text(encoding="utf-8")),
+        ids=lambda case: case["name"],
+    )
+    def test_edge_case(self, case):
+        assert csl_corpus.lexer_outcome(case["text"]) == case["expect"]
