@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench sim-bench tiled-check fusion-check service service-smoke run-service-check queue-check boundary-check csl-check fuzz lint
+.PHONY: test bench sim-bench tiled-check fusion-check service service-smoke run-service-check queue-check boundary-check csl-check ir-check fuzz lint
 
 # Tier-1 verification: the whole suite, fail fast.
 test:
@@ -110,6 +110,14 @@ csl-check:
 	$(PYTHON) -m repro.csl diff --csl examples/handwritten --benchmark Seismic \
 	  --grid 9x9 --nz 16 --time-steps 2 --num-chunks 1 \
 	  --executors reference,vectorized --fields u,v
+
+# IR-core gate: operations, def-use chains (ordering, the stateful property
+# test against a model, determinism across hash seeds and addresses), both
+# rewrite drivers, the pass manager, and the compile path's cost ledger —
+# calls per surviving op, ops constructed and rewrites per benchmark, one
+# module traversal per pass, use-def consistency after every pass.
+ir-check:
+	$(PYTHON) -m pytest tests/ir tests/transforms -q
 
 # The CSL front-door fuzzers at length: the properties tier-1 runs with 100
 # derandomised examples each (tests/csl/test_fuzz.py, inside `make test` and

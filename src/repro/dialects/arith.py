@@ -57,18 +57,18 @@ class _BinaryOp(Operation):
 
     @property
     def lhs(self) -> SSAValue:
-        return self.operands[0]
+        return self._operands[0]
 
     @property
     def rhs(self) -> SSAValue:
-        return self.operands[1]
+        return self._operands[1]
 
     @property
     def result(self) -> SSAValue:
         return self.results[0]
 
     def verify_(self) -> None:
-        if len(self.operands) != 2:
+        if len(self._operands) != 2:
             raise VerifyException(f"'{self.name}' expects exactly two operands")
 
 

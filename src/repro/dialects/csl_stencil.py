@@ -190,7 +190,7 @@ class AccessOp(Operation):
     def offset(self) -> tuple[int, ...]:
         attr = self.attributes["offset"]
         assert isinstance(attr, DenseArrayAttr)
-        return tuple(int(v) for v in attr)
+        return attr.int_values
 
     @property
     def result(self) -> SSAValue:

@@ -155,13 +155,13 @@ class AccessOp(Operation):
 
     @property
     def temp(self) -> SSAValue:
-        return self.operands[0]
+        return self._operands[0]
 
     @property
     def offset(self) -> tuple[int, ...]:
         attr = self.attributes["offset"]
         assert isinstance(attr, DenseArrayAttr)
-        return tuple(int(v) for v in attr)
+        return attr.int_values
 
     @property
     def result(self) -> SSAValue:

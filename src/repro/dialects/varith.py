@@ -34,7 +34,7 @@ class _VariadicOp(Operation):
         return self.results[0]
 
     def verify_(self) -> None:
-        if not self.operands:
+        if not self._operands:
             raise VerifyException(f"'{self.name}' requires at least one operand")
 
 

@@ -7,6 +7,7 @@ as the types of SSA values).  Equality and hashing are structural.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 
@@ -157,6 +158,11 @@ class DenseArrayAttr(Attribute):
 
     def as_tuple(self) -> tuple[int | float, ...]:
         return self.values
+
+    @cached_property
+    def int_values(self) -> tuple[int, ...]:
+        """The values as Python ints (an offset or a shape), converted once."""
+        return tuple(int(v) for v in self.values)
 
     def _key(self) -> tuple:
         return self.values

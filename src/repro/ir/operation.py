@@ -2,11 +2,43 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 from repro.ir.attributes import Attribute
 from repro.ir.exceptions import VerifyException
 from repro.ir.value import BlockArgument, OpResult, SSAValue, Use
+
+
+def _walk_pre_order(root: "Operation | Block") -> Iterator["Operation"]:
+    # One generator frame for the whole subtree: a stack of operations to
+    # yield and of blocks still to be snapshotted, last in, first out.
+    stack = [root]
+    pop = stack.pop
+    while stack:
+        item = pop()
+        if type(item) is Block:
+            stack.extend(reversed(item.ops))
+            continue
+        yield item
+        if item.regions:
+            for region in reversed(item.regions):
+                stack.extend(reversed(region.blocks))
+
+
+def _walk_post_order(root: "Operation") -> Iterator["Operation"]:
+    stack = [(root, False)]
+    while stack:
+        op, expanded = stack.pop()
+        if expanded or not op.regions:
+            yield op
+            continue
+        stack.append((op, True))
+        # Regions and blocks are visited front to back, each block's ops back
+        # to front; the stack pops in the opposite order of the pushes.
+        for region in reversed(op.regions):
+            for block in reversed(region.blocks):
+                stack.extend([(child, False) for child in block.ops])
 
 
 class Operation:
@@ -32,23 +64,29 @@ class Operation:
         regions: Sequence["Region"] | None = None,
         successors: Sequence["Block"] = (),
     ):
-        self._operands: list[SSAValue] = []
-        self.results: list[OpResult] = [
-            OpResult(t, self, i) for i, t in enumerate(result_types)
-        ]
-        self.attributes: dict[str, Attribute] = dict(attributes or {})
+        # One ``Use`` per operand slot, owned by the slot for its lifetime and
+        # registered in the ``uses`` of whichever value the slot holds.
+        self._operands: list[SSAValue] = list(operands)
+        self._uses: list[Use] = []
+        for index, value in enumerate(self._operands):
+            use = Use(self, index)
+            self._uses.append(use)
+            value.uses[use] = None
+        self.results: list[OpResult] = []
+        for index, result_type in enumerate(result_types):
+            self.results.append(OpResult(result_type, self, index))
+        self.attributes: dict[str, Attribute] = dict(attributes) if attributes else {}
         self.regions: list[Region] = []
-        self.successors: list[Block] = list(successors)
+        self.successors: list[Block] = list(successors) if successors else []
         self.parent: Block | None = None
         # Intrusive doubly-linked list maintained by the parent block; gives
         # O(1) insertion, removal and neighbour access.
         self._next_op: Operation | None = None
         self._prev_op: Operation | None = None
 
-        for operand in operands:
-            self.add_operand(operand)
-        for region in regions or ():
-            self.add_region(region)
+        if regions:
+            for region in regions:
+                self.add_region(region)
 
     # ------------------------------------------------------------------ #
     # Operand management
@@ -59,15 +97,16 @@ class Operation:
         return tuple(self._operands)
 
     def add_operand(self, value: SSAValue) -> None:
-        index = len(self._operands)
+        use = Use(self, len(self._operands))
         self._operands.append(value)
-        value.add_use(Use(self, index))
+        self._uses.append(use)
+        value.uses[use] = None
 
     def set_operand(self, index: int, new_value: SSAValue) -> None:
-        old = self._operands[index]
-        old.remove_use(Use(self, index))
+        use = self._uses[index]
+        del self._operands[index].uses[use]
         self._operands[index] = new_value
-        new_value.add_use(Use(self, index))
+        new_value.uses[use] = None
 
     def set_operands(self, new_operands: Sequence[SSAValue]) -> None:
         self.drop_all_operands()
@@ -75,9 +114,10 @@ class Operation:
             self.add_operand(value)
 
     def drop_all_operands(self) -> None:
-        for index, value in enumerate(self._operands):
-            value.remove_use(Use(self, index))
+        for value, use in zip(self._operands, self._uses):
+            del value.uses[use]
         self._operands.clear()
+        self._uses.clear()
 
     # ------------------------------------------------------------------ #
     # Region management
@@ -111,15 +151,18 @@ class Operation:
         return None
 
     def walk(self, *, reverse: bool = False) -> Iterator["Operation"]:
-        """Iterate over this operation and all nested operations, pre-order."""
-        if not reverse:
-            yield self
-        for region in self.regions:
-            for block in region.blocks:
-                for op in list(block.ops) if not reverse else reversed(list(block.ops)):
-                    yield from op.walk(reverse=reverse)
-        if reverse:
-            yield self
+        """Iterate over this operation and all nested operations.
+
+        Pre-order by default.  A block's operations are snapshotted when the
+        walk reaches the block — after the parent operation was yielded — so
+        a caller may erase, insert or replace operations while iterating:
+        the walk sees the parent's body as the caller left it and is not
+        disturbed by later changes to a block it is already inside.
+
+        ``reverse=True`` is the mirrored post-order: nested operations first
+        (each block back to front), then the operation itself.
+        """
+        return _walk_post_order(self) if reverse else _walk_pre_order(self)
 
     def walk_type(self, op_type: type) -> Iterator["Operation"]:
         """Iterate over nested operations of the given type."""
@@ -193,19 +236,36 @@ class Operation:
     # Verification
     # ------------------------------------------------------------------ #
 
-    def verify(self) -> None:
-        """Verify this operation and all nested operations."""
-        for trait in self.traits:
-            trait.verify(self)
-        self.verify_()
-        for region in self.regions:
-            for block in region.blocks:
-                for op in block.ops:
-                    if op.parent is not block:
-                        raise VerifyException(
-                            f"operation '{op.name}' has a stale parent pointer"
-                        )
-                    op.verify()
+    def verify(self) -> int:
+        """Verify this operation and all nested operations, pre-order.
+
+        Per operation: its traits, then :meth:`verify_`, then — before
+        descending into each nested operation — that the operation's parent
+        pointer is the block listing it.  Returns the number of operations
+        verified, so a caller that also wants the op count (the pass manager)
+        does not walk the module a second time.
+        """
+        count = 0
+        no_verifier = Operation.verify_
+        # (operation, the block that lists it); the root is not checked.
+        stack: list[tuple[Operation, Block | None]] = [(self, self.parent)]
+        pop = stack.pop
+        while stack:
+            op, listed_in = pop()
+            if op.parent is not listed_in:
+                raise VerifyException(
+                    f"operation '{op.name}' has a stale parent pointer"
+                )
+            count += 1
+            for trait in op.traits:
+                trait.verify(op)
+            if type(op).verify_ is not no_verifier:
+                op.verify_()
+            if op.regions:
+                for region in reversed(op.regions):
+                    for block in reversed(region.blocks):
+                        stack.extend(zip(reversed(block.ops), repeat(block)))
+        return count
 
     def verify_(self) -> None:
         """Operation-specific verification; overridden by dialect ops."""
@@ -358,7 +418,7 @@ class Block:
         if index >= self._num_ops:
             self._link_op(op, self._last_op, None)
             return
-        anchor = self.ops[index]
+        anchor = self._first_op if index == 0 else self.ops[index]
         self._link_op(op, anchor._prev_op, anchor)
 
     def insert_op_before(self, new_op: Operation, existing: Operation) -> None:
@@ -380,8 +440,8 @@ class Block:
         return self._last_op
 
     def walk(self) -> Iterator[Operation]:
-        for op in list(self.ops):
-            yield from op.walk()
+        """Pre-order over the block's operations and everything nested."""
+        return _walk_pre_order(self)
 
     def drop_all_references(self) -> None:
         for op in self.ops:

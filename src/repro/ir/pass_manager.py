@@ -1,10 +1,11 @@
 """Module passes and the pass manager that sequences them.
 
-The pass manager instruments every pass it runs: wall time, number of
-pattern rewrites applied, and the op-count delta are recorded per pass in a
-:class:`PipelineStatistics` object available as ``PassManager.statistics``
-after :meth:`PassManager.run`.  Setting the environment variable
-``REPRO_PASS_TIMING=1`` prints the per-pass table to stderr after each run.
+The pass manager instruments every pass it runs: time in the pass, time in
+the verification after it, number of pattern rewrites applied, and the
+op-count delta are recorded per pass in a :class:`PipelineStatistics` object
+available as ``PassManager.statistics`` after :meth:`PassManager.run`.
+Setting the environment variable ``REPRO_PASS_TIMING=1`` prints the per-pass
+table to stderr after each run.
 """
 
 from __future__ import annotations
@@ -42,12 +43,16 @@ class PassStatistics:
     name: str
     #: zero-based position of the pass in the pipeline.
     position: int
-    #: wall-clock seconds spent in ``apply`` (excludes verification).
+    #: wall-clock seconds spent in the pass's ``apply``, and nothing else.
     wall_time: float
     #: pattern applications recorded while the pass ran.
     rewrites: int
     ops_before: int
     ops_after: int
+    #: wall-clock seconds the pass manager spent on the module after
+    #: ``apply`` returned: the traversal that verifies it and counts its ops
+    #: (with ``verify_each=False``, the count alone).
+    verify_time: float = 0.0
 
     @property
     def op_delta(self) -> int:
@@ -65,6 +70,10 @@ class PipelineStatistics:
         return sum(stat.wall_time for stat in self.passes)
 
     @property
+    def total_verify_time(self) -> float:
+        return sum(stat.verify_time for stat in self.passes)
+
+    @property
     def total_rewrites(self) -> int:
         return sum(stat.rewrites for stat in self.passes)
 
@@ -76,17 +85,22 @@ class PipelineStatistics:
 
     def format_table(self) -> str:
         """Human-readable per-pass table, slowest-agnostic pipeline order."""
-        header = f"{'#':>3}  {'pass':<36} {'time (ms)':>10} {'rewrites':>9} {'ops':>11}"
+        header = (
+            f"{'#':>3}  {'pass':<36} {'time (ms)':>10} {'verify (ms)':>12} "
+            f"{'rewrites':>9} {'ops':>11}"
+        )
         lines = [header, "-" * len(header)]
         for stat in self.passes:
             ops = f"{stat.ops_before}->{stat.ops_after}"
             lines.append(
                 f"{stat.position:>3}  {stat.name:<36} "
-                f"{stat.wall_time * 1e3:>10.3f} {stat.rewrites:>9} {ops:>11}"
+                f"{stat.wall_time * 1e3:>10.3f} {stat.verify_time * 1e3:>12.3f} "
+                f"{stat.rewrites:>9} {ops:>11}"
             )
         lines.append(
             f"{'':>3}  {'total':<36} "
-            f"{self.total_wall_time * 1e3:>10.3f} {self.total_rewrites:>9}"
+            f"{self.total_wall_time * 1e3:>10.3f} "
+            f"{self.total_verify_time * 1e3:>12.3f} {self.total_rewrites:>9}"
         )
         return "\n".join(lines)
 
@@ -134,35 +148,36 @@ class PassManager:
             try:
                 with tally_rewrites() as tally:
                     pass_.apply(module)
-            except PassFailedException as error:
-                raise PassFailedException(
-                    f"{self._failure_context(position)} failed: {error}"
-                ) from error
             except Exception as error:
                 raise PassFailedException(
                     f"{self._failure_context(position)} failed: {error}"
                 ) from error
-            wall_time = time.perf_counter() - start
-            ops_after = _count_ops(module)
-            statistics.passes.append(
-                PassStatistics(
-                    name=pass_.name,
-                    position=position,
-                    wall_time=wall_time,
-                    rewrites=tally.count,
-                    ops_before=ops_before,
-                    ops_after=ops_after,
-                )
+            applied = time.perf_counter()
+            stat = PassStatistics(
+                name=pass_.name,
+                position=position,
+                wall_time=applied - start,
+                rewrites=tally.count,
+                ops_before=ops_before,
+                ops_after=ops_before,  # until counted below
             )
-            ops_before = ops_after
+            statistics.passes.append(stat)
             if self.verify_each:
+                # Verification visits every op once, so it is also the count.
                 try:
-                    module.verify()
+                    stat.ops_after = module.verify()
                 except Exception as error:
+                    stat.ops_after = _count_ops(module)
                     raise PassFailedException(
                         f"module verification after {self._failure_context(position)}"
                         f": {error}"
                     ) from error
+                finally:
+                    stat.verify_time = time.perf_counter() - applied
+            else:
+                stat.ops_after = _count_ops(module)
+                stat.verify_time = time.perf_counter() - applied
+            ops_before = stat.ops_after
         if _timing_enabled():
             print(statistics.format_table(), file=sys.stderr)
         return statistics

@@ -135,7 +135,7 @@ class PatternRewriter:
         """Operand definers of ``op`` may become dead once ``op`` goes away."""
         if self.listener is None:
             return
-        for operand in op.operands:
+        for operand in op._operands:
             owner = operand.owner()
             if isinstance(owner, Operation):
                 self.listener.notify_op_modified(owner)
@@ -252,7 +252,7 @@ class PatternRewriter:
 
     def set_operand(self, op: Operation, index: int, new_value: SSAValue) -> None:
         """Swap one operand of ``op``, notifying the driver."""
-        old = op.operands[index]
+        old = op._operands[index]
         owner = old.owner()
         if isinstance(owner, Operation):
             self._modified(owner)
@@ -425,35 +425,6 @@ class GreedyRewritePatternApplier(RewritePattern):
 # --------------------------------------------------------------------------- #
 
 
-class _Worklist:
-    """LIFO worklist of operations with O(1) membership dedup."""
-
-    __slots__ = ("_stack", "_ids")
-
-    def __init__(self) -> None:
-        self._stack: list[Operation] = []
-        self._ids: set[int] = set()
-
-    def push(self, op: Operation) -> None:
-        key = id(op)
-        if key not in self._ids:
-            self._ids.add(key)
-            self._stack.append(op)
-
-    def pop(self) -> Operation | None:
-        if not self._stack:
-            return None
-        op = self._stack.pop()
-        self._ids.discard(id(op))
-        return op
-
-    def __bool__(self) -> bool:
-        return bool(self._stack)
-
-    def __len__(self) -> int:
-        return len(self._stack)
-
-
 def _flatten_patterns(
     patterns: RewritePattern | Iterable[RewritePattern],
 ) -> list[RewritePattern]:
@@ -468,10 +439,30 @@ def _flatten_patterns(
     return flat
 
 
+class _Dispatch(dict):
+    """Op class -> the patterns that can fire on it, in registration order.
+
+    Filled in on the first lookup of each class, so every later lookup is a
+    plain dict hit.
+    """
+
+    def __init__(self, patterns: Sequence[RewritePattern]):
+        super().__init__()
+        self._rooted = [(pattern, pattern.root_op_types()) for pattern in patterns]
+
+    def __missing__(self, op_class: type) -> tuple[RewritePattern, ...]:
+        candidates = self[op_class] = tuple(
+            pattern
+            for pattern, roots in self._rooted
+            if roots is None or issubclass(op_class, roots)
+        )
+        return candidates
+
+
 class GreedyRewriteDriver(RewriteListener):
     """Worklist-based greedy pattern driver.
 
-    Seeds a worklist with every op of the module in pre-order, then pops ops
+    Seeds a LIFO worklist with the module's ops in pre-order, then pops ops
     and applies the first matching candidate pattern.  Rewrites report their
     footprint (created / modified / erased ops) through the
     :class:`RewriteListener` interface, and only those ops (plus the
@@ -481,7 +472,10 @@ class GreedyRewriteDriver(RewriteListener):
     Patterns are indexed by their declared root op class; ops only run the
     patterns that can actually fire on them, in registration order, which
     preserves the first-match priority of
-    :class:`GreedyRewritePatternApplier`.
+    :class:`GreedyRewritePatternApplier`.  An op whose class has no candidate
+    pattern is never enqueued at all: popping it could only discard it, so
+    the pop order among the ops that can match — and with it the rewrite
+    sequence — is the same as if every op were queued.
     """
 
     def __init__(
@@ -495,31 +489,27 @@ class GreedyRewriteDriver(RewriteListener):
         self.apply_recursively = apply_recursively
         self.max_rewrites = max_rewrites
         self.num_rewrites = 0
-        self._pattern_roots = [pattern.root_op_types() for pattern in self.patterns]
-        self._dispatch_cache: dict[type, tuple[RewritePattern, ...]] = {}
-        self._worklist = _Worklist()
+        self._dispatch = _Dispatch(self.patterns)
+        # The worklist: a stack, plus the ids of the ops on it for O(1) dedup.
+        self._stack: list[Operation] = []
+        self._queued: set[int] = set()
 
-    # -- dispatch ------------------------------------------------------- #
-
-    def _candidates(self, op_class: type) -> tuple[RewritePattern, ...]:
-        cached = self._dispatch_cache.get(op_class)
-        if cached is None:
-            cached = tuple(
-                pattern
-                for pattern, roots in zip(self.patterns, self._pattern_roots)
-                if roots is None or issubclass(op_class, roots)
-            )
-            self._dispatch_cache[op_class] = cached
-        return cached
+    def _enqueue(self, op: Operation) -> None:
+        if self._dispatch[type(op)] and id(op) not in self._queued:
+            self._queued.add(id(op))
+            self._stack.append(op)
 
     # -- listener ------------------------------------------------------- #
 
     def notify_op_created(self, op: Operation) -> None:
+        if not op.regions:
+            self._enqueue(op)
+            return
         for nested in reversed(list(op.walk())):
-            self._worklist.push(nested)
+            self._enqueue(nested)
 
     def notify_op_modified(self, op: Operation) -> None:
-        self._worklist.push(op)
+        self._enqueue(op)
 
     def notify_op_erased(self, op: Operation) -> None:
         # Popped ops are checked for detachment; nothing to do eagerly.
@@ -548,19 +538,23 @@ class GreedyRewriteDriver(RewriteListener):
         """Apply patterns until no more changes occur.  Returns True if the
         module was modified at all."""
         self.num_rewrites = 0
-        worklist = self._worklist = _Worklist()
-        for op in reversed(list(root.walk())):
-            worklist.push(op)
-
+        dispatch = self._dispatch
+        # Pre-order yields every op once, so the seed needs no dedup; reversed
+        # so that the first op of the module is popped first.
+        stack = self._stack = [op for op in root.walk() if dispatch[type(op)]]
+        stack.reverse()
+        queued = self._queued = set(map(id, stack))
+        is_attached = self._is_attached
+        rewriter = PatternRewriter(root, listener=self)
         changed_any = False
-        while (op := worklist.pop()) is not None:
-            if not self._is_attached(op, root):
+        while stack:
+            op = stack.pop()
+            queued.discard(id(op))
+            if not is_attached(op, root):
                 continue  # erased or detached since it was enqueued
-            candidates = self._candidates(type(op))
-            if not candidates:
-                continue
-            rewriter = PatternRewriter(op, listener=self)
-            for pattern in candidates:
+            rewriter.current_op = op
+            rewriter.has_done_action = False
+            for pattern in dispatch[type(op)]:
                 pattern.match_and_rewrite(op, rewriter)
                 if rewriter.has_done_action:
                     changed_any = True
@@ -575,7 +569,7 @@ class GreedyRewriteDriver(RewriteListener):
                         op is root or op.parent is not None
                     ):
                         # The root may match again (same or later patterns).
-                        worklist.push(op)
+                        self._enqueue(op)
                     break
         return changed_any
 

@@ -11,23 +11,18 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Use:
-    """A single use of an SSA value: an operation and an operand index."""
+    """One operand slot of an operation: the operation and the operand index.
+
+    An operation creates one ``Use`` per operand slot and keeps it for the
+    slot's lifetime (``Operation._uses``); the slot's current value holds that
+    same object in :attr:`SSAValue.uses`.  Uses compare and hash by identity.
+    """
 
     __slots__ = ("operation", "index")
 
     def __init__(self, operation: "Operation", index: int):
         self.operation = operation
         self.index = index
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Use)
-            and other.operation is self.operation
-            and other.index == self.index
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.operation), self.index))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Use({self.operation.name}, {self.index})"
@@ -38,22 +33,19 @@ class SSAValue:
 
     def __init__(self, value_type: Attribute):
         self.type = value_type
-        self.uses: set[Use] = set()
+        #: the operand slots holding this value, in the order they took it
+        #: (an insertion-ordered set; operations maintain it, see
+        #: :meth:`Operation.set_operand`).
+        self.uses: dict[Use, None] = {}
         #: optional human-readable name used by the printer.
         self.name_hint: str | None = None
-
-    def add_use(self, use: Use) -> None:
-        self.uses.add(use)
-
-    def remove_use(self, use: Use) -> None:
-        self.uses.discard(use)
 
     @property
     def has_uses(self) -> bool:
         return bool(self.uses)
 
     def users(self) -> Iterable["Operation"]:
-        """Operations that use this value (deduplicated, unordered)."""
+        """Operations that use this value (deduplicated, in first-use order)."""
         seen: set[int] = set()
         for use in self.uses:
             if id(use.operation) not in seen:

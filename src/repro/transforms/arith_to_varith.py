@@ -21,7 +21,14 @@ from repro.ir.value import SSAValue
 
 
 class ArithToVarithPattern(RewritePattern):
-    """Turn one binary op into a variadic op (merging variadic operands)."""
+    """Turn a chain of same-kind binary ops into one variadic op, from its root.
+
+    A binary op whose only use is as an operand of another op of its own kind
+    is left alone: that user (or the root further up) absorbs it.  The root
+    then collects the leaves of the whole single-use chain left to right,
+    becomes one variadic op and erases the links it absorbed — one rewrite
+    for an N-long chain instead of a growing variadic op per link.
+    """
 
     _MAPPING = {
         arith.AddfOp: varith.AddOp,
@@ -32,19 +39,31 @@ class ArithToVarithPattern(RewritePattern):
     def match_and_rewrite(
         self, op: arith.AddfOp | arith.MulfOp, rewriter: PatternRewriter
     ) -> None:
-        target = self._MAPPING[type(op)]
-        operands = self._flatten(op.lhs, target) + self._flatten(op.rhs, target)
-        new_op = target(operands, op.result.type)
-        rewriter.replace_matched_op(new_op)
-
-    @staticmethod
-    def _flatten(value: SSAValue, target: type) -> list[SSAValue]:
-        """If the value is itself produced by the same variadic op with a
-        single use, absorb its operands; otherwise keep the value as is."""
-        owner = value.owner()
-        if isinstance(owner, target) and len(value.uses) == 1:
-            return list(owner.operands)
-        return [value]
+        kind = type(op)
+        uses = op.result.uses
+        if len(uses) == 1 and type(next(iter(uses)).operation) is kind:
+            return
+        target = self._MAPPING[kind]
+        leaves: list[SSAValue] = []
+        absorbed: list[Operation] = []  # every link before the links it uses
+        pending = [op.rhs, op.lhs]
+        while pending:
+            value = pending.pop()
+            owner = value.owner()
+            if len(value.uses) == 1:
+                if type(owner) is kind:
+                    absorbed.append(owner)
+                    pending += (owner.rhs, owner.lhs)
+                    continue
+                if isinstance(owner, target):
+                    # An already variadic producer; dead-code elimination
+                    # collects it once its operands moved here.
+                    leaves.extend(owner.operands)
+                    continue
+            leaves.append(value)
+        rewriter.replace_matched_op(target(leaves, op.result.type))
+        for link in absorbed:
+            rewriter.erase_op(link)
 
 
 class MergeNestedVarithPattern(RewritePattern):

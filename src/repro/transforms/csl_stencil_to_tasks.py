@@ -43,36 +43,26 @@ def _rematerialize_external_values(block: Block) -> None:
     still reference values (buffer getters, constants) defined in the actor
     they were moved out of; those definitions are simply re-created locally.
     """
-    changed = True
-    while changed:
-        changed = False
-        local_values: set[int] = set()
-        for op in block.walk():
-            for result in op.results:
-                local_values.add(id(result))
-        for arg in block.args:
-            local_values.add(id(arg))
-        for op in list(block.walk()):
+    pending = list(block.walk())
+    local_values: set[int] = {id(arg) for arg in block.args}
+    for op in pending:
+        local_values.update(map(id, op.results))
+    while pending:
+        clones: list[Operation] = []
+        for op in pending:
             for index, operand in enumerate(op.operands):
-                if id(operand) in local_values:
-                    continue
-                if isinstance(operand, BlockArgument):
+                if id(operand) in local_values or isinstance(operand, BlockArgument):
                     continue
                 owner = operand.owner()
-                if isinstance(owner, Operation) and owner.parent is not None:
-                    top = owner
-                    while top.parent is not None and top.parent is not block:
-                        parent_op = top.parent_op()
-                        if parent_op is None:
-                            break
-                        top = parent_op
-                    if top.parent is block:
-                        continue
                 if isinstance(owner, _REMATERIALIZABLE):
                     clone = owner.clone()
                     block.insert_op(clone, 0)
                     op.set_operand(index, clone.results[0])
-                    changed = True
+                    local_values.update(map(id, clone.results))
+                    clones.append(clone)
+        # A clone's own operands may be external too; in block order, that is
+        # the last clone (inserted at the front) first.
+        pending = clones[::-1]
 
 
 @dataclass

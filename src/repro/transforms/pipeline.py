@@ -214,7 +214,7 @@ class CompilationResult:
     module: ModuleOp
     options: PipelineOptions
     program: StencilProgram
-    #: per-pass wall time / rewrite counts / op deltas of the pipeline run.
+    #: per-pass time / verify time / rewrite counts / op deltas of the run.
     statistics: PipelineStatistics | None = None
 
     @property

@@ -9,41 +9,13 @@ flat token table and the lazily located AST spend 3.30 (CPython 3.11; 3.12
 inlines comprehensions and counts fewer).
 """
 
-import gc
-import sys
-
 import csl_corpus
 from repro.csl import parse_csl_sources
 from repro.csl.lexer import tokenize
+from repro.tests_support import python_calls
 
 #: calls per token over one ``csl_frontdoor`` sweep, lexing to lowered modules
 CALLS_PER_TOKEN_CEILING = 4.0
-
-
-def python_calls(function, *args) -> int:
-    """How many Python-level function calls ``function(*args)`` makes,
-    itself included (C functions do not raise ``call`` events).  The
-    collector is held off meanwhile: hypothesis hooks ``gc.callbacks`` with a
-    Python function, which would add two calls per collection to whichever
-    test runs after it."""
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    previous = sys.getprofile()
-    collecting = gc.isenabled()
-    gc.disable()
-    sys.setprofile(count)
-    try:
-        function(*args)
-    finally:
-        sys.setprofile(previous)
-        if collecting:
-            gc.enable()
-    return calls
 
 
 def test_front_door_calls_per_token():

@@ -76,6 +76,102 @@ class TestBlocksAndRegions:
             _ = region.block
 
 
+def make_tree():
+    """module { a { [a0, a1 { [a1x] }], [a2] } { [a3] }, z }: ``a`` has two
+    regions, its first region two blocks."""
+    ops = {
+        name: UnregisteredOp(f"test.{name}")
+        for name in ("a0", "a1x", "a2", "a3", "z")
+    }
+    ops["a1"] = UnregisteredOp("test.a1", regions=[Region([Block(ops=[ops["a1x"]])])])
+    ops["a"] = UnregisteredOp(
+        "test.a",
+        regions=[
+            Region([Block(ops=[ops["a0"], ops["a1"]]), Block(ops=[ops["a2"]])]),
+            Region([Block(ops=[ops["a3"]])]),
+        ],
+    )
+    ops["module"] = ModuleOp([ops["a"], ops["z"]])
+    return ops
+
+
+def names(ops):
+    return [op.name.removeprefix("test.") for op in ops]
+
+
+class TestWalkContract:
+    """What passes rely on when they mutate the IR while walking it."""
+
+    def test_pre_order_over_regions_and_blocks(self):
+        ops = make_tree()
+        assert names(ops["module"].walk()) == [
+            "builtin.module", "a", "a0", "a1", "a1x", "a2", "a3", "z",
+        ]
+        assert names(ops["a"].regions[0].blocks[0].walk()) == ["a0", "a1", "a1x"]
+        assert names(ops["module"].walk_type(ModuleOp)) == ["builtin.module"]
+
+    def test_reverse_is_post_order_with_blocks_back_to_front(self):
+        ops = make_tree()
+        assert names(ops["module"].walk(reverse=True)) == [
+            "z", "a1x", "a1", "a0", "a2", "a3", "a", "builtin.module",
+        ]
+
+    def test_walk_is_lazy(self):
+        ops = make_tree()
+        walk = ops["module"].walk()
+        ops["z"].erase()  # before the first next(): nothing was snapshotted yet
+        assert "z" not in names(walk)
+
+    def test_erasing_the_current_op_keeps_its_siblings(self):
+        ops = make_tree()
+        visited = []
+        for op in ops["module"].walk():
+            visited.append(op)
+            if op is ops["a0"]:
+                op.erase()
+        assert names(visited) == [
+            "builtin.module", "a", "a0", "a1", "a1x", "a2", "a3", "z",
+        ]
+        assert names(ops["module"].walk()) == [
+            "builtin.module", "a", "a1", "a1x", "a2", "a3", "z",
+        ]
+
+    def test_block_being_walked_is_a_snapshot(self):
+        ops = make_tree()
+        visited = []
+        for op in ops["module"].walk():
+            visited.append(op)
+            if op is ops["a0"]:
+                # Same block, already snapshotted: the new op is not visited,
+                # the erased sibling still is (with what is nested in it).
+                op.parent.insert_op_after(UnregisteredOp("test.new"), op)
+                ops["a1"].erase()
+        assert names(visited) == [
+            "builtin.module", "a", "a0", "a1", "a1x", "a2", "a3", "z",
+        ]
+
+    def test_body_of_the_current_op_is_read_after_the_caller_is_done_with_it(self):
+        ops = make_tree()
+        visited = []
+        for op in ops["module"].walk():
+            visited.append(op)
+            if op is ops["a"]:
+                ops["a0"].erase()
+                op.regions[1].blocks[0].add_op(UnregisteredOp("test.new"))
+        assert names(visited) == [
+            "builtin.module", "a", "a1", "a1x", "a2", "a3", "new", "z",
+        ]
+
+    def test_later_block_is_snapshotted_when_the_walk_reaches_it(self):
+        ops = make_tree()
+        visited = []
+        for op in ops["module"].walk():
+            visited.append(op)
+            if op is ops["a1x"]:  # inside a's first block; a2 lives in its second
+                ops["a2"].erase()
+        assert names(visited) == ["builtin.module", "a", "a0", "a1", "a1x", "a3", "z"]
+
+
 class TestMutation:
     def test_erase_requires_no_uses(self):
         module, c0, c1, add = make_add_chain()
@@ -119,6 +215,47 @@ class TestVerification:
         module, c0, *_ = make_add_chain()
         c0.parent = None
         with pytest.raises(VerifyException):
+            module.verify()
+
+    def test_verify_counts_the_operations(self):
+        assert make_tree()["module"].verify() == 8
+
+    def test_first_fault_in_pre_order_wins(self):
+        """Per op: traits, then ``verify_``, then each child's parent pointer
+        right before that child is verified."""
+        from repro.dialects import func, varith
+        from repro.ir.types import FunctionType
+
+        def broken_function():
+            fn = func.FuncOp("f", FunctionType([], []))
+            ret, dummy = func.ReturnOp(), UnregisteredOp("test.dummy")
+            fn.body.block.add_ops([ret, dummy])  # terminator not last
+            return fn, ret, dummy
+
+        fn, ret, dummy = broken_function()
+        dummy.parent = None  # second fault, later in pre-order
+        with pytest.raises(VerifyException, match="terminator 'func.return' must be"):
+            ModuleOp([fn]).verify()
+
+        fn, ret, dummy = broken_function()
+        ret.parent = None  # now the stale pointer comes first
+        with pytest.raises(VerifyException, match="'func.return' has a stale parent"):
+            ModuleOp([fn]).verify()
+
+        # An op's own verify_ runs before its children are looked at.
+        constant = arith.ConstantOp(1.0, f32)
+        empty_add = varith.AddOp([constant.result])
+        empty_add.drop_all_operands()
+        module = ModuleOp([constant, empty_add])
+        module.add_region(Region([Block()]))
+        constant.parent = None
+        with pytest.raises(VerifyException, match="exactly one region"):
+            module.verify()
+        module.regions.pop()
+        with pytest.raises(VerifyException, match="'arith.constant' has a stale"):
+            module.verify()
+        constant.parent = module.body
+        with pytest.raises(VerifyException, match="'varith.add' requires at least one"):
             module.verify()
 
     def test_terminator_trait(self):

@@ -66,6 +66,36 @@ class TestFailureReporting:
         assert "pass 'failing'" in str(excinfo.value)
 
 
+class BreakParentPointerPass(ModulePass):
+    name = "break-parent-pointer"
+
+    def apply(self, module):
+        module.body.add_op(arith.ConstantOp(2.0, f32))
+        module.body.first_op.parent = None
+
+
+class TestVerificationAfterEachPass:
+    def test_broken_rewrite_is_reported_at_the_pass_that_made_it(self):
+        manager = PassManager([NoOpPass(), BreakParentPointerPass(), NoOpPass()])
+        with pytest.raises(PassFailedException) as excinfo:
+            manager.run(build_module())
+        assert str(excinfo.value) == (
+            "module verification after pass 'break-parent-pointer' (position 2 "
+            "of 3) after pipeline prefix 'no-op': operation 'arith.constant' "
+            "has a stale parent pointer"
+        )
+        # The failing pass still has its row, with the ops it left behind.
+        broken = manager.statistics.passes[-1]
+        assert broken.name == "break-parent-pointer"
+        assert (broken.ops_before, broken.ops_after) == (2, 3)
+        assert broken.verify_time > 0
+
+    def test_verify_each_off_lets_it_through(self):
+        manager = PassManager([BreakParentPointerPass()], verify_each=False)
+        statistics = manager.run(build_module())
+        assert statistics.passes[0].ops_after == 3
+
+
 class TestStatistics:
     def test_statistics_recorded_per_pass(self):
         manager = PassManager([NoOpPass(), AddConstantPass()])
@@ -99,6 +129,18 @@ class TestStatistics:
         assert "no-op" in table
         assert "add-constant" in table
         assert "total" in table
+
+    @pytest.mark.parametrize("verify_each", [True, False])
+    def test_time_outside_the_passes_is_attributed(self, verify_each):
+        manager = PassManager([NoOpPass(), AddConstantPass()], verify_each=verify_each)
+        statistics = manager.run(build_module())
+        assert all(stat.verify_time > 0 for stat in statistics.passes)
+        assert statistics.total_verify_time == sum(
+            stat.verify_time for stat in statistics.passes
+        )
+        header, *_, total = statistics.format_table().splitlines()
+        assert "verify (ms)" in header
+        assert f"{statistics.total_verify_time * 1e3:.3f}" in total
 
     def test_timing_env_knob_prints_table(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_PASS_TIMING", "1")
