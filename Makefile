@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench sim-bench tiled-check fusion-check service service-smoke run-service-check queue-check boundary-check csl-check ir-check fuzz lint
+.PHONY: test bench sim-bench tiled-check service service-smoke run-service-check queue-check boundary-check csl-check ir-check fuzz lint
 
 # Tier-1 verification: the whole suite, fail fast.
 test:
@@ -12,9 +12,9 @@ bench:
 	$(PYTHON) -m pytest benchmarks -q
 
 # Simulator throughput smoke: the reference/vectorized sweep (>=3x on 8x8),
-# the paper-scale rows (compiled >= 1.2x vectorized asserted; tiled, the
-# fusion depths and auto recorded, with deterministic proxies asserted in
-# place of host-dependent ratios) and the 256x256 weak/strong scaling
+# the paper-scale rows (compiled >= 1.2x vectorized asserted; tiled and
+# auto recorded, with deterministic proxies asserted in place of
+# host-dependent ratios) and the 256x256 weak/strong scaling
 # sweep; refreshes BENCH_simulator.json and BENCH_scaling.json at the repo
 # root.  Speed regressions are gated by `python -m bench compare`.
 sim-bench:
@@ -23,8 +23,8 @@ sim-bench:
 # Gate the tiled backend: the golden byte-identical digest matrices (7
 # benchmarks x 3 boundary modes x all executors, including tiled and the
 # auto dispatcher) plus the backend's own suite — shard geometry, the
-# worker pool and the in-process driver under both round protocols (pool
-# reuse, one barrier per block, worker reaping), failure paths and the
+# worker pool and the in-process driver (pool reuse, one barrier per round
+# plus the settling one, worker reaping), failure paths and the
 # declined-codegen error.
 tiled-check:
 	$(PYTHON) -m pytest tests/wse/test_tiled_executor.py \
@@ -32,18 +32,6 @@ tiled-check:
 	  tests/wse/test_executor_equivalence.py \
 	  tests/wse/test_boundary_conditions.py \
 	  tests/wse/test_comms_edge_cases.py -q
-
-# Gate temporal fusion (multi-round superkernels): the R-matrix goldens
-# (R in {1,2,4} byte-identical on compiled AND tiled across boundary
-# modes, pooled and in-process), kernel keying (one compiled kernel for
-# every depth, one tiled window kernel per depth), the dispatcher's round
-# estimate and online learning, plus the paper-scale check that R = 1, 2
-# and 4 share one code generation and execute the same rounds (rows
-# recorded with an explicit `r` to BENCH_simulator.json; no wall-clock
-# assert).
-fusion-check:
-	$(PYTHON) -m pytest tests/wse/test_temporal_fusion.py \
-	  benchmarks/test_simulator_throughput.py::test_temporal_blocking_speeds_up_compiled -q
 
 # Compilation service: unit + throughput tests, then the CLI smoke path.
 service:

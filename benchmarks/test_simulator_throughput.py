@@ -20,9 +20,6 @@ a CI artifact):
   cold (code-generating) and warm (memo-served) runs recorded as separate
   trajectory rows and the warm run asserted to reuse the kernel without
   re-generating it;
-* the temporal-fusion depths R = 1, 2, 4 of ``compiled`` on the same
-  fabric — one row per depth, asserting that all depths share one
-  generated kernel and execute the same delivery rounds;
 * an ``auto`` dispatcher row on the same 64x64 fabric, asserting that the
   decision stamped on the statistics is a registered real backend;
 * a large-fabric 128x128 trajectory of ``vectorized``, ``compiled``
@@ -46,11 +43,7 @@ from repro.baselines.numpy_ref import allocate_fields, field_to_columns
 from repro.benchmarks import benchmark_by_name
 from repro.eval.trajectory import make_record, merge_trajectory
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
-from repro.wse.codegen import (
-    FUSION_ENV_VAR,
-    kernel_cache_statistics,
-    reset_kernel_cache,
-)
+from repro.wse.codegen import kernel_cache_statistics, reset_kernel_cache
 from repro.wse.executors import available_executors
 from repro.wse.executors.tiled import SHARD_ENV_VAR
 from repro.wse.simulator import WseSimulator
@@ -316,65 +309,6 @@ def test_compiled_beats_vectorized_at_paper_scale():
         f"1.2x requirement ({warm_seconds * 1e3:.1f} ms vs "
         f"{vectorized_seconds * 1e3:.1f} ms); trajectory in {TRAJECTORY_PATH}"
     )
-
-
-#: temporal block depths swept by the fusion head-to-head (1 = unblocked).
-FUSION_DEPTHS = (1, 2, 4)
-
-
-def test_temporal_blocking_speeds_up_compiled(monkeypatch):
-    """Record ``compiled`` at R = 1, 2 and 4 on the paper-scale fabric,
-    warm kernel cache, and pin that the depth is only a call budget: one
-    code generation serves every depth and each executes the same rounds.
-
-    Depths are timed interleaved (same load window per repeat) and every
-    depth's warm row is recorded with an explicit ``r`` so the trajectory
-    separates blocked and unblocked measurements.
-    """
-    program_module, columns = _compiled(
-        TILED_GRID, z_dim=TILED_Z_DIM, time_steps=TILED_TIME_STEPS
-    )
-    best = {depth: float("inf") for depth in FUSION_DEPTHS}
-    rounds = set()
-    reset_kernel_cache()
-    gc.collect()
-    gc.disable()
-    try:
-        # Round-robin over depths; the very first simulation pays the one
-        # code generation, so with REPEATS extra passes the minima are warm.
-        for _ in range(REPEATS + 1):
-            for depth in FUSION_DEPTHS:
-                monkeypatch.setenv(FUSION_ENV_VAR, str(depth))
-                start = time.perf_counter()
-                simulator = WseSimulator(program_module, executor="compiled")
-                for name, data in columns.items():
-                    simulator.load_field(name, data)
-                rounds.add(simulator.execute().rounds)
-                best[depth] = min(best[depth], time.perf_counter() - start)
-    finally:
-        gc.enable()
-        monkeypatch.delenv(FUSION_ENV_VAR, raising=False)
-
-    grid = f"{TILED_GRID}x{TILED_GRID}"
-    merge_trajectory(
-        TRAJECTORY_PATH,
-        [
-            make_record(
-                "Jacobian",
-                grid,
-                "compiled",
-                seconds,
-                best[1] / seconds,
-                cache="warm",
-                r=depth,
-            )
-            for depth, seconds in best.items()
-        ],
-    )
-    assert kernel_cache_statistics().codegens == 1, (
-        "every block depth must bind the one generated kernel"
-    )
-    assert rounds == {TILED_TIME_STEPS}
 
 
 def test_auto_tracks_the_best_recorded_backend():

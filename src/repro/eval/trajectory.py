@@ -15,8 +15,10 @@ setup (``cold``: e.g. the ``compiled`` backend generating its kernel) or
 reused it (``warm``); records without the field measured a backend with no
 cache distinction.
 
-``"r": int`` — the temporal block depth (delivery rounds fused per kernel
-invocation) the run was measured at; absent means unblocked (R = 1).
+``"r": int`` — legacy: the temporal block depth older rows were measured
+at.  Nothing writes it any more; files carrying it still read, validate and
+merge (it stays part of the merge key, so such rows are never mistaken for
+current ones).
 
 ``"day": "YYYY-MM-DD"`` — the day an *online* observation was recorded
 (the ``auto`` dispatcher's opt-in learning rows); one row per
@@ -51,7 +53,6 @@ def make_record(
     seconds: float,
     speedup: float,
     cache: str | None = None,
-    r: int | None = None,
     day: str | None = None,
 ) -> dict:
     """One schema-conforming trajectory record."""
@@ -64,8 +65,6 @@ def make_record(
     }
     if cache is not None:
         record["cache"] = cache
-    if r is not None:
-        record["r"] = int(r)
     if day is not None:
         record["day"] = day
     return record
@@ -134,9 +133,9 @@ def merge_trajectory(path: str | Path, records: list[dict]) -> Path:
     Existing records with the same key are replaced, everything else is
     preserved — so independent benchmarks (or a partial rerun of one) each
     refresh their own rows without clobbering the rest of the file (a
-    backend's cold and warm measurements are distinct rows, as are rows at
-    different temporal block depths; online observations replace only the
-    same day's row).  An unreadable or stale-schema file is simply
+    backend's cold and warm measurements are distinct rows, as are legacy
+    rows carrying an ``r``; online observations replace only the same
+    day's row).  An unreadable or stale-schema file is simply
     rewritten.
     """
     path = Path(path)

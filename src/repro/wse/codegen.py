@@ -26,16 +26,14 @@ the fused delivery round as Python/NumPy source text, materialised via
   rectangle over a constant-fill border.
 
 There is one emission per kernel kind.  A *whole-grid* kernel (the
-``compiled`` executor's, and the ``tiled`` executor's deep-halo windows via
-:class:`~repro.wse.plan.BlockPlanView`) carries the round loop itself:
-``run_block(budget)`` runs up to ``budget`` delivery rounds per call, and
-each exchange stages straight into its receive slab wherever
-``_direct_staging_safe`` proves that legal (preallocated staging slabs
-otherwise).  The temporal block depth R is therefore nothing but the budget
-the caller passes — it is not an emission parameter and not part of the
-fingerprint.  A *shard-box* kernel (``box=``/``geometry=``) instead exposes
-the seam protocol's per-round hooks (publish / stage interior / stage rim /
-deliver), because its rounds rendezvous with sibling shards.
+``compiled`` executor's) carries the round loop itself:
+``run_block(budget)`` runs delivery rounds until the program settles,
+deadlocks or spends ``budget``, and each exchange stages straight into its
+receive slab wherever ``_direct_staging_safe`` proves that legal
+(preallocated staging slabs otherwise).  A *shard-box* kernel
+(``box=``/``geometry=``) instead exposes the seam protocol's per-round hooks
+(publish / stage interior / stage rim / deliver), because its rounds
+rendezvous with sibling shards.
 
 Kernels are cached process-wide in an in-memory memo keyed by a *kernel
 fingerprint* (SHA-256 over the printed program module, the plan's canonical
@@ -89,42 +87,12 @@ if TYPE_CHECKING:  # pragma: no cover
 #: fingerprints (stale memo/store entries then miss) and into run-level
 #: fingerprints so cached run artifacts invalidate alongside.
 #: v3: one whole-grid emission — every non-box kernel carries ``run_block``
-#: and the direct-to-receive delivery; the block depth is the caller's call
-#: budget, no longer an emission parameter.
+#: and the direct-to-receive delivery.
 CODEGEN_VERSION = 3
 
 #: environment variable naming a directory to retain emitted kernel source
 #: in (``kernel_<fingerprint12>.py`` per kernel) for debugging.
 DUMP_ENV_VAR = "REPRO_COMPILED_DUMP"
-
-#: environment variable forcing the temporal block depth — how many delivery
-#: rounds the compiled/tiled backends fuse per kernel invocation.
-FUSION_ENV_VAR = "REPRO_FUSION_ROUNDS"
-
-
-def resolve_block_depth(explicit: int | None = None) -> int:
-    """The temporal block depth to run with.
-
-    Precedence: an explicit constructor argument, then the
-    ``REPRO_FUSION_ROUNDS`` environment override, then 1 (unblocked).
-    """
-    if explicit is not None:
-        value = int(explicit)
-    else:
-        raw = os.environ.get(FUSION_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"invalid {FUSION_ENV_VAR}={raw!r}: expected a positive "
-                f"integer block depth"
-            ) from None
-    if value < 1:
-        raise ValueError(f"temporal block depth must be >= 1, got {value}")
-    return value
-
 
 class KernelCodegenError(Exception):
     """The program uses a construct the kernel generator does not fuse."""
@@ -149,15 +117,12 @@ def kernel_fingerprint(
     change to the program, the planning semantics or the emitter invalidates
     it exactly once.  Shard-box kernels (the tiled backend's per-shard
     replicas) additionally fold the box and the whole shard geometry, since
-    seam publication slots depend on every band/stripe edge.  The tiled
-    backend's deep-halo window kernels key their depth through
-    :meth:`~repro.wse.plan.BlockPlanView.canonical`; a whole-grid kernel is
-    the same kernel at every block depth.
+    seam publication slots depend on every band/stripe edge.
 
     The module text comes from the image's memo, and for a plan the image
     owns the fingerprint itself is memoised on the image (keyed by the
     codegen version, box and geometry); any other plan — one compiled
-    directly, a deep-halo view — is hashed afresh.
+    directly — is hashed afresh.
     """
 
     def hashed() -> str:
@@ -844,31 +809,6 @@ class _KernelEmitter:
         return True
 
     @staticmethod
-    def _shift_run(
-        axis: tuple[int | None, ...], delta: int
-    ) -> tuple[int, int]:
-        """Destination bounds ``[lo, hi)`` of a fill-path table axis.
-
-        The in-fabric cells of a constant-fill (Dirichlet) axis must form
-        one contiguous pure-shift run (``axis[i] == i + delta``) for the
-        single shifted-slice copy to represent them; for whole-fabric tables
-        this reproduces :meth:`HaloTable.interior_box` exactly, and for the
-        extended-window tables of a temporal block it tightens the bounds to
-        the cells whose sources actually sit inside the window.
-        """
-        present = [i for i, src in enumerate(axis) if src is not None]
-        if not present:
-            return 0, 0
-        lo, hi = present[0], present[-1] + 1
-        if hi - lo != len(present) or any(
-            axis[i] != i + delta for i in present
-        ):
-            raise KernelCodegenError(
-                "constant-fill halo table is not one contiguous shifted run"
-            )
-        return lo, hi
-
-    @staticmethod
     def _axis_runs(
         axis: tuple[int, ...]
     ) -> list[tuple[int, int, int]]:
@@ -1056,8 +996,7 @@ class _KernelEmitter:
 
         if self.plan.gather_indices(direction) is None:
             dx, dy = direction
-            y0, y1 = self._shift_run(table.rows, dy)
-            x0, x1 = self._shift_run(table.cols, dx)
+            y0, y1, x0, x1 = table.interior_box()
             if y0 >= y1 or x0 >= x1:
                 return
             copy(
@@ -1274,14 +1213,9 @@ class _KernelEmitter:
                 b.line(f"np.multiply({gathered}, {coefficient}, out={staging})")
             return
         # Dirichlet fill path: the staging border was prefilled at bind
-        # time; only the interior rectangle moves per round.  The bounds
-        # come from the table's contiguous shifted run — identical to the
-        # geometric interior box on whole-fabric tables, tighter on the
-        # extended-window tables of a temporal block.
-        table = self.plan.halo_table(direction)
+        # time; only the interior rectangle moves per round.
         dx, dy = direction
-        y0, y1 = self._shift_run(table.rows, dy)
-        x0, x1 = self._shift_run(table.cols, dx)
+        y0, y1, x0, x1 = self.plan.halo_table(direction).interior_box()
         if y0 >= y1 or x0 >= x1:
             return
         staging = (
@@ -1464,8 +1398,8 @@ class _KernelEmitter:
             else:
                 # The in-kernel round loop: exactly the base executor's
                 # drain/settled/deliver schedule, minus one Python boundary
-                # crossing per round.  ``budget`` bounds the rounds executed
-                # per invocation; the caller re-invokes until settled.
+                # crossing per round.  ``budget`` bounds the rounds executed;
+                # spending it is the caller's round-budget error.
                 out.line("def run_block(budget):")
                 with out.indented():
                     out.line("executed = 0")
@@ -1521,8 +1455,8 @@ def generate_kernel_source(
     The emission is deterministic: the same image and plan produce
     byte-identical source (names are assigned in sorted/traversal order and
     no environmental state leaks in), which the golden dump test pins.
-    A whole-grid kernel exposes ``run_block(budget)`` — up to ``budget``
-    delivery rounds per invocation, deliveries staged straight into the
+    A whole-grid kernel exposes ``run_block(budget)`` — the round loop, up
+    to ``budget`` delivery rounds, deliveries staged straight into the
     receive slab where provably safe.  With ``box``/``geometry`` the kernel
     is restricted to one shard box and exposes the seam-protocol hooks
     instead (``drain`` / ``settled`` / ``publish`` / ``stage_interior`` /

@@ -14,17 +14,16 @@ Five backends ship in-tree, all replaying the same pre-compiled
   (:mod:`repro.wse.executors.compiled`): code-generates the delivery round
   *and the loop around it* from the plan into one Python/NumPy kernel
   (:mod:`repro.wse.codegen`), cached process-wide by content fingerprint,
-  and drives it through ``run_block(budget)`` — the temporal block depth R
-  is that call budget, one kernel for every R.  Bit-identical to
-  ``vectorized`` and the fastest single-process backend; falls back to
-  inherited vectorized interpretation when code generation declines.
+  and runs it with one ``run_block(max_rounds)`` call per run.
+  Bit-identical to ``vectorized`` and the fastest single-process backend;
+  falls back to inherited vectorized interpretation when code generation
+  declines.
 * ``tiled`` — the sharded multiprocess executor
   (:mod:`repro.wse.executors.tiled`): partitions the fabric into kx×ky
   shards over shared-memory buffers, each replaying a generated kernel.
-  Two round protocols, each written once — seam publication with one
-  barrier per round (R = 1), deep-halo windows with one barrier per R
-  rounds (R > 1, a window depth) — advanced by a persistent pool of forked
-  workers or, on 1-shard grids and fork-less platforms, in-process.
+  One round protocol — seam publication with one barrier per round —
+  advanced by a persistent pool of forked workers or, on 1-shard grids and
+  fork-less platforms, in-process.
   Bit-identical to ``vectorized``; raises ``KernelCodegenError`` for
   programs the generator cannot fuse (there are no interpreted shards).
 * ``auto`` — the profile-guided dispatcher

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.dialects import arith, csl, scf
-from repro.wse.codegen import FUSION_ENV_VAR, KernelCodegenError
+from repro.wse.codegen import KernelCodegenError
 from repro.wse.executors.base import (
     Executor,
     SimulationStatistics,
@@ -197,38 +197,6 @@ def estimate_delivery_rounds(image) -> int:
     return NOMINAL_ROUNDS
 
 
-def choose_block_depth(
-    executor: str,
-    width: int,
-    height: int,
-    rounds: int,
-    cpus: int | None = None,
-) -> int:
-    """The temporal block depth R the dispatcher asks its delegate for.
-
-    ``compiled`` blocks whenever the loop is long enough to fill a block:
-    whole-grid blocking fuses R rounds per Python crossing at zero extra
-    compute, so the largest supported depth not exceeding the loop wins.
-    ``tiled`` additionally pays margin recompute and full-grid bank
-    copies per block, so it only blocks when its shards are wide relative
-    to the deep halo (the margin's share of the extended window stays
-    small).  The reference/vectorized backends do not block.
-    """
-    if executor == "compiled":
-        for depth in (4, 2):
-            if rounds >= depth:
-                return depth
-        return 1
-    if executor == "tiled":
-        kx, ky = shard_grid(width, height, cpus)
-        side = min(width // kx, height // ky)
-        for depth in (4, 2):
-            if rounds >= 2 * depth and side >= 16 * depth:
-                return depth
-        return 1
-    return 1
-
-
 class BackendSelector:
     """Ranks execution backends for a workload: records first, model second."""
 
@@ -350,34 +318,22 @@ class AutoExecutor(Executor):
         self._delegate: Executor | None = None
         self._own_statistics = SimulationStatistics()
         super().__init__(image, width, height, plan)
-        rounds = image.derived(
-            "delivery_rounds", lambda: estimate_delivery_rounds(image)
-        )
         forced = os.environ.get(FORCE_ENV_VAR, "").strip()
         if forced:
             choice = forced
             rationale = f"forced by {FORCE_ENV_VAR}={forced}"
         else:
+            rounds = image.derived(
+                "delivery_rounds", lambda: estimate_delivery_rounds(image)
+            )
             selector = BackendSelector()
             depth = max(self.plan.buffers.values(), default=1)
             choice, rationale = selector.choose(
                 width, height, depth, rounds=rounds
             )
-        delegate_cls = executor_by_name(choice)
-        kwargs = {}
-        #: the temporal block depth priced for this workload (1 = unblocked).
-        self.block_depth = 1
-        if choice in ("compiled", "tiled") and not os.environ.get(
-            FUSION_ENV_VAR
-        ):
-            # The env override stays authoritative when present; otherwise
-            # the dispatcher prices R from the estimated round count.
-            self.block_depth = choose_block_depth(choice, width, height, rounds)
-            if self.block_depth > 1:
-                kwargs["rounds_per_block"] = self.block_depth
         try:
-            self._delegate = delegate_cls(
-                image, width, height, self.plan, **kwargs
+            self._delegate = executor_by_name(choice)(
+                image, width, height, self.plan
             )
         except KernelCodegenError as error:
             # Only ``tiled`` raises this (``compiled`` interprets instead):
@@ -385,7 +341,6 @@ class AutoExecutor(Executor):
             # ``vectorized`` is the backend that interprets any program.
             rationale = f"{rationale}; {choice} declined ({error})"
             choice = "vectorized"
-            self.block_depth = 1
             self._delegate = executor_by_name(choice)(
                 image, width, height, self.plan
             )
@@ -459,7 +414,6 @@ class AutoExecutor(Executor):
                 self.backend_name,
                 seconds,
                 1.0,
-                r=self.block_depth if self.block_depth > 1 else None,
                 day=time.strftime("%Y-%m-%d"),
             )
             merge_trajectory(_trajectory_path(), [record])

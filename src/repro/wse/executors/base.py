@@ -62,8 +62,10 @@ class SimulationStatistics:
     #: comparisons stay meaningful) and from :meth:`merge`.
     backend_decision: str = field(default="", compare=False)
     backend_rationale: str = field(default="", compare=False)
-    #: delivery rounds fused per kernel invocation (temporal blocking);
-    #: 0 when the backend ran unblocked.  Descriptive, not additive.
+    #: retired: the temporal block depth no backend has any more.  Nothing
+    #: writes it, so it always reads 0; it stays only because the benchmark
+    #: harness (``bench/jobs.py``) still reads it, and goes with that
+    #: harness's next revision.
     block_depth: int = field(default=0, compare=False)
 
     #: descriptive fields :meth:`merge` must not fold.

@@ -15,10 +15,7 @@ kernel-memo lookup and one ``instantiate``: nothing is lowered, printed or
 hashed again (:func:`repro.wse.interpreter.bound_image`).
 
 The kernel owns the drain/settled/deliver schedule (``run_block``); this
-executor only decides how many rounds each call may run.  The temporal
-block depth R (``rounds_per_block`` argument or the ``REPRO_FUSION_ROUNDS``
-environment override) is that call budget and nothing else: every depth
-binds the same kernel under the same fingerprint.
+executor makes one call per run, with the whole round budget.
 
 The numerical semantics are the interpreter's, statement for statement —
 fields and :class:`~repro.wse.executors.base.SimulationStatistics` stay
@@ -34,11 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.ir.exceptions import InterpretationError
-from repro.wse.codegen import (
-    KernelCodegenError,
-    get_kernel,
-    resolve_block_depth,
-)
+from repro.wse.codegen import KernelCodegenError, get_kernel
 from repro.wse.executors.base import SimulationStatistics, register_executor
 from repro.wse.executors.vectorized import VectorizedExecutor
 from repro.wse.interpreter import ProgramImage
@@ -59,7 +52,6 @@ class CompiledExecutor(VectorizedExecutor):
         width: int,
         height: int,
         plan: "ExecutionPlan | None" = None,
-        rounds_per_block: int | None = None,
     ):
         super().__init__(image, width, height, plan)
         #: the bound kernel hooks, or None when interpretation is active.
@@ -68,7 +60,6 @@ class CompiledExecutor(VectorizedExecutor):
         self.fallback_reason: str | None = None
         #: content fingerprint of the generated kernel (None on fallback).
         self.kernel_fingerprint: str | None = None
-        self._rounds_per_block = resolve_block_depth(rounds_per_block)
         try:
             compiled = get_kernel(image, self.plan)
         except KernelCodegenError as error:
@@ -92,30 +83,17 @@ class CompiledExecutor(VectorizedExecutor):
         if self.kernel is None:
             # Codegen declined: the inherited hook loop interprets.
             return super()._run_rounds(max_rounds)
-        # The kernel's run_block executes up to ``budget`` rounds per call
-        # on exactly the base drain/settled/deliver schedule, so
+        # The kernel's run_block runs the base drain/settled/deliver
+        # schedule until the run settles, deadlocks or spends the budget, so
         # termination, deadlock and round-budget semantics match the
         # inherited loop case for case.
-        run_block = self.kernel["run_block"]
-        remaining = max_rounds
-        while True:
-            if remaining <= 0:
-                raise InterpretationError(
-                    f"simulation exceeded {max_rounds} rounds"
-                )
-            executed, status = run_block(
-                min(self._rounds_per_block, remaining)
+        executed, status = self.kernel["run_block"](max_rounds)
+        self.statistics.rounds += executed
+        if status == "deadlock":
+            raise InterpretationError(
+                "deadlock: PEs are neither halted nor waiting on an exchange"
             )
-            self.statistics.rounds += executed
-            remaining -= executed
-            if status == "settled":
-                break
-            if status == "deadlock":
-                raise InterpretationError(
-                    "deadlock: PEs are neither halted nor waiting on an "
-                    "exchange"
-                )
+        if status != "settled":
+            raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
         self._collect_statistics()
-        if self._rounds_per_block > 1:
-            self.statistics.block_depth = self._rounds_per_block
         return self.statistics

@@ -13,27 +13,19 @@ Every shard replays a kernel :mod:`repro.wse.codegen` generated for it
 (cached process-wide and fleet-wide through the service
 :class:`KernelSourceStore`); a program the generator cannot fuse raises
 :class:`~repro.wse.codegen.KernelCodegenError` from the constructor —
-``vectorized`` is the interpreting backend.  There are two round protocols,
-each written once as a generator that yields at its rendezvous points:
+``vectorized`` is the interpreting backend.  The round protocol
+(:func:`_seam_rounds`) is written once as a generator that yields at its
+rendezvous points, with one barrier per delivery round: after draining, a
+shard *publishes* its seam rows/columns into shared snapshot strips and
+flags the round in a per-shard publication counter, stages its *interior*
+(sources inside the box — legal while siblings still compute), waits only
+for the publication flags of the shards it actually reads from, stages the
+*rim* out of the snapshots, and delivers.  The round ends at the single
+barrier, which doubles as the settled-consensus point (monotone progress
+stamps, so a shard racing into the next round can never corrupt a
+sibling's consensus read).
 
-* **Seam protocol** (:func:`_seam_rounds`, R = 1).  One barrier per
-  delivery round: after draining, a shard *publishes* its seam rows/columns
-  into shared snapshot strips and flags the round in a per-shard
-  publication counter, stages its *interior* (sources inside the box —
-  legal while siblings still compute), waits only for the publication
-  flags of the shards it actually reads from, stages the *rim* out of the
-  snapshots, and delivers.  The round ends at the single barrier, which
-  doubles as the settled-consensus point (monotone progress stamps, so a
-  shard racing into the next round can never corrupt a sibling's consensus
-  read).
-* **Window protocol** (:func:`_window_rounds`, R > 1).  One barrier per R
-  rounds: each shard gathers a private window — its box plus an
-  ``R * radius`` deep halo — out of one shared bank, runs up to R rounds
-  locally through the kernel's ``run_block``, and writes its core back to
-  the other bank.  Here R is a *window depth*: it sizes the halo, so each
-  depth is its own kernel (keyed through ``BlockPlanView.canonical()``).
-
-The same generators run under two drivers.  On a **persistent worker
+The same generator runs under two drivers.  On a **persistent worker
 pool** (:class:`_ShardPool`; forked once per executor, reused across runs,
 command pipes carry launch entry + resumed scalar state) a rendezvous is a
 real barrier or publication wait.  **In-process** (1-shard grids and
@@ -63,12 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ir.exceptions import InterpretationError
-from repro.wse.codegen import (
-    CompiledKernel,
-    KernelCodegenError,
-    get_kernel,
-    resolve_block_depth,
-)
+from repro.wse.codegen import CompiledKernel, KernelCodegenError, get_kernel
 from repro.wse.executors.base import (
     Executor,
     SimulationStatistics,
@@ -78,13 +65,7 @@ from repro.wse.executors.base import (
 from repro.wse.executors.vectorized import GridState
 from repro.wse.interpreter import ProgramImage
 from repro.wse.pe import PE_COUNTER_NAMES, new_pe_counters
-from repro.wse.plan import (
-    BlockHaloError,
-    BlockHaloSpec,
-    BlockPlanView,
-    ExecutionPlan,
-    ShardGeometry,
-)
+from repro.wse.plan import ExecutionPlan, ShardGeometry
 
 #: environment variable overriding the shard-grid extent (K of K×K).
 SHARD_ENV_VAR = "REPRO_TILED_SHARDS"
@@ -186,13 +167,11 @@ class ShardResult:
     variables: dict[str, float]
     halted: bool
     pe_memory_bytes: int
-    #: temporal-block kernel invocations (0 when the shard ran unblocked).
-    blocks: int = 0
     #: publication-wait iterations before sleeping kicked in.
     seam_spins: int = 0
     #: publication-wait backoff sleeps (exponential, capped).
     seam_backoffs: int = 0
-    #: round/block barrier rendezvous this shard entered.
+    #: round barrier rendezvous this shard entered.
     barrier_waits: int = 0
 
 
@@ -230,61 +209,16 @@ class ShardState(GridState):
             )
 
 
-class _KernelRunner:
-    """What both shard runners share: resumed scalar state bound to a
-    kernel, the entry launch and the result record.
-
-    A fresh runner is bound per run — kernel closures capture the counters
-    and variables dicts, so reuse across runs would leak state; the
-    expensive part (code generation) is cached behind ``kernel`` anyway.
-    """
-
-    def __init__(
-        self,
-        state: GridState,
-        plan: ExecutionPlan,
-        kernel: CompiledKernel,
-        kernel_plan: ExecutionPlan | BlockPlanView,
-        variables: dict[str, float],
-        halted: bool,
-    ):
-        self.state = state
-        self.plan = plan
-        # Scalar state carried over from a previous run of the same
-        # executor (the other backends keep one live interpreter state, so
-        # a relaunch must resume from it to stay interchangeable).
-        self.state.variables.update(variables)
-        # Mirror the interpreter's initialise(): image-declared variables
-        # default in without clobbering resumed values.
-        for name, value in plan.variables.items():
-            self.state.variables.setdefault(name, value)
-        self.state.halted = halted
-        self.hooks = kernel.instantiate(self.state, kernel_plan)
-
-    def launch(self, entry: str | None = None) -> None:
-        name = entry if entry is not None else self.plan.entry
-        fn = self.hooks["fns"].get(name)
-        if fn is None:
-            raise InterpretationError(f"unknown function or task '{name}'")
-        fn()
-
-    def result(self, rounds: int, blocks: int = 0) -> ShardResult:
-        return ShardResult(
-            rounds=rounds,
-            counters=dict(self.state.counters),
-            variables=dict(self.state.variables),
-            halted=self.state.halted,
-            pe_memory_bytes=self.state.memory_in_use(),
-            blocks=blocks,
-        )
-
-
-class CompiledShardRunner(_KernelRunner):
+class CompiledShardRunner:
     """Replays the shard-box kernel for one shard of the fabric.
 
     Every step of the seam protocol — drain, publish, stage interior,
     stage rim, deliver — is a hook of the generated kernel, operating on
     views of the shared full-grid buffers.
+
+    A fresh runner is bound per run — kernel closures capture the counters
+    and variables dicts, so reuse across runs would leak state; the
+    expensive part (code generation) is cached behind ``kernel`` anyway.
     """
 
     def __init__(
@@ -297,62 +231,35 @@ class CompiledShardRunner(_KernelRunner):
         variables: dict[str, float],
         halted: bool,
     ):
-        state = ShardState(full_buffers, box)
-        state.seam_snapshots = snapshots
-        super().__init__(state, plan, kernel, plan, variables, halted)
+        self.plan = plan
+        self.state = ShardState(full_buffers, box)
+        self.state.seam_snapshots = snapshots
+        # Scalar state carried over from a previous run of the same
+        # executor (the other backends keep one live interpreter state, so
+        # a relaunch must resume from it to stay interchangeable).
+        self.state.variables.update(variables)
+        # Mirror the interpreter's initialise(): image-declared variables
+        # default in without clobbering resumed values.
+        for name, value in plan.variables.items():
+            self.state.variables.setdefault(name, value)
+        self.state.halted = halted
+        self.hooks = kernel.instantiate(self.state, plan)
 
+    def launch(self, entry: str | None = None) -> None:
+        name = entry if entry is not None else self.plan.entry
+        fn = self.hooks["fns"].get(name)
+        if fn is None:
+            raise InterpretationError(f"unknown function or task '{name}'")
+        fn()
 
-class BlockShardRunner(_KernelRunner):
-    """Replays the depth-R window kernel for one shard.
-
-    Unlike the seam runner this one owns a *private* extended-window
-    :class:`~repro.wse.executors.vectorized.GridState` — the shard box plus
-    a ``rounds * radius`` halo margin per axis — rather than views of the
-    shared grid.  Each block gathers the window in from one shared bank
-    (:meth:`gather_in`, exact by the boundary fold), runs up to R delivery
-    rounds entirely locally through the kernel's ``run_block`` hook (the
-    deep fold-composed halo tables keep the core exact while the margin
-    decays), and writes its core back to the opposite bank
-    (:meth:`write_back`).  Scalar state — variables, task queue, pending
-    exchange, halt flag — persists across blocks; only the arrays are
-    re-synced.
-    """
-
-    def __init__(
-        self,
-        plan: ExecutionPlan,
-        view: BlockPlanView,
-        kernel: CompiledKernel,
-        banks: tuple[dict[str, np.ndarray], dict[str, np.ndarray]],
-        variables: dict[str, float],
-        halted: bool,
-    ):
-        spec = view.spec
-        self.box = spec.box
-        self.depth = spec.rounds
-        self.banks = banks
-        state = GridState(width=spec.width, height=spec.height)
-        # The kernel binds buffer views at instantiation, so the extended
-        # arrays must exist first (the entry's allocations then no-op).
-        for name, size in plan.buffers.items():
-            state.allocate(name, size)
-        super().__init__(state, plan, kernel, view, variables, halted)
-        self._rows, self._cols = spec.gather_maps()
-        self._core = spec.core_slices()
-
-    def gather_in(self, bank: int) -> None:
-        """Seed the extended window from a full-grid bank (fold-exact)."""
-        source = self.banks[bank]
-        for name, array in self.state.buffers.items():
-            array[:] = source[name][self._rows, self._cols]
-
-    def write_back(self, bank: int) -> None:
-        """Publish the core rows/columns into a full-grid bank."""
-        target = self.banks[bank]
-        ys, xs = self._core
-        y0, y1, x0, x1 = self.box
-        for name, array in self.state.buffers.items():
-            target[name][y0:y1, x0:x1] = array[ys, xs]
+    def result(self, rounds: int) -> ShardResult:
+        return ShardResult(
+            rounds=rounds,
+            counters=dict(self.state.counters),
+            variables=dict(self.state.variables),
+            halted=self.state.halted,
+            pe_memory_bytes=self.state.memory_in_use(),
+        )
 
 
 def _needed_neighbors(
@@ -506,52 +413,6 @@ def _seam_rounds(
     raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
 
 
-def _window_rounds(
-    runner: BlockShardRunner,
-    entry: str | None,
-    max_rounds: int,
-    index: int,
-    progress,
-):
-    """The window protocol's round loop for one shard, as a generator.
-
-    Yields ``None`` at its one rendezvous, the end-of-block barrier, and
-    returns the :class:`ShardResult`.
-
-    The first block runs straight off the launch — the entry (and any tasks
-    it queues) executes over the private extended window, and SPMD
-    uniformity makes the margin cells receive exactly the values their
-    folded fabric counterparts receive, so the window is already exact.
-    Every later block re-gathers the window from the bank the previous
-    block published into.  Banks ping-pong: block ``b`` reads bank
-    ``b % 2`` and writes its core to bank ``(b + 1) % 2``, so a fast shard
-    writing ahead can never disturb a slow sibling still gathering — which
-    is what admits a *single* barrier per block.  Consensus reuses the
-    monotone round-stamp scheme with block numbers as the stamps.
-    """
-    run_block = runner.hooks["run_block"]
-    runner.gather_in(0)
-    runner.launch(entry)
-    rounds = 0
-    blocks = 0
-    while rounds < max_rounds:
-        if blocks:
-            runner.gather_in(blocks % 2)
-        executed, status = run_block(min(runner.depth, max_rounds - rounds))
-        if status == "deadlock":
-            raise InterpretationError(
-                "deadlock: PEs are neither halted nor waiting on an exchange"
-            )
-        runner.write_back((blocks + 1) % 2)
-        rounds += executed
-        blocks += 1
-        progress[index] = -blocks if status == "settled" else blocks
-        yield None
-        if _round_consensus(progress[:], blocks - 1):
-            return runner.result(rounds, blocks)
-    raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
-
-
 def _drive_with_waits(
     loop, progress, pub_rounds, needed: tuple[int, ...], barrier
 ) -> ShardResult:
@@ -648,11 +509,10 @@ class _ShardPool:
     """A persistent fork-pool of shard workers, one per shard box.
 
     Forked once per executor (sharing plan, kernels and the shared-memory
-    buffers, snapshots and banks by address-space inheritance — so those
-    must be allocated before the pool is built) and reused across runs,
-    whichever round protocol the executor runs: each ``run`` resets the
-    shared round state, pipes
-    one command per worker, and collects one result per worker.  Workers
+    buffers and snapshots by address-space inheritance — so those must be
+    allocated before the pool is built) and reused across runs: each
+    ``run`` resets the shared round state, pipes one command per worker,
+    and collects one result per worker.  Workers
     are daemonic and additionally bounded by a ``weakref.finalize`` on the
     pool, so dropping the executor reaps them promptly.
     """
@@ -794,7 +654,6 @@ class TiledExecutor(Executor):
         width: int,
         height: int,
         plan: ExecutionPlan | None = None,
-        rounds_per_block: int | None = None,
     ):
         super().__init__(image, width, height, plan)
         kx, ky = shard_grid(width, height)
@@ -828,17 +687,6 @@ class TiledExecutor(Executor):
         self._snapshots: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
         self._snapshot_raw: list = []
         self._pool: _ShardPool | None = None
-        #: why the window protocol was declined (runs the seam one instead).
-        self.block_fallback_reason: str | None = None
-        self._rounds_per_block = resolve_block_depth(rounds_per_block)
-        #: per-shard depth-R plan views and kernels; None -> seam protocol.
-        self._block_views: tuple[BlockPlanView, ...] | None = None
-        self._block_kernels: tuple[CompiledKernel, ...] | None = None
-        #: the second full-grid bank of the window ping-pong (lazy).
-        self._bank1: dict[str, np.ndarray] | None = None
-        self._bank1_raw: list = []
-        if self._rounds_per_block > 1:
-            self._compile_block_kernels()
 
     def _compile_shard_kernels(self) -> tuple[CompiledKernel, ...]:
         store = _shard_kernel_store()
@@ -859,46 +707,6 @@ class TiledExecutor(Executor):
                 f"code generation declined this program ({error}); run it "
                 f"on the interpreting 'vectorized' executor instead"
             ) from error
-
-    def _compile_block_kernels(self) -> None:
-        """Derive depth-R plan views and window kernels, or record why not.
-
-        Any decline — an inexact deep-halo derivation for some shard box,
-        or extended-window tables the generator cannot express — resets
-        the executor to the seam protocol; temporal blocking is a pure
-        optimisation, so it must never change which programs run.
-        """
-        store = _shard_kernel_store()
-        views: list[BlockPlanView] = []
-        kernels: list[CompiledKernel] = []
-        try:
-            for box in self.boxes:
-                view = BlockPlanView(
-                    BlockHaloSpec(self.plan, box, self._rounds_per_block)
-                )
-                kernels.append(get_kernel(self.image, view, store=store))
-                views.append(view)
-        except (BlockHaloError, KernelCodegenError) as error:
-            self.block_fallback_reason = str(error)
-            self._rounds_per_block = 1
-            return
-        self._block_views = tuple(views)
-        self._block_kernels = tuple(kernels)
-
-    def _ensure_banks(self) -> None:
-        """Allocate the second shared full-grid bank blocks ping-pong with."""
-        if self._bank1 is not None:
-            return
-        bank: dict[str, np.ndarray] = {}
-        for name, size in self.plan.buffers.items():
-            raw = multiprocessing.RawArray(
-                "f", self.height * self.width * size
-            )
-            self._bank1_raw.append(raw)
-            bank[name] = np.frombuffer(raw, dtype=np.float32).reshape(
-                self.height, self.width, size
-            )
-        self._bank1 = bank
 
     def _ensure_snapshots(self) -> None:
         """Allocate the shared seam snapshots the shard kernels bind.
@@ -973,13 +781,9 @@ class TiledExecutor(Executor):
         self._pending_launch = True
 
     def _run_rounds(self, max_rounds: int) -> SimulationStatistics:
-        blocked = self._block_kernels is not None
-        # What the protocol exchanges through must exist before the pool
-        # forks, so that its workers inherit it.
-        if blocked:
-            self._ensure_banks()
-        else:
-            self._ensure_snapshots()
+        # The snapshots must exist before the pool forks, so that its
+        # workers inherit them.
+        self._ensure_snapshots()
         if (
             len(self.boxes) > 1
             and "fork" in multiprocessing.get_all_start_methods()
@@ -987,12 +791,6 @@ class TiledExecutor(Executor):
             results = self._run_pooled(max_rounds)
         else:
             results = self._run_in_process(max_rounds)
-        # An odd block count leaves the final state in the second bank;
-        # fold it back so bank 0 stays the canonical grid the host reads
-        # and the next run gathers from.
-        if blocked and results[0].blocks % 2:
-            for name, array in self.buffers.items():
-                array[:] = self._bank1[name]
         self._fold_results(results)
         return self.statistics
 
@@ -1008,16 +806,6 @@ class TiledExecutor(Executor):
     ):
         """Bind a fresh runner for shard ``index`` and return its round
         loop — the generator both drivers advance."""
-        if self._block_kernels is not None:
-            runner = BlockShardRunner(
-                self.plan,
-                self._block_views[index],
-                self._block_kernels[index],
-                (self.buffers, self._bank1),
-                variables,
-                halted,
-            )
-            return _window_rounds(runner, entry, max_rounds, index, progress)
         runner = CompiledShardRunner(
             self.plan,
             self._kernels[index],
@@ -1116,8 +904,6 @@ class TiledExecutor(Executor):
             ]
             + shard_statistics
         )
-        if first.blocks:
-            self.statistics.block_depth = self._rounds_per_block
         self._variables = dict(first.variables)
         self._halted = first.halted
 

@@ -231,288 +231,6 @@ def seam_publication(
     return tuple(sorted(pub_rows)), tuple(sorted(pub_cols))
 
 
-class BlockHaloError(ValueError):
-    """A depth-R halo block cannot be derived exactly for this shard."""
-
-
-def exchange_radius(plan: "ExecutionPlan") -> tuple[int, int]:
-    """``(ry, rx)``: the per-axis halo radius of the plan's exchanges."""
-    ry = max((abs(dy) for _, dy in plan.halo_tables), default=0)
-    rx = max((abs(dx) for dx, _ in plan.halo_tables), default=0)
-    return ry, rx
-
-
-def _window_map(
-    boundary: BoundaryCondition, lo: int, hi: int, margin: int, extent: int
-) -> tuple[int | None, ...]:
-    """Fabric index of every cell of an extended window, ``None`` off-fabric.
-
-    The window covers virtual positions ``[lo - margin, hi + margin)``;
-    :meth:`BoundaryCondition.fold` resolves each to the real fabric cell it
-    mirrors/wraps to (``None`` under Dirichlet).  Seeding window cell ``i``
-    with the value of fabric cell ``map[i]`` is exact by definition of the
-    boundary fold — this is the base case of the block-validity recursion.
-    """
-    return tuple(
-        boundary.fold(lo - margin + i, extent)
-        for i in range(hi - lo + 2 * margin)
-    )
-
-
-def _deep_axis_table(
-    window: tuple[int | None, ...],
-    boundary: BoundaryCondition,
-    delta: int,
-    extent: int,
-) -> tuple[tuple[int | None, ...], tuple[bool, ...]]:
-    """One axis of a depth-R staging table over an extended window.
-
-    For window cell ``i`` standing in for fabric cell ``p = window[i]``, a
-    pull along ``delta`` must read the value of fabric cell
-    ``fold(p + delta)`` — the *fold-composed* source, not the naive shifted
-    window position (under ``reflect`` the two differ near the mirror
-    edge).  Among the window cells holding that fabric cell, the one
-    nearest the naive position is chosen so interior runs stay contiguous.
-    Returns ``(sources, missing)``: ``sources[i]`` is the window source
-    index or ``None`` (Dirichlet fill), and ``missing[i]`` flags cells
-    whose required fabric source is absent from the window entirely —
-    reading them is only legal while they stay outside the valid region.
-    Under periodic/reflect a missing cell self-sources instead (any finite
-    value is fine for a cell the validity recursion already excludes), so
-    those tables stay fully gatherable; under Dirichlet ``None`` is kept —
-    the fill path treats it as the boundary constant, equally unread.
-    """
-    candidates: dict[int, list[int]] = {}
-    for j, real in enumerate(window):
-        if real is not None:
-            candidates.setdefault(real, []).append(j)
-    sources: list[int | None] = []
-    missing: list[bool] = []
-    for i, real in enumerate(window):
-        if real is None:  # dead Dirichlet cell: never a source, value unused
-            sources.append(None)
-            missing.append(False)
-            continue
-        target = boundary.fold(real + delta, extent)
-        if target is None:  # a true boundary fill, exact at any depth
-            sources.append(None)
-            missing.append(False)
-            continue
-        pool = candidates.get(target)
-        if not pool:
-            sources.append(None if boundary.kind == "dirichlet" else i)
-            missing.append(True)
-            continue
-        naive = i + delta
-        sources.append(min(pool, key=lambda j: (abs(j - naive), j)))
-        missing.append(False)
-    return tuple(sources), tuple(missing)
-
-
-def _axis_validity(
-    window: tuple[int | None, ...],
-    tables: dict[int, tuple[tuple[int | None, ...], tuple[bool, ...]]],
-    rounds: int,
-) -> list[bool]:
-    """Which window cells still hold exact values after ``rounds`` rounds.
-
-    Round 0 is the gather-in: every in-fabric cell is exact.  Each round a
-    cell stays exact only if it was exact and every per-delta source it
-    reads is exact (a ``None`` source is the boundary constant — exact —
-    unless the source was *missing* from the window).  The valid region
-    shrinks inward by the axis radius per round; the block is usable when
-    the core survives all ``rounds``.
-    """
-    valid = [real is not None for real in window]
-    for _ in range(rounds):
-        step = []
-        for i in range(len(window)):
-            ok = valid[i]
-            if ok:
-                for sources, missing in tables.values():
-                    if missing[i]:
-                        ok = False
-                        break
-                    src = sources[i]
-                    if src is not None and not valid[src]:
-                        ok = False
-                        break
-            step.append(ok)
-        valid = step
-    return valid
-
-
-class BlockHaloSpec:
-    """Depth-R halo tables for one shard box: the plan surface a temporal
-    block kernel stages its exchanges through.
-
-    The shard's arrays are extended by ``rounds * radius`` cells per axis;
-    ``row_map``/``col_map`` give the fabric cell each extended cell stands
-    in for (``None`` = off-fabric under Dirichlet), and :meth:`halo_table`
-    serves fold-composed gather/fill tables in *extended* coordinates so
-    the unmodified kernel emitter stages deep halos exactly.  Construction
-    verifies, by the per-axis validity recursion, that the core rows and
-    columns stay exact through all ``rounds`` — raising
-    :class:`BlockHaloError` otherwise (callers then fall back to R=1).
-    """
-
-    def __init__(
-        self,
-        plan: "ExecutionPlan",
-        box: tuple[int, int, int, int],
-        rounds: int,
-    ):
-        if rounds < 2:
-            raise BlockHaloError(f"temporal blocks need rounds >= 2, got {rounds}")
-        self.plan = plan
-        self.box = box
-        self.rounds = rounds
-        y0, y1, x0, x1 = box
-        ry, rx = exchange_radius(plan)
-        self.margin_y = rounds * ry
-        self.margin_x = rounds * rx
-        boundary = plan.boundary
-        self.row_map = _window_map(boundary, y0, y1, self.margin_y, plan.height)
-        self.col_map = _window_map(boundary, x0, x1, self.margin_x, plan.width)
-        self.height = len(self.row_map)
-        self.width = len(self.col_map)
-        row_tables: dict[int, tuple] = {}
-        col_tables: dict[int, tuple] = {}
-        for dx, dy in plan.halo_tables:
-            if dy not in row_tables:
-                row_tables[dy] = _deep_axis_table(
-                    self.row_map, boundary, dy, plan.height
-                )
-            if dx not in col_tables:
-                col_tables[dx] = _deep_axis_table(
-                    self.col_map, boundary, dx, plan.width
-                )
-        self._row_tables = row_tables
-        self._col_tables = col_tables
-        self._check_core_validity()
-        self.tables: dict[tuple[int, int], HaloTable] = {
-            (dx, dy): HaloTable(
-                direction=(dx, dy),
-                rows=row_tables[dy][0],
-                cols=col_tables[dx][0],
-                fill_value=plan.halo_tables[(dx, dy)].fill_value,
-            )
-            for dx, dy in plan.halo_tables
-        }
-
-    def _check_core_validity(self) -> None:
-        y0, y1, x0, x1 = self.box
-        for name, window, tables, margin, extent in (
-            ("rows", self.row_map, self._row_tables, self.margin_y, y1 - y0),
-            ("cols", self.col_map, self._col_tables, self.margin_x, x1 - x0),
-        ):
-            valid = _axis_validity(window, tables, self.rounds)
-            if not all(valid[margin : margin + extent]):
-                raise BlockHaloError(
-                    f"core {name} of shard box {self.box} lose exactness "
-                    f"within {self.rounds} rounds (margin {margin} too thin "
-                    f"for this boundary fold)"
-                )
-
-    def gather_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Broadcast-ready fabric indices seeding the extended arrays.
-
-        Dead (off-fabric Dirichlet) cells substitute fabric index 0 — their
-        seeded values are never read by any valid cell, and a deterministic
-        substitute keeps the gather reproducible.
-        """
-        rows = [0 if real is None else real for real in self.row_map]
-        cols = [0 if real is None else real for real in self.col_map]
-        return (
-            np.asarray(rows, dtype=np.intp)[:, None],
-            np.asarray(cols, dtype=np.intp)[None, :],
-        )
-
-    def core_slices(self) -> tuple[slice, slice]:
-        """The core rows/cols of the extended arrays (the shard box)."""
-        y0, y1, x0, x1 = self.box
-        return (
-            slice(self.margin_y, self.margin_y + (y1 - y0)),
-            slice(self.margin_x, self.margin_x + (x1 - x0)),
-        )
-
-
-class BlockPlanView:
-    """An :class:`ExecutionPlan` facade over one shard's extended window.
-
-    Presents the extended dimensions and the depth-R fold-composed halo
-    tables of a :class:`BlockHaloSpec` while delegating everything else
-    (program structure, DSD tables, exchange schedules) to the base plan —
-    the kernel emitter then generates a temporal-block shard kernel through
-    its ordinary whole-grid path, no shard-specific emission required.
-    """
-
-    def __init__(self, spec: BlockHaloSpec):
-        self.spec = spec
-        base = spec.plan
-        self.base = base
-        self.width = spec.width
-        self.height = spec.height
-        self.boundary = base.boundary
-        self.entry = base.entry
-        self.buffers = base.buffers
-        self.variables = base.variables
-        self.activation_order = base.activation_order
-        self.halo_tables = dict(spec.tables)
-        self._gather_cache: dict[
-            tuple[int, int], tuple[np.ndarray, np.ndarray] | None
-        ] = {}
-
-    def static_dsd(self, op: Operation) -> Dsd | None:
-        return self.base.static_dsd(op)
-
-    def exchange_plan(self, op: Operation) -> ExchangePlan | None:
-        return self.base.exchange_plan(op)
-
-    def halo_table(self, direction: tuple[int, int]) -> HaloTable:
-        key = (direction[0], direction[1])
-        table = self.halo_tables.get(key)
-        if table is None:
-            raise KeyError(
-                f"direction {key} has no depth-{self.spec.rounds} halo table"
-            )
-        return table
-
-    def gather_indices(
-        self, direction: tuple[int, int]
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        key = (direction[0], direction[1])
-        if key not in self._gather_cache:
-            table = self.halo_table(key)
-            if table.gatherable:
-                self._gather_cache[key] = (
-                    np.asarray(table.rows, dtype=np.intp)[:, None],
-                    np.asarray(table.cols, dtype=np.intp)[None, :],
-                )
-            else:
-                self._gather_cache[key] = None
-        return self._gather_cache[key]
-
-    def memory_per_pe_bytes(self) -> int:
-        return self.base.memory_per_pe_bytes()
-
-    def canonical(self) -> dict:
-        """The base plan's canonical form plus the block parameters.
-
-        The deep tables are a pure function of (base plan, box, rounds), so
-        fingerprinting those three identifies the kernel exactly — each
-        (plan, box, R) variant caches once fleet-wide.
-        """
-        return {
-            "base": self.base.canonical(),
-            "block": {
-                "box": list(self.spec.box),
-                "rounds": self.spec.rounds,
-                "margin": [self.spec.margin_y, self.spec.margin_x],
-            },
-        }
-
-
 class ExecutionPlan:
     """Everything an executor needs to replay one compiled program image.
 

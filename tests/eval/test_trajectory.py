@@ -65,3 +65,14 @@ class TestMergeKeying:
         merge_trajectory(_path(tmp_path), [plain])
         merge_trajectory(_path(tmp_path), [cached])
         assert read_trajectory(_path(tmp_path)) == [plain, cached]
+
+    def test_legacy_block_depth_rows_still_read_and_merge(self, tmp_path):
+        """Rows written when a block depth ``r`` was recorded stay readable
+        and keep their own key beside the rows written today."""
+        legacy = dict(
+            make_record("Jacobian", "64x64", "compiled", 0.1, 1.0, "warm"), r=4
+        )
+        write_trajectory(_path(tmp_path), [legacy])
+        current = make_record("Jacobian", "64x64", "compiled", 0.09, 1.1, "warm")
+        merge_trajectory(_path(tmp_path), [current])
+        assert read_trajectory(_path(tmp_path)) == [legacy, current]

@@ -2,17 +2,23 @@
 
 The dispatcher's contract has three layers, each covered here: the
 *decision procedure* (recorded trajectory rows beat the analytic model,
-the model's ranking matches the machine-independent intuition), the
+the model's ranking matches the machine-independent intuition, the static
+delivery-round estimate it prices with equals the executed count), the
 *calibration* of the host cost model against a recorded trajectory
 snapshot, and the *delegation* (an ``auto`` run is indistinguishable from
-running the chosen backend directly, plus the stamped decision metadata).
+running the chosen backend directly, plus the stamped decision metadata
+and the opt-in observation rows).
 """
 
+import time
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from repro.benchmarks import benchmark_by_name
+from repro.benchmarks.definitions import ALL_BENCHMARKS
+from repro.eval.trajectory import read_trajectory
 from repro.frontends.common import (
     Constant,
     FieldAccess,
@@ -24,11 +30,17 @@ from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.executors.auto import (
     FORCE_ENV_VAR,
+    NOMINAL_ROUNDS,
+    OBSERVED_NAME,
+    RECORD_ENV_VAR,
+    TRAJECTORY_ENV_VAR,
     BackendSelector,
+    estimate_delivery_rounds,
     load_recorded_rows,
 )
 from repro.wse.executors.base import SimulationStatistics
 from repro.wse.executors.tiled import SHARD_ENV_VAR
+from repro.wse.interpreter import ProgramImage
 from repro.wse.perf_model import predict_host_seconds
 from repro.wse.simulator import WseSimulator
 
@@ -57,6 +69,14 @@ def _compiled(nx, ny, nz=8, steps=2, name="auto_probe"):
         program, PipelineOptions(grid_width=nx, grid_height=ny, num_chunks=2)
     )
     return program, result.program_module
+
+
+def _compile_benchmark(name, time_steps):
+    benchmark = benchmark_by_name(name)
+    grid = 9 if benchmark.stencil_points >= 25 else 6
+    program = benchmark.program(nx=grid, ny=grid, nz=12, time_steps=time_steps)
+    options = PipelineOptions(grid_width=grid, grid_height=grid, num_chunks=2)
+    return program, compile_stencil_program(program, options).program_module
 
 
 #: a frozen snapshot of recorded BENCH_simulator.json rows (the live file
@@ -287,3 +307,56 @@ class TestDecisionMetadata:
         assert payload["backend_decision"] == "vectorized"
         assert "backend_rationale" in payload
         assert "_METADATA_FIELDS" not in payload
+
+
+class TestDeliveryRoundEstimate:
+    """The dispatcher's static round estimate equals the measured count."""
+
+    @pytest.mark.parametrize(
+        "name", [benchmark.name for benchmark in ALL_BENCHMARKS]
+    )
+    def test_estimate_matches_executed_rounds(self, name):
+        program, module = _compile_benchmark(name, time_steps=3)
+        image = ProgramImage(module)
+        _, stats = run_on_executor("vectorized", program, module)
+        assert estimate_delivery_rounds(image) == stats.rounds
+
+    def test_opaque_schedule_falls_back_to_nominal(self):
+        class _EmptyImage:
+            callables = {}
+            variables = {}
+
+        assert estimate_delivery_rounds(_EmptyImage()) == NOMINAL_ROUNDS
+
+
+class TestOnlineLearning:
+    """Opt-in observation rows land in the trajectory, one per day."""
+
+    def test_observation_recorded_and_deduped_by_day(
+        self, monkeypatch, tmp_path
+    ):
+        path = tmp_path / "BENCH_simulator.json"
+        monkeypatch.setenv(TRAJECTORY_ENV_VAR, str(path))
+        monkeypatch.setenv(RECORD_ENV_VAR, "1")
+        monkeypatch.setenv(FORCE_ENV_VAR, "vectorized")
+        program, module = _compile_benchmark("Jacobian", time_steps=2)
+        run_on_executor("auto", program, module)
+        run_on_executor("auto", program, module)
+        rows = read_trajectory(path)
+        assert len(rows) == 1
+        row = rows[0]
+        assert row["name"] == OBSERVED_NAME
+        assert row["grid"] == "6x6"
+        assert row["executor"] == "vectorized"
+        assert row["seconds"] > 0
+        assert row["day"] == time.strftime("%Y-%m-%d")
+        assert "r" not in row
+
+    def test_recording_is_opt_in(self, monkeypatch, tmp_path):
+        path = tmp_path / "BENCH_simulator.json"
+        monkeypatch.setenv(TRAJECTORY_ENV_VAR, str(path))
+        monkeypatch.delenv(RECORD_ENV_VAR, raising=False)
+        monkeypatch.setenv(FORCE_ENV_VAR, "vectorized")
+        program, module = _compile_benchmark("Jacobian", time_steps=2)
+        run_on_executor("auto", program, module)
+        assert not path.exists()

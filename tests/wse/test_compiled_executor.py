@@ -13,6 +13,8 @@ covers what is specific to the ``compiled`` backend itself:
 * **the two delivery forms** — staged delivery stays byte-identical to the
   direct-to-receive form every benchmark qualifies for;
 * **the kernel cache** — memo hits, store round-trips and their counters;
+* **the round budget** — one ``run_block`` call per run, with the
+  interpreted loop's budget and deadlock edges;
 * **the interpretation fallback** — a program the generator cannot fuse
   still runs, bit-identical to ``vectorized``, with the reason recorded.
 """
@@ -233,6 +235,77 @@ class TestKernelCache:
         statistics = kernel_cache_statistics()
         assert statistics.codegens == 1
         assert statistics.memory_hits == 1
+
+
+def _stall_drain(simulator) -> None:
+    """Make the executor's task drain a no-op, leaving queued work that no
+    drain runs and no exchange delivers — the state the deadlock guard is
+    for.  No image reaches it on its own (a drain always empties the queue
+    unless the program halted), so the tests stall the drain to get there.
+    """
+    executor = simulator.executor
+    if executor.name == "vectorized":
+        executor._drain_tasks = lambda: None
+        return
+    run_block = executor.kernel["run_block"]
+    cells = dict(zip(run_block.__code__.co_freevars, run_block.__closure__))
+    cells["drain"].cell_contents = lambda: None
+
+
+class TestRoundBudget:
+    """``compiled`` runs a whole run through one ``run_block`` call; its
+    round-budget and deadlock edges must be the interpreted loop's, case for
+    case.  A budget counts round iterations including the final settling
+    one, so a run that delivers R rounds needs a budget of R + 1."""
+
+    EXECUTORS = ("vectorized", "compiled")
+
+    def _launched(self, module, executor):
+        simulator = WseSimulator(module, executor=executor)
+        simulator.launch()
+        return simulator
+
+    def test_budget_edges_match_the_interpreted_loop(self):
+        _, module, _, _ = _image(steps=3)
+        rounds = WseSimulator(module, executor="vectorized").execute().rounds
+        assert rounds == 3
+        for executor in self.EXECUTORS:
+            simulator = self._launched(module, executor)
+            assert simulator.run(max_rounds=rounds + 1).rounds == rounds
+            simulator = self._launched(module, executor)
+            with pytest.raises(
+                InterpretationError, match=f"simulation exceeded {rounds} rounds"
+            ):
+                simulator.run(max_rounds=rounds)
+            assert simulator.statistics.rounds == rounds, executor
+
+    def test_deadlock_is_diagnosed_on_both(self):
+        _, module, _, _ = _image()
+        for executor in self.EXECUTORS:
+            simulator = self._launched(module, executor)
+            _stall_drain(simulator)
+            with pytest.raises(
+                InterpretationError,
+                match="deadlock: PEs are neither halted nor waiting",
+            ):
+                simulator.run()
+
+    def test_a_settled_run_is_one_run_block_call(self):
+        _, module, _, _ = _image(steps=3)
+        simulator = WseSimulator(module, executor="compiled")
+        hooks = simulator.executor.kernel
+        budgets = []
+        run_block = hooks["run_block"]
+
+        def counting(budget):
+            budgets.append(budget)
+            return run_block(budget)
+
+        hooks["run_block"] = counting
+        simulator.launch()
+        statistics = simulator.run(max_rounds=50)
+        assert statistics.rounds == 3
+        assert budgets == [50]
 
 
 class TestFallback:

@@ -5,8 +5,8 @@ statistics on the golden benchmarks and under every boundary mode) live in
 ``test_executor_equivalence.py`` / ``test_boundary_conditions.py``, whose
 executor matrices include ``tiled``; this file covers the backend's own
 mechanics: the shard-box geometry, the ``REPRO_TILED_SHARDS`` override, the
-worker pool and the in-process driver under both round protocols, the
-failure paths, and the per-PE host surface.
+worker pool and the in-process driver, the failure paths, and the per-PE
+host surface.
 """
 
 import gc
@@ -25,7 +25,7 @@ from repro.frontends.common import (
 from repro.ir.exceptions import InterpretationError
 from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
-from repro.wse.codegen import FUSION_ENV_VAR, KernelCodegenError
+from repro.wse.codegen import KernelCodegenError
 from repro.wse.executors.auto import FORCE_ENV_VAR
 from repro.wse.executors.tiled import (
     SHARD_ENV_VAR,
@@ -59,17 +59,6 @@ def _compiled(nx, ny, nz=8, steps=2, name="tiled_probe"):
         program, PipelineOptions(grid_width=nx, grid_height=ny, num_chunks=2)
     )
     return program, result.program_module
-
-
-#: temporal block depths covering both round protocols: 1 runs the seam
-#: protocol, 2 the deep-halo window protocol.
-PROTOCOL_DEPTHS = (1, 2)
-
-
-@pytest.fixture(params=PROTOCOL_DEPTHS, ids=lambda depth: f"R{depth}")
-def protocol_depth(request, monkeypatch):
-    monkeypatch.setenv(FUSION_ENV_VAR, str(request.param))
-    return request.param
 
 
 class TestShardGeometry:
@@ -195,9 +184,7 @@ class TestTiledEquivalence:
         assert tiled_stats == vectorized_stats
 
 
-    def test_forkless_platforms_drive_all_shards_in_process(
-        self, monkeypatch, protocol_depth
-    ):
+    def test_forkless_platforms_drive_all_shards_in_process(self, monkeypatch):
         """Without ``fork`` the 2x2 shards advance in lock-step in this
         process — same rendezvous order, no pool, no barrier waits."""
         monkeypatch.setattr(
@@ -273,29 +260,28 @@ class TestCompiledShards:
         full = get_kernel(executor.image, executor.plan)
         assert full.fingerprint not in executor.kernel_fingerprints
 
-    def test_worker_pool_is_reused_across_runs(self, protocol_depth):
-        """The pool contract, under either protocol: the second execute()
-        must reuse the forked workers, not pay fork + binding again."""
+    def test_worker_pool_is_reused_across_runs(self):
+        """The pool contract: the second execute() must reuse the forked
+        workers, not pay fork + binding again."""
         program, module = _compiled(8, 8, steps=4, name="pool_reuse")
         simulator = WseSimulator(module, executor="tiled")
         executor = simulator.executor
         statistics = simulator.execute()
-        assert executor.block_fallback_reason is None
         first_pool = executor._pool
         if first_pool is None:
             pytest.skip("platform without fork: no pool to reuse")
-        # One barrier per full block, plus the one at which the shards
-        # agree they settled.
-        assert statistics.barrier_waits == (
-            statistics.rounds // protocol_depth + 1
-        )
+        # One barrier per delivery round, plus the one at which the shards
+        # agree they settled; the seam waits surface beside it.
+        assert statistics.barrier_waits == statistics.rounds + 1
+        assert statistics.seam_spins >= 0
+        assert statistics.seam_backoffs >= 0
         first_pids = [worker.pid for worker in first_pool.workers]
         simulator.execute()
         assert executor._pool is first_pool
         assert [w.pid for w in executor._pool.workers] == first_pids
         assert first_pool.healthy
 
-    def test_dropping_the_executor_reaps_the_workers(self, protocol_depth):
+    def test_dropping_the_executor_reaps_the_workers(self):
         _, module = _compiled(8, 8, name="pool_reap")
         simulator = WseSimulator(module, executor="tiled")
         simulator.execute()
@@ -318,7 +304,7 @@ class TestCompiledShards:
 
 
 class TestFailurePaths:
-    def test_worker_errors_propagate_to_the_parent(self, protocol_depth):
+    def test_worker_errors_propagate_to_the_parent(self):
         """A shard raising inside a pool worker (here: the round budget
         exhausted) must release its siblings and surface in the parent as
         an InterpretationError carrying the worker's diagnosis — not hang
@@ -328,7 +314,6 @@ class TestFailurePaths:
         simulator = WseSimulator(module, executor="tiled")
         executor = simulator.executor
         assert len(executor.boxes) > 1  # genuinely forked
-        assert executor.block_fallback_reason is None
         simulator.launch()
         with pytest.raises(InterpretationError, match="exceeded 1 rounds"):
             simulator.run(max_rounds=1)
@@ -337,7 +322,7 @@ class TestFailurePaths:
         assert statistics.rounds > 0
         assert executor._pool is not None and executor._pool.healthy
 
-    def test_budget_exhaustion_in_process(self, monkeypatch, protocol_depth):
+    def test_budget_exhaustion_in_process(self, monkeypatch):
         """The in-process driver raises the same diagnosis directly."""
         monkeypatch.setenv(SHARD_ENV_VAR, "1")
         program, module = _compiled(4, 4, steps=2, name="budget_in_process")
