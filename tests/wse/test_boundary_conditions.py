@@ -23,6 +23,7 @@ from repro.frontends.common import BoundaryCondition
 from repro.frontends.flang_like import parse_fortran_stencil
 from repro.tests_support import run_on_executor, simulate_against_reference
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
+from repro.wse.executors.tiled import SHARD_ENV_VAR
 from repro.wse.simulator import WseSimulator
 
 EXECUTORS = ("reference", "vectorized", "tiled", "compiled", "auto")
@@ -110,6 +111,85 @@ class TestGoldenEquivalencePerBoundaryMode:
             fields, _ = run_on_executor("vectorized", program, result.program_module)
             outputs[boundary.spec] = fields["v"].tobytes()
         assert len(set(outputs.values())) == len(outputs)
+
+
+class TestKernelBackendsPerBoundaryMode:
+    """The generated-kernel backends against ``vectorized``, per mode.
+
+    ``compiled`` runs one whole-grid kernel and ``tiled`` one kernel per
+    shard box, trading seams between them; ``vectorized`` is pinned to
+    ``reference`` above.  The matrix adds the multi-field coupled UVKBE
+    system to Jacobian and Seismic, over five steps on fabrics wide enough
+    for 2x2 shards — Seismic's radius-4 halos still span whole shards — and
+    runs ``tiled`` both forked and on its in-process driver.
+    """
+
+    BENCHMARKS = ("Jacobian", "Seismic", "UVKBE")
+    MODES = (
+        BoundaryCondition.dirichlet(),
+        BoundaryCondition.periodic(),
+        BoundaryCondition.reflect(),
+    )
+
+    def _compile(self, name, boundary):
+        benchmark = benchmark_by_name(name)
+        grid = 9 if benchmark.stencil_points >= 25 else 6
+        program = benchmark.program(nx=grid, ny=grid, nz=12, time_steps=5)
+        result = compile_stencil_program(
+            program,
+            PipelineOptions(
+                grid_width=grid, grid_height=grid, num_chunks=2,
+                boundary=boundary,
+            ),
+        )
+        return replace(program, boundary=boundary), result.program_module
+
+    def _assert_matches_vectorized(self, executor, program, module, label):
+        expected_fields, expected_stats = run_on_executor(
+            "vectorized", program, module
+        )
+        fields, stats = run_on_executor(executor, program, module)
+        for name, expected in expected_fields.items():
+            assert fields[name].tobytes() == expected.tobytes(), (
+                f"field '{name}' differs between vectorized and {label}"
+            )
+        assert stats == expected_stats
+        return stats
+
+    @pytest.mark.parametrize("name", BENCHMARKS)
+    @pytest.mark.parametrize("boundary", MODES, ids=lambda b: b.spec)
+    def test_compiled_and_sharded_tiled_match_vectorized(
+        self, monkeypatch, name, boundary
+    ):
+        monkeypatch.setenv(SHARD_ENV_VAR, "2")
+        program, module = self._compile(name, boundary)
+        assert len(WseSimulator(module, executor="tiled").executor.boxes) == 4
+        self._assert_matches_vectorized(
+            "compiled", program, module, f"compiled/{name}/{boundary.spec}"
+        )
+        stats = self._assert_matches_vectorized(
+            "tiled", program, module, f"tiled/{name}/{boundary.spec}"
+        )
+        if stats.barrier_waits:
+            # Forked: one barrier per delivery round, plus the settling one.
+            assert stats.barrier_waits == stats.rounds + 1
+        assert stats.seam_spins >= 0
+        assert stats.seam_backoffs >= 0
+
+    @pytest.mark.parametrize("name", BENCHMARKS)
+    @pytest.mark.parametrize("boundary", MODES, ids=lambda b: b.spec)
+    def test_in_process_tiled_matches_vectorized(
+        self, monkeypatch, name, boundary
+    ):
+        """A 1-shard grid never forks: its one box is the whole fabric."""
+        monkeypatch.setenv(SHARD_ENV_VAR, "1")
+        program, module = self._compile(name, boundary)
+        simulator = WseSimulator(module, executor="tiled")
+        assert len(simulator.executor.boxes) == 1
+        stats = self._assert_matches_vectorized(
+            "tiled", program, module, f"in-process tiled/{name}/{boundary.spec}"
+        )
+        assert stats.barrier_waits == 0
 
 
 class TestAnalyticPeriodicAdvection:

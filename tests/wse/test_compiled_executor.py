@@ -265,10 +265,27 @@ class TestRoundBudget:
         simulator.launch()
         return simulator
 
-    def test_budget_edges_match_the_interpreted_loop(self):
-        _, module, _, _ = _image(steps=3)
+    @pytest.mark.parametrize(
+        "name, expected_rounds",
+        # Three time steps: one delivery round per step, two on UVKBE,
+        # whose coupled system exchanges per stage.
+        [
+            pytest.param(name, rounds, id=name)
+            for name, rounds in (
+                ("Jacobian", 3),
+                ("Diffusion", 3),
+                ("Seismic", 3),
+                ("UVKBE", 6),
+                ("Acoustic", 3),
+                ("Advection", 3),
+                ("ReflectiveHeat", 3),
+            )
+        ],
+    )
+    def test_budget_edges_match_the_interpreted_loop(self, name, expected_rounds):
+        _, module, _, _ = _image(name=name, steps=3)
         rounds = WseSimulator(module, executor="vectorized").execute().rounds
-        assert rounds == 3
+        assert rounds == expected_rounds
         for executor in self.EXECUTORS:
             simulator = self._launched(module, executor)
             assert simulator.run(max_rounds=rounds + 1).rounds == rounds

@@ -15,7 +15,7 @@ from repro.wse.executors import SimulationStatistics
 from repro.wse.simulator import WseSimulator
 
 
-def _simulator() -> WseSimulator:
+def _simulator(executor: str | None = None) -> WseSimulator:
     u = lambda dx, dy, dz: FieldAccess("u", (dx, dy, dz))
     expression = (
         u(0, 0, 0) + u(1, 0, 0) + u(-1, 0, 0) + u(0, 1, 0) + u(0, -1, 0)
@@ -28,7 +28,7 @@ def _simulator() -> WseSimulator:
     )
     options = PipelineOptions(grid_width=3, grid_height=3, num_chunks=1)
     result = compile_stencil_program(program, options)
-    return WseSimulator(result.program_module)
+    return WseSimulator(result.program_module, executor=executor)
 
 
 def test_dsd_elements_are_aggregated_into_simulation_statistics():
@@ -42,6 +42,17 @@ def test_dsd_elements_are_aggregated_into_simulation_statistics():
         pe.counters["dsd_elements"] for row in simulator.grid for pe in row
     )
     assert statistics.dsd_elements == expected
+
+
+@pytest.mark.parametrize(
+    "executor", ("reference", "vectorized", "tiled", "compiled", "auto")
+)
+def test_retired_block_depth_reads_zero_on_every_backend(executor):
+    """No backend has a temporal block depth any more: the field the
+    benchmark harness still reads stays 0, whichever backend ran."""
+    statistics = _simulator(executor).execute()
+    assert statistics.rounds > 0
+    assert statistics.block_depth == 0
 
 
 def test_load_field_names_the_missing_buffer():
