@@ -100,10 +100,12 @@ csl-check:
 	  --executors reference,vectorized --fields u,v
 
 # IR-core gate: operations, def-use chains (ordering, the stateful property
-# test against a model, determinism across hash seeds and addresses), both
-# rewrite drivers, the pass manager, and the compile path's cost ledger —
-# calls per surviving op, ops constructed and rewrites per benchmark, one
-# module traversal per pass, use-def consistency after every pass.
+# test against a model, determinism across hash seeds and addresses), the
+# rewrite driver and its dead-op erasure, the pass manager, the pipeline pins
+# (printed CSL and per-pass IR, tests/transforms/data/pipeline_digests.json)
+# and the compile path's cost ledger — calls per surviving op, ops
+# constructed and rewrites per benchmark, one module traversal per pass,
+# use-def consistency after every pass.
 ir-check:
 	$(PYTHON) -m pytest tests/ir tests/transforms -q
 

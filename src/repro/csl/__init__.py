@@ -12,7 +12,8 @@ Entry points:
 * :func:`parse_csl_sources` — a ``{filename: text}`` dict (the inverse of
   ``print_csl_sources``) → :class:`ParsedCsl` with layout metadata stitched
   onto the program module
-* :func:`parse_csl_dir` — read every ``*.csl`` under a directory and parse
+* :func:`read_csl_dir` / :func:`parse_csl_dir` — read every ``*.csl``
+  under a directory (and parse it)
 * ``python -m repro.csl parse|dump|diff`` — the CLI (see ``__main__``)
 """
 
@@ -43,6 +44,7 @@ __all__ = [
     "parse_csl_program",
     "parse_csl_sources",
     "parse_csl_dir",
+    "read_csl_dir",
     "read_csl_source",
     "canonical_program_image",
     "canonical_json_text",
@@ -133,8 +135,9 @@ def read_csl_source(path: str) -> str:
         ) from None
 
 
-def parse_csl_dir(directory: str) -> ParsedCsl:
-    """Read and parse every ``*.csl`` file directly under ``directory``."""
+def read_csl_dir(directory: str) -> dict[str, str]:
+    """``{file name: text}`` of every ``*.csl`` file directly under
+    ``directory``, each read by :func:`read_csl_source`."""
     sources = {
         entry: read_csl_source(os.path.join(directory, entry))
         for entry in sorted(os.listdir(directory))
@@ -142,4 +145,9 @@ def parse_csl_dir(directory: str) -> ParsedCsl:
     }
     if not sources:
         raise FileNotFoundError(f"no .csl files found under '{directory}'")
-    return parse_csl_sources(sources)
+    return sources
+
+
+def parse_csl_dir(directory: str) -> ParsedCsl:
+    """Read and parse every ``*.csl`` file directly under ``directory``."""
+    return parse_csl_sources(read_csl_dir(directory))

@@ -7,9 +7,10 @@ objects, carry :class:`~repro.ir.attributes.Attribute` metadata and are
 verified structurally by :mod:`repro.ir.verifier`.
 
 Transformations are written as :class:`~repro.ir.rewriting.RewritePattern`
-instances driven to a fixpoint by the worklist-based
+instances driven to a fixpoint by the one rewrite driver, the worklist-based
 :class:`~repro.ir.rewriting.GreedyRewriteDriver` (entry point
-:func:`~repro.ir.rewriting.apply_patterns_greedily`), or as whole-module
+:func:`~repro.ir.rewriting.apply_patterns_greedily`), which also erases the
+pure ops a rewrite leaves unused; or as whole-module
 :class:`~repro.ir.pass_manager.ModulePass` passes composed by a
 :class:`~repro.ir.pass_manager.PassManager`.
 """
@@ -52,14 +53,11 @@ from repro.ir.builder import Builder, InsertPoint
 from repro.ir.printer import Printer, print_module
 from repro.ir.rewriting import (
     GreedyRewriteDriver,
-    GreedyRewritePatternApplier,
     PatternRewriter,
-    RestartingRewriteWalker,
     RewritePattern,
-    TypedPattern,
     apply_patterns_greedily,
+    erase_dead_ops,
     op_rewrite_pattern,
-    use_restarting_driver,
 )
 from repro.ir.pass_manager import (
     ModulePass,
@@ -84,7 +82,6 @@ __all__ = [
     "FloatAttr",
     "FunctionType",
     "GreedyRewriteDriver",
-    "GreedyRewritePatternApplier",
     "IndexType",
     "InsertPoint",
     "IntAttr",
@@ -99,7 +96,6 @@ __all__ = [
     "PipelineStatistics",
     "Printer",
     "Region",
-    "RestartingRewriteWalker",
     "RewritePattern",
     "SSAValue",
     "ShapedType",
@@ -107,10 +103,10 @@ __all__ = [
     "SymbolRefAttr",
     "TensorType",
     "TypeAttribute",
-    "TypedPattern",
     "UnitAttr",
     "VerifyException",
     "apply_patterns_greedily",
+    "erase_dead_ops",
     "f16",
     "f32",
     "f64",
@@ -120,5 +116,4 @@ __all__ = [
     "i64",
     "op_rewrite_pattern",
     "print_module",
-    "use_restarting_driver",
 ]

@@ -26,21 +26,6 @@ def _walk_pre_order(root: "Operation | Block") -> Iterator["Operation"]:
                 stack.extend(reversed(region.blocks))
 
 
-def _walk_post_order(root: "Operation") -> Iterator["Operation"]:
-    stack = [(root, False)]
-    while stack:
-        op, expanded = stack.pop()
-        if expanded or not op.regions:
-            yield op
-            continue
-        stack.append((op, True))
-        # Regions and blocks are visited front to back, each block's ops back
-        # to front; the stack pops in the opposite order of the pushes.
-        for region in reversed(op.regions):
-            for block in reversed(region.blocks):
-                stack.extend([(child, False) for child in block.ops])
-
-
 class Operation:
     """A generic SSA operation.
 
@@ -150,19 +135,16 @@ class Operation:
             current = current.parent_op()
         return None
 
-    def walk(self, *, reverse: bool = False) -> Iterator["Operation"]:
-        """Iterate over this operation and all nested operations.
+    def walk(self) -> Iterator["Operation"]:
+        """Iterate over this operation and all nested operations, pre-order.
 
-        Pre-order by default.  A block's operations are snapshotted when the
-        walk reaches the block — after the parent operation was yielded — so
-        a caller may erase, insert or replace operations while iterating:
-        the walk sees the parent's body as the caller left it and is not
-        disturbed by later changes to a block it is already inside.
-
-        ``reverse=True`` is the mirrored post-order: nested operations first
-        (each block back to front), then the operation itself.
+        A block's operations are snapshotted when the walk reaches the
+        block — after the parent operation was yielded — so a caller may
+        erase, insert or replace operations while iterating: the walk sees
+        the parent's body as the caller left it and is not disturbed by
+        later changes to a block it is already inside.
         """
-        return _walk_post_order(self) if reverse else _walk_pre_order(self)
+        return _walk_pre_order(self)
 
     def walk_type(self, op_type: type) -> Iterator["Operation"]:
         """Iterate over nested operations of the given type."""

@@ -188,16 +188,25 @@ def _build_jobs(args: argparse.Namespace):
     return benchmarks, jobs
 
 
+def _user_error(error: Exception) -> int:
+    """Print ``error: <message>`` for a bad name, option, path or file and
+    return the exit status 2 — the friendly path instead of a traceback.
+
+    Only a ``KeyError`` is unwrapped: its ``str()`` is the repr of the
+    message, while an ``OSError``'s first argument is a bare errno.
+    """
+    message = error.args[0] if isinstance(error, KeyError) else error
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _run_compile(args: argparse.Namespace, out) -> int:
     try:
         benchmarks, jobs = _build_jobs(args)
         width, height = args.grid
         service = CompileService(max_workers=args.workers, cache_dir=args.cache_dir)
     except (KeyError, ValueError) as error:
-        # Unknown benchmark names and out-of-range option values share the
-        # friendly error path instead of a traceback.
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
+        return _user_error(error)
 
     with service:
         for round_index in range(args.repeat):
@@ -229,9 +238,7 @@ def _run_compile(args: argparse.Namespace, out) -> int:
 
 def _run_csl(args: argparse.Namespace, out) -> int:
     """``run --csl DIR``: parse handwritten sources, ride the run cache."""
-    import os
-
-    from repro.csl import CslDiagnosticError, parse_csl_sources
+    from repro.csl import CslDiagnosticError, parse_csl_sources, read_csl_dir
 
     try:
         service = RunService(cache_dir=args.cache_dir)
@@ -239,20 +246,11 @@ def _run_csl(args: argparse.Namespace, out) -> int:
             from repro.wse.executors import executor_by_name
 
             executor_by_name(args.executor)  # friendly error before any work
-        sources: dict[str, str] = {}
-        for entry in sorted(os.listdir(args.csl)):
-            if entry.endswith(".csl"):
-                with open(
-                    os.path.join(args.csl, entry), "r", encoding="utf-8"
-                ) as handle:
-                    sources[entry] = handle.read()
-        if not sources:
-            raise FileNotFoundError(f"no .csl files found under '{args.csl}'")
+        sources = read_csl_dir(args.csl)
         # Parse eagerly so diagnostics surface before any run is submitted.
         parse_csl_sources(sources)
     except (KeyError, ValueError, OSError, CslDiagnosticError) as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
+        return _user_error(error)
 
     with service:
         for round_index in range(args.repeat):
@@ -310,8 +308,7 @@ def _run_run(args: argparse.Namespace, out) -> int:
 
             executor_by_name(args.executor)  # friendly error before any work
     except (KeyError, ValueError) as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
+        return _user_error(error)
 
     with service:
         for round_index in range(args.repeat):

@@ -156,13 +156,12 @@ def _print_record(record, out, *, prefix: str = "") -> None:
 
 
 def _run_submit(args: argparse.Namespace, out) -> int:
-    from repro.service.cli import _build_jobs
+    from repro.service.cli import _build_jobs, _user_error
 
     try:
         _, jobs = _build_jobs(args)
     except (KeyError, ValueError) as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
+        return _user_error(error)
 
     workers = 0 if args.detach else args.workers
     mode = "inline" if args.inline else "auto"

@@ -90,13 +90,6 @@ class ArithToVarithPass(ModulePass):
     name = "convert-arith-to-varith"
 
     def apply(self, module: Operation) -> None:
-        from repro.transforms.canonicalize import RemoveDeadPureOps
-
         apply_patterns_greedily(
-            module,
-            [
-                ArithToVarithPattern(),
-                MergeNestedVarithPattern(),
-                RemoveDeadPureOps(),
-            ],
+            module, [ArithToVarithPattern(), MergeNestedVarithPattern()]
         )

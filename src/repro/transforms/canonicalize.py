@@ -11,27 +11,10 @@ from repro.ir import (
     PatternRewriter,
     RewritePattern,
     apply_patterns_greedily,
+    erase_dead_ops,
     op_rewrite_pattern,
 )
 from repro.ir.operation import Operation
-from repro.ir.traits import Pure
-
-
-class RemoveDeadPureOps(RewritePattern):
-    """Erase side-effect-free operations whose results are unused.
-
-    Pure ops exist across all dialects, so this pattern declares no root op
-    type and runs on every op class.
-    """
-
-    def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> None:
-        if Pure not in op.traits:
-            return
-        if not op.results:
-            return
-        if any(result.has_uses for result in op.results):
-            return
-        rewriter.erase_matched_op()
 
 
 class FoldConstantArith(RewritePattern):
@@ -71,16 +54,16 @@ class FlattenSingleOperandVarith(RewritePattern):
 
 
 class CanonicalizePass(ModulePass):
-    """DCE plus local foldings, applied to a fixpoint."""
+    """DCE plus local foldings, applied to a fixpoint.
+
+    The sweep erases the pure ops that were already dead when the pass
+    started; the driver erases the ones the foldings leave dead.
+    """
 
     name = "canonicalize"
 
     def apply(self, module: Operation) -> None:
+        erase_dead_ops(module)
         apply_patterns_greedily(
-            module,
-            [
-                FoldConstantArith(),
-                FlattenSingleOperandVarith(),
-                RemoveDeadPureOps(),
-            ],
+            module, [FoldConstantArith(), FlattenSingleOperandVarith()]
         )

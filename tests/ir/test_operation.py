@@ -110,12 +110,6 @@ class TestWalkContract:
         assert names(ops["a"].regions[0].blocks[0].walk()) == ["a0", "a1", "a1x"]
         assert names(ops["module"].walk_type(ModuleOp)) == ["builtin.module"]
 
-    def test_reverse_is_post_order_with_blocks_back_to_front(self):
-        ops = make_tree()
-        assert names(ops["module"].walk(reverse=True)) == [
-            "z", "a1x", "a1", "a0", "a2", "a3", "a", "builtin.module",
-        ]
-
     def test_walk_is_lazy(self):
         ops = make_tree()
         walk = ops["module"].walk()

@@ -111,17 +111,22 @@ class TestStatistics:
 
     def test_rewrites_attributed_to_pass(self):
         from repro.ir import apply_patterns_greedily
-        from repro.transforms.canonicalize import RemoveDeadPureOps
+        from repro.transforms.canonicalize import FoldConstantArith
 
-        class DcePass(ModulePass):
-            name = "dce"
+        class FoldPass(ModulePass):
+            name = "fold"
 
             def apply(self, module):
-                apply_patterns_greedily(module, RemoveDeadPureOps())
+                apply_patterns_greedily(module, FoldConstantArith())
 
-        statistics = PassManager([DcePass()]).run(build_module())
-        assert statistics.by_name("dce").rewrites == 1
+        c0 = arith.ConstantOp(1.0, f32)
+        c1 = arith.ConstantOp(2.0, f32)
+        module = ModuleOp([c0, c1, arith.AddfOp(c0.result, c1.result)])
+        statistics = PassManager([FoldPass()]).run(module)
+        # One fold; erasing the two constants it left unused is no rewrite.
+        assert statistics.by_name("fold").rewrites == 1
         assert statistics.total_rewrites == 1
+        assert statistics.by_name("fold").ops_after == 2
 
     def test_format_table_lists_every_pass(self):
         statistics = PassManager([NoOpPass(), AddConstantPass()]).run(build_module())

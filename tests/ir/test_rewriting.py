@@ -8,11 +8,9 @@ from repro.ir import (
     PatternRewriter,
     RewritePattern,
     VerifyException,
-    f32,
-)
-from repro.ir.rewriting import (
-    GreedyRewritePatternApplier,
     apply_patterns_greedily,
+    f32,
+    op_rewrite_pattern,
 )
 
 
@@ -63,10 +61,7 @@ class TestPatternRewriting:
 
     def test_fixpoint_with_multiple_patterns(self):
         module = build_add_module()
-        pattern = GreedyRewritePatternApplier(
-            [FoldAddOfConstants(), RemoveDeadConstants()]
-        )
-        apply_patterns_greedily(module, pattern)
+        apply_patterns_greedily(module, [FoldAddOfConstants(), RemoveDeadConstants()])
         # The original constants become dead after folding and are removed.
         constants = list(module.walk_type(arith.ConstantOp))
         assert len(constants) == 1
@@ -79,25 +74,30 @@ class TestPatternRewriting:
 
     def test_module_verifies_after_rewrites(self):
         module = build_add_module()
-        apply_patterns_greedily(
-            module,
-            GreedyRewritePatternApplier([FoldAddOfConstants(), RemoveDeadConstants()]),
-        )
+        apply_patterns_greedily(module, [FoldAddOfConstants(), RemoveDeadConstants()])
         module.verify()
 
 
 class TestRewriterPrimitives:
     def test_insert_before(self):
         module = build_add_module()
-        add = next(iter(module.walk_type(arith.AddfOp)))
-        rewriter = PatternRewriter(add)
         new_const = arith.ConstantOp(7.0, f32)
-        rewriter.insert_op_before_matched_op(new_const)
+
+        class InsertConstant(RewritePattern):
+            @op_rewrite_pattern
+            def match_and_rewrite(self, op: arith.AddfOp, rewriter: PatternRewriter):
+                if op.prev_op() is not new_const:
+                    rewriter.insert_op_before_matched_op(new_const)
+
+        assert apply_patterns_greedily(module, InsertConstant())
+        add = next(iter(module.walk_type(arith.AddfOp)))
         assert module.ops.index(new_const) == module.ops.index(add) - 1
 
     def test_replace_result_count_mismatch_raises(self):
-        module = build_add_module()
-        add = next(iter(module.walk_type(arith.AddfOp)))
-        rewriter = PatternRewriter(add)
-        with pytest.raises(VerifyException):
-            rewriter.replace_op(add, [], new_results=[])
+        class ReplaceWithNothing(RewritePattern):
+            @op_rewrite_pattern
+            def match_and_rewrite(self, op: arith.AddfOp, rewriter: PatternRewriter):
+                rewriter.replace_op(op, [], new_results=[])
+
+        with pytest.raises(VerifyException, match="expected 1 replacement"):
+            apply_patterns_greedily(build_add_module(), ReplaceWithNothing())

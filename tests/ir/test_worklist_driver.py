@@ -6,18 +6,18 @@ from repro.dialects import arith
 from repro.dialects.builtin import ModuleOp
 from repro.ir import (
     GreedyRewriteDriver,
+    PassManager,
     PatternRewriter,
     RewritePattern,
-    TypedPattern,
     VerifyException,
     apply_patterns_greedily,
     f32,
     op_rewrite_pattern,
-    use_restarting_driver,
 )
+from repro.ir import rewriting
 from repro.ir.operation import Block, Operation, Region, UnregisteredOp
-from repro.ir.rewriting import GreedyRewritePatternApplier
 from repro.ir.traits import Pure
+from repro.transforms.canonicalize import CanonicalizePass
 
 
 class FooOp(Operation):
@@ -58,12 +58,6 @@ class TestTypeDispatch:
 
         assert set(Multi().root_op_types()) == {FooOp, BarOp}
 
-    def test_typed_pattern_root_types(self):
-        class Typed(TypedPattern):
-            op_type = FooOp
-
-        assert Typed().root_op_types() == (FooOp,)
-
     def test_pattern_without_annotation_matches_any(self):
         class AnyPattern(RewritePattern):
             def match_and_rewrite(self, op, rewriter):
@@ -88,10 +82,6 @@ class TestTypeDispatch:
         driver.rewrite_module(module)
         # Dispatch never ran the pattern for the constants or the module.
         assert calls == [add]
-
-    def test_applier_union_preserves_order(self):
-        applier = GreedyRewritePatternApplier([FooToBar(), BarToBaz()])
-        assert set(applier.root_op_types()) == {FooOp, BarOp}
 
 
 class TestWorklistReEnqueue:
@@ -171,16 +161,16 @@ class TestEraseEdgeCases:
 
 
 class TestConvergenceBound:
-    def test_non_converging_pattern_hits_rewrite_bound(self):
+    def test_non_converging_pattern_hits_rewrite_bound(self, monkeypatch):
         class Flip(RewritePattern):
             @op_rewrite_pattern
             def match_and_rewrite(self, op: FooOp, rewriter: PatternRewriter):
                 rewriter.replace_matched_op(FooOp())
 
+        monkeypatch.setattr(rewriting, "MAX_REWRITES", 25)
         module = ModuleOp([FooOp()])
-        driver = GreedyRewriteDriver(Flip(), max_rewrites=25)
-        with pytest.raises(VerifyException, match="did not converge"):
-            driver.rewrite_module(module)
+        with pytest.raises(VerifyException, match="within 25 rewrites"):
+            apply_patterns_greedily(module, Flip())
 
     def test_rewrite_count_reported(self):
         module = ModuleOp([FooOp(), FooOp(), FooOp()])
@@ -189,31 +179,67 @@ class TestConvergenceBound:
         assert driver.num_rewrites == 6  # two rewrites per foo
 
 
-class TestDriverEquivalenceSmall:
-    def test_matches_restarting_walker_on_dce_chain(self):
-        def build():
-            c0 = arith.ConstantOp(1.0, f32)
-            c1 = arith.ConstantOp(2.0, f32)
-            add = arith.AddfOp(c0.result, c1.result)
-            mul = arith.MulfOp(add.result, add.result)
-            return ModuleOp([c0, c1, add, mul])
+class SinkOp(Operation):
+    """A side-effecting consumer of its operands."""
 
-        from repro.transforms.canonicalize import (
-            FlattenSingleOperandVarith,
-            FoldConstantArith,
-            RemoveDeadPureOps,
+    name = "test.sink"
+
+
+class DropSink(RewritePattern):
+    @op_rewrite_pattern
+    def match_and_rewrite(self, op: SinkOp, rewriter: PatternRewriter) -> None:
+        rewriter.erase_matched_op()
+
+
+def effect(*operands):
+    """An op with a result but no ``Pure`` trait."""
+    return UnregisteredOp("test.effect", operands=operands, result_types=[f32])
+
+
+class TestDeadOpErasure:
+    """The driver erases pure ops a rewrite leaves unused; none of these
+    pattern sets contains a dead-code pattern."""
+
+    def test_rewrite_that_drops_the_last_use_erases_the_whole_chain(self):
+        c0 = arith.ConstantOp(1.0, f32)
+        c1 = arith.ConstantOp(2.0, f32)
+        add = arith.AddfOp(c0.result, c1.result)
+        mul = arith.MulfOp(add.result, c0.result)
+        module = ModuleOp([c0, c1, add, mul, SinkOp([mul.result])])
+        driver = GreedyRewriteDriver(DropSink())
+        assert driver.rewrite_module(module)
+        assert list(module.ops) == []
+        # Erasures are not pattern applications.
+        assert driver.num_rewrites == 1
+
+    def test_dead_op_that_is_not_pure_survives(self):
+        c0 = arith.ConstantOp(1.0, f32)
+        c1 = arith.ConstantOp(2.0, f32)
+        kept = effect(c0.result)
+        add = arith.AddfOp(c1.result, c1.result)
+        module = ModuleOp([c0, c1, kept, add, SinkOp([kept.results[0], add.result])])
+        apply_patterns_greedily(module, DropSink())
+        assert list(module.ops) == [c0, kept]
+
+    def test_op_whose_result_still_has_a_use_survives(self):
+        c0 = arith.ConstantOp(1.0, f32)
+        c1 = arith.ConstantOp(2.0, f32)
+        add = arith.AddfOp(c0.result, c1.result)
+        mul = arith.MulfOp(c1.result, c1.result)
+        reader = effect(add.result)
+        module = ModuleOp(
+            [c0, c1, add, mul, reader, SinkOp([add.result, mul.result])]
         )
+        apply_patterns_greedily(module, DropSink())
+        assert list(module.ops) == [c0, c1, add, reader]
 
-        patterns = lambda: [
-            FoldConstantArith(),
-            FlattenSingleOperandVarith(),
-            RemoveDeadPureOps(),
-        ]
-        from repro.ir.printer import print_module
-
-        worklist_module = build()
-        apply_patterns_greedily(worklist_module, patterns())
-        restart_module = build()
-        with use_restarting_driver():
-            apply_patterns_greedily(restart_module, patterns())
-        assert print_module(worklist_module) == print_module(restart_module)
+    def test_canonicalize_erases_ops_dead_before_it_ran(self):
+        c0 = arith.ConstantOp(1.0, f32)
+        c1 = arith.ConstantOp(2.0, f32)
+        kept = effect(c1.result)
+        add = arith.AddfOp(c0.result, c0.result)
+        outer = UnregisteredOp("test.outer", regions=[Region([Block(ops=[add])])])
+        module = ModuleOp([c0, c1, kept, outer])
+        statistics = PassManager([CanonicalizePass()]).run(module)
+        assert list(module.walk()) == [module, c1, kept, outer]
+        assert statistics.total_rewrites == 0

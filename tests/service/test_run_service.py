@@ -408,6 +408,33 @@ class TestRunCli:
         assert code == 2
         assert "unknown benchmark" in capsys.readouterr().err
 
+    def test_run_csl_names_a_missing_directory(self, tmp_path, capsys):
+        missing = tmp_path / "absent"
+        assert cli_main(["run", "--csl", str(missing)], out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{missing}'" in err
+
+    def test_run_csl_names_the_file_and_offset_of_bad_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.csl"
+        path.write_bytes(b"// kernel\n\xff\n")
+        assert cli_main(["run", "--csl", str(tmp_path)], out=io.StringIO()) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: not valid UTF-8 at byte 10: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "NotABench"],
+            ["run", "NotABench"],
+            ["queue", "submit", "NotABench", "--detach"],
+        ],
+        ids=["compile", "run", "queue-submit"],
+    )
+    def test_unknown_benchmark_prints_the_bare_message(self, argv, capsys):
+        assert cli_main(argv, out=io.StringIO()) == 2
+        assert capsys.readouterr().err == "error: unknown benchmark 'NotABench'\n"
+
     def test_stats_and_purge_cover_the_run_store(self):
         out = io.StringIO()
         cli_main(
