@@ -99,15 +99,16 @@ csl-check:
 	  --grid 9x9 --nz 16 --time-steps 2 --num-chunks 1 \
 	  --executors reference,vectorized --fields u,v
 
-# IR-core gate: operations, def-use chains (ordering, the stateful property
-# test against a model, determinism across hash seeds and addresses), the
-# rewrite driver and its dead-op erasure, the pass manager, the pipeline pins
-# (printed CSL and per-pass IR, tests/transforms/data/pipeline_digests.json)
-# and the compile path's cost ledger — calls per surviving op, ops
-# constructed and rewrites per benchmark, one module traversal per pass,
-# use-def consistency after every pass.
+# IR-core gate: operations, def-use chains and change tracking (ordering,
+# the stateful property test against a model, determinism across hash seeds
+# and addresses), the rewrite driver and its dead-op erasure, the pass
+# manager, the pipeline pins (printed CSL and per-pass IR,
+# tests/transforms/data/pipeline_digests.json), the compile path's cost
+# ledger — calls per surviving op, ops constructed and rewrites per
+# benchmark, one module traversal per pass, use-def consistency after every
+# pass — and the bind memo, whose validity is the IR's change tracking.
 ir-check:
-	$(PYTHON) -m pytest tests/ir tests/transforms -q
+	$(PYTHON) -m pytest tests/ir tests/transforms tests/wse/test_bind_memo.py -q
 
 # The CSL front-door fuzzers at length: the properties tier-1 runs with 100
 # derandomised examples each (tests/csl/test_fuzz.py, inside `make test` and

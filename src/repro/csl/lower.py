@@ -83,8 +83,8 @@ def _lower_layout(module: ast.Module) -> csl.CslModuleOp:
             )
     layout = csl.CslModuleOp(csl.ModuleKind.LAYOUT, module.name, ops)
     if width is not None:
-        layout.attributes[surface.ATTR_WIDTH] = IntAttr(width)
-        layout.attributes[surface.ATTR_HEIGHT] = IntAttr(height)
+        layout.set_attribute(surface.ATTR_WIDTH, IntAttr(width))
+        layout.set_attribute(surface.ATTR_HEIGHT, IntAttr(height))
     return layout
 
 
@@ -196,7 +196,7 @@ class _ProgramLowerer:
                         self.comms_import.loc,
                         kind,
                     )
-                program.attributes[surface.ATTR_BOUNDARY] = StringAttr(kind)
+                program.set_attribute(surface.ATTR_BOUNDARY, StringAttr(kind))
                 value = fields.get(surface.COMMS_IMPORT_BOUNDARY_VALUE, 0.0)
                 if kind == "dirichlet":
                     if not isinstance(value, (int, float)):
@@ -205,13 +205,13 @@ class _ProgramLowerer:
                             self.comms_import.loc,
                             surface.COMMS_IMPORT_BOUNDARY_VALUE,
                         )
-                    program.attributes[surface.ATTR_BOUNDARY_VALUE] = FloatAttr(
-                        float(value)
+                    program.set_attribute(
+                        surface.ATTR_BOUNDARY_VALUE, FloatAttr(float(value))
                     )
 
         # a handwritten module may export its entry point under another name
         if "f_main" not in self.callable_names and len(exported_fns) == 1:
-            program.attributes[surface.ATTR_ENTRY] = StringAttr(exported_fns[0])
+            program.set_attribute(surface.ATTR_ENTRY, StringAttr(exported_fns[0]))
         return program
 
     # -------------------------------------------------------------- #
@@ -347,10 +347,10 @@ class _ProgramLowerer:
             coefficients=stmt.coefficients,
         )
         # the metadata the plan lowering and interpreter fallback read
-        exchange.attributes["recv_buffer"] = SymbolRefAttr(stmt.recv_buffer)
-        exchange.attributes["src_offset"] = IntAttr(stmt.src_offset)
-        exchange.attributes["src_len"] = IntAttr(stmt.src_len)
-        exchange.attributes["chunk_size"] = IntAttr(stmt.chunk_size)
+        exchange.set_attribute("recv_buffer", SymbolRefAttr(stmt.recv_buffer))
+        exchange.set_attribute("src_offset", IntAttr(stmt.src_offset))
+        exchange.set_attribute("src_len", IntAttr(stmt.src_len))
+        exchange.set_attribute("chunk_size", IntAttr(stmt.chunk_size))
         return exchange
 
     # -------------------------------------------------------------- #
@@ -369,7 +369,7 @@ class _ProgramLowerer:
             dsd = csl.GetMemDsdOp(
                 zeros.result, expr.length, offset=expr.offset, stride=expr.stride
             )
-            dsd.attributes["buffer"] = StringAttr(expr.buffer)
+            dsd.set_attribute("buffer", StringAttr(expr.buffer))
             ops.append(dsd)
             return dsd.result
         if isinstance(expr, ast.IncrementDsdExpr):
@@ -454,12 +454,12 @@ def attach_layout(
     for key in (surface.ATTR_WIDTH, surface.ATTR_HEIGHT):
         attr = layout.attributes.get(key)
         if isinstance(attr, IntAttr):
-            program.attributes[key] = IntAttr(attr.value)
+            program.set_attribute(key, IntAttr(attr.value))
     for op in layout.ops:
         if isinstance(op, csl.SetTileCodeOp):
             target = op.params.get(surface.TILE_PARAM_TARGET)
             if isinstance(target, StringAttr):
-                program.attributes[surface.ATTR_TARGET] = StringAttr(target.data)
+                program.set_attribute(surface.ATTR_TARGET, StringAttr(target.data))
             break
 
 

@@ -1,13 +1,37 @@
-"""Operations, blocks and regions — the structural backbone of the IR."""
+"""Operations, blocks and regions — the structural backbone of the IR.
+
+Change tracking
+---------------
+Every write to the IR goes through a method of this package — operands,
+attributes, result and block-argument types and name hints, insertion and
+removal of operations, regions, blocks and block arguments — and each one
+marks the operation it changed, and that operation's ancestors, as changed.
+(``regions``, ``blocks``, ``args`` and ``results`` are plain sequences for
+reading; edit them only through these methods.)
+An operation's ``_epoch`` is ``0`` while it is marked; :meth:`Operation.
+start_epoch` gives every marked op under a root a fresh, process-wide unique
+epoch in one walk.  Marking stops at the first ancestor already marked, and
+the invariant that makes this sound is: *a marked op has only marked
+ancestors*, equivalently an unmarked op has nothing marked under it.  So a
+root's epoch is an O(1) answer to "has anything under it been written since
+the last :meth:`~Operation.start_epoch`", and a fresh op is born marked, so
+building and rewriting an IR that no one has given an epoch cost one
+attribute read per write.
+"""
 
 from __future__ import annotations
 
+import itertools
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.ir.attributes import Attribute
 from repro.ir.exceptions import VerifyException
 from repro.ir.value import BlockArgument, OpResult, SSAValue, Use
+
+#: epochs handed out by :meth:`Operation.start_epoch`, unique per process.
+_EPOCHS = itertools.count(1)
 
 
 def _walk_pre_order(root: "Operation | Block") -> Iterator["Operation"]:
@@ -33,7 +57,9 @@ class Operation:
     list of SSA results, a dictionary of attributes, and an optional list of
     nested regions.  Dialect operations subclass :class:`Operation`, set the
     class attribute ``name`` and usually provide a convenience constructor
-    plus accessor properties.
+    plus accessor properties.  :attr:`attributes` is a read-only view; write
+    with :meth:`set_attribute` and :meth:`remove_attribute` (see "Change
+    tracking" in the module docstring).
     """
 
     name: str = "unregistered"
@@ -47,7 +73,6 @@ class Operation:
         result_types: Sequence[Attribute] = (),
         attributes: dict[str, Attribute] | None = None,
         regions: Sequence["Region"] | None = None,
-        successors: Sequence["Block"] = (),
     ):
         # One ``Use`` per operand slot, owned by the slot for its lifetime and
         # registered in the ``uses`` of whichever value the slot holds.
@@ -60,9 +85,15 @@ class Operation:
         self.results: list[OpResult] = []
         for index, result_type in enumerate(result_types):
             self.results.append(OpResult(result_type, self, index))
-        self.attributes: dict[str, Attribute] = dict(attributes) if attributes else {}
-        self.regions: list[Region] = []
-        self.successors: list[Block] = list(successors) if successors else []
+        self._attributes: dict[str, Attribute] = dict(attributes) if attributes else {}
+        self.attributes: Mapping[str, Attribute] = MappingProxyType(self._attributes)
+        # Born changed: no epoch has covered the op yet.
+        self._epoch = 0
+        # Most ops have no region: they share the empty tuple rather than
+        # each allocating an empty list (see :meth:`add_region`).  Every
+        # container allocated per op paces the cyclic collector, and this
+        # one pays for the ``attributes`` view.
+        self.regions: Sequence[Region] = ()
         self.parent: Block | None = None
         # Intrusive doubly-linked list maintained by the parent block; gives
         # O(1) insertion, removal and neighbour access.
@@ -86,12 +117,16 @@ class Operation:
         self._operands.append(value)
         self._uses.append(use)
         value.uses[use] = None
+        if self._epoch:
+            self._changed()
 
     def set_operand(self, index: int, new_value: SSAValue) -> None:
         use = self._uses[index]
         del self._operands[index].uses[use]
         self._operands[index] = new_value
         new_value.uses[use] = None
+        if self._epoch:
+            self._changed()
 
     def set_operands(self, new_operands: Sequence[SSAValue]) -> None:
         self.drop_all_operands()
@@ -103,6 +138,23 @@ class Operation:
             del value.uses[use]
         self._operands.clear()
         self._uses.clear()
+        if self._epoch:
+            self._changed()
+
+    # ------------------------------------------------------------------ #
+    # Attribute management
+    # ------------------------------------------------------------------ #
+
+    def set_attribute(self, name: str, value: Attribute) -> None:
+        self._attributes[name] = value
+        if self._epoch:
+            self._changed()
+
+    def remove_attribute(self, name: str) -> None:
+        """Remove the attribute ``name``; a ``KeyError`` if there is none."""
+        del self._attributes[name]
+        if self._epoch:
+            self._changed()
 
     # ------------------------------------------------------------------ #
     # Region management
@@ -110,7 +162,12 @@ class Operation:
 
     def add_region(self, region: "Region") -> None:
         region.parent = self
-        self.regions.append(region)
+        if self.regions:
+            self.regions.append(region)
+        else:
+            self.regions = [region]
+        if self._epoch:
+            self._changed()
 
     @property
     def body_block(self) -> "Block":
@@ -203,16 +260,56 @@ class Operation:
             cloned,
             operands=new_operands,
             result_types=[result.type for result in self.results],
-            attributes=dict(self.attributes),
-            successors=list(self.successors),
+            attributes=self._attributes,
         )
         cloned.name = self.name
         for old_result, new_result in zip(self.results, cloned.results):
             value_map[old_result] = new_result
-            new_result.name_hint = old_result.name_hint
+            # Past the setter: the clone is new, there is nothing to mark.
+            new_result._name_hint = old_result.name_hint
         for region in self.regions:
             cloned.add_region(region.clone_into(value_map))
         return cloned
+
+    # ------------------------------------------------------------------ #
+    # Change tracking (see the module docstring)
+    # ------------------------------------------------------------------ #
+
+    def _changed(self) -> None:
+        """Mark this op and its ancestors changed, up to the first ancestor
+        that already is.  Callers skip the call for an op already marked."""
+        op = self
+        while op._epoch:
+            op._epoch = 0
+            block = op.parent
+            if block is None or block.parent is None:
+                return
+            op = block.parent.parent
+            if op is None:
+                return
+
+    @property
+    def epoch(self) -> int:
+        """The epoch this op and everything under it have been unchanged
+        since, or ``0`` if something was written since the last
+        :meth:`start_epoch` that covered it (and for a new op)."""
+        return self._epoch
+
+    def start_epoch(self) -> int:
+        """Give this op a new epoch, and every changed op under it too, in
+        one walk that skips the unchanged subtrees; returns the epoch.  Two
+        reads of :attr:`epoch` agree only if nothing under the op was
+        written between them."""
+        epoch = next(_EPOCHS)
+        stack = [self]
+        pop = stack.pop
+        while stack:
+            op = pop()
+            op._epoch = epoch
+            for region in op.regions:
+                for block in region.blocks:
+                    stack.extend(child for child in block.ops if not child._epoch)
+        return epoch
 
     # ------------------------------------------------------------------ #
     # Verification
@@ -257,7 +354,7 @@ class Operation:
     # ------------------------------------------------------------------ #
 
     def attr(self, key: str, default=None):
-        return self.attributes.get(key, default)
+        return self._attributes.get(key, default)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} '{self.name}'>"
@@ -306,6 +403,7 @@ class Block:
         self.args.insert(index, arg)
         for i, existing in enumerate(self.args):
             existing.index = i
+        self._changed()
         return arg
 
     def add_arg(self, arg_type: Attribute) -> BlockArgument:
@@ -317,6 +415,13 @@ class Block:
         self.args.remove(arg)
         for i, existing in enumerate(self.args):
             existing.index = i
+        self._changed()
+
+    def _changed(self) -> None:
+        """Mark the operation this block belongs to, if any, as changed."""
+        region = self.parent
+        if region is not None and region.parent is not None and region.parent._epoch:
+            region.parent._changed()
 
     # ------------------------------------------------------------------ #
     # Op management
@@ -370,6 +475,10 @@ class Block:
             self._last_op = op
         self._num_ops += 1
         self._invalidate_caches()
+        # ``self._changed()``, inlined: every insertion passes here.
+        region = self.parent
+        if region is not None and region.parent is not None and region.parent._epoch:
+            region.parent._changed()
 
     def _unlink_op(self, op: Operation) -> None:
         assert op.parent is self
@@ -386,6 +495,10 @@ class Block:
         op._next_op = None
         self._num_ops -= 1
         self._invalidate_caches()
+        # ``self._changed()``, inlined: every removal passes here.
+        region = self.parent
+        if region is not None and region.parent is not None and region.parent._epoch:
+            region.parent._changed()
 
     def add_op(self, op: Operation) -> None:
         op.detach()
@@ -447,6 +560,8 @@ class Region:
     def add_block(self, block: Block) -> None:
         block.parent = self
         self.blocks.append(block)
+        if self.parent is not None and self.parent._epoch:
+            self.parent._changed()
 
     @property
     def block(self) -> Block:
@@ -472,7 +587,8 @@ class Region:
             new_block = Block(arg_types=[arg.type for arg in block.args])
             for old_arg, new_arg in zip(block.args, new_block.args):
                 value_map[old_arg] = new_arg
-                new_arg.name_hint = old_arg.name_hint
+                # Past the setter: the block is new, there is nothing to mark.
+                new_arg._name_hint = old_arg.name_hint
             new_region.add_block(new_block)
         # Second sweep so forward references between blocks resolve.
         for block, new_block in zip(self.blocks, new_region.blocks):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable
 
 from repro.ir.attributes import Attribute
@@ -29,16 +30,39 @@ class Use:
 
 
 class SSAValue:
-    """Base class for values defined by operations or block arguments."""
+    """Base class for values defined by operations or block arguments.
+
+    :attr:`type` and :attr:`name_hint` read without a Python-level call and
+    write through the IR: a write marks the operation the value belongs to
+    as changed (see "Change tracking" in :mod:`repro.ir.operation`).
+    """
 
     def __init__(self, value_type: Attribute):
-        self.type = value_type
+        self._type = value_type
         #: the operand slots holding this value, in the order they took it
         #: (an insertion-ordered set; operations maintain it, see
         #: :meth:`Operation.set_operand`).
         self.uses: dict[Use, None] = {}
-        #: optional human-readable name used by the printer.
-        self.name_hint: str | None = None
+        self._name_hint: str | None = None
+
+    def _set_type(self, value_type: Attribute) -> None:
+        self._type = value_type
+        self._changed()
+
+    def _set_name_hint(self, name_hint: str | None) -> None:
+        self._name_hint = name_hint
+        self._changed()
+
+    type = property(attrgetter("_type"), _set_type, doc="The value's type.")
+    name_hint = property(
+        attrgetter("_name_hint"),
+        _set_name_hint,
+        doc="Optional human-readable name used by the printer.",
+    )
+
+    def _changed(self) -> None:
+        """Mark the operation this value belongs to as changed."""
+        raise NotImplementedError
 
     @property
     def has_uses(self) -> bool:
@@ -79,6 +103,10 @@ class OpResult(SSAValue):
     def owner(self) -> "Operation":
         return self.op
 
+    def _changed(self) -> None:
+        if self.op._epoch:
+            self.op._changed()
+
 
 class BlockArgument(SSAValue):
     """A value defined as an argument of a block."""
@@ -90,3 +118,6 @@ class BlockArgument(SSAValue):
 
     def owner(self) -> "Block":
         return self.block
+
+    def _changed(self) -> None:
+        self.block._changed()

@@ -200,10 +200,10 @@ class CslStencilToTasksPass(ModulePass):
                 (max(abs(d[0]), abs(d[1])) for d in directions), default=1
             ),
         )
-        exchange.attributes["recv_buffer"] = SymbolRefAttr(buffer_name)
-        exchange.attributes["src_offset"] = IntAttr(z_halo_lo)
-        exchange.attributes["src_len"] = IntAttr(z_core)
-        exchange.attributes["chunk_size"] = IntAttr(z_core)
+        exchange.set_attribute("recv_buffer", SymbolRefAttr(buffer_name))
+        exchange.set_attribute("src_offset", IntAttr(z_halo_lo))
+        exchange.set_attribute("src_len", IntAttr(z_core))
+        exchange.set_attribute("chunk_size", IntAttr(z_core))
 
         block.insert_op_before(exchange, prefetch)
         prefetch.erase()
@@ -276,10 +276,10 @@ class CslStencilToTasksPass(ModulePass):
                 # the exchange itself must not re-apply them.
                 coefficients=None,
             )
-            exchange.attributes["recv_buffer"] = SymbolRefAttr(state.recv_buffer_name)
-            exchange.attributes["src_offset"] = IntAttr(z_halo_lo)
-            exchange.attributes["src_len"] = IntAttr(z_core)
-            exchange.attributes["chunk_size"] = IntAttr(chunk_size)
+            exchange.set_attribute("recv_buffer", SymbolRefAttr(state.recv_buffer_name))
+            exchange.set_attribute("src_offset", IntAttr(z_halo_lo))
+            exchange.set_attribute("src_len", IntAttr(z_core))
+            exchange.set_attribute("chunk_size", IntAttr(chunk_size))
             block.insert_op_before(exchange, apply_op)
         else:
             # Local-only apply: no exchange is needed; activate the compute

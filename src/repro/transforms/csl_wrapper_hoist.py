@@ -87,8 +87,8 @@ class CslWrapperHoistPass(ModulePass):
             params=params,
             target=self.target,
         )
-        wrapper.attributes["boundary"] = StringAttr(self.boundary_kind)
-        wrapper.attributes["boundary_value"] = FloatAttr(self.boundary_value)
+        wrapper.set_attribute("boundary", StringAttr(self.boundary_kind))
+        wrapper.set_attribute("boundary_value", FloatAttr(self.boundary_value))
 
         kernel.detach()
         wrapper.program_region.block.add_op(kernel)

@@ -46,7 +46,6 @@ class LowerCslWrapperPass(ModulePass):
             assert block is not None
             block.insert_op_before(layout, wrapper)
             block.insert_op_before(program, wrapper)
-            wrapper.regions.clear()
             wrapper.erase()
 
     # ------------------------------------------------------------------ #
@@ -83,12 +82,12 @@ class LowerCslWrapperPass(ModulePass):
         layout = csl.CslModuleOp(
             csl.ModuleKind.LAYOUT, f"{program_name}_layout", ops
         )
-        layout.attributes["width"] = IntAttr(wrapper.width)
-        layout.attributes["height"] = IntAttr(wrapper.height)
-        layout.attributes["target"] = StringAttr(wrapper.target)
+        layout.set_attribute("width", IntAttr(wrapper.width))
+        layout.set_attribute("height", IntAttr(wrapper.height))
+        layout.set_attribute("target", StringAttr(wrapper.target))
         boundary_kind, boundary_value = _boundary_attrs(wrapper)
-        layout.attributes["boundary"] = boundary_kind
-        layout.attributes["boundary_value"] = boundary_value
+        layout.set_attribute("boundary", boundary_kind)
+        layout.set_attribute("boundary_value", boundary_value)
         return layout
 
     def _build_program_module(
@@ -123,10 +122,10 @@ class LowerCslWrapperPass(ModulePass):
         program = csl.CslModuleOp(csl.ModuleKind.PROGRAM, program_name, ops)
         for key in ("timesteps",):
             if key in wrapper.attributes:
-                program.attributes[key] = wrapper.attributes[key]
-        program.attributes["width"] = IntAttr(wrapper.width)
-        program.attributes["height"] = IntAttr(wrapper.height)
-        program.attributes["target"] = StringAttr(wrapper.target)
-        program.attributes["boundary"] = boundary_kind
-        program.attributes["boundary_value"] = boundary_value
+                program.set_attribute(key, wrapper.attributes[key])
+        program.set_attribute("width", IntAttr(wrapper.width))
+        program.set_attribute("height", IntAttr(wrapper.height))
+        program.set_attribute("target", StringAttr(wrapper.target))
+        program.set_attribute("boundary", boundary_kind)
+        program.set_attribute("boundary_value", boundary_value)
         return program

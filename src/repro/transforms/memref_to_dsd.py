@@ -46,7 +46,7 @@ class GetGlobalToDsd(RewritePattern):
         dsd = csl.GetMemDsdOp(op.result, buffer_type.element_count())
         # The DSD references the buffer *by symbol*: the printer and the
         # interpreter resolve it against the csl.zeros declaration.
-        dsd.attributes["buffer"] = StringAttr(op.global_name)
+        dsd.set_attribute("buffer", StringAttr(op.global_name))
         dsd.drop_all_operands()
         rewriter.replace_matched_op(dsd)
 
@@ -69,7 +69,7 @@ class SubviewToDsd(RewritePattern):
         if op.has_dynamic_offset:
             dsd = csl.GetMemDsdOp(source, op.size, 0, op.stride)
             if base_name is not None:
-                dsd.attributes["buffer"] = base_name
+                dsd.set_attribute("buffer", base_name)
                 dsd.drop_all_operands()
             shift = csl.IncrementDsdOffsetOp(dsd.result, base_offset)
             shift.add_operand(op.dynamic_offset)
@@ -78,7 +78,7 @@ class SubviewToDsd(RewritePattern):
 
         dsd = csl.GetMemDsdOp(source, op.size, base_offset + int(op.offset), op.stride)
         if base_name is not None:
-            dsd.attributes["buffer"] = base_name
+            dsd.set_attribute("buffer", base_name)
             dsd.drop_all_operands()
         rewriter.replace_matched_op(dsd)
 

@@ -152,8 +152,8 @@ class ScfToTaskGraphPass(ModulePass):
         for op in new_ops:
             program_block.add_op(op)
 
-        wrapper.attributes["timesteps"] = IntAttr(timesteps)
-        wrapper.attributes["entry"] = StringAttr("f_main")
+        wrapper.set_attribute("timesteps", IntAttr(timesteps))
+        wrapper.set_attribute("entry", StringAttr("f_main"))
 
     # ------------------------------------------------------------------ #
 

@@ -128,7 +128,7 @@ class InlineProducerIntoConsumer(RewritePattern):
                 )
                 from repro.ir.attributes import DenseArrayAttr
 
-                clone.attributes["offset"] = DenseArrayAttr(composed)
+                clone.set_attribute("offset", DenseArrayAttr(composed))
             rewriter.insert_op_before(clone, access)
         assert result_value is not None, "producer apply has no stencil.return"
         return result_value

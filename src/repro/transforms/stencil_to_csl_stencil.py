@@ -106,8 +106,8 @@ class StencilToCslStencilPass(ModulePass):
                 [csl_stencil.ExchangeDeclAttr(d) for d in arg_directions],
                 TensorType([max(1, len(arg_directions)) * z_core], f32),
             )
-            prefetch.attributes["z_core"] = IntAttr(z_core)
-            prefetch.attributes["z_halo_lo"] = IntAttr(z_halo_lo)
+            prefetch.set_attribute("z_core", IntAttr(z_core))
+            prefetch.set_attribute("z_halo_lo", IntAttr(z_halo_lo))
             parent_block.insert_op_before(prefetch, apply_op)
             prefetches[index] = prefetch
 
@@ -147,17 +147,17 @@ class StencilToCslStencilPass(ModulePass):
             swaps=swaps,
             num_chunks=num_chunks,
         )
-        new_apply.attributes["z_total"] = IntAttr(z_total)
-        new_apply.attributes["z_core"] = IntAttr(z_core)
-        new_apply.attributes["z_halo_lo"] = IntAttr(z_halo_lo)
-        new_apply.attributes["chunk_size"] = IntAttr(chunk_size)
-        new_apply.attributes["extra_operand_indices"] = DenseArrayAttr(extra_indices)
-        new_apply.attributes["primary_operand_index"] = IntAttr(
-            primary_index if communicated else 0
+        new_apply.set_attribute("z_total", IntAttr(z_total))
+        new_apply.set_attribute("z_core", IntAttr(z_core))
+        new_apply.set_attribute("z_halo_lo", IntAttr(z_halo_lo))
+        new_apply.set_attribute("chunk_size", IntAttr(chunk_size))
+        new_apply.set_attribute("extra_operand_indices", DenseArrayAttr(extra_indices))
+        new_apply.set_attribute(
+            "primary_operand_index", IntAttr(primary_index if communicated else 0)
         )
         if coefficients:
             ordered = [coefficients.get(d, 1.0) for d in directions]
-            new_apply.attributes["coefficients"] = DenseArrayAttr(ordered)
+            new_apply.set_attribute("coefficients", DenseArrayAttr(ordered))
 
         parent_block.insert_op_before(new_apply, apply_op)
         for old_result, new_result in zip(apply_op.results, new_apply.results):
@@ -421,7 +421,7 @@ class StencilToCslStencilPass(ModulePass):
                     clone.operands[0], tuple(clone.offset[:2]), clone.results[0].type
                 )
                 if "z_offset" in clone.attributes:
-                    replacement.attributes["z_offset"] = clone.attributes["z_offset"]
+                    replacement.set_attribute("z_offset", clone.attributes["z_offset"])
                 value_map[op.results[0]] = replacement.result
                 clone.drop_all_operands()
                 clone = replacement

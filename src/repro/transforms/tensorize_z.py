@@ -83,8 +83,8 @@ class TensorizeZDimensionPass(ModulePass):
             if isinstance(arg.type, stencil.FieldType) and arg.type.rank == 3:
                 arg.type = self._column_type(arg.type, xy_radius)
             new_inputs.append(arg.type)
-        func_op.attributes["function_type"] = FunctionType(
-            new_inputs, func_op.function_type.outputs
+        func_op.set_attribute(
+            "function_type", FunctionType(new_inputs, func_op.function_type.outputs)
         )
 
     def _rewrite_load(self, load: stencil.LoadOp, xy_radius: int) -> None:
@@ -132,8 +132,8 @@ class TensorizeZDimensionPass(ModulePass):
             if len(access.offset) != 3:
                 continue
             dx, dy, dz = access.offset
-            access.attributes["offset"] = DenseArrayAttr([dx, dy])
-            access.attributes["z_offset"] = IntAttr(dz)
+            access.set_attribute("offset", DenseArrayAttr([dx, dy]))
+            access.set_attribute("z_offset", IntAttr(dz))
             access.results[0].type = column
 
         # Rank-polymorphic arithmetic: any op consuming a tensor produces one.
@@ -142,6 +142,6 @@ class TensorizeZDimensionPass(ModulePass):
                 if any(isinstance(operand.type, TensorType) for operand in op.operands):
                     op.results[0].type = column
 
-        apply_op.attributes["z_total"] = IntAttr(z_total)
-        apply_op.attributes["z_core"] = IntAttr(z_core)
-        apply_op.attributes["z_halo_lo"] = IntAttr(z_halo_lo)
+        apply_op.set_attribute("z_total", IntAttr(z_total))
+        apply_op.set_attribute("z_core", IntAttr(z_core))
+        apply_op.set_attribute("z_halo_lo", IntAttr(z_halo_lo))

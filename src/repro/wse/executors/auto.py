@@ -116,15 +116,6 @@ def load_recorded_rows(path: Path | None = None) -> list[dict]:
     return _rows_of(str(path), status.st_mtime_ns, status.st_size)
 
 
-def _walk_ops(op):
-    """The operation and every op nested in its regions, pre-order."""
-    yield op
-    for region in op.regions:
-        for block in region.blocks:
-            for child in block.ops:
-                yield from _walk_ops(child)
-
-
 def _count_comms(image, name: str, seen: set[str]) -> int:
     """Comms ops one iteration of the time loop executes, starting at the
     callable ``name`` and following the whole activation chain — direct
@@ -137,7 +128,7 @@ def _count_comms(image, name: str, seen: set[str]) -> int:
     if callable_op is None:
         return 0
     count = 0
-    for op in _walk_ops(callable_op):
+    for op in callable_op.walk():
         if isinstance(op, csl.CommsExchangeOp):
             count += 1
             for callback in (op.recv_callback, op.done_callback):
@@ -162,7 +153,7 @@ def estimate_delivery_rounds(image) -> int:
     each ``csl.comms_exchange`` blocks exactly one round.
     """
     for name, callable_op in image.callables.items():
-        for op in _walk_ops(callable_op):
+        for op in callable_op.walk():
             if not isinstance(op, scf.IfOp):
                 continue
             condition = op.condition.owner()
@@ -187,9 +178,7 @@ def estimate_delivery_rounds(image) -> int:
             seen = {name}
             comms = sum(
                 _count_comms(image, body_call.callee, seen)
-                for block in op.then_region.blocks
-                for child in block.ops
-                for body_call in _walk_ops(child)
+                for body_call in op.then_region.walk()
                 if isinstance(body_call, csl.CallOp)
             )
             if trips > 0 and comms > 0:

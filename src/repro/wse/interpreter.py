@@ -12,18 +12,18 @@ swept over it), so everything that is a pure function of the module is
 derived once and kept *on the module*: :func:`bound_image` hangs the
 module's :class:`ProgramImage` on the module object, and the image owns its
 execution plans, the printed module text, its kernel fingerprints and the
-delivery-round estimate (:meth:`ProgramImage.derived`).  Every bind
-re-validates that state against :func:`module_stamp` — an identity stamp of
-the module in the manner of MLIR's ``OperationFingerPrint`` — so a module
-mutated between two binds is re-derived from scratch and an untouched one
-costs one walk plus dict lookups.  The memo lives and dies with the module:
-there is no process-wide table.
+delivery-round estimate (:meth:`ProgramImage.derived`).  The image records
+the module's epoch it was derived under.  Every write to the IR marks the
+module as changed (see "Change tracking" in :mod:`repro.ir.operation`), so
+a bind is one integer compare: an unchanged module whose epoch is the
+image's keeps its image, and a changed one gets a new epoch — one walk over
+what changed — and everything is re-derived.  The memo lives and dies
+with the module: there is no process-wide table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import is_
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -52,6 +52,8 @@ class BindStatistics:
     plan_lowerings: int = 0
     #: whole-module prints for kernel fingerprints.
     module_prints: int = 0
+    #: walks that gave a changed module a new epoch.
+    module_walks: int = 0
 
 
 _BIND_STATISTICS = BindStatistics()
@@ -69,83 +71,30 @@ def reset_bind_statistics() -> None:
     _BIND_STATISTICS = BindStatistics()
 
 
-#: separates the variable-length sections of one op's stamp entries.
-_SECTION = object()
-
-
-def module_stamp(module: Operation) -> list:
-    """An identity stamp of ``module``: everything an image, a plan or the
-    printer reads from it, in walk order, *by reference*.
-
-    Per op: the op, its name, operands, results with their types and name
-    hints, attribute keys and attribute objects; per region and block: the
-    object itself, block arguments with their types and name hints.  Two
-    stamps match (:func:`_same_stamp`) only when every entry is the same
-    object, so erasing, inserting, moving or re-wiring an op and replacing
-    an attribute or a type all show.  Holding the objects themselves means
-    no address can be recycled while the stamp is alive.  Attributes are
-    immutable by the IR's contract; a structurally equal replacement is a
-    different object and re-derives (correct, merely not free).
-    """
-    stamp: list = []
-    append, extend = stamp.append, stamp.extend
-
-    def walk(op: Operation) -> None:
-        append(op)
-        append(op.name)
-        extend(op._operands)
-        append(_SECTION)
-        for value in op.results:
-            append(value)
-            append(value.type)
-            append(value.name_hint)
-        append(_SECTION)
-        extend(op.attributes)
-        extend(op.attributes.values())
-        for region in op.regions:
-            append(region)
-            for block in region.blocks:
-                append(block)
-                for value in block.args:
-                    append(value)
-                    append(value.type)
-                    append(value.name_hint)
-                for child in block.ops:
-                    walk(child)
-
-    walk(module)
-    return stamp
-
-
-def _same_stamp(first: list, second: list) -> bool:
-    return len(first) == len(second) and all(map(is_, first, second))
-
-
 def bound_image(program: "csl.CslModuleOp | ProgramImage") -> "ProgramImage":
     """The :class:`ProgramImage` to bind ``program`` through, its derived
     state valid for the module as it is now.
 
     For a module this is the image memoised on the module object — built on
-    the first bind, returned as the same object for as long as the module's
-    stamp matches, rebuilt once the module has changed.  An image passed in
+    the first bind, returned as the same object for as long as nothing in
+    the module is written, rebuilt once something is.  An image passed in
     (the CSL front-door builds them directly) stays the caller's object and
     is its own memo; a change to its module drops what was derived from it.
     """
     supplied = isinstance(program, ProgramImage)
     module = program.module if supplied else program
     image = program if supplied else getattr(module, "_bound_image", None)
-    stamp = module_stamp(module)
-    if (
-        image is not None
-        and image._stamp is not None
-        and _same_stamp(image._stamp, stamp)
-    ):
+    epoch = module.epoch
+    if not epoch:
+        _BIND_STATISTICS.module_walks += 1
+        epoch = module.start_epoch()
+    elif image is not None and image._epoch == epoch:
         return image
     if supplied:
         image._derived.clear()
     else:
         image = module._bound_image = ProgramImage(module)
-    image._stamp = stamp
+    image._epoch = epoch
     return image
 
 
@@ -157,9 +106,9 @@ class ProgramImage:
             raise InterpretationError("expected a csl program module")
         _BIND_STATISTICS.image_builds += 1
         self.module = program_module
-        #: the module stamp ``_derived`` was computed under; set and checked
-        #: by :func:`bound_image` only, ``None`` until the first bind.
-        self._stamp: list | None = None
+        #: the module epoch ``_derived`` was computed under; set and checked
+        #: by :func:`bound_image` only, ``0`` until the first bind.
+        self._epoch = 0
         self._derived: dict = {}
         self.callables: dict[str, Operation] = {}
         self.buffers: dict[str, int] = {}
@@ -218,8 +167,8 @@ class ProgramImage:
     def derived(self, key, compute: Callable[[], Any]) -> Any:
         """``compute()`` — a pure function of this image — computed once per
         validated state of the module.  An image that was never bound has
-        no stamp to be validated against and memoises nothing."""
-        if self._stamp is None:
+        no epoch to be validated against and memoises nothing."""
+        if not self._epoch:
             return compute()
         try:
             return self._derived[key]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dialects import arith
 from repro.dialects.builtin import ModuleOp
-from repro.ir import Block, Region, VerifyException, f32
+from repro.ir import Block, FloatAttr, Region, VerifyException, f32, f64
 from repro.ir.operation import UnregisteredOp
 
 
@@ -198,6 +198,47 @@ class TestMutation:
         clone = c0.clone()
         assert clone.value == 5.0
         assert clone is not c0
+        clone.set_attribute("value", FloatAttr(6.0))
+        assert (c0.value, clone.value) == (5.0, 6.0)
+
+    def test_attributes_are_written_through_the_ir_only(self):
+        c0 = arith.ConstantOp(5.0, f32)
+        with pytest.raises(TypeError):
+            c0.attributes["value"] = FloatAttr(6.0)
+        with pytest.raises(TypeError):
+            del c0.attributes["value"]
+        c0.set_attribute("value", FloatAttr(6.0))
+        assert c0.value == 6.0
+        c0.remove_attribute("value")
+        assert "value" not in c0.attributes
+        with pytest.raises(KeyError):
+            c0.remove_attribute("value")
+
+
+class TestChangeTracking:
+    def test_a_new_op_is_born_changed(self):
+        assert arith.ConstantOp(1.0, f32).epoch == 0
+
+    def test_a_write_marks_the_op_and_its_ancestors_only(self):
+        module, c0, c1, add = make_add_chain()
+        first = module.start_epoch()
+        assert {op.epoch for op in module.walk()} == {first}
+        c1.result.type = f64
+        assert (module.epoch, c1.epoch, c0.epoch, add.epoch) == (0, 0, first, first)
+        # The next epoch covers what changed and skips the rest.
+        second = module.start_epoch()
+        assert (module.epoch, c1.epoch, c0.epoch, add.epoch) == (
+            second, second, first, first
+        )
+
+    def test_insertion_and_removal_mark_the_block_owner(self):
+        module, c0, c1, add = make_add_chain()
+        module.start_epoch()
+        add.detach()
+        assert module.epoch == 0 and add.epoch != 0
+        module.start_epoch()
+        module.body.add_op(add)
+        assert module.epoch == 0
 
 
 class TestVerification:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.dialects import arith, varith
+from repro.dialects import arith, csl, varith
 from repro.dialects.builtin import ModuleOp
-from repro.ir import Block, Region, VerifyException, f32
+from repro.ir import Block, IntAttr, Region, VerifyException, f32, f64, i32
 from repro.ir.operation import Operation, UnregisteredOp
 from repro.ir.printer import print_module
 from repro.ir.value import SSAValue
@@ -18,6 +18,10 @@ from repro.transforms.canonicalize import CanonicalizePass
 from repro.transforms.varith_fuse_repeated_operands import (
     VarithFuseRepeatedOperandsPass,
 )
+from repro.wse.interpreter import bound_image
+
+TYPES = [f32, f64, i32]
+ATTRIBUTE_NAMES = ["a", "b", "c"]
 
 
 def _evaluate_module(module: ModuleOp) -> float:
@@ -166,25 +170,40 @@ class TestCloneIsomorphism:
 
 
 class UseDefMachine(RuleBasedStateMachine):
-    """Random operand surgery against a model of every value's use list.
+    """Random IR surgery against a model of every value's use list and of
+    which steps write under the module.
 
-    The model is the specification: a slot that takes a value goes to the
-    back of that value's uses, a slot that gives it up leaves, nothing else
-    moves.  After every step the real ``uses`` must list exactly the model's
-    slots in the model's order, and the bookkeeping must be self-consistent
-    (:func:`assert_use_def_consistent`).
+    The use model is the specification: a slot that takes a value goes to
+    the back of that value's uses, a slot that gives it up leaves, nothing
+    else moves.  After every step the real ``uses`` must list exactly the
+    model's slots in the model's order, and the bookkeeping must be
+    self-consistent (:func:`assert_use_def_consistent`).
+
+    The module is a csl program, two blocks deep: ``body`` in a holder op,
+    and ``inner`` in a container op inside ``body``.  A step *touches* the
+    module when it writes to an op in it (operands, attributes, result types,
+    name hints), inserts, moves or removes an op in it, or writes a block
+    argument of ``body`` or ``inner``.  After every step a bind must reuse
+    the previous image exactly when the step touched nothing, and every op
+    marked changed must have only marked ancestors.
     """
 
     def __init__(self):
         super().__init__()
         self.body = Block(arg_types=[f32, f32])
+        self.inner = Block(arg_types=[f32])
         holder = UnregisteredOp("test.holder", regions=[Region([self.body])])
-        self.module = ModuleOp([holder])
+        self.body.add_op(UnregisteredOp("test.inner", regions=[Region([self.inner])]))
+        self.module = csl.CslModuleOp(csl.ModuleKind.PROGRAM, "machine", [holder])
         self.attached: list[Operation] = []
         self.detached: list[Operation] = []
         self.serial = 0
         #: id(value) -> [(op, operand index)] in the order the slots took it
         self.model: dict[int, list[tuple[Operation, int]]] = {}
+        #: the image of the last bind, and whether a step touched the module
+        #: since (the first bind always builds one)
+        self.image = None
+        self.touched = True
 
     # -- helpers -------------------------------------------------------- #
 
@@ -192,9 +211,14 @@ class UseDefMachine(RuleBasedStateMachine):
         return self.attached + self.detached
 
     def values(self) -> list[SSAValue]:
-        return list(self.body.args) + [
+        return [*self.body.args, *self.inner.args] + [
             result for op in self.live_ops() for result in op.results
         ]
+
+    def wrote(self, op: Operation) -> None:
+        """Record a write to ``op``, which touches the module if it is in it."""
+        if any(op is attached for attached in self.attached):
+            self.touched = True
 
     def slots_of(self, value: SSAValue) -> list[tuple[Operation, int]]:
         return self.model.setdefault(id(value), [])
@@ -226,6 +250,7 @@ class UseDefMachine(RuleBasedStateMachine):
         op = self.new_op(operands, num_results)
         self.body.add_op(op)
         self.attached.append(op)
+        self.touched = True
 
     @precondition(lambda self: self.live_ops())
     @rule(data=st.data())
@@ -233,6 +258,7 @@ class UseDefMachine(RuleBasedStateMachine):
         op = self.pick(data, self.live_ops(), "op")
         op.add_operand(self.pick(data, self.values(), "value"))
         self.take(op, len(op.operands) - 1)
+        self.wrote(op)
 
     @precondition(lambda self: any(op.operands for op in self.live_ops()))
     @rule(data=st.data())
@@ -242,6 +268,7 @@ class UseDefMachine(RuleBasedStateMachine):
         self.give_up(op, index)
         op.set_operand(index, self.pick(data, self.values(), "value"))
         self.take(op, index)
+        self.wrote(op)
 
     @precondition(lambda self: self.live_ops())
     @rule(data=st.data(), count=st.integers(0, 3))
@@ -253,6 +280,7 @@ class UseDefMachine(RuleBasedStateMachine):
         op.set_operands([self.pick(data, values, "value") for _ in range(count)])
         for index in range(count):
             self.take(op, index)
+        self.wrote(op)
 
     @precondition(lambda self: self.live_ops())
     @rule(data=st.data())
@@ -261,12 +289,15 @@ class UseDefMachine(RuleBasedStateMachine):
         for index in range(len(op.operands)):
             self.give_up(op, index)
         op.drop_all_operands()
+        self.wrote(op)
 
     @rule(data=st.data())
     def replace_all_uses_with(self, data):
         values = self.values()
         old, new = self.pick(data, values, "old"), self.pick(data, values, "new")
         if old is not new:
+            for user, _ in self.slots_of(old):
+                self.wrote(user)
             self.slots_of(new).extend(self.slots_of(old))
             self.slots_of(old).clear()
         old.replace_all_uses_with(new)
@@ -282,6 +313,7 @@ class UseDefMachine(RuleBasedStateMachine):
         for index in range(len(op.operands)):
             self.give_up(op, index)
         op.erase()
+        self.wrote(op)
         (self.attached if op in self.attached else self.detached).remove(op)
 
     @precondition(lambda self: self.attached)
@@ -289,6 +321,7 @@ class UseDefMachine(RuleBasedStateMachine):
     def detach(self, data):
         op = self.pick(data, self.attached, "op")
         assert op.detach() is op
+        self.wrote(op)
         self.attached.remove(op)
         self.detached.append(op)
 
@@ -299,6 +332,7 @@ class UseDefMachine(RuleBasedStateMachine):
         self.body.insert_op(op, 0)
         self.detached.remove(op)
         self.attached.append(op)
+        self.touched = True
 
     @precondition(lambda self: self.live_ops())
     @rule(data=st.data())
@@ -310,6 +344,72 @@ class UseDefMachine(RuleBasedStateMachine):
             self.take(clone, index)
         self.body.add_op(clone)
         self.attached.append(clone)
+        self.touched = True
+
+    @rule(data=st.data(), num_operands=st.integers(0, 2))
+    def insert(self, data, num_operands):
+        values = self.values()
+        op = self.new_op(
+            [self.pick(data, values, "operand") for _ in range(num_operands)], 1
+        )
+        self.place(data, op)
+        self.attached.append(op)
+
+    @precondition(lambda self: self.attached)
+    @rule(data=st.data())
+    def move(self, data):
+        self.place(data, self.pick(data, self.attached, "op"))
+
+    def place(self, data, op: Operation) -> None:
+        """Insert ``op`` at a drawn position of ``body`` or ``inner``."""
+        block = self.pick(data, [self.body, self.inner], "block")
+        anchors = [other for other in block.ops if other is not op]
+        if anchors and data.draw(st.booleans(), label="before"):
+            block.insert_op_before(op, self.pick(data, anchors, "anchor"))
+        else:
+            block.add_op(op)
+        self.touched = True
+
+    @precondition(lambda self: self.live_ops())
+    @rule(
+        data=st.data(), name=st.sampled_from(ATTRIBUTE_NAMES), value=st.integers(0, 3)
+    )
+    def set_attribute(self, data, name, value):
+        op = self.pick(data, self.live_ops(), "op")
+        op.set_attribute(name, IntAttr(value))
+        assert op.attributes[name] == IntAttr(value)
+        self.wrote(op)
+
+    @precondition(lambda self: any(op.attributes for op in self.live_ops()))
+    @rule(data=st.data())
+    def remove_attribute(self, data):
+        op = self.pick(data, [op for op in self.live_ops() if op.attributes], "op")
+        name = self.pick(data, sorted(op.attributes), "name")
+        op.remove_attribute(name)
+        assert name not in op.attributes
+        self.wrote(op)
+
+    @precondition(lambda self: any(op.results for op in self.live_ops()))
+    @rule(data=st.data(), new_type=st.sampled_from(TYPES))
+    def set_result_type(self, data, new_type):
+        op = self.pick(data, [op for op in self.live_ops() if op.results], "op")
+        self.pick(data, op.results, "result").type = new_type
+        self.wrote(op)
+
+    @rule(data=st.data(), new_type=st.sampled_from(TYPES))
+    def set_block_argument_type(self, data, new_type):
+        self.pick(data, [*self.body.args, *self.inner.args], "arg").type = new_type
+        self.touched = True
+
+    @rule(data=st.data(), hint=st.sampled_from(["x", "y", None]))
+    def set_name_hint(self, data, hint):
+        value = self.pick(data, self.values(), "value")
+        value.name_hint = hint
+        owner = value.owner()
+        if isinstance(owner, Operation):
+            self.wrote(owner)
+        else:
+            self.touched = True
 
     # -- what must hold after every step -------------------------------- #
 
@@ -322,6 +422,20 @@ class UseDefMachine(RuleBasedStateMachine):
             users = list(value.users())
             assert len(users) == len(set(map(id, users)))
             assert users == list(dict.fromkeys(op for op, _ in listed))
+
+    @invariant()
+    def a_bind_reuses_its_image_iff_the_module_is_untouched(self):
+        # Before the bind, which gives every op in the module an epoch.
+        trees = [self.module.walk(), *(op.walk() for op in self.detached)]
+        for op in (op for tree in trees for op in tree):
+            if not op.epoch:
+                ancestor = op.parent_op()
+                while ancestor is not None:
+                    assert not ancestor.epoch, f"'{op.name}' has an unmarked ancestor"
+                    ancestor = ancestor.parent_op()
+        image = bound_image(self.module)
+        assert (image is not self.image) == self.touched
+        self.image, self.touched = image, False
 
     @invariant()
     def bookkeeping_is_consistent(self):

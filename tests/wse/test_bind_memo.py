@@ -7,7 +7,8 @@ delivery-round estimate.  Two contracts are pinned here.  *Staleness*:
 whatever happens to a module between two binds, the second bind sees
 exactly what a from-scratch derivation of the mutated module would.
 *Cost*: what a bind re-does is asserted as exact counts (image builds, plan
-lowerings, module prints, trajectory reads) — never as seconds.
+lowerings, module prints, module walks, trajectory reads) — never as
+seconds.
 """
 
 import gc
@@ -85,7 +86,7 @@ def _ops(module, op_type, callable_name):
 
 def _replace_coefficient(module):
     scale = _ops(module, arith.ConstantOp, "done_exchange_cb0")[-1]
-    scale.attributes["value"] = FloatAttr(0.25)
+    scale.set_attribute("value", FloatAttr(0.25))
 
 
 def _erase_op(module):
@@ -103,11 +104,11 @@ def _rewire_operand(module):
 
 
 def _change_boundary(module):
-    module.attributes["boundary"] = StringAttr("periodic")
+    module.set_attribute("boundary", StringAttr("periodic"))
 
 
 def _change_width(module):
-    module.attributes["width"] = IntAttr(GRID - 1)
+    module.set_attribute("width", IntAttr(GRID - 1))
 
 
 def _resize_buffer(module):
@@ -186,7 +187,7 @@ class TestStaleness:
         first = WseSimulator(module, executor="compiled")
         zero = _ops(module, arith.ConstantOp, "loop_body0")[0]
         assert zero.attributes["value"] == FloatAttr(-0.0)
-        zero.attributes["value"] = FloatAttr(-0.0)
+        zero.set_attribute("value", FloatAttr(-0.0))
         second = WseSimulator(module, executor="compiled")
         image = ProgramImage(module.clone())
         plan = ExecutionPlan.compile(image, GRID, GRID)
@@ -291,6 +292,27 @@ class TestBindCounts:
         for module in modules:
             WseSimulator(module, executor="compiled")
         assert _bind_counts() == (3, 3, 3)
+        assert bind_statistics().module_walks == 3
+
+    def test_a_warm_bind_walks_nothing(self):
+        module = _module()
+        WseSimulator(module, executor="compiled")
+        reset_kernel_cache()
+        for _ in range(3):
+            WseSimulator(module, executor="compiled")
+        assert bind_statistics().module_walks == 0
+
+    @pytest.mark.parametrize(
+        "mutate", MUTATIONS, ids=lambda mutate: mutate.__name__.strip("_")
+    )
+    def test_a_bind_after_a_mutation_walks_once(self, mutate):
+        module = _module()
+        WseSimulator(module, executor="compiled")
+        mutate(module)
+        reset_kernel_cache()
+        for _ in range(3):
+            WseSimulator(module, executor="compiled")
+        assert bind_statistics().module_walks == 1
 
     def test_an_interpreting_bind_never_prints(self):
         module = _module()
