@@ -88,7 +88,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: fingerprints so cached run artifacts invalidate alongside.
 #: v3: one whole-grid emission — every non-box kernel carries ``run_block``
 #: and the direct-to-receive delivery.
-CODEGEN_VERSION = 3
+#: v4: whole-grid DSD runs and fused direct deliveries over row bands.
+CODEGEN_VERSION = 4
 
 #: environment variable naming a directory to retain emitted kernel source
 #: in (``kernel_<fingerprint12>.py`` per kernel) for debugging.
