@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench sim-bench tiled-check service service-smoke run-service-check queue-check boundary-check csl-check ir-check fuzz lint
+.PHONY: test bench sim-bench tiled-check kernel-check service service-smoke run-service-check queue-check boundary-check csl-check ir-check fuzz lint
 
 # Tier-1 verification: the whole suite, fail fast.
 test:
@@ -32,6 +32,17 @@ tiled-check:
 	  tests/wse/test_executor_equivalence.py \
 	  tests/wse/test_boundary_conditions.py \
 	  tests/wse/test_comms_edge_cases.py -q
+
+# Gate the compiled backend's kernels: the emitted-source pins (57 small
+# kernels plus three row-banded 64x64 ones), the backend's own suite
+# (deterministic emission, both delivery forms, the kernel cache, the round
+# budget, the interpretation fallback) and the banded goldens — every
+# benchmark and boundary mode at forced 1- and 2-row bands, byte-identical to
+# vectorized, plus the kernel-size guard.
+kernel-check:
+	$(PYTHON) -m pytest tests/wse/test_kernel_digests.py \
+	  tests/wse/test_compiled_executor.py \
+	  tests/wse/test_banded_kernels.py -q
 
 # Compilation service: unit + throughput tests, then the CLI smoke path.
 service:

@@ -35,6 +35,34 @@ receive slab wherever ``_direct_staging_safe`` proves that legal
 (publish / stage interior / stage rim / deliver), because its rounds
 rendezvous with sibling shards.
 
+A whole-grid kernel whose longest DSD operand view is larger than
+``_BAND_BYTES`` also works in cache-sized **row bands** — the host-side
+twin of the lowering's ``num_chunks`` split, which keeps a PE's working set
+inside its SRAM:
+
+* **banded runs** — each maximal run of consecutive DSD builtins (with the
+  pure scalar and DSD-value ops between them) becomes one
+  ``for r0, r1 in BANDS:`` loop over ``[r0:r1]`` row slices of the same
+  bind-time views.  Runtime-offset views and their range checks are built
+  before the loop, the ``fmacs`` scratch is band-sized, and the counter
+  bumps follow the loop with the same totals;
+* **fused direct delivery** — when the receive callback is one such run and
+  every direction stages by basic slices, ``deliver_<eid>`` stages band
+  ``k`` of a chunk and at once runs the callback's builtins on band ``k``,
+  while the staged rows are still in cache.  The loop runs over a
+  bind-time table of per-band row slices (``band_rows``), so the kernel
+  text does not grow with the number of bands.
+
+Both are legal because every DSD operand is a ``[:, :, z]`` view of a
+``(height, width, z)`` buffer: element ``(r, c, k)`` of any builtin reads
+only row ``r`` of its operands, so running a chain band by band gives every
+element the same operations in the same order — the full-RHS hazard form
+included.  The fused delivery adds what ``_direct_staging_safe`` already
+proves: the callback writes neither the source later bands stage from nor
+the receive slab, and band ``k``'s staging writes every receive row the
+callback reads on band ``k``.  A kernel whose views fit one band — every
+small grid, every shard box — is emitted exactly as without banding.
+
 Kernels are cached process-wide in an in-memory memo keyed by a *kernel
 fingerprint* (SHA-256 over the printed program module, the plan's canonical
 form and :data:`CODEGEN_VERSION`), and optionally persisted through a
@@ -90,6 +118,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: and the direct-to-receive delivery.
 #: v4: whole-grid DSD runs and fused direct deliveries over row bands.
 CODEGEN_VERSION = 4
+
+#: bytes one row band of the longest DSD operand view spans in a whole-grid
+#: kernel.  Part of the emitter, like every other emission choice: a new
+#: value needs a new ``CODEGEN_VERSION``.
+_BAND_BYTES = 256 * 1024
 
 #: environment variable naming a directory to retain emitted kernel source
 #: in (``kernel_<fingerprint12>.py`` per kernel) for debugging.
@@ -180,6 +213,11 @@ class SourceBuilder:
     def extend(self, other: "SourceBuilder") -> None:
         self._lines.extend(other._lines)
 
+    def nested(self) -> "SourceBuilder":
+        """An empty builder one level deeper, for a loop body emitted
+        before its header is known."""
+        return SourceBuilder(self._indent + 1)
+
     def __len__(self) -> int:
         return len(self._lines)
 
@@ -218,6 +256,28 @@ def _atom(expression: str) -> str:
     return f"({expression})"
 
 
+def band_rows(
+    bands: tuple[tuple[int, int], ...],
+    mappings: tuple[tuple[int, int, int], ...],
+) -> tuple[tuple, ...]:
+    """The per-band slice table of a fused delivery (called at kernel bind).
+
+    One ``(r0, r1, dest0, src0, dest1, src1, ...)`` tuple per band: for each
+    ``(lo, hi, shift)`` staging row mapping (destination rows ``[lo, hi)``
+    read source rows ``[lo + shift, hi + shift)``), the destination rows the
+    band ``[r0, r1)`` covers and the source rows they read — empty slices
+    where the band misses the mapping."""
+    table = []
+    for r0, r1 in bands:
+        row: list = [r0, r1]
+        for lo, hi, shift in mappings:
+            start = max(lo, r0)
+            stop = max(start, min(hi, r1))
+            row += [slice(start, stop), slice(start + shift, stop + shift)]
+        table.append(tuple(row))
+    return tuple(table)
+
+
 class _KernelEmitter:
     """Walks one program image + plan and emits the kernel source."""
 
@@ -248,6 +308,18 @@ class _KernelEmitter:
         "sgt": ">",
         "sge": ">=",
     }
+
+    #: what one banded run holds: the DSD builtins and the pure scalar and
+    #: DSD-value ops between them.
+    RUN_OPS = (
+        *csl.DSD_BUILTIN_OPS,
+        csl.ConstantOp,
+        arith.ConstantOp,
+        arith.CmpiOp,
+        csl.GetMemDsdOp,
+        csl.IncrementDsdOffsetOp,
+        *BINARY_OPS,
+    )
 
     def __init__(
         self,
@@ -281,6 +353,13 @@ class _KernelEmitter:
         #: unwritten outside delivery).
         self._fill_flags: set[int] = set()
         self._write_sets: dict[str, set[str] | None] = {}
+        #: ``(r0, r1)`` row bands of a whole-grid kernel whose longest DSD
+        #: operand spans more than :data:`_BAND_BYTES` — empty otherwise,
+        #: and the kernel then runs every op over whole-grid views.
+        self._bands: tuple[tuple[int, int], ...] = ()
+        #: fused direct deliveries: eid -> the ``(lo, hi, shift)`` staging
+        #: row mappings of its ``fd<eid>`` band table.
+        self._band_maps: dict[int, list[tuple[int, int, int]]] = {}
         self._temp = 0
         if box is not None:
             assert geometry is not None
@@ -482,10 +561,97 @@ class _KernelEmitter:
             self._emit_block(block, env, builder)
 
     def _emit_block(self, block, env: dict[int, Any], b: SourceBuilder) -> None:
+        run: list[Operation] = []
         for op in block.ops:
             if isinstance(op, (csl.ReturnOp, scf.YieldOp)):
-                return
+                break
+            if self._bands and isinstance(op, self.RUN_OPS):
+                run.append(op)
+                continue
+            self._emit_run(run, env, b)
+            run = []
             self._emit_op(op, env, b)
+        self._emit_run(run, env, b)
+
+    # -- banded runs ----------------------------------------------------- #
+
+    def _row_bands(self) -> tuple[tuple[int, int], ...]:
+        """The ``(r0, r1)`` row bands of a whole-grid kernel.
+
+        Rows per band = ``_BAND_BYTES // (4 * width * longest DSD operand
+        length)``, at least one; no bands (whole-grid views throughout) for
+        a shard-box kernel or when one band would cover the grid."""
+        longest = 0 if self.box is not None else self._longest_dsd_operand()
+        if not longest:
+            return ()
+        height, width = self._grid_dims
+        rows = max(1, _BAND_BYTES // (4 * width * longest))
+        if rows >= height:
+            return ()
+        return tuple((r0, min(r0 + rows, height)) for r0 in range(0, height, rows))
+
+    def _longest_dsd_operand(self) -> int:
+        """Element count of the longest DSD any builtin of the program
+        reads or writes."""
+        return max(
+            (
+                self._dsd_length(value)
+                for callable_op in self.image.callables.values()
+                for block in _callable_blocks(callable_op)
+                for op in block.ops
+                if isinstance(op, csl.DSD_BUILTIN_OPS)
+                for value in op.operands
+            ),
+            default=0,
+        )
+
+    def _dsd_length(self, value) -> int:
+        """Element count of a DSD value, 0 for a scalar."""
+        while True:
+            op = value.owner()
+            if not isinstance(op, Operation):
+                return 0
+            planned = self.plan.static_dsd(op)
+            if planned is not None:
+                return planned.length
+            if isinstance(op, csl.GetMemDsdOp):
+                return op.length
+            if not isinstance(op, csl.IncrementDsdOffsetOp):
+                return 0
+            value = op.operands[0]
+
+    def _emit_run(self, run: list[Operation], env: dict[int, Any], b: SourceBuilder):
+        """One maximal run of DSD builtins, and the pure ops between them,
+        as a single loop over the row bands (legal because every builtin is
+        row-local; see the module docstring).  The pure ops, and with them
+        the runtime-offset views and their range checks, go before the
+        loop; the counter bumps after it, with the same totals."""
+        body = b.nested()
+        ops, elements = self._emit_run_parts(run, env, b, body)
+        if not ops:
+            return  # no builtin: the scalar ops were emitted in place
+        b.line("for r0, r1 in BANDS:")
+        b.extend(body)
+        b.line(f"counters['dsd_ops'] += {ops}")
+        b.line(f"counters['dsd_elements'] += {elements}")
+
+    def _emit_run_parts(
+        self,
+        run: list[Operation],
+        env: dict[int, Any],
+        b: SourceBuilder,
+        body: SourceBuilder,
+    ) -> tuple[int, int]:
+        """Pure ops into ``b``, builtin statements into the band-loop
+        ``body``; returns the run's ``(dsd_ops, dsd_elements)``."""
+        ops = elements = 0
+        for op in run:
+            if isinstance(op, csl.DSD_BUILTIN_OPS):
+                elements += self._emit_builtin(op, env, b, body)
+                ops += 1
+            else:
+                self._emit_op(op, env, b)
+        return ops, elements
 
     def _emit_op(self, op: Operation, env: dict[int, Any], b: SourceBuilder):
         if isinstance(op, (csl.ConstantOp, arith.ConstantOp)):
@@ -613,7 +779,19 @@ class _KernelEmitter:
                 return True
         return False
 
-    def _emit_builtin(self, op, env: dict[int, Any], b: SourceBuilder) -> None:
+    def _emit_builtin(
+        self,
+        op,
+        env: dict[int, Any],
+        b: SourceBuilder,
+        band: SourceBuilder | None = None,
+    ) -> int:
+        """One DSD builtin; returns its destination length.
+
+        With ``band`` (a band-loop body) the statement goes there, over the
+        ``[r0:r1]`` rows of every operand view and the band-sized scratch,
+        and the counter bumps are the caller's; runtime-offset views are
+        still built in ``b``."""
         dest = self._entry(op.dest, env)
         if not isinstance(dest, _DsdExpr):
             raise KernelCodegenError(f"'{op.name}' destination is not a DSD")
@@ -629,23 +807,34 @@ class _KernelEmitter:
             for s in sources
         ]
         dest_view = self._operand_view(dest, b)
+        rows = "" if band is None else "[r0:r1]"
+        views = [
+            view + rows if isinstance(s, _DsdExpr) else view
+            for view, s in zip(views, sources)
+        ]
+        dest_view += rows
+        # ``v[:] = x`` and ``v[r0:r1] = x`` are the same full-RHS assignment.
+        target = f"{dest_view}[:]" if band is None else dest_view
+        out = b if band is None else band
 
         if isinstance(op, csl.FmovsOp):
             (src,) = views
             if hazard or not isinstance(sources[0], _DsdExpr):
-                b.line(f"{dest_view}[:] = {src}")
+                out.line(f"{target} = {src}")
             else:
-                b.line(f"np.copyto({dest_view}, {src})")
+                out.line(f"np.copyto({dest_view}, {src})")
         elif isinstance(op, csl.FmacsOp):
             acc, src, coeff = views
             if hazard:
-                b.line(f"{dest_view}[:] = {acc} + {src} * {coeff}")
+                out.line(f"{target} = {acc} + {src} * {coeff}")
             elif isinstance(sources[1], _DsdExpr):
                 scratch = self._scratch_for(dest.length)
-                b.line(f"np.multiply({src}, {coeff}, out={scratch})")
-                b.line(f"np.add({acc}, {scratch}, out={dest_view})")
+                if band is not None:
+                    scratch += "[:r1 - r0]"
+                out.line(f"np.multiply({src}, {coeff}, out={scratch})")
+                out.line(f"np.add({acc}, {scratch}, out={dest_view})")
             else:
-                b.line(f"np.add({acc}, {src} * {coeff}, out={dest_view})")
+                out.line(f"np.add({acc}, {src} * {coeff}, out={dest_view})")
         else:
             ufunc, operator = {
                 csl.FaddsOp: ("np.add", "+"),
@@ -654,11 +843,13 @@ class _KernelEmitter:
             }[type(op)]
             a, c = views
             if hazard:
-                b.line(f"{dest_view}[:] = {a} {operator} {c}")
+                out.line(f"{target} = {a} {operator} {c}")
             else:
-                b.line(f"{ufunc}({a}, {c}, out={dest_view})")
-        b.line("counters['dsd_ops'] += 1")
-        b.line(f"counters['dsd_elements'] += {dest.length}")
+                out.line(f"{ufunc}({a}, {c}, out={dest_view})")
+        if band is None:
+            b.line("counters['dsd_ops'] += 1")
+            b.line(f"counters['dsd_elements'] += {dest.length}")
+        return dest.length
 
     # -- the comms exchange ---------------------------------------------- #
 
@@ -926,6 +1117,20 @@ class _KernelEmitter:
                     value = f"{value} * c{eid}_{slot}"
                 bb.line(f"{receive_view}[:, :, {z0}:{z1}] = {value}")
 
+        fused = self._fused_callback(exchange) if receive_view else None
+        if fused is not None:
+            self._band_maps[eid] = []
+
+        def rows_of(lo: int, hi: int, shift: int) -> tuple[str, str]:
+            """Row expressions of one staging copy in a fused band loop."""
+            if (lo, hi, shift) == (0, self.plan.height, 0):
+                return "r0:r1", "r0:r1"
+            maps = self._band_maps[eid]
+            if (lo, hi, shift) not in maps:
+                maps.append((lo, hi, shift))
+            index = maps.index((lo, hi, shift))
+            return f"d{index}", f"s{index}"
+
         b.line(f"def deliver_{eid}():")
         with b.indented():
             body_start = len(b)
@@ -942,17 +1147,46 @@ class _KernelEmitter:
                         emit_fills(b)
                 else:
                     emit_fills(b)
+            ops = elements = 0
             for chunk in range(exchange.num_chunks):
                 start = exchange.source_offset + chunk * exchange.chunk_size
                 stop = start + exchange.chunk_size
+                argument = chunk * exchange.chunk_size
+                if fused is None:
+                    for slot, direction in enumerate(exchange.directions):
+                        self._emit_direct_stage(
+                            eid, exchange, slot, direction,
+                            source, start, stop, receive_view, b,
+                        )
+                    if exchange.receive_callback:
+                        callback = self._fn(exchange.receive_callback)
+                        b.line(f"{callback}({argument})")
+                    continue
+                # Stage band k of the chunk, then run the callback on band k
+                # while the staged rows are still in cache.
+                body = b.nested()
                 for slot, direction in enumerate(exchange.directions):
                     self._emit_direct_stage(
                         eid, exchange, slot, direction,
-                        source, start, stop, receive_view, b,
+                        source, start, stop, receive_view, body, rows_of,
                     )
-                if exchange.receive_callback:
-                    argument = chunk * exchange.chunk_size
-                    b.line(f"{self._fn(exchange.receive_callback)}({argument})")
+                block, run = fused
+                env = {id(block.args[0]): str(argument)} if block.args else {}
+                chunk_ops, chunk_elements = self._emit_run_parts(
+                    run, env, b, body
+                )
+                ops += chunk_ops
+                elements += chunk_elements
+                names = "".join(
+                    f", d{index}, s{index}"
+                    for index in range(len(self._band_maps[eid]))
+                )
+                b.line(f"for r0, r1{names} in fd{eid}:")
+                b.extend(body)
+            if fused is not None and exchange.num_chunks:
+                b.line(f"counters['tasks_run'] += {exchange.num_chunks}")
+                b.line(f"counters['dsd_ops'] += {ops}")
+                b.line(f"counters['dsd_elements'] += {elements}")
             if exchange.done_callback:
                 b.line(
                     f"queue.append(({self._fn(exchange.done_callback)}, 0))"
@@ -971,14 +1205,14 @@ class _KernelEmitter:
         stop: int,
         receive_view: str | None,
         b: SourceBuilder,
+        rows_of: Callable[[int, int, int], tuple[str, str]] | None = None,
     ) -> None:
         """One direction-slot of one chunk, written into the receive slab.
 
-        Gathers whose fold tables decompose into a few contiguous runs per
-        axis (interior shifts, periodic/reflect wraps) become basic-slice
-        copies — no fancy-index temporary; ragged tables keep the one-shot
-        fancy gather.  Constant-fill directions copy only the shifted run
-        over the borders established by the delivery prologue.
+        Each rectangle of :meth:`_stage_rects` is one basic-slice copy; a
+        ragged table keeps the one-shot fancy gather.  In a fused band loop
+        ``rows_of(lo, hi, shift)`` names the destination and source rows
+        the current band covers.
         """
         if receive_view is None:
             return
@@ -987,7 +1221,6 @@ class _KernelEmitter:
         coefficient = (
             f"c{eid}_{slot}" if exchange.coefficients is not None else None
         )
-        table = self.plan.halo_table(direction)
 
         def copy(dest: str, src: str) -> None:
             if coefficient is None:
@@ -995,28 +1228,18 @@ class _KernelEmitter:
             else:
                 b.line(f"np.multiply({src}, {coefficient}, out={dest})")
 
-        if self.plan.gather_indices(direction) is None:
-            dx, dy = direction
-            y0, y1, x0, x1 = table.interior_box()
-            if y0 >= y1 or x0 >= x1:
-                return
-            copy(
-                f"{receive_view}[{y0}:{y1}, {x0}:{x1}, {z0}:{z1}]",
-                f"{source}[{y0 + dy}:{y1 + dy}, {x0 + dx}:{x1 + dx}, "
-                f"{start}:{stop}]",
-            )
-            return
-        row_runs = self._axis_runs(table.rows)
-        col_runs = self._axis_runs(table.cols)
-        if len(row_runs) * len(col_runs) <= 4:
-            for ry0, ry1, sy in row_runs:
-                for cx0, cx1, sx in col_runs:
-                    copy(
-                        f"{receive_view}[{ry0}:{ry1}, {cx0}:{cx1}, "
-                        f"{z0}:{z1}]",
-                        f"{source}[{sy}:{sy + ry1 - ry0}, "
-                        f"{sx}:{sx + cx1 - cx0}, {start}:{stop}]",
-                    )
+        rects = self._stage_rects(direction)
+        if rects is not None:
+            for y0, y1, sy, x0, x1, sx in rects:
+                if rows_of is None:
+                    dest_rows, src_rows = f"{y0}:{y1}", f"{sy}:{sy + y1 - y0}"
+                else:
+                    dest_rows, src_rows = rows_of(y0, y1, sy - y0)
+                copy(
+                    f"{receive_view}[{dest_rows}, {x0}:{x1}, {z0}:{z1}]",
+                    f"{source}[{src_rows}, {sx}:{sx + x1 - x0}, "
+                    f"{start}:{stop}]",
+                )
             return
         rows, cols = self._gather(direction)
         dest = f"{receive_view}[:, :, {z0}:{z1}]"
@@ -1025,6 +1248,65 @@ class _KernelEmitter:
             b.line(f"{dest} = {gathered}")
         else:
             b.line(f"np.multiply({gathered}, {coefficient}, out={dest})")
+
+    def _stage_rects(
+        self, direction: tuple[int, int]
+    ) -> list[tuple[int, int, int, int, int, int]] | None:
+        """The basic-slice copies staging one direction, or ``None`` when
+        its fold table is too ragged and needs the fancy gather.
+
+        Each ``(y0, y1, sy, x0, x1, sx)`` copies destination rows
+        ``[y0, y1)`` x columns ``[x0, x1)`` from the source block starting
+        at row ``sy``, column ``sx``.  Constant-fill directions copy only
+        the shifted interior over the borders the delivery prologue wrote;
+        gathers whose fold tables decompose into a few contiguous runs per
+        axis (interior shifts, periodic/reflect wraps) need no fancy-index
+        temporary."""
+        table = self.plan.halo_table(direction)
+        if self.plan.gather_indices(direction) is None:
+            dx, dy = direction
+            y0, y1, x0, x1 = table.interior_box()
+            if y0 >= y1 or x0 >= x1:
+                return []
+            return [(y0, y1, y0 + dy, x0, x1, x0 + dx)]
+        row_runs = self._axis_runs(table.rows)
+        col_runs = self._axis_runs(table.cols)
+        if len(row_runs) * len(col_runs) > 4:
+            return None
+        return [
+            (ry0, ry1, sy, cx0, cx1, sx)
+            for ry0, ry1, sy in row_runs
+            for cx0, cx1, sx in col_runs
+        ]
+
+    def _fused_callback(self, exchange: ExchangePlan):
+        """``(block, ops)`` of a receive callback a banded direct delivery
+        runs band by band after staging each band, or ``None``.
+
+        The callback must be one straight-line run (DSD builtins and pure
+        ops only, no calls, activations, branches or variable stores), and
+        every direction must stage by basic slices: a ragged fancy gather
+        keeps the unfused call.  Legal on top of
+        :meth:`_direct_staging_safe`: the callback's builtins on band ``k``
+        read only band ``k`` rows, all of which that band's staging wrote,
+        and they write neither the source the later bands stage from nor
+        the receive slab."""
+        if not self._bands or not exchange.receive_callback:
+            return None
+        if any(self._stage_rects(d) is None for d in exchange.directions):
+            return None
+        callable_op = self.image.callables[exchange.receive_callback]
+        block = callable_op.regions[0].blocks[0]
+        run = []
+        for op in block.ops:
+            if isinstance(op, (csl.ReturnOp, scf.YieldOp)):
+                break
+            if not isinstance(op, self.RUN_OPS):
+                return None
+            run.append(op)
+        if not any(isinstance(op, csl.DSD_BUILTIN_OPS) for op in run):
+            return None
+        return block, run
 
     # -- shard-box exchange (overlapped tiled protocol) ------------------- #
 
@@ -1253,6 +1535,7 @@ class _KernelEmitter:
 
     def emit(self, fingerprint: str | None = None) -> str:
         self._assign_names()
+        self._bands = self._row_bands()
 
         callables = SourceBuilder(indent=1)
         for name in sorted(self.image.callables):
@@ -1317,6 +1600,10 @@ class _KernelEmitter:
             out.line("pending = [-1]")
             for buffer in sorted(self.plan.buffers):
                 out.line(f"{self._buffer_names[buffer]} = state.buffers[{buffer!r}]")
+            if self._bands:
+                out.line(f"BANDS = {self._bands!r}")
+                for eid, maps in self._band_maps.items():
+                    out.line(f"fd{eid} = band_rows(BANDS, {tuple(maps)!r})")
             if self.box is not None:
                 for eid, _, _ in self._exchanges:
                     out.line(
@@ -1377,6 +1664,8 @@ class _KernelEmitter:
                         out.line(
                             f"st{eid}_{chunk}[:, :, {z0}:{z1}] = {value}"
                         )
+            if self._bands:  # every fmacs runs band by band
+                grid = f"BANDS[0][1], {width}"
             for length in sorted(self._scratch):
                 out.line(
                     f"{self._scratch[length]} = np.empty(({grid}, {length}), "
@@ -1538,7 +1827,7 @@ def reset_kernel_cache() -> None:
 
 
 def _materialise(fingerprint: str, source: str) -> CompiledKernel:
-    namespace: dict[str, Any] = {"np": np, "deque": deque}
+    namespace: dict[str, Any] = {"np": np, "deque": deque, "band_rows": band_rows}
     code = compile(source, f"<kernel {fingerprint[:12]}>", "exec")
     exec(code, namespace)
     return CompiledKernel(

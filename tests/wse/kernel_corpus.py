@@ -11,7 +11,9 @@ the module and plan a simulator bind uses:
 
 Grids follow the golden equivalence matrix: 9x9 for the 25-point kernels
 (Seismic's radius-4 halo is then wider than a shard's short side), 6x6 for
-the rest; nz 12, two time steps, two chunks.
+the rest; nz 12, two time steps, two chunks.  All of them fit one row band.
+The row-banded emission is pinned by three 64x64 whole-grid kernels at the
+``sim_compiled_64`` benchmark's sizes (:data:`BANDED`).
 
 ``python tests/wse/kernel_corpus.py`` rewrites ``data/kernel_digests.json``
 from the generator it imports.  Rewrite it only for an intended change of the
@@ -46,11 +48,19 @@ SHARDED = ("Jacobian", "Seismic", "UVKBE")
 
 SHARD_GRID = (2, 2)
 
+#: banded whole-grid kernels: (benchmark, boundary, nz, time steps) on 64x64.
+BANDED = (
+    ("Jacobian", BoundaryCondition.dirichlet(), 256, 12),
+    ("Seismic", BoundaryCondition.dirichlet(), 128, 6),
+    ("ReflectiveHeat", BoundaryCondition.reflect(), 128, 6),
+)
 
-def _bound(name: str, boundary: BoundaryCondition):
+
+def _bound(name: str, boundary: BoundaryCondition, grid=None, nz=12, steps=2):
     benchmark = benchmark_by_name(name)
-    grid = 9 if benchmark.stencil_points >= 25 else 6
-    program = benchmark.program(nx=grid, ny=grid, nz=12, time_steps=2)
+    if grid is None:
+        grid = 9 if benchmark.stencil_points >= 25 else 6
+    program = benchmark.program(nx=grid, ny=grid, nz=nz, time_steps=steps)
     options = PipelineOptions(
         grid_width=grid, grid_height=grid, num_chunks=2, boundary=boundary
     )
@@ -76,6 +86,9 @@ def kernel_sources() -> dict[str, str]:
             for box in geometry.boxes():
                 pin = f"{benchmark.name}/{boundary.spec}/box{list(box)}"
                 sources[pin] = _source(image, plan, box, geometry)
+    for name, boundary, nz, steps in BANDED:
+        image, plan = _bound(name, boundary, 64, nz, steps)
+        sources[f"{name}/{boundary.spec}/grid64"] = _source(image, plan)
     return sources
 
 

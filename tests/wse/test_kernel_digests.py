@@ -4,7 +4,8 @@
 ``kernel_corpus.py`` lists, fingerprint header included — so a change to
 the emitted source, to ``CODEGEN_VERSION``/``PLAN_VERSION`` or to anything
 else a kernel fingerprint hashes fails here with the kernel's name, and an
-unchanged file proves every cached kernel-store entry stays valid.
+unchanged file proves every cached kernel-store entry stays valid.  The
+64x64 pins are the only row-banded kernels of the corpus.
 """
 
 import json
@@ -22,3 +23,8 @@ def test_every_pinned_kernel_is_emitted_unchanged():
         if kernel_corpus.kernel_digest(source) != pinned[pin]
     ]
     assert not changed, f"emitted kernels changed: {changed}"
+    banded = {pin for pin, source in sources.items() if "BANDS = " in source}
+    assert banded == {
+        f"{name}/{boundary.spec}/grid64"
+        for name, boundary, _, _ in kernel_corpus.BANDED
+    }
