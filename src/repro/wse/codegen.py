@@ -63,6 +63,13 @@ the receive slab, and band ``k``'s staging writes every receive row the
 callback reads on band ``k``.  A kernel whose views fit one band — every
 small grid, every shard box — is emitted exactly as without banding.
 
+Only the error path differs under bands.  A runtime-offset view out of
+range raises the same ``IndexError`` as unbanded, but before any builtin of
+its run has executed (and, in a fused delivery, before the chunk is
+staged), where the unbanded kernel and ``vectorized`` first apply what
+precedes it.  The state such an error leaves behind is therefore not
+matched across backends; every run that completes is.
+
 Kernels are cached process-wide in an in-memory memo keyed by a *kernel
 fingerprint* (SHA-256 over the printed program module, the plan's canonical
 form and :data:`CODEGEN_VERSION`), and optionally persisted through a

@@ -15,6 +15,7 @@ after running.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.benchmarks import benchmark_by_name
@@ -31,6 +32,7 @@ from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse import codegen
 from repro.wse.codegen import _KernelEmitter, generate_kernel_source, reset_kernel_cache
+from repro.wse.executors.compiled import CompiledExecutor
 from repro.wse.interpreter import bound_image
 
 BOUNDARIES = (
@@ -132,6 +134,34 @@ def test_banded_staged_delivery(monkeypatch, rows):
     source = _force_rows(monkeypatch, module, 9, rows)
     assert "in fd" not in source and "for r0, r1 in BANDS:" in source
     _assert_matches_vectorized(program, module)
+
+
+def test_out_of_range_offset_raises_before_its_run(monkeypatch):
+    """The one documented difference of a banded kernel: a runtime-offset
+    view out of range raises the unbanded kernel's ``IndexError``, but
+    before any builtin of its run, so the run's earlier builtins have not
+    touched the buffers (the unbanded kernel has applied them)."""
+    program = benchmark_by_name("Jacobian").program(nx=6, ny=6, nz=16, time_steps=2)
+    module = _compile(program, 6)
+    after = {}
+    for rows in (None, 1):
+        reset_kernel_cache()
+        if rows is not None:
+            source = _force_rows(monkeypatch, module, 6, rows)
+            check = source.index("raise IndexError(\"DSD over 'accumulator_0'")
+            assert source.index("for r0, r1 in BANDS:", check) > check
+        executor = CompiledExecutor(bound_image(module), 6, 6)
+        rng = np.random.default_rng(7)
+        for array in executor.state.buffers.values():
+            array[:] = rng.standard_normal(array.shape, dtype=np.float32)
+        before = {k: v.copy() for k, v in executor.state.buffers.items()}
+        with pytest.raises(IndexError, match="DSD over 'accumulator_0' out of range"):
+            executor.kernel["fns"]["receive_chunk_cb0"](10**6)
+        after[rows] = {
+            name for name, array in executor.state.buffers.items()
+            if array.tobytes() != before[name].tobytes()
+        }
+    assert after == {None: {"accumulator_1"}, 1: set()}
 
 
 class TestKernelSize:
