@@ -36,39 +36,28 @@ receive slab wherever ``_direct_staging_safe`` proves that legal
 rendezvous with sibling shards.
 
 A whole-grid kernel whose longest DSD operand view is larger than
-``_BAND_BYTES`` also works in cache-sized **row bands** — the host-side
-twin of the lowering's ``num_chunks`` split, which keeps a PE's working set
-inside its SRAM:
+``_BAND_BYTES`` also runs its DSD chains in cache-sized **row bands** — the
+host-side twin of the lowering's ``num_chunks`` split, which keeps a PE's
+working set inside its SRAM.  Each maximal run of consecutive DSD builtins
+(with the pure scalar and DSD-value ops between them) becomes one
+``for r0, r1 in BANDS:`` loop over ``[r0:r1]`` row slices of the same
+bind-time views; ``BANDS`` is a bind-time literal, so the kernel text does
+not grow with the number of bands.  Runtime-offset views and their range
+checks are built before the loop, the ``fmacs`` scratch is band-sized, and
+the counter bumps follow the loop with the same totals.
 
-* **banded runs** — each maximal run of consecutive DSD builtins (with the
-  pure scalar and DSD-value ops between them) becomes one
-  ``for r0, r1 in BANDS:`` loop over ``[r0:r1]`` row slices of the same
-  bind-time views.  Runtime-offset views and their range checks are built
-  before the loop, the ``fmacs`` scratch is band-sized, and the counter
-  bumps follow the loop with the same totals;
-* **fused direct delivery** — when the receive callback is one such run and
-  every direction stages by basic slices, ``deliver_<eid>`` stages band
-  ``k`` of a chunk and at once runs the callback's builtins on band ``k``,
-  while the staged rows are still in cache.  The loop runs over a
-  bind-time table of per-band row slices (``band_rows``), so the kernel
-  text does not grow with the number of bands.
-
-Both are legal because every DSD operand is a ``[:, :, z]`` view of a
+This is legal because every DSD operand is a ``[:, :, z]`` view of a
 ``(height, width, z)`` buffer: element ``(r, c, k)`` of any builtin reads
 only row ``r`` of its operands, so running a chain band by band gives every
 element the same operations in the same order — the full-RHS hazard form
-included.  The fused delivery adds what ``_direct_staging_safe`` already
-proves: the callback writes neither the source later bands stage from nor
-the receive slab, and band ``k``'s staging writes every receive row the
-callback reads on band ``k``.  A kernel whose views fit one band — every
-small grid, every shard box — is emitted exactly as without banding.
+included.  A kernel whose views fit one band — every small grid, every
+shard box — is emitted exactly as without banding.
 
-Only the error path differs under bands.  A runtime-offset view out of
+Only the error path differs under bands: a runtime-offset view out of
 range raises the same ``IndexError`` as unbanded, but before any builtin of
-its run has executed (and, in a fused delivery, before the chunk is
-staged), where the unbanded kernel and ``vectorized`` first apply what
-precedes it.  The state such an error leaves behind is therefore not
-matched across backends; every run that completes is.
+its run has executed, where the unbanded kernel (and ``vectorized``) first
+apply the run's earlier builtins.  The state left behind by that error is
+therefore not matched across backends; every successful run is.
 
 Kernels are cached process-wide in an in-memory memo keyed by a *kernel
 fingerprint* (SHA-256 over the printed program module, the plan's canonical
@@ -123,7 +112,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: fingerprints so cached run artifacts invalidate alongside.
 #: v3: one whole-grid emission — every non-box kernel carries ``run_block``
 #: and the direct-to-receive delivery.
-#: v4: whole-grid DSD runs and fused direct deliveries over row bands.
+#: v4: whole-grid DSD runs over row bands.
 CODEGEN_VERSION = 4
 
 #: bytes one row band of the longest DSD operand view spans in a whole-grid
@@ -263,28 +252,6 @@ def _atom(expression: str) -> str:
     return f"({expression})"
 
 
-def band_rows(
-    bands: tuple[tuple[int, int], ...],
-    mappings: tuple[tuple[int, int, int], ...],
-) -> tuple[tuple, ...]:
-    """The per-band slice table of a fused delivery (called at kernel bind).
-
-    One ``(r0, r1, dest0, src0, dest1, src1, ...)`` tuple per band: for each
-    ``(lo, hi, shift)`` staging row mapping (destination rows ``[lo, hi)``
-    read source rows ``[lo + shift, hi + shift)``), the destination rows the
-    band ``[r0, r1)`` covers and the source rows they read — empty slices
-    where the band misses the mapping."""
-    table = []
-    for r0, r1 in bands:
-        row: list = [r0, r1]
-        for lo, hi, shift in mappings:
-            start = max(lo, r0)
-            stop = max(start, min(hi, r1))
-            row += [slice(start, stop), slice(start + shift, stop + shift)]
-        table.append(tuple(row))
-    return tuple(table)
-
-
 class _KernelEmitter:
     """Walks one program image + plan and emits the kernel source."""
 
@@ -364,9 +331,6 @@ class _KernelEmitter:
         #: operand spans more than :data:`_BAND_BYTES` — empty otherwise,
         #: and the kernel then runs every op over whole-grid views.
         self._bands: tuple[tuple[int, int], ...] = ()
-        #: fused direct deliveries: eid -> the ``(lo, hi, shift)`` staging
-        #: row mappings of its ``fd<eid>`` band table.
-        self._band_maps: dict[int, list[tuple[int, int, int]]] = {}
         self._temp = 0
         if box is not None:
             assert geometry is not None
@@ -634,23 +598,6 @@ class _KernelEmitter:
         the runtime-offset views and their range checks, go before the
         loop; the counter bumps after it, with the same totals."""
         body = b.nested()
-        ops, elements = self._emit_run_parts(run, env, b, body)
-        if not ops:
-            return  # no builtin: the scalar ops were emitted in place
-        b.line("for r0, r1 in BANDS:")
-        b.extend(body)
-        b.line(f"counters['dsd_ops'] += {ops}")
-        b.line(f"counters['dsd_elements'] += {elements}")
-
-    def _emit_run_parts(
-        self,
-        run: list[Operation],
-        env: dict[int, Any],
-        b: SourceBuilder,
-        body: SourceBuilder,
-    ) -> tuple[int, int]:
-        """Pure ops into ``b``, builtin statements into the band-loop
-        ``body``; returns the run's ``(dsd_ops, dsd_elements)``."""
         ops = elements = 0
         for op in run:
             if isinstance(op, csl.DSD_BUILTIN_OPS):
@@ -658,7 +605,12 @@ class _KernelEmitter:
                 ops += 1
             else:
                 self._emit_op(op, env, b)
-        return ops, elements
+        if not ops:
+            return  # no builtin: the scalar ops were emitted in place
+        b.line("for r0, r1 in BANDS:")
+        b.extend(body)
+        b.line(f"counters['dsd_ops'] += {ops}")
+        b.line(f"counters['dsd_elements'] += {elements}")
 
     def _emit_op(self, op: Operation, env: dict[int, Any], b: SourceBuilder):
         if isinstance(op, (csl.ConstantOp, arith.ConstantOp)):
@@ -1124,20 +1076,6 @@ class _KernelEmitter:
                     value = f"{value} * c{eid}_{slot}"
                 bb.line(f"{receive_view}[:, :, {z0}:{z1}] = {value}")
 
-        fused = self._fused_callback(exchange) if receive_view else None
-        if fused is not None:
-            self._band_maps[eid] = []
-
-        def rows_of(lo: int, hi: int, shift: int) -> tuple[str, str]:
-            """Row expressions of one staging copy in a fused band loop."""
-            if (lo, hi, shift) == (0, self.plan.height, 0):
-                return "r0:r1", "r0:r1"
-            maps = self._band_maps[eid]
-            if (lo, hi, shift) not in maps:
-                maps.append((lo, hi, shift))
-            index = maps.index((lo, hi, shift))
-            return f"d{index}", f"s{index}"
-
         b.line(f"def deliver_{eid}():")
         with b.indented():
             body_start = len(b)
@@ -1154,46 +1092,17 @@ class _KernelEmitter:
                         emit_fills(b)
                 else:
                     emit_fills(b)
-            ops = elements = 0
             for chunk in range(exchange.num_chunks):
                 start = exchange.source_offset + chunk * exchange.chunk_size
                 stop = start + exchange.chunk_size
-                argument = chunk * exchange.chunk_size
-                if fused is None:
-                    for slot, direction in enumerate(exchange.directions):
-                        self._emit_direct_stage(
-                            eid, exchange, slot, direction,
-                            source, start, stop, receive_view, b,
-                        )
-                    if exchange.receive_callback:
-                        callback = self._fn(exchange.receive_callback)
-                        b.line(f"{callback}({argument})")
-                    continue
-                # Stage band k of the chunk, then run the callback on band k
-                # while the staged rows are still in cache.
-                body = b.nested()
                 for slot, direction in enumerate(exchange.directions):
                     self._emit_direct_stage(
                         eid, exchange, slot, direction,
-                        source, start, stop, receive_view, body, rows_of,
+                        source, start, stop, receive_view, b,
                     )
-                block, run = fused
-                env = {id(block.args[0]): str(argument)} if block.args else {}
-                chunk_ops, chunk_elements = self._emit_run_parts(
-                    run, env, b, body
-                )
-                ops += chunk_ops
-                elements += chunk_elements
-                names = "".join(
-                    f", d{index}, s{index}"
-                    for index in range(len(self._band_maps[eid]))
-                )
-                b.line(f"for r0, r1{names} in fd{eid}:")
-                b.extend(body)
-            if fused is not None and exchange.num_chunks:
-                b.line(f"counters['tasks_run'] += {exchange.num_chunks}")
-                b.line(f"counters['dsd_ops'] += {ops}")
-                b.line(f"counters['dsd_elements'] += {elements}")
+                if exchange.receive_callback:
+                    argument = chunk * exchange.chunk_size
+                    b.line(f"{self._fn(exchange.receive_callback)}({argument})")
             if exchange.done_callback:
                 b.line(
                     f"queue.append(({self._fn(exchange.done_callback)}, 0))"
@@ -1212,14 +1121,14 @@ class _KernelEmitter:
         stop: int,
         receive_view: str | None,
         b: SourceBuilder,
-        rows_of: Callable[[int, int, int], tuple[str, str]] | None = None,
     ) -> None:
         """One direction-slot of one chunk, written into the receive slab.
 
-        Each rectangle of :meth:`_stage_rects` is one basic-slice copy; a
-        ragged table keeps the one-shot fancy gather.  In a fused band loop
-        ``rows_of(lo, hi, shift)`` names the destination and source rows
-        the current band covers.
+        Gathers whose fold tables decompose into a few contiguous runs per
+        axis (interior shifts, periodic/reflect wraps) become basic-slice
+        copies — no fancy-index temporary; ragged tables keep the one-shot
+        fancy gather.  Constant-fill directions copy only the shifted run
+        over the borders established by the delivery prologue.
         """
         if receive_view is None:
             return
@@ -1228,6 +1137,7 @@ class _KernelEmitter:
         coefficient = (
             f"c{eid}_{slot}" if exchange.coefficients is not None else None
         )
+        table = self.plan.halo_table(direction)
 
         def copy(dest: str, src: str) -> None:
             if coefficient is None:
@@ -1235,18 +1145,28 @@ class _KernelEmitter:
             else:
                 b.line(f"np.multiply({src}, {coefficient}, out={dest})")
 
-        rects = self._stage_rects(direction)
-        if rects is not None:
-            for y0, y1, sy, x0, x1, sx in rects:
-                if rows_of is None:
-                    dest_rows, src_rows = f"{y0}:{y1}", f"{sy}:{sy + y1 - y0}"
-                else:
-                    dest_rows, src_rows = rows_of(y0, y1, sy - y0)
-                copy(
-                    f"{receive_view}[{dest_rows}, {x0}:{x1}, {z0}:{z1}]",
-                    f"{source}[{src_rows}, {sx}:{sx + x1 - x0}, "
-                    f"{start}:{stop}]",
-                )
+        if self.plan.gather_indices(direction) is None:
+            dx, dy = direction
+            y0, y1, x0, x1 = table.interior_box()
+            if y0 >= y1 or x0 >= x1:
+                return
+            copy(
+                f"{receive_view}[{y0}:{y1}, {x0}:{x1}, {z0}:{z1}]",
+                f"{source}[{y0 + dy}:{y1 + dy}, {x0 + dx}:{x1 + dx}, "
+                f"{start}:{stop}]",
+            )
+            return
+        row_runs = self._axis_runs(table.rows)
+        col_runs = self._axis_runs(table.cols)
+        if len(row_runs) * len(col_runs) <= 4:
+            for ry0, ry1, sy in row_runs:
+                for cx0, cx1, sx in col_runs:
+                    copy(
+                        f"{receive_view}[{ry0}:{ry1}, {cx0}:{cx1}, "
+                        f"{z0}:{z1}]",
+                        f"{source}[{sy}:{sy + ry1 - ry0}, "
+                        f"{sx}:{sx + cx1 - cx0}, {start}:{stop}]",
+                    )
             return
         rows, cols = self._gather(direction)
         dest = f"{receive_view}[:, :, {z0}:{z1}]"
@@ -1255,65 +1175,6 @@ class _KernelEmitter:
             b.line(f"{dest} = {gathered}")
         else:
             b.line(f"np.multiply({gathered}, {coefficient}, out={dest})")
-
-    def _stage_rects(
-        self, direction: tuple[int, int]
-    ) -> list[tuple[int, int, int, int, int, int]] | None:
-        """The basic-slice copies staging one direction, or ``None`` when
-        its fold table is too ragged and needs the fancy gather.
-
-        Each ``(y0, y1, sy, x0, x1, sx)`` copies destination rows
-        ``[y0, y1)`` x columns ``[x0, x1)`` from the source block starting
-        at row ``sy``, column ``sx``.  Constant-fill directions copy only
-        the shifted interior over the borders the delivery prologue wrote;
-        gathers whose fold tables decompose into a few contiguous runs per
-        axis (interior shifts, periodic/reflect wraps) need no fancy-index
-        temporary."""
-        table = self.plan.halo_table(direction)
-        if self.plan.gather_indices(direction) is None:
-            dx, dy = direction
-            y0, y1, x0, x1 = table.interior_box()
-            if y0 >= y1 or x0 >= x1:
-                return []
-            return [(y0, y1, y0 + dy, x0, x1, x0 + dx)]
-        row_runs = self._axis_runs(table.rows)
-        col_runs = self._axis_runs(table.cols)
-        if len(row_runs) * len(col_runs) > 4:
-            return None
-        return [
-            (ry0, ry1, sy, cx0, cx1, sx)
-            for ry0, ry1, sy in row_runs
-            for cx0, cx1, sx in col_runs
-        ]
-
-    def _fused_callback(self, exchange: ExchangePlan):
-        """``(block, ops)`` of a receive callback a banded direct delivery
-        runs band by band after staging each band, or ``None``.
-
-        The callback must be one straight-line run (DSD builtins and pure
-        ops only, no calls, activations, branches or variable stores), and
-        every direction must stage by basic slices: a ragged fancy gather
-        keeps the unfused call.  Legal on top of
-        :meth:`_direct_staging_safe`: the callback's builtins on band ``k``
-        read only band ``k`` rows, all of which that band's staging wrote,
-        and they write neither the source the later bands stage from nor
-        the receive slab."""
-        if not self._bands or not exchange.receive_callback:
-            return None
-        if any(self._stage_rects(d) is None for d in exchange.directions):
-            return None
-        callable_op = self.image.callables[exchange.receive_callback]
-        block = callable_op.regions[0].blocks[0]
-        run = []
-        for op in block.ops:
-            if isinstance(op, (csl.ReturnOp, scf.YieldOp)):
-                break
-            if not isinstance(op, self.RUN_OPS):
-                return None
-            run.append(op)
-        if not any(isinstance(op, csl.DSD_BUILTIN_OPS) for op in run):
-            return None
-        return block, run
 
     # -- shard-box exchange (overlapped tiled protocol) ------------------- #
 
@@ -1609,8 +1470,6 @@ class _KernelEmitter:
                 out.line(f"{self._buffer_names[buffer]} = state.buffers[{buffer!r}]")
             if self._bands:
                 out.line(f"BANDS = {self._bands!r}")
-                for eid, maps in self._band_maps.items():
-                    out.line(f"fd{eid} = band_rows(BANDS, {tuple(maps)!r})")
             if self.box is not None:
                 for eid, _, _ in self._exchanges:
                     out.line(
@@ -1834,7 +1693,7 @@ def reset_kernel_cache() -> None:
 
 
 def _materialise(fingerprint: str, source: str) -> CompiledKernel:
-    namespace: dict[str, Any] = {"np": np, "deque": deque, "band_rows": band_rows}
+    namespace: dict[str, Any] = {"np": np, "deque": deque}
     code = compile(source, f"<kernel {fingerprint[:12]}>", "exec")
     exec(code, namespace)
     return CompiledKernel(

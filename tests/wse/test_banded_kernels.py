@@ -1,9 +1,8 @@
 """Row-banded whole-grid kernels: byte-identical at any band height.
 
 A whole-grid kernel whose views outgrow ``codegen._BAND_BYTES`` runs each
-chain of DSD builtins, and each fused direct delivery (stage a band, run the
-receive callback on it), one row band at a time.  Banding only reorders
-work across rows, so every band height must give the fields and
+chain of DSD builtins one row band at a time.  Banding only reorders work
+across rows, so every band height must give the fields and
 :class:`SimulationStatistics` of ``vectorized`` exactly.  The small grids of
 the golden matrix fit one band at the shipped constant, so these tests force
 1- and 2-row bands (the 9x9 grids then end on a ragged band).
@@ -116,14 +115,14 @@ def test_banded_exchanges_sharing_a_receive_buffer(monkeypatch, rows):
     )
     module = _compile(program, 5, enable_stencil_inlining=False)
     source = _force_rows(monkeypatch, module, 5, rows)
-    assert source.count("in fd") == 4  # both deliveries fused, per chunk
+    assert "for r0, r1 in BANDS:" in source
     _assert_matches_vectorized(program, module)
 
 
 @pytest.mark.parametrize("rows", (1, 2))
 def test_banded_staged_delivery(monkeypatch, rows):
-    """The staged delivery (every chunk copied aside before any callback)
-    keeps its unfused form; its callbacks' runs are banded."""
+    """The staged delivery (every chunk copied aside before any callback),
+    with its callbacks' runs banded."""
     monkeypatch.setattr(
         _KernelEmitter,
         "_direct_staging_safe",
@@ -132,7 +131,7 @@ def test_banded_staged_delivery(monkeypatch, rows):
     program = benchmark_by_name("Seismic").program(nx=9, ny=9, nz=12, time_steps=2)
     module = _compile(program, 9)
     source = _force_rows(monkeypatch, module, 9, rows)
-    assert "in fd" not in source and "for r0, r1 in BANDS:" in source
+    assert "st0_0" in source and "for r0, r1 in BANDS:" in source
     _assert_matches_vectorized(program, module)
 
 
@@ -165,8 +164,8 @@ def test_out_of_range_offset_raises_before_its_run(monkeypatch):
 
 
 class TestKernelSize:
-    """The band loop is a runtime loop over bind-time tables: the kernel
-    text does not grow with the number of bands."""
+    """The band loop is a runtime loop over the bind-time ``BANDS``
+    literal: the kernel text does not grow with the number of bands."""
 
     def test_band_count_changes_only_the_bands_literal(self, monkeypatch):
         program = benchmark_by_name("Seismic").program(
