@@ -23,8 +23,8 @@ sim-bench:
 # Gate the tiled backend: the golden byte-identical digest matrices (7
 # benchmarks x 3 boundary modes x all executors, including tiled and the
 # auto dispatcher) plus the backend's own suite — shard geometry, the
-# worker pool and the in-process driver (pool reuse, one barrier per round
-# plus the settling one, worker reaping), failure paths and the
+# thread driver (one barrier per round plus the settling one, every shard
+# thread joined, forced-interleaving stress runs), failure paths and the
 # declined-codegen error.
 tiled-check:
 	$(PYTHON) -m pytest tests/wse/test_tiled_executor.py \

@@ -10,11 +10,11 @@ a CI artifact):
   8x8 grid the vectorized lockstep executor is at least **3x** faster than
   the per-PE interpreter and the fused generated kernel at least **5x**
   (in practice both are orders of magnitude);
-* a paper-scale head-to-head of the ``tiled`` backend (shard kernels on
-  the persistent pool) against ``compiled`` on a 64x64 fabric — rows
-  recorded, and the mechanisms the speed depends on asserted instead of
-  the host-dependent ratio: the pool's workers survive across runs and
-  every run pays exactly one barrier per delivery round plus one;
+* a paper-scale head-to-head of the ``tiled`` backend (shard kernels, one
+  thread per shard) against ``compiled`` on a 64x64 fabric — rows
+  recorded, and the mechanism the speed depends on asserted instead of
+  the host-dependent ratio: every run pays exactly one barrier per
+  delivery round plus one;
 * a paper-scale head-to-head of ``compiled`` against ``vectorized`` on the
   same 64x64 fabric, pinning a **1.2x** floor, with the kernel cache's
   cold (code-generating) and warm (memo-served) runs recorded as separate
@@ -56,7 +56,7 @@ REPEATS = 3
 #: the paper-scale head-to-head configuration (tiled and compiled, each
 #: against vectorized).  The z extent and step count are sized so per-round
 #: array math dominates the per-round synchronisation cost of the shard
-#: pool by a wide margin.
+#: threads by a wide margin.
 TILED_GRID = 64
 TILED_Z_DIM = 256
 TILED_TIME_STEPS = 12
@@ -99,7 +99,7 @@ def _best_simulation_seconds(program_module, columns, executor: str) -> float:
 
     Backend construction and host-side field loading are included — they are
     part of what a figure-regeneration run pays per simulation (for ``tiled``
-    that includes forking the shard workers) — while compilation is excluded
+    that includes starting the shard threads) — while compilation is excluded
     (it is served by the compile cache in practice).  GC is paused so a
     collection on one side cannot skew the ratio.
     """
@@ -200,8 +200,8 @@ def _best_interleaved_seconds(program_module, columns, executors, repeats):
 
 def test_tiled_beats_compiled_at_paper_scale(monkeypatch):
     """Record ``tiled`` against ``compiled``/``vectorized`` on 64x64, and
-    pin what its speed rests on: one pool for the executor's lifetime and
-    one barrier per delivery round (plus the settling one) per run."""
+    pin what its speed rests on: one barrier per delivery round (plus the
+    settling one) per run."""
     # Pin the historical 2x2 shard grid: the measured configuration must
     # not drift with the host-CPU-derived auto grid.
     monkeypatch.setenv(SHARD_ENV_VAR, "2")
@@ -236,14 +236,7 @@ def test_tiled_beats_compiled_at_paper_scale(monkeypatch):
         simulator.load_field(name, data)
     rounds = simulator.execute().rounds
     assert rounds == TILED_TIME_STEPS
-    pool = simulator.executor._pool
-    if pool is None:
-        return  # platform without fork: in-process, nothing to synchronise
     assert simulator.statistics.barrier_waits == rounds + 1
-    pids = [worker.pid for worker in pool.workers]
-    simulator.execute()
-    assert simulator.executor._pool is pool
-    assert [worker.pid for worker in pool.workers] == pids
 
 
 def _one_simulation_seconds(program_module, columns, executor: str) -> float:

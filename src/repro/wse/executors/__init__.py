@@ -18,12 +18,11 @@ Five backends ship in-tree, all replaying the same pre-compiled
   Bit-identical to ``vectorized`` and the fastest single-process backend;
   falls back to inherited vectorized interpretation when code generation
   declines.
-* ``tiled`` — the sharded multiprocess executor
-  (:mod:`repro.wse.executors.tiled`): partitions the fabric into kx×ky
-  shards over shared-memory buffers, each replaying a generated kernel.
-  One round protocol — seam publication with one barrier per round —
-  advanced by a persistent pool of forked workers or, on 1-shard grids and
-  fork-less platforms, in-process.
+* ``tiled`` — the sharded executor (:mod:`repro.wse.executors.tiled`):
+  partitions the fabric into kx×ky shards over shared full-grid NumPy
+  buffers, each replaying a generated kernel.  One round protocol — seam
+  publication with one barrier per round — driven on one thread per
+  shard, all joined before a run returns.
   Bit-identical to ``vectorized``; raises ``KernelCodegenError`` for
   programs the generator cannot fuse (there are no interpreted shards).
 * ``auto`` — the profile-guided dispatcher

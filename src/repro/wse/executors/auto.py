@@ -6,8 +6,8 @@ on this host*.  What is priced is a *warm* run — the module's image, plan
 and kernel are memoised on the module, so binding it again costs every
 backend about the same — which leaves ``compiled`` ahead on one CPU from a
 single PE upwards, and the sharded ``tiled``/``compiled`` composition ahead
-on large fabrics with several CPUs (forking costs more than it saves below
-that).  This dispatcher makes that choice per simulator instance and then
+on large fabrics with several CPUs (below that, its per-round barrier and
+seam waits cost more than the parallel shards save).  This dispatcher makes that choice per simulator instance and then
 delegates everything to the chosen backend.
 
 The decision is profile-guided in the spirit of PGO surveys: recorded
@@ -70,8 +70,8 @@ OBSERVED_NAME = "auto-observed"
 #: all match :func:`estimate_delivery_rounds`'s loop pattern).
 NOMINAL_ROUNDS = 8
 
-#: backends the dispatcher considers (tiled joins when it can actually
-#: shard and fork).
+#: backends the dispatcher considers (tiled joins when the fabric splits
+#: into several shards and at least two CPUs can run them).
 _SERIAL_CANDIDATES = ("reference", "vectorized", "compiled")
 
 

@@ -1,13 +1,13 @@
-"""The tiled backend: generated shard kernels on a persistent process pool.
+"""The tiled backend: generated shard kernels, one thread per shard.
 
 The vectorized lockstep executor turned the per-PE interpretation into
 whole-grid array math; this backend distributes that math.  The fabric is
-partitioned into a ``kx x ky`` grid of rectangular *shards*, each owned by
-one worker process.  Every buffer of the program lives in one full-grid
-shared-memory array (an anonymous ``mmap`` backing a
-``multiprocessing.RawArray``), so each worker's compute operates on *views*
-restricted to its shard rows/columns — the identical NumPy ufuncs on a
-sub-rectangle are bit-identical to the vectorized whole-grid op.
+partitioned into a ``kx x ky`` grid of rectangular *shards*, each driven by
+one thread.  Every buffer of the program is one full-grid NumPy array, so
+each shard's compute operates on *views* restricted to its shard
+rows/columns — the identical NumPy ufuncs on a sub-rectangle are
+bit-identical to the vectorized whole-grid op, and they release the GIL
+while they stream, so the shards' array math runs in parallel.
 
 Every shard replays a kernel :mod:`repro.wse.codegen` generated for it
 (cached process-wide and fleet-wide through the service
@@ -16,7 +16,7 @@ Every shard replays a kernel :mod:`repro.wse.codegen` generated for it
 ``vectorized`` is the interpreting backend.  The round protocol
 (:func:`_seam_rounds`) is written once as a generator that yields at its
 rendezvous points, with one barrier per delivery round: after draining, a
-shard *publishes* its seam rows/columns into shared snapshot strips and
+shard *publishes* its seam rows/columns into snapshot strips and
 flags the round in a per-shard publication counter, stages its *interior*
 (sources inside the box — legal while siblings still compute), waits only
 for the publication flags of the shards it actually reads from, stages the
@@ -25,31 +25,27 @@ barrier, which doubles as the settled-consensus point (monotone progress
 stamps, so a shard racing into the next round can never corrupt a
 sibling's consensus read).
 
-The same generator runs under two drivers.  On a **persistent worker
-pool** (:class:`_ShardPool`; forked once per executor, reused across runs,
-command pipes carry launch entry + resumed scalar state) a rendezvous is a
-real barrier or publication wait.  **In-process** (1-shard grids and
-platforms without ``fork``) every shard is advanced to its next rendezvous
-in turn, which satisfies the same ordering — bit-identical, merely not
-parallel.
+One driver (:meth:`TiledExecutor._run_shards`) advances the generator of
+every shard: each run starts one thread per shard but the first, drives
+shard 0 on the calling thread, and joins every thread before it returns.
+A rendezvous is a real :class:`threading.Barrier` wait or publication
+wait; a 1-shard grid takes the same path with a barrier of one.  A shard
+that fails aborts the barrier, and the run raises that shard's own
+diagnosis, not the broken barrier its siblings saw.
 
 ``REPRO_TILED_SHARDS`` overrides the shard grid (K along both axes, clamped
 to the fabric); when unset the grid is derived from the usable CPU count
-(one worker per CPU) and clamped so no shard is thinner than
-:data:`MIN_SHARD_SIDE` PEs per side along either axis — below that, fork
-and barrier overhead dominate the per-shard array math.
+(one shard per CPU) and clamped so no shard is thinner than
+:data:`MIN_SHARD_SIDE` PEs per side along either axis — below that, the
+per-round barrier overhead dominates the per-shard array math.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import multiprocessing.connection
 import os
 import threading
 import time
-import traceback
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,13 +67,13 @@ from repro.wse.plan import ExecutionPlan, ShardGeometry
 SHARD_ENV_VAR = "REPRO_TILED_SHARDS"
 
 #: smallest shard side the auto heuristic will create: thinner shards pay
-#: more in fork + per-round barrier overhead than their slice of the array
-#: math is worth.
+#: more in per-round barrier overhead than their slice of the array math
+#: is worth.
 MIN_SHARD_SIDE = 4
 
-#: ceiling on any single barrier wait / publication wait / result
-#: collection (seconds); shard divergence (which SPMD uniformity rules
-#: out) surfaces as an error instead of a hang.
+#: ceiling on any single barrier wait / publication wait (seconds); shard
+#: divergence (which SPMD uniformity rules out) surfaces as an error
+#: instead of a hang.
 SYNC_TIMEOUT_SECONDS = 600.0
 
 #: publication-wait spins before the first sleep: a sibling mid-round
@@ -97,10 +93,10 @@ BACKOFF_CAP_SECONDS = 1e-3
 
 
 def usable_cpu_count() -> int:
-    """CPUs this process may actually schedule shard workers on.
+    """CPUs this process may actually schedule shard threads on.
 
     Affinity-aware: plain ``os.cpu_count()`` over-reports inside
-    affinity-restricted containers, which would fork workers that only
+    affinity-restricted containers, which would start shards that only
     time-slice one core.
     """
     try:
@@ -114,7 +110,7 @@ def shard_grid(
 ) -> tuple[int, int]:
     """The shard grid ``(kx, ky)``: ``REPRO_TILED_SHARDS`` (K along both
     axes, clamped so no shard is empty) — or, when the variable is unset, a
-    grid derived from the usable CPU count (``kx * ky`` workers ≈ one per
+    grid derived from the usable CPU count (``kx * ky`` shards ≈ one per
     CPU) and clamped per axis so no shard is thinner than
     :data:`MIN_SHARD_SIDE` PEs.  The per-axis clamp is what keeps ragged
     fabrics (e.g. 64x8) sharded along their long axis instead of collapsing
@@ -159,7 +155,7 @@ class ShardResult:
     """What one shard's round loop reports after running to completion.
 
     The three synchronisation counters are filled in by
-    :func:`_drive_with_waits`; in-process runs never wait, so they stay 0.
+    :func:`_drive_with_waits`.
     """
 
     rounds: int
@@ -176,15 +172,15 @@ class ShardResult:
 
 
 class ShardState(GridState):
-    """One shard's lockstep state over views of the shared full-grid buffers.
+    """One shard's lockstep state over views of the full-grid buffers.
 
     A :class:`~repro.wse.executors.vectorized.GridState` whose ``buffers``
-    are writable sub-rectangle views of the parent's shared-memory arrays,
+    are writable sub-rectangle views of the executor's full-grid arrays,
     so every DSD compute op touches exactly this shard's rows and columns
-    of shared memory — and whose allocation hook maps onto those
-    pre-existing views instead of allocating.  The shard kernels
-    additionally read :attr:`seam_snapshots` (eid -> (row strip, column
-    strip) shared arrays) for their rim staging.
+    — and whose allocation hook maps onto those pre-existing views instead
+    of allocating.  The shard kernels additionally read
+    :attr:`seam_snapshots` (eid -> (row strip, column strip) arrays) for
+    their rim staging.
     """
 
     def __init__(
@@ -201,7 +197,7 @@ class ShardState(GridState):
         self.seam_snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def allocate(self, name: str, size: int) -> None:
-        # The parent pre-allocated every buffer in shared memory; an unknown
+        # The executor pre-allocated every full-grid buffer; an unknown
         # allocation here would be a plan/image mismatch.
         if name not in self.buffers:
             raise InterpretationError(
@@ -214,7 +210,7 @@ class CompiledShardRunner:
 
     Every step of the seam protocol — drain, publish, stage interior,
     stage rim, deliver — is a hook of the generated kernel, operating on
-    views of the shared full-grid buffers.
+    views of the executor's full-grid buffers.
 
     A fresh runner is bound per run — kernel closures capture the counters
     and variables dicts, so reuse across runs would leak state; the
@@ -329,7 +325,7 @@ def _await_publications(
     A sibling that settled (negative progress stamp) publishes nothing and
     is excused — the round is then doomed to a divergence error at the
     barrier, but must not hang first.  A broken barrier (sibling abort)
-    raises :class:`threading.BrokenBarrierError` so the parent's symptom
+    raises :class:`threading.BrokenBarrierError` so the driver's symptom
     deferral treats it like any other barrier break.
     """
     if not needed:
@@ -440,193 +436,6 @@ def _drive_with_waits(
     return result
 
 
-def _pool_worker(
-    connection,
-    shard_rounds,
-    index: int,
-    progress,
-    pub_rounds,
-    needed: tuple[int, ...],
-    barrier,
-) -> None:
-    """Entry point of one persistent pool worker.
-
-    Parks on the command pipe between runs; a closed pipe (parent exited
-    or discarded the pool) or a ``stop`` command ends the worker.  Each run
-    binds a fresh round loop (``shard_rounds`` is
-    :meth:`TiledExecutor._shard_rounds`, inherited through ``fork``) and
-    drives it with real waits.  Any failure aborts the
-    barrier, reports the traceback and ends the worker — the parent
-    discards the whole pool and re-forks on the next run.
-    """
-    while True:
-        try:
-            command = connection.recv()
-        except (EOFError, OSError):
-            break
-        if command[0] != "run":
-            break
-        try:
-            loop = shard_rounds(index, *command[1:], progress, pub_rounds)
-            result = _drive_with_waits(
-                loop, progress, pub_rounds, needed, barrier
-            )
-            connection.send(("ok", result))
-        except BaseException:
-            try:
-                barrier.abort()
-            except Exception:
-                pass
-            try:
-                connection.send(("error", traceback.format_exc()))
-            except Exception:
-                pass
-            break
-
-
-def _close_pool(workers, connections) -> None:
-    """Finalizer for a shard pool: must not reference pool or executor."""
-    for connection in connections:
-        try:
-            connection.send(("stop",))
-        except Exception:
-            pass
-    for connection in connections:
-        try:
-            connection.close()
-        except Exception:
-            pass
-    for worker in workers:
-        worker.join(timeout=5)
-    for worker in workers:
-        if worker.is_alive():
-            worker.terminate()
-    for worker in workers:
-        worker.join(timeout=30)
-
-
-class _ShardPool:
-    """A persistent fork-pool of shard workers, one per shard box.
-
-    Forked once per executor (sharing plan, kernels and the shared-memory
-    buffers and snapshots by address-space inheritance — so those must be
-    allocated before the pool is built) and reused across runs: each
-    ``run`` resets the shared round state, pipes one command per worker,
-    and collects one result per worker.  Workers
-    are daemonic and additionally bounded by a ``weakref.finalize`` on the
-    pool, so dropping the executor reaps them promptly.
-    """
-
-    def __init__(self, executor: "TiledExecutor"):
-        context = multiprocessing.get_context("fork")
-        count = len(executor.boxes)
-        self.barrier = context.Barrier(count)
-        #: signed per-shard round stamps (see :func:`_round_consensus`).
-        self.progress = multiprocessing.RawArray("q", count)
-        #: highest round each shard has published seams for (1-based).
-        self.pub_rounds = multiprocessing.RawArray("q", count)
-        self.connections = []
-        self.workers = []
-        for index in range(count):
-            parent_end, child_end = context.Pipe()
-            worker = context.Process(
-                target=_pool_worker,
-                args=(
-                    child_end,
-                    executor._shard_rounds,
-                    index,
-                    self.progress,
-                    self.pub_rounds,
-                    executor._needed[index],
-                    self.barrier,
-                ),
-                daemon=True,
-            )
-            worker.start()
-            child_end.close()
-            self.connections.append(parent_end)
-            self.workers.append(worker)
-        self._finalizer = weakref.finalize(
-            self, _close_pool, self.workers, self.connections
-        )
-
-    @property
-    def healthy(self) -> bool:
-        return all(worker.is_alive() for worker in self.workers)
-
-    def close(self) -> None:
-        self._finalizer()
-
-    def run(
-        self,
-        entry: str | None,
-        max_rounds: int,
-        variables: dict[str, float],
-        halted: bool,
-    ) -> list[ShardResult]:
-        for index in range(len(self.workers)):
-            self.progress[index] = 0
-            self.pub_rounds[index] = 0
-        command = ("run", entry, max_rounds, dict(variables), halted)
-        for connection in self.connections:
-            connection.send(command)
-        results: dict[int, ShardResult] = {}
-        failure: str | None = None
-        symptom: str | None = None
-        pending = dict(enumerate(self.connections))
-        # Workers report once, after their whole run: poll with a short
-        # timeout and keep waiting as long as they are alive, so a long
-        # simulation is never killed by the sync timeout (which bounds
-        # individual barrier waits, not total runtime).  Only a worker
-        # that died without reporting is a failure.
-        grace_polls = 0
-        while pending and failure is None:
-            ready = multiprocessing.connection.wait(
-                list(pending.values()), timeout=1.0
-            )
-            if not ready:
-                if any(
-                    not self.workers[index].is_alive() for index in pending
-                ):
-                    grace_polls += 1
-                    if grace_polls >= 5:
-                        failure = "shard worker died without reporting a result"
-                continue
-            grace_polls = 0
-            by_connection = {
-                id(connection): index
-                for index, connection in pending.items()
-            }
-            for connection in ready:
-                index = by_connection[id(connection)]
-                try:
-                    status, payload = connection.recv()
-                except (EOFError, OSError):
-                    failure = "shard worker died without reporting a result"
-                    break
-                if status == "error":
-                    if "BrokenBarrierError" in payload and (
-                        set(pending) - {index}
-                    ):
-                        # A sibling's abort broke this shard out of its
-                        # barrier or publication wait: a symptom, not the
-                        # diagnosis.  Keep draining for the shard that
-                        # aborted.
-                        symptom = payload
-                        del pending[index]
-                        continue
-                    failure = payload
-                    break
-                results[index] = payload
-                del pending[index]
-        if failure is None and symptom is not None:
-            failure = symptom
-        if failure is not None:
-            self.close()
-            raise InterpretationError(f"tiled shard worker failed:\n{failure}")
-        return [results[index] for index in range(len(self.workers))]
-
-
 def _shard_kernel_store():
     """The fleet-wide kernel source store, or None when unavailable.
 
@@ -644,7 +453,8 @@ def _shard_kernel_store():
 
 @register_executor
 class TiledExecutor(Executor):
-    """Partition the fabric into shards; replay the plan on a process pool."""
+    """Partition the fabric into shards; replay the plan on one thread per
+    shard."""
 
     name = "tiled"
 
@@ -659,17 +469,11 @@ class TiledExecutor(Executor):
         kx, ky = shard_grid(width, height)
         self.geometry = ShardGeometry.build(width, height, kx, ky)
         self.boxes = self.geometry.boxes()
-        #: anonymous shared-memory backing for every program buffer, so
-        #: forked shard workers and the parent see one coherent grid.
-        self._shared = {
-            name: multiprocessing.RawArray("f", height * width * size)
-            for name, size in self.plan.buffers.items()
-        }
+        #: every program buffer as one full-grid array; each shard's kernel
+        #: binds views of its own box.
         self.buffers: dict[str, np.ndarray] = {
-            name: np.frombuffer(raw, dtype=np.float32).reshape(
-                height, width, self.plan.buffers[name]
-            )
-            for name, raw in self._shared.items()
+            name: np.zeros((height, width, size), dtype=np.float32)
+            for name, size in self.plan.buffers.items()
         }
         self._entry: str | None = None
         self._grid_views: list[list[_TiledPeView]] | None = None
@@ -684,9 +488,7 @@ class TiledExecutor(Executor):
         #: content fingerprints of the shard kernels.
         self.kernel_fingerprints = tuple(k.fingerprint for k in self._kernels)
         self._needed = _needed_neighbors(self.plan, self.geometry)
-        self._snapshots: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
-        self._snapshot_raw: list = []
-        self._pool: _ShardPool | None = None
+        self._snapshots = self._allocate_snapshots()
 
     def _compile_shard_kernels(self) -> tuple[CompiledKernel, ...]:
         store = _shard_kernel_store()
@@ -708,34 +510,25 @@ class TiledExecutor(Executor):
                 f"on the interpreting 'vectorized' executor instead"
             ) from error
 
-    def _ensure_snapshots(self) -> None:
-        """Allocate the shared seam snapshots the shard kernels bind.
+    def _allocate_snapshots(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """The seam snapshots the shard kernels bind.
 
         Per exchange eid: a ``(published rows, fabric width, span)`` row
-        strip and a ``(fabric height, published cols, span)`` column strip,
-        both RawArray-backed so pool workers inherit them writable.
+        strip and a ``(fabric height, published cols, span)`` column strip.
+        Shards stage their rim out of these copies, not out of a sibling's
+        live buffers, so a sibling that already delivers this round cannot
+        overwrite seam rows another shard is still staging.
         """
-        if self._snapshots is not None:
-            return
         meta = self._kernels[0].meta or {"exchanges": []}
         pub_rows = meta.get("pub_rows", 0)
         pub_cols = meta.get("pub_cols", 0)
-        snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for eid, span in meta["exchanges"]:
-            row_elements = pub_rows * self.width * span
-            col_elements = self.height * pub_cols * span
-            row_raw = multiprocessing.RawArray("f", max(1, row_elements))
-            col_raw = multiprocessing.RawArray("f", max(1, col_elements))
-            self._snapshot_raw.extend((row_raw, col_raw))
-            snapshots[eid] = (
-                np.frombuffer(
-                    row_raw, dtype=np.float32, count=row_elements
-                ).reshape(pub_rows, self.width, span),
-                np.frombuffer(
-                    col_raw, dtype=np.float32, count=col_elements
-                ).reshape(self.height, pub_cols, span),
+        return {
+            eid: (
+                np.zeros((pub_rows, self.width, span), dtype=np.float32),
+                np.zeros((self.height, pub_cols, span), dtype=np.float32),
             )
-        self._snapshots = snapshots
+            for eid, span in meta["exchanges"]
+        }
 
     # ------------------------------------------------------------------ #
     # Host-side data movement
@@ -774,94 +567,93 @@ class TiledExecutor(Executor):
     # ------------------------------------------------------------------ #
 
     def launch(self, entry: str | None = None) -> None:
-        """Record the entry point; shards launch inside :meth:`run` (the
-        worker processes must execute the entry themselves so their scalar
-        state stays process-local)."""
+        """Record the entry point; each shard runs it on its own state
+        inside :meth:`run`."""
         self._entry = entry
         self._pending_launch = True
 
     def _run_rounds(self, max_rounds: int) -> SimulationStatistics:
-        # The snapshots must exist before the pool forks, so that its
-        # workers inherit them.
-        self._ensure_snapshots()
-        if (
-            len(self.boxes) > 1
-            and "fork" in multiprocessing.get_all_start_methods()
-        ):
-            results = self._run_pooled(max_rounds)
-        else:
-            results = self._run_in_process(max_rounds)
-        self._fold_results(results)
+        self._fold_results(self._run_shards(max_rounds))
         return self.statistics
 
-    def _shard_rounds(
-        self,
-        index: int,
-        entry: str | None,
-        max_rounds: int,
-        variables: dict[str, float],
-        halted: bool,
-        progress,
-        pub_rounds,
-    ):
-        """Bind a fresh runner for shard ``index`` and return its round
-        loop — the generator both drivers advance."""
-        runner = CompiledShardRunner(
-            self.plan,
-            self._kernels[index],
-            self.buffers,
-            self.boxes[index],
-            self._snapshots,
-            variables,
-            halted,
-        )
-        return _seam_rounds(
-            runner, entry, max_rounds, index, progress, pub_rounds
-        )
+    def _run_shards(self, max_rounds: int) -> list[ShardResult]:
+        """Drive every shard's round loop to completion, one thread each.
 
-    def _run_pooled(self, max_rounds: int) -> list[ShardResult]:
-        """Run the shards on the persistent worker pool, re-forking it if
-        a previous run left it broken."""
-        if self._pool is not None and not self._pool.healthy:
-            self._pool.close()
-            self._pool = None
-        if self._pool is None:
-            self._pool = _ShardPool(self)
-        try:
-            return self._pool.run(
-                self._entry, max_rounds, self._variables, self._halted
-            )
-        except BaseException:
-            pool, self._pool = self._pool, None
-            pool.close()
-            raise
-
-    def _run_in_process(self, max_rounds: int) -> list[ShardResult]:
-        """Drive the shards in this process (1-shard grids and fork-less
-        platforms): advance every shard to its next rendezvous in turn.
-
-        That lock-step satisfies what the pool's real waits enforce: by
-        the time a shard resumes past a seam wait every sibling has
-        published this round (each publishes before it yields), and past a
-        barrier every sibling has stamped its progress.
+        Shard 0 runs on the calling thread; the others run on threads
+        started here and joined before this returns or raises.  A failing
+        shard aborts the barrier so that no sibling waits on it; the run
+        then raises the lowest-numbered failure that is not a mere
+        :class:`threading.BrokenBarrierError`, chained to the original.
         """
         count = len(self.boxes)
-        progress, pub_rounds = [0] * count, [0] * count
-        live = {
-            index: self._shard_rounds(
-                index, self._entry, max_rounds, self._variables,
-                self._halted, progress, pub_rounds,
+        barrier = threading.Barrier(count)
+        # Signed per-shard round stamps (see :func:`_round_consensus`).
+        progress = [0] * count
+        # The highest round each shard has published seams for (1-based).
+        pub_rounds = [0] * count
+        loops = [
+            _seam_rounds(
+                CompiledShardRunner(
+                    self.plan,
+                    self._kernels[index],
+                    self.buffers,
+                    box,
+                    self._snapshots,
+                    self._variables,
+                    self._halted,
+                ),
+                self._entry,
+                max_rounds,
+                index,
+                progress,
+                pub_rounds,
             )
-            for index in range(count)
-        }
+            for index, box in enumerate(self.boxes)
+        ]
         results: list[ShardResult | None] = [None] * count
-        while live:
-            for index, loop in list(live.items()):
-                try:
-                    next(loop)
-                except StopIteration as finished:
-                    results[index] = finished.value
-                    del live[index]
+        failures: list[BaseException | None] = [None] * count
+
+        def drive(index: int) -> None:
+            try:
+                results[index] = _drive_with_waits(
+                    loops[index], progress, pub_rounds, self._needed[index],
+                    barrier,
+                )
+            except BaseException as error:
+                failures[index] = error
+                barrier.abort()
+
+        started: list[threading.Thread] = []
+        try:
+            for index in range(1, count):
+                thread = threading.Thread(
+                    target=drive, args=(index,), name=f"tiled-shard-{index}",
+                    daemon=True,
+                )
+                thread.start()
+                started.append(thread)
+            drive(0)
+        except BaseException:
+            barrier.abort()
+            raise
+        finally:
+            for thread in started:
+                thread.join()
+        failed = [
+            (i, error) for i, error in enumerate(failures) if error is not None
+        ]
+        if failed:
+            index, error = min(
+                failed,
+                key=lambda item: isinstance(
+                    item[1], threading.BrokenBarrierError
+                ),
+            )
+            if not isinstance(error, Exception):
+                raise error  # KeyboardInterrupt, SystemExit: not a diagnosis
+            raise InterpretationError(
+                f"tiled shard {index} failed: {type(error).__name__}: {error}"
+            ) from error
         return results
 
     def _fold_results(self, results: list[ShardResult]) -> None:

@@ -217,9 +217,11 @@ _HOST_MODEL = {
     "compiled": (0.12e-3, 8e-6, 0.0, 3e-9),
 }
 
-#: tiled-specific coefficients: fork/pool setup per shard, per-round
+#: tiled-specific coefficients: setup per run and per shard, per-round
 #: barrier + seam cost per shard, and the element work parallelised over
-#: ``min(shards, cpus)`` workers.
+#: ``min(shards, cpus)`` shards.  Fitted when each shard ran in its own
+#: process; left as they are since shards became threads, because a
+#: re-fit would move ``auto``'s picks.
 _TILED_SETUP = 3e-3
 _TILED_PER_SHARD_SETUP = 1.5e-3
 _TILED_PER_SHARD_ROUND = 150e-6

@@ -157,7 +157,7 @@ class ShardGeometry:
     ``extent % k`` bands are one wider — matching the historical tiled
     decomposition.  The geometry is the shared vocabulary between the plan
     (seam publication sets), the codegen (shard-box kernels) and the tiled
-    executor (worker pool layout), so it canonicalises for fingerprints.
+    executor (one thread per shard), so it canonicalises for fingerprints.
     """
 
     row_edges: tuple[int, ...]
@@ -238,8 +238,8 @@ class ExecutionPlan:
     obtained through :meth:`ProgramImage.plan_for
     <repro.wse.interpreter.ProgramImage.plan_for>`, as every simulator
     bind does; the executors only *read* it (several may share one plan —
-    successive binds of one module and the tiled backend's forked shard
-    workers do).
+    successive binds of one module and the tiled backend's shard threads
+    do).
     """
 
     def __init__(

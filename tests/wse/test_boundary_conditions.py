@@ -121,7 +121,7 @@ class TestKernelBackendsPerBoundaryMode:
     ``reference`` above.  The matrix adds the multi-field coupled UVKBE
     system to Jacobian and Seismic, over five steps on fabrics wide enough
     for 2x2 shards — Seismic's radius-4 halos still span whole shards — and
-    runs ``tiled`` both forked and on its in-process driver.
+    runs ``tiled`` both on 2x2 shards and on one.
     """
 
     BENCHMARKS = ("Jacobian", "Seismic", "UVKBE")
@@ -170,26 +170,26 @@ class TestKernelBackendsPerBoundaryMode:
         stats = self._assert_matches_vectorized(
             "tiled", program, module, f"tiled/{name}/{boundary.spec}"
         )
-        if stats.barrier_waits:
-            # Forked: one barrier per delivery round, plus the settling one.
-            assert stats.barrier_waits == stats.rounds + 1
+        # One barrier per delivery round, plus the settling one.
+        assert stats.barrier_waits == stats.rounds + 1
         assert stats.seam_spins >= 0
         assert stats.seam_backoffs >= 0
 
     @pytest.mark.parametrize("name", BENCHMARKS)
     @pytest.mark.parametrize("boundary", MODES, ids=lambda b: b.spec)
-    def test_in_process_tiled_matches_vectorized(
+    def test_one_shard_tiled_matches_vectorized(
         self, monkeypatch, name, boundary
     ):
-        """A 1-shard grid never forks: its one box is the whole fabric."""
+        """A 1-shard grid: its one box is the whole fabric, driven through
+        the same barrier protocol with a barrier of one."""
         monkeypatch.setenv(SHARD_ENV_VAR, "1")
         program, module = self._compile(name, boundary)
         simulator = WseSimulator(module, executor="tiled")
         assert len(simulator.executor.boxes) == 1
         stats = self._assert_matches_vectorized(
-            "tiled", program, module, f"in-process tiled/{name}/{boundary.spec}"
+            "tiled", program, module, f"1-shard tiled/{name}/{boundary.spec}"
         )
-        assert stats.barrier_waits == 0
+        assert stats.barrier_waits == stats.rounds + 1
 
 
 class TestAnalyticPeriodicAdvection:

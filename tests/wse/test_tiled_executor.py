@@ -5,17 +5,21 @@ statistics on the golden benchmarks and under every boundary mode) live in
 ``test_executor_equivalence.py`` / ``test_boundary_conditions.py``, whose
 executor matrices include ``tiled``; this file covers the backend's own
 mechanics: the shard-box geometry, the ``REPRO_TILED_SHARDS`` override, the
-worker pool and the in-process driver, the failure paths, and the per-PE
-host surface.
+thread driver (one barrier per round plus the settling one, every shard
+thread joined, the seam protocol under forced GIL switches), the failure
+paths, and the per-PE host surface.
 """
 
-import gc
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.baselines.numpy_ref import allocate_fields, field_to_columns
 from repro.frontends.common import (
+    BoundaryCondition,
     Constant,
     FieldAccess,
     FieldDecl,
@@ -53,12 +57,24 @@ def _star_program(nx, ny, nz, steps=2, name="tiled_probe"):
     )
 
 
-def _compiled(nx, ny, nz=8, steps=2, name="tiled_probe"):
+def _compiled(nx, ny, nz=8, steps=2, name="tiled_probe", boundary=None):
     program = _star_program(nx, ny, nz, steps, name)
+    if boundary is not None:
+        program = replace(program, boundary=boundary)
     result = compile_stencil_program(
         program, PipelineOptions(grid_width=nx, grid_height=ny, num_chunks=2)
     )
     return program, result.program_module
+
+
+def _load_inputs(simulator, program, seed=13):
+    """Load the random fields :func:`run_on_executor` loads for ``seed``."""
+    rng = np.random.default_rng(seed)
+    fields = allocate_fields(program, lambda name, shape: rng.uniform(-1, 1, shape))
+    for decl in program.fields:
+        simulator.load_field(
+            decl.name, field_to_columns(program, decl.name, fields[decl.name])
+        )
 
 
 class TestShardGeometry:
@@ -157,7 +173,8 @@ class TestTiledEquivalence:
         assert stats == expected
 
     def test_sequential_fallback_is_bit_identical(self, monkeypatch):
-        """A 1-shard grid never forks; it must still match exactly."""
+        """A 1-shard grid runs the same driver with a barrier of one; it
+        must still match exactly."""
         monkeypatch.setenv(SHARD_ENV_VAR, "1")
         program, module = _compiled(4, 4, name="seq_fallback")
         tiled_fields, tiled_stats = run_on_executor("tiled", program, module)
@@ -184,24 +201,69 @@ class TestTiledEquivalence:
         assert tiled_stats == vectorized_stats
 
 
-    def test_forkless_platforms_drive_all_shards_in_process(self, monkeypatch):
-        """Without ``fork`` the 2x2 shards advance in lock-step in this
-        process — same rendezvous order, no pool, no barrier waits."""
-        monkeypatch.setattr(
-            "repro.wse.executors.tiled.multiprocessing.get_all_start_methods",
-            lambda: ["spawn"],
+class TestThreadDriver:
+    """The seam protocol on real threads: every rendezvous is a real wait,
+    so the interleaving differs from run to run — the results may not."""
+
+    @pytest.mark.parametrize("extent", (1, 2, 3))
+    @pytest.mark.parametrize(
+        "boundary",
+        (
+            BoundaryCondition.dirichlet(),
+            BoundaryCondition.periodic(),
+            BoundaryCondition.reflect(),
+        ),
+        ids=lambda b: b.spec,
+    )
+    def test_forced_interleavings_stay_byte_identical(
+        self, monkeypatch, extent, boundary
+    ):
+        """Five runs with the GIL handed over every microsecond, so the
+        shards interleave at every bytecode boundary the interpreter
+        offers: fields and statistics equal ``vectorized`` and the barrier
+        count is exact on every run, the 1-shard grid included."""
+        program, module = _compiled(
+            6, 6, name=f"interleave_{extent}", boundary=boundary
         )
-        program, module = _compiled(6, 6, steps=3, name="forkless")
-        simulator = WseSimulator(module, executor="tiled")
-        assert len(simulator.executor.boxes) == 4
-        tiled_fields, tiled_stats = run_on_executor("tiled", program, module)
-        assert tiled_stats.barrier_waits == 0
-        vectorized_fields, vectorized_stats = run_on_executor(
+        expected_fields, expected_statistics = run_on_executor(
             "vectorized", program, module
         )
-        for name, expected in vectorized_fields.items():
-            assert tiled_fields[name].tobytes() == expected.tobytes()
-        assert tiled_stats == vectorized_stats
+        monkeypatch.setenv(SHARD_ENV_VAR, str(extent))
+        assert len(WseSimulator(module, executor="tiled").executor.boxes) == (
+            extent * extent
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [run_on_executor("tiled", program, module) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for fields, statistics in runs:
+            for name, expected in expected_fields.items():
+                assert fields[name].tobytes() == expected.tobytes()
+            assert statistics == expected_statistics
+            assert statistics.barrier_waits == statistics.rounds + 1
+
+    def test_every_run_joins_its_shard_threads(self):
+        """Each run starts its shard threads and joins them before it
+        returns: nothing outlives a run, so a later fork (a queue worker)
+        never copies a live shard thread."""
+        program, module = _compiled(8, 8, steps=4, name="thread_joins")
+        simulator = WseSimulator(module, executor="tiled")
+        assert len(simulator.executor.boxes) == 4
+        threads_before = set(threading.enumerate())
+        first = replace(simulator.execute())
+        assert set(threading.enumerate()) <= threads_before
+        # One barrier per delivery round, plus the one at which the shards
+        # agree they settled; the seam waits surface beside it.
+        assert first.barrier_waits == first.rounds + 1
+        assert first.seam_spins >= 0
+        assert first.seam_backoffs >= 0
+        second = simulator.execute()
+        assert set(threading.enumerate()) <= threads_before
+        assert second.barrier_waits - first.barrier_waits == (
+            second.rounds - first.rounds + 1
+        )
 
 
 class TestRepeatedExecution:
@@ -260,42 +322,8 @@ class TestCompiledShards:
         full = get_kernel(executor.image, executor.plan)
         assert full.fingerprint not in executor.kernel_fingerprints
 
-    def test_worker_pool_is_reused_across_runs(self):
-        """The pool contract: the second execute() must reuse the forked
-        workers, not pay fork + binding again."""
-        program, module = _compiled(8, 8, steps=4, name="pool_reuse")
-        simulator = WseSimulator(module, executor="tiled")
-        executor = simulator.executor
-        statistics = simulator.execute()
-        first_pool = executor._pool
-        if first_pool is None:
-            pytest.skip("platform without fork: no pool to reuse")
-        # One barrier per delivery round, plus the one at which the shards
-        # agree they settled; the seam waits surface beside it.
-        assert statistics.barrier_waits == statistics.rounds + 1
-        assert statistics.seam_spins >= 0
-        assert statistics.seam_backoffs >= 0
-        first_pids = [worker.pid for worker in first_pool.workers]
-        simulator.execute()
-        assert executor._pool is first_pool
-        assert [w.pid for w in executor._pool.workers] == first_pids
-        assert first_pool.healthy
-
-    def test_dropping_the_executor_reaps_the_workers(self):
-        _, module = _compiled(8, 8, name="pool_reap")
-        simulator = WseSimulator(module, executor="tiled")
-        simulator.execute()
-        if simulator.executor._pool is None:
-            pytest.skip("platform without fork: no pool to reap")
-        workers = list(simulator.executor._pool.workers)
-        del simulator
-        gc.collect()
-        for worker in workers:
-            worker.join(timeout=30)
-            assert not worker.is_alive()
-
-    def test_results_match_vectorized_through_the_pool(self):
-        program, module = _compiled(9, 9, name="pool_parity")
+    def test_results_match_vectorized_on_an_odd_grid(self):
+        program, module = _compiled(9, 9, name="odd_grid")
         tiled_fields, tiled_stats = run_on_executor("tiled", program, module)
         vec_fields, vec_stats = run_on_executor("vectorized", program, module)
         for name, expected in vec_fields.items():
@@ -304,28 +332,37 @@ class TestCompiledShards:
 
 
 class TestFailurePaths:
-    def test_worker_errors_propagate_to_the_parent(self):
-        """A shard raising inside a pool worker (here: the round budget
-        exhausted) must release its siblings and surface in the parent as
-        an InterpretationError carrying the worker's diagnosis — not hang
-        out the sync timeout — and cost the executor only its pool: the
-        next run re-forks and succeeds."""
+    def test_shard_failure_raises_its_own_diagnosis(self):
+        """A shard raising on its thread (here: the round budget exhausted
+        on 2x2 shards) surfaces as an InterpretationError carrying that
+        shard's diagnosis — not a sibling's broken barrier — joins every
+        shard thread, and leaves the executor usable: the next execute()
+        matches ``vectorized``."""
         program, module = _compiled(4, 4, steps=2, name="budget")
         simulator = WseSimulator(module, executor="tiled")
-        executor = simulator.executor
-        assert len(executor.boxes) > 1  # genuinely forked
+        assert len(simulator.executor.boxes) == 4
+        threads_before = set(threading.enumerate())
         simulator.launch()
-        with pytest.raises(InterpretationError, match="exceeded 1 rounds"):
+        with pytest.raises(InterpretationError, match="exceeded 1 rounds") as info:
             simulator.run(max_rounds=1)
-        assert executor._pool is None  # discarded, workers reaped
+        assert "BrokenBarrierError" not in str(info.value)
+        assert isinstance(info.value.__cause__, InterpretationError)
+        assert set(threading.enumerate()) <= threads_before
+        # The failed run wrote part of the fields: reload the inputs the
+        # vectorized run loads, then run to completion.
+        _load_inputs(simulator, program)
         statistics = simulator.execute()
-        assert statistics.rounds > 0
-        assert executor._pool is not None and executor._pool.healthy
+        expected_fields, expected_statistics = run_on_executor(
+            "vectorized", program, module
+        )
+        for name, expected in expected_fields.items():
+            assert simulator.read_field(name).tobytes() == expected.tobytes()
+        assert statistics == expected_statistics
 
-    def test_budget_exhaustion_in_process(self, monkeypatch):
-        """The in-process driver raises the same diagnosis directly."""
+    def test_budget_exhaustion_on_one_shard(self, monkeypatch):
+        """A 1-shard run raises the same diagnosis."""
         monkeypatch.setenv(SHARD_ENV_VAR, "1")
-        program, module = _compiled(4, 4, steps=2, name="budget_in_process")
+        program, module = _compiled(4, 4, steps=2, name="budget_one_shard")
         simulator = WseSimulator(module, executor="tiled")
         simulator.launch()
         with pytest.raises(InterpretationError, match="exceeded 1 rounds"):
