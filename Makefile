@@ -13,22 +13,20 @@ bench:
 
 # Simulator throughput smoke: the reference/vectorized sweep (>=3x on 8x8),
 # the paper-scale rows (compiled >= 1.2x vectorized asserted; tiled and
-# auto recorded, with deterministic proxies asserted in place of
-# host-dependent ratios) and the 256x256 weak/strong scaling
+# auto, which runs compiled, recorded, with deterministic proxies asserted
+# in place of host-dependent ratios) and the 256x256 weak/strong scaling
 # sweep; refreshes BENCH_simulator.json and BENCH_scaling.json at the repo
 # root.  Speed regressions are gated by `python -m bench compare`.
 sim-bench:
 	$(PYTHON) -m pytest benchmarks/test_simulator_throughput.py -q
 
 # Gate the tiled backend: the golden byte-identical digest matrices (7
-# benchmarks x 3 boundary modes x all executors, including tiled and the
-# auto dispatcher) plus the backend's own suite — shard geometry, the
-# thread driver (one barrier per round plus the settling one, every shard
-# thread joined, forced-interleaving stress runs), failure paths and the
-# declined-codegen error.
+# benchmarks x 3 boundary modes x all executors, including tiled) plus the
+# backend's own suite — shard geometry, the thread driver (one barrier per
+# round plus the settling one, every shard thread joined, forced-interleaving
+# stress runs), failure paths and the declined-codegen error.
 tiled-check:
 	$(PYTHON) -m pytest tests/wse/test_tiled_executor.py \
-	  tests/wse/test_auto_executor.py \
 	  tests/wse/test_executor_equivalence.py \
 	  tests/wse/test_boundary_conditions.py \
 	  tests/wse/test_comms_edge_cases.py -q
@@ -36,9 +34,10 @@ tiled-check:
 # Gate the compiled backend's kernels: the emitted-source pins (57 small
 # kernels plus three row-banded 64x64 ones), the backend's own suite
 # (deterministic emission, both delivery forms, the kernel cache, the round
-# budget, the interpretation fallback) and the banded goldens — every
-# benchmark and boundary mode at forced 1- and 2-row bands, byte-identical to
-# vectorized, plus the kernel-size guard.
+# budget, the declined-codegen error, and `auto` as compiled under its own
+# name) and the banded goldens — every benchmark and boundary mode at forced
+# 1- and 2-row bands, byte-identical to vectorized, plus the kernel-size
+# guard.
 kernel-check:
 	$(PYTHON) -m pytest tests/wse/test_kernel_digests.py \
 	  tests/wse/test_compiled_executor.py \

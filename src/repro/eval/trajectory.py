@@ -20,10 +20,10 @@ at.  Nothing writes it any more; files carrying it still read, validate and
 merge (it stays part of the merge key, so such rows are never mistaken for
 current ones).
 
-``"day": "YYYY-MM-DD"`` — the day an *online* observation was recorded
-(the ``auto`` dispatcher's opt-in learning rows); one row per
-(name, grid, executor, day) keeps the file bounded while still tracking
-drift.  Benchmark-written rows carry no day: they replace wholesale.
+``"day": "YYYY-MM-DD"`` — legacy: the day an online observation was
+recorded, one row per (name, grid, executor, day).  Nothing in the package
+writes it any more; such rows still read, validate and merge.
+Benchmark-written rows carry no day: they replace wholesale.
 
 ``speedup`` is relative to the record's baseline executor (1.0 for the
 baseline itself); ``executor`` names the execution backend measured, or a

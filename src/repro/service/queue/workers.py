@@ -222,9 +222,8 @@ class _Worker:
 
 
 def resolve_worker_mode(mode: str) -> str:
-    """``auto`` picks crash-isolated ``process`` workers wherever ``fork``
-    exists (the same capability probe the tiled executor uses), otherwise
-    falls back to ``inline``."""
+    """``auto`` picks crash-isolated ``process`` workers wherever the
+    ``fork`` start method exists, otherwise falls back to ``inline``."""
     if mode not in ("auto", "process", "inline"):
         raise ValueError(
             f"unknown worker mode {mode!r}: expected 'auto', 'process' "
@@ -448,8 +447,8 @@ class WorkerPool:
         back, False if it died first.
 
         Death is read from ``waitpid`` (``is_alive``), never from EOF alone:
-        a killed worker's own children (a ``tiled`` job's shard pool)
-        inherit its end of the pipe and can outlive it.
+        any child process a killed worker started would inherit its end of
+        the pipe and could outlive it.
         """
         try:
             worker.pipe.send(job_id)

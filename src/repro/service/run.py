@@ -16,9 +16,9 @@ or planning semantics invalidates cached runs exactly once.
 *and* simulation entirely; misses compile through a
 :class:`~repro.service.service.CompileService` (its fingerprint cache
 deduplicates the compile stage across runs that differ only in run-level
-inputs) and simulate inline — the ``tiled`` backend brings its own
-process-level parallelism, so the service does not stack a second pool on
-top.
+inputs) and simulate inline, in the calling thread — the ``tiled`` backend
+runs its own shard threads, so the service adds no parallelism of its
+own.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from repro.service.service import CompileService
 from repro.transforms.pipeline import PipelineOptions
 from repro.wse.codegen import (
     CODEGEN_VERSION,
-    KernelCodegenError,
     get_kernel,
     kernel_cache_statistics,
 )
@@ -617,9 +616,8 @@ class RunService:
 
         kernel_cache = None
         if executor_name in ("compiled", "auto"):
-            # `auto` may delegate to the compiled backend; warming the
-            # fleet-wide kernel store is cheap and keeps the provenance
-            # reporting uniform.
+            # `auto` is the compiled backend under another name; both
+            # resolve their kernel through the fleet-wide store.
             kernel_cache = self._warm_kernel(result.program_module)
 
         simulator = WseSimulator(result.program_module, executor=executor_name)
@@ -673,10 +671,7 @@ class RunService:
         plan = image.plan_for(image.width, image.height)
         before = kernel_cache_statistics()
         memory_hits, disk_hits = before.memory_hits, before.disk_hits
-        try:
-            kernel = get_kernel(image, plan, store=self.kernels)
-        except KernelCodegenError as error:
-            return {"served_from": "fallback", "reason": str(error)}
+        kernel = get_kernel(image, plan, store=self.kernels)
         after = kernel_cache_statistics()
         if after.memory_hits > memory_hits:
             served_from = "memory"

@@ -16,8 +16,8 @@ Five backends ship in-tree, all replaying the same pre-compiled
   (:mod:`repro.wse.codegen`), cached process-wide by content fingerprint,
   and runs it with one ``run_block(max_rounds)`` call per run.
   Bit-identical to ``vectorized`` and the fastest single-process backend;
-  falls back to inherited vectorized interpretation when code generation
-  declines.
+  raises ``KernelCodegenError`` for programs the generator cannot fuse,
+  pointing at ``vectorized``.
 * ``tiled`` — the sharded executor (:mod:`repro.wse.executors.tiled`):
   partitions the fabric into kx×ky shards over shared full-grid NumPy
   buffers, each replaying a generated kernel.  One round protocol — seam
@@ -25,11 +25,10 @@ Five backends ship in-tree, all replaying the same pre-compiled
   shard, all joined before a run returns.
   Bit-identical to ``vectorized``; raises ``KernelCodegenError`` for
   programs the generator cannot fuse (there are no interpreted shards).
-* ``auto`` — the profile-guided dispatcher
-  (:mod:`repro.wse.executors.auto`): picks one of the four real backends
-  per workload from recorded ``BENCH_*.json`` trajectory rows and the
-  host cost model, then delegates everything to it; the decision and its
-  rationale are stamped on the run's statistics.
+* ``auto`` — ``compiled`` under its own name
+  (:mod:`repro.wse.executors.auto`), stamping ``backend_decision =
+  "compiled"`` and a fixed rationale on the run's statistics.  Name
+  ``tiled`` to shard a large fabric.
 
 Selection, in priority order: the ``executor=`` argument of
 :class:`repro.wse.simulator.WseSimulator`, the ``REPRO_EXECUTOR``

@@ -57,7 +57,7 @@ class SimulationStatistics:
     seam_spins: int = field(default=0, compare=False)
     seam_backoffs: int = field(default=0, compare=False)
     barrier_waits: int = field(default=0, compare=False)
-    #: which backend the ``auto`` dispatcher delegated to, and why.  Not
+    #: which backend ``auto`` ran (always ``compiled``), and why.  Not
     #: activity counters: excluded from equality (cross-backend statistics
     #: comparisons stay meaningful) and from :meth:`merge`.
     backend_decision: str = field(default="", compare=False)

@@ -21,9 +21,10 @@ The numerical semantics are the interpreter's, statement for statement —
 fields and :class:`~repro.wse.executors.base.SimulationStatistics` stay
 bit-identical to ``vectorized`` (the golden equivalence tests pin this).
 
-Programs using constructs the generator does not fuse (none the pipeline
-emits, but hand-built test images can) fall back to plain vectorized
-interpretation; :attr:`CompiledExecutor.fallback_reason` records why.
+A program using constructs the generator does not fuse (none the pipeline
+emits, but hand-built test images can) raises
+:class:`~repro.wse.codegen.KernelCodegenError` from the constructor, as
+``tiled`` does — ``vectorized`` is the interpreting backend.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @register_executor
 class CompiledExecutor(VectorizedExecutor):
-    """Run the generated kernel's round loop; interpret only as a fallback."""
+    """Run the generated kernel's round loop."""
 
     name = "compiled"
 
@@ -54,24 +55,20 @@ class CompiledExecutor(VectorizedExecutor):
         plan: "ExecutionPlan | None" = None,
     ):
         super().__init__(image, width, height, plan)
-        #: the bound kernel hooks, or None when interpretation is active.
-        self.kernel: dict | None = None
-        #: why code generation was declined, for diagnostics and tests.
-        self.fallback_reason: str | None = None
-        #: content fingerprint of the generated kernel (None on fallback).
-        self.kernel_fingerprint: str | None = None
         try:
             compiled = get_kernel(image, self.plan)
         except KernelCodegenError as error:
-            self.fallback_reason = str(error)
-        else:
-            self.kernel_fingerprint = compiled.fingerprint
-            self.kernel = compiled.instantiate(self.state, self.plan)
+            raise KernelCodegenError(
+                f"the compiled backend runs a generated kernel and code "
+                f"generation declined this program ({error}); run it on the "
+                f"interpreting 'vectorized' executor instead"
+            ) from error
+        #: content fingerprint of the generated kernel.
+        self.kernel_fingerprint = compiled.fingerprint
+        #: the bound kernel hooks.
+        self.kernel = compiled.instantiate(self.state, self.plan)
 
     def launch(self, entry: str | None = None) -> None:
-        if self.kernel is None:
-            super().launch(entry)
-            return
         entry_name = entry if entry is not None else self.image.entry
         fn = self.kernel["fns"].get(entry_name)
         if fn is None:
@@ -80,9 +77,6 @@ class CompiledExecutor(VectorizedExecutor):
         self._pending_launch = True
 
     def _run_rounds(self, max_rounds: int) -> SimulationStatistics:
-        if self.kernel is None:
-            # Codegen declined: the inherited hook loop interprets.
-            return super()._run_rounds(max_rounds)
         # The kernel's run_block runs the base drain/settled/deliver
         # schedule until the run settles, deadlocks or spends the budget, so
         # termination, deadlock and round-budget semantics match the

@@ -66,7 +66,7 @@ from repro.wse.plan import ExecutionPlan, ShardGeometry
 #: environment variable overriding the shard-grid extent (K of K×K).
 SHARD_ENV_VAR = "REPRO_TILED_SHARDS"
 
-#: smallest shard side the auto heuristic will create: thinner shards pay
+#: smallest shard side :func:`shard_grid` will create: thinner shards pay
 #: more in per-round barrier overhead than their slice of the array math
 #: is worth.
 MIN_SHARD_SIDE = 4

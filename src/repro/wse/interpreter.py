@@ -11,8 +11,8 @@ One lowered program is bound many times (sizes, inputs and time steps are
 swept over it), so everything that is a pure function of the module is
 derived once and kept *on the module*: :func:`bound_image` hangs the
 module's :class:`ProgramImage` on the module object, and the image owns its
-execution plans, the printed module text, its kernel fingerprints and the
-delivery-round estimate (:meth:`ProgramImage.derived`).  The image records
+execution plans, the printed module text and its kernel fingerprints
+(:meth:`ProgramImage.derived`).  The image records
 the module's epoch it was derived under.  Every write to the IR marks the
 module as changed (see "Change tracking" in :mod:`repro.ir.operation`), so
 a bind is one integer compare: an unchanged module whose epoch is the

@@ -20,6 +20,10 @@ Cycle model per PE per time step::
 The WSE2's switch restriction (PEs transmit to themselves as well as to their
 four neighbours, Section 6) appears as ``switch_multiplier = 1.25``; the
 WSE3's upgraded switching logic removes it.
+
+This is a model of the *machine* only, and the paper's figures are all it
+serves.  How long the simulator backends take on the host is measured
+(``python -m bench``), not modelled.
 """
 
 from __future__ import annotations
@@ -191,80 +195,6 @@ def estimate_performance(
         tflops=tflops,
         pe_memory_bytes=activity.memory_bytes,
     )
-
-
-# --------------------------------------------------------------------------- #
-# Host-side backend cost model (for the `auto` executor dispatcher).
-# --------------------------------------------------------------------------- #
-
-#: per-backend host cost coefficients, fitted against the recorded
-#: BENCH_simulator.json trajectory rows (Jacobian, 1x1 through 128x128):
-#: ``(setup_seconds, per_round_base_seconds, per_pe_round, per_element_round)``.
-#: ``reference`` pays Python interpretation per PE; ``vectorized`` pays a
-#: fixed NumPy dispatch tax per round plus array math per element;
-#: ``compiled`` halves both by fusing the round into generated code.
-#: The setup terms price a *warm* bind (the image, plan and kernel of a
-#: module already bound once in the process — see
-#: :func:`repro.wse.interpreter.bound_image`) plus loading the fields.
-#: ``compiled``'s was re-fitted on 2026-10-03, when its bind stopped
-#: printing the module (1.1e-3 until then, which was that print): the
-#: intercept of warm bind + load + execute times over 2, 4 and 8 rounds
-#: reads 0.12 ms on 1x1 and 0.13 ms on 8x8 (2-vCPU shared host, best of
-#: 41).  The other coefficients are the earlier fit.
-_HOST_MODEL = {
-    "reference": (0.05e-3, 0.0, 40e-6, 35e-9),
-    "vectorized": (0.35e-3, 20e-6, 0.0, 6e-9),
-    "compiled": (0.12e-3, 8e-6, 0.0, 3e-9),
-}
-
-#: tiled-specific coefficients: setup per run and per shard, per-round
-#: barrier + seam cost per shard, and the element work parallelised over
-#: ``min(shards, cpus)`` shards.  Fitted when each shard ran in its own
-#: process; left as they are since shards became threads, because a
-#: re-fit would move ``auto``'s picks.
-_TILED_SETUP = 3e-3
-_TILED_PER_SHARD_SETUP = 1.5e-3
-_TILED_PER_SHARD_ROUND = 150e-6
-_TILED_PER_ELEMENT_ROUND = 6e-9
-
-
-def predict_host_seconds(
-    executor: str,
-    *,
-    pes: int,
-    depth: int,
-    rounds: int,
-    cpus: int = 1,
-    shards: int = 1,
-) -> float:
-    """Predicted *host* wall-clock seconds for one run on one backend.
-
-    This is not the WSE cycle model above — it prices the simulator
-    backends themselves, so the ``auto`` dispatcher can rank them for a
-    workload before running it.  ``pes`` is the fabric PE count, ``depth``
-    the per-PE column length (elements = pes * depth), ``rounds`` the
-    expected delivery rounds, and for ``tiled`` the shard count and usable
-    CPUs bound the parallel speedup.
-    """
-    elements = pes * depth
-    if executor == "tiled":
-        workers = max(1, min(shards, cpus))
-        return (
-            _TILED_SETUP
-            + _TILED_PER_SHARD_SETUP * shards
-            + rounds
-            * (
-                _TILED_PER_SHARD_ROUND * shards
-                + _TILED_PER_ELEMENT_ROUND * elements / workers
-            )
-        )
-    try:
-        setup, per_round, per_pe, per_element = _HOST_MODEL[executor]
-    except KeyError:
-        raise KeyError(
-            f"no host cost model for executor '{executor}'"
-        ) from None
-    return setup + rounds * (per_round + per_pe * pes + per_element * elements)
 
 
 # --------------------------------------------------------------------------- #

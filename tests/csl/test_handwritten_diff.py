@@ -78,7 +78,7 @@ class TestHandwrittenKernel:
             generated_image,
             handwritten_image,
             fields=("u", "v"),
-            executors=("reference", "vectorized"),
+            executors=("reference", "vectorized", "compiled"),
             label_a="generated",
             label_b="handwritten",
         )

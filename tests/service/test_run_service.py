@@ -29,7 +29,6 @@ from repro.wse.codegen import (
     kernel_cache_statistics,
     reset_kernel_cache,
 )
-from repro.wse.executors.auto import FORCE_ENV_VAR
 from repro.wse.plan import PLAN_VERSION
 from repro.wse.simulator import WseSimulator
 
@@ -306,13 +305,10 @@ class TestKernelStore:
         yield
         reset_kernel_cache()
 
-    def test_auto_delegating_to_compiled_is_served_by_the_warmed_store(
-        self, monkeypatch
-    ):
-        """Regression: the service warmed one kernel while ``auto ->
-        compiled`` bound a separately keyed one through a store-less
-        lookup, so every process regenerated a kernel no store served."""
-        monkeypatch.setenv(FORCE_ENV_VAR, "compiled")
+    def test_auto_is_served_by_the_warmed_store(self, monkeypatch):
+        """Regression: the service warmed one kernel while ``auto`` bound
+        a separately keyed one through a store-less lookup, so every
+        process regenerated a kernel no store served."""
         program, options = _config(grid=4, steps=5)
         with RunService() as first:
             first.run(program, options, executor="compiled")  # warms the store
@@ -328,8 +324,8 @@ class TestKernelStore:
             artifact = second.run(program, options, executor="auto")
         assert kernel_cache_statistics().codegens == 0
         assert artifact.kernel_cache["served_from"] == "store"
-        delegate = built[0].executor._delegate
-        assert artifact.kernel_cache["fingerprint"] == delegate.kernel_fingerprint
+        executor = built[0].executor
+        assert artifact.kernel_cache["fingerprint"] == executor.kernel_fingerprint
 
     @pytest.mark.parametrize(
         "damage",

@@ -2,17 +2,15 @@
 
 ``WseSimulator`` (and ``RunService``) obtain a module's ``ProgramImage``
 through :func:`repro.wse.interpreter.bound_image`; the image owns its
-execution plans, the printed module text, its kernel fingerprints and the
-delivery-round estimate.  Two contracts are pinned here.  *Staleness*:
-whatever happens to a module between two binds, the second bind sees
-exactly what a from-scratch derivation of the mutated module would.
+execution plans, the printed module text and its kernel fingerprints.  Two
+contracts are pinned here.  *Staleness*: whatever happens to a module
+between two binds, the second bind sees exactly what a from-scratch
+derivation of the mutated module would.
 *Cost*: what a bind re-does is asserted as exact counts (image builds, plan
-lowerings, module prints, module walks, trajectory reads) — never as
-seconds.
+lowerings, module prints, module walks) — never as seconds.
 """
 
 import gc
-import json
 import weakref
 
 import numpy as np
@@ -20,7 +18,6 @@ import pytest
 
 from repro.benchmarks import benchmark_by_name
 from repro.dialects import arith, csl
-from repro.eval.trajectory import read_trajectory
 from repro.ir.attributes import FloatAttr, IntAttr, StringAttr
 from repro.ir.types import MemRefType, f32
 from repro.service.run import RunService
@@ -31,8 +28,6 @@ from repro.wse.codegen import (
     kernel_fingerprint,
     reset_kernel_cache,
 )
-from repro.wse.executors import auto as auto_module
-from repro.wse.executors.auto import TRAJECTORY_ENV_VAR, load_recorded_rows
 from repro.wse.executors.tiled import SHARD_ENV_VAR
 from repro.wse.interpreter import ProgramImage, bound_image
 from repro.wse.plan import ExecutionPlan
@@ -268,16 +263,11 @@ class TestBindCounts:
     @pytest.mark.parametrize("executor", ["compiled", "tiled", "auto"])
     def test_three_binds_of_one_module_derive_once(self, executor, monkeypatch):
         monkeypatch.setenv(SHARD_ENV_VAR, "2")
-        monkeypatch.setenv(TRAJECTORY_ENV_VAR, "/nonexistent/BENCH_simulator.json")
         module = _module()
         reset_kernel_cache()
         for _ in range(3):
             WseSimulator(module, executor=executor)
-        builds, lowerings, prints = _bind_counts()
-        assert (builds, lowerings) == (1, 1)
-        assert prints <= 1
-        if executor != "auto":  # whichever backend auto prices cheapest
-            assert prints == 1
+        assert _bind_counts() == (1, 1, 1)
 
     def test_tiled_prints_once_for_all_its_shard_boxes(self, monkeypatch):
         monkeypatch.setenv(SHARD_ENV_VAR, "2")
@@ -353,77 +343,3 @@ class TestBindCounts:
         assert (lowerings, prints) == (1, 1)
         assert builds == 1  # the image the parser's result hands out
 
-
-class TestRecordedRows:
-    """``auto`` reads its trajectory once per (path, mtime, size)."""
-
-    @pytest.fixture(autouse=True)
-    def _counted_reads(self, monkeypatch):
-        import repro.eval.trajectory as trajectory
-
-        self.reads = []
-
-        def counting(path):
-            self.reads.append(str(path))
-            return read_trajectory(path)
-
-        monkeypatch.setattr(trajectory, "read_trajectory", counting)
-        auto_module._rows_of.cache_clear()
-        yield
-        auto_module._rows_of.cache_clear()
-
-    def _write(self, path, seconds):
-        row = {"name": "J", "grid": "4x4", "executor": "compiled",
-               "seconds": seconds, "speedup": 1.0}
-        path.write_text(json.dumps({"schema_version": 1, "records": [row]}))
-
-    def test_rows_are_read_once_until_the_file_changes(self, monkeypatch, tmp_path):
-        path = tmp_path / "BENCH_simulator.json"
-        monkeypatch.setenv(TRAJECTORY_ENV_VAR, str(path))
-        self._write(path, 0.5)
-        module = _module()
-        for _ in range(3):
-            WseSimulator(module, executor="auto")
-        assert len(self.reads) == 1
-        assert load_recorded_rows()[0]["seconds"] == 0.5
-        self._write(path, 0.25)  # another size: another key
-        assert load_recorded_rows()[0]["seconds"] == 0.25
-        assert len(self.reads) == 2
-
-    def test_a_missing_file_is_an_answer_and_is_never_opened(
-        self, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv(TRAJECTORY_ENV_VAR, str(tmp_path / "BENCH_absent.json"))
-        assert load_recorded_rows() == []
-        assert load_recorded_rows() == []
-        assert self.reads == []
-
-    @pytest.mark.parametrize(
-        "text",
-        ["{not json", "[1, 2]", '{"schema_version": 99, "records": []}',
-         '{"schema_version": 1}'],
-        ids=["malformed", "not-an-object", "stale-schema", "no-records"],
-    )
-    def test_an_unusable_file_degrades_to_the_model(
-        self, text, monkeypatch, tmp_path
-    ):
-        path = tmp_path / "BENCH_simulator.json"
-        path.write_text(text)
-        monkeypatch.setenv(TRAJECTORY_ENV_VAR, str(path))
-        assert load_recorded_rows() == []
-
-    def test_a_programming_error_in_the_reader_surfaces(
-        self, monkeypatch, tmp_path
-    ):
-        import repro.eval.trajectory as trajectory
-
-        path = tmp_path / "BENCH_simulator.json"
-        self._write(path, 0.5)
-        monkeypatch.setenv(TRAJECTORY_ENV_VAR, str(path))
-
-        def broken(path):
-            raise TypeError("a bug, not a bad file")
-
-        monkeypatch.setattr(trajectory, "read_trajectory", broken)
-        with pytest.raises(TypeError, match="a bug"):
-            load_recorded_rows()

@@ -1,4 +1,4 @@
-"""The compiled backend's own mechanics: codegen, cache, fallback.
+"""The compiled backend's own mechanics: codegen, cache, declines, ``auto``.
 
 The heavyweight numerical guarantees (byte-identical fields and statistics
 against every other backend, on every benchmark and boundary mode, plus
@@ -15,9 +15,13 @@ covers what is specific to the ``compiled`` backend itself:
 * **the kernel cache** — memo hits, store round-trips and their counters;
 * **the round budget** — one ``run_block`` call per run, with the
   interpreted loop's budget and deadlock edges;
-* **the interpretation fallback** — a program the generator cannot fuse
-  still runs, bit-identical to ``vectorized``, with the reason recorded.
+* **a declined codegen** — a program the generator cannot fuse is refused
+  at construction, pointing at ``vectorized``;
+* **``auto``** — the compiled backend under its registered name, whatever
+  trajectory file sits in the working directory.
 """
+
+import json
 
 import pytest
 
@@ -343,27 +347,22 @@ class TestFallback:
         ):
             generate_kernel_source(image, plan)
 
-    def test_codegen_decline_falls_back_to_interpretation(self, monkeypatch):
-        """When codegen declines, the backend records why and interprets —
-        bit-identical fields and statistics to ``vectorized``."""
+    @pytest.mark.parametrize("executor", ["compiled", "auto"])
+    def test_codegen_decline_raises(self, executor, monkeypatch):
+        """There is no interpreting fallback: a program the generator
+        cannot fuse is refused at construction, pointing at
+        ``vectorized``."""
         import repro.wse.executors.compiled as compiled_module
 
         def declined(image, plan, store=None):
             raise KernelCodegenError("test: declined")
 
         monkeypatch.setattr(compiled_module, "get_kernel", declined)
-        program, module, _, _ = _image()
-        simulator = WseSimulator(module, executor="compiled")
-        assert simulator.executor.kernel is None
-        assert simulator.executor.fallback_reason == "test: declined"
-        assert simulator.executor.kernel_fingerprint is None
-        fields, statistics = run_on_executor("compiled", program, module)
-        expected_fields, expected_statistics = run_on_executor(
-            "vectorized", program, module
-        )
-        for name, expected in expected_fields.items():
-            assert fields[name].tobytes() == expected.tobytes()
-        assert statistics == expected_statistics
+        _, module, _, _ = _image()
+        with pytest.raises(
+            KernelCodegenError, match=r"test: declined.*'vectorized'"
+        ):
+            WseSimulator(module, executor=executor)
 
     def test_unknown_entry_diagnosis_matches_the_interpreter(self):
         _, module, _, _ = _image(grid=3, steps=1)
@@ -372,3 +371,48 @@ class TestFallback:
             InterpretationError, match="unknown function or task 'nope'"
         ):
             simulator.launch("nope")
+
+
+def _assert_auto_is_compiled(program, module):
+    auto_fields, auto_statistics = run_on_executor("auto", program, module)
+    fields, statistics = run_on_executor("compiled", program, module)
+    for name, expected in fields.items():
+        assert auto_fields[name].tobytes() == expected.tobytes()
+    assert auto_statistics == statistics
+    assert auto_statistics.backend_decision == "compiled"
+    assert auto_statistics.backend_rationale
+
+
+class TestAuto:
+    def test_env_selected_auto_matches_compiled_end_to_end(self, monkeypatch):
+        """``REPRO_EXECUTOR=auto`` is a drop-in for ``compiled``:
+        byte-identical fields and equal statistics."""
+        program, module, _, _ = _image(grid=8)
+        monkeypatch.setenv("REPRO_EXECUTOR", "auto")
+        assert WseSimulator(module).executor.name == "auto"
+        monkeypatch.delenv("REPRO_EXECUTOR")
+        _assert_auto_is_compiled(program, module)
+
+    @pytest.mark.parametrize("grid", [1, 32])
+    def test_auto_ignores_the_working_directory(
+        self, grid, monkeypatch, tmp_path
+    ):
+        """A ``BENCH_simulator.json`` in the working directory whose rows
+        favour ``tiled`` and ``reference`` changes nothing."""
+        rows = [
+            {"name": "Jacobian", "grid": f"{n}x{n}", "executor": executor,
+             "seconds": seconds, "speedup": 1.0}
+            for n in (1, 32)
+            for executor, seconds in (
+                ("tiled", 1e-7),
+                ("reference", 1e-6),
+                ("vectorized", 1.0),
+                ("compiled", 1.0),
+            )
+        ]
+        (tmp_path / "BENCH_simulator.json").write_text(
+            json.dumps({"schema_version": 1, "records": rows})
+        )
+        monkeypatch.chdir(tmp_path)
+        program, module, _, _ = _image(grid=grid)
+        _assert_auto_is_compiled(program, module)

@@ -1,5 +1,7 @@
 """Simulator statistics aggregation and host-side field-name diagnostics."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,31 @@ class TestStatisticsMerge:
                 )
             )
         assert SimulationStatistics.merge(parts) == whole
+
+
+class TestDecisionMetadata:
+    def test_metadata_is_excluded_from_statistics_equality(self):
+        stamped = SimulationStatistics(
+            rounds=3, backend_decision="compiled", backend_rationale="why"
+        )
+        plain = SimulationStatistics(rounds=3)
+        assert stamped == plain
+
+    def test_merge_passes_metadata_through_without_folding(self):
+        stamped = SimulationStatistics(
+            rounds=2, backend_decision="tiled", backend_rationale="fast"
+        )
+        other = SimulationStatistics(rounds=1, max_pe_memory_bytes=64)
+        merged = SimulationStatistics.merge([stamped, other])
+        assert merged.rounds == 3
+        assert merged.max_pe_memory_bytes == 64
+        assert merged.backend_decision == "tiled"
+        assert merged.backend_rationale == "fast"
+
+    def test_metadata_reaches_the_serialised_artifact_shape(self):
+        payload = asdict(
+            SimulationStatistics(backend_decision="vectorized")
+        )
+        assert payload["backend_decision"] == "vectorized"
+        assert "backend_rationale" in payload
+        assert "_METADATA_FIELDS" not in payload

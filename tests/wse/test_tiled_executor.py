@@ -30,7 +30,6 @@ from repro.ir.exceptions import InterpretationError
 from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.codegen import KernelCodegenError
-from repro.wse.executors.auto import FORCE_ENV_VAR
 from repro.wse.executors.tiled import (
     SHARD_ENV_VAR,
     shard_boxes,
@@ -368,35 +367,19 @@ class TestFailurePaths:
         with pytest.raises(InterpretationError, match="exceeded 1 rounds"):
             simulator.run(max_rounds=1)
 
-    def test_declined_codegen_raises_and_auto_falls_to_vectorized(
-        self, monkeypatch
-    ):
+    def test_declined_codegen_raises(self, monkeypatch):
         """There are no interpreted shards: a program the generator cannot
-        fuse is refused at construction, pointing at ``vectorized`` — and
-        ``auto`` takes that advice, recording why."""
+        fuse is refused at construction, pointing at ``vectorized``."""
 
         def declined(image, plan, store=None, box=None, geometry=None):
             raise KernelCodegenError("test: declined")
 
         monkeypatch.setattr("repro.wse.executors.tiled.get_kernel", declined)
-        program, module = _compiled(4, 4, name="declined")
+        _, module = _compiled(4, 4, name="declined")
         with pytest.raises(
             KernelCodegenError, match=r"test: declined.*'vectorized'"
         ):
             WseSimulator(module, executor="tiled")
-        monkeypatch.setenv(FORCE_ENV_VAR, "tiled")
-        simulator = WseSimulator(module, executor="auto")
-        assert simulator.executor.backend_name == "vectorized"
-        fields, statistics = run_on_executor("auto", program, module)
-        assert statistics.backend_decision == "vectorized"
-        assert "tiled declined" in statistics.backend_rationale
-        assert "test: declined" in statistics.backend_rationale
-        expected_fields, expected_statistics = run_on_executor(
-            "vectorized", program, module
-        )
-        for name, expected in expected_fields.items():
-            assert fields[name].tobytes() == expected.tobytes()
-        assert statistics == expected_statistics
 
 
 class TestTiledHostSurface:
