@@ -13,6 +13,7 @@ from repro.service.run import (
     compute_csl_run_fingerprint,
 )
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
+from repro.wse.codegen import KernelCodegenError
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,33 @@ class TestRunServiceCsl:
         vectorized = service.run_csl(sources, executor="vectorized")
         assert reference.fingerprint != vectorized.fingerprint
         assert reference.field_digests == vectorized.field_digests
+
+    def test_auto_runs_the_compiled_kernel(self, sources, tmp_path):
+        service = RunService(cache_dir=str(tmp_path))
+        vectorized = service.run_csl(sources, executor="vectorized")
+        compiled = service.run_csl(sources, executor="compiled")
+        auto = service.run_csl(sources, executor="auto")
+        assert auto.field_digests == compiled.field_digests
+        assert auto.field_digests == vectorized.field_digests
+        assert auto.kernel_cache["fingerprint"] == compiled.kernel_cache["fingerprint"]
+        assert auto.statistics["backend_decision"] == "compiled"
+
+    @pytest.mark.parametrize("executor", ["compiled", "auto"])
+    def test_a_declined_codegen_fails_the_run_and_stores_nothing(
+        self, executor, sources, tmp_path, monkeypatch
+    ):
+        def declined(image, plan, store=None):
+            raise KernelCodegenError("test: declined")
+
+        cache = str(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.service.run.get_kernel", declined)
+            with pytest.raises(KernelCodegenError, match="test: declined"):
+                RunService(cache_dir=cache).run_csl(sources, executor=executor)
+        fresh = RunService(cache_dir=cache)
+        fresh.run_csl(sources, executor=executor)
+        assert fresh.statistics.simulations == 1
+        assert fresh.statistics.cache_hits == 0
 
 
 class TestServiceCliCsl:

@@ -43,6 +43,59 @@ class TestRecordSchema:
         with pytest.raises(ValueError, match="cache='lukewarm'"):
             write_trajectory(_path(tmp_path), [record])
 
+    def test_typed_optional_keys_are_validated(self, tmp_path):
+        record = dict(make_record("Jacobian", "8x8", "compiled", 0.1, 1.0), r="4")
+        with pytest.raises(ValueError, match="r='4' is not a int"):
+            write_trajectory(_path(tmp_path), [record])
+
+    def test_file_names_are_validated(self, tmp_path):
+        record = make_record("Jacobian", "8x8", "vectorized", 0.0015, 3.2)
+        with pytest.raises(ValueError, match="named BENCH_\\*.json"):
+            write_trajectory(tmp_path / "simulator.json", [record])
+        assert not (tmp_path / "simulator.json").exists()
+
+    def test_records_round_seconds_and_speedup(self):
+        record = make_record(
+            "Jacobian", "8x8", "compiled", 0.12345678, 2.34567, day="2026-10-16"
+        )
+        assert record["seconds"] == 0.123457
+        assert record["speedup"] == 2.346
+        assert record["day"] == "2026-10-16"
+
+
+#: files ``read_trajectory`` refuses, with the error each one raises.
+UNUSABLE = {
+    "malformed": ("{not json", ValueError),
+    "not-an-object": ("[1, 2]", ValueError),
+    "stale-schema": ('{"schema_version": 99, "records": []}', ValueError),
+    "no-records": ('{"schema_version": 1}', KeyError),
+}
+
+
+class TestUnusableFiles:
+    @pytest.mark.parametrize("kind", sorted(UNUSABLE))
+    def test_read_refuses_an_unusable_file(self, kind, tmp_path):
+        text, error = UNUSABLE[kind]
+        _path(tmp_path).write_text(text)
+        with pytest.raises(error):
+            read_trajectory(_path(tmp_path))
+
+    @pytest.mark.parametrize("kind", sorted(UNUSABLE))
+    def test_merge_rewrites_an_unusable_file(self, kind, tmp_path):
+        _path(tmp_path).write_text(UNUSABLE[kind][0])
+        record = make_record("Jacobian", "8x8", "compiled", 0.001, 10.0, "warm")
+        merge_trajectory(_path(tmp_path), [record])
+        assert read_trajectory(_path(tmp_path)) == [record]
+
+    def test_read_of_a_missing_file_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_trajectory(_path(tmp_path))
+
+    def test_merge_creates_a_missing_file(self, tmp_path):
+        record = make_record("Jacobian", "8x8", "vectorized", 0.004, 1.0)
+        merge_trajectory(_path(tmp_path), [record])
+        assert read_trajectory(_path(tmp_path)) == [record]
+
 
 class TestMergeKeying:
     def test_cold_and_warm_rows_coexist(self, tmp_path):
@@ -76,3 +129,14 @@ class TestMergeKeying:
         current = make_record("Jacobian", "64x64", "compiled", 0.09, 1.1, "warm")
         merge_trajectory(_path(tmp_path), [current])
         assert read_trajectory(_path(tmp_path)) == [legacy, current]
+
+    def test_legacy_day_rows_replace_only_the_same_day(self, tmp_path):
+        """Rows carrying a ``day`` keep one row per day, beside the
+        day-less rows a benchmark writes."""
+        monday = make_record("J", "6x6", "compiled", 0.3, 1.0, day="2026-10-12")
+        tuesday = make_record("J", "6x6", "compiled", 0.2, 1.0, day="2026-10-13")
+        again = make_record("J", "6x6", "compiled", 0.1, 1.0, day="2026-10-13")
+        plain = make_record("J", "6x6", "compiled", 0.4, 1.0)
+        write_trajectory(_path(tmp_path), [monday, tuesday])
+        merge_trajectory(_path(tmp_path), [again, plain])
+        assert read_trajectory(_path(tmp_path)) == [monday, again, plain]

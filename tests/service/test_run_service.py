@@ -26,6 +26,7 @@ from repro.service.run import (
 from repro.transforms.pipeline import PipelineOptions
 from repro.wse.codegen import (
     CODEGEN_VERSION,
+    KernelCodegenError,
     kernel_cache_statistics,
     reset_kernel_cache,
 )
@@ -326,6 +327,39 @@ class TestKernelStore:
         assert artifact.kernel_cache["served_from"] == "store"
         executor = built[0].executor
         assert artifact.kernel_cache["fingerprint"] == executor.kernel_fingerprint
+
+    def test_auto_artifact_is_the_compiled_run_stamped(self):
+        program, options = _config(grid=4, steps=2)
+        with RunService() as service:
+            compiled = service.run(program, options, executor="compiled")
+            auto = service.run(program, options, executor="auto")
+        assert auto.fingerprint != compiled.fingerprint
+        assert auto.field_digests == compiled.field_digests
+        assert auto.kernel_cache["fingerprint"] == compiled.kernel_cache["fingerprint"]
+        assert auto.kernel_cache["served_from"] == "memory"
+        assert auto.statistics["backend_decision"] == "compiled"
+        assert compiled.statistics["backend_decision"] == ""
+
+    @pytest.mark.parametrize("executor", ["compiled", "auto"])
+    def test_a_declined_codegen_fails_the_run_and_stores_nothing(
+        self, executor, monkeypatch
+    ):
+        """No interpreting fallback in the service either: the run raises
+        and leaves no artifact, so the next run simulates afresh."""
+        def declined(image, plan, store=None):
+            raise KernelCodegenError("test: declined")
+
+        program, options = _config(grid=4, steps=3)
+        seed = 4242  # a run no other test has stored
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.service.run.get_kernel", declined)
+            with RunService() as service:
+                with pytest.raises(KernelCodegenError, match="test: declined"):
+                    service.run(program, options, executor=executor, seed=seed)
+        with RunService() as fresh:
+            fresh.run(program, options, executor=executor, seed=seed)
+            assert fresh.statistics.simulations == 1
+            assert fresh.statistics.cache_hits == 0
 
     @pytest.mark.parametrize(
         "damage",

@@ -23,9 +23,11 @@ covers what is specific to the ``compiled`` backend itself:
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.benchmarks import benchmark_by_name
+from repro.benchmarks.definitions import ALL_BENCHMARKS
 from repro.dialects import csl
 from repro.frontends.common import BoundaryCondition
 from repro.ir.exceptions import InterpretationError
@@ -43,6 +45,7 @@ from repro.wse.codegen import (
     kernel_fingerprint,
     reset_kernel_cache,
 )
+from repro.wse.executors.auto import RATIONALE
 from repro.wse.interpreter import ProgramImage
 from repro.wse.plan import ExecutionPlan
 from repro.wse.simulator import WseSimulator
@@ -393,7 +396,7 @@ class TestAuto:
         monkeypatch.delenv("REPRO_EXECUTOR")
         _assert_auto_is_compiled(program, module)
 
-    @pytest.mark.parametrize("grid", [1, 32])
+    @pytest.mark.parametrize("grid", [1, 2, 4, 8, 32, 64])
     def test_auto_ignores_the_working_directory(
         self, grid, monkeypatch, tmp_path
     ):
@@ -402,7 +405,7 @@ class TestAuto:
         rows = [
             {"name": "Jacobian", "grid": f"{n}x{n}", "executor": executor,
              "seconds": seconds, "speedup": 1.0}
-            for n in (1, 32)
+            for n in (1, 2, 4, 8, 32, 64)
             for executor, seconds in (
                 ("tiled", 1e-7),
                 ("reference", 1e-6),
@@ -416,3 +419,45 @@ class TestAuto:
         monkeypatch.chdir(tmp_path)
         program, module, _, _ = _image(grid=grid)
         _assert_auto_is_compiled(program, module)
+
+    @pytest.mark.parametrize(
+        "name", [benchmark.name for benchmark in ALL_BENCHMARKS]
+    )
+    def test_auto_binds_the_compiled_kernel(self, name):
+        """On every benchmark ``auto`` binds the kernel ``compiled``
+        generated (one codegen between them) and stamps its decision;
+        ``compiled`` itself stamps nothing."""
+        _, module, _, _ = _image(name=name)
+        direct = WseSimulator(module, executor="compiled")
+        auto = WseSimulator(module, executor="auto")
+        assert kernel_cache_statistics().codegens == 1
+        assert auto.executor.kernel_fingerprint == direct.executor.kernel_fingerprint
+        assert auto.execute().backend_decision == "compiled"
+        assert auto.statistics.backend_rationale == RATIONALE
+        assert direct.execute().backend_decision == ""
+
+    def test_the_stamp_survives_repeated_runs(self):
+        _, module, _, _ = _image()
+        auto = WseSimulator(module, executor="auto")
+        direct = WseSimulator(module, executor="compiled")
+        for _ in range(2):
+            statistics = auto.execute()
+            assert statistics == direct.execute()
+            assert statistics.backend_decision == "compiled"
+            assert statistics.backend_rationale == RATIONALE
+
+    def test_per_pe_surface_matches_compiled(self):
+        program, module, _, _ = _image()
+        field = program.fields[0].name
+        simulators = [
+            WseSimulator(module, executor=name) for name in ("auto", "compiled")
+        ]
+        for simulator in simulators:
+            z = simulator.pe(0, 0).buffers[field].shape[0]
+            simulator.load_field(field, np.ones((4, 4, z), dtype=np.float32))
+            simulator.execute()
+        auto, direct = simulators
+        assert len(auto.grid) == 4 and all(len(row) == 4 for row in auto.grid)
+        assert dict(auto.pe(2, 2).counters) == dict(direct.pe(2, 2).counters)
+        for name, column in direct.pe(2, 2).buffers.items():
+            assert auto.pe(2, 2).buffers[name].tobytes() == column.tobytes()
