@@ -21,23 +21,28 @@ sim-bench:
 	$(PYTHON) -m pytest benchmarks/test_simulator_throughput.py -q
 
 # Gate the tiled backend: the golden byte-identical digest matrices (7
-# benchmarks x 3 boundary modes x all executors, including tiled) plus the
+# benchmarks x 3 boundary modes x all executors, including tiled), the same
+# benchmarks at six explicit shard grids (1x1, row bands, column bands, 2x2)
+# on two non-square fabrics whatever the host's CPU count, plus the
 # backend's own suite — shard geometry, the thread driver (one barrier per
 # round plus the settling one, every shard thread joined, forced-interleaving
-# stress runs), failure paths and the declined-codegen error.
+# stress runs), no staging slab in any benchmark's box kernel, failure paths
+# and the declined-codegen error.
 tiled-check:
 	$(PYTHON) -m pytest tests/wse/test_tiled_executor.py \
+	  tests/wse/test_tiled_geometries.py \
 	  tests/wse/test_executor_equivalence.py \
 	  tests/wse/test_boundary_conditions.py \
 	  tests/wse/test_comms_edge_cases.py -q
 
 # Gate the compiled backend's kernels: the emitted-source pins (57 small
-# kernels plus three row-banded 64x64 ones), the backend's own suite
-# (deterministic emission, both delivery forms, the kernel cache, the round
+# kernels plus five row-banded 64x64 ones, two of them shard boxes), the
+# backend's own suite (deterministic emission, both delivery forms in
+# whole-grid and box kernels, the kernel cache, the round
 # budget, the declined-codegen error, and `auto` as compiled under its own
 # name) and the banded goldens — every benchmark and boundary mode at forced
-# 1- and 2-row bands, byte-identical to vectorized, plus the kernel-size
-# guard.
+# 1- and 2-row bands, whole-grid and on two row-band shards, byte-identical
+# to vectorized, plus the kernel-size guard.
 kernel-check:
 	$(PYTHON) -m pytest tests/wse/test_kernel_digests.py \
 	  tests/wse/test_compiled_executor.py \

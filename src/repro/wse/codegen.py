@@ -25,18 +25,20 @@ the fused delivery round as Python/NumPy source text, materialised via
   plan's fold tables, Dirichlet directions write only the interior
   rectangle over a constant-fill border.
 
-There is one emission per kernel kind.  A *whole-grid* kernel (the
+There is one emission, for two kernel kinds.  A *whole-grid* kernel (the
 ``compiled`` executor's) carries the round loop itself:
 ``run_block(budget)`` runs delivery rounds until the program settles,
-deadlocks or spends ``budget``, and each exchange stages straight into its
-receive slab wherever ``_direct_staging_safe`` proves that legal
-(preallocated staging slabs otherwise).  A *shard-box* kernel
-(``box=``/``geometry=``) instead exposes the seam protocol's per-round hooks
-(publish / stage interior / stage rim / deliver), because its rounds
-rendezvous with sibling shards.
+deadlocks or spends ``budget``.  A *shard-box* kernel (``box=``/
+``geometry=``, one per ``tiled`` shard) instead exposes the seam protocol's
+per-round hooks (``publish`` / ``deliver``), because its rounds rendezvous
+with sibling shards.  Both deliver an exchange the same way: each chunk
+goes straight into the receive slab wherever ``_direct_staging_safe``
+proves that legal (preallocated staging slabs otherwise).  They differ only
+in where a destination's source is read: the grid, the shard's own box, or
+a sibling's seam snapshot.
 
-A whole-grid kernel whose longest DSD operand view is larger than
-``_BAND_BYTES`` also runs its DSD chains in cache-sized **row bands** — the
+A kernel whose longest DSD operand view is larger than ``_BAND_BYTES``
+also runs its DSD chains in cache-sized **row bands** — the
 host-side twin of the lowering's ``num_chunks`` split, which keeps a PE's
 working set inside its SRAM.  Each maximal run of consecutive DSD builtins
 (with the pure scalar and DSD-value ops between them) becomes one
@@ -47,11 +49,12 @@ checks are built before the loop, the ``fmacs`` scratch is band-sized, and
 the counter bumps follow the loop with the same totals.
 
 This is legal because every DSD operand is a ``[:, :, z]`` view of a
-``(height, width, z)`` buffer: element ``(r, c, k)`` of any builtin reads
-only row ``r`` of its operands, so running a chain band by band gives every
-element the same operations in the same order — the full-RHS hazard form
-included.  A kernel whose views fit one band — every small grid, every
-shard box — is emitted exactly as without banding.
+``(height, width, z)`` buffer (a shard box's rows and columns, for a box
+kernel): element ``(r, c, k)`` of any builtin reads only row ``r`` of its
+operands, so running a chain band by band gives every element the same
+operations in the same order — the full-RHS hazard form included.  A
+kernel whose views fit one band — every small grid or box — is emitted
+exactly as without banding.
 
 Only the error path differs under bands: a runtime-offset view out of
 range raises the same ``IndexError`` as unbanded, but before any builtin of
@@ -73,8 +76,8 @@ rest of the image's derived state when a bind finds the module changed
 to a directory to retain the emitted source of every kernel for debugging.
 
 Only the constructs the pipeline generates are compilable; anything else
-raises :class:`KernelCodegenError`: the ``compiled`` executor then falls back
-to plain vectorized interpretation, the ``tiled`` executor propagates it.
+raises :class:`KernelCodegenError`, which the ``compiled`` and ``tiled``
+executors raise from their constructors (``vectorized`` interprets).
 """
 
 from __future__ import annotations
@@ -113,11 +116,14 @@ if TYPE_CHECKING:  # pragma: no cover
 #: v3: one whole-grid emission — every non-box kernel carries ``run_block``
 #: and the direct-to-receive delivery.
 #: v4: whole-grid DSD runs over row bands.
-CODEGEN_VERSION = 4
+#: v5: shard-box kernels band too, and deliver as whole-grid kernels do
+#: (straight into the receive slab where proven safe, all after the
+#: publication wait).
+CODEGEN_VERSION = 5
 
-#: bytes one row band of the longest DSD operand view spans in a whole-grid
-#: kernel.  Part of the emitter, like every other emission choice: a new
-#: value needs a new ``CODEGEN_VERSION``.
+#: bytes one row band of the longest DSD operand view spans in a kernel.
+#: Part of the emitter, like every other emission choice: a new value needs
+#: a new ``CODEGEN_VERSION``.
 _BAND_BYTES = 256 * 1024
 
 #: environment variable naming a directory to retain emitted kernel source
@@ -305,10 +311,12 @@ class _KernelEmitter:
         self.image = image
         self.plan = plan
         #: ``(y0, y1, x0, x1)`` for a shard-box kernel (the seam protocol's
-        #: publish/stage/deliver hooks), ``None`` for a whole-grid kernel
-        #: (the in-kernel ``run_block`` round loop).
+        #: publish/deliver hooks), ``None`` for a whole-grid kernel (the
+        #: in-kernel ``run_block`` round loop).
         self.box = box
         self.geometry = geometry
+        #: the fabric rows/columns this kernel's arrays cover.
+        self._region = box if box is not None else (0, plan.height, 0, plan.width)
         self._fn_names: dict[str, str] = {}
         self._buffer_names: dict[str, str] = {}
         self._views: dict[tuple, str] = {}  # (buffer, offset, length, stride)
@@ -318,18 +326,17 @@ class _KernelEmitter:
         self._exchanges: list[tuple[int, ExchangePlan, str]] = []
         #: shard-mode fancy-index constants: (values, orient) -> name.
         self._indices: dict[tuple[tuple[int, ...], str], str] = {}
-        #: exchanges delivered straight into the receive slab (whole-grid
-        #: kernels, where proven safe): their staging slabs are never
-        #: allocated.
+        #: exchanges delivered straight into the receive slab (where proven
+        #: safe): their staging slabs are never allocated.
         self._direct_eids: set[int] = set()
         #: direct-mode exchanges whose constant-fill borders are written
         #: lazily under a ``fl<eid>`` once-flag (receive buffer proven
         #: unwritten outside delivery).
         self._fill_flags: set[int] = set()
         self._write_sets: dict[str, set[str] | None] = {}
-        #: ``(r0, r1)`` row bands of a whole-grid kernel whose longest DSD
-        #: operand spans more than :data:`_BAND_BYTES` — empty otherwise,
-        #: and the kernel then runs every op over whole-grid views.
+        #: ``(r0, r1)`` row bands of a kernel whose longest DSD operand view
+        #: spans more than :data:`_BAND_BYTES` — empty otherwise, and the
+        #: kernel then runs every op over whole-region views.
         self._bands: tuple[tuple[int, int], ...] = ()
         self._temp = 0
         if box is not None:
@@ -339,18 +346,9 @@ class _KernelEmitter:
             self._pub_col_slots = {col: slot for slot, col in enumerate(pub_cols)}
 
     @property
-    def _num_pes(self) -> int:
-        if self.box is None:
-            return self.plan.width * self.plan.height
-        y0, y1, x0, x1 = self.box
-        return (y1 - y0) * (x1 - x0)
-
-    @property
     def _grid_dims(self) -> tuple[int, int]:
         """(height, width) of the arrays this kernel operates on."""
-        if self.box is None:
-            return self.plan.height, self.plan.width
-        y0, y1, x0, x1 = self.box
+        y0, y1, x0, x1 = self._region
         return y1 - y0, x1 - x0
 
     # -- naming --------------------------------------------------------- #
@@ -457,7 +455,7 @@ class _KernelEmitter:
         ``remote`` pairs it with the *global* source index (source owned by
         a sibling shard, read through its seam publication).  Dirichlet
         off-fabric destinations (``None`` sources) appear in neither — they
-        keep the bind-time constant fill, exactly like the full-grid path.
+        keep the constant fill.
         """
         own: list[tuple[int, int]] = []
         remote: list[tuple[int, int]] = []
@@ -547,12 +545,13 @@ class _KernelEmitter:
     # -- banded runs ----------------------------------------------------- #
 
     def _row_bands(self) -> tuple[tuple[int, int], ...]:
-        """The ``(r0, r1)`` row bands of a whole-grid kernel.
+        """The ``(r0, r1)`` row bands of a kernel's region (a shard box's
+        rows are box-relative).
 
         Rows per band = ``_BAND_BYTES // (4 * width * longest DSD operand
-        length)``, at least one; no bands (whole-grid views throughout) for
-        a shard-box kernel or when one band would cover the grid."""
-        longest = 0 if self.box is not None else self._longest_dsd_operand()
+        length)``, at least one; no bands (whole-region views throughout)
+        when one band would cover the region."""
+        longest = self._longest_dsd_operand()
         if not longest:
             return ()
         height, width = self._grid_dims
@@ -960,21 +959,129 @@ class _KernelEmitter:
         return True
 
     @staticmethod
-    def _axis_runs(
-        axis: tuple[int, ...]
-    ) -> list[tuple[int, int, int]]:
-        """Maximal ``(dest_lo, dest_hi, src_lo)`` runs of a gather axis in
-        which the source index steps with the destination — each run is one
-        basic-slice copy."""
+    def _runs(pairs: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
+        """Maximal ``(dest_lo, dest_hi, src_lo)`` runs of ``(dest, src)``
+        index pairs in which destination and source both step by one —
+        each run is one basic-slice copy."""
         runs: list[tuple[int, int, int]] = []
-        start = 0
-        for i in range(1, len(axis) + 1):
-            if i == len(axis) or axis[i] != axis[i - 1] + 1:
-                runs.append((start, i, axis[start]))
-                start = i
+        for dest, src in pairs:
+            if runs:
+                lo, hi, src_lo = runs[-1]
+                if dest == hi and src == src_lo + hi - lo:
+                    runs[-1] = (lo, hi + 1, src_lo)
+                    continue
+            runs.append((dest, dest + 1, src))
         return runs
 
     # -- delivery emission ------------------------------------------------ #
+
+    def _block_copies(
+        self,
+        rows: list[tuple[int, int]],
+        cols: list[tuple[int, int]],
+        array: str,
+        z: str,
+        direction: tuple[int, int],
+    ) -> list[tuple[str, str, str]]:
+        """Copies moving ``rows x cols`` (``(dest, src)`` index pairs per
+        axis) of ``array[..., z]`` into the destination.
+
+        Each copy is ``(destination rows/cols, source expression, kind)``.
+        A few contiguous runs per axis (interior shifts, periodic/reflect
+        wraps) become basic-slice copies (kind ``"slice"``); ragged tables
+        one fancy-index copy — through the plan's fold tables on a
+        whole-grid kernel (whose ragged directions cover every destination),
+        through bind-time index constants on a box (kind ``"gather"`` when
+        only the source is ragged, ``"scatter"`` when the destination is).
+        """
+        if not rows or not cols:
+            return []
+        row_runs, col_runs = self._runs(rows), self._runs(cols)
+        if len(row_runs) * len(col_runs) <= 4:
+            return [
+                (
+                    f"{ry0}:{ry1}, {cx0}:{cx1}",
+                    f"{array}[{sy}:{sy + ry1 - ry0}, {sx}:{sx + cx1 - cx0}, {z}]",
+                    "slice",
+                )
+                for ry0, ry1, sy in row_runs
+                for cx0, cx1, sx in col_runs
+            ]
+        if self.box is None:
+            gr, gc = self._gather(direction)
+            return [(":, :", f"{array}[{gr}, {gc}, {z}]", "gather")]
+        dest_rows, dest_cols = [d for d, _ in rows], [d for d, _ in cols]
+        dr, dc = self._sel_exprs(dest_rows, dest_cols)
+        sr, sc = self._sel_exprs([s for _, s in rows], [s for _, s in cols])
+        kind = (
+            "gather"
+            if self._contiguous(dest_rows) and self._contiguous(dest_cols)
+            else "scatter"
+        )
+        return [(f"{dr}, {dc}", f"{array}[{sr}, {sc}, {z}]", kind)]
+
+    def _direction_copies(
+        self,
+        eid: int,
+        exchange: ExchangePlan,
+        direction: tuple[int, int],
+        source: str,
+        start: int,
+        stop: int,
+    ) -> list[tuple[str, str, str]]:
+        """The copies delivering one direction of chunk ``[start, stop)``
+        into this kernel's region (see :meth:`_block_copies`).
+
+        The destination cells split by where their folded source lives:
+        inside the region (read from the live source buffer), in a sibling
+        shard (read from the sibling's seam snapshot), or off-fabric
+        (Dirichlet — left to the constant fill).  A whole-grid kernel has
+        no siblings.  Remote *rows* read whole strips of the row snapshot
+        (every shard of the source band publishes its column segment), so
+        diagonal-corner sources need no extra region.
+        """
+        table = self.plan.halo_table(direction)
+        y0, y1, x0, x1 = self._region
+        own_rows, remote_rows = self._box_axis(table.rows, y0, y1)
+        own_cols, remote_cols = self._box_axis(table.cols, x0, x1)
+        copies = self._block_copies(
+            own_rows, own_cols, source, f"{start}:{stop}", direction
+        )
+        offset = exchange.source_offset
+        snapshot = f"{start - offset}:{stop - offset}"
+        # Remote rows x every in-fabric column: full-width row strips.
+        in_fabric_cols = sorted([(d, x0 + s) for d, s in own_cols] + remote_cols)
+        if remote_rows:
+            copies += self._block_copies(
+                [(d, self._pub_row_slots[s]) for d, s in remote_rows],
+                in_fabric_cols, f"rs_{eid}", snapshot, direction,
+            )
+        # Own rows x remote columns: column strips of the source stripe.
+        if remote_cols:
+            copies += self._block_copies(
+                [(d, y0 + s) for d, s in own_rows],
+                [(d, self._pub_col_slots[s]) for d, s in remote_cols],
+                f"cs_{eid}", snapshot, direction,
+            )
+        return copies
+
+    def _fill_slots(self, exchange: ExchangePlan) -> list[tuple[int, float]]:
+        """``(slot, fill value)`` of every direction in which some cell of
+        this kernel's region reads off the fabric (Dirichlet) and so sees
+        the constant fill."""
+        y0, y1, x0, x1 = self._region
+        slots = []
+        for slot, direction in enumerate(exchange.directions):
+            table = self.plan.halo_table(direction)
+            if None in table.rows[y0:y1] or None in table.cols[x0:x1]:
+                slots.append((slot, table.fill_value))
+        return slots
+
+    def _fill_value(self, eid: int, exchange: ExchangePlan, slot: int, fill) -> str:
+        value = f"np.float32({fill!r})"
+        if exchange.coefficients is not None:
+            value = f"{value} * c{eid}_{slot}"
+        return value
 
     def _emit_deliver_fn(
         self,
@@ -983,42 +1090,93 @@ class _KernelEmitter:
         source_buffer: str,
         b: SourceBuilder,
     ) -> None:
-        if self.box is not None:
-            self._emit_box_exchange_fns(eid, exchange, source_buffer, b)
-            return
-        if self._direct_staging_safe(exchange, source_buffer):
-            self._emit_direct_deliver_fn(eid, exchange, source_buffer, b)
-            return
+        """``deliver_<eid>``: every chunk into the receive slab, each
+        followed by its receive callback.
+
+        Direct delivery copies each chunk straight into the receive slab
+        (no staging slab exists), legal because
+        :meth:`_direct_staging_safe` proved the receive callback writes
+        neither the source buffer (later chunks re-read the same data an
+        up-front staging would have) nor the receive buffer (the slab
+        content each callback observes equals the staged copy).  Its
+        constant-fill borders are written at the top of the delivery — or
+        once per kernel binding when nothing else ever writes the receive
+        buffer.  The staged fallback copies every chunk into a preallocated
+        slab (borders prefilled at bind time) before any callback runs, then
+        copies slab by slab into the receive buffer.  Whole-grid and box
+        kernels differ only in where a destination's source is read
+        (:meth:`_direction_copies`).
+        """
         depth = exchange.chunk_size * len(exchange.directions)
         source = self._buffer(source_buffer)
+        direct = self._direct_staging_safe(exchange, source_buffer)
+        receive_view = (
+            self._static_view(_DsdExpr(exchange.receive_buffer, 0, depth, 1))
+            if depth
+            else None
+        )
+        fill_slots = self._fill_slots(exchange) if receive_view else []
+        once = direct and bool(fill_slots) and self._recv_preserved(
+            exchange.receive_buffer
+        )
+        if direct:
+            self._direct_eids.add(eid)
+        if once:
+            self._fill_flags.add(eid)
+
+        def emit_fills() -> None:
+            for slot, fill in fill_slots:
+                z0 = slot * exchange.chunk_size
+                b.line(
+                    f"{receive_view}[:, :, {z0}:{z0 + exchange.chunk_size}] = "
+                    f"{self._fill_value(eid, exchange, slot, fill)}"
+                )
+
+        def emit_stage(chunk: int, target: str) -> None:
+            start = exchange.source_offset + chunk * exchange.chunk_size
+            stop = start + exchange.chunk_size
+            for slot, direction in enumerate(exchange.directions):
+                z0 = slot * exchange.chunk_size
+                z = f"{z0}:{z0 + exchange.chunk_size}"
+                coefficient = (
+                    f"c{eid}_{slot}" if exchange.coefficients is not None else None
+                )
+                for rows_cols, src, kind in self._direction_copies(
+                    eid, exchange, direction, source, start, stop
+                ):
+                    dest = f"{target}[{rows_cols}, {z}]"
+                    if coefficient is not None and kind != "scatter":
+                        b.line(f"np.multiply({src}, {coefficient}, out={dest})")
+                    elif coefficient is not None:
+                        b.line(f"{dest} = {src} * {coefficient}")
+                    elif kind == "slice":
+                        b.line(f"np.copyto({dest}, {src})")
+                    else:
+                        b.line(f"{dest} = {src}")
+
         b.line(f"def deliver_{eid}():")
         with b.indented():
             body_start = len(b)
-            total = exchange.num_chunks * exchange.chunk_size * len(
-                exchange.directions
-            )
-            # Phase 1: stage every chunk before any callback may write.
-            for chunk in range(exchange.num_chunks):
-                start = exchange.source_offset + chunk * exchange.chunk_size
-                stop = start + exchange.chunk_size
-                for slot, direction in enumerate(exchange.directions):
-                    self._emit_stage_direction(
-                        eid, exchange, chunk, slot, direction,
-                        source, start, stop, b,
-                    )
+            total = exchange.num_chunks * depth
             if total:
                 b.line(f"counters['wavelets_sent'] += {total}")
-            # Phase 2: deliver chunk by chunk, receive callback per chunk.
-            receive_view = (
-                self._static_view(
-                    _DsdExpr(exchange.receive_buffer, 0, depth, 1)
-                )
-                if depth
-                else None
-            )
+            if direct and fill_slots:
+                if once:
+                    b.line(f"if fl{eid}[0]:")
+                    with b.indented():
+                        b.line(f"fl{eid}[0] = False")
+                        emit_fills()
+                else:
+                    emit_fills()
+            if not direct and receive_view is not None:
+                for chunk in range(exchange.num_chunks):
+                    emit_stage(chunk, f"st{eid}_{chunk}")
             for chunk in range(exchange.num_chunks):
                 if receive_view is not None:
-                    b.line(f"np.copyto({receive_view}, st{eid}_{chunk})")
+                    if direct:
+                        emit_stage(chunk, receive_view)
+                    else:
+                        b.line(f"np.copyto({receive_view}, st{eid}_{chunk})")
                 if exchange.receive_callback:
                     argument = chunk * exchange.chunk_size
                     b.line(f"{self._fn(exchange.receive_callback)}({argument})")
@@ -1029,180 +1187,16 @@ class _KernelEmitter:
             if len(b) == body_start:  # zero-chunk, no-callback degenerate
                 b.line("pass")
 
-    def _emit_direct_deliver_fn(
-        self,
-        eid: int,
-        exchange: ExchangePlan,
-        source_buffer: str,
-        b: SourceBuilder,
+    def _emit_publish_fn(
+        self, eid: int, exchange: ExchangePlan, source_buffer: str, b: SourceBuilder
     ) -> None:
-        """Direct delivery: stage each chunk straight into the receive
-        slab, skipping the per-chunk full-slab copy.
-
-        Legal because :meth:`_direct_staging_safe` proved the receive
-        callback writes neither the source buffer (later chunks re-read the
-        same data the up-front staging would have) nor the receive buffer
-        (the slab content each callback observes equals the staged
-        ``np.copyto`` result).  Constant-fill borders are re-established at
-        the top of the delivery — or once per kernel binding when no task
-        of the program ever writes the receive buffer.
-        """
-        depth = exchange.chunk_size * len(exchange.directions)
-        source = self._buffer(source_buffer)
-        self._direct_eids.add(eid)
-        receive_view = (
-            self._static_view(_DsdExpr(exchange.receive_buffer, 0, depth, 1))
-            if depth
-            else None
-        )
-        fill_slots = [
-            (slot, direction)
-            for slot, direction in enumerate(exchange.directions)
-            if self.plan.gather_indices(direction) is None
-        ]
-        once = bool(fill_slots) and self._recv_preserved(
-            exchange.receive_buffer
-        )
-        if once:
-            self._fill_flags.add(eid)
-
-        def emit_fills(bb: SourceBuilder) -> None:
-            for slot, direction in fill_slots:
-                fill = self.plan.halo_table(direction).fill_value
-                z0 = slot * exchange.chunk_size
-                z1 = z0 + exchange.chunk_size
-                value = f"np.float32({fill!r})"
-                if exchange.coefficients is not None:
-                    value = f"{value} * c{eid}_{slot}"
-                bb.line(f"{receive_view}[:, :, {z0}:{z1}] = {value}")
-
-        b.line(f"def deliver_{eid}():")
-        with b.indented():
-            body_start = len(b)
-            total = exchange.num_chunks * exchange.chunk_size * len(
-                exchange.directions
-            )
-            if total:
-                b.line(f"counters['wavelets_sent'] += {total}")
-            if fill_slots and receive_view is not None:
-                if once:
-                    b.line(f"if fl{eid}[0]:")
-                    with b.indented():
-                        b.line(f"fl{eid}[0] = False")
-                        emit_fills(b)
-                else:
-                    emit_fills(b)
-            for chunk in range(exchange.num_chunks):
-                start = exchange.source_offset + chunk * exchange.chunk_size
-                stop = start + exchange.chunk_size
-                for slot, direction in enumerate(exchange.directions):
-                    self._emit_direct_stage(
-                        eid, exchange, slot, direction,
-                        source, start, stop, receive_view, b,
-                    )
-                if exchange.receive_callback:
-                    argument = chunk * exchange.chunk_size
-                    b.line(f"{self._fn(exchange.receive_callback)}({argument})")
-            if exchange.done_callback:
-                b.line(
-                    f"queue.append(({self._fn(exchange.done_callback)}, 0))"
-                )
-            if len(b) == body_start:
-                b.line("pass")
-
-    def _emit_direct_stage(
-        self,
-        eid: int,
-        exchange: ExchangePlan,
-        slot: int,
-        direction: tuple[int, int],
-        source: str,
-        start: int,
-        stop: int,
-        receive_view: str | None,
-        b: SourceBuilder,
-    ) -> None:
-        """One direction-slot of one chunk, written into the receive slab.
-
-        Gathers whose fold tables decompose into a few contiguous runs per
-        axis (interior shifts, periodic/reflect wraps) become basic-slice
-        copies — no fancy-index temporary; ragged tables keep the one-shot
-        fancy gather.  Constant-fill directions copy only the shifted run
-        over the borders established by the delivery prologue.
-        """
-        if receive_view is None:
-            return
-        z0 = slot * exchange.chunk_size
-        z1 = z0 + exchange.chunk_size
-        coefficient = (
-            f"c{eid}_{slot}" if exchange.coefficients is not None else None
-        )
-        table = self.plan.halo_table(direction)
-
-        def copy(dest: str, src: str) -> None:
-            if coefficient is None:
-                b.line(f"np.copyto({dest}, {src})")
-            else:
-                b.line(f"np.multiply({src}, {coefficient}, out={dest})")
-
-        if self.plan.gather_indices(direction) is None:
-            dx, dy = direction
-            y0, y1, x0, x1 = table.interior_box()
-            if y0 >= y1 or x0 >= x1:
-                return
-            copy(
-                f"{receive_view}[{y0}:{y1}, {x0}:{x1}, {z0}:{z1}]",
-                f"{source}[{y0 + dy}:{y1 + dy}, {x0 + dx}:{x1 + dx}, "
-                f"{start}:{stop}]",
-            )
-            return
-        row_runs = self._axis_runs(table.rows)
-        col_runs = self._axis_runs(table.cols)
-        if len(row_runs) * len(col_runs) <= 4:
-            for ry0, ry1, sy in row_runs:
-                for cx0, cx1, sx in col_runs:
-                    copy(
-                        f"{receive_view}[{ry0}:{ry1}, {cx0}:{cx1}, "
-                        f"{z0}:{z1}]",
-                        f"{source}[{sy}:{sy + ry1 - ry0}, "
-                        f"{sx}:{sx + cx1 - cx0}, {start}:{stop}]",
-                    )
-            return
-        rows, cols = self._gather(direction)
-        dest = f"{receive_view}[:, :, {z0}:{z1}]"
-        gathered = f"{source}[{rows}, {cols}, {start}:{stop}]"
-        if coefficient is None:
-            b.line(f"{dest} = {gathered}")
-        else:
-            b.line(f"np.multiply({gathered}, {coefficient}, out={dest})")
-
-    # -- shard-box exchange (overlapped tiled protocol) ------------------- #
-
-    def _emit_box_exchange_fns(
-        self,
-        eid: int,
-        exchange: ExchangePlan,
-        source_buffer: str,
-        b: SourceBuilder,
-    ) -> None:
-        """The four per-exchange hooks of a shard-box kernel.
-
-        ``publish_<eid>`` copies the shard's seam rows/columns of the source
-        buffer into the shared snapshots; ``stage_interior_<eid>`` stages
-        every destination whose (boundary-folded) source lies inside the box
-        — legal while siblings still compute; ``stage_rim_<eid>`` stages the
-        remaining in-fabric destinations out of sibling snapshots — legal
-        only once the needed siblings published; ``deliver_<eid>`` is the
-        unchanged phase-2 copy+callback sequence.  The interior/rim split is
-        a partition of the full-grid staging, so the staged bytes — and the
-        per-PE counters — are identical to the single-process kernel.
-        """
-        depth = exchange.chunk_size * len(exchange.directions)
+        """``publish_<eid>`` (shard-box kernels): copy the box's seam
+        rows/columns of the source buffer into the shared snapshots, which
+        siblings read instead of this shard's live buffers."""
         span = exchange.num_chunks * exchange.chunk_size
         offset = exchange.source_offset
         source = self._buffer(source_buffer)
         y0, y1, x0, x1 = self.box
-
         b.line(f"def publish_{eid}():")
         with b.indented():
             body_start = len(b)
@@ -1222,182 +1216,12 @@ class _KernelEmitter:
             if len(b) == body_start:
                 b.line("pass")
 
-        total = exchange.num_chunks * exchange.chunk_size * len(
-            exchange.directions
-        )
-        for rim in (False, True):
-            b.line(f"def stage_{'rim' if rim else 'interior'}_{eid}():")
+    def _emit_dispatch(self, b: SourceBuilder, hook: str) -> None:
+        """Call ``<hook>_<eid>()`` for the pending exchange ``eid``."""
+        for eid, _, _ in self._exchanges:
+            b.line(f"{'if' if eid == 0 else 'elif'} eid == {eid}:")
             with b.indented():
-                body_start = len(b)
-                for chunk in range(exchange.num_chunks):
-                    start = offset + chunk * exchange.chunk_size
-                    stop = start + exchange.chunk_size
-                    for slot, direction in enumerate(exchange.directions):
-                        self._emit_box_stage_direction(
-                            eid, exchange, chunk, slot, direction,
-                            source, start, stop, b, rim,
-                        )
-                if not rim and total:
-                    b.line(f"counters['wavelets_sent'] += {total}")
-                if len(b) == body_start:
-                    b.line("pass")
-
-        b.line(f"def deliver_{eid}():")
-        with b.indented():
-            body_start = len(b)
-            receive_view = (
-                self._static_view(
-                    _DsdExpr(exchange.receive_buffer, 0, depth, 1)
-                )
-                if depth
-                else None
-            )
-            for chunk in range(exchange.num_chunks):
-                if receive_view is not None:
-                    b.line(f"np.copyto({receive_view}, st{eid}_{chunk})")
-                if exchange.receive_callback:
-                    argument = chunk * exchange.chunk_size
-                    b.line(f"{self._fn(exchange.receive_callback)}({argument})")
-            if exchange.done_callback:
-                b.line(
-                    f"queue.append(({self._fn(exchange.done_callback)}, 0))"
-                )
-            if len(b) == body_start:
-                b.line("pass")
-
-    def _emit_box_stage_direction(
-        self,
-        eid: int,
-        exchange: ExchangePlan,
-        chunk: int,
-        slot: int,
-        direction: tuple[int, int],
-        source: str,
-        start: int,
-        stop: int,
-        b: SourceBuilder,
-        rim: bool,
-    ) -> None:
-        """One direction-slot of one chunk, restricted to the shard box.
-
-        The destination cells split by where their folded source lives:
-        inside the box (interior — copied from the live shard view), in a
-        sibling shard (rim — copied from the sibling's seam snapshot), or
-        off-fabric (Dirichlet — left at the bind-time constant prefill).
-        Remote *rows* read whole strips of the row snapshot (every shard of
-        the source band publishes its column segment), so diagonal-corner
-        sources need no extra region.
-        """
-        z0 = slot * exchange.chunk_size
-        z1 = z0 + exchange.chunk_size
-        coefficient = (
-            f"c{eid}_{slot}" if exchange.coefficients is not None else None
-        )
-        table = self.plan.halo_table(direction)
-        y0, y1, x0, x1 = self.box
-        own_rows, remote_rows = self._box_axis(table.rows, y0, y1)
-        own_cols, remote_cols = self._box_axis(table.cols, x0, x1)
-        offset = exchange.source_offset
-
-        def copy(dest_rows, dest_cols, src_expr):
-            dr, dc = self._sel_exprs(
-                [d for d, _ in dest_rows], [d for d, _ in dest_cols]
-            )
-            value = src_expr if coefficient is None else (
-                f"{src_expr} * {coefficient}"
-            )
-            b.line(f"st{eid}_{chunk}[{dr}, {dc}, {z0}:{z1}] = {value}")
-
-        if not rim:
-            if own_rows and own_cols:
-                sr, sc = self._sel_exprs(
-                    [s for _, s in own_rows], [s for _, s in own_cols]
-                )
-                copy(own_rows, own_cols,
-                     f"{source}[{sr}, {sc}, {start}:{stop}]")
-            return
-        zs, ze = start - offset, stop - offset
-        # Remote rows x every in-fabric column: full-width row strips.
-        in_fabric_cols = sorted(
-            [(d, x0 + s) for d, s in own_cols] + remote_cols
-        )
-        if remote_rows and in_fabric_cols:
-            sr, sc = self._sel_exprs(
-                [self._pub_row_slots[s] for _, s in remote_rows],
-                [g for _, g in in_fabric_cols],
-            )
-            copy(remote_rows, in_fabric_cols,
-                 f"rs_{eid}[{sr}, {sc}, {zs}:{ze}]")
-        # Own rows x remote columns: column strips of the source stripe.
-        if own_rows and remote_cols:
-            sr, sc = self._sel_exprs(
-                [y0 + s for _, s in own_rows],
-                [self._pub_col_slots[s] for _, s in remote_cols],
-            )
-            copy(own_rows, remote_cols,
-                 f"cs_{eid}[{sr}, {sc}, {zs}:{ze}]")
-
-    def _emit_stage_direction(
-        self,
-        eid: int,
-        exchange: ExchangePlan,
-        chunk: int,
-        slot: int,
-        direction: tuple[int, int],
-        source: str,
-        start: int,
-        stop: int,
-        b: SourceBuilder,
-    ) -> None:
-        z0 = slot * exchange.chunk_size
-        z1 = z0 + exchange.chunk_size
-        staging = f"st{eid}_{chunk}[:, :, {z0}:{z1}]"
-        coefficient = (
-            f"c{eid}_{slot}" if exchange.coefficients is not None else None
-        )
-        if self.plan.gather_indices(direction) is not None:
-            rows, cols = self._gather(direction)
-            gathered = f"{source}[{rows}, {cols}, {start}:{stop}]"
-            if coefficient is None:
-                b.line(f"{staging} = {gathered}")
-            else:
-                b.line(f"np.multiply({gathered}, {coefficient}, out={staging})")
-            return
-        # Dirichlet fill path: the staging border was prefilled at bind
-        # time; only the interior rectangle moves per round.
-        dx, dy = direction
-        y0, y1, x0, x1 = self.plan.halo_table(direction).interior_box()
-        if y0 >= y1 or x0 >= x1:
-            return
-        staging = (
-            f"st{eid}_{chunk}[{y0}:{y1}, {x0}:{x1}, {z0}:{z1}]"
-        )
-        shifted = (
-            f"{source}[{y0 + dy}:{y1 + dy}, {x0 + dx}:{x1 + dx}, "
-            f"{start}:{stop}]"
-        )
-        if coefficient is None:
-            b.line(f"{staging} = {shifted}")
-        else:
-            b.line(f"np.multiply({shifted}, {coefficient}, out={staging})")
-
-    def _emit_box_dispatcher(
-        self, b: SourceBuilder, name: str, returns: int | None
-    ) -> None:
-        """A pending-eid dispatcher for one shard-protocol hook."""
-        b.line(f"def {name}():")
-        with b.indented():
-            b.line("eid = pending[0]")
-            b.line("if eid < 0:")
-            with b.indented():
-                b.line("return 0" if returns is not None else "return")
-            for eid, _, _ in self._exchanges:
-                keyword = "if" if eid == 0 else "elif"
-                b.line(f"{keyword} eid == {eid}:")
-                with b.indented():
-                    b.line(f"{name}_{eid}()")
-            if returns is not None:
-                b.line(f"return {returns}")
+                b.line(f"{hook}_{eid}()")
 
     # -- assembly --------------------------------------------------------- #
 
@@ -1411,26 +1235,21 @@ class _KernelEmitter:
 
         delivery = SourceBuilder(indent=1)
         for eid, exchange, source_buffer in self._exchanges:
+            if self.box is not None:
+                self._emit_publish_fn(eid, exchange, source_buffer, delivery)
             self._emit_deliver_fn(eid, exchange, source_buffer, delivery)
         if self.box is not None:
-            self._emit_box_dispatcher(delivery, "publish", returns=None)
-            self._emit_box_dispatcher(
-                delivery, "stage_interior", returns=self._num_pes
-            )
-            self._emit_box_dispatcher(delivery, "stage_rim", returns=None)
+            # The seam protocol's hooks; the caller checks an exchange is
+            # pending before it publishes.
+            delivery.line("def publish():")
+            with delivery.indented():
+                delivery.line("eid = pending[0]")
+                self._emit_dispatch(delivery, "publish")
             delivery.line("def deliver():")
             with delivery.indented():
                 delivery.line("eid = pending[0]")
-                delivery.line("if eid < 0:")
-                with delivery.indented():
-                    delivery.line("return 0")
                 delivery.line("pending[0] = -1")
-                for eid, _, _ in self._exchanges:
-                    keyword = "if" if eid == 0 else "elif"
-                    delivery.line(f"{keyword} eid == {eid}:")
-                    with delivery.indented():
-                        delivery.line(f"deliver_{eid}()")
-                delivery.line(f"return {self._num_pes}")
+                self._emit_dispatch(delivery, "deliver")
 
         out = SourceBuilder()
         boundary = self.plan.boundary
@@ -1475,13 +1294,13 @@ class _KernelEmitter:
                     out.line(
                         f"rs_{eid}, cs_{eid} = state.seam_snapshots[{eid}]"
                     )
-                for (values, orient), name in self._indices.items():
-                    expression = f"np.asarray({values!r}, dtype=np.intp)"
-                    if orient == "row":
-                        expression += "[:, None]"
-                    elif orient == "col":
-                        expression += "[None, :]"
-                    out.line(f"{name} = {expression}")
+            for (values, orient), name in self._indices.items():
+                expression = f"np.asarray({values!r}, dtype=np.intp)"
+                if orient == "row":
+                    expression += "[:, None]"
+                elif orient == "col":
+                    expression += "[None, :]"
+                out.line(f"{name} = {expression}")
             # Static whole-grid DSD views, bound (and range-checked) once.
             for key, name in self._views.items():
                 buffer, offset, length, stride = key
@@ -1518,17 +1337,12 @@ class _KernelEmitter:
                         f"st{eid}_{chunk} = np.empty(({grid}, {depth}), "
                         f"dtype=np.float32)"
                     )
-                    for slot, direction in enumerate(exchange.directions):
-                        if self.plan.gather_indices(direction) is not None:
-                            continue
-                        fill = self.plan.halo_table(direction).fill_value
+                    for slot, fill in self._fill_slots(exchange):
                         z0 = slot * exchange.chunk_size
-                        z1 = z0 + exchange.chunk_size
-                        value = f"np.float32({fill!r})"
-                        if exchange.coefficients is not None:
-                            value = f"{value} * c{eid}_{slot}"
                         out.line(
-                            f"st{eid}_{chunk}[:, :, {z0}:{z1}] = {value}"
+                            f"st{eid}_{chunk}[:, :, {z0}:"
+                            f"{z0 + exchange.chunk_size}] = "
+                            f"{self._fill_value(eid, exchange, slot, fill)}"
                         )
             if self._bands:  # every fmacs runs band by band
                 grid = f"BANDS[0][1], {width}"
@@ -1573,11 +1387,7 @@ class _KernelEmitter:
                         with out.indented():
                             out.line("return executed, 'deadlock'")
                         out.line("pending[0] = -1")
-                        for eid, _, _ in self._exchanges:
-                            keyword = "if" if eid == 0 else "elif"
-                            out.line(f"{keyword} eid == {eid}:")
-                            with out.indented():
-                                out.line(f"deliver_{eid}()")
+                        self._emit_dispatch(out, "deliver")
                         out.line("executed += 1")
                     out.line("return executed, 'budget'")
             fns = ", ".join(
@@ -1589,9 +1399,7 @@ class _KernelEmitter:
                 out.line(f"'fns': {{{fns}}},")
                 if self.box is not None:
                     out.line("'drain': drain, 'settled': settled, "
-                             "'publish': publish,")
-                    out.line("'stage_interior': stage_interior, "
-                             "'stage_rim': stage_rim, 'deliver': deliver,")
+                             "'publish': publish, 'deliver': deliver,")
                 else:
                     out.line("'run_block': run_block,")
                 out.line("'queue': queue, 'pending': pending,")
@@ -1615,8 +1423,8 @@ def generate_kernel_source(
     to ``budget`` delivery rounds, deliveries staged straight into the
     receive slab where provably safe.  With ``box``/``geometry`` the kernel
     is restricted to one shard box and exposes the seam-protocol hooks
-    instead (``drain`` / ``settled`` / ``publish`` / ``stage_interior`` /
-    ``stage_rim`` / ``deliver``) plus a module-level ``SHARD_META`` literal.
+    instead (``drain`` / ``settled`` / ``publish`` / ``deliver``) plus a
+    module-level ``SHARD_META`` literal.
     """
     return _KernelEmitter(image, plan, box, geometry).emit(fingerprint)
 

@@ -16,14 +16,14 @@ Every shard replays a kernel :mod:`repro.wse.codegen` generated for it
 ``vectorized`` is the interpreting backend.  The round protocol
 (:func:`_seam_rounds`) is written once as a generator that yields at its
 rendezvous points, with one barrier per delivery round: after draining, a
-shard *publishes* its seam rows/columns into snapshot strips and
-flags the round in a per-shard publication counter, stages its *interior*
-(sources inside the box — legal while siblings still compute), waits only
-for the publication flags of the shards it actually reads from, stages the
-*rim* out of the snapshots, and delivers.  The round ends at the single
-barrier, which doubles as the settled-consensus point (monotone progress
-stamps, so a shard racing into the next round can never corrupt a
-sibling's consensus read).
+shard *publishes* its seam rows/columns into snapshot strips and flags the
+round in a per-shard publication counter, waits only for the publication
+flags of the shards it actually reads from, and *delivers*: the box kernel
+copies each chunk — own-box sources from the live buffers, sibling sources
+from the snapshots — straight into the receive slab, as the whole-grid
+kernel does.  The round ends at the single barrier, which doubles as the
+settled-consensus point (monotone progress stamps, so a shard racing into
+the next round can never corrupt a sibling's consensus read).
 
 One driver (:meth:`TiledExecutor._run_shards`) advances the generator of
 every shard: each run starts one thread per shard but the first, drives
@@ -35,14 +35,13 @@ diagnosis, not the broken barrier its siblings saw.
 
 ``REPRO_TILED_SHARDS`` overrides the shard grid (K along both axes, clamped
 to the fabric); when unset the grid is derived from the usable CPU count
-(one shard per CPU) and clamped so no shard is thinner than
-:data:`MIN_SHARD_SIDE` PEs per side along either axis — below that, the
-per-round barrier overhead dominates the per-shard array math.
+(one shard per CPU, row bands first) and clamped so no shard is thinner
+than :data:`MIN_SHARD_SIDE` PEs per side along either axis — below that,
+the per-round barrier overhead dominates the per-shard array math.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 import time
@@ -112,9 +111,16 @@ def shard_grid(
     axes, clamped so no shard is empty) — or, when the variable is unset, a
     grid derived from the usable CPU count (``kx * ky`` shards ≈ one per
     CPU) and clamped per axis so no shard is thinner than
-    :data:`MIN_SHARD_SIDE` PEs.  The per-axis clamp is what keeps ragged
-    fabrics (e.g. 64x8) sharded along their long axis instead of collapsing
-    to one shard."""
+    :data:`MIN_SHARD_SIDE` PEs.
+
+    Rows split first (``ky`` up to one band per CPU), then the CPUs left
+    over split columns.  A row band is one contiguous run of every
+    ``(height, width, z)`` buffer and its seam rows are contiguous too; on
+    2 CPUs two row bands beat two column bands by 7–24% (128x128 and
+    256x256 benchmark kinds).  Past 2 CPUs, row bands alone against a 2-D
+    grid are unmeasured.  The per-axis clamp is what keeps ragged fabrics
+    (e.g. 64x8) sharded along their long axis instead of collapsing to one
+    shard."""
     override = os.environ.get(SHARD_ENV_VAR, "").strip()
     if override:
         try:
@@ -133,7 +139,7 @@ def shard_grid(
     if cpus is None:
         cpus = usable_cpu_count()
     cpus = max(1, cpus)
-    ky = max(1, min(math.isqrt(cpus), height // MIN_SHARD_SIDE))
+    ky = max(1, min(cpus, height // MIN_SHARD_SIDE))
     kx = max(1, min(cpus // ky, width // MIN_SHARD_SIDE))
     return kx, ky
 
@@ -180,7 +186,7 @@ class ShardState(GridState):
     — and whose allocation hook maps onto those pre-existing views instead
     of allocating.  The shard kernels additionally read
     :attr:`seam_snapshots` (eid -> (row strip, column strip) arrays) for
-    their rim staging.
+    the sources sibling shards own.
     """
 
     def __init__(
@@ -208,9 +214,9 @@ class ShardState(GridState):
 class CompiledShardRunner:
     """Replays the shard-box kernel for one shard of the fabric.
 
-    Every step of the seam protocol — drain, publish, stage interior,
-    stage rim, deliver — is a hook of the generated kernel, operating on
-    views of the executor's full-grid buffers.
+    Every step of the seam protocol — drain, settled, publish, deliver —
+    is a hook of the generated kernel, operating on views of the
+    executor's full-grid buffers.
 
     A fresh runner is bound per run — kernel closures capture the counters
     and variables dicts, so reuse across runs would leak state; the
@@ -375,16 +381,17 @@ def _seam_rounds(
     needed siblings published that round's seams, ``None`` marks the
     end-of-round barrier.
 
-    Interior staging needs no rendezvous (its sources live inside the box
-    and every sibling writes only its own box), so it overlaps with
-    sibling drains.  Only the rim waits — and only for the publication
-    flags of the shards it actually reads, not a global barrier.  The
-    single barrier at the end of the round is also the consensus point;
+    A round is drain -> settled -> publish -> wait -> deliver -> barrier.
+    The wait is only for the publication flags of the shards this one
+    actually reads, not a global barrier; all of the delivery — own-box
+    sources and sibling snapshots alike — runs after it.  The single
+    barrier at the end of the round is also the consensus point;
     publications for the *next* round cannot overwrite a snapshot a slow
     sibling still reads, because the writer would first have to pass this
     round's barrier, which the reader has not reached yet.
     """
     hooks = runner.hooks
+    pending = hooks["pending"]
     runner.launch(entry)
     rounds = 0
     for _ in range(max_rounds):
@@ -392,15 +399,14 @@ def _seam_rounds(
         settled = hooks["settled"]()
         progress[index] = -(rounds + 1) if settled else (rounds + 1)
         if not settled:
-            hooks["publish"]()
-            pub_rounds[index] = rounds + 1
-            if hooks["stage_interior"]() == 0:
+            if pending[0] < 0:
                 raise InterpretationError(
                     "deadlock: PEs are neither halted nor waiting on an "
                     "exchange"
                 )
+            hooks["publish"]()
+            pub_rounds[index] = rounds + 1
             yield rounds + 1
-            hooks["stage_rim"]()
             hooks["deliver"]()
         yield None
         if _round_consensus(progress[:], rounds):
@@ -515,9 +521,9 @@ class TiledExecutor(Executor):
 
         Per exchange eid: a ``(published rows, fabric width, span)`` row
         strip and a ``(fabric height, published cols, span)`` column strip.
-        Shards stage their rim out of these copies, not out of a sibling's
-        live buffers, so a sibling that already delivers this round cannot
-        overwrite seam rows another shard is still staging.
+        Shards read sibling sources out of these copies, not out of a
+        sibling's live buffers, so a sibling that already delivers this
+        round cannot overwrite seam rows another shard is still reading.
         """
         meta = self._kernels[0].meta or {"exchanges": []}
         pub_rows = meta.get("pub_rows", 0)

@@ -13,7 +13,9 @@ Grids follow the golden equivalence matrix: 9x9 for the 25-point kernels
 (Seismic's radius-4 halo is then wider than a shard's short side), 6x6 for
 the rest; nz 12, two time steps, two chunks.  All of them fit one row band.
 The row-banded emission is pinned by three 64x64 whole-grid kernels at the
-``sim_compiled_64`` benchmark's sizes (:data:`BANDED`).
+``sim_compiled_64`` benchmark's sizes (:data:`BANDED`) and by the first
+shard box of a 1x2 row-band decomposition of Jacobian 64x64 z256 under
+Dirichlet and periodic boundaries (:data:`BANDED_BOXES`).
 
 ``python tests/wse/kernel_corpus.py`` rewrites ``data/kernel_digests.json``
 from the generator it imports.  Rewrite it only for an intended change of the
@@ -55,6 +57,15 @@ BANDED = (
     ("ReflectiveHeat", BoundaryCondition.reflect(), 128, 6),
 )
 
+#: banded shard-box kernels: (benchmark, boundary, nz, time steps) on 64x64,
+#: first box of :data:`BANDED_SHARD_GRID`.
+BANDED_BOXES = (
+    ("Jacobian", BoundaryCondition.dirichlet(), 256, 12),
+    ("Jacobian", BoundaryCondition.periodic(), 256, 12),
+)
+
+BANDED_SHARD_GRID = (1, 2)
+
 
 def _bound(name: str, boundary: BoundaryCondition, grid=None, nz=12, steps=2):
     benchmark = benchmark_by_name(name)
@@ -89,6 +100,12 @@ def kernel_sources() -> dict[str, str]:
     for name, boundary, nz, steps in BANDED:
         image, plan = _bound(name, boundary, 64, nz, steps)
         sources[f"{name}/{boundary.spec}/grid64"] = _source(image, plan)
+    for name, boundary, nz, steps in BANDED_BOXES:
+        image, plan = _bound(name, boundary, 64, nz, steps)
+        geometry = ShardGeometry.build(64, 64, *BANDED_SHARD_GRID)
+        box = geometry.boxes()[0]
+        pin = f"{name}/{boundary.spec}/box64{list(box)}"
+        sources[pin] = _source(image, plan, box, geometry)
     return sources
 
 

@@ -1,9 +1,10 @@
-"""Row-banded whole-grid kernels: byte-identical at any band height.
+"""Row-banded kernels: byte-identical at any band height.
 
-A whole-grid kernel whose views outgrow ``codegen._BAND_BYTES`` runs each
-chain of DSD builtins one row band at a time.  Banding only reorders work
-across rows, so every band height must give the fields and
-:class:`SimulationStatistics` of ``vectorized`` exactly.  The small grids of
+A whole-grid or shard-box kernel whose views outgrow
+``codegen._BAND_BYTES`` runs each chain of DSD builtins one row band at a
+time.  Banding only reorders work across rows, so every band height must
+give the fields and :class:`SimulationStatistics` of ``vectorized``
+exactly.  The small grids of
 the golden matrix fit one band at the shipped constant, so these tests force
 1- and 2-row bands (the 9x9 grids then end on a ragged band).
 
@@ -31,6 +32,7 @@ from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse import codegen
 from repro.wse.codegen import _KernelEmitter, generate_kernel_source, reset_kernel_cache
+from repro.wse.executors import tiled
 from repro.wse.executors.compiled import CompiledExecutor
 from repro.wse.interpreter import bound_image
 
@@ -94,6 +96,34 @@ def test_banded_goldens_match_vectorized(monkeypatch, name, boundary, rows):
     module = _compile(program, grid, boundary)
     _force_rows(monkeypatch, module, grid, rows)
     _assert_matches_vectorized(replace(program, boundary=boundary), module)
+
+
+@pytest.mark.parametrize("rows", (1, 2))
+@pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.spec)
+@pytest.mark.parametrize("name", [benchmark.name for benchmark in ALL_BENCHMARKS])
+def test_banded_box_goldens_match_vectorized(monkeypatch, name, boundary, rows):
+    """Shard-box kernels band over their own rows: two full-width row-band
+    shards at forced 1- and 2-row bands."""
+    benchmark = benchmark_by_name(name)
+    grid = 9 if benchmark.stencil_points >= 25 else 6
+    program = replace(
+        benchmark.program(nx=grid, ny=grid, nz=16, time_steps=2),
+        boundary=boundary,
+    )
+    module = _compile(program, grid, boundary)
+    _force_rows(monkeypatch, module, grid, rows)
+    # The band height is not in the fingerprint: keep the store out.
+    monkeypatch.setattr(tiled, "_shard_kernel_store", lambda: None)
+    monkeypatch.setattr(tiled, "shard_grid", lambda w, h, cpus=None: (1, 2))
+    executor = tiled.TiledExecutor(bound_image(module), grid, grid)
+    assert all("for r0, r1 in BANDS:" in k.source for k in executor._kernels)
+    fields, statistics = run_on_executor("tiled", program, module)
+    expected_fields, expected_statistics = run_on_executor(
+        "vectorized", program, module
+    )
+    for field, expected in expected_fields.items():
+        assert fields[field].tobytes() == expected.tobytes(), field
+    assert statistics == expected_statistics
 
 
 @pytest.mark.parametrize("rows", (1, 2))

@@ -11,7 +11,8 @@ covers what is specific to the ``compiled`` backend itself:
   fleet-wide source store sound), pinned through the
   ``REPRO_COMPILED_DUMP`` debug dump;
 * **the two delivery forms** — staged delivery stays byte-identical to the
-  direct-to-receive form every benchmark qualifies for;
+  direct-to-receive form every benchmark qualifies for, in whole-grid and
+  shard-box kernels alike;
 * **the kernel cache** — memo hits, store round-trips and their counters;
 * **the round budget** — one ``run_block`` call per run, with the
   interpreted loop's budget and deadlock edges;
@@ -47,7 +48,7 @@ from repro.wse.codegen import (
 )
 from repro.wse.executors.auto import RATIONALE
 from repro.wse.interpreter import ProgramImage
-from repro.wse.plan import ExecutionPlan
+from repro.wse.plan import ExecutionPlan, ShardGeometry
 from repro.wse.simulator import WseSimulator
 
 
@@ -118,40 +119,65 @@ class TestDeterministicEmission:
         assert kernel_fingerprint(image, plan) != base
 
 
+def _assert_staged_matches_direct(monkeypatch, executor, grid=None):
+    """Every benchmark's exchanges qualify for direct-to-receive delivery;
+    the staged form (all chunks copied aside before any receive callback
+    runs) is what a kernel — whole-grid or shard box — falls back to when
+    the write-set analysis cannot prove that safe.  Force it and compare."""
+    from repro.wse.codegen import _KernelEmitter
+    from repro.wse.executors import tiled
+
+    program, module, image, plan = _image(grid=5, name="Seismic")
+    boxes, geometry = [None], None
+    if grid is not None:
+        # The source store would serve the direct kernels back.
+        monkeypatch.setattr(tiled, "_shard_kernel_store", lambda: None)
+        monkeypatch.setattr(tiled, "shard_grid", lambda w, h, cpus=None: grid)
+        geometry = ShardGeometry.build(5, 5, *grid)
+        boxes = geometry.boxes()
+
+    def sources():
+        return [
+            generate_kernel_source(image, plan, box=box, geometry=geometry)
+            for box in boxes
+        ]
+
+    direct_sources = sources()
+    direct = run_on_executor(executor, program, module)
+    reset_kernel_cache()
+    monkeypatch.setattr(
+        _KernelEmitter,
+        "_direct_staging_safe",
+        lambda self, exchange, source_buffer: False,
+    )
+    for staged, direct_source in zip(sources(), direct_sources):
+        assert "st0_0 = np.empty" in staged
+        assert "st0_0 = np.empty" not in direct_source
+    fields, statistics = run_on_executor(executor, program, module)
+    for name, expected in direct[0].items():
+        assert fields[name].tobytes() == expected.tobytes()
+    assert statistics == direct[1]
+    expected_fields, expected_statistics = run_on_executor(
+        "vectorized", program, module
+    )
+    for name, expected in expected_fields.items():
+        assert fields[name].tobytes() == expected.tobytes()
+    assert statistics == expected_statistics
+
+
 class TestDeliveryForms:
     def test_staged_delivery_matches_direct_delivery(self, monkeypatch):
-        """Every benchmark's exchanges qualify for direct-to-receive
-        delivery; the staged form (all chunks copied aside before any
-        receive callback runs) is what a kernel falls back to when the
-        write-set analysis cannot prove that safe.  Force it and compare."""
-        from repro.wse.codegen import _KernelEmitter
+        _assert_staged_matches_direct(monkeypatch, "compiled")
 
-        program, module, image, plan = _image(grid=5, name="Seismic")
-        direct_source = generate_kernel_source(image, plan)
-        direct = run_on_executor("compiled", program, module)
-        reset_kernel_cache()
-        monkeypatch.setattr(
-            _KernelEmitter,
-            "_direct_staging_safe",
-            lambda self, exchange, source_buffer: False,
-        )
-        assert generate_kernel_source(image, plan) != direct_source
-        fields, statistics = run_on_executor("compiled", program, module)
-        for name, expected in direct[0].items():
-            assert fields[name].tobytes() == expected.tobytes()
-        assert statistics == direct[1]
-        expected_fields, expected_statistics = run_on_executor(
-            "vectorized", program, module
-        )
-        for name, expected in expected_fields.items():
-            assert fields[name].tobytes() == expected.tobytes()
-        assert statistics == expected_statistics
-
+    @pytest.mark.parametrize("grid", ((1, 2), (2, 2)), ids=("1x2", "2x2"))
+    def test_staged_box_delivery_matches_direct_delivery(self, monkeypatch, grid):
+        _assert_staged_matches_direct(monkeypatch, "tiled", grid)
 
     def test_exchanges_sharing_a_receive_buffer_refill_their_borders(self):
         """Regression: two equations per step exchange through one receive
         slab, so each delivery lands data on the cells the other expects its
-        Dirichlet fill in — the fill-once shortcut must not apply."""
+        Dirichlet fill in — the fill-once shortcut must not apply, on a
+        whole grid or on shard boxes."""
         from repro.frontends.common import (
             Constant,
             FieldAccess,
@@ -185,13 +211,14 @@ class TestDeliveryForms:
                 enable_stencil_inlining=False,
             ),
         ).program_module
-        fields, statistics = run_on_executor("compiled", program, module)
         expected_fields, expected_statistics = run_on_executor(
             "vectorized", program, module
         )
-        for name, expected in expected_fields.items():
-            assert fields[name].tobytes() == expected.tobytes()
-        assert statistics == expected_statistics
+        for executor in ("compiled", "tiled"):
+            fields, statistics = run_on_executor(executor, program, module)
+            for name, expected in expected_fields.items():
+                assert fields[name].tobytes() == expected.tobytes()
+            assert statistics == expected_statistics
 
 
 class TestKernelCache:

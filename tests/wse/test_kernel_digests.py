@@ -27,4 +27,11 @@ def test_every_pinned_kernel_is_emitted_unchanged():
     assert banded == {
         f"{name}/{boundary.spec}/grid64"
         for name, boundary, _, _ in kernel_corpus.BANDED
+    } | {
+        pin
+        for pin in sources
+        if pin.split("/")[-1].startswith("box64")
     }
+    assert len(banded) == len(kernel_corpus.BANDED) + len(
+        kernel_corpus.BANDED_BOXES
+    )

@@ -10,6 +10,7 @@ thread joined, the seam protocol under forced GIL switches), the failure
 paths, and the per-PE host surface.
 """
 
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.numpy_ref import allocate_fields, field_to_columns
+from repro.benchmarks.definitions import ALL_BENCHMARKS
 from repro.frontends.common import (
     BoundaryCondition,
     Constant,
@@ -29,13 +31,21 @@ from repro.frontends.common import (
 from repro.ir.exceptions import InterpretationError
 from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
-from repro.wse.codegen import KernelCodegenError
+from repro.wse.codegen import KernelCodegenError, generate_kernel_source
 from repro.wse.executors.tiled import (
     SHARD_ENV_VAR,
     shard_boxes,
     shard_grid,
 )
+from repro.wse.interpreter import bound_image
+from repro.wse.plan import ShardGeometry
 from repro.wse.simulator import WseSimulator
+
+BOUNDARIES = (
+    BoundaryCondition.dirichlet(),
+    BoundaryCondition.periodic(),
+    BoundaryCondition.reflect(),
+)
 
 
 def _star_program(nx, ny, nz, steps=2, name="tiled_probe"):
@@ -105,14 +115,17 @@ class TestShardGeometry:
         assert shard_grid(8, 8, cpus=4) == (2, 2)
 
     def test_grid_auto_derives_from_usable_cpus(self, monkeypatch):
-        """Unset env: kx*ky workers ≈ one per CPU, but never shards thinner
-        than MIN_SHARD_SIDE PEs along either axis."""
+        """Unset env: kx*ky workers ≈ one per CPU, rows split first (one
+        contiguous run per buffer per shard), but never shards thinner than
+        MIN_SHARD_SIDE PEs along either axis."""
         monkeypatch.delenv(SHARD_ENV_VAR, raising=False)
-        assert shard_grid(64, 64, cpus=1) == (1, 1)  # no CPUs, no forking
-        assert shard_grid(64, 64, cpus=4) == (2, 2)
-        assert shard_grid(64, 64, cpus=9) == (3, 3)
-        assert shard_grid(64, 64, cpus=16) == (4, 4)
-        assert shard_grid(64, 64, cpus=8) == (4, 2)  # all 8 CPUs used
+        assert shard_grid(64, 64, cpus=1) == (1, 1)  # one CPU, one shard
+        assert shard_grid(128, 128, cpus=2) == (1, 2)  # two row bands
+        assert shard_grid(64, 64, cpus=4) == (1, 4)
+        assert shard_grid(64, 64, cpus=16) == (1, 16)
+        # Rows stop at MIN_SHARD_SIDE; the CPUs left over split columns.
+        assert shard_grid(64, 16, cpus=8) == (2, 4)
+        assert shard_grid(64, 16, cpus=9) == (2, 4)
         # Plenty of CPUs never splits shards below MIN_SHARD_SIDE.
         assert shard_grid(8, 8, cpus=64) == (2, 2)
 
@@ -124,9 +137,10 @@ class TestShardGeometry:
         assert shard_grid(64, 8, cpus=4) == (2, 2)
         assert shard_grid(64, 8, cpus=16) == (8, 2)
         assert shard_grid(64, 4, cpus=16) == (16, 1)
-        assert shard_grid(4, 64, cpus=8) == (1, 2)
-        for kx, ky in (shard_grid(64, 8, cpus=16), shard_grid(64, 4, cpus=16)):
-            for y0, y1, x0, x1 in shard_boxes(64, 8 if ky > 1 else 4, kx, ky):
+        assert shard_grid(4, 64, cpus=8) == (1, 8)
+        for width, height, cpus in ((64, 8, 16), (64, 4, 16), (4, 64, 8)):
+            kx, ky = shard_grid(width, height, cpus=cpus)
+            for y0, y1, x0, x1 in shard_boxes(width, height, kx, ky):
                 assert (y1 - y0) >= 4 and (x1 - x0) >= 4
 
     def test_auto_grid_reaches_the_executor(self, monkeypatch):
@@ -205,15 +219,7 @@ class TestThreadDriver:
     so the interleaving differs from run to run — the results may not."""
 
     @pytest.mark.parametrize("extent", (1, 2, 3))
-    @pytest.mark.parametrize(
-        "boundary",
-        (
-            BoundaryCondition.dirichlet(),
-            BoundaryCondition.periodic(),
-            BoundaryCondition.reflect(),
-        ),
-        ids=lambda b: b.spec,
-    )
+    @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.spec)
     def test_forced_interleavings_stay_byte_identical(
         self, monkeypatch, extent, boundary
     ):
@@ -320,6 +326,33 @@ class TestCompiledShards:
         executor = simulator.executor
         full = get_kernel(executor.image, executor.plan)
         assert full.fingerprint not in executor.kernel_fingerprints
+
+    @pytest.mark.parametrize("grid", ((1, 2), (2, 2)), ids=("1x2", "2x2"))
+    def test_no_box_kernel_allocates_a_staging_slab(self, grid):
+        """Every benchmark exchange is proven safe to deliver straight into
+        its receive slab, so no shard-box kernel of any benchmark under any
+        boundary mode allocates a staging slab."""
+        slab = re.compile(r"st\d+_\d+ = np\.empty")
+        for benchmark in ALL_BENCHMARKS:
+            n = 9 if benchmark.stencil_points >= 25 else 6
+            program = benchmark.program(nx=n, ny=n, nz=8, time_steps=2)
+            for boundary in BOUNDARIES:
+                module = compile_stencil_program(
+                    program,
+                    PipelineOptions(
+                        grid_width=n, grid_height=n, num_chunks=2,
+                        boundary=boundary,
+                    ),
+                ).program_module
+                image = bound_image(module)
+                plan = image.plan_for(n, n)
+                geometry = ShardGeometry.build(n, n, *grid)
+                for box in geometry.boxes():
+                    source = generate_kernel_source(
+                        image, plan, box=box, geometry=geometry
+                    )
+                    assert "def deliver_0():" in source
+                    assert not slab.search(source), (benchmark.name, box)
 
     def test_results_match_vectorized_on_an_odd_grid(self):
         program, module = _compiled(9, 9, name="odd_grid")
