@@ -115,10 +115,10 @@ def shard_grid(
 
     Rows split first (``ky`` up to one band per CPU), then the CPUs left
     over split columns.  A row band is one contiguous run of every
-    ``(height, width, z)`` buffer and its seam rows are contiguous too; on
-    2 CPUs two row bands beat two column bands by 7–24% (128x128 and
-    256x256 benchmark kinds).  Past 2 CPUs, row bands alone against a 2-D
-    grid are unmeasured.  The per-axis clamp is what keeps ragged fabrics
+    ``(height, width, z)`` buffer and its seam rows are contiguous too.
+    On a 2-vCPU host two row bands beat two column bands by 7–24% (Jacobian
+    and Seismic at 128x128 and 256x256); past 2 CPUs, row bands alone
+    against a 2-D grid are unmeasured.  The per-axis clamp is what keeps ragged fabrics
     (e.g. 64x8) sharded along their long axis instead of collapsing to one
     shard."""
     override = os.environ.get(SHARD_ENV_VAR, "").strip()

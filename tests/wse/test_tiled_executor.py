@@ -400,6 +400,26 @@ class TestFailurePaths:
         with pytest.raises(InterpretationError, match="exceeded 1 rounds"):
             simulator.run(max_rounds=1)
 
+    def test_deadlock_is_diagnosed(self, monkeypatch):
+        """Queued work that no drain runs while no exchange is pending is a
+        deadlock: the shard raises it instead of publishing."""
+        from repro.wse.executors import tiled
+
+        bind = tiled.CompiledShardRunner.__init__
+
+        def stalled(self, *args, **kwargs):
+            bind(self, *args, **kwargs)
+            self.hooks["drain"] = lambda: None
+
+        monkeypatch.setattr(tiled.CompiledShardRunner, "__init__", stalled)
+        _, module = _compiled(4, 4, name="deadlock")
+        simulator = WseSimulator(module, executor="tiled")
+        with pytest.raises(
+            InterpretationError,
+            match="deadlock: PEs are neither halted nor waiting",
+        ):
+            simulator.execute()
+
     def test_declined_codegen_raises(self, monkeypatch):
         """There are no interpreted shards: a program the generator cannot
         fuse is refused at construction, pointing at ``vectorized``."""
