@@ -42,11 +42,14 @@ tiled-check:
 # budget, the declined-codegen error, and `auto` as compiled under its own
 # name) and the banded goldens — every benchmark and boundary mode at forced
 # 1- and 2-row bands, whole-grid and on two row-band shards, byte-identical
-# to vectorized, plus the kernel-size guard.
+# to vectorized, plus the kernel-size guard — and the executors' cost ledger
+# (Python calls per warm bind and per run of compiled and auto, against
+# recorded ceilings).
 kernel-check:
 	$(PYTHON) -m pytest tests/wse/test_kernel_digests.py \
 	  tests/wse/test_compiled_executor.py \
-	  tests/wse/test_banded_kernels.py -q
+	  tests/wse/test_banded_kernels.py \
+	  tests/wse/test_executor_cost.py -q
 
 # Compilation service: unit + throughput tests, then the CLI smoke path.
 service:
