@@ -42,6 +42,7 @@ import numpy as np
 from repro.baselines.numpy_ref import allocate_fields, field_to_columns
 from repro.benchmarks import benchmark_by_name
 from repro.eval.trajectory import make_record, merge_trajectory
+from repro.service.cache import REPRO_CACHE_DIR_ENV
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.codegen import kernel_cache_statistics, reset_kernel_cache
 from repro.wse.executors import available_executors
@@ -255,9 +256,11 @@ def _one_simulation_seconds(program_module, columns, executor: str) -> float:
         gc.enable()
 
 
-def test_compiled_beats_vectorized_at_paper_scale():
+def test_compiled_beats_vectorized_at_paper_scale(monkeypatch, tmp_path):
     """``compiled`` >= 1.2x ``vectorized`` on a 64x64 fabric, and the warm
     run reuses the generated kernel instead of re-generating it."""
+    # An empty fleet-wide source store, so the cold bind generates.
+    monkeypatch.setenv(REPRO_CACHE_DIR_ENV, str(tmp_path))
     program_module, columns = _compiled(
         TILED_GRID, z_dim=TILED_Z_DIM, time_steps=TILED_TIME_STEPS
     )

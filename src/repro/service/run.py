@@ -48,11 +48,7 @@ from repro.service.fingerprint import (
 from repro.service.kernels import KernelSourceStore
 from repro.service.service import CompileService
 from repro.transforms.pipeline import PipelineOptions
-from repro.wse.codegen import (
-    CODEGEN_VERSION,
-    get_kernel,
-    kernel_cache_statistics,
-)
+from repro.wse.codegen import CODEGEN_VERSION, kernel_cache_statistics
 from repro.wse.executors import default_executor_name, executor_by_name
 from repro.wse.interpreter import bound_image
 from repro.wse.plan import PLAN_VERSION
@@ -549,7 +545,7 @@ class RunService:
         image = parsed.image()
         kernel_cache = None
         if executor_name in ("compiled", "auto"):
-            kernel_cache = self._warm_kernel(image)
+            kernel_cache = self._warm_kernel(image, executor_name)
         simulator = WseSimulator(image, executor=executor_name)
         rng = np.random.default_rng(seed)
         for name in sorted(image.buffers):
@@ -618,7 +614,9 @@ class RunService:
         if executor_name in ("compiled", "auto"):
             # `auto` is the compiled backend under another name; both
             # resolve their kernel through the fleet-wide store.
-            kernel_cache = self._warm_kernel(result.program_module)
+            kernel_cache = self._warm_kernel(
+                result.program_module, executor_name
+            )
 
         simulator = WseSimulator(result.program_module, executor=executor_name)
         rng = np.random.default_rng(seed)
@@ -655,13 +653,15 @@ class RunService:
             kernel_cache=kernel_cache,
         )
 
-    def _warm_kernel(self, program) -> dict:
+    def _warm_kernel(self, program, executor_name: str) -> dict:
         """Resolve the generated kernel through the fleet-wide source store.
 
         Compiles (or looks up) the kernel *before* the simulator is built,
-        passing the persistent store: a fleet member that already generated
-        this kernel serves its source from disk, and whatever this call
-        resolves is a guaranteed in-memory hit for the executor.  The image
+        through the executor's own :meth:`kernels_for
+        <repro.wse.executors.tiled.TiledExecutor.kernels_for>` with this
+        service's store: a fleet member that already generated this kernel
+        serves its source from disk, and whatever this call resolves is the
+        kernel the executor binds — a guaranteed in-memory hit.  The image
         and plan come from the bind memo of ``program`` (a program module,
         or the image a CSL run parsed), so the simulator built next binds
         the same objects instead of lowering and printing again.  Returns
@@ -671,7 +671,9 @@ class RunService:
         plan = image.plan_for(image.width, image.height)
         before = kernel_cache_statistics()
         memory_hits, disk_hits = before.memory_hits, before.disk_hits
-        kernel = get_kernel(image, plan, store=self.kernels)
+        (kernel,) = executor_by_name(executor_name).kernels_for(
+            image, plan, store=self.kernels
+        )
         after = kernel_cache_statistics()
         if after.memory_hits > memory_hits:
             served_from = "memory"

@@ -1,4 +1,5 @@
-"""Plan-to-kernel code generation for the ``compiled`` and ``tiled`` executors.
+"""Plan-to-kernel code generation for the kernel executors (``tiled``, and
+``compiled``, its 1x1 case).
 
 The vectorized backend still *interprets* the csl-ir program once per
 delivery round: every op pays a dict dispatch, every DSD operand a slice
@@ -12,7 +13,7 @@ the fused delivery round as Python/NumPy source text, materialised via
 * every callable becomes a plain Python function (``counters`` bump +
   straight-line statements) — task activations append bound functions to a
   queue, direct calls are direct calls;
-* every *static* DSD access becomes a named whole-grid view bound once at
+* every *static* DSD access becomes a named whole-box view bound once at
   kernel-bind time; only runtime-offset DSDs (receive-callback chunk bases)
   slice per call;
 * DSD compute builtins lower to allocation-free ``np.add/subtract/multiply
@@ -21,21 +22,23 @@ the fused delivery round as Python/NumPy source text, materialised via
   to the interpreter's exact ``dest[:] = expr`` statement, so results stay
   byte-identical either way;
 * the chunked halo exchange unrolls into per-direction copies: gatherable
-  directions are basic-slice runs or fancy-index gathers through the
-  plan's fold tables, Dirichlet directions write only the interior
-  rectangle over a constant-fill border.
+  directions are basic-slice runs or fancy-index gathers through bind-time
+  index constants, Dirichlet directions write only the interior rectangle
+  over a constant-fill border.
 
-There is one emission, for two kernel kinds.  A *whole-grid* kernel (the
-``compiled`` executor's) carries the round loop itself:
-``run_block(budget)`` runs delivery rounds until the program settles,
-deadlocks or spends ``budget``.  A *shard-box* kernel (``box=``/
-``geometry=``, one per ``tiled`` shard) instead exposes the seam protocol's
-per-round hooks (``publish`` / ``deliver``), because its rounds rendezvous
-with sibling shards.  Both deliver an exchange the same way: each chunk
-goes straight into the receive slab wherever ``_direct_staging_safe``
-proves that legal (preallocated staging slabs otherwise).  They differ only
-in where a destination's source is read: the grid, the shard's own box, or
-a sibling's seam snapshot.
+There is one kernel kind: the kernel of one *box* of a
+:class:`~repro.wse.plan.ShardGeometry`.  ``tiled`` binds one per shard;
+``compiled``'s kernel is the whole fabric as the only box of the 1x1
+geometry, which is also what a call naming no geometry gets.  Every kernel
+exposes the seam protocol's round hooks (``drain`` / ``settled`` /
+``publish`` / ``deliver``), which the round driver of several shards calls,
+and ``run_block(budget)``, the round loop a sole shard runs in one call.
+An exchange is delivered chunk by chunk straight into the receive slab
+wherever ``_direct_staging_safe`` proves that legal (preallocated staging
+slabs otherwise), each destination's source read from the box itself or,
+for a source a sibling shard owns, from that sibling's seam snapshot — a
+1x1 geometry has no siblings, so its kernel binds no snapshot and its
+``publish`` hooks are empty.
 
 A kernel whose longest DSD operand view is larger than ``_BAND_BYTES``
 also runs its DSD chains in cache-sized **row bands** — the
@@ -49,12 +52,11 @@ checks are built before the loop, the ``fmacs`` scratch is band-sized, and
 the counter bumps follow the loop with the same totals.
 
 This is legal because every DSD operand is a ``[:, :, z]`` view of a
-``(height, width, z)`` buffer (a shard box's rows and columns, for a box
-kernel): element ``(r, c, k)`` of any builtin reads only row ``r`` of its
-operands, so running a chain band by band gives every element the same
+box's ``(rows, columns, z)`` buffer: element ``(r, c, k)`` of any builtin
+reads only row ``r`` of its operands, so running a chain band by band gives every element the same
 operations in the same order — the full-RHS hazard form included.  A
-kernel whose views fit one band — every small grid or box — is emitted
-exactly as without banding.
+kernel whose views fit one band — every small box — is emitted exactly as
+without banding.
 
 Only the error path differs under bands: a runtime-offset view out of
 range raises the same ``IndexError`` as unbanded, but before any builtin of
@@ -69,15 +71,15 @@ source store (see :mod:`repro.service.kernels`) so compilation is paid once
 fleet-wide.  The fingerprint is content-addressed but not recomputed per
 lookup: the image prints its module once, and the fingerprint of a plan the
 image owns (:meth:`~repro.wse.interpreter.ProgramImage.plan_for` — what
-every simulator bind uses) is kept on the image per shard box, so a warm
+every simulator bind uses) is kept on the image per box, so a warm
 :func:`get_kernel` is two dict lookups.  Both memos are dropped with the
 rest of the image's derived state when a bind finds the module changed
 (:func:`~repro.wse.interpreter.bound_image`).  Set ``REPRO_COMPILED_DUMP``
 to a directory to retain the emitted source of every kernel for debugging.
 
 Only the constructs the pipeline generates are compilable; anything else
-raises :class:`KernelCodegenError`, which the ``compiled`` and ``tiled``
-executors raise from their constructors (``vectorized`` interprets).
+raises :class:`KernelCodegenError`, which the kernel executors raise from
+their constructors (``vectorized`` interprets).
 """
 
 from __future__ import annotations
@@ -119,7 +121,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: v5: shard-box kernels band too, and deliver as whole-grid kernels do
 #: (straight into the receive slab where proven safe, all after the
 #: publication wait).
-CODEGEN_VERSION = 5
+#: v6: one kernel kind — the whole grid is the one box of the 1x1 geometry
+#: (every kernel carries the round hooks and ``run_block``; index constants
+#: in place of the plan's fold tables).
+CODEGEN_VERSION = 6
 
 #: bytes one row band of the longest DSD operand view spans in a kernel.
 #: Part of the emitter, like every other emission choice: a new value needs
@@ -139,52 +144,62 @@ class KernelCodegenError(Exception):
 # --------------------------------------------------------------------------- #
 
 
+def _whole_fabric(
+    plan: ExecutionPlan, box: tuple[int, int, int, int] | None
+) -> tuple[tuple[int, int, int, int], ShardGeometry]:
+    """``(box, geometry)`` of the whole fabric: the one box of the 1x1
+    geometry, what a call naming no geometry means."""
+    if box is not None:
+        raise ValueError("a box needs the geometry it belongs to")
+    geometry = ShardGeometry.build(plan.width, plan.height, 1, 1)
+    return geometry.boxes()[0], geometry
+
+
 def kernel_fingerprint(
     image: "ProgramImage",
     plan: ExecutionPlan,
     box: tuple[int, int, int, int] | None = None,
     geometry: ShardGeometry | None = None,
 ) -> str:
-    """Content fingerprint of one (program module, plan[, shard box]) kernel.
+    """Content fingerprint of the kernel of one (program module, plan, box).
 
     Hashes the deterministically printed program module together with the
-    plan's canonical form and the codegen version, so two processes that
-    compiled the same program to the same plan share one kernel — and any
-    change to the program, the planning semantics or the emitter invalidates
-    it exactly once.  Shard-box kernels (the tiled backend's per-shard
-    replicas) additionally fold the box and the whole shard geometry, since
-    seam publication slots depend on every band/stripe edge.
+    plan's canonical form, the codegen version, the box and the whole shard
+    geometry (seam publication slots depend on every band/stripe edge), so
+    two processes that compiled the same program to the same plan share one
+    kernel per box — and any change to the program, the planning semantics
+    or the emitter invalidates it exactly once.  No geometry means the whole
+    fabric.
 
     The module text comes from the image's memo, and for a plan the image
     owns the fingerprint itself is memoised on the image (keyed by the
     codegen version, box and geometry); any other plan — one compiled
     directly — is hashed afresh.
     """
+    if geometry is None:
+        box, geometry = _whole_fabric(plan, box)
 
     def hashed() -> str:
         payload = {
             "codegen_version": CODEGEN_VERSION,
             "module": image.module_text(),
             "plan": plan.canonical(),
+            "shard": {"box": list(box), "geometry": geometry.canonical()},
         }
-        if box is not None:
-            assert geometry is not None
-            payload["shard"] = {
-                "box": list(box),
-                "geometry": geometry.canonical(),
-            }
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     if not image.owns_plan(plan):
         return hashed()
+    # The edges stand for the geometry: hashing them is C-level.
     key = (
         "kernel_fingerprint",
         plan.width,
         plan.height,
         CODEGEN_VERSION,
         box,
-        geometry,
+        geometry.row_edges,
+        geometry.col_edges,
     )
     return image.derived(key, hashed)
 
@@ -310,21 +325,19 @@ class _KernelEmitter:
     ):
         self.image = image
         self.plan = plan
-        #: ``(y0, y1, x0, x1)`` for a shard-box kernel (the seam protocol's
-        #: publish/deliver hooks), ``None`` for a whole-grid kernel (the
-        #: in-kernel ``run_block`` round loop).
+        if geometry is None:
+            box, geometry = _whole_fabric(plan, box)
+        #: ``(y0, y1, x0, x1)``: the fabric rows/columns this kernel's
+        #: arrays cover.
         self.box = box
         self.geometry = geometry
-        #: the fabric rows/columns this kernel's arrays cover.
-        self._region = box if box is not None else (0, plan.height, 0, plan.width)
         self._fn_names: dict[str, str] = {}
         self._buffer_names: dict[str, str] = {}
         self._views: dict[tuple, str] = {}  # (buffer, offset, length, stride)
-        self._gathers: dict[tuple[int, int], tuple[str, str]] = {}
         self._scratch: dict[int, str] = {}  # dest length -> name
         #: (eid, exchange plan, authoritative source buffer) per comms op.
         self._exchanges: list[tuple[int, ExchangePlan, str]] = []
-        #: shard-mode fancy-index constants: (values, orient) -> name.
+        #: fancy-index constants: (values, orient) -> name.
         self._indices: dict[tuple[tuple[int, ...], str], str] = {}
         #: exchanges delivered straight into the receive slab (where proven
         #: safe): their staging slabs are never allocated.
@@ -339,16 +352,14 @@ class _KernelEmitter:
         #: kernel then runs every op over whole-region views.
         self._bands: tuple[tuple[int, int], ...] = ()
         self._temp = 0
-        if box is not None:
-            assert geometry is not None
-            pub_rows, pub_cols = seam_publication(plan, geometry)
-            self._pub_row_slots = {row: slot for slot, row in enumerate(pub_rows)}
-            self._pub_col_slots = {col: slot for slot, col in enumerate(pub_cols)}
+        pub_rows, pub_cols = seam_publication(plan, self.geometry)
+        self._pub_row_slots = {row: slot for slot, row in enumerate(pub_rows)}
+        self._pub_col_slots = {col: slot for slot, col in enumerate(pub_cols)}
 
     @property
     def _grid_dims(self) -> tuple[int, int]:
         """(height, width) of the arrays this kernel operates on."""
-        y0, y1, x0, x1 = self._region
+        y0, y1, x0, x1 = self.box
         return y1 - y0, x1 - x0
 
     # -- naming --------------------------------------------------------- #
@@ -391,16 +402,6 @@ class _KernelEmitter:
             name = f"v{len(self._views)}"
             self._views[key] = name
         return name
-
-    def _gather(self, direction: tuple[int, int]) -> tuple[str, str]:
-        names = self._gathers.get(direction)
-        if names is None:
-            tag = "_".join(
-                ("m" + str(-c)) if c < 0 else ("p" + str(c)) for c in direction
-            )
-            names = (f"gr_{tag}", f"gc_{tag}")
-            self._gathers[direction] = names
-        return names
 
     def _scratch_for(self, length: int) -> str:
         name = self._scratch.get(length)
@@ -545,12 +546,11 @@ class _KernelEmitter:
     # -- banded runs ----------------------------------------------------- #
 
     def _row_bands(self) -> tuple[tuple[int, int], ...]:
-        """The ``(r0, r1)`` row bands of a kernel's region (a shard box's
-        rows are box-relative).
+        """The ``(r0, r1)`` row bands of a kernel's box (box-relative rows).
 
         Rows per band = ``_BAND_BYTES // (4 * width * longest DSD operand
-        length)``, at least one; no bands (whole-region views throughout)
-        when one band would cover the region."""
+        length)``, at least one; no bands (whole-box views throughout)
+        when one band would cover the box."""
         longest = self._longest_dsd_operand()
         if not longest:
             return ()
@@ -981,7 +981,6 @@ class _KernelEmitter:
         cols: list[tuple[int, int]],
         array: str,
         z: str,
-        direction: tuple[int, int],
     ) -> list[tuple[str, str, str]]:
         """Copies moving ``rows x cols`` (``(dest, src)`` index pairs per
         axis) of ``array[..., z]`` into the destination.
@@ -989,10 +988,9 @@ class _KernelEmitter:
         Each copy is ``(destination rows/cols, source expression, kind)``.
         A few contiguous runs per axis (interior shifts, periodic/reflect
         wraps) become basic-slice copies (kind ``"slice"``); ragged tables
-        one fancy-index copy — through the plan's fold tables on a
-        whole-grid kernel (whose ragged directions cover every destination),
-        through bind-time index constants on a box (kind ``"gather"`` when
-        only the source is ragged, ``"scatter"`` when the destination is).
+        one fancy-index copy through bind-time index constants (kind
+        ``"gather"`` when only the source is ragged, ``"scatter"`` when the
+        destination is).
         """
         if not rows or not cols:
             return []
@@ -1007,9 +1005,6 @@ class _KernelEmitter:
                 for ry0, ry1, sy in row_runs
                 for cx0, cx1, sx in col_runs
             ]
-        if self.box is None:
-            gr, gc = self._gather(direction)
-            return [(":, :", f"{array}[{gr}, {gc}, {z}]", "gather")]
         dest_rows, dest_cols = [d for d, _ in rows], [d for d, _ in cols]
         dr, dc = self._sel_exprs(dest_rows, dest_cols)
         sr, sc = self._sel_exprs([s for _, s in rows], [s for _, s in cols])
@@ -1030,23 +1025,21 @@ class _KernelEmitter:
         stop: int,
     ) -> list[tuple[str, str, str]]:
         """The copies delivering one direction of chunk ``[start, stop)``
-        into this kernel's region (see :meth:`_block_copies`).
+        into this kernel's box (see :meth:`_block_copies`).
 
         The destination cells split by where their folded source lives:
-        inside the region (read from the live source buffer), in a sibling
+        inside the box (read from the live source buffer), in a sibling
         shard (read from the sibling's seam snapshot), or off-fabric
-        (Dirichlet — left to the constant fill).  A whole-grid kernel has
-        no siblings.  Remote *rows* read whole strips of the row snapshot
+        (Dirichlet — left to the constant fill).  The whole fabric has no
+        siblings.  Remote *rows* read whole strips of the row snapshot
         (every shard of the source band publishes its column segment), so
         diagonal-corner sources need no extra region.
         """
         table = self.plan.halo_table(direction)
-        y0, y1, x0, x1 = self._region
+        y0, y1, x0, x1 = self.box
         own_rows, remote_rows = self._box_axis(table.rows, y0, y1)
         own_cols, remote_cols = self._box_axis(table.cols, x0, x1)
-        copies = self._block_copies(
-            own_rows, own_cols, source, f"{start}:{stop}", direction
-        )
+        copies = self._block_copies(own_rows, own_cols, source, f"{start}:{stop}")
         offset = exchange.source_offset
         snapshot = f"{start - offset}:{stop - offset}"
         # Remote rows x every in-fabric column: full-width row strips.
@@ -1054,22 +1047,22 @@ class _KernelEmitter:
         if remote_rows:
             copies += self._block_copies(
                 [(d, self._pub_row_slots[s]) for d, s in remote_rows],
-                in_fabric_cols, f"rs_{eid}", snapshot, direction,
+                in_fabric_cols, f"rs_{eid}", snapshot,
             )
         # Own rows x remote columns: column strips of the source stripe.
         if remote_cols:
             copies += self._block_copies(
                 [(d, y0 + s) for d, s in own_rows],
                 [(d, self._pub_col_slots[s]) for d, s in remote_cols],
-                f"cs_{eid}", snapshot, direction,
+                f"cs_{eid}", snapshot,
             )
         return copies
 
     def _fill_slots(self, exchange: ExchangePlan) -> list[tuple[int, float]]:
         """``(slot, fill value)`` of every direction in which some cell of
-        this kernel's region reads off the fabric (Dirichlet) and so sees
-        the constant fill."""
-        y0, y1, x0, x1 = self._region
+        this kernel's box reads off the fabric (Dirichlet) and so sees the
+        constant fill."""
+        y0, y1, x0, x1 = self.box
         slots = []
         for slot, direction in enumerate(exchange.directions):
             table = self.plan.halo_table(direction)
@@ -1103,8 +1096,8 @@ class _KernelEmitter:
         once per kernel binding when nothing else ever writes the receive
         buffer.  The staged fallback copies every chunk into a preallocated
         slab (borders prefilled at bind time) before any callback runs, then
-        copies slab by slab into the receive buffer.  Whole-grid and box
-        kernels differ only in where a destination's source is read
+        copies slab by slab into the receive buffer.  A destination's source
+        is read from the box or a sibling's seam snapshot
         (:meth:`_direction_copies`).
         """
         depth = exchange.chunk_size * len(exchange.directions)
@@ -1190,9 +1183,9 @@ class _KernelEmitter:
     def _emit_publish_fn(
         self, eid: int, exchange: ExchangePlan, source_buffer: str, b: SourceBuilder
     ) -> None:
-        """``publish_<eid>`` (shard-box kernels): copy the box's seam
-        rows/columns of the source buffer into the shared snapshots, which
-        siblings read instead of this shard's live buffers."""
+        """``publish_<eid>``: copy the box's seam rows/columns of the source
+        buffer into the shared snapshots, which siblings read instead of
+        this shard's live buffers (nothing, in a 1x1 geometry)."""
         span = exchange.num_chunks * exchange.chunk_size
         offset = exchange.source_offset
         source = self._buffer(source_buffer)
@@ -1235,21 +1228,19 @@ class _KernelEmitter:
 
         delivery = SourceBuilder(indent=1)
         for eid, exchange, source_buffer in self._exchanges:
-            if self.box is not None:
-                self._emit_publish_fn(eid, exchange, source_buffer, delivery)
+            self._emit_publish_fn(eid, exchange, source_buffer, delivery)
             self._emit_deliver_fn(eid, exchange, source_buffer, delivery)
-        if self.box is not None:
-            # The seam protocol's hooks; the caller checks an exchange is
-            # pending before it publishes.
-            delivery.line("def publish():")
-            with delivery.indented():
-                delivery.line("eid = pending[0]")
-                self._emit_dispatch(delivery, "publish")
-            delivery.line("def deliver():")
-            with delivery.indented():
-                delivery.line("eid = pending[0]")
-                delivery.line("pending[0] = -1")
-                self._emit_dispatch(delivery, "deliver")
+        # The seam protocol's hooks; the caller checks an exchange is
+        # pending before it publishes or delivers.
+        delivery.line("def publish():")
+        with delivery.indented():
+            delivery.line("eid = pending[0]")
+            self._emit_dispatch(delivery, "publish")
+        delivery.line("def deliver():")
+        with delivery.indented():
+            delivery.line("eid = pending[0]")
+            delivery.line("pending[0] = -1")
+            self._emit_dispatch(delivery, "deliver")
 
         out = SourceBuilder()
         boundary = self.plan.boundary
@@ -1264,21 +1255,20 @@ class _KernelEmitter:
         )
         if fingerprint:
             out.line(f"# fingerprint {fingerprint}")
-        if self.box is not None:
-            y0, y1, x0, x1 = self.box
-            out.line(
-                f"# shard box rows [{y0}, {y1}) cols [{x0}, {x1}) of a "
-                f"{self.geometry.kx}x{self.geometry.ky} decomposition"
-            )
-            meta = {
-                "exchanges": [
-                    [eid, exchange.num_chunks * exchange.chunk_size]
-                    for eid, exchange, _ in self._exchanges
-                ],
-                "pub_rows": len(self._pub_row_slots),
-                "pub_cols": len(self._pub_col_slots),
-            }
-            out.line(f"SHARD_META = {meta!r}")
+        y0, y1, x0, x1 = self.box
+        out.line(
+            f"# shard box rows [{y0}, {y1}) cols [{x0}, {x1}) of a "
+            f"{self.geometry.kx}x{self.geometry.ky} decomposition"
+        )
+        meta = {
+            "exchanges": [
+                [eid, exchange.num_chunks * exchange.chunk_size]
+                for eid, exchange, _ in self._exchanges
+            ],
+            "pub_rows": len(self._pub_row_slots),
+            "pub_cols": len(self._pub_col_slots),
+        }
+        out.line(f"SHARD_META = {meta!r}")
         out.line("def make_kernel(state, plan):")
         with out.indented():
             out.line("counters = state.counters")
@@ -1289,7 +1279,7 @@ class _KernelEmitter:
                 out.line(f"{self._buffer_names[buffer]} = state.buffers[{buffer!r}]")
             if self._bands:
                 out.line(f"BANDS = {self._bands!r}")
-            if self.box is not None:
+            if self._pub_row_slots or self._pub_col_slots:
                 for eid, _, _ in self._exchanges:
                     out.line(
                         f"rs_{eid}, cs_{eid} = state.seam_snapshots[{eid}]"
@@ -1301,7 +1291,7 @@ class _KernelEmitter:
                 elif orient == "col":
                     expression += "[None, :]"
                 out.line(f"{name} = {expression}")
-            # Static whole-grid DSD views, bound (and range-checked) once.
+            # Static whole-box DSD views, bound (and range-checked) once.
             for key, name in self._views.items():
                 buffer, offset, length, stride = key
                 dsd = _DsdExpr(buffer, offset, length, stride)
@@ -1311,12 +1301,6 @@ class _KernelEmitter:
                 out.line(
                     f"if {name}.shape[2] != {length}: "
                     f"raise IndexError(\"DSD over '{buffer}' out of range\")"
-                )
-            # Plan fold tables for the gatherable directions.
-            for direction, (rows, cols) in self._gathers.items():
-                out.line(
-                    f"{rows}, {cols} = plan.gather_indices(({direction[0]}, "
-                    f"{direction[1]}))"
                 )
             # Per-exchange constants, staging buffers and border prefill.
             height, width = self._grid_dims
@@ -1359,37 +1343,33 @@ class _KernelEmitter:
                 with out.indented():
                     out.line("fn, a = queue.popleft()")
                     out.line("fn(a)")
-            if self.box is not None:
-                out.line("def settled():")
+            out.line("def settled():")
+            with out.indented():
+                out.line("return state.halted or (not queue and pending[0] < 0)")
+            # A sole shard's round loop: the drain/settled/deliver schedule
+            # of the seam protocol with nothing to publish or await, minus
+            # one Python boundary crossing per hook.  ``budget`` bounds the
+            # rounds executed; spending it is the caller's round-budget
+            # error.
+            out.line("def run_block(budget):")
+            with out.indented():
+                out.line("executed = 0")
+                out.line("while executed < budget:")
                 with out.indented():
+                    out.line("drain()")
                     out.line(
-                        "return state.halted or (not queue and pending[0] < 0)"
+                        "if state.halted or (not queue and pending[0] < 0):"
                     )
-            else:
-                # The in-kernel round loop: exactly the base executor's
-                # drain/settled/deliver schedule, minus one Python boundary
-                # crossing per round.  ``budget`` bounds the rounds executed;
-                # spending it is the caller's round-budget error.
-                out.line("def run_block(budget):")
-                with out.indented():
-                    out.line("executed = 0")
-                    out.line("while executed < budget:")
                     with out.indented():
-                        out.line("drain()")
-                        out.line(
-                            "if state.halted or "
-                            "(not queue and pending[0] < 0):"
-                        )
-                        with out.indented():
-                            out.line("return executed, 'settled'")
-                        out.line("eid = pending[0]")
-                        out.line("if eid < 0:")
-                        with out.indented():
-                            out.line("return executed, 'deadlock'")
-                        out.line("pending[0] = -1")
-                        self._emit_dispatch(out, "deliver")
-                        out.line("executed += 1")
-                    out.line("return executed, 'budget'")
+                        out.line("return executed, 'settled'")
+                    out.line("eid = pending[0]")
+                    out.line("if eid < 0:")
+                    with out.indented():
+                        out.line("return executed, 'deadlock'")
+                    out.line("pending[0] = -1")
+                    self._emit_dispatch(out, "deliver")
+                    out.line("executed += 1")
+                out.line("return executed, 'budget'")
             fns = ", ".join(
                 f"{name!r}: {self._fn_names[name]}"
                 for name in sorted(self.image.callables)
@@ -1397,11 +1377,9 @@ class _KernelEmitter:
             out.line("return {")
             with out.indented():
                 out.line(f"'fns': {{{fns}}},")
-                if self.box is not None:
-                    out.line("'drain': drain, 'settled': settled, "
-                             "'publish': publish, 'deliver': deliver,")
-                else:
-                    out.line("'run_block': run_block,")
+                out.line("'drain': drain, 'settled': settled, "
+                         "'publish': publish, 'deliver': deliver,")
+                out.line("'run_block': run_block,")
                 out.line("'queue': queue, 'pending': pending,")
             out.line("}")
         return out.text()
@@ -1414,17 +1392,15 @@ def generate_kernel_source(
     box: tuple[int, int, int, int] | None = None,
     geometry: ShardGeometry | None = None,
 ) -> str:
-    """Emit the fused kernel of one (image, plan) as Python source.
+    """Emit the fused kernel of one (image, plan, box) as Python source.
 
-    The emission is deterministic: the same image and plan produce
+    The emission is deterministic: the same image, plan and box produce
     byte-identical source (names are assigned in sorted/traversal order and
-    no environmental state leaks in), which the golden dump test pins.
-    A whole-grid kernel exposes ``run_block(budget)`` — the round loop, up
-    to ``budget`` delivery rounds, deliveries staged straight into the
-    receive slab where provably safe.  With ``box``/``geometry`` the kernel
-    is restricted to one shard box and exposes the seam-protocol hooks
-    instead (``drain`` / ``settled`` / ``publish`` / ``deliver``) plus a
-    module-level ``SHARD_META`` literal.
+    no environmental state leaks in), which the golden dump test pins.  The
+    kernel covers ``box`` of ``geometry`` (no geometry: the whole fabric)
+    and exposes the seam protocol's round hooks (``drain`` / ``settled`` /
+    ``publish`` / ``deliver``), a sole shard's round loop
+    (``run_block(budget)``) and a module-level ``SHARD_META`` literal.
     """
     return _KernelEmitter(image, plan, box, geometry).emit(fingerprint)
 
@@ -1438,16 +1414,15 @@ def generate_kernel_source(
 class CompiledKernel:
     """One materialised kernel: fingerprint, source text and factory.
 
-    ``meta`` is the ``SHARD_META`` literal of shard-box kernels (exchange
-    snapshot spans and publication slot counts — what the tiled executor
-    needs to allocate the shared seam snapshots), ``None`` for whole-grid
-    kernels.
+    ``meta`` is the kernel's ``SHARD_META`` literal (exchange snapshot
+    spans and publication slot counts — what the executor needs to allocate
+    the shared seam snapshots).
     """
 
     fingerprint: str
     source: str
     make: Callable
-    meta: dict | None = None
+    meta: dict
 
     def instantiate(self, state, plan: ExecutionPlan) -> dict:
         """Bind the kernel to one executor's live state and plan tables."""
@@ -1508,7 +1483,7 @@ def _materialise(fingerprint: str, source: str) -> CompiledKernel:
         fingerprint,
         source,
         namespace["make_kernel"],
-        namespace.get("SHARD_META"),
+        namespace["SHARD_META"],
     )
 
 
@@ -1522,6 +1497,23 @@ def _dump(fingerprint: str, source: str) -> None:
         handle.write(source)
 
 
+def cached_kernel(
+    image: "ProgramImage",
+    plan: ExecutionPlan,
+    box: tuple[int, int, int, int] | None = None,
+    geometry: ShardGeometry | None = None,
+) -> CompiledKernel | None:
+    """The kernel of one (image, plan, box) if the in-process memo holds
+    it (counted as a memory hit), else None (no geometry: the whole
+    fabric).  What a caller that builds its source store only on a miss
+    asks first."""
+    kernel = _MEMO.get(kernel_fingerprint(image, plan, box, geometry))
+    if kernel is not None:
+        _MEMO.move_to_end(kernel.fingerprint)
+        _STATISTICS.memory_hits += 1
+    return kernel
+
+
 def get_kernel(
     image: "ProgramImage",
     plan: ExecutionPlan,
@@ -1529,22 +1521,21 @@ def get_kernel(
     box: tuple[int, int, int, int] | None = None,
     geometry: ShardGeometry | None = None,
 ) -> CompiledKernel:
-    """The compiled kernel of one (image, plan[, shard box]), cached by
-    fingerprint.
+    """The compiled kernel of one (image, plan, box), cached by fingerprint
+    (no geometry: the whole fabric).
 
-    Lookup order: the in-process memo, then ``store`` (any object with
-    ``get(fingerprint) -> str | None`` and ``put(fingerprint, source)`` —
-    see :class:`repro.service.kernels.KernelSourceStore`), then a fresh
-    code generation (which populates the store).  Raises
+    Lookup order: the in-process memo (:func:`cached_kernel`), then
+    ``store`` (any object with ``get(fingerprint) -> str | None`` and
+    ``put(fingerprint, source)`` — see
+    :class:`repro.service.kernels.KernelSourceStore`), then a fresh code
+    generation (which populates the store).  Raises
     :class:`KernelCodegenError` when the program cannot be fused; nothing
     is cached in that case.
     """
-    fingerprint = kernel_fingerprint(image, plan, box, geometry)
-    kernel = _MEMO.get(fingerprint)
+    kernel = cached_kernel(image, plan, box, geometry)
     if kernel is not None:
-        _MEMO.move_to_end(fingerprint)
-        _STATISTICS.memory_hits += 1
         return kernel
+    fingerprint = kernel_fingerprint(image, plan, box, geometry)
     source = store.get(fingerprint) if store is not None else None
     if source is not None:
         _STATISTICS.disk_hits += 1

@@ -10,25 +10,28 @@ Five backends ship in-tree, all replaying the same pre-compiled
   (:mod:`repro.wse.executors.vectorized`): interprets the SPMD program image
   once and executes every csl-ir op as whole-grid NumPy array math.
   Bit-identical to the reference and several times faster at 8×8+ grids.
-* ``compiled`` — the generated-kernel executor
-  (:mod:`repro.wse.executors.compiled`): code-generates the delivery round
-  *and the loop around it* from the plan into one Python/NumPy kernel
-  (:mod:`repro.wse.codegen`), cached process-wide by content fingerprint,
-  and runs it with one ``run_block(max_rounds)`` call per run.
-  Bit-identical to ``vectorized`` and the fastest single-process backend;
-  raises ``KernelCodegenError`` for programs the generator cannot fuse,
-  pointing at ``vectorized``.
-* ``tiled`` — the sharded executor (:mod:`repro.wse.executors.tiled`):
+* ``tiled`` — the kernel executor (:mod:`repro.wse.executors.tiled`):
   partitions the fabric into kx×ky shards over shared full-grid NumPy
-  buffers, each replaying a generated kernel.  One round protocol — seam
-  publication with one barrier per round — driven on one thread per
-  shard, all joined before a run returns.
+  buffers, each replaying the kernel :mod:`repro.wse.codegen` generated
+  for its box (cached process-wide by content fingerprint, and
+  fleet-wide).  A sole shard runs with one ``run_block(max_rounds)`` call
+  of its kernel per run; several run the seam protocol — seam publication
+  with one barrier per round — on one thread per shard, all joined before
+  a run returns.
   Bit-identical to ``vectorized``; raises ``KernelCodegenError`` for
-  programs the generator cannot fuse (there are no interpreted shards).
+  programs the generator cannot fuse, pointing at ``vectorized``.
+* ``compiled`` — ``tiled`` with its shard grid fixed at 1x1
+  (:mod:`repro.wse.executors.compiled`): one kernel over the whole fabric,
+  one ``run_block`` call per run, no thread, no barrier.  The fastest
+  single-process backend.
 * ``auto`` — ``compiled`` under its own name
   (:mod:`repro.wse.executors.auto`), stamping ``backend_decision =
   "compiled"`` and a fixed rationale on the run's statistics.  Name
   ``tiled`` to shard a large fabric.
+
+``vectorized`` and the kernel executors share one host-state surface
+(:mod:`repro.wse.executors.grid`): whole-grid buffers, per-PE views, the
+per-PE-uniform statistics fold.
 
 Selection, in priority order: the ``executor=`` argument of
 :class:`repro.wse.simulator.WseSimulator`, the ``REPRO_EXECUTOR``

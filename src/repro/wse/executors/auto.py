@@ -1,10 +1,12 @@
 """The ``auto`` backend: the compiled backend under its registered name.
 
-``compiled`` is the fastest single-process backend from one PE up to
-paper-scale grids, so that is what ``auto`` runs.  It stamps the decision
-on the run's statistics (``backend_decision`` / ``backend_rationale``) so
-a result says which backend ran.  Sharding a large fabric over several
-CPUs is ``tiled``'s job; name it explicitly.
+``compiled`` — the kernel executor on a 1x1 shard grid, one
+``run_block`` call per run — is the fastest single-process backend from
+one PE up to paper-scale grids, so that is what ``auto`` runs: the same
+kernel, bound the same way.  It stamps the decision on the run's
+statistics (``backend_decision`` / ``backend_rationale``) so a result says
+which backend ran; the stamp is all it adds to a bind.  Sharding a large
+fabric over several CPUs is ``tiled``'s job; name it explicitly.
 """
 
 from repro.wse.executors.base import register_executor

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, ClassVar, Iterable
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,15 +51,15 @@ class SimulationStatistics:
     wavelets_sent: int = 0
     max_pe_memory_bytes: int = 0
     #: host-side synchronisation costs of partitioned execution (the tiled
-    #: backend's publication spin-wait and round barrier).  Real work, but
-    #: backend-specific: excluded from equality so cross-backend statistics
-    #: comparisons stay meaningful; still summed by :meth:`merge`.
+    #: backend's publication spin-wait and round barrier; 0 on one shard).
+    #: Real work, but backend-specific: excluded from equality so
+    #: cross-backend statistics comparisons stay meaningful.
     seam_spins: int = field(default=0, compare=False)
     seam_backoffs: int = field(default=0, compare=False)
     barrier_waits: int = field(default=0, compare=False)
     #: which backend ``auto`` ran (always ``compiled``), and why.  Not
-    #: activity counters: excluded from equality (cross-backend statistics
-    #: comparisons stay meaningful) and from :meth:`merge`.
+    #: activity counters: excluded from equality, so cross-backend
+    #: statistics comparisons stay meaningful.
     backend_decision: str = field(default="", compare=False)
     backend_rationale: str = field(default="", compare=False)
     #: retired: the temporal block depth no backend has any more.  Nothing
@@ -67,41 +67,6 @@ class SimulationStatistics:
     #: harness (``bench/jobs.py``) still reads it, and goes with that
     #: harness's next revision.
     block_depth: int = field(default=0, compare=False)
-
-    #: descriptive fields :meth:`merge` must not fold.
-    _METADATA_FIELDS: ClassVar[frozenset[str]] = frozenset(
-        {"backend_decision", "backend_rationale", "block_depth"}
-    )
-
-    @classmethod
-    def merge(
-        cls, parts: "Iterable[SimulationStatistics]"
-    ) -> "SimulationStatistics":
-        """Fold several statistics into one: counters sum, peak memory maxes.
-
-        This is the aggregation rule for partitioned execution — the tiled
-        backend merges its per-shard statistics with it — and for any host
-        rolling several runs up into one report.  ``max_pe_memory_bytes`` is
-        a per-PE peak, not activity, so it takes the maximum; metadata
-        fields pass through from the first part carrying them.
-        """
-        merged = cls()
-        for part in parts:
-            for spec in fields(cls):
-                if spec.name in cls._METADATA_FIELDS:
-                    if not getattr(merged, spec.name):
-                        setattr(merged, spec.name, getattr(part, spec.name))
-                elif spec.name == "max_pe_memory_bytes":
-                    merged.max_pe_memory_bytes = max(
-                        merged.max_pe_memory_bytes, part.max_pe_memory_bytes
-                    )
-                else:
-                    setattr(
-                        merged,
-                        spec.name,
-                        getattr(merged, spec.name) + getattr(part, spec.name),
-                    )
-        return merged
 
 
 def missing_field_error(name: str, available, coords: tuple[int, int]) -> KeyError:
@@ -115,10 +80,12 @@ def missing_field_error(name: str, available, coords: tuple[int, int]) -> KeyErr
 class Executor(ABC):
     """One execution backend for a pre-processed program image.
 
-    Subclasses implement the four hooks of the delivery-round loop
-    (:meth:`_drain_tasks`, :meth:`_all_settled`, :meth:`_deliver_round`,
-    :meth:`_collect_statistics`) plus host-side data movement; the loop
-    itself — and with it the deadlock/divergence diagnostics — is shared.
+    Subclasses implement host-side data movement, :meth:`launch` and
+    :meth:`_collect_statistics`, and either the three round hooks of the
+    shared delivery-round loop (:meth:`_drain_tasks`, :meth:`_all_settled`,
+    :meth:`_deliver_round` — the interpreting backends) or their own
+    :meth:`_run_rounds` (the kernel executors, whose generated kernels run
+    the same schedule with the same deadlock and round-budget diagnostics).
     """
 
     #: registry key; subclasses must override.
@@ -237,17 +204,20 @@ class Executor(ABC):
     # Delivery-round hooks
     # ------------------------------------------------------------------ #
 
-    @abstractmethod
+    # The three round hooks of the default loop; a backend that overrides
+    # :meth:`_run_rounds` (the kernel executors) need not implement them.
+
     def _drain_tasks(self) -> None:
         """Run every PE's queued tasks until it halts or blocks."""
+        raise NotImplementedError
 
-    @abstractmethod
     def _all_settled(self) -> bool:
         """True when every PE is halted or idle (simulation complete)."""
+        raise NotImplementedError
 
-    @abstractmethod
     def _deliver_round(self) -> int:
         """Deliver all pending exchanges; returns the number delivered."""
+        raise NotImplementedError
 
     @abstractmethod
     def _collect_statistics(self) -> None:

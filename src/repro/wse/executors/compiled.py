@@ -1,93 +1,42 @@
-"""The compiled backend: one generated kernel carrying the round loop.
+"""The compiled backend: the kernel executor on a 1x1 shard grid.
 
-Where the ``vectorized`` backend still *interprets* the csl-ir program once
-per delivery round (dict dispatch per op, slice construction per DSD
-operand, fresh staging arrays per exchange), this backend asks
-:mod:`repro.wse.codegen` to walk the :class:`~repro.wse.plan.ExecutionPlan`
-once and emit the whole round as straight-line Python/NumPy: task bodies,
-bind-time hoisted DSD views, ``out=``-form ufuncs and exchanges staged
-directly into their receive slabs.  The generated kernel is cached
-process-wide by its content fingerprint (and optionally through a
-service-level source store), so repeated simulations of the same program
-pay code generation exactly once — and the fingerprint itself is kept on
+Where the ``vectorized`` backend *interprets* the csl-ir program once per
+delivery round (dict dispatch per op, slice construction per DSD operand,
+fresh staging arrays per exchange), this backend runs the kernel
+:mod:`repro.wse.codegen` emits from the
+:class:`~repro.wse.plan.ExecutionPlan`: task bodies, bind-time hoisted DSD
+views, ``out=``-form ufuncs and exchanges delivered straight into their
+receive slabs.  It is :class:`~repro.wse.executors.tiled.TiledExecutor`
+with the shard grid fixed at 1x1 on every fabric: the whole fabric is the
+one box, its kernel is bound once at construction, and a run is one call
+of the kernel's ``run_block(max_rounds)`` — no thread, no barrier, no seam
+snapshot.  The kernel is cached process-wide by content fingerprint and
+fleet-wide through the kernel source store, and the fingerprint is kept on
 the program image with the plan the simulator binds, so a warm bind is a
-kernel-memo lookup and one ``instantiate``: nothing is lowered, printed or
-hashed again (:func:`repro.wse.interpreter.bound_image`).
+kernel-memo lookup and one ``instantiate``
+(:func:`repro.wse.interpreter.bound_image`).
 
-The kernel owns the drain/settled/deliver schedule (``run_block``); this
-executor makes one call per run, with the whole round budget.
-
-The numerical semantics are the interpreter's, statement for statement —
-fields and :class:`~repro.wse.executors.base.SimulationStatistics` stay
+Fields and :class:`~repro.wse.executors.base.SimulationStatistics` stay
 bit-identical to ``vectorized`` (the golden equivalence tests pin this).
-
 A program using constructs the generator does not fuse (none the pipeline
 emits, but hand-built test images can) raises
-:class:`~repro.wse.codegen.KernelCodegenError` from the constructor, as
-``tiled`` does — ``vectorized`` is the interpreting backend.
+:class:`~repro.wse.codegen.KernelCodegenError` from the constructor —
+``vectorized`` is the interpreting backend.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.ir.exceptions import InterpretationError
-from repro.wse.codegen import KernelCodegenError, get_kernel
-from repro.wse.executors.base import SimulationStatistics, register_executor
-from repro.wse.executors.vectorized import VectorizedExecutor
-from repro.wse.interpreter import ProgramImage
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.wse.plan import ExecutionPlan
+from repro.wse.executors.base import register_executor
+from repro.wse.executors.tiled import TiledExecutor
+from repro.wse.plan import ShardGeometry
 
 
 @register_executor
-class CompiledExecutor(VectorizedExecutor):
-    """Run the generated kernel's round loop."""
+class CompiledExecutor(TiledExecutor):
+    """The kernel executor with the whole fabric as its one shard."""
 
     name = "compiled"
 
-    def __init__(
-        self,
-        image: ProgramImage,
-        width: int,
-        height: int,
-        plan: "ExecutionPlan | None" = None,
-    ):
-        super().__init__(image, width, height, plan)
-        try:
-            compiled = get_kernel(image, self.plan)
-        except KernelCodegenError as error:
-            raise KernelCodegenError(
-                f"the compiled backend runs a generated kernel and code "
-                f"generation declined this program ({error}); run it on the "
-                f"interpreting 'vectorized' executor instead"
-            ) from error
-        #: content fingerprint of the generated kernel.
-        self.kernel_fingerprint = compiled.fingerprint
-        #: the bound kernel hooks.
-        self.kernel = compiled.instantiate(self.state, self.plan)
-
-    def launch(self, entry: str | None = None) -> None:
-        entry_name = entry if entry is not None else self.image.entry
-        fn = self.kernel["fns"].get(entry_name)
-        if fn is None:
-            raise InterpretationError(f"unknown function or task '{entry_name}'")
-        fn()
-        self._pending_launch = True
-
-    def _run_rounds(self, max_rounds: int) -> SimulationStatistics:
-        # The kernel's run_block runs the base drain/settled/deliver
-        # schedule until the run settles, deadlocks or spends the budget, so
-        # termination, deadlock and round-budget semantics match the
-        # inherited loop case for case.
-        executed, status = self.kernel["run_block"](max_rounds)
-        self.statistics.rounds += executed
-        if status == "deadlock":
-            raise InterpretationError(
-                "deadlock: PEs are neither halted nor waiting on an exchange"
-            )
-        if status != "settled":
-            raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
-        self._collect_statistics()
-        return self.statistics
+    @classmethod
+    def geometry_for(cls, width: int, height: int) -> ShardGeometry:
+        return ShardGeometry.build(width, height, 1, 1)

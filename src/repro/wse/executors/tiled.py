@@ -1,37 +1,43 @@
-"""The tiled backend: generated shard kernels, one thread per shard.
+"""The kernel executor: generated shard-box kernels, one thread per shard.
 
 The vectorized lockstep executor turned the per-PE interpretation into
-whole-grid array math; this backend distributes that math.  The fabric is
-partitioned into a ``kx x ky`` grid of rectangular *shards*, each driven by
-one thread.  Every buffer of the program is one full-grid NumPy array, so
-each shard's compute operates on *views* restricted to its shard
-rows/columns — the identical NumPy ufuncs on a sub-rectangle are
-bit-identical to the vectorized whole-grid op, and they release the GIL
-while they stream, so the shards' array math runs in parallel.
-
-Every shard replays a kernel :mod:`repro.wse.codegen` generated for it
-(cached process-wide and fleet-wide through the service
-:class:`KernelSourceStore`); a program the generator cannot fuse raises
+whole-grid array math; this backend compiles and distributes that math.
+The fabric is partitioned into a ``kx x ky`` grid of rectangular *shards*
+(a :class:`~repro.wse.plan.ShardGeometry`), and every shard replays the
+kernel :mod:`repro.wse.codegen` generated for its box (cached process-wide
+and fleet-wide through the service :class:`KernelSourceStore`).  Every
+buffer of the program is one full-grid NumPy array of the executor's
+:class:`~repro.wse.executors.grid.GridState`, so each shard's compute
+operates on *views* restricted to its shard rows/columns — the identical
+NumPy ufuncs on a sub-rectangle are bit-identical to the vectorized
+whole-grid op, and they release the GIL while they stream, so the shards'
+array math runs in parallel.  A program the generator cannot fuse raises
 :class:`~repro.wse.codegen.KernelCodegenError` from the constructor —
-``vectorized`` is the interpreting backend.  The round protocol
-(:func:`_seam_rounds`) is written once as a generator that yields at its
-rendezvous points, with one barrier per delivery round: after draining, a
-shard *publishes* its seam rows/columns into snapshot strips and flags the
-round in a per-shard publication counter, waits only for the publication
-flags of the shards it actually reads from, and *delivers*: the box kernel
-copies each chunk — own-box sources from the live buffers, sibling sources
-from the snapshots — straight into the receive slab, as the whole-grid
-kernel does.  The round ends at the single barrier, which doubles as the
-settled-consensus point (monotone progress stamps, so a shard racing into
-the next round can never corrupt a sibling's consensus read).
+``vectorized`` is the interpreting backend.
 
-One driver (:meth:`TiledExecutor._run_shards`) advances the generator of
-every shard: each run starts one thread per shard but the first, drives
-shard 0 on the calling thread, and joins every thread before it returns.
-A rendezvous is a real :class:`threading.Barrier` wait or publication
-wait; a 1-shard grid takes the same path with a barrier of one.  A shard
-that fails aborts the barrier, and the run raises that shard's own
-diagnosis, not the broken barrier its siblings saw.
+The shard count picks the round driver:
+
+* **one shard** — the whole fabric is the only box, and its kernel is bound
+  once, at construction, over the executor's grid state.  A run is one
+  call of the kernel's ``run_block(max_rounds)``, the drain/settled/deliver
+  schedule of the interpreted loop inside the kernel: no thread, no
+  barrier, no seam snapshot, nothing published.  ``compiled`` is this
+  case, on every fabric.
+* **several shards** — the seam protocol (:func:`_seam_rounds`), written
+  once as a generator that yields at its rendezvous points, with one
+  barrier per delivery round: after draining, a shard *publishes* its seam
+  rows/columns into snapshot strips and flags the round in a per-shard
+  publication counter, waits only for the publication flags of the shards
+  it actually reads from, and *delivers*: the box kernel copies each chunk
+  — own-box sources from the live buffers, sibling sources from the
+  snapshots — straight into the receive slab.  The round ends at the single
+  barrier, which doubles as the settled-consensus point (monotone progress
+  stamps, so a shard racing into the next round can never corrupt a
+  sibling's consensus read).  :meth:`TiledExecutor._run_shards` binds a
+  runner per shard, starts one thread per shard but the first, drives
+  shard 0 on the calling thread, and joins every thread before it returns.
+  A shard that fails aborts the barrier, and the run raises that shard's
+  own diagnosis, not the broken barrier its siblings saw.
 
 ``REPRO_TILED_SHARDS`` overrides the shard grid (K along both axes, clamped
 to the fabric); when unset the grid is derived from the usable CPU count
@@ -50,16 +56,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ir.exceptions import InterpretationError
-from repro.wse.codegen import CompiledKernel, KernelCodegenError, get_kernel
-from repro.wse.executors.base import (
-    Executor,
-    SimulationStatistics,
-    missing_field_error,
-    register_executor,
+from repro.wse.codegen import (
+    CompiledKernel,
+    KernelCodegenError,
+    cached_kernel,
+    get_kernel,
 )
-from repro.wse.executors.vectorized import GridState
+from repro.wse.executors.base import SimulationStatistics, register_executor
+from repro.wse.executors.grid import GridExecutor, GridState
 from repro.wse.interpreter import ProgramImage
-from repro.wse.pe import PE_COUNTER_NAMES, new_pe_counters
 from repro.wse.plan import ExecutionPlan, ShardGeometry
 
 #: environment variable overriding the shard-grid extent (K of K×K).
@@ -144,18 +149,6 @@ def shard_grid(
     return kx, ky
 
 
-def shard_boxes(
-    width: int, height: int, kx: int, ky: int
-) -> tuple[tuple[int, int, int, int], ...]:
-    """``kx x ky`` rectangular shards ``(y0, y1, x0, x1)`` tiling the fabric.
-
-    Rows and columns are split into nearly-equal bands (the first
-    ``remainder`` bands one wider), so every PE belongs to exactly one
-    shard and uneven fabrics stay balanced.
-    """
-    return ShardGeometry.build(width, height, kx, ky).boxes()
-
-
 @dataclass
 class ShardResult:
     """What one shard's round loop reports after running to completion.
@@ -168,7 +161,6 @@ class ShardResult:
     counters: dict[str, int]
     variables: dict[str, float]
     halted: bool
-    pe_memory_bytes: int
     #: publication-wait iterations before sleeping kicked in.
     seam_spins: int = 0
     #: publication-wait backoff sleeps (exponential, capped).
@@ -177,46 +169,15 @@ class ShardResult:
     barrier_waits: int = 0
 
 
-class ShardState(GridState):
-    """One shard's lockstep state over views of the full-grid buffers.
-
-    A :class:`~repro.wse.executors.vectorized.GridState` whose ``buffers``
-    are writable sub-rectangle views of the executor's full-grid arrays,
-    so every DSD compute op touches exactly this shard's rows and columns
-    — and whose allocation hook maps onto those pre-existing views instead
-    of allocating.  The shard kernels additionally read
-    :attr:`seam_snapshots` (eid -> (row strip, column strip) arrays) for
-    the sources sibling shards own.
-    """
-
-    def __init__(
-        self,
-        full_buffers: dict[str, np.ndarray],
-        box: tuple[int, int, int, int],
-    ):
-        y0, y1, x0, x1 = box
-        super().__init__(width=x1 - x0, height=y1 - y0)
-        self.buffers = {
-            name: array[y0:y1, x0:x1] for name, array in full_buffers.items()
-        }
-        #: eid -> (row snapshot, column snapshot), bound by the shard kernel.
-        self.seam_snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def allocate(self, name: str, size: int) -> None:
-        # The executor pre-allocated every full-grid buffer; an unknown
-        # allocation here would be a plan/image mismatch.
-        if name not in self.buffers:
-            raise InterpretationError(
-                f"shard asked to allocate unknown buffer '{name}'"
-            )
-
-
 class CompiledShardRunner:
-    """Replays the shard-box kernel for one shard of the fabric.
+    """Replays the kernel of one shard box in one run of several shards.
 
-    Every step of the seam protocol — drain, settled, publish, deliver —
-    is a hook of the generated kernel, operating on views of the
-    executor's full-grid buffers.
+    Its state is a :class:`GridState` over writable views of the
+    executor's full-grid buffers restricted to the box, carrying the scalar
+    state of the executor's previous runs (the other backends keep one
+    live interpreter state, so a relaunch must resume from it to stay
+    interchangeable).  Every step of the seam protocol — drain, settled,
+    publish, deliver — is a hook of the generated kernel.
 
     A fresh runner is bound per run — kernel closures capture the counters
     and variables dicts, so reuse across runs would leak state; the
@@ -227,24 +188,19 @@ class CompiledShardRunner:
         self,
         plan: ExecutionPlan,
         kernel: CompiledKernel,
-        full_buffers: dict[str, np.ndarray],
+        grid: GridState,
         box: tuple[int, int, int, int],
-        snapshots: dict[int, tuple[np.ndarray, np.ndarray]],
-        variables: dict[str, float],
-        halted: bool,
     ):
+        y0, y1, x0, x1 = box
         self.plan = plan
-        self.state = ShardState(full_buffers, box)
-        self.state.seam_snapshots = snapshots
-        # Scalar state carried over from a previous run of the same
-        # executor (the other backends keep one live interpreter state, so
-        # a relaunch must resume from it to stay interchangeable).
-        self.state.variables.update(variables)
-        # Mirror the interpreter's initialise(): image-declared variables
-        # default in without clobbering resumed values.
-        for name, value in plan.variables.items():
-            self.state.variables.setdefault(name, value)
-        self.state.halted = halted
+        self.state = GridState(
+            x1 - x0,
+            y1 - y0,
+            {name: array[y0:y1, x0:x1] for name, array in grid.buffers.items()},
+        )
+        self.state.seam_snapshots = grid.seam_snapshots
+        self.state.variables.update(grid.variables)
+        self.state.halted = grid.halted
         self.hooks = kernel.instantiate(self.state, plan)
 
     def launch(self, entry: str | None = None) -> None:
@@ -260,7 +216,6 @@ class CompiledShardRunner:
             counters=dict(self.state.counters),
             variables=dict(self.state.variables),
             halted=self.state.halted,
-            pe_memory_bytes=self.state.memory_in_use(),
         )
 
 
@@ -457,10 +412,31 @@ def _shard_kernel_store():
         return None
 
 
+def _allocate_snapshots(
+    meta: dict, width: int, height: int
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The seam snapshots the shard kernels bind.
+
+    Per exchange eid: a ``(published rows, fabric width, span)`` row strip
+    and a ``(fabric height, published cols, span)`` column strip.  Shards
+    read sibling sources out of these copies, not out of a sibling's live
+    buffers, so a sibling that already delivers this round cannot overwrite
+    seam rows another shard is still reading.
+    """
+    return {
+        eid: (
+            np.zeros((meta["pub_rows"], width, span), dtype=np.float32),
+            np.zeros((height, meta["pub_cols"], span), dtype=np.float32),
+        )
+        for eid, span in meta["exchanges"]
+    }
+
+
 @register_executor
-class TiledExecutor(Executor):
-    """Partition the fabric into shards; replay the plan on one thread per
-    shard."""
+class TiledExecutor(GridExecutor):
+    """Partition the fabric into shards; replay one generated kernel per
+    shard box — a sole shard's in one ``run_block`` call per run, several
+    on one thread per shard."""
 
     name = "tiled"
 
@@ -472,115 +448,128 @@ class TiledExecutor(Executor):
         plan: ExecutionPlan | None = None,
     ):
         super().__init__(image, width, height, plan)
-        kx, ky = shard_grid(width, height)
-        self.geometry = ShardGeometry.build(width, height, kx, ky)
+        self.geometry = self.geometry_for(width, height)
         self.boxes = self.geometry.boxes()
-        #: every program buffer as one full-grid array; each shard's kernel
-        #: binds views of its own box.
-        self.buffers: dict[str, np.ndarray] = {
-            name: np.zeros((height, width, size), dtype=np.float32)
-            for name, size in self.plan.buffers.items()
-        }
+        self._kernels = self.kernels_for(self.image, self.plan, self.geometry)
         self._entry: str | None = None
-        self._grid_views: list[list[_TiledPeView]] | None = None
-        #: per-PE-uniform activity counters, folded in after each run (the
-        #: per-PE state views read these; lockstep shards all report the
-        #: same values).
-        self._pe_counters: dict[str, int] = new_pe_counters()
-        self._variables: dict[str, float] = dict(self.plan.variables)
-        self._halted = False
-        #: one seam-protocol kernel per shard box.
-        self._kernels = self._compile_shard_kernels()
-        #: content fingerprints of the shard kernels.
-        self.kernel_fingerprints = tuple(k.fingerprint for k in self._kernels)
-        self._needed = _needed_neighbors(self.plan, self.geometry)
-        self._snapshots = self._allocate_snapshots()
-
-    def _compile_shard_kernels(self) -> tuple[CompiledKernel, ...]:
-        store = _shard_kernel_store()
-        try:
-            return tuple(
-                get_kernel(
-                    self.image,
-                    self.plan,
-                    store=store,
-                    box=box,
-                    geometry=self.geometry,
-                )
-                for box in self.boxes
+        #: a sole shard's kernel hooks, bound once over the executor's
+        #: state; None on several shards, whose runners bind per run.
+        self.kernel: dict | None = None
+        if len(self.boxes) == 1:
+            self.kernel = self._kernels[0].instantiate(self.state, self.plan)
+        else:
+            self.state.seam_snapshots = _allocate_snapshots(
+                self._kernels[0].meta, width, height
             )
-        except KernelCodegenError as error:
-            raise KernelCodegenError(
-                f"the tiled backend replays generated shard kernels and "
-                f"code generation declined this program ({error}); run it "
-                f"on the interpreting 'vectorized' executor instead"
-            ) from error
-
-    def _allocate_snapshots(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """The seam snapshots the shard kernels bind.
-
-        Per exchange eid: a ``(published rows, fabric width, span)`` row
-        strip and a ``(fabric height, published cols, span)`` column strip.
-        Shards read sibling sources out of these copies, not out of a
-        sibling's live buffers, so a sibling that already delivers this
-        round cannot overwrite seam rows another shard is still reading.
-        """
-        meta = self._kernels[0].meta or {"exchanges": []}
-        pub_rows = meta.get("pub_rows", 0)
-        pub_cols = meta.get("pub_cols", 0)
-        return {
-            eid: (
-                np.zeros((pub_rows, self.width, span), dtype=np.float32),
-                np.zeros((self.height, pub_cols, span), dtype=np.float32),
-            )
-            for eid, span in meta["exchanges"]
-        }
-
-    # ------------------------------------------------------------------ #
-    # Host-side data movement
-    # ------------------------------------------------------------------ #
-
-    def _field_array(self, name: str) -> np.ndarray:
-        try:
-            return self.buffers[name]
-        except KeyError:
-            raise missing_field_error(name, self.buffers, (0, 0)) from None
-
-    def load_field(self, name: str, columns: np.ndarray) -> None:
-        array = self._field_array(name)
-        self._check_columns(name, columns, array.shape[-1])
-        array[:] = columns.transpose(1, 0, 2).astype(np.float32)
-
-    def read_field(self, name: str) -> np.ndarray:
-        array = self._field_array(name)
-        return np.ascontiguousarray(array.transpose(1, 0, 2))
-
-    def pe(self, x: int, y: int) -> "_TiledPeView":
-        self._check_pe_coords(x, y)
-        return _TiledPeView(self, x, y)
+            self._needed = _needed_neighbors(self.plan, self.geometry)
 
     @property
-    def grid(self) -> list[list["_TiledPeView"]]:
-        if self._grid_views is None:
-            self._grid_views = [
-                [_TiledPeView(self, x, y) for x in range(self.width)]
-                for y in range(self.height)
-            ]
-        return self._grid_views
+    def kernel_fingerprints(self) -> tuple[str, ...]:
+        """Content fingerprints of the bound kernels, one per box."""
+        return tuple(kernel.fingerprint for kernel in self._kernels)
+
+    @classmethod
+    def geometry_for(cls, width: int, height: int) -> ShardGeometry:
+        """The shard decomposition this backend runs a fabric on."""
+        return ShardGeometry.build(width, height, *shard_grid(width, height))
+
+    @classmethod
+    def kernels_for(
+        cls,
+        image: ProgramImage,
+        plan: ExecutionPlan,
+        geometry: ShardGeometry | None = None,
+        store=None,
+    ) -> tuple[CompiledKernel, ...]:
+        """The kernels this backend binds for ``plan``, one per box of
+        ``geometry`` (default: :meth:`geometry_for`).
+
+        Each resolves through the in-process memo, then ``store`` — by
+        default the fleet-wide source store, built only on a memo miss —
+        then code generation.
+        """
+        if geometry is None:
+            geometry = cls.geometry_for(plan.width, plan.height)
+        kernels = []
+        try:
+            for box in geometry.boxes():
+                kernel = cached_kernel(image, plan, box, geometry)
+                if kernel is None:
+                    if store is None:
+                        store = _shard_kernel_store()
+                    kernel = get_kernel(image, plan, store, box, geometry)
+                kernels.append(kernel)
+        except KernelCodegenError as error:
+            raise KernelCodegenError(
+                f"the {cls.name} backend replays generated kernels and code "
+                f"generation declined this program ({error}); run it on the "
+                f"interpreting 'vectorized' executor instead"
+            ) from error
+        return tuple(kernels)
 
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
 
     def launch(self, entry: str | None = None) -> None:
-        """Record the entry point; each shard runs it on its own state
-        inside :meth:`run`."""
+        """Run the entry point — now on a sole shard; on several, each
+        shard runs it on its own state inside :meth:`run`."""
+        if self.kernel is not None:
+            name = entry if entry is not None else self.plan.entry
+            fn = self.kernel["fns"].get(name)
+            if fn is None:
+                raise InterpretationError(f"unknown function or task '{name}'")
+            fn()
         self._entry = entry
         self._pending_launch = True
 
     def _run_rounds(self, max_rounds: int) -> SimulationStatistics:
-        self._fold_results(self._run_shards(max_rounds))
+        if self.kernel is None:
+            return self._run_seams(max_rounds)
+        # A sole shard: the kernel's run_block runs the base
+        # drain/settled/deliver schedule until the run settles, deadlocks
+        # or spends the budget, so termination, deadlock and round-budget
+        # semantics match the interpreted loop case for case.
+        executed, status = self.kernel["run_block"](max_rounds)
+        self.statistics.rounds += executed
+        if status == "deadlock":
+            raise InterpretationError(
+                "deadlock: PEs are neither halted nor waiting on an exchange"
+            )
+        if status != "settled":
+            raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
+        self._collect_statistics()
         return self.statistics
+
+    def _run_seams(self, max_rounds: int) -> SimulationStatistics:
+        """Several shards: the seam protocol on one thread per shard, then
+        the fold — shard 0's per-PE counters and scalar state carry over
+        (lockstep shards report the same), the statistics fold the
+        cumulative counters exactly as on a sole shard, plus the seam
+        counters."""
+        results = self._run_shards(max_rounds)
+        rounds = {result.rounds for result in results}
+        if len(rounds) != 1:
+            raise InterpretationError(
+                f"shards diverged: delivery-round counts {sorted(rounds)} "
+                f"are not uniform across the SPMD fabric"
+            )
+        first = results[0]
+        for name, value in first.counters.items():
+            self.state.counters[name] += value
+        self.state.variables.update(first.variables)
+        self.state.halted = first.halted
+        statistics = self.statistics
+        statistics.rounds += rounds.pop()
+        # Barrier waits are SPMD-uniform (every shard enters the same
+        # rendezvous), so the count comes from one shard.
+        statistics.barrier_waits += first.barrier_waits
+        statistics.seam_spins += sum(result.seam_spins for result in results)
+        statistics.seam_backoffs += sum(
+            result.seam_backoffs for result in results
+        )
+        self._collect_statistics()
+        return statistics
 
     def _run_shards(self, max_rounds: int) -> list[ShardResult]:
         """Drive every shard's round loop to completion, one thread each.
@@ -600,13 +589,7 @@ class TiledExecutor(Executor):
         loops = [
             _seam_rounds(
                 CompiledShardRunner(
-                    self.plan,
-                    self._kernels[index],
-                    self.buffers,
-                    box,
-                    self._snapshots,
-                    self._variables,
-                    self._halted,
+                    self.plan, self._kernels[index], self.state, box
                 ),
                 self._entry,
                 max_rounds,
@@ -661,94 +644,3 @@ class TiledExecutor(Executor):
                 f"tiled shard {index} failed: {type(error).__name__}: {error}"
             ) from error
         return results
-
-    def _fold_results(self, results: list[ShardResult]) -> None:
-        """Merge per-shard results into the executor-level surface."""
-        rounds = {result.rounds for result in results}
-        if len(rounds) != 1:
-            raise InterpretationError(
-                f"shards diverged: delivery-round counts {sorted(rounds)} "
-                f"are not uniform across the SPMD fabric"
-            )
-        first = results[0]
-        # Per-PE counters accumulate across runs (the other backends keep
-        # one live state whose counters only ever grow); statistics fold
-        # the *cumulative* counters per run, exactly as the vectorized
-        # backend's collection pass reads its live counter dict.
-        for name, value in first.counters.items():
-            self._pe_counters[name] += value
-        shard_statistics = [
-            SimulationStatistics(
-                max_pe_memory_bytes=result.pe_memory_bytes,
-                seam_spins=result.seam_spins,
-                seam_backoffs=result.seam_backoffs,
-                **{
-                    name: self._pe_counters[name] * pes
-                    for name in PE_COUNTER_NAMES
-                },
-            )
-            for result, pes in zip(results, self._shard_pe_counts())
-        ]
-        # Barrier waits are SPMD-uniform (every shard enters the same
-        # rendezvous), so the count comes from one shard — summing would
-        # just multiply it by the shard count.
-        self.statistics = SimulationStatistics.merge(
-            [
-                self.statistics,
-                SimulationStatistics(
-                    rounds=rounds.pop(),
-                    barrier_waits=first.barrier_waits,
-                ),
-            ]
-            + shard_statistics
-        )
-        self._variables = dict(first.variables)
-        self._halted = first.halted
-
-    def _shard_pe_counts(self) -> list[int]:
-        return [(y1 - y0) * (x1 - x0) for y0, y1, x0, x1 in self.boxes]
-
-    # -- unused base hooks (this backend drives rounds in its shards) ---- #
-
-    def _drain_tasks(self) -> None:  # pragma: no cover
-        raise AssertionError("tiled drives delivery rounds inside its shards")
-
-    def _all_settled(self) -> bool:  # pragma: no cover
-        raise AssertionError("tiled drives delivery rounds inside its shards")
-
-    def _deliver_round(self) -> int:  # pragma: no cover
-        raise AssertionError("tiled drives delivery rounds inside its shards")
-
-    def _collect_statistics(self) -> None:  # pragma: no cover
-        raise AssertionError("tiled folds statistics per shard result")
-
-
-class _TiledPeView:
-    """One PE's slice of the shared grid, mirroring the vectorized view."""
-
-    def __init__(self, executor: TiledExecutor, x: int, y: int):
-        self._executor = executor
-        self.x = x
-        self.y = y
-
-    @property
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {
-            name: array[self.y, self.x]
-            for name, array in self._executor.buffers.items()
-        }
-
-    @property
-    def counters(self) -> dict[str, int]:
-        return self._executor._pe_counters
-
-    @property
-    def variables(self) -> dict[str, float]:
-        return self._executor._variables
-
-    @property
-    def halted(self) -> bool:
-        return self._executor._halted
-
-    def memory_in_use(self) -> int:
-        return self._executor.plan.memory_per_pe_bytes()

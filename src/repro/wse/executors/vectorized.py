@@ -10,16 +10,21 @@ backend exploits that structure:
   array, so a DSD compute builtin executes as a single whole-grid NumPy
   operation instead of ``width × height`` independent 1-D updates;
 * the program image is interpreted **once** per delivery round against the
-  shared scalar state (:class:`GridState` quacks like one
-  :class:`~repro.wse.pe.ProcessingElement`);
+  shared scalar state (:class:`~repro.wse.executors.grid.GridState` quacks
+  like one :class:`~repro.wse.pe.ProcessingElement`);
 * the chunked halo exchange of ``CommsRuntime`` becomes shifted-slice array
   copies: the data PE ``(x, y)`` pulls from its ``(x+dx, y+dy)`` neighbour is
   the source array shifted by ``(-dy, -dx)``.  The fabric border dispatches
   on the program's :class:`~repro.frontends.common.BoundaryCondition` —
   constant fill (``dirichlet``), wrapped rows/columns (``periodic``) or
   edge-mirrored rows/columns (``reflect``) — through the per-direction
-  fold/gather tables the :class:`~repro.wse.plan.ExecutionPlan` compiled
-  ahead of execution (the same tables the per-PE reference runtime reads).
+  fold tables the :class:`~repro.wse.plan.ExecutionPlan` compiled ahead of
+  execution (the same tables the per-PE reference runtime reads).
+
+The host side — field load/read, per-PE views, the per-PE-uniform
+statistics fold — is :class:`~repro.wse.executors.grid.GridExecutor`'s,
+shared with the kernel executors, so ``vectorized`` differs from them only
+in how a round executes: interpreted here, a generated kernel there.
 
 The arithmetic performed per element is identical to the reference backend
 (same NumPy ufuncs, same order), so results are bit-identical — the golden
@@ -30,68 +35,18 @@ where a scalar is required and fail loudly rather than mis-execute.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.wse.dsd import Dsd
-from repro.wse.executors.base import (
-    Executor,
-    missing_field_error,
-    register_executor,
-)
+from repro.wse.executors.base import register_executor
+from repro.wse.executors.grid import GridExecutor
 from repro.wse.interpreter import PeInterpreter, ProgramImage
-from repro.wse.pe import ActivatedTask, PendingExchange, new_pe_counters
+from repro.wse.pe import ActivatedTask, PendingExchange
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wse.plan import ExecutionPlan
-
-
-class GridState:
-    """Lockstep state of the whole fabric, presented as one virtual PE.
-
-    Buffers hold every PE's column at once (``(height, width, z)``); the
-    scalar state — variables, task queue, pending exchange, halt flag,
-    activity counters — is stored once because it is uniform across PEs.
-    The attribute surface mirrors :class:`~repro.wse.pe.ProcessingElement`
-    so :class:`LockstepInterpreter` can drive it unchanged.
-    """
-
-    def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
-        #: whole-grid buffers, keyed by the csl.zeros symbol name.
-        self.buffers: dict[str, np.ndarray] = {}
-        #: module-scope scalar variables (uniform across PEs).
-        self.variables: dict[str, float] = {}
-        #: queue of activated tasks awaiting execution (uniform).
-        self.task_queue: deque[ActivatedTask] = deque()
-        #: exchange scheduled by csl.comms_exchange, awaiting delivery.
-        self.pending_exchange: PendingExchange | None = None
-        #: set once the program returns control to the host.
-        self.halted = False
-        #: per-PE activity counters (each PE performs identical work).
-        self.counters: dict[str, int] = new_pe_counters()
-
-    def allocate(self, name: str, size: int) -> None:
-        if name not in self.buffers:
-            self.buffers[name] = np.zeros(
-                (self.height, self.width, size), dtype=np.float32
-            )
-
-    def activate(self, task: ActivatedTask) -> None:
-        self.task_queue.append(task)
-
-    @property
-    def is_idle(self) -> bool:
-        return not self.task_queue and self.pending_exchange is None
-
-    def memory_in_use(self) -> int:
-        """Bytes in use on *one* PE (every PE holds the same buffers)."""
-        return sum(
-            buffer.shape[-1] * buffer.itemsize for buffer in self.buffers.values()
-        )
 
 
 class LockstepInterpreter(PeInterpreter):
@@ -167,7 +122,7 @@ def deliver_exchange_chunks(
 
 
 @register_executor
-class VectorizedExecutor(Executor):
+class VectorizedExecutor(GridExecutor):
     """Interpret the program image once; execute ops as whole-grid math."""
 
     name = "vectorized"
@@ -180,45 +135,9 @@ class VectorizedExecutor(Executor):
         plan: "ExecutionPlan | None" = None,
     ):
         super().__init__(image, width, height, plan)
-        self.state = GridState(width, height)
         self.interpreter = LockstepInterpreter(image, self.state, self.plan)
-        self.interpreter.initialise()
-        self._grid_views: list[list[_PeView]] | None = None
         #: the boundary condition the plan was compiled against.
         self.boundary = self.plan.boundary
-
-    # ------------------------------------------------------------------ #
-    # Host-side data movement
-    # ------------------------------------------------------------------ #
-
-    def _field_array(self, name: str) -> np.ndarray:
-        try:
-            return self.state.buffers[name]
-        except KeyError:
-            raise missing_field_error(name, self.state.buffers, (0, 0)) from None
-
-    def load_field(self, name: str, columns: np.ndarray) -> None:
-        array = self._field_array(name)
-        self._check_columns(name, columns, array.shape[-1])
-        # Host arrays are (width, height, z); grid arrays are (height, width, z).
-        array[:] = columns.transpose(1, 0, 2).astype(np.float32)
-
-    def read_field(self, name: str) -> np.ndarray:
-        array = self._field_array(name)
-        return np.ascontiguousarray(array.transpose(1, 0, 2))
-
-    def pe(self, x: int, y: int) -> "_PeView":
-        self._check_pe_coords(x, y)
-        return _PeView(self.state, x, y)
-
-    @property
-    def grid(self) -> list[list["_PeView"]]:
-        if self._grid_views is None:
-            self._grid_views = [
-                [_PeView(self.state, x, y) for x in range(self.width)]
-                for y in range(self.height)
-            ]
-        return self._grid_views
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -246,16 +165,16 @@ class VectorizedExecutor(Executor):
 
         The boundary folding was resolved at plan time: under
         ``periodic``/``reflect`` every coordinate folds onto the fabric and
-        the whole grid is one fancy-index gather over the plan's index
+        the whole grid is one fancy-index gather over the plan's fold
         tables; under ``dirichlet`` the in-fabric rectangle the plan
         precomputed is a shifted-slice copy over a constant-fill background.
         """
-        indices = self.plan.gather_indices(direction)
-        if indices is not None:
-            rows, cols = indices
+        table = self.plan.halo_table(direction)
+        if table.gatherable:
+            rows = np.asarray(table.rows, dtype=np.intp)[:, None]
+            cols = np.asarray(table.cols, dtype=np.intp)[None, :]
             # Fancy indexing gathers a fresh (height, width, chunk) copy.
             return source[rows, cols, start:stop]
-        table = self.plan.halo_table(direction)
         dx, dy = direction
         out = np.full(
             (self.height, self.width, stop - start),
@@ -284,56 +203,3 @@ class VectorizedExecutor(Executor):
         )
         deliver_exchange_chunks(self.state, self.interpreter, exchange, staged)
         return self.width * self.height
-
-    # ------------------------------------------------------------------ #
-
-    def _collect_statistics(self) -> None:
-        stats = self.statistics
-        num_pes = self.width * self.height
-        counters = self.state.counters
-        stats.tasks_run += counters["tasks_run"] * num_pes
-        stats.exchanges += counters["exchanges"] * num_pes
-        stats.dsd_ops += counters["dsd_ops"] * num_pes
-        stats.dsd_elements += counters["dsd_elements"] * num_pes
-        stats.wavelets_sent += counters["wavelets_sent"] * num_pes
-        stats.max_pe_memory_bytes = max(
-            stats.max_pe_memory_bytes, self.state.memory_in_use()
-        )
-
-
-class _PeView:
-    """One PE's slice of the lockstep grid state.
-
-    Mirrors the read surface of :class:`~repro.wse.pe.ProcessingElement`
-    (``buffers``, ``counters``, ``memory_in_use()``) so the performance model
-    and tests can inspect any PE regardless of the active backend.  The
-    counters dict is the shared per-PE-uniform one: lockstep execution means
-    every PE performed exactly the same work.
-    """
-
-    def __init__(self, state: GridState, x: int, y: int):
-        self._state = state
-        self.x = x
-        self.y = y
-
-    @property
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {
-            name: array[self.y, self.x]
-            for name, array in self._state.buffers.items()
-        }
-
-    @property
-    def counters(self) -> dict[str, int]:
-        return self._state.counters
-
-    @property
-    def variables(self) -> dict[str, float]:
-        return self._state.variables
-
-    @property
-    def halted(self) -> bool:
-        return self._state.halted
-
-    def memory_in_use(self) -> int:
-        return self._state.memory_in_use()

@@ -25,8 +25,8 @@ that out of the hot loop, once, ahead of execution:
 
 The plan is *backend-neutral*: the ``reference`` executor reads per-PE
 neighbour coordinates out of the same tables the ``vectorized`` executor
-turns into whole-grid fancy-index gathers and the ``tiled`` executor
-restricts to its shard boxes.  Plans are deterministic — compiling the same
+turns into whole-grid fancy-index gathers and the kernel executors
+restrict to their shard boxes.  Plans are deterministic — compiling the same
 image twice yields equal plans — and versioned (:data:`PLAN_VERSION`), so
 run-level artifact fingerprints can fold the planning semantics in.
 """
@@ -35,9 +35,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
-
-import numpy as np
 
 from repro.dialects import csl
 from repro.frontends.common import BoundaryCondition
@@ -156,12 +155,26 @@ class ShardGeometry:
     ``[row_edges[j], row_edges[j+1])``.  Bands are nearly equal — the first
     ``extent % k`` bands are one wider — matching the historical tiled
     decomposition.  The geometry is the shared vocabulary between the plan
-    (seam publication sets), the codegen (shard-box kernels) and the tiled
-    executor (one thread per shard), so it canonicalises for fingerprints.
+    (seam publication sets), the codegen (shard-box kernels) and the kernel
+    executors (one kernel per shard), so it canonicalises for fingerprints.
+    :meth:`build` returns one instance per fabric and shard grid, whose
+    boxes are computed once.
     """
 
     row_edges: tuple[int, ...]
     col_edges: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "_boxes",
+            tuple(
+                (self.row_edges[j], self.row_edges[j + 1],
+                 self.col_edges[i], self.col_edges[i + 1])
+                for j in range(len(self.row_edges) - 1)
+                for i in range(len(self.col_edges) - 1)
+            ),
+        )
 
     @staticmethod
     def _edges(extent: int, k: int) -> tuple[int, ...]:
@@ -172,6 +185,7 @@ class ShardGeometry:
         return tuple(edges)
 
     @classmethod
+    @lru_cache(maxsize=256)
     def build(cls, width: int, height: int, kx: int, ky: int) -> "ShardGeometry":
         if not (1 <= kx <= width and 1 <= ky <= height):
             raise ValueError(
@@ -197,12 +211,7 @@ class ShardGeometry:
 
     def boxes(self) -> tuple[tuple[int, int, int, int], ...]:
         """All shard boxes ``(y0, y1, x0, x1)``, row-major (bands outer)."""
-        return tuple(
-            (self.row_edges[j], self.row_edges[j + 1],
-             self.col_edges[i], self.col_edges[i + 1])
-            for j in range(self.ky)
-            for i in range(self.kx)
-        )
+        return self._boxes
 
     def canonical(self) -> dict:
         return {"row_edges": list(self.row_edges), "col_edges": list(self.col_edges)}
@@ -277,9 +286,6 @@ class ExecutionPlan:
         #: (host-side probes); kept out of ``halo_tables`` so reads never
         #: change the canonical form of the plan.
         self._probe_tables: dict[tuple[int, int], HaloTable] = {}
-        self._gather_cache: dict[
-            tuple[int, int], tuple[np.ndarray, np.ndarray] | None
-        ] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -360,24 +366,6 @@ class ExecutionPlan:
             table = build_halo_table(self.boundary, key, self.width, self.height)
             self._probe_tables[key] = table
         return table
-
-    def gather_indices(
-        self, direction: tuple[int, int]
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Per-axis fancy-index vectors for a whole-grid gather along
-        ``direction``, or ``None`` when the direction needs the Dirichlet
-        constant-fill path.  Cached as ready-to-broadcast NumPy arrays."""
-        key = (direction[0], direction[1])
-        if key not in self._gather_cache:
-            table = self.halo_table(key)
-            if table.gatherable:
-                self._gather_cache[key] = (
-                    np.asarray(table.rows, dtype=np.intp)[:, None],
-                    np.asarray(table.cols, dtype=np.intp)[None, :],
-                )
-            else:
-                self._gather_cache[key] = None
-        return self._gather_cache[key]
 
     def neighbor(
         self, direction: tuple[int, int], x: int, y: int

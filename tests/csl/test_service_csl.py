@@ -85,12 +85,16 @@ class TestRunServiceCsl:
     def test_a_declined_codegen_fails_the_run_and_stores_nothing(
         self, executor, sources, tmp_path, monkeypatch
     ):
-        def declined(image, plan, store=None):
+        def declined(image, plan, store=None, box=None, geometry=None):
             raise KernelCodegenError("test: declined")
 
         cache = str(tmp_path)
         with monkeypatch.context() as patch:
-            patch.setattr("repro.service.run.get_kernel", declined)
+            # A memo miss, then a codegen that declines.
+            patch.setattr(
+                "repro.wse.executors.tiled.cached_kernel", lambda *args: None
+            )
+            patch.setattr("repro.wse.executors.tiled.get_kernel", declined)
             with pytest.raises(KernelCodegenError, match="test: declined"):
                 RunService(cache_dir=cache).run_csl(sources, executor=executor)
         fresh = RunService(cache_dir=cache)

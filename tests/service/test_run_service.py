@@ -326,7 +326,34 @@ class TestKernelStore:
         assert kernel_cache_statistics().codegens == 0
         assert artifact.kernel_cache["served_from"] == "store"
         executor = built[0].executor
-        assert artifact.kernel_cache["fingerprint"] == executor.kernel_fingerprint
+        assert executor.kernel_fingerprints == (
+            artifact.kernel_cache["fingerprint"],
+        )
+
+    @pytest.mark.parametrize("executor", ["compiled", "auto"])
+    def test_the_warmed_kernel_is_the_one_the_executor_binds(
+        self, executor, monkeypatch
+    ):
+        """The service warms the kernel through the executor's own
+        resolution (the 1x1 box of the whole fabric), so the bind that
+        follows is a memo hit on exactly that kernel."""
+        program, options = _config(grid=4, steps=3)
+        built = []
+
+        def capturing(*args, **kwargs):
+            before = kernel_cache_statistics().codegens
+            simulator = WseSimulator(*args, **kwargs)
+            built.append((simulator, kernel_cache_statistics().codegens - before))
+            return simulator
+
+        monkeypatch.setattr("repro.service.run.WseSimulator", capturing)
+        with RunService() as service:
+            artifact = service.run(program, options, executor=executor, seed=77)
+        ((simulator, bind_codegens),) = built
+        assert simulator.executor.kernel_fingerprints == (
+            artifact.kernel_cache["fingerprint"],
+        )
+        assert bind_codegens == 0
 
     def test_auto_artifact_is_the_compiled_run_stamped(self):
         program, options = _config(grid=4, steps=2)
@@ -346,13 +373,17 @@ class TestKernelStore:
     ):
         """No interpreting fallback in the service either: the run raises
         and leaves no artifact, so the next run simulates afresh."""
-        def declined(image, plan, store=None):
+        def declined(image, plan, store=None, box=None, geometry=None):
             raise KernelCodegenError("test: declined")
 
         program, options = _config(grid=4, steps=3)
         seed = 4242  # a run no other test has stored
         with monkeypatch.context() as patch:
-            patch.setattr("repro.service.run.get_kernel", declined)
+            # A memo miss, then a codegen that declines.
+            patch.setattr(
+                "repro.wse.executors.tiled.cached_kernel", lambda *args: None
+            )
+            patch.setattr("repro.wse.executors.tiled.get_kernel", declined)
             with RunService() as service:
                 with pytest.raises(KernelCodegenError, match="test: declined"):
                     service.run(program, options, executor=executor, seed=seed)

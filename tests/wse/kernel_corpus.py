@@ -2,20 +2,23 @@
 
 Every kernel here is generated exactly as :func:`repro.wse.codegen.get_kernel`
 generates it on a cache miss — source text with its fingerprint header — for
-the module and plan a simulator bind uses:
+the module and plan a simulator bind uses.  There is one kernel kind, the
+kernel of one box of a shard geometry:
 
-* the whole-grid kernel (``compiled``) of the seven benchmarks under each of
-  the three boundary modes;
+* the whole-fabric kernel — the only box of the 1x1 geometry, the kernel
+  ``compiled`` and ``auto`` bind (pin ``<benchmark>/<mode>/grid``) — of the
+  seven benchmarks under each of the three boundary modes;
 * the four 2x2 shard-box kernels (``tiled``) of Jacobian, Seismic and UVKBE
   under each boundary mode.
 
 Grids follow the golden equivalence matrix: 9x9 for the 25-point kernels
 (Seismic's radius-4 halo is then wider than a shard's short side), 6x6 for
 the rest; nz 12, two time steps, two chunks.  All of them fit one row band.
-The row-banded emission is pinned by three 64x64 whole-grid kernels at the
-``sim_compiled_64`` benchmark's sizes (:data:`BANDED`) and by the first
-shard box of a 1x2 row-band decomposition of Jacobian 64x64 z256 under
-Dirichlet and periodic boundaries (:data:`BANDED_BOXES`).
+The row-banded emission is pinned by three 64x64 whole-fabric kernels at
+the ``sim_compiled_64`` benchmark's sizes (:data:`BANDED`, pin
+``.../grid64``) and by the first shard box of a 1x2 row-band decomposition
+of Jacobian 64x64 z256 under Dirichlet and periodic boundaries
+(:data:`BANDED_BOXES`).
 
 ``python tests/wse/kernel_corpus.py`` rewrites ``data/kernel_digests.json``
 from the generator it imports.  Rewrite it only for an intended change of the
@@ -50,7 +53,8 @@ SHARDED = ("Jacobian", "Seismic", "UVKBE")
 
 SHARD_GRID = (2, 2)
 
-#: banded whole-grid kernels: (benchmark, boundary, nz, time steps) on 64x64.
+#: banded whole-fabric kernels: (benchmark, boundary, nz, time steps) on
+#: 64x64.
 BANDED = (
     ("Jacobian", BoundaryCondition.dirichlet(), 256, 12),
     ("Seismic", BoundaryCondition.dirichlet(), 128, 6),

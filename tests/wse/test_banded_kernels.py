@@ -1,6 +1,6 @@
 """Row-banded kernels: byte-identical at any band height.
 
-A whole-grid or shard-box kernel whose views outgrow
+A kernel — whole fabric or shard box — whose views outgrow
 ``codegen._BAND_BYTES`` runs each chain of DSD builtins one row band at a
 time.  Banding only reorders work across rows, so every band height must
 give the fields and :class:`SimulationStatistics` of ``vectorized``
@@ -8,9 +8,10 @@ exactly.  The small grids of
 the golden matrix fit one band at the shipped constant, so these tests force
 1- and 2-row bands (the 9x9 grids then end on a ragged band).
 
-The kernel memo is keyed by fingerprint, which the band height does not
-enter, so every case compiles a fresh module and empties the memo before and
-after running.
+The kernel memo and the fleet-wide source store are keyed by fingerprint,
+which the band height does not enter, so every case compiles a fresh
+module, empties the memo before and after running, and binds with the
+source store out of the way.
 """
 
 from dataclasses import replace
@@ -44,7 +45,9 @@ BOUNDARIES = (
 
 
 @pytest.fixture(autouse=True)
-def _fresh_kernel_cache():
+def _fresh_kernel_cache(monkeypatch):
+    # The band height is not in the fingerprint: keep the store out.
+    monkeypatch.setattr(tiled, "_shard_kernel_store", lambda: None)
     reset_kernel_cache()
     yield
     reset_kernel_cache()
@@ -112,8 +115,6 @@ def test_banded_box_goldens_match_vectorized(monkeypatch, name, boundary, rows):
     )
     module = _compile(program, grid, boundary)
     _force_rows(monkeypatch, module, grid, rows)
-    # The band height is not in the fingerprint: keep the store out.
-    monkeypatch.setattr(tiled, "_shard_kernel_store", lambda: None)
     monkeypatch.setattr(tiled, "shard_grid", lambda w, h, cpus=None: (1, 2))
     executor = tiled.TiledExecutor(bound_image(module), grid, grid)
     assert all("for r0, r1 in BANDS:" in k.source for k in executor._kernels)

@@ -20,6 +20,7 @@ from repro.benchmarks import benchmark_by_name
 from repro.dialects import arith, csl
 from repro.ir.attributes import FloatAttr, IntAttr, StringAttr
 from repro.ir.types import MemRefType, f32
+from repro.service.cache import REPRO_CACHE_DIR_ENV
 from repro.service.run import RunService
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.codegen import (
@@ -38,7 +39,9 @@ FIELDS = ("u", "v")
 
 
 @pytest.fixture(autouse=True)
-def _fresh_counters():
+def _fresh_counters(monkeypatch, tmp_path):
+    """Each test counts against its own memo and an empty source store."""
+    monkeypatch.setenv(REPRO_CACHE_DIR_ENV, str(tmp_path / "store"))
     reset_kernel_cache()
     yield
     reset_kernel_cache()
@@ -158,8 +161,13 @@ class TestStaleness:
         assert after.plan is not before.plan
         assert _image_facts(after.image) == _image_facts(image)
         assert after.plan.canonical() == plan.canonical()
-        assert after.executor.kernel_fingerprint == kernel_fingerprint(image, plan)
-        assert after.executor.kernel_fingerprint != before.executor.kernel_fingerprint
+        assert after.executor.kernel_fingerprints == (
+            kernel_fingerprint(image, plan),
+        )
+        assert (
+            after.executor.kernel_fingerprints
+            != before.executor.kernel_fingerprints
+        )
 
         _, expected = _run(pristine, "reference")
         for name in FIELDS:
@@ -186,9 +194,11 @@ class TestStaleness:
         second = WseSimulator(module, executor="compiled")
         image = ProgramImage(module.clone())
         plan = ExecutionPlan.compile(image, GRID, GRID)
-        assert second.executor.kernel_fingerprint == kernel_fingerprint(image, plan)
+        assert second.executor.kernel_fingerprints == (
+            kernel_fingerprint(image, plan),
+        )
         assert (
-            second.executor.kernel_fingerprint != first.executor.kernel_fingerprint
+            second.executor.kernel_fingerprints != first.executor.kernel_fingerprints
         )
 
     def test_equal_modules_compiled_separately_share_one_kernel(self):
@@ -196,7 +206,7 @@ class TestStaleness:
         second = WseSimulator(_module(), executor="compiled")
         assert first.image is not second.image
         assert (
-            first.executor.kernel_fingerprint == second.executor.kernel_fingerprint
+            first.executor.kernel_fingerprints == second.executor.kernel_fingerprints
         )
         statistics = kernel_cache_statistics()
         assert (statistics.codegens, statistics.memory_hits) == (1, 1)
@@ -234,7 +244,7 @@ class TestStaleness:
         third, fields = _run(image, "compiled")
         assert third.image is image and third.plan is not first.plan
         assert (
-            third.executor.kernel_fingerprint != first.executor.kernel_fingerprint
+            third.executor.kernel_fingerprints != first.executor.kernel_fingerprints
         )
         _, expected = _run(module.clone(), "reference")
         for name in FIELDS:

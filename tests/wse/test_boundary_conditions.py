@@ -180,8 +180,8 @@ class TestKernelBackendsPerBoundaryMode:
     def test_one_shard_tiled_matches_vectorized(
         self, monkeypatch, name, boundary
     ):
-        """A 1-shard grid: its one box is the whole fabric, driven through
-        the same barrier protocol with a barrier of one."""
+        """A 1-shard grid: its one box is the whole fabric, run by one
+        ``run_block`` call of its kernel — no barrier."""
         monkeypatch.setenv(SHARD_ENV_VAR, "1")
         program, module = self._compile(name, boundary)
         simulator = WseSimulator(module, executor="tiled")
@@ -189,7 +189,7 @@ class TestKernelBackendsPerBoundaryMode:
         stats = self._assert_matches_vectorized(
             "tiled", program, module, f"1-shard tiled/{name}/{boundary.spec}"
         )
-        assert stats.barrier_waits == stats.rounds + 1
+        assert stats.barrier_waits == 0
 
 
 class TestAnalyticPeriodicAdvection:

@@ -1,21 +1,25 @@
-"""The compiled backend's own mechanics: codegen, cache, declines, ``auto``.
+"""The kernel executor's own mechanics: codegen, cache, drivers, ``auto``.
 
 The heavyweight numerical guarantees (byte-identical fields and statistics
 against every other backend, on every benchmark and boundary mode, plus
 the pre-plan golden digests) live in ``test_executor_equivalence.py``,
 ``test_boundary_conditions.py`` and ``test_execution_plan.py``.  This file
-covers what is specific to the ``compiled`` backend itself:
+covers what is specific to the generated kernels and the executor that
+runs them (``tiled``; ``compiled`` is its 1x1 case):
 
 * **deterministic emission** — the same image and plan always produce
   byte-identical kernel source (what makes the content fingerprint and the
   fleet-wide source store sound), pinned through the
   ``REPRO_COMPILED_DUMP`` debug dump;
 * **the two delivery forms** — staged delivery stays byte-identical to the
-  direct-to-receive form every benchmark qualifies for, in whole-grid and
-  shard-box kernels alike;
-* **the kernel cache** — memo hits, store round-trips and their counters;
-* **the round budget** — one ``run_block`` call per run, with the
-  interpreted loop's budget and deadlock edges;
+  direct-to-receive form every benchmark qualifies for, on the whole
+  fabric and on shard boxes alike;
+* **the kernel cache** — memo hits, store round-trips and their counters,
+  and one kernel per fabric whichever kernel backend binds it;
+* **the round drivers** — a sole shard's one ``run_block`` call per run
+  and the seam protocol of several shards share the interpreted loop's
+  budget and deadlock edges, and a sole shard starts no thread and enters
+  no barrier;
 * **a declined codegen** — a program the generator cannot fuse is refused
   at construction, pointing at ``vectorized``;
 * **``auto``** — the compiled backend under its registered name, whatever
@@ -23,6 +27,7 @@ covers what is specific to the ``compiled`` backend itself:
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -32,6 +37,7 @@ from repro.benchmarks.definitions import ALL_BENCHMARKS
 from repro.dialects import csl
 from repro.frontends.common import BoundaryCondition
 from repro.ir.exceptions import InterpretationError
+from repro.service.cache import REPRO_CACHE_DIR_ENV
 from repro.service.kernels import KernelSourceStore
 from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
@@ -46,6 +52,7 @@ from repro.wse.codegen import (
     kernel_fingerprint,
     reset_kernel_cache,
 )
+from repro.wse.executors import tiled
 from repro.wse.executors.auto import RATIONALE
 from repro.wse.interpreter import ProgramImage
 from repro.wse.plan import ExecutionPlan, ShardGeometry
@@ -53,11 +60,30 @@ from repro.wse.simulator import WseSimulator
 
 
 @pytest.fixture(autouse=True)
-def _fresh_kernel_cache():
-    """Each test observes its own memo and counters."""
+def _fresh_kernel_cache(monkeypatch, tmp_path):
+    """Each test observes its own memo, counters and (empty) fleet-wide
+    source store."""
+    monkeypatch.setenv(REPRO_CACHE_DIR_ENV, str(tmp_path / "store"))
     reset_kernel_cache()
     yield
     reset_kernel_cache()
+
+
+#: the kernel executor's configurations: ``compiled``, and ``tiled`` with
+#: its shard grid fixed at one shard and at two row bands.
+KERNEL_CONFIGS = {
+    "compiled": ("compiled", None),
+    "tiled-1x1": ("tiled", (1, 1)),
+    "tiled-1x2": ("tiled", (1, 2)),
+}
+
+
+def _kernel_executor(monkeypatch, config: str) -> str:
+    """The executor name of ``config``, with its shard grid fixed."""
+    executor, grid = KERNEL_CONFIGS[config]
+    if grid is not None:
+        monkeypatch.setattr(tiled, "shard_grid", lambda w, h, cpus=None: grid)
+    return executor
 
 
 def _image(grid=4, name="Jacobian", steps=2):
@@ -122,16 +148,15 @@ class TestDeterministicEmission:
 def _assert_staged_matches_direct(monkeypatch, executor, grid=None):
     """Every benchmark's exchanges qualify for direct-to-receive delivery;
     the staged form (all chunks copied aside before any receive callback
-    runs) is what a kernel — whole-grid or shard box — falls back to when
+    runs) is what a kernel — whole fabric or shard box — falls back to when
     the write-set analysis cannot prove that safe.  Force it and compare."""
     from repro.wse.codegen import _KernelEmitter
-    from repro.wse.executors import tiled
 
     program, module, image, plan = _image(grid=5, name="Seismic")
+    # The source store would serve the direct kernels back.
+    monkeypatch.setattr(tiled, "_shard_kernel_store", lambda: None)
     boxes, geometry = [None], None
     if grid is not None:
-        # The source store would serve the direct kernels back.
-        monkeypatch.setattr(tiled, "_shard_kernel_store", lambda: None)
         monkeypatch.setattr(tiled, "shard_grid", lambda w, h, cpus=None: grid)
         geometry = ShardGeometry.build(5, 5, *grid)
         boxes = geometry.boxes()
@@ -176,8 +201,8 @@ class TestDeliveryForms:
     def test_exchanges_sharing_a_receive_buffer_refill_their_borders(self):
         """Regression: two equations per step exchange through one receive
         slab, so each delivery lands data on the cells the other expects its
-        Dirichlet fill in — the fill-once shortcut must not apply, on a
-        whole grid or on shard boxes."""
+        Dirichlet fill in — the fill-once shortcut must not apply, on the
+        whole fabric or on shard boxes."""
         from repro.frontends.common import (
             Constant,
             FieldAccess,
@@ -270,35 +295,57 @@ class TestKernelCache:
         assert statistics.codegens == 1
         assert statistics.memory_hits == 1
 
+    def test_one_kernel_per_fabric(self, monkeypatch):
+        """``compiled``, ``auto`` and one-shard ``tiled`` bind the one
+        kernel of the whole fabric — the kernel ``get_kernel`` serves when
+        no box is named."""
+        _, module, image, plan = _image()
+        monkeypatch.setattr(tiled, "shard_grid", lambda w, h, cpus=None: (1, 1))
+        bound = {
+            executor: WseSimulator(module, executor=executor)
+            .executor.kernel_fingerprints
+            for executor in ("compiled", "auto", "tiled")
+        }
+        assert set(bound.values()) == {(kernel_fingerprint(image, plan),)}
+        assert kernel_cache_statistics().codegens == 1
 
-def _stall_drain(simulator) -> None:
-    """Make the executor's task drain a no-op, leaving queued work that no
-    drain runs and no exchange delivers — the state the deadlock guard is
-    for.  No image reaches it on its own (a drain always empties the queue
-    unless the program halted), so the tests stall the drain to get there.
-    """
-    executor = simulator.executor
-    if executor.name == "vectorized":
-        executor._drain_tasks = lambda: None
-        return
-    run_block = executor.kernel["run_block"]
-    cells = dict(zip(run_block.__code__.co_freevars, run_block.__closure__))
-    cells["drain"].cell_contents = lambda: None
+
+def _stall_drain(monkeypatch) -> None:
+    """Make every task drain a no-op, leaving queued work that no drain
+    runs and no exchange delivers — the state the deadlock guard is for.
+    No image reaches it on its own (a drain always empties the queue
+    unless the program halted), so the tests stall the drain to get there:
+    the interpreter's, and in every kernel bound from now on both the
+    ``drain`` hook the seam protocol calls and the one ``run_block`` calls."""
+    from repro.wse.executors.vectorized import VectorizedExecutor
+
+    monkeypatch.setattr(VectorizedExecutor, "_drain_tasks", lambda self: None)
+    instantiate = codegen.CompiledKernel.instantiate
+
+    def stalled(self, state, plan):
+        hooks = instantiate(self, state, plan)
+        hooks["drain"] = lambda: None
+        run_block = hooks["run_block"]
+        cells = dict(zip(run_block.__code__.co_freevars, run_block.__closure__))
+        cells["drain"].cell_contents = lambda: None
+        return hooks
+
+    monkeypatch.setattr(codegen.CompiledKernel, "instantiate", stalled)
 
 
 class TestRoundBudget:
-    """``compiled`` runs a whole run through one ``run_block`` call; its
-    round-budget and deadlock edges must be the interpreted loop's, case for
-    case.  A budget counts round iterations including the final settling
-    one, so a run that delivers R rounds needs a budget of R + 1."""
-
-    EXECUTORS = ("vectorized", "compiled")
+    """Both round drivers — a sole shard's one ``run_block`` call and the
+    seam protocol of several — must keep the interpreted loop's
+    round-budget and deadlock edges, case for case.  A budget counts round
+    iterations including the final settling one, so a run that delivers R
+    rounds needs a budget of R + 1."""
 
     def _launched(self, module, executor):
         simulator = WseSimulator(module, executor=executor)
         simulator.launch()
         return simulator
 
+    @pytest.mark.parametrize("config", KERNEL_CONFIGS)
     @pytest.mark.parametrize(
         "name, expected_rounds",
         # Three time steps: one delivery round per step, two on UVKBE,
@@ -316,34 +363,47 @@ class TestRoundBudget:
             )
         ],
     )
-    def test_budget_edges_match_the_interpreted_loop(self, name, expected_rounds):
+    def test_budget_edges_match_the_interpreted_loop(
+        self, monkeypatch, config, name, expected_rounds
+    ):
+        executor = _kernel_executor(monkeypatch, config)
+        sole = KERNEL_CONFIGS[config][1] in (None, (1, 1))
         _, module, _, _ = _image(name=name, steps=3)
         rounds = WseSimulator(module, executor="vectorized").execute().rounds
         assert rounds == expected_rounds
-        for executor in self.EXECUTORS:
-            simulator = self._launched(module, executor)
+        for backend in ("vectorized", executor):
+            simulator = self._launched(module, backend)
             assert simulator.run(max_rounds=rounds + 1).rounds == rounds
-            simulator = self._launched(module, executor)
+            simulator = self._launched(module, backend)
             with pytest.raises(
                 InterpretationError, match=f"simulation exceeded {rounds} rounds"
             ):
                 simulator.run(max_rounds=rounds)
-            assert simulator.statistics.rounds == rounds, executor
+            # A failed run of several shards folds nothing into the
+            # statistics; run_block counts the rounds it ran.
+            expected = rounds if sole or backend == "vectorized" else 0
+            assert simulator.statistics.rounds == expected, backend
 
-    def test_deadlock_is_diagnosed_on_both(self):
+    @pytest.mark.parametrize("config", ("vectorized", *KERNEL_CONFIGS))
+    def test_deadlock_is_diagnosed(self, monkeypatch, config):
+        executor = (
+            config if config == "vectorized"
+            else _kernel_executor(monkeypatch, config)
+        )
         _, module, _, _ = _image()
-        for executor in self.EXECUTORS:
-            simulator = self._launched(module, executor)
-            _stall_drain(simulator)
-            with pytest.raises(
-                InterpretationError,
-                match="deadlock: PEs are neither halted nor waiting",
-            ):
-                simulator.run()
+        _stall_drain(monkeypatch)
+        simulator = self._launched(module, executor)
+        with pytest.raises(
+            InterpretationError,
+            match="deadlock: PEs are neither halted nor waiting",
+        ):
+            simulator.run()
 
-    def test_a_settled_run_is_one_run_block_call(self):
+    @pytest.mark.parametrize("config", ("compiled", "tiled-1x1"))
+    def test_a_settled_run_is_one_run_block_call(self, monkeypatch, config):
+        executor = _kernel_executor(monkeypatch, config)
         _, module, _, _ = _image(steps=3)
-        simulator = WseSimulator(module, executor="compiled")
+        simulator = WseSimulator(module, executor=executor)
         hooks = simulator.executor.kernel
         budgets = []
         run_block = hooks["run_block"]
@@ -357,6 +417,25 @@ class TestRoundBudget:
         statistics = simulator.run(max_rounds=50)
         assert statistics.rounds == 3
         assert budgets == [50]
+
+    @pytest.mark.parametrize("config", ("compiled", "tiled-1x1"))
+    def test_a_sole_shard_run_starts_no_thread_and_enters_no_barrier(
+        self, monkeypatch, config
+    ):
+        executor = _kernel_executor(monkeypatch, config)
+        _, module, _, _ = _image(steps=3)
+        simulator = WseSimulator(module, executor=executor)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a sole shard started a thread or a barrier")
+
+        monkeypatch.setattr(threading, "Thread", refused)
+        monkeypatch.setattr(threading, "Barrier", refused)
+        statistics = simulator.execute()
+        assert statistics.rounds == 3
+        assert statistics.barrier_waits == 0
+        # Nothing is published, so no seam snapshot was allocated.
+        assert simulator.executor.state.seam_snapshots == {}
 
 
 class TestFallback:
@@ -382,12 +461,11 @@ class TestFallback:
         """There is no interpreting fallback: a program the generator
         cannot fuse is refused at construction, pointing at
         ``vectorized``."""
-        import repro.wse.executors.compiled as compiled_module
 
-        def declined(image, plan, store=None):
+        def declined(image, plan, store=None, box=None, geometry=None):
             raise KernelCodegenError("test: declined")
 
-        monkeypatch.setattr(compiled_module, "get_kernel", declined)
+        monkeypatch.setattr(tiled, "get_kernel", declined)
         _, module, _, _ = _image()
         with pytest.raises(
             KernelCodegenError, match=r"test: declined.*'vectorized'"
@@ -458,7 +536,10 @@ class TestAuto:
         direct = WseSimulator(module, executor="compiled")
         auto = WseSimulator(module, executor="auto")
         assert kernel_cache_statistics().codegens == 1
-        assert auto.executor.kernel_fingerprint == direct.executor.kernel_fingerprint
+        assert (
+            auto.executor.kernel_fingerprints
+            == direct.executor.kernel_fingerprints
+        )
         assert auto.execute().backend_decision == "compiled"
         assert auto.statistics.backend_rationale == RATIONALE
         assert direct.execute().backend_decision == ""

@@ -5,17 +5,25 @@
 the emitted source, to ``CODEGEN_VERSION``/``PLAN_VERSION`` or to anything
 else a kernel fingerprint hashes fails here with the kernel's name, and an
 unchanged file proves every cached kernel-store entry stays valid.  The
-64x64 pins are the only row-banded kernels of the corpus.
+64x64 pins are the only row-banded kernels of the corpus.  Every pin is of
+the one kernel kind: ``SHARD_META``, the four seam-protocol hooks and a sole
+shard's ``run_block``, and no plan fold table.
 """
 
 import json
 
+import pytest
+
 import kernel_corpus
 
 
-def test_every_pinned_kernel_is_emitted_unchanged():
+@pytest.fixture(scope="module")
+def sources():
+    return kernel_corpus.kernel_sources()
+
+
+def test_every_pinned_kernel_is_emitted_unchanged(sources):
     pinned = json.loads(kernel_corpus.KERNEL_DIGESTS.read_text(encoding="utf-8"))
-    sources = kernel_corpus.kernel_sources()
     assert sorted(sources) == sorted(pinned)
     changed = [
         pin
@@ -35,3 +43,14 @@ def test_every_pinned_kernel_is_emitted_unchanged():
     assert len(banded) == len(kernel_corpus.BANDED) + len(
         kernel_corpus.BANDED_BOXES
     )
+
+
+def test_every_pinned_kernel_is_one_kind(sources):
+    for pin, source in sorted(sources.items()):
+        assert "\nSHARD_META = " in source, pin
+        assert (
+            "'drain': drain, 'settled': settled, "
+            "'publish': publish, 'deliver': deliver," in source
+        ), pin
+        assert "'run_block': run_block," in source, pin
+        assert "gather_indices" not in source, pin

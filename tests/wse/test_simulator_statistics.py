@@ -72,84 +72,6 @@ def test_read_field_names_the_missing_buffer():
     assert "available buffers:" in str(excinfo.value)
 
 
-class TestStatisticsMerge:
-    """``SimulationStatistics.merge``: counters sum, peak memory maxes."""
-
-    def test_counters_sum_and_memory_maxes(self):
-        merged = SimulationStatistics.merge(
-            [
-                SimulationStatistics(
-                    rounds=2,
-                    tasks_run=10,
-                    exchanges=3,
-                    dsd_ops=7,
-                    dsd_elements=70,
-                    wavelets_sent=12,
-                    max_pe_memory_bytes=512,
-                ),
-                SimulationStatistics(
-                    rounds=1,
-                    tasks_run=4,
-                    exchanges=1,
-                    dsd_ops=2,
-                    dsd_elements=20,
-                    wavelets_sent=6,
-                    max_pe_memory_bytes=768,
-                ),
-            ]
-        )
-        assert merged == SimulationStatistics(
-            rounds=3,
-            tasks_run=14,
-            exchanges=4,
-            dsd_ops=9,
-            dsd_elements=90,
-            wavelets_sent=18,
-            max_pe_memory_bytes=768,
-        )
-
-    def test_empty_merge_is_the_zero_statistics(self):
-        assert SimulationStatistics.merge([]) == SimulationStatistics()
-
-    def test_single_part_merge_is_a_copy(self):
-        part = SimulationStatistics(rounds=5, tasks_run=9, max_pe_memory_bytes=64)
-        merged = SimulationStatistics.merge([part])
-        assert merged == part
-        merged.tasks_run += 1  # the merge must not alias its input
-        assert part.tasks_run == 9
-
-    def test_merge_matches_whole_grid_execution(self):
-        """Merging per-shard-shaped parts reproduces an executor's
-        aggregate: the property the tiled backend relies on."""
-        simulator = _simulator()
-        whole = simulator.execute()
-        # Split the 3x3 fabric's aggregate into a 6-PE and a 3-PE part the
-        # way a row-banded sharding would.
-        per_pe = {
-            name: value // 9
-            for name, value in (
-                ("tasks_run", whole.tasks_run),
-                ("exchanges", whole.exchanges),
-                ("dsd_ops", whole.dsd_ops),
-                ("dsd_elements", whole.dsd_elements),
-                ("wavelets_sent", whole.wavelets_sent),
-            )
-        }
-        parts = [SimulationStatistics(rounds=whole.rounds)]
-        for pes in (6, 3):
-            parts.append(
-                SimulationStatistics(
-                    tasks_run=per_pe["tasks_run"] * pes,
-                    exchanges=per_pe["exchanges"] * pes,
-                    dsd_ops=per_pe["dsd_ops"] * pes,
-                    dsd_elements=per_pe["dsd_elements"] * pes,
-                    wavelets_sent=per_pe["wavelets_sent"] * pes,
-                    max_pe_memory_bytes=whole.max_pe_memory_bytes,
-                )
-            )
-        assert SimulationStatistics.merge(parts) == whole
-
-
 class TestDecisionMetadata:
     def test_metadata_is_excluded_from_statistics_equality(self):
         stamped = SimulationStatistics(
@@ -158,21 +80,9 @@ class TestDecisionMetadata:
         plain = SimulationStatistics(rounds=3)
         assert stamped == plain
 
-    def test_merge_passes_metadata_through_without_folding(self):
-        stamped = SimulationStatistics(
-            rounds=2, backend_decision="tiled", backend_rationale="fast"
-        )
-        other = SimulationStatistics(rounds=1, max_pe_memory_bytes=64)
-        merged = SimulationStatistics.merge([stamped, other])
-        assert merged.rounds == 3
-        assert merged.max_pe_memory_bytes == 64
-        assert merged.backend_decision == "tiled"
-        assert merged.backend_rationale == "fast"
-
     def test_metadata_reaches_the_serialised_artifact_shape(self):
         payload = asdict(
             SimulationStatistics(backend_decision="vectorized")
         )
         assert payload["backend_decision"] == "vectorized"
         assert "backend_rationale" in payload
-        assert "_METADATA_FIELDS" not in payload

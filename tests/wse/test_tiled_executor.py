@@ -7,7 +7,8 @@ executor matrices include ``tiled``; this file covers the backend's own
 mechanics: the shard-box geometry, the ``REPRO_TILED_SHARDS`` override, the
 thread driver (one barrier per round plus the settling one, every shard
 thread joined, the seam protocol under forced GIL switches), the failure
-paths, and the per-PE host surface.
+paths, and the per-PE host surface.  The round budget and deadlock edges
+of both round drivers are in ``test_compiled_executor.py``.
 """
 
 import re
@@ -32,11 +33,7 @@ from repro.ir.exceptions import InterpretationError
 from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.codegen import KernelCodegenError, generate_kernel_source
-from repro.wse.executors.tiled import (
-    SHARD_ENV_VAR,
-    shard_boxes,
-    shard_grid,
-)
+from repro.wse.executors.tiled import SHARD_ENV_VAR, shard_grid
 from repro.wse.interpreter import bound_image
 from repro.wse.plan import ShardGeometry
 from repro.wse.simulator import WseSimulator
@@ -95,7 +92,7 @@ class TestShardGeometry:
             (5, 1, 1, 1),
             (9, 4, 3, 2),
         ):
-            boxes = shard_boxes(width, height, kx, ky)
+            boxes = ShardGeometry.build(width, height, kx, ky).boxes()
             assert len(boxes) == kx * ky
             covered = np.zeros((height, width), dtype=int)
             for y0, y1, x0, x1 in boxes:
@@ -103,8 +100,14 @@ class TestShardGeometry:
                 covered[y0:y1, x0:x1] += 1
             assert np.all(covered == 1), "every PE in exactly one shard"
 
+    def test_a_geometry_and_its_boxes_are_built_once(self):
+        """Every bind of a fabric reuses one geometry and its boxes."""
+        geometry = ShardGeometry.build(7, 7, 2, 2)
+        assert ShardGeometry.build(7, 7, 2, 2) is geometry
+        assert geometry.boxes() is geometry.boxes()
+
     def test_uneven_bands_stay_balanced(self):
-        boxes = shard_boxes(7, 7, 2, 2)
+        boxes = ShardGeometry.build(7, 7, 2, 2).boxes()
         widths = sorted({x1 - x0 for _, _, x0, x1 in boxes})
         assert widths == [3, 4]
 
@@ -140,7 +143,7 @@ class TestShardGeometry:
         assert shard_grid(4, 64, cpus=8) == (1, 8)
         for width, height, cpus in ((64, 8, 16), (64, 4, 16), (4, 64, 8)):
             kx, ky = shard_grid(width, height, cpus=cpus)
-            for y0, y1, x0, x1 in shard_boxes(width, height, kx, ky):
+            for y0, y1, x0, x1 in ShardGeometry.build(width, height, kx, ky).boxes():
                 assert (y1 - y0) >= 4 and (x1 - x0) >= 4
 
     def test_auto_grid_reaches_the_executor(self, monkeypatch):
@@ -186,8 +189,8 @@ class TestTiledEquivalence:
         assert stats == expected
 
     def test_sequential_fallback_is_bit_identical(self, monkeypatch):
-        """A 1-shard grid runs the same driver with a barrier of one; it
-        must still match exactly."""
+        """A 1-shard grid runs its kernel's ``run_block``, no seam
+        protocol; it must still match exactly."""
         monkeypatch.setenv(SHARD_ENV_VAR, "1")
         program, module = _compiled(4, 4, name="seq_fallback")
         tiled_fields, tiled_stats = run_on_executor("tiled", program, module)
@@ -226,7 +229,8 @@ class TestThreadDriver:
         """Five runs with the GIL handed over every microsecond, so the
         shards interleave at every bytecode boundary the interpreter
         offers: fields and statistics equal ``vectorized`` and the barrier
-        count is exact on every run, the 1-shard grid included."""
+        count is exact on every run — none on the 1-shard grid, whose one
+        ``run_block`` call per run enters no barrier."""
         program, module = _compiled(
             6, 6, name=f"interleave_{extent}", boundary=boundary
         )
@@ -247,7 +251,9 @@ class TestThreadDriver:
             for name, expected in expected_fields.items():
                 assert fields[name].tobytes() == expected.tobytes()
             assert statistics == expected_statistics
-            assert statistics.barrier_waits == statistics.rounds + 1
+            assert statistics.barrier_waits == (
+                0 if extent == 1 else statistics.rounds + 1
+            )
 
     def test_every_run_joins_its_shard_threads(self):
         """Each run starts its shard threads and joins them before it
@@ -318,14 +324,14 @@ class TestCompiledShards:
         assert len(executor.kernel_fingerprints) == len(executor.boxes)
         assert len(set(executor.kernel_fingerprints)) == len(executor.boxes)
 
-    def test_shard_fingerprints_differ_from_the_full_grid_kernel(self):
+    def test_shard_fingerprints_differ_from_the_whole_fabric_kernel(self):
         from repro.wse.codegen import get_kernel
 
         _, module = _compiled(8, 8, name="shard_vs_full")
         simulator = WseSimulator(module, executor="tiled")
         executor = simulator.executor
-        full = get_kernel(executor.image, executor.plan)
-        assert full.fingerprint not in executor.kernel_fingerprints
+        whole = get_kernel(executor.image, executor.plan)
+        assert whole.fingerprint not in executor.kernel_fingerprints
 
     @pytest.mark.parametrize("grid", ((1, 2), (2, 2)), ids=("1x2", "2x2"))
     def test_no_box_kernel_allocates_a_staging_slab(self, grid):
@@ -399,26 +405,6 @@ class TestFailurePaths:
         simulator.launch()
         with pytest.raises(InterpretationError, match="exceeded 1 rounds"):
             simulator.run(max_rounds=1)
-
-    def test_deadlock_is_diagnosed(self, monkeypatch):
-        """Queued work that no drain runs while no exchange is pending is a
-        deadlock: the shard raises it instead of publishing."""
-        from repro.wse.executors import tiled
-
-        bind = tiled.CompiledShardRunner.__init__
-
-        def stalled(self, *args, **kwargs):
-            bind(self, *args, **kwargs)
-            self.hooks["drain"] = lambda: None
-
-        monkeypatch.setattr(tiled.CompiledShardRunner, "__init__", stalled)
-        _, module = _compiled(4, 4, name="deadlock")
-        simulator = WseSimulator(module, executor="tiled")
-        with pytest.raises(
-            InterpretationError,
-            match="deadlock: PEs are neither halted nor waiting",
-        ):
-            simulator.execute()
 
     def test_declined_codegen_raises(self, monkeypatch):
         """There are no interpreted shards: a program the generator cannot

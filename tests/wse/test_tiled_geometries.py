@@ -75,3 +75,43 @@ def test_tiled_matches_vectorized_at_every_grid(
     for field, expected in expected_fields.items():
         assert fields[field].tobytes() == expected.tobytes(), field
     assert statistics == expected_statistics
+
+
+#: ``(width, height)``: one PE, a single column and a two-PE-thin fabric,
+#: where fold tables are ragged and index constants replace them.  Their
+#: transposes 9x1 and 2x9 are left out to keep tier-1 time down.
+THIN_FABRICS = ((1, 1), (1, 9), (9, 2))
+
+#: ``(executor, shard grid)``: ``compiled`` and ``tiled`` at one shard, two
+#: row bands and two column bands.
+THIN_CONFIGS = (
+    ("compiled", None),
+    ("tiled", (1, 1)),
+    ("tiled", (1, 2)),
+    ("tiled", (2, 1)),
+)
+
+
+@pytest.mark.parametrize("fabric", THIN_FABRICS, ids=lambda f: f"{f[0]}x{f[1]}")
+@pytest.mark.parametrize("spec", tuple(BOUNDARIES))
+@pytest.mark.parametrize("name", [benchmark.name for benchmark in ALL_BENCHMARKS])
+def test_thin_fabrics_match_vectorized(monkeypatch, name, spec, fabric):
+    """Every kernel configuration the fabric fits: fields byte-identical
+    and statistics equal to ``vectorized``."""
+    program, module, (expected_fields, expected_statistics) = _golden(
+        name, spec, fabric
+    )
+    width, height = fabric
+    for executor, grid in THIN_CONFIGS:
+        if grid is not None:
+            if grid[0] > width or grid[1] > height:
+                continue
+            monkeypatch.setattr(
+                tiled, "shard_grid", lambda w, h, cpus=None, grid=grid: grid
+            )
+        fields, statistics = run_on_executor(executor, program, module)
+        for field, expected in expected_fields.items():
+            assert fields[field].tobytes() == expected.tobytes(), (
+                executor, grid, field
+            )
+        assert statistics == expected_statistics, (executor, grid)
