@@ -53,10 +53,10 @@ the counter bumps follow the loop with the same totals.
 
 This is legal because every DSD operand is a ``[:, :, z]`` view of a
 box's ``(rows, columns, z)`` buffer: element ``(r, c, k)`` of any builtin
-reads only row ``r`` of its operands, so running a chain band by band gives every element the same
-operations in the same order — the full-RHS hazard form included.  A
-kernel whose views fit one band — every small box — is emitted exactly as
-without banding.
+reads only row ``r`` of its operands, so running a chain band by band
+gives every element the same operations in the same order — the full-RHS
+hazard form included.  A kernel whose views fit one band — every small
+box — is emitted exactly as without banding.
 
 Only the error path differs under bands: a runtime-offset view out of
 range raises the same ``IndexError`` as unbanded, but before any builtin of

@@ -178,7 +178,11 @@ class Executor(ABC):
         return self._run_rounds(max_rounds)
 
     def _run_rounds(self, max_rounds: int) -> SimulationStatistics:
-        """Drive the delivery-round loop (hook-based default)."""
+        """Drive the delivery-round loop over three hooks, which a backend
+        using this default implements: ``_drain_tasks()`` runs every PE's
+        queued tasks until it halts or blocks, ``_all_settled()`` is true
+        when every PE is halted or idle, and ``_deliver_round()`` delivers
+        all pending exchanges and returns how many it delivered."""
         for _ in range(max_rounds):
             self._drain_tasks()
             if self._all_settled():
@@ -203,21 +207,6 @@ class Executor(ABC):
     # ------------------------------------------------------------------ #
     # Delivery-round hooks
     # ------------------------------------------------------------------ #
-
-    # The three round hooks of the default loop; a backend that overrides
-    # :meth:`_run_rounds` (the kernel executors) need not implement them.
-
-    def _drain_tasks(self) -> None:
-        """Run every PE's queued tasks until it halts or blocks."""
-        raise NotImplementedError
-
-    def _all_settled(self) -> bool:
-        """True when every PE is halted or idle (simulation complete)."""
-        raise NotImplementedError
-
-    def _deliver_round(self) -> int:
-        """Deliver all pending exchanges; returns the number delivered."""
-        raise NotImplementedError
 
     @abstractmethod
     def _collect_statistics(self) -> None:

@@ -524,29 +524,23 @@ class TiledExecutor(GridExecutor):
         self._pending_launch = True
 
     def _run_rounds(self, max_rounds: int) -> SimulationStatistics:
-        if self.kernel is None:
-            return self._run_seams(max_rounds)
-        # A sole shard: the kernel's run_block runs the base
-        # drain/settled/deliver schedule until the run settles, deadlocks
-        # or spends the budget, so termination, deadlock and round-budget
-        # semantics match the interpreted loop case for case.
-        executed, status = self.kernel["run_block"](max_rounds)
-        self.statistics.rounds += executed
-        if status == "deadlock":
-            raise InterpretationError(
-                "deadlock: PEs are neither halted nor waiting on an exchange"
-            )
-        if status != "settled":
-            raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
-        self._collect_statistics()
-        return self.statistics
-
-    def _run_seams(self, max_rounds: int) -> SimulationStatistics:
-        """Several shards: the seam protocol on one thread per shard, then
-        the fold — shard 0's per-PE counters and scalar state carry over
-        (lockstep shards report the same), the statistics fold the
-        cumulative counters exactly as on a sole shard, plus the seam
-        counters."""
+        statistics = self.statistics
+        if self.kernel is not None:
+            # A sole shard: the kernel's run_block runs the interpreted
+            # loop's drain/settled/deliver schedule until the run settles,
+            # deadlocks or spends the budget, so termination, deadlock and
+            # round-budget semantics match it case for case.
+            executed, status = self.kernel["run_block"](max_rounds)
+            statistics.rounds += executed
+            if status == "deadlock":
+                raise InterpretationError(
+                    "deadlock: PEs are neither halted nor waiting on an exchange"
+                )
+            if status != "settled":
+                raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
+            self._collect_statistics()
+            return statistics
+        # Several shards: the seam protocol on one thread per shard.
         results = self._run_shards(max_rounds)
         rounds = {result.rounds for result in results}
         if len(rounds) != 1:
@@ -554,12 +548,14 @@ class TiledExecutor(GridExecutor):
                 f"shards diverged: delivery-round counts {sorted(rounds)} "
                 f"are not uniform across the SPMD fabric"
             )
+        # Lockstep shards report the same per-PE counters and scalar state:
+        # shard 0's carry over, and the statistics fold the cumulative
+        # counters exactly as on a sole shard, plus the seam counters.
         first = results[0]
         for name, value in first.counters.items():
             self.state.counters[name] += value
         self.state.variables.update(first.variables)
         self.state.halted = first.halted
-        statistics = self.statistics
         statistics.rounds += rounds.pop()
         # Barrier waits are SPMD-uniform (every shard enters the same
         # rendezvous), so the count comes from one shard.

@@ -18,8 +18,8 @@ backend exploits that structure:
   on the program's :class:`~repro.frontends.common.BoundaryCondition` —
   constant fill (``dirichlet``), wrapped rows/columns (``periodic``) or
   edge-mirrored rows/columns (``reflect``) — through the per-direction
-  fold tables the :class:`~repro.wse.plan.ExecutionPlan` compiled ahead of
-  execution (the same tables the per-PE reference runtime reads).
+  fold/gather tables the :class:`~repro.wse.plan.ExecutionPlan` compiled
+  ahead of execution (the same tables the per-PE reference runtime reads).
 
 The host side — field load/read, per-PE views, the per-PE-uniform
 statistics fold — is :class:`~repro.wse.executors.grid.GridExecutor`'s,
@@ -165,16 +165,16 @@ class VectorizedExecutor(GridExecutor):
 
         The boundary folding was resolved at plan time: under
         ``periodic``/``reflect`` every coordinate folds onto the fabric and
-        the whole grid is one fancy-index gather over the plan's fold
+        the whole grid is one fancy-index gather over the plan's index
         tables; under ``dirichlet`` the in-fabric rectangle the plan
         precomputed is a shifted-slice copy over a constant-fill background.
         """
-        table = self.plan.halo_table(direction)
-        if table.gatherable:
-            rows = np.asarray(table.rows, dtype=np.intp)[:, None]
-            cols = np.asarray(table.cols, dtype=np.intp)[None, :]
+        indices = self.plan.gather_indices(direction)
+        if indices is not None:
+            rows, cols = indices
             # Fancy indexing gathers a fresh (height, width, chunk) copy.
             return source[rows, cols, start:stop]
+        table = self.plan.halo_table(direction)
         dx, dy = direction
         out = np.full(
             (self.height, self.width, stop - start),

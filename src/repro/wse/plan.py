@@ -38,6 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
 
+import numpy as np
+
 from repro.dialects import csl
 from repro.frontends.common import BoundaryCondition
 from repro.ir.attributes import StringAttr
@@ -164,18 +166,6 @@ class ShardGeometry:
     row_edges: tuple[int, ...]
     col_edges: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "_boxes",
-            tuple(
-                (self.row_edges[j], self.row_edges[j + 1],
-                 self.col_edges[i], self.col_edges[i + 1])
-                for j in range(len(self.row_edges) - 1)
-                for i in range(len(self.col_edges) - 1)
-            ),
-        )
-
     @staticmethod
     def _edges(extent: int, k: int) -> tuple[int, ...]:
         base, remainder = divmod(extent, k)
@@ -209,9 +199,15 @@ class ShardGeometry:
         """The index of the column stripe containing fabric column ``col``."""
         return bisect_right(self.col_edges, col) - 1
 
+    @lru_cache(maxsize=256)
     def boxes(self) -> tuple[tuple[int, int, int, int], ...]:
         """All shard boxes ``(y0, y1, x0, x1)``, row-major (bands outer)."""
-        return self._boxes
+        return tuple(
+            (self.row_edges[j], self.row_edges[j + 1],
+             self.col_edges[i], self.col_edges[i + 1])
+            for j in range(self.ky)
+            for i in range(self.kx)
+        )
 
     def canonical(self) -> dict:
         return {"row_edges": list(self.row_edges), "col_edges": list(self.col_edges)}
@@ -286,6 +282,9 @@ class ExecutionPlan:
         #: (host-side probes); kept out of ``halo_tables`` so reads never
         #: change the canonical form of the plan.
         self._probe_tables: dict[tuple[int, int], HaloTable] = {}
+        self._gather_cache: dict[
+            tuple[int, int], tuple[np.ndarray, np.ndarray] | None
+        ] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -366,6 +365,24 @@ class ExecutionPlan:
             table = build_halo_table(self.boundary, key, self.width, self.height)
             self._probe_tables[key] = table
         return table
+
+    def gather_indices(
+        self, direction: tuple[int, int]
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Per-axis fancy-index vectors for a whole-grid gather along
+        ``direction``, or ``None`` when the direction needs the Dirichlet
+        constant-fill path.  Cached as ready-to-broadcast NumPy arrays."""
+        key = (direction[0], direction[1])
+        if key not in self._gather_cache:
+            table = self.halo_table(key)
+            if table.gatherable:
+                self._gather_cache[key] = (
+                    np.asarray(table.rows, dtype=np.intp)[:, None],
+                    np.asarray(table.cols, dtype=np.intp)[None, :],
+                )
+            else:
+                self._gather_cache[key] = None
+        return self._gather_cache[key]
 
     def neighbor(
         self, direction: tuple[int, int], x: int, y: int

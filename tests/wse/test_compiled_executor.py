@@ -345,7 +345,6 @@ class TestRoundBudget:
         simulator.launch()
         return simulator
 
-    @pytest.mark.parametrize("config", KERNEL_CONFIGS)
     @pytest.mark.parametrize(
         "name, expected_rounds",
         # Three time steps: one delivery round per step, two on UVKBE,
@@ -364,59 +363,63 @@ class TestRoundBudget:
         ],
     )
     def test_budget_edges_match_the_interpreted_loop(
-        self, monkeypatch, config, name, expected_rounds
+        self, monkeypatch, name, expected_rounds
     ):
-        executor = _kernel_executor(monkeypatch, config)
-        sole = KERNEL_CONFIGS[config][1] in (None, (1, 1))
         _, module, _, _ = _image(name=name, steps=3)
         rounds = WseSimulator(module, executor="vectorized").execute().rounds
         assert rounds == expected_rounds
-        for backend in ("vectorized", executor):
-            simulator = self._launched(module, backend)
+        for config in ("vectorized", *KERNEL_CONFIGS):
+            executor = (
+                config if config == "vectorized"
+                else _kernel_executor(monkeypatch, config)
+            )
+            simulator = self._launched(module, executor)
             assert simulator.run(max_rounds=rounds + 1).rounds == rounds
-            simulator = self._launched(module, backend)
+            simulator = self._launched(module, executor)
             with pytest.raises(
                 InterpretationError, match=f"simulation exceeded {rounds} rounds"
             ):
                 simulator.run(max_rounds=rounds)
             # A failed run of several shards folds nothing into the
             # statistics; run_block counts the rounds it ran.
-            expected = rounds if sole or backend == "vectorized" else 0
-            assert simulator.statistics.rounds == expected, backend
+            expected = 0 if config == "tiled-1x2" else rounds
+            assert simulator.statistics.rounds == expected, config
 
-    @pytest.mark.parametrize("config", ("vectorized", *KERNEL_CONFIGS))
-    def test_deadlock_is_diagnosed(self, monkeypatch, config):
-        executor = (
-            config if config == "vectorized"
-            else _kernel_executor(monkeypatch, config)
-        )
+    def test_deadlock_is_diagnosed_on_both(self, monkeypatch):
+        """On the interpreted loop and on both round drivers."""
         _, module, _, _ = _image()
         _stall_drain(monkeypatch)
-        simulator = self._launched(module, executor)
-        with pytest.raises(
-            InterpretationError,
-            match="deadlock: PEs are neither halted nor waiting",
-        ):
-            simulator.run()
+        for config in ("vectorized", *KERNEL_CONFIGS):
+            executor = (
+                config if config == "vectorized"
+                else _kernel_executor(monkeypatch, config)
+            )
+            simulator = self._launched(module, executor)
+            with pytest.raises(
+                InterpretationError,
+                match="deadlock: PEs are neither halted nor waiting",
+            ):
+                simulator.run()
 
-    @pytest.mark.parametrize("config", ("compiled", "tiled-1x1"))
-    def test_a_settled_run_is_one_run_block_call(self, monkeypatch, config):
-        executor = _kernel_executor(monkeypatch, config)
+    def test_a_settled_run_is_one_run_block_call(self, monkeypatch):
         _, module, _, _ = _image(steps=3)
-        simulator = WseSimulator(module, executor=executor)
-        hooks = simulator.executor.kernel
-        budgets = []
-        run_block = hooks["run_block"]
+        for config in ("compiled", "tiled-1x1"):
+            simulator = WseSimulator(
+                module, executor=_kernel_executor(monkeypatch, config)
+            )
+            hooks = simulator.executor.kernel
+            budgets = []
+            run_block = hooks["run_block"]
 
-        def counting(budget):
-            budgets.append(budget)
-            return run_block(budget)
+            def counting(budget):
+                budgets.append(budget)
+                return run_block(budget)
 
-        hooks["run_block"] = counting
-        simulator.launch()
-        statistics = simulator.run(max_rounds=50)
-        assert statistics.rounds == 3
-        assert budgets == [50]
+            hooks["run_block"] = counting
+            simulator.launch()
+            statistics = simulator.run(max_rounds=50)
+            assert statistics.rounds == 3, config
+            assert budgets == [50], config
 
     @pytest.mark.parametrize("config", ("compiled", "tiled-1x1"))
     def test_a_sole_shard_run_starts_no_thread_and_enters_no_barrier(

@@ -63,6 +63,7 @@ class TestPlanDeterminism:
         pristine = ExecutionPlan.compile(image, grid, grid)
         before = probed.canonical()
         probed.halo_table((2, 2))
+        probed.gather_indices((0, 3))
         probed.neighbor((5, 5), 0, 0)
         assert probed.canonical() == before
         assert probed == pristine

@@ -8,7 +8,7 @@ mechanics: the shard-box geometry, the ``REPRO_TILED_SHARDS`` override, the
 thread driver (one barrier per round plus the settling one, every shard
 thread joined, the seam protocol under forced GIL switches), the failure
 paths, and the per-PE host surface.  The round budget and deadlock edges
-of both round drivers are in ``test_compiled_executor.py``.
+of both round drivers side by side are in ``test_compiled_executor.py``.
 """
 
 import re
@@ -324,7 +324,7 @@ class TestCompiledShards:
         assert len(executor.kernel_fingerprints) == len(executor.boxes)
         assert len(set(executor.kernel_fingerprints)) == len(executor.boxes)
 
-    def test_shard_fingerprints_differ_from_the_whole_fabric_kernel(self):
+    def test_shard_fingerprints_differ_from_the_full_grid_kernel(self):
         from repro.wse.codegen import get_kernel
 
         _, module = _compiled(8, 8, name="shard_vs_full")
@@ -405,6 +405,26 @@ class TestFailurePaths:
         simulator.launch()
         with pytest.raises(InterpretationError, match="exceeded 1 rounds"):
             simulator.run(max_rounds=1)
+
+    def test_deadlock_is_diagnosed(self, monkeypatch):
+        """Queued work that no drain runs while no exchange is pending is a
+        deadlock: the shard raises it instead of publishing."""
+        from repro.wse.executors import tiled
+
+        bind = tiled.CompiledShardRunner.__init__
+
+        def stalled(self, *args, **kwargs):
+            bind(self, *args, **kwargs)
+            self.hooks["drain"] = lambda: None
+
+        monkeypatch.setattr(tiled.CompiledShardRunner, "__init__", stalled)
+        _, module = _compiled(4, 4, name="deadlock")
+        simulator = WseSimulator(module, executor="tiled")
+        with pytest.raises(
+            InterpretationError,
+            match="deadlock: PEs are neither halted nor waiting",
+        ):
+            simulator.execute()
 
     def test_declined_codegen_raises(self, monkeypatch):
         """There are no interpreted shards: a program the generator cannot
