@@ -23,10 +23,12 @@ sim-bench:
 # Gate the tiled backend: the golden byte-identical digest matrices (7
 # benchmarks x 3 boundary modes x all executors, including tiled), the same
 # benchmarks at six explicit shard grids (1x1, row bands, column bands, 2x2)
-# on two non-square fabrics whatever the host's CPU count, plus the
-# backend's own suite — shard geometry, the thread driver (one barrier per
-# round plus the settling one, every shard thread joined, forced-interleaving
-# stress runs), no staging slab in any benchmark's box kernel, failure paths
+# on two non-square fabrics whatever the host's CPU count, and on the thin
+# fabrics 1x1, 1x9 and 9x2 (compiled, and tiled at every grid that fits),
+# plus the backend's own suite — shard geometry, the thread driver of two or
+# more shards (one barrier per round plus the settling one, every shard
+# thread joined, forced-interleaving stress runs; a sole shard enters no
+# barrier), no staging slab in any benchmark's box kernel, failure paths
 # and the declined-codegen error.
 tiled-check:
 	$(PYTHON) -m pytest tests/wse/test_tiled_executor.py \
@@ -35,14 +37,16 @@ tiled-check:
 	  tests/wse/test_boundary_conditions.py \
 	  tests/wse/test_comms_edge_cases.py -q
 
-# Gate the compiled backend's kernels: the emitted-source pins (57 small
-# kernels plus five row-banded 64x64 ones, two of them shard boxes), the
-# backend's own suite (deterministic emission, both delivery forms in
-# whole-grid and box kernels, the kernel cache, the round
-# budget, the declined-codegen error, and `auto` as compiled under its own
-# name) and the banded goldens — every benchmark and boundary mode at forced
-# 1- and 2-row bands, whole-grid and on two row-band shards, byte-identical
-# to vectorized, plus the kernel-size guard — and the executors' cost ledger
+# Gate the generated kernels (one kind: the kernel of one shard box; the
+# whole fabric is the box of the 1x1 geometry): the emitted-source pins
+# (21 whole-fabric and 36 2x2 shard-box kernels, plus five row-banded 64x64
+# ones, two of them shard boxes), the kernel executor's own suite
+# (deterministic emission, both delivery forms on the whole fabric and on
+# boxes, the kernel cache, both round drivers' budget and deadlock edges,
+# the declined-codegen error, and `auto` as compiled under its own name),
+# the banded goldens — every benchmark and boundary mode at forced 1- and
+# 2-row bands, whole-fabric and on two row-band shards, byte-identical to
+# vectorized, plus the kernel-size guard — and the executors' cost ledger
 # (Python calls per warm bind and per run of compiled and auto, against
 # recorded ceilings).
 kernel-check:
