@@ -60,14 +60,23 @@ service:
 	$(PYTHON) -m pytest tests/service benchmarks/test_service_throughput.py -q
 	$(MAKE) service-smoke
 
-# CLI smoke path only: compile a batch twice to show warm-cache reuse,
-# inspect the store, purge it.  CI runs this after `make test`, which
-# already executes the service test suite.
+# CLI smoke path only: compile a batch twice and run a compiled-backend
+# job twice to show warm-cache reuse, then check that `stats` shows entries
+# in the compile, run and kernel namespaces of the store, and none in any
+# store after `purge`.  CI runs this after `make test`, which already
+# executes the service test suite.
 service-smoke:
-	REPRO_CACHE_DIR=$$(mktemp -d) sh -c '\
-	  $(PYTHON) -m repro.service compile Jacobian UVKBE --grid 4x4 --repeat 2 && \
-	  $(PYTHON) -m repro.service stats && \
-	  $(PYTHON) -m repro.service purge'
+	export REPRO_CACHE_DIR=$$(mktemp -d) && \
+	$(PYTHON) -m repro.service compile Jacobian UVKBE --grid 4x4 --repeat 2 && \
+	$(PYTHON) -m repro.service run Jacobian --grid 4x4 --nz 8 --time-steps 1 \
+	  --executor compiled --repeat 2 && \
+	$(PYTHON) -m repro.service stats | tee /dev/stderr | awk \
+	  'NF == 6 && /^(compile|run|kernel) / { rows++; if ($$2 == 0) empty = 1 } \
+	   END { exit empty || rows != 3 }' && \
+	$(PYTHON) -m repro.service purge && \
+	$(PYTHON) -m repro.service stats | tee /dev/stderr | awk \
+	  'NF == 6 && /^(compile|run|kernel|queue) / { rows++; if ($$2 != 0) left = 1 } \
+	   END { exit left || rows != 4 }'
 
 # End-to-end run service check: the run-job unit suite, the warm>=10x-cold
 # run-throughput assertion, then a CLI smoke path whose --repeat 2 exercises

@@ -1,13 +1,14 @@
-"""The compilation service: content-addressed caching and batched compiles.
+"""The compilation service: content-addressed caching of compiles and runs.
 
 Layered on top of the one-shot ``compile_stencil_program``:
 
 * :mod:`repro.service.fingerprint` — canonical, process-stable content hash
   of a (program, options, pipeline-version) triple;
-* :mod:`repro.service.cache` — two-tier artifact cache (in-memory LRU over
-  an on-disk store) keyed by fingerprint;
+* :mod:`repro.service.cache` — the one checksummed on-disk store (compile,
+  run and kernel namespaces) and the two-tier artifact cache (in-memory LRU
+  over one namespace) keyed by fingerprint;
 * :mod:`repro.service.service` — :class:`CompileService`, which serves
-  cache hits and fans cache misses out over a process pool;
+  cache hits and compiles cache misses inline;
 * :mod:`repro.service.run` — :class:`RunService`, end-to-end run jobs
   (compile → simulate → field digests) content-addressed by run
   fingerprints that fold in the executor, seed, round budget and
@@ -23,7 +24,7 @@ from repro.service.cache import (
     ArtifactCache,
     CacheStatistics,
     CompiledArtifact,
-    DiskArtifactCache,
+    DiskStore,
     InMemoryArtifactCache,
     REPRO_CACHE_DIR_ENV,
 )
@@ -39,13 +40,11 @@ from repro.service.queue import (
 )
 from repro.service.run import (
     RunArtifact,
-    RunArtifactStore,
     RunService,
     RunServiceStatistics,
     compute_run_fingerprint,
 )
 from repro.service.service import (
-    CompileJob,
     CompileService,
     ServiceStatistics,
     build_artifact,
@@ -56,10 +55,9 @@ from repro.service.service import (
 __all__ = [
     "ArtifactCache",
     "CacheStatistics",
-    "CompileJob",
     "CompileService",
     "CompiledArtifact",
-    "DiskArtifactCache",
+    "DiskStore",
     "Experiment",
     "InMemoryArtifactCache",
     "JobHandle",
@@ -68,7 +66,6 @@ __all__ = [
     "JobStore",
     "REPRO_CACHE_DIR_ENV",
     "RunArtifact",
-    "RunArtifactStore",
     "RunService",
     "RunServiceStatistics",
     "ServiceStatistics",

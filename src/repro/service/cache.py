@@ -1,11 +1,24 @@
-"""Two-tier artifact cache: in-memory LRU over an on-disk store.
+"""The one content-addressed store, and the two-tier cache over it.
 
-Artifacts are keyed by the content fingerprint of their inputs
-(:mod:`repro.service.fingerprint`).  The memory tier absorbs repeat compiles
-within a process; the disk tier survives restarts and is shared with pool
-workers, which write compiled artifacts straight into it.  Disk writes are
-atomic (write-to-temp + ``os.replace``) so concurrent workers can populate
-the same store without torn files.
+Every artifact the service persists — compile artifacts, run artifacts and
+generated-kernel sources — is keyed by the content fingerprint of its
+inputs (:mod:`repro.service.fingerprint`) and lives in one
+:class:`DiskStore` implementation, under one of three namespaces of the
+cache root: ``<fp>.json`` (compile), ``runs/<fp>.json`` (run) and
+``kernels/<fp>.py`` (kernel).
+
+The fingerprint keys the *inputs*, never the bytes on disk, so every entry
+carries a SHA-256 of its body on its first line (``# sha256 <hex>``),
+verified on every read.  A truncated, edited or hash-less entry — or one
+whose checksum holds but whose body its namespace no longer decodes (a
+stale ``schema_version``) — is a miss: it is unlinked, never returned, and
+the caller recomputes and re-puts.  Writes are atomic (a temporary file
+renamed into place), so processes racing on one fingerprint never expose a
+torn file.
+
+:class:`ArtifactCache` puts a bounded in-memory LRU over one namespace; the
+compile and run stages each keep one, decoding entries with their
+artifact's own ``from_json``.
 
 The store location is ``~/.cache/repro-csl`` unless overridden by the
 ``REPRO_CACHE_DIR`` environment variable or an explicit ``directory``.
@@ -13,12 +26,14 @@ The store location is ``~/.cache/repro-csl`` unless overridden by the
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 #: environment variable overriding the on-disk store location.
 REPRO_CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -31,8 +46,8 @@ ARTIFACT_SCHEMA_VERSION = 1
 class CompiledArtifact:
     """Everything a cache hit has to hand back for one compilation.
 
-    Only plain JSON-serialisable data lives here — the artifact crosses
-    process boundaries (pool workers return it) and is persisted to disk.
+    Only plain JSON-serialisable data lives here — the artifact is
+    persisted to disk and served to other processes sharing the store.
     """
 
     fingerprint: str
@@ -61,6 +76,132 @@ class CompiledArtifact:
                 f"match current version {ARTIFACT_SCHEMA_VERSION}"
             )
         return cls(**data)
+
+
+@dataclass(frozen=True)
+class Namespace:
+    """One kind of store entry: its ``stats`` row and where its files live."""
+
+    name: str
+    #: subdirectory of the cache root ("" for the root itself).
+    subdirectory: str
+    suffix: str
+
+
+COMPILE = Namespace("compile", "", ".json")
+RUN = Namespace("run", "runs", ".json")
+KERNEL = Namespace("kernel", "kernels", ".py")
+#: every namespace of the store, in ``stats`` row order.
+NAMESPACES = (COMPILE, RUN, KERNEL)
+
+
+def resolve_cache_directory(directory: str | os.PathLike | None = None) -> Path:
+    """Explicit argument > ``REPRO_CACHE_DIR`` > ``~/.cache/repro-csl``."""
+    if directory is not None:
+        return Path(directory)
+    override = os.environ.get(REPRO_CACHE_DIR_ENV, "").strip()
+    if override:
+        return Path(override)
+    return Path.home() / ".cache" / "repro-csl"
+
+
+def _checksum_line(body: bytes) -> bytes:
+    """The first line of an entry whose body bytes are ``body``."""
+    return b"# sha256 " + hashlib.sha256(body).hexdigest().encode("ascii")
+
+
+class DiskStore:
+    """One namespace of the checksummed on-disk store.
+
+    :meth:`get` returns ``decode(body)`` of a verified entry (the body text
+    itself without ``decode``); a damaged entry, or one ``decode`` rejects
+    with ``ValueError``/``TypeError``/``KeyError``, is unlinked and read as
+    a miss.
+    """
+
+    def __init__(
+        self,
+        namespace: Namespace,
+        directory: str | os.PathLike | None = None,
+        decode: Callable[[str], object] | None = None,
+    ):
+        self.namespace = namespace
+        self.directory = resolve_cache_directory(directory) / namespace.subdirectory
+        self.decode = decode
+
+    def _path(self, fingerprint: str) -> Path:
+        return self.directory / f"{fingerprint}{self.namespace.suffix}"
+
+    def _entries(self) -> list[Path]:
+        if not self.directory.is_dir():
+            return []
+        return list(self.directory.glob(f"*{self.namespace.suffix}"))
+
+    def __len__(self) -> int:
+        return len(self._entries())
+
+    def __contains__(self, fingerprint: str) -> bool:
+        return self._path(fingerprint).is_file()
+
+    def get(self, fingerprint: str):
+        path = self._path(fingerprint)
+        try:
+            header, _, body = path.read_bytes().partition(b"\n")
+        except OSError:
+            return None
+        if header == _checksum_line(body):
+            try:
+                text = body.decode("utf-8")
+                return text if self.decode is None else self.decode(text)
+            except (ValueError, TypeError, KeyError):
+                pass  # a stale schema under a valid checksum
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return None
+
+    def put(self, fingerprint: str, text: str) -> None:
+        self.directory.mkdir(parents=True, exist_ok=True)
+        body = text.encode("utf-8")
+        handle = tempfile.NamedTemporaryFile(
+            mode="wb",
+            dir=self.directory,
+            prefix=f".{fingerprint[:12]}.",
+            suffix=".tmp",
+            delete=False,
+        )
+        try:
+            with handle:
+                handle.write(_checksum_line(body) + b"\n" + body)
+            os.replace(handle.name, self._path(fingerprint))
+        except BaseException:
+            try:
+                os.unlink(handle.name)
+            except OSError:
+                pass
+            raise
+
+    def total_bytes(self) -> int:
+        total = 0
+        for path in self._entries():
+            try:
+                total += path.stat().st_size
+            except OSError:
+                # Concurrently purged by another process; stale-by-one is fine.
+                pass
+        return total
+
+    def purge(self) -> int:
+        """Delete every entry of this namespace; returns how many went."""
+        removed = 0
+        for path in self._entries():
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
+        return removed
 
 
 @dataclass
@@ -93,7 +234,7 @@ class InMemoryArtifactCache:
         if capacity < 1:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._entries: "OrderedDict[str, CompiledArtifact]" = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()
         self.evictions = 0
 
     def __len__(self) -> int:
@@ -102,13 +243,13 @@ class InMemoryArtifactCache:
     def __contains__(self, fingerprint: str) -> bool:
         return fingerprint in self._entries
 
-    def get(self, fingerprint: str) -> CompiledArtifact | None:
+    def get(self, fingerprint: str):
         artifact = self._entries.get(fingerprint)
         if artifact is not None:
             self._entries.move_to_end(fingerprint)
         return artifact
 
-    def put(self, artifact: CompiledArtifact) -> None:
+    def put(self, artifact) -> None:
         self._entries[artifact.fingerprint] = artifact
         self._entries.move_to_end(artifact.fingerprint)
         while len(self._entries) > self.capacity:
@@ -119,110 +260,27 @@ class InMemoryArtifactCache:
         self._entries.clear()
 
 
-def resolve_cache_directory(directory: str | os.PathLike | None = None) -> Path:
-    """Explicit argument > ``REPRO_CACHE_DIR`` > ``~/.cache/repro-csl``."""
-    if directory is not None:
-        return Path(directory)
-    override = os.environ.get(REPRO_CACHE_DIR_ENV, "").strip()
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro-csl"
-
-
-class DiskArtifactCache:
-    """On-disk artifact store: one ``<fingerprint>.json`` file per artifact."""
-
-    def __init__(self, directory: str | os.PathLike | None = None):
-        self.directory = resolve_cache_directory(directory)
-
-    def _path(self, fingerprint: str) -> Path:
-        return self.directory / f"{fingerprint}.json"
-
-    def __len__(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return self._path(fingerprint).is_file()
-
-    def get(self, fingerprint: str) -> CompiledArtifact | None:
-        path = self._path(fingerprint)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        try:
-            return CompiledArtifact.from_json(text)
-        except (ValueError, TypeError, KeyError):
-            # Stale schema or a corrupt file: treat as a miss; the fresh
-            # compile overwrites it.
-            return None
-
-    def put(self, artifact: CompiledArtifact) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        # Atomic publish so concurrent pool workers never expose torn files.
-        handle = tempfile.NamedTemporaryFile(
-            mode="w",
-            encoding="utf-8",
-            dir=self.directory,
-            prefix=f".{artifact.fingerprint[:12]}.",
-            suffix=".tmp",
-            delete=False,
-        )
-        try:
-            with handle:
-                handle.write(artifact.to_json())
-            os.replace(handle.name, self._path(artifact.fingerprint))
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
-
-    def total_bytes(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        total = 0
-        for path in self.directory.glob("*.json"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                # Concurrently purged by another process; stale-by-one is fine.
-                pass
-        return total
-
-    def purge(self) -> int:
-        """Delete every stored artifact; returns how many were removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-
 class ArtifactCache:
-    """The two tiers behind one get/put interface, with counters.
+    """An in-memory LRU over one store namespace, with counters.
 
-    Lookups try memory first, then disk (promoting disk hits into memory);
-    stores write through to both tiers.
+    ``artifact_type`` supplies ``from_json`` (the namespace's decoder) and
+    its instances ``fingerprint`` and ``to_json``.  Lookups try memory
+    first, then disk (promoting disk hits into memory); stores write
+    through to both tiers.
     """
 
     def __init__(
         self,
+        namespace: Namespace,
+        artifact_type: type,
         directory: str | os.PathLike | None = None,
         memory_capacity: int = 256,
     ):
         self.memory = InMemoryArtifactCache(memory_capacity)
-        self.disk = DiskArtifactCache(directory)
+        self.disk = DiskStore(namespace, directory, artifact_type.from_json)
         self.statistics = CacheStatistics()
 
-    def get(self, fingerprint: str) -> CompiledArtifact | None:
+    def get(self, fingerprint: str):
         artifact = self.memory.get(fingerprint)
         if artifact is not None:
             self.statistics.memory_hits += 1
@@ -236,17 +294,10 @@ class ArtifactCache:
         self.statistics.misses += 1
         return None
 
-    def put(self, artifact: CompiledArtifact) -> None:
+    def put(self, artifact) -> None:
         self.memory.put(artifact)
-        self.disk.put(artifact)
+        self.disk.put(artifact.fingerprint, artifact.to_json())
         self.statistics.stores += 1
-        self.statistics.evictions = self.memory.evictions
-
-    def put_memory_only(self, artifact: CompiledArtifact) -> None:
-        """Mirror an artifact that is already on disk into the memory tier
-        (pool workers publish to the shared store themselves; ``stores``
-        counts only this cache's own disk writes)."""
-        self.memory.put(artifact)
         self.statistics.evictions = self.memory.evictions
 
     def purge(self) -> int:

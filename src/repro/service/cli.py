@@ -3,17 +3,17 @@
 Five subcommands:
 
 * ``compile BENCH [BENCH ...]`` — compile named paper benchmarks through the
-  service (optionally in parallel and/or repeated to show warm-cache reuse)
-  and print per-job outcomes plus the service statistics;
+  service (optionally repeated to show warm-cache reuse) and print per-job
+  outcomes plus the service statistics;
 * ``run BENCH [BENCH ...]`` — end-to-end run jobs: compile, simulate on a
   chosen execution backend, and print the per-field result digests; repeats
   are served from the run-artifact cache;
 * ``queue submit|status|wait|list|cancel|stats`` — the async job-queue run
   service (:mod:`repro.service.queue.cli`): persistent jobs, lifecycle
   tracking, worker pool, experiments;
-* ``stats`` — one combined table across the compile/run/kernel/queue
-  stores (entries, bytes, hit rates);
-* ``purge`` — empty the on-disk artifact stores.
+* ``stats`` — one combined table across the store's compile/run/kernel
+  namespaces and the queue store (entries, bytes, hit rates);
+* ``purge`` — empty every namespace of the store and the queue store.
 """
 
 from __future__ import annotations
@@ -24,14 +24,8 @@ import time
 
 from repro.benchmarks.definitions import ALL_BENCHMARKS, benchmark_by_name
 from repro.frontends.common import BoundaryCondition
-from repro.service.cache import DiskArtifactCache
-from repro.service.kernels import KernelSourceStore
-from repro.service.run import (
-    DEFAULT_MAX_ROUNDS,
-    DEFAULT_RUN_SEED,
-    RunArtifactStore,
-    RunService,
-)
+from repro.service.cache import NAMESPACES, DiskStore
+from repro.service.run import DEFAULT_MAX_ROUNDS, DEFAULT_RUN_SEED, RunService
 from repro.wse.codegen import kernel_cache_statistics
 from repro.service.service import CompileService
 from repro.transforms.pipeline import PipelineOptions
@@ -106,12 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         "compile", help="compile named benchmarks through the service"
     )
     _add_job_arguments(compile_parser)
-    compile_parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-pool workers (0 = compile inline)",
-    )
 
     run_parser = subparsers.add_parser(
         "run",
@@ -204,35 +192,35 @@ def _run_compile(args: argparse.Namespace, out) -> int:
     try:
         benchmarks, jobs = _build_jobs(args)
         width, height = args.grid
-        service = CompileService(max_workers=args.workers, cache_dir=args.cache_dir)
+        service = CompileService(cache_dir=args.cache_dir)
     except (KeyError, ValueError) as error:
         return _user_error(error)
 
-    with service:
-        for round_index in range(args.repeat):
-            round_start = time.perf_counter()
-            hits_before = service.statistics.cache_hits
-            futures = service.submit_batch(jobs)
-            artifacts = [future.result() for future in futures]
-            elapsed = time.perf_counter() - round_start
-            hits = service.statistics.cache_hits - hits_before
+    for round_index in range(args.repeat):
+        round_start = time.perf_counter()
+        hits_before = service.statistics.cache_hits
+        artifacts = [
+            service.compile(program, options) for program, options in jobs
+        ]
+        elapsed = time.perf_counter() - round_start
+        hits = service.statistics.cache_hits - hits_before
+        print(
+            f"round {round_index + 1}/{args.repeat}: "
+            f"{len(artifacts)} artifacts in {elapsed * 1e3:.1f} ms "
+            f"({hits} served from cache)",
+            file=out,
+        )
+        for benchmark, artifact in zip(benchmarks, artifacts):
+            total_ms = artifact.statistics.get("total_wall_time", 0.0) * 1e3
             print(
-                f"round {round_index + 1}/{args.repeat}: "
-                f"{len(artifacts)} artifacts in {elapsed * 1e3:.1f} ms "
-                f"({hits} served from cache)",
+                f"  {artifact.fingerprint[:12]}  {benchmark.name:<10} "
+                f"{args.target}  {width}x{height}  "
+                f"{len(artifact.csl_sources)} files  "
+                f"{artifact.total_source_bytes()} bytes  "
+                f"(pipeline {total_ms:.1f} ms)",
                 file=out,
             )
-            for benchmark, artifact in zip(benchmarks, artifacts):
-                total_ms = artifact.statistics.get("total_wall_time", 0.0) * 1e3
-                print(
-                    f"  {artifact.fingerprint[:12]}  {benchmark.name:<10} "
-                    f"{args.target}  {width}x{height}  "
-                    f"{len(artifact.csl_sources)} files  "
-                    f"{artifact.total_source_bytes()} bytes  "
-                    f"(pipeline {total_ms:.1f} ms)",
-                    file=out,
-                )
-        print(service.format_statistics(), file=out)
+    print(service.format_statistics(), file=out)
     return 0
 
 
@@ -345,47 +333,43 @@ def _run_run(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _format_rate(hits: int, misses: int) -> str:
+def _hit_cells(hits: int, misses: int) -> tuple:
     total = hits + misses
-    return f"{hits / total:.0%}" if total else "-"
+    return hits, misses, f"{hits / total:.0%}" if total else "-"
 
 
 def _run_stats(args: argparse.Namespace, out) -> int:
     from repro.service.queue.store import JobStore
 
-    store = DiskArtifactCache(args.cache_dir)
-    runs = RunArtifactStore(args.cache_dir)
-    kernels = KernelSourceStore(args.cache_dir)
+    stores = [DiskStore(namespace, args.cache_dir) for namespace in NAMESPACES]
     queue = JobStore(args.cache_dir)
-    cache = kernel_cache_statistics()
+    kernels = kernel_cache_statistics()
     queue_stats = queue.stats()
 
     # One combined table across every store.  Hits/misses are the counters
     # each store persists or tracks in-process: the kernel cache counts this
     # process's lookups; the queue counts done jobs served from the run
-    # cache vs. freshly simulated (persistent); the compile and run stores
-    # keep no cross-process hit counters, so those cells stay "-".
-    rows = [
-        ("store", "entries", "bytes", "hits", "misses", "hit rate"),
-        ("compile", len(store), store.total_bytes(), "-", "-", "-"),
-        ("run", len(runs), runs.total_bytes(), "-", "-", "-"),
+    # cache vs. freshly simulated (persistent); the compile and run
+    # namespaces keep no cross-process hit counters, so those cells stay "-".
+    counters = {"kernel": _hit_cells(kernels.hits, kernels.codegens)}
+    rows = [("store", "entries", "bytes", "hits", "misses", "hit rate")]
+    rows += [
         (
-            "kernel",
-            len(kernels),
-            kernels.total_bytes(),
-            cache.hits,
-            cache.codegens,
-            _format_rate(cache.hits, cache.codegens),
-        ),
+            store.namespace.name,
+            len(store),
+            store.total_bytes(),
+            *counters.get(store.namespace.name, ("-", "-", "-")),
+        )
+        for store in stores
+    ]
+    rows.append(
         (
             "queue",
             queue_stats.jobs,
             queue_stats.total_bytes,
-            queue_stats.cache_served,
-            queue_stats.simulated,
-            _format_rate(queue_stats.cache_served, queue_stats.simulated),
-        ),
-    ]
+            *_hit_cells(queue_stats.cache_served, queue_stats.simulated),
+        )
+    )
     widths = [
         max(len(str(row[column])) for row in rows)
         for column in range(len(rows[0]))
@@ -396,25 +380,23 @@ def _run_stats(args: argparse.Namespace, out) -> int:
             for cell, width in zip(row[1:], widths[1:])
         ]
         print("  ".join(cells).rstrip(), file=out)
-    print(f"artifact store: {store.directory}", file=out)
-    print(f"run store:      {runs.directory}", file=out)
-    print(f"kernel store:   {kernels.directory}", file=out)
-    print(f"queue store:    {queue.path}", file=out)
+    locations = [(store.namespace.name, store.directory) for store in stores]
+    for name, location in locations + [("queue", queue.path)]:
+        print(f"{name + ' store:':<15} {location}", file=out)
     return 0
 
 
 def _run_purge(args: argparse.Namespace, out) -> int:
     from repro.service.queue.store import JobStore
 
-    store = DiskArtifactCache(args.cache_dir)
-    removed = store.purge()
-    runs_removed = RunArtifactStore(args.cache_dir).purge()
-    kernels_removed = KernelSourceStore(args.cache_dir).purge()
-    jobs_removed = JobStore(args.cache_dir).purge()
-    print(f"purged {removed} artifacts from {store.directory}", file=out)
-    print(f"purged {runs_removed} run artifacts", file=out)
-    print(f"purged {kernels_removed} kernel sources", file=out)
-    print(f"purged {jobs_removed} queue jobs", file=out)
+    for namespace in NAMESPACES:
+        store = DiskStore(namespace, args.cache_dir)
+        print(
+            f"purged {store.purge()} {namespace.name} artifacts from "
+            f"{store.directory}",
+            file=out,
+        )
+    print(f"purged {JobStore(args.cache_dir).purge()} queue jobs", file=out)
     return 0
 
 

@@ -33,7 +33,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from repro.frontends.common import StencilProgram
-from repro.service.cache import resolve_cache_directory
+from repro.service.cache import RUN, DiskStore, resolve_cache_directory
 from repro.service.queue.experiments import Experiment, normalize_configs
 from repro.service.queue.lifecycle import (
     JobCancelledError,
@@ -55,7 +55,6 @@ from repro.service.run import (
     DEFAULT_MAX_ROUNDS,
     DEFAULT_RUN_SEED,
     RunArtifact,
-    RunArtifactStore,
     compute_run_fingerprint,
 )
 from repro.transforms.pipeline import PipelineOptions
@@ -96,7 +95,7 @@ class JobHandle:
     """
 
     store: JobStore
-    artifacts: RunArtifactStore
+    artifacts: DiskStore
     job_id: int
     fingerprint: str
     queue: "JobQueue | None" = None
@@ -152,7 +151,7 @@ class JobHandle:
         )
 
 
-def _artifact_of(record: JobRecord, artifacts: RunArtifactStore) -> RunArtifact:
+def _artifact_of(record: JobRecord, artifacts: DiskStore) -> RunArtifact:
     if record.status is JobStatus.FAILED:
         raise JobFailedError(
             f"job {record.id} ({record.program_name}/{record.executor}) "
@@ -213,7 +212,8 @@ class JobQueue:
         self.store = JobStore(
             self.cache_dir, on_event=_weakly(self._dispatch_event)
         )
-        self.artifacts = RunArtifactStore(self.cache_dir)
+        #: the store's run namespace, which the workers' run services fill.
+        self.artifacts = DiskStore(RUN, self.cache_dir, RunArtifact.from_json)
         self.max_attempts = max_attempts
         self.statistics = QueueStatistics()
         self._subscribers: list = []

@@ -20,9 +20,8 @@ thread, and a connection is never carried across ``fork()`` (see
 :func:`quiesced_for_fork`).
 
 Payloads are self-contained: the stencil program and pipeline options are
-pickled (they already cross process boundaries in
-:class:`~repro.service.service.CompileJob`), so a daemon restarted days
-later can re-execute a queued job without the submitting client.
+pickled, so a daemon restarted days later can re-execute a queued job
+without the submitting client.
 """
 
 from __future__ import annotations

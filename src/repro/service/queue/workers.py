@@ -22,9 +22,12 @@ executed.  Two execution modes:
   state; its claim thread requeues it with bounded attempts and
   exponential backoff and forks a replacement for the next claim.  Other
   workers never notice.
-* ``inline`` — the job executes in the claim thread itself.  No crash
-  isolation, but no fork either; the fallback for platforms without it
-  and the right mode for tests that want live event streaming.
+* ``inline`` — the job executes in the claim thread itself, which runs a
+  worker process's loop body over the daemon's store: it keeps one
+  :class:`~repro.service.run.RunService` for its life, so its jobs report
+  ``"compile": "pipeline" | "memo"`` exactly as a worker process's do.  No
+  crash isolation, but no fork either; the fallback for platforms without
+  it and the right mode for tests that want live event streaming.
 
 Job execution reuses the whole existing cache hierarchy: the run service
 serves compile-stage artifacts, generated kernels and finished runs from
@@ -372,6 +375,11 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
 
     def _loop(self, worker_name: str) -> None:
+        inline = (
+            RunService(cache_dir=self.cache_dir)
+            if self.mode == "inline"
+            else None
+        )
         try:
             while not self._stop.is_set():
                 record = self.store.claim_next(worker_name)
@@ -379,16 +387,15 @@ class WorkerPool:
                     self._wake.wait(self.poll_interval)
                     self._wake.clear()
                     continue
-                if self.mode == "inline":
-                    self._run_inline(record)
+                if inline is not None:
+                    self._run_inline(inline, record)
                 else:
                     self._run_in_worker(worker_name, record)
         finally:
             self._retire(worker_name)
 
-    def _run_inline(self, record: JobRecord) -> None:
-        with RunService(cache_dir=self.cache_dir) as service:
-            execute_claimed_job(self.store, service, record)
+    def _run_inline(self, service: RunService, record: JobRecord) -> None:
+        execute_claimed_job(self.store, service, record)
         final = self.store.get(record.id)
         if final is not None and final.status in TERMINAL_STATES:
             self._on_terminal(final)

@@ -13,7 +13,9 @@ seed, round budget) and the execution-plan version
 or planning semantics invalidates cached runs exactly once.
 
 :class:`RunService` fronts both stages: run-cache hits skip compilation
-*and* simulation entirely; misses compile through a
+*and* simulation entirely.  Run artifacts live in the store's ``runs/``
+namespace (:mod:`repro.service.cache`) under the same checksum as every
+other entry, with an in-memory LRU over it; misses compile through a
 :class:`~repro.service.service.CompileService` (its fingerprint cache
 deduplicates the compile stage across runs that differ only in run-level
 inputs) and simulate inline, in the calling thread — the ``tiled`` backend
@@ -26,12 +28,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 from concurrent.futures import Future
 from dataclasses import MISSING as dataclasses_MISSING
 from dataclasses import asdict, dataclass, fields, replace
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -39,7 +39,7 @@ import numpy as np
 from repro.baselines.numpy_ref import allocate_fields, field_to_columns
 from repro.csl import PARSER_VERSION, parse_csl_sources
 from repro.frontends.common import StencilProgram
-from repro.service.cache import InMemoryArtifactCache, resolve_cache_directory
+from repro.service.cache import RUN, ArtifactCache
 from repro.service.fingerprint import (
     canonical_json,
     compute_fingerprint,
@@ -223,83 +223,6 @@ class RunArtifact:
         return cls(**data)
 
 
-class RunArtifactStore:
-    """On-disk run-artifact store: ``runs/<fingerprint>.json`` files.
-
-    Lives in a ``runs/`` subdirectory of the (compile) artifact store so
-    one ``REPRO_CACHE_DIR`` governs both stages; writes are atomic for the
-    same reason the compile store's are.
-    """
-
-    def __init__(self, directory: str | os.PathLike | None = None):
-        self.directory = resolve_cache_directory(directory) / "runs"
-
-    def _path(self, fingerprint: str) -> Path:
-        return self.directory / f"{fingerprint}.json"
-
-    def __len__(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return self._path(fingerprint).is_file()
-
-    def get(self, fingerprint: str) -> RunArtifact | None:
-        try:
-            text = self._path(fingerprint).read_text(encoding="utf-8")
-        except OSError:
-            return None
-        try:
-            return RunArtifact.from_json(text)
-        except (ValueError, TypeError, KeyError):
-            return None
-
-    def put(self, artifact: RunArtifact) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            mode="w",
-            encoding="utf-8",
-            dir=self.directory,
-            prefix=f".{artifact.fingerprint[:12]}.",
-            suffix=".tmp",
-            delete=False,
-        )
-        try:
-            with handle:
-                handle.write(artifact.to_json())
-            os.replace(handle.name, self._path(artifact.fingerprint))
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
-
-    def total_bytes(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        total = 0
-        for path in self.directory.glob("*.json"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                # Concurrently purged by another process; stale-by-one is fine.
-                pass
-        return total
-
-    def purge(self) -> int:
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-
 @dataclass
 class RunServiceStatistics:
     """Request-level counters of one :class:`RunService`."""
@@ -317,8 +240,8 @@ class RunService:
     """Cached, end-to-end run jobs over a compile service.
 
     ``compile_service`` may be shared with other clients (e.g. the
-    process-wide default service); when omitted, the run service owns a
-    private inline one over the same ``cache_dir``.
+    process-wide default service); when omitted, the run service makes
+    its own over the same ``cache_dir``.
     """
 
     def __init__(
@@ -328,14 +251,13 @@ class RunService:
         cache_dir: str | os.PathLike | None = None,
         memory_capacity: int = 128,
     ):
-        self._owns_compiler = compile_service is None
         self.compiler = (
             compile_service
             if compile_service is not None
             else CompileService(cache_dir=cache_dir)
         )
-        self.memory = InMemoryArtifactCache(memory_capacity)
-        self.store = RunArtifactStore(cache_dir)
+        #: run artifacts: memory over the store's ``runs/`` namespace.
+        self.store = ArtifactCache(RUN, RunArtifact, cache_dir, memory_capacity)
         #: generated-kernel sources shared fleet-wide (compiled backend).
         self.kernels = KernelSourceStore(cache_dir)
         self.statistics = RunServiceStatistics()
@@ -395,11 +317,7 @@ class RunService:
         future: "Future[RunArtifact]" = Future()
         with self._lock:
             self.statistics.submitted += 1
-            artifact = self.memory.get(fingerprint)
-            if artifact is None:
-                artifact = self.store.get(fingerprint)
-                if artifact is not None:
-                    self.memory.put(artifact)
+            artifact = self.store.get(fingerprint)
             if artifact is not None:
                 self.statistics.cache_hits += 1
                 future.set_result(artifact)
@@ -420,7 +338,6 @@ class RunService:
             future.set_exception(error)
             return future
         with self._lock:
-            self.memory.put(artifact)
             self.store.put(artifact)
         future.set_result(artifact)
         return future
@@ -531,11 +448,7 @@ class RunService:
         )
         with self._lock:
             self.statistics.submitted += 1
-            artifact = self.memory.get(fingerprint)
-            if artifact is None:
-                artifact = self.store.get(fingerprint)
-                if artifact is not None:
-                    self.memory.put(artifact)
+            artifact = self.store.get(fingerprint)
             if artifact is not None:
                 self.statistics.cache_hits += 1
                 return artifact
@@ -583,7 +496,6 @@ class RunService:
             kernel_cache=kernel_cache,
         )
         with self._lock:
-            self.memory.put(artifact)
             self.store.put(artifact)
         return artifact
 
@@ -691,8 +603,7 @@ class RunService:
     # ------------------------------------------------------------------ #
 
     def shutdown(self) -> None:
-        if self._owns_compiler:
-            self.compiler.shutdown()
+        """Nothing to release: the service holds no process or thread."""
 
     def __enter__(self) -> "RunService":
         return self
@@ -709,7 +620,8 @@ class RunService:
             f"  submitted {stats.submitted}  run-cache hits {stats.cache_hits}  "
             f"simulations {stats.simulations}  deduplicated "
             f"{stats.deduplicated}",
-            f"  run store: {self.store.directory} ({len(self.store)} artifacts)",
+            f"  run store: {self.store.disk.directory} "
+            f"({len(self.store.disk)} artifacts)",
             f"  kernel cache: hits {kernels.hits} (memory {kernels.memory_hits}, "
             f"store {kernels.disk_hits})  codegens {kernels.codegens}",
             f"  kernel store: {self.kernels.directory} "

@@ -1,22 +1,19 @@
-"""The compilation service: cached, batched, parallel stencil compiles.
+"""The compilation service: cached stencil compiles.
 
-:class:`CompileService` wraps ``compile_stencil_program`` behind a
-content-addressed artifact cache (:mod:`repro.service.cache`) and a
-``concurrent.futures`` process pool:
+:class:`CompileService` wraps ``compile_stencil_program`` behind the
+content-addressed artifact cache (:mod:`repro.service.cache`: memory over
+the store's compile namespace) and compiles a miss inline, in the calling
+thread:
 
-* :meth:`CompileService.submit` returns a future for the compiled artifact —
-  already resolved on a cache hit, otherwise backed by a pool worker (or an
-  inline compile when the service runs without workers);
-* :meth:`CompileService.submit_batch` fans a list of configurations out over
-  the pool, deduplicating identical fingerprints within the batch;
+* :meth:`CompileService.compile` returns the printed artifact of one
+  configuration;
 * :meth:`CompileService.compile_ir` serves in-process callers that need the
   live csl-ir module (the performance model, the LoC report) from a
   fingerprint-keyed result cache, so e.g. regenerating Figure 7 reuses the
   compiles Figure 6 already paid for.
 
-Workers re-hydrate the job from a picklable :class:`CompileJob`, run the
-full pipeline, and write the artifact into the shared on-disk store before
-returning it, so a warm store benefits later processes too.
+Parallel work goes through the run queue's worker pool
+(:mod:`repro.service.queue.workers`), whose workers each keep a service.
 """
 
 from __future__ import annotations
@@ -24,12 +21,11 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.backend.csl_printer import print_csl_sources
 from repro.frontends.common import StencilProgram
-from repro.service.cache import ArtifactCache, CompiledArtifact, DiskArtifactCache
+from repro.service.cache import COMPILE, ArtifactCache, CompiledArtifact
 from repro.service.fingerprint import compute_fingerprint
 from repro.transforms.pipeline import (
     CompilationResult,
@@ -72,166 +68,60 @@ def build_artifact(
 
 
 @dataclass
-class CompileJob:
-    """A picklable description of one compilation, shipped to pool workers."""
-
-    program: StencilProgram
-    options: PipelineOptions
-    fingerprint: str
-    #: resolved store directory, so workers share the parent's store even if
-    #: their environment were to differ.
-    cache_dir: str
-
-
-def run_compile_job(job: CompileJob) -> CompiledArtifact:
-    """Worker entry point: compile, publish to the shared store, return.
-
-    Module-level so it pickles under every start method, and usable directly
-    as a cross-process determinism probe in tests.
-    """
-    result = compile_stencil_program(job.program, job.options)
-    artifact = build_artifact(result, job.fingerprint)
-    DiskArtifactCache(job.cache_dir).put(artifact)
-    return artifact
-
-
-@dataclass
 class ServiceStatistics:
     """Request-level counters of one :class:`CompileService`."""
 
     submitted: int = 0
     cache_hits: int = 0
-    inline_compiles: int = 0
-    pool_compiles: int = 0
-    #: submissions that joined an identical in-flight compile.
-    deduplicated: int = 0
+    compiles: int = 0
     ir_hits: int = 0
     ir_compiles: int = 0
 
 
 class CompileService:
-    """Cached, batched compilation front door.
-
-    ``max_workers=0`` (the default) compiles cache misses inline in the
-    calling process; ``max_workers >= 1`` lazily creates a process pool and
-    compiles misses there, returning unresolved futures so callers can
-    overlap their own work with compilation.
-    """
+    """Cached compilation front door: memory over the store's compile
+    namespace, with a cache miss compiled inline in the calling thread."""
 
     def __init__(
         self,
         *,
-        max_workers: int = 0,
         cache_dir: str | os.PathLike | None = None,
         memory_capacity: int = 256,
         ir_capacity: int = 64,
     ):
-        if max_workers < 0:
-            raise ValueError(f"max_workers must be >= 0, got {max_workers}")
-        self.max_workers = max_workers
-        self.cache = ArtifactCache(cache_dir, memory_capacity=memory_capacity)
+        self.cache = ArtifactCache(
+            COMPILE, CompiledArtifact, cache_dir, memory_capacity
+        )
         self.statistics = ServiceStatistics()
-        self._executor: ProcessPoolExecutor | None = None
-        self._inflight: dict[str, Future] = {}
         self._ir_capacity = ir_capacity
         self._ir_results: "OrderedDict[str, CompilationResult]" = OrderedDict()
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------ #
-    # Submission
-    # ------------------------------------------------------------------ #
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._executor
-
-    def submit(
-        self, program: StencilProgram, options: PipelineOptions | None = None
-    ) -> "Future[CompiledArtifact]":
-        """A future for the compiled artifact of one configuration."""
-        if options is None:
-            options = PipelineOptions.default_for(program)
-        fingerprint = compute_fingerprint(program, options)
-
-        # Check, account and (for misses) register the in-flight future in
-        # ONE critical section, so concurrent submissions of the same
-        # fingerprint always join a single compile.
-        with self._lock:
-            self.statistics.submitted += 1
-            inflight = self._inflight.get(fingerprint)
-            if inflight is not None:
-                self.statistics.deduplicated += 1
-                return inflight
-            artifact = self.cache.get(fingerprint)
-            if artifact is not None:
-                self.statistics.cache_hits += 1
-                done: "Future[CompiledArtifact]" = Future()
-                done.set_result(artifact)
-                return done
-
-            job = CompileJob(
-                program=program,
-                options=options,
-                fingerprint=fingerprint,
-                cache_dir=str(self.cache.disk.directory),
-            )
-            if self.max_workers == 0:
-                self.statistics.inline_compiles += 1
-                future: "Future[CompiledArtifact]" = Future()
-            else:
-                self.statistics.pool_compiles += 1
-                future = self._pool().submit(run_compile_job, job)
-            self._inflight[fingerprint] = future
-
-        if self.max_workers == 0:
-            try:
-                result = compile_stencil_program(job.program, job.options)
-                artifact = build_artifact(result, fingerprint)
-            except BaseException as error:  # surface through the future
-                with self._lock:
-                    self._inflight.pop(fingerprint, None)
-                future.set_exception(error)
-                return future
-            with self._lock:
-                self._inflight.pop(fingerprint, None)
-                self.cache.put(artifact)
-            future.set_result(artifact)
-            return future
-
-        future.add_done_callback(
-            lambda completed: self._on_pool_completion(fingerprint, completed)
-        )
-        return future
-
-    def _on_pool_completion(
-        self, fingerprint: str, future: "Future[CompiledArtifact]"
-    ) -> None:
-        with self._lock:
-            self._inflight.pop(fingerprint, None)
-            if future.cancelled() or future.exception() is not None:
-                return
-            artifact = future.result()
-            # The worker already published to disk; mirror into memory so the
-            # parent process serves repeats without touching the disk tier.
-            self.cache.put_memory_only(artifact)
-
-    def submit_batch(
-        self,
-        jobs: "list[tuple[StencilProgram, PipelineOptions | None]]",
-    ) -> "list[Future[CompiledArtifact]]":
-        """Fan a batch of configurations out; one future per input, in order.
-
-        Identical configurations within the batch share one compile (and one
-        future) via the in-flight table.
-        """
-        return [self.submit(program, options) for program, options in jobs]
-
     def compile(
         self, program: StencilProgram, options: PipelineOptions | None = None
     ) -> CompiledArtifact:
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(program, options).result()
+        """The compiled artifact of one configuration, from the cache or
+        from an inline compile that is then published to both tiers.
+
+        Racing first requests for one fingerprint may both compile; the
+        compile is deterministic, so either artifact is the same one.
+        """
+        if options is None:
+            options = PipelineOptions.default_for(program)
+        fingerprint = compute_fingerprint(program, options)
+        with self._lock:
+            self.statistics.submitted += 1
+            artifact = self.cache.get(fingerprint)
+            if artifact is not None:
+                self.statistics.cache_hits += 1
+                return artifact
+            self.statistics.compiles += 1
+        artifact = build_artifact(
+            compile_stencil_program(program, options), fingerprint
+        )
+        with self._lock:
+            self.cache.put(artifact)
+        return artifact
 
     # ------------------------------------------------------------------ #
     # In-process compiles that need the live IR
@@ -273,19 +163,8 @@ class CompileService:
         return result
 
     # ------------------------------------------------------------------ #
-    # Lifecycle / reporting
+    # Reporting
     # ------------------------------------------------------------------ #
-
-    def shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "CompileService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
     def format_statistics(self) -> str:
         """One-paragraph human-readable summary for the CLI and examples."""
@@ -294,9 +173,7 @@ class CompileService:
         lines = [
             "compilation service statistics:",
             f"  submitted {stats.submitted}  cache hits {stats.cache_hits}  "
-            f"inline compiles {stats.inline_compiles}  "
-            f"pool compiles {stats.pool_compiles}  "
-            f"deduplicated {stats.deduplicated}",
+            f"compiles {stats.compiles}",
             f"  ir compiles {stats.ir_compiles}  ir reuses {stats.ir_hits}",
             f"  cache: memory hits {cache.memory_hits}  disk hits "
             f"{cache.disk_hits}  misses {cache.misses}  stores {cache.stores}  "
@@ -317,11 +194,11 @@ _default_lock = threading.Lock()
 
 
 def default_service() -> CompileService:
-    """The process-wide inline service shared by the perf model and reports."""
+    """The process-wide service shared by the perf model and reports."""
     global _default_service
     with _default_lock:
         if _default_service is None:
-            _default_service = CompileService(max_workers=0)
+            _default_service = CompileService()
         return _default_service
 
 
@@ -329,6 +206,4 @@ def reset_default_service() -> None:
     """Drop the shared service (tests use this to isolate cache state)."""
     global _default_service
     with _default_lock:
-        if _default_service is not None:
-            _default_service.shutdown()
         _default_service = None

@@ -126,9 +126,25 @@ class TestWorkerLifetime:
                 _submit(queue, seed).wait(timeout=300) for seed in range(2)
             ]
         assert [r.result["worker_pid"] for r in records] == [os.getpid()] * 2
-        # Unchanged: an inline job builds its own run service.
-        assert [r.result["compile"] for r in records] == ["pipeline"] * 2
         assert queue.statistics.worker_spawns == 0
+
+    def test_an_inline_claim_thread_compiles_each_configuration_once(self):
+        """An inline claim thread keeps one run service for its life, as a
+        worker process does, so later seeds reuse the lowered program."""
+        program = benchmark_by_name("Jacobian").program(
+            nx=4, ny=4, nz=8, time_steps=1
+        )
+        options = PipelineOptions(grid_width=4, grid_height=4)
+        with JobQueue(workers=1, mode="inline") as queue:
+            records = [
+                queue.submit(
+                    program, options, executor="vectorized", seed=seed
+                ).wait(timeout=300)
+                for seed in range(3)
+            ]
+        assert [record.result["compile"] for record in records] == [
+            "pipeline", "memo", "memo",
+        ]
 
 
 class TestWorkerDeathAndCancel:

@@ -1,15 +1,23 @@
-"""The two cache tiers: LRU behaviour, disk roundtrips, overrides, purge."""
+"""The one checksummed store and the two cache tiers over it: LRU
+behaviour, disk roundtrips, overrides, damaged entries, purge."""
 
 import os
 
+import pytest
+
 from repro.service.cache import (
+    COMPILE,
+    RUN,
     ArtifactCache,
     CompiledArtifact,
-    DiskArtifactCache,
+    DiskStore,
     InMemoryArtifactCache,
     REPRO_CACHE_DIR_ENV,
     resolve_cache_directory,
 )
+from repro.service.kernels import KernelSourceStore
+from repro.service.run import RunArtifact
+from repro.wse.codegen import CODEGEN_VERSION
 
 
 def make_artifact(tag: str) -> CompiledArtifact:
@@ -24,6 +32,26 @@ def make_artifact(tag: str) -> CompiledArtifact:
             f"{tag}_layout.csl": f"// layout {tag}\n",
         },
         statistics={"total_wall_time": 0.01, "total_rewrites": 3, "passes": []},
+    )
+
+
+def compile_store(directory):
+    return DiskStore(COMPILE, directory, CompiledArtifact.from_json)
+
+
+def make_run_artifact(tag: str) -> RunArtifact:
+    return RunArtifact(
+        fingerprint=f"{tag:0>64}",
+        compile_fingerprint="c" * 64,
+        program_name=f"program_{tag}",
+        executor="vectorized",
+        grid_width=4,
+        grid_height=4,
+        seed=13,
+        max_rounds=100,
+        rounds=7,
+        statistics={"rounds": 7},
+        field_digests={"u": "d" * 64},
     )
 
 
@@ -51,9 +79,9 @@ def test_memory_tier_is_lru():
 
 
 def test_disk_roundtrip_preserves_every_byte(tmp_path):
-    store = DiskArtifactCache(tmp_path / "store")
+    store = compile_store(tmp_path / "store")
     artifact = make_artifact("roundtrip")
-    store.put(artifact)
+    store.put(artifact.fingerprint, artifact.to_json())
     loaded = store.get(artifact.fingerprint)
     assert loaded == artifact
     assert loaded.csl_sources == artifact.csl_sources
@@ -65,42 +93,50 @@ def test_env_override_selects_the_store_location(tmp_path, monkeypatch):
     override = tmp_path / "override-store"
     monkeypatch.setenv(REPRO_CACHE_DIR_ENV, str(override))
     assert resolve_cache_directory() == override
-    store = DiskArtifactCache()
-    store.put(make_artifact("env"))
+    store = compile_store(None)
+    artifact = make_artifact("env")
+    store.put(artifact.fingerprint, artifact.to_json())
     assert override.is_dir() and len(list(override.glob("*.json"))) == 1
     # An explicit directory wins over the environment.
     explicit = tmp_path / "explicit"
-    assert DiskArtifactCache(explicit).directory == explicit
+    assert compile_store(explicit).directory == explicit
 
 
 def test_corrupt_or_stale_files_read_as_misses(tmp_path):
-    store = DiskArtifactCache(tmp_path / "store")
+    store = compile_store(tmp_path / "store")
     artifact = make_artifact("corrupt")
-    store.put(artifact)
     path = store._path(artifact.fingerprint)
-    path.write_text("{not json", encoding="utf-8")
+    # A checksummed entry that is not JSON at all.
+    store.put(artifact.fingerprint, "{not json")
     assert store.get(artifact.fingerprint) is None
+    assert not path.exists()
     # Unknown schema versions are also ignored rather than crashing.
-    store.put(artifact)
-    text = path.read_text(encoding="utf-8").replace(
-        '"schema_version": 1', '"schema_version": 999'
+    store.put(
+        artifact.fingerprint,
+        artifact.to_json().replace('"schema_version": 1', '"schema_version": 999'),
     )
-    path.write_text(text, encoding="utf-8")
     assert store.get(artifact.fingerprint) is None
+    assert not path.exists()
 
 
 def test_purge_empties_the_store(tmp_path):
-    store = DiskArtifactCache(tmp_path / "store")
+    store = compile_store(tmp_path / "store")
     for tag in ("p1", "p2", "p3"):
-        store.put(make_artifact(tag))
+        artifact = make_artifact(tag)
+        store.put(artifact.fingerprint, artifact.to_json())
+    # Namespaces are disjoint: the run namespace below the root is not
+    # the compile namespace's to purge.
+    runs = DiskStore(RUN, tmp_path / "store")
+    runs.put("r" * 64, make_run_artifact("r").to_json())
     assert store.purge() == 3
     assert len(store) == 0
     assert store.purge() == 0  # idempotent, including on a missing directory
+    assert len(runs) == 1
 
 
 def test_writes_leave_no_temp_files_behind(tmp_path):
-    store = DiskArtifactCache(tmp_path / "store")
-    store.put(make_artifact("tmpcheck"))
+    store = compile_store(tmp_path / "store")
+    store.put("t" * 64, make_artifact("tmpcheck").to_json())
     leftovers = [name for name in os.listdir(store.directory) if name.endswith(".tmp")]
     assert leftovers == []
 
@@ -112,12 +148,12 @@ def test_writes_leave_no_temp_files_behind(tmp_path):
 
 def test_tiered_lookup_promotes_disk_hits_to_memory(tmp_path):
     directory = tmp_path / "store"
-    warm = ArtifactCache(directory)
+    warm = ArtifactCache(COMPILE, CompiledArtifact, directory)
     artifact = make_artifact("tiered")
     warm.put(artifact)
 
     # A fresh facade over the same directory has a cold memory tier.
-    cold = ArtifactCache(directory)
+    cold = ArtifactCache(COMPILE, CompiledArtifact, directory)
     assert cold.get(artifact.fingerprint) == artifact
     assert cold.statistics.disk_hits == 1
     assert cold.get(artifact.fingerprint) == artifact
@@ -126,7 +162,9 @@ def test_tiered_lookup_promotes_disk_hits_to_memory(tmp_path):
 
 
 def test_tiered_counters_track_misses_and_stores(tmp_path):
-    cache = ArtifactCache(tmp_path / "store", memory_capacity=1)
+    cache = ArtifactCache(
+        COMPILE, CompiledArtifact, tmp_path / "store", memory_capacity=1
+    )
     assert cache.get("0" * 64) is None
     assert cache.statistics.misses == 1
     cache.put(make_artifact("s1"))
@@ -134,3 +172,79 @@ def test_tiered_counters_track_misses_and_stores(tmp_path):
     assert cache.statistics.stores == 2
     assert cache.statistics.evictions == 1
     assert cache.statistics.hit_rate == 0.0
+
+
+# --------------------------------------------------------------------------- #
+# Damaged entries, in every namespace
+# --------------------------------------------------------------------------- #
+
+
+def _kernel_source(version: int = CODEGEN_VERSION) -> str:
+    return (
+        f"# kernel generated by repro.wse.codegen (codegen v{version}) "
+        f"-- do not edit\nVALUE = 1\n"
+    )
+
+
+def _stale_json(text: str) -> str:
+    return text.replace('"schema_version": ', '"schema_version": -', 1)
+
+
+#: per namespace: the store, one (fingerprint, text, decoded value) entry,
+#: and the same entry under a stale schema.
+NAMESPACE_ENTRIES = {
+    "compile": (
+        compile_store,
+        lambda: make_artifact("entry"),
+        lambda artifact: artifact.to_json(),
+        _stale_json,
+    ),
+    "run": (
+        lambda directory: DiskStore(RUN, directory, RunArtifact.from_json),
+        lambda: make_run_artifact("entry"),
+        lambda artifact: artifact.to_json(),
+        _stale_json,
+    ),
+    "kernel": (
+        KernelSourceStore,
+        _kernel_source,
+        lambda source: source,
+        lambda source: source.replace(
+            f"(codegen v{CODEGEN_VERSION})", f"(codegen v{CODEGEN_VERSION - 1})"
+        ),
+    ),
+}
+
+DAMAGE = {
+    "truncated": lambda data: data[: len(data) // 2],
+    "flipped-byte": lambda data: (
+        data[:-5] + bytes([data[-5] ^ 1]) + data[-4:]
+    ),
+    "no-hash-line": lambda data: data.partition(b"\n")[2],
+}
+
+
+@pytest.mark.parametrize("damage", [*DAMAGE, "stale-schema"])
+@pytest.mark.parametrize("namespace", list(NAMESPACE_ENTRIES))
+def test_a_damaged_entry_is_a_miss_unlinked_and_re_put(
+    namespace, damage, tmp_path
+):
+    """Whatever the namespace, a damaged entry is never served: the read
+    misses and unlinks it, and the recomputed entry's re-put is served."""
+    make_store, make_value, encode, stale = NAMESPACE_ENTRIES[namespace]
+    store = make_store(tmp_path / "store")
+    value = make_value()
+    fingerprint = "e" * 64
+    text = encode(value)
+    store.put(fingerprint, text)
+    path = store._path(fingerprint)
+    assert store.get(fingerprint) == value
+    if damage == "stale-schema":
+        store.put(fingerprint, stale(text))  # a valid checksum
+    else:
+        path.write_bytes(DAMAGE[damage](path.read_bytes()))
+
+    assert store.get(fingerprint) is None
+    assert not path.exists()
+    store.put(fingerprint, text)
+    assert store.get(fingerprint) == value

@@ -1,16 +1,15 @@
 """Compile determinism across processes — the property the whole
 content-addressed cache rests on: fingerprints and printed CSL must be
-byte-identical whether produced in this process, in a pool worker, or served
-back from the on-disk store."""
+byte-identical whether produced in this process, in a forked process, or
+served back from the on-disk store."""
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.service.cache import DiskArtifactCache
 from repro.service.fingerprint import compute_fingerprint
-from repro.service.service import CompileJob, CompileService, build_artifact, run_compile_job
+from repro.service.service import CompileService, build_artifact
 from repro.transforms.pipeline import compile_stencil_program
 from tests.service.test_fingerprint import make_options, make_program
 
@@ -18,6 +17,13 @@ from tests.service.test_fingerprint import make_options, make_program
 def _fingerprint_in_worker(_=None) -> str:
     """Module-level so the pool can pickle it by reference."""
     return compute_fingerprint(make_program(), make_options())
+
+
+def _compile_in_worker(cache_dir: str):
+    """Module-level so the pool can pickle it by reference."""
+    return CompileService(cache_dir=cache_dir).compile(
+        make_program(), make_options()
+    )
 
 
 def _pool() -> ProcessPoolExecutor:
@@ -40,26 +46,24 @@ def test_csl_text_is_byte_identical_in_process_and_in_a_pool_worker(tmp_path):
     fingerprint = compute_fingerprint(program, options)
     local = build_artifact(compile_stencil_program(program, options), fingerprint)
 
-    job = CompileJob(
-        program=program,
-        options=options,
-        fingerprint=fingerprint,
-        cache_dir=str(tmp_path / "worker-store"),
-    )
     with _pool() as pool:
-        remote = pool.submit(run_compile_job, job).result()
+        remote = pool.submit(
+            _compile_in_worker, str(tmp_path / "worker-store")
+        ).result()
 
     assert remote.csl_sources == local.csl_sources
     assert remote.fingerprint == local.fingerprint
     # The worker also published the identical artifact to its store.
-    stored = DiskArtifactCache(tmp_path / "worker-store").get(fingerprint)
+    stored = CompileService(cache_dir=tmp_path / "worker-store").cache.disk.get(
+        fingerprint
+    )
     assert stored is not None
     assert stored.csl_sources == local.csl_sources
 
 
 def test_cached_artifact_is_byte_identical_to_a_fresh_compile():
-    with CompileService() as service:
-        cached = service.compile(make_program(), make_options())
+    service = CompileService()
+    cached = service.compile(make_program(), make_options())
     fresh = build_artifact(
         compile_stencil_program(make_program(), make_options()),
         cached.fingerprint,

@@ -284,17 +284,34 @@ class TestRunService:
         program, options = _config()
         with RunService() as service:
             artifact = service.run(program, options)
-            path = service.store._path(artifact.fingerprint)
-            path.write_text(
+            # Checksummed: only the schema, not the checksum, refuses it.
+            service.store.disk.put(
+                artifact.fingerprint,
                 artifact.to_json().replace(
                     f'"schema_version": {artifact.schema_version}',
                     '"schema_version": 0',
                 ),
-                encoding="utf-8",
             )
         with RunService() as fresh:
             fresh.run(program, options)
             assert fresh.statistics.simulations == 1  # recomputed, not served
+
+    def test_an_edited_field_digest_on_disk_is_re_simulated(self):
+        """A stored run artifact whose digest was edited is never served
+        as the job's result: the next run simulates and returns the true
+        digest."""
+        program, options = _config()
+        with RunService() as service:
+            artifact = service.run(program, options)
+            path = service.store.disk._path(artifact.fingerprint)
+        digest = sorted(artifact.field_digests.values())[0]
+        text = path.read_text(encoding="utf-8")
+        assert digest in text
+        path.write_text(text.replace(digest, "0" * 64), encoding="utf-8")
+        with RunService() as fresh:
+            again = fresh.run(program, options)
+            assert fresh.statistics.simulations == 1
+        assert again.field_digests == artifact.field_digests
 
 
 class TestKernelStore:

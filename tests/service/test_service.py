@@ -1,6 +1,8 @@
-"""CompileService behaviour: hits, batches, pools, IR memoisation, CLI."""
+"""CompileService behaviour: hits, the shared store, damaged entries, IR
+memoisation, racing threads, CLI."""
 
 import io
+import json
 import threading
 
 from repro.service.cli import main
@@ -8,12 +10,12 @@ from repro.service.service import CompileService, default_service
 from tests.service.test_fingerprint import make_options, make_program
 
 
-def test_inline_submit_compiles_once_then_serves_from_cache():
-    with CompileService() as service:
-        first = service.submit(make_program(), make_options()).result()
-        second = service.submit(make_program(), make_options()).result()
+def test_compile_once_then_serve_from_cache():
+    service = CompileService()
+    first = service.compile(make_program(), make_options())
+    second = service.compile(make_program(), make_options())
     assert first.csl_sources == second.csl_sources
-    assert service.statistics.inline_compiles == 1
+    assert service.statistics.compiles == 1
     assert service.statistics.cache_hits == 1
     assert service.cache.statistics.memory_hits == 1
     # Both program and layout modules were printed into the artifact.
@@ -21,8 +23,7 @@ def test_inline_submit_compiles_once_then_serves_from_cache():
 
 
 def test_artifact_metadata_describes_the_configuration():
-    with CompileService() as service:
-        artifact = service.compile(make_program(), make_options(target="wse3"))
+    artifact = CompileService().compile(make_program(), make_options(target="wse3"))
     assert artifact.program_name == "fp_probe"
     assert artifact.target == "wse3"
     assert (artifact.grid_width, artifact.grid_height) == (4, 4)
@@ -31,73 +32,76 @@ def test_artifact_metadata_describes_the_configuration():
 
 
 def test_disk_store_is_shared_across_service_instances():
-    with CompileService() as producer:
-        produced = producer.compile(make_program(), make_options())
-    with CompileService() as consumer:
-        served = consumer.compile(make_program(), make_options())
+    produced = CompileService().compile(make_program(), make_options())
+    consumer = CompileService()
+    served = consumer.compile(make_program(), make_options())
     assert served == produced
-    assert consumer.statistics.inline_compiles == 0
+    assert consumer.statistics.compiles == 0
     assert consumer.cache.statistics.disk_hits == 1
 
 
-def test_batch_over_a_process_pool_accounts_every_submission():
-    # Three distinct configurations plus one duplicate: the duplicate either
-    # joins the in-flight compile or hits the cache, never compiles twice.
-    configs = [
-        (make_program(), make_options()),
-        (make_program(0.5), make_options()),
-        (make_program(), make_options(target="wse3")),
-        (make_program(), make_options()),
-    ]
-    with CompileService(max_workers=2) as service:
-        futures = service.submit_batch(configs)
-        artifacts = [future.result() for future in futures]
-    assert len({a.fingerprint for a in artifacts}) == 3
-    assert artifacts[0] == artifacts[3]
-    stats = service.statistics
-    assert stats.submitted == 4
-    assert stats.pool_compiles == 3
-    assert stats.deduplicated + stats.cache_hits == 1
-    # Workers published their artifacts into the shared store.
-    assert len(service.cache.disk) == 3
+def test_an_edited_csl_text_on_disk_is_recompiled():
+    """The entry's checksum, not its fingerprint, vouches for its text: a
+    stored artifact whose CSL was edited is never served."""
+    produced = CompileService().compile(make_program(), make_options())
+    path = CompileService().cache.disk._path(produced.fingerprint)
+    name = sorted(produced.csl_sources)[0]
+    original = produced.csl_sources[name]
+    encoded = json.dumps(original)[1:-1]
+    text = path.read_text(encoding="utf-8")
+    assert encoded in text
+    edited = json.dumps("// edited\n" + original)[1:-1]
+    path.write_text(text.replace(encoded, edited), encoding="utf-8")
+
+    fresh = CompileService()
+    served = fresh.compile(make_program(), make_options())
+    assert fresh.statistics.compiles == 1
+    assert served.csl_sources == produced.csl_sources
+    # The recompiled artifact was re-put, checksum and all.
+    again = CompileService()
+    assert again.compile(make_program(), make_options()) == served
+    assert again.statistics.compiles == 0
 
 
 def test_compile_ir_memoises_live_results():
-    with CompileService() as service:
-        first = service.compile_ir(make_program(), make_options())
-        second = service.compile_ir(make_program(), make_options())
-        assert second is first
-        assert service.statistics.ir_compiles == 1
-        assert service.statistics.ir_hits == 1
-        # The printed artifact landed in the cache as a side effect, so a
-        # text client is served without compiling.
-        service.submit(make_program(), make_options()).result()
-        assert service.statistics.inline_compiles == 0
-        assert service.statistics.cache_hits == 1
+    service = CompileService()
+    first = service.compile_ir(make_program(), make_options())
+    second = service.compile_ir(make_program(), make_options())
+    assert second is first
+    assert service.statistics.ir_compiles == 1
+    assert service.statistics.ir_hits == 1
+    # The printed artifact landed in the cache as a side effect, so a
+    # text client is served without compiling.
+    service.compile(make_program(), make_options())
+    assert service.statistics.compiles == 0
+    assert service.statistics.cache_hits == 1
 
 
-def test_concurrent_submissions_share_one_compile():
-    # Check-and-register is one critical section, so two racing threads for
-    # the same fingerprint must end up with exactly one pipeline run.
+def test_racing_threads_get_equal_artifacts():
+    # No in-flight table: two racing first requests for one fingerprint
+    # may both compile, but the compile is deterministic, so both get the
+    # same artifact and the store holds exactly one entry.
     barrier = threading.Barrier(2)
     artifacts = []
+    service = CompileService()
 
-    with CompileService() as service:
+    def compile_one():
+        barrier.wait()
+        artifacts.append(service.compile(make_program(), make_options()))
 
-        def submit():
-            barrier.wait()
-            artifacts.append(service.submit(make_program(), make_options()).result())
+    threads = [threading.Thread(target=compile_one) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
 
-        threads = [threading.Thread(target=submit) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-    assert artifacts[0] == artifacts[1]
+    first, second = artifacts
+    assert first.fingerprint == second.fingerprint
+    assert first.csl_sources == second.csl_sources
     stats = service.statistics
-    assert stats.inline_compiles == 1
-    assert stats.deduplicated + stats.cache_hits == 1
+    assert stats.submitted == 2
+    assert stats.compiles + stats.cache_hits == 2
+    assert len(service.cache.disk) == 1
 
 
 def test_default_service_is_a_process_wide_singleton():
@@ -105,9 +109,9 @@ def test_default_service_is_a_process_wide_singleton():
 
 
 def test_format_statistics_mentions_the_store():
-    with CompileService() as service:
-        service.compile(make_program(), make_options())
-        text = service.format_statistics()
+    service = CompileService()
+    service.compile(make_program(), make_options())
+    text = service.format_statistics()
     assert "cache" in text and str(service.cache.disk.directory) in text
 
 
@@ -145,7 +149,7 @@ def test_cli_stats_and_purge_roundtrip(isolated_cache):
 
     purge_out = io.StringIO()
     assert main(["purge"], out=purge_out) == 0
-    assert "purged 1 artifacts" in purge_out.getvalue()
+    assert "purged 1 compile artifacts" in purge_out.getvalue()
 
     empty_out = io.StringIO()
     assert main(["stats"], out=empty_out) == 0
@@ -159,5 +163,4 @@ def test_cli_rejects_unknown_benchmarks(capsys):
 def test_cli_rejects_invalid_option_values(capsys):
     # Out-of-range values exit 2 with a message, not a traceback.
     assert main(["compile", "Jacobian", "--num-chunks", "0"], out=io.StringIO()) == 2
-    assert main(["compile", "Jacobian", "--workers", "-1"], out=io.StringIO()) == 2
     assert "error:" in capsys.readouterr().err
