@@ -27,7 +27,7 @@ from repro.wse.codegen import CODEGEN_VERSION
 
 def _current_kernel(source: str) -> str:
     """``source``, unless its header names another emitter version."""
-    if f"(codegen v{CODEGEN_VERSION})" not in source.partition("\n")[0]:
+    if f"(codegen v{CODEGEN_VERSION})" not in source[: source.find("\n")]:
         raise ValueError(f"kernel source is not codegen v{CODEGEN_VERSION}")
     return source
 
