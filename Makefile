@@ -97,9 +97,9 @@ run-service-check:
 # connection — all read off counters and pids) plus the cold/warm
 # run-cache counters of the legacy queue benchmark, then a CLI smoke
 # path: submit a batch through process workers, resubmit it inline (served
-# from the run cache), inspect one job, the queue store and the combined
-# stats table, purge.  Queue *speed* is `python -m bench --workload
-# service_queue_sweep`, not a test.
+# from the run cache), inspect one job, list the store, print the combined
+# stats (with the queue store's counters), purge.  Queue *speed* is
+# `python -m bench --workload service_queue_sweep`, not a test.
 queue-check:
 	$(PYTHON) -m pytest tests/service/queue \
 	  benchmarks/test_queue_throughput.py -q
@@ -108,7 +108,6 @@ queue-check:
 	  $(PYTHON) -m repro.service queue submit Jacobian UVKBE --grid 4x4 --nz 8 --time-steps 1 --inline && \
 	  $(PYTHON) -m repro.service queue status 1 && \
 	  $(PYTHON) -m repro.service queue list && \
-	  $(PYTHON) -m repro.service queue stats && \
 	  $(PYTHON) -m repro.service stats && \
 	  $(PYTHON) -m repro.service purge'
 

@@ -9,15 +9,17 @@ Layered on top of the one-shot ``compile_stencil_program``:
   over one namespace) keyed by fingerprint;
 * :mod:`repro.service.service` — :class:`CompileService`, which serves
   cache hits and compiles cache misses inline;
-* :mod:`repro.service.run` — :class:`RunService`, end-to-end run jobs
-  (compile → simulate → field digests) content-addressed by run
-  fingerprints that fold in the executor, seed, round budget and
-  execution-plan version;
-* :mod:`repro.service.queue` — :class:`JobQueue`, the async run-queue
-  daemon: persistent SQLite-backed jobs with an explicit lifecycle state
-  machine, a crash-isolated worker pool and named resumable experiments;
-* :mod:`repro.service.cli` — ``python -m repro.service`` batch front door
-  (``compile`` / ``run`` / ``queue`` / ``stats`` / ``purge``).
+* :mod:`repro.service.run` — :class:`RunService`, whose ``run`` is the one
+  synchronous end-to-end run job (compile → simulate → field digests),
+  content-addressed by a run fingerprint that folds in the executor, seed,
+  round budget and execution-plan version;
+* :mod:`repro.service.queue` — :class:`JobQueue`, the one asynchronous
+  path: ``submit`` returns a durable :class:`JobHandle` over persistent
+  SQLite-backed jobs with an explicit lifecycle state machine, worked by a
+  crash-isolated worker pool through ``RunService.run``, grouped into
+  named resumable experiments;
+* :mod:`repro.service.cli` — ``python -m repro.service``, the one command
+  line (``compile`` / ``run`` / ``queue`` / ``stats`` / ``purge``).
 """
 
 from repro.service.cache import (

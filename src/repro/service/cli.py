@@ -1,18 +1,26 @@
-"""``python -m repro.service`` — batch compilation and simulation front door.
+"""``python -m repro.service`` — the service's one command line.
 
-Five subcommands:
+Five commands over one cache directory:
 
 * ``compile BENCH [BENCH ...]`` — compile named paper benchmarks through the
-  service (optionally repeated to show warm-cache reuse) and print per-job
-  outcomes plus the service statistics;
-* ``run BENCH [BENCH ...]`` — end-to-end run jobs: compile, simulate on a
-  chosen execution backend, and print the per-field result digests; repeats
-  are served from the run-artifact cache;
-* ``queue submit|status|wait|list|cancel|stats`` — the async job-queue run
-  service (:mod:`repro.service.queue.cli`): persistent jobs, lifecycle
-  tracking, worker pool, experiments;
-* ``stats`` — one combined table across the store's compile/run/kernel
-  namespaces and the queue store (entries, bytes, hit rates);
+  service (``--repeat`` shows warm-cache reuse) and print per-job outcomes
+  plus the service statistics;
+* ``run BENCH [BENCH ...]`` or ``run --csl DIR`` — the synchronous run
+  (:meth:`~repro.service.run.RunService.run`): compile, simulate on a
+  chosen execution backend and print the per-field result digests;
+  repeats are served from the run cache;
+* ``queue submit|status|wait|list|cancel`` — the asynchronous run through
+  the persistent job queue (:class:`~repro.service.queue.JobQueue`):
+  ``submit`` enqueues the same jobs (optionally as a named experiment) and
+  works them here, or ``--detach``es and leaves them for a later ``wait``;
+  ``status`` shows job records (``--events`` adds each history); ``wait``
+  recovers orphaned jobs, starts workers and drains the queue, the named
+  jobs or one experiment; ``list`` tabulates jobs and experiment progress;
+  ``cancel`` cancels queued jobs.  ``status``, ``list`` and ``cancel`` are
+  safe to run while a daemon is working;
+* ``stats`` — one table across the store's compile/run/kernel namespaces
+  and the queue store, then the queue store's own counters (jobs, events,
+  run-cache vs simulated, pipeline vs memo compiles, worker processes);
 * ``purge`` — empty every namespace of the store and the queue store.
 """
 
@@ -23,13 +31,23 @@ import sys
 import time
 
 from repro.benchmarks.definitions import ALL_BENCHMARKS, benchmark_by_name
+from repro.csl import CslDiagnosticError, parse_csl_sources, read_csl_dir
 from repro.frontends.common import BoundaryCondition
 from repro.service.cache import NAMESPACES, DiskStore
+from repro.service.queue import (
+    DEFAULT_MAX_ATTEMPTS,
+    TERMINAL_STATES,
+    Experiment,
+    JobQueue,
+    JobStatus,
+    JobStore,
+    UnknownJobError,
+)
 from repro.service.run import DEFAULT_MAX_ROUNDS, DEFAULT_RUN_SEED, RunService
-from repro.wse.codegen import kernel_cache_statistics
 from repro.service.service import CompileService
 from repro.transforms.pipeline import PipelineOptions
-from repro.wse.executors import available_executors
+from repro.wse.codegen import kernel_cache_statistics
+from repro.wse.executors import available_executors, executor_by_name
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -43,12 +61,16 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _add_job_arguments(
-    parser: argparse.ArgumentParser, benchmarks_required: bool = True
+    parser: argparse.ArgumentParser,
+    *,
+    benchmarks: str = "+",
+    run_inputs: bool = True,
 ) -> None:
-    """The benchmark/configuration arguments ``compile`` and ``run`` share."""
+    """The job arguments ``compile``, ``run`` and ``queue submit`` share;
+    ``run_inputs`` adds the run-level ones (backend, seed, round budget)."""
     parser.add_argument(
         "benchmarks",
-        nargs="+" if benchmarks_required else "*",
+        nargs=benchmarks,
         metavar="BENCH",
         help=f"benchmark names ({', '.join(b.name for b in ALL_BENCHMARKS)})",
     )
@@ -83,8 +105,41 @@ def _add_job_arguments(
         default=1,
         help="submit the batch N times (repeats exercise the warm cache)",
     )
+    if not run_inputs:
+        return
     parser.add_argument(
-        "--cache-dir", default=None, help="override the artifact store location"
+        "--executor",
+        default=None,
+        metavar="NAME",
+        help=f"execution backend ({', '.join(available_executors())}; "
+        f"default: REPRO_EXECUTOR or the built-in default)",
+    )
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=DEFAULT_RUN_SEED,
+        help="input-field seed (part of the run fingerprint)",
+    )
+    parser.add_argument(
+        "--max-rounds",
+        type=int,
+        default=DEFAULT_MAX_ROUNDS,
+        help="delivery-round budget (part of the run fingerprint)",
+    )
+
+
+def _add_worker_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=2,
+        help="worker threads draining the queue",
+    )
+    parser.add_argument(
+        "--inline",
+        action="store_true",
+        help="execute jobs in the worker threads instead of forked worker "
+        "processes",
     )
 
 
@@ -94,19 +149,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cached, batched compilation and simulation of the "
         "paper benchmarks.",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    compile_parser = subparsers.add_parser(
-        "compile", help="compile named benchmarks through the service"
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument(
+        "--cache-dir", default=None, help="override the artifact store location"
     )
-    _add_job_arguments(compile_parser)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = subparsers.add_parser(
-        "run",
-        help="end-to-end run jobs: compile, simulate, print field digests",
+    def command(verbs, name: str, handler, summary: str):
+        sub = verbs.add_parser(name, help=summary, parents=[store])
+        sub.set_defaults(handler=handler)
+        return sub
+
+    compile_parser = command(
+        commands, "compile", _run_compile,
+        "compile named benchmarks through the service",
     )
-    _add_job_arguments(run_parser, benchmarks_required=False)
-    run_parser.add_argument(
+    _add_job_arguments(compile_parser, run_inputs=False)
+
+    run = command(
+        commands, "run", _run_run,
+        "end-to-end run jobs: compile, simulate, print field digests",
+    )
+    _add_job_arguments(run, benchmarks="*")
+    run.add_argument(
         "--csl",
         default=None,
         metavar="DIR",
@@ -114,45 +179,82 @@ def build_parser() -> argparse.ArgumentParser:
         "module plus an optional layout) instead of a named benchmark; "
         "parsed runs ride the same run cache",
     )
-    run_parser.add_argument(
-        "--executor",
+
+    queue = commands.add_parser(
+        "queue", help="the same run jobs through the persistent job queue"
+    )
+    verbs = queue.add_subparsers(dest="queue_command", required=True)
+
+    submit = command(
+        verbs, "submit", _run_submit,
+        "enqueue run jobs and (unless --detach) work them",
+    )
+    _add_job_arguments(submit)
+    submit.add_argument(
+        "--experiment",
         default=None,
         metavar="NAME",
-        help=f"execution backend ({', '.join(available_executors())}; "
-        f"default: REPRO_EXECUTOR or the built-in default)",
+        help="group the batch as one named, resumable experiment",
     )
-    run_parser.add_argument(
-        "--seed",
+    submit.add_argument(
+        "--max-attempts",
         type=int,
-        default=DEFAULT_RUN_SEED,
-        help="input-field seed (part of the run fingerprint)",
+        default=DEFAULT_MAX_ATTEMPTS,
+        help="attempt budget per job (initial execution + retries)",
     )
-    run_parser.add_argument(
-        "--max-rounds",
+    _add_worker_arguments(submit)
+    submit.add_argument(
+        "--detach",
+        action="store_true",
+        help="enqueue only; a later `queue wait` executes the jobs",
+    )
+
+    status = command(verbs, "status", _run_status, "show job records")
+    status.add_argument("job_ids", nargs="+", type=int, metavar="JOB")
+    status.add_argument(
+        "--events", action="store_true", help="include the full event history"
+    )
+
+    wait = command(
+        verbs, "wait", _run_wait,
+        "recover orphans, start workers, drain the queue",
+    )
+    wait.add_argument(
+        "job_ids",
+        nargs="*",
         type=int,
-        default=DEFAULT_MAX_ROUNDS,
-        help="delivery-round budget (part of the run fingerprint)",
+        metavar="JOB",
+        help="wait for these jobs only (default: drain everything pending)",
     )
+    wait.add_argument("--experiment", default=None, metavar="NAME")
+    _add_worker_arguments(wait)
+    wait.add_argument("--timeout", type=float, default=None)
 
-    from repro.service.queue.cli import add_queue_parser
-
-    add_queue_parser(subparsers)
-
-    stats_parser = subparsers.add_parser(
-        "stats", help="one combined table across all artifact stores"
+    listing = command(
+        verbs, "list", _run_list, "tabulate jobs and experiment progress"
     )
-    stats_parser.add_argument("--cache-dir", default=None)
-
-    purge_parser = subparsers.add_parser(
-        "purge", help="delete every artifact in the on-disk stores"
+    listing.add_argument(
+        "--status", default=None, choices=[status.value for status in JobStatus]
     )
-    purge_parser.add_argument("--cache-dir", default=None)
+    listing.add_argument("--experiment", default=None, metavar="NAME")
+    listing.add_argument("--limit", type=int, default=None)
 
+    cancel = command(verbs, "cancel", _run_cancel, "cancel queued jobs")
+    cancel.add_argument("job_ids", nargs="+", type=int, metavar="JOB")
+
+    command(
+        commands, "stats", _run_stats,
+        "one combined table across all artifact stores, then the queue's",
+    )
+    command(
+        commands, "purge", _run_purge,
+        "delete every artifact in the on-disk stores",
+    )
     return parser
 
 
 def _build_jobs(args: argparse.Namespace):
-    """The (benchmark, program, options) jobs a ``compile``/``run`` names."""
+    """The (benchmark, program, options) jobs a command names."""
     benchmarks = [benchmark_by_name(name) for name in args.benchmarks]
     width, height = args.grid
     boundary = (
@@ -176,6 +278,17 @@ def _build_jobs(args: argparse.Namespace):
     return benchmarks, jobs
 
 
+def _run_inputs(args: argparse.Namespace) -> dict:
+    """The run-level keyword arguments of a job, its backend validated."""
+    if args.executor is not None:
+        executor_by_name(args.executor)  # friendly error before any work
+    return {
+        "executor": args.executor,
+        "seed": args.seed,
+        "max_rounds": args.max_rounds,
+    }
+
+
 def _user_error(error: Exception) -> int:
     """Print ``error: <message>`` for a bad name, option, path or file and
     return the exit status 2 — the friendly path instead of a traceback.
@@ -188,28 +301,66 @@ def _user_error(error: Exception) -> int:
     return 2
 
 
+def _rounds(args, out, noun: str, cache: str, hits, batch):
+    """Run ``batch()`` ``--repeat`` times; print each round's header and
+    yield its results.  ``hits()`` reads the cache-hit counter."""
+    for index in range(args.repeat):
+        start = time.perf_counter()
+        before = hits()
+        results = batch()
+        elapsed = time.perf_counter() - start
+        print(
+            f"round {index + 1}/{args.repeat}: {len(results)} "
+            f"{noun if len(results) == 1 else noun + 's'} in "
+            f"{elapsed * 1e3:.1f} ms ({hits() - before} served from {cache})",
+            file=out,
+        )
+        yield results
+
+
+def _digests(field_digests: dict[str, str]) -> str:
+    return ", ".join(
+        f"{name}={digest[:12]}"
+        for name, digest in sorted(field_digests.items())
+    )
+
+
+def _print_record(record, out, *, prefix: str = "") -> None:
+    experiment = f"  [{record.experiment}]" if record.experiment else ""
+    tail = ""
+    if record.status is JobStatus.DONE:
+        tail = f"  served from {record.served_from}"
+        if record.result.get("compile"):
+            tail += (
+                f" (compile {record.result['compile']}, "
+                f"worker pid {record.result['worker_pid']})"
+            )
+    elif record.status is JobStatus.FAILED:
+        tail = f"  error: {record.error}"
+    print(
+        f"{prefix}job {record.id}  {record.status:<9}  "
+        f"{record.program_name:<10} {record.executor:<10} "
+        f"attempts {record.attempts}/{record.max_attempts}  "
+        f"{record.fingerprint[:12]}{experiment}{tail}",
+        file=out,
+    )
+
+
 def _run_compile(args: argparse.Namespace, out) -> int:
     try:
         benchmarks, jobs = _build_jobs(args)
-        width, height = args.grid
         service = CompileService(cache_dir=args.cache_dir)
     except (KeyError, ValueError) as error:
         return _user_error(error)
-
-    for round_index in range(args.repeat):
-        round_start = time.perf_counter()
-        hits_before = service.statistics.cache_hits
-        artifacts = [
-            service.compile(program, options) for program, options in jobs
-        ]
-        elapsed = time.perf_counter() - round_start
-        hits = service.statistics.cache_hits - hits_before
-        print(
-            f"round {round_index + 1}/{args.repeat}: "
-            f"{len(artifacts)} artifacts in {elapsed * 1e3:.1f} ms "
-            f"({hits} served from cache)",
-            file=out,
-        )
+    width, height = args.grid
+    for artifacts in _rounds(
+        args,
+        out,
+        "artifact",
+        "cache",
+        lambda: service.statistics.cache_hits,
+        lambda: [service.compile(*job) for job in jobs],
+    ):
         for benchmark, artifact in zip(benchmarks, artifacts):
             total_ms = artifact.statistics.get("total_wall_time", 0.0) * 1e3
             print(
@@ -224,113 +375,204 @@ def _run_compile(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _run_csl(args: argparse.Namespace, out) -> int:
-    """``run --csl DIR``: parse handwritten sources, ride the run cache."""
-    from repro.csl import CslDiagnosticError, parse_csl_sources, read_csl_dir
-
+def _run_run(args: argparse.Namespace, out) -> int:
+    if args.csl is not None and args.benchmarks:
+        return _user_error(
+            ValueError("benchmark names and --csl are mutually exclusive")
+        )
+    if args.csl is None and not args.benchmarks:
+        return _user_error(
+            ValueError("name at least one benchmark or pass --csl DIR")
+        )
     try:
         service = RunService(cache_dir=args.cache_dir)
-        if args.executor is not None:
-            from repro.wse.executors import executor_by_name
+        inputs = _run_inputs(args)
+        if args.csl is not None:
+            sources = read_csl_dir(args.csl)
+            # Parse eagerly so diagnostics surface before any run.
+            parse_csl_sources(sources)
 
-            executor_by_name(args.executor)  # friendly error before any work
-        sources = read_csl_dir(args.csl)
-        # Parse eagerly so diagnostics surface before any run is submitted.
-        parse_csl_sources(sources)
+            def batch():
+                return [service.run_csl(sources, **inputs)]
+
+        else:
+            _, jobs = _build_jobs(args)
+
+            def batch():
+                return [
+                    service.run(program, options, **inputs)
+                    for program, options in jobs
+                ]
+
     except (KeyError, ValueError, OSError, CslDiagnosticError) as error:
         return _user_error(error)
 
     with service:
-        for round_index in range(args.repeat):
-            round_start = time.perf_counter()
-            hits_before = service.statistics.cache_hits
-            artifact = service.run_csl(
-                sources,
-                executor=args.executor,
-                seed=args.seed,
-                max_rounds=args.max_rounds,
-            )
-            elapsed = time.perf_counter() - round_start
-            hits = service.statistics.cache_hits - hits_before
-            digest_summary = ", ".join(
-                f"{name}={digest[:12]}"
-                for name, digest in sorted(artifact.field_digests.items())
-            )
-            print(
-                f"round {round_index + 1}/{args.repeat}: "
-                f"1 run in {elapsed * 1e3:.1f} ms "
-                f"({hits} served from run cache)",
-                file=out,
-            )
-            print(
-                f"  {artifact.fingerprint[:12]}  {artifact.program_name:<10} "
-                f"{artifact.executor}  "
-                f"{artifact.grid_width}x{artifact.grid_height}  "
-                f"{artifact.rounds} rounds  {digest_summary}",
-                file=out,
-            )
-        print(service.format_statistics(), file=out)
-    return 0
-
-
-def _run_run(args: argparse.Namespace, out) -> int:
-    if args.csl is not None:
-        if args.benchmarks:
-            print(
-                "error: benchmark names and --csl are mutually exclusive",
-                file=sys.stderr,
-            )
-            return 2
-        return _run_csl(args, out)
-    if not args.benchmarks:
-        print(
-            "error: name at least one benchmark or pass --csl DIR",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        benchmarks, jobs = _build_jobs(args)
-        service = RunService(cache_dir=args.cache_dir)
-        if args.executor is not None:
-            from repro.wse.executors import executor_by_name
-
-            executor_by_name(args.executor)  # friendly error before any work
-    except (KeyError, ValueError) as error:
-        return _user_error(error)
-
-    with service:
-        for round_index in range(args.repeat):
-            round_start = time.perf_counter()
-            hits_before = service.statistics.cache_hits
-            futures = service.submit_batch(
-                jobs,
-                executor=args.executor,
-                seed=args.seed,
-                max_rounds=args.max_rounds,
-            )
-            artifacts = [future.result() for future in futures]
-            elapsed = time.perf_counter() - round_start
-            hits = service.statistics.cache_hits - hits_before
-            print(
-                f"round {round_index + 1}/{args.repeat}: "
-                f"{len(artifacts)} runs in {elapsed * 1e3:.1f} ms "
-                f"({hits} served from run cache)",
-                file=out,
-            )
-            for benchmark, artifact in zip(benchmarks, artifacts):
-                digest_summary = ", ".join(
-                    f"{name}={digest[:12]}"
-                    for name, digest in sorted(artifact.field_digests.items())
-                )
+        for artifacts in _rounds(
+            args,
+            out,
+            "run",
+            "run cache",
+            lambda: service.statistics.cache_hits,
+            batch,
+        ):
+            for artifact in artifacts:
                 print(
-                    f"  {artifact.fingerprint[:12]}  {benchmark.name:<10} "
-                    f"{artifact.executor}  "
+                    f"  {artifact.fingerprint[:12]}  "
+                    f"{artifact.program_name:<10} {artifact.executor}  "
                     f"{artifact.grid_width}x{artifact.grid_height}  "
-                    f"{artifact.rounds} rounds  {digest_summary}",
+                    f"{artifact.rounds} rounds  "
+                    f"{_digests(artifact.field_digests)}",
                     file=out,
                 )
         print(service.format_statistics(), file=out)
     return 0
+
+
+def _run_submit(args: argparse.Namespace, out) -> int:
+    try:
+        _, jobs = _build_jobs(args)
+        inputs = _run_inputs(args)
+    except (KeyError, ValueError) as error:
+        return _user_error(error)
+
+    with JobQueue(
+        args.cache_dir,
+        workers=0 if args.detach else args.workers,
+        mode="inline" if args.inline else "auto",
+        max_attempts=args.max_attempts,
+        recover=False,
+    ) as queue:
+        handles = [
+            queue.submit(program, options, experiment=args.experiment, **inputs)
+            for program, options in jobs * args.repeat
+        ]
+        for handle in handles:
+            _print_record(handle.record(), out, prefix="submitted ")
+        if args.detach:
+            pending = sum(
+                handle.status() not in TERMINAL_STATES for handle in handles
+            )
+            print(
+                f"{len(handles)} job(s) submitted, {pending} pending; "
+                f"run `python -m repro.service queue wait` to execute them",
+                file=out,
+            )
+            return 0
+        failures = 0
+        for handle in handles:
+            record = handle.wait(timeout=600.0)
+            _print_record(record, out)
+            if record.status is JobStatus.DONE:
+                digests = _digests(record.result["field_digests"])
+                print(f"    {digests}", file=out)
+            else:
+                failures += 1
+    # Formatted after close(): the worker threads have joined, so the
+    # in-memory terminal counters are settled (wait() alone races them).
+    print(queue.format_statistics(), file=out)
+    return 1 if failures else 0
+
+
+def _run_status(args: argparse.Namespace, out) -> int:
+    store = JobStore(args.cache_dir)
+    missing = 0
+    for job_id in args.job_ids:
+        record = store.get(job_id)
+        if record is None:
+            print(f"job {job_id}: unknown", file=sys.stderr)
+            missing += 1
+            continue
+        _print_record(record, out)
+        if args.events:
+            for event in store.events(job_id):
+                print(f"    {event.format()}", file=out)
+    return 2 if missing else 0
+
+
+def _run_wait(args: argparse.Namespace, out) -> int:
+    with JobQueue(
+        args.cache_dir,
+        workers=args.workers,
+        mode="inline" if args.inline else "auto",
+        recover=True,
+    ) as queue:
+        if queue.statistics.recovered:
+            print(
+                f"recovered {queue.statistics.recovered} orphaned job(s)",
+                file=out,
+            )
+        missing = 0
+        if args.job_ids:
+            records = []
+            for job_id in args.job_ids:
+                try:
+                    handle = queue.handle(job_id)
+                except UnknownJobError:
+                    print(f"job {job_id}: unknown", file=sys.stderr)
+                    missing += 1
+                    continue
+                records.append(handle.wait(timeout=args.timeout))
+        elif args.experiment is not None:
+            records = queue.store.list_jobs(experiment=args.experiment)
+            if not records:
+                return _user_error(
+                    ValueError(f"unknown experiment {args.experiment!r}")
+                )
+            handles = [queue.handle(record.id) for record in records]
+            Experiment(args.experiment, queue, handles).wait(args.timeout)
+            records = [handle.record() for handle in handles]
+        else:
+            queue.drain(timeout=args.timeout)
+            records = [
+                record
+                for record in queue.store.list_jobs()
+                if record.status in TERMINAL_STATES
+            ]
+        for record in records:
+            _print_record(record, out)
+        failures = sum(record.status is JobStatus.FAILED for record in records)
+        print(queue.format_statistics(), file=out)
+    return 2 if missing else 1 if failures else 0
+
+
+def _run_list(args: argparse.Namespace, out) -> int:
+    store = JobStore(args.cache_dir)
+    records = store.list_jobs(
+        status=JobStatus(args.status) if args.status else None,
+        experiment=args.experiment,
+        limit=args.limit,
+    )
+    if not records:
+        print("no jobs", file=out)
+    for record in records:
+        _print_record(record, out)
+    progress = store.experiment_progress()
+    if progress:
+        print("experiments:", file=out)
+        for name in sorted(progress):
+            print(f"  {progress[name].format()}", file=out)
+    return 0
+
+
+def _run_cancel(args: argparse.Namespace, out) -> int:
+    store = JobStore(args.cache_dir)
+    refused = 0
+    for job_id in args.job_ids:
+        record = store.get(job_id)
+        if record is None:
+            print(f"job {job_id}: unknown", file=sys.stderr)
+            refused += 1
+        elif store.cancel_queued(job_id):
+            print(f"job {job_id}: cancelled", file=out)
+        else:
+            print(
+                f"job {job_id}: not cancellable (status {record.status}; "
+                f"only queued jobs can be cancelled from the CLI)",
+                file=sys.stderr,
+            )
+            refused += 1
+    return 1 if refused else 0
 
 
 def _hit_cells(hits: int, misses: int) -> tuple:
@@ -339,8 +581,6 @@ def _hit_cells(hits: int, misses: int) -> tuple:
 
 
 def _run_stats(args: argparse.Namespace, out) -> int:
-    from repro.service.queue.store import JobStore
-
     stores = [DiskStore(namespace, args.cache_dir) for namespace in NAMESPACES]
     queue = JobStore(args.cache_dir)
     kernels = kernel_cache_statistics()
@@ -383,12 +623,34 @@ def _run_stats(args: argparse.Namespace, out) -> int:
     locations = [(store.namespace.name, store.directory) for store in stores]
     for name, location in locations + [("queue", queue.path)]:
         print(f"{name + ' store:':<15} {location}", file=out)
+
+    populated = "  ".join(
+        f"{status} {count}"
+        for status, count in queue_stats.by_status.items()
+        if count
+    )
+    print(f"  jobs:      {queue_stats.jobs} ({populated or 'empty'})", file=out)
+    print(f"  events:    {queue_stats.events}", file=out)
+    print(
+        f"  done jobs: {queue_stats.cache_served} run-cache "
+        f"{queue_stats.simulated} simulated",
+        file=out,
+    )
+    print(
+        f"  compiles:  {queue_stats.pipeline_compiles} pipeline "
+        f"{queue_stats.memo_compiles} memo, by "
+        f"{queue_stats.worker_processes} worker process(es)",
+        file=out,
+    )
+    print(
+        f"  store connections opened by this command: "
+        f"{queue.connections_opened}",
+        file=out,
+    )
     return 0
 
 
 def _run_purge(args: argparse.Namespace, out) -> int:
-    from repro.service.queue.store import JobStore
-
     for namespace in NAMESPACES:
         store = DiskStore(namespace, args.cache_dir)
         print(
@@ -402,16 +664,4 @@ def _run_purge(args: argparse.Namespace, out) -> int:
 
 def main(argv: list[str] | None = None, out=sys.stdout) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "compile":
-        return _run_compile(args, out)
-    if args.command == "run":
-        return _run_run(args, out)
-    if args.command == "queue":
-        from repro.service.queue.cli import run_queue_command
-
-        return run_queue_command(args, out)
-    if args.command == "stats":
-        return _run_stats(args, out)
-    if args.command == "purge":
-        return _run_purge(args, out)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return args.handler(args, out)

@@ -12,12 +12,14 @@ the raw store the daemon adds:
 * **crash recovery** — construction requeues every job a previous daemon
   left in an active state (bounded by each job's attempt budget);
 * **progress streaming** — subscribers receive every
-  :class:`~repro.service.queue.lifecycle.JobEvent` as jobs move;
-* **futures** — any handle can be adapted to a
-  :class:`concurrent.futures.Future` resolving to the job's
-  :class:`~repro.service.run.RunArtifact`, which is how
-  ``RunService.submit_batch(..., queue=...)`` routes batches through the
-  queue behind its usual future-list interface.
+  :class:`~repro.service.queue.lifecycle.JobEvent` as jobs move.
+
+The queue is the asynchronous wrapper of the one synchronous run,
+:meth:`RunService.run <repro.service.run.RunService.run>`: ``submit``
+resolves a job with the same :func:`~repro.service.run.prepare_run`, the
+workers execute it through ``RunService.run``, and
+:meth:`JobHandle.result` hands back the same
+:class:`~repro.service.run.RunArtifact`.
 
 One daemon per store: two live ``JobQueue`` instances over one cache
 directory would each recover the other's active jobs as orphans.
@@ -29,8 +31,7 @@ import os
 import threading
 import time
 import weakref
-from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.frontends.common import StencilProgram
 from repro.service.cache import RUN, DiskStore, resolve_cache_directory
@@ -55,10 +56,9 @@ from repro.service.run import (
     DEFAULT_MAX_ROUNDS,
     DEFAULT_RUN_SEED,
     RunArtifact,
-    compute_run_fingerprint,
+    prepare_run,
 )
 from repro.transforms.pipeline import PipelineOptions
-from repro.wse.executors import default_executor_name, executor_by_name
 
 
 @dataclass
@@ -91,7 +91,7 @@ class JobHandle:
     Handles are cheap and survive the daemon: they read the persistent
     store, so a handle built from a bare job id in a fresh process (the
     CLI's ``status``/``wait``) behaves identically to one returned by
-    ``submit``.  ``future()`` needs the live queue.
+    ``submit``; only cancelling an active job needs the live queue.
     """
 
     store: JobStore
@@ -132,14 +132,6 @@ class JobHandle:
         """The finished job's run artifact (raises for failed/cancelled)."""
         record = self.wait(timeout)
         return _artifact_of(record, self.artifacts)
-
-    def future(self) -> "Future[RunArtifact]":
-        if self.queue is None:
-            raise RuntimeError(
-                "this handle is not attached to a live JobQueue; "
-                "use wait()/result() against the store instead"
-            )
-        return self.queue._future_for(self.job_id)
 
     def cancel(self) -> JobStatus:
         if self.queue is not None:
@@ -217,7 +209,6 @@ class JobQueue:
         self.max_attempts = max_attempts
         self.statistics = QueueStatistics()
         self._subscribers: list = []
-        self._futures: dict[int, list[Future]] = {}
         self._lock = threading.Lock()
         if recover:
             recovered = self.store.recover_orphans()
@@ -253,23 +244,16 @@ class JobQueue:
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         experiment: str | None = None,
         max_attempts: int | None = None,
-        dedupe: bool = True,
-        reuse_cached: bool = True,
     ) -> JobHandle:
         """Enqueue one run job; returns its durable handle immediately.
 
-        The executor is validated and resolved up front so the job's
-        fingerprint matches the synchronous ``RunService`` path exactly —
-        which is what lets the queue reuse (and warm) the same run cache.
+        The job is resolved by :func:`~repro.service.run.prepare_run`, as
+        the synchronous ``RunService.run`` resolves it, so its fingerprint
+        matches that path exactly — which is what lets the queue reuse
+        (and warm) the same run cache.
         """
-        if options is None:
-            options = PipelineOptions.default_for(program)
-        executor_name = (
-            executor if executor is not None else default_executor_name()
-        )
-        executor_by_name(executor_name)  # fail fast on unknown backends
-        fingerprint = compute_run_fingerprint(
-            program, options, executor_name, seed, max_rounds
+        options, executor_name, fingerprint = prepare_run(
+            program, options, executor, seed, max_rounds
         )
         payload = JobPayload(
             program=program,
@@ -281,21 +265,20 @@ class JobQueue:
         with self._lock:
             self.statistics.submitted += 1
 
-        if reuse_cached:
-            artifact = self.artifacts.get(fingerprint)
-            if artifact is not None:
-                record = self.store.insert_completed(
-                    payload,
-                    fingerprint=fingerprint,
-                    program_name=program.name,
-                    executor=executor_name,
-                    experiment=experiment,
-                    result=job_result_summary(artifact),
-                    detail="resumed from run cache",
-                )
-                with self._lock:
-                    self.statistics.resumed_from_cache += 1
-                return self._handle(record.id, fingerprint)
+        artifact = self.artifacts.get(fingerprint)
+        if artifact is not None:
+            record = self.store.insert_completed(
+                payload,
+                fingerprint=fingerprint,
+                program_name=program.name,
+                executor=executor_name,
+                experiment=experiment,
+                result=job_result_summary(artifact),
+                detail="resumed from run cache",
+            )
+            with self._lock:
+                self.statistics.resumed_from_cache += 1
+            return self._handle(record.id, fingerprint)
 
         record, deduplicated = self.store.submit(
             payload,
@@ -306,7 +289,6 @@ class JobQueue:
             max_attempts=(
                 max_attempts if max_attempts is not None else self.max_attempts
             ),
-            dedupe=dedupe,
         )
         if deduplicated:
             with self._lock:
@@ -321,37 +303,28 @@ class JobQueue:
         configs,
         *,
         executor: str | None = None,
-        seed: int | None = None,
-        max_rounds: int | None = None,
+        seed: int = DEFAULT_RUN_SEED,
+        max_rounds: int = DEFAULT_MAX_ROUNDS,
         max_attempts: int | None = None,
     ) -> Experiment:
         """Submit a named sweep as one experiment; see
         :mod:`repro.service.queue.experiments`."""
-        handles = []
-        for config in normalize_configs(configs):
-            handles.append(
-                self.submit(
-                    config.program,
-                    config.options,
-                    executor=config.executor or executor,
-                    seed=(
-                        config.seed
-                        if config.seed is not None
-                        else (seed if seed is not None else DEFAULT_RUN_SEED)
-                    ),
-                    max_rounds=(
-                        config.max_rounds
-                        if config.max_rounds is not None
-                        else (
-                            max_rounds
-                            if max_rounds is not None
-                            else DEFAULT_MAX_ROUNDS
-                        )
-                    ),
-                    experiment=name,
-                    max_attempts=max_attempts,
-                )
+        handles = [
+            self.submit(
+                config.program,
+                config.options,
+                executor=config.executor or executor,
+                seed=seed if config.seed is None else config.seed,
+                max_rounds=(
+                    max_rounds
+                    if config.max_rounds is None
+                    else config.max_rounds
+                ),
+                experiment=name,
+                max_attempts=max_attempts,
             )
+            for config in normalize_configs(configs)
+        ]
         return Experiment(name, self, handles)
 
     def handle(self, job_id: int) -> JobHandle:
@@ -371,29 +344,8 @@ class JobQueue:
         )
 
     # ------------------------------------------------------------------ #
-    # Futures / events
+    # Events
     # ------------------------------------------------------------------ #
-
-    def _future_for(self, job_id: int) -> "Future[RunArtifact]":
-        future: "Future[RunArtifact]" = Future()
-        with self._lock:
-            record = self.store.get(job_id)
-            if record is None:
-                future.set_exception(
-                    UnknownJobError(f"unknown job id {job_id}")
-                )
-                return future
-            if record.status in TERMINAL_STATES:
-                self._resolve_future(future, record)
-                return future
-            self._futures.setdefault(job_id, []).append(future)
-        return future
-
-    def _resolve_future(self, future: Future, record: JobRecord) -> None:
-        try:
-            future.set_result(_artifact_of(record, self.artifacts))
-        except (JobFailedError, JobCancelledError) as error:
-            future.set_exception(error)
 
     def subscribe(self, callback) -> None:
         """Stream every job event to ``callback`` (called from worker
@@ -421,15 +373,12 @@ class JobQueue:
     def _on_terminal(self, record: JobRecord) -> None:
         with self._lock:
             self.statistics.worker_spawns = self.pool.spawns
-            futures = self._futures.pop(record.id, [])
             if record.status is JobStatus.DONE:
                 self.statistics.completed += 1
             elif record.status is JobStatus.FAILED:
                 self.statistics.failed += 1
             elif record.status is JobStatus.CANCELLED:
                 self.statistics.cancelled += 1
-        for future in futures:
-            self._resolve_future(future, record)
 
     def _on_retry(self, record: JobRecord, reason: str) -> None:
         with self._lock:

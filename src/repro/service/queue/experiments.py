@@ -2,16 +2,16 @@
 
 An experiment is nothing more than a name stamped on its jobs — the
 grouping lives entirely in the persistent job store, so a sweep survives
-the daemon and its progress is queryable from any process (the CLI's
-``queue list`` rolls experiments up the same way).  What the grouping
-buys:
+the daemon and its progress is queryable from any process (the store's
+``experiment_progress``, which the CLI's ``queue list`` prints, returns
+the same :class:`ExperimentProgress` rollups).  What the grouping buys:
 
 * **aggregate progress** — one :class:`ExperimentProgress` snapshot over
   however many jobs the sweep contains;
 * **resumability** — resubmitting an experiment re-walks the same
   configs, and every fingerprint whose artifact the run cache already
-  holds is recorded as ``done`` without queueing (``JobQueue.submit``'s
-  ``reuse_cached`` path), so an interrupted 1000-run sweep only re-pays
+  holds is recorded as ``done`` without queueing (``JobQueue.submit``
+  checks the run cache first), so an interrupted 1000-run sweep only re-pays
   the runs that never finished.
 """
 

@@ -40,6 +40,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.frontends.common import StencilProgram
 from repro.service.cache import resolve_cache_directory
+from repro.service.queue.experiments import ExperimentProgress
 from repro.service.queue.lifecycle import (
     ACTIVE_STATES,
     JobEvent,
@@ -277,6 +278,8 @@ class JobStore:
         #: SQLite connections this instance has opened (one per use between
         #: ``close()`` calls, however many operations and threads).
         self.connections_opened = 0
+        #: ``BEGIN IMMEDIATE`` transactions this instance has run.
+        self.transactions = 0
         self._connection: sqlite3.Connection | None = None
         #: per-thread buffer of events recorded inside the open transaction.
         self._local = threading.local()
@@ -403,6 +406,7 @@ class JobStore:
                 connection = self._connected()
                 try:
                     connection.execute("BEGIN IMMEDIATE")
+                    self.transactions += 1
                     yield connection
                     connection.execute("COMMIT")
                 except BaseException:
@@ -858,20 +862,22 @@ class JobStore:
             counts[JobStatus(row["status"])] = row["n"]
         return counts
 
-    def experiment_progress(self) -> dict[str, dict[JobStatus, int]]:
-        """Per-experiment status counts (unnamed jobs are excluded)."""
+    def experiment_progress(self) -> dict[str, ExperimentProgress]:
+        """Per-experiment status rollups (unnamed jobs are excluded)."""
         with self._read() as connection:
             rows = connection.execute(
                 "SELECT experiment, status, COUNT(*) AS n FROM jobs "
                 "WHERE experiment IS NOT NULL GROUP BY experiment, status"
             ).fetchall()
-        progress: dict[str, dict[JobStatus, int]] = {}
+        counts: dict[str, dict[JobStatus, int]] = {}
         for row in rows:
-            per = progress.setdefault(
-                row["experiment"], {status: 0 for status in JobStatus}
+            per = counts.setdefault(
+                row["experiment"], dict.fromkeys(JobStatus, 0)
             )
             per[JobStatus(row["status"])] = row["n"]
-        return progress
+        return {
+            name: ExperimentProgress(name, per) for name, per in counts.items()
+        }
 
     def events(self, job_id: int) -> list[JobEvent]:
         return self.events_since(job_id, 0)

@@ -12,15 +12,19 @@ seed, round budget) and the execution-plan version
 (:data:`~repro.wse.plan.PLAN_VERSION`), so a change to either compilation
 or planning semantics invalidates cached runs exactly once.
 
-:class:`RunService` fronts both stages: run-cache hits skip compilation
-*and* simulation entirely.  Run artifacts live in the store's ``runs/``
+:meth:`RunService.run` is the one synchronous definition of a run (and
+:meth:`RunService.run_csl` the same loop for a parsed CSL source set):
+a run-cache hit skips compilation *and* simulation; a miss compiles
+through a :class:`~repro.service.service.CompileService` (its fingerprint
+cache deduplicates the compile stage across runs that differ only in
+run-level inputs) and simulates inline, in the calling thread — the
+``tiled`` backend runs its own shard threads, so the service adds no
+parallelism of its own.  Run artifacts live in the store's ``runs/``
 namespace (:mod:`repro.service.cache`) under the same checksum as every
-other entry, with an in-memory LRU over it; misses compile through a
-:class:`~repro.service.service.CompileService` (its fingerprint cache
-deduplicates the compile stage across runs that differ only in run-level
-inputs) and simulate inline, in the calling thread — the ``tiled`` backend
-runs its own shard threads, so the service adds no parallelism of its
-own.
+other entry, with an in-memory LRU over it.  The asynchronous path is the
+job queue (:class:`~repro.service.queue.JobQueue`): its ``submit``
+resolves a job with the same :func:`prepare_run`, returns a durable
+handle, and its workers execute the job through :meth:`RunService.run`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import hashlib
 import json
 import os
 import threading
-from concurrent.futures import Future
 from dataclasses import MISSING as dataclasses_MISSING
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable
@@ -55,7 +58,7 @@ from repro.wse.plan import PLAN_VERSION
 from repro.wse.simulator import WseSimulator
 
 #: current run-artifact schema; bumping it invalidates stored run artifacts.
-RUN_SCHEMA_VERSION = 2
+RUN_SCHEMA_VERSION = 3
 
 #: default seed of the deterministic input-field initialiser.
 DEFAULT_RUN_SEED = 13
@@ -169,9 +172,10 @@ class RunArtifact:
     statistics: dict
     #: SHA-256 of each gathered field's bytes, keyed by field name.
     field_digests: dict[str, str]
-    #: kernel-cache provenance of a ``compiled``-backend run: the kernel
-    #: fingerprint and where it was served from (``memory`` / ``store`` /
-    #: ``codegen``), or the fallback reason; None on interpreting backends.
+    #: kernel provenance of a kernel-executor run (``compiled``, ``auto``,
+    #: ``tiled``): ``fingerprints``, one per shard box, and how many of
+    #: them came from the in-process ``memory``, the ``store`` and
+    #: ``codegen``; None on interpreting backends.
     kernel_cache: dict | None = None
     schema_version: int = RUN_SCHEMA_VERSION
 
@@ -232,8 +236,42 @@ class RunServiceStatistics:
     cache_hits: int = 0
     #: end-to-end executions (compile stage may still be a compile-cache hit).
     simulations: int = 0
-    #: batch submissions folded into an identical job in the same batch.
-    deduplicated: int = 0
+
+
+def _executor_name(executor: str | None) -> str:
+    """``executor`` or the configured default, validated: an unknown name
+    raises the registry error naming the alternatives before any work."""
+    name = executor if executor is not None else default_executor_name()
+    executor_by_name(name)
+    return name
+
+
+def prepare_run(
+    program: StencilProgram,
+    options: PipelineOptions | None,
+    executor: str | None,
+    seed: int,
+    max_rounds: int,
+) -> tuple[PipelineOptions, str, str]:
+    """Resolve one job's defaults; returns ``(options, executor, run
+    fingerprint)``.
+
+    The executor is resolved into the fingerprint, so the same job
+    requested under ``REPRO_EXECUTOR`` and via an explicit argument — or
+    through :meth:`RunService.run` and ``JobQueue.submit`` — shares one
+    cached artifact.
+    """
+    if options is None:
+        options = PipelineOptions.default_for(program)
+    executor_name = _executor_name(executor)
+    fingerprint = compute_run_fingerprint(
+        program, options, executor_name, seed, max_rounds
+    )
+    return options, executor_name, fingerprint
+
+
+def _quiet(stage: str) -> None:
+    """The stage callback of a caller that passed none."""
 
 
 class RunService:
@@ -258,144 +296,10 @@ class RunService:
         )
         #: run artifacts: memory over the store's ``runs/`` namespace.
         self.store = ArtifactCache(RUN, RunArtifact, cache_dir, memory_capacity)
-        #: generated-kernel sources shared fleet-wide (compiled backend).
+        #: generated-kernel sources shared fleet-wide (kernel executors).
         self.kernels = KernelSourceStore(cache_dir)
         self.statistics = RunServiceStatistics()
         self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    # Submission
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _prepare(
-        program: StencilProgram,
-        options: PipelineOptions | None,
-        executor: str | None,
-        seed: int,
-        max_rounds: int,
-    ) -> tuple[PipelineOptions, str, str]:
-        """Resolve defaults and compute the run fingerprint of one job.
-
-        The executor name is validated up front (unknown names raise the
-        registry error naming the alternatives) and resolved into the
-        fingerprint, so the same job requested under ``REPRO_EXECUTOR``
-        and via an explicit argument shares one cached artifact.
-        """
-        if options is None:
-            options = PipelineOptions.default_for(program)
-        executor_name = (
-            executor if executor is not None else default_executor_name()
-        )
-        executor_by_name(executor_name)  # fail fast on unknown backends
-        fingerprint = compute_run_fingerprint(
-            program, options, executor_name, seed, max_rounds
-        )
-        return options, executor_name, fingerprint
-
-    def submit(
-        self,
-        program: StencilProgram,
-        options: PipelineOptions | None = None,
-        *,
-        executor: str | None = None,
-        seed: int = DEFAULT_RUN_SEED,
-        max_rounds: int = DEFAULT_MAX_ROUNDS,
-        on_stage: "Callable[[str], None] | None" = None,
-    ) -> "Future[RunArtifact]":
-        """A future for the run artifact of one configuration.
-
-        ``on_stage`` (when given) is called with ``"compiling"``,
-        ``"running"`` and ``"digesting"`` as a cache-miss execution enters
-        each stage — a run-cache hit fires none of them.  The queue's
-        workers hang their lifecycle transitions off it.
-        """
-        options, executor_name, fingerprint = self._prepare(
-            program, options, executor, seed, max_rounds
-        )
-
-        future: "Future[RunArtifact]" = Future()
-        with self._lock:
-            self.statistics.submitted += 1
-            artifact = self.store.get(fingerprint)
-            if artifact is not None:
-                self.statistics.cache_hits += 1
-                future.set_result(artifact)
-                return future
-            self.statistics.simulations += 1
-
-        try:
-            artifact = self._execute(
-                program,
-                options,
-                executor_name,
-                seed,
-                max_rounds,
-                fingerprint,
-                on_stage=on_stage,
-            )
-        except BaseException as error:
-            future.set_exception(error)
-            return future
-        with self._lock:
-            self.store.put(artifact)
-        future.set_result(artifact)
-        return future
-
-    def submit_batch(
-        self,
-        jobs: "list[tuple[StencilProgram, PipelineOptions | None]]",
-        *,
-        executor: str | None = None,
-        seed: int = DEFAULT_RUN_SEED,
-        max_rounds: int = DEFAULT_MAX_ROUNDS,
-        queue=None,
-        experiment: str | None = None,
-    ) -> "list[Future[RunArtifact]]":
-        """Run a batch of configurations; one future per input, in order.
-
-        Identical fingerprints within the batch are deduplicated: a sweep
-        with repeated configs executes each distinct run once and the
-        repeats share its future.  With ``queue`` (a
-        :class:`~repro.service.queue.JobQueue`), the batch is routed
-        through the async queue instead of executing inline — callers keep
-        the same future-list interface while the daemon's worker pool does
-        the work (``experiment`` names the group in the job store).
-        """
-        if queue is not None:
-            return [
-                queue.submit(
-                    program,
-                    options,
-                    executor=executor,
-                    seed=seed,
-                    max_rounds=max_rounds,
-                    experiment=experiment,
-                ).future()
-                for program, options in jobs
-            ]
-        futures: "list[Future[RunArtifact]]" = []
-        seen: "dict[str, Future[RunArtifact]]" = {}
-        for program, options in jobs:
-            _, executor_name, fingerprint = self._prepare(
-                program, options, executor, seed, max_rounds
-            )
-            duplicate = seen.get(fingerprint)
-            if duplicate is not None:
-                with self._lock:
-                    self.statistics.deduplicated += 1
-                futures.append(duplicate)
-                continue
-            future = self.submit(
-                program,
-                options,
-                executor=executor_name,
-                seed=seed,
-                max_rounds=max_rounds,
-            )
-            seen[fingerprint] = future
-            futures.append(future)
-        return futures
 
     def run(
         self,
@@ -405,21 +309,48 @@ class RunService:
         executor: str | None = None,
         seed: int = DEFAULT_RUN_SEED,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
-        on_stage: "Callable[[str], None] | None" = None,
+        on_stage: Callable[[str], None] = _quiet,
     ) -> RunArtifact:
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(
-            program,
-            options,
-            executor=executor,
+        """The run artifact of one configuration, from the run cache or
+        compiled, simulated and stored.
+
+        ``on_stage`` is called with ``"compiling"``, ``"running"`` and
+        ``"digesting"`` as a cache-miss execution enters each stage — a
+        run-cache hit fires none of them.  The queue's workers hang their
+        lifecycle transitions off it.
+        """
+        options, executor_name, fingerprint = prepare_run(
+            program, options, executor, seed, max_rounds
+        )
+        artifact = self._cached(fingerprint)
+        if artifact is not None:
+            return artifact
+        on_stage("compiling")
+        result = self.compiler.compile_ir(program, options)
+        # Field allocation honours the boundary condition that was actually
+        # compiled in (an options override changes the z-halo initialiser).
+        effective = program
+        if result.options.boundary != program.boundary:
+            effective = replace(program, boundary=result.options.boundary)
+        rng = np.random.default_rng(seed)
+        fields = allocate_fields(
+            effective, lambda name, shape: rng.uniform(-1.0, 1.0, shape)
+        )
+        inputs = {
+            decl.name: field_to_columns(effective, decl.name, fields[decl.name])
+            for decl in effective.fields
+        }
+        return self._simulate(
+            result.program_module,
+            inputs,
+            on_stage,
+            fingerprint=fingerprint,
+            compile_fingerprint=compute_fingerprint(program, options),
+            program_name=program.name,
+            executor=executor_name,
             seed=seed,
             max_rounds=max_rounds,
-            on_stage=on_stage,
-        ).result()
-
-    # ------------------------------------------------------------------ #
-    # CSL-source runs (the text front-door)
-    # ------------------------------------------------------------------ #
+        )
 
     def run_csl(
         self,
@@ -429,7 +360,7 @@ class RunService:
         seed: int = DEFAULT_RUN_SEED,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
     ) -> RunArtifact:
-        """Run a parsed CSL source set end to end, riding the run cache.
+        """:meth:`run` for a parsed CSL source set (the text front door).
 
         ``sources`` is a ``{filename: text}`` set as produced by
         ``print_csl_sources`` or read from a ``--csl`` directory (one
@@ -439,163 +370,129 @@ class RunService:
         two executors agree exactly when their artifacts'
         ``field_digests`` are equal — the same contract as benchmark runs.
         """
-        executor_name = (
-            executor if executor is not None else default_executor_name()
-        )
-        executor_by_name(executor_name)  # fail fast on unknown backends
+        executor_name = _executor_name(executor)
         fingerprint = compute_csl_run_fingerprint(
             sources, executor_name, seed, max_rounds
         )
-        with self._lock:
-            self.statistics.submitted += 1
-            artifact = self.store.get(fingerprint)
-            if artifact is not None:
-                self.statistics.cache_hits += 1
-                return artifact
-            self.statistics.simulations += 1
-
-        parsed = parse_csl_sources(sources)
-        image = parsed.image()
-        kernel_cache = None
-        if executor_name in ("compiled", "auto"):
-            kernel_cache = self._warm_kernel(image, executor_name)
-        simulator = WseSimulator(image, executor=executor_name)
+        artifact = self._cached(fingerprint)
+        if artifact is not None:
+            return artifact
+        image = parse_csl_sources(sources).image()
         rng = np.random.default_rng(seed)
-        for name in sorted(image.buffers):
-            simulator.load_field(
-                name,
-                rng.uniform(
-                    -1.0,
-                    1.0,
-                    size=(simulator.width, simulator.height, image.buffers[name]),
-                ),
+        inputs = {
+            name: rng.uniform(
+                -1.0, 1.0, size=(image.width, image.height, image.buffers[name])
             )
-        simulator.launch()
-        statistics = simulator.run(max_rounds)
-        digests = {
-            name: hashlib.sha256(
-                simulator.read_field(name).tobytes()
-            ).hexdigest()
             for name in sorted(image.buffers)
         }
         source_digest = hashlib.sha256(
             canonical_json(dict(sorted(sources.items()))).encode("utf-8")
         ).hexdigest()
-        artifact = RunArtifact(
+        return self._simulate(
+            image,
+            inputs,
+            _quiet,
             fingerprint=fingerprint,
             compile_fingerprint=source_digest,
             program_name=image.module.sym_name,
             executor=executor_name,
-            grid_width=simulator.width,
-            grid_height=simulator.height,
             seed=seed,
             max_rounds=max_rounds,
+        )
+
+    # ------------------------------------------------------------------ #
+    # The one cache lookup and the one simulate -> digest -> artifact core
+    # ------------------------------------------------------------------ #
+
+    def _cached(self, fingerprint: str) -> RunArtifact | None:
+        """Count one request; the stored artifact, or None for a miss
+        (counted as a simulation)."""
+        with self._lock:
+            self.statistics.submitted += 1
+            artifact = self.store.get(fingerprint)
+            if artifact is not None:
+                self.statistics.cache_hits += 1
+            else:
+                self.statistics.simulations += 1
+        return artifact
+
+    def _simulate(
+        self,
+        program,
+        inputs: "dict[str, np.ndarray]",
+        on_stage: Callable[[str], None],
+        *,
+        executor: str,
+        max_rounds: int,
+        **identity,
+    ) -> RunArtifact:
+        """Simulate ``program`` (a program module or a parsed image) on
+        ``inputs`` — ``{field: (width, height, z) columns}`` — and store
+        the artifact: the digests of the same fields, in the same order,
+        after the run.  ``identity`` is the rest of the artifact's fields
+        (fingerprints, program name, seed)."""
+        kernel_cache = self._warm_kernels(program, executor)
+        simulator = WseSimulator(program, executor=executor)
+        for name, columns in inputs.items():
+            simulator.load_field(name, columns)
+        on_stage("running")
+        simulator.launch()
+        statistics = simulator.run(max_rounds)
+        on_stage("digesting")
+        artifact = RunArtifact(
+            executor=executor,
+            max_rounds=max_rounds,
+            grid_width=simulator.width,
+            grid_height=simulator.height,
             rounds=statistics.rounds,
             statistics=asdict(statistics),
-            field_digests=digests,
+            field_digests={
+                name: hashlib.sha256(
+                    simulator.read_field(name).tobytes()
+                ).hexdigest()
+                for name in inputs
+            },
             kernel_cache=kernel_cache,
+            **identity,
         )
         with self._lock:
             self.store.put(artifact)
         return artifact
 
-    # ------------------------------------------------------------------ #
-    # The end-to-end execution of one cache miss
-    # ------------------------------------------------------------------ #
+    def _warm_kernels(self, program, executor_name: str) -> dict | None:
+        """Resolve a kernel executor's kernels through this service's store.
 
-    def _execute(
-        self,
-        program: StencilProgram,
-        options: PipelineOptions,
-        executor_name: str,
-        seed: int,
-        max_rounds: int,
-        fingerprint: str,
-        on_stage: "Callable[[str], None] | None" = None,
-    ) -> RunArtifact:
-        notify = on_stage or (lambda stage: None)
-        notify("compiling")
-        result = self.compiler.compile_ir(program, options)
-        # Field allocation honours the boundary condition that was actually
-        # compiled in (an options override changes the z-halo initialiser).
-        effective = program
-        if result.options.boundary != program.boundary:
-            effective = replace(program, boundary=result.options.boundary)
-
-        kernel_cache = None
-        if executor_name in ("compiled", "auto"):
-            # `auto` is the compiled backend under another name; both
-            # resolve their kernel through the fleet-wide store.
-            kernel_cache = self._warm_kernel(
-                result.program_module, executor_name
-            )
-
-        simulator = WseSimulator(result.program_module, executor=executor_name)
-        rng = np.random.default_rng(seed)
-        fields = allocate_fields(
-            effective, lambda name, shape: rng.uniform(-1.0, 1.0, shape)
-        )
-        for decl in effective.fields:
-            simulator.load_field(
-                decl.name,
-                field_to_columns(effective, decl.name, fields[decl.name]),
-            )
-        notify("running")
-        simulator.launch()
-        statistics = simulator.run(max_rounds)
-        notify("digesting")
-        digests = {
-            decl.name: hashlib.sha256(
-                simulator.read_field(decl.name).tobytes()
-            ).hexdigest()
-            for decl in effective.fields
-        }
-        return RunArtifact(
-            fingerprint=fingerprint,
-            compile_fingerprint=compute_fingerprint(program, options),
-            program_name=program.name,
-            executor=executor_name,
-            grid_width=result.options.grid_width,
-            grid_height=result.options.grid_height,
-            seed=seed,
-            max_rounds=max_rounds,
-            rounds=statistics.rounds,
-            statistics=asdict(statistics),
-            field_digests=digests,
-            kernel_cache=kernel_cache,
-        )
-
-    def _warm_kernel(self, program, executor_name: str) -> dict:
-        """Resolve the generated kernel through the fleet-wide source store.
-
-        Compiles (or looks up) the kernel *before* the simulator is built,
-        through the executor's own :meth:`kernels_for
+        Any executor with ``kernels_for`` (``compiled``, ``auto``,
+        ``tiled``) gets its kernels — one per shard box — *before* the
+        simulator is built, through the executor's own :meth:`kernels_for
         <repro.wse.executors.tiled.TiledExecutor.kernels_for>` with this
-        service's store: a fleet member that already generated this kernel
+        service's store: a fleet member that already generated a kernel
         serves its source from disk, and whatever this call resolves is the
         kernel the executor binds — a guaranteed in-memory hit.  The image
-        and plan come from the bind memo of ``program`` (a program module,
-        or the image a CSL run parsed), so the simulator built next binds
-        the same objects instead of lowering and printing again.  Returns
-        the provenance record folded into the run artifact.
+        and plan come from the bind memo of ``program``, so the simulator
+        built next binds the same objects instead of lowering and printing
+        again.  Returns the provenance record folded into the run artifact:
+        every kernel fingerprint, and how many kernels came from the
+        in-process memo, the store and code generation; None for an
+        interpreting executor.
         """
+        executor = executor_by_name(executor_name)
+        if not hasattr(executor, "kernels_for"):
+            return None
         image = bound_image(program)
         plan = image.plan_for(image.width, image.height)
-        before = kernel_cache_statistics()
-        memory_hits, disk_hits = before.memory_hits, before.disk_hits
-        (kernel,) = executor_by_name(executor_name).kernels_for(
-            image, plan, store=self.kernels
-        )
-        after = kernel_cache_statistics()
-        if after.memory_hits > memory_hits:
-            served_from = "memory"
-        elif after.disk_hits > disk_hits:
-            served_from = "store"
-        else:
-            served_from = "codegen"
+        counters = kernel_cache_statistics()
+        before = (counters.memory_hits, counters.disk_hits, counters.codegens)
+        kernels = executor.kernels_for(image, plan, store=self.kernels)
+        after = (counters.memory_hits, counters.disk_hits, counters.codegens)
         return {
-            "fingerprint": kernel.fingerprint,
-            "served_from": served_from,
+            "fingerprints": [kernel.fingerprint for kernel in kernels],
+            **{
+                tier: late - early
+                for tier, early, late in zip(
+                    ("memory", "store", "codegen"), before, after
+                )
+            },
         }
 
     # ------------------------------------------------------------------ #
@@ -618,8 +515,7 @@ class RunService:
         lines = [
             "run service statistics:",
             f"  submitted {stats.submitted}  run-cache hits {stats.cache_hits}  "
-            f"simulations {stats.simulations}  deduplicated "
-            f"{stats.deduplicated}",
+            f"simulations {stats.simulations}",
             f"  run store: {self.store.disk.directory} "
             f"({len(self.store.disk)} artifacts)",
             f"  kernel cache: hits {kernels.hits} (memory {kernels.memory_hits}, "

@@ -78,7 +78,10 @@ class TestRunServiceCsl:
         auto = service.run_csl(sources, executor="auto")
         assert auto.field_digests == compiled.field_digests
         assert auto.field_digests == vectorized.field_digests
-        assert auto.kernel_cache["fingerprint"] == compiled.kernel_cache["fingerprint"]
+        assert (
+            auto.kernel_cache["fingerprints"]
+            == compiled.kernel_cache["fingerprints"]
+        )
         assert auto.statistics["backend_decision"] == "compiled"
 
     @pytest.mark.parametrize("executor", ["compiled", "auto"])

@@ -3,6 +3,8 @@
 import io
 import re
 
+import pytest
+
 from repro.service.cli import main as cli_main
 
 
@@ -105,19 +107,25 @@ class TestQueueCli:
         assert code == 1
         assert "not cancellable" in capsys.readouterr().err
 
-    def test_queue_stats_reports_the_store(self):
-        _run(
+    def test_wait_for_an_unknown_job_id_is_a_friendly_error(self, capsys):
+        code, _ = _run(["queue", "wait", "999", "--inline"])
+        assert code == 2
+        assert capsys.readouterr().err == "job 999: unknown\n"
+
+    def test_wait_for_an_experiment_drains_it(self):
+        code, _ = _run(
             [
-                "queue", "submit", "Jacobian",
+                "queue", "submit", "Jacobian", "UVKBE",
                 "--grid", "3x3", "--nz", "8", "--time-steps", "1",
-                "--executor", "vectorized", "--inline",
+                "--executor", "vectorized", "--detach",
+                "--experiment", "later",
             ]
         )
-        code, text = _run(["queue", "stats"])
         assert code == 0
-        assert "queue store:" in text
-        assert "jobs:      1 (done 1)" in text
-        assert "simulated" in text
+        code, text = _run(["queue", "wait", "--experiment", "later", "--inline"])
+        assert code == 0
+        assert text.count("[later]") == 2
+        assert "completed 2" in text
 
     def test_unknown_benchmark_is_a_friendly_error(self, capsys):
         code, _ = _run(["queue", "submit", "NotABench", "--detach"])
@@ -152,6 +160,15 @@ class TestCombinedStats:
         queue_row = rows[3].split()
         assert queue_row[1] == "1"  # one job in the store
         assert "queue store:" in text
+        # ... then the queue store's own counters.
+        assert "jobs:      1 (done 1)" in text
+        assert "done jobs: 0 run-cache 1 simulated" in text
+        assert "compiles:  1 pipeline 0 memo" in text
+
+    def test_queue_stats_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            _run(["queue", "stats"])
+        assert "invalid choice: 'stats'" in capsys.readouterr().err
 
     def test_purge_also_empties_the_queue_store(self):
         _run(
@@ -164,5 +181,5 @@ class TestCombinedStats:
         code, text = _run(["purge"])
         assert code == 0
         assert "purged 1 queue jobs" in text
-        code, text = _run(["queue", "stats"])
-        assert "jobs:      0" in text
+        code, text = _run(["stats"])
+        assert "jobs:      0 (empty)" in text

@@ -1,4 +1,4 @@
-"""The JobQueue daemon: handles, futures, dedup, cache resume, events."""
+"""The JobQueue daemon: handles, dedup, cache resume, events."""
 
 import pytest
 
@@ -88,31 +88,6 @@ class TestSubmission:
             assert service.statistics.cache_hits == 1
 
 
-class TestBatchRouting:
-    def test_submit_batch_routes_through_the_queue(self):
-        """``RunService.submit_batch(..., queue=...)`` keeps the future-list
-        interface while the daemon's workers do the work."""
-        jacobian = _config()
-        uvkbe = _config("UVKBE")
-        with _queue() as queue:
-            with RunService() as service:
-                futures = service.submit_batch(
-                    [jacobian, uvkbe],
-                    executor="vectorized",
-                    queue=queue,
-                    experiment="batch-routed",
-                )
-                artifacts = [future.result(timeout=120) for future in futures]
-            assert service.statistics.simulations == 0  # the queue ran them
-            records = queue.store.list_jobs(experiment="batch-routed")
-        assert [artifact.program_name for artifact in artifacts] == [
-            "jacobian",
-            "uvkbe",
-        ]
-        assert len(records) == 2
-        assert all(record.status is JobStatus.DONE for record in records)
-
-
 class TestHandles:
     def test_failed_job_raises_from_result(self):
         program, options = _config()
@@ -127,20 +102,6 @@ class TestHandles:
             assert "exceeded 1 rounds" in record.error
             with pytest.raises(JobFailedError, match="failed"):
                 handle.result()
-
-    def test_future_resolves_with_the_artifact(self):
-        program, options = _config()
-        with _queue() as queue:
-            handle = queue.submit(program, options, executor="vectorized")
-            artifact = handle.future().result(timeout=120)
-        assert artifact.field_digests == handle.result().field_digests
-
-    def test_future_of_an_already_terminal_job_resolves_immediately(self):
-        program, options = _config()
-        with _queue() as queue:
-            handle = queue.submit(program, options, executor="vectorized")
-            handle.wait(timeout=120)
-            assert handle.future().result(timeout=5) is not None
 
     def test_cancel_a_queued_job(self):
         program, options = _config()
@@ -213,3 +174,22 @@ class TestEventsAndDrain:
         assert "submitted 1" in text
         assert "completed 1" in text
         assert "done 1" in text
+
+
+class TestTransactionLedger:
+    """Exact ``BEGIN IMMEDIATE`` transactions per job on one inline worker:
+    the count a cut in write transactions must move."""
+
+    def test_transactions_per_cold_job_and_per_resubmission(self):
+        program, options = _config()
+        with _queue(workers=1) as queue:
+            counts = []
+            for _ in range(2):
+                before = queue.store.transactions
+                queue.submit(program, options, executor="vectorized").wait(
+                    timeout=120
+                )
+                counts.append(queue.store.transactions - before)
+        # Cold: submit, claim, -> running, -> digesting, complete.
+        # Resubmitted: one insert, already done from the run cache.
+        assert counts == [5, 1]

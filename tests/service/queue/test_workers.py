@@ -435,7 +435,7 @@ class TestCliCounters:
         assert code == 0
         assert text.count("served from simulation (compile pipeline, worker pid") == 2
 
-        code, text = run(["queue", "stats"])
+        code, text = run(["stats"])
         assert code == 0
         assert "compiles:  2 pipeline 0 memo, by 2 worker process(es)" in text
         assert "store connections opened by this command: 1" in text

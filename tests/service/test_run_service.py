@@ -15,9 +15,9 @@ import pytest
 from repro.benchmarks import benchmark_by_name
 from repro.service.cli import main as cli_main
 from repro.service.fingerprint import canonical_json, compute_fingerprint
+from repro.service.kernels import KernelSourceStore
 from repro.service.run import (
     DEFAULT_MAX_ROUNDS,
-    DEFAULT_RUN_SEED,
     RunArtifact,
     RunService,
     compute_run_fingerprint,
@@ -48,7 +48,7 @@ class TestRunFingerprints:
             program, options, "vectorized", 13, DEFAULT_MAX_ROUNDS
         )
         assert payload["run"] == {
-            "schema": 2,
+            "schema": 3,
             "executor": "vectorized",
             "seed": 13,
             "max_rounds": DEFAULT_MAX_ROUNDS,
@@ -191,42 +191,8 @@ class TestRunService:
         program, options = _config()
         with RunService() as service:
             with pytest.raises(KeyError, match="unknown executor 'warp'"):
-                service.submit(program, options, executor="warp")
+                service.run(program, options, executor="warp")
             assert service.statistics.submitted == 0
-
-    def test_batch_returns_futures_in_order(self):
-        jacobian = _config()
-        uvkbe_program = benchmark_by_name("UVKBE").program(
-            nx=3, ny=3, nz=8, time_steps=1
-        )
-        uvkbe = (uvkbe_program, PipelineOptions(grid_width=3, grid_height=3))
-        with RunService() as service:
-            futures = service.submit_batch([jacobian, uvkbe])
-            artifacts = [future.result() for future in futures]
-        assert [a.program_name for a in artifacts] == ["jacobian", "uvkbe"]
-
-    def test_batch_deduplicates_identical_fingerprints(self):
-        """A sweep with repeated configs executes each distinct run once;
-        the repeats share the winner's future."""
-        jacobian = _config()
-        with RunService() as service:
-            futures = service.submit_batch([jacobian, jacobian, jacobian])
-            artifacts = [future.result() for future in futures]
-            assert service.statistics.simulations == 1
-            assert service.statistics.deduplicated == 2
-            assert futures[1] is futures[0] and futures[2] is futures[0]
-        assert artifacts[0] == artifacts[1] == artifacts[2]
-
-    def test_batch_dedup_distinguishes_run_level_inputs(self):
-        jacobian = _config()
-        with RunService() as service:
-            futures = service.submit_batch(
-                [jacobian, jacobian], seed=DEFAULT_RUN_SEED
-            )
-            assert service.statistics.deduplicated == 1
-            more = service.submit_batch([jacobian], seed=99)
-            assert more[0] is not futures[0]  # different fingerprint
-            assert service.statistics.simulations == 2
 
     def test_stage_callback_fires_in_order_on_a_miss_only(self):
         program, options = _config()
@@ -341,11 +307,39 @@ class TestKernelStore:
         with RunService() as second:
             artifact = second.run(program, options, executor="auto")
         assert kernel_cache_statistics().codegens == 0
-        assert artifact.kernel_cache["served_from"] == "store"
+        assert artifact.kernel_cache["store"] == 1
         executor = built[0].executor
-        assert executor.kernel_fingerprints == (
-            artifact.kernel_cache["fingerprint"],
+        assert list(executor.kernel_fingerprints) == (
+            artifact.kernel_cache["fingerprints"]
         )
+
+    def test_tiled_shard_kernels_land_in_the_services_own_store(
+        self, isolated_cache, tmp_path, monkeypatch
+    ):
+        """Regression: only ``compiled``/``auto`` were warmed through the
+        service's store, so a ``tiled`` run put its shard kernels in the
+        default store and recorded no kernel provenance."""
+        monkeypatch.setattr(
+            "repro.wse.executors.tiled.shard_grid",
+            lambda width, height, cpus=None: (1, 2),
+        )
+        program, options = _config(grid=16, steps=2)
+        cache = tmp_path / "own-store"
+        with RunService(cache_dir=cache) as first:
+            cold = first.run(program, options, executor="tiled")
+        assert len(cold.kernel_cache["fingerprints"]) == 2
+        assert cold.kernel_cache["codegen"] == 2
+        assert len(KernelSourceStore(cache)) == 2
+        assert len(KernelSourceStore(isolated_cache)) == 0
+        reset_kernel_cache()  # a new process: memo gone, store warm
+        with RunService(cache_dir=cache) as second:
+            warm = second.run(program, options, executor="tiled", seed=7)
+        assert kernel_cache_statistics().codegens == 0
+        assert warm.kernel_cache["store"] == 2
+        assert warm.kernel_cache["fingerprints"] == (
+            cold.kernel_cache["fingerprints"]
+        )
+        assert len(KernelSourceStore(isolated_cache)) == 0
 
     @pytest.mark.parametrize("executor", ["compiled", "auto"])
     def test_the_warmed_kernel_is_the_one_the_executor_binds(
@@ -367,8 +361,8 @@ class TestKernelStore:
         with RunService() as service:
             artifact = service.run(program, options, executor=executor, seed=77)
         ((simulator, bind_codegens),) = built
-        assert simulator.executor.kernel_fingerprints == (
-            artifact.kernel_cache["fingerprint"],
+        assert list(simulator.executor.kernel_fingerprints) == (
+            artifact.kernel_cache["fingerprints"]
         )
         assert bind_codegens == 0
 
@@ -379,8 +373,11 @@ class TestKernelStore:
             auto = service.run(program, options, executor="auto")
         assert auto.fingerprint != compiled.fingerprint
         assert auto.field_digests == compiled.field_digests
-        assert auto.kernel_cache["fingerprint"] == compiled.kernel_cache["fingerprint"]
-        assert auto.kernel_cache["served_from"] == "memory"
+        assert (
+            auto.kernel_cache["fingerprints"]
+            == compiled.kernel_cache["fingerprints"]
+        )
+        assert auto.kernel_cache["memory"] == 1
         assert auto.statistics["backend_decision"] == "compiled"
         assert compiled.statistics["backend_decision"] == ""
 
@@ -428,7 +425,8 @@ class TestKernelStore:
         program, options = _config()
         with RunService() as first:
             good = first.run(program, options, executor="compiled")
-            path = first.kernels._path(good.kernel_cache["fingerprint"])
+            (fingerprint,) = good.kernel_cache["fingerprints"]
+            path = first.kernels._path(fingerprint)
         pristine = path.read_bytes()
         path.write_bytes(damage(pristine))
         reset_kernel_cache()
@@ -444,7 +442,7 @@ class TestKernelStore:
             second.store.purge()  # re-simulate instead of serving the run
             again = second.run(program, options, executor="compiled")
         assert again.field_digests == good.field_digests
-        assert again.kernel_cache["served_from"] == "codegen"
+        assert again.kernel_cache["codegen"] == 1
         assert kernel_cache_statistics().codegens == 1
         assert executed == [pristine.partition(b"\n")[2].decode("utf-8")]
         assert path.read_bytes() == pristine  # re-put, checksum and all

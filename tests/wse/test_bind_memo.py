@@ -336,7 +336,7 @@ class TestBindCounts:
             service.compiler.compile_ir(program, options)  # compile tier warm
             reset_kernel_cache()
             artifact = service.run(program, options, executor=executor)
-        assert artifact.kernel_cache["fingerprint"]
+        assert artifact.kernel_cache["fingerprints"]
         assert _bind_counts() == (1, 1, 1)
 
     def test_a_csl_service_job_lowers_and_prints_once(self):
