@@ -107,6 +107,23 @@ class TestQueueCli:
         assert code == 1
         assert "not cancellable" in capsys.readouterr().err
 
+    def test_queue_stats_reports_the_store(self):
+        """The queue store's counters, now printed by the one ``stats``
+        verb: jobs, cache-served versus simulated, compile tiers."""
+        _run(
+            [
+                "queue", "submit", "Jacobian",
+                "--grid", "3x3", "--nz", "8", "--time-steps", "1",
+                "--executor", "vectorized", "--inline",
+            ]
+        )
+        code, text = _run(["stats"])
+        assert code == 0
+        assert "queue store:" in text
+        assert "jobs:      1 (done 1)" in text
+        assert "done jobs: 0 run-cache 1 simulated" in text
+        assert "compiles:  1 pipeline 0 memo" in text
+
     def test_wait_for_an_unknown_job_id_is_a_friendly_error(self, capsys):
         code, _ = _run(["queue", "wait", "999", "--inline"])
         assert code == 2
@@ -160,10 +177,6 @@ class TestCombinedStats:
         queue_row = rows[3].split()
         assert queue_row[1] == "1"  # one job in the store
         assert "queue store:" in text
-        # ... then the queue store's own counters.
-        assert "jobs:      1 (done 1)" in text
-        assert "done jobs: 0 run-cache 1 simulated" in text
-        assert "compiles:  1 pipeline 0 memo" in text
 
     def test_queue_stats_is_gone(self, capsys):
         with pytest.raises(SystemExit):

@@ -9,6 +9,7 @@ the same run fingerprint inputs.
 """
 
 import io
+import re
 
 import pytest
 
@@ -471,6 +472,35 @@ class TestRunCli:
         assert "round 1/2" in text and "(0 served from run cache)" in text
         assert "round 2/2" in text and "(1 served from run cache)" in text
         assert "run service statistics:" in text
+
+    def test_run_and_queue_submit_share_the_run_inputs(self):
+        """``run`` and ``queue submit`` parse the same ``--seed`` and
+        ``--max-rounds`` into the same run fingerprint: the queue serves
+        the synchronous run from the run cache, and another seed is a
+        fresh simulation."""
+        job = [
+            "Jacobian", "--grid", "3x3", "--nz", "8", "--time-steps", "1",
+            "--executor", "vectorized", "--max-rounds", "5000",
+        ]
+        out = io.StringIO()
+        assert cli_main(["run", *job, "--seed", "5"], out=out) == 0
+        (fingerprint,) = re.findall(
+            r"^  ([0-9a-f]{12})  jacobian", out.getvalue(), re.M
+        )
+
+        out = io.StringIO()
+        argv = ["queue", "submit", *job, "--seed", "5", "--inline"]
+        assert cli_main(argv, out=out) == 0
+        text = out.getvalue()
+        assert f"{fingerprint}  served from run-cache" in text
+        assert "resumed-from-cache 1" in text
+
+        out = io.StringIO()
+        argv = ["queue", "submit", *job, "--seed", "6", "--inline"]
+        assert cli_main(argv, out=out) == 0
+        text = out.getvalue()
+        assert fingerprint not in text
+        assert "served from simulation" in text
 
     def test_run_subcommand_rejects_unknown_executor(self, capsys):
         code = cli_main(
