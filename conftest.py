@@ -1,7 +1,7 @@
 """Suite-wide hermeticity for the compilation service.
 
-Any test that compiles through the service (the eval figures, the
-benchmarks, the service suite itself) would otherwise publish artifacts to
+Any test that compiles through the service (the eval figures and their
+pins, the service suite itself) would otherwise publish artifacts to
 the user-level store (``~/.cache/repro-csl``).  Point the store at a
 session-scoped pytest temp directory instead, so test runs neither read
 stale artifacts from nor leak artifacts into the real store.

@@ -3,7 +3,7 @@
 Every module exposes a ``compute_*`` function returning plain data rows and a
 ``format_*`` function rendering them as the text table/series the paper
 reports.  ``repro.eval.report`` regenerates everything in one call (used by
-``examples/reproduce_paper.py`` and the benchmark suite).
+``examples/reproduce_paper.py``); ``tests/eval`` pins every row exactly.
 """
 
 from repro.eval import figure4, figure5, figure6, figure7, table1

@@ -20,20 +20,6 @@ from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.simulator import WseSimulator
 
 
-def usable_cpus() -> int:
-    """CPUs this process may actually schedule on (affinity-aware).
-
-    The parallelism floors in the benchmarks (pool compiles, tiled shard
-    speedup) are asserted only when the host can express them; plain
-    ``os.cpu_count()`` over-reports inside affinity-restricted containers.
-    Delegates to the tiled backend's counter so the benchmarks gate on the
-    same number the shard-grid heuristic actually uses.
-    """
-    from repro.wse.executors.tiled import usable_cpu_count
-
-    return usable_cpu_count()
-
-
 def python_calls(function, *args) -> int:
     """How many Python-level function calls ``function(*args)`` makes,
     itself included (C functions do not raise ``call`` events).  The count is

@@ -14,7 +14,7 @@ def test_compile_once_then_serve_from_cache():
     service = CompileService()
     first = service.compile(make_program(), make_options())
     second = service.compile(make_program(), make_options())
-    assert first.csl_sources == second.csl_sources
+    assert second == first
     assert service.statistics.compiles == 1
     assert service.statistics.cache_hits == 1
     assert service.cache.statistics.memory_hits == 1

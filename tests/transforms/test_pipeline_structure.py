@@ -10,7 +10,11 @@ from repro.frontends.common import (
     StencilEquation,
     StencilProgram,
 )
-from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
+from repro.transforms.pipeline import (
+    PipelineOptions,
+    build_pass_pipeline,
+    compile_stencil_program,
+)
 
 
 def jacobi_program(nx=4, ny=4, nz=8, steps=2) -> StencilProgram:
@@ -44,6 +48,11 @@ def compiled():
 
 
 class TestPipelineProducesCslIr:
+    def test_statistics_record_every_pass_of_the_pipeline_in_order(self, compiled):
+        pipeline = build_pass_pipeline(compiled.options)
+        expected = [pass_.name for pass_ in pipeline.passes]
+        assert [stat.name for stat in compiled.statistics.passes] == expected
+
     def test_two_csl_modules(self, compiled):
         kinds = {module.kind for module in compiled.csl_modules}
         assert kinds == {csl.ModuleKind.PROGRAM, csl.ModuleKind.LAYOUT}

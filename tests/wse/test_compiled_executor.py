@@ -23,7 +23,7 @@ runs them (``tiled``; ``compiled`` is its 1x1 case):
 * **a declined codegen** — a program the generator cannot fuse is refused
   at construction, pointing at ``vectorized``;
 * **``auto``** — the compiled backend under its registered name, whatever
-  trajectory file sits in the working directory.
+  file of timings sits in the working directory.
 """
 
 import json
@@ -508,8 +508,8 @@ class TestAuto:
     def test_auto_ignores_the_working_directory(
         self, grid, monkeypatch, tmp_path
     ):
-        """A ``BENCH_simulator.json`` in the working directory whose rows
-        favour ``tiled`` and ``reference`` changes nothing."""
+        """``auto`` reads no file: timing rows in the working directory that
+        favour ``tiled`` and ``reference`` change nothing."""
         rows = [
             {"name": "Jacobian", "grid": f"{n}x{n}", "executor": executor,
              "seconds": seconds, "speedup": 1.0}
@@ -521,7 +521,7 @@ class TestAuto:
                 ("compiled", 1.0),
             )
         ]
-        (tmp_path / "BENCH_simulator.json").write_text(
+        (tmp_path / "timings.json").write_text(
             json.dumps({"schema_version": 1, "records": rows})
         )
         monkeypatch.chdir(tmp_path)

@@ -9,6 +9,7 @@ from repro.baselines.numpy_ref import (
     field_to_columns,
     run_reference,
 )
+from repro.benchmarks import benchmark_by_name
 from repro.frontends.common import (
     Constant,
     FieldAccess,
@@ -189,13 +190,23 @@ class TestMultiEquationCorrectness:
 
 
 class TestSimulatorStatistics:
-    def test_exchange_and_task_counts(self):
-        program = jacobi_like_program(4, 4, 8, steps=3)
-        options = PipelineOptions(grid_width=4, grid_height=4, num_chunks=2)
+    @pytest.mark.parametrize(
+        "program, grid",
+        [
+            (jacobi_like_program(4, 4, 8, steps=3), 4),
+            (
+                benchmark_by_name("Jacobian").program(nx=6, ny=6, nz=32, time_steps=2),
+                6,
+            ),
+        ],
+        ids=["jacobi_like", "Jacobian"],
+    )
+    def test_exchange_and_task_counts(self, program, grid):
+        options = PipelineOptions(grid_width=grid, grid_height=grid, num_chunks=2)
         _, _, simulator = simulate(program, options)
         stats = simulator.statistics
         # One exchange per PE per time step.
-        assert stats.exchanges == 4 * 4 * 3
+        assert stats.exchanges == grid * grid * program.time_steps
         assert stats.tasks_run > 0
         assert stats.wavelets_sent > 0
         assert stats.max_pe_memory_bytes > 0

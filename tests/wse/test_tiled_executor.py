@@ -117,7 +117,7 @@ class TestShardGeometry:
         assert shard_grid(8, 1, cpus=16) == (2, 1)  # long axis still splits
         assert shard_grid(8, 8, cpus=4) == (2, 2)
 
-    def test_grid_auto_derives_from_usable_cpus(self, monkeypatch):
+    def test_grid_auto_derives_from_the_usable_cpu_count(self, monkeypatch):
         """Unset env: kx*ky workers ≈ one per CPU, rows split first (one
         contiguous run per buffer per shard), but never shards thinner than
         MIN_SHARD_SIDE PEs along either axis."""
