@@ -124,7 +124,9 @@ csl-check:
 # the stateful property test against a model, determinism across hash seeds
 # and addresses), the rewrite driver and its dead-op erasure, the pass
 # manager, the pipeline pins (printed CSL and per-pass IR,
-# tests/transforms/data/pipeline_digests.json), the compile path's cost
+# tests/transforms/data/pipeline_digests.json) and the pass census read off
+# them (exactly stencil-inlining, varith-fuse-repeated-operands and
+# canonicalize change no corpus program's module), the compile path's cost
 # ledger — calls per surviving op, ops constructed and rewrites per
 # benchmark, one module traversal per pass, use-def consistency after every
 # pass — and the bind memo, whose validity is the IR's change tracking.

@@ -461,8 +461,3 @@ def attach_layout(
             if isinstance(target, StringAttr):
                 program.set_attribute(surface.ATTR_TARGET, StringAttr(target.data))
             break
-
-
-def build_image(program: csl.CslModuleOp) -> ProgramImage:
-    """Wrap a lowered program module in the shared ProgramImage."""
-    return ProgramImage(program)

@@ -7,13 +7,11 @@ rather than scalars (Section 5.1).
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.ir.attributes import Attribute, DenseArrayAttr, FloatAttr, IntAttr
+from repro.ir.attributes import Attribute, FloatAttr, IntAttr
 from repro.ir.exceptions import VerifyException
 from repro.ir.operation import Operation
 from repro.ir.traits import Pure
-from repro.ir.types import IndexType, IntegerType, TensorType, _FloatType
+from repro.ir.types import IndexType, IntegerType
 from repro.ir.value import SSAValue
 
 
@@ -143,11 +141,3 @@ class CmpiOp(Operation):
     @property
     def result(self) -> SSAValue:
         return self.results[0]
-
-
-FLOAT_BINARY_OPS = (AddfOp, SubfOp, MulfOp, DivfOp)
-INT_BINARY_OPS = (AddiOp, SubiOp, MuliOp)
-
-
-def is_float_arith(op: Operation) -> bool:
-    return isinstance(op, FLOAT_BINARY_OPS)

@@ -1,13 +1,11 @@
-"""The builtin dialect: module container and materialisation casts."""
+"""The builtin dialect: the module container."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.ir.attributes import Attribute, StringAttr
 from repro.ir.exceptions import VerifyException
 from repro.ir.operation import Block, Operation, Region
-from repro.ir.value import SSAValue
 
 
 class ModuleOp(Operation):
@@ -32,24 +30,3 @@ class ModuleOp(Operation):
     def verify_(self) -> None:
         if len(self.regions) != 1:
             raise VerifyException("builtin.module must have exactly one region")
-
-
-class UnrealizedConversionCastOp(Operation):
-    """Temporary cast bridging two type systems during progressive lowering."""
-
-    name = "builtin.unrealized_conversion_cast"
-
-    def __init__(self, inputs: Sequence[SSAValue], result_types: Sequence[Attribute]):
-        super().__init__(operands=inputs, result_types=result_types)
-
-    @staticmethod
-    def cast_one(value: SSAValue, result_type: Attribute) -> "UnrealizedConversionCastOp":
-        return UnrealizedConversionCastOp([value], [result_type])
-
-    @property
-    def input(self) -> SSAValue:
-        return self.operands[0]
-
-    @property
-    def output(self) -> SSAValue:
-        return self.results[0]

@@ -83,33 +83,6 @@ class DsdType(TypeAttribute):
         return f"!csl.{self.kind}"
 
 
-class ColorType(TypeAttribute):
-    """A routing color (virtual channel)."""
-
-    name = "csl.color"
-
-    def _key(self) -> tuple:
-        return ()
-
-    def __str__(self) -> str:
-        return "!csl.color"
-
-
-class PtrType(TypeAttribute):
-    """A pointer to a buffer or function (used for callback arguments)."""
-
-    name = "csl.ptr"
-
-    def __init__(self, pointee: Attribute):
-        self.pointee = pointee
-
-    def _key(self) -> tuple:
-        return (self.pointee,)
-
-    def __str__(self) -> str:
-        return f"!csl.ptr<{self.pointee}>"
-
-
 # --------------------------------------------------------------------------- #
 # Module structure
 # --------------------------------------------------------------------------- #
@@ -613,27 +586,6 @@ class GetMemDsdOp(Operation):
             raise VerifyException("csl.get_mem_dsd length must be positive")
 
 
-class SetDsdBaseAddrOp(Operation):
-    """Rebase a DSD onto a different buffer (used for double buffering)."""
-
-    name = "csl.set_dsd_base_addr"
-
-    def __init__(self, dsd: SSAValue, buffer: SSAValue):
-        super().__init__(operands=[dsd, buffer], result_types=[DsdType(DsdKind.MEM1D)])
-
-    @property
-    def dsd(self) -> SSAValue:
-        return self.operands[0]
-
-    @property
-    def buffer(self) -> SSAValue:
-        return self.operands[1]
-
-    @property
-    def result(self) -> SSAValue:
-        return self.results[0]
-
-
 class IncrementDsdOffsetOp(Operation):
     """Shift the start offset of a DSD by a constant (pointer arithmetic)."""
 
@@ -743,31 +695,6 @@ DSD_BUILTIN_OPS = (FaddsOp, FsubsOp, FmulsOp, FmacsOp, FmovsOp)
 # --------------------------------------------------------------------------- #
 # Layout metaprogram operations
 # --------------------------------------------------------------------------- #
-
-
-class GetColorOp(Operation):
-    """``@get_color(id)``."""
-
-    name = "csl.get_color"
-
-    def __init__(self, color_id: int):
-        super().__init__(
-            result_types=[ColorType()], attributes={"id": IntAttr(color_id)}
-        )
-
-    @property
-    def color_id(self) -> int:
-        attr = self.attributes["id"]
-        assert isinstance(attr, IntAttr)
-        return attr.value
-
-    @property
-    def result(self) -> SSAValue:
-        return self.results[0]
-
-    def verify_(self) -> None:
-        if not (0 <= self.color_id < 24):
-            raise VerifyException("csl.get_color: colors are limited to [0, 24)")
 
 
 class SetRectangleOp(Operation):

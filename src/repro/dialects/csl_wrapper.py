@@ -14,14 +14,13 @@ from typing import Sequence
 from repro.ir.attributes import (
     ArrayAttr,
     Attribute,
-    DictionaryAttr,
     IntAttr,
     StringAttr,
 )
 from repro.ir.exceptions import VerifyException
 from repro.ir.operation import Block, Operation, Region
 from repro.ir.traits import IsTerminator
-from repro.ir.types import IntegerType, i16
+from repro.ir.types import i16
 from repro.ir.value import SSAValue
 
 
@@ -136,34 +135,6 @@ class ModuleOp(Operation):
             raise VerifyException("csl_wrapper.module must have two regions")
         if self.width < 1 or self.height < 1:
             raise VerifyException("csl_wrapper.module: width/height must be positive")
-
-
-class ImportOp(Operation):
-    """Import a CSL library (e.g. ``<memcpy/get_params>`` or the comms lib)."""
-
-    name = "csl_wrapper.import"
-
-    def __init__(self, module: str, fields: dict[str, Attribute] | None = None,
-                 result_type: Attribute | None = None):
-        from repro.dialects.csl import ComptimeStructType
-
-        super().__init__(
-            result_types=[result_type if result_type is not None else ComptimeStructType(module)],
-            attributes={
-                "module": StringAttr(module),
-                "fields": DictionaryAttr(fields or {}),
-            },
-        )
-
-    @property
-    def module(self) -> str:
-        attr = self.attributes["module"]
-        assert isinstance(attr, StringAttr)
-        return attr.data
-
-    @property
-    def result(self) -> SSAValue:
-        return self.results[0]
 
 
 class YieldOp(Operation):

@@ -7,8 +7,6 @@ DSD views in group 5.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.ir.attributes import Attribute, DenseArrayAttr, StringAttr
 from repro.ir.exceptions import VerifyException
 from repro.ir.operation import Operation
@@ -31,19 +29,6 @@ class AllocOp(Operation):
     def verify_(self) -> None:
         if not isinstance(self.results[0].type, MemRefType):
             raise VerifyException("memref.alloc must produce a memref")
-
-
-class DeallocOp(Operation):
-    """Free a buffer previously allocated with memref.alloc."""
-
-    name = "memref.dealloc"
-
-    def __init__(self, buffer: SSAValue):
-        super().__init__(operands=[buffer])
-
-    @property
-    def buffer(self) -> SSAValue:
-        return self.operands[0]
 
 
 class GlobalOp(Operation):

@@ -70,10 +70,6 @@ class ForOp(Operation):
     def induction_variable(self) -> BlockArgument:
         return self.body.block.args[0]
 
-    @property
-    def body_iter_args(self) -> list[BlockArgument]:
-        return self.body.block.args[1:]
-
     def verify_(self) -> None:
         block = self.body.block
         if len(block.args) != 1 + len(self.iter_args):

@@ -7,8 +7,6 @@ Only the operations required by the csl-stencil chunk-packing region
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.ir.attributes import Attribute, DenseArrayAttr
 from repro.ir.exceptions import VerifyException
 from repro.ir.operation import Operation
@@ -94,40 +92,3 @@ class InsertSliceOp(Operation):
     def verify_(self) -> None:
         if not isinstance(self.dest.type, TensorType):
             raise VerifyException("tensor.insert_slice destination must be a tensor")
-
-
-class ExtractSliceOp(Operation):
-    """Extract a 1-D slice from a tensor at a static offset."""
-
-    name = "tensor.extract_slice"
-    traits = (Pure,)
-
-    def __init__(self, source: SSAValue, offset: int, size: int, result_type: TensorType):
-        super().__init__(
-            operands=[source],
-            result_types=[result_type],
-            attributes={
-                "static_offset": DenseArrayAttr([offset]),
-                "static_size": DenseArrayAttr([size]),
-            },
-        )
-
-    @property
-    def source(self) -> SSAValue:
-        return self.operands[0]
-
-    @property
-    def offset(self) -> int:
-        attr = self.attributes["static_offset"]
-        assert isinstance(attr, DenseArrayAttr)
-        return int(attr[0])
-
-    @property
-    def size(self) -> int:
-        attr = self.attributes["static_size"]
-        assert isinstance(attr, DenseArrayAttr)
-        return int(attr[0])
-
-    @property
-    def result(self) -> SSAValue:
-        return self.results[0]

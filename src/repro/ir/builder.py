@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from repro.ir.operation import Block, Operation, Region
+from repro.ir.operation import Block, Operation
 
 
 @dataclass
@@ -62,11 +61,3 @@ class Builder:
         block.insert_op(op, self.insert_point.index)
         self.insert_point = InsertPoint(block, self.insert_point.index + 1)
         return op
-
-    def insert_all(self, ops: Iterable[Operation]) -> list[Operation]:
-        return [self.insert(op) for op in ops]
-
-
-def build_region(arg_types: Sequence = (), ops: Sequence[Operation] = ()) -> Region:
-    """Convenience: build a single-block region with the given args and ops."""
-    return Region([Block(arg_types=arg_types, ops=ops)])

@@ -409,14 +409,6 @@ class Block:
     def add_arg(self, arg_type: Attribute) -> BlockArgument:
         return self.insert_arg(arg_type, len(self.args))
 
-    def erase_arg(self, arg: BlockArgument) -> None:
-        if arg.has_uses:
-            raise VerifyException("cannot erase a block argument that has uses")
-        self.args.remove(arg)
-        for i, existing in enumerate(self.args):
-            existing.index = i
-        self._changed()
-
     def _changed(self) -> None:
         """Mark the operation this block belongs to, if any, as changed."""
         region = self.parent
@@ -450,10 +442,6 @@ class Block:
         if self._index_cache is None:
             self._index_cache = {id(o): i for i, o in enumerate(self.ops)}
         return self._index_cache[id(op)]
-
-    @property
-    def num_ops(self) -> int:
-        return self._num_ops
 
     def _link_op(
         self,

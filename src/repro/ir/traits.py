@@ -57,27 +57,3 @@ def has_parent(*parent_types: type) -> type[HasParent]:
 
     _BoundHasParent.parent_types = parent_types
     return _BoundHasParent
-
-
-class IsolatedFromAbove(OpTrait):
-    """Regions of this op may not reference SSA values defined outside it."""
-
-    @classmethod
-    def verify(cls, op: Operation) -> None:
-        inside: set[int] = set()
-        for inner in op.walk():
-            for result in inner.results:
-                inside.add(id(result))
-            for region in inner.regions:
-                for block in region.blocks:
-                    for arg in block.args:
-                        inside.add(id(arg))
-        for inner in op.walk():
-            if inner is op:
-                continue
-            for operand in inner.operands:
-                if id(operand) not in inside:
-                    raise VerifyException(
-                        f"'{inner.name}' inside isolated op '{op.name}' uses a "
-                        "value defined outside of it"
-                    )

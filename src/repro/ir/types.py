@@ -57,10 +57,6 @@ class _FloatType(TypeAttribute):
     def __str__(self) -> str:
         return f"f{self.width}"
 
-    @property
-    def bitwidth(self) -> int:
-        return self.width
-
 
 class Float16Type(_FloatType):
     name = "f16_type"

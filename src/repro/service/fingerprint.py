@@ -49,7 +49,7 @@ def fingerprint_payload(
     return {
         "program": program_canonical,
         "options": options_canonical,
-        "pipeline": pipeline_stamp(options),
+        "pipeline": pipeline_stamp(),
     }
 
 

@@ -29,10 +29,6 @@ def _is_buffer(value: SSAValue) -> bool:
     return isinstance(value.type, MemRefType)
 
 
-def _is_scalar_constant(value: SSAValue) -> bool:
-    return isinstance(value.owner(), arith.ConstantOp) and not _is_buffer(value)
-
-
 class VarithAddToLinalg(RewritePattern):
     """``varith.add(a, b, c, ...)`` -> chain of linalg.add into a new buffer."""
 

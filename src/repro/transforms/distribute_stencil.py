@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from repro.dialects import dmp, stencil
 from repro.ir import ModulePass
 from repro.ir.operation import Operation
-from repro.ir.value import BlockArgument, SSAValue
-from repro.transforms.utils import analyze_apply, remote_directions
+from repro.ir.value import BlockArgument
+from repro.transforms.utils import remote_directions
 
 
 @dataclass
@@ -46,8 +46,6 @@ class DistributeStencilPass(ModulePass):
             directions = remote_directions(offsets)
             if not directions:
                 continue
-            if any(existing_swap_covers(operand, directions) for existing_swap in ()):
-                continue
             swaps = [
                 dmp.ExchangeDeclAttr(_unit(direction), depth=_depth(direction))
                 for direction in _unit_directions(directions)
@@ -67,11 +65,6 @@ class DistributeStencilPass(ModulePass):
             if access.temp is arg:
                 offsets.append(access.offset)
         return offsets
-
-
-def existing_swap_covers(operand: SSAValue, directions) -> bool:
-    """Placeholder hook kept for symmetry with the upstream implementation."""
-    return False
 
 
 def _unit(direction: tuple[int, int]) -> tuple[int, int]:

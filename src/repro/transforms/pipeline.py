@@ -8,8 +8,7 @@ an executable PE program is built (:mod:`repro.backend.executable`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 from repro.dialects.builtin import ModuleOp
 from repro.frontends.common import (
@@ -18,7 +17,6 @@ from repro.frontends.common import (
     build_stencil_module,
 )
 from repro.ir import PassManager, PipelineStatistics
-from repro.ir.operation import Operation
 from repro.transforms.arith_to_linalg import ArithToLinalgPass
 from repro.transforms.arith_to_varith import ArithToVarithPass
 from repro.transforms.bufferize import BufferizePass
@@ -48,7 +46,7 @@ PIPELINE_VERSION = 3
 
 @dataclass
 class PipelineOptions:
-    """Tunable knobs of the lowering pipeline."""
+    """The inputs of the lowering pipeline that are not the program."""
 
     #: PE grid extent the stencil is decomposed over (x then y).
     grid_width: int = 1
@@ -57,21 +55,11 @@ class PipelineOptions:
     num_chunks: int = 2
     #: "wse2" or "wse3" — selects the communications library variant.
     target: str = "wse2"
-    #: run the stencil-inlining optimisation (Section 5.7).
-    enable_stencil_inlining: bool = True
-    #: run varith-fuse-repeated-operands (Section 5.7).
-    enable_varith_fusion: bool = True
-    #: run the fmacs fusion (Section 5.7).
-    enable_fmac_fusion: bool = True
-    #: run in-place accumulation / copy forwarding (memory reuse).
-    enable_memory_optimization: bool = True
     #: boundary condition compiled into the program image.  ``None`` (the
     #: default) inherits the :class:`StencilProgram`'s own boundary; a
     #: :class:`BoundaryCondition` or compact spec string ("periodic",
     #: "reflect", "dirichlet:1.5") overrides it.
     boundary: BoundaryCondition | str | None = None
-    #: verify the module after every pass (slower, useful in tests).
-    verify_each: bool = True
 
     _VALID_TARGETS = ("wse2", "wse3")
 
@@ -105,14 +93,11 @@ class PipelineOptions:
         return cls(grid_width=nx, grid_height=ny)
 
     def canonical(self) -> dict:
-        """Process-stable, JSON-serialisable form of every artifact-relevant
-        knob.
+        """Process-stable, JSON-serialisable form of every option.
 
-        ``verify_each`` is deliberately excluded: it only toggles
-        verification between passes and cannot change the emitted CSL, so two
-        compiles differing only in it share one cached artifact.  ``boundary``
-        is encoded as its compact spec, ``None`` meaning "inherit from the
-        program" (whose own canonical form carries its boundary);
+        ``boundary`` is encoded as its compact spec, ``None`` meaning
+        "inherit from the program" (whose own canonical form carries its
+        boundary);
         :func:`repro.service.fingerprint.fingerprint_payload` normalises an
         explicit override equal to the program's boundary back to ``None``
         so equivalent spellings share one fingerprint.
@@ -122,45 +107,18 @@ class PipelineOptions:
             "grid_height": self.grid_height,
             "num_chunks": self.num_chunks,
             "target": self.target,
-            "enable_stencil_inlining": self.enable_stencil_inlining,
-            "enable_varith_fusion": self.enable_varith_fusion,
-            "enable_fmac_fusion": self.enable_fmac_fusion,
-            "enable_memory_optimization": self.enable_memory_optimization,
             "boundary": self.boundary.spec if self.boundary is not None else None,
         }
 
 
-@lru_cache(maxsize=None)
-def _pass_description_for(canonical_key: tuple) -> str:
-    options = PipelineOptions(**dict(canonical_key))
-    return build_pass_pipeline(options).pipeline_description
-
-
-def pipeline_stamp(options: PipelineOptions) -> dict:
-    """The pipeline half of an artifact fingerprint: the version stamp plus
-    the exact pass sequence the options select (so toggling an optimisation
-    flag, which edits the pass list, also changes the stamp).
-
-    Fingerprints are computed on every service request including warm cache
-    hits, so the pass description is memoised per option set rather than
-    instantiating all 17 pass objects each time.
-    """
-    return {
-        "version": PIPELINE_VERSION,
-        "passes": _pass_description_for(tuple(sorted(options.canonical().items()))),
-    }
-
-
 def build_pass_pipeline(options: PipelineOptions) -> PassManager:
-    """The pass list of Figure 3, in order."""
-    manager = PassManager(verify_each=options.verify_each)
+    """The pass list of Figure 3, in order, verifying after every pass."""
+    manager = PassManager()
 
     # Optimisations on the mathematical form.
-    if options.enable_stencil_inlining:
-        manager.add(StencilInliningPass())
+    manager.add(StencilInliningPass())
     manager.add(ArithToVarithPass())
-    if options.enable_varith_fusion:
-        manager.add(VarithFuseRepeatedOperandsPass())
+    manager.add(VarithFuseRepeatedOperandsPass())
     manager.add(CanonicalizePass())
 
     # Group 1: decomposition and data dependencies.
@@ -191,10 +149,8 @@ def build_pass_pipeline(options: PipelineOptions) -> PassManager:
     # Group 3: memory realisation within a PE.
     manager.add(BufferizePass())
     manager.add(ArithToLinalgPass())
-    if options.enable_memory_optimization:
-        manager.add(MemoryOptimizationPass())
-    if options.enable_fmac_fusion:
-        manager.add(LinalgFuseMultiplyAddPass())
+    manager.add(MemoryOptimizationPass())
+    manager.add(LinalgFuseMultiplyAddPass())
 
     # Group 4: actor execution model.
     manager.add(ScfToTaskGraphPass())
@@ -205,6 +161,16 @@ def build_pass_pipeline(options: PipelineOptions) -> PassManager:
     manager.add(MemrefToDsdPass())
     manager.add(LowerCslWrapperPass())
     return manager
+
+
+#: The pass sequence every compile runs, as ``mlir-opt`` would name it.
+PASS_DESCRIPTION = build_pass_pipeline(PipelineOptions()).pipeline_description
+
+
+def pipeline_stamp() -> dict:
+    """The pipeline half of an artifact fingerprint: the version stamp plus
+    the pass sequence."""
+    return {"version": PIPELINE_VERSION, "passes": PASS_DESCRIPTION}
 
 
 @dataclass
@@ -261,10 +227,3 @@ def compile_stencil_program(
     return CompilationResult(
         module=module, options=options, program=program, statistics=statistics
     )
-
-
-def compile_module(module: ModuleOp, options: PipelineOptions) -> ModuleOp:
-    """Run the full pipeline over an already-built stencil-dialect module."""
-    pipeline = build_pass_pipeline(options)
-    pipeline.run(module)
-    return module

@@ -4,8 +4,14 @@ Merges consecutive ``stencil.apply`` operations into a single fused kernel
 when the producer's result is only used by the consumer and the consumer only
 reads the produced value at offset zero in the decomposed plane.  This removes
 the overhead of separate kernel launches (and, on the WSE, of separate
-communication phases) between stencils that are consecutive; for UVKBE it
-merges all applies into one.
+communication phases) between stencils that are consecutive.
+
+On the programs the front ends build it never fires: the pipeline pins
+(``tests/transforms/data/pipeline_digests.json``) record 0 rewrites and an
+unchanged module on all 8 corpus programs, UVKBE included.  The reason is in
+``frontends/common.py``: every ``stencil.apply`` result goes only to a
+``stencil.store``, and the next equation loads the field afresh, so no apply
+result has a single apply user.  See ROADMAP item 17.
 """
 
 from __future__ import annotations

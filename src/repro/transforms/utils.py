@@ -2,80 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-from repro.dialects import stencil
-from repro.ir.operation import Operation
+from typing import Iterable
 
 
 #: canonical ordering of the four cardinal directions on the PE grid.
 CARDINAL_DIRECTIONS: tuple[tuple[int, int], ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
-
-
-@dataclass
-class StencilShape:
-    """Summary of the access pattern of one stencil.apply body."""
-
-    #: all distinct access offsets (full rank as written in the IR).
-    offsets: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.offsets[0]) if self.offsets else 0
-
-    @property
-    def radius(self) -> int:
-        """The maximum absolute offset component (the star radius)."""
-        radius = 0
-        for offset in self.offsets:
-            for component in offset:
-                radius = max(radius, abs(component))
-        return radius
-
-    @property
-    def xy_radius(self) -> int:
-        """Maximum absolute offset in the first two (decomposed) dimensions."""
-        radius = 0
-        for offset in self.offsets:
-            for component in offset[:2]:
-                radius = max(radius, abs(component))
-        return radius
-
-    def is_star_shaped(self) -> bool:
-        """True if every offset lies on a single axis (no diagonals)."""
-        for offset in self.offsets:
-            if sum(1 for component in offset if component != 0) > 1:
-                return False
-        return True
-
-    @property
-    def num_points(self) -> int:
-        return len(self.offsets)
-
-    def remote_offsets(self) -> tuple[tuple[int, ...], ...]:
-        """Offsets requiring communication (non-zero in the x/y plane)."""
-        return tuple(
-            offset for offset in self.offsets if any(c != 0 for c in offset[:2])
-        )
-
-    def local_offsets(self) -> tuple[tuple[int, ...], ...]:
-        """Offsets resolved from PE-local memory (zero in the x/y plane)."""
-        return tuple(
-            offset for offset in self.offsets if all(c == 0 for c in offset[:2])
-        )
-
-
-def analyze_apply(apply_op: stencil.ApplyOp) -> StencilShape:
-    """Collect the access pattern of a ``stencil.apply`` body."""
-    offsets: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for access in apply_op.walk_type(stencil.AccessOp):
-        assert isinstance(access, stencil.AccessOp)
-        if access.offset not in seen:
-            seen.add(access.offset)
-            offsets.append(access.offset)
-    return StencilShape(offsets=tuple(offsets))
 
 
 def remote_directions(
@@ -101,10 +32,3 @@ def remote_directions(
         return (cardinal_rank, distance)
 
     return tuple(sorted(remote, key=sort_key))
-
-
-def direction_index(
-    direction: tuple[int, int], directions: Sequence[tuple[int, int]]
-) -> int:
-    """Index of a remote (x, y) offset within the canonical direction list."""
-    return list(directions).index(tuple(direction))

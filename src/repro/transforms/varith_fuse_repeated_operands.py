@@ -2,8 +2,13 @@
 
 Rewrites a variadic addition that contains the same operand ``n`` times into
 a single multiplication of that operand by the constant ``n`` (combined with
-the remaining terms).  On the Acoustic kernel this replaces three DSD
-additions with one multiplication.
+the remaining terms).
+
+On the programs the front ends build it never fires: the pipeline pins
+(``tests/transforms/data/pipeline_digests.json``) record 0 rewrites and an
+unchanged module on all 8 corpus programs, Acoustic included.  Operands are
+matched by SSA identity, and ``frontends/common.py`` emits every access as a
+fresh ``stencil.access`` value, so no operand repeats.  See ROADMAP item 17.
 """
 
 from __future__ import annotations

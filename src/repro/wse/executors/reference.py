@@ -45,9 +45,7 @@ class ReferenceExecutor(Executor):
                 interpreter = PeInterpreter(image, pe, self.plan)
                 interpreter.initialise()
                 self.interpreters[(pe.x, pe.y)] = interpreter
-        self.runtime = CommsRuntime(
-            self._grid, boundary=self.plan.boundary, plan=self.plan
-        )
+        self.runtime = CommsRuntime(self._grid, self.plan)
 
     # ------------------------------------------------------------------ #
 

@@ -156,12 +156,6 @@ class ProgramImage:
         value = value_attr.value if isinstance(value_attr, FloatAttr) else 0.0
         return BoundaryCondition(kind, value if kind == "dirichlet" else 0.0)
 
-    def task_by_id(self, task_id: int) -> "csl.TaskOp | None":
-        for op in self.callables.values():
-            if isinstance(op, csl.TaskOp) and op.task_id == task_id:
-                return op
-        return None
-
     # -- derived state (see "Binding" in the module docstring) ----------- #
 
     def derived(self, key, compute: Callable[[], Any]) -> Any:
@@ -205,17 +199,12 @@ class PeInterpreter:
     """Executes csl-ir callables against one PE's state.
 
     ``plan`` is the pre-compiled :class:`~repro.wse.plan.ExecutionPlan` of
-    the image: when present, DSD-producing ops and exchange schedules are
-    served from its plan-time tables instead of being re-derived per
-    interpretation.  Without a plan the interpreter falls back to deriving
-    everything from the op attributes (hand-built test images use this).
+    the image: buffers, variables and exchange schedules come from its
+    plan-time tables, and so does every DSD that is static.
     """
 
     def __init__(
-        self,
-        image: ProgramImage,
-        pe: ProcessingElement,
-        plan: "ExecutionPlan | None" = None,
+        self, image: ProgramImage, pe: ProcessingElement, plan: "ExecutionPlan"
     ):
         self.image = image
         self.pe = pe
@@ -225,13 +214,9 @@ class PeInterpreter:
 
     def initialise(self) -> None:
         """Allocate module buffers and variables on the PE."""
-        buffers = self.plan.buffers if self.plan is not None else self.image.buffers
-        variables = (
-            self.plan.variables if self.plan is not None else self.image.variables
-        )
-        for name, size in buffers.items():
+        for name, size in self.plan.buffers.items():
             self.pe.allocate(name, size)
-        for name, init in variables.items():
+        for name, init in self.plan.variables.items():
             self.pe.variables.setdefault(name, init)
 
     def run_callable(self, name: str, argument: Any = None) -> None:
@@ -344,11 +329,10 @@ def _handle_activate(interp: PeInterpreter, op: csl.ActivateOp, env) -> None:
 
 
 def _handle_get_mem_dsd(interp: PeInterpreter, op: csl.GetMemDsdOp, env) -> None:
-    if interp.plan is not None:
-        planned = interp.plan.static_dsd(op)
-        if planned is not None:
-            env[id(op.result)] = planned
-            return
+    planned = interp.plan.static_dsd(op)
+    if planned is not None:
+        env[id(op.result)] = planned
+        return
     buffer_attr = op.attributes.get("buffer")
     if isinstance(buffer_attr, StringAttr):
         buffer_name = buffer_attr.data
@@ -365,11 +349,10 @@ def _handle_get_mem_dsd(interp: PeInterpreter, op: csl.GetMemDsdOp, env) -> None
 def _handle_increment_dsd(
     interp: PeInterpreter, op: csl.IncrementDsdOffsetOp, env
 ) -> None:
-    if interp.plan is not None:
-        planned = interp.plan.static_dsd(op)
-        if planned is not None:
-            env[id(op.result)] = planned
-            return
+    planned = interp.plan.static_dsd(op)
+    if planned is not None:
+        env[id(op.result)] = planned
+        return
     base = interp._value(op.operands[0], env)
     if not isinstance(base, Dsd):
         raise InterpretationError("csl.increment_dsd_offset operand is not a DSD")
@@ -404,44 +387,22 @@ def _handle_comms_exchange(
     if not isinstance(buffer_value, Dsd):
         raise InterpretationError("csl.comms_exchange buffer operand is not a DSD")
 
-    planned = interp.plan.exchange_plan(op) if interp.plan is not None else None
-    if planned is not None:
-        interp.pe.counters["exchanges"] += 1
-        # The source buffer comes from the runtime DSD operand: the plan's
-        # statically-propagated name matches it on every generated program,
-        # but a dynamic operand chain stays authoritative.
-        interp.pe.pending_exchange = PendingExchange(
-            source_buffer=buffer_value.buffer,
-            source_offset=planned.source_offset,
-            source_length=planned.source_length,
-            chunk_size=planned.chunk_size,
-            num_chunks=planned.num_chunks,
-            directions=planned.directions,
-            coefficients=planned.coefficients,
-            receive_buffer=planned.receive_buffer,
-            receive_callback=planned.receive_callback,
-            done_callback=planned.done_callback,
-        )
-        return
-
-    attributes = op.attributes
-    src_offset = attributes["src_offset"].value  # type: ignore[union-attr]
-    src_len = attributes["src_len"].value  # type: ignore[union-attr]
-    chunk_size = attributes["chunk_size"].value  # type: ignore[union-attr]
-    recv_buffer = op.attributes["recv_buffer"].string_value  # type: ignore[union-attr]
-
+    planned = interp.plan.exchange_plan(op)
     interp.pe.counters["exchanges"] += 1
+    # The source buffer comes from the runtime DSD operand: the plan's
+    # statically-propagated name matches it on every generated program,
+    # but a dynamic operand chain stays authoritative.
     interp.pe.pending_exchange = PendingExchange(
         source_buffer=buffer_value.buffer,
-        source_offset=src_offset,
-        source_length=src_len,
-        chunk_size=chunk_size,
-        num_chunks=op.num_chunks,
-        directions=op.directions,
-        coefficients=op.coefficients,
-        receive_buffer=recv_buffer,
-        receive_callback=op.recv_callback,
-        done_callback=op.done_callback,
+        source_offset=planned.source_offset,
+        source_length=planned.source_length,
+        chunk_size=planned.chunk_size,
+        num_chunks=planned.num_chunks,
+        directions=planned.directions,
+        coefficients=planned.coefficients,
+        receive_buffer=planned.receive_buffer,
+        receive_callback=planned.receive_callback,
+        done_callback=planned.done_callback,
     )
 
 

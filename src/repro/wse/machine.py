@@ -48,17 +48,6 @@ class WseMachineSpec:
     #: WSE2 switch restriction: PEs transmit to themselves as well.
     self_transmit_overhead: bool
 
-    @property
-    def total_pes(self) -> int:
-        return self.grid_width * self.grid_height
-
-    @property
-    def peak_flops_per_pe(self) -> float:
-        return self.peak_flops / self.total_pes
-
-    def fits_in_pe_memory(self, bytes_needed: int) -> bool:
-        return bytes_needed <= self.pe_memory_bytes
-
 
 #: The CS-2's wafer: 750 x 994 usable PEs (the paper's "large" size fully
 #: occupies the WSE2 grid).

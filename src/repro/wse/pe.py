@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -75,11 +75,6 @@ class ProcessingElement:
 
     def activate(self, task: ActivatedTask) -> None:
         self.task_queue.append(task)
-
-    @property
-    def is_blocked(self) -> bool:
-        """Blocked: waiting for an exchange with nothing left to run."""
-        return self.pending_exchange is not None and not self.task_queue
 
     @property
     def is_idle(self) -> bool:

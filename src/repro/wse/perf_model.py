@@ -78,10 +78,6 @@ class PerformanceEstimate:
     tflops: float
     pe_memory_bytes: int
 
-    @property
-    def gcells_per_second(self) -> float:
-        return self.gpts_per_second
-
 
 def measure_pe_activity(
     benchmark: Benchmark,

@@ -27,9 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.frontends.common import BoundaryCondition
 from repro.wse.pe import ActivatedTask, PendingExchange, ProcessingElement
-from repro.wse.plan import HaloTable, build_halo_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wse.interpreter import PeInterpreter
@@ -39,30 +37,20 @@ if TYPE_CHECKING:  # pragma: no cover
 class CommsRuntime:
     """Delivers pending exchanges across the PE grid.
 
-    ``boundary`` selects what off-fabric directions contribute; it defaults
-    to the historical Dirichlet-zero halo.  ``plan`` optionally supplies the
-    pre-compiled per-direction fold tables of an
-    :class:`~repro.wse.plan.ExecutionPlan`; without one the runtime builds
-    (and memoises) equivalent tables itself, so directly-constructed
-    runtimes keep working.  The grid must be rectangular — a ragged row
-    list would silently truncate or over-index delivery, so it is rejected
-    up front.
+    ``plan`` supplies the per-direction fold tables of the
+    :class:`~repro.wse.plan.ExecutionPlan`, and with them what off-fabric
+    directions contribute under its boundary condition.  The grid must be
+    rectangular — a ragged row list would silently truncate or over-index
+    delivery, so it is rejected up front.
     """
 
     def __init__(
-        self,
-        grid: list[list[ProcessingElement]],
-        boundary: BoundaryCondition | None = None,
-        plan: "ExecutionPlan | None" = None,
+        self, grid: list[list[ProcessingElement]], plan: "ExecutionPlan"
     ):
         self.grid = grid
         self.height = len(grid)
         self.width = len(grid[0]) if grid else 0
-        self.boundary = (
-            boundary if boundary is not None else BoundaryCondition.dirichlet()
-        )
         self.plan = plan
-        self._local_tables: dict[tuple[int, int], "HaloTable"] = {}
         for y, row in enumerate(grid):
             if len(row) != self.width:
                 raise ValueError(
@@ -72,16 +60,6 @@ class CommsRuntime:
                 )
 
     # ------------------------------------------------------------------ #
-
-    def _halo_table(self, direction: tuple[int, int]) -> "HaloTable":
-        if self.plan is not None:
-            return self.plan.halo_table(direction)
-        key = (direction[0], direction[1])
-        table = self._local_tables.get(key)
-        if table is None:
-            table = build_halo_table(self.boundary, key, self.width, self.height)
-            self._local_tables[key] = table
-        return table
 
     def _neighbor_chunk(
         self,
@@ -101,7 +79,7 @@ class CommsRuntime:
         """
         start = exchange.source_offset + chunk_index * exchange.chunk_size
         stop = start + exchange.chunk_size
-        table = self._halo_table(direction)
+        table = self.plan.halo_table(direction)
         nx, ny = table.cols[pe.x], table.rows[pe.y]
         if nx is not None and ny is not None:
             neighbor = self.grid[ny][nx]

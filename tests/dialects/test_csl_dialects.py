@@ -102,11 +102,6 @@ class TestCslDialect:
         with pytest.raises(VerifyException):
             task.verify()
 
-    def test_color_range_checked(self):
-        color = csl.GetColorOp(30)
-        with pytest.raises(VerifyException):
-            color.verify()
-
     def test_dsd_kind_checked(self):
         with pytest.raises(VerifyException):
             csl.DsdType("not_a_dsd")

@@ -32,13 +32,12 @@ link of a chain and erasing the previous one.
 """
 
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
 from repro.benchmarks import ALL_BENCHMARKS, benchmark_by_name
 from repro.frontends.common import build_stencil_module
-from repro.ir import ModulePass
+from repro.ir import ModulePass, PassManager
 from repro.ir.operation import Operation
 from repro.tests_support import assert_use_def_consistent, python_calls
 from repro.transforms.pipeline import (
@@ -151,8 +150,9 @@ def test_one_whole_module_traversal_per_pass(verify_each, monkeypatch):
 
     monkeypatch.setattr(Operation, "walk", counted(Operation.walk))
     monkeypatch.setattr(Operation, "verify", counted(Operation.verify))
-    pipeline = _pipeline_with_every_pass_inside(
-        replace(options, verify_each=verify_each), inside_a_pass
+    pipeline = PassManager(
+        _pipeline_with_every_pass_inside(options, inside_a_pass).passes,
+        verify_each=verify_each,
     )
     statistics = pipeline.run(module)
     assert traversals == len(pipeline.passes) + 1

@@ -168,18 +168,3 @@ class TestPipelineOptions:
             PipelineOptions(grid_width=4, grid_height=4, target="wse3"),
         )
         assert result.program_module.attributes["target"].data == "wse3"
-
-    def test_disable_optimizations_still_compiles(self):
-        result = compile_stencil_program(
-            jacobi_program(),
-            PipelineOptions(
-                grid_width=4,
-                grid_height=4,
-                enable_stencil_inlining=False,
-                enable_varith_fusion=False,
-                enable_fmac_fusion=False,
-                enable_memory_optimization=False,
-            ),
-        )
-        result.module.verify()
-        assert result.program_module is not None

@@ -53,15 +53,11 @@ def _fresh_kernel_cache(monkeypatch):
     reset_kernel_cache()
 
 
-def _compile(program, grid, boundary=None, **options):
+def _compile(program, grid, boundary=None):
     return compile_stencil_program(
         program,
         PipelineOptions(
-            grid_width=grid,
-            grid_height=grid,
-            num_chunks=2,
-            boundary=boundary,
-            **options,
+            grid_width=grid, grid_height=grid, num_chunks=2, boundary=boundary
         ),
     ).program_module
 
@@ -144,7 +140,7 @@ def test_banded_exchanges_sharing_a_receive_buffer(monkeypatch, rows):
         ],
         time_steps=2,
     )
-    module = _compile(program, 5, enable_stencil_inlining=False)
+    module = _compile(program, 5)
     source = _force_rows(monkeypatch, module, 5, rows)
     assert "for r0, r1 in BANDS:" in source
     _assert_matches_vectorized(program, module)

@@ -24,6 +24,9 @@ from repro.frontends.common import (
 )
 from repro.tests_support import simulate_against_reference
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
+from repro.wse.interpreter import bound_image
+from repro.wse.pe import ProcessingElement
+from repro.wse.runtime import CommsRuntime
 from repro.wse.simulator import WseSimulator
 
 EXECUTORS = ("reference", "vectorized", "tiled", "compiled", "auto")
@@ -174,31 +177,33 @@ class TestUnevenChunkRequests:
             )
 
 
+def _plan(width, height):
+    """The execution plan of a star program compiled for ``width x height``."""
+    options = PipelineOptions(
+        grid_width=max(width, 1), grid_height=max(height, 1), num_chunks=2
+    )
+    program = _star_program(options.grid_width, options.grid_height, 8)
+    module = compile_stencil_program(program, options).program_module
+    return bound_image(module).plan_for(width, height)
+
+
 class TestRaggedGridValidation:
     """Regression: CommsRuntime derived its width from row 0 only, so a
     ragged grid silently truncated or over-indexed delivery."""
 
     def test_ragged_grid_is_rejected_with_a_descriptive_error(self):
-        from repro.wse.pe import ProcessingElement
-        from repro.wse.runtime import CommsRuntime
-
         grid = [
             [ProcessingElement(x, 0) for x in range(3)],
             [ProcessingElement(x, 1) for x in range(2)],
         ]
         with pytest.raises(ValueError, match="ragged PE grid: row 1 has 2"):
-            CommsRuntime(grid)
+            CommsRuntime(grid, _plan(3, 2))
 
     def test_rectangular_grids_still_accepted(self):
-        from repro.wse.pe import ProcessingElement
-        from repro.wse.runtime import CommsRuntime
-
         grid = [[ProcessingElement(x, y) for x in range(3)] for y in range(2)]
-        runtime = CommsRuntime(grid)
+        runtime = CommsRuntime(grid, _plan(3, 2))
         assert (runtime.width, runtime.height) == (3, 2)
 
     def test_empty_grid_is_accepted(self):
-        from repro.wse.runtime import CommsRuntime
-
-        runtime = CommsRuntime([])
+        runtime = CommsRuntime([], _plan(0, 0))
         assert (runtime.width, runtime.height) == (0, 0)

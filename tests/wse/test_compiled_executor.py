@@ -37,6 +37,7 @@ from repro.benchmarks.definitions import ALL_BENCHMARKS
 from repro.dialects import csl
 from repro.frontends.common import BoundaryCondition
 from repro.ir.exceptions import InterpretationError
+from repro.ir.operation import UnregisteredOp
 from repro.service.cache import REPRO_CACHE_DIR_ENV
 from repro.service.kernels import KernelSourceStore
 from repro.tests_support import run_on_executor
@@ -229,12 +230,7 @@ class TestDeliveryForms:
         )
         module = compile_stencil_program(
             program,
-            PipelineOptions(
-                grid_width=4,
-                grid_height=4,
-                num_chunks=2,
-                enable_stencil_inlining=False,
-            ),
+            PipelineOptions(grid_width=4, grid_height=4, num_chunks=2),
         ).program_module
         expected_fields, expected_statistics = run_on_executor(
             "vectorized", program, module
@@ -443,8 +439,9 @@ class TestRoundBudget:
 
 class TestFallback:
     def test_unsupported_op_refuses_fusion(self):
-        """An op the interpreter rejects too (DSD rebasing) must surface
-        as a KernelCodegenError, not generate broken source."""
+        """An op the interpreter rejects too (here DSD rebasing, which the
+        pipeline never emits) must surface as a KernelCodegenError, not
+        generate broken source."""
         _, _, image, plan = _image(grid=3, steps=1)
         target = next(
             op
@@ -452,7 +449,11 @@ class TestFallback:
             for op in func.body_block.ops
             if isinstance(op, csl.GetMemDsdOp)
         )
-        rebase = csl.SetDsdBaseAddrOp(target.result, target.result)
+        rebase = UnregisteredOp(
+            "csl.set_dsd_base_addr",
+            operands=[target.result, target.result],
+            result_types=[csl.DsdType(csl.DsdKind.MEM1D)],
+        )
         target.parent.insert_op_after(rebase, target)
         with pytest.raises(
             KernelCodegenError, match="unsupported operation 'csl.set_dsd"

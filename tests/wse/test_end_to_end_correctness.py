@@ -180,10 +180,7 @@ class TestMultiEquationCorrectness:
             equations=[StencilEquation("a", eq_a), StencilEquation("b", eq_b)],
             time_steps=2,
         )
-        options = PipelineOptions(
-            grid_width=4, grid_height=4, num_chunks=2,
-            enable_stencil_inlining=False,
-        )
+        options = PipelineOptions(grid_width=4, grid_height=4, num_chunks=2)
         simulated, reference, _ = simulate(program, options)
         np.testing.assert_allclose(simulated["a"], reference["a"], rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(simulated["b"], reference["b"], rtol=1e-5, atol=1e-6)
