@@ -94,6 +94,22 @@ def test_payload_carries_program_options_and_pipeline_stamp():
     assert "stencil-inlining" in payload["pipeline"]["passes"]
 
 
+def test_pipeline_stamp_is_one_constant_for_every_option_set():
+    # The options are fingerprinted under their own key; the pipeline half
+    # of the payload names the one pass sequence every compile runs.
+    for options in (
+        make_options(),
+        make_options(grid_width=9, num_chunks=1),
+        make_options(target="wse3", boundary="reflect"),
+    ):
+        payload = fingerprint_payload(make_program(), options)
+        assert payload["pipeline"] == pipeline_module.pipeline_stamp()
+    assert pipeline_module.pipeline_stamp() == {
+        "version": pipeline_module.PIPELINE_VERSION,
+        "passes": pipeline_module.PASS_DESCRIPTION,
+    }
+
+
 class TestBoundaryFingerprinting:
     """The fingerprint changes when (and only when) the boundary changes."""
 

@@ -1,5 +1,7 @@
 """Validation tests for :class:`PipelineOptions`."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.transforms.pipeline import PipelineOptions
@@ -28,3 +30,36 @@ class TestPipelineOptionsValidation:
     def test_invalid_num_chunks_rejected(self, num_chunks):
         with pytest.raises(ValueError, match="num_chunks"):
             PipelineOptions(num_chunks=num_chunks)
+
+
+class TestOneConfigSurface:
+    """The pipeline is the one pass sequence of Figure 3: the options carry
+    the grid, chunking, target and boundary, and nothing that switches a
+    pass off."""
+
+    def test_options_are_exactly_the_canonical_keys(self):
+        names = {field.name for field in fields(PipelineOptions)}
+        assert names == set(PipelineOptions().canonical())
+        assert names == {
+            "grid_width",
+            "grid_height",
+            "num_chunks",
+            "target",
+            "boundary",
+        }
+
+    @pytest.mark.parametrize(
+        "switch",
+        [
+            "enable_stencil_inlining",
+            "enable_varith_fusion",
+            "enable_fmac_fusion",
+            "enable_memory_optimization",
+            "verify_each",
+        ],
+    )
+    def test_pass_switches_are_not_options(self, switch):
+        # A caller still passing an old switch fails loudly rather than
+        # compiling with the switch silently ignored.
+        with pytest.raises(TypeError, match=switch):
+            PipelineOptions(**{switch: False})

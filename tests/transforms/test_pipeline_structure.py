@@ -11,6 +11,7 @@ from repro.frontends.common import (
     StencilProgram,
 )
 from repro.transforms.pipeline import (
+    PASS_DESCRIPTION,
     PipelineOptions,
     build_pass_pipeline,
     compile_stencil_program,
@@ -168,3 +169,18 @@ class TestPipelineOptions:
             PipelineOptions(grid_width=4, grid_height=4, target="wse3"),
         )
         assert result.program_module.attributes["target"].data == "wse3"
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            PipelineOptions(),
+            PipelineOptions(grid_width=9, grid_height=2, num_chunks=1),
+            PipelineOptions(target="wse3", boundary="periodic"),
+        ],
+        ids=["default", "9x2-one-chunk", "wse3-periodic"],
+    )
+    def test_every_option_set_runs_all_17_passes_verifying_each(self, options):
+        pipeline = build_pass_pipeline(options)
+        assert len(pipeline.passes) == 17
+        assert pipeline.pipeline_description == PASS_DESCRIPTION
+        assert pipeline.verify_each

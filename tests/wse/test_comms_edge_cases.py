@@ -24,7 +24,7 @@ from repro.frontends.common import (
 )
 from repro.tests_support import simulate_against_reference
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
-from repro.wse.interpreter import bound_image
+from repro.wse.interpreter import PeInterpreter, bound_image
 from repro.wse.pe import ProcessingElement
 from repro.wse.runtime import CommsRuntime
 from repro.wse.simulator import WseSimulator
@@ -207,3 +207,35 @@ class TestRaggedGridValidation:
     def test_empty_grid_is_accepted(self):
         runtime = CommsRuntime([], _plan(0, 0))
         assert (runtime.width, runtime.height) == (0, 0)
+
+
+class TestThePlanIsRequired:
+    """The reference simulator always runs from an execution plan: the
+    runtime and the interpreter take it as a required argument and read
+    their tables from it."""
+
+    def test_runtime_and_interpreter_refuse_to_start_without_a_plan(self):
+        options = PipelineOptions(grid_width=2, grid_height=2, num_chunks=2)
+        module = compile_stencil_program(
+            _star_program(2, 2, 8), options
+        ).program_module
+        grid = [[ProcessingElement(x, y) for x in range(2)] for y in range(2)]
+        with pytest.raises(TypeError, match="plan"):
+            CommsRuntime(grid)
+        with pytest.raises(TypeError, match="plan"):
+            PeInterpreter(bound_image(module), grid[0][0])
+
+    def test_interpreter_allocates_the_plans_buffers_and_variables(self):
+        options = PipelineOptions(grid_width=3, grid_height=2, num_chunks=2)
+        module = compile_stencil_program(
+            _star_program(3, 2, 8), options
+        ).program_module
+        image = bound_image(module)
+        plan = image.plan_for(3, 2)
+        pe = ProcessingElement(1, 1)
+        PeInterpreter(image, pe, plan).initialise()
+        assert plan.buffers
+        assert {name: len(pe.buffers[name]) for name in pe.buffers} == dict(
+            plan.buffers
+        )
+        assert pe.variables == dict(plan.variables)
