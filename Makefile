@@ -34,17 +34,25 @@ tiled-check:
 # whole fabric is the box of the 1x1 geometry): the emitted-source pins
 # (21 whole-fabric and 36 2x2 shard-box kernels, plus five row-banded 64x64
 # ones, two of them shard boxes), the kernel executor's own suite
-# (deterministic emission, both delivery forms on the whole fabric and on
-# boxes, the kernel cache, both round drivers' budget and deadlock edges,
-# the declined-codegen error, and `auto` as compiled under its own name),
+# (deterministic emission, the staged delivery form against the default on
+# the whole fabric and on boxes, the kernel cache, both round drivers'
+# budget and deadlock edges, the declined-codegen error, and `auto` as
+# compiled under its own name), the view-delivery goldens — every buffer,
+# receive slabs included, of compiled, auto and one-shard tiled
+# byte-identical to vectorized after a run (7 benchmarks x 3 boundary modes
+# on 6x6 and the thin fabrics 1x1, 1x9, 9x2), and which exchanges take the
+# view form (Advection, UVKBE's callback-less exchange and exchanges
+# sharing a receive slab stay direct; no shard box with siblings does),
 # the banded goldens — every benchmark and boundary mode at forced 1- and
 # 2-row bands, whole-fabric and on two row-band shards, byte-identical to
 # vectorized, plus the kernel-size guard — and the executors' cost ledger
 # (Python calls per warm bind and per run of compiled and auto, against
-# recorded ceilings).
+# recorded ceilings, and receive-slab writes per delivery and per run in
+# the emitted source: none per delivery in the view form).
 kernel-check:
 	$(PYTHON) -m pytest tests/wse/test_kernel_digests.py \
 	  tests/wse/test_compiled_executor.py \
+	  tests/wse/test_view_delivery.py \
 	  tests/wse/test_banded_kernels.py \
 	  tests/wse/test_executor_cost.py -q
 

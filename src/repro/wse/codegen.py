@@ -24,7 +24,8 @@ the fused delivery round as Python/NumPy source text, materialised via
 * the chunked halo exchange unrolls into per-direction copies: gatherable
   directions are basic-slice runs or fancy-index gathers through bind-time
   index constants, Dirichlet directions write only the interior rectangle
-  over a constant-fill border.
+  over a constant-fill border — or, for an exchange a whole-fabric kernel
+  delivers *as views*, into no copy at all (below).
 
 There is one kernel kind: the kernel of one *box* of a
 :class:`~repro.wse.plan.ShardGeometry`.  ``tiled`` binds one per shard;
@@ -33,9 +34,34 @@ geometry, which is also what a call naming no geometry gets.  Every kernel
 exposes the seam protocol's round hooks (``drain`` / ``settled`` /
 ``publish`` / ``deliver``), which the round driver of several shards calls,
 and ``run_block(budget)``, the round loop a sole shard runs in one call.
-An exchange is delivered chunk by chunk straight into the receive slab
-wherever ``_direct_staging_safe`` proves that legal (preallocated staging
-slabs otherwise), each destination's source read from the box itself or,
+An exchange takes one of three delivery forms, chosen per exchange:
+
+* **view** — a whole-fabric kernel's exchange that
+  :meth:`_KernelEmitter._view_deliverable` proves safe: no coefficients,
+  ``_direct_staging_safe``, a receive callback that is the only reader of
+  the receive buffer (through static views inside one direction slot each),
+  no other exchange on that buffer, and no callable or delivery writing the
+  source.  The source buffer is then the interior of a padded base
+  (``SHARD_META['padded']`` names it with its reach ``R``, and the sole-shard
+  executor allocates it) whose ghost cells hold the boundary's fold —
+  the Dirichlet fill written once at bind, periodic/reflect strips copied
+  at the top of each delivery — so direction ``(dx, dy)`` of a chunk *is*
+  the strided view ``P[R+dy:R+dy+H, R+dx:R+dx+W, chunk]``.  Each chunk's
+  receive callback runs as a per-chunk variant (``rc<eid>_<chunk>``) that
+  reads those bind-time views; nothing is copied per delivery.  The receive
+  slab, which nothing reads during the run, is written once when
+  ``run_block`` returns after a delivery: the last chunk and the fills,
+  exactly what the direct form leaves behind.  (The callback's own
+  function, in ``fns``, still reads the slab.  Only the sole-shard
+  executor binds a whole-fabric kernel, and it runs rounds through
+  ``run_block`` alone, so the ``deliver`` hook of a view exchange leaves
+  the slab unwritten.)
+* **direct** — every other exchange ``_direct_staging_safe`` allows:
+  each chunk copied straight into the receive slab before its callback.
+* **staged** — the rest: every chunk into a preallocated staging slab
+  first, then slab by slab into the receive buffer.
+
+Each direct or staged destination's source is read from the box itself or,
 for a source a sibling shard owns, from that sibling's seam snapshot — a
 1x1 geometry has no siblings, so its kernel binds no snapshot and its
 ``publish`` hooks are empty.
@@ -62,7 +88,9 @@ Only the error path differs under bands: a runtime-offset view out of
 range raises the same ``IndexError`` as unbanded, but before any builtin of
 its run has executed, where the unbanded kernel (and ``vectorized``) first
 apply the run's earlier builtins.  The state left behind by that error is
-therefore not matched across backends; every successful run is.
+therefore not matched across backends; every successful run is.  The
+same holds for the view form: a run that raises inside a delivery returns
+without writing the receive slab.
 
 Kernels are cached process-wide in an in-memory memo keyed by a *kernel
 fingerprint* (SHA-256 over the printed program module, the plan's canonical
@@ -124,7 +152,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: v6: one kernel kind — the whole grid is the one box of the 1x1 geometry
 #: (every kernel carries the round hooks and ``run_block``; index constants
 #: in place of the plan's fold tables).
-CODEGEN_VERSION = 6
+#: v7: whole-fabric kernels deliver provably safe exchanges as views of a
+#: padded source (per-chunk receive-callback variants, halo strips, the
+#: receive slab written once per ``run_block``).
+CODEGEN_VERSION = 7
 
 #: bytes one row band of the longest DSD operand view spans in a kernel.
 #: Part of the emitter, like every other emission choice: a new value needs
@@ -347,6 +378,24 @@ class _KernelEmitter:
         #: unwritten outside delivery).
         self._fill_flags: set[int] = set()
         self._write_sets: dict[str, set[str] | None] = {}
+        #: what the first emission of every callable saw, for the view
+        #: form's predicate: the callable being emitted, each buffer's DSD
+        #: operands by callable, the callables ``csl.call``/``csl.activate``
+        #: name, and the callables that schedule an exchange themselves.
+        self._emitting: str | None = None
+        self._dsd_uses: dict[str, list[tuple[str, _DsdExpr]]] = {}
+        self._referenced: set[str] = set()
+        self._schedulers: set[str] = set()
+        #: exchanges delivered as views, their sources' reach ``R``, and
+        #: the per-chunk slot views (``(eid, chunk, offset, length, stride)``
+        #: -> name) their callback variants read.
+        self._view_eids: set[int] = set()
+        self._padded: dict[str, int] = {}
+        self._chunk_views: dict[tuple[int, int, int, int, int], str] = {}
+        #: ``(eid, chunk)`` while a callback variant is emitted.
+        self._chunk: tuple[int, int] | None = None
+        #: ``run_block``'s exit code: the view exchanges' receive slabs.
+        self._landing = SourceBuilder(indent=2)
         #: ``(r0, r1)`` row bands of a kernel whose longest DSD operand view
         #: spans more than :data:`_BAND_BYTES` — empty otherwise, and the
         #: kernel then runs every op over whole-region views.
@@ -396,6 +445,13 @@ class _KernelEmitter:
         return local
 
     def _static_view(self, dsd: _DsdExpr) -> str:
+        if self._chunk is not None:
+            eid, chunk = self._chunk
+            if dsd.buffer == self._exchanges[eid][1].receive_buffer:
+                key = (eid, chunk, dsd.offset, dsd.length, dsd.stride)
+                return self._chunk_views.setdefault(
+                    key, f"w{len(self._chunk_views)}"
+                )
         key = (dsd.buffer, dsd.offset, dsd.length, dsd.stride)
         name = self._views.get(key)
         if name is None:
@@ -500,6 +556,10 @@ class _KernelEmitter:
         Static DSDs resolve to kernel-bind-time named views; runtime-offset
         DSDs slice inside the emitted function (with the same range check
         ``Dsd.resolve_columns`` performs)."""
+        if self._chunk is None:
+            self._dsd_uses.setdefault(dsd.buffer, []).append(
+                (self._emitting, dsd)
+            )
         if dsd.runtime is None:
             return self._static_view(dsd)
         offset_name = self._fresh()
@@ -519,16 +579,25 @@ class _KernelEmitter:
 
     # -- callable emission ---------------------------------------------- #
 
-    def _emit_callable(self, name: str, builder: SourceBuilder) -> None:
+    def _emit_callable(
+        self, name: str, builder: SourceBuilder, chunk: tuple[int, int] | None = None
+    ) -> None:
+        """One callable as a Python function — or, with ``chunk``
+        (``(eid, chunk)``), the variant delivery ``eid`` calls for that
+        chunk, whose receive-slab operands are the chunk's views of the
+        padded source."""
         callable_op = self.image.callables[name]
         block = callable_op.regions[0].blocks[0]
         env: dict[int, Any] = {}
         if block.args:
             env[id(block.args[0])] = "arg"
-        builder.line(f"def {self._fn_names[name]}(arg=0):")
+        fn = self._fn_names[name] if chunk is None else "rc{}_{}".format(*chunk)
+        self._emitting, self._chunk = name, chunk
+        builder.line(f"def {fn}(arg=0):")
         with builder.indented():
             builder.line("counters['tasks_run'] += 1")
             self._emit_block(block, env, builder)
+        self._chunk = None
 
     def _emit_block(self, block, env: dict[int, Any], b: SourceBuilder) -> None:
         run: list[Operation] = []
@@ -637,8 +706,10 @@ class _KernelEmitter:
         elif isinstance(op, scf.IfOp):
             self._emit_if(op, env, b)
         elif isinstance(op, csl.CallOp):
+            self._referenced.add(op.callee)
             b.line(f"{self._fn(op.callee)}()")
         elif isinstance(op, csl.ActivateOp):
+            self._referenced.add(op.task_name)
             b.line(f"queue.append(({self._fn(op.task_name)}, 0))")
         elif isinstance(op, csl.GetMemDsdOp):
             env[id(op.result)] = self._dsd_of_get(op, env)
@@ -852,6 +923,7 @@ class _KernelEmitter:
         # The runtime DSD operand's buffer stays authoritative, exactly as
         # in the interpreter's planned path.
         self._exchanges.append((eid, planned, source.buffer))
+        self._schedulers.add(self._emitting)
         b.line("counters['exchanges'] += 1")
         b.line(f"pending[0] = {eid}")
 
@@ -957,6 +1029,130 @@ class _KernelEmitter:
             if writes is None or receive_buffer in writes:
                 return False
         return True
+
+    def _view_deliverable(
+        self, exchange: ExchangePlan, source_buffer: str
+    ) -> bool:
+        """May this exchange be delivered as views of a padded source?
+
+        Only in a whole-fabric kernel (a box with siblings reads their seam
+        snapshots), and only when the receive slab can be written once per
+        run without anything observing the difference: the exchange is
+        direct-safe and has no coefficients; its receive callback runs only
+        from this delivery (no call, activation or second exchange names
+        it, and it schedules no exchange itself); that callback is the only
+        reader of the receive buffer, through static views that each lie
+        inside one direction slot; nothing else writes the receive buffer
+        (:meth:`_recv_preserved`); and no callable or delivery writes the
+        source — an unknown write set counts as a write — so the source is
+        constant for a run and the run-end slab is exact.
+        """
+        callback = exchange.receive_callback
+        receive = exchange.receive_buffer
+        chunk = exchange.chunk_size
+        span = exchange.num_chunks * chunk
+        if (
+            (self.geometry.kx, self.geometry.ky) != (1, 1)
+            or exchange.coefficients is not None
+            or not callback
+            or not span
+            or not exchange.directions
+            or exchange.source_offset < 0
+            or exchange.source_offset + span > self.plan.buffers.get(source_buffer, 0)
+            or callback in self._referenced
+            or callback in self._schedulers
+            or not self._direct_staging_safe(exchange, source_buffer)
+            or not self._recv_preserved(receive)
+        ):
+            return False
+        named = [
+            name
+            for _, other, _ in self._exchanges
+            for name in (other.receive_callback, other.done_callback)
+        ]
+        if named.count(callback) != 1:
+            return False
+        if any(
+            source_buffer == other.receive_buffer or receive == other_source
+            for _, other, other_source in self._exchanges
+        ):
+            return False
+        for name in self.image.callables:
+            writes = self._written_buffers(name)
+            if writes is None or source_buffer in writes:
+                return False
+        for name, dsd in self._dsd_uses.get(receive, ()):
+            if name != callback or dsd.runtime is not None:
+                return False
+            slot_offset = dsd.offset % chunk
+            if (
+                dsd.offset < 0
+                or dsd.length < 1
+                or dsd.stride < 1
+                or dsd.offset // chunk >= len(exchange.directions)
+                or slot_offset + (dsd.length - 1) * dsd.stride >= chunk
+            ):
+                return False
+        return True
+
+    def _chunk_view_expression(
+        self, key: tuple[int, int, int, int, int]
+    ) -> str:
+        """The padded-source view a callback variant reads in place of a
+        receive-slab slot: direction ``(dx, dy)`` of the slot, over the
+        chunk's source z-range."""
+        eid, chunk, offset, length, stride = key
+        _, exchange, source_buffer = self._exchanges[eid]
+        slot, slot_offset = divmod(offset, exchange.chunk_size)
+        dx, dy = exchange.directions[slot]
+        reach = self._padded[source_buffer]
+        height, width = self._grid_dims
+        z0 = exchange.source_offset + chunk * exchange.chunk_size + slot_offset
+        step = f":{stride}" if stride != 1 else ""
+        return (
+            f"{self._padded_name(source_buffer)}"
+            f"[{reach + dy}:{reach + dy + height}, "
+            f"{reach + dx}:{reach + dx + width}, "
+            f"{z0}:{z0 + length * stride}{step}]"
+        )
+
+    def _padded_name(self, buffer: str) -> str:
+        return "p" + self._buffer(buffer)[1:]
+
+    def _halo_copies(self, buffer: str, z: str) -> list[str]:
+        """Statements refreshing the ghost cells of ``buffer``'s padded base
+        over z-range ``z`` from the boundary's fold (periodic and reflect
+        only; Dirichlet ghosts hold the fill from bind time on).
+
+        Row strips first, over the interior columns and read from the
+        interior; then column strips over every padded row, read from the
+        padded base itself, so the corners fold along both axes.  A ghost
+        cell's source depends only on its own index (a fold table entry is
+        a function of ``i + shift``), so every direction reads the same cell.
+        """
+        reach = self._padded[buffer]
+        height, width = self._grid_dims
+        fold = self.plan.boundary.fold
+        rows = [fold(y - reach, height) for y in range(height + 2 * reach)]
+        cols = [fold(x - reach, width) for x in range(width + 2 * reach)]
+        interior, padded = self._buffer(buffer), self._padded_name(buffer)
+        inner_cols = [(reach + x, x) for x in range(width)]
+        every_row = [(y, y) for y in range(height + 2 * reach)]
+        copies = []
+        for strip in (range(reach), range(reach + height, height + 2 * reach)):
+            copies += self._block_copies(
+                [(y, rows[y]) for y in strip], inner_cols, interior, z
+            )
+        for strip in (range(reach), range(reach + width, width + 2 * reach)):
+            copies += self._block_copies(
+                every_row, [(x, reach + cols[x]) for x in strip], padded, z
+            )
+        return [
+            f"np.copyto({padded}[{rows_cols}, {z}], {src})"
+            if kind == "slice"
+            else f"{padded}[{rows_cols}, {z}] = {src}"
+            for rows_cols, src, kind in copies
+        ]
 
     @staticmethod
     def _runs(pairs: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
@@ -1076,6 +1272,50 @@ class _KernelEmitter:
             value = f"{value} * c{eid}_{slot}"
         return value
 
+    def _emit_fills(
+        self, eid: int, exchange: ExchangePlan, receive_view: str, b: SourceBuilder
+    ) -> None:
+        """The constant-fill slots of the receive slab."""
+        for slot, fill in self._fill_slots(exchange):
+            z0 = slot * exchange.chunk_size
+            b.line(
+                f"{receive_view}[:, :, {z0}:{z0 + exchange.chunk_size}] = "
+                f"{self._fill_value(eid, exchange, slot, fill)}"
+            )
+
+    def _emit_stage(
+        self,
+        eid: int,
+        exchange: ExchangePlan,
+        source_buffer: str,
+        chunk: int,
+        target: str,
+        b: SourceBuilder,
+    ) -> None:
+        """Every direction of one chunk into ``target`` (a receive slab or
+        a staging slab)."""
+        source = self._buffer(source_buffer)
+        start = exchange.source_offset + chunk * exchange.chunk_size
+        stop = start + exchange.chunk_size
+        for slot, direction in enumerate(exchange.directions):
+            z0 = slot * exchange.chunk_size
+            z = f"{z0}:{z0 + exchange.chunk_size}"
+            coefficient = (
+                f"c{eid}_{slot}" if exchange.coefficients is not None else None
+            )
+            for rows_cols, src, kind in self._direction_copies(
+                eid, exchange, direction, source, start, stop
+            ):
+                dest = f"{target}[{rows_cols}, {z}]"
+                if coefficient is not None and kind != "scatter":
+                    b.line(f"np.multiply({src}, {coefficient}, out={dest})")
+                elif coefficient is not None:
+                    b.line(f"{dest} = {src} * {coefficient}")
+                elif kind == "slice":
+                    b.line(f"np.copyto({dest}, {src})")
+                else:
+                    b.line(f"{dest} = {src}")
+
     def _emit_deliver_fn(
         self,
         eid: int,
@@ -1083,8 +1323,16 @@ class _KernelEmitter:
         source_buffer: str,
         b: SourceBuilder,
     ) -> None:
-        """``deliver_<eid>``: every chunk into the receive slab, each
-        followed by its receive callback.
+        """``deliver_<eid>``: every chunk of the exchange, each followed by
+        its receive callback, in the exchange's delivery form (see the
+        module docstring).
+
+        View delivery (:meth:`_view_deliverable`) copies nothing into the
+        receive slab: it refreshes the padded source's periodic/reflect
+        ghost strips (:meth:`_halo_copies`), then calls each chunk's
+        callback variant, which reads the chunk's directions as views of the
+        padded source, and flags the exchange; ``run_block`` writes the last
+        chunk and the fills into the slab before it returns.
 
         Direct delivery copies each chunk straight into the receive slab
         (no staging slab exists), legal because
@@ -1101,51 +1349,31 @@ class _KernelEmitter:
         (:meth:`_direction_copies`).
         """
         depth = exchange.chunk_size * len(exchange.directions)
-        source = self._buffer(source_buffer)
-        direct = self._direct_staging_safe(exchange, source_buffer)
+        view = eid in self._view_eids
+        direct = view or self._direct_staging_safe(exchange, source_buffer)
         receive_view = (
             self._static_view(_DsdExpr(exchange.receive_buffer, 0, depth, 1))
             if depth
             else None
         )
         fill_slots = self._fill_slots(exchange) if receive_view else []
-        once = direct and bool(fill_slots) and self._recv_preserved(
+        once = not view and direct and bool(fill_slots) and self._recv_preserved(
             exchange.receive_buffer
         )
         if direct:
             self._direct_eids.add(eid)
         if once:
             self._fill_flags.add(eid)
-
-        def emit_fills() -> None:
-            for slot, fill in fill_slots:
-                z0 = slot * exchange.chunk_size
-                b.line(
-                    f"{receive_view}[:, :, {z0}:{z0 + exchange.chunk_size}] = "
-                    f"{self._fill_value(eid, exchange, slot, fill)}"
+        if view:
+            landing = self._landing
+            landing.line(f"if vw{eid}[0]:")
+            with landing.indented():
+                landing.line(f"vw{eid}[0] = False")
+                self._emit_fills(eid, exchange, receive_view, landing)
+                self._emit_stage(
+                    eid, exchange, source_buffer, exchange.num_chunks - 1,
+                    receive_view, landing,
                 )
-
-        def emit_stage(chunk: int, target: str) -> None:
-            start = exchange.source_offset + chunk * exchange.chunk_size
-            stop = start + exchange.chunk_size
-            for slot, direction in enumerate(exchange.directions):
-                z0 = slot * exchange.chunk_size
-                z = f"{z0}:{z0 + exchange.chunk_size}"
-                coefficient = (
-                    f"c{eid}_{slot}" if exchange.coefficients is not None else None
-                )
-                for rows_cols, src, kind in self._direction_copies(
-                    eid, exchange, direction, source, start, stop
-                ):
-                    dest = f"{target}[{rows_cols}, {z}]"
-                    if coefficient is not None and kind != "scatter":
-                        b.line(f"np.multiply({src}, {coefficient}, out={dest})")
-                    elif coefficient is not None:
-                        b.line(f"{dest} = {src} * {coefficient}")
-                    elif kind == "slice":
-                        b.line(f"np.copyto({dest}, {src})")
-                    else:
-                        b.line(f"{dest} = {src}")
 
         b.line(f"def deliver_{eid}():")
         with b.indented():
@@ -1153,21 +1381,35 @@ class _KernelEmitter:
             total = exchange.num_chunks * depth
             if total:
                 b.line(f"counters['wavelets_sent'] += {total}")
-            if direct and fill_slots:
+            if view:
+                b.line(f"vw{eid}[0] = True")
+                if self.plan.boundary.kind != "dirichlet":
+                    start = exchange.source_offset
+                    z = f"{start}:{start + exchange.num_chunks * exchange.chunk_size}"
+                    for line in self._halo_copies(source_buffer, z):
+                        b.line(line)
+            elif direct and fill_slots:
                 if once:
                     b.line(f"if fl{eid}[0]:")
                     with b.indented():
                         b.line(f"fl{eid}[0] = False")
-                        emit_fills()
+                        self._emit_fills(eid, exchange, receive_view, b)
                 else:
-                    emit_fills()
+                    self._emit_fills(eid, exchange, receive_view, b)
             if not direct and receive_view is not None:
                 for chunk in range(exchange.num_chunks):
-                    emit_stage(chunk, f"st{eid}_{chunk}")
+                    self._emit_stage(
+                        eid, exchange, source_buffer, chunk, f"st{eid}_{chunk}", b
+                    )
             for chunk in range(exchange.num_chunks):
+                if view:
+                    b.line(f"rc{eid}_{chunk}({chunk * exchange.chunk_size})")
+                    continue
                 if receive_view is not None:
                     if direct:
-                        emit_stage(chunk, receive_view)
+                        self._emit_stage(
+                            eid, exchange, source_buffer, chunk, receive_view, b
+                        )
                     else:
                         b.line(f"np.copyto({receive_view}, st{eid}_{chunk})")
                 if exchange.receive_callback:
@@ -1225,6 +1467,20 @@ class _KernelEmitter:
         callables = SourceBuilder(indent=1)
         for name in sorted(self.image.callables):
             self._emit_callable(name, callables)
+        # The delivery forms need every callable's uses and write set.
+        for eid, exchange, source_buffer in self._exchanges:
+            if self._view_deliverable(exchange, source_buffer):
+                self._view_eids.add(eid)
+                reach = max(max(abs(dx), abs(dy)) for dx, dy in exchange.directions)
+                self._padded[source_buffer] = max(
+                    reach, self._padded.get(source_buffer, 0)
+                )
+        for eid in sorted(self._view_eids):
+            exchange = self._exchanges[eid][1]
+            for chunk in range(exchange.num_chunks):
+                self._emit_callable(
+                    exchange.receive_callback, callables, (eid, chunk)
+                )
 
         delivery = SourceBuilder(indent=1)
         for eid, exchange, source_buffer in self._exchanges:
@@ -1268,6 +1524,8 @@ class _KernelEmitter:
             "pub_rows": len(self._pub_row_slots),
             "pub_cols": len(self._pub_col_slots),
         }
+        if self._padded:
+            meta["padded"] = dict(sorted(self._padded.items()))
         out.line(f"SHARD_META = {meta!r}")
         out.line("def make_kernel(state, plan):")
         with out.indented():
@@ -1277,6 +1535,19 @@ class _KernelEmitter:
             out.line("pending = [-1]")
             for buffer in sorted(self.plan.buffers):
                 out.line(f"{self._buffer_names[buffer]} = state.buffers[{buffer!r}]")
+            # Padded bases of view-delivered sources; Dirichlet ghosts hold
+            # the fill from here on.
+            height, width = self._grid_dims
+            for buffer, reach in sorted(self._padded.items()):
+                padded = self._padded_name(buffer)
+                out.line(f"{padded} = state.padded[{buffer!r}]")
+                if self.plan.boundary.kind == "dirichlet" and reach:
+                    fill = f"np.float32({self.plan.boundary.value!r})"
+                    for ghosts in (
+                        f":{reach}", f"{reach + height}:",
+                        f":, :{reach}", f":, {reach + width}:",
+                    ):
+                        out.line(f"{padded}[{ghosts}] = {fill}")
             if self._bands:
                 out.line(f"BANDS = {self._bands!r}")
             if self._pub_row_slots or self._pub_col_slots:
@@ -1302,8 +1573,10 @@ class _KernelEmitter:
                     f"if {name}.shape[2] != {length}: "
                     f"raise IndexError(\"DSD over '{buffer}' out of range\")"
                 )
+            # Receive-slab slots of one chunk, as views of a padded source.
+            for key, name in self._chunk_views.items():
+                out.line(f"{name} = {self._chunk_view_expression(key)}")
             # Per-exchange constants, staging buffers and border prefill.
-            height, width = self._grid_dims
             grid = f"{height}, {width}"
             for eid, exchange, _ in self._exchanges:
                 if exchange.coefficients is not None:
@@ -1313,6 +1586,8 @@ class _KernelEmitter:
                         )
                 if eid in self._fill_flags:
                     out.line(f"fl{eid} = [True]")
+                if eid in self._view_eids:
+                    out.line(f"vw{eid} = [False]")
                 if eid in self._direct_eids:
                     continue  # stages straight into the receive slab
                 depth = exchange.chunk_size * len(exchange.directions)
@@ -1350,7 +1625,17 @@ class _KernelEmitter:
             # of the seam protocol with nothing to publish or await, minus
             # one Python boundary crossing per hook.  ``budget`` bounds the
             # rounds executed; spending it is the caller's round-budget
-            # error.
+            # error.  A kernel with view deliveries leaves the loop by
+            # ``break`` and writes their receive slabs on the way out.
+            landing = len(self._landing) > 0
+
+            def leave(status: str) -> None:
+                if landing:
+                    out.line(f"status = {status!r}")
+                    out.line("break")
+                else:
+                    out.line(f"return executed, {status!r}")
+
             out.line("def run_block(budget):")
             with out.indented():
                 out.line("executed = 0")
@@ -1361,15 +1646,22 @@ class _KernelEmitter:
                         "if state.halted or (not queue and pending[0] < 0):"
                     )
                     with out.indented():
-                        out.line("return executed, 'settled'")
+                        leave("settled")
                     out.line("eid = pending[0]")
                     out.line("if eid < 0:")
                     with out.indented():
-                        out.line("return executed, 'deadlock'")
+                        leave("deadlock")
                     out.line("pending[0] = -1")
                     self._emit_dispatch(out, "deliver")
                     out.line("executed += 1")
-                out.line("return executed, 'budget'")
+                if landing:
+                    out.line("else:")
+                    with out.indented():
+                        out.line("status = 'budget'")
+                    out.extend(self._landing)
+                    out.line("return executed, status")
+                else:
+                    out.line("return executed, 'budget'")
             fns = ", ".join(
                 f"{name!r}: {self._fn_names[name]}"
                 for name in sorted(self.image.callables)
@@ -1416,7 +1708,9 @@ class CompiledKernel:
 
     ``meta`` is the kernel's ``SHARD_META`` literal (exchange snapshot
     spans and publication slot counts — what the executor needs to allocate
-    the shared seam snapshots).
+    the shared seam snapshots — and, under ``'padded'``, the reach of every
+    source a whole-fabric kernel delivers as views, which the sole-shard
+    executor allocates padded before the bind).
     """
 
     fingerprint: str

@@ -5,8 +5,9 @@ delivery round (dict dispatch per op, slice construction per DSD operand,
 fresh staging arrays per exchange), this backend runs the kernel
 :mod:`repro.wse.codegen` emits from the
 :class:`~repro.wse.plan.ExecutionPlan`: task bodies, bind-time hoisted DSD
-views, ``out=``-form ufuncs and exchanges delivered straight into their
-receive slabs.  It is :class:`~repro.wse.executors.tiled.TiledExecutor`
+views, ``out=``-form ufuncs and exchanges delivered as views of a padded
+source wherever that is provably exact (copied chunk by chunk into their
+receive slabs otherwise; see :mod:`repro.wse.codegen`).  It is :class:`~repro.wse.executors.tiled.TiledExecutor`
 with the shard grid fixed at 1x1 on every fabric: the whole fabric is the
 one box, its kernel is bound once at construction, and a run is one call
 of the kernel's ``run_block(max_rounds)`` — no thread, no barrier, no seam

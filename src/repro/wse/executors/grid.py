@@ -53,6 +53,10 @@ class GridState:
         #: eid -> (row snapshot, column snapshot): the seam strips a
         #: generated kernel binds (empty under ``vectorized``).
         self.seam_snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: buffer name -> the padded base whose interior ``buffers[name]``
+        #: is: the sources a whole-fabric kernel delivers as views (empty
+        #: otherwise).
+        self.padded: dict[str, np.ndarray] = {}
 
     def activate(self, task: ActivatedTask) -> None:
         self.task_queue.append(task)
@@ -109,7 +113,7 @@ class GridExecutor(Executor):
         array = self._field_array(name)
         self._check_columns(name, columns, array.shape[-1])
         # Host arrays are (width, height, z); grid arrays are (height, width, z).
-        array[:] = columns.transpose(1, 0, 2).astype(np.float32)
+        np.copyto(array, columns.transpose(1, 0, 2), casting="unsafe")
 
     def read_field(self, name: str) -> np.ndarray:
         array = self._field_array(name)

@@ -21,8 +21,15 @@ The shard count picks the round driver:
   once, at construction, over the executor's grid state.  A run is one
   call of the kernel's ``run_block(max_rounds)``, the drain/settled/deliver
   schedule of the interpreted loop inside the kernel: no thread, no
-  barrier, no seam snapshot, nothing published.  ``compiled`` is this
-  case, on every fabric.
+  barrier, no seam snapshot, nothing published.  Before the bind, every
+  source the kernel delivers as views (``SHARD_META['padded']``: an
+  exchange with no coefficients whose receive callback is the only reader
+  of its receive slab, and whose source no callable writes) is allocated
+  as the interior of a base ``R`` cells wider on every side; the kernel
+  keeps its ghost cells and reads each chunk's directions as views of it,
+  and writes the receive slab once per run.  Every other exchange is
+  copied chunk by chunk, as on several shards.  ``compiled`` is this case,
+  on every fabric.
 * **several shards** — the seam protocol (:func:`_seam_rounds`), written
   once as a generator that yields at its rendezvous points, with one
   barrier per delivery round: after draining, a shard *publishes* its seam
@@ -456,12 +463,27 @@ class TiledExecutor(GridExecutor):
         #: state; None on several shards, whose runners bind per run.
         self.kernel: dict | None = None
         if len(self.boxes) == 1:
+            for name, reach in self._kernels[0].meta.get("padded", {}).items():
+                self._pad(name, reach)
             self.kernel = self._kernels[0].instantiate(self.state, self.plan)
         else:
             self.state.seam_snapshots = _allocate_snapshots(
                 self._kernels[0].meta, width, height
             )
             self._needed = _needed_neighbors(self.plan, self.geometry)
+
+    def _pad(self, name: str, reach: int) -> None:
+        """Re-allocate the fresh buffer ``name`` as the interior of a base
+        ``reach`` cells wider on every side, whose ghost cells the kernel
+        keeps (see :mod:`repro.wse.codegen`).  ``state.buffers[name]``
+        stays the ``(height, width, z)`` interior, so everything that reads
+        or writes the state through it is unchanged."""
+        height, width, depth = self.state.buffers[name].shape
+        base = np.zeros(
+            (height + 2 * reach, width + 2 * reach, depth), dtype=np.float32
+        )
+        self.state.padded[name] = base
+        self.state.buffers[name] = base[reach:reach + height, reach:reach + width]
 
     @property
     def kernel_fingerprints(self) -> tuple[str, ...]:

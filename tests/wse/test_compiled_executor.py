@@ -11,9 +11,10 @@ runs them (``tiled``; ``compiled`` is its 1x1 case):
   byte-identical kernel source (what makes the content fingerprint and the
   fleet-wide source store sound), pinned through the
   ``REPRO_COMPILED_DUMP`` debug dump;
-* **the two delivery forms** — staged delivery stays byte-identical to the
-  direct-to-receive form every benchmark qualifies for, on the whole
-  fabric and on shard boxes alike;
+* **the delivery forms** — staged delivery stays byte-identical to the
+  form every benchmark qualifies for (view delivery on the whole fabric,
+  direct-to-receive on shard boxes; ``test_view_delivery.py`` compares
+  the view form's whole state);
 * **the kernel cache** — memo hits, store round-trips and their counters,
   and one kernel per fabric whichever kernel backend binds it;
 * **the round drivers** — a sole shard's one ``run_block`` call per run
