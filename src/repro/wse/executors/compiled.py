@@ -7,11 +7,12 @@ fresh staging arrays per exchange), this backend runs the kernel
 :class:`~repro.wse.plan.ExecutionPlan`: task bodies, bind-time hoisted DSD
 views, ``out=``-form ufuncs and exchanges delivered as views of a padded
 source wherever that is provably exact (copied chunk by chunk into their
-receive slabs otherwise; see :mod:`repro.wse.codegen`).  It is :class:`~repro.wse.executors.tiled.TiledExecutor`
-with the shard grid fixed at 1x1 on every fabric: the whole fabric is the
-one box, its kernel is bound once at construction, and a run is one call
-of the kernel's ``run_block(max_rounds)`` — no thread, no barrier, no seam
-snapshot.  The kernel is cached process-wide by content fingerprint and
+receive slabs otherwise; see :mod:`repro.wse.codegen`).  It is
+:class:`~repro.wse.executors.tiled.TiledExecutor` with the shard grid
+fixed at 1x1 on every fabric: the whole fabric is the one box, its kernel
+is bound once at construction, and a run is one call of the kernel's
+``run_block(max_rounds)`` — no thread, no barrier, no seam snapshot.  The
+kernel is cached process-wide by content fingerprint and
 fleet-wide through the kernel source store, and the fingerprint is kept on
 the program image with the plan the simulator binds, so a warm bind is a
 kernel-memo lookup and one ``instantiate``

@@ -22,14 +22,13 @@ The shard count picks the round driver:
   call of the kernel's ``run_block(max_rounds)``, the drain/settled/deliver
   schedule of the interpreted loop inside the kernel: no thread, no
   barrier, no seam snapshot, nothing published.  Before the bind, every
-  source the kernel delivers as views (``SHARD_META['padded']``: an
-  exchange with no coefficients whose receive callback is the only reader
-  of its receive slab, and whose source no callable writes) is allocated
-  as the interior of a base ``R`` cells wider on every side; the kernel
-  keeps its ghost cells and reads each chunk's directions as views of it,
-  and writes the receive slab once per run.  Every other exchange is
-  copied chunk by chunk, as on several shards.  ``compiled`` is this case,
-  on every fabric.
+  source of an exchange the kernel delivers as views
+  (``SHARD_META['padded']``; :mod:`repro.wse.codegen` says when) is
+  allocated as the interior of a base ``R`` cells wider on every side; the
+  kernel keeps its ghost cells, reads each chunk's directions as views of
+  it, and writes the receive slab once per run.  Every other exchange is
+  copied chunk by chunk into its receive slab, as on several shards.
+  ``compiled`` is this case, on every fabric.
 * **several shards** — the seam protocol (:func:`_seam_rounds`), written
   once as a generator that yields at its rendezvous points, with one
   barrier per delivery round: after draining, a shard *publishes* its seam
