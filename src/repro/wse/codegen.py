@@ -1349,8 +1349,8 @@ class _KernelEmitter:
         (:meth:`_direction_copies`).
         """
         depth = exchange.chunk_size * len(exchange.directions)
-        view = eid in self._view_eids
-        direct = view or self._direct_staging_safe(exchange, source_buffer)
+        view = eid in self._view_eids  # implies direct-staging safe
+        direct = self._direct_staging_safe(exchange, source_buffer)
         receive_view = (
             self._static_view(_DsdExpr(exchange.receive_buffer, 0, depth, 1))
             if depth
