@@ -21,8 +21,9 @@ bench:
 # plus the backend's own suite — shard geometry, the thread driver of two or
 # more shards (one barrier per round plus the settling one, every shard
 # thread joined, forced-interleaving stress runs; a sole shard enters no
-# barrier), no staging slab in any benchmark's box kernel, failure paths
-# and the declined-codegen error.
+# barrier), every benchmark and the handwritten kernel emitted without a
+# decline on the whole fabric and on 1x2 and 2x2 boxes, failure paths and
+# the declined-codegen error.
 tiled-check:
 	$(PYTHON) -m pytest tests/wse/test_tiled_executor.py \
 	  tests/wse/test_tiled_geometries.py \
@@ -34,10 +35,11 @@ tiled-check:
 # whole fabric is the box of the 1x1 geometry): the emitted-source pins
 # (21 whole-fabric and 36 2x2 shard-box kernels, plus five row-banded 64x64
 # ones, two of them shard boxes), the kernel executor's own suite
-# (deterministic emission, the staged delivery form against the default on
-# the whole fabric and on boxes, the kernel cache, both round drivers'
-# budget and deadlock edges, the declined-codegen error, and `auto` as
-# compiled under its own name), the view-delivery goldens — every buffer,
+# (deterministic emission, a CSL program whose receive callback writes its
+# own source declined by compiled and tiled and run byte-identically by
+# reference and vectorized, the kernel cache, both round drivers' budget
+# and deadlock edges, the declined-codegen error, and `auto` as compiled
+# under its own name), the view-delivery goldens — every buffer,
 # receive slabs included, of compiled, auto and one-shard tiled
 # byte-identical to vectorized after a run (7 benchmarks x 3 boundary modes
 # on 6x6 and the thin fabrics 1x1, 1x9, 9x2), and which exchanges take the

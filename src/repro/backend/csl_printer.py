@@ -287,9 +287,6 @@ class CslPrinter:
             f".recv_buffer = &{attributes['recv_buffer'].string_value}",
             f".directions = .{{ {directions} }}",
         ]
-        if op.coefficients is not None:
-            coefficients = ", ".join(repr(c) for c in op.coefficients)
-            fields.append(f".coefficients = .{{ {coefficients} }}")
         if op.recv_callback:
             fields.append(f".recv = &{op.recv_callback}")
         fields.append(f".done = &{op.done_callback}")

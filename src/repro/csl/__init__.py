@@ -55,7 +55,7 @@ __all__ = [
 
 #: bumped whenever parsing or lowering changes observable semantics; folded
 #: into service run fingerprints so cached CSL runs invalidate correctly.
-PARSER_VERSION = 1
+PARSER_VERSION = 2
 
 
 class ParsedCsl:

@@ -126,7 +126,6 @@ class CommsCallStmt(Stmt):
     pattern: int
     recv_buffer: str
     directions: list[tuple[int, int]]
-    coefficients: list[float] | None
     recv: str | None
     done: str
 

@@ -130,9 +130,6 @@ def _statement(
             "recv": op.recv_callback,
             "done": op.done_callback,
             "directions": [list(d) for d in op.directions],
-            "coefficients": (
-                list(op.coefficients) if op.coefficients is not None else None
-            ),
         }
         for key in ("src_offset", "src_len", "chunk_size"):
             attr = op.attributes.get(key)

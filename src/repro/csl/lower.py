@@ -344,9 +344,8 @@ class _ProgramLowerer:
             done_callback=stmt.done,
             directions=stmt.directions,
             pattern=stmt.pattern,
-            coefficients=stmt.coefficients,
         )
-        # the metadata the plan lowering and interpreter fallback read
+        # the metadata the plan lowering and the CSL printer read
         exchange.set_attribute("recv_buffer", SymbolRefAttr(stmt.recv_buffer))
         exchange.set_attribute("src_offset", IntAttr(stmt.src_offset))
         exchange.set_attribute("src_len", IntAttr(stmt.src_len))

@@ -635,19 +635,6 @@ class Parser:
                 )
             directions.append((entry[0], entry[1]))
 
-        coefficients: list[float] | None = None
-        if "coefficients" in raw:
-            coeffs_raw = raw["coefficients"]
-            if not isinstance(coeffs_raw, list) or not all(
-                isinstance(c, (int, float)) for c in coeffs_raw
-            ):
-                raise CslSyntaxError(
-                    "communicate field '.coefficients' must be a list of numbers",
-                    struct_token.loc,
-                    "coefficients",
-                )
-            coefficients = [float(c) for c in coeffs_raw]
-
         recv: str | None = None
         if "recv" in raw and raw["recv"] is not None:
             recv = ref_field("recv")
@@ -662,7 +649,6 @@ class Parser:
             pattern=int_field("pattern"),
             recv_buffer=ref_field("recv_buffer"),
             directions=directions,
-            coefficients=coefficients,
             recv=recv,
             done=ref_field("done"),
         )

@@ -63,7 +63,7 @@ COMMS_CALL_REQUIRED_FIELDS = (
     "directions",
     "done",
 )
-COMMS_CALL_OPTIONAL_FIELDS = ("recv", "coefficients")
+COMMS_CALL_OPTIONAL_FIELDS = ("recv",)
 
 # --------------------------------------------------------------------------- #
 # Module attributes carrying layout metadata

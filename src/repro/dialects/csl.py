@@ -791,8 +791,9 @@ class CommsExchangeOp(Operation):
     Schedules the chunked, star-shaped halo exchange implemented by the
     runtime communications library.  ``recv_callback`` is activated for every
     received chunk, ``done_callback`` once the whole exchange has completed.
-    Optional per-direction coefficients implement the coefficient-promotion
-    optimisation that applies constants to incoming data at zero cost.
+    The exchange delivers neighbour data unscaled: per-direction
+    coefficients (coefficient promotion, Section 5.7) are DSD multiplies in
+    the receive callback, as in the runtime library's ``communicate``.
     """
 
     name = "csl.comms_exchange"
@@ -805,8 +806,6 @@ class CommsExchangeOp(Operation):
         done_callback: str,
         directions: Sequence[Sequence[int]],
         pattern: int = 1,
-        coefficients: Sequence[float] | None = None,
-        comms_struct: SSAValue | None = None,
     ):
         attributes: dict[str, Attribute] = {
             "num_chunks": IntAttr(num_chunks),
@@ -817,12 +816,7 @@ class CommsExchangeOp(Operation):
             ),
             "pattern": IntAttr(pattern),
         }
-        if coefficients is not None:
-            attributes["coefficients"] = DenseArrayAttr(coefficients)
-        operands = [buffer]
-        if comms_struct is not None:
-            operands.append(comms_struct)
-        super().__init__(operands=operands, attributes=attributes)
+        super().__init__(operands=[buffer], attributes=attributes)
 
     @property
     def buffer(self) -> SSAValue:
@@ -861,14 +855,6 @@ class CommsExchangeOp(Operation):
         attr = self.attributes["pattern"]
         assert isinstance(attr, IntAttr)
         return attr.value
-
-    @property
-    def coefficients(self) -> tuple[float, ...] | None:
-        attr = self.attributes.get("coefficients")
-        if attr is None:
-            return None
-        assert isinstance(attr, DenseArrayAttr)
-        return tuple(float(v) for v in attr)
 
     def verify_(self) -> None:
         if self.num_chunks < 1:

@@ -228,7 +228,6 @@ class CslStencilToTasksPass(ModulePass):
         z_core = apply_op.attributes["z_core"].value  # type: ignore[union-attr]
         z_halo_lo = apply_op.attributes["z_halo_lo"].value  # type: ignore[union-attr]
         chunk_size = apply_op.attributes["chunk_size"].value  # type: ignore[union-attr]
-        coefficients = apply_op.attributes.get("coefficients")
         state.z_halo_lo = z_halo_lo
 
         accumulator = apply_op.accumulator
@@ -271,10 +270,6 @@ class CslStencilToTasksPass(ModulePass):
                 pattern=max(
                     (max(abs(d[0]), abs(d[1])) for d in directions), default=1
                 ),
-                # Per-direction coefficients are applied by the receive task's
-                # explicit DSD multiplies (cloned from the receive region), so
-                # the exchange itself must not re-apply them.
-                coefficients=None,
             )
             exchange.set_attribute("recv_buffer", SymbolRefAttr(state.recv_buffer_name))
             exchange.set_attribute("src_offset", IntAttr(z_halo_lo))

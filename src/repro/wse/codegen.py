@@ -34,11 +34,11 @@ geometry, which is also what a call naming no geometry gets.  Every kernel
 exposes the seam protocol's round hooks (``drain`` / ``settled`` /
 ``publish`` / ``deliver``), which the round driver of several shards calls,
 and ``run_block(budget)``, the round loop a sole shard runs in one call.
-An exchange takes one of three delivery forms, chosen per exchange:
+An exchange takes one of two delivery forms, chosen per exchange:
 
 * **view** — a whole-fabric kernel's exchange that
-  :meth:`_KernelEmitter._view_deliverable` proves safe: no coefficients,
-  ``_direct_staging_safe``, a receive callback that is the only reader of
+  :meth:`_KernelEmitter._view_deliverable` proves safe: a direct
+  exchange (below) with a receive callback that is the only reader of
   the receive buffer (through static views inside one direction slot each),
   no other exchange on that buffer, and no callable or delivery writing the
   source.  The source buffer is then the interior of a padded base
@@ -56,15 +56,16 @@ An exchange takes one of three delivery forms, chosen per exchange:
   executor binds a whole-fabric kernel, and it runs rounds through
   ``run_block`` alone, so the ``deliver`` hook of a view exchange leaves
   the slab unwritten.)
-* **direct** — every other exchange ``_direct_staging_safe`` allows:
-  each chunk copied straight into the receive slab before its callback.
-* **staged** — the rest: every chunk into a preallocated staging slab
-  first, then slab by slab into the receive buffer.
+* **direct** — every other exchange: each chunk copied straight into the
+  receive slab before its callback.  Each destination's source is read
+  from the box itself or, for a source a sibling shard owns, from that
+  sibling's seam snapshot — a 1x1 geometry has no siblings, so its kernel
+  binds no snapshot and its ``publish`` hooks are empty.
 
-Each direct or staged destination's source is read from the box itself or,
-for a source a sibling shard owns, from that sibling's seam snapshot — a
-1x1 geometry has no siblings, so its kernel binds no snapshot and its
-``publish`` hooks are empty.
+Both forms need :meth:`_KernelEmitter._direct_staging_safe`: the receive
+callback's write set must exclude the source and the receive buffer, and
+the two must differ.  A program with an exchange that fails it is
+declined (:class:`KernelCodegenError`); the interpreters run it.
 
 A kernel whose longest DSD operand view is larger than ``_BAND_BYTES``
 also runs its DSD chains in cache-sized **row bands** — the
@@ -118,7 +119,7 @@ import os
 import re
 from collections import OrderedDict, deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -155,7 +156,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: v7: whole-fabric kernels deliver provably safe exchanges as views of a
 #: padded source (per-chunk receive-callback variants, halo strips, the
 #: receive slab written once per ``run_block``).
-CODEGEN_VERSION = 7
+#: v8: no staged delivery form — an exchange that is not direct-safe is
+#: declined — and no exchange coefficients.
+CODEGEN_VERSION = 8
 
 #: bytes one row band of the longest DSD operand view spans in a kernel.
 #: Part of the emitter, like every other emission choice: a new value needs
@@ -366,13 +369,11 @@ class _KernelEmitter:
         self._buffer_names: dict[str, str] = {}
         self._views: dict[tuple, str] = {}  # (buffer, offset, length, stride)
         self._scratch: dict[int, str] = {}  # dest length -> name
-        #: (eid, exchange plan, authoritative source buffer) per comms op.
-        self._exchanges: list[tuple[int, ExchangePlan, str]] = []
+        #: the plan of every comms op, indexed by exchange id, its
+        #: ``source_buffer`` the authoritative one (the runtime DSD operand's).
+        self._exchanges: list[ExchangePlan] = []
         #: fancy-index constants: (values, orient) -> name.
         self._indices: dict[tuple[tuple[int, ...], str], str] = {}
-        #: exchanges delivered straight into the receive slab (where proven
-        #: safe): their staging slabs are never allocated.
-        self._direct_eids: set[int] = set()
         #: direct-mode exchanges whose constant-fill borders are written
         #: lazily under a ``fl<eid>`` once-flag (receive buffer proven
         #: unwritten outside delivery).
@@ -447,7 +448,7 @@ class _KernelEmitter:
     def _static_view(self, dsd: _DsdExpr) -> str:
         if self._chunk is not None:
             eid, chunk = self._chunk
-            if dsd.buffer == self._exchanges[eid][1].receive_buffer:
+            if dsd.buffer == self._exchanges[eid].receive_buffer:
                 key = (eid, chunk, dsd.offset, dsd.length, dsd.stride)
                 return self._chunk_views.setdefault(
                     key, f"w{len(self._chunk_views)}"
@@ -891,24 +892,6 @@ class _KernelEmitter:
                 "csl.comms_exchange buffer operand is not a DSD"
             )
         planned = self.plan.exchange_plan(op)
-        if planned is None:
-            attributes = op.attributes
-            planned = ExchangePlan(
-                source_buffer=source.buffer,
-                source_offset=attributes["src_offset"].value,
-                source_length=attributes["src_len"].value,
-                chunk_size=attributes["chunk_size"].value,
-                num_chunks=op.num_chunks,
-                directions=tuple((d[0], d[1]) for d in op.directions),
-                coefficients=(
-                    tuple(op.coefficients)
-                    if op.coefficients is not None
-                    else None
-                ),
-                receive_buffer=attributes["recv_buffer"].string_value,
-                receive_callback=op.recv_callback,
-                done_callback=op.done_callback,
-            )
         for callback in (planned.receive_callback, planned.done_callback):
             if callback and callback not in self.image.callables:
                 raise KernelCodegenError(
@@ -922,7 +905,9 @@ class _KernelEmitter:
         eid = len(self._exchanges)
         # The runtime DSD operand's buffer stays authoritative, exactly as
         # in the interpreter's planned path.
-        self._exchanges.append((eid, planned, source.buffer))
+        if planned.source_buffer != source.buffer:
+            planned = replace(planned, source_buffer=source.buffer)
+        self._exchanges.append(planned)
         self._schedulers.add(self._emitting)
         b.line("counters['exchanges'] += 1")
         b.line(f"pending[0] = {eid}")
@@ -988,18 +973,18 @@ class _KernelEmitter:
             return env.get(id(op.operands[0]))
         return None
 
-    def _direct_staging_safe(
-        self, exchange: ExchangePlan, source_buffer: str
-    ) -> bool:
-        """May this exchange stage each chunk straight into the receive slab?
+    def _direct_staging_safe(self, exchange: ExchangePlan) -> bool:
+        """May this exchange copy each chunk straight into the receive slab?
 
-        Staged delivery copies *every* chunk aside before any receive
-        callback runs; interleaving stage and callback is byte-equivalent
-        exactly when the callback's direct-call closure writes neither the
-        source (later chunks would re-read modified data) nor the receive
-        buffer (its slab state between chunks is observable).
+        The exchange's semantics (the interpreters' two phases) snapshot
+        *every* chunk before any receive callback runs; interleaving copy
+        and callback is byte-equivalent exactly when the source and the
+        receive buffer differ and the callback's direct-call closure writes
+        neither the source (later chunks would re-read modified data) nor
+        the receive buffer (its slab state between chunks is observable).
+        A kernel with an exchange that fails this is declined.
         """
-        if exchange.receive_buffer == source_buffer:
+        if exchange.receive_buffer == exchange.source_buffer:
             return False
         if not exchange.receive_callback:
             return True
@@ -1007,7 +992,7 @@ class _KernelEmitter:
         if writes is None:
             return False
         return (
-            source_buffer not in writes
+            exchange.source_buffer not in writes
             and exchange.receive_buffer not in writes
         )
 
@@ -1020,7 +1005,7 @@ class _KernelEmitter:
         once per kernel binding."""
         sharing = sum(
             exchange.receive_buffer == receive_buffer
-            for _, exchange, _ in self._exchanges
+            for exchange in self._exchanges
         )
         if sharing > 1:
             return False
@@ -1030,56 +1015,55 @@ class _KernelEmitter:
                 return False
         return True
 
-    def _view_deliverable(
-        self, exchange: ExchangePlan, source_buffer: str
-    ) -> bool:
+    def _view_deliverable(self, exchange: ExchangePlan) -> bool:
         """May this exchange be delivered as views of a padded source?
 
         Only in a whole-fabric kernel (a box with siblings reads their seam
         snapshots), and only when the receive slab can be written once per
         run without anything observing the difference: the exchange is
-        direct-safe and has no coefficients; its receive callback runs only
-        from this delivery (no call, activation or second exchange names
-        it, and it schedules no exchange itself); that callback is the only
-        reader of the receive buffer, through static views that each lie
-        inside one direction slot; nothing else writes the receive buffer
-        (:meth:`_recv_preserved`); and no callable or delivery writes the
-        source — an unknown write set counts as a write — so the source is
-        constant for a run and the run-end slab is exact.
+        direct-safe (:meth:`_direct_staging_safe`); its receive callback
+        runs only from this delivery (no call, activation or second
+        exchange names it, and it schedules no exchange itself); that
+        callback is the only reader of the receive buffer, through static
+        views that each lie inside one direction slot; nothing else writes
+        the receive buffer (:meth:`_recv_preserved`); and no callable or
+        delivery writes the source — an unknown write set counts as a
+        write — so the source is constant for a run and the run-end slab is
+        exact.
         """
         callback = exchange.receive_callback
+        source = exchange.source_buffer
         receive = exchange.receive_buffer
         chunk = exchange.chunk_size
         span = exchange.num_chunks * chunk
         if (
             (self.geometry.kx, self.geometry.ky) != (1, 1)
-            or exchange.coefficients is not None
             or not callback
             or not span
             or not exchange.directions
             or exchange.source_offset < 0
-            or exchange.source_offset + span > self.plan.buffers.get(source_buffer, 0)
+            or exchange.source_offset + span > self.plan.buffers.get(source, 0)
             or callback in self._referenced
             or callback in self._schedulers
-            or not self._direct_staging_safe(exchange, source_buffer)
+            or not self._direct_staging_safe(exchange)
             or not self._recv_preserved(receive)
         ):
             return False
         named = [
             name
-            for _, other, _ in self._exchanges
+            for other in self._exchanges
             for name in (other.receive_callback, other.done_callback)
         ]
         if named.count(callback) != 1:
             return False
         if any(
-            source_buffer == other.receive_buffer or receive == other_source
-            for _, other, other_source in self._exchanges
+            source == other.receive_buffer or receive == other.source_buffer
+            for other in self._exchanges
         ):
             return False
         for name in self.image.callables:
             writes = self._written_buffers(name)
-            if writes is None or source_buffer in writes:
+            if writes is None or source in writes:
                 return False
         for name, dsd in self._dsd_uses.get(receive, ()):
             if name != callback or dsd.runtime is not None:
@@ -1102,7 +1086,8 @@ class _KernelEmitter:
         receive-slab slot: direction ``(dx, dy)`` of the slot, over the
         chunk's source z-range."""
         eid, chunk, offset, length, stride = key
-        _, exchange, source_buffer = self._exchanges[eid]
+        exchange = self._exchanges[eid]
+        source_buffer = exchange.source_buffer
         slot, slot_offset = divmod(offset, exchange.chunk_size)
         dx, dy = exchange.directions[slot]
         reach = self._padded[source_buffer]
@@ -1266,62 +1251,44 @@ class _KernelEmitter:
                 slots.append((slot, table.fill_value))
         return slots
 
-    def _fill_value(self, eid: int, exchange: ExchangePlan, slot: int, fill) -> str:
-        value = f"np.float32({fill!r})"
-        if exchange.coefficients is not None:
-            value = f"{value} * c{eid}_{slot}"
-        return value
-
     def _emit_fills(
-        self, eid: int, exchange: ExchangePlan, receive_view: str, b: SourceBuilder
+        self, exchange: ExchangePlan, receive_view: str, b: SourceBuilder
     ) -> None:
         """The constant-fill slots of the receive slab."""
         for slot, fill in self._fill_slots(exchange):
             z0 = slot * exchange.chunk_size
             b.line(
                 f"{receive_view}[:, :, {z0}:{z0 + exchange.chunk_size}] = "
-                f"{self._fill_value(eid, exchange, slot, fill)}"
+                f"np.float32({fill!r})"
             )
 
     def _emit_stage(
         self,
         eid: int,
         exchange: ExchangePlan,
-        source_buffer: str,
         chunk: int,
         target: str,
         b: SourceBuilder,
     ) -> None:
-        """Every direction of one chunk into ``target`` (a receive slab or
-        a staging slab)."""
-        source = self._buffer(source_buffer)
+        """Every direction of one chunk into the receive slab view
+        ``target``."""
+        source = self._buffer(exchange.source_buffer)
         start = exchange.source_offset + chunk * exchange.chunk_size
         stop = start + exchange.chunk_size
         for slot, direction in enumerate(exchange.directions):
             z0 = slot * exchange.chunk_size
             z = f"{z0}:{z0 + exchange.chunk_size}"
-            coefficient = (
-                f"c{eid}_{slot}" if exchange.coefficients is not None else None
-            )
             for rows_cols, src, kind in self._direction_copies(
                 eid, exchange, direction, source, start, stop
             ):
                 dest = f"{target}[{rows_cols}, {z}]"
-                if coefficient is not None and kind != "scatter":
-                    b.line(f"np.multiply({src}, {coefficient}, out={dest})")
-                elif coefficient is not None:
-                    b.line(f"{dest} = {src} * {coefficient}")
-                elif kind == "slice":
+                if kind == "slice":
                     b.line(f"np.copyto({dest}, {src})")
                 else:
                     b.line(f"{dest} = {src}")
 
     def _emit_deliver_fn(
-        self,
-        eid: int,
-        exchange: ExchangePlan,
-        source_buffer: str,
-        b: SourceBuilder,
+        self, eid: int, exchange: ExchangePlan, b: SourceBuilder
     ) -> None:
         """``deliver_<eid>``: every chunk of the exchange, each followed by
         its receive callback, in the exchange's delivery form (see the
@@ -1334,34 +1301,34 @@ class _KernelEmitter:
         padded source, and flags the exchange; ``run_block`` writes the last
         chunk and the fills into the slab before it returns.
 
-        Direct delivery copies each chunk straight into the receive slab
-        (no staging slab exists), legal because
-        :meth:`_direct_staging_safe` proved the receive callback writes
-        neither the source buffer (later chunks re-read the same data an
-        up-front staging would have) nor the receive buffer (the slab
-        content each callback observes equals the staged copy).  Its
+        Direct delivery copies each chunk straight into the receive slab,
+        legal because :meth:`_direct_staging_safe` proved the receive
+        callback writes neither the source buffer (later chunks re-read the
+        data the interpreters snapshot up front) nor the receive buffer (the
+        slab content each callback observes equals the snapshot).  Its
         constant-fill borders are written at the top of the delivery — or
         once per kernel binding when nothing else ever writes the receive
-        buffer.  The staged fallback copies every chunk into a preallocated
-        slab (borders prefilled at bind time) before any callback runs, then
-        copies slab by slab into the receive buffer.  A destination's source
-        is read from the box or a sibling's seam snapshot
-        (:meth:`_direction_copies`).
+        buffer.  A destination's source is read from the box or a sibling's
+        seam snapshot (:meth:`_direction_copies`).  An exchange that is not
+        direct-safe declines the kernel.
         """
+        if not self._direct_staging_safe(exchange):
+            raise KernelCodegenError(
+                f"exchange {eid} reads '{exchange.source_buffer}' into "
+                f"'{exchange.receive_buffer}', and its receive callback may "
+                f"write one of them"
+            )
         depth = exchange.chunk_size * len(exchange.directions)
-        view = eid in self._view_eids  # implies direct-staging safe
-        direct = self._direct_staging_safe(exchange, source_buffer)
+        view = eid in self._view_eids
         receive_view = (
             self._static_view(_DsdExpr(exchange.receive_buffer, 0, depth, 1))
             if depth
             else None
         )
         fill_slots = self._fill_slots(exchange) if receive_view else []
-        once = not view and direct and bool(fill_slots) and self._recv_preserved(
+        once = not view and bool(fill_slots) and self._recv_preserved(
             exchange.receive_buffer
         )
-        if direct:
-            self._direct_eids.add(eid)
         if once:
             self._fill_flags.add(eid)
         if view:
@@ -1369,10 +1336,9 @@ class _KernelEmitter:
             landing.line(f"if vw{eid}[0]:")
             with landing.indented():
                 landing.line(f"vw{eid}[0] = False")
-                self._emit_fills(eid, exchange, receive_view, landing)
+                self._emit_fills(exchange, receive_view, landing)
                 self._emit_stage(
-                    eid, exchange, source_buffer, exchange.num_chunks - 1,
-                    receive_view, landing,
+                    eid, exchange, exchange.num_chunks - 1, receive_view, landing
                 )
 
         b.line(f"def deliver_{eid}():")
@@ -1386,32 +1352,22 @@ class _KernelEmitter:
                 if self.plan.boundary.kind != "dirichlet":
                     start = exchange.source_offset
                     z = f"{start}:{start + exchange.num_chunks * exchange.chunk_size}"
-                    for line in self._halo_copies(source_buffer, z):
+                    for line in self._halo_copies(exchange.source_buffer, z):
                         b.line(line)
-            elif direct and fill_slots:
+            elif fill_slots:
                 if once:
                     b.line(f"if fl{eid}[0]:")
                     with b.indented():
                         b.line(f"fl{eid}[0] = False")
-                        self._emit_fills(eid, exchange, receive_view, b)
+                        self._emit_fills(exchange, receive_view, b)
                 else:
-                    self._emit_fills(eid, exchange, receive_view, b)
-            if not direct and receive_view is not None:
-                for chunk in range(exchange.num_chunks):
-                    self._emit_stage(
-                        eid, exchange, source_buffer, chunk, f"st{eid}_{chunk}", b
-                    )
+                    self._emit_fills(exchange, receive_view, b)
             for chunk in range(exchange.num_chunks):
                 if view:
                     b.line(f"rc{eid}_{chunk}({chunk * exchange.chunk_size})")
                     continue
                 if receive_view is not None:
-                    if direct:
-                        self._emit_stage(
-                            eid, exchange, source_buffer, chunk, receive_view, b
-                        )
-                    else:
-                        b.line(f"np.copyto({receive_view}, st{eid}_{chunk})")
+                    self._emit_stage(eid, exchange, chunk, receive_view, b)
                 if exchange.receive_callback:
                     argument = chunk * exchange.chunk_size
                     b.line(f"{self._fn(exchange.receive_callback)}({argument})")
@@ -1423,14 +1379,14 @@ class _KernelEmitter:
                 b.line("pass")
 
     def _emit_publish_fn(
-        self, eid: int, exchange: ExchangePlan, source_buffer: str, b: SourceBuilder
+        self, eid: int, exchange: ExchangePlan, b: SourceBuilder
     ) -> None:
         """``publish_<eid>``: copy the box's seam rows/columns of the source
         buffer into the shared snapshots, which siblings read instead of
         this shard's live buffers (nothing, in a 1x1 geometry)."""
         span = exchange.num_chunks * exchange.chunk_size
         offset = exchange.source_offset
-        source = self._buffer(source_buffer)
+        source = self._buffer(exchange.source_buffer)
         y0, y1, x0, x1 = self.box
         b.line(f"def publish_{eid}():")
         with b.indented():
@@ -1453,7 +1409,7 @@ class _KernelEmitter:
 
     def _emit_dispatch(self, b: SourceBuilder, hook: str) -> None:
         """Call ``<hook>_<eid>()`` for the pending exchange ``eid``."""
-        for eid, _, _ in self._exchanges:
+        for eid in range(len(self._exchanges)):
             b.line(f"{'if' if eid == 0 else 'elif'} eid == {eid}:")
             with b.indented():
                 b.line(f"{hook}_{eid}()")
@@ -1468,24 +1424,23 @@ class _KernelEmitter:
         for name in sorted(self.image.callables):
             self._emit_callable(name, callables)
         # The delivery forms need every callable's uses and write set.
-        for eid, exchange, source_buffer in self._exchanges:
-            if self._view_deliverable(exchange, source_buffer):
+        for eid, exchange in enumerate(self._exchanges):
+            if self._view_deliverable(exchange):
                 self._view_eids.add(eid)
                 reach = max(max(abs(dx), abs(dy)) for dx, dy in exchange.directions)
-                self._padded[source_buffer] = max(
-                    reach, self._padded.get(source_buffer, 0)
-                )
+                source = exchange.source_buffer
+                self._padded[source] = max(reach, self._padded.get(source, 0))
         for eid in sorted(self._view_eids):
-            exchange = self._exchanges[eid][1]
+            exchange = self._exchanges[eid]
             for chunk in range(exchange.num_chunks):
                 self._emit_callable(
                     exchange.receive_callback, callables, (eid, chunk)
                 )
 
         delivery = SourceBuilder(indent=1)
-        for eid, exchange, source_buffer in self._exchanges:
-            self._emit_publish_fn(eid, exchange, source_buffer, delivery)
-            self._emit_deliver_fn(eid, exchange, source_buffer, delivery)
+        for eid, exchange in enumerate(self._exchanges):
+            self._emit_publish_fn(eid, exchange, delivery)
+            self._emit_deliver_fn(eid, exchange, delivery)
         # The seam protocol's hooks; the caller checks an exchange is
         # pending before it publishes or delivers.
         delivery.line("def publish():")
@@ -1519,7 +1474,7 @@ class _KernelEmitter:
         meta = {
             "exchanges": [
                 [eid, exchange.num_chunks * exchange.chunk_size]
-                for eid, exchange, _ in self._exchanges
+                for eid, exchange in enumerate(self._exchanges)
             ],
             "pub_rows": len(self._pub_row_slots),
             "pub_cols": len(self._pub_col_slots),
@@ -1551,7 +1506,7 @@ class _KernelEmitter:
             if self._bands:
                 out.line(f"BANDS = {self._bands!r}")
             if self._pub_row_slots or self._pub_col_slots:
-                for eid, _, _ in self._exchanges:
+                for eid in range(len(self._exchanges)):
                     out.line(
                         f"rs_{eid}, cs_{eid} = state.seam_snapshots[{eid}]"
                     )
@@ -1576,33 +1531,13 @@ class _KernelEmitter:
             # Receive-slab slots of one chunk, as views of a padded source.
             for key, name in self._chunk_views.items():
                 out.line(f"{name} = {self._chunk_view_expression(key)}")
-            # Per-exchange constants, staging buffers and border prefill.
-            grid = f"{height}, {width}"
-            for eid, exchange, _ in self._exchanges:
-                if exchange.coefficients is not None:
-                    for slot, coefficient in enumerate(exchange.coefficients):
-                        out.line(
-                            f"c{eid}_{slot} = np.float32({coefficient!r})"
-                        )
+            # Per-exchange delivery flags.
+            for eid in range(len(self._exchanges)):
                 if eid in self._fill_flags:
                     out.line(f"fl{eid} = [True]")
                 if eid in self._view_eids:
                     out.line(f"vw{eid} = [False]")
-                if eid in self._direct_eids:
-                    continue  # stages straight into the receive slab
-                depth = exchange.chunk_size * len(exchange.directions)
-                for chunk in range(exchange.num_chunks):
-                    out.line(
-                        f"st{eid}_{chunk} = np.empty(({grid}, {depth}), "
-                        f"dtype=np.float32)"
-                    )
-                    for slot, fill in self._fill_slots(exchange):
-                        z0 = slot * exchange.chunk_size
-                        out.line(
-                            f"st{eid}_{chunk}[:, :, {z0}:"
-                            f"{z0 + exchange.chunk_size}] = "
-                            f"{self._fill_value(eid, exchange, slot, fill)}"
-                        )
+            grid = f"{height}, {width}"
             if self._bands:  # every fmacs runs band by band
                 grid = f"BANDS[0][1], {width}"
             for length in sorted(self._scratch):

@@ -21,7 +21,8 @@ kernel-memo lookup and one ``instantiate``
 Fields and :class:`~repro.wse.executors.base.SimulationStatistics` stay
 bit-identical to ``vectorized`` (the golden equivalence tests pin this).
 A program using constructs the generator does not fuse (none the pipeline
-emits, but hand-built test images can) raises
+emits and none the repository ships, but handwritten CSL can — say, a
+receive callback writing its exchange's source) raises
 :class:`~repro.wse.codegen.KernelCodegenError` from the constructor —
 ``vectorized`` is the interpreting backend.
 """

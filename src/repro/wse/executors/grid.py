@@ -18,11 +18,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.wse.executors.base import Executor, missing_field_error
-from repro.wse.pe import ActivatedTask, PendingExchange, new_pe_counters
+from repro.wse.pe import ActivatedTask, new_pe_counters
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wse.interpreter import ProgramImage
-    from repro.wse.plan import ExecutionPlan
+    from repro.wse.plan import ExchangePlan, ExecutionPlan
 
 
 class GridState:
@@ -45,7 +45,7 @@ class GridState:
         #: queue of activated tasks awaiting execution (uniform).
         self.task_queue: deque[ActivatedTask] = deque()
         #: exchange scheduled by csl.comms_exchange, awaiting delivery.
-        self.pending_exchange: PendingExchange | None = None
+        self.pending_exchange: ExchangePlan | None = None
         #: set once the program returns control to the host.
         self.halted = False
         #: per-PE activity counters (each PE performs identical work).

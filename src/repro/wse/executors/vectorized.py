@@ -43,10 +43,10 @@ from repro.wse.dsd import Dsd
 from repro.wse.executors.base import register_executor
 from repro.wse.executors.grid import GridExecutor
 from repro.wse.interpreter import PeInterpreter, ProgramImage
-from repro.wse.pe import ActivatedTask, PendingExchange
+from repro.wse.pe import ActivatedTask
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.wse.plan import ExecutionPlan
+    from repro.wse.plan import ExchangePlan, ExecutionPlan
 
 
 class LockstepInterpreter(PeInterpreter):
@@ -66,7 +66,7 @@ class LockstepInterpreter(PeInterpreter):
 
 
 def stage_exchange_chunks(
-    exchange: PendingExchange,
+    exchange: ExchangePlan,
     chunk_of,
     rows: int,
     cols: int,
@@ -84,12 +84,10 @@ def stage_exchange_chunks(
     for chunk_index in range(exchange.num_chunks):
         start = exchange.source_offset + chunk_index * exchange.chunk_size
         stop = start + exchange.chunk_size
-        parts = []
-        for slot, direction in enumerate(exchange.directions):
-            data = chunk_of(direction, start, stop)
-            if exchange.coefficients is not None:
-                data = data * np.float32(exchange.coefficients[slot])
-            parts.append(data)
+        parts = [
+            chunk_of(direction, start, stop)
+            for direction in exchange.directions
+        ]
         staged.append(
             np.concatenate(parts, axis=2)
             if parts
@@ -104,7 +102,7 @@ def stage_exchange_chunks(
 def deliver_exchange_chunks(
     state,
     interpreter: PeInterpreter,
-    exchange: PendingExchange,
+    exchange: ExchangePlan,
     staged: list[np.ndarray],
 ) -> None:
     """Phase 2: write each chunk into the receive buffer, run the receive

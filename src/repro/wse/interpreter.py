@@ -23,7 +23,7 @@ with the module: there is no process-wide table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -36,7 +36,7 @@ from repro.ir.operation import Block, Operation
 from repro.ir.printer import print_module
 from repro.ir.value import SSAValue
 from repro.wse.dsd import Dsd
-from repro.wse.pe import ActivatedTask, PendingExchange, ProcessingElement
+from repro.wse.pe import ActivatedTask, ProcessingElement
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wse.plan import ExecutionPlan
@@ -387,23 +387,14 @@ def _handle_comms_exchange(
     if not isinstance(buffer_value, Dsd):
         raise InterpretationError("csl.comms_exchange buffer operand is not a DSD")
 
-    planned = interp.plan.exchange_plan(op)
     interp.pe.counters["exchanges"] += 1
     # The source buffer comes from the runtime DSD operand: the plan's
     # statically-propagated name matches it on every generated program,
     # but a dynamic operand chain stays authoritative.
-    interp.pe.pending_exchange = PendingExchange(
-        source_buffer=buffer_value.buffer,
-        source_offset=planned.source_offset,
-        source_length=planned.source_length,
-        chunk_size=planned.chunk_size,
-        num_chunks=planned.num_chunks,
-        directions=planned.directions,
-        coefficients=planned.coefficients,
-        receive_buffer=planned.receive_buffer,
-        receive_callback=planned.receive_callback,
-        done_callback=planned.done_callback,
-    )
+    planned = interp.plan.exchange_plan(op)
+    if planned.source_buffer != buffer_value.buffer:
+        planned = replace(planned, source_buffer=buffer_value.buffer)
+    interp.pe.pending_exchange = planned
 
 
 def _handle_unblock(interp: PeInterpreter, op, env) -> None:

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.wse.plan import ExchangePlan
 
 
 #: the per-PE activity counters every execution backend maintains; shared
@@ -24,22 +27,6 @@ PE_COUNTER_NAMES = (
 def new_pe_counters() -> dict[str, int]:
     """A fresh zeroed per-PE activity-counter dict."""
     return {name: 0 for name in PE_COUNTER_NAMES}
-
-
-@dataclass
-class PendingExchange:
-    """A scheduled (not yet delivered) chunked halo exchange."""
-
-    source_buffer: str
-    source_offset: int
-    source_length: int
-    chunk_size: int
-    num_chunks: int
-    directions: tuple[tuple[int, int], ...]
-    coefficients: tuple[float, ...] | None
-    receive_buffer: str
-    receive_callback: str
-    done_callback: str
 
 
 @dataclass
@@ -63,7 +50,7 @@ class ProcessingElement:
         #: queue of activated tasks awaiting execution.
         self.task_queue: deque[ActivatedTask] = deque()
         #: exchange scheduled by csl.comms_exchange, awaiting delivery.
-        self.pending_exchange: PendingExchange | None = None
+        self.pending_exchange: ExchangePlan | None = None
         #: set once the program returns control to the host.
         self.halted = False
         #: simple activity counters used by tests and the performance model.

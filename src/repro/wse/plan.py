@@ -13,8 +13,10 @@ that out of the hot loop, once, ahead of execution:
   ``csl.increment_dsd_offset`` chains with static offsets; the interpreter's
   handlers become table lookups;
 * **exchange schedule** — the attribute bundle of every
-  ``csl.comms_exchange`` (offsets, chunking, directions, coefficients,
-  callbacks) is parsed into an :class:`ExchangePlan` keyed by the op;
+  ``csl.comms_exchange`` (offsets, chunking, directions, callbacks) is
+  parsed into an :class:`ExchangePlan` keyed by the op — the one record
+  of an exchange every executor schedules and every kernel is emitted
+  from;
 * **halo tables** — for each direction any exchange pulls from, the
   boundary-folded source row/column of every fabric row/column is
   precomputed into a :class:`HaloTable`: a pure gather (``periodic`` /
@@ -65,7 +67,6 @@ class ExchangePlan:
     chunk_size: int
     num_chunks: int
     directions: tuple[tuple[int, int], ...]
-    coefficients: tuple[float, ...] | None
     receive_buffer: str
     receive_callback: str
     done_callback: str
@@ -78,9 +79,6 @@ class ExchangePlan:
             "chunk_size": self.chunk_size,
             "num_chunks": self.num_chunks,
             "directions": [list(d) for d in self.directions],
-            "coefficients": (
-                list(self.coefficients) if self.coefficients is not None else None
-            ),
             "receive_buffer": self.receive_buffer,
             "receive_callback": self.receive_callback,
             "done_callback": self.done_callback,
@@ -384,21 +382,6 @@ class ExecutionPlan:
                 self._gather_cache[key] = None
         return self._gather_cache[key]
 
-    def neighbor(
-        self, direction: tuple[int, int], x: int, y: int
-    ) -> tuple[int, int] | None:
-        """The fabric coordinates PE ``(x, y)`` pulls from along
-        ``direction``, or ``None`` for a Dirichlet constant fill."""
-        table = self.halo_table(direction)
-        nx, ny = table.cols[x], table.rows[y]
-        if nx is None or ny is None:
-            return None
-        return nx, ny
-
-    def memory_per_pe_bytes(self) -> int:
-        """Bytes of buffer storage each PE holds (float32 columns)."""
-        return sum(size * 4 for size in self.buffers.values())
-
     # ------------------------------------------------------------------ #
     # Determinism / canonical form
     # ------------------------------------------------------------------ #
@@ -512,9 +495,6 @@ def _plan_block(
                 num_chunks=op.num_chunks,
                 directions=tuple(
                     (d[0], d[1]) for d in op.directions
-                ),
-                coefficients=(
-                    tuple(op.coefficients) if op.coefficients is not None else None
                 ),
                 receive_buffer=attributes["recv_buffer"].string_value,
                 receive_callback=op.recv_callback,

@@ -27,11 +27,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.wse.pe import ActivatedTask, PendingExchange, ProcessingElement
+from repro.wse.pe import ActivatedTask, ProcessingElement
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wse.interpreter import PeInterpreter
-    from repro.wse.plan import ExecutionPlan
+    from repro.wse.plan import ExchangePlan, ExecutionPlan
 
 
 class CommsRuntime:
@@ -64,7 +64,7 @@ class CommsRuntime:
     def _neighbor_chunk(
         self,
         pe: ProcessingElement,
-        exchange: PendingExchange,
+        exchange: ExchangePlan,
         direction: tuple[int, int],
         chunk_index: int,
     ) -> np.ndarray:
@@ -93,7 +93,7 @@ class CommsRuntime:
 
     def deliver_round(self, interpreters: dict[tuple[int, int], "PeInterpreter"]) -> int:
         """Deliver every pending exchange.  Returns the number delivered."""
-        pending: list[tuple[ProcessingElement, PendingExchange]] = []
+        pending: list[tuple[ProcessingElement, ExchangePlan]] = []
         for row in self.grid:
             for pe in row:
                 if pe.pending_exchange is not None:
@@ -107,12 +107,10 @@ class CommsRuntime:
         for pe, exchange in pending:
             chunks: list[np.ndarray] = []
             for chunk_index in range(exchange.num_chunks):
-                parts = []
-                for slot, direction in enumerate(exchange.directions):
-                    data = self._neighbor_chunk(pe, exchange, direction, chunk_index)
-                    if exchange.coefficients is not None:
-                        data = data * np.float32(exchange.coefficients[slot])
-                    parts.append(data)
+                parts = [
+                    self._neighbor_chunk(pe, exchange, direction, chunk_index)
+                    for direction in exchange.directions
+                ]
                 chunks.append(np.concatenate(parts) if parts else np.zeros(0))
                 pe.counters["wavelets_sent"] += exchange.chunk_size * len(
                     exchange.directions

@@ -81,16 +81,21 @@ class TestSyntaxDiagnostics:
         )
         assert "communicate call missing field '.chunk_size'" in str(error)
 
-    def test_communicate_unknown_field(self):
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("warp_speed", "9"), ("coefficients", ".{ 1.0, 2.0 }")],
+    )
+    def test_communicate_unknown_field(self, field, value):
         error = diagnostic(
             "var u = @zeros([4]f32);\n"
             "fn f_main() void {\n"
             "  const d = @get_dsd(mem1d_dsd, "
             ".{ .tensor_access = |i|{4} -> u[i] });\n"
-            "  stencil_comms.communicate(&d, .{ .warp_speed = 9 });\n"
+            f"  stencil_comms.communicate(&d, .{{ .{field} = {value} }});\n"
             "  return;\n}\n"
         )
-        assert "unknown communicate field '.warp_speed'" in str(error)
+        assert isinstance(error, CslSyntaxError)
+        assert f"unknown communicate field '.{field}'" in str(error)
 
 
 class TestLoweringDiagnostics:

@@ -68,11 +68,18 @@ class TestAcceptance:
             assert len(handles) == 16
 
             # Kill whichever job first reaches `running` (the hold file
-            # keeps it there), then release the hold for everyone.
+            # keeps it there), then release the hold for everyone.  A job
+            # that fails first (a broken pipeline fails every job) ends
+            # the wait at once, with its error.
             deadline = time.monotonic() + 120.0
             victim_pid = None
+            job_ids = [handle.job_id for handle in handles]
             while victim_pid is None:
                 assert time.monotonic() < deadline, "no job reached running"
+                for job_id, status in queue.store.statuses(job_ids).items():
+                    if status is JobStatus.FAILED:
+                        error = queue.store.get(job_id).error
+                        pytest.fail(f"job {job_id} failed: {error}")
                 for job_id, pid in queue.active_processes().items():
                     if queue.store.get(job_id).status is JobStatus.RUNNING:
                         victim = job_id

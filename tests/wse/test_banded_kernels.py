@@ -146,22 +146,6 @@ def test_banded_exchanges_sharing_a_receive_buffer(monkeypatch, rows):
     _assert_matches_vectorized(program, module)
 
 
-@pytest.mark.parametrize("rows", (1, 2))
-def test_banded_staged_delivery(monkeypatch, rows):
-    """The staged delivery (every chunk copied aside before any callback),
-    with its callbacks' runs banded."""
-    monkeypatch.setattr(
-        _KernelEmitter,
-        "_direct_staging_safe",
-        lambda self, exchange, source_buffer: False,
-    )
-    program = benchmark_by_name("Seismic").program(nx=9, ny=9, nz=12, time_steps=2)
-    module = _compile(program, 9)
-    source = _force_rows(monkeypatch, module, 9, rows)
-    assert "st0_0" in source and "for r0, r1 in BANDS:" in source
-    _assert_matches_vectorized(program, module)
-
-
 def test_out_of_range_offset_raises_before_its_run(monkeypatch):
     """The one documented difference of a banded kernel: a runtime-offset
     view out of range raises the unbanded kernel's ``IndexError``, but

@@ -11,10 +11,10 @@ runs them (``tiled``; ``compiled`` is its 1x1 case):
   byte-identical kernel source (what makes the content fingerprint and the
   fleet-wide source store sound), pinned through the
   ``REPRO_COMPILED_DUMP`` debug dump;
-* **the delivery forms** — staged delivery stays byte-identical to the
-  form every benchmark qualifies for (view delivery on the whole fabric,
-  direct-to-receive on shard boxes; ``test_view_delivery.py`` compares
-  the view form's whole state);
+* **the delivery forms** — an exchange whose receive callback writes its
+  own source has neither delivery form and is declined, while the
+  interpreters run it (``test_view_delivery.py`` compares the view form's
+  whole state);
 * **the kernel cache** — memo hits, store round-trips and their counters,
   and one kernel per fabric whichever kernel backend binds it;
 * **the round drivers** — a sole shard's one ``run_block`` call per run
@@ -35,6 +35,7 @@ import pytest
 
 from repro.benchmarks import benchmark_by_name
 from repro.benchmarks.definitions import ALL_BENCHMARKS
+from repro.csl import parse_csl_sources
 from repro.dialects import csl
 from repro.frontends.common import BoundaryCondition
 from repro.ir.exceptions import InterpretationError
@@ -57,7 +58,7 @@ from repro.wse.codegen import (
 from repro.wse.executors import tiled
 from repro.wse.executors.auto import RATIONALE
 from repro.wse.interpreter import ProgramImage
-from repro.wse.plan import ExecutionPlan, ShardGeometry
+from repro.wse.plan import ExecutionPlan
 from repro.wse.simulator import WseSimulator
 
 
@@ -147,58 +148,149 @@ class TestDeterministicEmission:
         assert kernel_fingerprint(image, plan) != base
 
 
-def _assert_staged_matches_direct(monkeypatch, executor, grid=None):
-    """Every benchmark's exchanges qualify for direct-to-receive delivery;
-    the staged form (all chunks copied aside before any receive callback
-    runs) is what a kernel — whole fabric or shard box — falls back to when
-    the write-set analysis cannot prove that safe.  Force it and compare."""
-    from repro.wse.codegen import _KernelEmitter
+#: A 4x4 program whose receive callback damps the column it is still
+#: sending: each chunk's callback writes the exchange's own source, so the
+#: kernel cannot copy chunk by chunk into the receive slab and declines it.
+SELF_WRITING_LAYOUT = """\
+param width : u16;
+param height : u16;
+const memcpy_params = @import_module("<memcpy/get_params>", .{ .width = 4, .height = 4 });
+const routes = @import_module("routes.csl", .{ .pattern = 1 });
+layout {
+  @set_rectangle(4, 4);
+  var x : u16 = 0;
+  while (x < 4) : (x += 1) {
+    var y : u16 = 0;
+    while (y < 4) : (y += 1) {
+      @set_tile_code(x, y, "damped.csl", .{ .z_dim = 6, .num_chunks = 2, .chunk_size = 2, .pattern = 1, .num_directions = 2, .padded_z_dim = 4, .width = 4, .height = 4, .target = "wse2" });
+    }
+  }
+}
+"""
 
-    program, module, image, plan = _image(grid=5, name="Seismic")
-    # The source store would serve the direct kernels back.
-    monkeypatch.setattr(tiled, "_shard_kernel_store", lambda: None)
-    boxes, geometry = [None], None
-    if grid is not None:
-        monkeypatch.setattr(tiled, "shard_grid", lambda w, h, cpus=None: grid)
-        geometry = ShardGeometry.build(5, 5, *grid)
-        boxes = geometry.boxes()
+SELF_WRITING_PROGRAM = """\
+param z_dim : i16 = 6;
+param num_chunks : i16 = 2;
+param chunk_size : i16 = 2;
+param pattern : i16 = 1;
+param num_directions : i16 = 2;
+param padded_z_dim : i16 = 4;
+const memcpy = @import_module("<memcpy/memcpy>");
+const comms = @import_module("stencil_comms.csl", .{ .pattern = 1, .chunkSize = 2, .boundary = "dirichlet", .boundaryValue = 0.0 });
+var u = @zeros([6]f32);
+var v = @zeros([6]f32);
+var accumulator = @zeros([4]f32);
+var receive_buffer = @zeros([4]f32);
+var step : i32 = 0;
 
-    def sources():
-        return [
-            generate_kernel_source(image, plan, box=box, geometry=geometry)
-            for box in boxes
-        ]
+fn f_main() void {
+  @activate(@get_local_task_id(8));
+  return;
+}
 
-    direct_sources = sources()
-    direct = run_on_executor(executor, program, module)
-    reset_kernel_cache()
-    monkeypatch.setattr(
-        _KernelEmitter,
-        "_direct_staging_safe",
-        lambda self, exchange, source_buffer: False,
-    )
-    for staged, direct_source in zip(sources(), direct_sources):
-        assert "st0_0 = np.empty" in staged
-        assert "st0_0 = np.empty" not in direct_source
-    fields, statistics = run_on_executor(executor, program, module)
-    for name, expected in direct[0].items():
-        assert fields[name].tobytes() == expected.tobytes()
-    assert statistics == direct[1]
-    expected_fields, expected_statistics = run_on_executor(
-        "vectorized", program, module
-    )
-    for name, expected in expected_fields.items():
-        assert fields[name].tobytes() == expected.tobytes()
-    assert statistics == expected_statistics
+task time_loop() void {
+  const num_steps = 2;
+  const running = step < num_steps;
+  if (running) {
+    begin_step();
+  } else {
+    finish();
+  }
+  return;
+}
+
+comptime { @bind_local_task(@get_local_task_id(8), time_loop); }
+
+fn begin_step() void {
+  const u_column = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{6} -> u[i] });
+  comms.communicate(&u_column, .{ .num_chunks = 2, .chunk_size = 2, .src_offset = 1, .src_len = 4, .pattern = 1, .recv_buffer = &receive_buffer, .directions = .{ .{ 1, 0 }, .{ 0, 1 } }, .recv = &recv_chunk, .done = &apply });
+  return;
+}
+
+task recv_chunk(chunk_offset : i16) void {
+  const damping = 0.5;
+  const east = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{2} -> receive_buffer[i] });
+  const north = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{2} -> receive_buffer[2 + i] });
+  const sum = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{2} -> accumulator[i] });
+  const slot = @increment_dsd_offset(sum, 0 + chunk_offset, f32);
+  @fadds(slot, east, north);
+  const core = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{4} -> u[1 + i] });
+  @fmuls(core, core, damping);
+  return;
+}
+
+comptime { @bind_local_task(@get_local_task_id(9), recv_chunk); }
+
+task apply() void {
+  const sum = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{4} -> accumulator[i] });
+  const v_core = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{4} -> v[1 + i] });
+  @fmovs(v_core, sum);
+  next_step();
+  return;
+}
+
+comptime { @bind_local_task(@get_local_task_id(10), apply); }
+
+fn next_step() void {
+  const t = step + 1;
+  step = t;
+  @activate(@get_local_task_id(8));
+  return;
+}
+
+fn finish() void {
+  sys_mod.unblock_cmd_stream();
+  return;
+}
+
+comptime { @export_symbol(f_main, "f_main"); }
+comptime { @rpc(@get_data_task_id(memcpy.LAUNCH)); }
+"""
+
+
+def _self_writing_image():
+    return parse_csl_sources(
+        {"damped.csl": SELF_WRITING_PROGRAM, "layout.csl": SELF_WRITING_LAYOUT}
+    ).image()
 
 
 class TestDeliveryForms:
-    def test_staged_delivery_matches_direct_delivery(self, monkeypatch):
-        _assert_staged_matches_direct(monkeypatch, "compiled")
+    @pytest.mark.parametrize("config", KERNEL_CONFIGS)
+    def test_a_receive_callback_writing_its_source_is_declined(
+        self, monkeypatch, config
+    ):
+        """An exchange whose receive callback writes its own source has no
+        direct delivery (later chunks would read the written data, where
+        the exchange snapshots every chunk first), so every kernel executor
+        configuration declines it, pointing at ``vectorized``."""
+        executor = _kernel_executor(monkeypatch, config)
+        with pytest.raises(
+            KernelCodegenError,
+            match=r"receive callback may write.*'vectorized'",
+        ):
+            WseSimulator(_self_writing_image(), executor=executor)
 
-    @pytest.mark.parametrize("grid", ((1, 2), (2, 2)), ids=("1x2", "2x2"))
-    def test_staged_box_delivery_matches_direct_delivery(self, monkeypatch, grid):
-        _assert_staged_matches_direct(monkeypatch, "tiled", grid)
+    def test_the_interpreters_run_a_declined_program(self):
+        """The program the kernel executors decline runs on ``reference``
+        and ``vectorized``, byte-identically."""
+        image = _self_writing_image()
+        rng = np.random.default_rng(5)
+        inputs = {
+            name: rng.uniform(-1.0, 1.0, (4, 4, size)).astype(np.float32)
+            for name, size in sorted(image.buffers.items())
+        }
+        fields = {}
+        for executor in ("reference", "vectorized"):
+            simulator = WseSimulator(image, executor=executor)
+            for name, columns in inputs.items():
+                simulator.load_field(name, columns.copy())
+            simulator.execute()
+            fields[executor] = {
+                name: simulator.read_field(name).tobytes()
+                for name in sorted(image.buffers)
+            }
+        assert fields["reference"] == fields["vectorized"]
+        assert fields["vectorized"]["v"] != inputs["v"].tobytes()
 
     def test_exchanges_sharing_a_receive_buffer_refill_their_borders(self):
         """Regression: two equations per step exchange through one receive

@@ -64,7 +64,7 @@ class TestPlanDeterminism:
         before = probed.canonical()
         probed.halo_table((2, 2))
         probed.gather_indices((0, 3))
-        probed.neighbor((5, 5), 0, 0)
+        probed.halo_table((5, 5))
         assert probed.canonical() == before
         assert probed == pristine
 
@@ -105,9 +105,6 @@ class TestPlanContent:
         image, grid = _compiled_image()
         plan = ExecutionPlan.compile(image, grid, grid)
         assert plan.buffers == image.buffers
-        assert plan.memory_per_pe_bytes() == sum(
-            size * 4 for size in image.buffers.values()
-        )
 
     @pytest.mark.parametrize(
         ("mode", "folded_minus_one", "folded_n"),
@@ -133,14 +130,16 @@ class TestPlanContent:
         plan = ExecutionPlan.compile(
             image, grid, grid, boundary=BoundaryCondition.periodic()
         )
-        assert plan.neighbor((1, 0), grid - 1, 0) == (0, 0)
-        assert plan.neighbor((-1, 0), 0, 2) == (grid - 1, 2)
+        east, west = plan.halo_table((1, 0)), plan.halo_table((-1, 0))
+        assert (east.cols[grid - 1], east.rows[0]) == (0, 0)
+        assert (west.cols[0], west.rows[2]) == (grid - 1, 2)
 
     def test_dirichlet_neighbor_off_fabric_is_none(self):
         image, grid = _compiled_image()
         plan = ExecutionPlan.compile(image, grid, grid)
-        assert plan.neighbor((1, 0), grid - 1, 0) is None
-        assert plan.neighbor((1, 0), 0, 0) == (1, 0)
+        east = plan.halo_table((1, 0))
+        assert east.cols[grid - 1] is None
+        assert (east.cols[0], east.rows[0]) == (1, 0)
 
 
 # --------------------------------------------------------------------------- #

@@ -159,7 +159,7 @@ def test_view_delivery_writes_the_receive_slab_once_per_run(name, side):
 @pytest.mark.parametrize("name, side", sorted(SLAB_WRITES))
 def test_direct_delivery_writes_every_chunk(monkeypatch, name, side):
     monkeypatch.setattr(
-        _KernelEmitter, "_view_deliverable", lambda self, exchange, source: False
+        _KernelEmitter, "_view_deliverable", lambda self, exchange: False
     )
     source = _whole_fabric_kernel(name, side)
     copies, fills = SLAB_WRITES[name, side]

@@ -11,16 +11,17 @@ paths, and the per-PE host surface.  The round budget and deadlock edges
 of both round drivers side by side are in ``test_compiled_executor.py``.
 """
 
-import re
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.baselines.numpy_ref import allocate_fields, field_to_columns
 from repro.benchmarks.definitions import ALL_BENCHMARKS
+from repro.csl import parse_csl_dir
 from repro.frontends.common import (
     BoundaryCondition,
     Constant,
@@ -37,6 +38,10 @@ from repro.wse.executors.tiled import SHARD_ENV_VAR, shard_grid
 from repro.wse.interpreter import bound_image
 from repro.wse.plan import ShardGeometry
 from repro.wse.simulator import WseSimulator
+
+HANDWRITTEN_DIR = (
+    Path(__file__).resolve().parents[2] / "examples" / "handwritten"
+)
 
 BOUNDARIES = (
     BoundaryCondition.dirichlet(),
@@ -333,32 +338,38 @@ class TestCompiledShards:
         whole = get_kernel(executor.image, executor.plan)
         assert whole.fingerprint not in executor.kernel_fingerprints
 
-    @pytest.mark.parametrize("grid", ((1, 2), (2, 2)), ids=("1x2", "2x2"))
-    def test_no_box_kernel_allocates_a_staging_slab(self, grid):
-        """Every benchmark exchange is proven safe to deliver straight into
-        its receive slab, so no shard-box kernel of any benchmark under any
-        boundary mode allocates a staging slab."""
-        slab = re.compile(r"st\d+_\d+ = np\.empty")
+    @pytest.mark.parametrize(
+        "grid", ((1, 1), (1, 2), (2, 2)), ids=("1x1", "1x2", "2x2")
+    )
+    def test_nothing_we_ship_is_declined(self, grid):
+        """Every benchmark under every boundary mode, and the handwritten
+        seismic kernel, gets a kernel for the whole fabric (the 1x1
+        geometry) and for every shard box: code generation declines
+        nothing the repository ships."""
+        images = [bound_image(parse_csl_dir(HANDWRITTEN_DIR).program)]
         for benchmark in ALL_BENCHMARKS:
             n = 9 if benchmark.stencil_points >= 25 else 6
             program = benchmark.program(nx=n, ny=n, nz=8, time_steps=2)
             for boundary in BOUNDARIES:
-                module = compile_stencil_program(
-                    program,
-                    PipelineOptions(
-                        grid_width=n, grid_height=n, num_chunks=2,
-                        boundary=boundary,
-                    ),
-                ).program_module
-                image = bound_image(module)
-                plan = image.plan_for(n, n)
-                geometry = ShardGeometry.build(n, n, *grid)
-                for box in geometry.boxes():
-                    source = generate_kernel_source(
-                        image, plan, box=box, geometry=geometry
+                images.append(
+                    bound_image(
+                        compile_stencil_program(
+                            program,
+                            PipelineOptions(
+                                grid_width=n, grid_height=n, num_chunks=2,
+                                boundary=boundary,
+                            ),
+                        ).program_module
                     )
-                    assert "def deliver_0():" in source
-                    assert not slab.search(source), (benchmark.name, box)
+                )
+        for image in images:
+            plan = image.plan_for(image.width, image.height)
+            geometry = ShardGeometry.build(image.width, image.height, *grid)
+            for box in geometry.boxes():
+                source = generate_kernel_source(
+                    image, plan, box=box, geometry=geometry
+                )
+                assert "def deliver_0():" in source, (image.module.sym_name, box)
 
     def test_results_match_vectorized_on_an_odd_grid(self):
         program, module = _compiled(9, 9, name="odd_grid")
