@@ -791,9 +791,9 @@ class CommsExchangeOp(Operation):
     Schedules the chunked, star-shaped halo exchange implemented by the
     runtime communications library.  ``recv_callback`` is activated for every
     received chunk, ``done_callback`` once the whole exchange has completed.
-    The exchange delivers neighbour data unscaled: per-direction
-    coefficients (coefficient promotion, Section 5.7) are DSD multiplies in
-    the receive callback, as in the runtime library's ``communicate``.
+    The exchange delivers neighbour data unscaled, as the runtime library's
+    ``communicate`` does: coefficient promotion (Section 5.7) scales it
+    with DSD multiplies in the receive callback.
     """
 
     name = "csl.comms_exchange"

@@ -156,8 +156,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: v7: whole-fabric kernels deliver provably safe exchanges as views of a
 #: padded source (per-chunk receive-callback variants, halo strips, the
 #: receive slab written once per ``run_block``).
-#: v8: no staged delivery form — an exchange that is not direct-safe is
-#: declined — and no exchange coefficients.
+#: v8: no staged delivery form — an exchange that is not direct-safe
+#: declines the kernel — and no per-direction coefficient constants.
 CODEGEN_VERSION = 8
 
 #: bytes one row band of the longest DSD operand view spans in a kernel.
