@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench tiled-check kernel-check service service-smoke run-service-check queue-check boundary-check csl-check ir-check fuzz lint
+.PHONY: test bench tiled-check kernel-check service service-smoke run-service-check queue-check boundary-check csl-check ir-check fuzz lint reach
 
 # Tier-1 verification: the whole suite, fail fast.
 test:
@@ -149,6 +149,15 @@ ir-check:
 # tests/csl/conftest.py registers — 2,000 examples each, about 20 s.
 fuzz:
 	$(PYTHON) -m pytest tests/csl/test_fuzz.py -q --hypothesis-profile=long
+
+# The reach census: trace the shipped traffic (tests/reach/reach_driver.py)
+# in a fresh process, print executable and unexecuted lines per module, and
+# regenerate tests/reach/data/reach_report.json — tags carry over by module,
+# qualname and source text, new ranges are written untagged and listed (exit
+# 1 until each is tagged by hand or its code deleted).  Tier-1 runs the
+# ratchet (tests/reach/test_reach.py) against the committed report.
+reach:
+	$(PYTHON) tests/reach/reach_census.py --update
 
 # No third-party linter is vendored; byte-compiling everything still catches
 # syntax errors and obvious breakage in one second.

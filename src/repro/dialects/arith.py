@@ -72,37 +72,30 @@ class _BinaryOp(Operation):
 
 class AddfOp(_BinaryOp):
     name = "arith.addf"
-    python_op = "add"
 
 
 class SubfOp(_BinaryOp):
     name = "arith.subf"
-    python_op = "sub"
 
 
 class MulfOp(_BinaryOp):
     name = "arith.mulf"
-    python_op = "mul"
 
 
 class DivfOp(_BinaryOp):
     name = "arith.divf"
-    python_op = "div"
 
 
 class AddiOp(_BinaryOp):
     name = "arith.addi"
-    python_op = "add"
 
 
 class SubiOp(_BinaryOp):
     name = "arith.subi"
-    python_op = "sub"
 
 
 class MuliOp(_BinaryOp):
     name = "arith.muli"
-    python_op = "mul"
 
 
 class CmpiOp(Operation):

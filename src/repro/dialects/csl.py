@@ -215,66 +215,6 @@ class ConstantOp(Operation):
         return self.results[0]
 
 
-class MemberCallOp(Operation):
-    """Call a function member of an imported comptime struct."""
-
-    name = "csl.member_call"
-
-    def __init__(
-        self,
-        struct: SSAValue,
-        field: str,
-        arguments: Sequence[SSAValue] = (),
-        result_types: Sequence[Attribute] = (),
-    ):
-        super().__init__(
-            operands=[struct, *arguments],
-            result_types=list(result_types),
-            attributes={"field": StringAttr(field)},
-        )
-
-    @property
-    def struct(self) -> SSAValue:
-        return self.operands[0]
-
-    @property
-    def arguments(self) -> tuple[SSAValue, ...]:
-        return self.operands[1:]
-
-    @property
-    def field(self) -> str:
-        attr = self.attributes["field"]
-        assert isinstance(attr, StringAttr)
-        return attr.data
-
-
-class MemberAccessOp(Operation):
-    """Access a data member of an imported comptime struct."""
-
-    name = "csl.member_access"
-
-    def __init__(self, struct: SSAValue, field: str, result_type: Attribute):
-        super().__init__(
-            operands=[struct],
-            result_types=[result_type],
-            attributes={"field": StringAttr(field)},
-        )
-
-    @property
-    def struct(self) -> SSAValue:
-        return self.operands[0]
-
-    @property
-    def field(self) -> str:
-        attr = self.attributes["field"]
-        assert isinstance(attr, StringAttr)
-        return attr.data
-
-    @property
-    def result(self) -> SSAValue:
-        return self.results[0]
-
-
 # --------------------------------------------------------------------------- #
 # Functions and tasks
 # --------------------------------------------------------------------------- #

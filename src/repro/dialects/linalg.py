@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.ir.attributes import Attribute, FloatAttr
 from repro.ir.exceptions import VerifyException
 from repro.ir.operation import Operation
 from repro.ir.value import SSAValue
@@ -42,28 +41,12 @@ class AddOp(_ElementwiseOp):
     """``outs[i] = ins0[i] + ins1[i]``."""
 
     name = "linalg.add"
-    python_op = "add"
-
-
-class SubOp(_ElementwiseOp):
-    """``outs[i] = ins0[i] - ins1[i]``."""
-
-    name = "linalg.sub"
-    python_op = "sub"
 
 
 class MulOp(_ElementwiseOp):
     """``outs[i] = ins0[i] * ins1[i]``."""
 
     name = "linalg.mul"
-    python_op = "mul"
-
-
-class DivOp(_ElementwiseOp):
-    """``outs[i] = ins0[i] / ins1[i]``."""
-
-    name = "linalg.div"
-    python_op = "div"
 
 
 class FmaOp(Operation):
@@ -127,5 +110,3 @@ class ScaleOp(Operation):
     def output(self) -> SSAValue:
         return self.operands[2]
 
-
-ELEMENTWISE_OPS = (AddOp, SubOp, MulOp, DivOp)

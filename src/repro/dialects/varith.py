@@ -42,11 +42,9 @@ class AddOp(_VariadicOp):
     """n-ary addition: ``result = operands[0] + operands[1] + ...``."""
 
     name = "varith.add"
-    python_op = "add"
 
 
 class MulOp(_VariadicOp):
     """n-ary multiplication: ``result = operands[0] * operands[1] * ...``."""
 
     name = "varith.mul"
-    python_op = "mul"

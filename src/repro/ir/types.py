@@ -147,14 +147,3 @@ i64 = IntegerType(64)
 f16 = Float16Type()
 f32 = Float32Type()
 f64 = Float64Type()
-
-
-def element_bytes(element_type: Attribute) -> int:
-    """Size in bytes of a scalar element of the given type."""
-    if isinstance(element_type, IntegerType):
-        return max(1, element_type.width // 8)
-    if isinstance(element_type, _FloatType):
-        return element_type.width // 8
-    if isinstance(element_type, IndexType):
-        return 8
-    raise ValueError(f"cannot compute byte size of {element_type}")

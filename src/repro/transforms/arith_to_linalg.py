@@ -1,9 +1,13 @@
-"""Group 3 (b): convert (var)arith over buffers to DPS linalg (Section 5.3).
+"""Group 3 (b): convert varith over buffers to DPS linalg (Section 5.3).
 
 CSL's DSD builtins operate on physical memory passed as operands
 (Destination-Passing Style); the arith dialect has no such form, so every
-elementwise operation over memrefs is rewritten to its linalg counterpart
-with an explicitly allocated destination buffer.  A follow-up optimisation
+elementwise sum and product over memrefs is rewritten to its linalg
+counterpart with an explicitly allocated destination buffer.  By this pass
+``convert-arith-to-varith`` has turned every ``arith.addf``/``arith.mulf``
+into ``varith`` (the front-ends' expressions have only ``+`` and ``*``: a
+difference is ``a + b * -1``), so no binary ``arith`` op over a buffer is
+left to convert.  A follow-up optimisation
 (:mod:`repro.transforms.memory_optimization`) then eliminates most of those
 temporary buffers by accumulating in place, which is what gives the paper's
 generated code its memory-footprint advantage over the hand-written kernel
@@ -95,54 +99,8 @@ class VarithMulToLinalg(RewritePattern):
         rewriter.replace_matched_op([], new_results=[dest.result])
 
 
-class BinaryArithToLinalg(RewritePattern):
-    """Binary arith over buffers -> the corresponding linalg op."""
-
-    _MAPPING = {
-        arith.AddfOp: linalg.AddOp,
-        arith.SubfOp: linalg.SubOp,
-        arith.MulfOp: linalg.MulOp,
-        arith.DivfOp: linalg.DivOp,
-    }
-
-    @op_rewrite_pattern
-    def match_and_rewrite(
-        self,
-        op: arith.AddfOp | arith.SubfOp | arith.MulfOp | arith.DivfOp,
-        rewriter: PatternRewriter,
-    ) -> None:
-        target = self._MAPPING[type(op)]
-        if not _is_buffer(op.result):
-            return
-
-        result_type = op.result.type
-        assert isinstance(result_type, MemRefType)
-        dest = memref.AllocOp(MemRefType(result_type.shape, result_type.element_type))
-        new_ops: list[Operation] = [dest]
-
-        lhs_buffer, rhs_buffer = _is_buffer(op.lhs), _is_buffer(op.rhs)
-        if lhs_buffer and rhs_buffer:
-            new_ops.append(target([op.lhs, op.rhs], dest.result))
-        elif isinstance(op, arith.MulfOp) and lhs_buffer:
-            new_ops.append(linalg.ScaleOp(op.lhs, op.rhs, dest.result))
-        elif isinstance(op, arith.MulfOp) and rhs_buffer:
-            new_ops.append(linalg.ScaleOp(op.rhs, op.lhs, dest.result))
-        elif isinstance(op, arith.AddfOp) and lhs_buffer:
-            one = arith.ConstantOp(1.0, op.rhs.type)
-            new_ops.extend(
-                [one, linalg.FmaOp(op.lhs, one.results[0], op.rhs, dest.result)]
-            )
-        else:
-            return
-
-        rewriter.insert_op_before_matched_op(new_ops)
-        rewriter.replace_matched_op([], new_results=[dest.result])
-
-
 class ArithToLinalgPass(ModulePass):
     name = "arith-to-linalg"
 
     def apply(self, module: Operation) -> None:
-        apply_patterns_greedily(
-            module, [VarithAddToLinalg(), VarithMulToLinalg(), BinaryArithToLinalg()]
-        )
+        apply_patterns_greedily(module, [VarithAddToLinalg(), VarithMulToLinalg()])

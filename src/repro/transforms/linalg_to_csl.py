@@ -7,7 +7,6 @@ onto CSL's high-throughput DSD builtins:
 linalg form            CSL builtin
 =====================  =========================================
 ``linalg.add``         ``@fadds(dest, src1, src2)``
-``linalg.sub``         ``@fsubs(dest, src1, src2)``
 ``linalg.mul``         ``@fmuls(dest, src1, src2)``
 ``linalg.scale``       ``@fmuls(dest, src, scalar)``
 ``linalg.fma``         ``@fmacs(dest, acc, src, scalar)``
@@ -34,7 +33,6 @@ class LowerLinalgToCsl(RewritePattern):
     def match_and_rewrite(
         self,
         op: linalg.AddOp
-        | linalg.SubOp
         | linalg.MulOp
         | linalg.ScaleOp
         | linalg.FmaOp
@@ -45,10 +43,6 @@ class LowerLinalgToCsl(RewritePattern):
         if isinstance(op, linalg.AddOp):
             rewriter.replace_matched_op(
                 csl.FaddsOp(op.output, op.inputs[0], op.inputs[1]), new_results=[]
-            )
-        elif isinstance(op, linalg.SubOp):
-            rewriter.replace_matched_op(
-                csl.FsubsOp(op.output, op.inputs[0], op.inputs[1]), new_results=[]
             )
         elif isinstance(op, linalg.MulOp):
             rewriter.replace_matched_op(

@@ -17,7 +17,6 @@ two" (Section 6.1).
 from __future__ import annotations
 
 from repro.dialects import linalg, memref
-from repro.dialects.csl_stencil import ApplyOp, YieldOp
 from repro.ir import (
     ModulePass,
     PatternRewriter,
@@ -31,9 +30,7 @@ from repro.ir.value import BlockArgument, SSAValue
 
 _LINALG_DPS_OPS = (
     linalg.AddOp,
-    linalg.SubOp,
     linalg.MulOp,
-    linalg.DivOp,
     linalg.ScaleOp,
     linalg.FmaOp,
 )
@@ -74,9 +71,7 @@ class InPlaceAccumulation(RewritePattern):
     def match_and_rewrite(
         self,
         op: linalg.AddOp
-        | linalg.SubOp
         | linalg.MulOp
-        | linalg.DivOp
         | linalg.ScaleOp
         | linalg.FmaOp,
         rewriter: PatternRewriter,

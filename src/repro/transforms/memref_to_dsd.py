@@ -25,6 +25,18 @@ from repro.ir.operation import Operation
 from repro.ir.types import MemRefType
 
 
+def _named_dsd(
+    source, buffer: StringAttr, length: int, offset: int = 0, stride: int = 1
+) -> csl.GetMemDsdOp:
+    """A DSD that references its buffer *by symbol*, with no operand: the
+    printer, the plan and the CSL front door resolve it against the
+    ``csl.zeros`` declaration."""
+    dsd = csl.GetMemDsdOp(source, length, offset, stride)
+    dsd.set_attribute("buffer", buffer)
+    dsd.drop_all_operands()
+    return dsd
+
+
 class GlobalToZeros(RewritePattern):
     """Module-scope buffers become zero-initialised CSL arrays."""
 
@@ -43,44 +55,34 @@ class GetGlobalToDsd(RewritePattern):
     ) -> None:
         buffer_type = op.result.type
         assert isinstance(buffer_type, MemRefType)
-        dsd = csl.GetMemDsdOp(op.result, buffer_type.element_count())
-        # The DSD references the buffer *by symbol*: the printer and the
-        # interpreter resolve it against the csl.zeros declaration.
-        dsd.set_attribute("buffer", StringAttr(op.global_name))
-        dsd.drop_all_operands()
-        rewriter.replace_matched_op(dsd)
+        rewriter.replace_matched_op(
+            _named_dsd(
+                op.result, StringAttr(op.global_name), buffer_type.element_count()
+            )
+        )
 
 
 class SubviewToDsd(RewritePattern):
-    """A subview becomes a DSD with an adjusted offset and length."""
+    """A subview of a DSD becomes a DSD of the same buffer symbol with an
+    adjusted offset and length.  A subview whose source is not a DSD yet
+    waits: the driver revisits it once its source is rewritten."""
 
     @op_rewrite_pattern
     def match_and_rewrite(self, op: memref.SubviewOp, rewriter: PatternRewriter) -> None:
-        source = op.source
-        owner = source.owner()
-        if isinstance(owner, csl.GetMemDsdOp):
-            base_name = owner.attributes.get("buffer")
-            base_offset = owner.offset
-        else:
-            # Subview of a subview: chain onto the source DSD.
-            base_name = None
-            base_offset = 0
-
+        owner = op.source.owner()
+        if not isinstance(owner, csl.GetMemDsdOp):
+            return
+        base_name = owner.attributes["buffer"]
         if op.has_dynamic_offset:
-            dsd = csl.GetMemDsdOp(source, op.size, 0, op.stride)
-            if base_name is not None:
-                dsd.set_attribute("buffer", base_name)
-                dsd.drop_all_operands()
-            shift = csl.IncrementDsdOffsetOp(dsd.result, base_offset)
+            dsd = _named_dsd(op.source, base_name, op.size, 0, op.stride)
+            shift = csl.IncrementDsdOffsetOp(dsd.result, owner.offset)
             shift.add_operand(op.dynamic_offset)
             rewriter.replace_matched_op([dsd, shift], new_results=[shift.result])
             return
-
-        dsd = csl.GetMemDsdOp(source, op.size, base_offset + int(op.offset), op.stride)
-        if base_name is not None:
-            dsd.set_attribute("buffer", base_name)
-            dsd.drop_all_operands()
-        rewriter.replace_matched_op(dsd)
+        offset = owner.offset + int(op.offset)
+        rewriter.replace_matched_op(
+            _named_dsd(op.source, base_name, op.size, offset, op.stride)
+        )
 
 
 class MemrefToDsdPass(ModulePass):

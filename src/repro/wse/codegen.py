@@ -15,7 +15,9 @@ the fused delivery round as Python/NumPy source text, materialised via
   queue, direct calls are direct calls;
 * every *static* DSD access becomes a named whole-box view bound once at
   kernel-bind time; only runtime-offset DSDs (receive-callback chunk bases)
-  slice per call;
+  slice per call.  Every ``csl.get_mem_dsd`` is static: the plan resolves
+  its buffer symbol or rejects the program (``PlanError``), so the emitter
+  has no second way to find a buffer;
 * DSD compute builtins lower to allocation-free ``np.add/subtract/multiply
   (..., out=view)`` forms whenever the static operand layout proves the
   destination never partially overlaps a source — otherwise they fall back
@@ -119,13 +121,12 @@ import os
 import re
 from collections import OrderedDict, deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.dialects import arith, csl, scf
-from repro.ir.attributes import StringAttr
 from repro.ir.operation import Operation
 # ``bind_statistics`` is re-exported: it is read beside
 # ``kernel_cache_statistics`` and reset by ``reset_kernel_cache``.
@@ -158,7 +159,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: receive slab written once per ``run_block``).
 #: v8: no staged delivery form — an exchange that is not direct-safe
 #: declines the kernel — and no per-direction coefficient constants.
-CODEGEN_VERSION = 8
+#: v9: a host or layout op (``csl.export``, ``csl.rpc``, an import) in a
+#: callable body declines the kernel instead of emitting nothing; every
+#: ``csl.get_mem_dsd`` is the plan's (emitted bodies unchanged).
+CODEGEN_VERSION = 9
 
 #: bytes one row band of the longest DSD operand view spans in a kernel.
 #: Part of the emitter, like every other emission choice: a new value needs
@@ -309,15 +313,6 @@ def _atom(expression: str) -> str:
 
 class _KernelEmitter:
     """Walks one program image + plan and emits the kernel source."""
-
-    #: ops the interpreter treats as no-ops (host/layout surface).
-    NOOP_OPS = (
-        csl.ImportModuleOp,
-        csl.ExportOp,
-        csl.RpcOp,
-        csl.MemberCallOp,
-        csl.MemberAccessOp,
-    )
 
     BINARY_OPS = {
         arith.AddiOp: "+",
@@ -654,8 +649,6 @@ class _KernelEmitter:
             planned = self.plan.static_dsd(op)
             if planned is not None:
                 return planned.length
-            if isinstance(op, csl.GetMemDsdOp):
-                return op.length
             if not isinstance(op, csl.IncrementDsdOffsetOp):
                 return 0
             value = op.operands[0]
@@ -713,7 +706,7 @@ class _KernelEmitter:
             self._referenced.add(op.task_name)
             b.line(f"queue.append(({self._fn(op.task_name)}, 0))")
         elif isinstance(op, csl.GetMemDsdOp):
-            env[id(op.result)] = self._dsd_of_get(op, env)
+            env[id(op.result)] = self._dsd_of_get(op)
         elif isinstance(op, csl.IncrementDsdOffsetOp):
             env[id(op.result)] = self._dsd_of_increment(op, env)
         elif isinstance(op, csl.DSD_BUILTIN_OPS):
@@ -722,8 +715,6 @@ class _KernelEmitter:
             self._emit_exchange_schedule(op, env, b)
         elif isinstance(op, csl.UnblockCmdStreamOp):
             b.line("state.halted = True")
-        elif isinstance(op, self.NOOP_OPS):
-            pass  # results stay undefined, exactly like the interpreter
         else:
             raise KernelCodegenError(f"unsupported operation '{op.name}'")
 
@@ -748,25 +739,9 @@ class _KernelEmitter:
 
     # -- DSD values ------------------------------------------------------ #
 
-    def _dsd_of_get(self, op: csl.GetMemDsdOp, env: dict[int, Any]) -> _DsdExpr:
+    def _dsd_of_get(self, op: csl.GetMemDsdOp) -> _DsdExpr:
         planned = self.plan.static_dsd(op)
-        if planned is not None:
-            return _DsdExpr(
-                planned.buffer, planned.offset, planned.length, planned.stride
-            )
-        buffer_attr = op.attributes.get("buffer")
-        if isinstance(buffer_attr, StringAttr):
-            buffer_name = buffer_attr.data
-        elif op.operands:
-            source = self._entry(op.operands[0], env)
-            if not isinstance(source, _DsdExpr):
-                raise KernelCodegenError("csl.get_mem_dsd operand is not a DSD")
-            buffer_name = source.buffer
-        else:
-            raise KernelCodegenError(
-                "csl.get_mem_dsd has neither buffer nor operand"
-            )
-        return _DsdExpr(buffer_name, op.offset, op.length, op.stride)
+        return _DsdExpr(planned.buffer, planned.offset, planned.length, planned.stride)
 
     def _dsd_of_increment(
         self, op: csl.IncrementDsdOffsetOp, env: dict[int, Any]
@@ -937,13 +912,10 @@ class _KernelEmitter:
         for block in _callable_blocks(callable_op):
             for op in block.ops:
                 if isinstance(op, csl.GetMemDsdOp):
-                    env[id(op.results[0])] = self._trace_get_buffer(op, env)
+                    env[id(op.results[0])] = self.plan.static_dsd(op).buffer
                 elif isinstance(op, csl.IncrementDsdOffsetOp):
-                    planned = self.plan.static_dsd(op)
-                    if planned is not None:
-                        env[id(op.results[0])] = planned.buffer
-                    else:
-                        env[id(op.results[0])] = env.get(id(op.operands[0]))
+                    # a shift, static or not, keeps its base's buffer
+                    env[id(op.results[0])] = env.get(id(op.operands[0]))
                 elif isinstance(op, csl.DSD_BUILTIN_OPS):
                     buffer = env.get(id(op.dest))
                     if buffer is None:
@@ -959,19 +931,6 @@ class _KernelEmitter:
         result = None if unknown else written
         self._write_sets[name] = result
         return result
-
-    def _trace_get_buffer(
-        self, op: csl.GetMemDsdOp, env: dict[int, str | None]
-    ) -> str | None:
-        planned = self.plan.static_dsd(op)
-        if planned is not None:
-            return planned.buffer
-        buffer_attr = op.attributes.get("buffer")
-        if isinstance(buffer_attr, StringAttr):
-            return buffer_attr.data
-        if op.operands:
-            return env.get(id(op.operands[0]))
-        return None
 
     def _direct_staging_safe(self, exchange: ExchangePlan) -> bool:
         """May this exchange copy each chunk straight into the receive slab?

@@ -2,8 +2,11 @@
 
 Executes the *final* output of the compilation pipeline — the csl-ir program
 module — against one PE's state.  Only the constructs the pipeline generates
-are supported; anything else raises :class:`InterpretationError`, which keeps
-the interpreter honest as a functional model of the generated CSL.
+in a callable body are supported; anything else — a host or layout op such
+as ``csl.export`` included — raises :class:`InterpretationError`, which
+keeps the interpreter honest as a functional model of the generated CSL.
+Every ``csl.get_mem_dsd`` is read off the execution plan, which resolves
+its buffer symbol or rejects the program.
 
 Binding
 -------
@@ -200,7 +203,8 @@ class PeInterpreter:
 
     ``plan`` is the pre-compiled :class:`~repro.wse.plan.ExecutionPlan` of
     the image: buffers, variables and exchange schedules come from its
-    plan-time tables, and so does every DSD that is static.
+    plan-time tables, and so does every DSD that is static (every
+    ``csl.get_mem_dsd`` is).
     """
 
     def __init__(
@@ -329,21 +333,7 @@ def _handle_activate(interp: PeInterpreter, op: csl.ActivateOp, env) -> None:
 
 
 def _handle_get_mem_dsd(interp: PeInterpreter, op: csl.GetMemDsdOp, env) -> None:
-    planned = interp.plan.static_dsd(op)
-    if planned is not None:
-        env[id(op.result)] = planned
-        return
-    buffer_attr = op.attributes.get("buffer")
-    if isinstance(buffer_attr, StringAttr):
-        buffer_name = buffer_attr.data
-    elif op.operands:
-        source = interp._value(op.operands[0], env)
-        if not isinstance(source, Dsd):
-            raise InterpretationError("csl.get_mem_dsd operand is not a DSD")
-        buffer_name = source.buffer
-    else:
-        raise InterpretationError("csl.get_mem_dsd has neither buffer nor operand")
-    env[id(op.result)] = Dsd(buffer_name, op.offset, op.length, op.stride)
+    env[id(op.result)] = interp.plan.static_dsd(op)
 
 
 def _handle_increment_dsd(
@@ -401,10 +391,6 @@ def _handle_unblock(interp: PeInterpreter, op, env) -> None:
     interp.pe.halted = True
 
 
-def _noop(interp: PeInterpreter, op, env) -> None:
-    return None
-
-
 _HANDLERS: dict[type, Any] = {
     csl.ConstantOp: _handle_constant,
     arith.ConstantOp: _handle_constant,
@@ -430,9 +416,4 @@ _HANDLERS: dict[type, Any] = {
     csl.FmovsOp: _dsd_builtin(lambda dest, src: src),
     csl.CommsExchangeOp: _handle_comms_exchange,
     csl.UnblockCmdStreamOp: _handle_unblock,
-    csl.ImportModuleOp: _noop,
-    csl.ExportOp: _noop,
-    csl.RpcOp: _noop,
-    csl.MemberCallOp: _noop,
-    csl.MemberAccessOp: _noop,
 }

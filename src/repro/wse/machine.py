@@ -82,12 +82,3 @@ WSE3 = WseMachineSpec(
     self_transmit_overhead=False,
 )
 
-
-def machine_by_name(name: str) -> WseMachineSpec:
-    """Look up a machine spec by its short name ("wse2" or "wse3")."""
-    lowered = name.lower()
-    if lowered in ("wse2", "cs2", "cs-2"):
-        return WSE2
-    if lowered in ("wse3", "cs3", "cs-3"):
-        return WSE3
-    raise KeyError(f"unknown WSE generation '{name}'")

@@ -8,10 +8,13 @@ was recomputed (or lazily memoised) per backend, and the exchange attributes
 were unpacked per scheduled exchange.  :class:`ExecutionPlan` hoists all of
 that out of the hot loop, once, ahead of execution:
 
-* **DSD access plans** — every ``csl.get_mem_dsd`` anchored to a buffer
-  symbol resolves to its :class:`~repro.wse.dsd.Dsd` at plan time, as do
-  ``csl.increment_dsd_offset`` chains with static offsets; the interpreter's
-  handlers become table lookups;
+* **DSD access plans** — every ``csl.get_mem_dsd`` names its buffer
+  symbol and resolves to its :class:`~repro.wse.dsd.Dsd` at plan time, as
+  do ``csl.increment_dsd_offset`` chains with static offsets; the
+  interpreter's handlers become table lookups.  A ``csl.get_mem_dsd``
+  without a ``buffer`` symbol is a :class:`PlanError` (every producer, the
+  pipeline and the CSL front door, sets it), so no executor resolves a
+  buffer any other way;
 * **exchange schedule** — the attribute bundle of every
   ``csl.comms_exchange`` (offsets, chunking, directions, callbacks) is
   parsed into an :class:`ExchangePlan` keyed by the op — the one record
@@ -45,6 +48,7 @@ import numpy as np
 from repro.dialects import csl
 from repro.frontends.common import BoundaryCondition
 from repro.ir.attributes import StringAttr
+from repro.ir.exceptions import InterpretationError
 from repro.ir.operation import Block, Operation
 from repro.wse.dsd import Dsd
 from repro.wse.interpreter import bind_statistics
@@ -52,9 +56,14 @@ from repro.wse.interpreter import bind_statistics
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wse.interpreter import ProgramImage
 
-#: bump when the lowering in this module changes observable execution;
-#: folded into run-level fingerprints so cached run artifacts invalidate.
-PLAN_VERSION = 1
+#: bump when the lowering in this module changes observable execution or
+#: the programs it accepts; folded into run-level fingerprints so cached run
+#: artifacts invalidate.  2: a ``csl.get_mem_dsd`` must name its buffer.
+PLAN_VERSION = 2
+
+
+class PlanError(InterpretationError):
+    """A program image the plan cannot lower (see the module docstring)."""
 
 
 @dataclass(frozen=True)
@@ -343,7 +352,9 @@ class ExecutionPlan:
     # ------------------------------------------------------------------ #
 
     def static_dsd(self, op: Operation) -> Dsd | None:
-        """The plan-time resolved DSD of a DSD-producing op, if static."""
+        """The plan-time resolved DSD of a DSD-producing op, if static:
+        every ``csl.get_mem_dsd`` is, a ``csl.increment_dsd_offset`` is when
+        its base is and its offset is a constant."""
         return self._static_dsds.get(op)
 
     def exchange_plan(self, op: Operation) -> ExchangePlan | None:
@@ -464,14 +475,12 @@ def _plan_block(
         counter[0] += 1
         if isinstance(op, csl.GetMemDsdOp):
             buffer_attr = op.attributes.get("buffer")
-            if isinstance(buffer_attr, StringAttr):
-                dsd = Dsd(buffer_attr.data, op.offset, op.length, op.stride)
-            elif op.operands and id(op.operands[0]) in env:
-                dsd = Dsd(
-                    env[id(op.operands[0])].buffer, op.offset, op.length, op.stride
+            if not isinstance(buffer_attr, StringAttr):
+                raise PlanError(
+                    f"csl.get_mem_dsd #{index} of '{callable_name}' names no "
+                    f"buffer symbol"
                 )
-            else:
-                continue
+            dsd = Dsd(buffer_attr.data, op.offset, op.length, op.stride)
             env[id(op.results[0])] = dsd
             static_dsds[op] = dsd
             op_labels[op] = (callable_name, index)

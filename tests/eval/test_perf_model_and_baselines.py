@@ -12,7 +12,7 @@ from repro.baselines.roofline import (
 )
 from repro.benchmarks import jacobian_benchmark, seismic_benchmark
 from repro.benchmarks.definitions import LARGE, SMALL
-from repro.wse.machine import WSE2, WSE3, machine_by_name
+from repro.wse.machine import WSE2, WSE3
 from repro.wse.perf_model import (
     cycles_per_step,
     estimate_performance,
@@ -22,12 +22,6 @@ from repro.wse.perf_model import (
 
 
 class TestMachineSpecs:
-    def test_lookup_by_name(self):
-        assert machine_by_name("wse2") is WSE2
-        assert machine_by_name("CS-3") is WSE3
-        with pytest.raises(KeyError):
-            machine_by_name("wse1")
-
     def test_wse3_improves_on_wse2(self):
         assert WSE3.peak_flops > WSE2.peak_flops
         assert WSE3.clock_hz > WSE2.clock_hz

@@ -1,16 +1,12 @@
 """Unit tests for type attributes."""
 
-import pytest
-
 from repro.ir.types import (
     Float32Type,
-    Float64Type,
     FunctionType,
     IndexType,
     IntegerType,
     MemRefType,
     TensorType,
-    element_bytes,
     f32,
     f64,
     i16,
@@ -67,16 +63,3 @@ class TestShapedTypes:
         assert FunctionType([], []) == FunctionType([], [])
 
 
-class TestElementBytes:
-    def test_f32_is_four_bytes(self):
-        assert element_bytes(f32) == 4
-
-    def test_f64_is_eight_bytes(self):
-        assert element_bytes(f64) == 8
-
-    def test_i16_is_two_bytes(self):
-        assert element_bytes(i16) == 2
-
-    def test_unknown_type_raises(self):
-        with pytest.raises(ValueError):
-            element_bytes(TensorType([4], f32))
