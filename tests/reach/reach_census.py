@@ -6,15 +6,16 @@ the tagged report ``data/reach_report.json``.
 
 A statement is executable when its compiled code carries a line of it, and
 reached when the tracer saw one of those lines (a multi-line statement
-counts once, so 3.11 and 3.12 line tables agree).  A range is a maximal run
+counts once, whichever of its lines a Python version's line table
+reports).  A range is a maximal run
 of unreached statements of one function (or class or module body) with no
 reached statement between them.  It is keyed by the path, the enclosing
 qualname and its dedented source text — never by line numbers — so an edit
 elsewhere in the file does not move it.  Every range in the report carries
 one tag:
 
-* ``rejects input`` — an error path for input no shipped driver sends; it
-  stays, and a test reaches it;
+* ``rejects input`` — an error path for input no shipped driver sends (or
+  a guard the ``why`` names); it stays, and belongs under a test;
 * ``driver gap`` — reachable by what the repository ships, but the driver
   does not go there (say, a second process reading the disk store);
 * ``timing`` — runs or not depending on thread scheduling; its statements
@@ -26,7 +27,7 @@ bodies of ``if TYPE_CHECKING:`` blocks are not executable code and
 
 A range that no shipped driver reaches and no outside input can is
 *unreached*: it is deleted, not tagged.  ``test_reach.py`` fails when an
-unreached range carries no tag, and when a ``rejects input`` or ``driver
+unexecuted range carries no tag, and when a ``rejects input`` or ``driver
 gap`` range now runs (or its text is gone), so the tag is stale.
 
     python tests/reach/reach_census.py            # print the per-module table
@@ -303,6 +304,17 @@ def compare(result: Census, report: list[dict]) -> dict[str, list]:
     }
 
 
+def describe(item: Range | dict) -> str:
+    """One line naming a range or a report entry, for failure messages."""
+    if isinstance(item, Range):
+        where = f"{item.module}:{item.first_line} {item.qualname}"
+        first = item.source[0]
+    else:
+        where = f"{item['module']} {item['qualname']}"
+        first = item["source"][0]
+    return f"{where}: {first.strip()}"
+
+
 def updated_report(result: Census, report: list[dict]) -> list[dict]:
     """The report for ``result``: every current range, its tag carried over
     when its key is unchanged (``None`` when new), plus the timing entries
@@ -377,16 +389,8 @@ def main(argv: list[str]) -> int:
     failures = compare(result, report)
     for kind, items in failures.items():
         for item in items:
-            if isinstance(item, Range):
-                where = f"{item.module}:{item.first_line} {item.qualname}"
-            else:
-                where = f"{item['module']} {item['qualname']}"
-            print(f"{kind}: {where}: {item_source(item)[0].strip()}")
+            print(f"{kind}: {describe(item)}")
     return 1 if any(failures.values()) else 0
-
-
-def item_source(item) -> tuple[str, ...]:
-    return item.source if isinstance(item, Range) else tuple(item["source"])
 
 
 if __name__ == "__main__":

@@ -17,8 +17,9 @@ lines of ``src/repro`` that ran as ``{relative path: [line, ...]}``:
   ``codegen._BAND_BYTES`` on a small grid (what ``sim_compiled_64`` and
   ``sim_tiled_128`` take at 64x64 and 128x128);
 * the service CLI (``compile``, ``run`` on ``compiled``, ``tiled`` and
-  ``--csl``, ``queue submit`` inline and through a forked worker process,
-  ``queue list``/``status``/``wait``/``cancel``, ``stats`` and ``purge``)
+  ``--csl``, ``queue submit`` inline, resubmitted (served from the run
+  cache), as an experiment and through a forked worker process, ``queue
+  list``/``status``/``wait``/``cancel``, ``stats`` and ``purge``)
   and ``python -m repro.csl`` (``parse``, ``dump``, ``dump --canonical``,
   ``diff``);
 * the shard-grid derivation, with the CPU count and the override variable
@@ -260,12 +261,17 @@ def drive_service_cli() -> None:
         ["run", "Jacobian", *small, "--executor", "tiled"],
         ["run", "--csl", handwritten, "--grid", "4x4", "--time-steps", "1"],
         ["queue", "submit", "Jacobian", "UVKBE", *small, "--inline"],
+        # the same jobs again: served from the run cache at submit
+        ["queue", "submit", "Jacobian", "UVKBE", *small, "--inline"],
         ["queue", "submit", "Advection", *small, "--workers", "1"],
         ["queue", "submit", "Seismic", *small, "--detach"],
-        ["queue", "cancel", "4"],
+        ["queue", "cancel", "6"],
+        ["queue", "submit", "UVKBE", *small, "--inline", "--experiment", "sweep"],
         ["queue", "list"],
+        ["queue", "list", "--experiment", "sweep"],
         ["queue", "status", "1", "3", "--events"],
         ["queue", "wait", "--inline"],
+        ["queue", "wait", "--experiment", "sweep", "--inline"],
         ["stats"],
         ["purge"],
         ["stats"],

@@ -19,44 +19,33 @@ REGENERATE = (
 )
 
 
-def _where(item) -> str:
-    if isinstance(item, reach_census.Range):
-        module, qualname, source = item.module, item.qualname, item.source
-    else:
-        module, qualname, source = item["module"], item["qualname"], item["source"]
-    return f"{module} {qualname}: {source[0].strip()}"
-
-
 @pytest.fixture(scope="module")
-def report():
-    return reach_census.load_report()
-
-
-@pytest.fixture(scope="module")
-def failures(report, tmp_path_factory):
+def failures(tmp_path_factory):
+    report = reach_census.load_report()
     reached = reach_census.trace(tmp_path_factory.mktemp("reach"))
     return reach_census.compare(reach_census.census(reached, report), report)
 
 
 def test_every_unexecuted_range_is_tagged(failures):
-    untagged = [_where(item) for item in failures["untagged"]]
+    untagged = [reach_census.describe(item) for item in failures["untagged"]]
     assert not untagged, f"untagged unexecuted ranges ({REGENERATE}): {untagged}"
 
 
 def test_no_tag_outlives_its_range(failures):
-    stale = [_where(item) for item in failures["stale"]]
+    stale = [reach_census.describe(item) for item in failures["stale"]]
     assert not stale, (
         f"tagged ranges that now run or are gone ({REGENERATE}): {stale}"
     )
 
 
 def test_every_timing_range_is_still_in_its_module(failures):
-    gone = [_where(item) for item in failures["timing"]]
+    gone = [reach_census.describe(item) for item in failures["timing"]]
     assert not gone, f"timing ranges whose text is gone ({REGENERATE}): {gone}"
 
 
 def test_every_tag_is_a_known_one(failures):
     unknown = [
-        f"{_where(item)} -> {item['tag']!r}" for item in failures["bad tags"]
+        f"{reach_census.describe(item)} -> {item['tag']!r}"
+        for item in failures["bad tags"]
     ]
     assert not unknown, f"tags outside {reach_census.TAGS}: {unknown}"
