@@ -18,16 +18,9 @@ from __future__ import annotations
 import io
 
 from repro.csl import surface
-from repro.dialects import arith, csl, memref, scf
-from repro.ir.attributes import (
-    Attribute,
-    DictionaryAttr,
-    FloatAttr,
-    IntAttr,
-    StringAttr,
-)
+from repro.dialects import arith, csl, scf
+from repro.ir.attributes import Attribute, StringAttr
 from repro.ir.operation import Block, Operation
-from repro.ir.types import MemRefType
 from repro.ir.value import SSAValue
 
 
@@ -218,8 +211,7 @@ class CslPrinter:
             self._line(f"@activate(@get_local_task_id({op.task_id})); // {op.task_name}")
         elif isinstance(op, csl.GetMemDsdOp):
             name = self._name(op.result, "dsd")
-            buffer_attr = op.attributes.get("buffer")
-            buffer = buffer_attr.data if isinstance(buffer_attr, StringAttr) else "buffer"
+            buffer = op.buffer
             index = "i" if op.stride == 1 else f"i * {op.stride}"
             if op.offset:
                 access = f"{buffer}[{op.offset} + {index}]"
@@ -250,13 +242,6 @@ class CslPrinter:
             self._line("return;")
         elif isinstance(op, scf.YieldOp):
             return
-        elif isinstance(op, memref.SubviewOp):
-            # Subviews surviving to code generation print as DSD definitions.
-            name = self._name(op.results[0], "view")
-            self._line(
-                f"const {name} = @get_dsd(mem1d_dsd, .{{ .tensor_access = "
-                f"|i|{{{op.size}}} -> {self._operand(op.source)}[i] }});"
-            )
         else:
             self._line(f"// <unprinted operation {op.name}>")
 
@@ -266,15 +251,6 @@ class CslPrinter:
         parser can rebuild the op from (the real runtime library accepts and
         ignores extra comptime struct fields)."""
         attributes = op.attributes
-        if "src_offset" not in attributes:
-            # hand-built images without the plan metadata: legacy short form
-            recv = op.recv_callback or "null"
-            self._line(
-                f"{surface.COMMS_RECEIVER}.{surface.COMMUNICATE_MEMBER}"
-                f"(&{self._operand(op.buffer)}, "
-                f"{op.num_chunks}, &{recv}, &{op.done_callback});"
-            )
-            return
         directions = ", ".join(
             f".{{ {dx}, {dy} }}" for dx, dy in op.directions
         )

@@ -173,13 +173,7 @@ def _value_tree(
     if isinstance(op, csl.LoadVarOp):
         return ["var", op.var]
     if isinstance(op, csl.GetMemDsdOp):
-        buffer_attr = op.attributes.get("buffer")
-        buffer = (
-            buffer_attr.data
-            if isinstance(buffer_attr, StringAttr)
-            else tree(op.operands[0])
-        )
-        return ["dsd", buffer, op.offset, op.length, op.stride]
+        return ["dsd", op.buffer, op.offset, op.length, op.stride]
     if isinstance(op, csl.IncrementDsdOffsetOp):
         entry = ["incr", tree(op.operands[0]), op.offset]
         if len(op.operands) > 1:
@@ -195,8 +189,6 @@ def _value_tree(
     symbol = surface.BINARY_OP_SYMBOLS.get(type(op))
     if symbol is not None:
         return ["bin", symbol, tree(op.operands[0]), tree(op.operands[1])]
-    if isinstance(op, csl.ImportModuleOp):
-        return ["import", op.module]
     return ["opaque", op.name]
 
 
@@ -205,6 +197,5 @@ def _attr_value(attribute: Any) -> Any:
         return ["i", attribute.value]
     if isinstance(attribute, FloatAttr):
         return ["f", attribute.value]
-    if isinstance(attribute, StringAttr):
-        return ["s", attribute.data]
-    return ["?", str(attribute)]
+    assert isinstance(attribute, StringAttr)
+    return ["s", attribute.data]

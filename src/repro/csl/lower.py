@@ -115,9 +115,9 @@ class _ProgramLowerer:
                 self.var_names.add(decl.name)
             elif isinstance(decl, ast.ParamDecl):
                 self.param_names.add(decl.name)
-        # module-scope SSA values (import structs, buffer results)
+        # module-scope imports and the names of declared buffers
         self.imports: dict[str, csl.ImportModuleOp] = {}
-        self.buffers: dict[str, csl.ZerosOp] = {}
+        self.buffers: set[str] = set()
         self.comms_import: ast.ImportDecl | None = None
 
     # -------------------------------------------------------------- #
@@ -149,9 +149,8 @@ class _ProgramLowerer:
                     csl.VariableOp(decl.name, _TYPE_BY_NAME[decl.type_name], decl.init)
                 )
             elif isinstance(decl, ast.ZerosDecl):
-                zeros = csl.ZerosOp(MemRefType([decl.size], f32), decl.name)
-                self.buffers[decl.name] = zeros
-                ops.append(zeros)
+                self.buffers.add(decl.name)
+                ops.append(csl.ZerosOp(MemRefType([decl.size], f32), decl.name))
             elif isinstance(decl, ast.CallableDecl):
                 ops.append(self.lower_callable(decl))
             elif isinstance(decl, ast.BindDecl):
@@ -358,17 +357,15 @@ class _ProgramLowerer:
         self, expr: ast.Expr, env: dict[str, SSAValue], ops: list[Operation]
     ) -> SSAValue:
         if isinstance(expr, ast.GetDsdExpr):
-            zeros = self.buffers.get(expr.buffer)
-            if zeros is None:
+            if expr.buffer not in self.buffers:
                 raise CslLoweringError(
                     f"@get_dsd references unknown buffer '{expr.buffer}'",
                     expr.loc,
                     expr.buffer,
                 )
             dsd = csl.GetMemDsdOp(
-                zeros.result, expr.length, offset=expr.offset, stride=expr.stride
+                expr.buffer, expr.length, offset=expr.offset, stride=expr.stride
             )
-            dsd.set_attribute("buffer", StringAttr(expr.buffer))
             ops.append(dsd)
             return dsd.result
         if isinstance(expr, ast.IncrementDsdExpr):

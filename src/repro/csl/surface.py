@@ -182,9 +182,8 @@ def attr_text(attribute: Attribute) -> str:
         return str(attribute.value)
     if isinstance(attribute, FloatAttr):
         return repr(attribute.value)
-    if isinstance(attribute, StringAttr):
-        return f'"{attribute.data}"'
-    return str(attribute)
+    assert isinstance(attribute, StringAttr)
+    return f'"{attribute.data}"'
 
 
 def value_attr(value: int | float | str) -> Attribute:

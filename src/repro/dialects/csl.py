@@ -244,10 +244,6 @@ class FuncOp(Operation):
     def body(self) -> Region:
         return self.regions[0]
 
-    @property
-    def args(self):
-        return self.body.block.args
-
 
 class TaskKind:
     DATA = "data"
@@ -392,10 +388,6 @@ class VariableOp(Operation):
         return attr.data
 
     @property
-    def var_type(self) -> Attribute:
-        return self.attributes["type"]
-
-    @property
     def init(self) -> int | float:
         attr = self.attributes["init"]
         assert isinstance(attr, (IntAttr, FloatAttr))
@@ -474,30 +466,35 @@ class ZerosOp(Operation):
 
 
 class GetMemDsdOp(Operation):
-    """``@get_dsd(mem1d_dsd, .{ .tensor_access = |i|{n} -> buf[i] })``."""
+    """``@get_dsd(mem1d_dsd, .{ .tensor_access = |i|{n} -> buf[i] })``.
+
+    The DSD names its buffer by symbol — the ``sym_name`` of a
+    ``csl.zeros`` declaration — and takes no operand."""
 
     name = "csl.get_mem_dsd"
 
     def __init__(
         self,
-        buffer: SSAValue,
+        buffer: str,
         length: int,
         offset: int = 0,
         stride: int = 1,
     ):
         super().__init__(
-            operands=[buffer],
             result_types=[DsdType(DsdKind.MEM1D)],
             attributes={
                 "length": IntAttr(length),
                 "offset": IntAttr(offset),
                 "stride": IntAttr(stride),
+                "buffer": StringAttr(buffer),
             },
         )
 
     @property
-    def buffer(self) -> SSAValue:
-        return self.operands[0]
+    def buffer(self) -> str:
+        attr = self.attributes["buffer"]
+        assert isinstance(attr, StringAttr)
+        return attr.data
 
     @property
     def length(self) -> int:

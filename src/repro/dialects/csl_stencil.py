@@ -18,7 +18,7 @@ from typing import Sequence
 
 from repro.ir.attributes import ArrayAttr, Attribute, DenseArrayAttr, IntAttr
 from repro.ir.exceptions import VerifyException
-from repro.ir.operation import Block, Operation, Region
+from repro.ir.operation import Operation, Region
 from repro.ir.traits import IsTerminator
 from repro.ir.value import SSAValue
 
@@ -98,14 +98,11 @@ class ApplyOp(Operation):
         compute_region: Region,
         swaps: Sequence[ExchangeDeclAttr],
         num_chunks: int,
-        topo: Attribute | None = None,
     ):
         attributes: dict[str, Attribute] = {
             "swaps": ArrayAttr(list(swaps)),
             "num_chunks": IntAttr(num_chunks),
         }
-        if topo is not None:
-            attributes["topo"] = topo
         super().__init__(
             operands=[communicated, accumulator, *extra_operands],
             result_types=list(result_types),

@@ -19,9 +19,7 @@ from repro.ir.attributes import (
 )
 from repro.ir.exceptions import VerifyException
 from repro.ir.operation import Block, Operation, Region
-from repro.ir.traits import IsTerminator
 from repro.ir.types import i16
-from repro.ir.value import SSAValue
 
 
 class ParamAttr(Attribute):
@@ -123,10 +121,6 @@ class ModuleOp(Operation):
         return None
 
     @property
-    def layout_region(self) -> Region:
-        return self.regions[0]
-
-    @property
     def program_region(self) -> Region:
         return self.regions[1]
 
@@ -135,22 +129,3 @@ class ModuleOp(Operation):
             raise VerifyException("csl_wrapper.module must have two regions")
         if self.width < 1 or self.height < 1:
             raise VerifyException("csl_wrapper.module: width/height must be positive")
-
-
-class YieldOp(Operation):
-    """Terminator of csl_wrapper regions, yielding per-PE parameter values."""
-
-    name = "csl_wrapper.yield"
-    traits = (IsTerminator,)
-
-    def __init__(self, operands: Sequence[SSAValue] = (), keys: Sequence[str] = ()):
-        super().__init__(
-            operands=operands,
-            attributes={"keys": ArrayAttr([StringAttr(k) for k in keys])},
-        )
-
-    @property
-    def keys(self) -> tuple[str, ...]:
-        attr = self.attributes["keys"]
-        assert isinstance(attr, ArrayAttr)
-        return tuple(a.data for a in attr if isinstance(a, StringAttr))

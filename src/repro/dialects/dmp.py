@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.ir.attributes import ArrayAttr, Attribute, IntAttr
+from repro.ir.attributes import ArrayAttr, Attribute
 from repro.ir.exceptions import VerifyException
 from repro.ir.operation import Operation
 from repro.ir.value import SSAValue
@@ -97,18 +97,6 @@ class SwapOp(Operation):
     @property
     def result(self) -> SSAValue:
         return self.results[0]
-
-    @property
-    def strategy(self) -> GridSlice2dAttr:
-        attr = self.attributes["strategy"]
-        assert isinstance(attr, GridSlice2dAttr)
-        return attr
-
-    @property
-    def swaps(self) -> tuple[ExchangeDeclAttr, ...]:
-        attr = self.attributes["swaps"]
-        assert isinstance(attr, ArrayAttr)
-        return tuple(a for a in attr if isinstance(a, ExchangeDeclAttr))
 
     def verify_(self) -> None:
         if "strategy" not in self.attributes or "swaps" not in self.attributes:

@@ -1,10 +1,10 @@
-"""The func dialect: functions, calls and returns."""
+"""The func dialect: functions and returns."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.ir.attributes import Attribute, StringAttr, SymbolRefAttr
+from repro.ir.attributes import StringAttr
 from repro.ir.exceptions import VerifyException
 from repro.ir.operation import Block, Operation, Region
 from repro.ir.traits import IsTerminator
@@ -76,27 +76,3 @@ class ReturnOp(Operation):
 
     def __init__(self, operands: Sequence[SSAValue] = ()):
         super().__init__(operands=operands)
-
-
-class CallOp(Operation):
-    """A direct call to a named function."""
-
-    name = "func.call"
-
-    def __init__(
-        self,
-        callee: str,
-        arguments: Sequence[SSAValue] = (),
-        result_types: Sequence[Attribute] = (),
-    ):
-        super().__init__(
-            operands=arguments,
-            result_types=result_types,
-            attributes={"callee": SymbolRefAttr(callee)},
-        )
-
-    @property
-    def callee(self) -> str:
-        attr = self.attributes["callee"]
-        assert isinstance(attr, SymbolRefAttr)
-        return attr.string_value

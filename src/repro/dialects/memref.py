@@ -125,9 +125,7 @@ class SubviewOp(Operation):
         return self.operands[1]
 
     @property
-    def offset(self) -> "SSAValue | int":
-        if self.has_dynamic_offset:
-            return self.operands[1]
+    def static_offset(self) -> int:
         attr = self.attributes["static_offset"]
         assert isinstance(attr, DenseArrayAttr)
         return int(attr[0])

@@ -55,10 +55,6 @@ class ForOp(Operation):
         return self.operands[1]
 
     @property
-    def step(self) -> SSAValue:
-        return self.operands[2]
-
-    @property
     def iter_args(self) -> tuple[SSAValue, ...]:
         return self.operands[3:]
 

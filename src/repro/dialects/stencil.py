@@ -63,10 +63,6 @@ class _StencilContainerType(TypeAttribute):
     def rank(self) -> int:
         return self.bounds.rank
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.bounds.shape
-
     def _key(self) -> tuple:
         return (self.bounds, self.element_type)
 
@@ -114,15 +110,6 @@ class ApplyOp(Operation):
     def body(self) -> Region:
         return self.regions[0]
 
-    @property
-    def block(self) -> Block:
-        return self.body.block
-
-    def result_bounds(self) -> StencilBounds:
-        result_type = self.results[0].type
-        assert isinstance(result_type, TempType)
-        return result_type.bounds
-
     def verify_(self) -> None:
         block = self.body.block
         if len(block.args) != len(self.operands):
@@ -163,10 +150,6 @@ class AccessOp(Operation):
         assert isinstance(attr, DenseArrayAttr)
         return attr.int_values
 
-    @property
-    def result(self) -> SSAValue:
-        return self.results[0]
-
     def verify_(self) -> None:
         operand_type = self.temp.type
         if isinstance(operand_type, (TempType, FieldType)):
@@ -199,10 +182,6 @@ class LoadOp(Operation):
     def field(self) -> SSAValue:
         return self.operands[0]
 
-    @property
-    def result(self) -> SSAValue:
-        return self.results[0]
-
     def verify_(self) -> None:
         # During progressive lowering the field operand may already have been
         # replaced by a PE-local buffer (memref); only reject stencil-typed
@@ -234,16 +213,6 @@ class StoreOp(Operation):
     @property
     def field(self) -> SSAValue:
         return self.operands[1]
-
-    @property
-    def bounds(self) -> StencilBounds | None:
-        attr = self.attributes.get("bounds")
-        if attr is None:
-            return None
-        assert isinstance(attr, DenseArrayAttr)
-        flat = list(attr)
-        pairs = [(int(flat[i]), int(flat[i + 1])) for i in range(0, len(flat), 2)]
-        return StencilBounds(pairs)
 
     def verify_(self) -> None:
         # As with stencil.load, the field may have been lowered to a buffer.

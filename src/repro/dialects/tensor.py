@@ -7,7 +7,7 @@ Only the operations required by the csl-stencil chunk-packing region
 
 from __future__ import annotations
 
-from repro.ir.attributes import Attribute, DenseArrayAttr
+from repro.ir.attributes import DenseArrayAttr
 from repro.ir.exceptions import VerifyException
 from repro.ir.operation import Operation
 from repro.ir.traits import Pure
@@ -30,11 +30,10 @@ class EmptyOp(Operation):
 
 
 class InsertSliceOp(Operation):
-    """Insert a source tensor into a destination tensor at a static offset.
+    """Insert a source tensor into a destination tensor at an offset.
 
-    The dynamic ``offset`` operand form (used for chunked packing, where the
-    offset is the chunk index times the chunk size) carries the offset as an
-    SSA operand instead of a static attribute.
+    The offset is an SSA operand (chunked packing: the chunk index times the
+    chunk size); the slice size is static.
     """
 
     name = "tensor.insert_slice"
@@ -44,19 +43,13 @@ class InsertSliceOp(Operation):
         self,
         source: SSAValue,
         dest: SSAValue,
-        offset: SSAValue | int,
+        offset: SSAValue,
         size: int,
     ):
-        attributes: dict[str, Attribute] = {"static_size": DenseArrayAttr([size])}
-        operands = [source, dest]
-        if isinstance(offset, int):
-            attributes["static_offset"] = DenseArrayAttr([offset])
-        else:
-            operands.append(offset)
         super().__init__(
-            operands=operands,
+            operands=[source, dest, offset],
             result_types=[dest.type],
-            attributes=attributes,
+            attributes={"static_size": DenseArrayAttr([size])},
         )
 
     @property
@@ -68,16 +61,8 @@ class InsertSliceOp(Operation):
         return self.operands[1]
 
     @property
-    def has_dynamic_offset(self) -> bool:
-        return len(self.operands) > 2
-
-    @property
-    def offset(self) -> SSAValue | int:
-        if self.has_dynamic_offset:
-            return self.operands[2]
-        attr = self.attributes["static_offset"]
-        assert isinstance(attr, DenseArrayAttr)
-        return int(attr[0])
+    def offset(self) -> SSAValue:
+        return self.operands[2]
 
     @property
     def size(self) -> int:

@@ -18,19 +18,6 @@ class InsertPoint:
     def at_end(block: Block) -> "InsertPoint":
         return InsertPoint(block, len(block.ops))
 
-    @staticmethod
-    def at_start(block: Block) -> "InsertPoint":
-        return InsertPoint(block, 0)
-
-    @staticmethod
-    def before(op: Operation) -> "InsertPoint":
-        assert op.parent is not None
-        return InsertPoint(op.parent, op.parent.index_of(op))
-
-    @staticmethod
-    def after(op: Operation) -> "InsertPoint":
-        assert op.parent is not None
-        return InsertPoint(op.parent, op.parent.index_of(op) + 1)
 
 
 class Builder:
@@ -42,18 +29,6 @@ class Builder:
     @staticmethod
     def at_end(block: Block) -> "Builder":
         return Builder(InsertPoint.at_end(block))
-
-    @staticmethod
-    def at_start(block: Block) -> "Builder":
-        return Builder(InsertPoint.at_start(block))
-
-    @staticmethod
-    def before(op: Operation) -> "Builder":
-        return Builder(InsertPoint.before(op))
-
-    @staticmethod
-    def after(op: Operation) -> "Builder":
-        return Builder(InsertPoint.after(op))
 
     def insert(self, op: Operation) -> Operation:
         """Insert ``op`` at the insertion point and advance past it."""

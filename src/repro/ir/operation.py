@@ -209,10 +209,6 @@ class Operation:
             if isinstance(op, op_type):
                 yield op
 
-    def next_op(self) -> "Operation | None":
-        """The operation following this one in its block, if any."""
-        return self._next_op if self.parent is not None else None
-
     def prev_op(self) -> "Operation | None":
         return self._prev_op if self.parent is not None else None
 
@@ -349,19 +345,9 @@ class Operation:
     def verify_(self) -> None:
         """Operation-specific verification; overridden by dialect ops."""
 
-    # ------------------------------------------------------------------ #
-    # Misc
-    # ------------------------------------------------------------------ #
-
-    def attr(self, key: str, default=None):
-        return self._attributes.get(key, default)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{type(self).__name__} '{self.name}'>"
-
 
 class UnregisteredOp(Operation):
-    """Fallback operation with a dynamic name, used by tests and the parser."""
+    """Fallback operation with a dynamic name, used by tests."""
 
     def __init__(self, name: str, **kwargs):
         super().__init__(**kwargs)
@@ -532,9 +518,6 @@ class Block:
             for region in op.regions:
                 region.drop_all_references()
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Block args={len(self.args)} ops={len(self.ops)}>"
-
 
 class Region:
     """A list of blocks owned by an operation."""
@@ -560,15 +543,6 @@ class Region:
             )
         return self.blocks[0]
 
-    @property
-    def ops(self) -> list[Operation]:
-        """Ops of the single block of this region."""
-        return self.block.ops
-
-    def walk(self) -> Iterator[Operation]:
-        for block in self.blocks:
-            yield from block.walk()
-
     def clone_into(self, value_map: dict[SSAValue, SSAValue]) -> "Region":
         new_region = Region()
         for block in self.blocks:
@@ -584,12 +558,6 @@ class Region:
                 new_block.add_op(op._clone_into(value_map))
         return new_region
 
-    def clone(self) -> "Region":
-        return self.clone_into({})
-
     def drop_all_references(self) -> None:
         for block in self.blocks:
             block.drop_all_references()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Region blocks={len(self.blocks)}>"

@@ -32,9 +32,6 @@ class ModulePass:
     def apply(self, module: Operation) -> None:
         raise NotImplementedError
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ModulePass {self.name}>"
-
 
 @dataclass
 class PassStatistics:

@@ -39,8 +39,6 @@ class HasParent(OpTrait):
 
     @classmethod
     def verify(cls, op: Operation) -> None:
-        if not cls.parent_types:
-            return
         parent = op.parent_op()
         if parent is None or not isinstance(parent, cls.parent_types):
             names = ", ".join(t.name for t in cls.parent_types)

@@ -25,9 +25,6 @@ class Use:
         self.operation = operation
         self.index = index
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Use({self.operation.name}, {self.index})"
-
 
 class SSAValue:
     """Base class for values defined by operations or block arguments.
@@ -86,10 +83,6 @@ class SSAValue:
     def owner(self) -> "Operation | Block | None":
         """The operation or block that defines this value."""
         raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        hint = self.name_hint or "?"
-        return f"<{type(self).__name__} %{hint} : {self.type}>"
 
 
 class OpResult(SSAValue):

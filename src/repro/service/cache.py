@@ -237,12 +237,6 @@ class InMemoryArtifactCache:
         self._entries: OrderedDict = OrderedDict()
         self.evictions = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._entries
-
     def get(self, fingerprint: str):
         artifact = self._entries.get(fingerprint)
         if artifact is not None:

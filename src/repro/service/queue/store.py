@@ -211,11 +211,6 @@ class QueueStoreStats:
     worker_processes: int
     total_bytes: int
 
-    @property
-    def hit_rate(self) -> float:
-        finished = self.cache_served + self.simulated
-        return self.cache_served / finished if finished else 0.0
-
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS queue_meta (

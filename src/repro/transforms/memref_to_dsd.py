@@ -7,7 +7,8 @@ native hardware support.  This pass:
   definitions (zero-initialised PE-local arrays);
 * converts ``memref.get_global`` and ``memref.subview`` into
   ``csl.get_mem_dsd`` / ``csl.increment_dsd_offset`` DSD definitions used by
-  the DSD compute builtins and by the communication library.
+  the DSD compute builtins and by the communication library, and fails on
+  a subview that is not of a module buffer or of a static subview of one.
 """
 
 from __future__ import annotations
@@ -20,21 +21,9 @@ from repro.ir import (
     apply_patterns_greedily,
     op_rewrite_pattern,
 )
-from repro.ir.attributes import StringAttr
+from repro.ir.exceptions import PassFailedException
 from repro.ir.operation import Operation
 from repro.ir.types import MemRefType
-
-
-def _named_dsd(
-    source, buffer: StringAttr, length: int, offset: int = 0, stride: int = 1
-) -> csl.GetMemDsdOp:
-    """A DSD that references its buffer *by symbol*, with no operand: the
-    printer, the plan and the CSL front door resolve it against the
-    ``csl.zeros`` declaration."""
-    dsd = csl.GetMemDsdOp(source, length, offset, stride)
-    dsd.set_attribute("buffer", buffer)
-    dsd.drop_all_operands()
-    return dsd
 
 
 class GlobalToZeros(RewritePattern):
@@ -56,9 +45,7 @@ class GetGlobalToDsd(RewritePattern):
         buffer_type = op.result.type
         assert isinstance(buffer_type, MemRefType)
         rewriter.replace_matched_op(
-            _named_dsd(
-                op.result, StringAttr(op.global_name), buffer_type.element_count()
-            )
+            csl.GetMemDsdOp(op.global_name, buffer_type.element_count())
         )
 
 
@@ -72,16 +59,15 @@ class SubviewToDsd(RewritePattern):
         owner = op.source.owner()
         if not isinstance(owner, csl.GetMemDsdOp):
             return
-        base_name = owner.attributes["buffer"]
         if op.has_dynamic_offset:
-            dsd = _named_dsd(op.source, base_name, op.size, 0, op.stride)
+            dsd = csl.GetMemDsdOp(owner.buffer, op.size, 0, op.stride)
             shift = csl.IncrementDsdOffsetOp(dsd.result, owner.offset)
             shift.add_operand(op.dynamic_offset)
             rewriter.replace_matched_op([dsd, shift], new_results=[shift.result])
             return
-        offset = owner.offset + int(op.offset)
+        offset = owner.offset + op.static_offset
         rewriter.replace_matched_op(
-            _named_dsd(op.source, base_name, op.size, offset, op.stride)
+            csl.GetMemDsdOp(owner.buffer, op.size, offset, op.stride)
         )
 
 
@@ -92,3 +78,9 @@ class MemrefToDsdPass(ModulePass):
         apply_patterns_greedily(
             module, [GlobalToZeros(), SubviewToDsd(), GetGlobalToDsd()]
         )
+        for op in module.walk():
+            if isinstance(op, memref.SubviewOp):
+                raise PassFailedException(
+                    f"{self.name}: a memref.subview whose source is not a "
+                    "module buffer or a static subview of one has no DSD"
+                )

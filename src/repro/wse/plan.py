@@ -12,9 +12,8 @@ that out of the hot loop, once, ahead of execution:
   symbol and resolves to its :class:`~repro.wse.dsd.Dsd` at plan time, as
   do ``csl.increment_dsd_offset`` chains with static offsets; the
   interpreter's handlers become table lookups.  A ``csl.get_mem_dsd``
-  without a ``buffer`` symbol is a :class:`PlanError` (every producer, the
-  pipeline and the CSL front door, sets it), so no executor resolves a
-  buffer any other way;
+  naming a symbol no ``csl.zeros`` declares is a :class:`PlanError`, so no
+  executor resolves a buffer any other way;
 * **exchange schedule** — the attribute bundle of every
   ``csl.comms_exchange`` (offsets, chunking, directions, callbacks) is
   parsed into an :class:`ExchangePlan` keyed by the op — the one record
@@ -47,7 +46,6 @@ import numpy as np
 
 from repro.dialects import csl
 from repro.frontends.common import BoundaryCondition
-from repro.ir.attributes import StringAttr
 from repro.ir.exceptions import InterpretationError
 from repro.ir.operation import Block, Operation
 from repro.wse.dsd import Dsd
@@ -58,7 +56,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: bump when the lowering in this module changes observable execution or
 #: the programs it accepts; folded into run-level fingerprints so cached run
-#: artifacts invalidate.  2: a ``csl.get_mem_dsd`` must name its buffer.
+#: artifacts invalidate.  2: a ``csl.get_mem_dsd`` must name a declared
+#: buffer.
 PLAN_VERSION = 2
 
 
@@ -321,6 +320,7 @@ class ExecutionPlan:
                 _plan_block(
                     block,
                     name,
+                    image.buffers,
                     env,
                     counter,
                     static_dsds,
@@ -462,6 +462,7 @@ def _callable_blocks(callable_op: Operation) -> Iterable[Block]:
 def _plan_block(
     block: Block,
     callable_name: str,
+    buffers: dict[str, int],
     env: dict[int, Dsd],
     counter: list[int],
     static_dsds: dict[Operation, Dsd],
@@ -474,13 +475,12 @@ def _plan_block(
         index = counter[0]
         counter[0] += 1
         if isinstance(op, csl.GetMemDsdOp):
-            buffer_attr = op.attributes.get("buffer")
-            if not isinstance(buffer_attr, StringAttr):
+            if op.buffer not in buffers:
                 raise PlanError(
-                    f"csl.get_mem_dsd #{index} of '{callable_name}' names no "
-                    f"buffer symbol"
+                    f"csl.get_mem_dsd #{index} of '{callable_name}' names "
+                    f"'{op.buffer}', which no csl.zeros declares"
                 )
-            dsd = Dsd(buffer_attr.data, op.offset, op.length, op.stride)
+            dsd = Dsd(op.buffer, op.offset, op.length, op.stride)
             env[id(op.results[0])] = dsd
             static_dsds[op] = dsd
             op_labels[op] = (callable_name, index)

@@ -122,9 +122,14 @@ class TestCslDialect:
         zeros = csl.ZerosOp(MemRefType([128], f32), sym_name="acc")
         assert zeros.buffer_type.element_count() == 128
 
+    def test_mem_dsd_names_its_buffer_and_takes_no_operand(self):
+        dsd = csl.GetMemDsdOp("acc", 8, offset=2)
+        assert dsd.buffer == "acc"
+        assert not dsd.operands
+        assert (dsd.length, dsd.offset, dsd.stride) == (8, 2, 1)
+
     def test_fmacs_operand_roles(self):
-        buffer = csl.ZerosOp(MemRefType([4], f32), sym_name="b")
-        dsd = csl.GetMemDsdOp(buffer.result, 4)
+        dsd = csl.GetMemDsdOp("b", 4)
         constant = csl.ConstantOp(2.0, f32)
         fmacs = csl.FmacsOp(dsd.result, dsd.result, dsd.result, constant.result)
         assert fmacs.dest is dsd.result

@@ -17,18 +17,22 @@ one tag:
 * ``rejects input`` — an error path for input no shipped driver sends (or
   a guard the ``why`` names); it stays, and belongs under a test;
 * ``driver gap`` — reachable by what the repository ships, but the driver
-  does not go there (say, a second process reading the disk store);
+  does not go there (say, a second process reading the disk store); its
+  ``why`` names what does reach it: the outside input (handwritten CSL, a
+  library caller, a CLI invocation), the benchmark or the test;
 * ``timing`` — runs or not depending on thread scheduling; its statements
   are left out of the census whether they ran or not.
 
-An entry may say ``why`` in a few words where the tag alone does not.  The
+Any other entry may say ``why`` in a few words where the tag alone does
+not.  The
 bodies of ``if TYPE_CHECKING:`` blocks are not executable code and
 ``repro/tests_support.py`` (the tests' own helpers) is not censused.
 
 A range that no shipped driver reaches and no outside input can is
 *unreached*: it is deleted, not tagged.  ``test_reach.py`` fails when an
-unexecuted range carries no tag, and when a ``rejects input`` or ``driver
-gap`` range now runs (or its text is gone), so the tag is stale.
+unexecuted range carries no tag, when a ``driver gap`` names no ``why``,
+and when a ``rejects input`` or ``driver gap`` range now runs (or its text
+is gone), so the tag is stale.
 
     python tests/reach/reach_census.py            # print the per-module table
     python tests/reach/reach_census.py --update   # also rewrite the report
@@ -286,7 +290,8 @@ def entry_key(entry: dict) -> tuple:
 def compare(result: Census, report: list[dict]) -> dict[str, list]:
     """What the ratchet fails on: ``untagged`` unexecuted ranges, ``stale``
     ratcheted entries (their range ran, or its text is gone), ``timing``
-    entries whose text is gone, and entries with a tag outside :data:`TAGS`."""
+    entries whose text is gone, entries with a tag outside :data:`TAGS`,
+    and ``driver gap`` entries naming no ``why``."""
     tags = {entry_key(entry): entry["tag"] for entry in report}
     current = {r.key for r in result.ranges}
     return {
@@ -300,6 +305,10 @@ def compare(result: Census, report: list[dict]) -> dict[str, list]:
         "timing": result.missing_timing,
         "bad tags": [
             entry for entry in report if entry["tag"] not in TAGS
+        ],
+        "no why": [
+            entry for entry in report
+            if entry["tag"] == "driver gap" and not entry.get("why")
         ],
     }
 

@@ -21,9 +21,10 @@ lines of ``src/repro`` that ran as ``{relative path: [line, ...]}``:
   cache), as an experiment and through a forked worker process, ``queue
   list``/``status``/``wait``/``cancel``, ``stats`` and ``purge``)
   and ``python -m repro.csl`` (``parse``, ``dump``, ``dump --canonical``,
-  ``diff``);
+  ``diff`` with and without ``--fields``), and ``python -m
+  repro.eval.report``;
 * the shard-grid derivation, with the CPU count and the override variable
-  given explicitly.
+  given explicitly, and one compile with ``REPRO_PASS_TIMING=1``.
 
 A forked queue worker inherits the tracer of the claim thread that forked
 it and writes its own lines next to ``OUT.json`` before it exits; they are
@@ -249,6 +250,18 @@ def drive_shard_grid() -> None:
             del os.environ[tiled.SHARD_ENV_VAR]
 
 
+def drive_pass_timing() -> None:
+    """One compile with ``REPRO_PASS_TIMING=1``: the per-pass table."""
+    from repro.frontends.common import BoundaryCondition
+
+    os.environ["REPRO_PASS_TIMING"] = "1"
+    try:
+        with _quiet():
+            _compile("Jacobian", BoundaryCondition.parse("dirichlet"), 4, 4, 8, 1)
+    finally:
+        del os.environ["REPRO_PASS_TIMING"]
+
+
 def drive_service_cli() -> None:
     from repro.service import cli
     from repro.wse.executors import tiled
@@ -298,12 +311,19 @@ def drive_csl_cli() -> None:
             "--grid", "9x9", "--nz", "16", "--num-chunks", "1",
             "--executors", "vectorized,compiled", "--fields", "u,v",
         ],
+        # every buffer both programs declare alike
+        [
+            "diff", "--csl", handwritten, "--benchmark", "Seismic",
+            "--grid", "9x9", "--nz", "16", "--num-chunks", "1",
+            "--executors", "vectorized",
+        ],
     ):
         with _quiet():
             status = main(argv, out=io.StringIO())
         if status:
             raise AssertionError(f"repro.csl {argv}: exit {status}")
     _run_module("repro.csl", ["--help"])
+    _run_module("repro.eval.report", [])
 
 
 def _run_module(name: str, argv: list[str]) -> None:
@@ -343,6 +363,7 @@ DRIVERS = (
     drive_benchmarks,
     drive_banded,
     drive_shard_grid,
+    drive_pass_timing,
     drive_service_cli,
     drive_csl_cli,
 )

@@ -43,6 +43,14 @@ def test_every_timing_range_is_still_in_its_module(failures):
     assert not gone, f"timing ranges whose text is gone ({REGENERATE}): {gone}"
 
 
+def test_every_driver_gap_names_what_reaches_it(failures):
+    unexplained = [reach_census.describe(item) for item in failures["no why"]]
+    assert not unexplained, (
+        f"driver gap entries with no 'why' (name the input, caller or test "
+        f"that reaches the range, or delete it): {unexplained}"
+    )
+
+
 def test_every_tag_is_a_known_one(failures):
     unknown = [
         f"{reach_census.describe(item)} -> {item['tag']!r}"

@@ -1,16 +1,17 @@
 """Programs no producer emits are rejected by name, not run a second way.
 
-Every ``csl.get_mem_dsd`` the pipeline or the CSL front door produces names
-its buffer symbol, and no host or layout op (imports, exports, RPC) is ever
-placed in a callable body.  A hand-built program that breaks either rule
-gets a named error from the layer that meets it first: the plan for an
-unnamed DSD, the interpreter and the kernel emitter for a host op.
+Every ``csl.get_mem_dsd`` names a buffer symbol that a ``csl.zeros``
+declares, and no host or layout op (imports, exports, RPC) is ever placed
+in a callable body.  A hand-built program that breaks either rule gets a
+named error from the layer that meets it first: the plan for a DSD over an
+undeclared buffer, the interpreter and the kernel emitter for a host op.
 """
 
 import pytest
 
 from repro.benchmarks import benchmark_by_name
 from repro.dialects import csl
+from repro.ir.attributes import StringAttr
 from repro.ir.exceptions import InterpretationError
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.codegen import KernelCodegenError, generate_kernel_source
@@ -37,11 +38,13 @@ def _callable_ops(module, kind):
                 yield name, op
 
 
-def test_a_dsd_naming_no_buffer_is_a_plan_error():
+def test_a_dsd_naming_an_undeclared_buffer_is_a_plan_error():
     module = _program_module()
     _, dsd = next(_callable_ops(module, csl.GetMemDsdOp))
-    dsd.remove_attribute("buffer")
-    with pytest.raises(PlanError, match="csl.get_mem_dsd .* names no buffer"):
+    dsd.set_attribute("buffer", StringAttr("undeclared"))
+    with pytest.raises(
+        PlanError, match="csl.get_mem_dsd .* names 'undeclared', which no csl.zeros"
+    ):
         ExecutionPlan.compile(ProgramImage(module), GRID, GRID)
 
 
