@@ -467,6 +467,8 @@ class JobQueue:
                 f"recovered {stats.recovered}",
                 f"  worker spawns {stats.worker_spawns}  store connections "
                 f"opened {self.store.connections_opened}",
+                f"  store writer-lock waits {self.store.writer_waits} "
+                f"({self.store.writer_wait_seconds * 1e3:.1f} ms)",
                 f"  store: {self.store.path} "
                 f"({sum(counts.values())} jobs: {populated or 'empty'})",
             ]

@@ -19,6 +19,26 @@ process's store operations one at a time, so one connection serves every
 thread, and a connection is never carried across ``fork()`` (see
 :func:`quiesced_for_fork`).
 
+**Locking model.**  Every write transaction first takes the *writer lock*,
+``fcntl.flock(LOCK_EX)`` on ``jobs.db.lock`` beside the database, and
+releases it after its ``COMMIT`` or ``ROLLBACK``.  The order is always
+:data:`FORK_LOCK`, then the writer lock, then SQLite's own lock; never the
+reverse.  What it saves: without it, a writer that finds the database
+locked sleeps in SQLite's busy handler (1, 2, 5, 10 ... ms between polls)
+although the holder's transaction takes well under a millisecond; a
+writer blocked on the writer lock wakes as soon as it is released
+(:attr:`JobStore.writer_waits` counts such waits).  Readers take no writer
+lock (WAL readers never block writers).  SQLite's locking stays the
+correctness mechanism: a writer that does not take the writer lock (an
+older build, the ``sqlite3`` shell) is still excluded by it, and the 30 s
+busy timeout still bounds how long a store waits for one.  The writer lock
+itself has no timeout: its holder is inside one bounded transaction, and
+the kernel releases the lock of a process that dies holding it (SQLite
+rolls that transaction back).  Its file descriptor opens and closes with
+the connection, so a forked child never locks through a descriptor it
+inherited.  One thread never opens a write transaction inside another (it
+would wait on its own lock forever); :meth:`JobStore._txn` raises instead.
+
 Payloads are self-contained: the stencil program and pipeline options are
 pickled, so a daemon restarted days later can re-execute a queued job
 without the submitting client.
@@ -27,6 +47,7 @@ without the submitting client.
 from __future__ import annotations
 
 import base64
+import fcntl
 import json
 import os
 import pickle
@@ -70,12 +91,27 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: worker pool forks under :func:`quiesced_for_fork`, which holds it.
 FORK_LOCK = threading.RLock()
 
-#: every open store connection of this process.  Strong references on
-#: purpose: a connection leaves this set only by being closed under
-#: :data:`FORK_LOCK` — never by garbage collection, which runs SQLite's
-#: close in whichever thread trips it, and clears weak references to a
-#: dying store before the store gets to say anything.
-_OPEN_CONNECTIONS: "set[sqlite3.Connection]" = set()
+#: every open store connection of this process, with the file descriptor
+#: of its writer lock.  Strong references on purpose: a connection leaves
+#: this map only by being closed under :data:`FORK_LOCK` — never by garbage
+#: collection, which runs SQLite's close in whichever thread trips it, and
+#: clears weak references to a dying store before the store gets to say
+#: anything.
+_OPEN_CONNECTIONS: "dict[sqlite3.Connection, int]" = {}
+
+#: the store whose write transaction is open in this process, if any.  It
+#: is read and written only under :data:`FORK_LOCK`, so when the thread that
+#: holds that lock finds it set, the transaction is its own.
+_open_write: "JobStore | None" = None
+
+
+def _close(connection: sqlite3.Connection, writer_lock: int) -> None:
+    """Close a connection and its writer lock's descriptor (which releases
+    the lock if it is held)."""
+    try:
+        connection.close()
+    finally:
+        os.close(writer_lock)
 
 
 @contextmanager
@@ -87,12 +123,14 @@ def quiesced_for_fork() -> Iterator[None]:
     born with no SQLite state at all — no inherited connection to touch,
     and none of the parent's file-lock bookkeeping, which would let the
     child believe it holds locks that ``fork()`` did not give it (and let
-    the parent delete a WAL the child is still writing).  The parent's
-    stores reconnect on their next operation.
+    the parent delete a WAL the child is still writing).  The writer locks'
+    descriptors are closed with them: a ``flock`` belongs to the open file
+    description, which a child sharing it would hold together with its
+    parent.  The parent's stores reconnect on their next operation.
     """
     with FORK_LOCK:
-        for connection in _OPEN_CONNECTIONS:
-            connection.close()
+        for connection, writer_lock in _OPEN_CONNECTIONS.items():
+            _close(connection, writer_lock)
         _OPEN_CONNECTIONS.clear()
         yield
 
@@ -269,12 +307,18 @@ class JobStore:
     ):
         self.directory = resolve_cache_directory(directory) / "queue"
         self.path = self.directory / "jobs.db"
+        #: the writer lock's file (see the module docstring).
+        self.lock_path = self.directory / "jobs.db.lock"
         self.on_event = on_event
         #: SQLite connections this instance has opened (one per use between
         #: ``close()`` calls, however many operations and threads).
         self.connections_opened = 0
         #: ``BEGIN IMMEDIATE`` transactions this instance has run.
         self.transactions = 0
+        #: write transactions that found the writer lock held by another
+        #: process, and the seconds they waited for it.
+        self.writer_waits = 0
+        self.writer_wait_seconds = 0.0
         self._connection: sqlite3.Connection | None = None
         #: per-thread buffer of events recorded inside the open transaction.
         self._local = threading.local()
@@ -300,9 +344,12 @@ class JobStore:
             connection.isolation_level = None
             connection.execute("PRAGMA synchronous=NORMAL")
             connection.execute("PRAGMA busy_timeout=30000")
+            writer_lock = os.open(
+                self.lock_path, os.O_RDWR | os.O_CREAT | os.O_CLOEXEC, 0o644
+            )
             self._connection = connection
             self.connections_opened += 1
-            _OPEN_CONNECTIONS.add(connection)
+            _OPEN_CONNECTIONS[connection] = writer_lock
         return self._connection
 
     def close(self) -> None:
@@ -317,8 +364,7 @@ class JobStore:
                 self._drop_connection()
 
     def _drop_connection(self) -> None:
-        _OPEN_CONNECTIONS.discard(self._connection)
-        self._connection.close()
+        _close(self._connection, _OPEN_CONNECTIONS.pop(self._connection))
 
     def __del__(
         self, _fork_lock=FORK_LOCK, _open_connections=_OPEN_CONNECTIONS
@@ -331,8 +377,7 @@ class JobStore:
         with _fork_lock:
             connection = getattr(self, "_connection", None)
             if connection in _open_connections:
-                _open_connections.discard(connection)
-                connection.close()
+                _close(connection, _open_connections.pop(connection))
 
     def _ensure_schema(self) -> None:
         # Fast path: an existing store only needs a lock-free version read —
@@ -388,17 +433,27 @@ class JobStore:
 
     @contextmanager
     def _txn(self) -> Iterator[sqlite3.Connection]:
-        """One ``BEGIN IMMEDIATE`` transaction; events fire after commit.
+        """One ``BEGIN IMMEDIATE`` transaction under the writer lock;
+        events fire after commit.
 
         The per-transaction event buffer is thread-local, so concurrent
         worker threads never observe each other's half-recorded histories.
         """
+        global _open_write
         recorded: list[JobEvent] = []
         previous = getattr(self._local, "events", None)
         self._local.events = recorded
         try:
             with FORK_LOCK:
+                if _open_write is not None:
+                    raise RuntimeError(
+                        f"write to job store {self.path} inside an open "
+                        f"write transaction of {_open_write.path}"
+                    )
                 connection = self._connected()
+                writer_lock = _OPEN_CONNECTIONS[connection]
+                self._lock_writer(writer_lock)
+                _open_write = self
                 try:
                     connection.execute("BEGIN IMMEDIATE")
                     self.transactions += 1
@@ -410,9 +465,14 @@ class JobStore:
                         connection.execute("ROLLBACK")
                     except sqlite3.Error:
                         # Nothing to roll back (BEGIN itself failed) or an
-                        # unknown transaction state: never reuse it.
+                        # unknown transaction state: never reuse it.  The
+                        # lock's descriptor closes with it, releasing it.
                         self._drop_connection()
                     raise
+                finally:
+                    _open_write = None
+                    if connection in _OPEN_CONNECTIONS:
+                        fcntl.flock(writer_lock, fcntl.LOCK_UN)
         finally:
             self._local.events = previous
         # Fired outside FORK_LOCK: subscribers may take their own locks,
@@ -420,6 +480,18 @@ class JobStore:
         if self.on_event is not None:
             for event in recorded:
                 self.on_event(event)
+
+    def _lock_writer(self, writer_lock: int) -> None:
+        """Take the writer lock, blocking until its holder releases it."""
+        try:
+            fcntl.flock(writer_lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            # Held by another process's transaction; counted before the
+            # wait, so a blocked writer is visible while it waits.
+            self.writer_waits += 1
+            started = time.perf_counter()
+            fcntl.flock(writer_lock, fcntl.LOCK_EX)
+            self.writer_wait_seconds += time.perf_counter() - started
 
     def _record_event(
         self,

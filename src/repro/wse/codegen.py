@@ -121,7 +121,7 @@ import os
 import re
 from collections import OrderedDict, deque
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -364,8 +364,7 @@ class _KernelEmitter:
         self._buffer_names: dict[str, str] = {}
         self._views: dict[tuple, str] = {}  # (buffer, offset, length, stride)
         self._scratch: dict[int, str] = {}  # dest length -> name
-        #: the plan of every comms op, indexed by exchange id, its
-        #: ``source_buffer`` the authoritative one (the runtime DSD operand's).
+        #: the plan of every comms op, indexed by exchange id.
         self._exchanges: list[ExchangePlan] = []
         #: fancy-index constants: (values, orient) -> name.
         self._indices: dict[tuple[tuple[int, ...], str], str] = {}
@@ -712,7 +711,7 @@ class _KernelEmitter:
         elif isinstance(op, csl.DSD_BUILTIN_OPS):
             self._emit_builtin(op, env, b)
         elif isinstance(op, csl.CommsExchangeOp):
-            self._emit_exchange_schedule(op, env, b)
+            self._emit_exchange_schedule(op, b)
         elif isinstance(op, csl.UnblockCmdStreamOp):
             b.line("state.halted = True")
         else:
@@ -859,13 +858,8 @@ class _KernelEmitter:
     # -- the comms exchange ---------------------------------------------- #
 
     def _emit_exchange_schedule(
-        self, op: csl.CommsExchangeOp, env: dict[int, Any], b: SourceBuilder
+        self, op: csl.CommsExchangeOp, b: SourceBuilder
     ) -> None:
-        source = self._entry(op.buffer, env)
-        if not isinstance(source, _DsdExpr):
-            raise KernelCodegenError(
-                "csl.comms_exchange buffer operand is not a DSD"
-            )
         planned = self.plan.exchange_plan(op)
         for callback in (planned.receive_callback, planned.done_callback):
             if callback and callback not in self.image.callables:
@@ -878,10 +872,6 @@ class _KernelEmitter:
                 f"not a program buffer"
             )
         eid = len(self._exchanges)
-        # The runtime DSD operand's buffer stays authoritative, exactly as
-        # in the interpreter's planned path.
-        if planned.source_buffer != source.buffer:
-            planned = replace(planned, source_buffer=source.buffer)
         self._exchanges.append(planned)
         self._schedulers.add(self._emitting)
         b.line("counters['exchanges'] += 1")

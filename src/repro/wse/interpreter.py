@@ -26,7 +26,7 @@ with the module: there is no process-wide table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -373,18 +373,8 @@ def _dsd_builtin(compute):
 def _handle_comms_exchange(
     interp: PeInterpreter, op: csl.CommsExchangeOp, env
 ) -> None:
-    buffer_value = interp._value(op.buffer, env)
-    if not isinstance(buffer_value, Dsd):
-        raise InterpretationError("csl.comms_exchange buffer operand is not a DSD")
-
     interp.pe.counters["exchanges"] += 1
-    # The source buffer comes from the runtime DSD operand: the plan's
-    # statically-propagated name matches it on every generated program,
-    # but a dynamic operand chain stays authoritative.
-    planned = interp.plan.exchange_plan(op)
-    if planned.source_buffer != buffer_value.buffer:
-        planned = replace(planned, source_buffer=buffer_value.buffer)
-    interp.pe.pending_exchange = planned
+    interp.pe.pending_exchange = interp.plan.exchange_plan(op)
 
 
 def _handle_unblock(interp: PeInterpreter, op, env) -> None:

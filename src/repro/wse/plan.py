@@ -15,10 +15,11 @@ that out of the hot loop, once, ahead of execution:
   naming a symbol no ``csl.zeros`` declares is a :class:`PlanError`, so no
   executor resolves a buffer any other way;
 * **exchange schedule** — the attribute bundle of every
-  ``csl.comms_exchange`` (offsets, chunking, directions, callbacks) is
-  parsed into an :class:`ExchangePlan` keyed by the op — the one record
-  of an exchange every executor schedules and every kernel is emitted
-  from;
+  ``csl.comms_exchange`` (offsets, chunking, directions, callbacks) and the
+  buffer its operand DSD reads are parsed into an :class:`ExchangePlan`
+  keyed by the op — the one record of an exchange every executor schedules
+  and every kernel is emitted from.  An operand that is not a DSD of a
+  declared buffer (shifted or not) is a :class:`PlanError`;
 * **halo tables** — for each direction any exchange pulls from, the
   boundary-folded source row/column of every fabric row/column is
   precomputed into a :class:`HaloTable`: a pure gather (``periodic`` /
@@ -69,7 +70,9 @@ class PlanError(InterpretationError):
 class ExchangePlan:
     """The static attribute bundle of one ``csl.comms_exchange`` op."""
 
-    source_buffer: str | None  # None when the operand DSD is dynamic
+    #: the buffer the operand DSD reads, also when its offset is shifted
+    #: at run time (a shift keeps its base's buffer).
+    source_buffer: str
     source_offset: int
     source_length: int
     chunk_size: int
@@ -315,6 +318,7 @@ class ExecutionPlan:
         for name in sorted(image.callables):
             callable_op = image.callables[name]
             env: dict[int, Dsd] = {}
+            sources: dict[int, str] = {}
             counter = [0]
             for block in _callable_blocks(callable_op):
                 _plan_block(
@@ -322,6 +326,7 @@ class ExecutionPlan:
                     name,
                     image.buffers,
                     env,
+                    sources,
                     counter,
                     static_dsds,
                     exchange_plans,
@@ -464,13 +469,15 @@ def _plan_block(
     callable_name: str,
     buffers: dict[str, int],
     env: dict[int, Dsd],
+    sources: dict[int, str],
     counter: list[int],
     static_dsds: dict[Operation, Dsd],
     exchange_plans: dict[Operation, ExchangePlan],
     op_labels: dict[Operation, tuple[str, int]],
     directions: list[tuple[int, int]],
 ) -> None:
-    """Abstractly interpret one block for statically-known DSD values."""
+    """Abstractly interpret one block for statically-known DSD values
+    (``env``) and the buffer of every DSD value (``sources``)."""
     for op in block.ops:
         index = counter[0]
         counter[0] += 1
@@ -482,22 +489,30 @@ def _plan_block(
                 )
             dsd = Dsd(op.buffer, op.offset, op.length, op.stride)
             env[id(op.results[0])] = dsd
+            sources[id(op.results[0])] = op.buffer
             static_dsds[op] = dsd
             op_labels[op] = (callable_name, index)
         elif isinstance(op, csl.IncrementDsdOffsetOp):
-            base = env.get(id(op.operands[0]))
+            base = id(op.operands[0])
+            if base in sources:  # static or not, a shift keeps the buffer
+                sources[id(op.results[0])] = sources[base]
             # A second operand is a runtime offset (e.g. the chunk base a
             # receive task gets as its wavelet argument) — not static.
-            if base is not None and len(op.operands) == 1:
-                dsd = base.shifted(op.offset)
+            if base in env and len(op.operands) == 1:
+                dsd = env[base].shifted(op.offset)
                 env[id(op.results[0])] = dsd
                 static_dsds[op] = dsd
                 op_labels[op] = (callable_name, index)
         elif isinstance(op, csl.CommsExchangeOp):
+            source = sources.get(id(op.buffer))
+            if source is None:
+                raise PlanError(
+                    f"csl.comms_exchange #{index} of '{callable_name}' sends "
+                    f"a value that is not a DSD of a declared buffer"
+                )
             attributes = op.attributes
-            source = env.get(id(op.buffer))
             plan = ExchangePlan(
-                source_buffer=source.buffer if source is not None else None,
+                source_buffer=source,
                 source_offset=attributes["src_offset"].value,
                 source_length=attributes["src_len"].value,
                 chunk_size=attributes["chunk_size"].value,

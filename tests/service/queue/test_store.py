@@ -1,6 +1,13 @@
-"""The persistent SQLite job store: atomic transitions, dedup, recovery."""
+"""The persistent SQLite job store: atomic transitions, dedup, recovery,
+and the writer lock every write transaction takes first."""
 
+import fcntl
+import multiprocessing
+import os
+import signal
+import sqlite3
 import threading
+import time
 
 import pytest
 
@@ -10,7 +17,12 @@ from repro.service.queue.lifecycle import (
     JobStatus,
     UnknownJobError,
 )
-from repro.service.queue.store import JobPayload, JobStore
+from repro.service.queue.store import (
+    _OPEN_CONNECTIONS,
+    JobPayload,
+    JobStore,
+    quiesced_for_fork,
+)
 from repro.transforms.pipeline import PipelineOptions
 
 
@@ -270,6 +282,13 @@ class TestEventsAndReporting:
         assert stats.events == 4
         assert stats.total_bytes > 0
 
+    def test_a_closed_store_counts_no_wal(self, tmp_path):
+        store = JobStore(tmp_path)
+        _submit(store)
+        store.close()  # the last connection: SQLite removes -wal and -shm
+        assert not os.path.exists(f"{store.path}-wal")
+        assert store.total_bytes() == store.path.stat().st_size
+
     def test_purge_empties_jobs_and_events(self):
         store = JobStore()
         _submit(store)
@@ -285,3 +304,230 @@ class TestEventsAndReporting:
             )
         with pytest.raises(ValueError, match="schema version 0"):
             JobStore()
+
+
+def _until(condition, what, timeout=60.0):
+    """Wait for a condition another thread or process brings about; the
+    bound only stops a broken build from hanging."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.001)
+
+
+@pytest.fixture
+def fork():
+    """``fork(target, *args)`` forks ``target(*args, pipe)`` the way the
+    worker pool forks and returns the process and the parent's end of the
+    pipe; every child still alive when the test ends is killed, so a
+    failing test leaves no child holding a transaction open."""
+    context = multiprocessing.get_context("fork")
+    children = []
+
+    def start(target, *args):
+        ours, theirs = context.Pipe()
+        with quiesced_for_fork():
+            process = context.Process(target=target, args=(*args, theirs))
+            process.start()
+            theirs.close()
+        children.append(process)
+        return process, ours
+
+    yield start
+    for child in children:
+        child.kill()
+        child.join()
+
+
+def _hold_a_write(cache_dir, job_id, pipe):
+    """Forked child: touch the job inside a write transaction, say so, and
+    commit only when told."""
+    store = JobStore(cache_dir)
+    with store._txn() as connection:
+        connection.execute(
+            "UPDATE jobs SET updated_at = ? WHERE id = ?", (time.time(), job_id)
+        )
+        pipe.send("holding")
+        pipe.recv()
+    pipe.send("committed")
+
+
+def _die_holding_a_write(cache_dir, job_id, pipe):
+    """Forked child: claim the job and record its event, then wait to be
+    killed before committing."""
+    store = JobStore(cache_dir)
+    with store._txn() as connection:
+        connection.execute(
+            "UPDATE jobs SET status = ?, worker = 'doomed' WHERE id = ?",
+            (JobStatus.COMPILING.value, job_id),
+        )
+        store._record_event(
+            connection, job_id, JobStatus.QUEUED, JobStatus.COMPILING,
+            "never committed", "doomed", time.time(),
+        )
+        pipe.send("holding")
+        pipe.recv()
+
+
+def _write_inside_a_write(cache_dir, pipe):
+    """Forked child: inside a write transaction, write through a second
+    store and through the same store; report what each raised."""
+    store, other = JobStore(cache_dir), JobStore(cache_dir)
+    outcomes = []
+    for nested in (other, store):
+        try:
+            with store._txn():
+                nested.claim_next("w")
+        except RuntimeError as error:
+            outcomes.append(str(error))
+        else:
+            outcomes.append(None)
+    pipe.send(outcomes)
+
+
+def _probe(store) -> bool:
+    """True when ``store``'s own writer-lock descriptor can take the lock
+    now (it is then released again)."""
+    writer_lock = _OPEN_CONNECTIONS[store._connected()]
+    try:
+        fcntl.flock(writer_lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        return False
+    fcntl.flock(writer_lock, fcntl.LOCK_UN)
+    return True
+
+
+def _hold_through_the_inherited_store(store, pipe):
+    """Forked child: write through the very store object the parent had
+    open, then probe the lock the parent holds."""
+    with store._txn():
+        pipe.send("holding")
+        pipe.recv()
+    pipe.recv()
+    pipe.send(_probe(store))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the lock tests fork their second writer",
+)
+class TestWriterLock:
+    def test_a_contended_writer_blocks_then_commits_without_busy_waits(
+        self, tmp_path, fork
+    ):
+        store = JobStore(tmp_path)
+        record, _ = _submit(store)
+        holder, pipe = fork(_hold_a_write, tmp_path, record.id)
+        assert pipe.recv() == "holding"
+        # No busy handler: a writer that reached SQLite's lock while the
+        # holder has it would fail at once with "database is locked".
+        store._connected().execute("PRAGMA busy_timeout=0")
+        claimed, errors = [], []
+
+        def write():
+            try:
+                claimed.append(store.claim_next("w"))
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        _until(lambda: store.writer_waits == 1 or errors, "the writer to block")
+        assert not errors and not claimed  # blocked, not failed
+        pipe.send("commit")
+        writer.join(timeout=60)
+        assert pipe.recv() == "committed"
+        holder.join(timeout=60)
+        assert holder.exitcode == 0
+        assert not errors, errors
+        assert claimed[0].id == record.id
+        assert claimed[0].status is JobStatus.COMPILING
+        assert store.writer_waits == 1
+        assert store.writer_wait_seconds > 0
+
+    def test_a_holder_killed_inside_a_transaction_does_not_wedge_the_store(
+        self, tmp_path, fork
+    ):
+        store = JobStore(tmp_path)
+        record, _ = _submit(store)
+        holder, pipe = fork(_die_holding_a_write, tmp_path, record.id)
+        assert pipe.recv() == "holding"
+        assert not _probe(store)
+        os.kill(holder.pid, signal.SIGKILL)
+        holder.join(timeout=60)
+        assert holder.exitcode == -signal.SIGKILL
+        claimed = store.claim_next("sibling")
+        assert claimed.id == record.id and claimed.worker == "sibling"
+        details = [event.detail for event in store.events(record.id)]
+        assert details == ["submitted", "claimed (attempt 1/3)"]
+
+    def test_a_rolled_back_transition_releases_the_lock(self, tmp_path):
+        store = JobStore(tmp_path)
+        record, _ = _submit(store)
+        with pytest.raises(IllegalTransitionError):
+            store.transition(record.id, JobStatus.DONE)
+        # A second open file description conflicts with a held flock even
+        # in the same process.
+        probe = os.open(store.lock_path, os.O_RDWR)
+        try:
+            fcntl.flock(probe, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        finally:
+            os.close(probe)
+
+    def test_a_writer_outside_the_lock_is_still_excluded_by_sqlite(
+        self, tmp_path
+    ):
+        """A connection that never takes the writer lock (the ``sqlite3``
+        shell, say) still holds SQLite's: a store whose BEGIN fails on it
+        drops its connection, and with it the writer lock."""
+        store = JobStore(tmp_path)
+        record, _ = _submit(store)
+        outsider = sqlite3.connect(store.path, isolation_level=None)
+        outsider.execute("BEGIN IMMEDIATE")
+        store._connected().execute("PRAGMA busy_timeout=0")
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            store.transition(record.id, JobStatus.CANCELLED)
+        assert store._connection not in _OPEN_CONNECTIONS
+        probe = os.open(store.lock_path, os.O_RDWR)
+        try:
+            fcntl.flock(probe, fcntl.LOCK_EX | fcntl.LOCK_NB)  # released
+        finally:
+            os.close(probe)
+        outsider.execute("ROLLBACK")
+        outsider.close()
+        assert store.cancel_queued(record.id)
+        assert store.connections_opened == 2
+
+    def test_a_child_forked_under_quiesced_for_fork_and_its_parent_exclude_each_other(
+        self, tmp_path, fork
+    ):
+        store = JobStore(tmp_path)
+        store.counts()  # the parent's connection and lock descriptor are open
+        child, pipe = fork(_hold_through_the_inherited_store, store)
+        assert pipe.recv() == "holding"
+        assert not _probe(store)  # the child's lock excludes the parent
+        pipe.send("release")
+        with store._txn():
+            pipe.send("probe")
+            assert pipe.recv() is False  # the parent's excludes the child
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        assert _probe(store)
+
+    def test_no_write_inside_an_open_write_transaction(self, tmp_path, fork):
+        """A nested writer would wait on its own thread's lock forever, so
+        it raises instead, and the outer transaction rolls back.  Tried in
+        a child, so a build without the guard fails instead of hanging."""
+        store = JobStore(tmp_path)
+        record, _ = _submit(store)
+        child, pipe = fork(_write_inside_a_write, tmp_path)
+        assert pipe.poll(60), "a nested write hung"
+        nested = (
+            f"write to job store {store.path} inside an open write "
+            f"transaction of {store.path}"
+        )
+        assert pipe.recv() == [nested, nested]
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        assert store.get(record.id).status is JobStatus.QUEUED
+        assert store.claim_next("w").id == record.id

@@ -25,7 +25,7 @@ import pytest
 from repro.benchmarks import benchmark_by_name
 from repro.service.cli import main as cli_main
 from repro.service.queue import JobQueue, JobStatus, JobStore
-from repro.service.queue.store import quiesced_for_fork
+from repro.service.queue.store import _OPEN_CONNECTIONS, quiesced_for_fork
 from repro.service.queue.workers import HOLD_FILE_ENV
 from repro.transforms.pipeline import PipelineOptions
 from repro.wse.executors.tiled import SHARD_ENV_VAR
@@ -330,15 +330,19 @@ class TestStoreConnection:
         """Under ``FORK_LOCK``, in ``__del__`` — never left to the
         connection's deallocation, which would run SQLite's close outside
         the lock in whichever thread collects the garbage (a worker forked
-        at that moment hangs on its first query)."""
+        at that moment hangs on its first query).  The writer lock's file
+        descriptor closes with it."""
         store = JobStore()
         connection = store._connection
+        writer_lock = _OPEN_CONNECTIONS[connection]
         cycle = [store]
         cycle.append(cycle)
         del store, cycle
         gc.collect()
         with pytest.raises(sqlite3.ProgrammingError, match="closed"):
             connection.execute("SELECT 1")
+        with pytest.raises(OSError):  # the writer lock's descriptor too
+            os.fstat(writer_lock)
 
     def test_close_then_reuse_reopens_exactly_once(self):
         store = JobStore()
@@ -428,6 +432,7 @@ class TestCliCounters:
         code, text = run(["queue", "submit", *job])
         assert code == 0
         assert "worker spawns 1  store connections opened" in text
+        assert "store writer-lock waits " in text
         code, text = run(["queue", "submit", *job, "--seed", "99"])
         assert code == 0
 

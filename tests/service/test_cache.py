@@ -2,6 +2,7 @@
 behaviour, disk roundtrips, overrides, damaged entries, purge."""
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +59,11 @@ def make_run_artifact(tag: str) -> RunArtifact:
 # --------------------------------------------------------------------------- #
 # Memory tier
 # --------------------------------------------------------------------------- #
+
+
+def test_memory_tier_capacity_must_be_positive():
+    with pytest.raises(ValueError, match="cache capacity must be positive, got 0"):
+        InMemoryArtifactCache(0)
 
 
 def test_memory_tier_is_lru():
@@ -139,6 +145,72 @@ def test_writes_leave_no_temp_files_behind(tmp_path):
     store.put("t" * 64, make_artifact("tmpcheck").to_json())
     leftovers = [name for name in os.listdir(store.directory) if name.endswith(".tmp")]
     assert leftovers == []
+
+
+class _Interrupted(BaseException):
+    pass
+
+
+def test_a_failed_write_leaves_no_temp_file_and_no_entry(tmp_path, monkeypatch):
+    store = compile_store(tmp_path / "store")
+
+    def full_disk(source, destination):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        store.put("f" * 64, make_artifact("full").to_json())
+    monkeypatch.undo()
+    assert os.listdir(store.directory) == []
+
+
+def test_an_interrupt_right_after_the_rename_keeps_the_entry(
+    tmp_path, monkeypatch
+):
+    """The temp file is gone by then, so its cleanup finds nothing."""
+    store = compile_store(tmp_path / "store")
+    artifact = make_artifact("kept")
+    replace = os.replace
+
+    def replace_then_interrupt(source, destination):
+        replace(source, destination)
+        raise _Interrupted
+
+    monkeypatch.setattr(os, "replace", replace_then_interrupt)
+    with pytest.raises(_Interrupted):
+        store.put(artifact.fingerprint, artifact.to_json())
+    monkeypatch.undo()
+    assert os.listdir(store.directory) == [f"{artifact.fingerprint}.json"]
+    assert store.get(artifact.fingerprint) == artifact
+
+
+def test_a_damaged_entry_another_reader_removed_first_is_a_miss(
+    tmp_path, monkeypatch
+):
+    store = compile_store(tmp_path / "store")
+    store.put("d" * 64, "{not json")
+    read_bytes = Path.read_bytes
+
+    def read_then_lose(path):  # a second reader unlinks it meanwhile
+        data = read_bytes(path)
+        os.unlink(path)
+        return data
+
+    monkeypatch.setattr(Path, "read_bytes", read_then_lose)
+    assert store.get("d" * 64) is None
+
+
+def test_entries_purged_by_another_process_after_listing_are_skipped(
+    tmp_path, monkeypatch
+):
+    store = compile_store(tmp_path / "store")
+    artifact = make_artifact("listed")
+    store.put(artifact.fingerprint, artifact.to_json())
+    listed = store._entries() + [store._path("g" * 64)]  # gone meanwhile
+    monkeypatch.setattr(store, "_entries", lambda: listed)
+    size = store._path(artifact.fingerprint).stat().st_size
+    assert store.total_bytes() == size
+    assert store.purge() == 1
 
 
 # --------------------------------------------------------------------------- #
