@@ -42,19 +42,23 @@ tiled-check:
 # under its own name), the view-delivery goldens — every buffer,
 # receive slabs included, of compiled, auto and one-shard tiled
 # byte-identical to vectorized after a run (7 benchmarks x 3 boundary modes
-# on 6x6 and the thin fabrics 1x1, 1x9, 9x2), and which exchanges take the
-# view form (Advection, UVKBE's callback-less exchange and exchanges
-# sharing a receive slab stay direct; no shard box with siblings does),
-# the banded goldens — every benchmark and boundary mode at forced 1- and
-# 2-row bands, whole-fabric and on two row-band shards, byte-identical to
-# vectorized, plus the kernel-size guard — and the executors' cost ledger
-# (Python calls per warm bind and per run of compiled and auto, against
-# recorded ceilings, and receive-slab writes per delivery and per run in
-# the emitted source: none per delivery in the view form).
+# on 6x6 and the thin fabrics 1x1, 1x9, 9x2), and which exchanges the
+# delivery schedule gives the view form (Advection, UVKBE's callback-less
+# exchange and exchanges sharing a receive slab stay direct; no shard box
+# with siblings does) — the schedule's predicates on hand-built CSL
+# programs (each condition that turns a view exchange direct, or declines
+# the kernel, flipped on its own), the banded goldens — every benchmark and
+# boundary mode at forced 1- and 2-row bands, whole-fabric and on two
+# row-band shards, byte-identical to vectorized, plus the kernel-size
+# guard — and the executors' cost ledger (Python calls per warm bind and
+# per run of compiled and auto, against recorded ceilings, and the
+# receive-slab copies, fills and copied bytes per delivery and per run, read
+# off the delivery schedule: none per delivery in the view form).
 kernel-check:
 	$(PYTHON) -m pytest tests/wse/test_kernel_digests.py \
 	  tests/wse/test_compiled_executor.py \
 	  tests/wse/test_view_delivery.py \
+	  tests/wse/test_delivery_schedule.py \
 	  tests/wse/test_banded_kernels.py \
 	  tests/wse/test_executor_cost.py -q
 

@@ -23,11 +23,11 @@ the fused delivery round as Python/NumPy source text, materialised via
   destination never partially overlaps a source — otherwise they fall back
   to the interpreter's exact ``dest[:] = expr`` statement, so results stay
   byte-identical either way;
-* the chunked halo exchange unrolls into per-direction copies: gatherable
-  directions are basic-slice runs or fancy-index gathers through bind-time
-  index constants, Dirichlet directions write only the interior rectangle
-  over a constant-fill border — or, for an exchange a whole-fabric kernel
-  delivers *as views*, into no copy at all (below).
+* the chunked halo exchange unrolls into the per-direction copies, fills
+  and publications of the kernel's delivery schedule
+  (:mod:`repro.wse.schedule`), which decides each exchange's form — views
+  of a padded source, or copies straight into the receive slab — and
+  declines a program neither fits; this module only prints it.
 
 There is one kernel kind: the kernel of one *box* of a
 :class:`~repro.wse.plan.ShardGeometry`.  ``tiled`` binds one per shard;
@@ -36,38 +36,6 @@ geometry, which is also what a call naming no geometry gets.  Every kernel
 exposes the seam protocol's round hooks (``drain`` / ``settled`` /
 ``publish`` / ``deliver``), which the round driver of several shards calls,
 and ``run_block(budget)``, the round loop a sole shard runs in one call.
-An exchange takes one of two delivery forms, chosen per exchange:
-
-* **view** — a whole-fabric kernel's exchange that
-  :meth:`_KernelEmitter._view_deliverable` proves safe: a direct
-  exchange (below) with a receive callback that is the only reader of
-  the receive buffer (through static views inside one direction slot each),
-  no other exchange on that buffer, and no callable or delivery writing the
-  source.  The source buffer is then the interior of a padded base
-  (``SHARD_META['padded']`` names it with its reach ``R``, and the sole-shard
-  executor allocates it) whose ghost cells hold the boundary's fold —
-  the Dirichlet fill written once at bind, periodic/reflect strips copied
-  at the top of each delivery — so direction ``(dx, dy)`` of a chunk *is*
-  the strided view ``P[R+dy:R+dy+H, R+dx:R+dx+W, chunk]``.  Each chunk's
-  receive callback runs as a per-chunk variant (``rc<eid>_<chunk>``) that
-  reads those bind-time views; nothing is copied per delivery.  The receive
-  slab, which nothing reads during the run, is written once when
-  ``run_block`` returns after a delivery: the last chunk and the fills,
-  exactly what the direct form leaves behind.  (The callback's own
-  function, in ``fns``, still reads the slab.  Only the sole-shard
-  executor binds a whole-fabric kernel, and it runs rounds through
-  ``run_block`` alone, so the ``deliver`` hook of a view exchange leaves
-  the slab unwritten.)
-* **direct** — every other exchange: each chunk copied straight into the
-  receive slab before its callback.  Each destination's source is read
-  from the box itself or, for a source a sibling shard owns, from that
-  sibling's seam snapshot — a 1x1 geometry has no siblings, so its kernel
-  binds no snapshot and its ``publish`` hooks are empty.
-
-Both forms need :meth:`_KernelEmitter._direct_staging_safe`: the receive
-callback's write set must exclude the source and the receive buffer, and
-the two must differ.  A program with an exchange that fails it is
-declined (:class:`KernelCodegenError`); the interpreters run it.
 
 A kernel whose longest DSD operand view is larger than ``_BAND_BYTES``
 also runs its DSD chains in cache-sized **row bands** — the
@@ -121,7 +89,7 @@ import os
 import re
 from collections import OrderedDict, deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -131,13 +99,10 @@ from repro.ir.operation import Operation
 # ``bind_statistics`` is re-exported: it is read beside
 # ``kernel_cache_statistics`` and reset by ``reset_kernel_cache``.
 from repro.wse.interpreter import bind_statistics, reset_bind_statistics
-from repro.wse.plan import (
-    ExchangePlan,
-    ExecutionPlan,
-    ShardGeometry,
-    _callable_blocks,
-    seam_publication,
-)
+from repro.wse.plan import ExecutionPlan, ShardGeometry, _callable_blocks
+# ``KernelCodegenError`` is re-exported: the schedule declines programs too.
+from repro.wse.schedule import KernelCodegenError, Region, delivery_schedule
+from repro.wse.schedule import whole_fabric
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wse.interpreter import ProgramImage
@@ -173,24 +138,9 @@ _BAND_BYTES = 256 * 1024
 #: in (``kernel_<fingerprint12>.py`` per kernel) for debugging.
 DUMP_ENV_VAR = "REPRO_COMPILED_DUMP"
 
-class KernelCodegenError(Exception):
-    """The program uses a construct the kernel generator does not fuse."""
-
-
 # --------------------------------------------------------------------------- #
 # Fingerprints
 # --------------------------------------------------------------------------- #
-
-
-def _whole_fabric(
-    plan: ExecutionPlan, box: tuple[int, int, int, int] | None
-) -> tuple[tuple[int, int, int, int], ShardGeometry]:
-    """``(box, geometry)`` of the whole fabric: the one box of the 1x1
-    geometry, what a call naming no geometry means."""
-    if box is not None:
-        raise ValueError("a box needs the geometry it belongs to")
-    geometry = ShardGeometry.build(plan.width, plan.height, 1, 1)
-    return geometry.boxes()[0], geometry
 
 
 def kernel_fingerprint(
@@ -215,7 +165,7 @@ def kernel_fingerprint(
     directly — is hashed afresh.
     """
     if geometry is None:
-        box, geometry = _whole_fabric(plan, box)
+        box, geometry = whole_fabric(plan, box)
 
     def hashed() -> str:
         payload = {
@@ -257,6 +207,11 @@ class SourceBuilder:
     def line(self, text: str = "") -> None:
         self._lines.append(("    " * self._indent + text) if text else "")
 
+    def lines(self, *texts: str) -> None:
+        """Several lines; each text's own leading spaces nest it further."""
+        for text in texts:
+            self.line(text)
+
     @contextmanager
     def indented(self):
         self._indent += 1
@@ -294,10 +249,6 @@ class _DsdExpr:
     stride: int
     runtime: str | None = None
 
-    @property
-    def view_key(self) -> tuple:
-        return (self.buffer, self.offset, self.length, self.stride, self.runtime)
-
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -315,23 +266,11 @@ class _KernelEmitter:
     """Walks one program image + plan and emits the kernel source."""
 
     BINARY_OPS = {
-        arith.AddiOp: "+",
-        arith.SubiOp: "-",
-        arith.MuliOp: "*",
-        arith.AddfOp: "+",
-        arith.SubfOp: "-",
-        arith.MulfOp: "*",
-        arith.DivfOp: "/",
+        arith.AddiOp: "+", arith.SubiOp: "-", arith.MuliOp: "*",
+        arith.AddfOp: "+", arith.SubfOp: "-", arith.MulfOp: "*", arith.DivfOp: "/",
     }
 
-    CMP_OPS = {
-        "eq": "==",
-        "ne": "!=",
-        "slt": "<",
-        "sle": "<=",
-        "sgt": ">",
-        "sge": ">=",
-    }
+    CMP_OPS = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
 
     #: what one banded run holds: the DSD builtins and the pure scalar and
     #: DSD-value ops between them.
@@ -354,38 +293,18 @@ class _KernelEmitter:
     ):
         self.image = image
         self.plan = plan
-        if geometry is None:
-            box, geometry = _whole_fabric(plan, box)
+        self.schedule = delivery_schedule(image, plan, box, geometry)
         #: ``(y0, y1, x0, x1)``: the fabric rows/columns this kernel's
-        #: arrays cover.
-        self.box = box
-        self.geometry = geometry
+        #: arrays cover (no geometry: the whole fabric).
+        self.box, self.geometry = self.schedule.box, self.schedule.geometry
         self._fn_names: dict[str, str] = {}
         self._buffer_names: dict[str, str] = {}
         self._views: dict[tuple, str] = {}  # (buffer, offset, length, stride)
         self._scratch: dict[int, str] = {}  # dest length -> name
-        #: the plan of every comms op, indexed by exchange id.
-        self._exchanges: list[ExchangePlan] = []
         #: fancy-index constants: (values, orient) -> name.
         self._indices: dict[tuple[tuple[int, ...], str], str] = {}
-        #: direct-mode exchanges whose constant-fill borders are written
-        #: lazily under a ``fl<eid>`` once-flag (receive buffer proven
-        #: unwritten outside delivery).
-        self._fill_flags: set[int] = set()
-        self._write_sets: dict[str, set[str] | None] = {}
-        #: what the first emission of every callable saw, for the view
-        #: form's predicate: the callable being emitted, each buffer's DSD
-        #: operands by callable, the callables ``csl.call``/``csl.activate``
-        #: name, and the callables that schedule an exchange themselves.
-        self._emitting: str | None = None
-        self._dsd_uses: dict[str, list[tuple[str, _DsdExpr]]] = {}
-        self._referenced: set[str] = set()
-        self._schedulers: set[str] = set()
-        #: exchanges delivered as views, their sources' reach ``R``, and
         #: the per-chunk slot views (``(eid, chunk, offset, length, stride)``
-        #: -> name) their callback variants read.
-        self._view_eids: set[int] = set()
-        self._padded: dict[str, int] = {}
+        #: -> name) the callback variants of view exchanges read.
         self._chunk_views: dict[tuple[int, int, int, int, int], str] = {}
         #: ``(eid, chunk)`` while a callback variant is emitted.
         self._chunk: tuple[int, int] | None = None
@@ -396,9 +315,6 @@ class _KernelEmitter:
         #: kernel then runs every op over whole-region views.
         self._bands: tuple[tuple[int, int], ...] = ()
         self._temp = 0
-        pub_rows, pub_cols = seam_publication(plan, self.geometry)
-        self._pub_row_slots = {row: slot for slot, row in enumerate(pub_rows)}
-        self._pub_col_slots = {col: slot for slot, col in enumerate(pub_cols)}
 
     @property
     def _grid_dims(self) -> tuple[int, int]:
@@ -410,56 +326,32 @@ class _KernelEmitter:
 
     def _assign_names(self) -> None:
         used: set[str] = set()
-        for name in sorted(self.image.callables):
-            base = "fn_" + re.sub(r"[^0-9A-Za-z_]", "_", name)
-            candidate, suffix = base, 1
-            while candidate in used:
-                candidate = f"{base}_{suffix}"
-                suffix += 1
-            used.add(candidate)
-            self._fn_names[name] = candidate
-        for buffer in sorted(self.plan.buffers):
-            base = "b_" + re.sub(r"[^0-9A-Za-z_]", "_", buffer)
-            candidate, suffix = base, 1
-            while candidate in used:
-                candidate = f"{base}_{suffix}"
-                suffix += 1
-            used.add(candidate)
-            self._buffer_names[buffer] = candidate
-
-    def _fn(self, name: str) -> str:
-        fn = self._fn_names.get(name)
-        if fn is None:
-            raise KernelCodegenError(f"reference to unknown callable '{name}'")
-        return fn
-
-    def _buffer(self, name: str) -> str:
-        local = self._buffer_names.get(name)
-        if local is None:
-            raise KernelCodegenError(f"reference to unknown buffer '{name}'")
-        return local
+        for prefix, names, table in (
+            ("fn_", self.image.callables, self._fn_names),
+            ("b_", self.plan.buffers, self._buffer_names),
+        ):
+            for name in sorted(names):
+                base = prefix + re.sub(r"[^0-9A-Za-z_]", "_", name)
+                candidate, suffix = base, 1
+                while candidate in used:
+                    candidate = f"{base}_{suffix}"
+                    suffix += 1
+                used.add(candidate)
+                table[name] = candidate
 
     def _static_view(self, dsd: _DsdExpr) -> str:
         if self._chunk is not None:
             eid, chunk = self._chunk
-            if dsd.buffer == self._exchanges[eid].receive_buffer:
+            if dsd.buffer == self.schedule.exchanges[eid].plan.receive_buffer:
                 key = (eid, chunk, dsd.offset, dsd.length, dsd.stride)
                 return self._chunk_views.setdefault(
                     key, f"w{len(self._chunk_views)}"
                 )
         key = (dsd.buffer, dsd.offset, dsd.length, dsd.stride)
-        name = self._views.get(key)
-        if name is None:
-            name = f"v{len(self._views)}"
-            self._views[key] = name
-        return name
+        return self._views.setdefault(key, f"v{len(self._views)}")
 
     def _scratch_for(self, length: int) -> str:
-        name = self._scratch.get(length)
-        if name is None:
-            name = f"scr{length}"
-            self._scratch[length] = name
-        return name
+        return self._scratch.setdefault(length, f"scr{length}")
 
     def _fresh(self) -> str:
         self._temp += 1
@@ -471,55 +363,7 @@ class _KernelEmitter:
         ``orient`` is ``"1d"`` for a lone advanced index, ``"row"``/``"col"``
         for the broadcast pair of a doubly-advanced selection."""
         key = (tuple(values), orient)
-        name = self._indices.get(key)
-        if name is None:
-            name = f"ix{len(self._indices)}"
-            self._indices[key] = name
-        return name
-
-    @staticmethod
-    def _contiguous(values: list[int]) -> bool:
-        return all(b - a == 1 for a, b in zip(values, values[1:]))
-
-    def _sel_exprs(self, rows: list[int], cols: list[int]) -> tuple[str, str]:
-        """Row/column index expressions selecting ``rows x cols`` of a 3-D
-        array.  Contiguous runs become slices; a lone ragged axis becomes a
-        1-D advanced index (position-preserving next to slices); two ragged
-        axes become an outer-broadcast ``(R,1) x (1,C)`` pair."""
-        rows_contiguous = self._contiguous(rows)
-        cols_contiguous = self._contiguous(cols)
-        if rows_contiguous and cols_contiguous:
-            return f"{rows[0]}:{rows[-1] + 1}", f"{cols[0]}:{cols[-1] + 1}"
-        if rows_contiguous:
-            return f"{rows[0]}:{rows[-1] + 1}", self._index_name(cols, "1d")
-        if cols_contiguous:
-            return self._index_name(rows, "1d"), f"{cols[0]}:{cols[-1] + 1}"
-        return self._index_name(rows, "row"), self._index_name(cols, "col")
-
-    @staticmethod
-    def _box_axis(
-        table_axis: tuple[int | None, ...], lo: int, hi: int
-    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Classify one axis of a halo table restricted to ``[lo, hi)``.
-
-        Returns ``(own, remote)`` where ``own`` pairs each local destination
-        index with its *local* source index (source inside the box) and
-        ``remote`` pairs it with the *global* source index (source owned by
-        a sibling shard, read through its seam publication).  Dirichlet
-        off-fabric destinations (``None`` sources) appear in neither — they
-        keep the constant fill.
-        """
-        own: list[tuple[int, int]] = []
-        remote: list[tuple[int, int]] = []
-        for local in range(hi - lo):
-            src = table_axis[lo + local]
-            if src is None:
-                continue
-            if lo <= src < hi:
-                own.append((local, src - lo))
-            else:
-                remote.append((local, src))
-        return own, remote
+        return self._indices.setdefault(key, f"ix{len(self._indices)}")
 
     # -- value resolution ----------------------------------------------- #
 
@@ -538,23 +382,12 @@ class _KernelEmitter:
             raise KernelCodegenError("a DSD value was used where a scalar is")
         return entry
 
-    def _slice(self, dsd: _DsdExpr) -> str:
-        stop = dsd.offset + dsd.length * dsd.stride
-        step = f":{dsd.stride}" if dsd.stride != 1 else ""
-        return f"{dsd.offset}:{stop}{step}"
-
-    def _operand_view(
-        self, dsd: _DsdExpr, builder: SourceBuilder
-    ) -> str:
+    def _operand_view(self, dsd: _DsdExpr, builder: SourceBuilder) -> str:
         """The NumPy view expression of a DSD operand.
 
         Static DSDs resolve to kernel-bind-time named views; runtime-offset
         DSDs slice inside the emitted function (with the same range check
         ``Dsd.resolve_columns`` performs)."""
-        if self._chunk is None:
-            self._dsd_uses.setdefault(dsd.buffer, []).append(
-                (self._emitting, dsd)
-            )
         if dsd.runtime is None:
             return self._static_view(dsd)
         offset_name = self._fresh()
@@ -563,7 +396,7 @@ class _KernelEmitter:
         stop = f"{offset_name} + {dsd.length * dsd.stride}"
         step = f":{dsd.stride}" if dsd.stride != 1 else ""
         builder.line(
-            f"{view_name} = {self._buffer(dsd.buffer)}"
+            f"{view_name} = {self._buffer_names[dsd.buffer]}"
             f"[:, :, {offset_name}:{stop}{step}]"
         )
         builder.line(
@@ -587,7 +420,7 @@ class _KernelEmitter:
         if block.args:
             env[id(block.args[0])] = "arg"
         fn = self._fn_names[name] if chunk is None else "rc{}_{}".format(*chunk)
-        self._emitting, self._chunk = name, chunk
+        self._chunk = chunk
         builder.line(f"def {fn}(arg=0):")
         with builder.indented():
             builder.line("counters['tasks_run'] += 1")
@@ -682,69 +515,53 @@ class _KernelEmitter:
             env[id(op.result)] = name
         elif isinstance(op, csl.StoreVarOp):
             b.line(f"variables[{op.var!r}] = {self._scalar(op.value, env)}")
-        elif type(op) in self.BINARY_OPS:
-            operator = self.BINARY_OPS[type(op)]
+        elif type(op) in self.BINARY_OPS or isinstance(op, arith.CmpiOp):
             name = self._fresh()
             lhs = _atom(self._scalar(op.lhs, env))
             rhs = _atom(self._scalar(op.rhs, env))
-            b.line(f"{name} = {lhs} {operator} {rhs}")
-            env[id(op.result)] = name
-        elif isinstance(op, arith.CmpiOp):
-            operator = self.CMP_OPS[op.predicate]
-            name = self._fresh()
-            lhs = _atom(self._scalar(op.lhs, env))
-            rhs = _atom(self._scalar(op.rhs, env))
-            b.line(f"{name} = bool({lhs} {operator} {rhs})")
+            if isinstance(op, arith.CmpiOp):
+                b.line(f"{name} = bool({lhs} {self.CMP_OPS[op.predicate]} {rhs})")
+            else:
+                b.line(f"{name} = {lhs} {self.BINARY_OPS[type(op)]} {rhs}")
             env[id(op.result)] = name
         elif isinstance(op, scf.IfOp):
             self._emit_if(op, env, b)
         elif isinstance(op, csl.CallOp):
-            self._referenced.add(op.callee)
-            b.line(f"{self._fn(op.callee)}()")
+            b.line(f"{self._fn_names[op.callee]}()")
         elif isinstance(op, csl.ActivateOp):
-            self._referenced.add(op.task_name)
-            b.line(f"queue.append(({self._fn(op.task_name)}, 0))")
-        elif isinstance(op, csl.GetMemDsdOp):
-            env[id(op.result)] = self._dsd_of_get(op)
-        elif isinstance(op, csl.IncrementDsdOffsetOp):
-            env[id(op.result)] = self._dsd_of_increment(op, env)
+            b.line(f"queue.append(({self._fn_names[op.task_name]}, 0))")
+        elif isinstance(op, (csl.GetMemDsdOp, csl.IncrementDsdOffsetOp)):
+            env[id(op.result)] = self._dsd_value(op, env)
         elif isinstance(op, csl.DSD_BUILTIN_OPS):
             self._emit_builtin(op, env, b)
         elif isinstance(op, csl.CommsExchangeOp):
-            self._emit_exchange_schedule(op, b)
+            b.line("counters['exchanges'] += 1")
+            b.line(f"pending[0] = {self.schedule.eids[op]}")
         elif isinstance(op, csl.UnblockCmdStreamOp):
             b.line("state.halted = True")
         else:
             raise KernelCodegenError(f"unsupported operation '{op.name}'")
 
     def _emit_if(self, op: scf.IfOp, env: dict[int, Any], b: SourceBuilder):
-        condition = self._scalar(op.condition, env)
-        b.line(f"if {condition}:")
+        b.line(f"if {self._scalar(op.condition, env)}:")
+        self._emit_branch(op.then_region, env, b)
+        if op.else_region.blocks and op.else_region.blocks[0].ops:
+            b.line("else:")
+            self._emit_branch(op.else_region, env, b)
+
+    def _emit_branch(self, region, env: dict[int, Any], b: SourceBuilder):
         with b.indented():
             before = len(b)
-            region = op.then_region
             if region.blocks and region.blocks[0].ops:
                 self._emit_block(region.blocks[0], env, b)
             if len(b) == before:
                 b.line("pass")
-        region = op.else_region
-        if region.blocks and region.blocks[0].ops:
-            b.line("else:")
-            with b.indented():
-                before = len(b)
-                self._emit_block(region.blocks[0], env, b)
-                if len(b) == before:
-                    b.line("pass")
 
     # -- DSD values ------------------------------------------------------ #
 
-    def _dsd_of_get(self, op: csl.GetMemDsdOp) -> _DsdExpr:
-        planned = self.plan.static_dsd(op)
-        return _DsdExpr(planned.buffer, planned.offset, planned.length, planned.stride)
-
-    def _dsd_of_increment(
-        self, op: csl.IncrementDsdOffsetOp, env: dict[int, Any]
-    ) -> _DsdExpr:
+    def _dsd_value(self, op, env: dict[int, Any]) -> _DsdExpr:
+        """The DSD a ``csl.get_mem_dsd`` (always static in the plan) or a
+        ``csl.increment_dsd_offset`` produces."""
         planned = self.plan.static_dsd(op)
         if planned is not None:
             return _DsdExpr(
@@ -760,13 +577,7 @@ class _KernelEmitter:
             extra = _atom(self._scalar(op.operands[1], env))
             term = f"int({extra})"
             runtime = term if runtime is None else f"{runtime} + {term}"
-        return _DsdExpr(
-            base.buffer,
-            base.offset + op.offset,
-            base.length,
-            base.stride,
-            runtime,
-        )
+        return replace(base, offset=base.offset + op.offset, runtime=runtime)
 
     # -- DSD compute builtins -------------------------------------------- #
 
@@ -774,22 +585,15 @@ class _KernelEmitter:
         """True when a source view shares the destination buffer with a
         *different* layout — the interpreter's full-RHS-then-assign order
         is then load-bearing and the out=-form must not be used."""
-        for source in sources:
-            if not isinstance(source, _DsdExpr):
-                continue
-            if source.buffer != dest.buffer:
-                continue
-            if source.view_key != dest.view_key:
-                return True
-        return False
+        return any(
+            isinstance(source, _DsdExpr)
+            and source.buffer == dest.buffer
+            and source != dest
+            for source in sources
+        )
 
-    def _emit_builtin(
-        self,
-        op,
-        env: dict[int, Any],
-        b: SourceBuilder,
-        band: SourceBuilder | None = None,
-    ) -> int:
+    def _emit_builtin(self, op, env: dict[int, Any], b: SourceBuilder,
+                      band: SourceBuilder | None = None) -> int:
         """One DSD builtin; returns its destination length.
 
         With ``band`` (a band-loop body) the statement goes there, over the
@@ -855,440 +659,77 @@ class _KernelEmitter:
             b.line(f"counters['dsd_elements'] += {dest.length}")
         return dest.length
 
-    # -- the comms exchange ---------------------------------------------- #
-
-    def _emit_exchange_schedule(
-        self, op: csl.CommsExchangeOp, b: SourceBuilder
-    ) -> None:
-        planned = self.plan.exchange_plan(op)
-        for callback in (planned.receive_callback, planned.done_callback):
-            if callback and callback not in self.image.callables:
-                raise KernelCodegenError(
-                    f"exchange callback '{callback}' is not a callable"
-                )
-        if planned.receive_buffer not in self.plan.buffers:
-            raise KernelCodegenError(
-                f"exchange receive buffer '{planned.receive_buffer}' is "
-                f"not a program buffer"
-            )
-        eid = len(self._exchanges)
-        self._exchanges.append(planned)
-        self._schedulers.add(self._emitting)
-        b.line("counters['exchanges'] += 1")
-        b.line(f"pending[0] = {eid}")
-
-    # -- direct-delivery write-set analysis ------------------------------- #
-
-    def _written_buffers(self, name: str) -> set[str] | None:
-        """Buffers the direct-call closure of a callable may write.
-
-        Follows ``csl.call`` into callees and both ``scf.if`` regions;
-        ``csl.activate`` targets are deferred to the task queue — which only
-        drains after the enclosing delivery completed — so they are not part
-        of the closure.  Returns ``None`` when a DSD destination cannot be
-        resolved to a buffer statically (conservative: treat as writing
-        everything).  Memoised per callable.
-        """
-        if name in self._write_sets:
-            return self._write_sets[name]
-        self._write_sets[name] = None  # cycle guard: recursion -> unknown
-        callable_op = self.image.callables.get(name)
-        if callable_op is None:
-            self._write_sets[name] = None
-            return None
-        written: set[str] = set()
-        env: dict[int, str | None] = {}
-        unknown = False
-        for block in _callable_blocks(callable_op):
-            for op in block.ops:
-                if isinstance(op, csl.GetMemDsdOp):
-                    env[id(op.results[0])] = self.plan.static_dsd(op).buffer
-                elif isinstance(op, csl.IncrementDsdOffsetOp):
-                    # a shift, static or not, keeps its base's buffer
-                    env[id(op.results[0])] = env.get(id(op.operands[0]))
-                elif isinstance(op, csl.DSD_BUILTIN_OPS):
-                    buffer = env.get(id(op.dest))
-                    if buffer is None:
-                        unknown = True
-                    else:
-                        written.add(buffer)
-                elif isinstance(op, csl.CallOp):
-                    callee_writes = self._written_buffers(op.callee)
-                    if callee_writes is None:
-                        unknown = True
-                    else:
-                        written |= callee_writes
-        result = None if unknown else written
-        self._write_sets[name] = result
-        return result
-
-    def _direct_staging_safe(self, exchange: ExchangePlan) -> bool:
-        """May this exchange copy each chunk straight into the receive slab?
-
-        The exchange's semantics (the interpreters' two phases) snapshot
-        *every* chunk before any receive callback runs; interleaving copy
-        and callback is byte-equivalent exactly when the source and the
-        receive buffer differ and the callback's direct-call closure writes
-        neither the source (later chunks would re-read modified data) nor
-        the receive buffer (its slab state between chunks is observable).
-        A kernel with an exchange that fails this is declined.
-        """
-        if exchange.receive_buffer == exchange.source_buffer:
-            return False
-        if not exchange.receive_callback:
-            return True
-        writes = self._written_buffers(exchange.receive_callback)
-        if writes is None:
-            return False
-        return (
-            exchange.source_buffer not in writes
-            and exchange.receive_buffer not in writes
-        )
-
-    def _recv_preserved(self, receive_buffer: str) -> bool:
-        """True when nothing but one exchange's own delivery writes the
-        receive buffer — no callable of the program, and no second exchange
-        delivering into the same slab (its directions' data would land on
-        this one's border cells).  The constant-fill borders written by one
-        delivery then survive until the next, so the fill only needs writing
-        once per kernel binding."""
-        sharing = sum(
-            exchange.receive_buffer == receive_buffer
-            for exchange in self._exchanges
-        )
-        if sharing > 1:
-            return False
-        for name in self.image.callables:
-            writes = self._written_buffers(name)
-            if writes is None or receive_buffer in writes:
-                return False
-        return True
-
-    def _view_deliverable(self, exchange: ExchangePlan) -> bool:
-        """May this exchange be delivered as views of a padded source?
-
-        Only in a whole-fabric kernel (a box with siblings reads their seam
-        snapshots), and only when the receive slab can be written once per
-        run without anything observing the difference: the exchange is
-        direct-safe (:meth:`_direct_staging_safe`); its receive callback
-        runs only from this delivery (no call, activation or second
-        exchange names it, and it schedules no exchange itself); that
-        callback is the only reader of the receive buffer, through static
-        views that each lie inside one direction slot; nothing else writes
-        the receive buffer (:meth:`_recv_preserved`); and no callable or
-        delivery writes the source — an unknown write set counts as a
-        write — so the source is constant for a run and the run-end slab is
-        exact.
-        """
-        callback = exchange.receive_callback
-        source = exchange.source_buffer
-        receive = exchange.receive_buffer
-        chunk = exchange.chunk_size
-        span = exchange.num_chunks * chunk
-        if (
-            (self.geometry.kx, self.geometry.ky) != (1, 1)
-            or not callback
-            or not span
-            or not exchange.directions
-            or exchange.source_offset < 0
-            or exchange.source_offset + span > self.plan.buffers.get(source, 0)
-            or callback in self._referenced
-            or callback in self._schedulers
-            or not self._direct_staging_safe(exchange)
-            or not self._recv_preserved(receive)
-        ):
-            return False
-        named = [
-            name
-            for other in self._exchanges
-            for name in (other.receive_callback, other.done_callback)
-        ]
-        if named.count(callback) != 1:
-            return False
-        if any(
-            source == other.receive_buffer or receive == other.source_buffer
-            for other in self._exchanges
-        ):
-            return False
-        for name in self.image.callables:
-            writes = self._written_buffers(name)
-            if writes is None or source in writes:
-                return False
-        for name, dsd in self._dsd_uses.get(receive, ()):
-            if name != callback or dsd.runtime is not None:
-                return False
-            slot_offset = dsd.offset % chunk
-            if (
-                dsd.offset < 0
-                or dsd.length < 1
-                or dsd.stride < 1
-                or dsd.offset // chunk >= len(exchange.directions)
-                or slot_offset + (dsd.length - 1) * dsd.stride >= chunk
-            ):
-                return False
-        return True
-
-    def _chunk_view_expression(
-        self, key: tuple[int, int, int, int, int]
-    ) -> str:
-        """The padded-source view a callback variant reads in place of a
-        receive-slab slot: direction ``(dx, dy)`` of the slot, over the
-        chunk's source z-range."""
-        eid, chunk, offset, length, stride = key
-        exchange = self._exchanges[eid]
-        source_buffer = exchange.source_buffer
-        slot, slot_offset = divmod(offset, exchange.chunk_size)
-        dx, dy = exchange.directions[slot]
-        reach = self._padded[source_buffer]
-        height, width = self._grid_dims
-        z0 = exchange.source_offset + chunk * exchange.chunk_size + slot_offset
-        step = f":{stride}" if stride != 1 else ""
-        return (
-            f"{self._padded_name(source_buffer)}"
-            f"[{reach + dy}:{reach + dy + height}, "
-            f"{reach + dx}:{reach + dx + width}, "
-            f"{z0}:{z0 + length * stride}{step}]"
-        )
+    # -- delivery printing ----------------------------------------------- #
 
     def _padded_name(self, buffer: str) -> str:
-        return "p" + self._buffer(buffer)[1:]
+        return "p" + self._buffer_names[buffer][1:]
 
-    def _halo_copies(self, buffer: str, z: str) -> list[str]:
-        """Statements refreshing the ghost cells of ``buffer``'s padded base
-        over z-range ``z`` from the boundary's fold (periodic and reflect
-        only; Dirichlet ghosts hold the fill from bind time on).
-
-        Row strips first, over the interior columns and read from the
-        interior; then column strips over every padded row, read from the
-        padded base itself, so the corners fold along both axes.  A ghost
-        cell's source depends only on its own index (a fold table entry is
-        a function of ``i + shift``), so every direction reads the same cell.
-        """
-        reach = self._padded[buffer]
-        height, width = self._grid_dims
-        fold = self.plan.boundary.fold
-        rows = [fold(y - reach, height) for y in range(height + 2 * reach)]
-        cols = [fold(x - reach, width) for x in range(width + 2 * reach)]
-        interior, padded = self._buffer(buffer), self._padded_name(buffer)
-        inner_cols = [(reach + x, x) for x in range(width)]
-        every_row = [(y, y) for y in range(height + 2 * reach)]
-        copies = []
-        for strip in (range(reach), range(reach + height, height + 2 * reach)):
-            copies += self._block_copies(
-                [(y, rows[y]) for y in strip], inner_cols, interior, z
-            )
-        for strip in (range(reach), range(reach + width, width + 2 * reach)):
-            copies += self._block_copies(
-                every_row, [(x, reach + cols[x]) for x in strip], padded, z
-            )
-        return [
-            f"np.copyto({padded}[{rows_cols}, {z}], {src})"
-            if kind == "slice"
-            else f"{padded}[{rows_cols}, {z}] = {src}"
-            for rows_cols, src, kind in copies
-        ]
-
-    @staticmethod
-    def _runs(pairs: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
-        """Maximal ``(dest_lo, dest_hi, src_lo)`` runs of ``(dest, src)``
-        index pairs in which destination and source both step by one —
-        each run is one basic-slice copy."""
-        runs: list[tuple[int, int, int]] = []
-        for dest, src in pairs:
-            if runs:
-                lo, hi, src_lo = runs[-1]
-                if dest == hi and src == src_lo + hi - lo:
-                    runs[-1] = (lo, hi + 1, src_lo)
-                    continue
-            runs.append((dest, dest + 1, src))
-        return runs
-
-    # -- delivery emission ------------------------------------------------ #
-
-    def _block_copies(
-        self,
-        rows: list[tuple[int, int]],
-        cols: list[tuple[int, int]],
-        array: str,
-        z: str,
-    ) -> list[tuple[str, str, str]]:
-        """Copies moving ``rows x cols`` (``(dest, src)`` index pairs per
-        axis) of ``array[..., z]`` into the destination.
-
-        Each copy is ``(destination rows/cols, source expression, kind)``.
-        A few contiguous runs per axis (interior shifts, periodic/reflect
-        wraps) become basic-slice copies (kind ``"slice"``); ragged tables
-        one fancy-index copy through bind-time index constants (kind
-        ``"gather"`` when only the source is ragged, ``"scatter"`` when the
-        destination is).
-        """
-        if not rows or not cols:
-            return []
-        row_runs, col_runs = self._runs(rows), self._runs(cols)
-        if len(row_runs) * len(col_runs) <= 4:
-            return [
-                (
-                    f"{ry0}:{ry1}, {cx0}:{cx1}",
-                    f"{array}[{sy}:{sy + ry1 - ry0}, {sx}:{sx + cx1 - cx0}, {z}]",
-                    "slice",
-                )
-                for ry0, ry1, sy in row_runs
-                for cx0, cx1, sx in col_runs
-            ]
-        dest_rows, dest_cols = [d for d, _ in rows], [d for d, _ in cols]
-        dr, dc = self._sel_exprs(dest_rows, dest_cols)
-        sr, sc = self._sel_exprs([s for _, s in rows], [s for _, s in cols])
-        kind = (
-            "gather"
-            if self._contiguous(dest_rows) and self._contiguous(dest_cols)
-            else "scatter"
-        )
-        return [(f"{dr}, {dc}", f"{array}[{sr}, {sc}, {z}]", kind)]
-
-    def _direction_copies(
-        self,
-        eid: int,
-        exchange: ExchangePlan,
-        direction: tuple[int, int],
-        source: str,
-        start: int,
-        stop: int,
-    ) -> list[tuple[str, str, str]]:
-        """The copies delivering one direction of chunk ``[start, stop)``
-        into this kernel's box (see :meth:`_block_copies`).
-
-        The destination cells split by where their folded source lives:
-        inside the box (read from the live source buffer), in a sibling
-        shard (read from the sibling's seam snapshot), or off-fabric
-        (Dirichlet — left to the constant fill).  The whole fabric has no
-        siblings.  Remote *rows* read whole strips of the row snapshot
-        (every shard of the source band publishes its column segment), so
-        diagonal-corner sources need no extra region.
-        """
-        table = self.plan.halo_table(direction)
-        y0, y1, x0, x1 = self.box
-        own_rows, remote_rows = self._box_axis(table.rows, y0, y1)
-        own_cols, remote_cols = self._box_axis(table.cols, x0, x1)
-        copies = self._block_copies(own_rows, own_cols, source, f"{start}:{stop}")
-        offset = exchange.source_offset
-        snapshot = f"{start - offset}:{stop - offset}"
-        # Remote rows x every in-fabric column: full-width row strips.
-        in_fabric_cols = sorted([(d, x0 + s) for d, s in own_cols] + remote_cols)
-        if remote_rows:
-            copies += self._block_copies(
-                [(d, self._pub_row_slots[s]) for d, s in remote_rows],
-                in_fabric_cols, f"rs_{eid}", snapshot,
-            )
-        # Own rows x remote columns: column strips of the source stripe.
-        if remote_cols:
-            copies += self._block_copies(
-                [(d, y0 + s) for d, s in own_rows],
-                [(d, self._pub_col_slots[s]) for d, s in remote_cols],
-                f"cs_{eid}", snapshot,
-            )
-        return copies
-
-    def _fill_slots(self, exchange: ExchangePlan) -> list[tuple[int, float]]:
-        """``(slot, fill value)`` of every direction in which some cell of
-        this kernel's box reads off the fabric (Dirichlet) and so sees the
-        constant fill."""
-        y0, y1, x0, x1 = self.box
-        slots = []
-        for slot, direction in enumerate(exchange.directions):
-            table = self.plan.halo_table(direction)
-            if None in table.rows[y0:y1] or None in table.cols[x0:x1]:
-                slots.append((slot, table.fill_value))
-        return slots
-
-    def _emit_fills(
-        self, exchange: ExchangePlan, receive_view: str, b: SourceBuilder
-    ) -> None:
-        """The constant-fill slots of the receive slab."""
-        for slot, fill in self._fill_slots(exchange):
-            z0 = slot * exchange.chunk_size
-            b.line(
-                f"{receive_view}[:, :, {z0}:{z0 + exchange.chunk_size}] = "
-                f"np.float32({fill!r})"
-            )
-
-    def _emit_stage(
-        self,
-        eid: int,
-        exchange: ExchangePlan,
-        chunk: int,
-        target: str,
-        b: SourceBuilder,
-    ) -> None:
-        """Every direction of one chunk into the receive slab view
-        ``target``."""
-        source = self._buffer(exchange.source_buffer)
-        start = exchange.source_offset + chunk * exchange.chunk_size
-        stop = start + exchange.chunk_size
-        for slot, direction in enumerate(exchange.directions):
-            z0 = slot * exchange.chunk_size
-            z = f"{z0}:{z0 + exchange.chunk_size}"
-            for rows_cols, src, kind in self._direction_copies(
-                eid, exchange, direction, source, start, stop
-            ):
-                dest = f"{target}[{rows_cols}, {z}]"
-                if kind == "slice":
-                    b.line(f"np.copyto({dest}, {src})")
-                else:
-                    b.line(f"{dest} = {src}")
-
-    def _emit_deliver_fn(
-        self, eid: int, exchange: ExchangePlan, b: SourceBuilder
-    ) -> None:
-        """``deliver_<eid>``: every chunk of the exchange, each followed by
-        its receive callback, in the exchange's delivery form (see the
-        module docstring).
-
-        View delivery (:meth:`_view_deliverable`) copies nothing into the
-        receive slab: it refreshes the padded source's periodic/reflect
-        ghost strips (:meth:`_halo_copies`), then calls each chunk's
-        callback variant, which reads the chunk's directions as views of the
-        padded source, and flags the exchange; ``run_block`` writes the last
-        chunk and the fills into the slab before it returns.
-
-        Direct delivery copies each chunk straight into the receive slab,
-        legal because :meth:`_direct_staging_safe` proved the receive
-        callback writes neither the source buffer (later chunks re-read the
-        data the interpreters snapshot up front) nor the receive buffer (the
-        slab content each callback observes equals the snapshot).  Its
-        constant-fill borders are written at the top of the delivery — or
-        once per kernel binding when nothing else ever writes the receive
-        buffer.  A destination's source is read from the box or a sibling's
-        seam snapshot (:meth:`_direction_copies`).  An exchange that is not
-        direct-safe declines the kernel.
-        """
-        if not self._direct_staging_safe(exchange):
-            raise KernelCodegenError(
-                f"exchange {eid} reads '{exchange.source_buffer}' into "
-                f"'{exchange.receive_buffer}', and its receive callback may "
-                f"write one of them"
-            )
+    def _slab(self, eid: int) -> str:
+        """The view of exchange ``eid``'s receive slab: every direction
+        slot of one chunk."""
+        exchange = self.schedule.exchanges[eid].plan
         depth = exchange.chunk_size * len(exchange.directions)
-        view = eid in self._view_eids
-        receive_view = (
-            self._static_view(_DsdExpr(exchange.receive_buffer, 0, depth, 1))
-            if depth
-            else None
+        return self._static_view(_DsdExpr(exchange.receive_buffer, 0, depth, 1))
+
+    def _region(self, region: Region) -> str:
+        role, key = region.array
+        array = (
+            self._buffer_names[key] if role == "buffer"
+            else self._padded_name(key) if role == "padded"
+            else self._slab(key) if role == "slab"
+            else f"{role}_{key}"  # a seam snapshot, ``rs_<eid>``/``cs_<eid>``
         )
-        fill_slots = self._fill_slots(exchange) if receive_view else []
-        once = not view and bool(fill_slots) and self._recv_preserved(
-            exchange.receive_buffer
-        )
-        if once:
-            self._fill_flags.add(eid)
+        # Two fancy axes broadcast as an ``(R,1) x (1,C)`` pair.
+        ragged = isinstance(region.rows, tuple) and isinstance(region.cols, tuple)
+        axes = [
+            self._axis(region.rows, "row" if ragged else "1d"),
+            self._axis(region.cols, "col" if ragged else "1d"),
+        ]
+        if region.z is not None:
+            axes.append(self._axis(region.z, ""))
+        return f"{array}[{', '.join(axes)}]"
+
+    def _axis(self, axis, orient: str) -> str:
+        if axis is None:
+            return ":"
+        if isinstance(axis, int):
+            return str(axis)
+        if isinstance(axis, range):
+            step = f":{axis.step}" if axis.step != 1 else ""
+            return f"{axis.start}:{axis.stop}{step}"
+        return self._index_name(list(axis), orient)
+
+    def _emit_copies(self, copies, b: SourceBuilder) -> None:
+        for copy in copies:
+            dst, src = self._region(copy.dst), self._region(copy.src)
+            if copy.kind == "slice":
+                b.line(f"np.copyto({dst}, {src})")
+            else:
+                b.line(f"{dst} = {src}")
+
+    def _emit_fills(self, scheduled, receive_view: str, b: SourceBuilder) -> None:
+        """The constant-fill slots of the receive slab."""
+        size = scheduled.plan.chunk_size
+        for slot, fill in scheduled.fills:
+            z = f"{slot * size}:{(slot + 1) * size}"
+            b.line(f"{receive_view}[:, :, {z}] = np.float32({fill!r})")
+
+    def _emit_deliver_fn(self, eid: int, b: SourceBuilder) -> None:
+        """``deliver_<eid>``: every chunk of the exchange, each followed by
+        its receive callback, in the exchange's delivery form; a view
+        exchange's slab landing goes into ``run_block``'s exit code."""
+        scheduled = self.schedule.exchanges[eid]
+        exchange = scheduled.plan
+        view = scheduled.form == "view"
+        depth = exchange.chunk_size * len(exchange.directions)
+        receive_view = self._slab(eid) if depth else None
         if view:
             landing = self._landing
             landing.line(f"if vw{eid}[0]:")
             with landing.indented():
                 landing.line(f"vw{eid}[0] = False")
-                self._emit_fills(exchange, receive_view, landing)
-                self._emit_stage(
-                    eid, exchange, exchange.num_chunks - 1, receive_view, landing
-                )
+                self._emit_fills(scheduled, receive_view, landing)
+                self._emit_copies(scheduled.copies_per_run, landing)
 
         b.line(f"def deliver_{eid}():")
         with b.indented():
@@ -1298,67 +739,32 @@ class _KernelEmitter:
                 b.line(f"counters['wavelets_sent'] += {total}")
             if view:
                 b.line(f"vw{eid}[0] = True")
-                if self.plan.boundary.kind != "dirichlet":
-                    start = exchange.source_offset
-                    z = f"{start}:{start + exchange.num_chunks * exchange.chunk_size}"
-                    for line in self._halo_copies(exchange.source_buffer, z):
-                        b.line(line)
-            elif fill_slots:
-                if once:
-                    b.line(f"if fl{eid}[0]:")
-                    with b.indented():
-                        b.line(f"fl{eid}[0] = False")
-                        self._emit_fills(exchange, receive_view, b)
-                else:
-                    self._emit_fills(exchange, receive_view, b)
-            for chunk in range(exchange.num_chunks):
+                self._emit_copies(scheduled.halo, b)
+            elif scheduled.fills_once:
+                b.line(f"if fl{eid}[0]:")
+                with b.indented():
+                    b.line(f"fl{eid}[0] = False")
+                    self._emit_fills(scheduled, receive_view, b)
+            else:
+                self._emit_fills(scheduled, receive_view, b)
+            for chunk, copies in enumerate(scheduled.chunks):
+                argument = chunk * exchange.chunk_size
                 if view:
-                    b.line(f"rc{eid}_{chunk}({chunk * exchange.chunk_size})")
+                    b.line(f"rc{eid}_{chunk}({argument})")
                     continue
-                if receive_view is not None:
-                    self._emit_stage(eid, exchange, chunk, receive_view, b)
+                self._emit_copies(copies, b)
                 if exchange.receive_callback:
-                    argument = chunk * exchange.chunk_size
-                    b.line(f"{self._fn(exchange.receive_callback)}({argument})")
+                    b.line(f"{self._fn_names[exchange.receive_callback]}({argument})")
             if exchange.done_callback:
                 b.line(
-                    f"queue.append(({self._fn(exchange.done_callback)}, 0))"
+                    f"queue.append(({self._fn_names[exchange.done_callback]}, 0))"
                 )
             if len(b) == body_start:  # zero-chunk, no-callback degenerate
                 b.line("pass")
 
-    def _emit_publish_fn(
-        self, eid: int, exchange: ExchangePlan, b: SourceBuilder
-    ) -> None:
-        """``publish_<eid>``: copy the box's seam rows/columns of the source
-        buffer into the shared snapshots, which siblings read instead of
-        this shard's live buffers (nothing, in a 1x1 geometry)."""
-        span = exchange.num_chunks * exchange.chunk_size
-        offset = exchange.source_offset
-        source = self._buffer(exchange.source_buffer)
-        y0, y1, x0, x1 = self.box
-        b.line(f"def publish_{eid}():")
-        with b.indented():
-            body_start = len(b)
-            if span:
-                for row, slot in self._pub_row_slots.items():
-                    if y0 <= row < y1:
-                        b.line(
-                            f"rs_{eid}[{slot}, {x0}:{x1}] = "
-                            f"{source}[{row - y0}, :, {offset}:{offset + span}]"
-                        )
-                for col, slot in self._pub_col_slots.items():
-                    if x0 <= col < x1:
-                        b.line(
-                            f"cs_{eid}[{y0}:{y1}, {slot}] = "
-                            f"{source}[:, {col - x0}, {offset}:{offset + span}]"
-                        )
-            if len(b) == body_start:
-                b.line("pass")
-
     def _emit_dispatch(self, b: SourceBuilder, hook: str) -> None:
         """Call ``<hook>_<eid>()`` for the pending exchange ``eid``."""
-        for eid in range(len(self._exchanges)):
+        for eid in range(len(self.schedule.exchanges)):
             b.line(f"{'if' if eid == 0 else 'elif'} eid == {eid}:")
             with b.indented():
                 b.line(f"{hook}_{eid}()")
@@ -1372,24 +778,21 @@ class _KernelEmitter:
         callables = SourceBuilder(indent=1)
         for name in sorted(self.image.callables):
             self._emit_callable(name, callables)
-        # The delivery forms need every callable's uses and write set.
-        for eid, exchange in enumerate(self._exchanges):
-            if self._view_deliverable(exchange):
-                self._view_eids.add(eid)
-                reach = max(max(abs(dx), abs(dy)) for dx, dy in exchange.directions)
-                source = exchange.source_buffer
-                self._padded[source] = max(reach, self._padded.get(source, 0))
-        for eid in sorted(self._view_eids):
-            exchange = self._exchanges[eid]
-            for chunk in range(exchange.num_chunks):
+        exchanges = self.schedule.exchanges
+        for eid, scheduled in enumerate(exchanges):
+            for chunk in range(scheduled.plan.num_chunks * (scheduled.form == "view")):
                 self._emit_callable(
-                    exchange.receive_callback, callables, (eid, chunk)
+                    scheduled.plan.receive_callback, callables, (eid, chunk)
                 )
 
         delivery = SourceBuilder(indent=1)
-        for eid, exchange in enumerate(self._exchanges):
-            self._emit_publish_fn(eid, exchange, delivery)
-            self._emit_deliver_fn(eid, exchange, delivery)
+        for eid, scheduled in enumerate(exchanges):
+            delivery.line(f"def publish_{eid}():")
+            with delivery.indented():
+                self._emit_copies(scheduled.publish, delivery)
+                if not scheduled.publish:
+                    delivery.line("pass")
+            self._emit_deliver_fn(eid, delivery)
         # The seam protocol's hooks; the caller checks an exchange is
         # pending before it publishes or delivers.
         delivery.line("def publish():")
@@ -1403,46 +806,29 @@ class _KernelEmitter:
             self._emit_dispatch(delivery, "deliver")
 
         out = SourceBuilder()
-        boundary = self.plan.boundary
-        out.line(
-            f"# kernel generated by repro.wse.codegen "
-            f"(codegen v{CODEGEN_VERSION}) -- do not edit"
-        )
-        out.line(
-            f"# entry {self.plan.entry!r}; grid "
-            f"{self.plan.width}x{self.plan.height}; "
-            f"boundary {boundary.kind}({boundary.value!r})"
-        )
-        if fingerprint:
-            out.line(f"# fingerprint {fingerprint}")
-        y0, y1, x0, x1 = self.box
-        out.line(
+        plan, boundary, (y0, y1, x0, x1) = self.plan, self.plan.boundary, self.box
+        out.lines(
+            f"# kernel generated by repro.wse.codegen (codegen v{CODEGEN_VERSION})"
+            " -- do not edit",
+            f"# entry {plan.entry!r}; grid {plan.width}x{plan.height}; "
+            f"boundary {boundary.kind}({boundary.value!r})",
+            *([f"# fingerprint {fingerprint}"] if fingerprint else []),
             f"# shard box rows [{y0}, {y1}) cols [{x0}, {x1}) of a "
-            f"{self.geometry.kx}x{self.geometry.ky} decomposition"
+            f"{self.geometry.kx}x{self.geometry.ky} decomposition",
         )
-        meta = {
-            "exchanges": [
-                [eid, exchange.num_chunks * exchange.chunk_size]
-                for eid, exchange in enumerate(self._exchanges)
-            ],
-            "pub_rows": len(self._pub_row_slots),
-            "pub_cols": len(self._pub_col_slots),
-        }
-        if self._padded:
-            meta["padded"] = dict(sorted(self._padded.items()))
-        out.line(f"SHARD_META = {meta!r}")
+        out.line(f"SHARD_META = {self.schedule.meta!r}")
         out.line("def make_kernel(state, plan):")
         with out.indented():
-            out.line("counters = state.counters")
-            out.line("variables = state.variables")
-            out.line("queue = deque()")
-            out.line("pending = [-1]")
+            out.lines(
+                "counters = state.counters", "variables = state.variables",
+                "queue = deque()", "pending = [-1]",
+            )
             for buffer in sorted(self.plan.buffers):
                 out.line(f"{self._buffer_names[buffer]} = state.buffers[{buffer!r}]")
             # Padded bases of view-delivered sources; Dirichlet ghosts hold
             # the fill from here on.
             height, width = self._grid_dims
-            for buffer, reach in sorted(self._padded.items()):
+            for buffer, reach in self.schedule.padded.items():
                 padded = self._padded_name(buffer)
                 out.line(f"{padded} = state.padded[{buffer!r}]")
                 if self.plan.boundary.kind == "dirichlet" and reach:
@@ -1454,8 +840,8 @@ class _KernelEmitter:
                         out.line(f"{padded}[{ghosts}] = {fill}")
             if self._bands:
                 out.line(f"BANDS = {self._bands!r}")
-            if self._pub_row_slots or self._pub_col_slots:
-                for eid in range(len(self._exchanges)):
+            if self.schedule.pub_rows or self.schedule.pub_cols:
+                for eid in range(len(exchanges)):
                     out.line(
                         f"rs_{eid}, cs_{eid} = state.seam_snapshots[{eid}]"
                     )
@@ -1467,24 +853,22 @@ class _KernelEmitter:
                     expression += "[None, :]"
                 out.line(f"{name} = {expression}")
             # Static whole-box DSD views, bound (and range-checked) once.
-            for key, name in self._views.items():
-                buffer, offset, length, stride = key
-                dsd = _DsdExpr(buffer, offset, length, stride)
-                out.line(
-                    f"{name} = {self._buffer(buffer)}[:, :, {self._slice(dsd)}]"
-                )
+            for (buffer, offset, length, stride), name in self._views.items():
+                z = self._axis(range(offset, offset + length * stride, stride), "")
+                out.line(f"{name} = {self._buffer_names[buffer]}[:, :, {z}]")
                 out.line(
                     f"if {name}.shape[2] != {length}: "
                     f"raise IndexError(\"DSD over '{buffer}' out of range\")"
                 )
             # Receive-slab slots of one chunk, as views of a padded source.
-            for key, name in self._chunk_views.items():
-                out.line(f"{name} = {self._chunk_view_expression(key)}")
+            for (eid, *key), name in self._chunk_views.items():
+                view = self.schedule.exchanges[eid].views[tuple(key)]
+                out.line(f"{name} = {self._region(view)}")
             # Per-exchange delivery flags.
-            for eid in range(len(self._exchanges)):
-                if eid in self._fill_flags:
+            for eid, scheduled in enumerate(exchanges):
+                if scheduled.fills_once:
                     out.line(f"fl{eid} = [True]")
-                if eid in self._view_eids:
+                if scheduled.form == "view":
                     out.line(f"vw{eid} = [False]")
             grid = f"{height}, {width}"
             if self._bands:  # every fmacs runs band by band
@@ -1496,15 +880,14 @@ class _KernelEmitter:
                 )
             out.extend(callables)
             out.extend(delivery)
-            out.line("def drain():")
-            with out.indented():
-                out.line("while queue and not state.halted:")
-                with out.indented():
-                    out.line("fn, a = queue.popleft()")
-                    out.line("fn(a)")
-            out.line("def settled():")
-            with out.indented():
-                out.line("return state.halted or (not queue and pending[0] < 0)")
+            out.lines(
+                "def drain():",
+                "    while queue and not state.halted:",
+                "        fn, a = queue.popleft()",
+                "        fn(a)",
+                "def settled():",
+                "    return state.halted or (not queue and pending[0] < 0)",
+            )
             # A sole shard's round loop: the drain/settled/deliver schedule
             # of the seam protocol with nothing to publish or await, minus
             # one Python boundary crossing per hook.  ``budget`` bounds the
@@ -1513,51 +896,45 @@ class _KernelEmitter:
             # ``break`` and writes their receive slabs on the way out.
             landing = len(self._landing) > 0
 
-            def leave(status: str) -> None:
+            def leave(status: str) -> list[str]:
                 if landing:
-                    out.line(f"status = {status!r}")
-                    out.line("break")
-                else:
-                    out.line(f"return executed, {status!r}")
+                    return [f"            status = {status!r}", "            break"]
+                return [f"            return executed, {status!r}"]
 
-            out.line("def run_block(budget):")
-            with out.indented():
-                out.line("executed = 0")
-                out.line("while executed < budget:")
-                with out.indented():
-                    out.line("drain()")
-                    out.line(
-                        "if state.halted or (not queue and pending[0] < 0):"
-                    )
-                    with out.indented():
-                        leave("settled")
-                    out.line("eid = pending[0]")
-                    out.line("if eid < 0:")
-                    with out.indented():
-                        leave("deadlock")
-                    out.line("pending[0] = -1")
-                    self._emit_dispatch(out, "deliver")
-                    out.line("executed += 1")
-                if landing:
-                    out.line("else:")
-                    with out.indented():
-                        out.line("status = 'budget'")
-                    out.extend(self._landing)
-                    out.line("return executed, status")
-                else:
-                    out.line("return executed, 'budget'")
+            out.lines(
+                "def run_block(budget):",
+                "    executed = 0",
+                "    while executed < budget:",
+                "        drain()",
+                "        if state.halted or (not queue and pending[0] < 0):",
+                *leave("settled"),
+                "        eid = pending[0]",
+                "        if eid < 0:",
+                *leave("deadlock"),
+                "        pending[0] = -1",
+            )
+            with out.indented(), out.indented():
+                self._emit_dispatch(out, "deliver")
+                out.line("executed += 1")
+            if landing:
+                out.lines("    else:", "        status = 'budget'")
+                out.extend(self._landing)
+                out.line("    return executed, status")
+            else:
+                out.line("    return executed, 'budget'")
             fns = ", ".join(
                 f"{name!r}: {self._fn_names[name]}"
                 for name in sorted(self.image.callables)
             )
-            out.line("return {")
-            with out.indented():
-                out.line(f"'fns': {{{fns}}},")
-                out.line("'drain': drain, 'settled': settled, "
-                         "'publish': publish, 'deliver': deliver,")
-                out.line("'run_block': run_block,")
-                out.line("'queue': queue, 'pending': pending,")
-            out.line("}")
+            out.lines(
+                "return {",
+                f"    'fns': {{{fns}}},",
+                "    'drain': drain, 'settled': settled, "
+                "'publish': publish, 'deliver': deliver,",
+                "    'run_block': run_block,",
+                "    'queue': queue, 'pending': pending,",
+                "}",
+            )
         return out.text()
 
 

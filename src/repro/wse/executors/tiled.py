@@ -23,7 +23,7 @@ The shard count picks the round driver:
   schedule of the interpreted loop inside the kernel: no thread, no
   barrier, no seam snapshot, nothing published.  Before the bind, every
   source of an exchange the kernel delivers as views
-  (``SHARD_META['padded']``; :mod:`repro.wse.codegen` says when) is
+  (``SHARD_META['padded']``; :mod:`repro.wse.schedule` says when) is
   allocated as the interior of a base ``R`` cells wider on every side; the
   kernel keeps its ghost cells, reads each chunk's directions as views of
   it, and writes the receive slab once per run.  Every other exchange is

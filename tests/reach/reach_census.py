@@ -200,20 +200,25 @@ def module_ranges(
 
 
 def _masked_lines(source: str, entries: list[dict]) -> tuple[set[int], list[dict]]:
-    """The lines ``timing`` entries cover in ``source``, and the entries
-    whose text is no longer there."""
+    """The lines ``timing`` entries cover in ``source`` — every match of an
+    entry's text that starts a statement of the entry's qualname — and the
+    entries whose text is no longer there."""
     text = [line.rstrip() for line in source.splitlines()]
+    starts = {(s.qualname, s.start) for s in _statements(ast.parse(source))}
     masked: set[int] = set()
     missing = []
     for entry in entries:
         wanted = tuple(entry["source"])
         span = len(wanted)
+        found = False
         for index in range(len(text) - span + 1):
+            if (entry["qualname"], index + 1) not in starts:
+                continue
             window = textwrap.dedent("\n".join(text[index : index + span]))
             if tuple(window.splitlines()) == wanted:
                 masked.update(range(index + 1, index + span + 1))
-                break
-        else:
+                found = True
+        if not found:
             missing.append(entry)
     return masked, missing
 

@@ -57,3 +57,21 @@ def test_every_tag_is_a_known_one(failures):
         for item in failures["bad tags"]
     ]
     assert not unknown, f"tags outside {reach_census.TAGS}: {unknown}"
+
+
+def test_a_timing_range_masks_only_statements_of_its_own_function():
+    """A one-line timing text that also occurs earlier in another function
+    masks the statement of its own qualname, not the first match."""
+    source = (
+        "def first():\n"
+        "    return None\n"
+        "\n"
+        "def racy(x):\n"
+        "    if x:\n"
+        "        return None\n"
+    )
+    entry = {"qualname": "racy", "source": ["return None"]}
+    masked, missing = reach_census._masked_lines(source, [entry])
+    assert (masked, missing) == ({6}, [])
+    gone = {"qualname": "elsewhere", "source": ["return None"]}
+    assert reach_census._masked_lines(source, [gone]) == (set(), [gone])

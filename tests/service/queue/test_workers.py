@@ -210,11 +210,12 @@ class TestWorkerDeathAndCancel:
         assert queue.statistics.worker_spawns == 3
         assert _is_reaped(doomed_pid)
 
-    def test_a_tiled_job_still_forks_its_shard_pool_inside_a_worker(
+    def test_a_tiled_job_runs_its_shard_threads_inside_a_worker(
         self, monkeypatch
     ):
-        """Worker processes must not be daemonic: those may not have
-        children, and ``tiled`` runs its shards in forked ones."""
+        """A ``tiled`` job on a 2x2 shard grid runs in a queue worker
+        process: its four shards are threads of that worker, which meet at
+        the round barrier; nothing is forked for them."""
         monkeypatch.setenv(SHARD_ENV_VAR, "2")  # 2x2 shards on any host
         program = benchmark_by_name("Jacobian").program(
             nx=8, ny=8, nz=8, time_steps=1
@@ -225,7 +226,7 @@ class TestWorkerDeathAndCancel:
             record = handle.wait(timeout=300)
         assert record.status is JobStatus.DONE, record.error
         assert record.result["worker_pid"] != os.getpid()
-        # Only shards driven by pool workers ever wait at a barrier.
+        # Only two or more shard threads wait at a barrier.
         assert handle.result().statistics["barrier_waits"] > 0
 
 

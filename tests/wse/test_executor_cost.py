@@ -1,6 +1,7 @@
 """The kernel executors' cost ledger ("count before timing", as in
 ``tests/transforms/test_compile_cost.py``): Python-level calls per warm bind
-and per run, and the receive-slab writes of the emitted kernels.
+and per run, and the receive-slab traffic of the kernels' delivery
+schedules.
 
 A count of ``call`` events is the same on every host, so this is red only
 for a reason in the code.  A *warm bind* is ``WseSimulator(module,
@@ -9,9 +10,9 @@ kernel fingerprint and generated kernel all memoised); a *run* is one
 ``execute()`` of that simulator.  The programs are Jacobian and Seismic at
 z32, 4 time steps, 2 chunks.
 
-Counts with the whole-grid kernel kind (``compiled`` a
-``VectorizedExecutor`` subclass running one ``run_block(max_rounds)`` call
-per run; CPython 3.11.7):
+Counts with the whole-grid kernel kind (``compiled`` is ``tiled`` on a 1x1
+shard grid, running one ``run_block(max_rounds)`` call per run; CPython
+3.11.7):
 
 ============  ==================  ===========================
 fabric        warm bind J (S)     one execute J (S)
@@ -27,10 +28,11 @@ kernel executor may change shape, but not add per-job plumbing.  CPython
 3.12 inlines comprehensions and counts fewer, so the ceilings hold there
 too.
 
-Receive-slab writes are counted in the emitted whole-fabric kernel's
-source, per delivery (``deliver_0``) and per run (``run_block``), as
-``(copies, fills)`` statements; Jacobian has four directions, Seismic
-sixteen, two chunks each, under the Dirichlet boundary:
+Receive-slab writes are read off the whole-fabric kernel's delivery
+schedule (:mod:`repro.wse.schedule`), per delivery (``deliver_0``) and per
+run (what ``run_block`` writes on its way out), as ``(copies, fills)``
+statements and as copied bytes; Jacobian has four directions, Seismic
+sixteen, two chunks of 16 each, under the Dirichlet boundary:
 
 ============  ==========================  ==========================
 fabric        direct, per delivery J (S)  view, per run J (S)
@@ -40,22 +42,30 @@ fabric        direct, per delivery J (S)  view, per run J (S)
 32x32         8 + 4 (32 + 16)             4 + 4 (16 + 16)
 ============  ==========================  ==========================
 
-The view form writes nothing per delivery and one chunk's copies plus the
-fills per run; the direct form — what the kernel falls back to when
-:meth:`~repro.wse.codegen._KernelEmitter._view_deliverable` does not hold —
-copies every chunk, with its fills written once per binding.  A fill on a
-1x1 fabric is every cell of a slot: no direction has an in-fabric source.
-"""
+Every exchange here takes the view form, which copies nothing per
+delivery (a Dirichlet padded source has no ghost strips to refresh) and
+one chunk plus the fills per run; the direct form — what a shard box with
+siblings, or an exchange the view form's predicate rejects, gets — copies
+every chunk per delivery, with its fills written once per binding.  A fill
+on a 1x1 fabric is every cell of a slot: no direction has an in-fabric
+source.  Copied bytes, float32:
 
-import re
+============  =====================  =====================
+fabric        view, per run J (S)    direct, per delivery J (S)
+============  =====================  =====================
+1x1           0 (0)                  0 (0)
+4x4           3,072 (6,144)          6,144 (12,288)
+32x32         253,952 (966,656)      507,904 (1,933,312)
+============  =====================  =====================
+"""
 
 import pytest
 
 from repro.benchmarks import benchmark_by_name
 from repro.tests_support import python_calls
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
-from repro.wse.codegen import _KernelEmitter, generate_kernel_source
 from repro.wse.interpreter import bound_image
+from repro.wse.schedule import delivery_schedule
 from repro.wse.simulator import WseSimulator
 
 #: (benchmark, fabric side) -> (warm-bind calls, one-execute calls) of
@@ -128,40 +138,53 @@ SLAB_WRITES = {
     ("Seismic", 32): (16, 16),
 }
 
+#: (benchmark, fabric side) -> bytes one chunk copies into the receive slab:
+#: what the view form copies per run and the direct form per chunk.  A
+#: direction at distance ``d`` along an axis of an ``n x n`` Dirichlet
+#: fabric has ``(n - d) * n`` in-fabric cells; each copies 16 float32s, and
+#: every distance comes in four directions.
+COPY_BYTES = {
+    ("Jacobian", 1): 0,
+    ("Jacobian", 4): 3 * 4 * 16 * 4 * 4,
+    ("Jacobian", 32): 31 * 32 * 16 * 4 * 4,
+    ("Seismic", 1): 0,
+    ("Seismic", 4): (3 + 2 + 1) * 4 * 16 * 4 * 4,
+    ("Seismic", 32): (31 + 30 + 29 + 28) * 32 * 16 * 4 * 4,
+}
+
 #: chunks per exchange of the ledger's programs.
 CHUNKS = 2
 
 
-def _slab_writes(source: str, fn: str) -> tuple[int, int]:
-    """``(copies, fills)``: statements of ``fn`` writing the receive slab
-    (the receive buffer's whole-depth view; a fill assigns a constant)."""
-    views = re.findall(r"\n    (v\d+) = b_receive_buffer\[:, :, 0:(\d+)\]\n", source)
-    slab = max(views, key=lambda view: int(view[1]))[0]
-    body = re.search(rf"\n    def {fn}\(.*\):\n((?:        .*\n)*)", source).group(1)
-    writes = re.findall(rf"^ +(?:np\.copyto\({slab}\[|{slab}\[)(.*)$", body, re.M)
-    fills = sum("= np.float32(" in write for write in writes)
-    return len(writes) - fills, fills
-
-
-def _whole_fabric_kernel(name: str, side: int) -> str:
+def _whole_fabric_exchange(name: str, side: int):
     image = bound_image(_module(name, side))
-    return generate_kernel_source(image, image.plan_for(side, side))
+    schedule = delivery_schedule(image, image.plan_for(side, side))
+    (exchange,) = schedule.exchanges
+    return exchange
+
+
+def _bytes(copies) -> int:
+    return sum(copy.bytes for copy in copies)
 
 
 @pytest.mark.parametrize("name, side", sorted(SLAB_WRITES))
 def test_view_delivery_writes_the_receive_slab_once_per_run(name, side):
-    source = _whole_fabric_kernel(name, side)
-    assert "vw0 = [False]" in source
-    assert _slab_writes(source, "deliver_0") == (0, 0)
-    assert _slab_writes(source, "run_block") == SLAB_WRITES[name, side]
+    exchange = _whole_fabric_exchange(name, side)
+    copies, fills = SLAB_WRITES[name, side]
+    assert exchange.form == "view"
+    assert exchange.copies_per_delivery == ()
+    assert len(exchange.copies_per_run) == copies
+    assert len(exchange.fills) == fills and not exchange.fills_once
+    assert _bytes(exchange.copies_per_run) == COPY_BYTES[name, side]
 
 
 @pytest.mark.parametrize("name, side", sorted(SLAB_WRITES))
-def test_direct_delivery_writes_every_chunk(monkeypatch, name, side):
-    monkeypatch.setattr(
-        _KernelEmitter, "_view_deliverable", lambda self, exchange: False
-    )
-    source = _whole_fabric_kernel(name, side)
-    copies, fills = SLAB_WRITES[name, side]
-    assert _slab_writes(source, "deliver_0") == (CHUNKS * copies, fills)
-    assert _slab_writes(source, "run_block") == (0, 0)
+def test_direct_delivery_writes_every_chunk(name, side):
+    """What the direct form copies per delivery: every chunk's copies,
+    each as large as the one chunk the view form copies per run."""
+    exchange = _whole_fabric_exchange(name, side)
+    copies, _ = SLAB_WRITES[name, side]
+    assert [len(chunk) for chunk in exchange.chunks] == [copies] * CHUNKS
+    assert [_bytes(chunk) for chunk in exchange.chunks] == [
+        COPY_BYTES[name, side]
+    ] * CHUNKS

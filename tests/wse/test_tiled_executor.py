@@ -37,6 +37,7 @@ from repro.wse.codegen import KernelCodegenError, generate_kernel_source
 from repro.wse.executors.tiled import SHARD_ENV_VAR, shard_grid
 from repro.wse.interpreter import bound_image
 from repro.wse.plan import ShardGeometry
+from repro.wse.schedule import delivery_schedule
 from repro.wse.simulator import WseSimulator
 
 HANDWRITTEN_DIR = (
@@ -366,10 +367,9 @@ class TestCompiledShards:
             plan = image.plan_for(image.width, image.height)
             geometry = ShardGeometry.build(image.width, image.height, *grid)
             for box in geometry.boxes():
-                source = generate_kernel_source(
-                    image, plan, box=box, geometry=geometry
-                )
-                assert "def deliver_0():" in source, (image.module.sym_name, box)
+                generate_kernel_source(image, plan, box=box, geometry=geometry)
+                schedule = delivery_schedule(image, plan, box, geometry)
+                assert schedule.exchanges, (image.module.sym_name, box)
 
     def test_results_match_vectorized_on_an_odd_grid(self):
         program, module = _compiled(9, 9, name="odd_grid")

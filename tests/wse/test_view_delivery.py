@@ -12,7 +12,6 @@ folds more than once).  A run cut short by its round budget must leave the
 same state too.  Which exchanges take the view form is pinned as well.
 """
 
-import re
 from dataclasses import replace
 from functools import lru_cache
 
@@ -32,10 +31,10 @@ from repro.frontends.common import (
 )
 from repro.ir.exceptions import InterpretationError
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
-from repro.wse.codegen import generate_kernel_source
 from repro.wse.executors import tiled
 from repro.wse.interpreter import bound_image
 from repro.wse.plan import ShardGeometry
+from repro.wse.schedule import delivery_schedule
 from repro.wse.simulator import WseSimulator
 
 BOUNDARIES = {
@@ -150,14 +149,18 @@ def test_a_run_cut_by_its_budget_leaves_the_same_state(name, spec):
     assert states[0] == states[1]
 
 
-def _view_eids(source: str) -> set[int]:
-    return {int(eid) for eid in re.findall(r"\n    vw(\d+) = \[False\]", source)}
+def _view_eids(schedule) -> set[int]:
+    return {
+        eid
+        for eid, exchange in enumerate(schedule.exchanges)
+        if exchange.form == "view"
+    }
 
 
-def _kernel(module, width, height, geometry=None, box=None) -> str:
+def _schedule(module, width, height, geometry=None, box=None):
     image = bound_image(module)
     plan = image.plan_for(width, height)
-    return generate_kernel_source(image, plan, box=box, geometry=geometry)
+    return delivery_schedule(image, plan, box=box, geometry=geometry)
 
 
 @pytest.mark.parametrize("spec", tuple(BOUNDARIES))
@@ -169,13 +172,13 @@ def test_which_exchanges_take_the_view_form(name, spec):
     delivers as views."""
     _, module = _compiled(name, spec, (6, 6))
     expected = {"Advection": set(), "UVKBE": {0}}.get(name, {0})
-    source = _kernel(module, 6, 6)
-    assert _view_eids(source) == expected
-    assert ("'padded': {'u': " in source) == bool(expected)
+    schedule = _schedule(module, 6, 6)
+    assert _view_eids(schedule) == expected
+    assert list(schedule.padded) == (["u"] if expected else [])
     geometry = ShardGeometry.build(6, 6, 2, 2)
     for box in geometry.boxes():
-        boxed = _kernel(module, 6, 6, geometry, box)
-        assert _view_eids(boxed) == set() and "padded" not in boxed
+        boxed = _schedule(module, 6, 6, geometry, box)
+        assert _view_eids(boxed) == set() and not boxed.padded
 
 
 def test_exchanges_sharing_a_receive_buffer_stay_direct():
@@ -197,6 +200,6 @@ def test_exchanges_sharing_a_receive_buffer_stay_direct():
     module = compile_stencil_program(
         program, PipelineOptions(grid_width=4, grid_height=4, num_chunks=2)
     ).program_module
-    source = _kernel(module, 4, 4)
-    assert source.count("def deliver_") == 2
-    assert _view_eids(source) == set() and "padded" not in source
+    schedule = _schedule(module, 4, 4)
+    assert len(schedule.exchanges) == 2
+    assert _view_eids(schedule) == set() and not schedule.padded
