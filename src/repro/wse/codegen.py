@@ -89,7 +89,7 @@ import os
 import re
 from collections import OrderedDict, deque
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -99,7 +99,7 @@ from repro.ir.operation import Operation
 # ``bind_statistics`` is re-exported: it is read beside
 # ``kernel_cache_statistics`` and reset by ``reset_kernel_cache``.
 from repro.wse.interpreter import bind_statistics, reset_bind_statistics
-from repro.wse.plan import ExecutionPlan, ShardGeometry, _callable_blocks
+from repro.wse.plan import ExecutionPlan, ShardGeometry
 # ``KernelCodegenError`` is re-exported: the schedule declines programs too.
 from repro.wse.schedule import KernelCodegenError, Region, delivery_schedule
 from repro.wse.schedule import whole_fabric
@@ -207,11 +207,6 @@ class SourceBuilder:
     def line(self, text: str = "") -> None:
         self._lines.append(("    " * self._indent + text) if text else "")
 
-    def lines(self, *texts: str) -> None:
-        """Several lines; each text's own leading spaces nest it further."""
-        for text in texts:
-            self.line(text)
-
     @contextmanager
     def indented(self):
         self._indent += 1
@@ -249,6 +244,10 @@ class _DsdExpr:
     stride: int
     runtime: str | None = None
 
+    @property
+    def view_key(self) -> tuple:
+        return (self.buffer, self.offset, self.length, self.stride, self.runtime)
+
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -266,11 +265,23 @@ class _KernelEmitter:
     """Walks one program image + plan and emits the kernel source."""
 
     BINARY_OPS = {
-        arith.AddiOp: "+", arith.SubiOp: "-", arith.MuliOp: "*",
-        arith.AddfOp: "+", arith.SubfOp: "-", arith.MulfOp: "*", arith.DivfOp: "/",
+        arith.AddiOp: "+",
+        arith.SubiOp: "-",
+        arith.MuliOp: "*",
+        arith.AddfOp: "+",
+        arith.SubfOp: "-",
+        arith.MulfOp: "*",
+        arith.DivfOp: "/",
     }
 
-    CMP_OPS = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
+    CMP_OPS = {
+        "eq": "==",
+        "ne": "!=",
+        "slt": "<",
+        "sle": "<=",
+        "sgt": ">",
+        "sge": ">=",
+    }
 
     #: what one banded run holds: the DSD builtins and the pure scalar and
     #: DSD-value ops between them.
@@ -326,18 +337,22 @@ class _KernelEmitter:
 
     def _assign_names(self) -> None:
         used: set[str] = set()
-        for prefix, names, table in (
-            ("fn_", self.image.callables, self._fn_names),
-            ("b_", self.plan.buffers, self._buffer_names),
-        ):
-            for name in sorted(names):
-                base = prefix + re.sub(r"[^0-9A-Za-z_]", "_", name)
-                candidate, suffix = base, 1
-                while candidate in used:
-                    candidate = f"{base}_{suffix}"
-                    suffix += 1
-                used.add(candidate)
-                table[name] = candidate
+        for name in sorted(self.image.callables):
+            base = "fn_" + re.sub(r"[^0-9A-Za-z_]", "_", name)
+            candidate, suffix = base, 1
+            while candidate in used:
+                candidate = f"{base}_{suffix}"
+                suffix += 1
+            used.add(candidate)
+            self._fn_names[name] = candidate
+        for buffer in sorted(self.plan.buffers):
+            base = "b_" + re.sub(r"[^0-9A-Za-z_]", "_", buffer)
+            candidate, suffix = base, 1
+            while candidate in used:
+                candidate = f"{base}_{suffix}"
+                suffix += 1
+            used.add(candidate)
+            self._buffer_names[buffer] = candidate
 
     def _static_view(self, dsd: _DsdExpr) -> str:
         if self._chunk is not None:
@@ -348,10 +363,18 @@ class _KernelEmitter:
                     key, f"w{len(self._chunk_views)}"
                 )
         key = (dsd.buffer, dsd.offset, dsd.length, dsd.stride)
-        return self._views.setdefault(key, f"v{len(self._views)}")
+        name = self._views.get(key)
+        if name is None:
+            name = f"v{len(self._views)}"
+            self._views[key] = name
+        return name
 
     def _scratch_for(self, length: int) -> str:
-        return self._scratch.setdefault(length, f"scr{length}")
+        name = self._scratch.get(length)
+        if name is None:
+            name = f"scr{length}"
+            self._scratch[length] = name
+        return name
 
     def _fresh(self) -> str:
         self._temp += 1
@@ -363,7 +386,11 @@ class _KernelEmitter:
         ``orient`` is ``"1d"`` for a lone advanced index, ``"row"``/``"col"``
         for the broadcast pair of a doubly-advanced selection."""
         key = (tuple(values), orient)
-        return self._indices.setdefault(key, f"ix{len(self._indices)}")
+        name = self._indices.get(key)
+        if name is None:
+            name = f"ix{len(self._indices)}"
+            self._indices[key] = name
+        return name
 
     # -- value resolution ----------------------------------------------- #
 
@@ -382,7 +409,9 @@ class _KernelEmitter:
             raise KernelCodegenError("a DSD value was used where a scalar is")
         return entry
 
-    def _operand_view(self, dsd: _DsdExpr, builder: SourceBuilder) -> str:
+    def _operand_view(
+        self, dsd: _DsdExpr, builder: SourceBuilder
+    ) -> str:
         """The NumPy view expression of a DSD operand.
 
         Static DSDs resolve to kernel-bind-time named views; runtime-offset
@@ -458,32 +487,9 @@ class _KernelEmitter:
         return tuple((r0, min(r0 + rows, height)) for r0 in range(0, height, rows))
 
     def _longest_dsd_operand(self) -> int:
-        """Element count of the longest DSD any builtin of the program
-        reads or writes."""
-        return max(
-            (
-                self._dsd_length(value)
-                for callable_op in self.image.callables.values()
-                for block in _callable_blocks(callable_op)
-                for op in block.ops
-                if isinstance(op, csl.DSD_BUILTIN_OPS)
-                for value in op.operands
-            ),
-            default=0,
-        )
-
-    def _dsd_length(self, value) -> int:
-        """Element count of a DSD value, 0 for a scalar."""
-        while True:
-            op = value.owner()
-            if not isinstance(op, Operation):
-                return 0
-            planned = self.plan.static_dsd(op)
-            if planned is not None:
-                return planned.length
-            if not isinstance(op, csl.IncrementDsdOffsetOp):
-                return 0
-            value = op.operands[0]
+        """Element count of the longest DSD any builtin of the kernel reads
+        or writes."""
+        return self.schedule.longest_dsd
 
     def _emit_run(self, run: list[Operation], env: dict[int, Any], b: SourceBuilder):
         """One maximal run of DSD builtins, and the pure ops between them,
@@ -515,14 +521,19 @@ class _KernelEmitter:
             env[id(op.result)] = name
         elif isinstance(op, csl.StoreVarOp):
             b.line(f"variables[{op.var!r}] = {self._scalar(op.value, env)}")
-        elif type(op) in self.BINARY_OPS or isinstance(op, arith.CmpiOp):
+        elif type(op) in self.BINARY_OPS:
+            operator = self.BINARY_OPS[type(op)]
             name = self._fresh()
             lhs = _atom(self._scalar(op.lhs, env))
             rhs = _atom(self._scalar(op.rhs, env))
-            if isinstance(op, arith.CmpiOp):
-                b.line(f"{name} = bool({lhs} {self.CMP_OPS[op.predicate]} {rhs})")
-            else:
-                b.line(f"{name} = {lhs} {self.BINARY_OPS[type(op)]} {rhs}")
+            b.line(f"{name} = {lhs} {operator} {rhs}")
+            env[id(op.result)] = name
+        elif isinstance(op, arith.CmpiOp):
+            operator = self.CMP_OPS[op.predicate]
+            name = self._fresh()
+            lhs = _atom(self._scalar(op.lhs, env))
+            rhs = _atom(self._scalar(op.rhs, env))
+            b.line(f"{name} = bool({lhs} {operator} {rhs})")
             env[id(op.result)] = name
         elif isinstance(op, scf.IfOp):
             self._emit_if(op, env, b)
@@ -530,8 +541,10 @@ class _KernelEmitter:
             b.line(f"{self._fn_names[op.callee]}()")
         elif isinstance(op, csl.ActivateOp):
             b.line(f"queue.append(({self._fn_names[op.task_name]}, 0))")
-        elif isinstance(op, (csl.GetMemDsdOp, csl.IncrementDsdOffsetOp)):
-            env[id(op.result)] = self._dsd_value(op, env)
+        elif isinstance(op, csl.GetMemDsdOp):
+            env[id(op.result)] = self._dsd_of_get(op)
+        elif isinstance(op, csl.IncrementDsdOffsetOp):
+            env[id(op.result)] = self._dsd_of_increment(op, env)
         elif isinstance(op, csl.DSD_BUILTIN_OPS):
             self._emit_builtin(op, env, b)
         elif isinstance(op, csl.CommsExchangeOp):
@@ -543,25 +556,33 @@ class _KernelEmitter:
             raise KernelCodegenError(f"unsupported operation '{op.name}'")
 
     def _emit_if(self, op: scf.IfOp, env: dict[int, Any], b: SourceBuilder):
-        b.line(f"if {self._scalar(op.condition, env)}:")
-        self._emit_branch(op.then_region, env, b)
-        if op.else_region.blocks and op.else_region.blocks[0].ops:
-            b.line("else:")
-            self._emit_branch(op.else_region, env, b)
-
-    def _emit_branch(self, region, env: dict[int, Any], b: SourceBuilder):
+        condition = self._scalar(op.condition, env)
+        b.line(f"if {condition}:")
         with b.indented():
             before = len(b)
+            region = op.then_region
             if region.blocks and region.blocks[0].ops:
                 self._emit_block(region.blocks[0], env, b)
             if len(b) == before:
                 b.line("pass")
+        region = op.else_region
+        if region.blocks and region.blocks[0].ops:
+            b.line("else:")
+            with b.indented():
+                before = len(b)
+                self._emit_block(region.blocks[0], env, b)
+                if len(b) == before:
+                    b.line("pass")
 
     # -- DSD values ------------------------------------------------------ #
 
-    def _dsd_value(self, op, env: dict[int, Any]) -> _DsdExpr:
-        """The DSD a ``csl.get_mem_dsd`` (always static in the plan) or a
-        ``csl.increment_dsd_offset`` produces."""
+    def _dsd_of_get(self, op: csl.GetMemDsdOp) -> _DsdExpr:
+        planned = self.plan.static_dsd(op)
+        return _DsdExpr(planned.buffer, planned.offset, planned.length, planned.stride)
+
+    def _dsd_of_increment(
+        self, op: csl.IncrementDsdOffsetOp, env: dict[int, Any]
+    ) -> _DsdExpr:
         planned = self.plan.static_dsd(op)
         if planned is not None:
             return _DsdExpr(
@@ -577,7 +598,13 @@ class _KernelEmitter:
             extra = _atom(self._scalar(op.operands[1], env))
             term = f"int({extra})"
             runtime = term if runtime is None else f"{runtime} + {term}"
-        return replace(base, offset=base.offset + op.offset, runtime=runtime)
+        return _DsdExpr(
+            base.buffer,
+            base.offset + op.offset,
+            base.length,
+            base.stride,
+            runtime,
+        )
 
     # -- DSD compute builtins -------------------------------------------- #
 
@@ -585,15 +612,22 @@ class _KernelEmitter:
         """True when a source view shares the destination buffer with a
         *different* layout — the interpreter's full-RHS-then-assign order
         is then load-bearing and the out=-form must not be used."""
-        return any(
-            isinstance(source, _DsdExpr)
-            and source.buffer == dest.buffer
-            and source != dest
-            for source in sources
-        )
+        for source in sources:
+            if not isinstance(source, _DsdExpr):
+                continue
+            if source.buffer != dest.buffer:
+                continue
+            if source.view_key != dest.view_key:
+                return True
+        return False
 
-    def _emit_builtin(self, op, env: dict[int, Any], b: SourceBuilder,
-                      band: SourceBuilder | None = None) -> int:
+    def _emit_builtin(
+        self,
+        op,
+        env: dict[int, Any],
+        b: SourceBuilder,
+        band: SourceBuilder | None = None,
+    ) -> int:
         """One DSD builtin; returns its destination length.
 
         With ``band`` (a band-loop body) the statement goes there, over the
@@ -806,23 +840,30 @@ class _KernelEmitter:
             self._emit_dispatch(delivery, "deliver")
 
         out = SourceBuilder()
-        plan, boundary, (y0, y1, x0, x1) = self.plan, self.plan.boundary, self.box
-        out.lines(
-            f"# kernel generated by repro.wse.codegen (codegen v{CODEGEN_VERSION})"
-            " -- do not edit",
-            f"# entry {plan.entry!r}; grid {plan.width}x{plan.height}; "
-            f"boundary {boundary.kind}({boundary.value!r})",
-            *([f"# fingerprint {fingerprint}"] if fingerprint else []),
+        boundary = self.plan.boundary
+        out.line(
+            f"# kernel generated by repro.wse.codegen "
+            f"(codegen v{CODEGEN_VERSION}) -- do not edit"
+        )
+        out.line(
+            f"# entry {self.plan.entry!r}; grid "
+            f"{self.plan.width}x{self.plan.height}; "
+            f"boundary {boundary.kind}({boundary.value!r})"
+        )
+        if fingerprint:
+            out.line(f"# fingerprint {fingerprint}")
+        y0, y1, x0, x1 = self.box
+        out.line(
             f"# shard box rows [{y0}, {y1}) cols [{x0}, {x1}) of a "
-            f"{self.geometry.kx}x{self.geometry.ky} decomposition",
+            f"{self.geometry.kx}x{self.geometry.ky} decomposition"
         )
         out.line(f"SHARD_META = {self.schedule.meta!r}")
         out.line("def make_kernel(state, plan):")
         with out.indented():
-            out.lines(
-                "counters = state.counters", "variables = state.variables",
-                "queue = deque()", "pending = [-1]",
-            )
+            out.line("counters = state.counters")
+            out.line("variables = state.variables")
+            out.line("queue = deque()")
+            out.line("pending = [-1]")
             for buffer in sorted(self.plan.buffers):
                 out.line(f"{self._buffer_names[buffer]} = state.buffers[{buffer!r}]")
             # Padded bases of view-delivered sources; Dirichlet ghosts hold
@@ -880,14 +921,15 @@ class _KernelEmitter:
                 )
             out.extend(callables)
             out.extend(delivery)
-            out.lines(
-                "def drain():",
-                "    while queue and not state.halted:",
-                "        fn, a = queue.popleft()",
-                "        fn(a)",
-                "def settled():",
-                "    return state.halted or (not queue and pending[0] < 0)",
-            )
+            out.line("def drain():")
+            with out.indented():
+                out.line("while queue and not state.halted:")
+                with out.indented():
+                    out.line("fn, a = queue.popleft()")
+                    out.line("fn(a)")
+            out.line("def settled():")
+            with out.indented():
+                out.line("return state.halted or (not queue and pending[0] < 0)")
             # A sole shard's round loop: the drain/settled/deliver schedule
             # of the seam protocol with nothing to publish or await, minus
             # one Python boundary crossing per hook.  ``budget`` bounds the
@@ -896,45 +938,51 @@ class _KernelEmitter:
             # ``break`` and writes their receive slabs on the way out.
             landing = len(self._landing) > 0
 
-            def leave(status: str) -> list[str]:
+            def leave(status: str) -> None:
                 if landing:
-                    return [f"            status = {status!r}", "            break"]
-                return [f"            return executed, {status!r}"]
+                    out.line(f"status = {status!r}")
+                    out.line("break")
+                else:
+                    out.line(f"return executed, {status!r}")
 
-            out.lines(
-                "def run_block(budget):",
-                "    executed = 0",
-                "    while executed < budget:",
-                "        drain()",
-                "        if state.halted or (not queue and pending[0] < 0):",
-                *leave("settled"),
-                "        eid = pending[0]",
-                "        if eid < 0:",
-                *leave("deadlock"),
-                "        pending[0] = -1",
-            )
-            with out.indented(), out.indented():
-                self._emit_dispatch(out, "deliver")
-                out.line("executed += 1")
-            if landing:
-                out.lines("    else:", "        status = 'budget'")
-                out.extend(self._landing)
-                out.line("    return executed, status")
-            else:
-                out.line("    return executed, 'budget'")
+            out.line("def run_block(budget):")
+            with out.indented():
+                out.line("executed = 0")
+                out.line("while executed < budget:")
+                with out.indented():
+                    out.line("drain()")
+                    out.line(
+                        "if state.halted or (not queue and pending[0] < 0):"
+                    )
+                    with out.indented():
+                        leave("settled")
+                    out.line("eid = pending[0]")
+                    out.line("if eid < 0:")
+                    with out.indented():
+                        leave("deadlock")
+                    out.line("pending[0] = -1")
+                    self._emit_dispatch(out, "deliver")
+                    out.line("executed += 1")
+                if landing:
+                    out.line("else:")
+                    with out.indented():
+                        out.line("status = 'budget'")
+                    out.extend(self._landing)
+                    out.line("return executed, status")
+                else:
+                    out.line("return executed, 'budget'")
             fns = ", ".join(
                 f"{name!r}: {self._fn_names[name]}"
                 for name in sorted(self.image.callables)
             )
-            out.lines(
-                "return {",
-                f"    'fns': {{{fns}}},",
-                "    'drain': drain, 'settled': settled, "
-                "'publish': publish, 'deliver': deliver,",
-                "    'run_block': run_block,",
-                "    'queue': queue, 'pending': pending,",
-                "}",
-            )
+            out.line("return {")
+            with out.indented():
+                out.line(f"'fns': {{{fns}}},")
+                out.line("'drain': drain, 'settled': settled, "
+                         "'publish': publish, 'deliver': deliver,")
+                out.line("'run_block': run_block,")
+                out.line("'queue': queue, 'pending': pending,")
+            out.line("}")
         return out.text()
 
 

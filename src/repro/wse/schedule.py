@@ -114,12 +114,6 @@ class ExchangeSchedule:
     views: dict
 
     @property
-    def copies_per_delivery(self) -> tuple[Copy, ...]:
-        if self.form == "view":
-            return self.halo
-        return tuple(copy for chunk in self.chunks for copy in chunk)
-
-    @property
     def copies_per_run(self) -> tuple[Copy, ...]:
         """What ``run_block`` copies on its way out after a delivery."""
         return self.chunks[-1] if self.form == "view" else ()
@@ -129,7 +123,9 @@ class ExchangeSchedule:
 class DeliverySchedule:
     """Every exchange of one kernel's box, in ``eid`` order, the ``eid`` of
     each ``csl.comms_exchange`` op, the reach ``R`` of every source
-    delivered as views and the seam publication slot counts."""
+    delivered as views and the seam publication slot counts; also the
+    element count of the longest DSD operand of any builtin the kernel
+    runs, which its row bands follow."""
 
     box: tuple[int, int, int, int]
     geometry: ShardGeometry
@@ -138,6 +134,7 @@ class DeliverySchedule:
     padded: dict[str, int]
     pub_rows: int
     pub_cols: int
+    longest_dsd: int
 
     @property
     def meta(self) -> dict:
@@ -243,7 +240,8 @@ def _box_axis(table_axis: tuple[int | None, ...], lo: int, hi: int):
     """
     own: list[tuple[int, int]] = []
     remote: list[tuple[int, int]] = []
-    for local, src in enumerate(table_axis[lo:hi]):
+    for local in range(hi - lo):
+        src = table_axis[lo + local]
         if src is None:
             continue
         if lo <= src < hi:
@@ -361,6 +359,10 @@ class _Builder:
             padded=dict(sorted(self.padded.items())),
             pub_rows=len(self.pub_rows),
             pub_cols=len(self.pub_cols),
+            longest_dsd=max(
+                (dsd.length for uses in self.dsd_uses.values() for _, dsd, _ in uses),
+                default=0,
+            ),
         )
 
     def _schedule(self, eid: int, exchange: ExchangePlan, view: bool):
@@ -443,9 +445,12 @@ class _Builder:
         if not exchange.receive_callback:
             return True
         writes = self._written_buffers(exchange.receive_callback)
-        return writes is not None and not {
-            exchange.source_buffer, exchange.receive_buffer
-        } & writes
+        if writes is None:
+            return False
+        return (
+            exchange.source_buffer not in writes
+            and exchange.receive_buffer not in writes
+        )
 
     def _recv_preserved(self, exchange: ExchangePlan) -> bool:
         """True when nothing but the exchange's own delivery writes its

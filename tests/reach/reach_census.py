@@ -21,7 +21,11 @@ one tag:
   ``why`` names what does reach it: the outside input (handwritten CSL, a
   library caller, a CLI invocation), the benchmark or the test;
 * ``timing`` — runs or not depending on thread scheduling; its statements
-  are left out of the census whether they ran or not.
+  are left out of the census whether they ran or not.  A ``timing`` entry
+  masks one run of statements: the ``occurrence``-th (from 0, in source
+  order; 0 when absent) place in its qualname where a statement starts its
+  text.  Set ``occurrence`` by hand when the text occurs more than once
+  there (for an untagged range it counts unexecuted ranges instead).
 
 Any other entry may say ``why`` in a few words where the tag alone does
 not.  The
@@ -200,9 +204,9 @@ def module_ranges(
 
 
 def _masked_lines(source: str, entries: list[dict]) -> tuple[set[int], list[dict]]:
-    """The lines ``timing`` entries cover in ``source`` — every match of an
-    entry's text that starts a statement of the entry's qualname — and the
-    entries whose text is no longer there."""
+    """The lines ``timing`` entries cover in ``source`` — each entry's
+    ``occurrence``-th match of its text that starts a statement of its
+    qualname — and the entries whose text is no longer there."""
     text = [line.rstrip() for line in source.splitlines()]
     starts = {(s.qualname, s.start) for s in _statements(ast.parse(source))}
     masked: set[int] = set()
@@ -210,15 +214,19 @@ def _masked_lines(source: str, entries: list[dict]) -> tuple[set[int], list[dict
     for entry in entries:
         wanted = tuple(entry["source"])
         span = len(wanted)
-        found = False
-        for index in range(len(text) - span + 1):
-            if (entry["qualname"], index + 1) not in starts:
-                continue
-            window = textwrap.dedent("\n".join(text[index : index + span]))
-            if tuple(window.splitlines()) == wanted:
-                masked.update(range(index + 1, index + span + 1))
-                found = True
-        if not found:
+        matches = [
+            index
+            for index in range(len(text) - span + 1)
+            if (entry["qualname"], index + 1) in starts
+            and tuple(
+                textwrap.dedent("\n".join(text[index : index + span])).splitlines()
+            ) == wanted
+        ]
+        occurrence = entry.get("occurrence", 0)
+        if occurrence < len(matches):
+            index = matches[occurrence]
+            masked.update(range(index + 1, index + span + 1))
+        else:
             missing.append(entry)
     return masked, missing
 

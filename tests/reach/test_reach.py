@@ -59,9 +59,10 @@ def test_every_tag_is_a_known_one(failures):
     assert not unknown, f"tags outside {reach_census.TAGS}: {unknown}"
 
 
-def test_a_timing_range_masks_only_statements_of_its_own_function():
-    """A one-line timing text that also occurs earlier in another function
-    masks the statement of its own qualname, not the first match."""
+def test_a_timing_range_masks_only_its_own_statement():
+    """A one-line timing text masks one statement of its own qualname —
+    the ``occurrence``-th, 0 when absent — not a match elsewhere in the
+    module or a second match in the same function."""
     source = (
         "def first():\n"
         "    return None\n"
@@ -69,9 +70,14 @@ def test_a_timing_range_masks_only_statements_of_its_own_function():
         "def racy(x):\n"
         "    if x:\n"
         "        return None\n"
+        "    if not x:\n"
+        "        return None\n"
     )
-    entry = {"qualname": "racy", "source": ["return None"]}
-    masked, missing = reach_census._masked_lines(source, [entry])
-    assert (masked, missing) == ({6}, [])
+    first = {"qualname": "racy", "source": ["return None"]}
+    assert reach_census._masked_lines(source, [first]) == ({6}, [])
+    second = {**first, "occurrence": 1}
+    assert reach_census._masked_lines(source, [second]) == ({8}, [])
+    third = {**first, "occurrence": 2}
+    assert reach_census._masked_lines(source, [third]) == (set(), [third])
     gone = {"qualname": "elsewhere", "source": ["return None"]}
     assert reach_census._masked_lines(source, [gone]) == (set(), [gone])

@@ -150,7 +150,7 @@ def test_the_base_program_is_delivered_as_views():
     }
     # Fills written once per run, with the last chunk, never per delivery.
     assert exchange.fills == ((0, 0.0), (1, 0.0)) and not exchange.fills_once
-    assert exchange.copies_per_delivery == ()
+    assert exchange.halo == ()
     assert exchange.copies_per_run == exchange.chunks[-1]
 
 
@@ -184,7 +184,7 @@ def test_a_callable_writing_the_source_makes_it_direct():
     image = _image(written="u")
     assert _forms(image) == ["direct"]
     (exchange,) = delivery_schedule(image, image.plan_for(4, 4)).exchanges
-    assert exchange.copies_per_delivery == exchange.chunks[0] + exchange.chunks[1]
+    assert len(exchange.chunks) == 2 and exchange.halo == ()
     assert exchange.copies_per_run == () and exchange.fills_once
 
 

@@ -62,6 +62,7 @@ fabric        view, per run J (S)    direct, per delivery J (S)
 import pytest
 
 from repro.benchmarks import benchmark_by_name
+from repro.dialects import csl
 from repro.tests_support import python_calls
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.interpreter import bound_image
@@ -88,19 +89,21 @@ AUTO_BIND_EXTRA = {"compiled": 0, "auto": 1}
 _MODULES: dict = {}
 
 
+def _compile(name: str, side: int):
+    program = benchmark_by_name(name).program(nx=side, ny=side, nz=32, time_steps=4)
+    options = PipelineOptions(
+        grid_width=side,
+        grid_height=side,
+        num_chunks=2,
+        boundary=program.boundary,
+    )
+    return compile_stencil_program(program, options).program_module
+
+
 def _module(name: str, side: int):
     key = (name, side)
     if key not in _MODULES:
-        program = benchmark_by_name(name).program(
-            nx=side, ny=side, nz=32, time_steps=4
-        )
-        options = PipelineOptions(
-            grid_width=side,
-            grid_height=side,
-            num_chunks=2,
-            boundary=program.boundary,
-        )
-        _MODULES[key] = compile_stencil_program(program, options).program_module
+        _MODULES[key] = _compile(name, side)
     return _MODULES[key]
 
 
@@ -156,11 +159,24 @@ COPY_BYTES = {
 CHUNKS = 2
 
 
-def _whole_fabric_exchange(name: str, side: int):
-    image = bound_image(_module(name, side))
+def _whole_fabric_exchange(module, side: int):
+    image = bound_image(module)
     schedule = delivery_schedule(image, image.plan_for(side, side))
     (exchange,) = schedule.exchanges
     return exchange
+
+
+def _direct_exchange(name: str, side: int):
+    """The same exchange in the direct form: a fresh module whose done
+    callback also activates the receive callback, which may then run
+    outside the delivery, so the view form's predicate rejects it."""
+    module = _compile(name, side)
+    exchange = _whole_fabric_exchange(module, side).plan
+    done = bound_image(module).callables[exchange.done_callback]
+    done.regions[0].blocks[0].insert_op(
+        csl.ActivateOp(exchange.receive_callback, 0), 0
+    )
+    return _whole_fabric_exchange(module, side)
 
 
 def _bytes(copies) -> int:
@@ -169,10 +185,12 @@ def _bytes(copies) -> int:
 
 @pytest.mark.parametrize("name, side", sorted(SLAB_WRITES))
 def test_view_delivery_writes_the_receive_slab_once_per_run(name, side):
-    exchange = _whole_fabric_exchange(name, side)
+    """A view delivery copies only its ghost strips (none under Dirichlet);
+    ``run_block`` lands the last chunk and the fills."""
+    exchange = _whole_fabric_exchange(_module(name, side), side)
     copies, fills = SLAB_WRITES[name, side]
     assert exchange.form == "view"
-    assert exchange.copies_per_delivery == ()
+    assert exchange.halo == ()
     assert len(exchange.copies_per_run) == copies
     assert len(exchange.fills) == fills and not exchange.fills_once
     assert _bytes(exchange.copies_per_run) == COPY_BYTES[name, side]
@@ -180,11 +198,15 @@ def test_view_delivery_writes_the_receive_slab_once_per_run(name, side):
 
 @pytest.mark.parametrize("name, side", sorted(SLAB_WRITES))
 def test_direct_delivery_writes_every_chunk(name, side):
-    """What the direct form copies per delivery: every chunk's copies,
-    each as large as the one chunk the view form copies per run."""
-    exchange = _whole_fabric_exchange(name, side)
-    copies, _ = SLAB_WRITES[name, side]
+    """A direct delivery copies every chunk, each as large as the one chunk
+    the view form copies per run, and writes its fills once per binding;
+    ``run_block`` lands nothing."""
+    exchange = _direct_exchange(name, side)
+    copies, fills = SLAB_WRITES[name, side]
+    assert exchange.form == "direct"
     assert [len(chunk) for chunk in exchange.chunks] == [copies] * CHUNKS
-    assert [_bytes(chunk) for chunk in exchange.chunks] == [
-        COPY_BYTES[name, side]
-    ] * CHUNKS
+    assert _bytes(copy for chunk in exchange.chunks for copy in chunk) == (
+        CHUNKS * COPY_BYTES[name, side]
+    )
+    assert len(exchange.fills) == fills and exchange.fills_once
+    assert exchange.copies_per_run == ()
