@@ -35,7 +35,6 @@ from repro.dialects import csl as csl_dialect
 from repro.wse.interpreter import ProgramImage
 
 __all__ = [
-    "PARSER_VERSION",
     "CslDiagnosticError",
     "CslSyntaxError",
     "CslLoweringError",
@@ -52,11 +51,6 @@ __all__ = [
     "DiffReport",
     "FieldDiff",
 ]
-
-#: bumped whenever parsing or lowering changes observable semantics; folded
-#: into service run fingerprints so cached CSL runs invalidate correctly.
-PARSER_VERSION = 2
-
 
 class ParsedCsl:
     """The result of parsing a set of CSL sources."""

@@ -3,7 +3,7 @@
 Layered on top of the one-shot ``compile_stencil_program``:
 
 * :mod:`repro.service.fingerprint` — canonical, process-stable content hash
-  of a (program, options, pipeline-version) triple;
+  of a (program, options, code digest) triple;
 * :mod:`repro.service.cache` — the one checksummed on-disk store (compile,
   run and kernel namespaces) and the two-tier artifact cache (in-memory LRU
   over one namespace) keyed by fingerprint;
@@ -11,8 +11,8 @@ Layered on top of the one-shot ``compile_stencil_program``:
   cache hits and compiles cache misses inline;
 * :mod:`repro.service.run` — :class:`RunService`, whose ``run`` is the one
   synchronous end-to-end run job (compile → simulate → field digests),
-  content-addressed by a run fingerprint that folds in the executor, seed,
-  round budget and execution-plan version;
+  content-addressed by a run fingerprint that folds in the executor, seed
+  and round budget;
 * :mod:`repro.service.queue` — :class:`JobQueue`, the one asynchronous
   path: ``submit`` returns a durable :class:`JobHandle` over persistent
   SQLite-backed jobs with an explicit lifecycle state machine, worked by a

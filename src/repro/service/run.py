@@ -7,10 +7,10 @@ backend with deterministically seeded input fields, and distil the result
 into a :class:`RunArtifact` — SHA-256 digests of every gathered field plus
 the simulation statistics.  Because every stage is deterministic, the
 artifact is content-addressed by a *run fingerprint*: the compile-stage
-fingerprint payload extended with the run-level inputs (executor, input
-seed, round budget) and the execution-plan version
-(:data:`~repro.wse.plan.PLAN_VERSION`), so a change to either compilation
-or planning semantics invalidates cached runs exactly once.
+fingerprint payload — which carries the code digest
+(:func:`repro.code_digest`), so any change to the code invalidates cached
+runs — extended with the run-level inputs (executor, input seed, round
+budget).
 
 :meth:`RunService.run` is the one synchronous definition of a run (and
 :meth:`RunService.run_csl` the same loop for a parsed CSL source set):
@@ -40,7 +40,8 @@ from typing import Callable
 import numpy as np
 
 from repro.baselines.numpy_ref import allocate_fields, field_to_columns
-from repro.csl import PARSER_VERSION, parse_csl_sources
+from repro import code_digest
+from repro.csl import parse_csl_sources
 from repro.frontends.common import StencilProgram
 from repro.service.cache import RUN, ArtifactCache
 from repro.service.fingerprint import (
@@ -51,10 +52,9 @@ from repro.service.fingerprint import (
 from repro.service.kernels import KernelSourceStore
 from repro.service.service import CompileService
 from repro.transforms.pipeline import PipelineOptions
-from repro.wse.codegen import CODEGEN_VERSION, kernel_cache_statistics
+from repro.wse.codegen import kernel_cache_statistics
 from repro.wse.executors import default_executor_name, executor_by_name
 from repro.wse.interpreter import bound_image
-from repro.wse.plan import PLAN_VERSION
 from repro.wse.simulator import WseSimulator
 
 #: current run-artifact schema; bumping it invalidates stored run artifacts.
@@ -78,11 +78,8 @@ def run_fingerprint_payload(
 
     Extends the compile-stage payload with everything that additionally
     determines a run's outcome: the execution backend, the input-field
-    seed, the round budget, the plan version (all backends replay the
-    plan, so its lowering semantics are run-relevant even though they never
-    reach the printed artifact), and the kernel-codegen version (the
-    ``compiled`` backend executes generated code, so emitter changes must
-    invalidate cached runs the same way planning changes do).
+    seed and the round budget.  The compile payload's code digest covers
+    planning and kernel codegen too.
     """
     payload = fingerprint_payload(program, options)
     payload["run"] = {
@@ -90,8 +87,6 @@ def run_fingerprint_payload(
         "executor": executor,
         "seed": seed,
         "max_rounds": max_rounds,
-        "plan_version": PLAN_VERSION,
-        "codegen_version": CODEGEN_VERSION,
     }
     return payload
 
@@ -119,20 +114,18 @@ def csl_run_fingerprint_payload(
 
     Parsed kernels have no ``StencilProgram``/``PipelineOptions`` provenance,
     so the source *texts* stand in for the compile stage: any edit to any
-    file is a different run.  The parser version rides along — a lowering
-    change alters what the same text executes as, exactly like a plan or
-    codegen change does for generated programs.
+    file is a different run.  The code digest (:func:`repro.code_digest`)
+    rides along — a parser, plan or codegen change alters what the same
+    text executes as.
     """
     return {
+        "code": code_digest(),
         "csl_sources": dict(sorted(sources.items())),
         "run": {
             "schema": RUN_SCHEMA_VERSION,
             "executor": executor,
             "seed": seed,
             "max_rounds": max_rounds,
-            "parser_version": PARSER_VERSION,
-            "plan_version": PLAN_VERSION,
-            "codegen_version": CODEGEN_VERSION,
         },
     }
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro import code_digest
 from repro.dialects.builtin import ModuleOp
 from repro.frontends.common import (
     BoundaryCondition,
@@ -36,13 +37,6 @@ from repro.transforms.tensorize_z import TensorizeZDimensionPass
 from repro.transforms.varith_fuse_repeated_operands import (
     VarithFuseRepeatedOperandsPass,
 )
-
-#: Version stamp of the lowering pipeline, mixed into artifact fingerprints
-#: (:mod:`repro.service.fingerprint`).  Bump it whenever a pass changes the
-#: CSL it emits for an unchanged input program, so stale cached artifacts are
-#: never served after a compiler change.
-PIPELINE_VERSION = 3
-
 
 @dataclass
 class PipelineOptions:
@@ -168,9 +162,9 @@ PASS_DESCRIPTION = build_pass_pipeline(PipelineOptions()).pipeline_description
 
 
 def pipeline_stamp() -> dict:
-    """The pipeline half of an artifact fingerprint: the version stamp plus
-    the pass sequence."""
-    return {"version": PIPELINE_VERSION, "passes": PASS_DESCRIPTION}
+    """The pipeline half of an artifact fingerprint: the code digest
+    (:func:`repro.code_digest`) plus the pass sequence."""
+    return {"code": code_digest(), "passes": PASS_DESCRIPTION}
 
 
 @dataclass

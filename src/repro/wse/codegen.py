@@ -65,7 +65,7 @@ without writing the receive slab.
 
 Kernels are cached process-wide in an in-memory memo keyed by a *kernel
 fingerprint* (SHA-256 over the printed program module, the plan's canonical
-form and :data:`CODEGEN_VERSION`), and optionally persisted through a
+form and :func:`repro.code_digest`), and optionally persisted through a
 source store (see :mod:`repro.service.kernels`) so compilation is paid once
 fleet-wide.  The fingerprint is content-addressed but not recomputed per
 lookup: the image prints its module once, and the fingerprint of a plan the
@@ -94,6 +94,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
+from repro import code_digest
 from repro.dialects import arith, csl, scf
 from repro.ir.operation import Operation
 # ``bind_statistics`` is re-exported: it is read beside
@@ -107,31 +108,7 @@ from repro.wse.schedule import whole_fabric
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wse.interpreter import ProgramImage
 
-#: bump when the emitted kernel semantics change; folded into kernel
-#: fingerprints (stale memo/store entries then miss) and into run-level
-#: fingerprints so cached run artifacts invalidate alongside.
-#: v3: one whole-grid emission — every non-box kernel carries ``run_block``
-#: and the direct-to-receive delivery.
-#: v4: whole-grid DSD runs over row bands.
-#: v5: shard-box kernels band too, and deliver as whole-grid kernels do
-#: (straight into the receive slab where proven safe, all after the
-#: publication wait).
-#: v6: one kernel kind — the whole grid is the one box of the 1x1 geometry
-#: (every kernel carries the round hooks and ``run_block``; index constants
-#: in place of the plan's fold tables).
-#: v7: whole-fabric kernels deliver provably safe exchanges as views of a
-#: padded source (per-chunk receive-callback variants, halo strips, the
-#: receive slab written once per ``run_block``).
-#: v8: no staged delivery form — an exchange that is not direct-safe
-#: declines the kernel — and no per-direction coefficient constants.
-#: v9: a host or layout op (``csl.export``, ``csl.rpc``, an import) in a
-#: callable body declines the kernel instead of emitting nothing; every
-#: ``csl.get_mem_dsd`` is the plan's (emitted bodies unchanged).
-CODEGEN_VERSION = 9
-
 #: bytes one row band of the longest DSD operand view spans in a kernel.
-#: Part of the emitter, like every other emission choice: a new value needs
-#: a new ``CODEGEN_VERSION``.
 _BAND_BYTES = 256 * 1024
 
 #: environment variable naming a directory to retain emitted kernel source
@@ -152,7 +129,7 @@ def kernel_fingerprint(
     """Content fingerprint of the kernel of one (program module, plan, box).
 
     Hashes the deterministically printed program module together with the
-    plan's canonical form, the codegen version, the box and the whole shard
+    plan's canonical form, the code digest, the box and the whole shard
     geometry (seam publication slots depend on every band/stripe edge), so
     two processes that compiled the same program to the same plan share one
     kernel per box — and any change to the program, the planning semantics
@@ -161,7 +138,7 @@ def kernel_fingerprint(
 
     The module text comes from the image's memo, and for a plan the image
     owns the fingerprint itself is memoised on the image (keyed by the
-    codegen version, box and geometry); any other plan — one compiled
+    code digest, box and geometry); any other plan — one compiled
     directly — is hashed afresh.
     """
     if geometry is None:
@@ -169,7 +146,7 @@ def kernel_fingerprint(
 
     def hashed() -> str:
         payload = {
-            "codegen_version": CODEGEN_VERSION,
+            "code": code_digest(),
             "module": image.module_text(),
             "plan": plan.canonical(),
             "shard": {"box": list(box), "geometry": geometry.canonical()},
@@ -184,7 +161,7 @@ def kernel_fingerprint(
         "kernel_fingerprint",
         plan.width,
         plan.height,
-        CODEGEN_VERSION,
+        code_digest(),
         box,
         geometry.row_edges,
         geometry.col_edges,
@@ -805,7 +782,7 @@ class _KernelEmitter:
 
     # -- assembly --------------------------------------------------------- #
 
-    def emit(self, fingerprint: str | None = None) -> str:
+    def emit(self) -> str:
         self._assign_names()
         self._bands = self._row_bands()
 
@@ -842,16 +819,10 @@ class _KernelEmitter:
         out = SourceBuilder()
         boundary = self.plan.boundary
         out.line(
-            f"# kernel generated by repro.wse.codegen "
-            f"(codegen v{CODEGEN_VERSION}) -- do not edit"
-        )
-        out.line(
             f"# entry {self.plan.entry!r}; grid "
             f"{self.plan.width}x{self.plan.height}; "
             f"boundary {boundary.kind}({boundary.value!r})"
         )
-        if fingerprint:
-            out.line(f"# fingerprint {fingerprint}")
         y0, y1, x0, x1 = self.box
         out.line(
             f"# shard box rows [{y0}, {y1}) cols [{x0}, {x1}) of a "
@@ -989,7 +960,6 @@ class _KernelEmitter:
 def generate_kernel_source(
     image: "ProgramImage",
     plan: ExecutionPlan,
-    fingerprint: str | None = None,
     box: tuple[int, int, int, int] | None = None,
     geometry: ShardGeometry | None = None,
 ) -> str:
@@ -1003,7 +973,7 @@ def generate_kernel_source(
     ``publish`` / ``deliver``), a sole shard's round loop
     (``run_block(budget)``) and a module-level ``SHARD_META`` literal.
     """
-    return _KernelEmitter(image, plan, box, geometry).emit(fingerprint)
+    return _KernelEmitter(image, plan, box, geometry).emit()
 
 
 # --------------------------------------------------------------------------- #
@@ -1143,7 +1113,7 @@ def get_kernel(
     if source is not None:
         _STATISTICS.disk_hits += 1
     else:
-        source = generate_kernel_source(image, plan, fingerprint, box, geometry)
+        source = generate_kernel_source(image, plan, box, geometry)
         _STATISTICS.codegens += 1
         if store is not None:
             store.put(fingerprint, source)

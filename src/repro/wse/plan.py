@@ -32,8 +32,7 @@ The plan is *backend-neutral*: the ``reference`` executor reads per-PE
 neighbour coordinates out of the same tables the ``vectorized`` executor
 turns into whole-grid fancy-index gathers and the kernel executors
 restrict to their shard boxes.  Plans are deterministic — compiling the same
-image twice yields equal plans — and versioned (:data:`PLAN_VERSION`), so
-run-level artifact fingerprints can fold the planning semantics in.
+image twice yields equal plans.
 """
 
 from __future__ import annotations
@@ -54,13 +53,6 @@ from repro.wse.interpreter import bind_statistics
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wse.interpreter import ProgramImage
-
-#: bump when the lowering in this module changes observable execution or
-#: the programs it accepts; folded into run-level fingerprints so cached run
-#: artifacts invalidate.  2: a ``csl.get_mem_dsd`` must name a declared
-#: buffer.
-PLAN_VERSION = 2
-
 
 class PlanError(InterpretationError):
     """A program image the plan cannot lower (see the module docstring)."""
@@ -406,11 +398,9 @@ class ExecutionPlan:
         """A process-stable, JSON-serialisable form of the whole plan.
 
         Two plans compiled from the same image, grid and boundary must
-        canonicalise identically — the determinism tests pin this, and run
-        fingerprints rely on :data:`PLAN_VERSION` tracking this shape.
+        canonicalise identically — the determinism tests pin this.
         """
         return {
-            "plan_version": PLAN_VERSION,
             "width": self.width,
             "height": self.height,
             "boundary": self.boundary.canonical(),

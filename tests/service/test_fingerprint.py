@@ -3,6 +3,7 @@
 import pytest
 
 import repro.transforms.pipeline as pipeline_module
+from repro import code_digest
 from repro.frontends.common import (
     Constant,
     FieldAccess,
@@ -73,14 +74,6 @@ def test_every_artifact_relevant_option_is_fingerprinted(overrides):
     assert changed != base
 
 
-def test_pipeline_version_bump_invalidates_fingerprints(monkeypatch):
-    base = compute_fingerprint(make_program(), make_options())
-    monkeypatch.setattr(
-        pipeline_module, "PIPELINE_VERSION", pipeline_module.PIPELINE_VERSION + 1
-    )
-    assert compute_fingerprint(make_program(), make_options()) != base
-
-
 def test_canonical_json_is_key_order_independent():
     assert canonical_json({"b": 1, "a": [2, 3]}) == canonical_json({"a": [2, 3], "b": 1})
 
@@ -105,7 +98,7 @@ def test_pipeline_stamp_is_one_constant_for_every_option_set():
         payload = fingerprint_payload(make_program(), options)
         assert payload["pipeline"] == pipeline_module.pipeline_stamp()
     assert pipeline_module.pipeline_stamp() == {
-        "version": pipeline_module.PIPELINE_VERSION,
+        "code": code_digest(),
         "passes": pipeline_module.PASS_DESCRIPTION,
     }
 

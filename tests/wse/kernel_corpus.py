@@ -1,8 +1,9 @@
 """The emitted kernels the digest pins cover.
 
 Every kernel here is generated exactly as :func:`repro.wse.codegen.get_kernel`
-generates it on a cache miss — source text with its fingerprint header — for
-the module and plan a simulator bind uses.  There is one kernel kind, the
+generates it on a cache miss, for the module and plan a simulator bind
+uses.  The source carries no fingerprint or version, so an edit elsewhere in
+the package leaves every pin as it is.  There is one kernel kind, the
 kernel of one box of a shard geometry:
 
 * the whole-fabric kernel — the only box of the 1x1 geometry, the kernel
@@ -35,7 +36,7 @@ from repro.benchmarks import benchmark_by_name
 from repro.benchmarks.definitions import ALL_BENCHMARKS
 from repro.frontends.common import BoundaryCondition
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
-from repro.wse.codegen import generate_kernel_source, kernel_fingerprint
+from repro.wse.codegen import generate_kernel_source
 from repro.wse.interpreter import bound_image
 from repro.wse.plan import ShardGeometry
 
@@ -83,33 +84,30 @@ def _bound(name: str, boundary: BoundaryCondition, grid=None, nz=12, steps=2):
     return image, image.plan_for(grid, grid)
 
 
-def _source(image, plan, box=None, geometry=None) -> str:
-    fingerprint = kernel_fingerprint(image, plan, box, geometry)
-    return generate_kernel_source(image, plan, fingerprint, box, geometry)
-
-
 def kernel_sources() -> dict[str, str]:
     """``{pin id: emitted source}`` for every pinned kernel."""
     sources = {}
     for boundary in BOUNDARIES:
         for benchmark in ALL_BENCHMARKS:
             image, plan = _bound(benchmark.name, boundary)
-            sources[f"{benchmark.name}/{boundary.spec}/grid"] = _source(image, plan)
+            sources[f"{benchmark.name}/{boundary.spec}/grid"] = generate_kernel_source(
+                image, plan
+            )
             if benchmark.name not in SHARDED:
                 continue
             geometry = ShardGeometry.build(plan.width, plan.height, *SHARD_GRID)
             for box in geometry.boxes():
                 pin = f"{benchmark.name}/{boundary.spec}/box{list(box)}"
-                sources[pin] = _source(image, plan, box, geometry)
+                sources[pin] = generate_kernel_source(image, plan, box, geometry)
     for name, boundary, nz, steps in BANDED:
         image, plan = _bound(name, boundary, 64, nz, steps)
-        sources[f"{name}/{boundary.spec}/grid64"] = _source(image, plan)
+        sources[f"{name}/{boundary.spec}/grid64"] = generate_kernel_source(image, plan)
     for name, boundary, nz, steps in BANDED_BOXES:
         image, plan = _bound(name, boundary, 64, nz, steps)
         geometry = ShardGeometry.build(64, 64, *BANDED_SHARD_GRID)
         box = geometry.boxes()[0]
         pin = f"{name}/{boundary.spec}/box64{list(box)}"
-        sources[pin] = _source(image, plan, box, geometry)
+        sources[pin] = generate_kernel_source(image, plan, box, geometry)
     return sources
 
 

@@ -46,7 +46,6 @@ from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse import codegen
 from repro.wse.codegen import (
-    CODEGEN_VERSION,
     DUMP_ENV_VAR,
     KernelCodegenError,
     generate_kernel_source,
@@ -107,13 +106,11 @@ class TestDeterministicEmission:
         program yield the same fingerprint and the same source bytes."""
         _, _, image, plan = _image()
         fingerprint = kernel_fingerprint(image, plan)
-        first = generate_kernel_source(image, plan, fingerprint)
-        assert first == generate_kernel_source(image, plan, fingerprint)
+        first = generate_kernel_source(image, plan)
+        assert first == generate_kernel_source(image, plan)
         _, _, again_image, again_plan = _image()
         assert kernel_fingerprint(again_image, again_plan) == fingerprint
-        assert generate_kernel_source(
-            again_image, again_plan, fingerprint
-        ) == first
+        assert generate_kernel_source(again_image, again_plan) == first
 
     def test_dump_emits_deterministic_golden_source(self, monkeypatch, tmp_path):
         """``REPRO_COMPILED_DUMP`` writes the kernel beside the cache; a
@@ -132,7 +129,7 @@ class TestDeterministicEmission:
         assert dumped.read_bytes() == golden
         assert kernel_cache_statistics().codegens == 1  # post-reset count
 
-    def test_fingerprint_tracks_plan_and_codegen_version(self, monkeypatch):
+    def test_fingerprint_tracks_the_plan(self):
         _, _, image, plan = _image()
         base = kernel_fingerprint(image, plan)
         periodic = ExecutionPlan.compile(
@@ -142,10 +139,6 @@ class TestDeterministicEmission:
             boundary=BoundaryCondition.periodic(),
         )
         assert kernel_fingerprint(image, periodic) != base
-        monkeypatch.setattr(
-            "repro.wse.codegen.CODEGEN_VERSION", CODEGEN_VERSION + 1
-        )
-        assert kernel_fingerprint(image, plan) != base
 
 
 #: A 4x4 program whose receive callback damps the column it is still

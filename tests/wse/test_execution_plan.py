@@ -4,8 +4,7 @@ Two properties anchor the plan-compiled executor core:
 
 * **determinism** — lowering the same program image twice yields equal
   plans (canonical forms compare equal member by member), which is what
-  lets run-level fingerprints reference :data:`PLAN_VERSION` instead of
-  hashing plans;
+  lets kernel fingerprints hash the canonical form;
 * **non-regression** — the plan-consuming ``vectorized`` executor still
   produces the exact bytes the pre-plan implementation did.  The digests
   below were captured from the repository state *before* the executors
@@ -22,7 +21,7 @@ from repro.frontends.common import BoundaryCondition
 from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.interpreter import ProgramImage
-from repro.wse.plan import PLAN_VERSION, ExecutionPlan, build_halo_table
+from repro.wse.plan import ExecutionPlan, build_halo_table
 
 
 def _compiled_image(name="Jacobian", grid=4, boundary=None):
@@ -53,7 +52,6 @@ class TestPlanDeterminism:
             ExecutionPlan.compile(image, grid, grid).canonical(), sort_keys=True
         )
         assert text == again
-        assert json.loads(text)["plan_version"] == PLAN_VERSION
 
     def test_reads_never_change_the_canonical_form(self):
         """Probing a direction no exchange declared (a host-side read path)

@@ -1,10 +1,11 @@
 """The emitted kernels, pinned byte for byte.
 
 ``data/kernel_digests.json`` holds the sha256 of every kernel
-``kernel_corpus.py`` lists, fingerprint header included — so a change to
-the emitted source, to ``CODEGEN_VERSION``/``PLAN_VERSION`` or to anything
-else a kernel fingerprint hashes fails here with the kernel's name, and an
-unchanged file proves every cached kernel-store entry stays valid.  The
+``kernel_corpus.py`` lists, so a change to the emitted source fails here
+with the kernel's name.  The source names no fingerprint: which code wrote
+a kernel is in its fingerprint (the code digest), not in its text, so a
+change elsewhere in the package leaves the pins alone
+(``tests/service/test_code_identity.py`` checks the fingerprints).  The
 64x64 pins are the only row-banded kernels of the corpus.  Every pin is of
 the one kernel kind: ``SHARD_META``, the four seam-protocol hooks and a sole
 shard's ``run_block``, and no plan fold table.
