@@ -10,9 +10,7 @@ the raw store the daemon adds:
   already holds is recorded as ``done`` without ever queueing (this is
   what makes resubmitted experiments resumable);
 * **crash recovery** — construction requeues every job a previous daemon
-  left in an active state (bounded by each job's attempt budget);
-* **progress streaming** — subscribers receive every
-  :class:`~repro.service.queue.lifecycle.JobEvent` as jobs move.
+  left in an active state (bounded by each job's attempt budget).
 
 The queue is the asynchronous wrapper of the one synchronous run,
 :meth:`RunService.run <repro.service.run.RunService.run>`: ``submit``
@@ -82,6 +80,13 @@ class QueueStatistics:
     #: on its first claim, one more for every worker that died or was
     #: terminated by a cancel), as of the last job outcome counted above.
     worker_spawns: int = 0
+    #: the worker processes' own job-store counters (``transactions``,
+    #: ``writer_waits``, ``writer_wait_seconds``), summed over the jobs
+    #: they reported back, as of the last job outcome counted above.
+    #: Inline workers write through the daemon's store and count there.
+    worker_transactions: int = 0
+    worker_writer_waits: int = 0
+    worker_writer_wait_seconds: float = 0.0
 
 
 @dataclass
@@ -164,8 +169,8 @@ def _artifact_of(record: JobRecord, artifacts: DiskStore) -> RunArtifact:
 def _weakly(method):
     """``method`` as a callback that does not keep its object alive.
 
-    The store and the pool's claim threads hold the queue's callbacks; if
-    they held the queue itself, dropping the last reference to it could
+    The pool's claim threads hold the queue's callbacks; if they held the
+    queue itself, dropping the last reference to it could
     never run the finalizer that reaps its worker processes.
     """
     reference = weakref.WeakMethod(method)
@@ -201,14 +206,11 @@ class JobQueue:
         start: bool = True,
     ):
         self.cache_dir = resolve_cache_directory(cache_dir)
-        self.store = JobStore(
-            self.cache_dir, on_event=_weakly(self._dispatch_event)
-        )
+        self.store = JobStore(self.cache_dir)
         #: the store's run namespace, which the workers' run services fill.
         self.artifacts = DiskStore(RUN, self.cache_dir, RunArtifact.from_json)
         self.max_attempts = max_attempts
         self.statistics = QueueStatistics()
-        self._subscribers: list = []
         self._lock = threading.Lock()
         if recover:
             recovered = self.store.recover_orphans()
@@ -222,7 +224,6 @@ class JobQueue:
             poll_interval=poll_interval,
             on_terminal=_weakly(self._on_terminal),
             on_retry=_weakly(self._on_retry),
-            forward_events=_weakly(self._dispatch_event),
         )
         # Dropping the last reference to the queue reaps its workers (at
         # interpreter exit the pool's own, better-ordered hook does).
@@ -344,35 +345,22 @@ class JobQueue:
         )
 
     # ------------------------------------------------------------------ #
-    # Events
+    # Job outcomes
     # ------------------------------------------------------------------ #
 
-    def subscribe(self, callback) -> None:
-        """Stream every job event to ``callback`` (called from worker
-        threads; must not raise).  Inline workers stream transitions live;
-        a process worker records a job's transitions in its own process,
-        and they are streamed here, in order, when it reports the job back
-        (or dies) — not at process exit, workers outlive their jobs."""
-        with self._lock:
-            self._subscribers.append(callback)
-
-    def unsubscribe(self, callback) -> None:
-        with self._lock:
-            if callback in self._subscribers:
-                self._subscribers.remove(callback)
-
-    def _dispatch_event(self, event: JobEvent) -> None:
-        with self._lock:
-            subscribers = list(self._subscribers)
-        for callback in subscribers:
-            try:
-                callback(event)
-            except Exception:
-                pass  # a broken subscriber must not kill a worker
+    def _count_pool(self) -> None:
+        """Copy the pool's counters into the statistics (under the lock)."""
+        stats = self.statistics
+        stats.worker_spawns = self.pool.spawns
+        (
+            stats.worker_transactions,
+            stats.worker_writer_waits,
+            stats.worker_writer_wait_seconds,
+        ) = self.pool.worker_store_counters
 
     def _on_terminal(self, record: JobRecord) -> None:
         with self._lock:
-            self.statistics.worker_spawns = self.pool.spawns
+            self._count_pool()
             if record.status is JobStatus.DONE:
                 self.statistics.completed += 1
             elif record.status is JobStatus.FAILED:
@@ -382,7 +370,7 @@ class JobQueue:
 
     def _on_retry(self, record: JobRecord, reason: str) -> None:
         with self._lock:
-            self.statistics.worker_spawns = self.pool.spawns
+            self._count_pool()
             self.statistics.retried += 1
 
     # ------------------------------------------------------------------ #
@@ -469,6 +457,9 @@ class JobQueue:
                 f"opened {self.store.connections_opened}",
                 f"  store writer-lock waits {self.store.writer_waits} "
                 f"({self.store.writer_wait_seconds * 1e3:.1f} ms)",
+                f"  worker store transactions {stats.worker_transactions}  "
+                f"writer-lock waits {stats.worker_writer_waits} "
+                f"({stats.worker_writer_wait_seconds * 1e3:.1f} ms)",
                 f"  store: {self.store.path} "
                 f"({sum(counts.values())} jobs: {populated or 'empty'})",
             ]

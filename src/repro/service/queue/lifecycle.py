@@ -18,7 +18,7 @@ surfaces immediately instead of a corrupt history.
 
 Transitions are recorded as :class:`JobEvent` rows (append-only, ordered),
 so a job's full history — claims, retries, cache hits, cancellations — is
-reconstructable after the fact and streamable to subscribers.
+reconstructable after the fact.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.frontends.common import StencilProgram
 from repro.service.cache import resolve_cache_directory
@@ -290,26 +290,13 @@ CREATE INDEX IF NOT EXISTS events_by_job ON events(job_id, id);
 
 
 class JobStore:
-    """Durable job rows + event history with atomic status transitions.
+    """Durable job rows + event history with atomic status transitions."""
 
-    ``on_event`` (when given) is called with every :class:`JobEvent` this
-    *instance* records, after its transaction commits — the daemon hangs
-    its subscriber fan-out off it.  Events recorded by other processes
-    (worker processes have their own store instance) are not observed
-    live; the worker pool forwards a job's when its worker reports it.
-    """
-
-    def __init__(
-        self,
-        directory: str | os.PathLike | None = None,
-        *,
-        on_event: Callable[[JobEvent], None] | None = None,
-    ):
+    def __init__(self, directory: str | os.PathLike | None = None):
         self.directory = resolve_cache_directory(directory) / "queue"
         self.path = self.directory / "jobs.db"
         #: the writer lock's file (see the module docstring).
         self.lock_path = self.directory / "jobs.db.lock"
-        self.on_event = on_event
         #: SQLite connections this instance has opened (one per use between
         #: ``close()`` calls, however many operations and threads).
         self.connections_opened = 0
@@ -320,8 +307,6 @@ class JobStore:
         self.writer_waits = 0
         self.writer_wait_seconds = 0.0
         self._connection: sqlite3.Connection | None = None
-        #: per-thread buffer of events recorded inside the open transaction.
-        self._local = threading.local()
         self._ensure_schema()
 
     # ------------------------------------------------------------------ #
@@ -433,53 +418,36 @@ class JobStore:
 
     @contextmanager
     def _txn(self) -> Iterator[sqlite3.Connection]:
-        """One ``BEGIN IMMEDIATE`` transaction under the writer lock;
-        events fire after commit.
-
-        The per-transaction event buffer is thread-local, so concurrent
-        worker threads never observe each other's half-recorded histories.
-        """
+        """One ``BEGIN IMMEDIATE`` transaction under the writer lock."""
         global _open_write
-        recorded: list[JobEvent] = []
-        previous = getattr(self._local, "events", None)
-        self._local.events = recorded
-        try:
-            with FORK_LOCK:
-                if _open_write is not None:
-                    raise RuntimeError(
-                        f"write to job store {self.path} inside an open "
-                        f"write transaction of {_open_write.path}"
-                    )
-                connection = self._connected()
-                writer_lock = _OPEN_CONNECTIONS[connection]
-                self._lock_writer(writer_lock)
-                _open_write = self
+        with FORK_LOCK:
+            if _open_write is not None:
+                raise RuntimeError(
+                    f"write to job store {self.path} inside an open "
+                    f"write transaction of {_open_write.path}"
+                )
+            connection = self._connected()
+            writer_lock = _OPEN_CONNECTIONS[connection]
+            self._lock_writer(writer_lock)
+            _open_write = self
+            try:
+                connection.execute("BEGIN IMMEDIATE")
+                self.transactions += 1
+                yield connection
+                connection.execute("COMMIT")
+            except BaseException:
                 try:
-                    connection.execute("BEGIN IMMEDIATE")
-                    self.transactions += 1
-                    yield connection
-                    connection.execute("COMMIT")
-                except BaseException:
-                    recorded.clear()  # rolled back: never happened
-                    try:
-                        connection.execute("ROLLBACK")
-                    except sqlite3.Error:
-                        # Nothing to roll back (BEGIN itself failed) or an
-                        # unknown transaction state: never reuse it.  The
-                        # lock's descriptor closes with it, releasing it.
-                        self._drop_connection()
-                    raise
-                finally:
-                    _open_write = None
-                    if connection in _OPEN_CONNECTIONS:
-                        fcntl.flock(writer_lock, fcntl.LOCK_UN)
-        finally:
-            self._local.events = previous
-        # Fired outside FORK_LOCK: subscribers may take their own locks,
-        # and holding ours across theirs invites lock-order inversions.
-        if self.on_event is not None:
-            for event in recorded:
-                self.on_event(event)
+                    connection.execute("ROLLBACK")
+                except sqlite3.Error:
+                    # Nothing to roll back (BEGIN itself failed) or an
+                    # unknown transaction state: never reuse it.  The
+                    # lock's descriptor closes with it, releasing it.
+                    self._drop_connection()
+                raise
+            finally:
+                _open_write = None
+                if connection in _OPEN_CONNECTIONS:
+                    fcntl.flock(writer_lock, fcntl.LOCK_UN)
 
     def _lock_writer(self, writer_lock: int) -> None:
         """Take the writer lock, blocking until its holder releases it."""
@@ -515,7 +483,7 @@ class JobStore:
                 worker,
             ),
         )
-        event = JobEvent(
+        return JobEvent(
             event_id=cursor.lastrowid,
             job_id=job_id,
             from_status=from_status,
@@ -524,8 +492,6 @@ class JobStore:
             detail=detail,
             worker=worker,
         )
-        self._local.events.append(event)
-        return event
 
     def _get_locked(
         self, connection: sqlite3.Connection, job_id: int
@@ -947,13 +913,9 @@ class JobStore:
         }
 
     def events(self, job_id: int) -> list[JobEvent]:
-        return self.events_since(job_id, 0)
-
-    def events_since(self, job_id: int, after_event_id: int) -> list[JobEvent]:
         with self._read() as connection:
             rows = connection.execute(
-                "SELECT * FROM events WHERE job_id = ? AND id > ? ORDER BY id",
-                (job_id, after_event_id),
+                "SELECT * FROM events WHERE job_id = ? ORDER BY id", (job_id,)
             ).fetchall()
         return [
             JobEvent(
@@ -969,14 +931,6 @@ class JobStore:
             )
             for row in rows
         ]
-
-    def latest_event_id(self, job_id: int) -> int:
-        with self._read() as connection:
-            row = connection.execute(
-                "SELECT MAX(id) AS latest FROM events WHERE job_id = ?",
-                (job_id,),
-            ).fetchone()
-        return row["latest"] or 0
 
     # ------------------------------------------------------------------ #
     # Reporting / maintenance

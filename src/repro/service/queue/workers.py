@@ -27,7 +27,7 @@ executed.  Two execution modes:
   :class:`~repro.service.run.RunService` for its life, so its jobs report
   ``"compile": "pipeline" | "memo"`` exactly as a worker process's do.  No
   crash isolation, but no fork either; the fallback for platforms without
-  it and the right mode for tests that want live event streaming.
+  it.
 
 Job execution reuses the whole existing cache hierarchy: the run service
 serves compile-stage artifacts, generated kernels and finished runs from
@@ -50,7 +50,6 @@ from typing import Callable
 
 from repro.service.queue.lifecycle import (
     IllegalTransitionError,
-    JobEvent,
     JobStatus,
     TERMINAL_STATES,
 )
@@ -184,13 +183,19 @@ def execute_claimed_job(
             pass  # e.g. concurrently cancelled; the store state wins
 
 
+def _store_counters(store: JobStore) -> tuple[int, int, float]:
+    return (store.transactions, store.writer_waits, store.writer_wait_seconds)
+
+
 def _worker_main(cache_dir: str, pipe: Connection) -> None:
     """A worker process's whole life: one store, one run service, then job
     ids off the pipe until the claim thread retires it (``None``) or the
-    daemon is gone (EOF)."""
+    daemon is gone (EOF).  Each job id goes back with what its store's
+    counters (:func:`_store_counters`) grew by since the last report."""
     with closing(JobStore(cache_dir)) as store, RunService(
         cache_dir=cache_dir
     ) as service:
+        reported = (0, 0, 0.0)
         while True:
             try:
                 job_id = pipe.recv()
@@ -203,7 +208,9 @@ def _worker_main(cache_dir: str, pipe: Connection) -> None:
             # the id arrived; the claim thread reads the store and decides.
             if record is not None and record.status is JobStatus.COMPILING:
                 execute_claimed_job(store, service, record)
-            pipe.send(job_id)
+            counters = _store_counters(store)
+            pipe.send((job_id, [now - then for now, then in zip(counters, reported)]))
+            reported = counters
 
 
 @dataclass
@@ -256,7 +263,6 @@ class WorkerPool:
         poll_interval: float = 0.02,
         on_terminal: Callable[[JobRecord], None] | None = None,
         on_retry: Callable[[JobRecord, str], None] | None = None,
-        forward_events: Callable[[JobEvent], None] | None = None,
     ):
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
@@ -268,9 +274,12 @@ class WorkerPool:
         self.poll_interval = poll_interval
         self._on_terminal = on_terminal or (lambda record: None)
         self._on_retry = on_retry or (lambda record, reason: None)
-        self._forward_events = forward_events
         #: worker processes forked so far (first use + every replacement).
         self.spawns = 0
+        #: the worker processes' store counters (``transactions``,
+        #: ``writer_waits``, ``writer_wait_seconds``), summed over the jobs
+        #: they reported back; a worker that dies takes its last job's with it.
+        self.worker_store_counters = (0, 0, 0.0)
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
         self._wake = threading.Event()
@@ -462,13 +471,17 @@ class WorkerPool:
             while not worker.pipe.poll(self.poll_interval):
                 if not worker.process.is_alive() and not worker.pipe.poll():
                     return False
-            worker.pipe.recv()
-            return True
+            _, grown = worker.pipe.recv()
         except (EOFError, OSError):
             return False
+        with self._lock:
+            self.worker_store_counters = tuple(
+                total + more
+                for total, more in zip(self.worker_store_counters, grown)
+            )
+        return True
 
     def _run_in_worker(self, worker_name: str, record: JobRecord) -> None:
-        last_event_id = self.store.latest_event_id(record.id)
         with self._lock:
             worker = self._workers.get(worker_name)
         if worker is not None and not worker.process.is_alive():
@@ -488,12 +501,6 @@ class WorkerPool:
             # Dead or (a cancel that lost the race to the job's last
             # transition) dying: the next claim forks a replacement.
             exit_code = self._bury(worker_name, worker)
-
-        # Stream the transitions the worker recorded (its store instance
-        # has no live hook into this process) before deciding the outcome.
-        if self._forward_events is not None:
-            for event in self.store.events_since(record.id, last_event_id):
-                self._forward_events(event)
 
         final = self.store.get(record.id)
         if final is None:

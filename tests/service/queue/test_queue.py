@@ -132,29 +132,6 @@ class TestHandles:
 
 
 class TestEventsAndDrain:
-    def test_subscribers_stream_the_full_lifecycle_inline(self):
-        program, options = _config()
-        seen = []
-        with _queue(workers=1) as queue:
-            queue.subscribe(seen.append)
-            handle = queue.submit(program, options, executor="vectorized")
-            handle.wait(timeout=120)
-            queue.drain(timeout=120)
-        # Sort by store order: the submitting thread and the worker thread
-        # dispatch their own committed events, so arrival order can race.
-        transitions = [
-            event.to_status
-            for event in sorted(seen, key=lambda event: event.event_id)
-            if event.job_id == handle.job_id
-        ]
-        assert transitions == [
-            JobStatus.QUEUED,
-            JobStatus.COMPILING,
-            JobStatus.RUNNING,
-            JobStatus.DIGESTING,
-            JobStatus.DONE,
-        ]
-
     def test_drain_without_workers_raises_instead_of_hanging(self):
         program, options = _config()
         with _queue(workers=0) as queue:

@@ -241,32 +241,21 @@ class TestRetryAndRecovery:
 
 
 class TestEventsAndReporting:
-    def test_events_fire_after_commit_on_the_recording_instance(self):
-        seen = []
-        store = JobStore(on_event=seen.append)
+    def test_events_record_each_committed_transition_in_order(self):
+        store = JobStore()
         record, _ = _submit(store)
         store.claim_next("w")
-        assert [event.to_status for event in seen] == [
+        assert [event.to_status for event in store.events(record.id)] == [
             JobStatus.QUEUED,
             JobStatus.COMPILING,
         ]
 
-    def test_rolled_back_transitions_fire_no_events(self):
-        seen = []
-        store = JobStore(on_event=seen.append)
-        record, _ = _submit(store)
-        seen.clear()
-        with pytest.raises(IllegalTransitionError):
-            store.transition(record.id, JobStatus.DONE)
-        assert seen == []
-
-    def test_events_since_returns_only_newer_events(self):
+    def test_rolled_back_transitions_record_no_events(self):
         store = JobStore()
         record, _ = _submit(store)
-        watermark = store.latest_event_id(record.id)
-        store.claim_next("w")
-        newer = store.events_since(record.id, watermark)
-        assert [event.to_status for event in newer] == [JobStatus.COMPILING]
+        with pytest.raises(IllegalTransitionError):
+            store.transition(record.id, JobStatus.DONE)
+        assert len(store.events(record.id)) == 1
 
     def test_counts_and_stats_aggregate_the_store(self):
         store = JobStore()

@@ -1,8 +1,9 @@
 """Long-lived worker processes and the reused store connection.
 
 Everything here is read off counters, pids and statuses — ``worker_pid``
-and ``compile`` in a job's result summary, ``QueueStatistics.worker_spawns``,
-``JobStore.connections_opened`` — never off a clock.  Timeouts only bound
+and ``compile`` in a job's result summary, ``QueueStatistics.worker_spawns``
+and ``worker_transactions``, ``JobStore.connections_opened`` — never off a
+clock.  Timeouts only bound
 how long a broken build may hang.  The deterministic mid-job window is the
 ``REPRO_QUEUE_HOLD_FILE`` hook: a worker that has just entered ``running``
 spins while the file exists.
@@ -119,6 +120,29 @@ class TestWorkerLifetime:
             JobStatus.DONE,
         ]
         assert queue.statistics.worker_spawns == 1
+
+    def test_a_worker_reports_its_store_transactions_per_cold_job(self):
+        """The worker's part of the five transactions of a cold job
+        (``test_queue.py::TestTransactionLedger``) comes back over the pipe
+        and is counted: -> running, -> digesting, complete.  The daemon
+        writes the other two: submit and claim."""
+        with JobQueue(workers=1, mode="process") as queue:
+            worker, daemon = [], []
+            for seed in range(3):
+                before = (
+                    queue.statistics.worker_transactions,
+                    queue.store.transactions,
+                )
+                _submit(queue, seed).wait(timeout=300)
+                _until(
+                    lambda: queue.statistics.completed == seed + 1,
+                    "the job's outcome",
+                )
+                worker.append(queue.statistics.worker_transactions - before[0])
+                daemon.append(queue.store.transactions - before[1])
+        assert worker == [3, 3, 3]
+        assert daemon == [2, 2, 2]
+        assert "worker store transactions 9 " in queue.format_statistics()
 
     def test_inline_mode_reports_its_own_pid_and_spawns_nothing(self):
         with JobQueue(workers=1, mode="inline") as queue:
