@@ -53,16 +53,23 @@ tiled-check:
 # guard — and the executors' cost ledger (Python calls per warm bind and
 # per run of compiled and auto, against recorded ceilings, and the
 # receive-slab copies, fills and copied bytes per delivery and per run, read
-# off the delivery schedule: none per delivery in the view form).
+# off the delivery schedule: none per delivery in the view form) — and the
+# code identity: one comment line added to a copy of the package moves the
+# compile, run, CSL-run and kernel fingerprints, and a kernel store the copy
+# filled serves nothing to the real tree.  The pinned sources name no
+# fingerprint or version, so an edit elsewhere leaves the pins alone.
 kernel-check:
 	$(PYTHON) -m pytest tests/wse/test_kernel_digests.py \
+	  tests/service/test_code_identity.py \
 	  tests/wse/test_compiled_executor.py \
 	  tests/wse/test_view_delivery.py \
 	  tests/wse/test_delivery_schedule.py \
 	  tests/wse/test_banded_kernels.py \
 	  tests/wse/test_executor_cost.py -q
 
-# Compilation service: the service test suite, then the CLI smoke path.
+# Compilation service: the service test suite (the code-identity test of
+# every fingerprint, tests/service/test_code_identity.py, included), then the
+# CLI smoke path.
 service:
 	$(PYTHON) -m pytest tests/service -q
 	$(MAKE) service-smoke
@@ -100,7 +107,8 @@ run-service-check:
 # experiments, crash recovery, the 16-job acceptance batch, and
 # test_workers.py: long-lived worker processes, compile-once per worker,
 # respawn after SIGKILL/cancel, exit without close(), the reused store
-# connection — all read off counters and pids; a resubmitted batch is
+# connection, the store transactions each worker reports back per job —
+# all read off counters and pids; a resubmitted batch is
 # served from the run cache), then a CLI smoke path: submit a batch through
 # process workers, resubmit it inline (served from the run cache), inspect
 # one job, list the store, print the combined stats (with the queue store's

@@ -79,7 +79,7 @@ def _lower_layout(module: ast.Module) -> csl.CslModuleOp:
             continue
         else:
             raise CslLoweringError(
-                f"declaration not supported in a layout module", decl.loc
+                "declaration not supported in a layout module", decl.loc
             )
     layout = csl.CslModuleOp(csl.ModuleKind.LAYOUT, module.name, ops)
     if width is not None:
@@ -167,7 +167,7 @@ class _ProgramLowerer:
                 ops.append(csl.ExportOp(decl.sym_name, kind=kind))
                 if kind == "fn":
                     exported_fns.append(decl.sym_name)
-            elif isinstance(decl, ast.RpcDecl):
+            else:  # ast.RpcDecl: the parser makes no other declaration here
                 import_op = self.imports.get(decl.import_name)
                 if import_op is None:
                     raise CslLoweringError(
@@ -176,10 +176,6 @@ class _ProgramLowerer:
                         decl.import_name,
                     )
                 ops.append(csl.RpcOp(import_op.result))
-            else:
-                raise CslLoweringError(
-                    "declaration not supported in a program module", decl.loc
-                )
 
         program = csl.CslModuleOp(csl.ModuleKind.PROGRAM, self.module.name, ops)
 
@@ -307,10 +303,8 @@ class _ProgramLowerer:
                     else_region=Region([Block(ops=else_ops)]),
                 )
             )
-        elif isinstance(stmt, ast.ReturnStmt):
+        else:  # ast.ReturnStmt: the parser makes no other statement
             ops.append(csl.ReturnOp())
-        else:
-            raise CslLoweringError("unsupported statement", stmt.loc)
 
     def lower_communicate(
         self, stmt: ast.CommsCallStmt, env: dict[str, SSAValue], ops: list[Operation]
@@ -389,12 +383,8 @@ class _ProgramLowerer:
                 cmp = arith.CmpiOp(surface.CMP_SYMBOL_PREDICATES[expr.op], lhs, rhs)
                 ops.append(cmp)
                 return cmp.results[0]
-            op_cls = surface.BINARY_SYMBOL_OPS.get(expr.op)
-            if op_cls is None:
-                raise CslLoweringError(
-                    f"unsupported binary operator '{expr.op}'", expr.loc, expr.op
-                )
-            binary = op_cls(lhs, rhs)
+            # The parser accepts exactly the comparison and these operators.
+            binary = surface.BINARY_SYMBOL_OPS[expr.op](lhs, rhs)
             ops.append(binary)
             return binary.results[0]
         return self.lower_operand(expr, env, ops)
@@ -407,9 +397,8 @@ class _ProgramLowerer:
             constant = arith.ConstantOp(expr.value, result_type)
             ops.append(constant)
             return constant.results[0]
-        if isinstance(expr, ast.NameRef):
-            return self.lower_name(expr.name, expr.loc, env, ops)
-        raise CslLoweringError("expected a name or number operand", expr.loc)
+        # An ast.NameRef: the parser makes no other operand.
+        return self.lower_name(expr.name, expr.loc, env, ops)
 
     def lower_name(
         self,

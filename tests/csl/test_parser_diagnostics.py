@@ -3,7 +3,12 @@ and the offending token, so a failing handwritten kernel points at source."""
 
 import pytest
 
-from repro.csl import CslDiagnosticError, CslSyntaxError, parse_csl_program
+from repro.csl import (
+    CslDiagnosticError,
+    CslSyntaxError,
+    parse_csl_program,
+    parse_csl_sources,
+)
 from repro.csl.lower import CslLoweringError
 
 MINIMAL = """\
@@ -138,6 +143,85 @@ class TestLoweringDiagnostics:
             "fn f_main() void {\n  lift_off();\n  return;\n}\n"
         )
         assert "lift_off" in str(error)
+
+
+    def test_bind_of_an_undefined_task(self):
+        error = diagnostic(
+            "comptime { @bind_local_task(@get_local_task_id(3), ghost); }\n"
+            + MINIMAL
+        )
+        assert "@bind_local_task of undefined task 'ghost'" in str(error)
+        assert str(error).startswith("kernel.csl:1:1")
+
+    def test_rpc_of_an_undefined_import(self):
+        error = diagnostic(
+            "comptime { @rpc(@get_data_task_id(memcpy.LAUNCH)); }\n" + MINIMAL
+        )
+        assert "@rpc references undefined import 'memcpy'" in str(error)
+
+    def test_redefinition_of_a_const(self):
+        error = diagnostic(
+            "fn f_main() void {\n  const a = 1;\n  const a = 2;\n  return;\n}\n"
+        )
+        assert "redefinition of const 'a'" in str(error)
+        assert str(error).startswith("kernel.csl:3:")
+
+    def test_assignment_to_a_name_that_is_not_a_module_var(self):
+        error = diagnostic("fn f_main() void {\n  nope = 1;\n  return;\n}\n")
+        assert "assignment to 'nope', which is not a module var" in str(error)
+
+    @pytest.mark.parametrize(
+        ("names", "message"),
+        [
+            ({"dsd": "ghost"}, "communicate references undefined DSD 'ghost'"),
+            (
+                {"recv_buffer": "ghost"},
+                "communicate '.recv_buffer' references unknown buffer 'ghost'",
+            ),
+            ({"done": "ghost"}, "communicate callback 'ghost' is not a task"),
+        ],
+    )
+    def test_communicate_names(self, names, message):
+        names = {"dsd": "d", "recv_buffer": "rb", "done": "f_main", **names}
+        error = diagnostic(
+            "var u = @zeros([4]f32);\n"
+            "var rb = @zeros([4]f32);\n"
+            "fn f_main() void {\n"
+            "  const d = @get_dsd(mem1d_dsd, "
+            ".{ .tensor_access = |i|{4} -> u[i] });\n"
+            f"  comms.communicate(&{names['dsd']}, .{{ .num_chunks = 1, "
+            ".chunk_size = 4, .src_offset = 0, .src_len = 4, .pattern = 1, "
+            f".recv_buffer = &{names['recv_buffer']}, "
+            f".directions = .{{ .{{ 1, 0 }} }}, .done = &{names['done']} }});\n"
+            "  return;\n}\n"
+        )
+        assert message in str(error)
+        assert str(error).startswith("kernel.csl:5:")
+
+    def test_increment_of_an_undefined_dsd(self):
+        error = diagnostic(
+            "fn f_main() void {\n"
+            "  const s = @increment_dsd_offset(ghost, 1, f32);\n"
+            "  return;\n}\n"
+        )
+        assert "@increment_dsd_offset references undefined DSD 'ghost'" in str(
+            error
+        )
+
+    def test_a_layout_module_holds_no_program_declaration(self):
+        with pytest.raises(CslLoweringError) as info:
+            parse_csl_sources(
+                {"layout.csl": "layout {\n  @set_rectangle(1, 1);\n}\n" + MINIMAL}
+            )
+        assert str(info.value) == (
+            "layout.csl:4:1: declaration not supported in a layout module"
+        )
+
+    def test_a_layout_module_is_not_a_program(self):
+        error = diagnostic("layout {\n  @set_rectangle(1, 1);\n}\n")
+        assert str(error) == (
+            "kernel.csl:1:1: expected a program module, got a layout module"
+        )
 
 
 class TestMinimalProgramParses:
