@@ -180,6 +180,7 @@ class TestLoweringDiagnostics:
             ),
             ({"done": "ghost"}, "communicate callback 'ghost' is not a task"),
         ],
+        ids=["dsd", "recv_buffer", "done"],
     )
     def test_communicate_names(self, names, message):
         names = {"dsd": "d", "recv_buffer": "rb", "done": "f_main", **names}
