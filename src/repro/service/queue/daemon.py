@@ -170,8 +170,8 @@ def _weakly(method):
     """``method`` as a callback that does not keep its object alive.
 
     The pool's claim threads hold the queue's callbacks; if they held the
-    queue itself, dropping the last reference to it could
-    never run the finalizer that reaps its worker processes.
+    queue itself, dropping the last reference to it could never run the
+    finalizer that reaps its worker processes.
     """
     reference = weakref.WeakMethod(method)
 

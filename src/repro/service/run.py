@@ -39,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.baselines.numpy_ref import allocate_fields, field_to_columns
 from repro import code_digest
+from repro.baselines.numpy_ref import allocate_fields, field_to_columns
 from repro.csl import parse_csl_sources
 from repro.frontends.common import StencilProgram
 from repro.service.cache import RUN, ArtifactCache
