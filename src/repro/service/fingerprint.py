@@ -4,10 +4,9 @@ A fingerprint is the SHA-256 of a canonical JSON document combining the
 stencil program (:meth:`StencilProgram.canonical`), the artifact-relevant
 pipeline options (:meth:`PipelineOptions.canonical`) and the pipeline
 stamp (:func:`repro.transforms.pipeline.pipeline_stamp`: the code digest
-and the pass sequence).  It is
-*process-stable*: the same inputs hash identically in the parent process, in
-a pool worker and across interpreter restarts, which is what makes the
-on-disk artifact store shareable.
+and the pass sequence).  It is *process-stable*: the same inputs hash
+identically in the parent process, in a pool worker and across interpreter
+restarts, which is what makes the on-disk artifact store shareable.
 """
 
 from __future__ import annotations
