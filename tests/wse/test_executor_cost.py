@@ -57,6 +57,23 @@ fabric        view, per run J (S)    direct, per delivery J (S)
 4x4           3,072 (6,144)          6,144 (12,288)
 32x32         253,952 (966,656)      507,904 (1,933,312)
 ============  =====================  =====================
+
+The traffic row of ``bench``'s ``sim_tiled_128`` programs at 128x128 on
+two row bands (the shard grid ``tiled`` derives on two CPUs) is pinned the
+same way, per box and exchange: slab bytes copied per delivery, seam bytes
+published per round and landing bytes per run.  Every exchange of a box
+with a sibling takes the direct form; the top band's box copies and
+publishes:
+
+==============  ==================================
+benchmark       per delivery + published per round
+==============  ==================================
+Jacobian        8,323,072 + 32,768
+Seismic         16,449,536 + 65,536
+ReflectiveHeat  8,388,608 + 32,768
+UVKBE           1,040,384 + 1,048,576 (two exchanges) + 0
+Advection       1,048,576 + 0
+==============  ==================================
 """
 
 import pytest
@@ -66,6 +83,7 @@ from repro.dialects import csl
 from repro.tests_support import python_calls
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.interpreter import bound_image
+from repro.wse.plan import ShardGeometry
 from repro.wse.schedule import delivery_schedule
 from repro.wse.simulator import WseSimulator
 
@@ -210,3 +228,74 @@ def test_direct_delivery_writes_every_chunk(name, side):
     )
     assert len(exchange.fills) == fills and exchange.fills_once
     assert exchange.copies_per_run == ()
+
+
+#: The ``sim_tiled_128`` programs as ``bench`` compiles them (Jacobian z64,
+#: four steps; the others z32, three steps; two chunks) on the 1x2 row-band
+#: geometry of a 128x128 fabric: ``(nz, time steps)``.
+TILED_128_PROGRAMS = {
+    "Jacobian": (64, 4),
+    "Seismic": (32, 3),
+    "UVKBE": (32, 3),
+    "Advection": (32, 3),
+    "ReflectiveHeat": (32, 3),
+}
+
+#: benchmark -> per box (top band first), per exchange in eid order:
+#: ``(form, slab bytes copied per delivery, seam bytes published per round,
+#: landing bytes per run)``, read off the delivery schedule.
+TILED_128_TRAFFIC = {
+    "Jacobian": (
+        (("direct", 8_323_072, 32_768, 0),),
+        (("direct", 8_323_072, 32_768, 0),),
+    ),
+    "Seismic": (
+        (("direct", 16_449_536, 65_536, 0),),
+        (("direct", 16_449_536, 65_536, 0),),
+    ),
+    "UVKBE": (
+        (("direct", 1_040_384, 0, 0), ("direct", 1_048_576, 0, 0)),
+        (("direct", 1_040_384, 16_384, 0), ("direct", 1_032_192, 16_384, 0)),
+    ),
+    "Advection": (
+        (("direct", 1_048_576, 0, 0),),
+        (("direct", 1_048_576, 0, 0),),
+    ),
+    "ReflectiveHeat": (
+        (("direct", 8_388_608, 32_768, 0),),
+        (("direct", 8_388_608, 32_768, 0),),
+    ),
+}
+
+
+def _traffic(exchange) -> tuple:
+    per_delivery = (
+        [copy for chunk in exchange.chunks for copy in chunk]
+        if exchange.form == "direct"
+        else exchange.halo
+    )
+    return (
+        exchange.form,
+        _bytes(per_delivery),
+        _bytes(exchange.publish),
+        _bytes(exchange.copies_per_run),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(TILED_128_PROGRAMS))
+def test_the_tiled_128_row_bands_traffic(name):
+    nz, steps = TILED_128_PROGRAMS[name]
+    program = benchmark_by_name(name).program(nx=128, ny=128, nz=nz, time_steps=steps)
+    options = PipelineOptions(grid_width=128, grid_height=128, num_chunks=CHUNKS)
+    module = compile_stencil_program(program, options).program_module
+    image = bound_image(module)
+    plan = image.plan_for(128, 128)
+    geometry = ShardGeometry.build(128, 128, 1, 2)
+    traffic = tuple(
+        tuple(
+            _traffic(exchange)
+            for exchange in delivery_schedule(image, plan, box, geometry).exchanges
+        )
+        for box in geometry.boxes()
+    )
+    assert traffic == TILED_128_TRAFFIC[name]
