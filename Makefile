@@ -23,13 +23,17 @@ bench:
 # thread joined, forced-interleaving stress runs; a sole shard enters no
 # barrier), every benchmark and the handwritten kernel emitted without a
 # decline on the whole fabric and on 1x2 and 2x2 boxes, failure paths and
-# the declined-codegen error.
+# the declined-codegen error — and the seam protocol stepped on one thread
+# in forward and reverse shard order (1x2, 2x1, 2x2; five benchmarks x 3
+# boundary modes; every buffer against compiled) with the static check that
+# boxes write disjoint ghost cells of the shared padded sources.
 tiled-check:
 	$(PYTHON) -m pytest tests/wse/test_tiled_executor.py \
 	  tests/wse/test_tiled_geometries.py \
 	  tests/wse/test_executor_equivalence.py \
 	  tests/wse/test_boundary_conditions.py \
-	  tests/wse/test_comms_edge_cases.py -q
+	  tests/wse/test_comms_edge_cases.py \
+	  tests/wse/test_shard_order.py -q
 
 # Gate the generated kernels (one kind: the kernel of one shard box; the
 # whole fabric is the box of the 1x1 geometry): the emitted-source pins
@@ -44,16 +48,18 @@ tiled-check:
 # byte-identical to vectorized after a run (7 benchmarks x 3 boundary modes
 # on 6x6 and the thin fabrics 1x1, 1x9, 9x2), and which exchanges the
 # delivery schedule gives the view form (Advection, UVKBE's callback-less
-# exchange and exchanges sharing a receive slab stay direct; no shard box
-# with siblings does) — the schedule's predicates on hand-built CSL
-# programs (each condition that turns a view exchange direct, or declines
-# the kernel, flipped on its own), the banded goldens — every benchmark and
+# exchange and exchanges sharing a receive slab stay direct; a shard box
+# takes the view form exactly when the whole fabric does) — the schedule's
+# predicates on hand-built CSL programs (each condition that turns a view
+# exchange direct, or declines the kernel, flipped on its own), the banded
+# goldens — every benchmark and
 # boundary mode at forced 1- and 2-row bands, whole-fabric and on two
 # row-band shards, byte-identical to vectorized, plus the kernel-size
 # guard — and the executors' cost ledger (Python calls per warm bind and
 # per run of compiled and auto, against recorded ceilings, and the
 # receive-slab copies, fills and copied bytes per delivery and per run, read
-# off the delivery schedule: none per delivery in the view form) — and the
+# off the delivery schedule: none per delivery in the view form, also on the
+# sim_tiled_128 programs' two row-band boxes) — and the
 # code identity: one comment line added to a copy of the package moves the
 # compile, run, CSL-run and kernel fingerprints, and a kernel store the copy
 # filled serves nothing to the real tree.  The pinned sources name no

@@ -26,16 +26,21 @@ the fused delivery round as Python/NumPy source text, materialised via
 * the chunked halo exchange unrolls into the per-direction copies, fills
   and publications of the kernel's delivery schedule
   (:mod:`repro.wse.schedule`), which decides each exchange's form — views
-  of a padded source, or copies straight into the receive slab — and
-  declines a program neither fits; this module only prints it.
+  of a fabric-wide padded source, or copies straight into the receive
+  slab — and declines a program neither fits; this module only prints it.
 
 There is one kernel kind: the kernel of one *box* of a
 :class:`~repro.wse.plan.ShardGeometry`.  ``tiled`` binds one per shard;
 ``compiled``'s kernel is the whole fabric as the only box of the 1x1
 geometry, which is also what a call naming no geometry gets.  Every kernel
 exposes the seam protocol's round hooks (``drain`` / ``settled`` /
-``publish`` / ``deliver``), which the round driver of several shards calls,
-and ``run_block(budget)``, the round loop a sole shard runs in one call.
+``publish`` / ``deliver``) and ``land``, which the round driver of several
+shards calls, and ``run_block(budget)``, the round loop a sole shard runs
+in one call.  A kernel with view deliveries writes its box's ghost cells of
+their padded sources when it binds — ``run_block`` refolds the periodic and
+reflect ones when it starts — and lands their receive slabs after the
+rounds: ``land`` prints the same statements ``run_block`` runs on its way
+out.
 
 A kernel whose longest DSD operand view is larger than ``_BAND_BYTES``
 also runs its DSD chains in cache-sized **row bands** — the
@@ -296,8 +301,6 @@ class _KernelEmitter:
         self._chunk_views: dict[tuple[int, int, int, int, int], str] = {}
         #: ``(eid, chunk)`` while a callback variant is emitted.
         self._chunk: tuple[int, int] | None = None
-        #: ``run_block``'s exit code: the view exchanges' receive slabs.
-        self._landing = SourceBuilder(indent=2)
         #: ``(r0, r1)`` row bands of a kernel whose longest DSD operand view
         #: spans more than :data:`_BAND_BYTES` — empty otherwise, and the
         #: kernel then runs every op over whole-region views.
@@ -712,11 +715,13 @@ class _KernelEmitter:
 
     def _emit_copies(self, copies, b: SourceBuilder) -> None:
         for copy in copies:
-            dst, src = self._region(copy.dst), self._region(copy.src)
-            if copy.kind == "slice":
-                b.line(f"np.copyto({dst}, {src})")
+            dst = self._region(copy.dst)
+            if copy.kind == "fill":
+                b.line(f"{dst} = np.float32({self.plan.boundary.value!r})")
+            elif copy.kind == "slice":
+                b.line(f"np.copyto({dst}, {self._region(copy.src)})")
             else:
-                b.line(f"{dst} = {src}")
+                b.line(f"{dst} = {self._region(copy.src)}")
 
     def _emit_fills(self, scheduled, receive_view: str, b: SourceBuilder) -> None:
         """The constant-fill slots of the receive slab."""
@@ -728,20 +733,12 @@ class _KernelEmitter:
     def _emit_deliver_fn(self, eid: int, b: SourceBuilder) -> None:
         """``deliver_<eid>``: every chunk of the exchange, each followed by
         its receive callback, in the exchange's delivery form; a view
-        exchange's slab landing goes into ``run_block``'s exit code."""
+        exchange flags its slab for the ``land`` hook."""
         scheduled = self.schedule.exchanges[eid]
         exchange = scheduled.plan
         view = scheduled.form == "view"
         depth = exchange.chunk_size * len(exchange.directions)
         receive_view = self._slab(eid) if depth else None
-        if view:
-            landing = self._landing
-            landing.line(f"if vw{eid}[0]:")
-            with landing.indented():
-                landing.line(f"vw{eid}[0] = False")
-                self._emit_fills(scheduled, receive_view, landing)
-                self._emit_copies(scheduled.copies_per_run, landing)
-
         b.line(f"def deliver_{eid}():")
         with b.indented():
             body_start = len(b)
@@ -750,7 +747,6 @@ class _KernelEmitter:
                 b.line(f"counters['wavelets_sent'] += {total}")
             if view:
                 b.line(f"vw{eid}[0] = True")
-                self._emit_copies(scheduled.halo, b)
             elif scheduled.fills_once:
                 b.line(f"if fl{eid}[0]:")
                 with b.indented():
@@ -758,12 +754,12 @@ class _KernelEmitter:
                     self._emit_fills(scheduled, receive_view, b)
             else:
                 self._emit_fills(scheduled, receive_view, b)
-            for chunk, copies in enumerate(scheduled.chunks):
+            for chunk in range(exchange.num_chunks):
                 argument = chunk * exchange.chunk_size
                 if view:
                     b.line(f"rc{eid}_{chunk}({argument})")
                     continue
-                self._emit_copies(copies, b)
+                self._emit_copies(scheduled.chunks[chunk], b)
                 if exchange.receive_callback:
                     b.line(f"{self._fn_names[exchange.receive_callback]}({argument})")
             if exchange.done_callback:
@@ -815,6 +811,33 @@ class _KernelEmitter:
             delivery.line("eid = pending[0]")
             delivery.line("pending[0] = -1")
             self._emit_dispatch(delivery, "deliver")
+        # The receive slabs of the view exchanges delivered since the last
+        # landing: the round driver of several shards calls ``land`` after
+        # its rounds, ``run_block`` runs the same statements on its way out.
+        landing = SourceBuilder(indent=2)
+        for eid, scheduled in enumerate(exchanges):
+            if scheduled.form == "view":
+                landing.line(f"if vw{eid}[0]:")
+                with landing.indented():
+                    landing.line(f"vw{eid}[0] = False")
+                    for copy in scheduled.land:  # assignments: no call each
+                        landing.line(
+                            f"{self._region(copy.dst)} = {self._region(copy.src)}"
+                        )
+        delivery.line("def land():")
+        delivery.extend(landing)
+        if not landing:
+            with delivery.indented():
+                delivery.line("pass")
+        # The box's ghost territory of every view-delivered source (see
+        # ``repro.wse.schedule``), written at bind — the binds of several
+        # shards all run before any shard's rounds — and, for a fold of the
+        # source, again when ``run_block`` starts; the Dirichlet fill never
+        # changes.
+        halo = [copy for scheduled in exchanges for copy in scheduled.halo]
+        ghosts, folds = SourceBuilder(indent=1), SourceBuilder(indent=2)
+        self._emit_copies(halo, ghosts)
+        self._emit_copies([copy for copy in halo if copy.kind != "fill"], folds)
 
         out = SourceBuilder()
         boundary = self.plan.boundary
@@ -837,23 +860,15 @@ class _KernelEmitter:
             out.line("pending = [-1]")
             for buffer in sorted(self.plan.buffers):
                 out.line(f"{self._buffer_names[buffer]} = state.buffers[{buffer!r}]")
-            # Padded bases of view-delivered sources; Dirichlet ghosts hold
-            # the fill from here on.
-            height, width = self._grid_dims
-            for buffer, reach in self.schedule.padded.items():
-                padded = self._padded_name(buffer)
-                out.line(f"{padded} = state.padded[{buffer!r}]")
-                if self.plan.boundary.kind == "dirichlet" and reach:
-                    fill = f"np.float32({self.plan.boundary.value!r})"
-                    for ghosts in (
-                        f":{reach}", f"{reach + height}:",
-                        f":, :{reach}", f":, {reach + width}:",
-                    ):
-                        out.line(f"{padded}[{ghosts}] = {fill}")
+            # Fabric-wide padded bases of view-delivered sources.
+            for buffer in self.schedule.padded:
+                out.line(
+                    f"{self._padded_name(buffer)} = state.padded[{buffer!r}]"
+                )
             if self._bands:
                 out.line(f"BANDS = {self._bands!r}")
             if self.schedule.pub_rows or self.schedule.pub_cols:
-                for eid in range(len(exchanges)):
+                for eid, _ in self.schedule.meta["exchanges"]:
                     out.line(
                         f"rs_{eid}, cs_{eid} = state.seam_snapshots[{eid}]"
                     )
@@ -882,6 +897,7 @@ class _KernelEmitter:
                     out.line(f"fl{eid} = [True]")
                 if scheduled.form == "view":
                     out.line(f"vw{eid} = [False]")
+            height, width = self._grid_dims
             grid = f"{height}, {width}"
             if self._bands:  # every fmacs runs band by band
                 grid = f"BANDS[0][1], {width}"
@@ -892,6 +908,7 @@ class _KernelEmitter:
                 )
             out.extend(callables)
             out.extend(delivery)
+            out.extend(ghosts)
             out.line("def drain():")
             with out.indented():
                 out.line("while queue and not state.halted:")
@@ -905,9 +922,9 @@ class _KernelEmitter:
             # of the seam protocol with nothing to publish or await, minus
             # one Python boundary crossing per hook.  ``budget`` bounds the
             # rounds executed; spending it is the caller's round-budget
-            # error.  A kernel with view deliveries leaves the loop by
-            # ``break`` and writes their receive slabs on the way out.
-            landing = len(self._landing) > 0
+            # error.  A kernel with view deliveries refreshes their folded
+            # ghost cells first, leaves the loop by ``break`` and lands their
+            # receive slabs on the way out.
 
             def leave(status: str) -> None:
                 if landing:
@@ -918,6 +935,7 @@ class _KernelEmitter:
 
             out.line("def run_block(budget):")
             with out.indented():
+                out.extend(folds)
                 out.line("executed = 0")
                 out.line("while executed < budget:")
                 with out.indented():
@@ -938,7 +956,7 @@ class _KernelEmitter:
                     out.line("else:")
                     with out.indented():
                         out.line("status = 'budget'")
-                    out.extend(self._landing)
+                    out.extend(landing)
                     out.line("return executed, status")
                 else:
                     out.line("return executed, 'budget'")
@@ -950,7 +968,7 @@ class _KernelEmitter:
             with out.indented():
                 out.line(f"'fns': {{{fns}}},")
                 out.line("'drain': drain, 'settled': settled, "
-                         "'publish': publish, 'deliver': deliver,")
+                         "'publish': publish, 'deliver': deliver, 'land': land,")
                 out.line("'run_block': run_block,")
                 out.line("'queue': queue, 'pending': pending,")
             out.line("}")
@@ -985,11 +1003,12 @@ def generate_kernel_source(
 class CompiledKernel:
     """One materialised kernel: fingerprint, source text and factory.
 
-    ``meta`` is the kernel's ``SHARD_META`` literal (exchange snapshot
-    spans and publication slot counts — what the executor needs to allocate
-    the shared seam snapshots — and, under ``'padded'``, the reach of every
-    source a whole-fabric kernel delivers as views, which the sole-shard
-    executor allocates padded before the bind).
+    ``meta`` is the kernel's ``SHARD_META`` literal (the snapshot spans of
+    the directly delivered exchanges and the publication slot counts — what
+    the executor needs to allocate the shared seam snapshots — under
+    ``'needed'`` the sibling boxes whose publications this box awaits, and
+    under ``'padded'`` the reach of every source delivered as views, which
+    the executor allocates padded before the bind).
     """
 
     fingerprint: str

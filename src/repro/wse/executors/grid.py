@@ -53,9 +53,9 @@ class GridState:
         #: eid -> (row snapshot, column snapshot): the seam strips a
         #: generated kernel binds (empty under ``vectorized``).
         self.seam_snapshots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        #: buffer name -> the padded base whose interior ``buffers[name]``
-        #: is: the sources a whole-fabric kernel delivers as views (empty
-        #: otherwise).
+        #: buffer name -> the fabric-wide padded base whose interior
+        #: ``buffers[name]`` is: the sources the kernels deliver as views
+        #: (empty under ``vectorized``); shard runners share it.
         self.padded: dict[str, np.ndarray] = {}
 
     def activate(self, task: ActivatedTask) -> None:

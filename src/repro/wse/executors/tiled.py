@@ -15,35 +15,44 @@ array math runs in parallel.  A program the generator cannot fuse raises
 :class:`~repro.wse.codegen.KernelCodegenError` from the constructor —
 ``vectorized`` is the interpreting backend.
 
+Before any kernel binds, every source of an exchange the kernels deliver
+as views (``SHARD_META['padded']``; :mod:`repro.wse.schedule` says when,
+and the answer does not depend on the box) is allocated as the interior of
+one fabric-wide base ``R`` cells wider on every side.  A box kernel reads
+each chunk's directions as views of that base — its siblings' rows
+included, since no callable writes the source — writes its own ghost cells
+of it, and writes the receive slab once per run.  Every other exchange is
+copied chunk by chunk into its receive slab.
+
 The shard count picks the round driver:
 
 * **one shard** — the whole fabric is the only box, and its kernel is bound
   once, at construction, over the executor's grid state.  A run is one
   call of the kernel's ``run_block(max_rounds)``, the drain/settled/deliver
   schedule of the interpreted loop inside the kernel: no thread, no
-  barrier, no seam snapshot, nothing published.  Before the bind, every
-  source of an exchange the kernel delivers as views
-  (``SHARD_META['padded']``; :mod:`repro.wse.schedule` says when) is
-  allocated as the interior of a base ``R`` cells wider on every side; the
-  kernel keeps its ghost cells, reads each chunk's directions as views of
-  it, and writes the receive slab once per run.  Every other exchange is
-  copied chunk by chunk into its receive slab, as on several shards.
-  ``compiled`` is this case, on every fabric.
+  barrier, no seam snapshot, nothing published.  ``compiled`` is this
+  case, on every fabric.
 * **several shards** — the seam protocol (:func:`_seam_rounds`), written
   once as a generator that yields at its rendezvous points, with one
-  barrier per delivery round: after draining, a shard *publishes* its seam
-  rows/columns into snapshot strips and flags the round in a per-shard
-  publication counter, waits only for the publication flags of the shards
-  it actually reads from, and *delivers*: the box kernel copies each chunk
-  — own-box sources from the live buffers, sibling sources from the
-  snapshots — straight into the receive slab.  The round ends at the single
-  barrier, which doubles as the settled-consensus point (monotone progress
-  stamps, so a shard racing into the next round can never corrupt a
-  sibling's consensus read).  :meth:`TiledExecutor._run_shards` binds a
-  runner per shard, starts one thread per shard but the first, drives
-  shard 0 on the calling thread, and joins every thread before it returns.
-  A shard that fails aborts the barrier, and the run raises that shard's
-  own diagnosis, not the broken barrier its siblings saw.
+  barrier per delivery round: after draining, a shard *publishes* the seam
+  rows/columns of each directly delivered exchange's source into snapshot
+  strips and flags the round in a per-shard publication counter, waits only
+  for the publication flags of the shards it actually reads from
+  (``SHARD_META['needed']``), and *delivers*: a view exchange's callbacks
+  read the padded base, a direct exchange's chunks are copied — own-box
+  sources from the live buffers, sibling sources from the snapshots —
+  straight into the receive slab.  A program whose exchanges are all views
+  publishes nothing, waits on no sibling and allocates no snapshot.  The
+  round ends at the single barrier, which doubles as the settled-consensus
+  point (monotone progress stamps, so a shard racing into the next round
+  can never corrupt a sibling's consensus read); after the last round a
+  shard lands its view exchanges' receive slabs (the kernel's ``land``
+  hook).  :meth:`TiledExecutor._run_shards` binds a runner per shard — each
+  bind writes the box's ghost cells, all before any shard thread starts —
+  starts one thread per shard but the first, drives shard 0 on the calling
+  thread, and joins every thread before it returns.  A shard that fails
+  aborts the barrier, and the run raises that shard's own diagnosis, not
+  the broken barrier its siblings saw.
 
 ``REPRO_TILED_SHARDS`` overrides the shard grid (K along both axes, clamped
 to the fabric); when unset the grid is derived from the usable CPU count
@@ -127,9 +136,10 @@ def shard_grid(
     Rows split first (``ky`` up to one band per CPU), then the CPUs left
     over split columns.  A row band is one contiguous run of every
     ``(height, width, z)`` buffer and its seam rows are contiguous too.
-    On a 2-vCPU host two row bands beat two column bands by 7–24% (Jacobian
-    and Seismic at 128x128 and 256x256); past 2 CPUs, row bands alone
-    against a 2-D grid are unmeasured.  The per-axis clamp is what keeps ragged fabrics
+    On a 2-vCPU host two row bands beat two column bands by 17–35% (median
+    ``execute`` time, Jacobian z64 and Seismic z32 at 128x128 and 256x256,
+    view delivery); past 2 CPUs, row bands alone against a 2-D grid are
+    unmeasured.  The per-axis clamp is what keeps ragged fabrics
     (e.g. 64x8) sharded along their long axis instead of collapsing to one
     shard."""
     override = os.environ.get(SHARD_ENV_VAR, "").strip()
@@ -183,7 +193,8 @@ class CompiledShardRunner:
     state of the executor's previous runs (the other backends keep one
     live interpreter state, so a relaunch must resume from it to stay
     interchangeable).  Every step of the seam protocol — drain, settled,
-    publish, deliver — is a hook of the generated kernel.
+    publish, deliver, land — is a hook of the generated kernel, and the
+    runner's state shares the executor's padded bases.
 
     A fresh runner is bound per run — kernel closures capture the counters
     and variables dicts, so reuse across runs would leak state; the
@@ -205,6 +216,7 @@ class CompiledShardRunner:
             {name: array[y0:y1, x0:x1] for name, array in grid.buffers.items()},
         )
         self.state.seam_snapshots = grid.seam_snapshots
+        self.state.padded = grid.padded
         self.state.variables.update(grid.variables)
         self.state.halted = grid.halted
         self.hooks = kernel.instantiate(self.state, plan)
@@ -223,37 +235,6 @@ class CompiledShardRunner:
             variables=dict(self.state.variables),
             halted=self.state.halted,
         )
-
-
-def _needed_neighbors(
-    plan: ExecutionPlan, geometry: ShardGeometry
-) -> tuple[tuple[int, ...], ...]:
-    """Which sibling shards each shard must await publications from.
-
-    A remote source *row* is read as a full-width strip of the row
-    snapshot, assembled by every shard of the source band — so all of that
-    band is needed.  A remote source *column* is only read over the
-    shard's own rows, so just the source stripe's shard in the reader's
-    band is needed.  Dirichlet off-fabric sources need nobody.
-    """
-    boxes = geometry.boxes()
-    kx, ky = geometry.kx, geometry.ky
-    needed: list[set[int]] = [set() for _ in boxes]
-    for index, (y0, y1, x0, x1) in enumerate(boxes):
-        band = index // kx
-        for table in plan.halo_tables.values():
-            for y in range(y0, y1):
-                src = table.rows[y]
-                if src is not None and not (y0 <= src < y1):
-                    source_band = geometry.band_of(src)
-                    for stripe in range(kx):
-                        needed[index].add(source_band * kx + stripe)
-            for x in range(x0, x1):
-                src = table.cols[x]
-                if src is not None and not (x0 <= src < x1):
-                    needed[index].add(band * kx + geometry.stripe_of(src))
-        needed[index].discard(index)
-    return tuple(tuple(sorted(s)) for s in needed)
 
 
 def _round_consensus(values, rounds: int) -> bool:
@@ -355,25 +336,34 @@ def _seam_rounds(
     pending = hooks["pending"]
     runner.launch(entry)
     rounds = 0
+    status = "budget"
     for _ in range(max_rounds):
         hooks["drain"]()
         settled = hooks["settled"]()
         progress[index] = -(rounds + 1) if settled else (rounds + 1)
         if not settled:
             if pending[0] < 0:
-                raise InterpretationError(
-                    "deadlock: PEs are neither halted nor waiting on an "
-                    "exchange"
-                )
+                status = "deadlock"
+                break
             hooks["publish"]()
             pub_rounds[index] = rounds + 1
             yield rounds + 1
             hooks["deliver"]()
         yield None
         if _round_consensus(progress[:], rounds):
-            return runner.result(rounds)
+            status = "settled"
+            break
         rounds += 1
-    raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
+    # The view exchanges' receive slabs, on every exit ``run_block`` lands
+    # them on: they read only this box and the constant padded sources.
+    hooks["land"]()
+    if status == "deadlock":
+        raise InterpretationError(
+            "deadlock: PEs are neither halted nor waiting on an exchange"
+        )
+    if status == "budget":
+        raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
+    return runner.result(rounds)
 
 
 def _drive_with_waits(
@@ -423,11 +413,12 @@ def _allocate_snapshots(
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The seam snapshots the shard kernels bind.
 
-    Per exchange eid: a ``(published rows, fabric width, span)`` row strip
-    and a ``(fabric height, published cols, span)`` column strip.  Shards
-    read sibling sources out of these copies, not out of a sibling's live
-    buffers, so a sibling that already delivers this round cannot overwrite
-    seam rows another shard is still reading.
+    Per directly delivered exchange eid: a ``(published rows, fabric
+    width, span)`` row strip and a ``(fabric height, published cols, span)``
+    column strip.  Shards read sibling sources out of these copies, not out
+    of a sibling's live buffers, so a sibling that already delivers this
+    round cannot overwrite seam rows another shard is still reading.  A view
+    exchange's source is constant for the run, so it has none.
     """
     return {
         eid: (
@@ -461,20 +452,26 @@ class TiledExecutor(GridExecutor):
         #: a sole shard's kernel hooks, bound once over the executor's
         #: state; None on several shards, whose runners bind per run.
         self.kernel: dict | None = None
+        # Every box's schedule pads the same sources and allocates the same
+        # snapshots: whether an exchange is delivered as views does not
+        # depend on the box.
+        for name, reach in self._kernels[0].meta.get("padded", {}).items():
+            self._pad(name, reach)
         if len(self.boxes) == 1:
-            for name, reach in self._kernels[0].meta.get("padded", {}).items():
-                self._pad(name, reach)
             self.kernel = self._kernels[0].instantiate(self.state, self.plan)
         else:
             self.state.seam_snapshots = _allocate_snapshots(
                 self._kernels[0].meta, width, height
             )
-            self._needed = _needed_neighbors(self.plan, self.geometry)
+            #: per shard, the siblings whose publications it awaits.
+            self._needed = tuple(
+                tuple(kernel.meta.get("needed", ())) for kernel in self._kernels
+            )
 
     def _pad(self, name: str, reach: int) -> None:
         """Re-allocate the fresh buffer ``name`` as the interior of a base
-        ``reach`` cells wider on every side, whose ghost cells the kernel
-        keeps (see :mod:`repro.wse.codegen`).  ``state.buffers[name]``
+        ``reach`` cells wider on every side, whose ghost cells the box
+        kernels keep (see :mod:`repro.wse.schedule`).  ``state.buffers[name]``
         stays the ``(height, width, z)`` interior, so everything that reads
         or writes the state through it is unchanged."""
         height, width, depth = self.state.buffers[name].shape
@@ -603,6 +600,9 @@ class TiledExecutor(GridExecutor):
         progress = [0] * count
         # The highest round each shard has published seams for (1-based).
         pub_rounds = [0] * count
+        # Every runner binds here, on the calling thread, before any shard
+        # thread starts: a bind writes the box's ghost cells of the padded
+        # sources, which its siblings' views read.
         loops = [
             _seam_rounds(
                 CompiledShardRunner(

@@ -215,11 +215,14 @@ class ShardGeometry:
 
 
 def seam_publication(
-    plan: "ExecutionPlan", geometry: ShardGeometry
+    plan: "ExecutionPlan",
+    geometry: ShardGeometry,
+    directions: Iterable[tuple[int, int]],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The fabric rows/columns shards must publish into seam snapshots.
+    """The fabric rows/columns shards must publish into seam snapshots for
+    exchanges pulling along ``directions``.
 
-    A row ``r`` is published when some halo direction makes a destination
+    A row ``r`` is published when some such direction makes a destination
     row in a *different* band read from ``r`` — under periodic folds that
     can be a far edge, not just a band neighbour.  Columns likewise for
     stripes.  The result is sorted, so the publication slot of a row/column
@@ -227,7 +230,7 @@ def seam_publication(
     """
     pub_rows: set[int] = set()
     pub_cols: set[int] = set()
-    for table in plan.halo_tables.values():
+    for table in map(plan.halo_table, set(directions)):
         for y, src in enumerate(table.rows):
             if src is not None and geometry.band_of(y) != geometry.band_of(src):
                 pub_rows.add(src)
@@ -514,11 +517,43 @@ def _plan_block(
                 receive_callback=op.recv_callback,
                 done_callback=op.done_callback,
             )
+            _check_exchange_extents(plan, buffers, f"#{index} of '{callable_name}'")
             exchange_plans[op] = plan
             op_labels[op] = (callable_name, index)
             for direction in plan.directions:
                 if direction not in directions:
                     directions.append(direction)
+
+
+def _check_exchange_extents(
+    plan: ExchangePlan, buffers: dict[str, int], where: str
+) -> None:
+    """A :class:`PlanError` unless the exchange's chunks lie inside its
+    source — ``src_len`` and the declared extent past ``src_offset`` — and
+    one chunk of every direction fits its receive buffer (a receive buffer
+    no ``csl.zeros`` declares is the kernel generator's to decline)."""
+    span = plan.num_chunks * plan.chunk_size
+    chunks = f"{plan.num_chunks} chunks of {plan.chunk_size}"
+    extent = buffers[plan.source_buffer]
+    receive = buffers.get(plan.receive_buffer)
+    depth = plan.chunk_size * len(plan.directions)
+    if plan.source_offset < 0:
+        problem = f"src_offset {plan.source_offset} is negative"
+    elif span > plan.source_length:
+        problem = f"{chunks} overrun src_len {plan.source_length}"
+    elif plan.source_offset + span > extent:
+        problem = (
+            f"{chunks} from src_offset {plan.source_offset} overrun "
+            f"'{plan.source_buffer}' ({extent} elements)"
+        )
+    elif receive is not None and depth > receive:
+        problem = (
+            f"a chunk of {plan.chunk_size} in {len(plan.directions)} directions "
+            f"overruns '{plan.receive_buffer}' ({receive} elements)"
+        )
+    else:
+        return
+    raise PlanError(f"csl.comms_exchange {where}: {problem}")
 
 
 def _activation_order(image: "ProgramImage") -> tuple[str, ...]:

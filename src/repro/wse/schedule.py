@@ -1,30 +1,34 @@
 """The delivery schedule of one kernel: how every exchange reaches its
 receive callback, decided once, as data.
 
-A kernel's exchanges are numbered (``eid``) in emission order: callables by
-sorted name, ops in program order.  Each takes one of two delivery forms:
+A kernel covers one box of a shard geometry (the whole fabric is the one
+box of the 1x1 geometry).  Its exchanges are numbered (``eid``) in emission
+order: callables by sorted name, ops in program order.  Each takes one of
+two delivery forms:
 
-* **view** — a whole-fabric kernel's exchange that
-  :meth:`_Builder._view_deliverable` proves safe.  The source buffer is
-  then the interior of a padded base (``SHARD_META['padded']`` names it
-  with its reach ``R``, and the sole-shard executor allocates it) whose
-  ghost cells hold the boundary's fold — the Dirichlet fill written once
-  at bind, periodic/reflect strips copied at the top of each delivery — so
-  direction ``(dx, dy)`` of a chunk *is* the strided view
-  ``P[R+dy:R+dy+H, R+dx:R+dx+W, chunk]``.  Each chunk's receive callback
-  runs as a per-chunk variant (``rc<eid>_<chunk>``) that reads those
-  bind-time views; nothing is copied per delivery.  The receive slab, which
-  nothing reads during the run, is written once when ``run_block`` returns
-  after a delivery: the last chunk and the fills, exactly what the direct
-  form leaves behind.  (The callback's own function, in ``fns``, still
-  reads the slab.  Only the sole-shard executor binds a whole-fabric
-  kernel, and it runs rounds through ``run_block`` alone, so the
-  ``deliver`` hook of a view exchange leaves the slab unwritten.)
+* **view** — an exchange that :meth:`_Builder._view_deliverable` proves
+  safe; whether it is does not depend on the box.  The source buffer, which
+  no callable writes, is then the interior of a fabric-wide padded base
+  (``SHARD_META['padded']`` names it with its reach ``R``, and the executor
+  allocates it) whose ghost cells hold the boundary's fold: the Dirichlet
+  fill, or periodic/reflect copies of the fabric's edges.  Direction
+  ``(dx, dy)`` of a chunk over the box ``[y0, y1) x [x0, x1)`` *is* the
+  strided view ``P[R+dy+y0:R+dy+y1, R+dx+x0:R+dx+x1, chunk]``, siblings'
+  rows included.  Each chunk's receive callback runs as a per-chunk variant
+  (``rc<eid>_<chunk>``) that reads those bind-time views; nothing is copied
+  per delivery and nothing is published.  Each box writes only its own
+  ghost territory — the ghost cells past the fabric edges it lies on — when
+  its kernel binds and when ``run_block`` starts, so the boxes of a
+  geometry write disjoint cells.  The receive slab, which nothing reads
+  during the run, is written by the kernel's ``land`` hook after the run's
+  deliveries: the last chunk's views, exactly what the direct form leaves
+  behind.  (The callback's own function, in ``fns``, still reads the slab.)
 * **direct** — every other exchange: each chunk copied straight into the
   receive slab before its callback.  Each destination's source is read
   from the box itself or, for a source a sibling shard owns, from that
-  sibling's seam snapshot — a 1x1 geometry has no siblings, so its kernel
-  binds no snapshot and its ``publish`` hooks are empty.
+  sibling's seam snapshot, which ``publish`` copies each round — a 1x1
+  geometry has no siblings, so its kernel binds no snapshot and its
+  ``publish`` hooks are empty.
 
 Both forms need :meth:`_Builder._direct_staging_safe`: the receive
 callback's write set must exclude the source and the receive buffer, and
@@ -32,8 +36,10 @@ the two must differ.  A program with an exchange that fails it is declined
 (:class:`KernelCodegenError`); the interpreters run it.
 
 The emitter (:mod:`repro.wse.codegen`) prints the schedule and decides
-nothing about delivery; the executors' cost ledger reads its bytes.  It is
-built only when a kernel is generated, never on a memo or store hit.
+nothing about delivery; the executors read the snapshots to allocate and
+the siblings to await off ``SHARD_META``, and the cost ledger reads its
+bytes.  It is built only when a kernel is generated, never on a memo or
+store hit.
 """
 
 from __future__ import annotations
@@ -64,11 +70,12 @@ def whole_fabric(plan: ExecutionPlan, box) -> tuple[tuple, ShardGeometry]:
 
 class Region(NamedTuple):
     """``array[rows, cols, z]``.  ``array`` is ``(role, key)``:
-    ``("buffer", name)`` the box's buffer, ``("padded", name)`` its padded
-    base, ``("slab", eid)`` exchange ``eid``'s receive slab, ``("rs", eid)``
-    / ``("cs", eid)`` its row and column seam snapshots.  An axis is an
-    index, a ``range`` (a basic slice), a tuple (a fancy index) or ``None``
-    (the whole axis); ``z`` is ``None`` in a selection of two axes."""
+    ``("buffer", name)`` the box's buffer, ``("padded", name)`` the
+    fabric-wide padded base of a view-delivered source, ``("slab", eid)``
+    exchange ``eid``'s receive slab, ``("rs", eid)`` / ``("cs", eid)`` its
+    row and column seam snapshots.  An axis is an index, a ``range`` (a
+    basic slice), a tuple (a fancy index) or ``None`` (the whole axis); ``z``
+    is ``None`` in a selection of two axes."""
 
     array: tuple[str, Union[str, int]]
     rows: Union[int, range, tuple, None]
@@ -79,11 +86,12 @@ class Region(NamedTuple):
 class Copy(NamedTuple):
     """One copy statement, ``dst = src``, moving ``bytes`` bytes: a
     ``"slice"`` (basic slices on both sides), ``"gather"`` (a fancy-indexed
-    source), ``"scatter"`` (a fancy-indexed destination) or ``"seam"`` (a
-    publication row or column)."""
+    source), ``"scatter"`` (a fancy-indexed destination), ``"seam"`` (a
+    publication row or column) or ``"fill"`` (no source: ``dst`` takes the
+    Dirichlet fill)."""
 
     dst: Region
-    src: Region
+    src: Region | None
     kind: str
     bytes: int
 
@@ -94,38 +102,37 @@ class ExchangeSchedule:
 
     plan: ExchangePlan
     form: str  # "view" or "direct"
-    #: per chunk, its directions' copies into the receive slab: made before
-    #: each callback by a direct exchange, for the last chunk only (when
-    #: ``run_block`` returns) by a view exchange.
+    #: a direct exchange's copies into the receive slab, per chunk, made
+    #: before each callback; and the box's seam rows and columns of the
+    #: source, published for its siblings every round (none for a view).
     chunks: tuple[tuple[Copy, ...], ...]
+    publish: tuple[Copy, ...]
     #: ``(slot, value)`` of every direction slot holding the Dirichlet fill
     #: in this box, and whether it is written once per binding (a direct
     #: exchange whose receive buffer nothing else writes).
     fills: tuple[tuple[int, float], ...]
     fills_once: bool
-    #: a view exchange's periodic/reflect ghost strips, refreshed at the top
-    #: of each delivery; the box's seam rows and columns of the source,
-    #: published for its siblings.
+    #: a view exchange's ghost territory in the padded source, written when
+    #: the kernel binds and when ``run_block`` starts; its landing, the last
+    #: chunk's direction views copied into the receive slab after a run's
+    #: deliveries.
     halo: tuple[Copy, ...]
-    publish: tuple[Copy, ...]
+    land: tuple[Copy, ...]
     #: what a view exchange's callback variants read in place of the
     #: receive slab: ``(chunk, offset, length, stride)`` of each receive
     #: DSD -> its direction's view of the padded source.
     views: dict
-
-    @property
-    def copies_per_run(self) -> tuple[Copy, ...]:
-        """What ``run_block`` copies on its way out after a delivery."""
-        return self.chunks[-1] if self.form == "view" else ()
 
 
 @dataclass(frozen=True)
 class DeliverySchedule:
     """Every exchange of one kernel's box, in ``eid`` order, the ``eid`` of
     each ``csl.comms_exchange`` op, the reach ``R`` of every source
-    delivered as views and the seam publication slot counts; also the
-    element count of the longest DSD operand of any builtin the kernel
-    runs, which its row bands follow."""
+    delivered as views, the seam publication slot counts of the direct
+    exchanges and the sibling boxes (indices into ``geometry.boxes()``)
+    whose publications this box awaits; also the element count of the
+    longest DSD operand of any builtin the kernel runs, which its row bands
+    follow."""
 
     box: tuple[int, int, int, int]
     geometry: ShardGeometry
@@ -134,19 +141,25 @@ class DeliverySchedule:
     padded: dict[str, int]
     pub_rows: int
     pub_cols: int
+    needed: tuple[int, ...]
     longest_dsd: int
 
     @property
     def meta(self) -> dict:
-        """The kernel's ``SHARD_META`` literal."""
+        """The kernel's ``SHARD_META`` literal: the seam snapshots the
+        executor allocates (one per direct exchange), the siblings awaited
+        and the padded sources."""
         meta = {
             "exchanges": [
                 [eid, exchange.plan.num_chunks * exchange.plan.chunk_size]
                 for eid, exchange in enumerate(self.exchanges)
+                if exchange.form == "direct"
             ],
             "pub_rows": self.pub_rows,
             "pub_cols": self.pub_cols,
         }
+        if self.needed:
+            meta["needed"] = list(self.needed)
         if self.padded:
             meta["padded"] = self.padded
         return meta
@@ -200,8 +213,6 @@ def _block_copies(rows, cols, dst: tuple, dst_z: range, src: tuple, src_z: range
     (a gather when only the source is ragged, a scatter when the
     destination is).
     """
-    if not rows or not cols:
-        return []
     row_runs, col_runs = _runs(rows), _runs(cols)
     if len(row_runs) * len(col_runs) <= 4:
         kind, blocks = "slice", [
@@ -274,9 +285,9 @@ class _Builder:
         self.schedulers: set[str] = set()
         self.write_sets: dict[str, set[str] | None] = {}
         self.padded: dict[str, int] = {}
-        pub_rows, pub_cols = seam_publication(plan, geometry)
-        self.pub_rows = {row: slot for slot, row in enumerate(pub_rows)}
-        self.pub_cols = {col: slot for slot, col in enumerate(pub_cols)}
+        #: fabric row/column -> its seam publication slot.
+        self.pub_rows: dict[int, int] = {}
+        self.pub_cols: dict[int, int] = {}
         for name in sorted(image.callables):
             self.writes[name], self.calls[name] = [], []
             self._walk(name, image.callables[name].regions[0].blocks[0], {})
@@ -348,6 +359,15 @@ class _Builder:
                 reach = max(max(abs(dx), abs(dy)) for dx, dy in exchange.directions)
                 source = exchange.source_buffer
                 self.padded[source] = max(reach, self.padded.get(source, 0))
+        direct = [
+            exchange for exchange, view in zip(self.exchanges, views) if not view
+        ]
+        pub_rows, pub_cols = seam_publication(
+            self.plan, self.geometry,
+            (direction for exchange in direct for direction in exchange.directions),
+        )
+        self.pub_rows = {row: slot for slot, row in enumerate(pub_rows)}
+        self.pub_cols = {col: slot for slot, col in enumerate(pub_cols)}
         return DeliverySchedule(
             box=self.box,
             geometry=self.geometry,
@@ -359,6 +379,7 @@ class _Builder:
             padded=dict(sorted(self.padded.items())),
             pub_rows=len(self.pub_rows),
             pub_cols=len(self.pub_cols),
+            needed=self._needed(direct),
             longest_dsd=max(
                 (dsd.length for uses in self.dsd_uses.values() for _, dsd, _ in uses),
                 default=0,
@@ -366,6 +387,13 @@ class _Builder:
         )
 
     def _schedule(self, eid: int, exchange: ExchangePlan, view: bool):
+        if view:
+            return ExchangeSchedule(
+                plan=exchange, form="view", chunks=(), publish=(), fills=(),
+                fills_once=False, halo=self._halo_copies(exchange),
+                land=self._land_copies(eid, exchange),
+                views=self._slot_views(exchange),
+            )
         size = exchange.chunk_size
         depth = size * len(exchange.directions)
         start = exchange.source_offset
@@ -382,30 +410,55 @@ class _Builder:
             for k in range(exchange.num_chunks)
         )
         fills = self._fill_slots(exchange) if depth else ()
-        dirichlet = self.plan.boundary.kind == "dirichlet"
-        slot_views = {}
-        reach = self.padded.get(exchange.source_buffer, 0)
+        return ExchangeSchedule(
+            plan=exchange, form="direct", chunks=chunks,
+            publish=self._publish_copies(eid, exchange), fills=fills,
+            fills_once=bool(fills) and self._recv_preserved(exchange),
+            halo=(), land=(), views={},
+        )
+
+    def _direction_view(self, exchange: ExchangePlan, slot: int, z: range) -> Region:
+        """Direction ``slot`` of the exchange over this box, source z-range
+        ``z``, as a view of the padded source."""
+        reach = self.padded[exchange.source_buffer]
+        dx, dy = exchange.directions[slot]
         y0, y1, x0, x1 = self.box
-        for chunk in range(exchange.num_chunks if view else 0):
+        return Region(
+            ("padded", exchange.source_buffer),
+            range(reach + dy + y0, reach + dy + y1),
+            range(reach + dx + x0, reach + dx + x1),
+            z,
+        )
+
+    def _slot_views(self, exchange: ExchangePlan) -> dict:
+        size = exchange.chunk_size
+        slot_views = {}
+        for chunk in range(exchange.num_chunks):
             for _, dsd, _ in self.dsd_uses.get(exchange.receive_buffer, ()):
                 slot, slot_offset = divmod(dsd.offset, size)
-                dx, dy = exchange.directions[slot]
                 z0 = exchange.source_offset + chunk * size + slot_offset
-                slot_views[chunk, dsd.offset, dsd.length, dsd.stride] = Region(
-                    ("padded", exchange.source_buffer),
-                    range(reach + dy, reach + dy + y1 - y0),
-                    range(reach + dx, reach + dx + x1 - x0),
-                    range(z0, z0 + dsd.length * dsd.stride, dsd.stride),
+                z = range(z0, z0 + dsd.length * dsd.stride, dsd.stride)
+                slot_views[chunk, dsd.offset, dsd.length, dsd.stride] = (
+                    self._direction_view(exchange, slot, z)
                 )
-        return ExchangeSchedule(
-            plan=exchange,
-            form="view" if view else "direct",
-            chunks=chunks,
-            fills=fills,
-            fills_once=not view and bool(fills) and self._recv_preserved(exchange),
-            halo=self._halo_copies(exchange) if view and not dirichlet else (),
-            publish=self._publish_copies(eid, exchange),
-            views=slot_views,
+        return slot_views
+
+    def _land_copies(self, eid: int, exchange: ExchangePlan) -> tuple[Copy, ...]:
+        """The last chunk of a view exchange, every direction slot copied
+        from its view into the receive slab: the ghost cells hold what the
+        direct form's fills and folds write."""
+        size = exchange.chunk_size
+        z0 = exchange.source_offset + (exchange.num_chunks - 1) * size
+        y0, y1, x0, x1 = self.box
+        slab = ("slab", eid)
+        return tuple(
+            Copy(
+                Region(slab, None, None, range(slot * size, (slot + 1) * size)),
+                self._direction_view(exchange, slot, range(z0, z0 + size)),
+                "slice",
+                4 * (y1 - y0) * (x1 - x0) * size,
+            )
+            for slot in range(len(exchange.directions))
         )
 
     # -- the predicates ---------------------------------------------------- #
@@ -466,35 +519,34 @@ class _Builder:
     def _view_deliverable(self, exchange: ExchangePlan) -> bool:
         """May this exchange be delivered as views of a padded source?
 
-        Only in a whole-fabric kernel (a box with siblings reads their seam
-        snapshots), and only when the receive slab can be written once per
-        run without anything observing the difference: the exchange is
-        direct-safe (:meth:`_direct_staging_safe`); its receive callback
-        runs only from this delivery (no call, activation or second
-        exchange names it, and it schedules no exchange itself); that
-        callback is the only reader of the receive buffer, through static
-        views that each lie inside one direction slot; nothing else writes
-        the receive buffer (:meth:`_recv_preserved`); and no callable or
-        delivery writes the source — an unknown write set counts as a
-        write — so the source is constant for a run and the run-end slab is
-        exact.
+        Only when the receive slab can be written once per run without
+        anything observing the difference: the exchange is direct-safe
+        (:meth:`_direct_staging_safe`); its receive callback runs only from
+        this delivery (no call, activation or second exchange names it, and
+        it schedules no exchange itself); that callback is the only reader
+        of the receive buffer, through static views that each lie inside
+        one direction slot; nothing else writes the receive buffer
+        (:meth:`_recv_preserved`); and no callable or delivery writes the
+        source — an unknown write set counts as a write — so the source is
+        constant for a run, a box may read its siblings' rows of it in
+        place, and the run-end slab is exact.  The plan has already checked
+        that the chunks lie inside the source
+        (:class:`~repro.wse.plan.PlanError` otherwise).  Nothing here
+        depends on the box: a shard box takes the view form exactly when
+        the whole fabric does.
         """
         callback = exchange.receive_callback
         source, receive = exchange.source_buffer, exchange.receive_buffer
         chunk = exchange.chunk_size
-        span = exchange.num_chunks * chunk
         named = [
             name
             for other in self.exchanges
             for name in (other.receive_callback, other.done_callback)
         ]
         if (
-            (self.geometry.kx, self.geometry.ky) != (1, 1)
-            or not callback
-            or not span
+            not callback
+            or not exchange.num_chunks * chunk
             or not exchange.directions
-            or exchange.source_offset < 0
-            or exchange.source_offset + span > self.plan.buffers.get(source, 0)
             or callback in self.referenced
             or callback in self.schedulers
             or named.count(callback) != 1
@@ -520,11 +572,37 @@ class _Builder:
                 return False
         return True
 
+    def _needed(self, direct: list[ExchangePlan]) -> tuple[int, ...]:
+        """The sibling boxes whose seam publications the direct exchanges
+        of this box read.
+
+        A remote source *row* is read as a full-width strip of the row
+        snapshot, assembled by every box of the source band — so all of
+        that band is needed.  A remote source *column* is only read over
+        this box's rows, so just the source stripe's box in this band is
+        needed.  Dirichlet off-fabric sources and view exchanges need
+        nobody."""
+        geometry = self.geometry
+        y0, y1, x0, x1 = self.box
+        kx, band = geometry.kx, geometry.band_of(y0)
+        needed: set[int] = set()
+        for exchange in direct:
+            for direction in exchange.directions:
+                table = self.plan.halo_table(direction)
+                for _, row in _box_axis(table.rows, y0, y1)[1]:
+                    first = geometry.band_of(row) * kx
+                    needed.update(range(first, first + kx))
+                for _, col in _box_axis(table.cols, x0, x1)[1]:
+                    needed.add(band * kx + geometry.stripe_of(col))
+        needed.discard(geometry.boxes().index(self.box))
+        return tuple(sorted(needed))
+
     # -- copies ------------------------------------------------------------ #
 
     def _direction_copies(self, eid, exchange, direction, slot: range, chunk: range):
         """The copies delivering one direction of source z-range ``chunk``
-        into z-range ``slot`` of the receive slab over this kernel's box.
+        into z-range ``slot`` of the receive slab over this kernel's box, in
+        the direct form.
 
         The destination cells split by where their folded source lives:
         inside the box (read from the live source buffer), in a sibling
@@ -571,44 +649,61 @@ class _Builder:
         )
 
     def _halo_copies(self, exchange: ExchangePlan) -> tuple[Copy, ...]:
-        """The copies refreshing the ghost cells of the exchange source's
-        padded base over the exchange's z-range from the boundary's fold
-        (periodic and reflect only; Dirichlet ghosts hold the fill from
-        bind time on).
+        """This box's ghost territory of the exchange source's padded base,
+        over the exchange's z-range: the Dirichlet fill, or the boundary's
+        fold (periodic, reflect) read from the base's interior.
 
-        Row strips first, over the interior columns and read from the
-        interior; then column strips over every padded row, read from the
-        padded base itself, so the corners fold along both axes.  A ghost
-        cell's source depends only on its own index (a fold table entry is
-        a function of ``i + shift``), so every direction reads the same cell.
+        A box owns the ghost cells past the fabric edges it lies on, corners
+        included — a strip ``R`` deep above (below) a box on the top
+        (bottom) edge, across its columns and, at a fabric corner, the
+        corner; one left (right) of a box on that edge, across its rows —
+        so the boxes of a geometry write disjoint cells that cover the ghost
+        ring.  A ghost cell's source depends only on its own index, and no
+        callable writes the source, so every box reads the same values
+        whenever it reads them.
         """
         buffer = exchange.source_buffer
         reach = self.padded[buffer]
+        height, width = self.plan.height, self.plan.width
         y0, y1, x0, x1 = self.box
-        height, width = y1 - y0, x1 - x0
-        fold = self.plan.boundary.fold
-        rows = [fold(y - reach, height) for y in range(height + 2 * reach)]
-        cols = [fold(x - reach, width) for x in range(width + 2 * reach)]
-        start = exchange.source_offset
-        z = range(start, start + exchange.num_chunks * exchange.chunk_size)
-        interior, padded = ("buffer", buffer), ("padded", buffer)
-        inner_cols = [(reach + x, x) for x in range(width)]
-        every_row = [(y, y) for y in range(height + 2 * reach)]
-        copies = []
-        for strip in (range(reach), range(reach + height, height + 2 * reach)):
-            copies += _block_copies(
-                [(y, rows[y]) for y in strip], inner_cols, padded, z, interior, z
+        # Padded coordinates: fabric index ``i`` is ``reach + i``.
+        rows = range(reach + y0, reach + y1)
+        cols = range(reach + x0 - reach * (x0 == 0), reach + x1 + reach * (x1 == width))
+        above, below = range(reach), range(reach + height, height + 2 * reach)
+        left, right = range(reach), range(reach + width, width + 2 * reach)
+        territory = [
+            (ys, xs)
+            for ys, xs, edge in (
+                (above, cols, y0 == 0), (below, cols, y1 == height),
+                (rows, left, x0 == 0), (rows, right, x1 == width),
             )
-        for strip in (range(reach), range(reach + width, width + 2 * reach)):
+            if edge and ys and xs
+        ]
+        start, span = exchange.source_offset, exchange.num_chunks * exchange.chunk_size
+        z = range(start, start + span)
+        padded = ("padded", buffer)
+        boundary = self.plan.boundary
+        if boundary.kind == "dirichlet":
+            return tuple(
+                Copy(
+                    Region(padded, ys, xs, z), None, "fill",
+                    4 * len(ys) * len(xs) * span,
+                )
+                for ys, xs in territory
+            )
+        copies = []
+        for ys, xs in territory:
             copies += _block_copies(
-                every_row, [(x, reach + cols[x]) for x in strip], padded, z, padded, z
+                [(y, reach + boundary.fold(y - reach, height)) for y in ys],
+                [(x, reach + boundary.fold(x - reach, width)) for x in xs],
+                padded, z, padded, z,
             )
         return tuple(copies)
 
     def _publish_copies(self, eid: int, exchange: ExchangePlan) -> tuple[Copy, ...]:
-        """The box's seam rows/columns of the source buffer, copied into the
-        shared snapshots, which siblings read instead of this shard's live
-        buffers (nothing, in a 1x1 geometry)."""
+        """The box's seam rows/columns of a direct exchange's source buffer,
+        copied into the shared snapshots, which siblings read instead of
+        this shard's live buffers (nothing, in a 1x1 geometry)."""
         span = exchange.num_chunks * exchange.chunk_size
         z = range(exchange.source_offset, exchange.source_offset + span)
         source = ("buffer", exchange.source_buffer)

@@ -1,8 +1,11 @@
 """Golden parser/lowering diagnostics: every rejection names file:line:col
-and the offending token, so a failing handwritten kernel points at source."""
+and the offending token, so a failing handwritten kernel points at source.
+Programs that parse but whose exchange overruns a buffer are rejected by
+the plan, naming the op."""
 
 import pytest
 
+import csl_corpus
 from repro.csl import (
     CslDiagnosticError,
     CslSyntaxError,
@@ -10,6 +13,8 @@ from repro.csl import (
     parse_csl_sources,
 )
 from repro.csl.lower import CslLoweringError
+from repro.wse.plan import PlanError
+from repro.wse.simulator import WseSimulator
 
 MINIMAL = """\
 fn f_main() void {
@@ -223,6 +228,66 @@ class TestLoweringDiagnostics:
         assert str(error) == (
             "kernel.csl:1:1: expected a program module, got a layout module"
         )
+
+
+class TestPlanDiagnostics:
+    """Programs that parse but whose exchange reads or writes past a
+    declared extent: the plan rejects them before any executor runs."""
+
+    def test_communicate_chunks_overrunning_src_len(self):
+        """The token mutant ``advection.csl:37`` ``.chunk_size = 16`` ->
+        ``66`` of the printed Advection program once escaped the parser and
+        the plan, and both ``reference`` and ``compiled`` then failed with
+        a raw NumPy error."""
+        sources = dict(csl_corpus.generated_sources("wse2", 2)["Advection"])
+        lines = sources["advection.csl"].split("\n")
+        assert ".chunk_size = 16," in lines[36]
+        lines[36] = lines[36].replace(".chunk_size = 16,", ".chunk_size = 66,")
+        sources["advection.csl"] = "\n".join(lines)
+        image = parse_csl_sources(sources).programs[0]
+        for executor in ("reference", "compiled"):
+            with pytest.raises(PlanError) as info:
+                WseSimulator(image, executor=executor)
+            assert str(info.value) == (
+                "csl.comms_exchange #4 of 'loop_body0': 2 chunks of 66 "
+                "overrun src_len 32"
+            )
+
+    @pytest.mark.parametrize(
+        ("fields", "message"),
+        [
+            (
+                ".src_offset = -1, .src_len = 4, .directions = .{ .{ 1, 0 } }",
+                "src_offset -1 is negative",
+            ),
+            (
+                ".src_offset = 1, .src_len = 4, .directions = .{ .{ 1, 0 } }",
+                "1 chunks of 4 from src_offset 1 overrun 'u' (4 elements)",
+            ),
+            (
+                ".src_offset = 0, .src_len = 4, "
+                ".directions = .{ .{ 1, 0 }, .{ 0, 1 } }",
+                "a chunk of 4 in 2 directions overruns 'rb' (4 elements)",
+            ),
+        ],
+        ids=["negative_offset", "source_extent", "receive_buffer"],
+    )
+    def test_communicate_chunks_overrunning_a_buffer(self, fields, message):
+        image = parse_csl_program(
+            "var u = @zeros([4]f32);\n"
+            "var rb = @zeros([4]f32);\n"
+            "fn f_main() void {\n"
+            "  const d = @get_dsd(mem1d_dsd, "
+            ".{ .tensor_access = |i|{4} -> u[i] });\n"
+            "  comms.communicate(&d, .{ .num_chunks = 1, .chunk_size = 4, "
+            f"{fields}, .pattern = 1, .recv_buffer = &rb, .done = &f_main }});\n"
+            "  return;\n}\n"
+            'comptime { @export_symbol(f_main, "f_main"); }\n',
+            "kernel.csl",
+        )
+        with pytest.raises(PlanError) as info:
+            WseSimulator(image, executor="reference")
+        assert str(info.value) == f"csl.comms_exchange #1 of 'f_main': {message}"
 
 
 class TestMinimalProgramParses:

@@ -145,13 +145,18 @@ def test_the_base_program_is_delivered_as_views():
     (exchange,) = schedule.exchanges
     assert exchange.form == "view"
     assert schedule.padded == {"u": 1}
+    # No seam snapshot: the view exchange publishes nothing.
     assert schedule.meta == {
-        "exchanges": [[0, 4]], "pub_rows": 0, "pub_cols": 0, "padded": {"u": 1}
+        "exchanges": [], "pub_rows": 0, "pub_cols": 0, "padded": {"u": 1}
     }
-    # Fills written once per run, with the last chunk, never per delivery.
-    assert exchange.fills == ((0, 0.0), (1, 0.0)) and not exchange.fills_once
-    assert exchange.halo == ()
-    assert exchange.copies_per_run == exchange.chunks[-1]
+    # Nothing copied per delivery; the ghost ring holds the Dirichlet fill,
+    # and the landing copies the last chunk's two direction views, ghost
+    # cells included, in place of the direct form's copies and fills.
+    assert exchange.chunks == () and exchange.publish == ()
+    assert exchange.fills == () and not exchange.fills_once
+    assert {copy.kind for copy in exchange.halo} == {"fill"}
+    assert sum(copy.bytes for copy in exchange.halo) == (6 * 6 - 4 * 4) * 4 * 4
+    assert [copy.src.z for copy in exchange.land] == [range(3, 5)] * 2
 
 
 @pytest.mark.parametrize(
@@ -185,7 +190,7 @@ def test_a_callable_writing_the_source_makes_it_direct():
     assert _forms(image) == ["direct"]
     (exchange,) = delivery_schedule(image, image.plan_for(4, 4)).exchanges
     assert len(exchange.chunks) == 2 and exchange.halo == ()
-    assert exchange.copies_per_run == () and exchange.fills_once
+    assert exchange.land == () and exchange.fills_once
 
 
 def test_a_receive_callback_writing_the_source_is_declined():
@@ -201,10 +206,32 @@ def test_a_receive_dsd_spanning_two_direction_slots_is_direct():
     assert _forms(_image(east="1")) == ["direct"]
 
 
-def test_a_box_with_siblings_is_direct():
-    geometry = ShardGeometry.build(4, 4, 2, 1)
+@pytest.mark.parametrize("kx, ky", [(2, 1), (1, 2), (2, 2)])
+def test_a_box_with_siblings_takes_the_whole_fabric_form(kx, ky):
+    """A box reads its siblings' source rows in place: no snapshot, no
+    publication, no sibling to await; and a written source keeps the
+    direct form, with its publications, on every box."""
+    geometry = ShardGeometry.build(4, 4, kx, ky)
+    image, written = _image(), _image(written="u")
+    awaited = []
     for box in geometry.boxes():
-        assert _forms(_image(), geometry, box) == ["direct"]
+        schedule = delivery_schedule(image, image.plan_for(4, 4), box, geometry)
+        (exchange,) = schedule.exchanges
+        assert exchange.form == "view" and schedule.padded == {"u": 1}
+        assert exchange.publish == () and exchange.chunks == ()
+        assert schedule.meta["exchanges"] == [] and "needed" not in schedule.meta
+        schedule = delivery_schedule(written, written.plan_for(4, 4), box, geometry)
+        (exchange,) = schedule.exchanges
+        assert exchange.form == "direct" and not schedule.padded
+        assert schedule.meta["exchanges"] == [[0, 4]]
+        awaited.append(schedule.needed)
+    # East and north pull from the next stripe and band; a remote row is
+    # read across the whole band, so every box of that band is awaited.
+    assert awaited == {
+        (2, 1): [(1,), ()],
+        (1, 2): [(1,), ()],
+        (2, 2): [(1, 2, 3), (2, 3), (3,), ()],
+    }[kx, ky]
 
 
 def test_an_unknown_write_set_elsewhere_makes_it_direct():

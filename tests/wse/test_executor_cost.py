@@ -17,10 +17,15 @@ shard grid, running one ``run_block(max_rounds)`` call per run; CPython
 ============  ==================  ===========================
 fabric        warm bind J (S)     one execute J (S)
 ============  ==================  ===========================
-1x1           28 (29)             62 (63)
-4x4           28 (29)             94 (159)
-32x32         28 (29)             94 (191)
+1x1           27 (27)             62 (63)
+4x4           27 (27)             62 (63)
+32x32         27 (27)             62 (63)
 ============  ==================  ===========================
+
+A run's count no longer grows with the fabric: the view form's landing is
+plain assignments, with no ``np.copyto`` dispatch per direction (before
+this ledger's last change a run counted 94 (159) calls at 4x4 and 94 (191)
+at 32x32, and a bind 28 (29)).
 
 ``auto`` adds one call to every bind (its statistics stamp) and none to a
 run.  The ceilings allow a bind five calls over those and a run none: the
@@ -29,51 +34,49 @@ kernel executor may change shape, but not add per-job plumbing.  CPython
 too.
 
 Receive-slab writes are read off the whole-fabric kernel's delivery
-schedule (:mod:`repro.wse.schedule`), per delivery (``deliver_0``) and per
-run (what ``run_block`` writes on its way out), as ``(copies, fills)``
-statements and as copied bytes; Jacobian has four directions, Seismic
-sixteen, two chunks of 16 each, under the Dirichlet boundary:
+schedule (:mod:`repro.wse.schedule`); Jacobian has four directions, Seismic
+sixteen, two chunks of 16 each, under the Dirichlet boundary.  Every
+exchange here takes the view form, which copies nothing per delivery; its
+``land`` hook copies the last chunk's direction views, ghost cells
+included, into the receive slab once per run, and its ghost ring holds the
+fill (written at bind and when ``run_block`` starts).  The direct form —
+what an exchange the view form's predicate rejects gets — copies every
+chunk per delivery, with its fills written once per binding.  A fill on a
+1x1 fabric is every cell of a slot: no direction has an in-fabric source.
+Copy statements (``copies + fills``) and bytes, float32:
 
-============  ==========================  ==========================
-fabric        direct, per delivery J (S)  view, per run J (S)
-============  ==========================  ==========================
-1x1           0 + 4 (0 + 16)              0 + 4 (0 + 16)
-4x4           8 + 4 (24 + 16)             4 + 4 (12 + 16)
-32x32         8 + 4 (32 + 16)             4 + 4 (16 + 16)
-============  ==========================  ==========================
-
-Every exchange here takes the view form, which copies nothing per
-delivery (a Dirichlet padded source has no ghost strips to refresh) and
-one chunk plus the fills per run; the direct form — what a shard box with
-siblings, or an exchange the view form's predicate rejects, gets — copies
-every chunk per delivery, with its fills written once per binding.  A fill
-on a 1x1 fabric is every cell of a slot: no direction has an in-fabric
-source.  Copied bytes, float32:
-
-============  =====================  =====================
-fabric        view, per run J (S)    direct, per delivery J (S)
-============  =====================  =====================
-1x1           0 (0)                  0 (0)
-4x4           3,072 (6,144)          6,144 (12,288)
-32x32         253,952 (966,656)      507,904 (1,933,312)
-============  =====================  =====================
+============  =======================  ================================
+fabric        view landing, per run    direct, per delivery
+              J (S)                    J (S)
+============  =======================  ================================
+1x1           4 (16); 256 (1,024)      0 + 4 (0 + 16); 0 (0)
+4x4           4 (16); 4,096 (16,384)   8 + 4 (24 + 16); 6,144 (12,288)
+32x32         4 (16); 262,144          8 + 4 (32 + 16); 507,904
+              (1,048,576)              (1,933,312)
+============  =======================  ================================
 
 The traffic row of ``bench``'s ``sim_tiled_128`` programs at 128x128 on
 two row bands (the shard grid ``tiled`` derives on two CPUs) is pinned the
 same way, per box and exchange: slab bytes copied per delivery, seam bytes
-published per round and landing bytes per run.  Every exchange of a box
-with a sibling takes the direct form; the top band's box copies and
-publishes:
+published per round, and landing and ghost bytes per run.  A box takes the
+view form exactly when the whole fabric does: it reads its sibling's rows
+of the constant source in place, so a view exchange copies and publishes
+nothing per round.  The top band's box, before (every box exchange direct)
+and after:
 
-==============  ==================================
-benchmark       per delivery + published per round
-==============  ==================================
-Jacobian        8,323,072 + 32,768
-Seismic         16,449,536 + 65,536
-ReflectiveHeat  8,388,608 + 32,768
-UVKBE           1,040,384 + 1,048,576 (two exchanges) + 0
-Advection       1,048,576 + 0
-==============  ==================================
+==============  ============================  =============================
+benchmark       before: per delivery +        after: per delivery +
+                published per round           published; landing per run
+==============  ============================  =============================
+Jacobian        8,323,072 + 32,768            0 + 0; 4,194,304
+Seismic         16,449,536 + 65,536           0 + 0; 8,388,608
+ReflectiveHeat  8,388,608 + 32,768            0 + 0; 4,194,304
+UVKBE           1,040,384 + 1,048,576 + 0     0 + 1,048,576 + 0; 524,288
+Advection       1,048,576 + 0                 1,048,576 + 0 (direct)
+==============  ============================  =============================
+
+UVKBE's second, callback-less exchange and Advection's (its done callback
+writes the source) stay direct.
 """
 
 import pytest
@@ -90,12 +93,12 @@ from repro.wse.simulator import WseSimulator
 #: (benchmark, fabric side) -> (warm-bind calls, one-execute calls) of
 #: ``compiled`` with the whole-grid kernel kind, CPython 3.11.7.
 PARENT = {
-    ("Jacobian", 1): (28, 62),
-    ("Jacobian", 4): (28, 94),
-    ("Jacobian", 32): (28, 94),
-    ("Seismic", 1): (29, 63),
-    ("Seismic", 4): (29, 159),
-    ("Seismic", 32): (29, 191),
+    ("Jacobian", 1): (27, 62),
+    ("Jacobian", 4): (27, 62),
+    ("Jacobian", 32): (27, 62),
+    ("Seismic", 1): (27, 63),
+    ("Seismic", 4): (27, 63),
+    ("Seismic", 32): (27, 63),
 }
 
 #: calls a warm bind may spend over the recorded count.
@@ -149,7 +152,7 @@ def test_a_run_costs_the_same_on_compiled_and_auto():
 
 
 #: (benchmark, fabric side) -> ``(copies, fills)`` receive-slab writes of
-#: one chunk and of the fills; the view form writes them once per run.
+#: one chunk of the direct form and of its fills.
 SLAB_WRITES = {
     ("Jacobian", 1): (0, 4),
     ("Jacobian", 4): (4, 4),
@@ -159,11 +162,10 @@ SLAB_WRITES = {
     ("Seismic", 32): (16, 16),
 }
 
-#: (benchmark, fabric side) -> bytes one chunk copies into the receive slab:
-#: what the view form copies per run and the direct form per chunk.  A
-#: direction at distance ``d`` along an axis of an ``n x n`` Dirichlet
-#: fabric has ``(n - d) * n`` in-fabric cells; each copies 16 float32s, and
-#: every distance comes in four directions.
+#: (benchmark, fabric side) -> bytes one chunk of the direct form copies
+#: into the receive slab.  A direction at distance ``d`` along an axis of an
+#: ``n x n`` Dirichlet fabric has ``(n - d) * n`` in-fabric cells; each
+#: copies 16 float32s, and every distance comes in four directions.
 COPY_BYTES = {
     ("Jacobian", 1): 0,
     ("Jacobian", 4): 3 * 4 * 16 * 4 * 4,
@@ -172,6 +174,9 @@ COPY_BYTES = {
     ("Seismic", 4): (3 + 2 + 1) * 4 * 16 * 4 * 4,
     ("Seismic", 32): (31 + 30 + 29 + 28) * 32 * 16 * 4 * 4,
 }
+
+#: benchmark -> (directions, reach) of its exchange.
+SHAPES = {"Jacobian": (4, 1), "Seismic": (16, 4)}
 
 #: chunks per exchange of the ledger's programs.
 CHUNKS = 2
@@ -203,22 +208,24 @@ def _bytes(copies) -> int:
 
 @pytest.mark.parametrize("name, side", sorted(SLAB_WRITES))
 def test_view_delivery_writes_the_receive_slab_once_per_run(name, side):
-    """A view delivery copies only its ghost strips (none under Dirichlet);
-    ``run_block`` lands the last chunk and the fills."""
+    """A view delivery copies nothing; the landing copies one ``n x n``
+    view per direction, and the ghost ring, ``reach`` deep, holds the
+    fill over the exchange's 32 z-planes."""
     exchange = _whole_fabric_exchange(_module(name, side), side)
-    copies, fills = SLAB_WRITES[name, side]
+    directions, reach = SHAPES[name]
     assert exchange.form == "view"
-    assert exchange.halo == ()
-    assert len(exchange.copies_per_run) == copies
-    assert len(exchange.fills) == fills and not exchange.fills_once
-    assert _bytes(exchange.copies_per_run) == COPY_BYTES[name, side]
+    assert exchange.chunks == () and exchange.publish == ()
+    assert exchange.fills == () and not exchange.fills_once
+    assert len(exchange.land) == directions
+    assert _bytes(exchange.land) == directions * side * side * 16 * 4
+    assert {copy.kind for copy in exchange.halo} == {"fill"}
+    assert _bytes(exchange.halo) == ((side + 2 * reach) ** 2 - side**2) * 32 * 4
 
 
 @pytest.mark.parametrize("name, side", sorted(SLAB_WRITES))
 def test_direct_delivery_writes_every_chunk(name, side):
-    """A direct delivery copies every chunk, each as large as the one chunk
-    the view form copies per run, and writes its fills once per binding;
-    ``run_block`` lands nothing."""
+    """A direct delivery copies every chunk and writes its fills once per
+    binding; ``land`` copies nothing."""
     exchange = _direct_exchange(name, side)
     copies, fills = SLAB_WRITES[name, side]
     assert exchange.form == "direct"
@@ -227,7 +234,7 @@ def test_direct_delivery_writes_every_chunk(name, side):
         CHUNKS * COPY_BYTES[name, side]
     )
     assert len(exchange.fills) == fills and exchange.fills_once
-    assert exchange.copies_per_run == ()
+    assert exchange.land == () and exchange.halo == ()
 
 
 #: The ``sim_tiled_128`` programs as ``bench`` compiles them (Jacobian z64,
@@ -243,42 +250,39 @@ TILED_128_PROGRAMS = {
 
 #: benchmark -> per box (top band first), per exchange in eid order:
 #: ``(form, slab bytes copied per delivery, seam bytes published per round,
-#: landing bytes per run)``, read off the delivery schedule.
+#: landing bytes per run, ghost bytes per run)``, read off the delivery
+#: schedule.
 TILED_128_TRAFFIC = {
     "Jacobian": (
-        (("direct", 8_323_072, 32_768, 0),),
-        (("direct", 8_323_072, 32_768, 0),),
+        (("view", 0, 0, 4_194_304, 66_048),),
+        (("view", 0, 0, 4_194_304, 66_048),),
     ),
     "Seismic": (
-        (("direct", 16_449_536, 65_536, 0),),
-        (("direct", 16_449_536, 65_536, 0),),
+        (("view", 0, 0, 8_388_608, 135_168),),
+        (("view", 0, 0, 8_388_608, 135_168),),
     ),
     "UVKBE": (
-        (("direct", 1_040_384, 0, 0), ("direct", 1_048_576, 0, 0)),
-        (("direct", 1_040_384, 16_384, 0), ("direct", 1_032_192, 16_384, 0)),
+        (("view", 0, 0, 524_288, 33_024), ("direct", 1_048_576, 0, 0, 0)),
+        (("view", 0, 0, 524_288, 33_024), ("direct", 1_032_192, 16_384, 0, 0)),
     ),
     "Advection": (
-        (("direct", 1_048_576, 0, 0),),
-        (("direct", 1_048_576, 0, 0),),
+        (("direct", 1_048_576, 0, 0, 0),),
+        (("direct", 1_048_576, 0, 0, 0),),
     ),
     "ReflectiveHeat": (
-        (("direct", 8_388_608, 32_768, 0),),
-        (("direct", 8_388_608, 32_768, 0),),
+        (("view", 0, 0, 4_194_304, 66_560),),
+        (("view", 0, 0, 4_194_304, 66_560),),
     ),
 }
 
 
 def _traffic(exchange) -> tuple:
-    per_delivery = (
-        [copy for chunk in exchange.chunks for copy in chunk]
-        if exchange.form == "direct"
-        else exchange.halo
-    )
     return (
         exchange.form,
-        _bytes(per_delivery),
+        _bytes(copy for chunk in exchange.chunks for copy in chunk),
         _bytes(exchange.publish),
-        _bytes(exchange.copies_per_run),
+        _bytes(exchange.land),
+        _bytes(exchange.halo),
     )
 
 

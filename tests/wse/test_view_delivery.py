@@ -166,19 +166,27 @@ def _schedule(module, width, height, geometry=None, box=None):
 @pytest.mark.parametrize("spec", tuple(BOUNDARIES))
 @pytest.mark.parametrize("name", NAMES)
 def test_which_exchanges_take_the_view_form(name, spec):
-    """Every benchmark's exchange is a view delivery on the whole fabric
-    except Advection's (its done callback writes the source) and
-    UVKBE's callback-less prefetch exchange; no shard box with siblings
-    delivers as views."""
+    """Every benchmark's exchange is a view delivery except Advection's
+    (its done callback writes the source) and UVKBE's callback-less
+    prefetch exchange; a shard box takes the view form exactly when the
+    whole fabric does, pads the same source and publishes nothing for a
+    view exchange."""
     _, module = _compiled(name, spec, (6, 6))
     expected = {"Advection": set(), "UVKBE": {0}}.get(name, {0})
     schedule = _schedule(module, 6, 6)
     assert _view_eids(schedule) == expected
     assert list(schedule.padded) == (["u"] if expected else [])
-    geometry = ShardGeometry.build(6, 6, 2, 2)
-    for box in geometry.boxes():
-        boxed = _schedule(module, 6, 6, geometry, box)
-        assert _view_eids(boxed) == set() and not boxed.padded
+    for kx, ky in ((1, 2), (2, 1), (2, 2)):
+        geometry = ShardGeometry.build(6, 6, kx, ky)
+        for box in geometry.boxes():
+            boxed = _schedule(module, 6, 6, geometry, box)
+            assert _view_eids(boxed) == expected
+            assert boxed.padded == schedule.padded
+            assert all(
+                not boxed.exchanges[eid].publish
+                and not boxed.exchanges[eid].chunks
+                for eid in expected
+            )
 
 
 def test_exchanges_sharing_a_receive_buffer_stay_direct():
