@@ -157,9 +157,10 @@ class ShardGeometry:
     ``(i, j)`` owns columns ``[col_edges[i], col_edges[i+1])`` and rows
     ``[row_edges[j], row_edges[j+1])``.  Bands are nearly equal — the first
     ``extent % k`` bands are one wider — matching the historical tiled
-    decomposition.  The geometry is the shared vocabulary between the plan
-    (seam publication sets), the codegen (shard-box kernels) and the kernel
-    executors (one kernel per shard), so it canonicalises for fingerprints.
+    decomposition.  The geometry is the shared vocabulary between the
+    delivery schedule (seam publication sets), the codegen (shard-box
+    kernels) and the kernel executors (one kernel per shard), so it
+    canonicalises for fingerprints.
     :meth:`build` returns one instance per fabric and shard grid, whose
     boxes are computed once.
     """
@@ -212,32 +213,6 @@ class ShardGeometry:
 
     def canonical(self) -> dict:
         return {"row_edges": list(self.row_edges), "col_edges": list(self.col_edges)}
-
-
-def seam_publication(
-    plan: "ExecutionPlan",
-    geometry: ShardGeometry,
-    directions: Iterable[tuple[int, int]],
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The fabric rows/columns shards must publish into seam snapshots for
-    exchanges pulling along ``directions``.
-
-    A row ``r`` is published when some such direction makes a destination
-    row in a *different* band read from ``r`` — under periodic folds that
-    can be a far edge, not just a band neighbour.  Columns likewise for
-    stripes.  The result is sorted, so the publication slot of a row/column
-    is its index here; every shard-box kernel agrees on the layout.
-    """
-    pub_rows: set[int] = set()
-    pub_cols: set[int] = set()
-    for table in map(plan.halo_table, set(directions)):
-        for y, src in enumerate(table.rows):
-            if src is not None and geometry.band_of(y) != geometry.band_of(src):
-                pub_rows.add(src)
-        for x, src in enumerate(table.cols):
-            if src is not None and geometry.stripe_of(x) != geometry.stripe_of(src):
-                pub_cols.add(src)
-    return tuple(sorted(pub_rows)), tuple(sorted(pub_cols))
 
 
 class ExecutionPlan:

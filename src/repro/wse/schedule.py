@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, NamedTuple, Union
 
 from repro.dialects import csl, scf
 from repro.wse.dsd import Dsd
-from repro.wse.plan import ExchangePlan, ExecutionPlan, ShardGeometry, seam_publication
+from repro.wse.plan import ExchangePlan, ExecutionPlan, ShardGeometry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wse.interpreter import ProgramImage
@@ -362,12 +362,7 @@ class _Builder:
         direct = [
             exchange for exchange, view in zip(self.exchanges, views) if not view
         ]
-        pub_rows, pub_cols = seam_publication(
-            self.plan, self.geometry,
-            (direction for exchange in direct for direction in exchange.directions),
-        )
-        self.pub_rows = {row: slot for slot, row in enumerate(pub_rows)}
-        self.pub_cols = {col: slot for slot, col in enumerate(pub_cols)}
+        self._seam_publication(direct)
         return DeliverySchedule(
             box=self.box,
             geometry=self.geometry,
@@ -571,6 +566,30 @@ class _Builder:
             ):
                 return False
         return True
+
+    def _seam_publication(self, direct: list[ExchangePlan]) -> None:
+        """The fabric rows/columns shards publish into seam snapshots for
+        the direct exchanges, each mapped to its slot.
+
+        A row ``r`` is published when some direction makes a destination
+        row in a *different* band read from ``r`` — under periodic folds
+        that can be a far edge, not just a band neighbour.  Columns likewise
+        for stripes.  Slots follow the sorted rows/columns, so every
+        shard-box kernel agrees on the layout.
+        """
+        geometry = self.geometry
+        rows: set[int] = set()
+        cols: set[int] = set()
+        for direction in {d for exchange in direct for d in exchange.directions}:
+            table = self.plan.halo_table(direction)
+            for y, src in enumerate(table.rows):
+                if src is not None and geometry.band_of(y) != geometry.band_of(src):
+                    rows.add(src)
+            for x, src in enumerate(table.cols):
+                if src is not None and geometry.stripe_of(x) != geometry.stripe_of(src):
+                    cols.add(src)
+        self.pub_rows = {row: slot for slot, row in enumerate(sorted(rows))}
+        self.pub_cols = {col: slot for slot, col in enumerate(sorted(cols))}
 
     def _needed(self, direct: list[ExchangePlan]) -> tuple[int, ...]:
         """The sibling boxes whose seam publications the direct exchanges
