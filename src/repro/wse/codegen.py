@@ -65,8 +65,9 @@ range raises the same ``IndexError`` as unbanded, but before any builtin of
 its run has executed, where the unbanded kernel (and ``vectorized``) first
 apply the run's earlier builtins.  The state left behind by that error is
 therefore not matched across backends; every successful run is.  The
-same holds for the view form: a run that raises inside a delivery returns
-without writing the receive slab.
+same holds for the view form: a ``run_block`` that raises inside a delivery
+returns without writing the receive slab (the round driver of several
+shards lands every shard's slab whatever the outcome).
 
 Kernels are cached process-wide in an in-memory memo keyed by a *kernel
 fingerprint* (SHA-256 over the printed program module, the plan's canonical

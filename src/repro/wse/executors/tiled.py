@@ -45,12 +45,13 @@ The shard count picks the round driver:
   publishes nothing, waits on no sibling and allocates no snapshot.  The
   round ends at the single barrier, which doubles as the settled-consensus
   point (monotone progress stamps, so a shard racing into the next round
-  can never corrupt a sibling's consensus read); after the last round a
-  shard lands its view exchanges' receive slabs (the kernel's ``land``
-  hook).  :meth:`TiledExecutor._run_shards` binds a runner per shard — each
-  bind writes the box's ghost cells, all before any shard thread starts —
+  can never corrupt a sibling's consensus read).
+  :meth:`TiledExecutor._run_shards` binds a runner per shard — each bind
+  writes the box's ghost cells, all before any shard thread starts —
   starts one thread per shard but the first, drives shard 0 on the calling
-  thread, and joins every thread before it returns.  A shard that fails
+  thread, and joins every thread before it returns.  A shard that settles
+  lands its view exchanges' receive slabs (the kernel's ``land`` hook); the
+  driver lands what a failed or budget-bound run left.  A shard that fails
   aborts the barrier, and the run raises that shard's own diagnosis, not
   the broken barrier its siblings saw.
 
@@ -336,34 +337,26 @@ def _seam_rounds(
     pending = hooks["pending"]
     runner.launch(entry)
     rounds = 0
-    status = "budget"
     for _ in range(max_rounds):
         hooks["drain"]()
         settled = hooks["settled"]()
         progress[index] = -(rounds + 1) if settled else (rounds + 1)
         if not settled:
             if pending[0] < 0:
-                status = "deadlock"
-                break
+                raise InterpretationError(
+                    "deadlock: PEs are neither halted nor waiting on an "
+                    "exchange"
+                )
             hooks["publish"]()
             pub_rounds[index] = rounds + 1
             yield rounds + 1
             hooks["deliver"]()
         yield None
         if _round_consensus(progress[:], rounds):
-            status = "settled"
-            break
+            hooks["land"]()
+            return runner.result(rounds)
         rounds += 1
-    # The view exchanges' receive slabs, on every exit ``run_block`` lands
-    # them on: they read only this box and the constant padded sources.
-    hooks["land"]()
-    if status == "deadlock":
-        raise InterpretationError(
-            "deadlock: PEs are neither halted nor waiting on an exchange"
-        )
-    if status == "budget":
-        raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
-    return runner.result(rounds)
+    raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
 
 
 def _drive_with_waits(
@@ -586,6 +579,39 @@ class TiledExecutor(GridExecutor):
         return statistics
 
     def _run_shards(self, max_rounds: int) -> list[ShardResult]:
+        """Bind a runner per shard and drive every shard's round loop to
+        completion (:meth:`_drive_shards`).
+
+        A shard that settles lands its view exchanges' receive slabs on its
+        own thread; whatever is left unlanded — after a round-budget or
+        deadlock exit, or on a shard whose last barrier a sibling's exit
+        broke — is landed here once every thread has joined (``land`` skips
+        what was landed already)."""
+        count = len(self.boxes)
+        # Signed per-shard round stamps (see :func:`_round_consensus`).
+        progress = [0] * count
+        # The highest round each shard has published seams for (1-based).
+        pub_rounds = [0] * count
+        # Every runner binds here, on the calling thread, before any shard
+        # thread starts: a bind writes the box's ghost cells of the padded
+        # sources, which its siblings' views read.
+        runners = [
+            CompiledShardRunner(self.plan, kernel, self.state, box)
+            for kernel, box in zip(self._kernels, self.boxes)
+        ]
+        loops = [
+            _seam_rounds(
+                runner, self._entry, max_rounds, index, progress, pub_rounds
+            )
+            for index, runner in enumerate(runners)
+        ]
+        try:
+            return self._drive_shards(loops, progress, pub_rounds)
+        finally:
+            for runner in runners:
+                runner.hooks["land"]()
+
+    def _drive_shards(self, loops, progress, pub_rounds) -> list[ShardResult]:
         """Drive every shard's round loop to completion, one thread each.
 
         Shard 0 runs on the calling thread; the others run on threads
@@ -594,28 +620,8 @@ class TiledExecutor(GridExecutor):
         then raises the lowest-numbered failure that is not a mere
         :class:`threading.BrokenBarrierError`, chained to the original.
         """
-        count = len(self.boxes)
+        count = len(loops)
         barrier = threading.Barrier(count)
-        # Signed per-shard round stamps (see :func:`_round_consensus`).
-        progress = [0] * count
-        # The highest round each shard has published seams for (1-based).
-        pub_rounds = [0] * count
-        # Every runner binds here, on the calling thread, before any shard
-        # thread starts: a bind writes the box's ghost cells of the padded
-        # sources, which its siblings' views read.
-        loops = [
-            _seam_rounds(
-                CompiledShardRunner(
-                    self.plan, self._kernels[index], self.state, box
-                ),
-                self._entry,
-                max_rounds,
-                index,
-                progress,
-                pub_rounds,
-            )
-            for index, box in enumerate(self.boxes)
-        ]
         results: list[ShardResult | None] = [None] * count
         failures: list[BaseException | None] = [None] * count
 

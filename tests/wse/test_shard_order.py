@@ -87,21 +87,11 @@ def _state(simulator: WseSimulator) -> dict[str, bytes]:
 
 
 def _stepped(order: str):
-    """A ``TiledExecutor._run_shards`` that steps every shard's round loop
+    """A ``TiledExecutor._drive_shards`` that steps every shard's round loop
     on the calling thread, visiting the shards in ``order``."""
 
-    def run_shards(self, max_rounds: int) -> list:
-        count = len(self.boxes)
-        progress, pub_rounds = [0] * count, [0] * count
-        loops = [
-            tiled._seam_rounds(
-                tiled.CompiledShardRunner(
-                    self.plan, self._kernels[index], self.state, box
-                ),
-                self._entry, max_rounds, index, progress, pub_rounds,
-            )
-            for index, box in enumerate(self.boxes)
-        ]
+    def drive_shards(self, loops, progress, pub_rounds) -> list:
+        count = len(loops)
         visits = list(range(count))
         if order == "reverse":
             visits.reverse()
@@ -137,7 +127,7 @@ def _stepped(order: str):
             assert moved, f"no shard can move: {at}"
         return results
 
-    return run_shards
+    return drive_shards
 
 
 @pytest.mark.parametrize("order", ("forward", "reverse"))
@@ -151,7 +141,7 @@ def test_every_buffer_matches_compiled_in_each_shard_order(
     expected = _loaded("compiled", program, module)
     expected_statistics = expected.execute()
     monkeypatch.setattr(tiled, "shard_grid", lambda w, h, cpus=None: geometry)
-    monkeypatch.setattr(tiled.TiledExecutor, "_run_shards", _stepped(order))
+    monkeypatch.setattr(tiled.TiledExecutor, "_drive_shards", _stepped(order))
     simulator = _loaded("tiled", program, module)
     assert len(simulator.executor.boxes) == geometry[0] * geometry[1]
     assert simulator.execute() == expected_statistics

@@ -1,15 +1,17 @@
 """View delivery: the whole host-visible state, not just the fields.
 
-A whole-fabric kernel delivers an exchange it can prove safe as views of a
-padded source and writes the receive slab once, when ``run_block``
-returns (:mod:`repro.wse.codegen`).  The golden suites compare fields
-only; here *every* buffer of the program — receive slabs, accumulators,
-prefetch buffers — must equal ``vectorized``'s byte for byte after a run,
-on ``compiled``, ``auto`` and a one-shard ``tiled``, for every benchmark
-under every boundary mode, on 6x6 and on the thin fabrics 1x1, 1x9 and 9x2
-(where Seismic's radius-4 halo runs past the extent and every ghost cell
-folds more than once).  A run cut short by its round budget must leave the
-same state too.  Which exchanges take the view form is pinned as well.
+A kernel delivers an exchange it can prove safe as views of a padded
+source and writes the receive slab once, after the run's rounds
+(:mod:`repro.wse.codegen`).  The golden suites compare fields only; here
+*every* buffer of the program — receive slabs, accumulators, prefetch
+buffers — must equal ``vectorized``'s byte for byte after a run, on
+``compiled``, ``auto`` and a one-shard ``tiled``, for every benchmark under
+every boundary mode, on 6x6 and on the thin fabrics 1x1, 1x9 and 9x2 (where
+Seismic's radius-4 halo runs past the extent and every ghost cell folds
+more than once).  A run cut short by its round budget must leave the same
+state too, also on four shards.  Which exchanges take the view form is
+pinned as well; ``test_shard_order.py`` compares every buffer of several
+shards.
 """
 
 from dataclasses import replace
@@ -136,17 +138,19 @@ def test_a_nonzero_dirichlet_fill_matches_vectorized(monkeypatch, name, fabric):
 
 @pytest.mark.parametrize("spec", tuple(BOUNDARIES))
 @pytest.mark.parametrize("name", ("Jacobian", "Seismic", "UVKBE"))
-def test_a_run_cut_by_its_budget_leaves_the_same_state(name, spec):
-    """The ``budget`` exit of ``run_block`` writes the receive slab too."""
+def test_a_run_cut_by_its_budget_leaves_the_same_state(monkeypatch, name, spec):
+    """The ``budget`` exit of ``run_block``, and of the round driver of
+    several shards, writes the receive slab too."""
+    monkeypatch.setattr(tiled, "shard_grid", lambda w, h, cpus=None: (2, 2))
     program, module = _compiled(name, spec, (6, 6))
     states = []
-    for executor in ("vectorized", "compiled"):
+    for executor in ("vectorized", "compiled", "tiled"):
         simulator = _loaded(executor, program, module)
         simulator.launch()
         with pytest.raises(InterpretationError, match="exceeded 2 rounds"):
             simulator.run(max_rounds=2)
         states.append(_state(simulator))
-    assert states[0] == states[1]
+    assert states[0] == states[1] == states[2]
 
 
 def _view_eids(schedule) -> set[int]:
