@@ -23,9 +23,10 @@ fabric        warm bind J (S)     one execute J (S)
 ============  ==================  ===========================
 
 A run's count no longer grows with the fabric: the view form's landing is
-plain assignments, with no ``np.copyto`` dispatch per direction (before
-this ledger's last change a run counted 94 (159) calls at 4x4 and 94 (191)
-at 32x32, and a bind 28 (29)).
+plain assignments, with no ``np.copyto`` dispatch (a Python call in NumPy
+2.x) per copied block.  With the landing of in-fabric copies and fills it
+counted 66 (75) at 4x4 and 66 (79) at 32x32; the ceilings then recorded
+were 94 (159) and 94 (191), and 28 (29) for a bind.
 
 ``auto`` adds one call to every bind (its statistics stamp) and none to a
 run.  The ceilings allow a bind five calls over those and a run none: the
