@@ -331,7 +331,8 @@ def _seam_rounds(
     barrier at the end of the round is also the consensus point;
     publications for the *next* round cannot overwrite a snapshot a slow
     sibling still reads, because the writer would first have to pass this
-    round's barrier, which the reader has not reached yet.
+    round's barrier, which the reader has not reached yet.  A shard that
+    settles lands its view exchanges' receive slabs before it returns.
     """
     hooks = runner.hooks
     pending = hooks["pending"]
