@@ -920,7 +920,7 @@ class _KernelEmitter:
             with out.indented():
                 out.line("return state.halted or (not queue and pending[0] < 0)")
             # A sole shard's round loop: the drain/settled/deliver schedule
-            # of the seam protocol with nothing to publish or await, minus
+            # of the seam protocol with no sibling and no barrier, minus
             # one Python boundary crossing per hook.  ``budget`` bounds the
             # rounds executed; spending it is the caller's round-budget
             # error.  A kernel with view deliveries refreshes their folded
@@ -1006,10 +1006,10 @@ class CompiledKernel:
 
     ``meta`` is the kernel's ``SHARD_META`` literal (the snapshot spans of
     the directly delivered exchanges and the publication slot counts — what
-    the executor needs to allocate the shared seam snapshots — under
-    ``'needed'`` the sibling boxes whose publications this box awaits, and
-    under ``'padded'`` the reach of every source delivered as views, which
-    the executor allocates padded before the bind).
+    the executor needs to allocate the shared seam snapshots, and whose
+    emptiness spares the round driver its mid-round barrier — and under
+    ``'padded'`` the reach of every source delivered as views, which the
+    executor allocates padded before the bind).
     """
 
     fingerprint: str

@@ -15,9 +15,9 @@ Five backends ship in-tree, all replaying the same pre-compiled
   buffers, each replaying the kernel :mod:`repro.wse.codegen` generated
   for its box (cached process-wide by content fingerprint, and
   fleet-wide).  A sole shard runs with one ``run_block(max_rounds)`` call
-  of its kernel per run; several run the seam protocol — seam publication
-  with one barrier per round — on one thread per shard, all joined before
-  a run returns.
+  of its kernel per run; several run the seam protocol — bulk-synchronous
+  rounds: one barrier per round, two when some exchange publishes seams
+  — on one thread per shard, all joined before a run returns.
   Bit-identical to ``vectorized``; raises ``KernelCodegenError`` for
   programs the generator cannot fuse, pointing at ``vectorized``.
 * ``compiled`` — ``tiled`` with its shard grid fixed at 1x1

@@ -50,12 +50,10 @@ class SimulationStatistics:
     dsd_elements: int = 0
     wavelets_sent: int = 0
     max_pe_memory_bytes: int = 0
-    #: host-side synchronisation costs of partitioned execution (the tiled
-    #: backend's publication spin-wait and round barrier; 0 on one shard).
-    #: Real work, but backend-specific: excluded from equality so
-    #: cross-backend statistics comparisons stay meaningful.
-    seam_spins: int = field(default=0, compare=False)
-    seam_backoffs: int = field(default=0, compare=False)
+    #: host-side synchronisation cost of partitioned execution (the tiled
+    #: backend's barrier rendezvous; 0 on one shard).  Real work, but
+    #: backend-specific: excluded from equality so cross-backend statistics
+    #: comparisons stay meaningful.
     barrier_waits: int = field(default=0, compare=False)
     #: which backend ``auto`` ran (always ``compiled``), and why.  Not
     #: activity counters: excluded from equality, so cross-backend
@@ -67,6 +65,11 @@ class SimulationStatistics:
     #: harness (``bench/jobs.py``) still reads it, and goes with that
     #: harness's next revision.
     block_depth: int = field(default=0, compare=False)
+    #: retired: the tiled backend's publication spin-wait and its backoff
+    #: sleeps, replaced by a barrier.  Nothing writes them, so they always
+    #: read 0; they stay, like ``block_depth``, only for ``bench/jobs.py``.
+    seam_spins: int = field(default=0, compare=False)
+    seam_backoffs: int = field(default=0, compare=False)
 
 
 def missing_field_error(name: str, available, coords: tuple[int, int]) -> KeyError:

@@ -33,19 +33,20 @@ The shard count picks the round driver:
   barrier, no seam snapshot, nothing published.  ``compiled`` is this
   case, on every fabric.
 * **several shards** — the seam protocol (:func:`_seam_rounds`), written
-  once as a generator that yields at its rendezvous points, with one
-  barrier per delivery round: after draining, a shard *publishes* the seam
-  rows/columns of each directly delivered exchange's source into snapshot
-  strips and flags the round in a per-shard publication counter, waits only
-  for the publication flags of the shards it actually reads from
-  (``SHARD_META['needed']``), and *delivers*: a view exchange's callbacks
-  read the padded base, a direct exchange's chunks are copied — own-box
-  sources from the live buffers, sibling sources from the snapshots —
-  straight into the receive slab.  A program whose exchanges are all views
-  publishes nothing, waits on no sibling and allocates no snapshot.  The
-  round ends at the single barrier, which doubles as the settled-consensus
-  point (monotone progress stamps, so a shard racing into the next round
-  can never corrupt a sibling's consensus read).
+  once as a generator that yields at each barrier, in bulk-synchronous
+  rounds: after draining, a shard *publishes* the seam rows/columns of each
+  directly delivered exchange's source into snapshot strips, every shard
+  meets at the mid-round barrier, and then *delivers*: a view exchange's
+  callbacks read the padded base, a direct exchange's chunks are copied —
+  own-box sources from the live buffers, sibling sources from the
+  snapshots — straight into the receive slab.  A program whose exchanges
+  are all views (``SHARD_META['exchanges']`` empty, the same on every box)
+  publishes nothing, skips the mid-round barrier and allocates no
+  snapshot.  The round ends at the end barrier, which doubles as the
+  settled-consensus point (monotone progress stamps, so a shard racing
+  into the next round can never corrupt a sibling's consensus read).
+  Every shard enters every barrier, settled or not, so shards that
+  disagree on settling raise at consensus instead of hanging.
   :meth:`TiledExecutor._run_shards` binds a runner per shard — each bind
   writes the box's ghost cells, all before any shard thread starts —
   starts one thread per shard but the first, drives shard 0 on the calling
@@ -66,7 +67,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,25 +91,9 @@ SHARD_ENV_VAR = "REPRO_TILED_SHARDS"
 #: is worth.
 MIN_SHARD_SIDE = 4
 
-#: ceiling on any single barrier wait / publication wait (seconds); shard
-#: divergence (which SPMD uniformity rules out) surfaces as an error
-#: instead of a hang.
+#: ceiling on any single barrier wait (seconds); shard divergence (which
+#: SPMD uniformity rules out) surfaces as an error instead of a hang.
 SYNC_TIMEOUT_SECONDS = 600.0
-
-#: publication-wait spins before the first sleep: a sibling mid-round
-#: publishes within microseconds, so the wait yields the GIL-free slice
-#: but stays on-CPU while the seam is imminent.
-SPIN_LIMIT = 200
-
-#: first backoff sleep once the spin limit is exhausted (seconds); each
-#: further backoff doubles it (exponent clamped so the shift cannot
-#: overflow) up to :data:`BACKOFF_CAP_SECONDS`.
-BACKOFF_INITIAL_SECONDS = 50e-6
-
-#: ceiling on one backoff sleep — a shard parked behind a slow sibling
-#: polls at least this often, bounding the wake-up latency it adds to
-#: the round once the sibling does publish.
-BACKOFF_CAP_SECONDS = 1e-3
 
 
 def usable_cpu_count() -> int:
@@ -168,21 +152,13 @@ def shard_grid(
 
 @dataclass
 class ShardResult:
-    """What one shard's round loop reports after running to completion.
-
-    The three synchronisation counters are filled in by
-    :func:`_drive_with_waits`.
-    """
+    """What one shard's round loop reports after running to completion."""
 
     rounds: int
     counters: dict[str, int]
     variables: dict[str, float]
     halted: bool
-    #: publication-wait iterations before sleeping kicked in.
-    seam_spins: int = 0
-    #: publication-wait backoff sleeps (exponential, capped).
-    seam_backoffs: int = 0
-    #: round barrier rendezvous this shard entered.
+    #: barrier rendezvous this shard entered.
     barrier_waits: int = 0
 
 
@@ -221,6 +197,9 @@ class CompiledShardRunner:
         self.state.variables.update(grid.variables)
         self.state.halted = grid.halted
         self.hooks = kernel.instantiate(self.state, plan)
+        #: whether the kernel delivers some exchange directly, and so
+        #: publishes seams and meets its siblings at the mid-round barrier.
+        self.direct = bool(kernel.meta["exchanges"])
 
     def launch(self, entry: str | None = None) -> None:
         name = entry if entry is not None else self.plan.entry
@@ -229,12 +208,13 @@ class CompiledShardRunner:
             raise InterpretationError(f"unknown function or task '{name}'")
         fn()
 
-    def result(self, rounds: int) -> ShardResult:
+    def result(self, rounds: int, barrier_waits: int) -> ShardResult:
         return ShardResult(
             rounds=rounds,
             counters=dict(self.state.counters),
             variables=dict(self.state.variables),
             halted=self.state.halted,
+            barrier_waits=barrier_waits,
         )
 
 
@@ -242,7 +222,7 @@ def _round_consensus(values, rounds: int) -> bool:
     """Settled consensus over the monotone progress array.
 
     A shard writes ``-(rounds + 1)`` when it settled in ``rounds`` and
-    ``+(rounds + 1)`` when it did not.  Because the single barrier lets a
+    ``+(rounds + 1)`` when it did not.  Because the end barrier lets a
     fast sibling race one round ahead before a slow one reads consensus,
     the values are monotone round stamps rather than booleans: a raced
     ``±(rounds + 2)`` stamp proves the sibling did *not* settle in this
@@ -260,131 +240,56 @@ def _round_consensus(values, rounds: int) -> bool:
     return False
 
 
-def _await_publications(
-    pub_rounds, progress, needed: tuple[int, ...], target: int, barrier
-) -> tuple[int, int]:
-    """Spin until every needed sibling published round ``target`` seams.
-
-    Returns ``(spins, backoffs)`` for the statistics surface.  The first
-    :data:`SPIN_LIMIT` iterations only yield the CPU (``sleep(0)``) — the
-    common case is a sibling publishing within the same scheduling slice —
-    then the wait backs off exponentially from
-    :data:`BACKOFF_INITIAL_SECONDS` up to :data:`BACKOFF_CAP_SECONDS`.
-
-    A sibling that settled (negative progress stamp) publishes nothing and
-    is excused — the round is then doomed to a divergence error at the
-    barrier, but must not hang first.  A broken barrier (sibling abort)
-    raises :class:`threading.BrokenBarrierError` so the driver's symptom
-    deferral treats it like any other barrier break.
-    """
-    if not needed:
-        return 0, 0
-    deadline = time.monotonic() + SYNC_TIMEOUT_SECONDS
-    spins = 0
-    backoffs = 0
-    while True:
-        if all(
-            pub_rounds[sibling] >= target or progress[sibling] < 0
-            for sibling in needed
-        ):
-            return spins, backoffs
-        if getattr(barrier, "broken", False):
-            raise threading.BrokenBarrierError(
-                "a sibling shard aborted during the publication wait"
-            )
-        if time.monotonic() > deadline:
-            raise InterpretationError(
-                "timed out waiting for sibling shards to publish seam data"
-            )
-        spins += 1
-        if spins <= SPIN_LIMIT:
-            time.sleep(0)
-        else:
-            backoffs += 1
-            time.sleep(
-                min(
-                    BACKOFF_CAP_SECONDS,
-                    BACKOFF_INITIAL_SECONDS * (1 << min(backoffs - 1, 20)),
-                )
-            )
-
-
 def _seam_rounds(
     runner: CompiledShardRunner,
     entry: str | None,
     max_rounds: int,
     index: int,
     progress,
-    pub_rounds,
 ):
     """The seam protocol's round loop for one shard, as a generator.
 
-    Yields at its two rendezvous points and returns the
-    :class:`ShardResult`: an ``int`` asks the driver to resume it once the
-    needed siblings published that round's seams, ``None`` marks the
-    end-of-round barrier.
+    Yields once per barrier it enters, and returns the
+    :class:`ShardResult`.
 
-    A round is drain -> settled -> publish -> wait -> deliver -> barrier.
-    The wait is only for the publication flags of the shards this one
-    actually reads, not a global barrier; all of the delivery — own-box
-    sources and sibling snapshots alike — runs after it.  The single
-    barrier at the end of the round is also the consensus point;
-    publications for the *next* round cannot overwrite a snapshot a slow
-    sibling still reads, because the writer would first have to pass this
-    round's barrier, which the reader has not reached yet.  A shard that
-    settles lands its view exchanges' receive slabs before it returns.
+    A round is drain -> settled -> publish -> barrier -> deliver -> barrier
+    -> consensus.  ``publish`` and the mid-round barrier exist only when the
+    kernel delivers some exchange directly (the same answer on every box);
+    the barrier orders every shard's publication before any sibling's
+    delivery reads the snapshots.  A settled shard neither publishes nor
+    delivers but still enters both barriers, so a divergence raises at
+    consensus.  The end barrier is the consensus point; publications for
+    the *next* round cannot overwrite a snapshot a slow sibling still
+    reads, because the writer would first have to pass this round's end
+    barrier, which the reader has not reached yet.  A shard that settles
+    lands its view exchanges' receive slabs before it returns.
     """
     hooks = runner.hooks
     pending = hooks["pending"]
     runner.launch(entry)
-    rounds = 0
+    rounds = waits = 0
     for _ in range(max_rounds):
         hooks["drain"]()
         settled = hooks["settled"]()
         progress[index] = -(rounds + 1) if settled else (rounds + 1)
+        if not settled and pending[0] < 0:
+            raise InterpretationError(
+                "deadlock: PEs are neither halted nor waiting on an exchange"
+            )
+        if runner.direct:
+            if not settled:
+                hooks["publish"]()
+            yield
+            waits += 1
         if not settled:
-            if pending[0] < 0:
-                raise InterpretationError(
-                    "deadlock: PEs are neither halted nor waiting on an "
-                    "exchange"
-                )
-            hooks["publish"]()
-            pub_rounds[index] = rounds + 1
-            yield rounds + 1
             hooks["deliver"]()
-        yield None
+        yield
+        waits += 1
         if _round_consensus(progress[:], rounds):
             hooks["land"]()
-            return runner.result(rounds)
+            return runner.result(rounds, waits)
         rounds += 1
     raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
-
-
-def _drive_with_waits(
-    loop, progress, pub_rounds, needed: tuple[int, ...], barrier
-) -> ShardResult:
-    """Advance one shard's round loop, answering each rendezvous it yields
-    with the real wait, and stamp the wait counters on its result."""
-    seam_spins = seam_backoffs = barrier_waits = 0
-    while True:
-        try:
-            target = next(loop)
-        except StopIteration as finished:
-            result = finished.value
-            break
-        if target is None:
-            barrier.wait(SYNC_TIMEOUT_SECONDS)
-            barrier_waits += 1
-        else:
-            spins, backoffs = _await_publications(
-                pub_rounds, progress, needed, target, barrier
-            )
-            seam_spins += spins
-            seam_backoffs += backoffs
-    result.seam_spins = seam_spins
-    result.seam_backoffs = seam_backoffs
-    result.barrier_waits = barrier_waits
-    return result
 
 
 def _shard_kernel_store():
@@ -456,10 +361,6 @@ class TiledExecutor(GridExecutor):
         else:
             self.state.seam_snapshots = _allocate_snapshots(
                 self._kernels[0].meta, width, height
-            )
-            #: per shard, the siblings whose publications it awaits.
-            self._needed = tuple(
-                tuple(kernel.meta.get("needed", ())) for kernel in self._kernels
             )
 
     def _pad(self, name: str, reach: int) -> None:
@@ -562,7 +463,7 @@ class TiledExecutor(GridExecutor):
             )
         # Lockstep shards report the same per-PE counters and scalar state:
         # shard 0's carry over, and the statistics fold the cumulative
-        # counters exactly as on a sole shard, plus the seam counters.
+        # counters exactly as on a sole shard, plus the barrier count.
         first = results[0]
         for name, value in first.counters.items():
             self.state.counters[name] += value
@@ -572,10 +473,6 @@ class TiledExecutor(GridExecutor):
         # Barrier waits are SPMD-uniform (every shard enters the same
         # rendezvous), so the count comes from one shard.
         statistics.barrier_waits += first.barrier_waits
-        statistics.seam_spins += sum(result.seam_spins for result in results)
-        statistics.seam_backoffs += sum(
-            result.seam_backoffs for result in results
-        )
         self._collect_statistics()
         return statistics
 
@@ -591,8 +488,6 @@ class TiledExecutor(GridExecutor):
         count = len(self.boxes)
         # Signed per-shard round stamps (see :func:`_round_consensus`).
         progress = [0] * count
-        # The highest round each shard has published seams for (1-based).
-        pub_rounds = [0] * count
         # Every runner binds here, on the calling thread, before any shard
         # thread starts: a bind writes the box's ghost cells of the padded
         # sources, which its siblings' views read.
@@ -601,19 +496,18 @@ class TiledExecutor(GridExecutor):
             for kernel, box in zip(self._kernels, self.boxes)
         ]
         loops = [
-            _seam_rounds(
-                runner, self._entry, max_rounds, index, progress, pub_rounds
-            )
+            _seam_rounds(runner, self._entry, max_rounds, index, progress)
             for index, runner in enumerate(runners)
         ]
         try:
-            return self._drive_shards(loops, progress, pub_rounds)
+            return self._drive_shards(loops)
         finally:
             for runner in runners:
                 runner.hooks["land"]()
 
-    def _drive_shards(self, loops, progress, pub_rounds) -> list[ShardResult]:
-        """Drive every shard's round loop to completion, one thread each.
+    def _drive_shards(self, loops) -> list[ShardResult]:
+        """Drive every shard's round loop to completion, one thread each,
+        answering each of its yields with a wait at the shared barrier.
 
         Shard 0 runs on the calling thread; the others run on threads
         started here and joined before this returns or raises.  A failing
@@ -627,11 +521,15 @@ class TiledExecutor(GridExecutor):
         failures: list[BaseException | None] = [None] * count
 
         def drive(index: int) -> None:
+            loop = loops[index]
             try:
-                results[index] = _drive_with_waits(
-                    loops[index], progress, pub_rounds, self._needed[index],
-                    barrier,
-                )
+                while True:
+                    try:
+                        next(loop)
+                    except StopIteration as finished:
+                        results[index] = finished.value
+                        return
+                    barrier.wait(SYNC_TIMEOUT_SECONDS)
             except BaseException as error:
                 failures[index] = error
                 barrier.abort()

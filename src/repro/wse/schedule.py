@@ -37,8 +37,9 @@ the two must differ.  A program with an exchange that fails it is declined
 
 The emitter (:mod:`repro.wse.codegen`) prints the schedule and decides
 nothing about delivery; the executors read the snapshots to allocate and
-the siblings to await off ``SHARD_META``, and the cost ledger reads its
-bytes.  It is built only when a kernel is generated, never on a memo or
+the padded sources off ``SHARD_META`` (an empty ``'exchanges'`` list, the
+same on every box, also tells the round driver there is nothing to publish
+and no mid-round barrier), and the cost ledger reads its bytes.  It is built only when a kernel is generated, never on a memo or
 store hit.
 """
 
@@ -128,11 +129,9 @@ class ExchangeSchedule:
 class DeliverySchedule:
     """Every exchange of one kernel's box, in ``eid`` order, the ``eid`` of
     each ``csl.comms_exchange`` op, the reach ``R`` of every source
-    delivered as views, the seam publication slot counts of the direct
-    exchanges and the sibling boxes (indices into ``geometry.boxes()``)
-    whose publications this box awaits; also the element count of the
-    longest DSD operand of any builtin the kernel runs, which its row bands
-    follow."""
+    delivered as views and the seam publication slot counts of the direct
+    exchanges; also the element count of the longest DSD operand of any
+    builtin the kernel runs, which its row bands follow."""
 
     box: tuple[int, int, int, int]
     geometry: ShardGeometry
@@ -141,14 +140,13 @@ class DeliverySchedule:
     padded: dict[str, int]
     pub_rows: int
     pub_cols: int
-    needed: tuple[int, ...]
     longest_dsd: int
 
     @property
     def meta(self) -> dict:
         """The kernel's ``SHARD_META`` literal: the seam snapshots the
-        executor allocates (one per direct exchange), the siblings awaited
-        and the padded sources."""
+        executor allocates (one per direct exchange) and the padded
+        sources."""
         meta = {
             "exchanges": [
                 [eid, exchange.plan.num_chunks * exchange.plan.chunk_size]
@@ -158,8 +156,6 @@ class DeliverySchedule:
             "pub_rows": self.pub_rows,
             "pub_cols": self.pub_cols,
         }
-        if self.needed:
-            meta["needed"] = list(self.needed)
         if self.padded:
             meta["padded"] = self.padded
         return meta
@@ -374,7 +370,6 @@ class _Builder:
             padded=dict(sorted(self.padded.items())),
             pub_rows=len(self.pub_rows),
             pub_cols=len(self.pub_cols),
-            needed=self._needed(direct),
             longest_dsd=max(
                 (dsd.length for uses in self.dsd_uses.values() for _, dsd, _ in uses),
                 default=0,
@@ -590,31 +585,6 @@ class _Builder:
                     cols.add(src)
         self.pub_rows = {row: slot for slot, row in enumerate(sorted(rows))}
         self.pub_cols = {col: slot for slot, col in enumerate(sorted(cols))}
-
-    def _needed(self, direct: list[ExchangePlan]) -> tuple[int, ...]:
-        """The sibling boxes whose seam publications the direct exchanges
-        of this box read.
-
-        A remote source *row* is read as a full-width strip of the row
-        snapshot, assembled by every box of the source band — so all of
-        that band is needed.  A remote source *column* is only read over
-        this box's rows, so just the source stripe's box in this band is
-        needed.  Dirichlet off-fabric sources and view exchanges need
-        nobody."""
-        geometry = self.geometry
-        y0, y1, x0, x1 = self.box
-        kx, band = geometry.kx, geometry.band_of(y0)
-        needed: set[int] = set()
-        for exchange in direct:
-            for direction in exchange.directions:
-                table = self.plan.halo_table(direction)
-                for _, row in _box_axis(table.rows, y0, y1)[1]:
-                    first = geometry.band_of(row) * kx
-                    needed.update(range(first, first + kx))
-                for _, col in _box_axis(table.cols, x0, x1)[1]:
-                    needed.add(band * kx + geometry.stripe_of(col))
-        needed.discard(geometry.boxes().index(self.box))
-        return tuple(sorted(needed))
 
     # -- copies ------------------------------------------------------------ #
 

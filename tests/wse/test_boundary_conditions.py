@@ -170,10 +170,11 @@ class TestKernelBackendsPerBoundaryMode:
         stats = self._assert_matches_vectorized(
             "tiled", program, module, f"tiled/{name}/{boundary.spec}"
         )
-        # One barrier per delivery round, plus the settling one.
-        assert stats.barrier_waits == stats.rounds + 1
-        assert stats.seam_spins >= 0
-        assert stats.seam_backoffs >= 0
+        # One barrier per delivery round, plus the settling one; twice that
+        # when an exchange is delivered directly (UVKBE) and so publishes
+        # seams before a mid-round barrier.
+        barriers = 2 if name == "UVKBE" else 1
+        assert stats.barrier_waits == barriers * (stats.rounds + 1)
 
     @pytest.mark.parametrize("name", BENCHMARKS)
     @pytest.mark.parametrize("boundary", MODES, ids=lambda b: b.spec)

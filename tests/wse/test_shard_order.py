@@ -1,15 +1,15 @@
 """The seam protocol of several shards, stepped on one thread.
 
 ``tiled`` runs each shard's round loop (``tiled._seam_rounds``, a generator
-that yields at its rendezvous points) on a thread of its own.  Here a
+that yields at each barrier it enters) on a thread of its own.  Here a
 test-only driver steps those generators on the calling thread instead, in
-forward and in reverse shard order, each shard as far as it may go before
-the next one moves: a shard that yields a round number resumes once the
-siblings it awaits published that round, and the round's barrier opens once
-every shard reached it.  No OS thread is started, so each order is one exact
-interleaving, the same on every run.  Every buffer, receive slabs included,
-must equal ``compiled``'s after the run, on the 1x2, 2x1 and 2x2 geometries
-of a 6x6 fabric under every boundary mode.
+forward and in reverse shard order: each shard runs to its next barrier
+before the next one moves, and the barrier opens once every shard reached
+it.  No OS thread is started, so each order is one exact interleaving, the
+same on every run.  Every buffer, receive slabs included, must equal
+``compiled``'s after the run, on the 1x2, 2x1 and 2x2 geometries of a 6x6
+fabric under every boundary mode.  A shard that settles a round before its
+siblings must make both drivers raise the divergence, never hang.
 
 Advection is here because a callable writes its exchange's source: its
 exchange stays direct.  A view predicate that let a written source through
@@ -21,6 +21,7 @@ shared padded bases (their ghost territories) are pairwise disjoint across
 the boxes of a geometry and together cover the ghost ring.
 """
 
+import time
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
@@ -31,6 +32,7 @@ import pytest
 from repro.baselines.numpy_ref import allocate_fields, field_to_columns
 from repro.benchmarks import benchmark_by_name
 from repro.frontends.common import BoundaryCondition
+from repro.ir.exceptions import InterpretationError
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.executors import tiled
 from repro.wse.interpreter import bound_image
@@ -88,43 +90,24 @@ def _state(simulator: WseSimulator) -> dict[str, bytes]:
 
 def _stepped(order: str):
     """A ``TiledExecutor._drive_shards`` that steps every shard's round loop
-    on the calling thread, visiting the shards in ``order``."""
+    on the calling thread, visiting the shards in ``order``: each pass runs
+    every shard to its next barrier, which opens when the pass ends."""
 
-    def drive_shards(self, loops, progress, pub_rounds) -> list:
-        count = len(loops)
-        visits = list(range(count))
+    def drive_shards(self, loops) -> list:
+        visits = list(range(len(loops)))
         if order == "reverse":
             visits.reverse()
-        # Per shard: "run", the round it awaits publications of, "barrier"
-        # or "done".
-        at = ["run"] * count
-        results = [None] * count
-
-        def may_resume(index: int) -> bool:
-            if at[index] == "run":
-                return True
-            if isinstance(at[index], int):
-                return all(
-                    pub_rounds[sibling] >= at[index] or progress[sibling] < 0
-                    for sibling in self._needed[index]
-                )
-            return False
-
-        while "run" in at or any(isinstance(step, int) for step in at):
-            moved = False
+        results = [None] * len(loops)
+        done = [False] * len(loops)
+        while not all(done):
             for index in visits:
-                while may_resume(index):
-                    moved = True
-                    try:
-                        target = next(loops[index])
-                    except StopIteration as finished:
-                        results[index], at[index] = finished.value, "done"
-                        break
-                    at[index] = "barrier" if target is None else target
-            if all(step in ("barrier", "done") for step in at):
-                at = ["run" if step == "barrier" else step for step in at]
-                moved = True
-            assert moved, f"no shard can move: {at}"
+                try:
+                    next(loops[index])
+                except StopIteration as finished:
+                    results[index], done[index] = finished.value, True
+            # A shard that returned while a sibling waits at a barrier would
+            # leave that sibling waiting forever on threads.
+            assert all(done) or not any(done), f"shards out of step: {done}"
         return results
 
     return drive_shards
@@ -209,3 +192,41 @@ def test_boxes_write_disjoint_cells_of_the_shared_padded_bases(name, spec, geome
                 if y not in interior or x not in interior
             }
     assert set().union(*written) == ring
+
+
+@pytest.mark.parametrize("driver", ("threads", "stepped"))
+@pytest.mark.parametrize("name, direct", (("UVKBE", True), ("Jacobian", False)))
+def test_a_shard_settling_early_raises_the_divergence(
+    monkeypatch, name, direct, driver
+):
+    """The last box's ``settled`` hook reports settled one round before the
+    program does: every shard still enters every barrier, so the run raises
+    at consensus on the thread driver and on the stepped one alike."""
+    program, module = _compiled(name, "dirichlet:0.5")
+    rounds = _loaded("compiled", program, module).execute().rounds
+    assert rounds >= 1
+    monkeypatch.setattr(tiled, "shard_grid", lambda w, h, cpus=None: (1, 2))
+    if driver == "stepped":
+        monkeypatch.setattr(tiled.TiledExecutor, "_drive_shards", _stepped("forward"))
+    simulator = _loaded("tiled", program, module)
+    executor = simulator.executor
+    assert bool(executor._kernels[0].meta["exchanges"]) == direct
+    last = executor.boxes[-1]
+
+    class EarlyRunner(tiled.CompiledShardRunner):
+        def __init__(self, plan, kernel, grid, box):
+            super().__init__(plan, kernel, grid, box)
+            if box == last:
+                settled, calls = self.hooks["settled"], []
+
+                def early() -> bool:
+                    calls.append(None)
+                    return len(calls) == rounds or settled()
+
+                self.hooks["settled"] = early
+
+    monkeypatch.setattr(tiled, "CompiledShardRunner", EarlyRunner)
+    start = time.monotonic()
+    with pytest.raises(InterpretationError, match="shards diverged"):
+        simulator.execute()
+    assert time.monotonic() - start < 10

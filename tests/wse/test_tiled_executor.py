@@ -272,10 +272,8 @@ class TestThreadDriver:
         first = replace(simulator.execute())
         assert set(threading.enumerate()) <= threads_before
         # One barrier per delivery round, plus the one at which the shards
-        # agree they settled; the seam waits surface beside it.
+        # agree they settled (every exchange is a view: no mid-round one).
         assert first.barrier_waits == first.rounds + 1
-        assert first.seam_spins >= 0
-        assert first.seam_backoffs >= 0
         second = simulator.execute()
         assert set(threading.enumerate()) <= threads_before
         assert second.barrier_waits - first.barrier_waits == (
