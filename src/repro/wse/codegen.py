@@ -642,10 +642,7 @@ class _KernelEmitter:
 
         if isinstance(op, csl.FmovsOp):
             (src,) = views
-            if hazard or not isinstance(sources[0], _DsdExpr):
-                out.line(f"{target} = {src}")
-            else:
-                out.line(f"np.copyto({dest_view}, {src})")
+            out.line(f"{target} = {src}")
         elif isinstance(op, csl.FmacsOp):
             acc, src, coeff = views
             if hazard:
@@ -715,12 +712,13 @@ class _KernelEmitter:
         return self._index_name(list(axis), orient)
 
     def _emit_copies(self, copies, b: SourceBuilder) -> None:
+        """Each copy as one assignment: no call per copy (``np.copyto`` is
+        a Python-level dispatcher in NumPy 2.x), and the destination is
+        always a subscript, so a hoisted view is written, never rebound."""
         for copy in copies:
             dst = self._region(copy.dst)
             if copy.kind == "fill":
                 b.line(f"{dst} = np.float32({self.plan.boundary.value!r})")
-            elif copy.kind == "slice":
-                b.line(f"np.copyto({dst}, {self._region(copy.src)})")
             else:
                 b.line(f"{dst} = {self._region(copy.src)}")
 
@@ -821,10 +819,7 @@ class _KernelEmitter:
                 landing.line(f"if vw{eid}[0]:")
                 with landing.indented():
                     landing.line(f"vw{eid}[0] = False")
-                    for copy in scheduled.land:  # assignments: no call each
-                        landing.line(
-                            f"{self._region(copy.dst)} = {self._region(copy.src)}"
-                        )
+                    self._emit_copies(scheduled.land, landing)
         delivery.line("def land():")
         delivery.extend(landing)
         if not landing:

@@ -17,14 +17,16 @@ shard grid, running one ``run_block(max_rounds)`` call per run; CPython
 ============  ==================  ===========================
 fabric        warm bind J (S)     one execute J (S)
 ============  ==================  ===========================
-1x1           27 (27)             62 (63)
-4x4           27 (27)             62 (63)
-32x32         27 (27)             62 (63)
+1x1           27 (27)             50 (51)
+4x4           27 (27)             50 (51)
+32x32         27 (27)             50 (51)
 ============  ==================  ===========================
 
-A run's count no longer grows with the fabric: the view form's landing is
-plain assignments, with no ``np.copyto`` dispatch (a Python call in NumPy
-2.x) per copied block.  With the landing of in-fabric copies and fills it
+A run's count does not grow with the fabric, and no copy the kernel prints
+is a call: every copy with a source, ``fmovs`` included, is an assignment
+(``dst[...] = src``), with no ``np.copyto`` dispatch (a Python call in
+NumPy 2.x).  With ``fmovs`` and the slice copies printed as ``np.copyto``
+a run counted 62 (63); with the landing of in-fabric copies and fills it
 counted 66 (75) at 4x4 and 66 (79) at 32x32; the ceilings then recorded
 were 94 (159) and 94 (191), and 28 (29) for a bind.
 
@@ -94,12 +96,12 @@ from repro.wse.simulator import WseSimulator
 #: (benchmark, fabric side) -> (warm-bind calls, one-execute calls) of
 #: ``compiled`` with the whole-grid kernel kind, CPython 3.11.7.
 PARENT = {
-    ("Jacobian", 1): (27, 62),
-    ("Jacobian", 4): (27, 62),
-    ("Jacobian", 32): (27, 62),
-    ("Seismic", 1): (27, 63),
-    ("Seismic", 4): (27, 63),
-    ("Seismic", 32): (27, 63),
+    ("Jacobian", 1): (27, 50),
+    ("Jacobian", 4): (27, 50),
+    ("Jacobian", 32): (27, 50),
+    ("Seismic", 1): (27, 51),
+    ("Seismic", 4): (27, 51),
+    ("Seismic", 32): (27, 51),
 }
 
 #: calls a warm bind may spend over the recorded count.
