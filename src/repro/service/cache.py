@@ -9,12 +9,13 @@ cache root: ``<fp>.json`` (compile), ``runs/<fp>.json`` (run) and
 
 The fingerprint keys the *inputs*, never the bytes on disk, so every entry
 carries a SHA-256 of its body on its first line (``# sha256 <hex>``),
-verified on every read.  A truncated, edited or hash-less entry — or one
-whose checksum holds but whose body its namespace no longer decodes (a
-stale ``schema_version``) — is a miss: it is unlinked, never returned, and
-the caller recomputes and re-puts.  Writes are atomic (a temporary file
-renamed into place), so processes racing on one fingerprint never expose a
-torn file.
+verified on every read.  A truncated, edited or hash-less entry is a miss:
+it is unlinked, never returned, and the caller recomputes and re-puts.
+Entries carry no schema version: every key folds in
+:func:`repro.code_digest`, so only the code that wrote an entry reads it,
+and a body that fails to decode under a valid checksum raises.  Writes are
+atomic (a temporary file renamed into place), so processes racing on one
+fingerprint never expose a torn file.
 
 :class:`ArtifactCache` puts a bounded in-memory LRU over one namespace; the
 compile and run stages each keep one, decoding entries with their
@@ -38,9 +39,6 @@ from typing import Callable
 #: environment variable overriding the on-disk store location.
 REPRO_CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: current on-disk artifact schema; bumping it invalidates old stores.
-ARTIFACT_SCHEMA_VERSION = 1
-
 
 @dataclass
 class CompiledArtifact:
@@ -59,7 +57,6 @@ class CompiledArtifact:
     csl_sources: dict[str, str]
     #: pipeline statistics summary: total wall time / rewrites + per-pass rows.
     statistics: dict
-    schema_version: int = ARTIFACT_SCHEMA_VERSION
 
     def total_source_bytes(self) -> int:
         return sum(len(text.encode("utf-8")) for text in self.csl_sources.values())
@@ -69,13 +66,7 @@ class CompiledArtifact:
 
     @classmethod
     def from_json(cls, text: str) -> "CompiledArtifact":
-        data = json.loads(text)
-        if data.get("schema_version") != ARTIFACT_SCHEMA_VERSION:
-            raise ValueError(
-                f"artifact schema {data.get('schema_version')!r} does not "
-                f"match current version {ARTIFACT_SCHEMA_VERSION}"
-            )
-        return cls(**data)
+        return cls(**json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -114,9 +105,8 @@ class DiskStore:
     """One namespace of the checksummed on-disk store.
 
     :meth:`get` returns ``decode(body)`` of a verified entry (the body text
-    itself without ``decode``); a damaged entry, or one ``decode`` rejects
-    with ``ValueError``/``TypeError``/``KeyError``, is unlinked and read as
-    a miss.
+    itself without ``decode``); a damaged entry is unlinked and read as a
+    miss.
     """
 
     def __init__(
@@ -150,11 +140,8 @@ class DiskStore:
         except OSError:
             return None
         if header == _checksum_line(body):
-            try:
-                text = body.decode("utf-8")
-                return text if self.decode is None else self.decode(text)
-            except (ValueError, TypeError, KeyError):
-                pass  # a stale schema under a valid checksum
+            text = body.decode("utf-8")
+            return text if self.decode is None else self.decode(text)
         try:
             path.unlink()
         except OSError:

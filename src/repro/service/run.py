@@ -57,9 +57,6 @@ from repro.wse.executors import default_executor_name, executor_by_name
 from repro.wse.interpreter import bound_image
 from repro.wse.simulator import WseSimulator
 
-#: current run-artifact schema; bumping it invalidates stored run artifacts.
-RUN_SCHEMA_VERSION = 3
-
 #: default seed of the deterministic input-field initialiser.
 DEFAULT_RUN_SEED = 13
 
@@ -83,7 +80,6 @@ def run_fingerprint_payload(
     """
     payload = fingerprint_payload(program, options)
     payload["run"] = {
-        "schema": RUN_SCHEMA_VERSION,
         "executor": executor,
         "seed": seed,
         "max_rounds": max_rounds,
@@ -122,7 +118,6 @@ def csl_run_fingerprint_payload(
         "code": code_digest(),
         "csl_sources": dict(sorted(sources.items())),
         "run": {
-            "schema": RUN_SCHEMA_VERSION,
             "executor": executor,
             "seed": seed,
             "max_rounds": max_rounds,
@@ -170,7 +165,6 @@ class RunArtifact:
     #: them came from the in-process ``memory``, the ``store`` and
     #: ``codegen``; None on interpreting backends.
     kernel_cache: dict | None = None
-    schema_version: int = RUN_SCHEMA_VERSION
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=1)
@@ -179,11 +173,10 @@ class RunArtifact:
     def from_json(cls, text: str) -> "RunArtifact":
         """Parse one stored artifact, strictly.
 
-        A document from a different (or absent) schema version, or whose
-        field set does not match this dataclass exactly, is rejected with
-        an error naming the mismatch — never half-constructed: a partial
-        artifact entering a digest comparison would turn a format skew
-        into a phantom correctness result.
+        A document whose field set does not match this dataclass exactly is
+        rejected with an error naming the mismatch — never half-constructed:
+        a partial artifact entering a digest comparison would turn a format
+        skew into a phantom correctness result.
         """
         data = json.loads(text)
         if not isinstance(data, dict):
@@ -191,23 +184,12 @@ class RunArtifact:
                 f"run artifact must be a JSON object, got "
                 f"{type(data).__name__}"
             )
-        if "schema_version" not in data:
-            raise ValueError(
-                "run artifact has no schema_version field; refusing to "
-                f"guess (current version is {RUN_SCHEMA_VERSION})"
-            )
-        if data["schema_version"] != RUN_SCHEMA_VERSION:
-            raise ValueError(
-                f"run artifact schema {data['schema_version']!r} does not "
-                f"match current version {RUN_SCHEMA_VERSION}"
-            )
         known = {field.name for field in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(
                 f"run artifact carries unknown fields {unknown} "
-                f"(schema version matches but the document does not; "
-                f"corrupt or hand-edited artifact?)"
+                f"(corrupt or hand-edited artifact?)"
             )
         required = {
             field.name

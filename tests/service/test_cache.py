@@ -107,21 +107,15 @@ def test_env_override_selects_the_store_location(tmp_path, monkeypatch):
     assert compile_store(explicit).directory == explicit
 
 
-def test_corrupt_or_stale_files_read_as_misses(tmp_path):
+def test_an_undecodable_entry_under_a_valid_checksum_raises(tmp_path):
+    """Only the code that wrote an entry reads it (the code digest is in
+    every key), so a checksummed body its decoder rejects is a bug, not a
+    stale entry to recompute."""
     store = compile_store(tmp_path / "store")
     artifact = make_artifact("corrupt")
-    path = store._path(artifact.fingerprint)
-    # A checksummed entry that is not JSON at all.
     store.put(artifact.fingerprint, "{not json")
-    assert store.get(artifact.fingerprint) is None
-    assert not path.exists()
-    # Unknown schema versions are also ignored rather than crashing.
-    store.put(
-        artifact.fingerprint,
-        artifact.to_json().replace('"schema_version": 1', '"schema_version": 999'),
-    )
-    assert store.get(artifact.fingerprint) is None
-    assert not path.exists()
+    with pytest.raises(ValueError):
+        store.get(artifact.fingerprint)
 
 
 def test_purge_empties_the_store(tmp_path):
@@ -187,7 +181,9 @@ def test_a_damaged_entry_another_reader_removed_first_is_a_miss(
     tmp_path, monkeypatch
 ):
     store = compile_store(tmp_path / "store")
-    store.put("d" * 64, "{not json")
+    store.put("d" * 64, make_artifact("lost").to_json())
+    path = store._path("d" * 64)
+    path.write_bytes(DAMAGE["truncated"](path.read_bytes()))
     read_bytes = Path.read_bytes
 
     def read_then_lose(path):  # a second reader unlinks it meanwhile
@@ -250,31 +246,23 @@ def test_tiered_counters_track_misses_and_stores(tmp_path):
 # --------------------------------------------------------------------------- #
 
 
-def _stale_json(text: str) -> str:
-    return text.replace('"schema_version": ', '"schema_version": -', 1)
-
-
-#: per namespace: the store, one (fingerprint, text, decoded value) entry,
-#: and the same entry under a stale schema (None: kernel sources have no
-#: schema; which code wrote them is in their fingerprint).
+#: per namespace: the store and one (fingerprint, text, decoded value)
+#: entry.
 NAMESPACE_ENTRIES = {
     "compile": (
         compile_store,
         lambda: make_artifact("entry"),
         lambda artifact: artifact.to_json(),
-        _stale_json,
     ),
     "run": (
         lambda directory: DiskStore(RUN, directory, RunArtifact.from_json),
         lambda: make_run_artifact("entry"),
         lambda artifact: artifact.to_json(),
-        _stale_json,
     ),
     "kernel": (
         KernelSourceStore,
         lambda: "VALUE = 1\n",
         lambda source: source,
-        None,
     ),
 }
 
@@ -289,19 +277,14 @@ DAMAGE = {
 
 @pytest.mark.parametrize(
     "namespace, damage",
-    [
-        (namespace, damage)
-        for namespace, (*_, stale) in NAMESPACE_ENTRIES.items()
-        for damage in (*DAMAGE, "stale-schema")
-        if stale is not None or damage != "stale-schema"
-    ],
+    [(namespace, damage) for namespace in NAMESPACE_ENTRIES for damage in DAMAGE],
 )
 def test_a_damaged_entry_is_a_miss_unlinked_and_re_put(
     namespace, damage, tmp_path
 ):
     """Whatever the namespace, a damaged entry is never served: the read
     misses and unlinks it, and the recomputed entry's re-put is served."""
-    make_store, make_value, encode, stale = NAMESPACE_ENTRIES[namespace]
+    make_store, make_value, encode = NAMESPACE_ENTRIES[namespace]
     store = make_store(tmp_path / "store")
     value = make_value()
     fingerprint = "e" * 64
@@ -309,10 +292,7 @@ def test_a_damaged_entry_is_a_miss_unlinked_and_re_put(
     store.put(fingerprint, text)
     path = store._path(fingerprint)
     assert store.get(fingerprint) == value
-    if damage == "stale-schema":
-        store.put(fingerprint, stale(text))  # a valid checksum
-    else:
-        path.write_bytes(DAMAGE[damage](path.read_bytes()))
+    path.write_bytes(DAMAGE[damage](path.read_bytes()))
 
     assert store.get(fingerprint) is None
     assert not path.exists()

@@ -47,7 +47,6 @@ class TestRunFingerprints:
             program, options, "vectorized", 13, DEFAULT_MAX_ROUNDS
         )
         assert payload["run"] == {
-            "schema": 3,
             "executor": "vectorized",
             "seed": 13,
             "max_rounds": DEFAULT_MAX_ROUNDS,
@@ -187,14 +186,6 @@ class TestRunService:
             artifact = service.run(program, options)
         assert RunArtifact.from_json(artifact.to_json()) == artifact
 
-    def test_from_json_rejects_a_missing_schema_version(self):
-        with pytest.raises(ValueError, match="no schema_version"):
-            RunArtifact.from_json('{"fingerprint": "abc"}')
-
-    def test_from_json_rejects_a_mismatched_schema_version(self):
-        with pytest.raises(ValueError, match="does not match current"):
-            RunArtifact.from_json('{"schema_version": 1}')
-
     def test_from_json_rejects_unknown_fields(self):
         program, options = _config()
         with RunService() as service:
@@ -222,22 +213,6 @@ class TestRunService:
     def test_from_json_rejects_non_object_documents(self):
         with pytest.raises(ValueError, match="must be a JSON object"):
             RunArtifact.from_json("[1, 2, 3]")
-
-    def test_stale_schema_on_disk_is_a_miss(self):
-        program, options = _config()
-        with RunService() as service:
-            artifact = service.run(program, options)
-            # Checksummed: only the schema, not the checksum, refuses it.
-            service.store.disk.put(
-                artifact.fingerprint,
-                artifact.to_json().replace(
-                    f'"schema_version": {artifact.schema_version}',
-                    '"schema_version": 0',
-                ),
-            )
-        with RunService() as fresh:
-            fresh.run(program, options)
-            assert fresh.statistics.simulations == 1  # recomputed, not served
 
     def test_an_edited_field_digest_on_disk_is_re_simulated(self):
         """A stored run artifact whose digest was edited is never served
