@@ -159,7 +159,7 @@ class ShardResult:
     variables: dict[str, float]
     halted: bool
     #: barrier rendezvous this shard entered.
-    barrier_waits: int = 0
+    barrier_waits: int
 
 
 class CompiledShardRunner:
