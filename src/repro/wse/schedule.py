@@ -39,8 +39,8 @@ The emitter (:mod:`repro.wse.codegen`) prints the schedule and decides
 nothing about delivery; the executors read the snapshots to allocate and
 the padded sources off ``SHARD_META`` (an empty ``'exchanges'`` list, the
 same on every box, also tells the round driver there is nothing to publish
-and no mid-round barrier), and the cost ledger reads its bytes.  It is built only when a kernel is generated, never on a memo or
-store hit.
+and no mid-round barrier), and the cost ledger reads its bytes.  It is
+built only when a kernel is generated, never on a memo or store hit.
 """
 
 from __future__ import annotations
