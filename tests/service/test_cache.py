@@ -118,6 +118,14 @@ def test_an_undecodable_entry_under_a_valid_checksum_raises(tmp_path):
         store.get(artifact.fingerprint)
 
 
+def test_a_compiled_artifact_with_a_leftover_schema_version_is_rejected():
+    """Compiled artifacts carry no schema version; a document that still
+    names one does not decode."""
+    text = make_artifact("old").to_json()
+    leftover = text.replace("{", '{"schema_version": 1, ', 1)
+    with pytest.raises(TypeError, match="schema_version"):
+        CompiledArtifact.from_json(leftover)
+
 def test_purge_empties_the_store(tmp_path):
     store = compile_store(tmp_path / "store")
     for tag in ("p1", "p2", "p3"):
@@ -298,3 +306,17 @@ def test_a_damaged_entry_is_a_miss_unlinked_and_re_put(
     assert not path.exists()
     store.put(fingerprint, text)
     assert store.get(fingerprint) == value
+
+
+@pytest.mark.parametrize("namespace", ["compile", "run"])
+def test_an_undecodable_entry_raises_and_stays_on_disk(namespace, tmp_path):
+    """A body its namespace's decoder rejects under a valid checksum is not
+    read as a miss: the read raises and the entry is left in place."""
+    make_store, make_value, encode = NAMESPACE_ENTRIES[namespace]
+    store = make_store(tmp_path / "store")
+    fingerprint = "f" * 64
+    store.put(fingerprint, encode(make_value())[:-1])  # cut JSON, valid checksum
+    path = store._path(fingerprint)
+    with pytest.raises(ValueError):
+        store.get(fingerprint)
+    assert path.exists()

@@ -210,6 +210,21 @@ class TestRunService:
         ):
             RunArtifact.from_json(json_module.dumps(data))
 
+    def test_from_json_rejects_a_leftover_schema_version(self):
+        """A document that still carries the deleted ``schema_version``
+        field is rejected as an unknown field, not compared as a version."""
+        program, options = _config()
+        with RunService() as service:
+            artifact = service.run(program, options)
+        import json as json_module
+
+        data = json_module.loads(artifact.to_json())
+        data["schema_version"] = 3
+        with pytest.raises(
+            ValueError, match=r"unknown fields \['schema_version'\]"
+        ):
+            RunArtifact.from_json(json_module.dumps(data))
+
     def test_from_json_rejects_non_object_documents(self):
         with pytest.raises(ValueError, match="must be a JSON object"):
             RunArtifact.from_json("[1, 2, 3]")
