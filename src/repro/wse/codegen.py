@@ -717,7 +717,7 @@ class _KernelEmitter:
         always a subscript, so a hoisted view is written, never rebound."""
         for copy in copies:
             dst = self._region(copy.dst)
-            if copy.kind == "fill":
+            if copy.src is None:
                 b.line(f"{dst} = np.float32({self.plan.boundary.value!r})")
             else:
                 b.line(f"{dst} = {self._region(copy.src)}")
@@ -833,7 +833,7 @@ class _KernelEmitter:
         halo = [copy for scheduled in exchanges for copy in scheduled.halo]
         ghosts, folds = SourceBuilder(indent=1), SourceBuilder(indent=2)
         self._emit_copies(halo, ghosts)
-        self._emit_copies([copy for copy in halo if copy.kind != "fill"], folds)
+        self._emit_copies([copy for copy in halo if copy.src is not None], folds)
 
         out = SourceBuilder()
         boundary = self.plan.boundary

@@ -85,15 +85,11 @@ class Region(NamedTuple):
 
 
 class Copy(NamedTuple):
-    """One copy statement, ``dst = src``, moving ``bytes`` bytes: a
-    ``"slice"`` (basic slices on both sides), ``"gather"`` (a fancy-indexed
-    source), ``"scatter"`` (a fancy-indexed destination), ``"seam"`` (a
-    publication row or column) or ``"fill"`` (no source: ``dst`` takes the
-    Dirichlet fill)."""
+    """One copy statement, ``dst = src``, moving ``bytes`` bytes; with no
+    ``src`` it is a fill: ``dst`` takes the Dirichlet fill."""
 
     dst: Region
     src: Region | None
-    kind: str
     bytes: int
 
 
@@ -205,13 +201,11 @@ def _block_copies(rows, cols, dst: tuple, dst_z: range, src: tuple, src_z: range
     of ``src[..., src_z]`` into ``dst[..., dst_z]``.
 
     A few contiguous runs per axis (interior shifts, periodic/reflect
-    wraps) become basic-slice copies; ragged tables one fancy-index copy
-    (a gather when only the source is ragged, a scatter when the
-    destination is).
+    wraps) become basic-slice copies; ragged tables one fancy-index copy.
     """
     row_runs, col_runs = _runs(rows), _runs(cols)
     if len(row_runs) * len(col_runs) <= 4:
-        kind, blocks = "slice", [
+        blocks = [
             (range(ry0, ry1), range(cx0, cx1),
              range(sy, sy + ry1 - ry0), range(sx, sx + cx1 - cx0))
             for ry0, ry1, sy in row_runs
@@ -219,8 +213,7 @@ def _block_copies(rows, cols, dst: tuple, dst_z: range, src: tuple, src_z: range
         ]
     else:
         dest_rows, dest_cols = [d for d, _ in rows], [d for d, _ in cols]
-        ragged = not (_contiguous(dest_rows) and _contiguous(dest_cols))
-        kind, blocks = "scatter" if ragged else "gather", [
+        blocks = [
             (_axis(dest_rows), _axis(dest_cols),
              _axis([s for _, s in rows]), _axis([s for _, s in cols]))
         ]
@@ -228,7 +221,6 @@ def _block_copies(rows, cols, dst: tuple, dst_z: range, src: tuple, src_z: range
         Copy(
             Region(dst, dr, dc, dst_z),
             Region(src, sr, sc, src_z),
-            kind,
             4 * len(dr) * len(dc) * len(src_z),  # float32
         )
         for dr, dc, sr, sc in blocks
@@ -445,7 +437,6 @@ class _Builder:
             Copy(
                 Region(slab, None, None, range(slot * size, (slot + 1) * size)),
                 self._direction_view(exchange, slot, range(z0, z0 + size)),
-                "slice",
                 4 * (y1 - y0) * (x1 - x0) * size,
             )
             for slot in range(len(exchange.directions))
@@ -675,7 +666,7 @@ class _Builder:
         if boundary.kind == "dirichlet":
             return tuple(
                 Copy(
-                    Region(padded, ys, xs, z), None, "fill",
+                    Region(padded, ys, xs, z), None,
                     4 * len(ys) * len(xs) * span,
                 )
                 for ys, xs in territory
@@ -699,12 +690,12 @@ class _Builder:
         y0, y1, x0, x1 = self.box
         return tuple(
             Copy(Region(("rs", eid), slot, range(x0, x1)),
-                 Region(source, row - y0, None, z), "seam", 4 * (x1 - x0) * span)
+                 Region(source, row - y0, None, z), 4 * (x1 - x0) * span)
             for row, slot in self.pub_rows.items()
             if y0 <= row < y1 and span
         ) + tuple(
             Copy(Region(("cs", eid), range(y0, y1), slot),
-                 Region(source, None, col - x0, z), "seam", 4 * (y1 - y0) * span)
+                 Region(source, None, col - x0, z), 4 * (y1 - y0) * span)
             for col, slot in self.pub_cols.items()
             if x0 <= col < x1 and span
         )

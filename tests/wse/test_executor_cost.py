@@ -221,7 +221,7 @@ def test_view_delivery_writes_the_receive_slab_once_per_run(name, side):
     assert exchange.fills == () and not exchange.fills_once
     assert len(exchange.land) == directions
     assert _bytes(exchange.land) == directions * side * side * 16 * 4
-    assert {copy.kind for copy in exchange.halo} == {"fill"}
+    assert all(copy.src is None for copy in exchange.halo)
     assert _bytes(exchange.halo) == ((side + 2 * reach) ** 2 - side**2) * 32 * 4
 
 
