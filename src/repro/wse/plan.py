@@ -13,7 +13,9 @@ that out of the hot loop, once, ahead of execution:
   do ``csl.increment_dsd_offset`` chains with static offsets; the
   interpreter's handlers become table lookups.  A ``csl.get_mem_dsd``
   naming a symbol no ``csl.zeros`` declares is a :class:`PlanError`, so no
-  executor resolves a buffer any other way;
+  executor resolves a buffer any other way, and so is a DSD builtin whose
+  DSD operands disagree in length (the length of ``csl.get_mem_dsd``, kept
+  by every ``csl.increment_dsd_offset``; scalar operands are exempt);
 * **exchange schedule** — the attribute bundle of every
   ``csl.comms_exchange`` (offsets, chunking, directions, callbacks) and the
   buffer its operand DSD reads are parsed into an :class:`ExchangePlan`
@@ -288,7 +290,7 @@ class ExecutionPlan:
         for name in sorted(image.callables):
             callable_op = image.callables[name]
             env: dict[int, Dsd] = {}
-            sources: dict[int, str] = {}
+            sources: dict[int, tuple[str, int]] = {}
             counter = [0]
             for block in _callable_blocks(callable_op):
                 _plan_block(
@@ -437,7 +439,7 @@ def _plan_block(
     callable_name: str,
     buffers: dict[str, int],
     env: dict[int, Dsd],
-    sources: dict[int, str],
+    sources: dict[int, tuple[str, int]],
     counter: list[int],
     static_dsds: dict[Operation, Dsd],
     exchange_plans: dict[Operation, ExchangePlan],
@@ -445,7 +447,7 @@ def _plan_block(
     directions: list[tuple[int, int]],
 ) -> None:
     """Abstractly interpret one block for statically-known DSD values
-    (``env``) and the buffer of every DSD value (``sources``)."""
+    (``env``) and the buffer and length of every DSD value (``sources``)."""
     for op in block.ops:
         index = counter[0]
         counter[0] += 1
@@ -457,12 +459,12 @@ def _plan_block(
                 )
             dsd = Dsd(op.buffer, op.offset, op.length, op.stride)
             env[id(op.results[0])] = dsd
-            sources[id(op.results[0])] = op.buffer
+            sources[id(op.results[0])] = (op.buffer, op.length)
             static_dsds[op] = dsd
             op_labels[op] = (callable_name, index)
         elif isinstance(op, csl.IncrementDsdOffsetOp):
             base = id(op.operands[0])
-            if base in sources:  # static or not, a shift keeps the buffer
+            if base in sources:  # static or not, a shift keeps both
                 sources[id(op.results[0])] = sources[base]
             # A second operand is a runtime offset (e.g. the chunk base a
             # receive task gets as its wavelet argument) — not static.
@@ -471,6 +473,18 @@ def _plan_block(
                 env[id(op.results[0])] = dsd
                 static_dsds[op] = dsd
                 op_labels[op] = (callable_name, index)
+        elif isinstance(op, csl.DSD_BUILTIN_OPS):
+            lengths = [
+                sources[id(value)][1] for value in op.operands
+                if id(value) in sources
+            ]
+            for length in lengths[1:]:
+                if length != lengths[0]:
+                    raise PlanError(
+                        f"{op.builtin_name} #{index} of '{callable_name}' "
+                        f"takes DSD operands of lengths {lengths[0]} and "
+                        f"{length}"
+                    )
         elif isinstance(op, csl.CommsExchangeOp):
             source = sources.get(id(op.buffer))
             if source is None:
@@ -480,7 +494,7 @@ def _plan_block(
                 )
             attributes = op.attributes
             plan = ExchangePlan(
-                source_buffer=source,
+                source_buffer=source[0],
                 source_offset=attributes["src_offset"].value,
                 source_length=attributes["src_len"].value,
                 chunk_size=attributes["chunk_size"].value,

@@ -1,7 +1,8 @@
 """Golden parser/lowering diagnostics: every rejection names file:line:col
 and the offending token, so a failing handwritten kernel points at source.
-Programs that parse but whose exchange overruns a buffer are rejected by
-the plan, naming the op."""
+Programs that parse but whose exchange overruns a buffer, or whose builtin
+mixes DSD operands of different lengths, are rejected by the plan, naming
+the op."""
 
 import pytest
 
@@ -232,7 +233,8 @@ class TestLoweringDiagnostics:
 
 class TestPlanDiagnostics:
     """Programs that parse but whose exchange reads or writes past a
-    declared extent: the plan rejects them before any executor runs."""
+    declared extent, or whose builtin's DSD operands disagree in length:
+    the plan rejects them before any executor runs."""
 
     def test_communicate_chunks_overrunning_src_len(self):
         """The token mutant ``advection.csl:37`` ``.chunk_size = 16`` ->
@@ -288,6 +290,49 @@ class TestPlanDiagnostics:
         with pytest.raises(PlanError) as info:
             WseSimulator(image, executor="reference")
         assert str(info.value) == f"csl.comms_exchange #1 of 'f_main': {message}"
+
+    def test_builtin_operands_disagreeing_in_length(self):
+        """The minimised mutant ``{12}`` -> ``{6}`` of a receive DSD in the
+        printed Seismic program's receive callback: a builtin whose DSD
+        operands differ in length (the scalar operand is exempt)."""
+        image = parse_csl_program(
+            "var receive_buffer = @zeros([24]f32);\n"
+            "var accumulator_1 = @zeros([12]f32);\n"
+            "fn f_main() void {\n"
+            "  const dsd13 = @get_dsd(mem1d_dsd, "
+            ".{ .tensor_access = |i|{6} -> receive_buffer[i] });\n"
+            "  const c14 = 1.6;\n"
+            "  const dsd15 = @get_dsd(mem1d_dsd, "
+            ".{ .tensor_access = |i|{12} -> accumulator_1[i] });\n"
+            "  @fmuls(dsd15, dsd13, c14);\n"
+            "  return;\n}\n"
+            'comptime { @export_symbol(f_main, "f_main"); }\n',
+            "seismic25.csl",
+        )
+        for executor in ("reference", "compiled"):
+            with pytest.raises(PlanError) as info:
+                WseSimulator(image, executor=executor)
+            assert str(info.value) == (
+                "@fmuls #3 of 'f_main' takes DSD operands of lengths 12 and 6"
+            )
+
+    def test_a_runtime_offset_keeps_the_dsd_length(self):
+        """A DSD shifted by a runtime offset (the chunk base a receive task
+        gets) keeps its length: the printed Seismic program's last
+        ``@fmovs`` of the receive callback, its destination cut to 8."""
+        sources = dict(csl_corpus.generated_sources("wse2", 2)["Seismic"])
+        lines = sources["seismic25.csl"].split("\n")
+        assert "|i|{16} -> accumulator_0[i]" in lines[108]
+        lines[108] = lines[108].replace("{16}", "{8}")
+        sources["seismic25.csl"] = "\n".join(lines)
+        image = parse_csl_sources(sources).programs[0]
+        for executor in ("reference", "compiled"):
+            with pytest.raises(PlanError) as info:
+                WseSimulator(image, executor=executor)
+            assert str(info.value) == (
+                "@fmovs #53 of 'receive_chunk_cb0' takes DSD operands of "
+                "lengths 8 and 16"
+            )
 
 
 class TestMinimalProgramParses:
