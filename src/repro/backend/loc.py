@@ -7,6 +7,11 @@ Three numbers are reported per benchmark:
 * *CSL entire* — the generated PE program plus the generated layout
   metaprogram plus the runtime communications library it imports;
 * *DSL & our approach* — the lines a user writes in the front-end DSL.
+
+The generated counts are read off a printed source set (``{file name:
+text}``, as :func:`repro.backend.csl_printer.print_csl_sources` writes it
+and the compile service stores it): ``*_layout.csl`` is the layout
+metaprogram, every other file a PE program.
 """
 
 from __future__ import annotations
@@ -14,10 +19,8 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 
-from repro.backend.csl_printer import print_csl_module
 from repro.backend.runtime_library import runtime_library_loc
 from repro.benchmarks.definitions import Benchmark
-from repro.transforms.pipeline import CompilationResult
 
 
 def count_lines(text: str) -> int:
@@ -38,17 +41,15 @@ class LocReport:
     dsl_ours: int
 
 
-def generated_loc(result: CompilationResult) -> tuple[int, int]:
-    """(kernel-only, entire) line counts of the generated CSL sources."""
-    program_text = print_csl_module(result.program_module)
-    layout_text = print_csl_module(result.layout_module)
-    kernel_only = count_lines(program_text)
-    entire = (
-        kernel_only
-        + count_lines(layout_text)
-        + runtime_library_loc(result.options.target)
-    )
-    return kernel_only, entire
+def generated_loc(csl_sources: dict[str, str], target: str) -> tuple[int, int]:
+    """(kernel-only, entire) line counts of a generated CSL source set."""
+    kernel_only = layout = 0
+    for name, text in csl_sources.items():
+        if name.endswith("_layout.csl"):
+            layout += count_lines(text)
+        else:
+            kernel_only += count_lines(text)
+    return kernel_only, kernel_only + layout + runtime_library_loc(target)
 
 
 def dsl_loc(benchmark: Benchmark) -> int:
@@ -71,8 +72,10 @@ def count_lines_python(text: str) -> int:
     return count
 
 
-def loc_report(benchmark: Benchmark, result: CompilationResult) -> LocReport:
-    kernel_only, entire = generated_loc(result)
+def loc_report(
+    benchmark: Benchmark, csl_sources: dict[str, str], target: str
+) -> LocReport:
+    kernel_only, entire = generated_loc(csl_sources, target)
     return LocReport(
         benchmark=benchmark.name,
         csl_kernel_only=kernel_only,

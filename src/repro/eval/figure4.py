@@ -35,14 +35,12 @@ class Figure4Row:
         return self.wse3_gpts / self.wse2_gpts
 
 
-def compute_figure4(
-    size: ProblemSize = LARGE, executor: str | None = None
-) -> list[Figure4Row]:
+def compute_figure4(size: ProblemSize = LARGE) -> list[Figure4Row]:
     rows = []
     for name in FIGURE4_BENCHMARKS:
         benchmark = benchmark_by_name(name)
-        wse2 = estimate_performance(benchmark, WSE2, size, executor=executor)
-        wse3 = estimate_performance(benchmark, WSE3, size, executor=executor)
+        wse2 = estimate_performance(benchmark, WSE2, size)
+        wse3 = estimate_performance(benchmark, WSE3, size)
         rows.append(
             Figure4Row(
                 benchmark=benchmark.name,

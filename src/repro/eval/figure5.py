@@ -43,16 +43,12 @@ class Figure5Row:
 
 
 def compute_figure5(
-    sizes: tuple[ProblemSize, ...] = PROBLEM_SIZES, executor: str | None = None
+    sizes: tuple[ProblemSize, ...] = PROBLEM_SIZES,
 ) -> list[Figure5Row]:
     benchmark = benchmark_by_name("Seismic")
 
-    generated_wse2 = measure_pe_activity(
-        benchmark, WSE2, num_chunks=1, executor=executor
-    )
-    generated_wse3 = measure_pe_activity(
-        benchmark, WSE3, num_chunks=1, executor=executor
-    )
+    generated_wse2 = measure_pe_activity(benchmark, WSE2, num_chunks=1)
+    generated_wse3 = measure_pe_activity(benchmark, WSE3, num_chunks=1)
     handwritten = handwritten_seismic_activity(generated_wse2, benchmark.z_dim)
 
     rows = []

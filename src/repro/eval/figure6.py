@@ -42,9 +42,9 @@ class Figure6Result:
         raise KeyError(system)
 
 
-def compute_figure6(executor: str | None = None) -> Figure6Result:
+def compute_figure6() -> Figure6Result:
     benchmark = benchmark_by_name("Acoustic")
-    wse3 = estimate_performance(benchmark, WSE3, LARGE, executor=executor)
+    wse3 = estimate_performance(benchmark, WSE3, LARGE)
     gpu = acoustic_on_tursa()
     cpu = acoustic_on_archer2()
     rows = [

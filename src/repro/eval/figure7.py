@@ -58,11 +58,11 @@ def _fabric_values(benchmark: Benchmark) -> float:
     return max(remote_points, 1)
 
 
-def compute_figure7(executor: str | None = None) -> Figure7Data:
+def compute_figure7() -> Figure7Data:
     ceilings = [wse_memory_ceiling(WSE3), wse_fabric_ceiling(WSE3), a100_ceiling()]
     points: list[RooflinePoint] = []
     for benchmark in BENCHMARKS:
-        estimate = estimate_performance(benchmark, WSE3, LARGE, executor=executor)
+        estimate = estimate_performance(benchmark, WSE3, LARGE)
         flops = estimate.gpts_per_second * 1e9 * benchmark.flops_per_point
         points.append(
             RooflinePoint(

@@ -8,9 +8,11 @@ Layered on top of the one-shot ``compile_stencil_program``:
   run and kernel namespaces) and the two-tier artifact cache (in-memory LRU
   over one namespace) keyed by fingerprint;
 * :mod:`repro.service.service` — :class:`CompileService`, which serves
-  cache hits and compiles cache misses inline;
+  cache hits, compiles cache misses inline and parses the stored CSL into
+  the program image that runs;
 * :mod:`repro.service.run` — :class:`RunService`, whose ``run`` is the one
-  synchronous end-to-end run job (compile → simulate → field digests),
+  synchronous end-to-end run job (compile → parse → simulate → field
+  digests),
   content-addressed by a run fingerprint that folds in the executor, seed
   and round budget;
 * :mod:`repro.service.queue` — :class:`JobQueue`, the one asynchronous

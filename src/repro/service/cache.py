@@ -57,6 +57,10 @@ class CompiledArtifact:
     csl_sources: dict[str, str]
     #: pipeline statistics summary: total wall time / rewrites + per-pass rows.
     statistics: dict
+    #: the program image parsed from ``csl_sources``, memoised here by
+    #: :meth:`~repro.service.service.CompileService.image_of` — not a field,
+    #: so never stored, and gone with this object's memory-tier entry.
+    _image = None
 
     def total_source_bytes(self) -> int:
         return sum(len(text.encode("utf-8")) for text in self.csl_sources.values())

@@ -20,7 +20,7 @@ Five commands over one cache directory:
   safe to run while a daemon is working;
 * ``stats`` — one table across the store's compile/run/kernel namespaces
   and the queue store, then the queue store's own counters (jobs, events,
-  run-cache vs simulated, pipeline vs memo compiles, worker processes);
+  run-cache vs simulated, pipeline vs cache compiles, worker processes);
 * ``purge`` — empty every namespace of the store and the queue store.
 """
 
@@ -638,7 +638,7 @@ def _run_stats(args: argparse.Namespace, out) -> int:
     )
     print(
         f"  compiles:  {queue_stats.pipeline_compiles} pipeline "
-        f"{queue_stats.memo_compiles} memo, by "
+        f"{queue_stats.cache_compiles} cache, by "
         f"{queue_stats.worker_processes} worker process(es)",
         file=out,
     )

@@ -241,10 +241,10 @@ class QueueStoreStats:
     #: done jobs served straight from the run cache vs. freshly simulated.
     cache_served: int
     simulated: int
-    #: of the simulated: ran the compile pipeline vs. found the lowered
-    #: program in their worker's memory.
+    #: of the simulated: ran the compile pipeline vs. found the compile
+    #: artifact in their worker's memory or the shared store.
     pipeline_compiles: int
-    memo_compiles: int
+    cache_compiles: int
     #: distinct processes that simulated them.
     worker_processes: int
     total_bytes: int
@@ -968,7 +968,7 @@ class JobStore:
             cache_served=served.get("run-cache", 0),
             simulated=served.get("simulation", 0),
             pipeline_compiles=compiles.count("pipeline"),
-            memo_compiles=compiles.count("memo"),
+            cache_compiles=compiles.count("cache"),
             worker_processes=len(
                 {summary.get("worker_pid") for summary in summaries} - {None}
             ),

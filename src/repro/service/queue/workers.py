@@ -9,13 +9,14 @@ executed.  Two execution modes:
   thread's first claim, fed claimed job ids over a pipe, and forked again
   only after it died or a cancel terminated it.  For its whole life the
   worker keeps one ``JobStore`` (one SQLite connection) and one
-  :class:`~repro.service.run.RunService`, so each (program, options) pair
-  runs the 17-pass pipeline once per worker and later seeds of it go
-  straight to ``running`` (the result summary says which:
-  ``"compile": "pipeline" | "memo"``).  The worker owns the job's
-  lifecycle transitions (``compiling -> running -> digesting -> done``,
-  written straight into the shared WAL store) and publishes its artifact
-  through the content-addressed run cache.  The pipe is only a wake-up,
+  :class:`~repro.service.run.RunService`.  A job runs the 17-pass
+  pipeline only when neither that service's memory nor the shared store
+  holds its compile artifact; otherwise the worker parses the stored CSL
+  (once per artifact in memory) and goes straight to ``running`` (the
+  result summary says which: ``"compile": "pipeline" | "cache"``).  The
+  worker owns the job's lifecycle transitions (``compiling -> running ->
+  digesting -> done``, written straight into the shared WAL store) and
+  publishes its artifact through the content-addressed run cache.  The pipe is only a wake-up,
   never trusted for state: when the worker reports a job back — or dies —
   the job's on-disk status *is* the truth.  A worker that dies mid-job
   (OOM-killed, segfaulted, SIGKILLed) simply leaves the job in an active
@@ -25,7 +26,7 @@ executed.  Two execution modes:
 * ``inline`` — the job executes in the claim thread itself, which runs a
   worker process's loop body over the daemon's store: it keeps one
   :class:`~repro.service.run.RunService` for its life, so its jobs report
-  ``"compile": "pipeline" | "memo"`` exactly as a worker process's do.  No
+  ``"compile": "pipeline" | "cache"`` exactly as a worker process's do.  No
   crash isolation, but no fork either; the fallback for platforms without
   it.
 
@@ -80,9 +81,10 @@ def job_result_summary(
     """The result summary a ``done`` job row carries.
 
     ``compiled_from`` is given by the process that simulated the job:
-    ``"pipeline"`` (the 17 passes ran) or ``"memo"`` (its run service had
-    the lowered program in memory); the summary then also names that
-    process.  Without it the job was served from the run cache.
+    ``"pipeline"`` (the 17 passes ran) or ``"cache"`` (its compile
+    service served the artifact from memory or the store); the summary
+    then also names that process.  Without it the job was served from the
+    run cache.
     """
     return {
         "fingerprint": artifact.fingerprint,
@@ -140,7 +142,7 @@ def execute_claimed_job(
                 worker=record.worker,
             )
 
-    pipeline_runs = service.compiler.statistics.ir_compiles
+    pipeline_runs = service.compiler.statistics.compiles
     try:
         artifact = service.run(
             payload.program,
@@ -151,9 +153,9 @@ def execute_claimed_job(
             on_stage=on_stage,
         )
         if simulated:
-            compiled = service.compiler.statistics.ir_compiles > pipeline_runs
+            compiled = service.compiler.statistics.compiles > pipeline_runs
             summary = job_result_summary(
-                artifact, "pipeline" if compiled else "memo"
+                artifact, "pipeline" if compiled else "cache"
             )
         else:
             # Served straight from the run cache: no stage callbacks fired,

@@ -1,8 +1,10 @@
-"""End-to-end run jobs: compile → simulate → field digests, cached.
+"""End-to-end run jobs: compile → parse → simulate → field digests, cached.
 
 A *run job* is the full paper loop for one configuration: compile the
-stencil program (served by the compile-stage artifact cache), lower the
-program image into an execution plan, simulate it on a chosen execution
+stencil program to CSL text (served by the compile-stage artifact cache),
+parse that stored text into a program image — the run executes exactly the
+CSL the store holds, as :meth:`RunService.run_csl` does for text handed in —
+lower the image into an execution plan, simulate it on a chosen execution
 backend with deterministically seeded input fields, and distil the result
 into a :class:`RunArtifact` — SHA-256 digests of every gathered field plus
 the simulation statistics.  Because every stage is deterministic, the
@@ -14,12 +16,13 @@ budget).
 
 :meth:`RunService.run` is the one synchronous definition of a run (and
 :meth:`RunService.run_csl` the same loop for a parsed CSL source set):
-a run-cache hit skips compilation *and* simulation; a miss compiles
-through a :class:`~repro.service.service.CompileService` (its fingerprint
-cache deduplicates the compile stage across runs that differ only in
-run-level inputs) and simulates inline, in the calling thread — the
-``tiled`` backend runs its own shard threads, so the service adds no
-parallelism of its own.  Run artifacts live in the store's ``runs/``
+a run-cache hit skips compilation *and* simulation; a miss takes its
+image from a :class:`~repro.service.service.CompileService` (its
+fingerprint cache deduplicates the compile stage, and its per-artifact memo
+the parse, across runs that differ only in run-level inputs; a fresh
+service over a warm store parses without compiling) and simulates inline,
+in the calling thread — the ``tiled`` backend runs its own shard threads,
+so the service adds no parallelism of its own.  Run artifacts live in the store's ``runs/``
 namespace (:mod:`repro.service.cache`) under the same checksum as every
 other entry, with an in-memory LRU over it.  The asynchronous path is the
 job queue (:class:`~repro.service.queue.JobQueue`): its ``submit``
@@ -46,7 +49,6 @@ from repro.frontends.common import StencilProgram
 from repro.service.cache import RUN, ArtifactCache
 from repro.service.fingerprint import (
     canonical_json,
-    compute_fingerprint,
     fingerprint_payload,
 )
 from repro.service.kernels import KernelSourceStore
@@ -54,7 +56,7 @@ from repro.service.service import CompileService
 from repro.transforms.pipeline import PipelineOptions
 from repro.wse.codegen import kernel_cache_statistics
 from repro.wse.executors import default_executor_name, executor_by_name
-from repro.wse.interpreter import bound_image
+from repro.wse.interpreter import ProgramImage, bound_image
 from repro.wse.simulator import WseSimulator
 
 #: default seed of the deterministic input-field initialiser.
@@ -301,12 +303,13 @@ class RunService:
         if artifact is not None:
             return artifact
         on_stage("compiling")
-        result = self.compiler.compile_ir(program, options)
+        compiled = self.compiler.compile(program, options)
+        image = self.compiler.image_of(compiled)
         # Field allocation honours the boundary condition that was actually
         # compiled in (an options override changes the z-halo initialiser).
         effective = program
-        if result.options.boundary != program.boundary:
-            effective = replace(program, boundary=result.options.boundary)
+        if image.boundary != program.boundary:
+            effective = replace(program, boundary=image.boundary)
         rng = np.random.default_rng(seed)
         fields = allocate_fields(
             effective, lambda name, shape: rng.uniform(-1.0, 1.0, shape)
@@ -316,11 +319,11 @@ class RunService:
             for decl in effective.fields
         }
         return self._simulate(
-            result.program_module,
+            image,
             inputs,
             on_stage,
             fingerprint=fingerprint,
-            compile_fingerprint=compute_fingerprint(program, options),
+            compile_fingerprint=compiled.fingerprint,
             program_name=program.name,
             executor=executor_name,
             seed=seed,
@@ -393,7 +396,7 @@ class RunService:
 
     def _simulate(
         self,
-        program,
+        image: ProgramImage,
         inputs: "dict[str, np.ndarray]",
         on_stage: Callable[[str], None],
         *,
@@ -401,13 +404,12 @@ class RunService:
         max_rounds: int,
         **identity,
     ) -> RunArtifact:
-        """Simulate ``program`` (a program module or a parsed image) on
-        ``inputs`` — ``{field: (width, height, z) columns}`` — and store
-        the artifact: the digests of the same fields, in the same order,
-        after the run.  ``identity`` is the rest of the artifact's fields
+        """Simulate ``image`` on ``inputs`` — ``{field: (width, height, z)
+        columns}`` — and store the artifact: the digests of the same fields,
+        in the same order, after the run.  ``identity`` is the rest of the artifact's fields
         (fingerprints, program name, seed)."""
-        kernel_cache = self._warm_kernels(program, executor)
-        simulator = WseSimulator(program, executor=executor)
+        kernel_cache = self._warm_kernels(image, executor)
+        simulator = WseSimulator(image, executor=executor)
         for name, columns in inputs.items():
             simulator.load_field(name, columns)
         on_stage("running")
@@ -434,7 +436,9 @@ class RunService:
             self.store.put(artifact)
         return artifact
 
-    def _warm_kernels(self, program, executor_name: str) -> dict | None:
+    def _warm_kernels(
+        self, image: ProgramImage, executor_name: str
+    ) -> dict | None:
         """Resolve a kernel executor's kernels through this service's store.
 
         Any executor with ``kernels_for`` (``compiled``, ``auto``,
@@ -443,10 +447,10 @@ class RunService:
         <repro.wse.executors.tiled.TiledExecutor.kernels_for>` with this
         service's store: a fleet member that already generated a kernel
         serves its source from disk, and whatever this call resolves is the
-        kernel the executor binds — a guaranteed in-memory hit.  The image
-        and plan come from the bind memo of ``program``, so the simulator
-        built next binds the same objects instead of lowering and printing
-        again.  Returns the provenance record folded into the run artifact:
+        kernel the executor binds — a guaranteed in-memory hit.  The plan
+        comes from the bind memo of ``image``, so the simulator built next
+        binds the same objects instead of lowering and printing again.
+        Returns the provenance record folded into the run artifact:
         every kernel fingerprint, and how many kernels came from the
         in-process memo, the store and code generation; None for an
         interpreting executor.
@@ -454,8 +458,7 @@ class RunService:
         executor = executor_by_name(executor_name)
         if not hasattr(executor, "kernels_for"):
             return None
-        image = bound_image(program)
-        plan = image.plan_for(image.width, image.height)
+        plan = bound_image(image).plan_for(image.width, image.height)
         counters = kernel_cache_statistics()
         before = (counters.memory_hits, counters.disk_hits, counters.codegens)
         kernels = executor.kernels_for(image, plan, store=self.kernels)

@@ -6,11 +6,13 @@ the store's compile namespace) and compiles a miss inline, in the calling
 thread:
 
 * :meth:`CompileService.compile` returns the printed artifact of one
-  configuration;
-* :meth:`CompileService.compile_ir` serves in-process callers that need the
-  live csl-ir module (the performance model, the LoC report) from a
-  fingerprint-keyed result cache, so e.g. regenerating Figure 7 reuses the
-  compiles Figure 6 already paid for.
+  configuration — its CSL text is the one program the service keeps;
+* :meth:`CompileService.image` returns the program image parsed from that
+  text (the CSL front door, :func:`repro.csl.parse_csl_sources`), which is
+  what the run service and the performance model simulate.  The image is
+  memoised on the artifact for as long as its memory-tier entry lives, so
+  e.g. regenerating Figure 7 reuses the parses Figure 6 already paid for,
+  and a fresh process over a warm store parses without compiling.
 
 Parallel work goes through the run queue's worker pool
 (:mod:`repro.service.queue.workers`), whose workers each keep a service.
@@ -20,10 +22,10 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.backend.csl_printer import print_csl_sources
+from repro.csl import parse_csl_sources
 from repro.frontends.common import StencilProgram
 from repro.service.cache import COMPILE, ArtifactCache, CompiledArtifact
 from repro.service.fingerprint import compute_fingerprint
@@ -32,6 +34,7 @@ from repro.transforms.pipeline import (
     PipelineOptions,
     compile_stencil_program,
 )
+from repro.wse.interpreter import ProgramImage
 
 
 def build_artifact(
@@ -74,6 +77,8 @@ class ServiceStatistics:
     submitted: int = 0
     cache_hits: int = 0
     compiles: int = 0
+    #: images served from an artifact's memo, and images parsed (named
+    #: for the live-IR cache they replace; ``bench/probes.py`` reads them).
     ir_hits: int = 0
     ir_compiles: int = 0
 
@@ -87,14 +92,11 @@ class CompileService:
         *,
         cache_dir: str | os.PathLike | None = None,
         memory_capacity: int = 256,
-        ir_capacity: int = 64,
     ):
         self.cache = ArtifactCache(
             COMPILE, CompiledArtifact, cache_dir, memory_capacity
         )
         self.statistics = ServiceStatistics()
-        self._ir_capacity = ir_capacity
-        self._ir_results: "OrderedDict[str, CompilationResult]" = OrderedDict()
         self._lock = threading.Lock()
 
     def compile(
@@ -124,43 +126,34 @@ class CompileService:
         return artifact
 
     # ------------------------------------------------------------------ #
-    # In-process compiles that need the live IR
+    # The stored CSL, parsed
     # ------------------------------------------------------------------ #
 
-    def compile_ir(
+    def image(
         self, program: StencilProgram, options: PipelineOptions | None = None
-    ) -> CompilationResult:
-        """Compile in-process and memoise the live :class:`CompilationResult`.
+    ) -> ProgramImage:
+        """The program image of one configuration: its compiled artifact
+        (:meth:`compile`) with its CSL text parsed (:meth:`image_of`)."""
+        return self.image_of(self.compile(program, options))
 
-        Callers that consume the csl-ir module itself (simulation, LoC
-        counting) cannot use the printed-text artifact, but they still get
-        fingerprint-keyed reuse: repeated requests for one configuration —
-        e.g. the same benchmark appearing in several paper figures — compile
-        once.  The printed artifact is published to both cache tiers as a
-        side effect, warming the store for text-only clients.  Callers must
-        treat the returned module as read-only.
+    def image_of(self, artifact: CompiledArtifact) -> ProgramImage:
+        """``parse_csl_sources(artifact.csl_sources).image()``, memoised on
+        the artifact object: it lives as long as the artifact's memory-tier
+        entry, and a disk hit (a new object) parses once more.
+
+        Racing first requests may both parse; the parse is deterministic, so
+        either image is the same program.  Callers must treat the image's
+        module as read-only.
         """
-        if options is None:
-            options = PipelineOptions.default_for(program)
-        fingerprint = compute_fingerprint(program, options)
         with self._lock:
-            cached = self._ir_results.get(fingerprint)
-            if cached is not None:
-                self._ir_results.move_to_end(fingerprint)
+            image = artifact._image
+            if image is not None:
                 self.statistics.ir_hits += 1
-                return cached
+                return image
             self.statistics.ir_compiles += 1
-        # Concurrent first requests for one fingerprint may both compile;
-        # either result is correct and the second insert wins, so the race
-        # costs duplicated work only, never wrong artifacts.
-        result = compile_stencil_program(program, options)
-        artifact = build_artifact(result, fingerprint)
-        with self._lock:
-            self._ir_results[fingerprint] = result
-            while len(self._ir_results) > self._ir_capacity:
-                self._ir_results.popitem(last=False)
-            self.cache.put(artifact)
-        return result
+        image = parse_csl_sources(artifact.csl_sources).image()
+        artifact._image = image
+        return image
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -174,7 +167,7 @@ class CompileService:
             "compilation service statistics:",
             f"  submitted {stats.submitted}  cache hits {stats.cache_hits}  "
             f"compiles {stats.compiles}",
-            f"  ir compiles {stats.ir_compiles}  ir reuses {stats.ir_hits}",
+            f"  images parsed {stats.ir_compiles}  image reuses {stats.ir_hits}",
             f"  cache: memory hits {cache.memory_hits}  disk hits "
             f"{cache.disk_hits}  misses {cache.misses}  stores {cache.stores}  "
             f"evictions {cache.evictions}  hit rate {cache.hit_rate:.0%}",

@@ -54,11 +54,11 @@ class LowerCslWrapperPass(ModulePass):
         self, wrapper: csl_wrapper.ModuleOp
     ) -> tuple[csl.CslModuleOp, csl.CslModuleOp]:
         program_name = wrapper.program_name
-        layout = self._build_layout_module(wrapper, program_name)
-        program = self._build_program_module(wrapper, program_name)
+        layout = self._build_layout(wrapper, program_name)
+        program = self._build_program(wrapper, program_name)
         return layout, program
 
-    def _build_layout_module(
+    def _build_layout(
         self, wrapper: csl_wrapper.ModuleOp, program_name: str
     ) -> csl.CslModuleOp:
         ops: list[Operation] = []
@@ -90,7 +90,7 @@ class LowerCslWrapperPass(ModulePass):
         layout.set_attribute("boundary_value", boundary_value)
         return layout
 
-    def _build_program_module(
+    def _build_program(
         self, wrapper: csl_wrapper.ModuleOp, program_name: str
     ) -> csl.CslModuleOp:
         ops: list[Operation] = []

@@ -192,15 +192,6 @@ class CompilationResult:
                 return op
         raise LookupError("compilation produced no program module")
 
-    @property
-    def layout_module(self):
-        from repro.dialects import csl
-
-        for op in self.csl_modules:
-            if op.kind == csl.ModuleKind.LAYOUT:
-                return op
-        raise LookupError("compilation produced no layout module")
-
 
 def compile_stencil_program(
     program: StencilProgram, options: PipelineOptions | None = None

@@ -3,12 +3,13 @@
 The model is *measurement calibrated*: a benchmark is compiled by the real
 pipeline for a small PE grid (the per-PE program is identical to the one a
 full-wafer run would use, because the grid extent only appears in the layout
-metaprogram), executed on the functional fabric simulator for a couple of
-time steps, and the per-PE activity counters (DSD element operations, chunks,
-wavelets, task activations) are extracted from an interior PE.  Those counts
-are then combined with the published machine parameters
-(:mod:`repro.wse.machine`) to estimate the per-time-step cycle count and thus
-whole-wafer throughput for the paper's problem sizes.
+metaprogram), its printed CSL parsed back (the compile service's image, the
+same program a service run executes), executed on the functional fabric
+simulator for a couple of time steps, and the per-PE activity counters (DSD
+element operations, chunks, wavelets, task activations) are extracted from
+an interior PE.  Those counts are then combined with the published machine
+parameters (:mod:`repro.wse.machine`) to estimate the per-time-step cycle
+count and thus whole-wafer throughput for the paper's problem sizes.
 
 Cycle model per PE per time step::
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.benchmarks.definitions import Benchmark, ProblemSize
+from repro.dialects import csl
 from repro.service.service import default_service
 from repro.transforms.pipeline import PipelineOptions
 from repro.wse.machine import WseMachineSpec
@@ -83,15 +85,12 @@ def measure_pe_activity(
     benchmark: Benchmark,
     machine: WseMachineSpec,
     num_chunks: int = 2,
-    executor: str | None = None,
 ) -> PeActivity:
     """Compile and functionally execute the benchmark on a small grid, then
     report the per-time-step activity of the centre (interior) PE.
 
-    ``executor`` selects the simulator backend for the calibration run; the
-    counters are semantically identical across backends, so the estimate is
-    too — the knob only trades calibration wall time (see
-    :mod:`repro.wse.executors`).
+    The calibration runs on the default simulator backend; the counters are
+    identical across backends, so the estimate is too.
     """
     radius = _benchmark_radius(benchmark)
     grid = max(_CALIBRATION_GRID, 2 * radius + 1)
@@ -106,17 +105,16 @@ def measure_pe_activity(
     )
     # The service memoises by content fingerprint, so the many figures that
     # calibrate against the same (benchmark, target, chunks) configuration
-    # compile it exactly once per process.
-    result = default_service().compile_ir(program, options)
-    simulator = WseSimulator(result.program_module, executor=executor)
+    # compile and parse it exactly once per process.
+    image = default_service().image(program, options)
+    simulator = WseSimulator(image)
     simulator.execute()
 
     centre = simulator.pe(grid // 2, grid // 2)
     steps = _CALIBRATION_STEPS
-    exchanges = list(result.program_module.walk())
-    from repro.dialects import csl
-
-    exchange_ops = [op for op in exchanges if isinstance(op, csl.CommsExchangeOp)]
+    exchange_ops = [
+        op for op in image.module.walk() if isinstance(op, csl.CommsExchangeOp)
+    ]
     max_chunks = max((op.num_chunks for op in exchange_ops), default=1)
     pattern = max((op.pattern for op in exchange_ops), default=1)
 
@@ -160,13 +158,10 @@ def estimate_performance(
     iterations: int | None = None,
     num_chunks: int = 2,
     activity: PeActivity | None = None,
-    executor: str | None = None,
 ) -> PerformanceEstimate:
     """Whole-wafer throughput estimate for one benchmark configuration."""
     if activity is None:
-        activity = measure_pe_activity(
-            benchmark, machine, num_chunks=num_chunks, executor=executor
-        )
+        activity = measure_pe_activity(benchmark, machine, num_chunks=num_chunks)
     iterations = iterations if iterations is not None else benchmark.iterations
 
     cycles = cycles_per_step(activity, machine)

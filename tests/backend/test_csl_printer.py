@@ -6,6 +6,7 @@ from repro.backend.csl_printer import print_csl_module, print_csl_sources
 from repro.backend.loc import count_lines, generated_loc, loc_report
 from repro.backend.runtime_library import runtime_library_loc, runtime_library_source
 from repro.benchmarks import jacobian_benchmark
+from repro.dialects import csl
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 
 
@@ -29,7 +30,11 @@ class TestCslPrinter:
         assert "@bind_local_task(" in text
 
     def test_layout_contains_rectangle_and_tile_code(self, compiled):
-        text = print_csl_module(compiled.layout_module)
+        (layout,) = [
+            module for module in compiled.csl_modules
+            if module.kind == csl.ModuleKind.LAYOUT
+        ]
+        text = print_csl_module(layout)
         assert "@set_rectangle(5, 5);" in text
         assert "@set_tile_code(x, y," in text
         assert "while (x <" in text
@@ -70,9 +75,13 @@ class TestLocAccounting:
         assert count_lines("// comment\n\ncode();\n  more();\n") == 2
 
     def test_generated_loc_ordering(self, compiled):
-        kernel_only, entire = generated_loc(compiled)
+        sources = print_csl_sources(compiled.csl_modules)
+        kernel_only, entire = generated_loc(sources, "wse2")
+        assert kernel_only == count_lines(sources["jacobian.csl"])
         assert 0 < kernel_only < entire
 
     def test_loc_report_dsl_smaller_than_kernel(self, compiled):
-        report = loc_report(jacobian_benchmark, compiled)
+        report = loc_report(
+            jacobian_benchmark, print_csl_sources(compiled.csl_modules), "wse2"
+        )
         assert report.dsl_ours < report.csl_kernel_only

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.benchmarks import BENCHMARKS, benchmark_by_name
+from repro.dialects import csl
 from repro.tests_support import simulate_against_reference  # noqa: F401  (fixture helper below)
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 
@@ -56,7 +57,9 @@ class TestBenchmarkCompilation:
             program, PipelineOptions(grid_width=nx, grid_height=ny, num_chunks=2)
         )
         assert result.program_module is not None
-        assert result.layout_module is not None
+        assert [module.kind for module in result.csl_modules].count(
+            csl.ModuleKind.LAYOUT
+        ) == 1
 
 
 class TestBenchmarkCorrectness:

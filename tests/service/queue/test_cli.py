@@ -122,7 +122,7 @@ class TestQueueCli:
         assert "queue store:" in text
         assert "jobs:      1 (done 1)" in text
         assert "done jobs: 0 run-cache 1 simulated" in text
-        assert "compiles:  1 pipeline 0 memo" in text
+        assert "compiles:  1 pipeline 0 cache" in text
 
     def test_wait_for_an_unknown_job_id_is_a_friendly_error(self, capsys):
         code, _ = _run(["queue", "wait", "999", "--inline"])

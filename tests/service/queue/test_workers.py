@@ -108,10 +108,10 @@ class TestWorkerLifetime:
             )
             records = [handle.wait(timeout=300) for handle in handles]
         assert [record.result["compile"] for record in records] == [
-            "pipeline", "memo", "memo", "memo", "pipeline",
+            "pipeline", "cache", "cache", "cache", "pipeline",
         ]
         assert all(record.served_from == "simulation" for record in records)
-        # A memoised compile changes nothing about the lifecycle walked.
+        # A cached compile changes nothing about the lifecycle walked.
         assert [e.to_status for e in handles[1].events()] == [
             JobStatus.QUEUED,
             JobStatus.COMPILING,
@@ -154,7 +154,7 @@ class TestWorkerLifetime:
 
     def test_an_inline_claim_thread_compiles_each_configuration_once(self):
         """An inline claim thread keeps one run service for its life, as a
-        worker process does, so later seeds reuse the lowered program."""
+        worker process does, so later seeds reuse the compile artifact."""
         program = benchmark_by_name("Jacobian").program(
             nx=4, ny=4, nz=8, time_steps=1
         )
@@ -167,7 +167,7 @@ class TestWorkerLifetime:
                 for seed in range(3)
             ]
         assert [record.result["compile"] for record in records] == [
-            "pipeline", "memo", "memo",
+            "pipeline", "cache", "cache",
         ]
 
 
@@ -463,9 +463,12 @@ class TestCliCounters:
 
         code, text = run(["queue", "status", "1", "2"])
         assert code == 0
-        assert text.count("served from simulation (compile pipeline, worker pid") == 2
+        # The second daemon's fresh worker reads the first one's compile
+        # artifact from the store: it parses the stored CSL, no pipeline.
+        assert text.count("served from simulation (compile pipeline, worker pid") == 1
+        assert text.count("served from simulation (compile cache, worker pid") == 1
 
         code, text = run(["stats"])
         assert code == 0
-        assert "compiles:  2 pipeline 0 memo, by 2 worker process(es)" in text
+        assert "compiles:  1 pipeline 1 cache, by 2 worker process(es)" in text
         assert "store connections opened by this command: 1" in text

@@ -8,17 +8,24 @@ the executors offer: every backend produces the *same* field digests for
 the same run fingerprint inputs.
 """
 
+import hashlib
 import io
 import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.baselines.numpy_ref import allocate_fields, field_to_columns
 from repro.benchmarks import benchmark_by_name
+from repro.csl import parse_csl_sources
 from repro.service.cli import main as cli_main
 from repro.service.fingerprint import canonical_json, compute_fingerprint
 from repro.service.kernels import KernelSourceStore
+from repro.service.service import CompileService
 from repro.service.run import (
     DEFAULT_MAX_ROUNDS,
+    DEFAULT_RUN_SEED,
     RunArtifact,
     RunService,
     compute_run_fingerprint,
@@ -38,6 +45,29 @@ def _config(grid=3, nz=8, steps=1):
     program = benchmark.program(nx=grid, ny=grid, nz=nz, time_steps=steps)
     options = PipelineOptions(grid_width=grid, grid_height=grid, num_chunks=2)
     return program, options
+
+
+def _digests_of(sources, program):
+    """The field digests of ``sources`` simulated here, not through the
+    service, on the inputs a run of ``program`` seeds."""
+    rng = np.random.default_rng(DEFAULT_RUN_SEED)
+    fields = allocate_fields(
+        program, lambda name, shape: rng.uniform(-1.0, 1.0, shape)
+    )
+    simulator = WseSimulator(
+        parse_csl_sources(sources).image(), executor="vectorized"
+    )
+    for decl in program.fields:
+        simulator.load_field(
+            decl.name, field_to_columns(program, decl.name, fields[decl.name])
+        )
+    simulator.execute()
+    return {
+        decl.name: hashlib.sha256(
+            simulator.read_field(decl.name).tobytes()
+        ).hexdigest()
+        for decl in program.fields
+    }
 
 
 class TestRunFingerprints:
@@ -153,15 +183,45 @@ class TestRunService:
         )
 
     def test_compile_stage_is_shared_across_run_inputs(self):
-        """Runs differing only in run-level inputs compile exactly once."""
+        """Runs differing only in run-level inputs compile and parse
+        exactly once."""
         program, options = _config()
         with RunService() as service:
             service.run(program, options, executor="vectorized", seed=1)
             service.run(program, options, executor="vectorized", seed=2)
             assert service.statistics.simulations == 2
             compiler = service.compiler.statistics
-            assert compiler.ir_compiles == 1
-            assert compiler.ir_hits == 1
+            assert (compiler.compiles, compiler.cache_hits) == (1, 1)
+            assert (compiler.ir_compiles, compiler.ir_hits) == (1, 1)
+
+    def test_a_run_executes_the_csl_the_store_holds(self):
+        """The stored compile artifact's text is the program a run
+        simulates: with one coefficient edited under the real fingerprint,
+        the run's digests are the edited text's, not the pristine one's."""
+        program, options = _config()
+        stored = CompileService().compile(program, options)
+        edited = dict(stored.csl_sources)
+        assert edited["jacobian.csl"].count(" = 0.14285714;") == 1
+        edited["jacobian.csl"] = edited["jacobian.csl"].replace(
+            " = 0.14285714;", " = 0.5;"
+        )
+        CompileService().cache.put(replace(stored, csl_sources=edited))
+        with RunService() as service:
+            artifact = service.run(program, options, executor="vectorized")
+            assert service.compiler.statistics.compiles == 0
+        assert artifact.field_digests == _digests_of(edited, program)
+        assert artifact.field_digests != _digests_of(stored.csl_sources, program)
+
+    def test_a_fresh_service_skips_the_pipeline_on_a_warm_store(self):
+        program, options = _config()
+        with RunService() as first:
+            first.run(program, options, executor="vectorized", seed=1)
+            assert first.compiler.statistics.compiles == 1
+        with RunService() as fresh:
+            fresh.run(program, options, executor="vectorized", seed=2)
+            assert fresh.statistics.simulations == 1
+            assert fresh.compiler.statistics.compiles == 0
+            assert fresh.compiler.statistics.ir_compiles == 1
 
     def test_unknown_executor_raises_before_any_work(self):
         program, options = _config()

@@ -1,10 +1,11 @@
-"""CompileService behaviour: hits, the shared store, damaged entries, IR
-memoisation, racing threads, CLI."""
+"""CompileService behaviour: hits, the shared store, damaged entries, the
+parsed image and its memo, racing threads, CLI."""
 
 import io
 import json
 import threading
 
+from repro.csl import parse_csl_sources
 from repro.service.cli import main
 from repro.service.service import CompileService, default_service
 from tests.service.test_fingerprint import make_options, make_program
@@ -63,18 +64,28 @@ def test_an_edited_csl_text_on_disk_is_recompiled():
     assert again.statistics.compiles == 0
 
 
-def test_compile_ir_memoises_live_results():
+def test_image_is_the_stored_csl_parsed_once_per_artifact():
     service = CompileService()
-    first = service.compile_ir(make_program(), make_options())
-    second = service.compile_ir(make_program(), make_options())
+    first = service.image(make_program(), make_options())
+    second = service.image(make_program(), make_options())
     assert second is first
-    assert service.statistics.ir_compiles == 1
-    assert service.statistics.ir_hits == 1
-    # The printed artifact landed in the cache as a side effect, so a
-    # text client is served without compiling.
-    service.compile(make_program(), make_options())
-    assert service.statistics.compiles == 0
-    assert service.statistics.cache_hits == 1
+    assert (service.statistics.compiles, service.statistics.cache_hits) == (1, 1)
+    assert (service.statistics.ir_compiles, service.statistics.ir_hits) == (1, 1)
+    artifact = service.compile(make_program(), make_options())
+    parsed = parse_csl_sources(artifact.csl_sources).image()
+    assert first.module_text() == parsed.module_text()
+
+
+def test_an_image_lives_as_long_as_its_memory_tier_entry():
+    service = CompileService(memory_capacity=1)
+    first = service.image(make_program(), make_options())
+    service.compile(make_program(), make_options(target="wse3"))  # evicts it
+    again = service.image(make_program(), make_options())
+    assert again is not first
+    assert again.module_text() == first.module_text()
+    assert service.statistics.compiles == 2  # wse2, wse3; then a disk hit
+    assert service.cache.statistics.disk_hits == 1
+    assert (service.statistics.ir_compiles, service.statistics.ir_hits) == (2, 0)
 
 
 def test_racing_threads_get_equal_artifacts():

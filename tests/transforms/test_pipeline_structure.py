@@ -62,7 +62,10 @@ class TestPipelineProducesCslIr:
         compiled.module.verify()
 
     def test_layout_has_rectangle_and_tile_code(self, compiled):
-        layout = compiled.layout_module
+        (layout,) = [
+            module for module in compiled.csl_modules
+            if module.kind == csl.ModuleKind.LAYOUT
+        ]
         assert any(isinstance(op, csl.SetRectangleOp) for op in layout.ops)
         assert any(isinstance(op, csl.SetTileCodeOp) for op in layout.ops)
         rect = next(op for op in layout.ops if isinstance(op, csl.SetRectangleOp))

@@ -329,11 +329,12 @@ class TestBindCounts:
 
     @pytest.mark.parametrize("executor", ["compiled", "auto"])
     def test_a_service_job_lowers_and_prints_once(self, executor):
-        """``RunService`` warms the kernel store and then builds the
-        simulator: both go through the module's memo."""
+        """``RunService`` parses the stored CSL into one image, warms the
+        kernel store and then builds the simulator: both go through the
+        image's memo."""
         program, options, _ = _compile()
         with RunService() as service:
-            service.compiler.compile_ir(program, options)  # compile tier warm
+            service.compiler.compile(program, options)  # compile tier warm
             reset_kernel_cache()
             artifact = service.run(program, options, executor=executor)
         assert artifact.kernel_cache["fingerprints"]
