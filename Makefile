@@ -84,9 +84,11 @@ service:
 # job twice to show warm-cache reuse, then check that `stats` shows entries
 # in the compile, run and kernel namespaces of the store, and none in any
 # store after `purge`.  CI runs this after `make test`, which already
-# executes the service test suite.
+# executes the service test suite.  Like every CLI path below, it runs on
+# a scratch store that is removed on exit, pass or fail.
 service-smoke:
-	export REPRO_CACHE_DIR=$$(mktemp -d) && \
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	export REPRO_CACHE_DIR="$$dir" && \
 	$(PYTHON) -m repro.service compile Jacobian UVKBE --grid 4x4 --repeat 2 && \
 	$(PYTHON) -m repro.service run Jacobian --grid 4x4 --nz 8 --time-steps 1 \
 	  --executor compiled --repeat 2 && \
@@ -103,7 +105,8 @@ service-smoke:
 # --repeat 2 exercises a cold run followed by a warm run-cache hit.
 run-service-check:
 	$(PYTHON) -m pytest tests/service/test_run_service.py -q
-	REPRO_CACHE_DIR=$$(mktemp -d) sh -c '\
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	REPRO_CACHE_DIR="$$dir" sh -c '\
 	  $(PYTHON) -m repro.service run Jacobian UVKBE --grid 4x4 --nz 8 --time-steps 1 --repeat 2 && \
 	  $(PYTHON) -m repro.service run Jacobian --grid 4x4 --nz 8 --time-steps 1 --executor tiled && \
 	  $(PYTHON) -m repro.service stats && \
@@ -122,7 +125,8 @@ run-service-check:
 # service_queue_sweep`, not a test.
 queue-check:
 	$(PYTHON) -m pytest tests/service/queue -q
-	REPRO_CACHE_DIR=$$(mktemp -d) sh -c '\
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	REPRO_CACHE_DIR="$$dir" sh -c '\
 	  $(PYTHON) -m repro.service queue submit Jacobian UVKBE --grid 4x4 --nz 8 --time-steps 1 && \
 	  $(PYTHON) -m repro.service queue submit Jacobian UVKBE --grid 4x4 --nz 8 --time-steps 1 --inline && \
 	  $(PYTHON) -m repro.service queue status 1 && \
@@ -132,8 +136,8 @@ queue-check:
 
 # Boundary-condition equivalence: the golden per-mode tests (byte-identical
 # reference/vectorized fields, NumPy-oracle agreement, analytic periodic
-# advection).  The test file parametrises both execution backends
-# explicitly, so a single run covers them regardless of REPRO_EXECUTOR.
+# advection).  The test file parametrises every execution backend
+# explicitly, so a single run covers them all.
 boundary-check:
 	$(PYTHON) -m pytest tests/wse/test_boundary_conditions.py -q
 

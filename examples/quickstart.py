@@ -11,10 +11,10 @@ This walks the whole flow of the paper in ~60 lines:
 4. execute the generated program on the fabric simulator and check it against
    the NumPy reference.
 
-The simulator runs on the ``vectorized`` lockstep backend by default; set
-``REPRO_EXECUTOR=reference`` to run the per-PE interpreter instead (both
-produce bit-identical results — see the "Execution backends" section of the
-README).
+The simulator runs on the ``vectorized`` lockstep backend by default; pass
+``executor="reference"`` to ``WseSimulator`` to run the per-PE interpreter
+instead (both produce bit-identical results — see the "Execution backends"
+section of the README).
 
 Run with:  python examples/quickstart.py
 """

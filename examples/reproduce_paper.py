@@ -8,8 +8,8 @@ serves every repeat warm; each calibration simulates the CSL text the
 service stored, parsed once per configuration, and Table 1 counts the same
 text — the statistics block at the end of the report shows how many
 compiles and parses the cache absorbed.  Calibration simulations run on
-the vectorized lockstep executor by default; ``REPRO_EXECUTOR=reference``
-switches them to the per-PE interpreter (same numbers, slower).
+the vectorized lockstep executor (``DEFAULT_EXECUTOR``); every other
+backend gives the same numbers, bit for bit.
 
 Run with:  python examples/reproduce_paper.py
 """

@@ -19,28 +19,26 @@ from repro.eval.table1 import format_table1
 from repro.frontends.common import BoundaryCondition
 from repro.service.service import default_service
 from repro.wse.executors import (
+    DEFAULT_EXECUTOR,
     available_executors,
-    default_executor_name,
     executor_by_name,
 )
 
 
 def format_execution_backends() -> str:
-    """The registered execution backends, with the active default marked.
+    """The registered execution backends, with the default marked.
 
     Every backend replays the same pre-compiled execution plan and is
     pinned bit-identical to the others by the golden equivalence tests, so
     the choice is purely a throughput/deployment decision.
     """
-    active = default_executor_name()
     lines = ["Execution backends"]
     for name in available_executors():
         doc = (executor_by_name(name).__doc__ or "").strip().splitlines()
         summary = doc[0] if doc else ""
-        marker = "*" if name == active else " "
+        marker = "*" if name == DEFAULT_EXECUTOR else " "
         lines.append(f"  {marker} {name:<12} {summary}")
-    lines.append("  (* = active default; select with REPRO_EXECUTOR or "
-                 "WseSimulator(executor=...))")
+    lines.append("  (* = default; select with WseSimulator(executor=...))")
     return "\n".join(lines)
 
 
@@ -70,12 +68,11 @@ def format_boundary_modes() -> str:
 def full_report(include_service_statistics: bool = True) -> str:
     """The complete evaluation as a text report.
 
-    Calibration simulations run on the process-wide default execution
-    backend (``REPRO_EXECUTOR``); the header names it so reports produced by
-    different backends are distinguishable.
+    Calibration simulations run on the default execution backend; the
+    header names it.
     """
     sections = [
-        f"[simulator backend: {default_executor_name()}]",
+        f"[simulator backend: {DEFAULT_EXECUTOR}]",
         format_figure4(),
         format_figure5(),
         format_figure6(),

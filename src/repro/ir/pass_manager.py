@@ -4,14 +4,10 @@ The pass manager instruments every pass it runs: time in the pass, time in
 the verification after it, number of pattern rewrites applied, and the
 op-count delta are recorded per pass in a :class:`PipelineStatistics` object
 available as ``PassManager.statistics`` after :meth:`PassManager.run`.
-Setting the environment variable ``REPRO_PASS_TIMING=1`` prints the per-pass
-table to stderr after each run.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -47,8 +43,7 @@ class PassStatistics:
     ops_before: int
     ops_after: int
     #: wall-clock seconds the pass manager spent on the module after
-    #: ``apply`` returned: the traversal that verifies it and counts its ops
-    #: (with ``verify_each=False``, the count alone).
+    #: ``apply`` returned: the traversal that verifies it and counts its ops.
     verify_time: float = 0.0
 
     @property
@@ -67,10 +62,6 @@ class PipelineStatistics:
         return sum(stat.wall_time for stat in self.passes)
 
     @property
-    def total_verify_time(self) -> float:
-        return sum(stat.verify_time for stat in self.passes)
-
-    @property
     def total_rewrites(self) -> int:
         return sum(stat.rewrites for stat in self.passes)
 
@@ -80,31 +71,6 @@ class PipelineStatistics:
                 return stat
         raise KeyError(f"no statistics recorded for pass '{name}'")
 
-    def format_table(self) -> str:
-        """Human-readable per-pass table, slowest-agnostic pipeline order."""
-        header = (
-            f"{'#':>3}  {'pass':<36} {'time (ms)':>10} {'verify (ms)':>12} "
-            f"{'rewrites':>9} {'ops':>11}"
-        )
-        lines = [header, "-" * len(header)]
-        for stat in self.passes:
-            ops = f"{stat.ops_before}->{stat.ops_after}"
-            lines.append(
-                f"{stat.position:>3}  {stat.name:<36} "
-                f"{stat.wall_time * 1e3:>10.3f} {stat.verify_time * 1e3:>12.3f} "
-                f"{stat.rewrites:>9} {ops:>11}"
-            )
-        lines.append(
-            f"{'':>3}  {'total':<36} "
-            f"{self.total_wall_time * 1e3:>10.3f} "
-            f"{self.total_verify_time * 1e3:>12.3f} {self.total_rewrites:>9}"
-        )
-        return "\n".join(lines)
-
-
-def _timing_enabled() -> bool:
-    return os.environ.get("REPRO_PASS_TIMING", "").strip() not in ("", "0")
-
 
 def _count_ops(module: Operation) -> int:
     return sum(1 for _ in module.walk())
@@ -113,13 +79,12 @@ def _count_ops(module: Operation) -> int:
 class PassManager:
     """Runs a sequence of :class:`ModulePass` instances over a module.
 
-    Verification runs after each pass by default so a broken rewrite is
-    reported at the pass that introduced it.
+    Verification runs after each pass so a broken rewrite is reported at
+    the pass that introduced it.
     """
 
-    def __init__(self, passes: Iterable[ModulePass] = (), *, verify_each: bool = True):
+    def __init__(self, passes: Iterable[ModulePass] = ()):
         self.passes: list[ModulePass] = list(passes)
-        self.verify_each = verify_each
         #: statistics of the most recent :meth:`run`, if any.
         self.statistics: PipelineStatistics | None = None
 
@@ -159,24 +124,18 @@ class PassManager:
                 ops_after=ops_before,  # until counted below
             )
             statistics.passes.append(stat)
-            if self.verify_each:
-                # Verification visits every op once, so it is also the count.
-                try:
-                    stat.ops_after = module.verify()
-                except Exception as error:
-                    stat.ops_after = _count_ops(module)
-                    raise PassFailedException(
-                        f"module verification after {self._failure_context(position)}"
-                        f": {error}"
-                    ) from error
-                finally:
-                    stat.verify_time = time.perf_counter() - applied
-            else:
+            # Verification visits every op once, so it is also the count.
+            try:
+                stat.ops_after = module.verify()
+            except Exception as error:
                 stat.ops_after = _count_ops(module)
+                raise PassFailedException(
+                    f"module verification after {self._failure_context(position)}"
+                    f": {error}"
+                ) from error
+            finally:
                 stat.verify_time = time.perf_counter() - applied
             ops_before = stat.ops_after
-        if _timing_enabled():
-            print(statistics.format_table(), file=sys.stderr)
         return statistics
 
     @property

@@ -47,7 +47,11 @@ from repro.service.run import DEFAULT_MAX_ROUNDS, DEFAULT_RUN_SEED, RunService
 from repro.service.service import CompileService
 from repro.transforms.pipeline import PipelineOptions
 from repro.wse.codegen import kernel_cache_statistics
-from repro.wse.executors import available_executors, executor_by_name
+from repro.wse.executors import (
+    DEFAULT_EXECUTOR,
+    available_executors,
+    executor_by_name,
+)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -112,7 +116,7 @@ def _add_job_arguments(
         default=None,
         metavar="NAME",
         help=f"execution backend ({', '.join(available_executors())}; "
-        f"default: REPRO_EXECUTOR or the built-in default)",
+        f"default: {DEFAULT_EXECUTOR})",
     )
     parser.add_argument(
         "--seed",

@@ -200,10 +200,7 @@ class JobQueue:
         workers: int = 2,
         mode: str = "auto",
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        retry_backoff: float = 0.05,
-        poll_interval: float = 0.02,
         recover: bool = True,
-        start: bool = True,
     ):
         self.cache_dir = resolve_cache_directory(cache_dir)
         self.store = JobStore(self.cache_dir)
@@ -220,16 +217,13 @@ class JobQueue:
             str(self.cache_dir),
             workers=workers,
             mode=mode,
-            retry_backoff=retry_backoff,
-            poll_interval=poll_interval,
             on_terminal=_weakly(self._on_terminal),
             on_retry=_weakly(self._on_retry),
         )
         # Dropping the last reference to the queue reaps its workers (at
         # interpreter exit the pool's own, better-ordered hook does).
         weakref.finalize(self, self.pool.abandon)
-        if start:
-            self.pool.start()
+        self.pool.start()
 
     # ------------------------------------------------------------------ #
     # Submission

@@ -69,6 +69,15 @@ from repro.service.run import RunArtifact, RunService
 HOLD_FILE_ENV = "REPRO_QUEUE_HOLD_FILE"
 
 
+#: seconds an idle claim thread waits for a wake-up before polling the
+#: store again, and between checks on a busy worker process.
+POLL_INTERVAL = 0.02
+
+#: seconds before a job whose worker died is claimable again, doubled per
+#: attempt already made (at most 2 s).
+RETRY_BACKOFF = 0.05
+
+
 def _hold_while_requested() -> None:
     path = os.environ.get(HOLD_FILE_ENV, "").strip()
     while path and os.path.exists(path):
@@ -261,8 +270,6 @@ class WorkerPool:
         *,
         workers: int = 2,
         mode: str = "auto",
-        retry_backoff: float = 0.05,
-        poll_interval: float = 0.02,
         on_terminal: Callable[[JobRecord], None] | None = None,
         on_retry: Callable[[JobRecord, str], None] | None = None,
     ):
@@ -272,8 +279,6 @@ class WorkerPool:
         self.cache_dir = cache_dir
         self.workers = workers
         self.mode = resolve_worker_mode(mode)
-        self.retry_backoff = retry_backoff
-        self.poll_interval = poll_interval
         self._on_terminal = on_terminal or (lambda record: None)
         self._on_retry = on_retry or (lambda record, reason: None)
         #: worker processes forked so far (first use + every replacement).
@@ -395,7 +400,7 @@ class WorkerPool:
             while not self._stop.is_set():
                 record = self.store.claim_next(worker_name)
                 if record is None:
-                    self._wake.wait(self.poll_interval)
+                    self._wake.wait(POLL_INTERVAL)
                     self._wake.clear()
                     continue
                 if inline is not None:
@@ -470,7 +475,7 @@ class WorkerPool:
         """
         try:
             worker.pipe.send(job_id)
-            while not worker.pipe.poll(self.poll_interval):
+            while not worker.pipe.poll(POLL_INTERVAL):
                 if not worker.process.is_alive() and not worker.pipe.poll():
                     return False
             _, grown = worker.pipe.recv()
@@ -525,9 +530,7 @@ class WorkerPool:
             f"worker died during {final.status} "
             f"(exit code {exit_code})"
         )
-        backoff = min(
-            self.retry_backoff * (2 ** max(0, final.attempts - 1)), 2.0
-        )
+        backoff = min(RETRY_BACKOFF * (2 ** max(0, final.attempts - 1)), 2.0)
         outcome = self.store.requeue_or_fail(record.id, reason, backoff)
         if outcome is JobStatus.QUEUED:
             self._on_retry(final, reason)

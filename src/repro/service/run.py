@@ -55,7 +55,7 @@ from repro.service.kernels import KernelSourceStore
 from repro.service.service import CompileService
 from repro.transforms.pipeline import PipelineOptions
 from repro.wse.codegen import kernel_cache_statistics
-from repro.wse.executors import default_executor_name, executor_by_name
+from repro.wse.executors import DEFAULT_EXECUTOR, executor_by_name
 from repro.wse.interpreter import ProgramImage, bound_image
 from repro.wse.simulator import WseSimulator
 
@@ -216,9 +216,9 @@ class RunServiceStatistics:
 
 
 def _executor_name(executor: str | None) -> str:
-    """``executor`` or the configured default, validated: an unknown name
+    """``executor`` or ``DEFAULT_EXECUTOR``, validated: an unknown name
     raises the registry error naming the alternatives before any work."""
-    name = executor if executor is not None else default_executor_name()
+    name = executor if executor is not None else DEFAULT_EXECUTOR
     executor_by_name(name)
     return name
 
@@ -234,7 +234,7 @@ def prepare_run(
     fingerprint)``.
 
     The executor is resolved into the fingerprint, so the same job
-    requested under ``REPRO_EXECUTOR`` and via an explicit argument — or
+    requested with the default executor and by its explicit name — or
     through :meth:`RunService.run` and ``JobQueue.submit`` — shares one
     cached artifact.
     """
@@ -252,27 +252,15 @@ def _quiet(stage: str) -> None:
 
 
 class RunService:
-    """Cached, end-to-end run jobs over a compile service.
+    """Cached, end-to-end run jobs over its own compile service, both over
+    the one ``cache_dir``."""
 
-    ``compile_service`` may be shared with other clients (e.g. the
-    process-wide default service); when omitted, the run service makes
-    its own over the same ``cache_dir``.
-    """
-
-    def __init__(
-        self,
-        *,
-        compile_service: CompileService | None = None,
-        cache_dir: str | os.PathLike | None = None,
-        memory_capacity: int = 128,
-    ):
-        self.compiler = (
-            compile_service
-            if compile_service is not None
-            else CompileService(cache_dir=cache_dir)
-        )
+    def __init__(self, *, cache_dir: str | os.PathLike | None = None):
+        self.compiler = CompileService(cache_dir=cache_dir)
         #: run artifacts: memory over the store's ``runs/`` namespace.
-        self.store = ArtifactCache(RUN, RunArtifact, cache_dir, memory_capacity)
+        self.store = ArtifactCache(
+            RUN, RunArtifact, cache_dir, memory_capacity=128
+        )
         #: generated-kernel sources shared fleet-wide (kernel executors).
         self.kernels = KernelSourceStore(cache_dir)
         self.statistics = RunServiceStatistics()

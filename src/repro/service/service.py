@@ -87,14 +87,9 @@ class CompileService:
     """Cached compilation front door: memory over the store's compile
     namespace, with a cache miss compiled inline in the calling thread."""
 
-    def __init__(
-        self,
-        *,
-        cache_dir: str | os.PathLike | None = None,
-        memory_capacity: int = 256,
-    ):
+    def __init__(self, *, cache_dir: str | os.PathLike | None = None):
         self.cache = ArtifactCache(
-            COMPILE, CompiledArtifact, cache_dir, memory_capacity
+            COMPILE, CompiledArtifact, cache_dir, memory_capacity=256
         )
         self.statistics = ServiceStatistics()
         self._lock = threading.Lock()

@@ -126,7 +126,7 @@ def simulate_against_reference(
 
     Returns ``(simulated, reference)`` — both keyed by field name, both as
     per-PE column arrays of shape ``(nx, ny, z_total)``.  ``executor``
-    selects the simulator backend (defaults to the process-wide choice).
+    selects the simulator backend (``DEFAULT_EXECUTOR`` when omitted).
 
     The NumPy oracle runs under the boundary condition that was actually
     compiled in, so an ``options.boundary`` override stays comparable.

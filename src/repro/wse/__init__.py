@@ -12,8 +12,7 @@ substitution documented in DESIGN.md:
   (Section 5.6) driving receive/done callbacks;
 * :mod:`repro.wse.executors` — pluggable execution backends: the per-PE
   ``reference`` interpreter and the whole-grid ``vectorized`` lockstep
-  executor (selected via ``WseSimulator(executor=...)`` or the
-  ``REPRO_EXECUTOR`` environment variable);
+  executor (selected via ``WseSimulator(executor=...)``);
 * :mod:`repro.wse.simulator` — the fabric simulator facade: a 2-D grid of
   PEs run to completion in delivery rounds by the chosen backend;
 * :mod:`repro.wse.perf_model` — the analytic per-PE cycle model used to
@@ -21,19 +20,19 @@ substitution documented in DESIGN.md:
 """
 
 from repro.wse.executors import (
+    DEFAULT_EXECUTOR,
     SimulationStatistics,
     available_executors,
-    default_executor_name,
 )
 from repro.wse.machine import WSE2, WSE3, WseMachineSpec
 from repro.wse.simulator import WseSimulator
 
 __all__ = [
+    "DEFAULT_EXECUTOR",
     "WSE2",
     "WSE3",
     "SimulationStatistics",
     "WseMachineSpec",
     "WseSimulator",
     "available_executors",
-    "default_executor_name",
 ]

@@ -79,8 +79,8 @@ image owns (:meth:`~repro.wse.interpreter.ProgramImage.plan_for` — what
 every simulator bind uses) is kept on the image per box, so a warm
 :func:`get_kernel` is two dict lookups.  Both memos are dropped with the
 rest of the image's derived state when a bind finds the module changed
-(:func:`~repro.wse.interpreter.bound_image`).  Set ``REPRO_COMPILED_DUMP``
-to a directory to retain the emitted source of every kernel for debugging.
+(:func:`~repro.wse.interpreter.bound_image`).  A kernel's emitted source is
+:attr:`CompiledKernel.source` (or :func:`generate_kernel_source`).
 
 Only the constructs the pipeline generates are compilable; anything else
 raises :class:`KernelCodegenError`, which the kernel executors raise from
@@ -91,7 +91,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 from collections import OrderedDict, deque
 from contextlib import contextmanager
@@ -116,10 +115,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: bytes one row band of the longest DSD operand view spans in a kernel.
 _BAND_BYTES = 256 * 1024
-
-#: environment variable naming a directory to retain emitted kernel source
-#: in (``kernel_<fingerprint12>.py`` per kernel) for debugging.
-DUMP_ENV_VAR = "REPRO_COMPILED_DUMP"
 
 # --------------------------------------------------------------------------- #
 # Fingerprints
@@ -1075,16 +1070,6 @@ def _materialise(fingerprint: str, source: str) -> CompiledKernel:
     )
 
 
-def _dump(fingerprint: str, source: str) -> None:
-    directory = os.environ.get(DUMP_ENV_VAR, "").strip()
-    if not directory:
-        return
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"kernel_{fingerprint[:12]}.py")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(source)
-
-
 def cached_kernel(
     image: "ProgramImage",
     plan: ExecutionPlan,
@@ -1132,7 +1117,6 @@ def get_kernel(
         _STATISTICS.codegens += 1
         if store is not None:
             store.put(fingerprint, source)
-    _dump(fingerprint, source)
     kernel = _materialise(fingerprint, source)
     _MEMO[fingerprint] = kernel
     if len(_MEMO) > _MEMO_CAPACITY:

@@ -33,19 +33,16 @@ Five backends ship in-tree, all replaying the same pre-compiled
 (:mod:`repro.wse.executors.grid`): whole-grid buffers, per-PE views, the
 per-PE-uniform statistics fold.
 
-Selection, in priority order: the ``executor=`` argument of
-:class:`repro.wse.simulator.WseSimulator`, the ``REPRO_EXECUTOR``
-environment variable, then the built-in default (``vectorized``).  Unknown
-names raise and list the registered backends.
+Selection: the ``executor=`` argument of
+:class:`repro.wse.simulator.WseSimulator`, else ``DEFAULT_EXECUTOR``
+(``vectorized``).  Unknown names raise and list the registered backends.
 """
 
 from repro.wse.executors.base import (
     DEFAULT_EXECUTOR,
-    EXECUTOR_ENV_VAR,
     Executor,
     SimulationStatistics,
     available_executors,
-    default_executor_name,
     executor_by_name,
     register_executor,
 )
@@ -59,7 +56,6 @@ from repro.wse.executors.vectorized import VectorizedExecutor
 
 __all__ = [
     "DEFAULT_EXECUTOR",
-    "EXECUTOR_ENV_VAR",
     "AutoExecutor",
     "CompiledExecutor",
     "Executor",
@@ -68,7 +64,6 @@ __all__ = [
     "TiledExecutor",
     "VectorizedExecutor",
     "available_executors",
-    "default_executor_name",
     "executor_by_name",
     "register_executor",
 ]

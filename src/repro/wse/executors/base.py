@@ -8,13 +8,12 @@ so :class:`repro.wse.simulator.WseSimulator` can act as a thin facade over
 whichever backend is selected.
 
 Backends register themselves under a short name; the active backend is
-chosen per simulator instance (``WseSimulator(..., executor="...")``) or
-process-wide through the ``REPRO_EXECUTOR`` environment variable.
+chosen per simulator instance (``WseSimulator(..., executor="...")``),
+:data:`DEFAULT_EXECUTOR` when none is named.
 """
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -27,10 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.wse.interpreter import ProgramImage
     from repro.wse.plan import ExecutionPlan
 
-#: environment variable selecting the process-wide default backend.
-EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
-
-#: backend used when neither the API nor the environment chooses one.
+#: backend used when the caller names none.
 DEFAULT_EXECUTOR = "vectorized"
 
 
@@ -228,7 +224,7 @@ def register_executor(cls: type[Executor]) -> type[Executor]:
 
     Re-registering the same class is a no-op (module re-imports); a
     *different* class claiming a taken name is rejected — silently shadowing
-    a backend would make ``REPRO_EXECUTOR`` selection ambiguous.
+    a backend would make selection by name ambiguous.
     """
     if cls.name == Executor.name:
         raise ValueError("executors must define a registry name")
@@ -256,8 +252,3 @@ def executor_by_name(name: str) -> type[Executor]:
             f"unknown executor '{name}'; available executors: "
             f"{', '.join(available_executors())}"
         ) from None
-
-
-def default_executor_name() -> str:
-    """The process-wide default: ``REPRO_EXECUTOR`` or the built-in default."""
-    return os.environ.get(EXECUTOR_ENV_VAR) or DEFAULT_EXECUTOR

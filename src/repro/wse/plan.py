@@ -259,10 +259,6 @@ class ExecutionPlan:
         #: stable (callable, op-index) labels for the keyed ops, so plan
         #: equality does not depend on object identity.
         self._op_labels = op_labels
-        #: tables built on demand for directions no exchange op declared
-        #: (host-side probes); kept out of ``halo_tables`` so reads never
-        #: change the canonical form of the plan.
-        self._probe_tables: dict[tuple[int, int], HaloTable] = {}
         self._gather_cache: dict[
             tuple[int, int], tuple[np.ndarray, np.ndarray] | None
         ] = {}
@@ -339,18 +335,8 @@ class ExecutionPlan:
         return self._exchange_plans.get(op)
 
     def halo_table(self, direction: tuple[int, int]) -> HaloTable:
-        """The fold table for a direction (built on demand for directions
-        no exchange op declared — host-side probes use this).  On-demand
-        tables are memoised separately: a read must never change the
-        plan's canonical form."""
-        key = (direction[0], direction[1])
-        table = self.halo_tables.get(key)
-        if table is None:
-            table = self._probe_tables.get(key)
-        if table is None:
-            table = build_halo_table(self.boundary, key, self.width, self.height)
-            self._probe_tables[key] = table
-        return table
+        """The fold table of a direction some exchange op declared."""
+        return self.halo_tables[(direction[0], direction[1])]
 
     def gather_indices(
         self, direction: tuple[int, int]

@@ -21,10 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dialects import csl
-from repro.ir.attributes import IntAttr
 from repro.wse.executors import (
+    DEFAULT_EXECUTOR,
     SimulationStatistics,
-    default_executor_name,
     executor_by_name,
 )
 from repro.wse.interpreter import ProgramImage, bound_image
@@ -35,12 +34,10 @@ __all__ = ["SimulationStatistics", "WseSimulator"]
 class WseSimulator:
     """Functional simulator of the WSE fabric for a compiled program.
 
-    ``executor`` selects the execution backend by registry name; when omitted
-    the ``REPRO_EXECUTOR`` environment variable and then the built-in default
-    decide.  ``width``/``height`` default to the grid the program was
-    compiled for; explicit overrides must match any grid extent recorded in
-    the program image, because the generated layout (border masks, exchange
-    patterns) is specialised to it.
+    ``executor`` selects the execution backend by registry name
+    (``DEFAULT_EXECUTOR`` when omitted).  The fabric is the grid the program
+    was compiled for: the generated layout (border masks, exchange patterns)
+    is specialised to it.
 
     The program may be a csl-ir module *or* an already-built
     :class:`ProgramImage` — the CSL text front-door (:mod:`repro.csl`)
@@ -51,19 +48,14 @@ class WseSimulator:
     def __init__(
         self,
         program_module: "csl.CslModuleOp | ProgramImage",
-        width: int | None = None,
-        height: int | None = None,
         executor: str | None = None,
     ):
         # The image, its plan and what the backends derive from both are
         # memoised on the module and validated against it on every bind.
         self.image = bound_image(program_module)
-        program_module = self.image.module
-        self.width = self._validated_extent("width", width, program_module)
-        self.height = self._validated_extent("height", height, program_module)
-        self.executor_name = (
-            executor if executor is not None else default_executor_name()
-        )
+        self.width = self.image.width
+        self.height = self.image.height
+        self.executor_name = executor if executor is not None else DEFAULT_EXECUTOR
         executor_cls = executor_by_name(self.executor_name)
         # The backend-neutral execution plan, lowered once per (image,
         # grid); every backend replays the same plan.
@@ -71,36 +63,6 @@ class WseSimulator:
         self._executor = executor_cls(
             self.image, self.width, self.height, self.plan
         )
-
-    def _validated_extent(
-        self,
-        axis: str,
-        override: int | None,
-        program_module: "csl.CslModuleOp",
-    ) -> int:
-        """The grid extent along ``axis``, validating explicit overrides.
-
-        A program compiled for one grid mis-executes silently on another (the
-        layout metaprogram bakes the extent into border masks and exchange
-        patterns), so a mismatching override is a hard error.
-        """
-        declared_attr = program_module.attributes.get(axis)
-        declared = (
-            declared_attr.value if isinstance(declared_attr, IntAttr) else None
-        )
-        if override is None:
-            return declared if declared is not None else 1
-        if override < 1:
-            raise ValueError(f"WseSimulator {axis} must be positive, got {override}")
-        if declared is not None and override != declared:
-            raise ValueError(
-                f"WseSimulator {axis}={override} does not match the program "
-                f"image's grid {axis} {declared}: the program was compiled for "
-                f"a {self.image.width}x{self.image.height} fabric. Recompile "
-                f"with PipelineOptions(grid_{axis}={override}, ...) or drop "
-                f"the override."
-            )
-        return override
 
     # ------------------------------------------------------------------ #
     # Host-side data movement (the memcpy library's role)

@@ -8,6 +8,7 @@ from repro.benchmarks import BENCHMARKS, benchmark_by_name
 from repro.dialects import csl
 from repro.tests_support import simulate_against_reference  # noqa: F401  (fixture helper below)
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
+from repro.wse.executors import available_executors
 
 
 class TestBenchmarkDefinitions:
@@ -63,8 +64,9 @@ class TestBenchmarkCompilation:
 
 
 class TestBenchmarkCorrectness:
+    @pytest.mark.parametrize("executor", available_executors())
     @pytest.mark.parametrize("bench", BENCHMARKS, ids=lambda b: b.name)
-    def test_simulated_result_matches_reference(self, bench):
+    def test_simulated_result_matches_reference(self, bench, executor):
         from repro.tests_support import simulate_against_reference
 
         radius = 4 if bench.name == "Seismic" else 2
@@ -72,7 +74,9 @@ class TestBenchmarkCorrectness:
         steps = 1 if bench.name == "Seismic" else 2
         program = bench.program(nx=nx, ny=ny, nz=12, time_steps=steps)
         simulated, reference = simulate_against_reference(
-            program, PipelineOptions(grid_width=nx, grid_height=ny, num_chunks=2)
+            program,
+            PipelineOptions(grid_width=nx, grid_height=ny, num_chunks=2),
+            executor=executor,
         )
         for name in simulated:
             np.testing.assert_allclose(

@@ -24,6 +24,7 @@ from repro.frontends.psyclone_like import (
     Kernel,
     KernelMetadata,
 )
+from repro.wse.executors import available_executors
 
 
 class TestExpressionAlgebra:
@@ -364,7 +365,8 @@ class TestHaloDerivation:
         program = Operator([Eq(u, u.center)]).to_stencil_program()
         assert program.field("u").halo == (1, 1, 1)
 
-    def test_wide_access_program_is_functionally_correct(self):
+    @pytest.mark.parametrize("executor", available_executors())
+    def test_wide_access_program_is_functionally_correct(self, executor):
         """End to end: radius-2 Laplacian on space_order=1 functions now
         matches the oracle instead of reading stale halo padding."""
         from repro.tests_support import simulate_against_reference
@@ -380,7 +382,9 @@ class TestHaloDerivation:
             time_steps=2,
         ).to_stencil_program()
         simulated, reference = simulate_against_reference(
-            program, PipelineOptions(grid_width=5, grid_height=5, num_chunks=2)
+            program,
+            PipelineOptions(grid_width=5, grid_height=5, num_chunks=2),
+            executor=executor,
         )
         np.testing.assert_allclose(
             simulated["v"], reference["v"], rtol=2e-5, atol=1e-5
@@ -621,7 +625,8 @@ class TestOracleRefreshesCallerBuiltArrays:
         with pytest.raises(ValueError, match="share the same shape"):
             Operator([Eq(v, u.laplace())]).to_stencil_program()
 
-    def test_psyclone_builder_access_wider_than_declared_extent(self):
+    @pytest.mark.parametrize("executor", available_executors())
+    def test_psyclone_builder_access_wider_than_declared_extent(self, executor):
         """Regression (same class as the Devito fix): a kernel builder
         reaching past its metadata's declared extent widens the halo
         instead of silently under-allocating it."""
@@ -644,7 +649,9 @@ class TestOracleRefreshesCallerBuiltArrays:
         # Widened along x by the actual access; declared extent floors y/z.
         assert program.field("a").halo == (2, 1, 1)
         simulated, reference = simulate_against_reference(
-            program, PipelineOptions(grid_width=5, grid_height=5, num_chunks=1)
+            program,
+            PipelineOptions(grid_width=5, grid_height=5, num_chunks=1),
+            executor=executor,
         )
         np.testing.assert_allclose(
             simulated["b"], reference["b"], rtol=2e-5, atol=1e-5

@@ -90,10 +90,10 @@ class TestVerificationAfterEachPass:
         assert (broken.ops_before, broken.ops_after) == (2, 3)
         assert broken.verify_time > 0
 
-    def test_verify_each_off_lets_it_through(self):
-        manager = PassManager([BreakParentPointerPass()], verify_each=False)
-        statistics = manager.run(build_module())
-        assert statistics.passes[0].ops_after == 3
+
+    def test_verification_is_not_optional(self):
+        with pytest.raises(TypeError, match="verify_each"):
+            PassManager([BreakParentPointerPass()], verify_each=False)
 
 
 class TestStatistics:
@@ -128,32 +128,7 @@ class TestStatistics:
         assert statistics.total_rewrites == 1
         assert statistics.by_name("fold").ops_after == 2
 
-    def test_format_table_lists_every_pass(self):
-        statistics = PassManager([NoOpPass(), AddConstantPass()]).run(build_module())
-        table = statistics.format_table()
-        assert "no-op" in table
-        assert "add-constant" in table
-        assert "total" in table
-
-    @pytest.mark.parametrize("verify_each", [True, False])
-    def test_time_outside_the_passes_is_attributed(self, verify_each):
-        manager = PassManager([NoOpPass(), AddConstantPass()], verify_each=verify_each)
+    def test_time_outside_the_passes_is_attributed(self):
+        manager = PassManager([NoOpPass(), AddConstantPass()])
         statistics = manager.run(build_module())
         assert all(stat.verify_time > 0 for stat in statistics.passes)
-        assert statistics.total_verify_time == sum(
-            stat.verify_time for stat in statistics.passes
-        )
-        header, *_, total = statistics.format_table().splitlines()
-        assert "verify (ms)" in header
-        assert f"{statistics.total_verify_time * 1e3:.3f}" in total
-
-    def test_timing_env_knob_prints_table(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_PASS_TIMING", "1")
-        PassManager([NoOpPass()]).run(build_module())
-        captured = capsys.readouterr()
-        assert "no-op" in captured.err
-
-    def test_timing_disabled_by_default(self, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_PASS_TIMING", raising=False)
-        PassManager([NoOpPass()]).run(build_module())
-        assert capsys.readouterr().err == ""

@@ -24,7 +24,7 @@ lines of ``src/repro`` that ran as ``{relative path: [line, ...]}``:
   ``diff`` with and without ``--fields``), and ``python -m
   repro.eval.report``;
 * the shard-grid derivation, with the CPU count and the override variable
-  given explicitly, and one compile with ``REPRO_PASS_TIMING=1``.
+  given explicitly.
 
 A forked queue worker inherits the tracer of the claim thread that forked
 it and writes its own lines next to ``OUT.json`` before it exits; they are
@@ -250,18 +250,6 @@ def drive_shard_grid() -> None:
             del os.environ[tiled.SHARD_ENV_VAR]
 
 
-def drive_pass_timing() -> None:
-    """One compile with ``REPRO_PASS_TIMING=1``: the per-pass table."""
-    from repro.frontends.common import BoundaryCondition
-
-    os.environ["REPRO_PASS_TIMING"] = "1"
-    try:
-        with _quiet():
-            _compile("Jacobian", BoundaryCondition.parse("dirichlet"), 4, 4, 8, 1)
-    finally:
-        del os.environ["REPRO_PASS_TIMING"]
-
-
 def drive_service_cli() -> None:
     from repro.service import cli
     from repro.wse.executors import tiled
@@ -363,7 +351,6 @@ DRIVERS = (
     drive_benchmarks,
     drive_banded,
     drive_shard_grid,
-    drive_pass_timing,
     drive_service_cli,
     drive_csl_cli,
 )

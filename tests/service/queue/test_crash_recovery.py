@@ -66,10 +66,10 @@ def _kill_worker_of(queue, handle):
 class TestWorkerDeath:
     @needs_fork
     def test_killed_worker_marks_the_job_retryable_and_it_completes(
-        self, hold_file
+        self, hold_file, fast_retries
     ):
         program, options = _config()
-        with JobQueue(workers=1, mode="process", retry_backoff=0.01) as queue:
+        with JobQueue(workers=1, mode="process") as queue:
             handle = queue.submit(program, options, executor="vectorized")
             _wait_for_status(handle, JobStatus.RUNNING)
             _kill_worker_of(queue, handle)
@@ -99,11 +99,9 @@ class TestWorkerDeath:
         assert artifact.field_digests == undisturbed.field_digests
 
     @needs_fork
-    def test_attempt_budget_bounds_the_retries(self, hold_file):
+    def test_attempt_budget_bounds_the_retries(self, hold_file, fast_retries):
         program, options = _config()
-        with JobQueue(
-            workers=1, mode="process", retry_backoff=0.01, max_attempts=2
-        ) as queue:
+        with JobQueue(workers=1, mode="process", max_attempts=2) as queue:
             handle = queue.submit(program, options, executor="vectorized")
             # Kill attempt one, wait for the requeue, kill attempt two.
             _wait_for_status(handle, JobStatus.RUNNING)

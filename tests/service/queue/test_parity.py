@@ -45,7 +45,7 @@ def _sixteen_jobs():
 class TestAcceptance:
     @pytest.mark.skipif(not fork_available, reason="needs process workers")
     def test_sixteen_job_batch_with_worker_death_and_warm_resubmission(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, fast_retries
     ):
         jobs = _sixteen_jobs()
         queue_cache = tmp_path / "queue-cache"
@@ -55,9 +55,7 @@ class TestAcceptance:
         monkeypatch.setenv(HOLD_FILE_ENV, str(hold))
 
         # --- the batch through the queue, with one simulated worker death.
-        with JobQueue(
-            queue_cache, workers=2, mode="process", retry_backoff=0.01
-        ) as queue:
+        with JobQueue(queue_cache, workers=2, mode="process") as queue:
             handles = [
                 queue.submit(
                     program, options, executor=executor,

@@ -54,6 +54,11 @@ class TestArguments:
         with pytest.raises(ValueError, match="workers must be >= 0, got -1"):
             WorkerPool(JobStore(tmp_path), str(tmp_path), workers=-1)
 
+    @pytest.mark.parametrize("option", ["poll_interval", "retry_backoff", "start"])
+    def test_the_pool_timings_are_not_options(self, tmp_path, option):
+        with pytest.raises(TypeError, match=option):
+            JobQueue(tmp_path, workers=0, **{option: False})
+
     def test_an_unknown_worker_mode_is_named(self):
         with pytest.raises(ValueError, match="unknown worker mode 'nope'"):
             resolve_worker_mode("nope")

@@ -173,9 +173,9 @@ class TestWorkerLifetime:
 
 class TestWorkerDeathAndCancel:
     def test_a_killed_worker_is_replaced_and_its_sibling_untouched(
-        self, hold_file
+        self, hold_file, fast_retries
     ):
-        with JobQueue(workers=2, mode="process", retry_backoff=0.01) as queue:
+        with JobQueue(workers=2, mode="process") as queue:
             victim, bystander = _submit(queue, 0), _submit(queue, 1)
             victim_pid, sibling_pid = _held_pids(queue, [victim, bystander])
             os.kill(victim_pid, signal.SIGKILL)

@@ -137,6 +137,18 @@ class TestRunFingerprints:
 
 
 class TestRunService:
+    @pytest.mark.parametrize(
+        ("service", "option"),
+        [
+            (RunService, "compile_service"),
+            (RunService, "memory_capacity"),
+            (CompileService, "memory_capacity"),
+        ],
+    )
+    def test_a_service_takes_only_its_cache_dir(self, service, option):
+        with pytest.raises(TypeError, match=option):
+            service(**{option: None})
+
     def test_cold_run_simulates_then_warm_run_hits_the_cache(self):
         program, options = _config()
         with RunService() as service:

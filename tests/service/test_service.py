@@ -77,7 +77,8 @@ def test_image_is_the_stored_csl_parsed_once_per_artifact():
 
 
 def test_an_image_lives_as_long_as_its_memory_tier_entry():
-    service = CompileService(memory_capacity=1)
+    service = CompileService()
+    service.cache.memory.capacity = 1
     first = service.image(make_program(), make_options())
     service.compile(make_program(), make_options(target="wse3"))  # evicts it
     again = service.image(make_program(), make_options())

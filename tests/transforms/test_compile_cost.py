@@ -120,8 +120,7 @@ def _pipeline_with_every_pass_inside(options, around):
     return pipeline
 
 
-@pytest.mark.parametrize("verify_each", [True, False])
-def test_one_whole_module_traversal_per_pass(verify_each, monkeypatch):
+def test_one_whole_module_traversal_per_pass(monkeypatch):
     """What the pass manager itself adds to a pass: one traversal of the
     module — the verification, which is also the op count — plus one count
     before the first pass.  (It used to be a count walk and a verify each.)"""
@@ -151,8 +150,7 @@ def test_one_whole_module_traversal_per_pass(verify_each, monkeypatch):
     monkeypatch.setattr(Operation, "walk", counted(Operation.walk))
     monkeypatch.setattr(Operation, "verify", counted(Operation.verify))
     pipeline = PassManager(
-        _pipeline_with_every_pass_inside(options, inside_a_pass).passes,
-        verify_each=verify_each,
+        _pipeline_with_every_pass_inside(options, inside_a_pass).passes
     )
     statistics = pipeline.run(module)
     assert traversals == len(pipeline.passes) + 1

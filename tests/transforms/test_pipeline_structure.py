@@ -186,4 +186,3 @@ class TestPipelineOptions:
         pipeline = build_pass_pipeline(options)
         assert len(pipeline.passes) == 17
         assert pipeline.pipeline_description == PASS_DESCRIPTION
-        assert pipeline.verify_each

@@ -221,12 +221,11 @@ class TestStaleness:
         gc.collect()
         assert [probe() for probe in probes] == [None, None]
 
-    def test_explicit_extents_are_validated_against_the_module(self):
+    def test_every_bind_runs_the_declared_extent_on_one_plan(self):
         module = _module()
-        simulator = WseSimulator(module, width=GRID, height=GRID)
-        assert simulator.plan is WseSimulator(module).plan
-        with pytest.raises(ValueError, match="does not match"):
-            WseSimulator(module, width=GRID + 1)
+        simulator = WseSimulator(module)
+        assert (simulator.width, simulator.height) == (GRID, GRID)
+        assert simulator.plan is WseSimulator(module, executor="compiled").plan
 
     def test_an_image_passed_directly_is_its_own_memo(self):
         """The CSL front-door builds images itself: the simulator binds the

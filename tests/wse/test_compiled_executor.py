@@ -9,8 +9,7 @@ runs them (``tiled``; ``compiled`` is its 1x1 case):
 
 * **deterministic emission** — the same image and plan always produce
   byte-identical kernel source (what makes the content fingerprint and the
-  fleet-wide source store sound), pinned through the
-  ``REPRO_COMPILED_DUMP`` debug dump;
+  fleet-wide source store sound), also across a dropped kernel cache;
 * **the delivery forms** — an exchange whose receive callback writes its
   own source has neither delivery form and is declined, while the
   interpreters run it (``test_view_delivery.py`` compares the view form's
@@ -46,7 +45,6 @@ from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse import codegen
 from repro.wse.codegen import (
-    DUMP_ENV_VAR,
     KernelCodegenError,
     generate_kernel_source,
     get_kernel,
@@ -112,21 +110,15 @@ class TestDeterministicEmission:
         assert kernel_fingerprint(again_image, again_plan) == fingerprint
         assert generate_kernel_source(again_image, again_plan) == first
 
-    def test_dump_emits_deterministic_golden_source(self, monkeypatch, tmp_path):
-        """``REPRO_COMPILED_DUMP`` writes the kernel beside the cache; a
-        second cold compile rewrites byte-identical contents."""
-        monkeypatch.setenv(DUMP_ENV_VAR, str(tmp_path))
+    def test_a_cold_codegen_reemits_byte_identical_source(self):
+        """A kernel generated again after the cache is dropped carries the
+        same fingerprint and byte-identical source."""
         _, _, image, plan = _image()
         kernel = get_kernel(image, plan)
-        dumped = tmp_path / f"kernel_{kernel.fingerprint[:12]}.py"
-        assert dumped.is_file()
-        golden = dumped.read_bytes()
-        assert golden.decode("utf-8") == kernel.source
-        dumped.unlink()
         reset_kernel_cache()  # force a genuine re-codegen, not a memo hit
         again = get_kernel(image, plan)
         assert again.fingerprint == kernel.fingerprint
-        assert dumped.read_bytes() == golden
+        assert again.source == kernel.source
         assert kernel_cache_statistics().codegens == 1  # post-reset count
 
     def test_fingerprint_tracks_the_plan(self):
@@ -582,13 +574,11 @@ def _assert_auto_is_compiled(program, module):
 
 
 class TestAuto:
-    def test_env_selected_auto_matches_compiled_end_to_end(self, monkeypatch):
-        """``REPRO_EXECUTOR=auto`` is a drop-in for ``compiled``:
-        byte-identical fields and equal statistics."""
+    def test_auto_matches_compiled_end_to_end(self):
+        """``auto`` is a drop-in for ``compiled``: byte-identical fields and
+        equal statistics."""
         program, module, _, _ = _image(grid=8)
-        monkeypatch.setenv("REPRO_EXECUTOR", "auto")
-        assert WseSimulator(module).executor.name == "auto"
-        monkeypatch.delenv("REPRO_EXECUTOR")
+        assert WseSimulator(module, executor="auto").executor.name == "auto"
         _assert_auto_is_compiled(program, module)
 
     @pytest.mark.parametrize("grid", [1, 2, 4, 8, 32, 64])

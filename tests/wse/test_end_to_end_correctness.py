@@ -1,5 +1,6 @@
 """End-to-end functional validation: compiled programs running on the fabric
-simulator produce the same results as the NumPy reference executor."""
+simulator produce the same results as the NumPy reference executor, on
+every registered execution backend."""
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from repro.frontends.common import (
     StencilProgram,
 )
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
+from repro.wse.executors import available_executors
 from repro.wse.simulator import WseSimulator
+
+
+@pytest.fixture(params=available_executors())
+def executor(request):
+    return request.param
 
 
 def _random_initializer(seed: int):
@@ -30,11 +37,14 @@ def _random_initializer(seed: int):
     return initializer
 
 
-def simulate(program: StencilProgram, options: PipelineOptions, seed: int = 7):
-    """Compile, load random data, run on the simulator, and also run the
-    reference; returns (simulated_fields, reference_fields)."""
+def simulate(
+    program: StencilProgram, options: PipelineOptions, executor: str, seed: int = 7
+):
+    """Compile, load random data, run on the simulator's ``executor``, and
+    also run the reference; returns (simulated_fields, reference_fields,
+    simulator)."""
     result = compile_stencil_program(program, options)
-    simulator = WseSimulator(result.program_module)
+    simulator = WseSimulator(result.program_module, executor=executor)
 
     fields = allocate_fields(program, _random_initializer(seed))
     reference_fields = {name: array.copy() for name, array in fields.items()}
@@ -80,41 +90,41 @@ def jacobi_like_program(nx, ny, nz, steps, in_place=False):
 
 class TestJacobiCorrectness:
     @pytest.mark.parametrize("num_chunks", [1, 2])
-    def test_single_step_matches_reference(self, num_chunks):
+    def test_single_step_matches_reference(self, num_chunks, executor):
         program = jacobi_like_program(4, 4, 8, steps=1)
         options = PipelineOptions(grid_width=4, grid_height=4, num_chunks=num_chunks)
-        simulated, reference, _ = simulate(program, options)
+        simulated, reference, _ = simulate(program, options, executor)
         np.testing.assert_allclose(
             simulated["v"], reference["v"], rtol=1e-5, atol=1e-6
         )
 
-    def test_multi_step_matches_reference(self):
+    def test_multi_step_matches_reference(self, executor):
         program = jacobi_like_program(4, 4, 8, steps=3)
         options = PipelineOptions(grid_width=4, grid_height=4, num_chunks=2)
-        simulated, reference, _ = simulate(program, options)
+        simulated, reference, _ = simulate(program, options, executor)
         np.testing.assert_allclose(
             simulated["v"], reference["v"], rtol=1e-5, atol=1e-6
         )
 
-    def test_in_place_update_matches_reference(self):
+    def test_in_place_update_matches_reference(self, executor):
         program = jacobi_like_program(4, 4, 8, steps=2, in_place=True)
         options = PipelineOptions(grid_width=4, grid_height=4, num_chunks=2)
-        simulated, reference, _ = simulate(program, options)
+        simulated, reference, _ = simulate(program, options, executor)
         np.testing.assert_allclose(
             simulated["u"], reference["u"], rtol=1e-5, atol=1e-6
         )
 
-    def test_non_square_grid(self):
+    def test_non_square_grid(self, executor):
         program = jacobi_like_program(3, 5, 6, steps=2)
         options = PipelineOptions(grid_width=3, grid_height=5, num_chunks=2)
-        simulated, reference, _ = simulate(program, options)
+        simulated, reference, _ = simulate(program, options, executor)
         np.testing.assert_allclose(
             simulated["v"], reference["v"], rtol=1e-5, atol=1e-6
         )
 
 
 class TestCoefficientStencilCorrectness:
-    def test_per_direction_coefficients(self):
+    def test_per_direction_coefficients(self, executor):
         """A stencil with distinct per-direction coefficients (promoted into
         the receive path) must still match the reference."""
         access = lambda dx, dy, dz: FieldAccess("p", (dx, dy, dz))
@@ -134,12 +144,12 @@ class TestCoefficientStencilCorrectness:
             time_steps=2,
         )
         options = PipelineOptions(grid_width=4, grid_height=4, num_chunks=2)
-        simulated, reference, _ = simulate(program, options)
+        simulated, reference, _ = simulate(program, options, executor)
         np.testing.assert_allclose(
             simulated["q"], reference["q"], rtol=1e-5, atol=1e-6
         )
 
-    def test_wider_star_stencil(self):
+    def test_wider_star_stencil(self, executor):
         """Radius-2 star accesses exercise multi-hop exchanges."""
         access = lambda dx, dy, dz: FieldAccess("a", (dx, dy, dz))
         expression = (
@@ -160,14 +170,14 @@ class TestCoefficientStencilCorrectness:
             time_steps=1,
         )
         options = PipelineOptions(grid_width=5, grid_height=5, num_chunks=1)
-        simulated, reference, _ = simulate(program, options)
+        simulated, reference, _ = simulate(program, options, executor)
         np.testing.assert_allclose(
             simulated["b"], reference["b"], rtol=1e-5, atol=1e-6
         )
 
 
 class TestMultiEquationCorrectness:
-    def test_two_fields_updated_per_step(self):
+    def test_two_fields_updated_per_step(self, executor):
         """Two equations per time step chain two exchanges per iteration
         (the Figure 1 structure)."""
         a = lambda dx, dy, dz: FieldAccess("a", (dx, dy, dz))
@@ -181,7 +191,7 @@ class TestMultiEquationCorrectness:
             time_steps=2,
         )
         options = PipelineOptions(grid_width=4, grid_height=4, num_chunks=2)
-        simulated, reference, _ = simulate(program, options)
+        simulated, reference, _ = simulate(program, options, executor)
         np.testing.assert_allclose(simulated["a"], reference["a"], rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(simulated["b"], reference["b"], rtol=1e-5, atol=1e-6)
 
@@ -198,9 +208,9 @@ class TestSimulatorStatistics:
         ],
         ids=["jacobi_like", "Jacobian"],
     )
-    def test_exchange_and_task_counts(self, program, grid):
+    def test_exchange_and_task_counts(self, program, grid, executor):
         options = PipelineOptions(grid_width=grid, grid_height=grid, num_chunks=2)
-        _, _, simulator = simulate(program, options)
+        _, _, simulator = simulate(program, options, executor)
         stats = simulator.statistics
         # One exchange per PE per time step.
         assert stats.exchanges == grid * grid * program.time_steps
@@ -208,10 +218,10 @@ class TestSimulatorStatistics:
         assert stats.wavelets_sent > 0
         assert stats.max_pe_memory_bytes > 0
 
-    def test_memory_fits_single_pe_budget(self):
+    def test_memory_fits_single_pe_budget(self, executor):
         program = jacobi_like_program(4, 4, 8, steps=1)
         options = PipelineOptions(grid_width=4, grid_height=4)
-        _, _, simulator = simulate(program, options)
+        _, _, simulator = simulate(program, options, executor)
         from repro.wse.machine import WSE2
 
         assert simulator.statistics.max_pe_memory_bytes < WSE2.pe_memory_bytes

@@ -54,15 +54,22 @@ class TestPlanDeterminism:
         assert text == again
 
     def test_reads_never_change_the_canonical_form(self):
-        """Probing a direction no exchange declared (a host-side read path)
-        must not mutate the plan's canonical form or equality."""
-        image, grid = _compiled_image()
+        """Reading every declared direction's fold table and gather indices
+        leaves the plan's canonical form and equality alone; the tables are
+        the ones ``build_halo_table`` builds, and a direction no exchange
+        declared has none."""
+        image, grid = _compiled_image(boundary=BoundaryCondition.periodic())
         probed = ExecutionPlan.compile(image, grid, grid)
         pristine = ExecutionPlan.compile(image, grid, grid)
         before = probed.canonical()
-        probed.halo_table((2, 2))
-        probed.gather_indices((0, 3))
-        probed.halo_table((5, 5))
+        assert probed.halo_tables
+        for direction in probed.halo_tables:
+            assert probed.halo_table(direction) == build_halo_table(
+                probed.boundary, direction, grid, grid
+            )
+            assert probed.gather_indices(direction) is not None
+        with pytest.raises(KeyError):
+            probed.halo_table((5, 5))
         assert probed.canonical() == before
         assert probed == pristine
 

@@ -134,7 +134,7 @@ def _module(name: str, side: int):
 def _warm_counts(executor: str, name: str, side: int) -> tuple[int, int]:
     module = _module(name, side)
     WseSimulator(module, executor=executor).execute()
-    bind = python_calls(WseSimulator, module, None, None, executor)
+    bind = python_calls(WseSimulator, module, executor)
     simulator = WseSimulator(module, executor=executor)
     return bind, python_calls(simulator.execute)
 

@@ -14,9 +14,8 @@ from repro.benchmarks.definitions import ALL_BENCHMARKS
 from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.executors import (
-    EXECUTOR_ENV_VAR,
+    DEFAULT_EXECUTOR,
     available_executors,
-    default_executor_name,
     executor_by_name,
 )
 from repro.wse.executors.reference import ReferenceExecutor
@@ -94,40 +93,29 @@ class TestExecutorSelection:
         assert "vectorized" in str(excinfo.value)
         assert "tiled" in str(excinfo.value)
 
-    def test_env_var_selects_the_default(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "reference")
-        assert default_executor_name() == "reference"
-        program_module = _tiny_program_module()
-        simulator = WseSimulator(program_module)
-        assert simulator.executor_name == "reference"
-        assert isinstance(simulator.executor, ReferenceExecutor)
-
-    def test_argument_overrides_env_var(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "reference")
-        simulator = WseSimulator(_tiny_program_module(), executor="vectorized")
+    def test_omitted_executor_is_the_default(self):
+        simulator = WseSimulator(_tiny_program_module())
+        assert simulator.executor_name == DEFAULT_EXECUTOR == "vectorized"
         assert isinstance(simulator.executor, VectorizedExecutor)
+
+    def test_argument_selects_the_backend(self):
+        simulator = WseSimulator(_tiny_program_module(), executor="reference")
+        assert isinstance(simulator.executor, ReferenceExecutor)
 
     def test_unknown_executor_on_simulator_raises(self):
         with pytest.raises(KeyError, match="unknown executor"):
             WseSimulator(_tiny_program_module(), executor="nope")
 
 
-class TestGridOverrideValidation:
-    def test_matching_override_is_accepted(self):
-        module = _tiny_program_module()
-        simulator = WseSimulator(module, width=3, height=3)
+class TestFabricExtent:
+    def test_the_fabric_is_the_compiled_grid(self):
+        simulator = WseSimulator(_tiny_program_module())
         assert (simulator.width, simulator.height) == (3, 3)
 
     @pytest.mark.parametrize("axis", ["width", "height"])
-    def test_mismatching_override_is_rejected(self, axis):
-        module = _tiny_program_module()
-        overrides = {axis: 7}
-        with pytest.raises(ValueError, match=f"{axis}=7 does not match"):
-            WseSimulator(module, **overrides)
-
-    def test_non_positive_override_is_rejected(self):
-        with pytest.raises(ValueError, match="width must be positive"):
-            WseSimulator(_tiny_program_module(), width=0)
+    def test_the_extent_is_not_a_parameter(self, axis):
+        with pytest.raises(TypeError, match=axis):
+            WseSimulator(_tiny_program_module(), **{axis: 3})
 
 
 def _tiny_program_module():

@@ -1,9 +1,9 @@
-"""Executor registry errors and selection precedence.
+"""Executor registry errors and backend selection.
 
-An unknown backend name — whether passed to the constructor or configured
-process-wide through ``REPRO_EXECUTOR`` — must raise an error that lists
-every registered backend, and an explicit constructor argument must always
-beat the environment.
+An unknown backend name passed to the constructor must raise an error that
+lists every registered backend; the constructor argument is the only
+selector, and omitting it means ``DEFAULT_EXECUTOR`` whatever the
+environment holds.
 """
 
 import pytest
@@ -17,14 +17,13 @@ from repro.frontends.common import (
 )
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.executors import (
-    EXECUTOR_ENV_VAR,
+    DEFAULT_EXECUTOR,
     CompiledExecutor,
     Executor,
     ReferenceExecutor,
     TiledExecutor,
     VectorizedExecutor,
     available_executors,
-    default_executor_name,
     executor_by_name,
     register_executor,
 )
@@ -77,17 +76,6 @@ class TestRegistryErrors:
             WseSimulator(program_module, executor="gpu")
         assert "tiled" in str(excinfo.value)
 
-    def test_unknown_env_var_raises_at_construction(
-        self, program_module, monkeypatch
-    ):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "quantum")
-        assert default_executor_name() == "quantum"
-        with pytest.raises(
-            KeyError, match="unknown executor 'quantum'"
-        ) as excinfo:
-            WseSimulator(program_module)
-        assert "reference" in str(excinfo.value)
-
     def test_duplicate_registration_of_a_different_class_is_rejected(self):
         class Impostor(Executor):  # pragma: no cover - never executed
             name = "vectorized"
@@ -136,34 +124,17 @@ class TestRegistryErrors:
             register_executor(Nameless)
 
 
-class TestSelectionPrecedence:
-    @pytest.mark.parametrize("env_name", ["reference", "tiled"])
-    def test_env_var_selects_the_process_default(
-        self, program_module, monkeypatch, env_name
-    ):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, env_name)
+class TestSelection:
+    @pytest.mark.parametrize("name", available_executors())
+    def test_the_argument_selects_the_backend(self, program_module, name):
+        simulator = WseSimulator(program_module, executor=name)
+        assert simulator.executor_name == name
+        assert type(simulator.executor) is executor_by_name(name)
+
+    def test_the_environment_selects_nothing(self, program_module, monkeypatch):
+        """A ``REPRO_EXECUTOR`` left in the environment neither picks the
+        backend nor breaks construction."""
+        monkeypatch.setenv("REPRO_EXECUTOR", "not-a-backend")
         simulator = WseSimulator(program_module)
-        assert simulator.executor_name == env_name
-        assert type(simulator.executor) is executor_by_name(env_name)
-
-    def test_constructor_argument_beats_the_env_var(
-        self, program_module, monkeypatch
-    ):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "reference")
-        simulator = WseSimulator(program_module, executor="tiled")
-        assert simulator.executor_name == "tiled"
-        assert isinstance(simulator.executor, TiledExecutor)
-
-    def test_constructor_argument_beats_even_a_broken_env_var(
-        self, program_module, monkeypatch
-    ):
-        """An explicit valid choice must not trip over garbage in the env."""
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "not-a-backend")
-        simulator = WseSimulator(program_module, executor="vectorized")
+        assert simulator.executor_name == DEFAULT_EXECUTOR
         assert isinstance(simulator.executor, VectorizedExecutor)
-
-    def test_empty_env_var_falls_back_to_the_default(
-        self, program_module, monkeypatch
-    ):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "")
-        assert default_executor_name() == "vectorized"

@@ -2,6 +2,7 @@
 compiled by the pipeline match the NumPy reference on the fabric simulator."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from repro.frontends.common import (
 )
 from repro.tests_support import simulate_against_reference
 from repro.transforms.pipeline import PipelineOptions
+from repro.wse.executors import available_executors
 
 
 @st.composite
@@ -54,14 +56,16 @@ def _coeff():
     return st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=32)
 
 
+@pytest.mark.parametrize("executor", available_executors())
 class TestRandomStencils:
     @given(program=star_stencil_programs(), num_chunks=st.sampled_from([1, 2]))
     @settings(max_examples=12, deadline=None)
-    def test_simulation_matches_reference(self, program, num_chunks):
+    def test_simulation_matches_reference(self, program, num_chunks, executor):
         nx, ny, _ = program.interior_shape
         simulated, reference = simulate_against_reference(
             program,
             PipelineOptions(grid_width=nx, grid_height=ny, num_chunks=num_chunks),
+            executor=executor,
         )
         np.testing.assert_allclose(
             simulated["dst"], reference["dst"], rtol=2e-5, atol=1e-5
@@ -69,10 +73,12 @@ class TestRandomStencils:
 
     @given(program=star_stencil_programs())
     @settings(max_examples=6, deadline=None)
-    def test_halo_cells_never_written(self, program):
+    def test_halo_cells_never_written(self, program, executor):
         nx, ny, _ = program.interior_shape
         simulated, _ = simulate_against_reference(
-            program, PipelineOptions(grid_width=nx, grid_height=ny, num_chunks=1)
+            program,
+            PipelineOptions(grid_width=nx, grid_height=ny, num_chunks=1),
+            executor=executor,
         )
         halo = program.field("dst").halo[2]
         columns = simulated["dst"]

@@ -13,7 +13,7 @@ from repro.frontends.common import (
     StencilProgram,
 )
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
-from repro.wse.executors import SimulationStatistics
+from repro.wse.executors import SimulationStatistics, available_executors
 from repro.wse.simulator import WseSimulator
 
 
@@ -33,8 +33,9 @@ def _simulator(executor: str | None = None) -> WseSimulator:
     return WseSimulator(result.program_module, executor=executor)
 
 
-def test_dsd_elements_are_aggregated_into_simulation_statistics():
-    simulator = _simulator()
+@pytest.mark.parametrize("executor", available_executors())
+def test_dsd_elements_are_aggregated_into_simulation_statistics(executor):
+    simulator = _simulator(executor)
     statistics = simulator.execute()
     assert statistics.dsd_ops > 0
     # Every DSD op processes at least one element, and the per-PE counters
@@ -46,9 +47,7 @@ def test_dsd_elements_are_aggregated_into_simulation_statistics():
     assert statistics.dsd_elements == expected
 
 
-@pytest.mark.parametrize(
-    "executor", ("reference", "vectorized", "tiled", "compiled", "auto")
-)
+@pytest.mark.parametrize("executor", available_executors())
 def test_retired_block_depth_reads_zero_on_every_backend(executor):
     """No backend has a temporal block depth any more: the field the
     benchmark harness still reads stays 0, whichever backend ran."""
@@ -57,16 +56,18 @@ def test_retired_block_depth_reads_zero_on_every_backend(executor):
     assert statistics.block_depth == 0
 
 
-def test_load_field_names_the_missing_buffer():
-    simulator = _simulator()
+@pytest.mark.parametrize("executor", available_executors())
+def test_load_field_names_the_missing_buffer(executor):
+    simulator = _simulator(executor)
     columns = np.zeros((3, 3, 8), dtype=np.float32)
     with pytest.raises(KeyError, match="unknown field 'nope'") as excinfo:
         simulator.load_field("nope", columns)
     assert "available buffers:" in str(excinfo.value)
 
 
-def test_read_field_names_the_missing_buffer():
-    simulator = _simulator()
+@pytest.mark.parametrize("executor", available_executors())
+def test_read_field_names_the_missing_buffer(executor):
+    simulator = _simulator(executor)
     with pytest.raises(KeyError, match="unknown field 'missing'") as excinfo:
         simulator.read_field("missing")
     assert "available buffers:" in str(excinfo.value)
