@@ -115,21 +115,25 @@ run-service-check:
 # Async run queue: the queue test suite (lifecycle, store, daemon,
 # experiments, crash recovery, the 16-job acceptance batch, and
 # test_workers.py: long-lived worker processes, compile-once per worker,
-# respawn after SIGKILL/cancel, exit without close(), the reused store
-# connection, the store transactions each worker reports back per job —
-# all read off counters and pids; a resubmitted batch is
-# served from the run cache), then a CLI smoke path: submit a batch through
-# process workers, resubmit it inline (served from the run cache), inspect
-# one job, list the store, print the combined stats (with the queue store's
-# counters), purge.  Queue *speed* is `python -m bench --workload
-# service_queue_sweep`, not a test.
+# respawn after SIGKILL, a cancel that leaves a claimed job running, exit
+# without close(), the reused store connection, the store transactions each
+# worker reports back per job — all read off counters and pids; a
+# resubmitted batch is served from the run cache), then a CLI smoke path:
+# submit a batch through process workers, resubmit it inline (served from
+# the run cache), submit two jobs detached, cancel the first while it is
+# queued and wait out the second, inspect one job, list the store, print the
+# combined stats (with the queue store's counters), purge.  Queue *speed* is
+# `python -m bench --workload service_queue_sweep`, not a test.
 queue-check:
 	$(PYTHON) -m pytest tests/service/queue -q
 	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	REPRO_CACHE_DIR="$$dir" sh -c '\
 	  $(PYTHON) -m repro.service queue submit Jacobian UVKBE --grid 4x4 --nz 8 --time-steps 1 && \
 	  $(PYTHON) -m repro.service queue submit Jacobian UVKBE --grid 4x4 --nz 8 --time-steps 1 --inline && \
-	  $(PYTHON) -m repro.service queue status 1 && \
+	  $(PYTHON) -m repro.service queue submit Advection Diffusion --grid 4x4 --nz 8 --time-steps 1 --detach && \
+	  $(PYTHON) -m repro.service queue cancel 5 && \
+	  $(PYTHON) -m repro.service queue wait && \
+	  $(PYTHON) -m repro.service queue status 1 5 6 && \
 	  $(PYTHON) -m repro.service queue list && \
 	  $(PYTHON) -m repro.service stats && \
 	  $(PYTHON) -m repro.service purge'

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.service.cache import REPRO_CACHE_DIR_ENV
-from repro.wse.executors.tiled import SHARD_ENV_VAR
+from repro.wse.executors import tiled
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -28,18 +28,37 @@ def _hermetic_artifact_store(tmp_path_factory):
         os.environ[REPRO_CACHE_DIR_ENV] = previous
 
 
+def _square_shard_grid(extent):
+    """A ``tiled.shard_grid`` that cuts both axes into ``extent`` bands,
+    clamped so no shard is empty."""
+
+    def shard_grid(width, height, cpus=None):
+        return min(extent, width), min(extent, height)
+
+    return shard_grid
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _deterministic_shard_geometry():
     """Pin the tiled backend to its historical 2x2 shard grid.
 
-    The auto heuristic derives the extent from the host's usable CPUs, so
-    on a 1-CPU runner every tiled test would silently degenerate to one
-    shard and stop exercising seam exchanges.  Tests about the heuristic
-    itself pass an explicit ``cpus`` or monkeypatch the variable away.
+    The real grid is derived from the host's usable CPUs, so on a 1-CPU
+    runner every tiled test would silently degenerate to one shard and stop
+    exercising seam exchanges.  Forked queue workers inherit the patch.
+    Tests about the derivation itself call the function they imported;
+    ``pin_shards`` re-pins one test.
     """
-    if os.environ.get(SHARD_ENV_VAR):
-        yield  # an operator override outranks the suite default
-        return
-    os.environ[SHARD_ENV_VAR] = "2"
-    yield
-    os.environ.pop(SHARD_ENV_VAR, None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tiled, "shard_grid", _square_shard_grid(2))
+        yield
+
+
+@pytest.fixture
+def pin_shards(monkeypatch):
+    """``pin_shards(K)`` fixes the tiled shard grid at KxK, clamped to the
+    fabric, for the rest of one test."""
+
+    def pin(extent):
+        monkeypatch.setattr(tiled, "shard_grid", _square_shard_grid(extent))
+
+    return pin

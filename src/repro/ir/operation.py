@@ -4,8 +4,8 @@ Change tracking
 ---------------
 Every write to the IR goes through a method of this package — operands,
 attributes, result and block-argument types and name hints, insertion and
-removal of operations, regions, blocks and block arguments — and each one
-marks the operation it changed, and that operation's ancestors, as changed.
+removal of operations, insertion of regions and blocks — and each one marks
+the operation it changed, and that operation's ancestors, as changed.
 (``regions``, ``blocks``, ``args`` and ``results`` are plain sequences for
 reading; edit them only through these methods.)
 An operation's ``_epoch`` is ``0`` while it is marked; :meth:`Operation.
@@ -58,8 +58,8 @@ class Operation:
     nested regions.  Dialect operations subclass :class:`Operation`, set the
     class attribute ``name`` and usually provide a convenience constructor
     plus accessor properties.  :attr:`attributes` is a read-only view; write
-    with :meth:`set_attribute` and :meth:`remove_attribute` (see "Change
-    tracking" in the module docstring).
+    with :meth:`set_attribute` (see "Change tracking" in the module
+    docstring).
     """
 
     name: str = "unregistered"
@@ -128,11 +128,6 @@ class Operation:
         if self._epoch:
             self._changed()
 
-    def set_operands(self, new_operands: Sequence[SSAValue]) -> None:
-        self.drop_all_operands()
-        for value in new_operands:
-            self.add_operand(value)
-
     def drop_all_operands(self) -> None:
         for value, use in zip(self._operands, self._uses):
             del value.uses[use]
@@ -147,12 +142,6 @@ class Operation:
 
     def set_attribute(self, name: str, value: Attribute) -> None:
         self._attributes[name] = value
-        if self._epoch:
-            self._changed()
-
-    def remove_attribute(self, name: str) -> None:
-        """Remove the attribute ``name``; a ``KeyError`` if there is none."""
-        del self._attributes[name]
         if self._epoch:
             self._changed()
 
@@ -181,15 +170,6 @@ class Operation:
     def parent_op(self) -> "Operation | None":
         if self.parent is not None and self.parent.parent is not None:
             return self.parent.parent.parent
-        return None
-
-    def parent_of_type(self, op_type: type) -> "Operation | None":
-        """Closest ancestor operation of the given type, if any."""
-        current = self.parent_op()
-        while current is not None:
-            if isinstance(current, op_type):
-                return current
-            current = current.parent_op()
         return None
 
     def walk(self) -> Iterator["Operation"]:
@@ -380,21 +360,6 @@ class Block:
         for op in ops:
             self.add_op(op)
 
-    # ------------------------------------------------------------------ #
-    # Argument management
-    # ------------------------------------------------------------------ #
-
-    def insert_arg(self, arg_type: Attribute, index: int) -> BlockArgument:
-        arg = BlockArgument(arg_type, self, index)
-        self.args.insert(index, arg)
-        for i, existing in enumerate(self.args):
-            existing.index = i
-        self._changed()
-        return arg
-
-    def add_arg(self, arg_type: Attribute) -> BlockArgument:
-        return self.insert_arg(arg_type, len(self.args))
-
     def _changed(self) -> None:
         """Mark the operation this block belongs to, if any, as changed."""
         region = self.parent
@@ -494,15 +459,6 @@ class Block:
         assert existing.parent is self
         new_op.detach()
         self._link_op(new_op, existing._prev_op, existing)
-
-    def insert_op_after(self, new_op: Operation, existing: Operation) -> None:
-        assert existing.parent is self
-        new_op.detach()
-        self._link_op(new_op, existing, existing._next_op)
-
-    @property
-    def first_op(self) -> Operation | None:
-        return self._first_op
 
     @property
     def last_op(self) -> Operation | None:

@@ -46,10 +46,6 @@ class PassStatistics:
     #: ``apply`` returned: the traversal that verifies it and counts its ops.
     verify_time: float = 0.0
 
-    @property
-    def op_delta(self) -> int:
-        return self.ops_after - self.ops_before
-
 
 @dataclass
 class PipelineStatistics:
@@ -64,12 +60,6 @@ class PipelineStatistics:
     @property
     def total_rewrites(self) -> int:
         return sum(stat.rewrites for stat in self.passes)
-
-    def by_name(self, name: str) -> PassStatistics:
-        for stat in self.passes:
-            if stat.name == name:
-                return stat
-        raise KeyError(f"no statistics recorded for pass '{name}'")
 
 
 def _count_ops(module: Operation) -> int:

@@ -39,7 +39,6 @@ from repro.service.queue import (
     JobQueue,
     JobStatus,
     JobStore,
-    SweepConfig,
     WorkerPool,
 )
 from repro.service.run import (
@@ -73,7 +72,6 @@ __all__ = [
     "RunService",
     "RunServiceStatistics",
     "ServiceStatistics",
-    "SweepConfig",
     "WorkerPool",
     "build_artifact",
     "canonical_json",

@@ -572,7 +572,7 @@ def _run_cancel(args: argparse.Namespace, out) -> int:
         else:
             print(
                 f"job {job_id}: not cancellable (status {record.status}; "
-                f"only queued jobs can be cancelled from the CLI)",
+                f"only queued jobs can be cancelled)",
                 file=sys.stderr,
             )
             refused += 1

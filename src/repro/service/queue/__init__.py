@@ -6,14 +6,13 @@ See :mod:`repro.service.queue.daemon` for the front door
 SQLite job store, :mod:`repro.service.queue.lifecycle` for the state
 machine, :mod:`repro.service.queue.workers` for the crash-isolated worker
 pool and :mod:`repro.service.queue.experiments` for named, resumable
-sweeps.
+groups of jobs.
 """
 
 from repro.service.queue.daemon import JobHandle, JobQueue, QueueStatistics
 from repro.service.queue.experiments import (
     Experiment,
     ExperimentProgress,
-    SweepConfig,
 )
 from repro.service.queue.lifecycle import (
     ACTIVE_STATES,
@@ -57,7 +56,6 @@ __all__ = [
     "QUEUE_SCHEMA_VERSION",
     "QueueStatistics",
     "QueueStoreStats",
-    "SweepConfig",
     "TERMINAL_STATES",
     "UnknownJobError",
     "WorkerPool",

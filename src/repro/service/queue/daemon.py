@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 from repro.frontends.common import StencilProgram
 from repro.service.cache import RUN, DiskStore, resolve_cache_directory
-from repro.service.queue.experiments import Experiment, normalize_configs
 from repro.service.queue.lifecycle import (
     JobCancelledError,
     JobEvent,
@@ -58,6 +57,11 @@ from repro.service.run import (
 )
 from repro.transforms.pipeline import PipelineOptions
 
+#: seconds between store reads while :meth:`JobHandle.wait` blocks.
+HANDLE_POLL = 0.01
+#: seconds between store reads while :meth:`JobQueue.drain` blocks.
+DRAIN_POLL = 0.02
+
 
 @dataclass
 class QueueStatistics:
@@ -77,8 +81,8 @@ class QueueStatistics:
     #: orphaned jobs recovered at construction.
     recovered: int = 0
     #: worker processes forked by this daemon's pool (one per claim thread
-    #: on its first claim, one more for every worker that died or was
-    #: terminated by a cancel), as of the last job outcome counted above.
+    #: on its first claim, one more for every worker that died), as of the
+    #: last job outcome counted above.
     worker_spawns: int = 0
     #: the worker processes' own job-store counters (``transactions``,
     #: ``writer_waits``, ``writer_wait_seconds``), summed over the jobs
@@ -96,7 +100,7 @@ class JobHandle:
     Handles are cheap and survive the daemon: they read the persistent
     store, so a handle built from a bare job id in a fresh process (the
     CLI's ``status``/``wait``) behaves identically to one returned by
-    ``submit``; only cancelling an active job needs the live queue.
+    ``submit``.
     """
 
     store: JobStore
@@ -117,9 +121,7 @@ class JobHandle:
     def events(self) -> list[JobEvent]:
         return self.store.events(self.job_id)
 
-    def wait(
-        self, timeout: float | None = None, poll: float = 0.01
-    ) -> JobRecord:
+    def wait(self, timeout: float | None = None) -> JobRecord:
         """Block until the job is terminal; returns the final record."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -131,7 +133,7 @@ class JobHandle:
                     f"job {self.job_id} still {record.status} "
                     f"after {timeout} s"
                 )
-            time.sleep(poll)
+            time.sleep(HANDLE_POLL)
 
     def result(self, timeout: float | None = None) -> RunArtifact:
         """The finished job's run artifact (raises for failed/cancelled)."""
@@ -139,6 +141,8 @@ class JobHandle:
         return _artifact_of(record, self.artifacts)
 
     def cancel(self) -> JobStatus:
+        """Cancel the job if it is still queued; a claimed job runs on.
+        Returns the status after the attempt."""
         if self.queue is not None:
             return self.queue.cancel(self.job_id)
         return (
@@ -238,7 +242,6 @@ class JobQueue:
         seed: int = DEFAULT_RUN_SEED,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         experiment: str | None = None,
-        max_attempts: int | None = None,
     ) -> JobHandle:
         """Enqueue one run job; returns its durable handle immediately.
 
@@ -281,9 +284,7 @@ class JobQueue:
             program_name=program.name,
             executor=executor_name,
             experiment=experiment,
-            max_attempts=(
-                max_attempts if max_attempts is not None else self.max_attempts
-            ),
+            max_attempts=self.max_attempts,
         )
         if deduplicated:
             with self._lock:
@@ -291,36 +292,6 @@ class JobQueue:
         else:
             self.pool.wake()
         return self._handle(record.id, fingerprint)
-
-    def submit_experiment(
-        self,
-        name: str,
-        configs,
-        *,
-        executor: str | None = None,
-        seed: int = DEFAULT_RUN_SEED,
-        max_rounds: int = DEFAULT_MAX_ROUNDS,
-        max_attempts: int | None = None,
-    ) -> Experiment:
-        """Submit a named sweep as one experiment; see
-        :mod:`repro.service.queue.experiments`."""
-        handles = [
-            self.submit(
-                config.program,
-                config.options,
-                executor=config.executor or executor,
-                seed=seed if config.seed is None else config.seed,
-                max_rounds=(
-                    max_rounds
-                    if config.max_rounds is None
-                    else config.max_rounds
-                ),
-                experiment=name,
-                max_attempts=max_attempts,
-            )
-            for config in normalize_configs(configs)
-        ]
-        return Experiment(name, self, handles)
 
     def handle(self, job_id: int) -> JobHandle:
         """A handle for an existing job id (raises if unknown)."""
@@ -372,9 +343,8 @@ class JobQueue:
     # ------------------------------------------------------------------ #
 
     def cancel(self, job_id: int) -> JobStatus:
-        """Cancel a job: queued jobs atomically, active process-mode jobs
-        by terminating their worker process.  Returns the (possibly
-        already terminal) status after the attempt."""
+        """Cancel a queued job atomically; a claimed job runs on.  Returns
+        the status after the attempt."""
         if self.store.cancel_queued(job_id):
             record = self.store.get(job_id)
             if record is not None:
@@ -383,15 +353,9 @@ class JobQueue:
         record = self.store.get(job_id)
         if record is None:
             raise UnknownJobError(f"unknown job id {job_id}")
-        if record.status in TERMINAL_STATES:
-            return record.status
-        if self.pool.request_cancel(job_id):
-            # The owning claim thread records the transition once the
-            # terminated worker process is dead.
-            return self.store.get(job_id).status
         return record.status
 
-    def drain(self, timeout: float | None = None, poll: float = 0.02) -> None:
+    def drain(self, timeout: float | None = None) -> None:
         """Block until no job is queued or active."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
@@ -408,10 +372,7 @@ class JobQueue:
                 raise TimeoutError(
                     f"{pending} job(s) still pending after {timeout} s"
                 )
-            time.sleep(poll)
-
-    def active_processes(self) -> dict[int, int]:
-        return self.pool.active_processes()
+            time.sleep(DRAIN_POLL)
 
     def close(self, wait: bool = True) -> None:
         """Stop the pool (with ``wait``: after the jobs in hand, worker

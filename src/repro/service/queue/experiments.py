@@ -1,65 +1,35 @@
-"""Named experiments: a sweep of run configs submitted as one group.
+"""Named experiments: run jobs submitted as one group.
 
-An experiment is nothing more than a name stamped on its jobs — the
-grouping lives entirely in the persistent job store, so a sweep survives
-the daemon and its progress is queryable from any process (the store's
-``experiment_progress``, which the CLI's ``queue list`` prints, returns
-the same :class:`ExperimentProgress` rollups).  What the grouping buys:
+An experiment is nothing more than a name stamped on its jobs
+(``JobQueue.submit(..., experiment=NAME)``, the CLI's ``queue submit
+--experiment``) — the grouping lives entirely in the persistent job store,
+so a sweep survives the daemon and its progress is queryable from any
+process (the store's ``experiment_progress``, which the CLI's ``queue
+list`` prints, returns the same :class:`ExperimentProgress` rollups).  What
+the grouping buys:
 
 * **aggregate progress** — one :class:`ExperimentProgress` snapshot over
   however many jobs the sweep contains;
-* **resumability** — resubmitting an experiment re-walks the same
-  configs, and every fingerprint whose artifact the run cache already
-  holds is recorded as ``done`` without queueing (``JobQueue.submit``
-  checks the run cache first), so an interrupted 1000-run sweep only re-pays
-  the runs that never finished.
+* **resumability** — when an experiment's jobs are submitted again, every
+  fingerprint whose artifact the run cache already holds is recorded as
+  ``done`` without queueing (``JobQueue.submit`` checks the run cache
+  first), so an interrupted 1000-run sweep only re-pays the runs that never
+  finished.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.frontends.common import StencilProgram
 from repro.service.queue.lifecycle import JobStatus, TERMINAL_STATES
-from repro.transforms.pipeline import PipelineOptions
 
 if TYPE_CHECKING:  # avoid a runtime cycle with daemon.py
     from repro.service.queue.daemon import JobHandle, JobQueue
-    from repro.service.run import RunArtifact
 
-
-@dataclass
-class SweepConfig:
-    """One point of a sweep; unset fields inherit the experiment-wide
-    defaults passed to ``JobQueue.submit_experiment``."""
-
-    program: StencilProgram
-    options: PipelineOptions | None = None
-    executor: str | None = None
-    seed: int | None = None
-    max_rounds: int | None = None
-
-
-def normalize_configs(configs: Iterable) -> list[SweepConfig]:
-    """Accept bare programs, ``(program, options)`` pairs, or full
-    :class:`SweepConfig` objects."""
-    normalized = []
-    for config in configs:
-        if isinstance(config, SweepConfig):
-            normalized.append(config)
-        elif isinstance(config, StencilProgram):
-            normalized.append(SweepConfig(program=config))
-        elif isinstance(config, tuple) and len(config) == 2:
-            normalized.append(SweepConfig(program=config[0], options=config[1]))
-        else:
-            raise TypeError(
-                f"sweep configs must be StencilProgram, (program, options) "
-                f"pairs or SweepConfig, got {type(config).__name__}"
-            )
-    if not normalized:
-        raise ValueError("an experiment needs at least one config")
-    return normalized
+#: seconds between store reads while :meth:`Experiment.wait` blocks.
+POLL = 0.02
 
 
 @dataclass(frozen=True)
@@ -80,10 +50,6 @@ class ExperimentProgress:
     @property
     def done(self) -> bool:
         return self.finished == self.total
-
-    @property
-    def fraction(self) -> float:
-        return self.finished / self.total if self.total else 1.0
 
     def format(self) -> str:
         populated = "  ".join(
@@ -120,12 +86,8 @@ class Experiment:
             counts[status] += 1
         return ExperimentProgress(name=self.name, counts=counts)
 
-    def wait(
-        self, timeout: float | None = None, poll: float = 0.02
-    ) -> ExperimentProgress:
+    def wait(self, timeout: float | None = None) -> ExperimentProgress:
         """Block until every job is terminal; returns the final rollup."""
-        import time
-
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             progress = self.progress()
@@ -137,10 +99,4 @@ class Experiment:
                     f"{progress.total - progress.finished} job(s) still "
                     f"pending after {timeout} s"
                 )
-            time.sleep(poll)
-
-    def results(self, timeout: float | None = None) -> "list[RunArtifact]":
-        """Every job's artifact, in submission order (raises on the first
-        failed/cancelled job)."""
-        self.wait(timeout)
-        return [handle.result() for handle in self.handles]
+            time.sleep(POLL)

@@ -9,11 +9,12 @@ Every queued run job walks one path through an explicit state machine::
       │            └────────────┴────────────┴──▶ failed
       └──────────────────────────────────────────▶ cancelled
 
-``done`` / ``failed`` / ``cancelled`` are terminal.  The *only* legal way
-back to ``queued`` is from an active state — that is the worker-death
-retry edge, which re-enters the queue without losing the attempt count.
-Every transition the store records is validated against this table first,
-so an illegal hop (e.g. ``compiling -> done``) is a programming error that
+``done`` / ``failed`` / ``cancelled`` are terminal, and only a queued job
+can be cancelled: a claimed one runs on.  The *only* legal way back to
+``queued`` is from an active state — that is the worker-death retry edge,
+which re-enters the queue without losing the attempt count.  Every
+transition the store records is validated against this table first, so an
+illegal hop (e.g. ``compiling -> done``) is a programming error that
 surfaces immediately instead of a corrupt history.
 
 Transitions are recorded as :class:`JobEvent` rows (append-only, ordered),
@@ -59,13 +60,13 @@ PENDING_STATES = frozenset({JobStatus.QUEUED}) | ACTIVE_STATES
 LEGAL_TRANSITIONS: dict[JobStatus, frozenset[JobStatus]] = {
     JobStatus.QUEUED: frozenset({JobStatus.COMPILING, JobStatus.CANCELLED}),
     JobStatus.COMPILING: frozenset(
-        {JobStatus.RUNNING, JobStatus.QUEUED, JobStatus.FAILED, JobStatus.CANCELLED}
+        {JobStatus.RUNNING, JobStatus.QUEUED, JobStatus.FAILED}
     ),
     JobStatus.RUNNING: frozenset(
-        {JobStatus.DIGESTING, JobStatus.QUEUED, JobStatus.FAILED, JobStatus.CANCELLED}
+        {JobStatus.DIGESTING, JobStatus.QUEUED, JobStatus.FAILED}
     ),
     JobStatus.DIGESTING: frozenset(
-        {JobStatus.DONE, JobStatus.QUEUED, JobStatus.FAILED, JobStatus.CANCELLED}
+        {JobStatus.DONE, JobStatus.QUEUED, JobStatus.FAILED}
     ),
     JobStatus.DONE: frozenset(),
     JobStatus.FAILED: frozenset(),

@@ -516,27 +516,25 @@ class JobStore:
         executor: str,
         experiment: str | None = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        dedupe: bool = True,
     ) -> tuple[JobRecord, bool]:
         """Insert one queued job; returns ``(record, deduplicated)``.
 
-        With ``dedupe`` (the default), a submission whose fingerprint is
-        already in flight — queued or actively being worked on — joins the
-        existing job instead of inserting a second identical one.
+        A submission whose fingerprint is already in flight — queued or
+        actively being worked on — joins the existing job instead of
+        inserting a second identical one.
         """
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         now = time.time()
         with self._txn() as connection:
-            if dedupe:
-                placeholders = ", ".join("?" for _ in PENDING_STATES)
-                row = connection.execute(
-                    f"SELECT * FROM jobs WHERE fingerprint = ? AND status IN "
-                    f"({placeholders}) ORDER BY id LIMIT 1",
-                    (fingerprint, *[s.value for s in PENDING_STATES]),
-                ).fetchone()
-                if row is not None:
-                    return JobRecord.from_row(row), True
+            placeholders = ", ".join("?" for _ in PENDING_STATES)
+            row = connection.execute(
+                f"SELECT * FROM jobs WHERE fingerprint = ? AND status IN "
+                f"({placeholders}) ORDER BY id LIMIT 1",
+                (fingerprint, *[s.value for s in PENDING_STATES]),
+            ).fetchone()
+            if row is not None:
+                return JobRecord.from_row(row), True
             cursor = connection.execute(
                 "INSERT INTO jobs (fingerprint, program_name, executor, "
                 "experiment, payload, status, attempts, max_attempts, "

@@ -7,8 +7,8 @@ executed.  Two execution modes:
 * ``process`` (the default wherever ``fork`` exists) — every claim thread
   owns one long-lived forked **worker process**.  It is forked on the
   thread's first claim, fed claimed job ids over a pipe, and forked again
-  only after it died or a cancel terminated it.  For its whole life the
-  worker keeps one ``JobStore`` (one SQLite connection) and one
+  only after it died.  For its whole life the worker keeps one
+  ``JobStore`` (one SQLite connection) and one
   :class:`~repro.service.run.RunService`.  A job runs the 17-pass
   pipeline only when neither that service's memory nor the shared store
   holds its compile artifact; otherwise the worker parses the stored CSL
@@ -22,7 +22,8 @@ executed.  Two execution modes:
   (OOM-killed, segfaulted, SIGKILLed) simply leaves the job in an active
   state; its claim thread requeues it with bounded attempts and
   exponential backoff and forks a replacement for the next claim.  Other
-  workers never notice.
+  workers never notice.  Nothing else ends a worker: a job is cancelled
+  only while it is queued, and a claimed one runs to its end.
 * ``inline`` — the job executes in the claim thread itself, which runs a
   worker process's loop body over the daemon's store: it keeps one
   :class:`~repro.service.run.RunService` for its life, so its jobs report
@@ -43,7 +44,6 @@ import multiprocessing
 import multiprocessing.util  # registers its exit handler before ours: see start()
 import os
 import threading
-import time
 from contextlib import closing
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
@@ -62,13 +62,6 @@ from repro.service.queue.store import (
 )
 from repro.service.run import RunArtifact, RunService
 
-#: test/ops hook: while the named file exists, a worker that has just
-#: entered ``running`` spins instead of simulating — giving crash-recovery
-#: tests (and operators rehearsing them) a deterministic window in which a
-#: worker is provably mid-job.
-HOLD_FILE_ENV = "REPRO_QUEUE_HOLD_FILE"
-
-
 #: seconds an idle claim thread waits for a wake-up before polling the
 #: store again, and between checks on a busy worker process.
 POLL_INTERVAL = 0.02
@@ -76,12 +69,6 @@ POLL_INTERVAL = 0.02
 #: seconds before a job whose worker died is claimable again, doubled per
 #: attempt already made (at most 2 s).
 RETRY_BACKOFF = 0.05
-
-
-def _hold_while_requested() -> None:
-    path = os.environ.get(HOLD_FILE_ENV, "").strip()
-    while path and os.path.exists(path):
-        time.sleep(0.02)
 
 
 def job_result_summary(
@@ -142,7 +129,6 @@ def execute_claimed_job(
                 expected=JobStatus.COMPILING,
                 worker=record.worker,
             )
-            _hold_while_requested()
         elif stage == "digesting":
             store.transition(
                 record.id,
@@ -180,8 +166,8 @@ def execute_claimed_job(
             summary = job_result_summary(artifact)
         store.complete(record.id, summary, worker=record.worker)
     except IllegalTransitionError:
-        # The job moved underneath us (e.g. cancelled concurrently); the
-        # store already holds the authoritative state.
+        # The job moved underneath us (e.g. requeued by a daemon that took
+        # it for an orphan); the store already holds the authoritative state.
         pass
     except BaseException as error:
         try:
@@ -191,7 +177,7 @@ def execute_claimed_job(
                 worker=record.worker,
             )
         except Exception:
-            pass  # e.g. concurrently cancelled; the store state wins
+            pass  # e.g. the job moved underneath us; the store state wins
 
 
 def _store_counters(store: JobStore) -> tuple[int, int, float]:
@@ -295,9 +281,6 @@ class WorkerPool:
         #: Whoever takes a worker out (under the lock) is the one to kill it.
         self._workers: dict[str, _Worker] = {}
         self._abandoned = False
-        #: the worker executing each handed-over job, by job id.
-        self._active: dict[int, _Worker] = {}
-        self._cancel_requested: set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -355,36 +338,6 @@ class WorkerPool:
 
     def wake(self) -> None:
         self._wake.set()
-
-    # ------------------------------------------------------------------ #
-    # Cancellation / introspection
-    # ------------------------------------------------------------------ #
-
-    def request_cancel(self, job_id: int) -> bool:
-        """Terminate the worker process currently executing ``job_id``, if
-        any.
-
-        The owning claim thread observes the death, sees the pending
-        request, and records the ``-> cancelled`` transition (unless the
-        job won the race and finished first); its next claim forks a
-        replacement worker.
-        """
-        with self._lock:
-            worker = self._active.get(job_id)
-            if worker is None:
-                return False
-            self._cancel_requested.add(job_id)
-            worker.process.terminate()
-        return True
-
-    def active_processes(self) -> dict[int, int]:
-        """Live ``{job_id: pid}`` of process-mode jobs (for ops and the
-        crash-recovery tests)."""
-        with self._lock:
-            return {
-                job_id: worker.process.pid
-                for job_id, worker in self._active.items()
-            }
 
     # ------------------------------------------------------------------ #
     # The claim loop
@@ -496,17 +449,9 @@ class WorkerPool:
             worker = None
         if worker is None:
             worker = self._spawn(worker_name)
-        with self._lock:
-            self._active[record.id] = worker
-        reported = self._hand_over(worker, record.id)
-        with self._lock:
-            self._active.pop(record.id, None)
-            cancelled = record.id in self._cancel_requested
-            self._cancel_requested.discard(record.id)
         exit_code = None
-        if cancelled or not reported:
-            # Dead or (a cancel that lost the race to the job's last
-            # transition) dying: the next claim forks a replacement.
+        if not self._hand_over(worker, record.id):
+            # Dead: the next claim forks a replacement.
             exit_code = self._bury(worker_name, worker)
 
         final = self.store.get(record.id)
@@ -514,16 +459,6 @@ class WorkerPool:
             return
         if final.status in TERMINAL_STATES:
             self._on_terminal(final)
-            return
-        if cancelled:
-            self.store.transition(
-                record.id,
-                JobStatus.CANCELLED,
-                detail=f"cancelled while {final.status}",
-            )
-            final = self.store.get(record.id)
-            if final is not None:
-                self._on_terminal(final)
             return
         # The worker died mid-job without reaching a terminal state.
         reason = (

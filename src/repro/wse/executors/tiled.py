@@ -56,11 +56,11 @@ The shard count picks the round driver:
   aborts the barrier, and the run raises that shard's own diagnosis, not
   the broken barrier its siblings saw.
 
-``REPRO_TILED_SHARDS`` overrides the shard grid (K along both axes, clamped
-to the fabric); when unset the grid is derived from the usable CPU count
-(one shard per CPU, row bands first) and clamped so no shard is thinner
-than :data:`MIN_SHARD_SIDE` PEs per side along either axis — below that,
-the per-round barrier overhead dominates the per-shard array math.
+The shard grid is derived from the usable CPU count (one shard per CPU,
+row bands first; CPU affinity, e.g. ``taskset``, limits it) and clamped so
+no shard is thinner than :data:`MIN_SHARD_SIDE` PEs per side along either
+axis — below that, the per-round barrier overhead dominates the per-shard
+array math.
 """
 
 from __future__ import annotations
@@ -82,9 +82,6 @@ from repro.wse.executors.base import SimulationStatistics, register_executor
 from repro.wse.executors.grid import GridExecutor, GridState
 from repro.wse.interpreter import ProgramImage
 from repro.wse.plan import ExecutionPlan, ShardGeometry
-
-#: environment variable overriding the shard-grid extent (K of K×K).
-SHARD_ENV_VAR = "REPRO_TILED_SHARDS"
 
 #: smallest shard side :func:`shard_grid` will create: thinner shards pay
 #: more in per-round barrier overhead than their slice of the array math
@@ -112,11 +109,9 @@ def usable_cpu_count() -> int:
 def shard_grid(
     width: int, height: int, cpus: int | None = None
 ) -> tuple[int, int]:
-    """The shard grid ``(kx, ky)``: ``REPRO_TILED_SHARDS`` (K along both
-    axes, clamped so no shard is empty) — or, when the variable is unset, a
-    grid derived from the usable CPU count (``kx * ky`` shards ≈ one per
-    CPU) and clamped per axis so no shard is thinner than
-    :data:`MIN_SHARD_SIDE` PEs.
+    """The shard grid ``(kx, ky)``, derived from ``cpus`` (default: the
+    usable CPU count) — ``kx * ky`` shards ≈ one per CPU — and clamped per
+    axis so no shard is thinner than :data:`MIN_SHARD_SIDE` PEs.
 
     Rows split first (``ky`` up to one band per CPU), then the CPUs left
     over split columns.  A row band is one contiguous run of every
@@ -127,21 +122,6 @@ def shard_grid(
     unmeasured.  The per-axis clamp is what keeps ragged fabrics
     (e.g. 64x8) sharded along their long axis instead of collapsing to one
     shard."""
-    override = os.environ.get(SHARD_ENV_VAR, "").strip()
-    if override:
-        try:
-            requested = int(override)
-        except ValueError:
-            raise ValueError(
-                f"invalid {SHARD_ENV_VAR}={override!r}: expected a positive "
-                f"integer shard-grid extent"
-            ) from None
-        if requested < 1:
-            raise ValueError(
-                f"invalid {SHARD_ENV_VAR}={requested}: the shard-grid extent "
-                f"must be >= 1"
-            )
-        return max(1, min(requested, width)), max(1, min(requested, height))
     if cpus is None:
         cpus = usable_cpu_count()
     cpus = max(1, cpus)

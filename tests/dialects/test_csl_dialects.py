@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dialects import csl, csl_stencil, csl_wrapper, dmp, stencil
-from repro.ir import VerifyException, f32
+from repro.ir import Block, VerifyException, f32
 from repro.ir.types import MemRefType, TensorType
 
 
@@ -23,9 +23,8 @@ class TestStencilDialect:
 
     def test_access_offset_rank_checked(self):
         temp_type = stencil.TempType([(-1, 3), (-1, 3), (-1, 7)], f32)
-        apply_op = stencil.ApplyOp([], [temp_type])
-        apply_op.body.block.add_arg(temp_type)
-        access = stencil.AccessOp(apply_op.body.block.args[0], (1, 0), f32)
+        (argument,) = Block(arg_types=[temp_type]).args
+        access = stencil.AccessOp(argument, (1, 0), f32)
         with pytest.raises(VerifyException):
             access.verify()
 

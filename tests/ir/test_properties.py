@@ -271,18 +271,6 @@ class UseDefMachine(RuleBasedStateMachine):
         self.wrote(op)
 
     @precondition(lambda self: self.live_ops())
-    @rule(data=st.data(), count=st.integers(0, 3))
-    def set_operands(self, data, count):
-        op = self.pick(data, self.live_ops(), "op")
-        for index in range(len(op.operands)):
-            self.give_up(op, index)
-        values = self.values()
-        op.set_operands([self.pick(data, values, "value") for _ in range(count)])
-        for index in range(count):
-            self.take(op, index)
-        self.wrote(op)
-
-    @precondition(lambda self: self.live_ops())
     @rule(data=st.data())
     def drop_all_operands(self, data):
         op = self.pick(data, self.live_ops(), "op")
@@ -378,15 +366,6 @@ class UseDefMachine(RuleBasedStateMachine):
         op = self.pick(data, self.live_ops(), "op")
         op.set_attribute(name, IntAttr(value))
         assert op.attributes[name] == IntAttr(value)
-        self.wrote(op)
-
-    @precondition(lambda self: any(op.attributes for op in self.live_ops()))
-    @rule(data=st.data())
-    def remove_attribute(self, data):
-        op = self.pick(data, [op for op in self.live_ops() if op.attributes], "op")
-        name = self.pick(data, sorted(op.attributes), "name")
-        op.remove_attribute(name)
-        assert name not in op.attributes
         self.wrote(op)
 
     @precondition(lambda self: any(op.results for op in self.live_ops()))

@@ -58,7 +58,9 @@ def test_uses_are_listed_in_the_order_the_slots_took_the_value():
 
     first.drop_all_operands()
     assert slots(a) == [("test.second", 1), ("test.second", 0)]
-    second.set_operands([b, a])
+    second.drop_all_operands()
+    second.add_operand(b)
+    second.add_operand(a)
     assert slots(a) == [("test.second", 1)]
     assert slots(b) == [("test.second", 0)]
 

@@ -339,8 +339,9 @@ def describe(item: Range | dict) -> str:
 
 def updated_report(result: Census, report: list[dict]) -> list[dict]:
     """The report for ``result``: every current range, its tag carried over
-    when its key is unchanged (``None`` when new), plus the timing entries
-    whose text is still there."""
+    when its key is unchanged (``None`` when new), plus every timing entry —
+    one whose text is gone included, so that each run names it until it is
+    re-entered under its new text or removed by hand."""
     tags = {entry_key(entry): entry for entry in report}
     entries = []
     for r in result.ranges:
@@ -357,11 +358,7 @@ def updated_report(result: Census, report: list[dict]) -> list[dict]:
         if r.occurrence:
             entry["occurrence"] = r.occurrence
         entries.append(entry)
-    gone = {entry_key(entry) for entry in result.missing_timing}
-    entries += [
-        entry for entry in report
-        if entry["tag"] == "timing" and entry_key(entry) not in gone
-    ]
+    entries += [entry for entry in report if entry["tag"] == "timing"]
     entries.sort(key=lambda e: (e["module"], e["qualname"], e["source"]))
     return entries
 

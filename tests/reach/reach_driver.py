@@ -23,8 +23,7 @@ lines of ``src/repro`` that ran as ``{relative path: [line, ...]}``:
   and ``python -m repro.csl`` (``parse``, ``dump``, ``dump --canonical``,
   ``diff`` with and without ``--fields``), and ``python -m
   repro.eval.report``;
-* the shard-grid derivation, with the CPU count and the override variable
-  given explicitly.
+* the shard-grid derivation, with the CPU count given explicitly.
 
 A forked queue worker inherits the tracer of the claim thread that forked
 it and writes its own lines next to ``OUT.json`` before it exits; they are
@@ -235,19 +234,11 @@ def drive_banded() -> None:
 
 
 def drive_shard_grid() -> None:
-    """The shard-grid derivation, from explicit CPU counts and overrides."""
+    """The shard-grid derivation, from explicit CPU counts."""
     from repro.wse.executors import tiled
 
     for cpus in (1, 2, 4):
         tiled.shard_grid(64, 8, cpus=cpus)
-    for override in ("3", "0", "x"):
-        os.environ[tiled.SHARD_ENV_VAR] = override
-        try:
-            tiled.shard_grid(8, 8)
-        except ValueError:
-            pass
-        finally:
-            del os.environ[tiled.SHARD_ENV_VAR]
 
 
 def drive_service_cli() -> None:

@@ -81,3 +81,18 @@ def test_a_timing_range_masks_only_its_own_statement():
     assert reach_census._masked_lines(source, [third]) == (set(), [third])
     gone = {"qualname": "elsewhere", "source": ["return None"]}
     assert reach_census._masked_lines(source, [gone]) == (set(), [gone])
+
+
+def test_an_update_keeps_a_timing_entry_whose_text_is_gone():
+    """``--update`` must not drop a mask the run just named as gone, or the
+    next run could no longer name it."""
+    gone = {
+        "module": "repro/service/queue/workers.py",
+        "qualname": "WorkerPool._loop",
+        "tag": "timing",
+        "lines": 1,
+        "source": ["self._wake.wait(OLD_TEXT)"],
+    }
+    result = reach_census.Census({}, [], missing_timing=[gone])
+    assert reach_census.updated_report(result, [gone]) == [gone]
+    assert reach_census.compare(result, [gone])["timing"] == [gone]

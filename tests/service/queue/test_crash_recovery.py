@@ -3,8 +3,8 @@
 The satellite contract: kill a worker mid-job, assert the store marks the
 job retryable, and a fresh worker completes it with a byte-identical
 artifact.  Process-mode tests need ``fork``; the deterministic mid-job
-window comes from the ``REPRO_QUEUE_HOLD_FILE`` hook (a worker that has
-just entered ``running`` spins while the file exists).
+window comes from the ``hold`` fixture (``tests/service/conftest.py``: a
+job that has just entered ``running`` waits until the hold is released).
 """
 
 import multiprocessing
@@ -16,7 +16,6 @@ import pytest
 
 from repro.benchmarks import benchmark_by_name
 from repro.service.queue import JobQueue, JobStatus
-from repro.service.queue.workers import HOLD_FILE_ENV
 from repro.service.run import RunService
 from repro.transforms.pipeline import PipelineOptions
 
@@ -33,14 +32,6 @@ def _config(grid=3):
     return program, PipelineOptions(grid_width=grid, grid_height=grid)
 
 
-@pytest.fixture
-def hold_file(tmp_path, monkeypatch):
-    path = tmp_path / "hold-the-job"
-    path.touch()
-    monkeypatch.setenv(HOLD_FILE_ENV, str(path))
-    return path
-
-
 def _wait_for_status(handle, status, timeout=60.0):
     deadline = time.monotonic() + timeout
     while handle.status() is not status:
@@ -51,11 +42,11 @@ def _wait_for_status(handle, status, timeout=60.0):
         time.sleep(0.01)
 
 
-def _kill_worker_of(queue, handle):
-    """SIGKILL the child process executing the handle's job."""
+def _kill_worker_of(hold, handle):
+    """SIGKILL the child process holding the handle's job."""
     deadline = time.monotonic() + 60.0
     while True:
-        pid = queue.active_processes().get(handle.job_id)
+        pid = hold.holder(handle.record())
         if pid is not None:
             os.kill(pid, signal.SIGKILL)
             return pid
@@ -66,20 +57,20 @@ def _kill_worker_of(queue, handle):
 class TestWorkerDeath:
     @needs_fork
     def test_killed_worker_marks_the_job_retryable_and_it_completes(
-        self, hold_file, fast_retries
+        self, hold, fast_retries
     ):
         program, options = _config()
         with JobQueue(workers=1, mode="process") as queue:
             handle = queue.submit(program, options, executor="vectorized")
             _wait_for_status(handle, JobStatus.RUNNING)
-            _kill_worker_of(queue, handle)
+            _kill_worker_of(hold, handle)
             # Let the pool observe the death and requeue before releasing
             # the hold, so the retry (not the victim) finishes the job.
             deadline = time.monotonic() + 60.0
             while queue.statistics.retried == 0:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
-            hold_file.unlink()
+            hold.release()
             record = handle.wait(timeout=300)
 
         assert record.status is JobStatus.DONE
@@ -99,33 +90,22 @@ class TestWorkerDeath:
         assert artifact.field_digests == undisturbed.field_digests
 
     @needs_fork
-    def test_attempt_budget_bounds_the_retries(self, hold_file, fast_retries):
+    def test_attempt_budget_bounds_the_retries(self, hold, fast_retries):
         program, options = _config()
         with JobQueue(workers=1, mode="process", max_attempts=2) as queue:
             handle = queue.submit(program, options, executor="vectorized")
             # Kill attempt one, wait for the requeue, kill attempt two.
             _wait_for_status(handle, JobStatus.RUNNING)
-            _kill_worker_of(queue, handle)
+            _kill_worker_of(hold, handle)
             deadline = time.monotonic() + 60.0
             while queue.statistics.retried < 1:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             _wait_for_status(handle, JobStatus.RUNNING)
-            _kill_worker_of(queue, handle)
+            _kill_worker_of(hold, handle)
             record = handle.wait(timeout=300)
         assert record.status is JobStatus.FAILED
         assert "attempts exhausted: 2/2" in record.error
-
-    @needs_fork
-    def test_cancelling_an_active_job_terminates_its_worker(self, hold_file):
-        program, options = _config()
-        with JobQueue(workers=1, mode="process") as queue:
-            handle = queue.submit(program, options, executor="vectorized")
-            _wait_for_status(handle, JobStatus.RUNNING)
-            queue.cancel(handle.job_id)
-            record = handle.wait(timeout=300)
-        assert record.status is JobStatus.CANCELLED
-        assert "cancelled while running" in (handle.events()[-1].detail or "")
 
 
 class TestDaemonRestart:

@@ -1,10 +1,12 @@
-"""Named experiments: grouping, aggregate progress, resumability."""
+"""Named experiments: grouping, aggregate progress, resumability.
 
-import pytest
+An experiment is submitted as the CLI's ``queue submit --experiment``
+submits it: one ``JobQueue.submit(..., experiment=NAME)`` per job, the
+handles grouped in an :class:`Experiment`.
+"""
 
 from repro.benchmarks import benchmark_by_name
-from repro.service.queue import JobQueue, JobStatus, SweepConfig
-from repro.service.queue.experiments import normalize_configs
+from repro.service.queue import Experiment, JobQueue, JobStatus
 from repro.transforms.pipeline import PipelineOptions
 
 
@@ -19,53 +21,43 @@ def _options(grid=3):
 
 
 def _sweep():
+    """(program, seed) points: two programs, and a second seed of one."""
     return [
-        SweepConfig(program=_program("Jacobian"), options=_options()),
-        SweepConfig(program=_program("UVKBE"), options=_options()),
-        SweepConfig(
-            program=_program("Jacobian"), options=_options(), seed=99
-        ),
+        (_program("Jacobian"), 0),
+        (_program("UVKBE"), 0),
+        (_program("Jacobian"), 99),
     ]
 
 
-class TestNormalization:
-    def test_accepts_programs_pairs_and_configs(self):
-        program = _program()
-        configs = normalize_configs(
-            [program, (program, _options()), SweepConfig(program=program)]
+def _submit(queue, name, sweep):
+    handles = [
+        queue.submit(
+            program, _options(), executor="vectorized", seed=seed,
+            experiment=name,
         )
-        assert len(configs) == 3
-        assert all(isinstance(c, SweepConfig) for c in configs)
-        assert configs[1].options is not None
-
-    def test_rejects_junk_and_empty_sweeps(self):
-        with pytest.raises(TypeError, match="sweep configs"):
-            normalize_configs(["Jacobian"])
-        with pytest.raises(ValueError, match="at least one"):
-            normalize_configs([])
+        for program, seed in sweep
+    ]
+    return Experiment(name, queue, handles)
 
 
 class TestExperiments:
     def test_experiment_completes_and_aggregates_progress(self):
         with JobQueue(workers=2, mode="inline") as queue:
-            experiment = queue.submit_experiment(
-                "sweep-1", _sweep(), executor="vectorized"
-            )
+            experiment = _submit(queue, "sweep-1", _sweep())
             progress = experiment.wait(timeout=300)
         assert progress.name == "sweep-1"
         assert progress.total == 3
         assert progress.done
         assert progress.counts[JobStatus.DONE] == 3
-        assert progress.fraction == 1.0
         assert "3/3 finished" in progress.format()
-        artifacts = experiment.results()
+        artifacts = [handle.result() for handle in experiment.handles]
         assert len(artifacts) == 3
         # The seed=99 point is a distinct run of the same program.
         assert artifacts[0].fingerprint != artifacts[2].fingerprint
 
     def test_experiment_name_is_stamped_on_the_jobs(self):
         with JobQueue(workers=0, mode="inline") as queue:
-            queue.submit_experiment("sweep-2", _sweep(), executor="vectorized")
+            _submit(queue, "sweep-2", _sweep())
             records = queue.store.list_jobs(experiment="sweep-2")
         assert len(records) == 3
         assert all(record.experiment == "sweep-2" for record in records)
@@ -74,13 +66,9 @@ class TestExperiments:
         """The resumability contract: a warm resubmission of the same
         experiment queues nothing and simulates nothing."""
         with JobQueue(workers=2, mode="inline") as queue:
-            queue.submit_experiment(
-                "sweep-3", _sweep(), executor="vectorized"
-            ).wait(timeout=300)
+            _submit(queue, "sweep-3", _sweep()).wait(timeout=300)
         with JobQueue(workers=0, mode="inline") as fresh:  # no workers at all
-            experiment = fresh.submit_experiment(
-                "sweep-3", _sweep(), executor="vectorized"
-            )
+            experiment = _submit(fresh, "sweep-3", _sweep())
             progress = experiment.progress()
             assert progress.done  # terminal without any worker running
             assert fresh.statistics.resumed_from_cache == 3
@@ -94,14 +82,9 @@ class TestExperiments:
     def test_partial_completion_resumes_only_the_missing_points(self):
         sweep = _sweep()
         with JobQueue(workers=2, mode="inline") as queue:
-            queue.submit_experiment(
-                "warmup", sweep[:2], executor="vectorized"
-            ).wait(timeout=300)
+            _submit(queue, "warmup", sweep[:2]).wait(timeout=300)
         with JobQueue(workers=2, mode="inline") as resumed:
-            experiment = resumed.submit_experiment(
-                "full", sweep, executor="vectorized"
-            )
-            experiment.wait(timeout=300)
+            _submit(resumed, "full", sweep).wait(timeout=300)
             assert resumed.statistics.resumed_from_cache == 2
         # Counted after close(): the worker threads have joined by then.
         assert resumed.statistics.completed == 1  # only the new point ran

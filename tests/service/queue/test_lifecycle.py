@@ -33,11 +33,19 @@ class TestStateMachine:
                 with pytest.raises(IllegalTransitionError):
                     ensure_transition(terminal, to)
 
-    def test_every_active_state_can_retry_fail_or_cancel(self):
+    def test_every_active_state_can_retry_or_fail(self):
         for active in ACTIVE_STATES:
             ensure_transition(active, JobStatus.QUEUED)  # the retry edge
             ensure_transition(active, JobStatus.FAILED)
-            ensure_transition(active, JobStatus.CANCELLED)
+
+    def test_only_a_queued_job_can_be_cancelled(self):
+        """A claimed job runs on: no active state has a cancel edge."""
+        ensure_transition(JobStatus.QUEUED, JobStatus.CANCELLED)
+        for active in ACTIVE_STATES:
+            with pytest.raises(
+                IllegalTransitionError, match=f"illegal job transition {active}"
+            ):
+                ensure_transition(active, JobStatus.CANCELLED)
 
     def test_queued_cannot_skip_ahead(self):
         for to in (JobStatus.RUNNING, JobStatus.DIGESTING, JobStatus.DONE):

@@ -20,7 +20,6 @@ import pytest
 
 from repro.benchmarks import benchmark_by_name
 from repro.service.queue import JobQueue, JobStatus
-from repro.service.queue.workers import HOLD_FILE_ENV
 from repro.service.run import RunService
 from repro.transforms.pipeline import PipelineOptions
 
@@ -45,14 +44,11 @@ def _sixteen_jobs():
 class TestAcceptance:
     @pytest.mark.skipif(not fork_available, reason="needs process workers")
     def test_sixteen_job_batch_with_worker_death_and_warm_resubmission(
-        self, tmp_path, monkeypatch, fast_retries
+        self, tmp_path, hold, fast_retries
     ):
         jobs = _sixteen_jobs()
         queue_cache = tmp_path / "queue-cache"
         sync_cache = tmp_path / "sync-cache"
-        hold = tmp_path / "hold"
-        hold.touch()
-        monkeypatch.setenv(HOLD_FILE_ENV, str(hold))
 
         # --- the batch through the queue, with one simulated worker death.
         with JobQueue(queue_cache, workers=2, mode="process") as queue:
@@ -65,8 +61,8 @@ class TestAcceptance:
             ]
             assert len(handles) == 16
 
-            # Kill whichever job first reaches `running` (the hold file
-            # keeps it there), then release the hold for everyone.  A job
+            # Kill whichever job first reaches `running` (the hold keeps it
+            # there), then release the hold for everyone.  A job
             # that fails first (a broken pipeline fails every job) ends
             # the wait at once, with its error.
             deadline = time.monotonic() + 120.0
@@ -78,9 +74,11 @@ class TestAcceptance:
                     if status is JobStatus.FAILED:
                         error = queue.store.get(job_id).error
                         pytest.fail(f"job {job_id} failed: {error}")
-                for job_id, pid in queue.active_processes().items():
-                    if queue.store.get(job_id).status is JobStatus.RUNNING:
-                        victim = job_id
+                for handle in handles:
+                    record = handle.record()
+                    pid = hold.holder(record)
+                    if record.status is JobStatus.RUNNING and pid is not None:
+                        victim = handle.job_id
                         victim_pid = pid
                         break
                 else:
@@ -89,7 +87,7 @@ class TestAcceptance:
             while queue.statistics.retried == 0:
                 assert time.monotonic() < deadline, "death never observed"
                 time.sleep(0.01)
-            hold.unlink()
+            hold.release()
 
             for handle in handles:
                 assert handle.wait(timeout=600).status is JobStatus.DONE
@@ -102,7 +100,6 @@ class TestAcceptance:
             assert all(record.attempts == 1 for record in others)
 
         # --- byte-identical to the synchronous path, per field.
-        monkeypatch.delenv(HOLD_FILE_ENV)
         with RunService(cache_dir=sync_cache) as service:
             for handle, (program, options, executor) in zip(handles, jobs):
                 synchronous = service.run(program, options, executor=executor)

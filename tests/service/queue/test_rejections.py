@@ -3,8 +3,8 @@
 Each test sends one input the queue rejects — an argument out of range, an
 unknown job id or experiment, an undecodable payload, an artifact purged
 after its job finished, a deadline that passes while a job is held — and
-checks that the refusal names it.  The mid-job window is the
-``REPRO_QUEUE_HOLD_FILE`` hook, never a clock.
+checks that the refusal names it.  The mid-job window is the ``hold``
+fixture (``tests/service/conftest.py``), never a clock.
 """
 
 import io
@@ -28,7 +28,6 @@ from repro.service.queue import (
     resolve_worker_mode,
 )
 from repro.service.queue.daemon import JobHandle
-from repro.service.queue.workers import HOLD_FILE_ENV
 from repro.transforms.pipeline import PipelineOptions
 
 PROGRAM = benchmark_by_name("Jacobian").program(nx=3, ny=3, nz=8, time_steps=1)
@@ -122,11 +121,8 @@ def test_closing_a_queue_whose_idle_worker_was_killed_reaps_it(tmp_path):
 
 class TestDeadlines:
     def test_drain_and_experiment_wait_time_out_while_a_job_is_held(
-        self, tmp_path, monkeypatch
+        self, tmp_path, hold
     ):
-        hold = tmp_path / "hold-the-job"
-        hold.touch()
-        monkeypatch.setenv(HOLD_FILE_ENV, str(hold))
         try:
             with JobQueue(tmp_path / "store", workers=1, mode="inline") as queue:
                 handle = queue.submit(
@@ -145,10 +141,10 @@ class TestDeadlines:
                     match=r"experiment 'held': 1 job\(s\) still pending",
                 ):
                     Experiment("held", queue, [handle]).wait(timeout=0)
-                hold.unlink()
+                hold.release()
                 assert handle.wait(timeout=120).status is JobStatus.DONE
         finally:
-            hold.unlink(missing_ok=True)  # never leave the claim thread held
+            hold.release()  # never leave the claim thread held
 
 
 class TestCli:

@@ -79,12 +79,6 @@ class TestSubmission:
         second, deduplicated = _submit(store)
         assert not deduplicated and second.id != first.id
 
-    def test_dedupe_can_be_disabled(self):
-        store = JobStore()
-        first, _ = _submit(store)
-        second, deduplicated = _submit(store, dedupe=False)
-        assert not deduplicated and second.id != first.id
-
     def test_payload_round_trips_through_the_row(self):
         store = JobStore()
         record, _ = _submit(store)

@@ -5,8 +5,9 @@ and ``compile`` in a job's result summary, ``QueueStatistics.worker_spawns``
 and ``worker_transactions``, ``JobStore.connections_opened`` — never off a
 clock.  Timeouts only bound
 how long a broken build may hang.  The deterministic mid-job window is the
-``REPRO_QUEUE_HOLD_FILE`` hook: a worker that has just entered ``running``
-spins while the file exists.
+``hold`` fixture (``tests/service/conftest.py``): a job that has just
+entered ``running`` waits until the hold is released, and the fixture says
+which pid holds it.
 """
 
 import gc
@@ -27,9 +28,7 @@ from repro.benchmarks import benchmark_by_name
 from repro.service.cli import main as cli_main
 from repro.service.queue import JobQueue, JobStatus, JobStore
 from repro.service.queue.store import _OPEN_CONNECTIONS, quiesced_for_fork
-from repro.service.queue.workers import HOLD_FILE_ENV
 from repro.transforms.pipeline import PipelineOptions
-from repro.wse.executors.tiled import SHARD_ENV_VAR
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -61,34 +60,32 @@ def _is_reaped(pid):
     return False
 
 
-@pytest.fixture
-def hold_file(tmp_path, monkeypatch):
-    path = tmp_path / "hold-the-job"
-    path.touch()
-    monkeypatch.setenv(HOLD_FILE_ENV, str(path))
-    return path
+def _held_pids(hold, handles):
+    """Wait until every handle's job is ``running`` and held in its current
+    attempt, and return the pid holding each."""
+    pids = {}
 
+    def held():
+        for handle in handles:
+            record = handle.record()
+            if record.status is JobStatus.RUNNING:
+                pids[handle.job_id] = hold.holder(record)
+            else:
+                pids[handle.job_id] = None
+        return None not in pids.values()
 
-def _held_pids(queue, handles):
-    """Wait until every handle's job is ``running`` (held) and return the
-    pid executing each."""
-    _until(
-        lambda: all(h.status() is JobStatus.RUNNING for h in handles)
-        and all(h.job_id in queue.active_processes() for h in handles),
-        "the held jobs to reach running",
-    )
-    active = queue.active_processes()
-    return [active[h.job_id] for h in handles]
+    _until(held, "the held jobs to reach running")
+    return [pids[handle.job_id] for handle in handles]
 
 
 class TestWorkerLifetime:
-    def test_twenty_jobs_run_in_the_two_workers_spawned_once(self, hold_file):
+    def test_twenty_jobs_run_in_the_two_workers_spawned_once(self, hold):
         with JobQueue(workers=2, mode="process") as queue:
             handles = [_submit(queue, seed) for seed in range(20)]
             # Both claim threads hold a job, so both workers exist.
-            pids = set(_held_pids(queue, handles[:2]))
+            pids = set(_held_pids(hold, handles[:2]))
             assert len(pids) == 2
-            hold_file.unlink()
+            hold.release()
             records = [handle.wait(timeout=300) for handle in handles]
         assert all(record.status is JobStatus.DONE for record in records)
         assert {record.result["worker_pid"] for record in records} == pids
@@ -173,19 +170,19 @@ class TestWorkerLifetime:
 
 class TestWorkerDeathAndCancel:
     def test_a_killed_worker_is_replaced_and_its_sibling_untouched(
-        self, hold_file, fast_retries
+        self, hold, fast_retries
     ):
         with JobQueue(workers=2, mode="process") as queue:
             victim, bystander = _submit(queue, 0), _submit(queue, 1)
-            victim_pid, sibling_pid = _held_pids(queue, [victim, bystander])
+            victim_pid, sibling_pid = _held_pids(hold, [victim, bystander])
             os.kill(victim_pid, signal.SIGKILL)
             _until(lambda: queue.statistics.retried == 1, "the requeue")
             # The sibling is still held, so only the bereaved claim thread
             # can take the retry: it must fork a replacement to do so.
-            (replacement_pid,) = _held_pids(queue, [victim])
+            (replacement_pid,) = _held_pids(hold, [victim])
             assert replacement_pid not in (victim_pid, sibling_pid)
-            assert queue.active_processes()[bystander.job_id] == sibling_pid
-            hold_file.unlink()
+            assert _held_pids(hold, [bystander]) == [sibling_pid]
+            hold.release()
             later = [_submit(queue, seed) for seed in range(2, 8)]
             records = [
                 handle.wait(timeout=300)
@@ -206,41 +203,32 @@ class TestWorkerDeathAndCancel:
             event.detail or "" for event in victim.events()
         )
 
-    def test_cancelling_a_running_job_respawns_only_its_worker(
-        self, hold_file
+    def test_only_a_queued_job_is_cancelled_a_claimed_one_runs_on(
+        self, hold
     ):
-        with JobQueue(workers=2, mode="process") as queue:
-            doomed, bystander = _submit(queue, 0), _submit(queue, 1)
-            queued = [_submit(queue, seed) for seed in (2, 3)]
-            doomed_pid, sibling_pid = _held_pids(queue, [doomed, bystander])
-            queue.cancel(doomed.job_id)
-            assert doomed.wait(timeout=300).status is JobStatus.CANCELLED
-            # The sibling is still held, so the next queued job goes to the
-            # claim thread that lost its worker: it forks a replacement.
-            (replacement_pid,) = _held_pids(queue, queued[:1])
-            assert replacement_pid not in (doomed_pid, sibling_pid)
-            hold_file.unlink()
-            records = [
-                handle.wait(timeout=300) for handle in [bystander, *queued]
-            ]
-        assert all(record.status is JobStatus.DONE for record in records)
-        assert records[0].result["worker_pid"] == sibling_pid
-        assert {r.result["worker_pid"] for r in records[1:]} <= {
-            replacement_pid,
-            sibling_pid,
-        }
+        """``cancel`` on a claimed job returns its status unchanged and
+        touches neither the job nor its worker, which completes it."""
+        with JobQueue(workers=1, mode="process") as queue:
+            claimed, waiting = _submit(queue, 0), _submit(queue, 1)
+            (pid,) = _held_pids(hold, [claimed])
+            assert claimed.cancel() is JobStatus.RUNNING
+            assert queue.cancel(claimed.job_id) is JobStatus.RUNNING
+            assert waiting.cancel() is JobStatus.CANCELLED
+            hold.release()
+            record = claimed.wait(timeout=300)
+        assert record.status is JobStatus.DONE
+        assert record.result["worker_pid"] == pid
+        assert waiting.status() is JobStatus.CANCELLED
         assert queue.statistics.cancelled == 1
-        assert queue.statistics.retried == 0
-        assert queue.statistics.worker_spawns == 3
-        assert _is_reaped(doomed_pid)
+        assert queue.statistics.worker_spawns == 1
 
     def test_a_tiled_job_runs_its_shard_threads_inside_a_worker(
-        self, monkeypatch
+        self, pin_shards
     ):
         """A ``tiled`` job on a 2x2 shard grid runs in a queue worker
         process: its four shards are threads of that worker, which meet at
         the round barrier; nothing is forked for them."""
-        monkeypatch.setenv(SHARD_ENV_VAR, "2")  # 2x2 shards on any host
+        pin_shards(2)  # on any host; the forked worker inherits the patch
         program = benchmark_by_name("Jacobian").program(
             nx=8, ny=8, nz=8, time_steps=1
         )
@@ -295,17 +283,17 @@ class TestAbandonedQueues:
         assert status == "done"
         assert _is_reaped(int(worker_pid))
 
-    def test_dropping_the_last_reference_reaps_the_workers(self, hold_file):
+    def test_dropping_the_last_reference_reaps_the_workers(self, hold):
         queue = JobQueue(workers=2, mode="process")
         handles = [_submit(queue, seed) for seed in range(2)]
-        pids = _held_pids(queue, handles)
+        pids = _held_pids(hold, handles)
         store = queue.store
         del queue, handles  # handles reference their queue
         gc.collect()
         assert all(_is_reaped(pid) for pid in pids)
         # The jobs in hand stay recoverable: requeued by their claim
         # threads if those got to it, orphans for the next daemon if not.
-        hold_file.unlink()
+        hold.release()
         with JobQueue(workers=1, mode="inline") as successor:
             successor.drain(timeout=300)
         assert store.counts()[JobStatus.DONE] == 2

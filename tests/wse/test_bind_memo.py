@@ -29,7 +29,6 @@ from repro.wse.codegen import (
     kernel_fingerprint,
     reset_kernel_cache,
 )
-from repro.wse.executors.tiled import SHARD_ENV_VAR
 from repro.wse.interpreter import ProgramImage, bound_image
 from repro.wse.plan import ExecutionPlan
 from repro.wse.simulator import WseSimulator
@@ -70,11 +69,17 @@ def _run(program, executor):
     return simulator, {name: simulator.read_field(name) for name in FIELDS}
 
 
+def _callable_of(op):
+    while not isinstance(op, (csl.FuncOp, csl.TaskOp)):
+        op = op.parent_op()
+    return op
+
+
 def _ops(module, op_type, callable_name):
     return [
         op
         for op in module.walk_type(op_type)
-        if op.parent_of_type((csl.FuncOp, csl.TaskOp)).sym_name == callable_name
+        if _callable_of(op).sym_name == callable_name
     ]
 
 
@@ -93,7 +98,8 @@ def _erase_op(module):
 
 def _insert_op(module):
     scaling = _ops(module, csl.FmulsOp, "done_exchange_cb0")[0]
-    scaling.parent.insert_op_after(scaling.clone(), scaling)
+    block = scaling.parent
+    block.insert_op(scaling.clone(), block.index_of(scaling) + 1)
 
 
 def _rewire_operand(module):
@@ -270,16 +276,16 @@ def _bind_counts():
 
 class TestBindCounts:
     @pytest.mark.parametrize("executor", ["compiled", "tiled", "auto"])
-    def test_three_binds_of_one_module_derive_once(self, executor, monkeypatch):
-        monkeypatch.setenv(SHARD_ENV_VAR, "2")
+    def test_three_binds_of_one_module_derive_once(self, executor, pin_shards):
+        pin_shards(2)
         module = _module()
         reset_kernel_cache()
         for _ in range(3):
             WseSimulator(module, executor=executor)
         assert _bind_counts() == (1, 1, 1)
 
-    def test_tiled_prints_once_for_all_its_shard_boxes(self, monkeypatch):
-        monkeypatch.setenv(SHARD_ENV_VAR, "2")
+    def test_tiled_prints_once_for_all_its_shard_boxes(self, pin_shards):
+        pin_shards(2)
         simulator = WseSimulator(_module(), executor="tiled")
         assert len(set(simulator.executor.kernel_fingerprints)) == 4
         assert bind_statistics().module_prints == 1

@@ -23,7 +23,6 @@ from repro.frontends.common import BoundaryCondition
 from repro.frontends.flang_like import parse_fortran_stencil
 from repro.tests_support import run_on_executor, simulate_against_reference
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
-from repro.wse.executors.tiled import SHARD_ENV_VAR
 from repro.wse.simulator import WseSimulator
 
 EXECUTORS = ("reference", "vectorized", "tiled", "compiled", "auto")
@@ -159,9 +158,9 @@ class TestKernelBackendsPerBoundaryMode:
     @pytest.mark.parametrize("name", BENCHMARKS)
     @pytest.mark.parametrize("boundary", MODES, ids=lambda b: b.spec)
     def test_compiled_and_sharded_tiled_match_vectorized(
-        self, monkeypatch, name, boundary
+        self, pin_shards, name, boundary
     ):
-        monkeypatch.setenv(SHARD_ENV_VAR, "2")
+        pin_shards(2)
         program, module = self._compile(name, boundary)
         assert len(WseSimulator(module, executor="tiled").executor.boxes) == 4
         self._assert_matches_vectorized(
@@ -179,11 +178,11 @@ class TestKernelBackendsPerBoundaryMode:
     @pytest.mark.parametrize("name", BENCHMARKS)
     @pytest.mark.parametrize("boundary", MODES, ids=lambda b: b.spec)
     def test_one_shard_tiled_matches_vectorized(
-        self, monkeypatch, name, boundary
+        self, pin_shards, name, boundary
     ):
         """A 1-shard grid: its one box is the whole fabric, run by one
         ``run_block`` call of its kernel — no barrier."""
-        monkeypatch.setenv(SHARD_ENV_VAR, "1")
+        pin_shards(1)
         program, module = self._compile(name, boundary)
         simulator = WseSimulator(module, executor="tiled")
         assert len(simulator.executor.boxes) == 1

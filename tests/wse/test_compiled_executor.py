@@ -532,7 +532,8 @@ class TestFallback:
             operands=[target.result, target.result],
             result_types=[csl.DsdType(csl.DsdKind.MEM1D)],
         )
-        target.parent.insert_op_after(rebase, target)
+        block = target.parent
+        block.insert_op(rebase, block.index_of(target) + 1)
         with pytest.raises(
             KernelCodegenError, match="unsupported operation 'csl.set_dsd"
         ):

@@ -4,7 +4,7 @@ The heavyweight cross-backend guarantees (byte-identical fields and equal
 statistics on the golden benchmarks and under every boundary mode) live in
 ``test_executor_equivalence.py`` / ``test_boundary_conditions.py``, whose
 executor matrices include ``tiled``; this file covers the backend's own
-mechanics: the shard-box geometry, the ``REPRO_TILED_SHARDS`` override, the
+mechanics: the shard-box geometry and its derivation from the CPUs, the
 thread driver (one barrier per round plus the settling one, every shard
 thread joined, the seam protocol under forced GIL switches), the failure
 paths, and the per-PE host surface.  The round budget and deadlock edges
@@ -34,7 +34,8 @@ from repro.ir.exceptions import InterpretationError
 from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.codegen import KernelCodegenError, generate_kernel_source
-from repro.wse.executors.tiled import SHARD_ENV_VAR, shard_grid
+from repro.wse.executors import tiled
+from repro.wse.executors.tiled import shard_grid
 from repro.wse.interpreter import bound_image
 from repro.wse.plan import ShardGeometry
 from repro.wse.schedule import delivery_schedule
@@ -117,17 +118,15 @@ class TestShardGeometry:
         widths = sorted({x1 - x0 for _, _, x0, x1 in boxes})
         assert widths == [3, 4]
 
-    def test_grid_clamps_to_the_fabric(self, monkeypatch):
-        monkeypatch.delenv(SHARD_ENV_VAR, raising=False)
+    def test_grid_clamps_to_the_fabric(self):
         assert shard_grid(1, 1, cpus=16) == (1, 1)
         assert shard_grid(8, 1, cpus=16) == (2, 1)  # long axis still splits
         assert shard_grid(8, 8, cpus=4) == (2, 2)
 
-    def test_grid_auto_derives_from_the_usable_cpu_count(self, monkeypatch):
-        """Unset env: kx*ky workers ≈ one per CPU, rows split first (one
-        contiguous run per buffer per shard), but never shards thinner than
+    def test_grid_auto_derives_from_the_usable_cpu_count(self):
+        """kx*ky workers ≈ one per CPU, rows split first (one contiguous
+        run per buffer per shard), but never shards thinner than
         MIN_SHARD_SIDE PEs along either axis."""
-        monkeypatch.delenv(SHARD_ENV_VAR, raising=False)
         assert shard_grid(64, 64, cpus=1) == (1, 1)  # one CPU, one shard
         assert shard_grid(128, 128, cpus=2) == (1, 2)  # two row bands
         assert shard_grid(64, 64, cpus=4) == (1, 4)
@@ -138,11 +137,10 @@ class TestShardGeometry:
         # Plenty of CPUs never splits shards below MIN_SHARD_SIDE.
         assert shard_grid(8, 8, cpus=64) == (2, 2)
 
-    def test_ragged_fabrics_shard_along_their_long_axis(self, monkeypatch):
+    def test_ragged_fabrics_shard_along_their_long_axis(self):
         """Regression: the old square-extent heuristic collapsed 64x8 and
         64x4 fabrics to a single shard because the short axis could not
         host K bands; the per-axis clamp keeps the long axis parallel."""
-        monkeypatch.delenv(SHARD_ENV_VAR, raising=False)
         assert shard_grid(64, 8, cpus=4) == (2, 2)
         assert shard_grid(64, 8, cpus=16) == (8, 2)
         assert shard_grid(64, 4, cpus=16) == (16, 1)
@@ -153,25 +151,13 @@ class TestShardGeometry:
                 assert (y1 - y0) >= 4 and (x1 - x0) >= 4
 
     def test_auto_grid_reaches_the_executor(self, monkeypatch):
-        monkeypatch.delenv(SHARD_ENV_VAR, raising=False)
-        monkeypatch.setattr(
-            "repro.wse.executors.tiled.usable_cpu_count", lambda: 4
-        )
+        # The suite pins the grid by patching tiled.shard_grid; put the
+        # derivation back.
+        monkeypatch.setattr(tiled, "shard_grid", shard_grid)
+        monkeypatch.setattr(tiled, "usable_cpu_count", lambda: 4)
         _, module = _compiled(8, 8, name="auto_extent")
         simulator = WseSimulator(module, executor="tiled")
         assert len(simulator.executor.boxes) == 4  # 2x2 from 4 CPUs
-
-    def test_env_override_and_validation(self, monkeypatch):
-        monkeypatch.setenv(SHARD_ENV_VAR, "3")
-        assert shard_grid(9, 9) == (3, 3)
-        # The override clamps per axis instead of failing on thin fabrics.
-        assert shard_grid(9, 2) == (3, 2)
-        monkeypatch.setenv(SHARD_ENV_VAR, "0")
-        with pytest.raises(ValueError, match="must be >= 1"):
-            shard_grid(9, 9)
-        monkeypatch.setenv(SHARD_ENV_VAR, "many")
-        with pytest.raises(ValueError, match="expected a positive integer"):
-            shard_grid(9, 9)
 
 
 class TestTiledEquivalence:
@@ -194,13 +180,12 @@ class TestTiledEquivalence:
         _, expected = run_on_executor("vectorized", program, module)
         assert stats == expected
 
-    def test_sequential_fallback_is_bit_identical(self, monkeypatch):
+    def test_sequential_fallback_is_bit_identical(self, pin_shards):
         """A 1-shard grid runs its kernel's ``run_block``, no seam
         protocol; it must still match exactly."""
-        monkeypatch.setenv(SHARD_ENV_VAR, "1")
+        pin_shards(1)
         program, module = _compiled(4, 4, name="seq_fallback")
         tiled_fields, tiled_stats = run_on_executor("tiled", program, module)
-        monkeypatch.delenv(SHARD_ENV_VAR)
         vectorized_fields, vectorized_stats = run_on_executor(
             "vectorized", program, module
         )
@@ -208,13 +193,12 @@ class TestTiledEquivalence:
             assert tiled_fields[name].tobytes() == expected.tobytes()
         assert tiled_stats == vectorized_stats
 
-    def test_three_by_three_shards(self, monkeypatch):
-        monkeypatch.setenv(SHARD_ENV_VAR, "3")
+    def test_three_by_three_shards(self, pin_shards):
+        pin_shards(3)
         program, module = _compiled(6, 6, name="nine_shards")
         simulator = WseSimulator(module, executor="tiled")
         assert len(simulator.executor.boxes) == 9
         tiled_fields, tiled_stats = run_on_executor("tiled", program, module)
-        monkeypatch.delenv(SHARD_ENV_VAR)
         vectorized_fields, vectorized_stats = run_on_executor(
             "vectorized", program, module
         )
@@ -230,7 +214,7 @@ class TestThreadDriver:
     @pytest.mark.parametrize("extent", (1, 2, 3))
     @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.spec)
     def test_forced_interleavings_stay_byte_identical(
-        self, monkeypatch, extent, boundary
+        self, pin_shards, extent, boundary
     ):
         """Five runs with the GIL handed over every microsecond, so the
         shards interleave at every bytecode boundary the interpreter
@@ -243,7 +227,7 @@ class TestThreadDriver:
         expected_fields, expected_statistics = run_on_executor(
             "vectorized", program, module
         )
-        monkeypatch.setenv(SHARD_ENV_VAR, str(extent))
+        pin_shards(extent)
         assert len(WseSimulator(module, executor="tiled").executor.boxes) == (
             extent * extent
         )
@@ -406,9 +390,9 @@ class TestFailurePaths:
             assert simulator.read_field(name).tobytes() == expected.tobytes()
         assert statistics == expected_statistics
 
-    def test_budget_exhaustion_on_one_shard(self, monkeypatch):
+    def test_budget_exhaustion_on_one_shard(self, pin_shards):
         """A 1-shard run raises the same diagnosis."""
-        monkeypatch.setenv(SHARD_ENV_VAR, "1")
+        pin_shards(1)
         program, module = _compiled(4, 4, steps=2, name="budget_one_shard")
         simulator = WseSimulator(module, executor="tiled")
         simulator.launch()
@@ -418,8 +402,6 @@ class TestFailurePaths:
     def test_deadlock_is_diagnosed(self, monkeypatch):
         """Queued work that no drain runs while no exchange is pending is a
         deadlock: the shard raises it instead of publishing."""
-        from repro.wse.executors import tiled
-
         bind = tiled.CompiledShardRunner.__init__
 
         def stalled(self, *args, **kwargs):

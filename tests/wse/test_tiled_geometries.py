@@ -1,8 +1,8 @@
 """Tiled goldens at explicit shard grids, whatever the host's CPU count.
 
-The equivalence and boundary suites run ``tiled`` on the grid
-``REPRO_TILED_SHARDS`` or the host's CPUs pick.  Here the grid is fixed per
-case by patching :func:`~repro.wse.executors.tiled.shard_grid`: row bands,
+The equivalence and boundary suites run ``tiled`` on the suite's pinned
+2x2 grid (``conftest.py``).  Here the grid is fixed per case by patching
+:func:`~repro.wse.executors.tiled.shard_grid` the same way: row bands,
 column bands and a 2x2 grid, on a wide and a tall non-square fabric, for
 every benchmark under every boundary mode.  Fields must be byte-identical
 and statistics equal to ``vectorized``.  At 3 bands the shards are 3 or 4
