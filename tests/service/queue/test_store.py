@@ -71,6 +71,15 @@ class TestSubmission:
         third, deduplicated = _submit(store, fingerprint="fp-2")
         assert not deduplicated and third.id != first.id
 
+    def test_an_active_job_absorbs_resubmissions(self):
+        """Deduplication covers a claimed job too, not only a queued one."""
+        store = JobStore()
+        first, _ = _submit(store)
+        claimed = store.claim_next("w")
+        assert claimed.id == first.id and claimed.status is not JobStatus.QUEUED
+        second, deduplicated = _submit(store)
+        assert deduplicated and second.id == first.id
+
     def test_terminal_jobs_do_not_absorb_resubmissions(self):
         store = JobStore()
         first, _ = _submit(store)

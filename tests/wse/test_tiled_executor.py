@@ -11,6 +11,7 @@ paths, and the per-PE host surface.  The round budget and deadlock edges
 of both round drivers side by side are in ``test_compiled_executor.py``.
 """
 
+import os
 import sys
 import threading
 from dataclasses import replace
@@ -149,6 +150,18 @@ class TestShardGeometry:
             kx, ky = shard_grid(width, height, cpus=cpus)
             for y0, y1, x0, x1 in ShardGeometry.build(width, height, kx, ky).boxes():
                 assert (y1 - y0) >= 4 and (x1 - x0) >= 4
+
+    def test_default_grid_follows_the_cpu_affinity(self, monkeypatch):
+        """Without ``cpus`` the grid comes from the CPUs this process may
+        schedule on, so ``taskset`` limits it; a CPU count below one still
+        yields one shard."""
+        if hasattr(os, "sched_getaffinity"):
+            assert tiled.usable_cpu_count() == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(tiled, "usable_cpu_count", lambda: 4)
+        assert shard_grid(64, 64) == (1, 4)
+        monkeypatch.setattr(tiled, "usable_cpu_count", lambda: 0)
+        assert shard_grid(64, 64) == (1, 1)
+        assert shard_grid(64, 64, cpus=-3) == (1, 1)
 
     def test_auto_grid_reaches_the_executor(self, monkeypatch):
         # The suite pins the grid by patching tiled.shard_grid; put the
