@@ -10,9 +10,9 @@ walking the :class:`~repro.wse.plan.ExecutionPlan` **once** and emitting
 the fused delivery round as Python/NumPy source text, materialised via
 ``exec``:
 
-* every callable becomes a plain Python function (``counters`` bump +
-  straight-line statements) — task activations append bound functions to a
-  queue, direct calls are direct calls;
+* every callable becomes a plain Python function (straight-line
+  statements) — task activations append bound functions to a queue, direct
+  calls are direct calls;
 * every *static* DSD access becomes a named whole-box view bound once at
   kernel-bind time; only runtime-offset DSDs (receive-callback chunk bases)
   slice per call.  Every ``csl.get_mem_dsd`` is static: the plan resolves
@@ -22,12 +22,22 @@ the fused delivery round as Python/NumPy source text, materialised via
   (..., out=view)`` forms whenever the static operand layout proves the
   destination never partially overlaps a source — otherwise they fall back
   to the interpreter's exact ``dest[:] = expr`` statement, so results stay
-  byte-identical either way;
+  byte-identical either way.  A float constant a builtin meets with an
+  array is an ``np.float32`` bound once at kernel-bind time, which is what
+  NumPy 2 casts a Python float to there;
+* each maximal *run* of DSD builtins, with the pure scalar and DSD-value
+  ops between them, bumps ``counters`` once, after its builtins, with the
+  totals of its ops;
 * the chunked halo exchange unrolls into the per-direction copies, fills
   and publications of the kernel's delivery schedule
-  (:mod:`repro.wse.schedule`), which decides each exchange's form — views
-  of a fabric-wide padded source, or copies straight into the receive
-  slab — and declines a program neither fits; this module only prints it.
+  (:mod:`repro.wse.schedule`), which decides each exchange's form and
+  declines a program neither fits; this module only prints it.  A direct
+  exchange copies each chunk straight into the receive slab and calls its
+  receive callback once per chunk.  A view exchange calls ``rc<eid>``, its
+  receive callback as one pass over every chunk: whole-z views of a
+  fabric-wide padded source in place of the receive slab, the whole-z
+  tiling of each runtime-offset DSD, and scratch stand-ins as deep as all
+  chunks, whose last chunk the pass copies back.
 
 There is one kernel kind: the kernel of one *box* of a
 :class:`~repro.wse.plan.ShardGeometry`.  ``tiled`` binds one per shard;
@@ -51,7 +61,7 @@ working set inside its SRAM.  Each maximal run of consecutive DSD builtins
 bind-time views; ``BANDS`` is a bind-time literal, so the kernel text does
 not grow with the number of bands.  Runtime-offset views and their range
 checks are built before the loop, the ``fmacs`` scratch is band-sized, and
-the counter bumps follow the loop with the same totals.
+the run's counter bump follows the loop, as it does in an unbanded kernel.
 
 This is legal because every DSD operand is a ``[:, :, z]`` view of a
 box's ``(rows, columns, z)`` buffer: element ``(r, c, k)`` of any builtin
@@ -60,14 +70,15 @@ gives every element the same operations in the same order — the full-RHS
 hazard form included.  A kernel whose views fit one band — every small
 box — is emitted exactly as without banding.
 
-Only the error path differs under bands: a runtime-offset view out of
-range raises the same ``IndexError`` as unbanded, but before any builtin of
-its run has executed, where the unbanded kernel (and ``vectorized``) first
-apply the run's earlier builtins.  The state left behind by that error is
-therefore not matched across backends; every successful run is.  The
-same holds for the view form: a ``run_block`` that raises inside a delivery
-returns without writing the receive slab (the round driver of several
-shards lands every shard's slab whatever the outcome).
+Only the error path differs from the interpreters: a runtime-offset view
+out of range raises the same ``IndexError``, but before any builtin of its
+run has executed — and in a view exchange's one pass, before any chunk of
+the delivery has run — where ``vectorized`` first applies the run's
+earlier builtins (and the earlier chunks).  The state left behind by that
+error is therefore not matched across backends; every successful run is.
+The same holds for the view form's landing: a ``run_block`` that raises
+inside a delivery returns without writing the receive slab (the round
+driver of several shards lands every shard's slab whatever the outcome).
 
 Kernels are cached process-wide in an in-memory memo keyed by a *kernel
 fingerprint* (SHA-256 over the printed program module, the plan's canonical
@@ -108,7 +119,7 @@ from repro.wse.interpreter import bind_statistics, reset_bind_statistics
 from repro.wse.plan import ExecutionPlan, ShardGeometry
 # ``KernelCodegenError`` is re-exported: the schedule declines programs too.
 from repro.wse.schedule import KernelCodegenError, Region, delivery_schedule
-from repro.wse.schedule import whole_fabric
+from repro.wse.schedule import RUN_OPS, whole_fabric
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wse.interpreter import ProgramImage
@@ -196,10 +207,10 @@ class SourceBuilder:
     def extend(self, other: "SourceBuilder") -> None:
         self._lines.extend(other._lines)
 
-    def nested(self) -> "SourceBuilder":
-        """An empty builder one level deeper, for a loop body emitted
-        before its header is known."""
-        return SourceBuilder(self._indent + 1)
+    def nested(self, levels: int = 1) -> "SourceBuilder":
+        """An empty builder ``levels`` deeper, for a body emitted before
+        what precedes it is known."""
+        return SourceBuilder(self._indent + levels)
 
     def __len__(self) -> int:
         return len(self._lines)
@@ -225,6 +236,11 @@ class _DsdExpr:
     @property
     def view_key(self) -> tuple:
         return (self.buffer, self.offset, self.length, self.stride, self.runtime)
+
+
+class _Float(str):
+    """The source text of a float constant: a DSD builtin that meets it
+    with an array operand reads it as a bound ``np.float32``."""
 
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -261,18 +277,6 @@ class _KernelEmitter:
         "sge": ">=",
     }
 
-    #: what one banded run holds: the DSD builtins and the pure scalar and
-    #: DSD-value ops between them.
-    RUN_OPS = (
-        *csl.DSD_BUILTIN_OPS,
-        csl.ConstantOp,
-        arith.ConstantOp,
-        arith.CmpiOp,
-        csl.GetMemDsdOp,
-        csl.IncrementDsdOffsetOp,
-        *BINARY_OPS,
-    )
-
     def __init__(
         self,
         image: "ProgramImage",
@@ -292,11 +296,15 @@ class _KernelEmitter:
         self._scratch: dict[int, str] = {}  # dest length -> name
         #: fancy-index constants: (values, orient) -> name.
         self._indices: dict[tuple[tuple[int, ...], str], str] = {}
-        #: the per-chunk slot views (``(eid, chunk, offset, length, stride)``
-        #: -> name) the callback variants of view exchanges read.
-        self._chunk_views: dict[tuple[int, int, int, int, int], str] = {}
-        #: ``(eid, chunk)`` while a callback variant is emitted.
-        self._chunk: tuple[int, int] | None = None
+        #: float constants: source text -> bound ``np.float32`` name.
+        self._constants: dict[str, str] = {}
+        #: bind-time views of the view exchanges' callback passes: region
+        #: -> name.
+        self._bound: dict[Region, str] = {}
+        #: the view exchange whose callback pass is being emitted, and the
+        #: chunks one call stands for (1 outside a pass).
+        self._pass = None
+        self._count = 1
         #: ``(r0, r1)`` row bands of a kernel whose longest DSD operand view
         #: spans more than :data:`_BAND_BYTES` — empty otherwise, and the
         #: kernel then runs every op over whole-region views.
@@ -331,19 +339,20 @@ class _KernelEmitter:
             self._buffer_names[buffer] = candidate
 
     def _static_view(self, dsd: _DsdExpr) -> str:
-        if self._chunk is not None:
-            eid, chunk = self._chunk
-            if dsd.buffer == self.schedule.exchanges[eid].plan.receive_buffer:
-                key = (eid, chunk, dsd.offset, dsd.length, dsd.stride)
-                return self._chunk_views.setdefault(
-                    key, f"w{len(self._chunk_views)}"
-                )
         key = (dsd.buffer, dsd.offset, dsd.length, dsd.stride)
         name = self._views.get(key)
         if name is None:
             name = f"v{len(self._views)}"
             self._views[key] = name
         return name
+
+    def _bind(self, region: Region) -> str:
+        """A bind-time view of ``region`` (deduplicated)."""
+        return self._bound.setdefault(region, f"w{len(self._bound)}")
+
+    def _constant(self, text: str) -> str:
+        """A bind-time ``np.float32`` constant (deduplicated)."""
+        return self._constants.setdefault(text, f"c{len(self._constants)}")
 
     def _scratch_for(self, length: int) -> str:
         name = self._scratch.get(length)
@@ -392,7 +401,12 @@ class _KernelEmitter:
 
         Static DSDs resolve to kernel-bind-time named views; runtime-offset
         DSDs slice inside the emitted function (with the same range check
-        ``Dsd.resolve_columns`` performs)."""
+        ``Dsd.resolve_columns`` performs).  In a view exchange's callback
+        pass every operand is the bind-time view of what the schedule names
+        in its place."""
+        if self._pass is not None:
+            key = (dsd.buffer, dsd.offset, dsd.length, dsd.stride)
+            return self._bind(self._pass.views[key])
         if dsd.runtime is None:
             return self._static_view(dsd)
         offset_name = self._fresh()
@@ -412,32 +426,48 @@ class _KernelEmitter:
 
     # -- callable emission ---------------------------------------------- #
 
-    def _emit_callable(
-        self, name: str, builder: SourceBuilder, chunk: tuple[int, int] | None = None
-    ) -> None:
-        """One callable as a Python function — or, with ``chunk``
-        (``(eid, chunk)``), the variant delivery ``eid`` calls for that
-        chunk, whose receive-slab operands are the chunk's views of the
-        padded source."""
-        callable_op = self.image.callables[name]
-        block = callable_op.regions[0].blocks[0]
+    def _emit_callable(self, name: str, builder: SourceBuilder) -> None:
+        """One callable as a Python function."""
+        builder.line(f"def {self._fn_names[name]}(arg=0):")
+        with builder.indented():
+            builder.line("counters['tasks_run'] += 1")
+            self._emit_body(name, builder)
+
+    def _emit_pass(self, eid: int, builder: SourceBuilder) -> None:
+        """``rc<eid>``: view exchange ``eid``'s receive callback as one pass
+        over every chunk (see :mod:`repro.wse.schedule`).  Its runtime-offset
+        views are checked before anything runs, and the pass ends by
+        copying each scratch stand-in's last chunk into its buffer."""
+        scheduled = self.schedule.exchanges[eid]
+        self._pass, self._count = scheduled, scheduled.plan.num_chunks
+        builder.line(f"def rc{eid}():")
+        with builder.indented():
+            builder.line(f"counters['tasks_run'] += {self._count}")
+            for region in scheduled.views.values():
+                role, buffer = region.array
+                if role == "buffer":
+                    builder.line(
+                        f"if {self._bind(region)}.shape[2] != {len(region.z)}: "
+                        f"raise IndexError(\"DSD over '{buffer}' out of range\")"
+                    )
+            self._emit_body(scheduled.plan.receive_callback, builder)
+            for copy in scheduled.tail:
+                builder.line(f"{self._bind(copy.dst)}[:] = {self._bind(copy.src)}")
+        self._pass, self._count = None, 1
+
+    def _emit_body(self, name: str, builder: SourceBuilder) -> None:
+        block = self.image.callables[name].regions[0].blocks[0]
         env: dict[int, Any] = {}
         if block.args:
             env[id(block.args[0])] = "arg"
-        fn = self._fn_names[name] if chunk is None else "rc{}_{}".format(*chunk)
-        self._chunk = chunk
-        builder.line(f"def {fn}(arg=0):")
-        with builder.indented():
-            builder.line("counters['tasks_run'] += 1")
-            self._emit_block(block, env, builder)
-        self._chunk = None
+        self._emit_block(block, env, builder)
 
     def _emit_block(self, block, env: dict[int, Any], b: SourceBuilder) -> None:
         run: list[Operation] = []
         for op in block.ops:
             if isinstance(op, (csl.ReturnOp, scf.YieldOp)):
                 break
-            if self._bands and isinstance(op, self.RUN_OPS):
+            if isinstance(op, RUN_OPS):
                 run.append(op)
                 continue
             self._emit_run(run, env, b)
@@ -468,12 +498,13 @@ class _KernelEmitter:
         return self.schedule.longest_dsd
 
     def _emit_run(self, run: list[Operation], env: dict[int, Any], b: SourceBuilder):
-        """One maximal run of DSD builtins, and the pure ops between them,
-        as a single loop over the row bands (legal because every builtin is
-        row-local; see the module docstring).  The pure ops, and with them
-        the runtime-offset views and their range checks, go before the
-        loop; the counter bumps after it, with the same totals."""
-        body = b.nested()
+        """One maximal run of DSD builtins, and the pure ops between them:
+        the pure ops, and with them the runtime-offset views and their range
+        checks, first; then the builtins — in a banded kernel as a single
+        loop over the row bands (legal because every builtin is row-local;
+        see the module docstring); then one bump of each counter for the
+        whole run."""
+        body = b.nested(1 if self._bands else 0)
         ops = elements = 0
         for op in run:
             if isinstance(op, csl.DSD_BUILTIN_OPS):
@@ -483,14 +514,16 @@ class _KernelEmitter:
                 self._emit_op(op, env, b)
         if not ops:
             return  # no builtin: the scalar ops were emitted in place
-        b.line("for r0, r1 in BANDS:")
+        if self._bands:
+            b.line("for r0, r1 in BANDS:")
         b.extend(body)
-        b.line(f"counters['dsd_ops'] += {ops}")
+        b.line(f"counters['dsd_ops'] += {ops * self._count}")
         b.line(f"counters['dsd_elements'] += {elements}")
 
     def _emit_op(self, op: Operation, env: dict[int, Any], b: SourceBuilder):
         if isinstance(op, (csl.ConstantOp, arith.ConstantOp)):
-            env[id(op.results[0])] = repr(op.value)
+            text = repr(op.value)
+            env[id(op.results[0])] = _Float(text) if isinstance(op.value, float) else text
         elif isinstance(op, csl.LoadVarOp):
             name = self._fresh()
             b.line(f"{name} = variables.get({op.var!r}, 0)")
@@ -521,8 +554,6 @@ class _KernelEmitter:
             env[id(op.result)] = self._dsd_of_get(op)
         elif isinstance(op, csl.IncrementDsdOffsetOp):
             env[id(op.result)] = self._dsd_of_increment(op, env)
-        elif isinstance(op, csl.DSD_BUILTIN_OPS):
-            self._emit_builtin(op, env, b)
         elif isinstance(op, csl.CommsExchangeOp):
             b.line("counters['exchanges'] += 1")
             b.line(f"pending[0] = {self.schedule.eids[op]}")
@@ -598,18 +629,16 @@ class _KernelEmitter:
         return False
 
     def _emit_builtin(
-        self,
-        op,
-        env: dict[int, Any],
-        b: SourceBuilder,
-        band: SourceBuilder | None = None,
+        self, op, env: dict[int, Any], b: SourceBuilder, body: SourceBuilder
     ) -> int:
-        """One DSD builtin; returns its destination length.
+        """One DSD builtin into its run's ``body``; returns the elements it
+        writes (over every chunk, in a callback pass).
 
-        With ``band`` (a band-loop body) the statement goes there, over the
-        ``[r0:r1]`` rows of every operand view and the band-sized scratch,
-        and the counter bumps are the caller's; runtime-offset views are
-        still built in ``b``."""
+        Runtime-offset views are built in ``b``, before the run.  In a
+        banded kernel the statement reads the ``[r0:r1]`` rows of every
+        operand view and the band-sized scratch.  A float constant that
+        meets an array operand is a bound ``np.float32``: NumPy 2 casts a
+        Python float to float32 there, so the result is the same."""
         dest = self._entry(op.dest, env)
         if not isinstance(dest, _DsdExpr):
             raise KernelCodegenError(f"'{op.name}' destination is not a DSD")
@@ -620,36 +649,45 @@ class _KernelEmitter:
         ):
             hazard = True  # scratch shape follows dest; odd shapes fall back
 
+        if isinstance(op, csl.FmacsOp):
+            # ``acc + src * coeff``: a product of two scalars is Python's,
+            # in double, so its factors stay literals.
+            arrays = any(isinstance(s, _DsdExpr) for s in sources[1:])
+        else:
+            arrays = isinstance(op, csl.FmovsOp) or any(
+                isinstance(s, _DsdExpr) for s in sources
+            )
         views = [
-            self._operand_view(s, b) if isinstance(s, _DsdExpr) else _atom(s)
+            self._operand_view(s, b) if isinstance(s, _DsdExpr)
+            else self._constant(s) if arrays and isinstance(s, _Float)
+            else _atom(s)
             for s in sources
         ]
         dest_view = self._operand_view(dest, b)
-        rows = "" if band is None else "[r0:r1]"
+        rows = "[r0:r1]" if self._bands else ""
         views = [
             view + rows if isinstance(s, _DsdExpr) else view
             for view, s in zip(views, sources)
         ]
         dest_view += rows
         # ``v[:] = x`` and ``v[r0:r1] = x`` are the same full-RHS assignment.
-        target = f"{dest_view}[:]" if band is None else dest_view
-        out = b if band is None else band
+        target = dest_view if self._bands else f"{dest_view}[:]"
 
         if isinstance(op, csl.FmovsOp):
             (src,) = views
-            out.line(f"{target} = {src}")
+            body.line(f"{target} = {src}")
         elif isinstance(op, csl.FmacsOp):
             acc, src, coeff = views
             if hazard:
-                out.line(f"{target} = {acc} + {src} * {coeff}")
+                body.line(f"{target} = {acc} + {src} * {coeff}")
             elif isinstance(sources[1], _DsdExpr):
-                scratch = self._scratch_for(dest.length)
-                if band is not None:
+                scratch = self._scratch_for(dest.length * self._count)
+                if self._bands:
                     scratch += "[:r1 - r0]"
-                out.line(f"np.multiply({src}, {coeff}, out={scratch})")
-                out.line(f"np.add({acc}, {scratch}, out={dest_view})")
+                body.line(f"np.multiply({src}, {coeff}, out={scratch})")
+                body.line(f"np.add({acc}, {scratch}, out={dest_view})")
             else:
-                out.line(f"np.add({acc}, {src} * {coeff}, out={dest_view})")
+                body.line(f"np.add({acc}, {src} * {coeff}, out={dest_view})")
         else:
             ufunc, operator = {
                 csl.FaddsOp: ("np.add", "+"),
@@ -658,13 +696,10 @@ class _KernelEmitter:
             }[type(op)]
             a, c = views
             if hazard:
-                out.line(f"{target} = {a} {operator} {c}")
+                body.line(f"{target} = {a} {operator} {c}")
             else:
-                out.line(f"{ufunc}({a}, {c}, out={dest_view})")
-        if band is None:
-            b.line("counters['dsd_ops'] += 1")
-            b.line(f"counters['dsd_elements'] += {dest.length}")
-        return dest.length
+                body.line(f"{ufunc}({a}, {c}, out={dest_view})")
+        return dest.length * self._count
 
     # -- delivery printing ----------------------------------------------- #
 
@@ -713,7 +748,7 @@ class _KernelEmitter:
         for copy in copies:
             dst = self._region(copy.dst)
             if copy.src is None:
-                b.line(f"{dst} = np.float32({self.plan.boundary.value!r})")
+                b.line(f"{dst} = {self._constant(repr(self.plan.boundary.value))}")
             else:
                 b.line(f"{dst} = {self._region(copy.src)}")
 
@@ -722,12 +757,13 @@ class _KernelEmitter:
         size = scheduled.plan.chunk_size
         for slot, fill in scheduled.fills:
             z = f"{slot * size}:{(slot + 1) * size}"
-            b.line(f"{receive_view}[:, :, {z}] = np.float32({fill!r})")
+            b.line(f"{receive_view}[:, :, {z}] = {self._constant(repr(fill))}")
 
     def _emit_deliver_fn(self, eid: int, b: SourceBuilder) -> None:
         """``deliver_<eid>``: every chunk of the exchange, each followed by
-        its receive callback, in the exchange's delivery form; a view
-        exchange flags its slab for the ``land`` hook."""
+        its receive callback (direct form), or the callback's one pass over
+        every chunk (view form), which flags its slab for the ``land``
+        hook."""
         scheduled = self.schedule.exchanges[eid]
         exchange = scheduled.plan
         view = scheduled.form == "view"
@@ -741,6 +777,7 @@ class _KernelEmitter:
                 b.line(f"counters['wavelets_sent'] += {total}")
             if view:
                 b.line(f"vw{eid}[0] = True")
+                b.line(f"rc{eid}()")
             elif scheduled.fills_once:
                 b.line(f"if fl{eid}[0]:")
                 with b.indented():
@@ -748,11 +785,8 @@ class _KernelEmitter:
                     self._emit_fills(scheduled, receive_view, b)
             else:
                 self._emit_fills(scheduled, receive_view, b)
-            for chunk in range(exchange.num_chunks):
+            for chunk in range(exchange.num_chunks * (not view)):
                 argument = chunk * exchange.chunk_size
-                if view:
-                    b.line(f"rc{eid}_{chunk}({argument})")
-                    continue
                 self._emit_copies(scheduled.chunks[chunk], b)
                 if exchange.receive_callback:
                     b.line(f"{self._fn_names[exchange.receive_callback]}({argument})")
@@ -781,10 +815,8 @@ class _KernelEmitter:
             self._emit_callable(name, callables)
         exchanges = self.schedule.exchanges
         for eid, scheduled in enumerate(exchanges):
-            for chunk in range(scheduled.plan.num_chunks * (scheduled.form == "view")):
-                self._emit_callable(
-                    scheduled.plan.receive_callback, callables, (eid, chunk)
-                )
+            if scheduled.form == "view":
+                self._emit_pass(eid, callables)
 
         delivery = SourceBuilder(indent=1)
         for eid, scheduled in enumerate(exchanges):
@@ -856,6 +888,8 @@ class _KernelEmitter:
                 out.line(
                     f"{self._padded_name(buffer)} = state.padded[{buffer!r}]"
                 )
+            for text, name in self._constants.items():
+                out.line(f"{name} = np.float32({text})")
             if self._bands:
                 out.line(f"BANDS = {self._bands!r}")
             if self.schedule.pub_rows or self.schedule.pub_cols:
@@ -878,10 +912,6 @@ class _KernelEmitter:
                     f"if {name}.shape[2] != {length}: "
                     f"raise IndexError(\"DSD over '{buffer}' out of range\")"
                 )
-            # Receive-slab slots of one chunk, as views of a padded source.
-            for (eid, *key), name in self._chunk_views.items():
-                view = self.schedule.exchanges[eid].views[tuple(key)]
-                out.line(f"{name} = {self._region(view)}")
             # Per-exchange delivery flags.
             for eid, scheduled in enumerate(exchanges):
                 if scheduled.fills_once:
@@ -897,6 +927,18 @@ class _KernelEmitter:
                     f"{self._scratch[length]} = np.empty(({grid}, {length}), "
                     f"dtype=np.float32)"
                 )
+            # What the callback passes read and write in place of each DSD:
+            # views of a padded source, runtime-offset tilings, and scratch
+            # stand-ins spanning every chunk.
+            for scheduled in exchanges:
+                for (role, key), _, _, z in scheduled.views.values():
+                    if role == "scratch":
+                        out.line(
+                            f"{role}_{key} = np.empty(({height}, {width}, "
+                            f"{len(z)}), dtype=np.float32)"
+                        )
+            for region, name in self._bound.items():
+                out.line(f"{name} = {self._region(region)}")
             out.extend(callables)
             out.extend(delivery)
             out.extend(ghosts)
@@ -1070,23 +1112,6 @@ def _materialise(fingerprint: str, source: str) -> CompiledKernel:
     )
 
 
-def cached_kernel(
-    image: "ProgramImage",
-    plan: ExecutionPlan,
-    box: tuple[int, int, int, int] | None = None,
-    geometry: ShardGeometry | None = None,
-) -> CompiledKernel | None:
-    """The kernel of one (image, plan, box) if the in-process memo holds
-    it (counted as a memory hit), else None (no geometry: the whole
-    fabric).  What a caller that builds its source store only on a miss
-    asks first."""
-    kernel = _MEMO.get(kernel_fingerprint(image, plan, box, geometry))
-    if kernel is not None:
-        _MEMO.move_to_end(kernel.fingerprint)
-        _STATISTICS.memory_hits += 1
-    return kernel
-
-
 def get_kernel(
     image: "ProgramImage",
     plan: ExecutionPlan,
@@ -1097,7 +1122,7 @@ def get_kernel(
     """The compiled kernel of one (image, plan, box), cached by fingerprint
     (no geometry: the whole fabric).
 
-    Lookup order: the in-process memo (:func:`cached_kernel`), then
+    Lookup order: the in-process memo (a hit counts as a memory hit), then
     ``store`` (any object with ``get(fingerprint) -> str | None`` and
     ``put(fingerprint, source)`` — see
     :class:`repro.service.kernels.KernelSourceStore`), then a fresh code
@@ -1105,10 +1130,12 @@ def get_kernel(
     :class:`KernelCodegenError` when the program cannot be fused; nothing
     is cached in that case.
     """
-    kernel = cached_kernel(image, plan, box, geometry)
-    if kernel is not None:
-        return kernel
     fingerprint = kernel_fingerprint(image, plan, box, geometry)
+    kernel = _MEMO.get(fingerprint)
+    if kernel is not None:
+        _MEMO.move_to_end(fingerprint)
+        _STATISTICS.memory_hits += 1
+        return kernel
     source = store.get(fingerprint) if store is not None else None
     if source is not None:
         _STATISTICS.disk_hits += 1

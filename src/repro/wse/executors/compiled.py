@@ -12,8 +12,9 @@ receive slabs otherwise; see :mod:`repro.wse.schedule`).  It is
 fixed at 1x1 on every fabric: the whole fabric is the one box, its kernel
 is bound once at construction, and a run is one call of the kernel's
 ``run_block(max_rounds)`` — no thread, no barrier, no seam snapshot.  The
-kernel is cached process-wide by content fingerprint and
-fleet-wide through the kernel source store, and the fingerprint is kept on
+kernel is cached process-wide by content fingerprint (and fleet-wide
+through the kernel source store a caller such as the run service passes),
+and the fingerprint is kept on
 the program image with the plan the simulator binds, so a warm bind is a
 kernel-memo lookup and one ``instantiate``
 (:func:`repro.wse.interpreter.bound_image`).

@@ -4,8 +4,9 @@ The vectorized lockstep executor turned the per-PE interpretation into
 whole-grid array math; this backend compiles and distributes that math.
 The fabric is partitioned into a ``kx x ky`` grid of rectangular *shards*
 (a :class:`~repro.wse.plan.ShardGeometry`), and every shard replays the
-kernel :mod:`repro.wse.codegen` generated for its box (cached process-wide
-and fleet-wide through the service :class:`KernelSourceStore`).  Every
+kernel :mod:`repro.wse.codegen` generated for its box (cached process-wide,
+and fleet-wide through a kernel source store when the caller passes one,
+as the run service does).  Every
 buffer of the program is one full-grid NumPy array of the executor's
 :class:`~repro.wse.executors.grid.GridState`, so each shard's compute
 operates on *views* restricted to its shard rows/columns — the identical
@@ -75,7 +76,6 @@ from repro.ir.exceptions import InterpretationError
 from repro.wse.codegen import (
     CompiledKernel,
     KernelCodegenError,
-    cached_kernel,
     get_kernel,
 )
 from repro.wse.executors.base import SimulationStatistics, register_executor
@@ -272,21 +272,6 @@ def _seam_rounds(
     raise InterpretationError(f"simulation exceeded {max_rounds} rounds")
 
 
-def _shard_kernel_store():
-    """The fleet-wide kernel source store, or None when unavailable.
-
-    Imported lazily: the executor layer must stay importable without the
-    service package (and any cache-directory trouble degrades to
-    process-local kernel caching, never to an error).
-    """
-    try:
-        from repro.service.kernels import KernelSourceStore
-
-        return KernelSourceStore()
-    except Exception:
-        return None
-
-
 def _allocate_snapshots(
     meta: dict, width: int, height: int
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -377,21 +362,16 @@ class TiledExecutor(GridExecutor):
         """The kernels this backend binds for ``plan``, one per box of
         ``geometry`` (default: :meth:`geometry_for`).
 
-        Each resolves through the in-process memo, then ``store`` — by
-        default the fleet-wide source store, built only on a memo miss —
-        then code generation.
+        Each resolves through the in-process memo, then ``store`` (a
+        kernel source store, when the caller passes one — the run service
+        passes its own), then code generation.
         """
         if geometry is None:
             geometry = cls.geometry_for(plan.width, plan.height)
         kernels = []
         try:
             for box in geometry.boxes():
-                kernel = cached_kernel(image, plan, box, geometry)
-                if kernel is None:
-                    if store is None:
-                        store = _shard_kernel_store()
-                    kernel = get_kernel(image, plan, store, box, geometry)
-                kernels.append(kernel)
+                kernels.append(get_kernel(image, plan, store, box, geometry))
         except KernelCodegenError as error:
             raise KernelCodegenError(
                 f"the {cls.name} backend replays generated kernels and code "

@@ -12,17 +12,29 @@ two delivery forms:
   (``SHARD_META['padded']`` names it with its reach ``R``, and the executor
   allocates it) whose ghost cells hold the boundary's fold: the Dirichlet
   fill, or periodic/reflect copies of the fabric's edges.  Direction
-  ``(dx, dy)`` of a chunk over the box ``[y0, y1) x [x0, x1)`` *is* the
-  strided view ``P[R+dy+y0:R+dy+y1, R+dx+x0:R+dx+x1, chunk]``, siblings'
-  rows included.  Each chunk's receive callback runs as a per-chunk variant
-  (``rc<eid>_<chunk>``) that reads those bind-time views; nothing is copied
-  per delivery and nothing is published.  Each box writes only its own
-  ghost territory — the ghost cells past the fabric edges it lies on — when
-  its kernel binds and when ``run_block`` starts, so the boxes of a
-  geometry write disjoint cells.  The receive slab, which nothing reads
-  during the run, is written by the kernel's ``land`` hook after the run's
-  deliveries: the last chunk's views, exactly what the direct form leaves
-  behind.  (The callback's own function, in ``fns``, still reads the slab.)
+  ``(dx, dy)`` over the box ``[y0, y1) x [x0, x1)`` *is* the strided view
+  ``P[R+dy+y0:R+dy+y1, R+dx+x0:R+dx+x1, z]``, siblings' rows included, and
+  since the chunks are consecutive z-ranges of the source, the view over
+  ``src_off : src_off + num_chunks * chunk_size`` holds every chunk at
+  once.  The receive callback runs as one variant (``rc<eid>``) that
+  passes over every chunk in one call: each receive DSD reads that
+  whole-z view, each ``c + arg`` runtime-offset DSD the whole-z tiling of
+  its buffer, and each static buffer the callback writes a stand-in
+  ``num_chunks`` times as deep, whose last chunk is copied into the buffer
+  when the call ends (:attr:`ExchangeSchedule.tail`); its counters move as
+  ``num_chunks`` calls would move them.  That is byte-identical to one call
+  per chunk exactly when the callback is chunk-separable
+  (:meth:`_Builder._chunk_separable`), which is part of the view form's
+  predicate.  Nothing is copied per delivery and nothing is published.
+  Each box writes only its own ghost territory — the ghost cells past the
+  fabric edges it lies on — when its kernel binds and when ``run_block``
+  starts, so the boxes of a geometry write disjoint cells.  The receive
+  slab, which nothing reads during the run, is written by the kernel's
+  ``land`` hook after the run's deliveries: the last chunk's views, exactly
+  what the direct form leaves behind.  (The callback's own function, in
+  ``fns``, still reads the slab.)  A runtime-offset range check of the
+  single pass raises before any chunk of the delivery has run, where the
+  direct form raises at the first chunk out of range.
 * **direct** — every other exchange: each chunk copied straight into the
   receive slab before its callback.  Each destination's source is read
   from the box itself or, for a source a sibling shard owns, from that
@@ -48,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Union
 
-from repro.dialects import csl, scf
+from repro.dialects import arith, csl, scf
 from repro.wse.dsd import Dsd
 from repro.wse.plan import ExchangePlan, ExecutionPlan, ShardGeometry
 
@@ -58,6 +70,27 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class KernelCodegenError(Exception):
     """The program uses a construct the kernel generator does not fuse."""
+
+
+#: the ops of one *run*: DSD builtins and the pure scalar and DSD-value ops
+#: between them.  The emitter prints every maximal run with one counter bump
+#: (and, in a banded kernel, as one loop over the row bands); a receive
+#: callback whose body is one run may pass over every chunk at once.
+RUN_OPS = (
+    *csl.DSD_BUILTIN_OPS,
+    csl.ConstantOp,
+    arith.ConstantOp,
+    arith.CmpiOp,
+    csl.GetMemDsdOp,
+    csl.IncrementDsdOffsetOp,
+    arith.AddiOp,
+    arith.SubiOp,
+    arith.MuliOp,
+    arith.AddfOp,
+    arith.SubfOp,
+    arith.MulfOp,
+    arith.DivfOp,
+)
 
 
 def whole_fabric(plan: ExecutionPlan, box) -> tuple[tuple, ShardGeometry]:
@@ -115,10 +148,14 @@ class ExchangeSchedule:
     #: deliveries.
     halo: tuple[Copy, ...]
     land: tuple[Copy, ...]
-    #: what a view exchange's callback variants read in place of the
-    #: receive slab: ``(chunk, offset, length, stride)`` of each receive
-    #: DSD -> its direction's view of the padded source.
+    #: what a view exchange's single callback pass names in place of each
+    #: DSD operand ``(buffer, offset, length, stride)`` of the callback, over
+    #: every chunk: a receive DSD's direction view of the padded source, a
+    #: runtime-offset DSD's ``c + arg`` tiling of its buffer, a written
+    #: static buffer's stand-in ``("scratch", i)``; and the copies of each
+    #: stand-in's last chunk into its buffer that end the pass.
     views: dict
+    tail: tuple[Copy, ...]
 
 
 @dataclass(frozen=True)
@@ -127,7 +164,8 @@ class DeliverySchedule:
     each ``csl.comms_exchange`` op, the reach ``R`` of every source
     delivered as views and the seam publication slot counts of the direct
     exchanges; also the element count of the longest DSD operand of any
-    builtin the kernel runs, which its row bands follow."""
+    builtin the kernel runs (a view exchange's callback pass counted over
+    every chunk), which its row bands follow."""
 
     box: tuple[int, int, int, int]
     geometry: ShardGeometry
@@ -273,6 +311,8 @@ class _Builder:
         self.schedulers: set[str] = set()
         self.write_sets: dict[str, set[str] | None] = {}
         self.padded: dict[str, int] = {}
+        #: stand-ins numbered so far (every view exchange's callback pass).
+        self.scratch = 0
         #: fabric row/column -> its seam publication slot.
         self.pub_rows: dict[int, int] = {}
         self.pub_cols: dict[int, int] = {}
@@ -351,6 +391,12 @@ class _Builder:
             exchange for exchange, view in zip(self.exchanges, views) if not view
         ]
         self._seam_publication(direct)
+        #: a view exchange's callback passes over all of its chunks at once.
+        passes = {
+            exchange.receive_callback: exchange.num_chunks
+            for exchange, view in zip(self.exchanges, views)
+            if view
+        }
         return DeliverySchedule(
             box=self.box,
             geometry=self.geometry,
@@ -363,7 +409,11 @@ class _Builder:
             pub_rows=len(self.pub_rows),
             pub_cols=len(self.pub_cols),
             longest_dsd=max(
-                (dsd.length for uses in self.dsd_uses.values() for _, dsd, _ in uses),
+                (
+                    dsd.length * passes.get(name, 1)
+                    for uses in self.dsd_uses.values()
+                    for name, dsd, _ in uses
+                ),
                 default=0,
             ),
         )
@@ -374,7 +424,7 @@ class _Builder:
                 plan=exchange, form="view", chunks=(), publish=(), fills=(),
                 fills_once=False, halo=self._halo_copies(exchange),
                 land=self._land_copies(eid, exchange),
-                views=self._slot_views(exchange),
+                **self._single_pass(exchange),
             )
         size = exchange.chunk_size
         depth = size * len(exchange.directions)
@@ -396,7 +446,7 @@ class _Builder:
             plan=exchange, form="direct", chunks=chunks,
             publish=self._publish_copies(eid, exchange), fills=fills,
             fills_once=bool(fills) and self._recv_preserved(exchange),
-            halo=(), land=(), views={},
+            halo=(), land=(), views={}, tail=(),
         )
 
     def _direction_view(self, exchange: ExchangePlan, slot: int, z: range) -> Region:
@@ -412,18 +462,38 @@ class _Builder:
             z,
         )
 
-    def _slot_views(self, exchange: ExchangePlan) -> dict:
-        size = exchange.chunk_size
-        slot_views = {}
-        for chunk in range(exchange.num_chunks):
-            for _, dsd, _ in self.dsd_uses.get(exchange.receive_buffer, ()):
+    def _single_pass(self, exchange: ExchangePlan) -> dict:
+        """``views`` and ``tail`` of a view exchange: what its callback's
+        one pass over every chunk names in place of each DSD operand, and
+        the copies that end the pass (see :class:`ExchangeSchedule`)."""
+        count, size = exchange.num_chunks, exchange.chunk_size
+        y0, y1, x0, x1 = self.box
+        views: dict = {}
+        tail: list[Copy] = []
+        builtins, _ = self._callback_builtins(exchange.receive_callback)
+        for dsd, runtime in (o for ops in builtins for o in ops if o is not None):
+            key = (dsd.buffer, dsd.offset, dsd.length, dsd.stride)
+            if key in views:
+                continue
+            if dsd.buffer == exchange.receive_buffer:
                 slot, slot_offset = divmod(dsd.offset, size)
-                z0 = exchange.source_offset + chunk * size + slot_offset
-                z = range(z0, z0 + dsd.length * dsd.stride, dsd.stride)
-                slot_views[chunk, dsd.offset, dsd.length, dsd.stride] = (
-                    self._direction_view(exchange, slot, z)
-                )
-        return slot_views
+                z0 = exchange.source_offset + slot_offset
+                z = range(z0, z0 + count * size, dsd.stride)
+                views[key] = self._direction_view(exchange, slot, z)
+            elif runtime:
+                z = range(dsd.offset, dsd.offset + count * size, dsd.stride)
+                views[key] = Region(("buffer", dsd.buffer), None, None, z)
+            else:
+                scratch, depth = ("scratch", self.scratch), count * dsd.length
+                self.scratch += 1
+                views[key] = Region(scratch, None, None, range(depth))
+                z = range(dsd.offset, dsd.offset + dsd.length * dsd.stride, dsd.stride)
+                tail.append(Copy(
+                    Region(("buffer", dsd.buffer), None, None, z),
+                    Region(scratch, None, None, range(depth - dsd.length, depth)),
+                    4 * (y1 - y0) * (x1 - x0) * dsd.length,
+                ))
+        return {"views": views, "tail": tuple(tail)}
 
     def _land_copies(self, eid: int, exchange: ExchangePlan) -> tuple[Copy, ...]:
         """The last chunk of a view exchange, every direction slot copied
@@ -507,10 +577,12 @@ class _Builder:
         it schedules no exchange itself); that callback is the only reader
         of the receive buffer, through static views that each lie inside
         one direction slot; nothing else writes the receive buffer
-        (:meth:`_recv_preserved`); and no callable or delivery writes the
+        (:meth:`_recv_preserved`); no callable or delivery writes the
         source — an unknown write set counts as a write — so the source is
         constant for a run, a box may read its siblings' rows of it in
-        place, and the run-end slab is exact.  The plan has already checked
+        place, and the run-end slab is exact; and the callback is
+        chunk-separable (:meth:`_chunk_separable`), so one pass of it
+        delivers every chunk.  The plan has already checked
         that the chunks lie inside the source
         (:class:`~repro.wse.plan.PlanError` otherwise).  Nothing here
         depends on the box: a shard box takes the view form exactly when
@@ -551,7 +623,107 @@ class _Builder:
                 or dsd.offset % chunk + (dsd.length - 1) * dsd.stride >= chunk
             ):
                 return False
-        return True
+        return self._chunk_separable(exchange)
+
+    def _callback_builtins(self, callback: str):
+        """``(builtins, argument_escapes)`` of a receive callback whose body
+        is one run (:data:`RUN_OPS`), else ``None``.
+
+        ``builtins`` lists each DSD builtin as ``[dest, *sources]``, each
+        operand ``(Dsd, runtime)`` or ``None`` for a scalar; ``runtime`` is
+        ``None`` for a static DSD, ``"arg"`` for a static DSD shifted by the
+        callback's argument and ``"other"`` for any other runtime offset.
+        ``argument_escapes`` tells whether the argument has a use other than
+        such a shift.
+        """
+        block = self.image.callables[callback].regions[0].blocks[0]
+        arg = block.args[0] if block.args else None
+        env: dict[int, tuple[Dsd, str | None]] = {}
+        builtins: list[list] = []
+        escapes = False
+        for op in block.ops:
+            if isinstance(op, (csl.ReturnOp, scf.YieldOp)):
+                break
+            if not isinstance(op, RUN_OPS):
+                return None
+            shift = isinstance(op, csl.IncrementDsdOffsetOp) and len(op.operands) == 2
+            by_arg = shift and op.operands[1] is arg and op.operands[0] is not arg
+            escapes |= not by_arg and any(value is arg for value in op.operands)
+            if isinstance(op, (csl.GetMemDsdOp, csl.IncrementDsdOffsetOp)):
+                planned = self.plan.static_dsd(op)
+                base = env.get(id(op.operands[0])) if op.operands else None
+                if planned is not None:
+                    env[id(op.results[0])] = (planned, None)
+                elif base is not None:
+                    runtime = "arg" if by_arg and base[1] is None else "other"
+                    env[id(op.results[0])] = (base[0].shifted(op.offset), runtime)
+            elif isinstance(op, csl.DSD_BUILTIN_OPS):
+                builtins.append(
+                    [env.get(id(value)) for value in (op.dest, *op.sources)]
+                )
+        return builtins, escapes
+
+    def _chunk_separable(self, exchange: ExchangePlan) -> bool:
+        """May the view exchange's receive callback run once over every
+        chunk (see the module docstring) instead of once per chunk?
+
+        Only when one pass makes every element see the same operations in
+        the same order as the chunks one after another: the callback's body
+        is one straight-line run of DSD builtins and pure scalar ops; every
+        DSD it names has one common length, and its receive and
+        runtime-offset DSDs tile a chunk (``length * stride ==
+        chunk_size``), so chunk ``k`` of each is the ``k``-th run of
+        elements of the whole-z one; every runtime-offset DSD is a static
+        DSD at a non-negative offset ``c`` shifted by the callback's
+        argument, which has no other use, and a buffer written at a runtime
+        offset is named by that DSD only, so chunks write disjoint cells; a
+        static buffer the callback writes is named by one DSD and written in
+        full before it is read, so no chunk reads what an earlier one left
+        there; and the callback reads no other static buffer (one pass would
+        need it once per chunk).
+        """
+        walk = self._callback_builtins(exchange.receive_callback)
+        if walk is None:
+            return False
+        builtins, escapes = walk
+        operands = [o for ops in builtins for o in ops if o is not None]
+        receive, size = exchange.receive_buffer, exchange.chunk_size
+        # Tiling: one length; receive and runtime DSDs tile a chunk.
+        if len({dsd.length for dsd, _ in operands}) > 1 or any(
+            (runtime or dsd.buffer == receive) and dsd.length * dsd.stride != size
+            for dsd, runtime in operands
+        ):
+            return False
+        layouts: dict[str, set] = {}
+        for dsd, runtime in operands:
+            layouts.setdefault(dsd.buffer, set()).add((dsd.offset, dsd.stride, runtime))
+        dests = [ops[0] for ops in builtins if ops[0] is not None]
+        # Runtime offsets: ``c + arg``, and a written buffer named once.
+        if escapes or any(
+            runtime == "other" or (runtime and dsd.offset < 0)
+            for dsd, runtime in operands
+        ) or any(len(layouts[dsd.buffer]) > 1 for dsd, runtime in dests if runtime):
+            return False
+        # Scratch: a written static buffer is named once, written first.
+        scratch = {dsd.buffer for dsd, runtime in dests if not runtime}
+        if any(len(layouts[buffer]) > 1 for buffer in scratch):
+            return False
+        written: set[str] = set()
+        for dest, *sources in builtins:
+            if any(
+                source is not None
+                and not source[1]
+                and source[0].buffer in scratch - written
+                for source in sources
+            ):
+                return False
+            if dest is not None and not dest[1]:
+                written.add(dest[0].buffer)
+        # No other static operand: every static buffer read is written.
+        return all(
+            runtime or dsd.buffer in scratch or dsd.buffer == receive
+            for dsd, runtime in operands
+        )
 
     def _seam_publication(self, direct: list[ExchangePlan]) -> None:
         """The fabric rows/columns shards publish into seam snapshots for

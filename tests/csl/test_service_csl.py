@@ -93,10 +93,7 @@ class TestRunServiceCsl:
 
         cache = str(tmp_path)
         with monkeypatch.context() as patch:
-            # A memo miss, then a codegen that declines.
-            patch.setattr(
-                "repro.wse.executors.tiled.cached_kernel", lambda *args: None
-            )
+            # Every kernel lookup declines, as a codegen would.
             patch.setattr("repro.wse.executors.tiled.get_kernel", declined)
             with pytest.raises(KernelCodegenError, match="test: declined"):
                 RunService(cache_dir=cache).run_csl(sources, executor=executor)

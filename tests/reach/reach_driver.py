@@ -216,9 +216,7 @@ def drive_banded() -> None:
     from repro.wse.executors import tiled
 
     codegen.reset_kernel_cache()
-    with _patched(codegen, "_BAND_BYTES", 64), _patched(
-        tiled, "_shard_kernel_store", lambda: None
-    ):
+    with _patched(codegen, "_BAND_BYTES", 64):
         for name, spec in (("Jacobian", "dirichlet"), ("Seismic", "periodic")):
             program, result = _compile(
                 name, BoundaryCondition.parse(spec), 9, 9, 8, 2

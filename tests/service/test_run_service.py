@@ -432,10 +432,7 @@ class TestKernelStore:
         program, options = _config(grid=4, steps=3)
         seed = 4242  # a run no other test has stored
         with monkeypatch.context() as patch:
-            # A memo miss, then a codegen that declines.
-            patch.setattr(
-                "repro.wse.executors.tiled.cached_kernel", lambda *args: None
-            )
+            # Every kernel lookup declines, as a codegen would.
             patch.setattr("repro.wse.executors.tiled.get_kernel", declined)
             with RunService() as service:
                 with pytest.raises(KernelCodegenError, match="test: declined"):

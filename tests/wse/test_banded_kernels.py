@@ -8,10 +8,9 @@ exactly.  The small grids of
 the golden matrix fit one band at the shipped constant, so these tests force
 1- and 2-row bands (the 9x9 grids then end on a ragged band).
 
-The kernel memo and the fleet-wide source store are keyed by fingerprint,
-which the band height does not enter, so every case compiles a fresh
-module, empties the memo before and after running, and binds with the
-source store out of the way.
+The kernel memo is keyed by fingerprint, which the band height does not
+enter, so every case compiles a fresh module and empties the memo before
+and after running; a bare simulator binds through no source store.
 """
 
 from dataclasses import replace
@@ -45,9 +44,9 @@ BOUNDARIES = (
 
 
 @pytest.fixture(autouse=True)
-def _fresh_kernel_cache(monkeypatch):
-    # The band height is not in the fingerprint: keep the store out.
-    monkeypatch.setattr(tiled, "_shard_kernel_store", lambda: None)
+def _fresh_kernel_cache():
+    # The band height is not in the fingerprint: empty the memo.  A bare
+    # simulator binds through no source store.
     reset_kernel_cache()
     yield
     reset_kernel_cache()
@@ -147,19 +146,24 @@ def test_banded_exchanges_sharing_a_receive_buffer(monkeypatch, rows):
 
 
 def test_out_of_range_offset_raises_before_its_run(monkeypatch):
-    """The one documented difference of a banded kernel: a runtime-offset
-    view out of range raises the unbanded kernel's ``IndexError``, but
-    before any builtin of its run, so the run's earlier builtins have not
-    touched the buffers (the unbanded kernel has applied them)."""
+    """The one documented difference of a kernel from ``vectorized``: a
+    runtime-offset view out of range raises the same ``IndexError``, but
+    before any builtin of its run, banded or not, so the run's earlier
+    builtins have not touched the buffers (``vectorized`` has applied
+    them)."""
     program = benchmark_by_name("Jacobian").program(nx=6, ny=6, nz=16, time_steps=2)
     module = _compile(program, 6)
     after = {}
     for rows in (None, 1):
         reset_kernel_cache()
-        if rows is not None:
-            source = _force_rows(monkeypatch, module, 6, rows)
-            check = source.index("raise IndexError(\"DSD over 'accumulator_0'")
-            assert source.index("for r0, r1 in BANDS:", check) > check
+        source = (
+            generate_kernel_source(bound_image(module), bound_image(module).plan_for(6, 6))
+            if rows is None
+            else _force_rows(monkeypatch, module, 6, rows)
+        )
+        callback = source.index("def fn_receive_chunk_cb0(")
+        check = source.index("raise IndexError(\"DSD over 'accumulator_0'", callback)
+        assert source.index("np.add(", callback) > check
         executor = CompiledExecutor(bound_image(module), 6, 6)
         rng = np.random.default_rng(7)
         for array in executor.state.buffers.values():
@@ -171,7 +175,7 @@ def test_out_of_range_offset_raises_before_its_run(monkeypatch):
             name for name, array in executor.state.buffers.items()
             if array.tobytes() != before[name].tobytes()
         }
-    assert after == {None: {"accumulator_1"}, 1: set()}
+    assert after == {None: set(), 1: set()}
 
 
 class TestKernelSize:

@@ -369,6 +369,20 @@ class TestKernelCache:
         assert statistics.codegens == 1
         assert statistics.memory_hits == 1
 
+    @pytest.mark.parametrize("config", sorted(KERNEL_CONFIGS))
+    def test_a_bare_simulator_writes_no_source_store(
+        self, monkeypatch, tmp_path, config
+    ):
+        """A kernel executor resolves through a source store only when its
+        caller passes one (the run service passes its own): a bare
+        simulator's codegen and run leave ``REPRO_CACHE_DIR`` empty."""
+        executor = _kernel_executor(monkeypatch, config)
+        _, module, _, _ = _image()
+        WseSimulator(module, executor=executor).execute()
+        assert kernel_cache_statistics().codegens >= 1
+        store = tmp_path / "store"
+        assert not store.exists() or not any(store.rglob("*"))
+
     def test_one_kernel_per_fabric(self, monkeypatch):
         """``compiled``, ``auto`` and one-shard ``tiled`` bind the one
         kernel of the whole fabric — the kernel ``get_kernel`` serves when

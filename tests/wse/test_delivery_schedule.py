@@ -8,15 +8,21 @@ or the kernel is declined.  Only the schedule is built; the goldens in
 ``test_view_delivery.py`` run both forms against ``vectorized``.
 """
 
+import numpy as np
 import pytest
 
+from repro.benchmarks import benchmark_by_name
+from repro.benchmarks.definitions import ALL_BENCHMARKS
 from repro.csl import parse_csl_sources
 from repro.dialects import csl
+from repro.frontends.common import BoundaryCondition
 from repro.ir.attributes import SymbolRefAttr
+from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.codegen import KernelCodegenError, generate_kernel_source
 from repro.wse.interpreter import bound_image
 from repro.wse.plan import ExecutionPlan, ShardGeometry
-from repro.wse.schedule import delivery_schedule
+from repro.wse.schedule import _Builder, delivery_schedule, whole_fabric
+from repro.wse.simulator import WseSimulator
 
 LAYOUT = """\
 param width : u16;
@@ -38,7 +44,7 @@ layout {
 #: ``begin_step`` exchanges ``u`` in two chunks of two, east and north;
 #: ``recv_chunk`` sums each chunk's two direction slots into
 #: ``accumulator``; ``apply`` copies that into ``v``.  ``{...}`` marks where
-#: a variant adds a statement (or a callable).
+#: a variant adds a statement (or a callable) or changes a DSD.
 PROGRAM = """\
 const memcpy = @import_module("<memcpy/memcpy>");
 const comms = @import_module("stencil_comms.csl", .{ .pattern = 1, .chunkSize = 2, .boundary = "dirichlet", .boundaryValue = 0.0 });
@@ -75,10 +81,11 @@ fn begin_step() void {
 }
 
 task recv_chunk(chunk_offset : i16) void {
-  const east = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{2} -> receive_buffer[{east} + i] });
-  const north = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{2} -> receive_buffer[2 + i] });
-  const sum = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{2} -> accumulator[i] });
-  const slot = @increment_dsd_offset(sum, 0 + chunk_offset, f32);
+  const east = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{{length}} -> receive_buffer[{east} + i] });
+  const north = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{{length}} -> receive_buffer[2 + i] });
+  const sum = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{{length}} -> accumulator[i] });
+  {shift}
+  const slot = @increment_dsd_offset(sum, {offset}, f32);
   @fadds(slot, east, north);
   {recv_chunk}
   return;
@@ -121,16 +128,21 @@ SECOND_EXCHANGE = (
 SPIN = "fn spin() void {\n  spin();\n  return;\n}\n"
 
 
-def _image(**changes):
+def _module(**changes):
     holes = {
         "begin_step": "", "recv_chunk": "", "apply": "", "east": "0",
-        "written": "v", "callables": "", **changes,
+        "written": "v", "callables": "", "length": "2", "shift": "",
+        "offset": "0 + chunk_offset", **changes,
     }
     program = PROGRAM
     for hole, text in holes.items():
         program = program.replace("{" + hole + "}", text)
     sources = {"program.csl": program, "layout.csl": LAYOUT}
-    return bound_image(parse_csl_sources(sources).programs[0])
+    return parse_csl_sources(sources).programs[0]
+
+
+def _image(**changes):
+    return bound_image(_module(**changes))
 
 
 def _forms(image, geometry=None, box=None) -> list[str]:
@@ -266,3 +278,143 @@ def test_an_unknown_exchange_callback_or_receive_buffer_is_declined():
     _retarget(image, csl.CommsExchangeOp, "recv_buffer", "nowhere")
     with pytest.raises(KernelCodegenError, match="'nowhere' is not a program"):
         delivery_schedule(image, ExecutionPlan.compile(image, 4, 4))
+
+
+# -- one pass of the receive callback over every chunk ---------------------- #
+
+#: the buffers of :data:`PROGRAM`.
+BUFFERS = ("u", "v", "accumulator", "receive_buffer", "other_buffer")
+
+
+def _run(module, executor):
+    """Every buffer after a run from a seeded random ``u`` and
+    ``other_buffer``."""
+    simulator = WseSimulator(module, executor=executor)
+    rng = np.random.default_rng(5)
+    simulator.load_field("u", rng.uniform(-1, 1, (4, 4, 6)).astype(np.float32))
+    simulator.load_field(
+        "other_buffer", rng.uniform(-1, 1, (4, 4, 4)).astype(np.float32)
+    )
+    simulator.execute()
+    return {name: simulator.read_field(name).tobytes() for name in BUFFERS}
+
+
+#: a variant per condition of :meth:`_Builder._chunk_separable`, each
+#: failing that condition alone.
+NOT_SEPARABLE = {
+    # ``other_buffer`` accumulates across chunks: read before written.
+    "scratch-read-first": {"recv_chunk": (
+        "const scratch = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{2} -> "
+        "other_buffer[i] });\n  @fadds(scratch, scratch, east);"
+    )},
+    # ``other_buffer`` is read and never written by the callback.
+    "read-only-static": {"recv_chunk": (
+        "const other = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{2} -> "
+        "other_buffer[i] });\n  @fadds(slot, slot, other);"
+    )},
+    # Chunk ``k`` writes ``accumulator[2 - 2k:]``: not ``c + arg``.
+    "offset-not-affine": {
+        "shift": "const k = 2 - chunk_offset;", "offset": "0 + k",
+    },
+    # One element per direction slot of a chunk of two.
+    "untiled": {"length": "1"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_SEPARABLE))
+def test_a_callback_that_is_not_chunk_separable_is_direct(case):
+    """The one-pass callback is byte-identical only for a chunk-separable
+    callback: each variant takes the direct form and leaves every buffer
+    as ``reference`` does."""
+    module = _module(**NOT_SEPARABLE[case])
+    assert _forms(bound_image(module)) == ["direct"]
+    assert "def rc0(" not in generate_kernel_source(
+        bound_image(module), bound_image(module).plan_for(4, 4)
+    )
+    expected = _run(module, "reference")
+    for executor in ("compiled", "vectorized"):
+        assert _run(module, executor) == expected, executor
+
+
+def test_the_base_callback_runs_as_one_pass():
+    module = _module()
+    image = bound_image(module)
+    (exchange,) = delivery_schedule(image, image.plan_for(4, 4)).exchanges
+    # Both chunks at once: z 1..5 of the padded ``u`` in each direction,
+    # and ``accumulator[0:4]``.
+    assert sorted(exchange.views) == [
+        ("accumulator", 0, 2, 1), ("receive_buffer", 0, 2, 1),
+        ("receive_buffer", 2, 2, 1),
+    ]
+    assert {region.z for region in exchange.views.values()} == {range(1, 5), range(0, 4)}
+    assert exchange.tail == ()
+    source = generate_kernel_source(image, image.plan_for(4, 4))
+    assert "rc0()" in source and "rc0_" not in source
+    assert _run(module, "compiled") == _run(module, "reference")
+
+
+def test_a_scratch_written_first_is_a_stand_in_copied_back():
+    """A static scratch written in full before it is read: the pass writes
+    a stand-in twice as deep and copies its last chunk back."""
+    scratch = (
+        "const scratch = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{2} -> "
+        "other_buffer[i] });\n  @fadds(scratch, east, east);"
+        "\n  @fadds(slot, slot, scratch);"
+    )
+    module = _module(recv_chunk=scratch)
+    (exchange,) = delivery_schedule(
+        bound_image(module), bound_image(module).plan_for(4, 4)
+    ).exchanges
+    assert exchange.form == "view"
+    (tail,) = exchange.tail
+    assert tail.dst.array == ("buffer", "other_buffer") and tail.src.z == range(2, 4)
+    assert _run(module, "compiled") == _run(module, "reference")
+
+
+def test_a_pass_checks_its_runtime_offsets_before_any_chunk():
+    """Chunk 1 of ``accumulator[1 + arg:]`` runs past the buffer: the
+    interpreters raise at chunk 1, after chunk 0 wrote its cells; the one
+    pass raises the same error before any chunk has run."""
+    module = _module(offset="1 + chunk_offset")
+    assert _forms(bound_image(module)) == ["view"]
+    written = {}
+    for executor in ("reference", "compiled"):
+        simulator = WseSimulator(module, executor=executor)
+        simulator.load_field("u", np.ones((4, 4, 6), dtype=np.float32))
+        with pytest.raises(IndexError, match="DSD over 'accumulator' out of range"):
+            simulator.execute()
+        written[executor] = bool(simulator.read_field("accumulator").any())
+    assert written == {"reference": True, "compiled": False}
+
+
+def _shipped(name: str, boundary, chunks: int):
+    """A benchmark's image at the golden matrix's fabric side, and the side."""
+    benchmark = benchmark_by_name(name)
+    grid = 9 if benchmark.stencil_points >= 25 else 6
+    program = benchmark.program(nx=grid, ny=grid, nz=8, time_steps=1)
+    options = PipelineOptions(
+        grid_width=grid, grid_height=grid, num_chunks=chunks, boundary=boundary
+    )
+    module = compile_stencil_program(program, options).program_module
+    return bound_image(module), grid
+
+
+@pytest.mark.parametrize("chunks", (1, 2, 4))
+@pytest.mark.parametrize(
+    "boundary",
+    (BoundaryCondition.dirichlet(), BoundaryCondition.periodic(), BoundaryCondition.reflect()),
+    ids=lambda boundary: boundary.spec,
+)
+@pytest.mark.parametrize("name", [benchmark.name for benchmark in ALL_BENCHMARKS])
+def test_every_shipped_view_exchange_is_chunk_separable(name, boundary, chunks):
+    """Every exchange the view form took before the one-pass callback
+    existed still takes it: all but Advection's (its done callback writes
+    the source) and UVKBE's callback-less prefetch."""
+    image, grid = _shipped(name, boundary, chunks)
+    plan = image.plan_for(grid, grid)
+    builder = _Builder(image, plan, *whole_fabric(plan, None))
+    schedule = builder.build()
+    views = {eid for eid, exchange in enumerate(schedule.exchanges) if exchange.form == "view"}
+    assert views == {"Advection": set(), "UVKBE": {0}}.get(name, {0})
+    for eid in views:
+        assert builder._chunk_separable(schedule.exchanges[eid].plan)

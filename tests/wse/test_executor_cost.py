@@ -1,7 +1,7 @@
 """The kernel executors' cost ledger ("count before timing", as in
 ``tests/transforms/test_compile_cost.py``): Python-level calls per warm bind
-and per run, and the receive-slab traffic of the kernels' delivery
-schedules.
+and per run, NumPy calls per run, and the receive-slab traffic of the
+kernels' delivery schedules.
 
 A count of ``call`` events is the same on every host, so this is red only
 for a reason in the code.  A *warm bind* is ``WseSimulator(module,
@@ -17,12 +17,14 @@ shard grid, running one ``run_block(max_rounds)`` call per run; CPython
 ============  ==================  ===========================
 fabric        warm bind J (S)     one execute J (S)
 ============  ==================  ===========================
-1x1           27 (27)             50 (51)
-4x4           27 (27)             50 (51)
-32x32         27 (27)             50 (51)
+1x1           27 (27)             46 (47)
+4x4           27 (27)             46 (47)
+32x32         27 (27)             46 (47)
 ============  ==================  ===========================
 
-A run's count does not grow with the fabric, and no copy the kernel prints
+A view exchange's receive callback runs as one pass over both chunks, one
+call per delivery: with one call per chunk a run counted 50 (51).  A run's
+count does not grow with the fabric, and no copy the kernel prints
 is a call: every copy with a source, ``fmovs`` included, is an assignment
 (``dst[...] = src``), with no ``np.copyto`` dispatch (a Python call in
 NumPy 2.x).  With ``fmovs`` and the slice copies printed as ``np.copyto``
@@ -35,6 +37,25 @@ run.  The ceilings allow a bind five calls over those and a run none: the
 kernel executor may change shape, but not add per-job plumbing.  CPython
 3.12 inlines comprehensions and counts fewer, so the ceilings hold there
 too.
+
+NumPy calls one run makes, counted exactly: the kernel's source is executed
+with ``np`` bound to a namespace that counts every ``np.<name>`` the kernel
+looks up during the run (ufuncs with ``out=``, and ``np.float32``; the one
+lookup that is not a call, ``dtype=np.float32``, happens at bind).  Slicing
+and assignment statements are not NumPy calls here.  A time step runs the
+done callback once — Jacobian's makes four calls, Seismic's twenty (nine
+multiply-adds, a multiply and an add) — and the receive callback once per
+chunk or, as one pass, once per delivery: three calls in Jacobian's,
+thirty-one in Seismic's (a multiply and fifteen multiply-adds).  Four time
+steps, two chunks, per run:
+
+============  ============================  ===========================
+fabric        one call per chunk J (S)      one pass per delivery J (S)
+============  ============================  ===========================
+1x1           40 (328)                      28 (204)
+4x4           40 (328)                      28 (204)
+32x32         40 (328)                      28 (204)
+============  ============================  ===========================
 
 Receive-slab writes are read off the whole-fabric kernel's delivery
 schedule (:mod:`repro.wse.schedule`); Jacobian has four directions, Seismic
@@ -82,11 +103,16 @@ UVKBE's second, callback-less exchange and Advection's (its done callback
 writes the source) stay direct.
 """
 
+from collections import deque
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.benchmarks import benchmark_by_name
 from repro.dialects import csl
 from repro.tests_support import python_calls
+from repro.wse import codegen
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.interpreter import bound_image
 from repro.wse.plan import ShardGeometry
@@ -96,13 +122,16 @@ from repro.wse.simulator import WseSimulator
 #: (benchmark, fabric side) -> (warm-bind calls, one-execute calls) of
 #: ``compiled`` with the whole-grid kernel kind, CPython 3.11.7.
 PARENT = {
-    ("Jacobian", 1): (27, 50),
-    ("Jacobian", 4): (27, 50),
-    ("Jacobian", 32): (27, 50),
-    ("Seismic", 1): (27, 51),
-    ("Seismic", 4): (27, 51),
-    ("Seismic", 32): (27, 51),
+    ("Jacobian", 1): (27, 46),
+    ("Jacobian", 4): (27, 46),
+    ("Jacobian", 32): (27, 46),
+    ("Seismic", 1): (27, 47),
+    ("Seismic", 4): (27, 47),
+    ("Seismic", 32): (27, 47),
 }
+
+#: benchmark -> NumPy calls of one run of ``compiled`` (any fabric).
+NUMPY_CALLS = {"Jacobian": 28, "Seismic": 204}
 
 #: calls a warm bind may spend over the recorded count.
 BIND_SLACK = 5
@@ -146,6 +175,35 @@ def test_warm_bind_and_one_run_stay_within_the_ledger(executor, name, side):
     parent_bind, parent_run = PARENT[name, side]
     assert bind <= parent_bind + AUTO_BIND_EXTRA[executor] + BIND_SLACK, bind
     assert run <= parent_run, run
+
+
+class _CountingNumpy:
+    """``np`` for a kernel's source: counts every name looked up on it."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("name, side", sorted(PARENT))
+def test_one_run_makes_the_recorded_numpy_calls(monkeypatch, name, side):
+    module = _module(name, side)
+    WseSimulator(module, executor="compiled").execute()
+    simulator = WseSimulator(module, executor="compiled")
+    (fingerprint,) = simulator.executor.kernel_fingerprints
+    kernel = codegen._MEMO[fingerprint]
+    counting = _CountingNumpy()
+    namespace = {"np": counting, "deque": deque}
+    exec(compile(kernel.source, "<counted kernel>", "exec"), namespace)
+    counted = replace(kernel, make=namespace["make_kernel"])
+    monkeypatch.setitem(codegen._MEMO, fingerprint, counted)
+    simulator = WseSimulator(module, executor="compiled")
+    counting.calls = 0
+    simulator.execute()
+    assert counting.calls == NUMPY_CALLS[name]
 
 
 def test_a_run_costs_the_same_on_compiled_and_auto():
