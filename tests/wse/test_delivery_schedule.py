@@ -300,7 +300,10 @@ def _run(module, executor):
 
 
 #: a variant per condition of :meth:`_Builder._chunk_separable`, each
-#: failing that condition alone.
+#: failing that condition alone: a scratch read before it is written, a
+#: read-only static operand, a runtime offset that is not ``c + arg``,
+#: ``length * stride != chunk_size``, a scratch named through two DSDs and
+#: a body that is not one run.
 NOT_SEPARABLE = {
     # ``other_buffer`` accumulates across chunks: read before written.
     "scratch-read-first": {"recv_chunk": (
@@ -318,6 +321,15 @@ NOT_SEPARABLE = {
     },
     # One element per direction slot of a chunk of two.
     "untiled": {"length": "1"},
+    # ``other_buffer`` written through one DSD and read through another.
+    "scratch-two-layouts": {"recv_chunk": (
+        "const low = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{2} -> "
+        "other_buffer[i] });\n  const high = @get_dsd(mem1d_dsd, "
+        ".{ .tensor_access = |i|{2} -> other_buffer[2 + i] });"
+        "\n  @fadds(low, east, north);\n  @fadds(slot, slot, high);"
+    )},
+    # A call in the body: not one straight-line run.
+    "not-one-run": {"recv_chunk": "helper();"},
 }
 
 
