@@ -37,7 +37,7 @@ the fused delivery round as Python/NumPy source text, materialised via
   receive callback as one pass over every chunk: whole-z views of a
   fabric-wide padded source in place of the receive slab, the whole-z
   tiling of each runtime-offset DSD, and scratch stand-ins as deep as all
-  chunks, whose last chunk the pass copies back.
+  chunks, whose last chunk lands with the receive slab.
 
 There is one kernel kind: the kernel of one *box* of a
 :class:`~repro.wse.plan.ShardGeometry`.  ``tiled`` binds one per shard;
@@ -436,8 +436,7 @@ class _KernelEmitter:
     def _emit_pass(self, eid: int, builder: SourceBuilder) -> None:
         """``rc<eid>``: view exchange ``eid``'s receive callback as one pass
         over every chunk (see :mod:`repro.wse.schedule`).  Its runtime-offset
-        views are checked before anything runs, and the pass ends by
-        copying each scratch stand-in's last chunk into its buffer."""
+        views are checked before anything runs."""
         scheduled = self.schedule.exchanges[eid]
         self._pass, self._count = scheduled, scheduled.plan.num_chunks
         builder.line(f"def rc{eid}():")
@@ -451,8 +450,6 @@ class _KernelEmitter:
                         f"raise IndexError(\"DSD over '{buffer}' out of range\")"
                     )
             self._emit_body(scheduled.plan.receive_callback, builder)
-            for copy in scheduled.tail:
-                builder.line(f"{self._bind(copy.dst)}[:] = {self._bind(copy.src)}")
         self._pass, self._count = None, 1
 
     def _emit_body(self, name: str, builder: SourceBuilder) -> None:
@@ -837,9 +834,10 @@ class _KernelEmitter:
             delivery.line("eid = pending[0]")
             delivery.line("pending[0] = -1")
             self._emit_dispatch(delivery, "deliver")
-        # The receive slabs of the view exchanges delivered since the last
-        # landing: the round driver of several shards calls ``land`` after
-        # its rounds, ``run_block`` runs the same statements on its way out.
+        # The receive slabs (and scratch buffers) of the view exchanges
+        # delivered since the last landing: the round driver of several
+        # shards calls ``land`` after its rounds, ``run_block`` runs the
+        # same statements on its way out.
         landing = SourceBuilder(indent=2)
         for eid, scheduled in enumerate(exchanges):
             if scheduled.form == "view":

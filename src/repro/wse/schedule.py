@@ -19,10 +19,9 @@ two delivery forms:
   once.  The receive callback runs as one variant (``rc<eid>``) that
   passes over every chunk in one call: each receive DSD reads that
   whole-z view, each ``c + arg`` runtime-offset DSD the whole-z tiling of
-  its buffer, and each static buffer the callback writes a stand-in
-  ``num_chunks`` times as deep, whose last chunk is copied into the buffer
-  when the call ends (:attr:`ExchangeSchedule.tail`); its counters move as
-  ``num_chunks`` calls would move them.  That is byte-identical to one call
+  its buffer, and each static buffer the callback writes — which nothing
+  else names — a stand-in ``num_chunks`` times as deep; its counters move
+  as ``num_chunks`` calls would move them.  That is byte-identical to one call
   per chunk exactly when the callback is chunk-separable
   (:meth:`_Builder._chunk_separable`), which is part of the view form's
   predicate.  Nothing is copied per delivery and nothing is published.
@@ -31,7 +30,8 @@ two delivery forms:
   starts, so the boxes of a geometry write disjoint cells.  The receive
   slab, which nothing reads during the run, is written by the kernel's
   ``land`` hook after the run's deliveries: the last chunk's views, exactly
-  what the direct form leaves behind.  (The callback's own function, in
+  what the direct form leaves behind; so is each stand-in's last chunk,
+  into its buffer.  (The callback's own function, in
   ``fns``, still reads the slab.)  A runtime-offset range check of the
   single pass raises before any chunk of the delivery has run, where the
   direct form raises at the first chunk out of range.
@@ -145,17 +145,16 @@ class ExchangeSchedule:
     #: a view exchange's ghost territory in the padded source, written when
     #: the kernel binds and when ``run_block`` starts; its landing, the last
     #: chunk's direction views copied into the receive slab after a run's
-    #: deliveries.
+    #: deliveries, and each scratch stand-in's last chunk into its buffer.
     halo: tuple[Copy, ...]
     land: tuple[Copy, ...]
     #: what a view exchange's single callback pass names in place of each
     #: DSD operand ``(buffer, offset, length, stride)`` of the callback, over
     #: every chunk: a receive DSD's direction view of the padded source, a
     #: runtime-offset DSD's ``c + arg`` tiling of its buffer, a written
-    #: static buffer's stand-in ``("scratch", i)``; and the copies of each
-    #: stand-in's last chunk into its buffer that end the pass.
+    #: static buffer's stand-in ``("scratch", i)`` (whose last chunk lands
+    #: in the buffer with the receive slab).
     views: dict
-    tail: tuple[Copy, ...]
 
 
 @dataclass(frozen=True)
@@ -311,8 +310,8 @@ class _Builder:
         self.schedulers: set[str] = set()
         self.write_sets: dict[str, set[str] | None] = {}
         self.padded: dict[str, int] = {}
-        #: stand-ins numbered so far (every view exchange's callback pass).
-        self.scratch = 0
+        #: scratch stand-ins numbered so far, over every view exchange.
+        self.stand_ins = 0
         #: fabric row/column -> its seam publication slot.
         self.pub_rows: dict[int, int] = {}
         self.pub_cols: dict[int, int] = {}
@@ -420,11 +419,11 @@ class _Builder:
 
     def _schedule(self, eid: int, exchange: ExchangePlan, view: bool):
         if view:
+            views, scratch = self._single_pass(exchange)
             return ExchangeSchedule(
                 plan=exchange, form="view", chunks=(), publish=(), fills=(),
                 fills_once=False, halo=self._halo_copies(exchange),
-                land=self._land_copies(eid, exchange),
-                **self._single_pass(exchange),
+                land=self._land_copies(eid, exchange) + scratch, views=views,
             )
         size = exchange.chunk_size
         depth = size * len(exchange.directions)
@@ -446,7 +445,7 @@ class _Builder:
             plan=exchange, form="direct", chunks=chunks,
             publish=self._publish_copies(eid, exchange), fills=fills,
             fills_once=bool(fills) and self._recv_preserved(exchange),
-            halo=(), land=(), views={}, tail=(),
+            halo=(), land=(), views={},
         )
 
     def _direction_view(self, exchange: ExchangePlan, slot: int, z: range) -> Region:
@@ -462,14 +461,14 @@ class _Builder:
             z,
         )
 
-    def _single_pass(self, exchange: ExchangePlan) -> dict:
-        """``views`` and ``tail`` of a view exchange: what its callback's
-        one pass over every chunk names in place of each DSD operand, and
-        the copies that end the pass (see :class:`ExchangeSchedule`)."""
+    def _single_pass(self, exchange: ExchangePlan) -> tuple[dict, tuple[Copy, ...]]:
+        """What a view exchange's callback pass names in place of each DSD
+        operand (:attr:`ExchangeSchedule.views`), and the landing of its
+        scratch stand-ins: each one's last chunk copied into its buffer."""
         count, size = exchange.num_chunks, exchange.chunk_size
         y0, y1, x0, x1 = self.box
         views: dict = {}
-        tail: list[Copy] = []
+        landing: list[Copy] = []
         builtins, _ = self._callback_builtins(exchange.receive_callback)
         for dsd, runtime in (o for ops in builtins for o in ops if o is not None):
             key = (dsd.buffer, dsd.offset, dsd.length, dsd.stride)
@@ -484,16 +483,16 @@ class _Builder:
                 z = range(dsd.offset, dsd.offset + count * size, dsd.stride)
                 views[key] = Region(("buffer", dsd.buffer), None, None, z)
             else:
-                scratch, depth = ("scratch", self.scratch), count * dsd.length
-                self.scratch += 1
+                scratch, depth = ("scratch", self.stand_ins), count * dsd.length
+                self.stand_ins += 1
                 views[key] = Region(scratch, None, None, range(depth))
                 z = range(dsd.offset, dsd.offset + dsd.length * dsd.stride, dsd.stride)
-                tail.append(Copy(
+                landing.append(Copy(
                     Region(("buffer", dsd.buffer), None, None, z),
                     Region(scratch, None, None, range(depth - dsd.length, depth)),
                     4 * (y1 - y0) * (x1 - x0) * dsd.length,
                 ))
-        return {"views": views, "tail": tuple(tail)}
+        return views, tuple(landing)
 
     def _land_copies(self, eid: int, exchange: ExchangePlan) -> tuple[Copy, ...]:
         """The last chunk of a view exchange, every direction slot copied
@@ -679,8 +678,9 @@ class _Builder:
         offset is named by that DSD only, so chunks write disjoint cells; a
         static buffer the callback writes is named by one DSD and written in
         full before it is read, so no chunk reads what an earlier one left
-        there; and the callback reads no other static buffer (one pass would
-        need it once per chunk).
+        there, and no other callable or exchange names it, so its last chunk
+        may land after the run; and the callback reads no other static
+        buffer (one pass would need it once per chunk).
         """
         walk = self._callback_builtins(exchange.receive_callback)
         if walk is None:
@@ -704,9 +704,21 @@ class _Builder:
             for dsd, runtime in operands
         ) or any(len(layouts[dsd.buffer]) > 1 for dsd, runtime in dests if runtime):
             return False
-        # Scratch: a written static buffer is named once, written first.
+        # Scratch: a written static buffer is named once, written first, and
+        # nowhere else.
         scratch = {dsd.buffer for dsd, runtime in dests if not runtime}
-        if any(len(layouts[buffer]) > 1 for buffer in scratch):
+        exchanged = {
+            buffer
+            for other in self.exchanges
+            for buffer in (other.source_buffer, other.receive_buffer)
+        }
+        callback = exchange.receive_callback
+        if any(
+            len(layouts[buffer]) > 1
+            or buffer in exchanged
+            or any(name != callback for name, _, _ in self.dsd_uses[buffer])
+            for buffer in scratch
+        ):
             return False
         written: set[str] = set()
         for dest, *sources in builtins:

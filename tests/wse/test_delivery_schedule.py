@@ -302,8 +302,8 @@ def _run(module, executor):
 #: a variant per condition of :meth:`_Builder._chunk_separable`, each
 #: failing that condition alone: a scratch read before it is written, a
 #: read-only static operand, a runtime offset that is not ``c + arg``,
-#: ``length * stride != chunk_size``, a scratch named through two DSDs and
-#: a body that is not one run.
+#: ``length * stride != chunk_size``, a scratch named through two DSDs, a
+#: scratch another callable reads and a body that is not one run.
 NOT_SEPARABLE = {
     # ``other_buffer`` accumulates across chunks: read before written.
     "scratch-read-first": {"recv_chunk": (
@@ -330,6 +330,17 @@ NOT_SEPARABLE = {
     )},
     # A call in the body: not one straight-line run.
     "not-one-run": {"recv_chunk": "helper();"},
+    # ``apply`` reads the scratch ``other_buffer`` between deliveries.
+    "scratch-named-elsewhere": {
+        "recv_chunk": (
+            "const scratch = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{2} -> "
+            "other_buffer[i] });\n  @fadds(scratch, east, north);"
+        ),
+        "apply": (
+            "const spare = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{4} -> "
+            "other_buffer[i] });\n  @fadds(v_core, v_core, spare);"
+        ),
+    },
 }
 
 
@@ -359,15 +370,15 @@ def test_the_base_callback_runs_as_one_pass():
         ("receive_buffer", 2, 2, 1),
     ]
     assert {region.z for region in exchange.views.values()} == {range(1, 5), range(0, 4)}
-    assert exchange.tail == ()
     source = generate_kernel_source(image, image.plan_for(4, 4))
     assert "rc0()" in source and "rc0_" not in source
     assert _run(module, "compiled") == _run(module, "reference")
 
 
-def test_a_scratch_written_first_is_a_stand_in_copied_back():
-    """A static scratch written in full before it is read: the pass writes
-    a stand-in twice as deep and copies its last chunk back."""
+def test_a_scratch_written_first_is_a_stand_in_that_lands():
+    """A static scratch written in full before it is read, and named by
+    nothing else: the pass writes a stand-in twice as deep, whose last chunk
+    lands in the buffer with the receive slab."""
     scratch = (
         "const scratch = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{2} -> "
         "other_buffer[i] });\n  @fadds(scratch, east, east);"
@@ -378,8 +389,10 @@ def test_a_scratch_written_first_is_a_stand_in_copied_back():
         bound_image(module), bound_image(module).plan_for(4, 4)
     ).exchanges
     assert exchange.form == "view"
-    (tail,) = exchange.tail
-    assert tail.dst.array == ("buffer", "other_buffer") and tail.src.z == range(2, 4)
+    *slab, scratch = exchange.land
+    assert [copy.dst.array for copy in slab] == [("slab", 0)] * 2
+    assert scratch.dst.array == ("buffer", "other_buffer")
+    assert scratch.src.array == ("scratch", 0) and scratch.src.z == range(2, 4)
     assert _run(module, "compiled") == _run(module, "reference")
 
 

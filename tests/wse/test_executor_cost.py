@@ -62,8 +62,10 @@ schedule (:mod:`repro.wse.schedule`); Jacobian has four directions, Seismic
 sixteen, two chunks of 16 each, under the Dirichlet boundary.  Every
 exchange here takes the view form, which copies nothing per delivery; its
 ``land`` hook copies the last chunk's direction views, ghost cells
-included, into the receive slab once per run, and its ghost ring holds the
-fill (written at bind and when ``run_block`` starts).  The direct form —
+included, into the receive slab once per run, and the last chunk of the
+callback's scratch stand-in (``accumulator_1``, one direction slot deep)
+into its buffer, and its ghost ring holds the fill (written at bind and
+when ``run_block`` starts).  The direct form —
 what an exchange the view form's predicate rejects gets — copies every
 chunk per delivery, with its fills written once per binding.  A fill on a
 1x1 fabric is every cell of a slot: no direction has an in-fabric source.
@@ -73,10 +75,10 @@ Copy statements (``copies + fills``) and bytes, float32:
 fabric        view landing, per run    direct, per delivery
               J (S)                    J (S)
 ============  =======================  ================================
-1x1           4 (16); 256 (1,024)      0 + 4 (0 + 16); 0 (0)
-4x4           4 (16); 4,096 (16,384)   8 + 4 (24 + 16); 6,144 (12,288)
-32x32         4 (16); 262,144          8 + 4 (32 + 16); 507,904
-              (1,048,576)              (1,933,312)
+1x1           5 (17); 320 (1,088)      0 + 4 (0 + 16); 0 (0)
+4x4           5 (17); 5,120 (17,408)   8 + 4 (24 + 16); 6,144 (12,288)
+32x32         5 (17); 327,680          8 + 4 (32 + 16); 507,904
+              (1,114,112)              (1,933,312)
 ============  =======================  ================================
 
 The traffic row of ``bench``'s ``sim_tiled_128`` programs at 128x128 on
@@ -92,15 +94,19 @@ and after:
 benchmark       before: per delivery +        after: per delivery +
                 published per round           published; landing per run
 ==============  ============================  =============================
-Jacobian        8,323,072 + 32,768            0 + 0; 4,194,304
-Seismic         16,449,536 + 65,536           0 + 0; 8,388,608
-ReflectiveHeat  8,388,608 + 32,768            0 + 0; 4,194,304
+Jacobian        8,323,072 + 32,768            0 + 0; 5,242,880
+Seismic         16,449,536 + 65,536           0 + 0; 8,912,896
+ReflectiveHeat  8,388,608 + 32,768            0 + 0; 4,718,592
 UVKBE           1,040,384 + 1,048,576 + 0     0 + 1,048,576 + 0; 524,288
 Advection       1,048,576 + 0                 1,048,576 + 0 (direct)
 ==============  ============================  =============================
 
 UVKBE's second, callback-less exchange and Advection's (its done callback
-writes the source) stay direct.
+writes the source) stay direct.  The landing includes the last chunk of the
+receive callback's scratch stand-in (Jacobian's 1,048,576 bytes,
+Seismic's and ReflectiveHeat's 524,288); with the receive callback run once
+per chunk it was the receive slab alone (4,194,304; 8,388,608;
+4,194,304).
 """
 
 from collections import deque
@@ -270,15 +276,15 @@ def _bytes(copies) -> int:
 @pytest.mark.parametrize("name, side", sorted(SLAB_WRITES))
 def test_view_delivery_writes_the_receive_slab_once_per_run(name, side):
     """A view delivery copies nothing; the landing copies one ``n x n``
-    view per direction, and the ghost ring, ``reach`` deep, holds the
-    fill over the exchange's 32 z-planes."""
+    view per direction and the scratch stand-in's last chunk, and the ghost
+    ring, ``reach`` deep, holds the fill over the exchange's 32 z-planes."""
     exchange = _whole_fabric_exchange(_module(name, side), side)
     directions, reach = SHAPES[name]
     assert exchange.form == "view"
     assert exchange.chunks == () and exchange.publish == ()
     assert exchange.fills == () and not exchange.fills_once
-    assert len(exchange.land) == directions
-    assert _bytes(exchange.land) == directions * side * side * 16 * 4
+    assert len(exchange.land) == directions + 1
+    assert _bytes(exchange.land) == (directions + 1) * side * side * 16 * 4
     assert all(copy.src is None for copy in exchange.halo)
     assert _bytes(exchange.halo) == ((side + 2 * reach) ** 2 - side**2) * 32 * 4
 
@@ -315,12 +321,12 @@ TILED_128_PROGRAMS = {
 #: schedule.
 TILED_128_TRAFFIC = {
     "Jacobian": (
-        (("view", 0, 0, 4_194_304, 66_048),),
-        (("view", 0, 0, 4_194_304, 66_048),),
+        (("view", 0, 0, 5_242_880, 66_048),),
+        (("view", 0, 0, 5_242_880, 66_048),),
     ),
     "Seismic": (
-        (("view", 0, 0, 8_388_608, 135_168),),
-        (("view", 0, 0, 8_388_608, 135_168),),
+        (("view", 0, 0, 8_912_896, 135_168),),
+        (("view", 0, 0, 8_912_896, 135_168),),
     ),
     "UVKBE": (
         (("view", 0, 0, 524_288, 33_024), ("direct", 1_048_576, 0, 0, 0)),
@@ -331,8 +337,8 @@ TILED_128_TRAFFIC = {
         (("direct", 1_048_576, 0, 0, 0),),
     ),
     "ReflectiveHeat": (
-        (("view", 0, 0, 4_194_304, 66_560),),
-        (("view", 0, 0, 4_194_304, 66_560),),
+        (("view", 0, 0, 4_718_592, 66_560),),
+        (("view", 0, 0, 4_718_592, 66_560),),
     ),
 }
 

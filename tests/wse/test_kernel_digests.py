@@ -8,10 +8,12 @@ change elsewhere in the package leaves the pins alone
 (``tests/service/test_code_identity.py`` checks the fingerprints).  The
 64x64 pins are the only row-banded kernels of the corpus.  Every pin is of
 the one kernel kind: ``SHARD_META``, the four seam-protocol hooks and a sole
-shard's ``run_block``, and no plan fold table.
+shard's ``run_block``, and no plan fold table; and a view exchange's
+receive callback is printed once, as one pass over every chunk.
 """
 
 import json
+import re
 
 import pytest
 
@@ -55,3 +57,13 @@ def test_every_pinned_kernel_is_one_kind(sources):
         ), pin
         assert "'run_block': run_block," in source, pin
         assert "gather_indices" not in source, pin
+
+
+def test_a_view_callback_is_one_pass_with_no_per_chunk_variant(sources):
+    """Only two delivery forms: every kernel but Advection's (whose one
+    exchange is direct) defines and calls ``rc0``, the pass over both
+    chunks, and none prints a per-chunk ``rc<eid>_<chunk>``."""
+    for pin, source in sorted(sources.items()):
+        assert not re.search(r"\brc\d+_\d+\b", source), pin
+        view = not pin.startswith("Advection/")
+        assert ("def rc0():" in source and "        rc0()" in source) == view, pin
