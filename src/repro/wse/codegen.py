@@ -77,8 +77,9 @@ the delivery has run — where ``vectorized`` first applies the run's
 earlier builtins (and the earlier chunks).  The state left behind by that
 error is therefore not matched across backends; every successful run is.
 The same holds for the view form's landing: a ``run_block`` that raises
-inside a delivery returns without writing the receive slab (the round
-driver of several shards lands every shard's slab whatever the outcome).
+inside a delivery returns without writing the receive slab and the scratch
+buffers (the round driver of several shards lands every shard's whatever
+the outcome).
 
 Kernels are cached process-wide in an in-memory memo keyed by a *kernel
 fingerprint* (SHA-256 over the printed program module, the plan's canonical
@@ -520,7 +521,8 @@ class _KernelEmitter:
     def _emit_op(self, op: Operation, env: dict[int, Any], b: SourceBuilder):
         if isinstance(op, (csl.ConstantOp, arith.ConstantOp)):
             text = repr(op.value)
-            env[id(op.results[0])] = _Float(text) if isinstance(op.value, float) else text
+            float_constant = isinstance(op.value, float)
+            env[id(op.results[0])] = _Float(text) if float_constant else text
         elif isinstance(op, csl.LoadVarOp):
             name = self._fresh()
             b.line(f"{name} = variables.get({op.var!r}, 0)")

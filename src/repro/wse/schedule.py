@@ -17,24 +17,24 @@ two delivery forms:
   since the chunks are consecutive z-ranges of the source, the view over
   ``src_off : src_off + num_chunks * chunk_size`` holds every chunk at
   once.  The receive callback runs as one variant (``rc<eid>``) that
-  passes over every chunk in one call: each receive DSD reads that
-  whole-z view, each ``c + arg`` runtime-offset DSD the whole-z tiling of
-  its buffer, and each static buffer the callback writes — which nothing
-  else names — a stand-in ``num_chunks`` times as deep; its counters move
-  as ``num_chunks`` calls would move them.  That is byte-identical to one call
-  per chunk exactly when the callback is chunk-separable
+  passes over every chunk in one call: each receive DSD reads that whole-z
+  view, each ``c + arg`` runtime-offset DSD the whole-z tiling of its
+  buffer, and each static buffer the callback writes — which nothing else
+  names — a stand-in ``num_chunks`` times as deep; its counters move as
+  ``num_chunks`` calls would move them.  That is byte-identical to one
+  call per chunk exactly when the callback is chunk-separable
   (:meth:`_Builder._chunk_separable`), which is part of the view form's
   predicate.  Nothing is copied per delivery and nothing is published.
   Each box writes only its own ghost territory — the ghost cells past the
   fabric edges it lies on — when its kernel binds and when ``run_block``
   starts, so the boxes of a geometry write disjoint cells.  The receive
   slab, which nothing reads during the run, is written by the kernel's
-  ``land`` hook after the run's deliveries: the last chunk's views, exactly
-  what the direct form leaves behind; so is each stand-in's last chunk,
-  into its buffer.  (The callback's own function, in
-  ``fns``, still reads the slab.)  A runtime-offset range check of the
-  single pass raises before any chunk of the delivery has run, where the
-  direct form raises at the first chunk out of range.
+  ``land`` hook after the run's deliveries: the last chunk's views,
+  exactly what the direct form leaves behind; so is each stand-in's last
+  chunk, into its buffer.  (The callback's own function, in ``fns``,
+  still reads the slab.)  A runtime-offset range check of the single pass
+  raises before any chunk of the delivery has run, where the direct form
+  raises at the first chunk out of range.
 * **direct** — every other exchange: each chunk copied straight into the
   receive slab before its callback.  Each destination's source is read
   from the box itself or, for a source a sibling shard owns, from that

@@ -369,7 +369,9 @@ def test_the_base_callback_runs_as_one_pass():
         ("accumulator", 0, 2, 1), ("receive_buffer", 0, 2, 1),
         ("receive_buffer", 2, 2, 1),
     ]
-    assert {region.z for region in exchange.views.values()} == {range(1, 5), range(0, 4)}
+    assert {region.z for region in exchange.views.values()} == {
+        range(1, 5), range(0, 4)
+    }
     source = generate_kernel_source(image, image.plan_for(4, 4))
     assert "rc0()" in source and "rc0_" not in source
     assert _run(module, "compiled") == _run(module, "reference")
@@ -427,7 +429,11 @@ def _shipped(name: str, boundary, chunks: int):
 @pytest.mark.parametrize("chunks", (1, 2, 4))
 @pytest.mark.parametrize(
     "boundary",
-    (BoundaryCondition.dirichlet(), BoundaryCondition.periodic(), BoundaryCondition.reflect()),
+    (
+        BoundaryCondition.dirichlet(),
+        BoundaryCondition.periodic(),
+        BoundaryCondition.reflect(),
+    ),
     ids=lambda boundary: boundary.spec,
 )
 @pytest.mark.parametrize("name", [benchmark.name for benchmark in ALL_BENCHMARKS])
@@ -439,7 +445,11 @@ def test_every_shipped_view_exchange_is_chunk_separable(name, boundary, chunks):
     plan = image.plan_for(grid, grid)
     builder = _Builder(image, plan, *whole_fabric(plan, None))
     schedule = builder.build()
-    views = {eid for eid, exchange in enumerate(schedule.exchanges) if exchange.form == "view"}
+    views = {
+        eid
+        for eid, exchange in enumerate(schedule.exchanges)
+        if exchange.form == "view"
+    }
     assert views == {"Advection": set(), "UVKBE": {0}}.get(name, {0})
     for eid in views:
         assert builder._chunk_separable(schedule.exchanges[eid].plan)
