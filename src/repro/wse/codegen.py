@@ -17,14 +17,20 @@ the fused delivery round as Python/NumPy source text, materialised via
   kernel-bind time; only runtime-offset DSDs (receive-callback chunk bases)
   slice per call.  Every ``csl.get_mem_dsd`` is static: the plan resolves
   its buffer symbol or rejects the program (``PlanError``), so the emitter
-  has no second way to find a buffer;
-* DSD compute builtins lower to allocation-free ``np.add/subtract/multiply
-  (..., out=view)`` forms whenever the static operand layout proves the
-  destination never partially overlaps a source — otherwise they fall back
+  has no second way to find a buffer.  Its range check is decided here,
+  from the plan's buffer extents: a view out of range prints as a ``raise
+  IndexError`` where the kernel binds it, one in range as the bare view.
+  A view (or scratch) only a view exchange's per-chunk receive callback
+  reads is built inside that callback, which the view form never calls;
+* DSD compute builtins lower to allocation-free ``add(a, c, out)`` calls —
+  ``np.add``/``np.subtract``/``np.multiply`` bound once per kernel, ``out``
+  passed positionally — whenever the static operand layout proves the
+  destination never partially overlaps a source; otherwise they fall back
   to the interpreter's exact ``dest[:] = expr`` statement, so results stay
   byte-identical either way.  A float constant a builtin meets with an
-  array is an ``np.float32`` bound once at kernel-bind time, which is what
-  NumPy 2 casts a Python float to there;
+  array is a 0-d float32 array bound once at kernel-bind time: NumPy 2
+  casts a Python float to float32 there, so the result is the same, and a
+  0-d operand spares each call the scalar's conversion;
 * each maximal *run* of DSD builtins, with the pure scalar and DSD-value
   ops between them, bumps ``counters`` once, after its builtins, with the
   totals of its ops;
@@ -241,7 +247,7 @@ class _DsdExpr:
 
 class _Float(str):
     """The source text of a float constant: a DSD builtin that meets it
-    with an array operand reads it as a bound ``np.float32``."""
+    with an array operand reads it as a bound 0-d float32 array."""
 
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -295,9 +301,15 @@ class _KernelEmitter:
         self._buffer_names: dict[str, str] = {}
         self._views: dict[tuple, str] = {}  # (buffer, offset, length, stride)
         self._scratch: dict[int, str] = {}  # dest length -> name
+        #: bind-time view or scratch name -> the callables that read it
+        #: (``None``: the delivery and landing code); see :meth:`_local`.
+        self._readers: dict[str, set] = {}
+        self._owner: str | None = None
+        #: the ufuncs the builtins call, each bound once per kernel.
+        self._ufuncs: set[str] = set()
         #: fancy-index constants: (values, orient) -> name.
         self._indices: dict[tuple[tuple[int, ...], str], str] = {}
-        #: float constants: source text -> bound ``np.float32`` name.
+        #: float constants: source text -> bound 0-d float32 array name.
         self._constants: dict[str, str] = {}
         #: bind-time views of the view exchanges' callback passes: region
         #: -> name.
@@ -345,14 +357,39 @@ class _KernelEmitter:
         if name is None:
             name = f"v{len(self._views)}"
             self._views[key] = name
+        self._readers.setdefault(name, set()).add(self._owner)
         return name
+
+    def _out_of_range(self, buffer: str, z: range) -> bool:
+        """Whether ``buffer[:, :, z]`` is shorter than ``z``: the range
+        check ``Dsd.resolve_columns`` performs, decided from the plan's
+        buffer extents (slicing ``range`` clips exactly as NumPy does)."""
+        extent = range(self.plan.buffers[buffer])
+        return len(extent[z.start:z.stop:z.step]) != len(z)
+
+    def _local(self) -> dict[str, list[str]]:
+        """The views and scratch buffers only a view exchange's receive
+        callback reads, by callback: the view form never calls it (its
+        one pass reads other views), so they are built when it is called
+        — through the kernel's ``fns`` — not when the kernel binds."""
+        callbacks = {
+            scheduled.plan.receive_callback
+            for scheduled in self.schedule.exchanges
+            if scheduled.form == "view" and scheduled.plan.receive_callback
+        }
+        local: dict[str, list[str]] = {}
+        for name, readers in self._readers.items():
+            reader = next(iter(readers))
+            if len(readers) == 1 and reader in callbacks:
+                local.setdefault(reader, []).append(name)
+        return local
 
     def _bind(self, region: Region) -> str:
         """A bind-time view of ``region`` (deduplicated)."""
         return self._bound.setdefault(region, f"w{len(self._bound)}")
 
     def _constant(self, text: str) -> str:
-        """A bind-time ``np.float32`` constant (deduplicated)."""
+        """A bind-time 0-d float32 constant (deduplicated)."""
         return self._constants.setdefault(text, f"c{len(self._constants)}")
 
     def _scratch_for(self, length: int) -> str:
@@ -360,6 +397,12 @@ class _KernelEmitter:
         if name is None:
             name = f"scr{length}"
             self._scratch[length] = name
+        self._readers.setdefault(name, set()).add(self._owner)
+        return name
+
+    def _ufunc(self, name: str) -> str:
+        """``np.<name>``, bound once per kernel under its own name."""
+        self._ufuncs.add(name)
         return name
 
     def _fresh(self) -> str:
@@ -427,31 +470,35 @@ class _KernelEmitter:
 
     # -- callable emission ---------------------------------------------- #
 
-    def _emit_callable(self, name: str, builder: SourceBuilder) -> None:
-        """One callable as a Python function."""
-        builder.line(f"def {self._fn_names[name]}(arg=0):")
-        with builder.indented():
-            builder.line("counters['tasks_run'] += 1")
-            self._emit_body(name, builder)
+    def _emit_callable(self, name: str) -> SourceBuilder:
+        """The body of one callable's Python function (the statements that
+        build its local views come first; see :meth:`_local`)."""
+        body = SourceBuilder(indent=2)
+        self._owner = name
+        body.line("counters['tasks_run'] += 1")
+        self._emit_body(name, body)
+        self._owner = None
+        return body
 
     def _emit_pass(self, eid: int, builder: SourceBuilder) -> None:
         """``rc<eid>``: view exchange ``eid``'s receive callback as one pass
         over every chunk (see :mod:`repro.wse.schedule`).  Its runtime-offset
-        views are checked before anything runs."""
+        tilings are range-checked here, from the plan's buffer extents: one
+        out of range raises before anything runs."""
         scheduled = self.schedule.exchanges[eid]
         self._pass, self._count = scheduled, scheduled.plan.num_chunks
+        self._owner = f"rc{eid}"
         builder.line(f"def rc{eid}():")
         with builder.indented():
             builder.line(f"counters['tasks_run'] += {self._count}")
             for region in scheduled.views.values():
                 role, buffer = region.array
-                if role == "buffer":
+                if role == "buffer" and self._out_of_range(buffer, region.z):
                     builder.line(
-                        f"if {self._bind(region)}.shape[2] != {len(region.z)}: "
                         f"raise IndexError(\"DSD over '{buffer}' out of range\")"
                     )
             self._emit_body(scheduled.plan.receive_callback, builder)
-        self._pass, self._count = None, 1
+        self._pass, self._count, self._owner = None, 1, None
 
     def _emit_body(self, name: str, builder: SourceBuilder) -> None:
         block = self.image.callables[name].regions[0].blocks[0]
@@ -635,9 +682,13 @@ class _KernelEmitter:
 
         Runtime-offset views are built in ``b``, before the run.  In a
         banded kernel the statement reads the ``[r0:r1]`` rows of every
-        operand view and the band-sized scratch.  A float constant that
-        meets an array operand is a bound ``np.float32``: NumPy 2 casts a
-        Python float to float32 there, so the result is the same."""
+        operand view and the band-sized scratch.  The call form is
+        ``add(a, c, out)``: the ufunc bound once per kernel, ``out`` passed
+        positionally (the keyword costs NumPy a parse per call).  A float
+        constant that meets an array operand is a bound 0-d float32 array:
+        NumPy 2 casts a Python float (or an ``np.float32``) to float32
+        there, so the result is the same, and a 0-d array operand skips
+        the scalar's conversion on every call."""
         dest = self._entry(op.dest, env)
         if not isinstance(dest, _DsdExpr):
             raise KernelCodegenError(f"'{op.name}' destination is not a DSD")
@@ -683,21 +734,23 @@ class _KernelEmitter:
                 scratch = self._scratch_for(dest.length * self._count)
                 if self._bands:
                     scratch += "[:r1 - r0]"
-                body.line(f"np.multiply({src}, {coeff}, out={scratch})")
-                body.line(f"np.add({acc}, {scratch}, out={dest_view})")
+                body.line(f"{self._ufunc('multiply')}({src}, {coeff}, {scratch})")
+                body.line(f"{self._ufunc('add')}({acc}, {scratch}, {dest_view})")
             else:
-                body.line(f"np.add({acc}, {src} * {coeff}, out={dest_view})")
+                body.line(
+                    f"{self._ufunc('add')}({acc}, {src} * {coeff}, {dest_view})"
+                )
         else:
             ufunc, operator = {
-                csl.FaddsOp: ("np.add", "+"),
-                csl.FsubsOp: ("np.subtract", "-"),
-                csl.FmulsOp: ("np.multiply", "*"),
+                csl.FaddsOp: ("add", "+"),
+                csl.FsubsOp: ("subtract", "-"),
+                csl.FmulsOp: ("multiply", "*"),
             }[type(op)]
             a, c = views
             if hazard:
                 body.line(f"{target} = {a} {operator} {c}")
             else:
-                body.line(f"{ufunc}({a}, {c}, out={dest_view})")
+                body.line(f"{self._ufunc(ufunc)}({a}, {c}, {dest_view})")
         return dest.length * self._count
 
     # -- delivery printing ----------------------------------------------- #
@@ -809,13 +862,14 @@ class _KernelEmitter:
         self._assign_names()
         self._bands = self._row_bands()
 
-        callables = SourceBuilder(indent=1)
-        for name in sorted(self.image.callables):
-            self._emit_callable(name, callables)
+        bodies = {
+            name: self._emit_callable(name) for name in sorted(self.image.callables)
+        }
+        passes = SourceBuilder(indent=1)
         exchanges = self.schedule.exchanges
         for eid, scheduled in enumerate(exchanges):
             if scheduled.form == "view":
-                self._emit_pass(eid, callables)
+                self._emit_pass(eid, passes)
 
         delivery = SourceBuilder(indent=1)
         for eid, scheduled in enumerate(exchanges):
@@ -862,6 +916,30 @@ class _KernelEmitter:
         self._emit_copies(halo, ghosts)
         self._emit_copies([copy for copy in halo if copy.src is not None], folds)
 
+        height, width = self._grid_dims
+        grid = f"{height}, {width}"
+        if self._bands:  # every fmacs runs band by band
+            grid = f"BANDS[0][1], {width}"
+        built = {
+            name: f"{name} = {self._buffer_names[buffer]}[:, :, "
+            f"{self._axis(range(offset, offset + length * stride, stride), '')}]"
+            for (buffer, offset, length, stride), name in self._views.items()
+        }
+        built.update(
+            (name, f"{name} = np.empty(({grid}, {length}), dtype=np.float32)")
+            for length, name in sorted(self._scratch.items())
+        )
+        local = self._local()
+        deferred = {name for names in local.values() for name in names}
+        callables = SourceBuilder(indent=1)
+        for name, body in bodies.items():
+            callables.line(f"def {self._fn_names[name]}(arg=0):")
+            with callables.indented():
+                for view in local.get(name, ()):
+                    callables.line(built[view])
+            callables.extend(body)
+        callables.extend(passes)
+
         out = SourceBuilder()
         boundary = self.plan.boundary
         out.line(
@@ -889,7 +967,9 @@ class _KernelEmitter:
                     f"{self._padded_name(buffer)} = state.padded[{buffer!r}]"
                 )
             for text, name in self._constants.items():
-                out.line(f"{name} = np.float32({text})")
+                out.line(f"{name} = np.array(np.float32({text}))")
+            for name in sorted(self._ufuncs):
+                out.line(f"{name} = np.{name}")
             if self._bands:
                 out.line(f"BANDS = {self._bands!r}")
             if self.schedule.pub_rows or self.schedule.pub_cols:
@@ -904,29 +984,27 @@ class _KernelEmitter:
                 elif orient == "col":
                     expression += "[None, :]"
                 out.line(f"{name} = {expression}")
-            # Static whole-box DSD views, bound (and range-checked) once.
+            # Static whole-box DSD views, bound once; one out of its
+            # buffer's range raises here, a view only a callback the kernel
+            # never calls reads is built in that callback.
             for (buffer, offset, length, stride), name in self._views.items():
-                z = self._axis(range(offset, offset + length * stride, stride), "")
-                out.line(f"{name} = {self._buffer_names[buffer]}[:, :, {z}]")
-                out.line(
-                    f"if {name}.shape[2] != {length}: "
-                    f"raise IndexError(\"DSD over '{buffer}' out of range\")"
-                )
+                if self._out_of_range(
+                    buffer, range(offset, offset + length * stride, stride)
+                ):
+                    out.line(
+                        f"raise IndexError(\"DSD over '{buffer}' out of range\")"
+                    )
+                elif name not in deferred:
+                    out.line(built[name])
             # Per-exchange delivery flags.
             for eid, scheduled in enumerate(exchanges):
                 if scheduled.fills_once:
                     out.line(f"fl{eid} = [True]")
                 if scheduled.form == "view":
                     out.line(f"vw{eid} = [False]")
-            height, width = self._grid_dims
-            grid = f"{height}, {width}"
-            if self._bands:  # every fmacs runs band by band
-                grid = f"BANDS[0][1], {width}"
-            for length in sorted(self._scratch):
-                out.line(
-                    f"{self._scratch[length]} = np.empty(({grid}, {length}), "
-                    f"dtype=np.float32)"
-                )
+            for length, name in sorted(self._scratch.items()):
+                if name not in deferred:
+                    out.line(built[name])
             # What the callback passes read and write in place of each DSD:
             # views of a padded source, runtime-offset tilings, and scratch
             # stand-ins spanning every chunk.

@@ -88,16 +88,30 @@ class GridExecutor(Executor):
         plan: "ExecutionPlan | None" = None,
     ):
         super().__init__(image, width, height, plan)
-        self.state = GridState(
-            width,
-            height,
-            {
-                name: np.zeros((height, width, size), dtype=np.float32)
-                for name, size in self.plan.buffers.items()
-            },
-        )
+        reaches = self._padding()
+        buffers, padded = {}, {}
+        for name, size in self.plan.buffers.items():
+            reach = reaches.get(name, 0)
+            array = np.zeros(
+                (height + 2 * reach, width + 2 * reach, size), dtype=np.float32
+            )
+            if reach:
+                padded[name] = array
+                array = array[reach:reach + height, reach:reach + width]
+            buffers[name] = array
+        self.state = GridState(width, height, buffers)
+        self.state.padded = padded
         self.state.variables.update(self.plan.variables)
         self._grid_views: list[list[_PeView]] | None = None
+
+    def _padding(self) -> dict[str, int]:
+        """Buffer name -> reach ``R`` of every buffer allocated as the
+        interior of a fabric-wide base ``R`` cells wider on every side
+        (:attr:`GridState.padded`); ``state.buffers[name]`` is then that
+        ``(height, width, z)`` interior, so everything that reads or writes
+        the state through it is unchanged.  None here: the kernel executors
+        pad the sources their kernels deliver as views."""
+        return {}
 
     # ------------------------------------------------------------------ #
     # Host-side data movement

@@ -309,18 +309,12 @@ class TiledExecutor(GridExecutor):
         plan: ExecutionPlan | None = None,
     ):
         super().__init__(image, width, height, plan)
-        self.geometry = self.geometry_for(width, height)
-        self.boxes = self.geometry.boxes()
-        self._kernels = self.kernels_for(self.image, self.plan, self.geometry)
         self._entry: str | None = None
         #: a sole shard's kernel hooks, bound once over the executor's
         #: state; None on several shards, whose runners bind per run.
         self.kernel: dict | None = None
-        # Every box's schedule pads the same sources and allocates the same
-        # snapshots: whether an exchange is delivered as views does not
-        # depend on the box.
-        for name, reach in self._kernels[0].meta.get("padded", {}).items():
-            self._pad(name, reach)
+        # Every box's schedule allocates the same snapshots: whether an
+        # exchange is delivered as views does not depend on the box.
         if len(self.boxes) == 1:
             self.kernel = self._kernels[0].instantiate(self.state, self.plan)
         else:
@@ -328,18 +322,15 @@ class TiledExecutor(GridExecutor):
                 self._kernels[0].meta, width, height
             )
 
-    def _pad(self, name: str, reach: int) -> None:
-        """Re-allocate the fresh buffer ``name`` as the interior of a base
-        ``reach`` cells wider on every side, whose ghost cells the box
-        kernels keep (see :mod:`repro.wse.schedule`).  ``state.buffers[name]``
-        stays the ``(height, width, z)`` interior, so everything that reads
-        or writes the state through it is unchanged."""
-        height, width, depth = self.state.buffers[name].shape
-        base = np.zeros(
-            (height + 2 * reach, width + 2 * reach, depth), dtype=np.float32
-        )
-        self.state.padded[name] = base
-        self.state.buffers[name] = base[reach:reach + height, reach:reach + width]
+    def _padding(self) -> dict[str, int]:
+        """The sources every box's kernel delivers as views, padded by their
+        reach (see :mod:`repro.wse.schedule`; the answer does not depend on
+        the box).  The kernels are resolved here, before the grid state is
+        allocated, so each padded base is allocated once."""
+        self.geometry = self.geometry_for(self.width, self.height)
+        self.boxes = self.geometry.boxes()
+        self._kernels = self.kernels_for(self.image, self.plan, self.geometry)
+        return self._kernels[0].meta.get("padded", {})
 
     @property
     def kernel_fingerprints(self) -> tuple[str, ...]:

@@ -414,6 +414,65 @@ def test_a_pass_checks_its_runtime_offsets_before_any_chunk():
     assert written == {"reference": True, "compiled": False}
 
 
+#: a stand-in scratch (see the test above it) whose static DSD runs past
+#: ``other_buffer``'s end: z 3..5 of four.
+SCRATCH_PAST_ITS_END = (
+    "const scratch = @get_dsd(mem1d_dsd, .{ .tensor_access = |i|{2} -> "
+    "other_buffer[3 + i] });\n  @fadds(scratch, east, east);"
+    "\n  @fadds(slot, slot, scratch);"
+)
+
+
+@pytest.mark.parametrize("executor", ["compiled", "auto"])
+@pytest.mark.parametrize(
+    "changes",
+    [{"written": "other_buffer"}, {"recv_chunk": SCRATCH_PAST_ITS_END}],
+    ids=["apply", "recv_chunk"],
+)
+def test_a_static_dsd_out_of_range_raises_when_the_kernel_binds(executor, changes):
+    """The emitter decides every static view's range check from the plan's
+    buffer extents: a view out of range raises the same ``IndexError`` when
+    the kernel binds, a view only the per-chunk receive callback reads (the
+    one pass reads a stand-in in its place) included."""
+    module = _module(**changes)
+    assert _forms(bound_image(module)) == ["view"]
+    image = bound_image(module)
+    source = generate_kernel_source(image, image.plan_for(4, 4))
+    # The raise is printed among the bind-time statements, before any
+    # callable's ``def``.
+    assert "raise IndexError" in source.split("\n    def ", 1)[0]
+    with pytest.raises(IndexError, match="DSD over '\\w+' out of range"):
+        WseSimulator(module, executor=executor)
+    with pytest.raises(IndexError, match="DSD over '\\w+' out of range"):
+        WseSimulator(module, executor="vectorized").execute()
+
+
+def test_the_per_chunk_callback_builds_its_views_when_called():
+    """The view form never calls the per-chunk receive callback, so the
+    views only it reads are built inside it: called through ``fns`` it
+    computes its chunk, and a chunk offset out of range raises before any
+    builtin runs."""
+    module = _module()
+    image = bound_image(module)
+    source = generate_kernel_source(image, image.plan_for(4, 4))
+    bind, callback = source.split("def fn_recv_chunk(", 1)
+    assert "b_receive_buffer[:, :, 0:2]" not in bind
+    assert "b_receive_buffer[:, :, 0:2]" in callback.split("\n    def ", 1)[0]
+    simulator = WseSimulator(module, executor="compiled")
+    state, fns = simulator.executor.state, simulator.executor.kernel["fns"]
+    slab = np.random.default_rng(3).standard_normal((4, 4, 4), dtype=np.float32)
+    state.buffers["receive_buffer"][:] = slab
+    before = {name: array.copy() for name, array in state.buffers.items()}
+    with pytest.raises(IndexError, match="DSD over 'accumulator' out of range"):
+        fns["recv_chunk"](10**6)
+    for name, array in state.buffers.items():
+        assert array.tobytes() == before[name].tobytes(), name
+    fns["recv_chunk"](2)
+    expected = before["accumulator"].copy()
+    expected[:, :, 2:4] = slab[:, :, 0:2] + slab[:, :, 2:4]
+    assert state.buffers["accumulator"].tobytes() == expected.tobytes()
+
+
 def _shipped(name: str, boundary, chunks: int):
     """A benchmark's image at the golden matrix's fabric side, and the side."""
     benchmark = benchmark_by_name(name)
