@@ -27,14 +27,14 @@ from repro.benchmarks import seismic_benchmark
 from repro.benchmarks.definitions import PROBLEM_SIZES
 from repro.backend.csl_printer import print_csl_sources
 from repro.csl import diff_images, parse_csl_dir, parse_csl_sources
-from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
-from repro.wse.executors import available_executors
-from repro.wse.machine import WSE2, WSE3
-from repro.wse.perf_model import (
+from repro.eval.perf_model import (
     estimate_performance,
     handwritten_seismic_activity,
     measure_pe_activity,
 )
+from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
+from repro.wse.executors import available_executors
+from repro.wse.machine import WSE2, WSE3
 from repro.wse.simulator import WseSimulator
 
 HANDWRITTEN_DIR = os.path.join(os.path.dirname(__file__), "handwritten")

@@ -14,8 +14,8 @@ from repro.benchmarks.definitions import (
     ProblemSize,
     benchmark_by_name,
 )
+from repro.eval.perf_model import estimate_performance
 from repro.wse.machine import WSE2, WSE3
-from repro.wse.perf_model import estimate_performance
 
 #: the four benchmarks shown in Figure 4 (Acoustic appears in Figure 6).
 FIGURE4_BENCHMARKS = ("Jacobian", "Diffusion", "Seismic", "UVKBE")

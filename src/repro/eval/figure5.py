@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.benchmarks.definitions import PROBLEM_SIZES, ProblemSize, benchmark_by_name
-from repro.wse.machine import WSE2, WSE3
-from repro.wse.perf_model import (
+from repro.eval.perf_model import (
     cycles_per_step,
     estimate_performance,
     handwritten_seismic_activity,
     measure_pe_activity,
 )
+from repro.wse.machine import WSE2, WSE3
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from repro.baselines.cpu_model import acoustic_on_archer2
 from repro.baselines.gpu_model import acoustic_on_tursa
 from repro.benchmarks.definitions import LARGE, benchmark_by_name
+from repro.eval.perf_model import estimate_performance
 from repro.wse.machine import WSE3
-from repro.wse.perf_model import estimate_performance
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from repro.baselines.roofline import (
     wse_memory_ceiling,
 )
 from repro.benchmarks.definitions import BENCHMARKS, LARGE, Benchmark
+from repro.eval.perf_model import estimate_performance
 from repro.wse.machine import WSE3
-from repro.wse.perf_model import estimate_performance
 
 
 @dataclass(frozen=True)

@@ -33,17 +33,23 @@ import time
 from repro.benchmarks.definitions import ALL_BENCHMARKS, benchmark_by_name
 from repro.csl import CslDiagnosticError, parse_csl_sources, read_csl_dir
 from repro.frontends.common import BoundaryCondition
-from repro.service.cache import NAMESPACES, DiskStore
+from repro.service.cache import NAMESPACES, RUN, DiskStore
 from repro.service.queue import (
     DEFAULT_MAX_ATTEMPTS,
     TERMINAL_STATES,
     Experiment,
+    JobHandle,
     JobQueue,
     JobStatus,
     JobStore,
     UnknownJobError,
 )
-from repro.service.run import DEFAULT_MAX_ROUNDS, DEFAULT_RUN_SEED, RunService
+from repro.service.run import (
+    DEFAULT_MAX_ROUNDS,
+    DEFAULT_RUN_SEED,
+    RunArtifact,
+    RunService,
+)
 from repro.service.service import CompileService
 from repro.transforms.pipeline import PipelineOptions
 from repro.wse.codegen import kernel_cache_statistics
@@ -561,17 +567,24 @@ def _run_list(args: argparse.Namespace, out) -> int:
 
 def _run_cancel(args: argparse.Namespace, out) -> int:
     store = JobStore(args.cache_dir)
+    artifacts = DiskStore(RUN, args.cache_dir, RunArtifact.from_json)
     refused = 0
     for job_id in args.job_ids:
         record = store.get(job_id)
         if record is None:
             print(f"job {job_id}: unknown", file=sys.stderr)
             refused += 1
-        elif store.cancel_queued(job_id):
+            continue
+        # Only a queued job is cancelled: one already cancelled is refused,
+        # as is one a worker claimed first (the status after the attempt).
+        status = record.status
+        if status is JobStatus.QUEUED:
+            status = JobHandle(store, artifacts, job_id, record.fingerprint).cancel()
+        if record.status is JobStatus.QUEUED and status is JobStatus.CANCELLED:
             print(f"job {job_id}: cancelled", file=out)
         else:
             print(
-                f"job {job_id}: not cancellable (status {record.status}; "
+                f"job {job_id}: not cancellable (status {status}; "
                 f"only queued jobs can be cancelled)",
                 file=sys.stderr,
             )

@@ -14,9 +14,11 @@ substitution documented in DESIGN.md:
   ``reference`` interpreter and the whole-grid ``vectorized`` lockstep
   executor (selected via ``WseSimulator(executor=...)``);
 * :mod:`repro.wse.simulator` — the fabric simulator facade: a 2-D grid of
-  PEs run to completion in delivery rounds by the chosen backend;
-* :mod:`repro.wse.perf_model` — the analytic per-PE cycle model used to
-  extrapolate throughput to the paper's problem sizes.
+  PEs run to completion in delivery rounds by the chosen backend.
+
+The analytic per-PE cycle model that extrapolates throughput to the paper's
+problem sizes is :mod:`repro.eval.perf_model`, beside the figures it serves:
+nothing here imports the service or the evaluation layer.
 """
 
 from repro.wse.executors import (

@@ -12,13 +12,13 @@ from repro.baselines.roofline import (
 )
 from repro.benchmarks import jacobian_benchmark, seismic_benchmark
 from repro.benchmarks.definitions import LARGE, SMALL
-from repro.wse.machine import WSE2, WSE3
-from repro.wse.perf_model import (
+from repro.eval.perf_model import (
     cycles_per_step,
     estimate_performance,
     handwritten_seismic_activity,
     measure_pe_activity,
 )
+from repro.wse.machine import WSE2, WSE3
 
 
 class TestMachineSpecs:
