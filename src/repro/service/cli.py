@@ -576,11 +576,11 @@ def _run_cancel(args: argparse.Namespace, out) -> int:
             refused += 1
             continue
         # Only a queued job is cancelled: one already cancelled is refused,
-        # as is one a worker claimed first (the status after the attempt).
-        status = record.status
-        if status is JobStatus.QUEUED:
-            status = JobHandle(store, artifacts, job_id, record.fingerprint).cancel()
-        if record.status is JobStatus.QUEUED and status is JobStatus.CANCELLED:
+        # as is one a worker claims first (its status after the attempt).
+        handle = JobHandle(store, artifacts, job_id, record.fingerprint)
+        queued = record.status is JobStatus.QUEUED
+        status = handle.cancel() if queued else record.status
+        if queued and status is JobStatus.CANCELLED:
             print(f"job {job_id}: cancelled", file=out)
         else:
             print(

@@ -487,7 +487,6 @@ class _KernelEmitter:
         out of range raises before anything runs."""
         scheduled = self.schedule.exchanges[eid]
         self._pass, self._count = scheduled, scheduled.plan.num_chunks
-        self._owner = f"rc{eid}"
         builder.line(f"def rc{eid}():")
         with builder.indented():
             builder.line(f"counters['tasks_run'] += {self._count}")
@@ -498,7 +497,7 @@ class _KernelEmitter:
                         f"raise IndexError(\"DSD over '{buffer}' out of range\")"
                     )
             self._emit_body(scheduled.plan.receive_callback, builder)
-        self._pass, self._count, self._owner = None, 1, None
+        self._pass, self._count = None, 1
 
     def _emit_body(self, name: str, builder: SourceBuilder) -> None:
         block = self.image.callables[name].regions[0].blocks[0]
