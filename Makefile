@@ -102,13 +102,15 @@ service-smoke:
 
 # End-to-end run service check: the run-job unit suite (a warm run is served
 # from the run cache, counted, not timed), then a CLI smoke path whose
-# --repeat 2 exercises a cold run followed by a warm run-cache hit.
+# --repeat 2 exercises a cold run followed by a warm run-cache hit, through
+# both doors: named benchmarks, and the handwritten CSL sources as text.
 run-service-check:
 	$(PYTHON) -m pytest tests/service/test_run_service.py -q
 	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	REPRO_CACHE_DIR="$$dir" sh -c '\
 	  $(PYTHON) -m repro.service run Jacobian UVKBE --grid 4x4 --nz 8 --time-steps 1 --repeat 2 && \
 	  $(PYTHON) -m repro.service run Jacobian --grid 4x4 --nz 8 --time-steps 1 --executor tiled && \
+	  $(PYTHON) -m repro.service run --csl examples/handwritten --executor compiled --repeat 2 && \
 	  $(PYTHON) -m repro.service stats && \
 	  $(PYTHON) -m repro.service purge'
 
@@ -147,14 +149,15 @@ boundary-check:
 
 # CSL front-door gate: the parser/lowering/diagnostic/round-trip suite
 # (with the lexer pins, the bounded fuzzers and the calls-per-token ledger),
-# then the handwritten 25-point seismic kernel diffed field-by-field
-# against the pipeline-generated code on two executors via the CLI.
+# then the handwritten 25-point seismic kernel diffed field-by-field (every
+# field both programs export) against the pipeline-generated code on two
+# executors via the CLI.
 csl-check:
 	$(PYTHON) -m pytest tests/csl -q
 	$(PYTHON) -m repro.csl parse --dir examples/handwritten
 	$(PYTHON) -m repro.csl diff --csl examples/handwritten --benchmark Seismic \
 	  --grid 9x9 --nz 16 --time-steps 2 --num-chunks 1 \
-	  --executors reference,vectorized --fields u,v
+	  --executors reference,vectorized
 
 # IR-core gate: operations, def-use chains and change tracking (ordering,
 # the stateful property test against a model, determinism across hash seeds

@@ -33,7 +33,7 @@ from repro.frontends.common import (
 )
 
 
-def _pad_keywords(boundary: BoundaryCondition) -> dict:
+def pad_keywords(boundary: BoundaryCondition) -> dict:
     """The ``np.pad`` keywords implementing one boundary condition."""
     if boundary.kind == "dirichlet":
         return {"mode": "constant", "constant_values": np.float32(boundary.value)}
@@ -60,7 +60,7 @@ def refresh_xy_halo(
     nx, ny, _ = decl.shape
     columns = array[hx : hx + nx, hy : hy + ny, :]
     array[:] = np.pad(
-        columns, ((hx, hx), (hy, hy), (0, 0)), **_pad_keywords(program.boundary)
+        columns, ((hx, hx), (hy, hy), (0, 0)), **pad_keywords(program.boundary)
     )
 
 
@@ -76,7 +76,7 @@ def apply_boundary(program: StencilProgram, name: str, array: np.ndarray) -> Non
     nx, ny, nz = decl.shape
     core = array[hx : hx + nx, hy : hy + ny, hz : hz + nz]
     array[hx : hx + nx, hy : hy + ny, :] = np.pad(
-        core, ((0, 0), (0, 0), (hz, hz)), **_pad_keywords(program.boundary)
+        core, ((0, 0), (0, 0), (hz, hz)), **pad_keywords(program.boundary)
     )
     refresh_xy_halo(program, name, array)
 

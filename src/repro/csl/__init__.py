@@ -59,9 +59,12 @@ class ParsedCsl:
         self,
         programs: list[csl_dialect.CslModuleOp],
         layout: csl_dialect.CslModuleOp | None,
+        files: list[str],
     ):
         self.programs = programs
         self.layout = layout
+        #: the source file of each program module.
+        self.files = files
 
     @property
     def program(self) -> csl_dialect.CslModuleOp:
@@ -79,6 +82,19 @@ class ParsedCsl:
     def image(self, index: int = 0) -> ProgramImage:
         return ProgramImage(self.programs[index])
 
+    def runnable_image(self, index: int = 0) -> ProgramImage:
+        """:meth:`image` of a program a run can seed and digest: one that
+        exports at least one field (``@export_symbol`` of a buffer); any
+        other raises a :class:`CslLoweringError` located at its file."""
+        image = self.image(index)
+        if not image.fields:
+            raise CslLoweringError(
+                "the program exports no field (@export_symbol of a buffer), "
+                "so a run has nothing to seed or digest",
+                SourceLocation(self.files[index], 1, 1),
+            )
+        return image
+
 
 def parse_csl_program(
     text: str, file: str = "<csl>", name: str | None = None
@@ -93,8 +109,8 @@ def parse_csl_sources(sources: dict[str, str]) -> ParsedCsl:
     ``print_csl_sources``): layout metadata — fabric extent, hardware target
     — is stitched onto the program modules it tiles."""
     programs: list[csl_dialect.CslModuleOp] = []
+    files: list[str] = []
     layout: csl_dialect.CslModuleOp | None = None
-    tile_files: dict[str, csl_dialect.CslModuleOp] = {}
     for filename in sorted(sources):
         module = parser.parse_module(sources[filename], filename)
         lowered = lower.lower_module(module)
@@ -102,7 +118,7 @@ def parse_csl_sources(sources: dict[str, str]) -> ParsedCsl:
             layout = lowered
         else:
             programs.append(lowered)
-            tile_files[os.path.basename(filename)] = lowered
+            files.append(filename)
     if layout is not None:
         tiled = {
             os.path.basename(op.program_file)
@@ -113,7 +129,7 @@ def parse_csl_sources(sources: dict[str, str]) -> ParsedCsl:
             basename = f"{program.sym_name}.csl"
             if not tiled or basename in tiled or len(programs) == 1:
                 lower.attach_layout(program, layout)
-    return ParsedCsl(programs, layout)
+    return ParsedCsl(programs, layout, files)
 
 
 def read_csl_source(path: str) -> str:

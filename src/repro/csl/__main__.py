@@ -9,8 +9,10 @@ Three verbs:
   print→parse fixpoint), or ``--canonical`` for the scheduling-insensitive
   canonical JSON of the program image;
 * ``diff --csl DIR --benchmark NAME`` — compile the named benchmark with
-  the same grid, parse the handwritten directory, and compare both images
-  field by field on the requested executors; exits 1 on divergence.
+  the same grid, parse the handwritten directory, and compare the fields
+  both programs export, byte for byte on the requested executors, from the
+  same seeded inputs; exits 1 on divergence, and refuses (exit 1) a source
+  set that exports no field.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fields",
         default=None,
         metavar="F,G",
-        help="comma-separated field names (default: all shared buffers)",
+        help="comma-separated field names (default: every declared field)",
     )
     return parser
 
@@ -185,8 +187,8 @@ def _run_diff(args: argparse.Namespace, out) -> int:
         tuple(args.fields.split(",")) if args.fields is not None else None
     )
     report = diff_images(
-        generated.image(),
-        handwritten.image(),
+        generated.runnable_image(),
+        handwritten.runnable_image(),
         fields=fields,
         executors=tuple(args.executors.split(",")),
         seed=args.seed,

@@ -2,7 +2,7 @@
 
 Runs two program images — typically one parsed from handwritten CSL text and
 one produced by the compilation pipeline — under identical seeded inputs on
-one or more executors, then compares every requested field byte for byte.
+one or more executors, then compares every declared field byte for byte.
 This turns the paper's generated-vs-handwritten claim into an executable
 regression test: agreement is ``max_abs_diff == 0.0`` and equal SHA-256
 digests, not a chart.
@@ -89,48 +89,41 @@ def diff_images(
 ) -> DiffReport:
     """Run both images on every executor and compare fields byte for byte.
 
-    ``fields`` defaults to the buffers both images declare with equal sizes.
-    Both simulations load identical seeded columns into every compared field
-    before launch, so any divergence is the program's doing.
+    Both images must declare the same fields (the buffers their programs
+    export, with equal lengths); ``fields`` narrows the comparison to some
+    of them and defaults to all.  Both simulations load the same inputs —
+    :func:`~repro.wse.simulator.seeded_inputs` of ``image_a`` — before
+    launch, so any divergence is the program's doing.
     """
-    from repro.wse.simulator import WseSimulator
+    from repro.wse.simulator import WseSimulator, seeded_inputs
 
     if image_a.width != image_b.width or image_a.height != image_b.height:
         raise ValueError(
             f"cannot diff images on different grids: "
             f"{image_a.width}x{image_a.height} vs {image_b.width}x{image_b.height}"
         )
-    if fields is None:
-        fields = tuple(
-            sorted(
-                name
-                for name, size in image_a.buffers.items()
-                if image_b.buffers.get(name) == size
-            )
+    if image_a.fields != image_b.fields:
+        raise ValueError(
+            f"the images declare different fields: {image_a.fields} vs "
+            f"{image_b.fields}"
         )
+    if fields is None:
+        fields = tuple(image_a.fields)
     for name in fields:
-        if image_a.buffers.get(name) != image_b.buffers.get(name):
+        if name not in image_a.fields:
             raise ValueError(
-                f"field '{name}' differs between images: "
-                f"{image_a.buffers.get(name)} vs {image_b.buffers.get(name)} elements"
+                f"'{name}' is not a declared field "
+                f"(declared: {', '.join(image_a.fields)})"
             )
 
+    inputs = seeded_inputs(image_a, seed)
     report = DiffReport(label_a=label_a, label_b=label_b, seed=seed)
     for executor in executors:
-        rng = np.random.default_rng(seed)
-        inputs = {
-            name: rng.uniform(
-                -1.0,
-                1.0,
-                size=(image_a.width, image_a.height, image_a.buffers[name]),
-            ).astype(np.float32)
-            for name in fields
-        }
         outputs: dict[str, dict[str, np.ndarray]] = {}
         for key, image in (("a", image_a), ("b", image_b)):
             simulator = WseSimulator(image, executor=executor)
-            for name in fields:
-                simulator.load_field(name, inputs[name])
+            for name, columns in inputs.items():
+                simulator.load_field(name, columns)
             simulator.execute()
             outputs[key] = {name: simulator.read_field(name) for name in fields}
         for name in fields:

@@ -7,7 +7,8 @@ pipeline generates, so a parsed module drops into the existing
 :class:`~repro.wse.plan.ExecutionPlan` → executor machinery unchanged —
 handwritten CSL runs on all five backends exactly like generated CSL.
 
-Semantic errors (unknown buffers, unbound task ids, undefined names) raise
+Semantic errors (unknown buffers, unbound task ids, undefined names,
+exports of undeclared symbols) raise
 :class:`CslLoweringError` with the ``file:line:col`` of the offending node.
 """
 
@@ -163,7 +164,18 @@ class _ProgramLowerer:
                 # the binding is folded into the TaskOp itself
                 continue
             elif isinstance(decl, ast.ExportDecl):
-                kind = "fn" if decl.sym_name in self.callable_names else "var"
+                # the first pass saw every declaration: an export may precede
+                # what it names, but must name something
+                if decl.sym_name in self.callable_names:
+                    kind = "fn"
+                elif decl.sym_name in self.buffer_sizes.keys() | self.var_names:
+                    kind = "var"
+                else:
+                    raise CslLoweringError(
+                        f"@export_symbol of undeclared symbol '{decl.sym_name}'",
+                        decl.loc,
+                        decl.sym_name,
+                    )
                 ops.append(csl.ExportOp(decl.sym_name, kind=kind))
                 if kind == "fn":
                     exported_fns.append(decl.sym_name)

@@ -31,7 +31,7 @@ import sys
 import time
 
 from repro.benchmarks.definitions import ALL_BENCHMARKS, benchmark_by_name
-from repro.csl import CslDiagnosticError, parse_csl_sources, read_csl_dir
+from repro.csl import CslDiagnosticError, read_csl_dir
 from repro.frontends.common import BoundaryCondition
 from repro.service.cache import NAMESPACES, RUN, DiskStore
 from repro.service.queue import (
@@ -399,8 +399,6 @@ def _run_run(args: argparse.Namespace, out) -> int:
         inputs = _run_inputs(args)
         if args.csl is not None:
             sources = read_csl_dir(args.csl)
-            # Parse eagerly so diagnostics surface before any run.
-            parse_csl_sources(sources)
 
             def batch():
                 return [service.run_csl(sources, **inputs)]
@@ -414,27 +412,32 @@ def _run_run(args: argparse.Namespace, out) -> int:
                     for program, options in jobs
                 ]
 
-    except (KeyError, ValueError, OSError, CslDiagnosticError) as error:
+    except (KeyError, ValueError, OSError) as error:
         return _user_error(error)
 
     with service:
-        for artifacts in _rounds(
+        rounds = _rounds(
             args,
             out,
             "run",
             "run cache",
             lambda: service.statistics.cache_hits,
             batch,
-        ):
-            for artifact in artifacts:
-                print(
-                    f"  {artifact.fingerprint[:12]}  "
-                    f"{artifact.program_name:<10} {artifact.executor}  "
-                    f"{artifact.grid_width}x{artifact.grid_height}  "
-                    f"{artifact.rounds} rounds  "
-                    f"{_digests(artifact.field_digests)}",
-                    file=out,
-                )
+        )
+        try:
+            for artifacts in rounds:
+                for artifact in artifacts:
+                    print(
+                        f"  {artifact.fingerprint[:12]}  "
+                        f"{artifact.program_name:<10} {artifact.executor}  "
+                        f"{artifact.grid_width}x{artifact.grid_height}  "
+                        f"{artifact.rounds} rounds  "
+                        f"{_digests(artifact.field_digests)}",
+                        file=out,
+                    )
+        except CslDiagnosticError as error:
+            # --csl sources are parsed by the run itself, on a cache miss.
+            return _user_error(error)
         print(service.format_statistics(), file=out)
     return 0
 

@@ -3,20 +3,24 @@
 A *run job* is the full paper loop for one configuration: compile the
 stencil program to CSL text (served by the compile-stage artifact cache),
 parse that stored text into a program image — the run executes exactly the
-CSL the store holds, as :meth:`RunService.run_csl` does for text handed in —
-lower the image into an execution plan, simulate it on a chosen execution
-backend with deterministically seeded input fields, and distil the result
-into a :class:`RunArtifact` — SHA-256 digests of every gathered field plus
-the simulation statistics.  Because every stage is deterministic, the
-artifact is content-addressed by a *run fingerprint*: the compile-stage
-fingerprint payload — which carries the code digest
-(:func:`repro.code_digest`), so any change to the code invalidates cached
-runs — extended with the run-level inputs (executor, input seed, round
-budget).
+CSL the store holds — lower the image into an execution plan, simulate it
+on a chosen execution backend, and distil the result into a
+:class:`RunArtifact`: SHA-256 digests of the program's fields plus the
+simulation statistics.
 
-:meth:`RunService.run` is the one synchronous definition of a run (and
-:meth:`RunService.run_csl` the same loop for a parsed CSL source set):
-a run-cache hit skips compilation *and* simulation; a miss takes its
+There is one front door with two ways in.  :meth:`RunService.run` takes a
+stencil program and :meth:`RunService.run_csl` a CSL source set; past the
+compile stage both are the same run.  The fields are the buffers the
+printed program exports, seeded by the one input rule
+(:func:`~repro.wse.simulator.seeded_inputs`) and digested after the run,
+so a program and its printed sources give the same ``field_digests``.
+Both are keyed by one payload (:func:`run_fingerprint_payload`): the code
+digest (:func:`repro.code_digest`, so any change to the code invalidates
+cached runs), the compile identity — the artifact fingerprint of a
+program, the digest of a source set — and the run-level inputs (executor,
+input seed, round budget).
+
+A run-cache hit skips compilation *and* simulation; a miss takes its
 image from a :class:`~repro.service.service.CompileService` (its
 fingerprint cache deduplicates the compile stage, and its per-artifact memo
 the parse, across runs that differ only in run-level inputs; a fresh
@@ -37,27 +41,21 @@ import json
 import os
 import threading
 from dataclasses import MISSING as dataclasses_MISSING
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
-import numpy as np
-
 from repro import code_digest
-from repro.baselines.numpy_ref import allocate_fields, field_to_columns
 from repro.csl import parse_csl_sources
 from repro.frontends.common import StencilProgram
 from repro.service.cache import RUN, ArtifactCache
-from repro.service.fingerprint import (
-    canonical_json,
-    fingerprint_payload,
-)
+from repro.service.fingerprint import canonical_json, compute_fingerprint
 from repro.service.kernels import KernelSourceStore
 from repro.service.service import CompileService
 from repro.transforms.pipeline import PipelineOptions
 from repro.wse.codegen import kernel_cache_statistics
 from repro.wse.executors import DEFAULT_EXECUTOR, executor_by_name
 from repro.wse.interpreter import ProgramImage, bound_image
-from repro.wse.simulator import WseSimulator
+from repro.wse.simulator import WseSimulator, seeded_inputs
 
 #: default seed of the deterministic input-field initialiser.
 DEFAULT_RUN_SEED = 13
@@ -67,26 +65,41 @@ DEFAULT_MAX_ROUNDS = 1_000_000
 
 
 def run_fingerprint_payload(
-    program: StencilProgram,
-    options: PipelineOptions,
+    compile_identity: str,
     executor: str,
     seed: int,
     max_rounds: int,
 ) -> dict:
-    """The canonical document a run fingerprint hashes.
+    """The canonical document a run fingerprint hashes: the code digest,
+    what was compiled and the run-level inputs.
 
-    Extends the compile-stage payload with everything that additionally
-    determines a run's outcome: the execution backend, the input-field
-    seed and the round budget.  The compile payload's code digest covers
-    planning and kernel codegen too.
+    ``compile_identity`` is the artifact fingerprint of a program job (which
+    hashes program, options and pass sequence) or the source-set digest of a
+    text job (:func:`source_set_digest`: any edit to any file is a different
+    run).  The code digest (:func:`repro.code_digest`) covers parsing,
+    planning and kernel codegen too; the run inputs are the execution
+    backend, the input seed and the round budget.
     """
-    payload = fingerprint_payload(program, options)
-    payload["run"] = {
-        "executor": executor,
-        "seed": seed,
-        "max_rounds": max_rounds,
+    return {
+        "code": code_digest(),
+        "compile": compile_identity,
+        "run": {
+            "executor": executor,
+            "seed": seed,
+            "max_rounds": max_rounds,
+        },
     }
-    return payload
+
+
+def run_fingerprint(
+    compile_identity: str,
+    executor: str,
+    seed: int,
+    max_rounds: int,
+) -> str:
+    """SHA-256 of :func:`run_fingerprint_payload`: the key of one run."""
+    payload = run_fingerprint_payload(compile_identity, executor, seed, max_rounds)
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 def compute_run_fingerprint(
@@ -96,47 +109,16 @@ def compute_run_fingerprint(
     seed: int,
     max_rounds: int,
 ) -> str:
-    text = canonical_json(
-        run_fingerprint_payload(program, options, executor, seed, max_rounds)
+    """The run fingerprint of a program job."""
+    return run_fingerprint(
+        compute_fingerprint(program, options), executor, seed, max_rounds
     )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def csl_run_fingerprint_payload(
-    sources: dict[str, str],
-    executor: str,
-    seed: int,
-    max_rounds: int,
-) -> dict:
-    """The canonical document a CSL-source run fingerprint hashes.
-
-    Parsed kernels have no ``StencilProgram``/``PipelineOptions`` provenance,
-    so the source *texts* stand in for the compile stage: any edit to any
-    file is a different run.  The code digest (:func:`repro.code_digest`)
-    rides along — a parser, plan or codegen change alters what the same
-    text executes as.
-    """
-    return {
-        "code": code_digest(),
-        "csl_sources": dict(sorted(sources.items())),
-        "run": {
-            "executor": executor,
-            "seed": seed,
-            "max_rounds": max_rounds,
-        },
-    }
-
-
-def compute_csl_run_fingerprint(
-    sources: dict[str, str],
-    executor: str,
-    seed: int,
-    max_rounds: int,
-) -> str:
-    text = canonical_json(
-        csl_run_fingerprint_payload(sources, executor, seed, max_rounds)
-    )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def source_set_digest(sources: dict[str, str]) -> str:
+    """The compile identity of a text job: SHA-256 of its ``{filename:
+    text}`` set, independent of the dict's order."""
+    return hashlib.sha256(canonical_json(sources).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -292,23 +274,8 @@ class RunService:
             return artifact
         on_stage("compiling")
         compiled = self.compiler.compile(program, options)
-        image = self.compiler.image_of(compiled)
-        # Field allocation honours the boundary condition that was actually
-        # compiled in (an options override changes the z-halo initialiser).
-        effective = program
-        if image.boundary != program.boundary:
-            effective = replace(program, boundary=image.boundary)
-        rng = np.random.default_rng(seed)
-        fields = allocate_fields(
-            effective, lambda name, shape: rng.uniform(-1.0, 1.0, shape)
-        )
-        inputs = {
-            decl.name: field_to_columns(effective, decl.name, fields[decl.name])
-            for decl in effective.fields
-        }
         return self._simulate(
-            image,
-            inputs,
+            self.compiler.image_of(compiled),
             on_stage,
             fingerprint=fingerprint,
             compile_fingerprint=compiled.fingerprint,
@@ -326,37 +293,30 @@ class RunService:
         seed: int = DEFAULT_RUN_SEED,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
     ) -> RunArtifact:
-        """:meth:`run` for a parsed CSL source set (the text front door).
+        """:meth:`run` for a CSL source set (the text front door).
 
         ``sources`` is a ``{filename: text}`` set as produced by
         ``print_csl_sources`` or read from a ``--csl`` directory (one
-        program module plus an optional layout).  Every buffer the program
-        declares is deterministically seeded (sorted name order, one
-        ``uniform(-1, 1)`` draw each) before launch and digested after, so
-        two executors agree exactly when their artifacts'
-        ``field_digests`` are equal — the same contract as benchmark runs.
+        program module plus an optional layout).  It is keyed by its
+        source-set digest, parsed only on a run-cache miss, and run like a
+        program job: the fields the program exports are seeded by
+        :func:`~repro.wse.simulator.seeded_inputs` and digested after the
+        run, so a program's printed sources give the same ``field_digests``
+        here as the program does through :meth:`run`.  A source set whose
+        program exports no field raises a located
+        :class:`~repro.csl.CslDiagnosticError`.
         """
         executor_name = _executor_name(executor)
-        fingerprint = compute_csl_run_fingerprint(
-            sources, executor_name, seed, max_rounds
+        source_digest = source_set_digest(sources)
+        fingerprint = run_fingerprint(
+            source_digest, executor_name, seed, max_rounds
         )
         artifact = self._cached(fingerprint)
         if artifact is not None:
             return artifact
-        image = parse_csl_sources(sources).image()
-        rng = np.random.default_rng(seed)
-        inputs = {
-            name: rng.uniform(
-                -1.0, 1.0, size=(image.width, image.height, image.buffers[name])
-            )
-            for name in sorted(image.buffers)
-        }
-        source_digest = hashlib.sha256(
-            canonical_json(dict(sorted(sources.items()))).encode("utf-8")
-        ).hexdigest()
+        image = parse_csl_sources(sources).runnable_image()
         return self._simulate(
             image,
-            inputs,
             _quiet,
             fingerprint=fingerprint,
             compile_fingerprint=source_digest,
@@ -385,20 +345,20 @@ class RunService:
     def _simulate(
         self,
         image: ProgramImage,
-        inputs: "dict[str, np.ndarray]",
         on_stage: Callable[[str], None],
         *,
         executor: str,
+        seed: int,
         max_rounds: int,
         **identity,
     ) -> RunArtifact:
-        """Simulate ``image`` on ``inputs`` — ``{field: (width, height, z)
-        columns}`` — and store the artifact: the digests of the same fields,
-        in the same order, after the run.  ``identity`` is the rest of the artifact's fields
-        (fingerprints, program name, seed)."""
+        """Simulate ``image`` on the seeded inputs of its fields and store
+        the artifact: the digests of the same fields after the run.
+        ``identity`` is the rest of the artifact's fields (fingerprints,
+        program name)."""
         kernel_cache = self._warm_kernels(image, executor)
         simulator = WseSimulator(image, executor=executor)
-        for name, columns in inputs.items():
+        for name, columns in seeded_inputs(image, seed).items():
             simulator.load_field(name, columns)
         on_stage("running")
         simulator.launch()
@@ -406,6 +366,7 @@ class RunService:
         on_stage("digesting")
         artifact = RunArtifact(
             executor=executor,
+            seed=seed,
             max_rounds=max_rounds,
             grid_width=simulator.width,
             grid_height=simulator.height,
@@ -415,7 +376,7 @@ class RunService:
                 name: hashlib.sha256(
                     simulator.read_field(name).tobytes()
                 ).hexdigest()
-                for name in inputs
+                for name in image.fields
             },
             kernel_cache=kernel_cache,
             **identity,

@@ -3,7 +3,7 @@
 Generates the ``csl_wrapper.module`` that packages the layout metaprogram and
 the PE program together, and populates it with the program-wide compile-time
 parameters extracted from the ``csl_stencil`` operations (grid extent, column
-length, chunking, stencil pattern).
+length and its z halo, chunking, stencil pattern).
 """
 
 from __future__ import annotations
@@ -56,6 +56,11 @@ class CslWrapperHoistPass(ModulePass):
             apply_op.attributes["z_total"].value  # type: ignore[union-attr]
             for apply_op in applies
         )
+        # Every field column is z_dim long: its core plus this halo each side.
+        z_halo = max(
+            apply_op.attributes["z_halo_lo"].value  # type: ignore[union-attr]
+            for apply_op in applies
+        )
         num_chunks = max(apply_op.num_chunks for apply_op in applies)
         chunk_size = max(
             apply_op.attributes["chunk_size"].value  # type: ignore[union-attr]
@@ -73,6 +78,7 @@ class CslWrapperHoistPass(ModulePass):
 
         params = [
             csl_wrapper.ParamAttr("z_dim", z_dim),
+            csl_wrapper.ParamAttr("z_halo", z_halo),
             csl_wrapper.ParamAttr("num_chunks", num_chunks),
             csl_wrapper.ParamAttr("chunk_size", chunk_size),
             csl_wrapper.ParamAttr("pattern", pattern),

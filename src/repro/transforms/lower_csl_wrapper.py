@@ -8,7 +8,9 @@ compilation model:
   parameters) to every tile; and
 * the *PE program* module — imports the memcpy and stencil-communication
   libraries, declares the compile-time parameters, and contains the buffers,
-  functions and tasks produced by the earlier passes.
+  functions and tasks produced by the earlier passes.  It exports each
+  field's buffer, in the program's field order, beside the entry point: the
+  host reads and writes a PE's fields through those symbols only.
 """
 
 from __future__ import annotations
@@ -116,6 +118,8 @@ class LowerCslWrapperPass(ModulePass):
 
         entry = wrapper.attributes.get("entry")
         entry_name = entry.data if isinstance(entry, StringAttr) else "f_main"
+        for field in wrapper.attributes.get("fields", ()):
+            ops.append(csl.ExportOp(field.data, kind="var"))
         ops.append(csl.ExportOp(entry_name, kind="fn"))
         ops.append(csl.RpcOp(memcpy.result))
 

@@ -13,7 +13,9 @@ kernel function's ``scf.for`` loop into the canonical CSL control skeleton:
 * ``for_inc0``    — increments ``step`` and re-activates ``for_cond0``;
 * ``for_post0``   — returns control to the host.
 
-Stencil fields (the kernel's arguments) become module-scope buffers.
+Stencil fields (the kernel's arguments) become module-scope buffers, and
+the wrapper's ``fields`` attribute names them in argument order (the
+program's field order), for ``lower-csl-wrapper`` to export.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.dialects import arith, csl, csl_wrapper, func, memref, scf, stencil
 from repro.ir import Block, ModulePass, Region
-from repro.ir.attributes import IntAttr, StringAttr
+from repro.ir.attributes import ArrayAttr, IntAttr, StringAttr
 from repro.ir.exceptions import PassFailedException
 from repro.ir.operation import Operation
 from repro.ir.types import MemRefType, TensorType, f32, i16, i32
@@ -154,6 +156,10 @@ class ScfToTaskGraphPass(ModulePass):
 
         wrapper.set_attribute("timesteps", IntAttr(timesteps))
         wrapper.set_attribute("entry", StringAttr("f_main"))
+        wrapper.set_attribute(
+            "fields",
+            ArrayAttr(StringAttr(global_op.sym_name) for global_op in field_globals),
+        )
 
     # ------------------------------------------------------------------ #
 

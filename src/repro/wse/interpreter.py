@@ -118,6 +118,7 @@ class ProgramImage:
         self.variables: dict[str, float] = {}
         self.params: dict[str, int] = {}
         self.entry = "f_main"
+        exports: list[str] = []
 
         for op in program_module.ops:
             if isinstance(op, (csl.FuncOp, csl.TaskOp)):
@@ -131,6 +132,13 @@ class ProgramImage:
             elif isinstance(op, csl.ParamOp):
                 if op.default is not None:
                     self.params[op.param_name] = int(op.default)
+            elif isinstance(op, csl.ExportOp):
+                exports.append(op.sym_name)
+        #: the program's fields: the buffers it exports to the host, in
+        #: export order, with their lengths.
+        self.fields: dict[str, int] = {
+            name: self.buffers[name] for name in exports if name in self.buffers
+        }
 
         entry_attr = program_module.attributes.get("entry")
         if isinstance(entry_attr, StringAttr):
@@ -145,6 +153,12 @@ class ProgramImage:
     def height(self) -> int:
         attr = self.module.attributes.get("height")
         return attr.value if isinstance(attr, IntAttr) else 1
+
+    @property
+    def z_halo(self) -> int:
+        """The z halo each side of every field column (the ``z_halo``
+        param; 0 for a program that declares none)."""
+        return self.params.get("z_halo", 0)
 
     @property
     def boundary(self) -> BoundaryCondition:

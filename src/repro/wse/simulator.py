@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.numpy_ref import pad_keywords
 from repro.dialects import csl
 from repro.wse.executors import (
     DEFAULT_EXECUTOR,
@@ -28,7 +29,32 @@ from repro.wse.executors import (
 )
 from repro.wse.interpreter import ProgramImage, bound_image
 
-__all__ = ["SimulationStatistics", "WseSimulator"]
+__all__ = ["SimulationStatistics", "WseSimulator", "seeded_inputs"]
+
+
+def seeded_inputs(image: ProgramImage, seed: int) -> dict[str, np.ndarray]:
+    """The one input rule: seeded ``(width, height, z)`` columns for every
+    field ``image`` declares, in declaration order.
+
+    Each field's interior is one ``default_rng(seed).uniform(-1, 1)`` draw,
+    z-padded by ``image.z_halo`` under ``image.boundary`` — byte for byte
+    what ``allocate_fields`` + ``field_to_columns`` make of the program the
+    image was compiled from.  Every run door seeds through it, so the same
+    program run as a stencil job or as CSL text digests the same fields.
+    """
+    rng = np.random.default_rng(seed)
+    halo = image.z_halo
+    padding = pad_keywords(image.boundary)
+    return {
+        name: np.pad(
+            rng.uniform(
+                -1.0, 1.0, (image.width, image.height, length - 2 * halo)
+            ).astype(np.float32),
+            ((0, 0), (0, 0), (halo, halo)),
+            **padding,
+        )
+        for name, length in image.fields.items()
+    }
 
 
 class WseSimulator:

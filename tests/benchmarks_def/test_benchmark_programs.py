@@ -6,9 +6,10 @@ import pytest
 
 from repro.benchmarks import BENCHMARKS, benchmark_by_name
 from repro.dialects import csl
-from repro.tests_support import simulate_against_reference  # noqa: F401  (fixture helper below)
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.executors import available_executors
+
+from tests.tests_support import simulate_against_reference  # noqa: F401  (fixture helper below)
 
 
 class TestBenchmarkDefinitions:
@@ -67,7 +68,7 @@ class TestBenchmarkCorrectness:
     @pytest.mark.parametrize("executor", available_executors())
     @pytest.mark.parametrize("bench", BENCHMARKS, ids=lambda b: b.name)
     def test_simulated_result_matches_reference(self, bench, executor):
-        from repro.tests_support import simulate_against_reference
+        from tests.tests_support import simulate_against_reference
 
         radius = 4 if bench.name == "Seismic" else 2
         nx = ny = 2 * radius + 1

@@ -104,3 +104,32 @@ class TestDiffVerb:
         )
         assert code == 0
         assert "FIELD-BY-FIELD AGREEMENT" in out.getvalue()
+
+    def test_diff_compares_every_declared_field_by_default(self):
+        out = io.StringIO()
+        code = csl_main(
+            ["diff", "--csl", HANDWRITTEN_DIR, "--benchmark", "Seismic",
+             "--grid", "9x9", "--nz", "16", "--num-chunks", "1",
+             "--executors", "reference"],
+            out=out,
+        )
+        assert code == 0
+        rows = [line.split()[:2] for line in out.getvalue().splitlines()[2:-1]]
+        assert rows == [["reference", "v"], ["reference", "u"]]
+
+    def test_diff_refuses_sources_that_export_no_field(self, tmp_path, capsys):
+        for entry in os.listdir(HANDWRITTEN_DIR):
+            with open(os.path.join(HANDWRITTEN_DIR, entry)) as handle:
+                text = handle.read()
+            (tmp_path / entry).write_text(
+                text.replace('comptime { @export_symbol(u, "u"); }\n', "")
+                .replace('comptime { @export_symbol(v, "v"); }\n', "")
+            )
+        code = csl_main(
+            ["diff", "--csl", str(tmp_path), "--benchmark", "Seismic",
+             "--grid", "9x9", "--nz", "16", "--num-chunks", "1"],
+            out=io.StringIO(),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seismic25.csl:1:1: the program exports no field")

@@ -49,6 +49,10 @@ class TestHandwrittenKernel:
         assert image.buffers["u"] == 24
         assert image.buffers["receive_buffer"] == 256
 
+    def test_declares_its_fields_and_their_z_halo(self, handwritten_image):
+        assert list(handwritten_image.fields.items()) == [("v", 24), ("u", 24)]
+        assert handwritten_image.z_halo == 4
+
     def test_all_executors_byte_identical(self, handwritten_image):
         image = handwritten_image
         rng = np.random.default_rng(7)
@@ -108,3 +112,24 @@ class TestHandwrittenKernel:
         )
         assert not report.agreed
         assert "DIVERGENCE DETECTED" in report.format()
+
+    def test_diff_refuses_an_undeclared_field(self, handwritten_image):
+        with pytest.raises(ValueError, match="'receive_buffer' is not a declared"):
+            diff_images(
+                handwritten_image, handwritten_image, fields=("receive_buffer",)
+            )
+
+    def test_diff_refuses_images_declaring_different_fields(
+        self, handwritten_image
+    ):
+        sources = {}
+        for entry in sorted(os.listdir(HANDWRITTEN_DIR)):
+            with open(os.path.join(HANDWRITTEN_DIR, entry)) as handle:
+                sources[entry] = handle.read()
+        sources["seismic25.csl"] = sources["seismic25.csl"].replace(
+            'comptime { @export_symbol(v, "v"); }\n', ""
+        )
+        only_u = parse_csl_sources(sources).image()
+        assert only_u.fields == {"u": 24}
+        with pytest.raises(ValueError, match="declare different fields"):
+            diff_images(handwritten_image, only_u)

@@ -12,7 +12,7 @@ inlines comprehensions and counts fewer).
 import csl_corpus
 from repro.csl import parse_csl_sources
 from repro.csl.lexer import tokenize
-from repro.tests_support import python_calls
+from tests.tests_support import python_calls
 
 #: calls per token over one ``csl_frontdoor`` sweep, lexing to lowered modules
 CALLS_PER_TOKEN_CEILING = 4.0

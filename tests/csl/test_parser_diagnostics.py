@@ -165,6 +165,22 @@ class TestLoweringDiagnostics:
         )
         assert "@rpc references undefined import 'memcpy'" in str(error)
 
+    def test_export_of_an_undeclared_symbol(self):
+        error = diagnostic(
+            MINIMAL + 'comptime { @export_symbol(nosuch, "nosuch"); }\n'
+        )
+        assert isinstance(error, CslLoweringError)
+        assert "@export_symbol of undeclared symbol 'nosuch'" in str(error)
+        assert str(error).startswith("kernel.csl:5:1")
+        assert error.token == "nosuch"
+
+    def test_an_export_may_precede_the_buffer_it_names(self):
+        image = parse_csl_program(
+            'comptime { @export_symbol(u, "u"); }\n'
+            "var u = @zeros([4]f32);\n" + MINIMAL
+        )
+        assert image.fields == {"u": 4}
+
     def test_redefinition_of_a_const(self):
         error = diagnostic(
             "fn f_main() void {\n  const a = 1;\n  const a = 2;\n  return;\n}\n"
@@ -237,14 +253,14 @@ class TestPlanDiagnostics:
     the plan rejects them before any executor runs."""
 
     def test_communicate_chunks_overrunning_src_len(self):
-        """The token mutant ``advection.csl:37`` ``.chunk_size = 16`` ->
+        """The token mutant ``advection.csl:38`` ``.chunk_size = 16`` ->
         ``66`` of the printed Advection program once escaped the parser and
         the plan, and both ``reference`` and ``compiled`` then failed with
         a raw NumPy error."""
         sources = dict(csl_corpus.generated_sources("wse2", 2)["Advection"])
         lines = sources["advection.csl"].split("\n")
-        assert ".chunk_size = 16," in lines[36]
-        lines[36] = lines[36].replace(".chunk_size = 16,", ".chunk_size = 66,")
+        assert ".chunk_size = 16," in lines[37]
+        lines[37] = lines[37].replace(".chunk_size = 16,", ".chunk_size = 66,")
         sources["advection.csl"] = "\n".join(lines)
         image = parse_csl_sources(sources).programs[0]
         for executor in ("reference", "compiled"):
@@ -322,8 +338,8 @@ class TestPlanDiagnostics:
         ``@fmovs`` of the receive callback, its destination cut to 8."""
         sources = dict(csl_corpus.generated_sources("wse2", 2)["Seismic"])
         lines = sources["seismic25.csl"].split("\n")
-        assert "|i|{16} -> accumulator_0[i]" in lines[108]
-        lines[108] = lines[108].replace("{16}", "{8}")
+        assert "|i|{16} -> accumulator_0[i]" in lines[109]
+        lines[109] = lines[109].replace("{16}", "{8}")
         sources["seismic25.csl"] = "\n".join(lines)
         image = parse_csl_sources(sources).programs[0]
         for executor in ("reference", "compiled"):

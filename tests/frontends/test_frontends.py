@@ -369,7 +369,7 @@ class TestHaloDerivation:
     def test_wide_access_program_is_functionally_correct(self, executor):
         """End to end: radius-2 Laplacian on space_order=1 functions now
         matches the oracle instead of reading stale halo padding."""
-        from repro.tests_support import simulate_against_reference
+        from tests.tests_support import simulate_against_reference
         from repro.transforms.pipeline import PipelineOptions
 
         grid = Grid((5, 5, 10))
@@ -592,7 +592,7 @@ class TestOracleRefreshesCallerBuiltArrays:
             StencilEquation,
             StencilProgram,
         )
-        from repro.tests_support import simulate_against_reference
+        from tests.tests_support import simulate_against_reference
         from repro.transforms.pipeline import PipelineOptions
 
         program = StencilProgram(
@@ -630,7 +630,7 @@ class TestOracleRefreshesCallerBuiltArrays:
         """Regression (same class as the Devito fix): a kernel builder
         reaching past its metadata's declared extent widens the halo
         instead of silently under-allocating it."""
-        from repro.tests_support import simulate_against_reference
+        from tests.tests_support import simulate_against_reference
         from repro.transforms.pipeline import PipelineOptions
 
         metadata = KernelMetadata(

@@ -12,13 +12,14 @@ from repro.ir import Block, IntAttr, Region, VerifyException, f32, f64, i32
 from repro.ir.operation import Operation, UnregisteredOp
 from repro.ir.printer import print_module
 from repro.ir.value import SSAValue
-from repro.tests_support import assert_use_def_consistent
 from repro.transforms.arith_to_varith import ArithToVarithPass
 from repro.transforms.canonicalize import CanonicalizePass
 from repro.transforms.varith_fuse_repeated_operands import (
     VarithFuseRepeatedOperandsPass,
 )
 from repro.wse.interpreter import bound_image
+
+from tests.tests_support import assert_use_def_consistent
 
 TYPES = [f32, f64, i32]
 ATTRIBUTE_NAMES = ["a", "b", "c"]

@@ -29,8 +29,7 @@ one tag:
 
 Any other entry may say ``why`` in a few words where the tag alone does
 not.  The
-bodies of ``if TYPE_CHECKING:`` blocks are not executable code and
-``repro/tests_support.py`` (the tests' own helpers) is not censused.
+bodies of ``if TYPE_CHECKING:`` blocks are not executable code.
 
 A range that no shipped driver reaches and no outside input can is
 *unreached*: it is deleted, not tagged.  ``test_reach.py`` fails when an
@@ -62,10 +61,6 @@ DRIVER = HERE / "reach_driver.py"
 REPORT = HERE / "data" / "reach_report.json"
 SRC = HERE.parents[1] / "src"
 PACKAGE = SRC / "repro"
-
-#: the tests' shared helpers: the test suite is their driver, not a census
-#: of shipped traffic.
-EXCLUDED = ("repro/tests_support.py",)
 
 TAGS = ("rejects input", "driver gap", "timing")
 #: tags whose range must stay unexecuted (a run makes the tag stale).
@@ -276,8 +271,6 @@ def census(reached: dict[str, set[int]], report: list[dict]) -> Census:
     missing: list[dict] = []
     for path in sorted(PACKAGE.rglob("*.py")):
         relative = str(path.relative_to(SRC))
-        if relative in EXCLUDED:
-            continue
         source = path.read_text(encoding="utf-8")
         masked, gone = _masked_lines(source, timing.pop(relative, []))
         missing += gone

@@ -29,7 +29,8 @@ from repro import code_digest
 from repro.benchmarks import benchmark_by_name
 from repro.service.fingerprint import compute_fingerprint
 from repro.service.kernels import KernelSourceStore
-from repro.service.run import compute_csl_run_fingerprint, compute_run_fingerprint
+from repro.service.run import compute_run_fingerprint, run_fingerprint
+from repro.service.run import source_set_digest
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.codegen import get_kernel, kernel_cache_statistics, kernel_fingerprint
 from repro.wse.interpreter import bound_image
@@ -44,7 +45,7 @@ print(json.dumps({
     "code": code_digest(),
     "compile": compute_fingerprint(program, options),
     "run": compute_run_fingerprint(program, options, "compiled", 13, 100),
-    "csl_run": compute_csl_run_fingerprint({"pe.csl": "// pe"}, "compiled", 13, 100),
+    "csl_run": run_fingerprint(source_set_digest({"pe.csl": "// pe"}), "compiled", 13, 100),
     "kernel": kernel_fingerprint(image, plan),
     "codegens": statistics.codegens,
     "store_hits": statistics.disk_hits,

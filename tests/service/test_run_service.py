@@ -13,12 +13,10 @@ import io
 import re
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from repro.baselines.numpy_ref import allocate_fields, field_to_columns
+from repro import code_digest
 from repro.benchmarks import benchmark_by_name
-from repro.csl import parse_csl_sources
 from repro.service.cli import main as cli_main
 from repro.service.fingerprint import canonical_json, compute_fingerprint
 from repro.service.kernels import KernelSourceStore
@@ -29,6 +27,7 @@ from repro.service.run import (
     RunArtifact,
     RunService,
     compute_run_fingerprint,
+    run_fingerprint,
     run_fingerprint_payload,
 )
 from repro.transforms.pipeline import PipelineOptions
@@ -47,41 +46,35 @@ def _config(grid=3, nz=8, steps=1):
     return program, options
 
 
-def _digests_of(sources, program):
-    """The field digests of ``sources`` simulated here, not through the
-    service, on the inputs a run of ``program`` seeds."""
-    rng = np.random.default_rng(DEFAULT_RUN_SEED)
-    fields = allocate_fields(
-        program, lambda name, shape: rng.uniform(-1.0, 1.0, shape)
-    )
-    simulator = WseSimulator(
-        parse_csl_sources(sources).image(), executor="vectorized"
-    )
-    for decl in program.fields:
-        simulator.load_field(
-            decl.name, field_to_columns(program, decl.name, fields[decl.name])
-        )
-    simulator.execute()
-    return {
-        decl.name: hashlib.sha256(
-            simulator.read_field(decl.name).tobytes()
-        ).hexdigest()
-        for decl in program.fields
-    }
-
-
 class TestRunFingerprints:
-    def test_payload_extends_the_compile_payload(self):
+    def test_payload_keys_the_compile_artifact_and_the_run_inputs(self):
         program, options = _config()
         payload = run_fingerprint_payload(
-            program, options, "vectorized", 13, DEFAULT_MAX_ROUNDS
+            compute_fingerprint(program, options),
+            "vectorized",
+            13,
+            DEFAULT_MAX_ROUNDS,
         )
-        assert payload["run"] == {
-            "executor": "vectorized",
-            "seed": 13,
-            "max_rounds": DEFAULT_MAX_ROUNDS,
+        assert payload == {
+            "code": code_digest(),
+            "compile": compute_fingerprint(program, options),
+            "run": {
+                "executor": "vectorized",
+                "seed": 13,
+                "max_rounds": DEFAULT_MAX_ROUNDS,
+            },
         }
-        assert "program" in payload and "options" in payload
+        assert compute_run_fingerprint(
+            program, options, "vectorized", 13, DEFAULT_MAX_ROUNDS
+        ) == hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+        assert compute_run_fingerprint(
+            program, options, "vectorized", 13, DEFAULT_MAX_ROUNDS
+        ) == run_fingerprint(
+            compute_fingerprint(program, options),
+            "vectorized",
+            13,
+            DEFAULT_MAX_ROUNDS,
+        )
 
     def test_every_run_input_is_fingerprint_sensitive(self):
         program, options = _config()
@@ -129,7 +122,10 @@ class TestRunFingerprints:
 
         program, options = _config()
         payload = run_fingerprint_payload(
-            program, options, "vectorized", 13, DEFAULT_MAX_ROUNDS
+            compute_fingerprint(program, options),
+            "vectorized",
+            13,
+            DEFAULT_MAX_ROUNDS,
         )
         shuffled = reordered(payload)
         assert list(shuffled) == list(reversed(list(payload)))  # really moved
@@ -209,7 +205,8 @@ class TestRunService:
     def test_a_run_executes_the_csl_the_store_holds(self):
         """The stored compile artifact's text is the program a run
         simulates: with one coefficient edited under the real fingerprint,
-        the run's digests are the edited text's, not the pristine one's."""
+        the run's digests are the edited text's run through the text door,
+        not the pristine text's."""
         program, options = _config()
         stored = CompileService().compile(program, options)
         edited = dict(stored.csl_sources)
@@ -221,8 +218,15 @@ class TestRunService:
         with RunService() as service:
             artifact = service.run(program, options, executor="vectorized")
             assert service.compiler.statistics.compiles == 0
-        assert artifact.field_digests == _digests_of(edited, program)
-        assert artifact.field_digests != _digests_of(stored.csl_sources, program)
+            as_text = {
+                name: service.run_csl(sources, executor="vectorized").field_digests
+                for name, sources in (
+                    ("edited", edited),
+                    ("stored", stored.csl_sources),
+                )
+            }
+        assert artifact.field_digests == as_text["edited"]
+        assert artifact.field_digests != as_text["stored"]
 
     def test_a_fresh_service_skips_the_pipeline_on_a_warm_store(self):
         program, options = _config()

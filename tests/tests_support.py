@@ -1,4 +1,5 @@
-"""Shared helpers for tests and examples: compile, simulate and compare."""
+"""Shared helpers of the test suite: compile, simulate and compare, and
+count what a call costs."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.baselines.numpy_ref import (
-    allocate_fields,
+    columns_to_field,
     field_to_columns,
     run_reference,
 )
@@ -17,7 +18,7 @@ from repro.frontends.common import StencilProgram
 from repro.ir.operation import Operation
 from repro.ir.value import SSAValue
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
-from repro.wse.simulator import WseSimulator
+from repro.wse.simulator import WseSimulator, seeded_inputs
 
 
 def python_calls(function, *args) -> int:
@@ -82,35 +83,23 @@ def assert_use_def_consistent(root: Operation) -> None:
             )
 
 
-def random_initializer(seed: int = 7):
-    """A deterministic random interior initialiser for fields."""
-    rng = np.random.default_rng(seed)
-
-    def initializer(name, shape):
-        return rng.uniform(-1.0, 1.0, size=shape)
-
-    return initializer
-
-
 def run_on_executor(
     executor: str,
     program: StencilProgram,
     program_module,
     seed: int = 13,
 ):
-    """Load identical random data, execute, gather fields + statistics.
+    """Load the seeded inputs, execute, gather fields + statistics.
 
     The shared harness of the golden equivalence suites: running the same
     compiled module with the same seed on two executors must produce
-    byte-identical fields and equal statistics.
+    byte-identical fields and equal statistics.  The inputs are
+    :func:`~repro.wse.simulator.seeded_inputs` of the module, the rule
+    every run door seeds by.
     """
-    rng = np.random.default_rng(seed)
-    fields = allocate_fields(program, lambda name, shape: rng.uniform(-1, 1, shape))
     simulator = WseSimulator(program_module, executor=executor)
-    for decl in program.fields:
-        simulator.load_field(
-            decl.name, field_to_columns(program, decl.name, fields[decl.name])
-        )
+    for name, columns in seeded_inputs(simulator.image, seed).items():
+        simulator.load_field(name, columns)
     statistics = simulator.execute()
     gathered = {decl.name: simulator.read_field(decl.name) for decl in program.fields}
     return gathered, statistics
@@ -128,21 +117,21 @@ def simulate_against_reference(
     per-PE column arrays of shape ``(nx, ny, z_total)``.  ``executor``
     selects the simulator backend (``DEFAULT_EXECUTOR`` when omitted).
 
-    The NumPy oracle runs under the boundary condition that was actually
-    compiled in, so an ``options.boundary`` override stays comparable.
+    Both start from the seeded inputs of the compiled module; the NumPy
+    oracle runs under the boundary condition that was actually compiled in,
+    so an ``options.boundary`` override stays comparable.
     """
     result = compile_stencil_program(program, options)
     if result.options.boundary != program.boundary:
         program = replace(program, boundary=result.options.boundary)
     simulator = WseSimulator(result.program_module, executor=executor)
-
-    fields = allocate_fields(program, random_initializer(seed))
-    reference_fields = {name: array.copy() for name, array in fields.items()}
-
-    for decl in program.fields:
-        simulator.load_field(
-            decl.name, field_to_columns(program, decl.name, fields[decl.name])
-        )
+    inputs = seeded_inputs(simulator.image, seed)
+    for name, columns in inputs.items():
+        simulator.load_field(name, columns)
+    reference_fields = {
+        decl.name: columns_to_field(program, decl.name, inputs[decl.name])
+        for decl in program.fields
+    }
 
     simulator.execute()
     run_reference(program, reference_fields)

@@ -39,12 +39,13 @@ from repro.benchmarks import ALL_BENCHMARKS, benchmark_by_name
 from repro.frontends.common import build_stencil_module
 from repro.ir import ModulePass, PassManager
 from repro.ir.operation import Operation
-from repro.tests_support import assert_use_def_consistent, python_calls
 from repro.transforms.pipeline import (
     PipelineOptions,
     build_pass_pipeline,
     compile_stencil_program,
 )
+
+from tests.tests_support import assert_use_def_consistent, python_calls
 
 #: calls per op of the final module over one sweep of the seven benchmarks
 CALLS_PER_SURVIVING_OP_CEILING = 160.0

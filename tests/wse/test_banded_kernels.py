@@ -28,13 +28,14 @@ from repro.frontends.common import (
     StencilEquation,
     StencilProgram,
 )
-from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse import codegen
 from repro.wse.codegen import _KernelEmitter, generate_kernel_source, reset_kernel_cache
 from repro.wse.executors import tiled
 from repro.wse.executors.compiled import CompiledExecutor
 from repro.wse.interpreter import bound_image
+
+from tests.tests_support import run_on_executor
 
 BOUNDARIES = (
     BoundaryCondition.dirichlet(),

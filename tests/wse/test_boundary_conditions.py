@@ -21,9 +21,10 @@ from repro.baselines.numpy_ref import (
 from repro.benchmarks import benchmark_by_name
 from repro.frontends.common import BoundaryCondition
 from repro.frontends.flang_like import parse_fortran_stencil
-from repro.tests_support import run_on_executor, simulate_against_reference
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.simulator import WseSimulator
+
+from tests.tests_support import run_on_executor, simulate_against_reference
 
 EXECUTORS = ("reference", "vectorized", "tiled", "compiled", "auto")
 

@@ -22,12 +22,13 @@ from repro.frontends.common import (
     StencilEquation,
     StencilProgram,
 )
-from repro.tests_support import simulate_against_reference
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.interpreter import PeInterpreter, bound_image
 from repro.wse.pe import ProcessingElement
 from repro.wse.runtime import CommsRuntime
 from repro.wse.simulator import WseSimulator
+
+from tests.tests_support import simulate_against_reference
 
 EXECUTORS = ("reference", "vectorized", "tiled", "compiled", "auto")
 

@@ -41,7 +41,6 @@ from repro.ir.exceptions import InterpretationError
 from repro.ir.operation import UnregisteredOp
 from repro.service.cache import REPRO_CACHE_DIR_ENV
 from repro.service.kernels import KernelSourceStore
-from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse import codegen
 from repro.wse.codegen import (
@@ -57,6 +56,8 @@ from repro.wse.executors.auto import RATIONALE
 from repro.wse.interpreter import ProgramImage
 from repro.wse.plan import ExecutionPlan
 from repro.wse.simulator import WseSimulator
+
+from tests.tests_support import run_on_executor
 
 
 @pytest.fixture(autouse=True)

@@ -122,13 +122,14 @@ import pytest
 
 from repro.benchmarks import benchmark_by_name
 from repro.dialects import csl
-from repro.tests_support import python_calls
 from repro.wse import codegen
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.interpreter import bound_image
 from repro.wse.plan import ShardGeometry
 from repro.wse.schedule import delivery_schedule
 from repro.wse.simulator import WseSimulator
+
+from tests.tests_support import python_calls
 
 #: (benchmark, fabric side) -> (warm-bind calls, one-execute calls) of
 #: ``compiled`` with the whole-grid kernel kind, CPython 3.11.7.

@@ -11,7 +11,6 @@ import pytest
 
 from repro.benchmarks import benchmark_by_name
 from repro.benchmarks.definitions import ALL_BENCHMARKS
-from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.executors import (
     DEFAULT_EXECUTOR,
@@ -22,6 +21,8 @@ from repro.wse.executors.reference import ReferenceExecutor
 from repro.wse.executors.tiled import TiledExecutor
 from repro.wse.executors.vectorized import VectorizedExecutor
 from repro.wse.simulator import WseSimulator
+
+from tests.tests_support import run_on_executor
 
 #: every backend validated bit-for-bit against the reference interpreter.
 DERIVED_EXECUTORS = ("vectorized", "tiled", "compiled", "auto")

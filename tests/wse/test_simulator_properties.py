@@ -15,9 +15,10 @@ from repro.frontends.common import (
     StencilEquation,
     StencilProgram,
 )
-from repro.tests_support import simulate_against_reference
 from repro.transforms.pipeline import PipelineOptions
 from repro.wse.executors import available_executors
+
+from tests.tests_support import simulate_against_reference
 
 
 @st.composite

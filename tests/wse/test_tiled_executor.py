@@ -32,7 +32,6 @@ from repro.frontends.common import (
     StencilProgram,
 )
 from repro.ir.exceptions import InterpretationError
-from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.codegen import KernelCodegenError, generate_kernel_source
 from repro.wse.executors import tiled
@@ -41,6 +40,8 @@ from repro.wse.interpreter import bound_image
 from repro.wse.plan import ShardGeometry
 from repro.wse.schedule import delivery_schedule
 from repro.wse.simulator import WseSimulator
+
+from tests.tests_support import run_on_executor
 
 HANDWRITTEN_DIR = (
     Path(__file__).resolve().parents[2] / "examples" / "handwritten"

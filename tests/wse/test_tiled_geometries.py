@@ -18,10 +18,11 @@ import pytest
 from repro.benchmarks import benchmark_by_name
 from repro.benchmarks.definitions import ALL_BENCHMARKS
 from repro.frontends.common import BoundaryCondition
-from repro.tests_support import run_on_executor
 from repro.transforms.pipeline import PipelineOptions, compile_stencil_program
 from repro.wse.executors import tiled
 from repro.wse.simulator import WseSimulator
+
+from tests.tests_support import run_on_executor
 
 BOUNDARIES = {
     boundary.spec: boundary
