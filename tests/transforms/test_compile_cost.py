@@ -28,7 +28,10 @@ Ops constructed and pattern rewrites per compile are exact: before the chain
 flattening they were 206/60, 419/137, 671/233, 317/95, 451/149, 176/44 and
 419/137 (same order as ``LEDGER``) — every difference is
 ``convert-arith-to-varith`` no longer building a growing ``varith`` op per
-link of a chain and erasing the previous one.
+link of a chain and erasing the previous one.  Since the printed program
+declares its fields, each compile constructs (and keeps) one more op per
+field, its ``csl.export``, plus the ``z_halo`` ``csl.param``: 201/95,
+408/132, 648/180, 316/130, 439/138, 175/85 and 408/132 before.
 """
 
 from contextlib import contextmanager
@@ -52,13 +55,13 @@ CALLS_PER_SURVIVING_OP_CEILING = 160.0
 
 #: benchmark -> (ops constructed, pattern rewrites, ops in the final module)
 LEDGER = {
-    "Jacobian": (201, 50, 95),
-    "Diffusion": (408, 115, 132),
-    "Seismic": (648, 187, 180),
-    "UVKBE": (316, 93, 130),
-    "Acoustic": (439, 125, 138),
-    "Advection": (175, 42, 85),
-    "ReflectiveHeat": (408, 115, 132),
+    "Jacobian": (204, 50, 98),
+    "Diffusion": (411, 115, 135),
+    "Seismic": (651, 187, 183),
+    "UVKBE": (321, 93, 135),
+    "Acoustic": (442, 125, 141),
+    "Advection": (177, 42, 87),
+    "ReflectiveHeat": (411, 115, 135),
 }
 
 NAMES = [benchmark.name for benchmark in ALL_BENCHMARKS]
