@@ -63,7 +63,7 @@ class ParsedCsl:
     ):
         self.programs = programs
         self.layout = layout
-        #: the source file of each program module.
+        #: the source file of each of :attr:`modules`.
         self.files = files
 
     @property
@@ -82,16 +82,17 @@ class ParsedCsl:
     def image(self, index: int = 0) -> ProgramImage:
         return ProgramImage(self.programs[index])
 
-    def runnable_image(self, index: int = 0) -> ProgramImage:
-        """:meth:`image` of a program a run can seed and digest: one that
-        exports at least one field (``@export_symbol`` of a buffer); any
-        other raises a :class:`CslLoweringError` located at its file."""
-        image = self.image(index)
-        if not image.fields:
+    def runnable_image(self) -> ProgramImage:
+        """The first program's image, if it exports a field (``@export_symbol``
+        of a buffer): what a run seeds and digests.  A set without such a
+        program raises a :class:`CslLoweringError` located at its first
+        file."""
+        image = ProgramImage(self.programs[0]) if self.programs else None
+        if image is None or not image.fields:
             raise CslLoweringError(
-                "the program exports no field (@export_symbol of a buffer), "
-                "so a run has nothing to seed or digest",
-                SourceLocation(self.files[index], 1, 1),
+                "no program module exports a field (@export_symbol of a "
+                "buffer), so a run has nothing to seed or digest",
+                SourceLocation(self.files[0], 1, 1),
             )
         return image
 
@@ -116,10 +117,12 @@ def parse_csl_sources(sources: dict[str, str]) -> ParsedCsl:
         lowered = lower.lower_module(module)
         if lowered.kind == csl_dialect.ModuleKind.LAYOUT:
             layout = lowered
+            layout_file = filename
         else:
             programs.append(lowered)
             files.append(filename)
     if layout is not None:
+        files.append(layout_file)
         tiled = {
             os.path.basename(op.program_file)
             for op in layout.ops

@@ -302,8 +302,8 @@ class RunService:
         program job: the fields the program exports are seeded by
         :func:`~repro.wse.simulator.seeded_inputs` and digested after the
         run, so a program's printed sources give the same ``field_digests``
-        here as the program does through :meth:`run`.  A source set whose
-        program exports no field raises a located
+        here as the program does through :meth:`run`.  A source set with
+        no program that exports a field raises a located
         :class:`~repro.csl.CslDiagnosticError`.
         """
         executor_name = _executor_name(executor)

@@ -132,4 +132,6 @@ class TestDiffVerb:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: seismic25.csl:1:1: the program exports no field")
+        assert err.startswith(
+            "error: seismic25.csl:1:1: no program module exports a field"
+        )

@@ -97,8 +97,17 @@ class TestOneFrontDoor:
         }
         with pytest.raises(CslDiagnosticError) as info:
             RunService(cache_dir=str(tmp_path)).run_csl(bare)
-        assert str(info.value).startswith("jacobian.csl:1:1: ")
-        assert "exports no field" in str(info.value)
+        assert str(info.value).startswith(
+            "jacobian.csl:1:1: no program module exports a field"
+        )
+
+    def test_a_source_set_without_a_program_is_refused(self, sources, tmp_path):
+        layout_only = {"jacobian_layout.csl": sources["jacobian_layout.csl"]}
+        with pytest.raises(CslDiagnosticError) as info:
+            RunService(cache_dir=str(tmp_path)).run_csl(layout_only)
+        assert str(info.value).startswith(
+            "jacobian_layout.csl:1:1: no program module exports a field"
+        )
 
 
 class TestRunServiceCsl:
