@@ -23,7 +23,6 @@ from repro.service.kernels import KernelSourceStore
 from repro.service.service import CompileService
 from repro.service.run import (
     DEFAULT_MAX_ROUNDS,
-    DEFAULT_RUN_SEED,
     RunArtifact,
     RunService,
     compute_run_fingerprint,
